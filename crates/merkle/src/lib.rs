@@ -15,12 +15,21 @@
 //!   post-write root without holding the tree — the `verify_mht`/`update`
 //!   pair of the paper.
 //! - [`mpt`]: a hex-nibble **Merkle Patricia trie** with membership and
-//!   non-membership proofs — the upper level of the two-level historical
-//!   query index (Fig. 5).
-//! - [`mbtree`]: a **Merkle B-tree** (B+-tree with per-entry digests, after
-//!   Li et al. SIGMOD'06) keyed by timestamp — the lower level of the
-//!   two-level index, answering authenticated time-window range queries with
-//!   completeness guarantees.
+//!   non-membership proofs — the upper level of the two-level query
+//!   indexes (Fig. 5).
+//! - [`btree`]: **one annotated Merkle B+-tree, two flavors** — the lower
+//!   level of the two-level indexes, keyed by timestamp. [`MbTree`] (after
+//!   Li et al. SIGMOD'06: per-entry value digests, unit annotation)
+//!   answers time-window range queries with completeness guarantees;
+//!   [`AggMbTree`] (raw `u64` entries, a count/sum/min/max [`Aggregate`]
+//!   bound into every node hash) answers window aggregations with
+//!   O(log n) proofs. Both are the same generic [`btree::BTree`]: one
+//!   insert, one window prover, one window verifier, one stateless
+//!   rightmost append the enclave replays.
+//! - [`ops`]: the **stack-machine proof encoding** — one bounded
+//!   post-order program per key set or window, for either B+-tree flavor
+//!   and for the static Merkle tree, lifted into the same verifiers the
+//!   per-path encoding uses.
 //!
 //! All node hashes are domain-separated (see [`domain`]) so that a node of
 //! one structure can never be confused with a node of another.
@@ -31,15 +40,15 @@
     deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)
 )]
 
-pub mod aggmb;
-pub mod mbtree;
+pub mod btree;
 pub mod mht;
 pub mod mpt;
 pub mod ops;
 pub mod smt;
 
-pub use aggmb::{AggMbTree, AggProof, Aggregate};
-pub use mbtree::{MbAppendProof, MbRangeProof, MbTree};
+pub use btree::{
+    AggAppendProof, AggMbTree, AggProof, Aggregate, MbAppendProof, MbRangeProof, MbTree,
+};
 pub use mht::{build_threads, set_build_threads, MerkleTree, MhtOpProof, MhtProof};
 pub use mpt::{Mpt, MptProof};
 pub use ops::{AggOpProof, MbOpProof, OpNode, ProofOp, MAX_OP_STACK, MAX_PROOF_DEPTH};
@@ -69,28 +78,46 @@ pub enum ProofEncoding {
 /// Each authenticated structure hashes its nodes as
 /// `H(tag || payload)`, with a tag unique to the structure and node kind.
 pub mod domain {
-    /// Sparse-Merkle-tree leaf: `H(tag || key || value_hash)`.
-    pub const SMT_LEAF: u8 = 0x01;
-    /// Sparse-Merkle-tree branch: `H(tag || left || right)`.
-    pub const SMT_BRANCH: u8 = 0x02;
-    /// Static Merkle-tree leaf: `H(tag || item)`.
-    pub const MHT_LEAF: u8 = 0x03;
-    /// Static Merkle-tree inner node: `H(tag || left || right)`.
-    pub const MHT_NODE: u8 = 0x04;
-    /// Patricia-trie leaf node.
-    pub const MPT_LEAF: u8 = 0x05;
-    /// Patricia-trie extension node.
-    pub const MPT_EXT: u8 = 0x06;
-    /// Patricia-trie branch node.
-    pub const MPT_BRANCH: u8 = 0x07;
-    /// Merkle-B-tree leaf node.
-    pub const MBT_LEAF: u8 = 0x08;
-    /// Merkle-B-tree internal node.
-    pub const MBT_NODE: u8 = 0x09;
-    /// Authenticated skip-list node (used by the LineageChain baseline).
-    pub const SKIP_NODE: u8 = 0x0a;
-    /// Inverted-index dictionary entry.
-    pub const INV_ENTRY: u8 = 0x0b;
+    /// Declares the tags and, for the tests, the table of all of them —
+    /// so a tag cannot be added without entering the distinctness check.
+    macro_rules! tags {
+        ($($(#[$doc:meta])* $name:ident = $value:literal;)*) => {
+            $($(#[$doc])* pub const $name: u8 = $value;)*
+            #[cfg(test)]
+            pub(crate) const ALL: &[(&str, u8)] = &[$((stringify!($name), $name)),*];
+        };
+    }
+
+    tags! {
+        /// Sparse-Merkle-tree leaf: `H(tag || key || value_hash)`.
+        SMT_LEAF = 0x01;
+        /// Sparse-Merkle-tree branch: `H(tag || left || right)`.
+        SMT_BRANCH = 0x02;
+        /// Static Merkle-tree leaf: `H(tag || item)`.
+        MHT_LEAF = 0x03;
+        /// Static Merkle-tree inner node: `H(tag || left || right)`.
+        MHT_NODE = 0x04;
+        /// Patricia-trie leaf node.
+        MPT_LEAF = 0x05;
+        /// Patricia-trie extension node.
+        MPT_EXT = 0x06;
+        /// Patricia-trie branch node.
+        MPT_BRANCH = 0x07;
+        /// Merkle-B-tree leaf node ([`Plain`](crate::btree::Plain) flavor).
+        MBT_LEAF = 0x08;
+        /// Merkle-B-tree internal node ([`Plain`](crate::btree::Plain) flavor).
+        MBT_NODE = 0x09;
+        /// Authenticated skip-list node (used by the LineageChain baseline).
+        SKIP_NODE = 0x0a;
+        /// Inverted-index dictionary entry.
+        INV_ENTRY = 0x0b;
+        /// Aggregate-annotated B-tree leaf node
+        /// ([`Summed`](crate::btree::Summed) flavor).
+        AGG_LEAF = 0x0c;
+        /// Aggregate-annotated B-tree internal node
+        /// ([`Summed`](crate::btree::Summed) flavor).
+        AGG_NODE = 0x0d;
+    }
 }
 
 /// Errors returned when verifying or applying Merkle proofs.
@@ -119,3 +146,17 @@ impl std::fmt::Display for ProofError {
 }
 
 impl std::error::Error for ProofError {}
+
+#[cfg(test)]
+mod tests {
+    use super::domain;
+
+    #[test]
+    fn domain_tags_are_pairwise_distinct() {
+        for (i, (name, tag)) in domain::ALL.iter().enumerate() {
+            for (other, other_tag) in domain::ALL.iter().skip(i + 1) {
+                assert_ne!(tag, other_tag, "{name} and {other} share a domain tag");
+            }
+        }
+    }
+}

@@ -1,11 +1,10 @@
 //! Stack-machine (op-stream) proof encoding, after the Merk/GroveDB
 //! design, generalized to DCert's n-ary authenticated trees.
 //!
-//! The per-path encodings in [`mbtree`](crate::mbtree) /
-//! [`aggmb`](crate::aggmb) / [`mht`](crate::mht) serialize one pruned
-//! tree per query, so a window touching k adjacent keys pays k·log n
-//! hashes. An **op stream** instead serializes a single partial tree as
-//! a post-order program for a tiny stack machine:
+//! The per-path encodings in [`btree`](crate::btree) / [`mht`](crate::mht)
+//! serialize one pruned tree per query, so a window touching k adjacent
+//! keys pays k·log n hashes. An **op stream** instead serializes a single
+//! partial tree as a post-order program for a tiny stack machine:
 //!
 //! - [`ProofOp::Push`] — push a node (an opened leaf, a pruned subtree
 //!   hash, or an internal-node shell) onto the stack;
@@ -29,12 +28,13 @@
 //! operands — returns a typed [`ProofError`]; the executor never panics
 //! on attacker-controlled input.
 
+use std::marker::PhantomData;
+
 use dcert_primitives::codec::{decode_seq, encode_seq, Decode, Encode, Reader};
 use dcert_primitives::error::CodecError;
 use dcert_primitives::hash::Hash;
 
-use crate::aggmb::{self, AggProof, Aggregate};
-use crate::mbtree::{self, MbRangeProof};
+use crate::btree::{Aggregate, Flavor, Plain, ProofChild, ProofNode, Shape, Summed, WindowProof};
 use crate::ProofError;
 
 /// Maximum operand-stack height while executing an op stream.
@@ -211,89 +211,91 @@ pub(crate) fn execute(ops: &[ProofOp]) -> Result<Partial, ProofError> {
     close(root)
 }
 
-/// Converts a reconstructed partial tree into the MB-tree verifier's
-/// node form. Depth is bounded by [`MAX_PROOF_DEPTH`], so the recursion
-/// cannot exhaust the call stack.
-fn to_mb_node(p: &Partial) -> Result<mbtree::ProofNode, ProofError> {
-    match &p.node {
-        OpNode::Leaf(entries) => Ok(mbtree::ProofNode::Leaf {
-            entries: entries.clone(),
-        }),
-        OpNode::Internal(separators) => {
+/// Lifts a reconstructed partial tree into flavor `F`'s per-path proof
+/// form (the inverse of [`emit`]), so both encodings share one verifier.
+/// Depth is bounded by [`MAX_PROOF_DEPTH`], so the recursion cannot
+/// exhaust the call stack.
+fn lift<F: Flavor>(p: Partial) -> Result<ProofChild<F>, ProofError> {
+    let shape = F::shape(p.node).ok_or(ProofError::Malformed("op node family mismatch"))?;
+    Ok(match shape {
+        Shape::Pruned(summary) => ProofChild::Pruned(summary),
+        Shape::Leaf(entries) => ProofChild::Open(Box::new(ProofNode::Leaf { entries })),
+        Shape::Internal(separators) => {
             let mut children = Vec::with_capacity(p.children.len());
-            for child in &p.children {
-                children.push(match &child.node {
-                    OpNode::Pruned(h) => mbtree::ProofChild::Pruned(*h),
-                    _ => mbtree::ProofChild::Open(Box::new(to_mb_node(child)?)),
-                });
+            for child in p.children {
+                children.push(lift(child)?);
             }
-            Ok(mbtree::ProofNode::Internal {
-                separators: separators.clone(),
+            ProofChild::Open(Box::new(ProofNode::Internal {
+                separators,
                 children,
-            })
+            }))
         }
-        OpNode::Pruned(_) => Err(ProofError::Malformed("op proof root is pruned")),
-        _ => Err(ProofError::Malformed("op node family mismatch")),
-    }
+    })
 }
 
-/// Converts a reconstructed partial tree into the aggregate verifier's
-/// node form.
-fn to_agg_node(p: &Partial) -> Result<aggmb::ProofNode, ProofError> {
-    match &p.node {
-        OpNode::AggLeaf(entries) => Ok(aggmb::ProofNode::Leaf {
-            entries: entries.clone(),
-        }),
-        OpNode::AggInternal(separators) => {
-            let mut children = Vec::with_capacity(p.children.len());
-            for child in &p.children {
-                children.push(match &child.node {
-                    OpNode::AggPruned(h, a) => aggmb::ProofChild::Pruned(*h, *a),
-                    _ => aggmb::ProofChild::Open(Box::new(to_agg_node(child)?)),
-                });
-            }
-            Ok(aggmb::ProofNode::Internal {
-                separators: separators.clone(),
-                children,
-            })
-        }
-        OpNode::AggPruned(..) => Err(ProofError::Malformed("op proof root is pruned")),
-        _ => Err(ProofError::Malformed("op node family mismatch")),
-    }
-}
-
-/// Collects the tightest opened keys bracketing `ts` (strict
-/// predecessor/successor) from the partial tree's opened leaves.
-fn collect_bracket(p: &Partial, ts: u64, pred: &mut Option<u64>, succ: &mut Option<u64>) {
-    if let OpNode::Leaf(entries) = &p.node {
-        for (key, _) in entries {
-            if *key < ts && pred.map_or(true, |b| *key > b) {
-                *pred = Some(*key);
-            }
-            if *key > ts && succ.map_or(true, |b| *key < b) {
-                *succ = Some(*key);
+/// Serializes a per-path proof node as a left-to-right post-order
+/// program: each child, then the shell after the first (`Parent`) and a
+/// `Child` after every later one.
+fn emit<F: Flavor>(node: ProofNode<F>, ops: &mut Vec<ProofOp>) {
+    match node {
+        ProofNode::Leaf { entries } => ops.push(ProofOp::Push(F::op_node(Shape::Leaf(entries)))),
+        ProofNode::Internal {
+            separators,
+            children,
+        } => {
+            let mut shell = Some(separators);
+            for child in children {
+                match child {
+                    ProofChild::Pruned(summary) => {
+                        ops.push(ProofOp::Push(F::op_node(Shape::Pruned(summary))));
+                    }
+                    ProofChild::Open(sub) => emit(*sub, ops),
+                }
+                match shell.take() {
+                    Some(separators) => {
+                        ops.push(ProofOp::Push(F::op_node(Shape::Internal(separators))));
+                        ops.push(ProofOp::Parent);
+                    }
+                    None => ops.push(ProofOp::Child),
+                }
             }
         }
     }
-    for child in &p.children {
-        collect_bracket(child, ts, pred, succ);
-    }
 }
 
-/// A single op-stream proof for an MB-tree query over an arbitrary key
-/// set or contiguous range — the op-encoding counterpart of
-/// [`MbRangeProof`].
+/// A single op-stream proof for a [`BTree`](crate::btree::BTree) window
+/// query — the op-encoding counterpart of [`WindowProof`]; for a
+/// [`Plain`] tree it may cover an arbitrary key set.
 ///
 /// An empty stream is the proof for the empty tree (root
 /// [`Hash::ZERO`]), mirroring the per-path encoding's `None` root.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MbOpProof {
+pub struct OpProof<F: Flavor> {
     ops: Vec<ProofOp>,
+    flavor: PhantomData<F>,
 }
 
-impl MbOpProof {
+/// Op-stream proof of an [`MbTree`](crate::MbTree) range or key-set query.
+pub type MbOpProof = OpProof<Plain>;
+/// Op-stream proof of an [`AggMbTree`](crate::AggMbTree) window aggregate.
+pub type AggOpProof = OpProof<Summed>;
+
+impl<F: Flavor> OpProof<F> {
     pub(crate) fn from_ops(ops: Vec<ProofOp>) -> Self {
-        MbOpProof { ops }
+        OpProof {
+            ops,
+            flavor: PhantomData,
+        }
+    }
+
+    /// Re-encodes a per-path proof as one program; pruning is untouched,
+    /// so [`OpProof::verify`] accepts exactly what the per-path proof does.
+    pub(crate) fn from_window_proof(proof: WindowProof<F>) -> Self {
+        let mut ops = Vec::new();
+        if let Some(root) = proof.root {
+            emit(root, &mut ops);
+        }
+        Self::from_ops(ops)
     }
 
     /// The proof program.
@@ -308,33 +310,35 @@ impl MbOpProof {
 
     /// Executes the program and lifts the result into the per-path
     /// verifier's proof form, so verification semantics are shared.
-    fn to_range_proof(&self) -> Result<MbRangeProof, ProofError> {
+    fn to_window_proof(&self) -> Result<WindowProof<F>, ProofError> {
         if self.ops.is_empty() {
-            return Ok(MbRangeProof { root: None });
+            return Ok(WindowProof { root: None });
         }
-        let partial = execute(&self.ops)?;
-        Ok(MbRangeProof {
-            root: Some(to_mb_node(&partial)?),
-        })
+        match lift(execute(&self.ops)?)? {
+            ProofChild::Open(root) => Ok(WindowProof { root: Some(*root) }),
+            ProofChild::Pruned(_) => Err(ProofError::Malformed("op proof root is pruned")),
+        }
     }
 
-    /// Verifies that `results` is exactly the set of entries with
-    /// timestamps in `[lo, hi]`, against the trusted `root`.
+    /// Verifies that `claimed` is exactly the answer to the window query
+    /// `[lo, hi]`, against the trusted `root`.
     ///
     /// # Errors
     ///
-    /// Same contract as [`MbRangeProof::verify`], plus
+    /// Same contract as [`WindowProof::verify`], plus
     /// [`ProofError::Malformed`] for invalid op programs.
     pub fn verify(
         &self,
         root: &Hash,
         lo: u64,
         hi: u64,
-        results: &[(u64, Vec<u8>)],
+        claimed: &F::Claim,
     ) -> Result<(), ProofError> {
-        self.to_range_proof()?.verify(root, lo, hi, results)
+        self.to_window_proof()?.verify(root, lo, hi, claimed)
     }
+}
 
+impl OpProof<Plain> {
     /// Verifies that no entry exists at timestamp `ts` and returns the
     /// proven bracket: the two adjacent proven keys strictly below and
     /// above `ts` (a side is `None` exactly when the tree is proven to
@@ -350,7 +354,7 @@ impl MbOpProof {
     ///
     /// # Errors
     ///
-    /// Any [`ProofError`] from [`MbOpProof::verify`]; in particular a
+    /// Any [`ProofError`] from [`OpProof::verify`]; in particular a
     /// proof whose opened boundary leaves actually contain `ts` fails
     /// with [`ProofError::Incomplete`], as does a bracket with unproven
     /// gaps on either side.
@@ -359,16 +363,9 @@ impl MbOpProof {
         root: &Hash,
         ts: u64,
     ) -> Result<(Option<u64>, Option<u64>), ProofError> {
-        let proof = self.to_range_proof()?;
+        let proof = self.to_window_proof()?;
         proof.verify(root, ts, ts, &[])?;
-        let mut pred = None;
-        let mut succ = None;
-        if !self.ops.is_empty() {
-            // A second execution; programs are tiny and already
-            // validated by `to_range_proof` above.
-            let partial = execute(&self.ops)?;
-            collect_bracket(&partial, ts, &mut pred, &mut succ);
-        }
+        let (pred, succ) = proof.bracket(ts);
         // Adjacency: `(pred, ts]` and `[ts, succ)` are empty windows of
         // the same proven tree (with a `None` side widening to the
         // domain end). `pred < ts < succ`, so neither bound arithmetic
@@ -378,56 +375,6 @@ impl MbOpProof {
         let above_hi = succ.map_or(u64::MAX, |s| s.saturating_sub(1));
         proof.verify(root, ts, above_hi, &[])?;
         Ok((pred, succ))
-    }
-}
-
-/// A single op-stream proof for a window aggregate — the op-encoding
-/// counterpart of [`AggProof`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AggOpProof {
-    ops: Vec<ProofOp>,
-}
-
-impl AggOpProof {
-    pub(crate) fn from_ops(ops: Vec<ProofOp>) -> Self {
-        AggOpProof { ops }
-    }
-
-    /// The proof program.
-    pub fn ops(&self) -> &[ProofOp] {
-        &self.ops
-    }
-
-    /// Serialized size in bytes (exactly the encoded length).
-    pub fn size_bytes(&self) -> usize {
-        self.encoded_len()
-    }
-
-    fn to_agg_proof(&self) -> Result<AggProof, ProofError> {
-        if self.ops.is_empty() {
-            return Ok(AggProof { root: None });
-        }
-        let partial = execute(&self.ops)?;
-        Ok(AggProof {
-            root: Some(to_agg_node(&partial)?),
-        })
-    }
-
-    /// Verifies that `claimed` is exactly the aggregate of entries in
-    /// `[lo, hi]`, against the trusted `root`.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`AggProof::verify`], plus
-    /// [`ProofError::Malformed`] for invalid op programs.
-    pub fn verify(
-        &self,
-        root: &Hash,
-        lo: u64,
-        hi: u64,
-        claimed: &Aggregate,
-    ) -> Result<(), ProofError> {
-        self.to_agg_proof()?.verify(root, lo, hi, claimed)
     }
 }
 
@@ -520,31 +467,15 @@ impl Decode for ProofOp {
     }
 }
 
-impl Encode for MbOpProof {
+impl<F: Flavor> Encode for OpProof<F> {
     fn encode(&self, out: &mut Vec<u8>) {
         encode_seq(&self.ops, out);
     }
 }
 
-impl Decode for MbOpProof {
+impl<F: Flavor> Decode for OpProof<F> {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(MbOpProof {
-            ops: decode_seq(r)?,
-        })
-    }
-}
-
-impl Encode for AggOpProof {
-    fn encode(&self, out: &mut Vec<u8>) {
-        encode_seq(&self.ops, out);
-    }
-}
-
-impl Decode for AggOpProof {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(AggOpProof {
-            ops: decode_seq(r)?,
-        })
+        Ok(Self::from_ops(decode_seq(r)?))
     }
 }
 
@@ -657,7 +588,7 @@ mod tests {
         ];
         let partial = execute(&program).expect("structurally valid");
         assert!(matches!(
-            to_mb_node(&partial),
+            lift::<Plain>(partial),
             Err(ProofError::Malformed("op node family mismatch"))
         ));
     }

@@ -251,6 +251,21 @@ impl<T: Decode> Decode for Option<T> {
     }
 }
 
+/// The unit type occupies no bytes — what lets a generic structure carry
+/// an optional field (a `()` or a real value) with one wire format.
+impl Encode for () {
+    fn encode(&self, _out: &mut Vec<u8>) {}
+    fn encoded_len(&self) -> usize {
+        0
+    }
+}
+
+impl Decode for () {
+    fn decode(_r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(())
+    }
+}
+
 /// Generic `Vec<T>` encoding. `Vec<u8>` has a specialized impl above, so this
 /// wrapper type is used for element vectors to avoid overlap.
 impl<A: Encode, B: Encode> Encode for (A, B) {
@@ -395,6 +410,14 @@ mod tests {
         let mut r = Reader::new(&out);
         assert_eq!(decode_seq::<u64>(&mut r).unwrap(), items);
         assert_eq!(r.remaining(), 0);
+    }
+
+    #[test]
+    fn unit_occupies_no_bytes() {
+        let pair: (u64, ()) = (7, ());
+        assert_eq!(pair.to_encoded_bytes(), 7u64.to_encoded_bytes());
+        assert_eq!(<(u64, ())>::decode_all(&pair.to_encoded_bytes()), Ok(pair));
+        assert_eq!(().encoded_len(), 0);
     }
 
     #[test]

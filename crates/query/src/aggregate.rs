@@ -1,9 +1,9 @@
 //! Verifiable window **aggregation** queries (the paper's §5.1 mentions
 //! aggregation as a supported query class, citing authenticated
-//! aggregation structures \[32\]).
+//! aggregation structures \[32\]): the [`two_level`](crate::two_level)
+//! index over [`Summed`] balance trees.
 //!
-//! A two-level index like the historical one, but the lower level is an
-//! [`AggMbTree`]: every subtree carries a certified count/sum/min/max
+//! Every subtree of a lower tree carries a certified count/sum/min/max
 //! annotation, so "SUM of account X's balance over blocks [t1, t2]" is
 //! answered with an O(log n) proof — without shipping a single version.
 //!
@@ -13,19 +13,14 @@
 //! SmallBank contract stores balances; other writes are invisible to this
 //! index.
 
-use std::collections::HashMap;
-
-use dcert_chain::Block;
-use dcert_core::{CertError, IndexVerifier};
-pub use dcert_merkle::aggmb::Aggregate;
-use dcert_merkle::aggmb::{AggAppendProof, AggMbTree, AggProof};
-use dcert_merkle::{AggOpProof, Mpt, MptProof};
-use dcert_primitives::codec::{decode_seq, encode_seq, Decode, Encode, Reader};
-use dcert_primitives::error::CodecError;
-use dcert_primitives::hash::{hash_bytes, Hash};
+use dcert_merkle::btree::Summed;
+pub use dcert_merkle::Aggregate;
+use dcert_merkle::{AggOpProof, AggProof};
+use dcert_primitives::hash::Hash;
 use dcert_vm::StateKey;
 
 use crate::error::QueryError;
+use crate::two_level::{verify_window, IndexFlavor, QueryProof, TwoLevelIndex, TwoLevelVerifier};
 
 /// The canonical numeric interpretation: exactly-8-byte values as
 /// big-endian `u64`; anything else is not aggregatable.
@@ -34,359 +29,25 @@ pub fn numeric_value(bytes: &[u8]) -> Option<u64> {
     Some(u64::from_be_bytes(arr))
 }
 
-/// Filters a block write set down to this index's ingestible entries.
-fn ingestible(writes: &[(StateKey, Option<Vec<u8>>)]) -> Vec<(StateKey, u64)> {
-    writes
-        .iter()
-        .filter_map(|(k, v)| {
-            v.as_deref()
-                .and_then(numeric_value)
-                .map(|value| (*k, value))
-        })
-        .collect()
-}
-
 /// The SP-side two-level aggregate index.
-#[derive(Debug, Clone)]
-pub struct AggregateIndex {
-    name: String,
-    upper: Mpt,
-    lower: HashMap<Vec<u8>, AggMbTree>,
-    order: usize,
-}
-
-impl AggregateIndex {
-    /// Creates an index registered under `name` with the default fanout.
-    pub fn new(name: impl Into<String>) -> Self {
-        Self::with_order(name, AggMbTree::DEFAULT_ORDER)
-    }
-
-    /// Creates an index with an explicit fanout.
-    pub fn with_order(name: impl Into<String>, order: usize) -> Self {
-        AggregateIndex {
-            name: name.into(),
-            upper: Mpt::new(),
-            lower: HashMap::new(),
-            order,
-        }
-    }
-
-    /// The registered index-type name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The certified digest `H_idx`.
-    pub fn digest(&self) -> Hash {
-        self.upper.root()
-    }
-
-    /// Number of tracked keys.
-    pub fn tracked_keys(&self) -> usize {
-        self.lower.len()
-    }
-
-    /// Applies one block's write set at `height`, returning `(aux,
-    /// new_digest)` for enclave certification.
-    pub fn apply_block(
-        &mut self,
-        height: u64,
-        writes: &[(StateKey, Option<Vec<u8>>)],
-    ) -> (Vec<u8>, Hash) {
-        let mut updates = Vec::new();
-        for (key, value) in ingestible(writes) {
-            let key_bytes = key.as_hash().as_bytes().to_vec();
-            let mpt_proof = self.upper.prove(&key_bytes);
-            let (prev_root, append) = match self.lower.get(&key_bytes) {
-                Some(tree) => (Some(tree.root()), tree.prove_append()),
-                None => (None, AggMbTree::new(self.order).prove_append()),
-            };
-            updates.push(KeyUpdate {
-                prev_root,
-                append,
-                mpt: mpt_proof,
-            });
-
-            let tree = self
-                .lower
-                .entry(key_bytes.clone())
-                .or_insert_with(|| AggMbTree::new(self.order));
-            tree.insert(height, value);
-            self.upper
-                .insert(&key_bytes, tree.root().as_bytes().to_vec());
-        }
-        let mut aux = Vec::new();
-        encode_seq(&updates, &mut aux);
-        (aux, self.digest())
-    }
-
-    /// Answers "aggregate of `key`'s values over `[t1, t2]`" with a proof.
-    pub fn query(&self, key: &StateKey, t1: u64, t2: u64) -> (Aggregate, AggQueryProof) {
-        let key_bytes = key.as_hash().as_bytes().to_vec();
-        let mpt = self.upper.prove(&key_bytes);
-        match self.lower.get(&key_bytes) {
-            None => (
-                Aggregate::EMPTY,
-                AggQueryProof {
-                    mpt,
-                    tree_root: None,
-                    agg: None,
-                },
-            ),
-            Some(tree) => {
-                let (aggregate, agg) = tree.aggregate(t1, t2);
-                (
-                    aggregate,
-                    AggQueryProof {
-                        mpt,
-                        tree_root: Some(tree.root()),
-                        agg: Some(agg),
-                    },
-                )
-            }
-        }
-    }
-
-    /// Like [`AggregateIndex::query`], but the subtree-annotation evidence
-    /// is one op-stream program ([`dcert_merkle::ProofEncoding::OpStream`]).
-    ///
-    /// Returns exactly the same aggregate as `query` for the same window;
-    /// only the proof encoding differs.
-    pub fn query_ops(&self, key: &StateKey, t1: u64, t2: u64) -> (Aggregate, AggOpQueryProof) {
-        let key_bytes = key.as_hash().as_bytes().to_vec();
-        let mpt = self.upper.prove(&key_bytes);
-        match self.lower.get(&key_bytes) {
-            None => (
-                Aggregate::EMPTY,
-                AggOpQueryProof {
-                    mpt,
-                    tree_root: None,
-                    ops: None,
-                },
-            ),
-            Some(tree) => {
-                let (aggregate, _) = tree.aggregate(t1, t2);
-                (
-                    aggregate,
-                    AggOpQueryProof {
-                        mpt,
-                        tree_root: Some(tree.root()),
-                        ops: Some(tree.prove_agg_ops(t1, t2)),
-                    },
-                )
-            }
-        }
-    }
-}
-
-/// One key's chained update in the aux payload.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct KeyUpdate {
-    prev_root: Option<Hash>,
-    append: AggAppendProof,
-    mpt: MptProof,
-}
-
-impl Encode for KeyUpdate {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.prev_root.encode(out);
-        self.append.encode(out);
-        self.mpt.encode(out);
-    }
-}
-
-impl Decode for KeyUpdate {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(KeyUpdate {
-            prev_root: Option::<Hash>::decode(r)?,
-            append: AggAppendProof::decode(r)?,
-            mpt: MptProof::decode(r)?,
-        })
-    }
-}
-
+pub type AggregateIndex = TwoLevelIndex<Summed>;
 /// The trusted update verifier for [`AggregateIndex`].
-#[derive(Debug, Clone)]
-pub struct AggregateVerifier {
-    name: String,
-    order: usize,
-}
-
-impl AggregateVerifier {
-    /// Creates the verifier matching [`AggregateIndex::new`].
-    pub fn new(name: impl Into<String>) -> Self {
-        Self::with_order(name, AggMbTree::DEFAULT_ORDER)
-    }
-
-    /// Creates the verifier with an explicit fanout (must match the SP's).
-    pub fn with_order(name: impl Into<String>, order: usize) -> Self {
-        AggregateVerifier {
-            name: name.into(),
-            order,
-        }
-    }
-}
-
-impl IndexVerifier for AggregateVerifier {
-    fn type_name(&self) -> &str {
-        &self.name
-    }
-
-    fn genesis_digest(&self) -> Hash {
-        Hash::ZERO
-    }
-
-    fn verify_update(
-        &self,
-        prev_digest: &Hash,
-        block: &Block,
-        writes: &[(StateKey, Option<Vec<u8>>)],
-        aux: &[u8],
-    ) -> Result<Hash, CertError> {
-        let mut reader = Reader::new(aux);
-        let updates: Vec<KeyUpdate> =
-            decode_seq(&mut reader).map_err(|_| CertError::BadIndexUpdate("aux decode"))?;
-        if reader.remaining() != 0 {
-            return Err(CertError::BadIndexUpdate("trailing aux bytes"));
-        }
-        // The enclave derives the ingestible subset itself from the
-        // authenticated write set.
-        let entries = ingestible(writes);
-        if updates.len() != entries.len() {
-            return Err(CertError::BadIndexUpdate("update count mismatch"));
-        }
-        let height = block.header.height;
-        let mut root = *prev_digest;
-        for ((key, value), update) in entries.iter().zip(&updates) {
-            let key_bytes = key.as_hash().as_bytes();
-            let proven = update
-                .mpt
-                .verify(&root, key_bytes)
-                .map_err(CertError::Proof)?;
-            let claimed = update.prev_root.as_ref().map(|r| hash_bytes(r.as_bytes()));
-            if proven != claimed {
-                return Err(CertError::BadIndexUpdate("stale aggregate-tree root"));
-            }
-            let new_root = match update.prev_root {
-                None => AggMbTree::singleton_root(height, *value),
-                Some(prev) => update
-                    .append
-                    .appended_root(&prev, self.order, height, *value)
-                    .map_err(CertError::Proof)?,
-            };
-            root = update
-                .mpt
-                .updated_root(&root, key_bytes, &hash_bytes(new_root.as_bytes()))
-                .map_err(CertError::Proof)?;
-        }
-        Ok(root)
-    }
-}
-
-/// Proof returned with an aggregate query.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AggQueryProof {
-    mpt: MptProof,
-    tree_root: Option<Hash>,
-    agg: Option<AggProof>,
-}
-
-impl AggQueryProof {
-    /// Serialized proof size in bytes.
-    pub fn size_bytes(&self) -> usize {
-        self.encoded_len()
-    }
-}
-
-impl Encode for AggQueryProof {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.mpt.encode(out);
-        self.tree_root.encode(out);
-        self.agg.encode(out);
-    }
-}
-
-impl Decode for AggQueryProof {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(AggQueryProof {
-            mpt: MptProof::decode(r)?,
-            tree_root: Option::<Hash>::decode(r)?,
-            agg: Option::<AggProof>::decode(r)?,
-        })
-    }
-}
-
+pub type AggregateVerifier = TwoLevelVerifier<Summed>;
+/// Proof returned with an aggregate query ([`AggregateIndex::query`]).
+pub type AggQueryProof = QueryProof<AggProof>;
 /// Proof returned with an op-stream aggregate query
 /// ([`AggregateIndex::query_ops`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AggOpQueryProof {
-    mpt: MptProof,
-    tree_root: Option<Hash>,
-    ops: Option<AggOpProof>,
-}
+pub type AggOpQueryProof = QueryProof<AggOpProof>;
 
-impl AggOpQueryProof {
-    /// Serialized proof size in bytes.
-    pub fn size_bytes(&self) -> usize {
-        self.encoded_len()
+impl IndexFlavor for Summed {
+    type Output = Aggregate;
+
+    fn ingest(write: &Option<Vec<u8>>) -> Option<u64> {
+        write.as_deref().and_then(numeric_value)
     }
-}
 
-impl Encode for AggOpQueryProof {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.mpt.encode(out);
-        self.tree_root.encode(out);
-        self.ops.encode(out);
-    }
-}
-
-impl Decode for AggOpQueryProof {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(AggOpQueryProof {
-            mpt: MptProof::decode(r)?,
-            tree_root: Option::<Hash>::decode(r)?,
-            ops: Option::<AggOpProof>::decode(r)?,
-        })
-    }
-}
-
-/// Client-side verification of an op-stream window aggregate. Same checks
-/// as [`verify_aggregate`]; the op program is executed and lifted into the
-/// per-path aggregate verifier.
-///
-/// # Errors
-///
-/// [`QueryError`] describing the first failed check.
-pub fn verify_aggregate_op(
-    digest: &Hash,
-    key: &StateKey,
-    t1: u64,
-    t2: u64,
-    claimed: &Aggregate,
-    proof: &AggOpQueryProof,
-) -> Result<(), QueryError> {
-    let key_bytes = key.as_hash().as_bytes();
-    let proven = proof.mpt.verify(digest, key_bytes)?;
-    match (&proof.tree_root, &proof.ops) {
-        (None, None) => {
-            if proven.is_some() {
-                return Err(QueryError::ResultMismatch(
-                    "key is tracked but no aggregate tree presented",
-                ));
-            }
-            if *claimed != Aggregate::EMPTY {
-                return Err(QueryError::ResultMismatch("aggregate for an untracked key"));
-            }
-            Ok(())
-        }
-        (Some(tree_root), Some(ops)) => {
-            if proven != Some(hash_bytes(tree_root.as_bytes())) {
-                return Err(QueryError::DigestMismatch);
-            }
-            ops.verify(tree_root, t1, t2, claimed)?;
-            Ok(())
-        }
-        _ => Err(QueryError::ResultMismatch("inconsistent proof shape")),
+    fn present(aggregate: Aggregate) -> Aggregate {
+        aggregate
     }
 }
 
@@ -404,36 +65,40 @@ pub fn verify_aggregate(
     claimed: &Aggregate,
     proof: &AggQueryProof,
 ) -> Result<(), QueryError> {
-    let key_bytes = key.as_hash().as_bytes();
-    let proven = proof.mpt.verify(digest, key_bytes)?;
-    match (&proof.tree_root, &proof.agg) {
-        (None, None) => {
-            if proven.is_some() {
-                return Err(QueryError::ResultMismatch(
-                    "key is tracked but no aggregate tree presented",
-                ));
-            }
-            if *claimed != Aggregate::EMPTY {
-                return Err(QueryError::ResultMismatch("aggregate for an untracked key"));
-            }
-            Ok(())
-        }
-        (Some(tree_root), Some(agg_proof)) => {
-            if proven != Some(hash_bytes(tree_root.as_bytes())) {
-                return Err(QueryError::DigestMismatch);
-            }
-            agg_proof.verify(tree_root, t1, t2, claimed)?;
-            Ok(())
-        }
-        _ => Err(QueryError::ResultMismatch("inconsistent proof shape")),
-    }
+    let empty = *claimed == Aggregate::EMPTY;
+    verify_window(digest, key, proof, empty, |agg, root| {
+        agg.verify(root, t1, t2, claimed)
+    })
+}
+
+/// Client-side verification of an op-stream window aggregate. Same checks
+/// as [`verify_aggregate`]; the op program is executed and lifted into the
+/// per-path window verifier.
+///
+/// # Errors
+///
+/// [`QueryError`] describing the first failed check.
+pub fn verify_aggregate_op(
+    digest: &Hash,
+    key: &StateKey,
+    t1: u64,
+    t2: u64,
+    claimed: &Aggregate,
+    proof: &AggOpQueryProof,
+) -> Result<(), QueryError> {
+    let empty = *claimed == Aggregate::EMPTY;
+    verify_window(digest, key, proof, empty, |ops, root| {
+        ops.verify(root, t1, t2, claimed)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dcert_chain::consensus::ConsensusProof;
-    use dcert_chain::BlockHeader;
+    use dcert_chain::{Block, BlockHeader};
+    use dcert_core::IndexVerifier;
+    use dcert_primitives::codec::Encode;
     use dcert_primitives::hash::Address;
 
     fn key(label: &str) -> StateKey {

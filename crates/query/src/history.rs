@@ -1,449 +1,72 @@
-//! The two-level historical query index (Fig. 5, lower-left).
+//! The two-level historical query index (Fig. 5, lower-left): the
+//! [`two_level`](crate::two_level) index over [`Plain`] version trees.
 //!
-//! Upper level: a Merkle Patricia trie mapping each state key (the 32-byte
-//! SMT path of an account/field) to the root of its version tree. Lower
-//! level: per-key Merkle B-trees mapping *timestamp* (block height) to the
-//! value written at that height (`None` encodes a deletion event).
-//!
-//! Three roles share this module:
+//! Each key's lower tree maps *timestamp* (block height) to the value
+//! written at that height (`None` encodes a deletion event); every write
+//! is ingested. A query returns all versions of a key in `[t1, t2]`.
 //!
 //! - the SP maintains [`HistoryIndex`] and serves
-//!   [`HistoryIndex::query`] with completeness proofs;
+//!   [`HistoryIndex::query`] / [`HistoryIndex::query_ops`] with
+//!   completeness proofs;
 //! - the enclave runs [`HistoryVerifier`] (an
 //!   [`dcert_core::IndexVerifier`]) to recompute the digest
 //!   after each block from chained stateless proofs;
-//! - clients call [`verify_history`] against the certified digest.
+//! - clients call [`verify_history`] / [`verify_history_op`] against the
+//!   certified digest.
 
-use std::collections::HashMap;
-
-use dcert_chain::Block;
-use dcert_core::{CertError, IndexVerifier};
-use dcert_merkle::{MbAppendProof, MbOpProof, MbRangeProof, MbTree, Mpt, MptProof};
-use dcert_primitives::codec::{decode_seq, encode_seq, Decode, Encode, Reader};
-use dcert_primitives::error::CodecError;
-use dcert_primitives::hash::{hash_bytes, Hash};
+use dcert_merkle::btree::Plain;
+use dcert_merkle::{MbOpProof, MbRangeProof};
+use dcert_primitives::codec::{Decode, Encode};
+use dcert_primitives::hash::Hash;
 use dcert_vm::StateKey;
 
 use crate::error::QueryError;
+use crate::two_level::{verify_window, IndexFlavor, QueryProof, TwoLevelIndex, TwoLevelVerifier};
 
 /// One recorded version: the value written at a height (`None` = deleted).
 pub type Version = Option<Vec<u8>>;
 
-fn encode_version(version: &Version) -> Vec<u8> {
-    version.to_encoded_bytes()
-}
-
-fn decode_version(bytes: &[u8]) -> Result<Version, CodecError> {
-    Version::decode_all(bytes)
-}
-
 /// The SP-side two-level historical index.
-#[derive(Debug, Clone)]
-pub struct HistoryIndex {
-    name: String,
-    upper: Mpt,
-    lower: HashMap<Vec<u8>, MbTree>,
-    order: usize,
-}
+pub type HistoryIndex = TwoLevelIndex<Plain>;
+/// The trusted update verifier for [`HistoryIndex`], registered in the
+/// enclave's certificate program.
+pub type HistoryVerifier = TwoLevelVerifier<Plain>;
+/// Proof returned with a historical query ([`HistoryIndex::query`]).
+pub type HistoryProof = QueryProof<MbRangeProof>;
+/// Proof returned with an op-stream historical query
+/// ([`HistoryIndex::query_ops`]): identical to [`HistoryProof`] except the
+/// lower-level evidence is a stack-machine program covering the window
+/// instead of a pruned tree.
+pub type HistoryOpProof = QueryProof<MbOpProof>;
 
-impl HistoryIndex {
-    /// Creates an index registered under `name` with the default B-tree
-    /// fanout.
-    pub fn new(name: impl Into<String>) -> Self {
-        Self::with_order(name, MbTree::DEFAULT_ORDER)
+impl IndexFlavor for Plain {
+    type Output = Vec<(u64, Version)>;
+
+    /// Every write is a version, stored in its canonical encoding.
+    fn ingest(write: &Version) -> Option<Vec<u8>> {
+        Some(write.to_encoded_bytes())
     }
 
-    /// Creates an index with an explicit B-tree fanout.
-    pub fn with_order(name: impl Into<String>, order: usize) -> Self {
-        HistoryIndex {
-            name: name.into(),
-            upper: Mpt::new(),
-            lower: HashMap::new(),
-            order,
-        }
-    }
-
-    /// The registered index-type name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The certified digest `H_idx`: the upper trie's root.
-    pub fn digest(&self) -> Hash {
-        self.upper.root()
-    }
-
-    /// Number of tracked keys.
-    pub fn tracked_keys(&self) -> usize {
-        self.lower.len()
-    }
-
-    /// Applies one block's write set at `height`, returning the
-    /// enclave-verifiable update proof (`aux`) and the new digest.
-    ///
-    /// Writes must be presented in the canonical (sorted-by-key) order the
-    /// certificate program authenticates.
-    pub fn apply_block(
-        &mut self,
-        height: u64,
-        writes: &[(StateKey, Option<Vec<u8>>)],
-    ) -> (Vec<u8>, Hash) {
-        let mut updates = Vec::with_capacity(writes.len());
-        for (key, value) in writes {
-            let key_bytes = key.as_hash().as_bytes().to_vec();
-            let version = encode_version(value);
-
-            // Proofs against the *current* (chained) state, then mutate.
-            let mpt_proof = self.upper.prove(&key_bytes);
-            let (prev_mb_root, append) = match self.lower.get(&key_bytes) {
-                Some(tree) => (Some(tree.root()), tree.prove_append()),
-                None => (None, MbTree::new(self.order).prove_append()),
-            };
-            updates.push(KeyUpdate {
-                prev_mb_root,
-                append,
-                mpt: mpt_proof,
-            });
-
-            let tree = self
-                .lower
-                .entry(key_bytes.clone())
-                .or_insert_with(|| MbTree::new(self.order));
-            tree.insert(height, version);
-            self.upper
-                .insert(&key_bytes, tree.root().as_bytes().to_vec());
-        }
-        let mut aux = Vec::new();
-        encode_seq(&updates, &mut aux);
-        (aux, self.digest())
-    }
-
-    /// Answers "all versions of `key` in `[t1, t2]`" with a proof.
     // expect() here decodes the SP's own canonical index entries (see the
     // dcert-lint rationale at the call site).
     #[allow(clippy::expect_used)]
-    pub fn query(&self, key: &StateKey, t1: u64, t2: u64) -> (Vec<(u64, Version)>, HistoryProof) {
-        let key_bytes = key.as_hash().as_bytes().to_vec();
-        let mpt_proof = self.upper.prove(&key_bytes);
-        match self.lower.get(&key_bytes) {
-            None => (
-                Vec::new(),
-                HistoryProof {
-                    mpt: mpt_proof,
-                    mb_root: None,
-                    range: None,
-                },
-            ),
-            Some(tree) => {
-                let (raw, range) = tree.range(t1, t2);
-                let results = raw
-                    .into_iter()
-                    .map(|(ts, bytes)| {
-                        // dcert-lint: allow(r2-panic-freedom, r5-panic-reachability, reason = "SP-side serving path decoding its own canonically-encoded index entries; the client verifier re-checks everything")
-                        let v = decode_version(&bytes).expect("index stores canonical versions");
-                        (ts, v)
-                    })
-                    .collect();
-                (
-                    results,
-                    HistoryProof {
-                        mpt: mpt_proof,
-                        mb_root: Some(tree.root()),
-                        range: Some(range),
-                    },
-                )
-            }
-        }
-    }
-
-    /// Like [`HistoryIndex::query`], but the range-completeness evidence is
-    /// one op-stream program ([`dcert_merkle::ProofEncoding::OpStream`])
-    /// instead of a per-path pruned tree.
-    ///
-    /// Returns exactly the same result rows as `query` for the same window;
-    /// only the proof encoding differs.
-    // expect() decodes the SP's own canonical index entries (same rationale
-    // as `query`).
-    #[allow(clippy::expect_used)]
-    pub fn query_ops(
-        &self,
-        key: &StateKey,
-        t1: u64,
-        t2: u64,
-    ) -> (Vec<(u64, Version)>, HistoryOpProof) {
-        let key_bytes = key.as_hash().as_bytes().to_vec();
-        let mpt_proof = self.upper.prove(&key_bytes);
-        match self.lower.get(&key_bytes) {
-            None => (
-                Vec::new(),
-                HistoryOpProof {
-                    mpt: mpt_proof,
-                    mb_root: None,
-                    ops: None,
-                },
-            ),
-            Some(tree) => {
-                let (raw, _) = tree.range(t1, t2);
-                let results = raw
-                    .into_iter()
-                    .map(|(ts, bytes)| {
-                        // dcert-lint: allow(r2-panic-freedom, r5-panic-reachability, reason = "SP-side serving path decoding its own canonically-encoded index entries; the client verifier re-checks everything")
-                        let v = decode_version(&bytes).expect("index stores canonical versions");
-                        (ts, v)
-                    })
-                    .collect();
-                (
-                    results,
-                    HistoryOpProof {
-                        mpt: mpt_proof,
-                        mb_root: Some(tree.root()),
-                        ops: Some(tree.prove_ops(&[(t1, t2)])),
-                    },
-                )
-            }
-        }
+    fn present(rows: Vec<(u64, Vec<u8>)>) -> Vec<(u64, Version)> {
+        rows.into_iter()
+            .map(|(ts, bytes)| {
+                // dcert-lint: allow(r2-panic-freedom, r5-panic-reachability, reason = "SP-side serving path decoding its own canonically-encoded index entries; the client verifier re-checks everything")
+                let version = Version::decode_all(&bytes).expect("index stores canonical versions");
+                (ts, version)
+            })
+            .collect()
     }
 }
 
-/// One key's chained update inside the aux payload.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct KeyUpdate {
-    /// The key's version-tree root before this block (`None` = new key).
-    prev_mb_root: Option<Hash>,
-    /// Rightmost-path proof of the version tree (ignored for new keys).
-    append: MbAppendProof,
-    /// Upper-trie proof for the key against the chained upper root.
-    mpt: MptProof,
-}
-
-impl Encode for KeyUpdate {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.prev_mb_root.encode(out);
-        self.append.encode(out);
-        self.mpt.encode(out);
-    }
-}
-
-impl Decode for KeyUpdate {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(KeyUpdate {
-            prev_mb_root: Option::<Hash>::decode(r)?,
-            append: MbAppendProof::decode(r)?,
-            mpt: MptProof::decode(r)?,
-        })
-    }
-}
-
-/// The trusted update verifier for [`HistoryIndex`], registered in the
-/// enclave's certificate program.
-#[derive(Debug, Clone)]
-pub struct HistoryVerifier {
-    name: String,
-    order: usize,
-}
-
-impl HistoryVerifier {
-    /// Creates the verifier matching [`HistoryIndex::new`] under `name`.
-    pub fn new(name: impl Into<String>) -> Self {
-        Self::with_order(name, MbTree::DEFAULT_ORDER)
-    }
-
-    /// Creates the verifier with an explicit fanout (must match the SP's).
-    pub fn with_order(name: impl Into<String>, order: usize) -> Self {
-        HistoryVerifier {
-            name: name.into(),
-            order,
-        }
-    }
-}
-
-impl IndexVerifier for HistoryVerifier {
-    fn type_name(&self) -> &str {
-        &self.name
-    }
-
-    fn genesis_digest(&self) -> Hash {
-        // An empty trie.
-        Hash::ZERO
-    }
-
-    fn verify_update(
-        &self,
-        prev_digest: &Hash,
-        block: &Block,
-        writes: &[(StateKey, Option<Vec<u8>>)],
-        aux: &[u8],
-    ) -> Result<Hash, CertError> {
-        let mut reader = Reader::new(aux);
-        let updates: Vec<KeyUpdate> =
-            decode_seq(&mut reader).map_err(|_| CertError::BadIndexUpdate("aux decode"))?;
-        if reader.remaining() != 0 {
-            return Err(CertError::BadIndexUpdate("trailing aux bytes"));
-        }
-        if updates.len() != writes.len() {
-            return Err(CertError::BadIndexUpdate("update count mismatch"));
-        }
-        let height = block.header.height;
-        let mut root = *prev_digest;
-        for ((key, value), update) in writes.iter().zip(&updates) {
-            let key_bytes = key.as_hash().as_bytes();
-            let version = encode_version(value);
-            let version_hash = hash_bytes(&version);
-
-            // Authenticate the key's current version-tree root (or its
-            // absence) against the chained upper root.
-            let proven = update
-                .mpt
-                .verify(&root, key_bytes)
-                .map_err(CertError::Proof)?;
-            let claimed = update
-                .prev_mb_root
-                .as_ref()
-                .map(|r| hash_bytes(r.as_bytes()));
-            if proven != claimed {
-                return Err(CertError::BadIndexUpdate("stale version-tree root"));
-            }
-
-            // Compute the new version-tree root statelessly.
-            let new_mb_root = match update.prev_mb_root {
-                None => MbTree::singleton_root(height, &version_hash),
-                Some(prev) => update
-                    .append
-                    .appended_root(&prev, self.order, height, &version_hash)
-                    .map_err(CertError::Proof)?,
-            };
-
-            // Chain the upper-trie root forward.
-            root = update
-                .mpt
-                .updated_root(&root, key_bytes, &hash_bytes(new_mb_root.as_bytes()))
-                .map_err(CertError::Proof)?;
-        }
-        Ok(root)
-    }
-}
-
-/// Proof returned with a historical query.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HistoryProof {
-    /// Upper-trie (non-)membership proof for the queried key.
-    mpt: MptProof,
-    /// The key's version-tree root (absent if the key is untracked).
-    mb_root: Option<Hash>,
-    /// Range-completeness proof within the version tree.
-    range: Option<MbRangeProof>,
-}
-
-impl HistoryProof {
-    /// Serialized proof size in bytes (the Fig. 11b metric).
-    pub fn size_bytes(&self) -> usize {
-        self.encoded_len()
-    }
-}
-
-impl Encode for HistoryProof {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.mpt.encode(out);
-        self.mb_root.encode(out);
-        self.range.encode(out);
-    }
-}
-
-impl Decode for HistoryProof {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(HistoryProof {
-            mpt: MptProof::decode(r)?,
-            mb_root: Option::<Hash>::decode(r)?,
-            range: Option::<MbRangeProof>::decode(r)?,
-        })
-    }
-}
-
-/// Proof returned with an op-stream historical query
-/// ([`HistoryIndex::query_ops`]).
-///
-/// Identical to [`HistoryProof`] except the lower-level evidence is a
-/// stack-machine program covering the window instead of a pruned tree.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HistoryOpProof {
-    /// Upper-trie (non-)membership proof for the queried key.
-    mpt: MptProof,
-    /// The key's version-tree root (absent if the key is untracked).
-    mb_root: Option<Hash>,
-    /// Op-stream range-completeness proof within the version tree.
-    ops: Option<MbOpProof>,
-}
-
-impl HistoryOpProof {
-    /// Serialized proof size in bytes (the Fig. 11b metric).
-    pub fn size_bytes(&self) -> usize {
-        self.encoded_len()
-    }
-}
-
-impl Encode for HistoryOpProof {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.mpt.encode(out);
-        self.mb_root.encode(out);
-        self.ops.encode(out);
-    }
-}
-
-impl Decode for HistoryOpProof {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(HistoryOpProof {
-            mpt: MptProof::decode(r)?,
-            mb_root: Option::<Hash>::decode(r)?,
-            ops: Option::<MbOpProof>::decode(r)?,
-        })
-    }
-}
-
-/// Client-side verification of an op-stream historical query result.
-///
-/// Enforces exactly the checks of [`verify_history`]: upper-trie
-/// (non-)membership for the key, digest binding of the version-tree root,
-/// and window completeness — the op program is executed and lifted into
-/// the same range verifier the per-path encoding uses.
-///
-/// # Errors
-///
-/// [`QueryError`] describing the first failed check.
-pub fn verify_history_op(
-    digest: &Hash,
-    key: &StateKey,
-    t1: u64,
-    t2: u64,
-    results: &[(u64, Version)],
-    proof: &HistoryOpProof,
-) -> Result<(), QueryError> {
-    let key_bytes = key.as_hash().as_bytes();
-    let proven = proof.mpt.verify(digest, key_bytes)?;
-    match (&proof.mb_root, &proof.ops) {
-        (None, None) => {
-            if proven.is_some() {
-                return Err(QueryError::ResultMismatch(
-                    "key is tracked but no version tree presented",
-                ));
-            }
-            if !results.is_empty() {
-                return Err(QueryError::ResultMismatch("results for an untracked key"));
-            }
-            Ok(())
-        }
-        (Some(mb_root), Some(ops)) => {
-            if proven != Some(hash_bytes(mb_root.as_bytes())) {
-                return Err(QueryError::DigestMismatch);
-            }
-            let raw: Vec<(u64, Vec<u8>)> = results
-                .iter()
-                .map(|(ts, version)| (*ts, encode_version(version)))
-                .collect();
-            ops.verify(mb_root, t1, t2, &raw)?;
-            Ok(())
-        }
-        _ => Err(QueryError::ResultMismatch("inconsistent proof shape")),
-    }
+/// The rows a client claims, in the encoding the version tree commits to.
+fn stored_rows(results: &[(u64, Version)]) -> Vec<(u64, Vec<u8>)> {
+    results
+        .iter()
+        .map(|(ts, version)| (*ts, version.to_encoded_bytes()))
+        .collect()
 }
 
 /// Client-side verification of a historical query result against the
@@ -460,40 +83,39 @@ pub fn verify_history(
     results: &[(u64, Version)],
     proof: &HistoryProof,
 ) -> Result<(), QueryError> {
-    let key_bytes = key.as_hash().as_bytes();
-    let proven = proof.mpt.verify(digest, key_bytes)?;
-    match (&proof.mb_root, &proof.range) {
-        (None, None) => {
-            if proven.is_some() {
-                return Err(QueryError::ResultMismatch(
-                    "key is tracked but no version tree presented",
-                ));
-            }
-            if !results.is_empty() {
-                return Err(QueryError::ResultMismatch("results for an untracked key"));
-            }
-            Ok(())
-        }
-        (Some(mb_root), Some(range)) => {
-            if proven != Some(hash_bytes(mb_root.as_bytes())) {
-                return Err(QueryError::DigestMismatch);
-            }
-            let raw: Vec<(u64, Vec<u8>)> = results
-                .iter()
-                .map(|(ts, version)| (*ts, encode_version(version)))
-                .collect();
-            range.verify(mb_root, t1, t2, &raw)?;
-            Ok(())
-        }
-        _ => Err(QueryError::ResultMismatch("inconsistent proof shape")),
-    }
+    verify_window(digest, key, proof, results.is_empty(), |range, root| {
+        range.verify(root, t1, t2, &stored_rows(results))
+    })
+}
+
+/// Client-side verification of an op-stream historical query result.
+///
+/// Enforces exactly the checks of [`verify_history`]; the op program is
+/// executed and lifted into the same window verifier the per-path
+/// encoding uses.
+///
+/// # Errors
+///
+/// [`QueryError`] describing the first failed check.
+pub fn verify_history_op(
+    digest: &Hash,
+    key: &StateKey,
+    t1: u64,
+    t2: u64,
+    results: &[(u64, Version)],
+    proof: &HistoryOpProof,
+) -> Result<(), QueryError> {
+    verify_window(digest, key, proof, results.is_empty(), |ops, root| {
+        ops.verify(root, t1, t2, &stored_rows(results))
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dcert_chain::consensus::ConsensusProof;
-    use dcert_chain::BlockHeader;
+    use dcert_chain::{Block, BlockHeader};
+    use dcert_core::{CertError, IndexVerifier};
     use dcert_primitives::hash::Address;
 
     fn key(label: &str) -> StateKey {

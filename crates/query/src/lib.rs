@@ -7,7 +7,7 @@
 //! digests. Nothing on the chain changes — this is DCert's answer to the
 //! built-in approaches (LineageChain, vChain) it compares against.
 //!
-//! Two index families are provided, matching the paper's case study
+//! Three index families are provided, matching the paper's case study
 //! (Fig. 5):
 //!
 //! - [`history`]: a **two-level historical index** — a Merkle Patricia trie
@@ -21,6 +21,10 @@
 //! - [`aggregate`]: an **aggregate index** — the two-level layout with an
 //!   annotation-carrying Merkle B-tree below, answering verifiable window
 //!   aggregations (COUNT/SUM/MIN/MAX) with O(log n) proofs.
+//!
+//! [`history`] and [`aggregate`] are the two instantiations of one
+//! generic [`two_level`] index, differing only in the flavor of their
+//! lower Merkle B+-trees and in which writes they ingest.
 //!
 //! Each index ships three pieces: the SP-side maintained structure, an
 //! [`IndexVerifier`](dcert_core::IndexVerifier) loaded into the enclave,
@@ -38,6 +42,7 @@ pub mod error;
 pub mod history;
 pub mod inverted;
 pub mod sp;
+pub mod two_level;
 
 pub use aggregate::{AggOpQueryProof, AggQueryProof, AggregateIndex, AggregateVerifier};
 pub use error::QueryError;

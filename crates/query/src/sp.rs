@@ -23,6 +23,7 @@ use crate::aggregate::{
 };
 use crate::history::{HistoryIndex, HistoryOpProof, HistoryProof, HistoryVerifier, Version};
 use crate::inverted::{InvertedIndex, InvertedVerifier, KeywordProof};
+use crate::two_level::{IndexFlavor, TwoLevelIndex};
 
 /// Head-region key under which the SP commits its replay watermark: the
 /// highest block height whose index updates (and record pages) are
@@ -112,7 +113,8 @@ impl Decode for CertifiedEntry {
 
 /// An index the SP maintains block by block.
 ///
-/// Implemented by [`HistoryIndex`] and [`InvertedIndex`]; the object-safe
+/// Implemented by every [`TwoLevelIndex`] ([`HistoryIndex`],
+/// [`AggregateIndex`]) and by [`InvertedIndex`]; the object-safe
 /// surface is what [`ServiceProvider`] drives, while querying goes through
 /// the concrete types.
 pub trait MaintainedIndex: Send {
@@ -128,35 +130,22 @@ pub trait MaintainedIndex: Send {
     ) -> (Vec<u8>, Hash);
 }
 
-impl MaintainedIndex for HistoryIndex {
+impl<F: IndexFlavor> MaintainedIndex for TwoLevelIndex<F>
+where
+    Self: Send,
+{
     fn type_name(&self) -> &str {
         self.name()
     }
     fn digest(&self) -> Hash {
-        HistoryIndex::digest(self)
+        TwoLevelIndex::digest(self)
     }
     fn apply_block(
         &mut self,
         block: &Block,
         writes: &[(StateKey, Option<Vec<u8>>)],
     ) -> (Vec<u8>, Hash) {
-        HistoryIndex::apply_block(self, block.header.height, writes)
-    }
-}
-
-impl MaintainedIndex for AggregateIndex {
-    fn type_name(&self) -> &str {
-        self.name()
-    }
-    fn digest(&self) -> Hash {
-        AggregateIndex::digest(self)
-    }
-    fn apply_block(
-        &mut self,
-        block: &Block,
-        writes: &[(StateKey, Option<Vec<u8>>)],
-    ) -> (Vec<u8>, Hash) {
-        AggregateIndex::apply_block(self, block.header.height, writes)
+        TwoLevelIndex::apply_block(self, block.header.height, writes)
     }
 }
 

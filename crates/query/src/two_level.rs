@@ -1,0 +1,386 @@
+//! The two-level certified index (Fig. 5, lower-left), generic over the
+//! flavor of its lower trees.
+//!
+//! Upper level: a Merkle Patricia trie mapping each state key (the 32-byte
+//! SMT path of an account/field) to the root of that key's lower tree.
+//! Lower level: one [`BTree`] per key, mapping *timestamp* (block height)
+//! to what the key was written to at that height. The digest the enclave
+//! certifies is the upper trie's root.
+//!
+//! [`history`](crate::history) and [`aggregate`](crate::aggregate)
+//! instantiate this module with the [`Plain`](dcert_merkle::btree::Plain)
+//! and [`Summed`](dcert_merkle::btree::Summed) flavors. Three roles share
+//! it:
+//!
+//! - the SP maintains a [`TwoLevelIndex`] and serves window queries with
+//!   completeness proofs in either encoding;
+//! - the enclave runs a [`TwoLevelVerifier`] (an
+//!   [`dcert_core::IndexVerifier`]) to recompute the digest after each
+//!   block from chained stateless proofs;
+//! - clients check an answer against the certified digest with the
+//!   instantiation's `verify_*` function, each a thin call into one
+//!   checker here.
+
+use std::collections::HashMap;
+use std::marker::PhantomData;
+
+use dcert_chain::Block;
+use dcert_core::{CertError, IndexVerifier};
+use dcert_merkle::btree::{AppendProof, BTree, Flavor, WindowProof};
+use dcert_merkle::ops::OpProof;
+use dcert_merkle::{Mpt, MptProof, ProofError};
+use dcert_primitives::codec::{decode_seq, encode_seq, Decode, Encode, Reader};
+use dcert_primitives::error::CodecError;
+use dcert_primitives::hash::{hash_bytes, Hash};
+use dcert_vm::StateKey;
+
+use crate::error::QueryError;
+
+/// A lower-tree flavor together with how a two-level index uses it.
+pub trait IndexFlavor: Flavor {
+    /// What a query returns to the client.
+    type Output: Default;
+
+    /// The **ingestion rule**, shared by the SP and the enclave verifier
+    /// (so it must be deterministic): what a block's write to a key
+    /// records in that key's lower tree, or `None` if this index ignores
+    /// the write.
+    fn ingest(write: &Option<Vec<u8>>) -> Option<Self::Value>;
+
+    /// Presents a lower tree's window answer as the query output.
+    fn present(answer: Self::Answer) -> Self::Output;
+}
+
+/// The SP-side two-level index.
+#[derive(Debug, Clone)]
+pub struct TwoLevelIndex<F: IndexFlavor> {
+    name: String,
+    upper: Mpt,
+    lower: HashMap<Vec<u8>, BTree<F>>,
+    order: usize,
+}
+
+impl<F: IndexFlavor> TwoLevelIndex<F> {
+    /// Creates an index registered under `name` with the default B-tree
+    /// fanout.
+    pub fn new(name: impl Into<String>) -> Self {
+        Self::with_order(name, BTree::<F>::DEFAULT_ORDER)
+    }
+
+    /// Creates an index with an explicit B-tree fanout.
+    pub fn with_order(name: impl Into<String>, order: usize) -> Self {
+        TwoLevelIndex {
+            name: name.into(),
+            upper: Mpt::new(),
+            lower: HashMap::new(),
+            order,
+        }
+    }
+
+    /// The registered index-type name.
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// The certified digest `H_idx`: the upper trie's root.
+    pub fn digest(&self) -> Hash {
+        self.upper.root()
+    }
+
+    /// Number of tracked keys.
+    pub fn tracked_keys(&self) -> usize {
+        self.lower.len()
+    }
+
+    /// Applies one block's write set at `height`, returning the
+    /// enclave-verifiable update proof (`aux`) and the new digest.
+    ///
+    /// Writes must be presented in the canonical (sorted-by-key) order the
+    /// certificate program authenticates.
+    pub fn apply_block(
+        &mut self,
+        height: u64,
+        writes: &[(StateKey, Option<Vec<u8>>)],
+    ) -> (Vec<u8>, Hash) {
+        let mut updates = Vec::with_capacity(writes.len());
+        for (key, write) in writes {
+            let Some(value) = F::ingest(write) else {
+                continue;
+            };
+            let key_bytes = key.as_hash().as_bytes().to_vec();
+
+            // Proofs against the *current* (chained) state, then mutate.
+            let mpt = self.upper.prove(&key_bytes);
+            let tree = self
+                .lower
+                .entry(key_bytes.clone())
+                .or_insert_with(|| BTree::new(self.order));
+            updates.push(KeyUpdate::<F> {
+                // Empty only if just created: the key's first appearance.
+                prev_root: (!tree.is_empty()).then(|| tree.root()),
+                append: tree.prove_append(),
+                mpt,
+            });
+            tree.insert(height, value);
+            self.upper
+                .insert(&key_bytes, tree.root().as_bytes().to_vec());
+        }
+        let mut aux = Vec::new();
+        encode_seq(&updates, &mut aux);
+        (aux, self.digest())
+    }
+
+    /// Answers "`key` over `[t1, t2]`" with a per-path proof.
+    pub fn query(
+        &self,
+        key: &StateKey,
+        t1: u64,
+        t2: u64,
+    ) -> (F::Output, QueryProof<WindowProof<F>>) {
+        self.answer(key, |tree| tree.window(t1, t2))
+    }
+
+    /// Like [`TwoLevelIndex::query`], but the lower-tree evidence is one
+    /// op-stream program ([`dcert_merkle::ProofEncoding::OpStream`])
+    /// instead of a per-path pruned tree.
+    ///
+    /// Returns exactly the same output as `query` for the same window;
+    /// only the proof encoding differs.
+    pub fn query_ops(
+        &self,
+        key: &StateKey,
+        t1: u64,
+        t2: u64,
+    ) -> (F::Output, QueryProof<OpProof<F>>) {
+        self.answer(key, |tree| tree.window_ops(t1, t2))
+    }
+
+    fn answer<P>(
+        &self,
+        key: &StateKey,
+        window: impl FnOnce(&BTree<F>) -> (F::Answer, P),
+    ) -> (F::Output, QueryProof<P>) {
+        let key_bytes = key.as_hash().as_bytes();
+        let mpt = self.upper.prove(key_bytes);
+        match self.lower.get(key_bytes) {
+            None => (
+                F::Output::default(),
+                QueryProof {
+                    mpt,
+                    lower_root: None,
+                    lower: None,
+                },
+            ),
+            Some(tree) => {
+                let (answer, lower) = window(tree);
+                (
+                    F::present(answer),
+                    QueryProof {
+                        mpt,
+                        lower_root: Some(tree.root()),
+                        lower: Some(lower),
+                    },
+                )
+            }
+        }
+    }
+}
+
+/// One key's chained update inside the aux payload.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct KeyUpdate<F: Flavor> {
+    /// The key's lower-tree root before this block (`None` = new key).
+    prev_root: Option<Hash>,
+    /// Rightmost-path proof of the lower tree (ignored for new keys).
+    append: AppendProof<F>,
+    /// Upper-trie proof for the key against the chained upper root.
+    mpt: MptProof,
+}
+
+impl<F: Flavor> Encode for KeyUpdate<F> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.prev_root.encode(out);
+        self.append.encode(out);
+        self.mpt.encode(out);
+    }
+}
+
+impl<F: Flavor> Decode for KeyUpdate<F> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(KeyUpdate {
+            prev_root: Option::decode(r)?,
+            append: AppendProof::decode(r)?,
+            mpt: MptProof::decode(r)?,
+        })
+    }
+}
+
+/// The trusted update verifier for a [`TwoLevelIndex`], registered in the
+/// enclave's certificate program.
+#[derive(Debug, Clone)]
+pub struct TwoLevelVerifier<F: IndexFlavor> {
+    name: String,
+    order: usize,
+    flavor: PhantomData<fn() -> F>,
+}
+
+impl<F: IndexFlavor> TwoLevelVerifier<F> {
+    /// Creates the verifier matching [`TwoLevelIndex::new`] under `name`.
+    pub fn new(name: impl Into<String>) -> Self {
+        Self::with_order(name, BTree::<F>::DEFAULT_ORDER)
+    }
+
+    /// Creates the verifier with an explicit fanout (must match the SP's).
+    pub fn with_order(name: impl Into<String>, order: usize) -> Self {
+        TwoLevelVerifier {
+            name: name.into(),
+            order,
+            flavor: PhantomData,
+        }
+    }
+}
+
+impl<F: IndexFlavor> IndexVerifier for TwoLevelVerifier<F> {
+    fn type_name(&self) -> &str {
+        &self.name
+    }
+
+    fn genesis_digest(&self) -> Hash {
+        // An empty trie.
+        Hash::ZERO
+    }
+
+    fn verify_update(
+        &self,
+        prev_digest: &Hash,
+        block: &Block,
+        writes: &[(StateKey, Option<Vec<u8>>)],
+        aux: &[u8],
+    ) -> Result<Hash, CertError> {
+        let mut reader = Reader::new(aux);
+        let updates: Vec<KeyUpdate<F>> =
+            decode_seq(&mut reader).map_err(|_| CertError::BadIndexUpdate("aux decode"))?;
+        if reader.remaining() != 0 {
+            return Err(CertError::BadIndexUpdate("trailing aux bytes"));
+        }
+        // The enclave derives the ingested subset itself from the
+        // authenticated write set.
+        let entries: Vec<(&StateKey, F::Value)> = writes
+            .iter()
+            .filter_map(|(key, write)| F::ingest(write).map(|value| (key, value)))
+            .collect();
+        if updates.len() != entries.len() {
+            return Err(CertError::BadIndexUpdate("update count mismatch"));
+        }
+        let height = block.header.height;
+        let mut root = *prev_digest;
+        for ((key, value), update) in entries.iter().zip(&updates) {
+            let key_bytes = key.as_hash().as_bytes();
+            let digest = F::digest(value);
+
+            // Authenticate the key's current lower-tree root (or its
+            // absence) against the chained upper root.
+            let proven = update
+                .mpt
+                .verify(&root, key_bytes)
+                .map_err(CertError::Proof)?;
+            let claimed = update.prev_root.as_ref().map(|r| hash_bytes(r.as_bytes()));
+            if proven != claimed {
+                return Err(CertError::BadIndexUpdate("stale lower-tree root"));
+            }
+
+            // Compute the new lower-tree root statelessly.
+            let new_root = match update.prev_root {
+                None => BTree::<F>::singleton_root(height, &digest),
+                Some(prev) => update
+                    .append
+                    .appended_root(&prev, self.order, height, &digest)
+                    .map_err(CertError::Proof)?,
+            };
+
+            // Chain the upper-trie root forward.
+            root = update
+                .mpt
+                .updated_root(&root, key_bytes, &hash_bytes(new_root.as_bytes()))
+                .map_err(CertError::Proof)?;
+        }
+        Ok(root)
+    }
+}
+
+/// Proof returned with a two-level index query: `P` is the lower tree's
+/// window evidence, per-path ([`WindowProof`]) or op-stream ([`OpProof`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct QueryProof<P> {
+    /// Upper-trie (non-)membership proof for the queried key.
+    mpt: MptProof,
+    /// The key's lower-tree root (absent if the key is untracked).
+    lower_root: Option<Hash>,
+    /// Window-completeness proof within the lower tree.
+    lower: Option<P>,
+}
+
+impl<P: Encode> QueryProof<P> {
+    /// Serialized proof size in bytes (the Fig. 11b metric).
+    pub fn size_bytes(&self) -> usize {
+        self.encoded_len()
+    }
+}
+
+impl<P: Encode> Encode for QueryProof<P> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.mpt.encode(out);
+        self.lower_root.encode(out);
+        self.lower.encode(out);
+    }
+}
+
+impl<P: Decode> Decode for QueryProof<P> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(QueryProof {
+            mpt: MptProof::decode(r)?,
+            lower_root: Option::decode(r)?,
+            lower: Option::decode(r)?,
+        })
+    }
+}
+
+/// Client-side verification of a two-level query answer against the
+/// certified index digest: upper-trie (non-)membership for the key,
+/// digest binding of the lower-tree root, then `verify_lower` — the
+/// window-completeness check of whichever encoding `P` is — against that
+/// root. An untracked key must come with an empty answer.
+///
+/// # Errors
+///
+/// [`QueryError`] describing the first failed check.
+pub(crate) fn verify_window<P>(
+    digest: &Hash,
+    key: &StateKey,
+    proof: &QueryProof<P>,
+    answer_is_empty: bool,
+    verify_lower: impl FnOnce(&P, &Hash) -> Result<(), ProofError>,
+) -> Result<(), QueryError> {
+    let proven = proof.mpt.verify(digest, key.as_hash().as_bytes())?;
+    match (&proof.lower_root, &proof.lower) {
+        (None, None) => {
+            if proven.is_some() {
+                return Err(QueryError::ResultMismatch(
+                    "key is tracked but no lower tree presented",
+                ));
+            }
+            if !answer_is_empty {
+                return Err(QueryError::ResultMismatch("answer for an untracked key"));
+            }
+            Ok(())
+        }
+        (Some(lower_root), Some(lower)) => {
+            if proven != Some(hash_bytes(lower_root.as_bytes())) {
+                return Err(QueryError::DigestMismatch);
+            }
+            verify_lower(lower, lower_root)?;
+            Ok(())
+        }
+        _ => Err(QueryError::ResultMismatch("inconsistent proof shape")),
+    }
+}

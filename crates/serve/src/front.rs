@@ -386,16 +386,21 @@ impl ServeFront {
                         t2,
                     } = &entry.spec
                     {
-                        if self.op_windows.len() >= self.config.cache_capacity {
-                            self.op_windows.remove(0);
+                        // A window record is only useful while its answer
+                        // is cached; with no cache there is nothing to
+                        // narrow from (and nothing to evict).
+                        if self.config.cache_capacity > 0 {
+                            if self.op_windows.len() >= self.config.cache_capacity {
+                                self.op_windows.remove(0);
+                            }
+                            self.op_windows.push(OpWindow {
+                                index: index.clone(),
+                                key: *state_key,
+                                t1: *t1,
+                                t2: *t2,
+                                spec_key: key.clone(),
+                            });
                         }
-                        self.op_windows.push(OpWindow {
-                            index: index.clone(),
-                            key: *state_key,
-                            t1: *t1,
-                            t2: *t2,
-                            spec_key: key.clone(),
-                        });
                     }
                     self.cache.insert(
                         key,

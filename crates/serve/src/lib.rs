@@ -181,6 +181,45 @@ mod tests {
         assert_eq!(after, Submitted::Enqueued { coalesced: false });
     }
 
+    /// Regression: with `cache_capacity = 0` the pump evicted from an
+    /// empty window list (`remove(0)` panic) when answering a `HistoryOp`.
+    /// A cache-less front records no windows and serves exactly the
+    /// direct-serving bytes.
+    #[test]
+    fn capacity_zero_front_answers_history_op_without_recording_a_window() {
+        let config = ServeConfig {
+            cache_capacity: 0,
+            ..ServeConfig::default()
+        };
+        let mut front = front_with(config, 2);
+        let registry = dcert_obs::Registry::new();
+        front.attach_obs(&registry);
+
+        front
+            .submit(0, history_op_request(1, 1, 0, 100))
+            .expect("admitted");
+        let deliveries = front.pump(1, 16);
+        let [(1, ServeWire::Response(resp))] = deliveries.as_slice() else {
+            panic!("expected one response, got {deliveries:?}");
+        };
+        let key = StateKey::new("kvstore", b"acct");
+        let (results, proof) = front
+            .sp()
+            .serve_history_ops("history", &key, 0, 100)
+            .expect("index registered");
+        assert_eq!(
+            resp.payload,
+            crate::wire::encode_history_op_payload(&results, &proof)
+        );
+
+        // Nothing to narrow from: a contained window goes to the backend.
+        let contained = front
+            .submit(2, history_op_request(2, 2, 10, 50))
+            .expect("admitted");
+        assert_eq!(contained, Submitted::Enqueued { coalesced: false });
+        assert_eq!(registry.snapshot().counter("serve.window_hits"), 0);
+    }
+
     #[test]
     fn aggregate_op_queries_execute_through_the_pump() {
         let mut front = front_with(ServeConfig::default(), 1);
@@ -205,7 +244,7 @@ mod tests {
         };
         let (agg, _proof) =
             crate::wire::decode_aggregate_op_payload(&resp.payload).expect("payload decodes");
-        assert_eq!(agg, dcert_merkle::aggmb::Aggregate::EMPTY);
+        assert_eq!(agg, dcert_merkle::Aggregate::EMPTY);
     }
 
     #[test]

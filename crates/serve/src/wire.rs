@@ -12,7 +12,7 @@
 //! to `dcert-lint` R2 panic-freedom (no unwrap/expect/indexing/truncating
 //! casts) and is swept by `tests/decode_no_panic.rs`.
 
-use dcert_merkle::aggmb::Aggregate;
+use dcert_merkle::Aggregate;
 use dcert_primitives::codec::{decode_seq, encode_seq, Decode, Encode, Reader};
 use dcert_primitives::error::CodecError;
 use dcert_primitives::hash::Hash;

@@ -2,11 +2,14 @@
 //! decoder in the workspace is exercised with arbitrary, truncated, and
 //! bit-flipped byte strings, and must always return `Err` — never panic.
 //!
-//! `fuzz_decoding.rs` probes a core subset with semantic soundness checks;
-//! this suite goes wide instead: it enumerates the *complete* decoder
-//! surface (certificates, network messages, sealed blobs, every proof
-//! family, keys, primitives) and sweeps each type's valid encoding through
-//! exhaustive truncations and single-byte corruptions.
+//! The suite goes wide: it enumerates the *complete* decoder surface
+//! (certificates, network messages, sealed blobs, every proof family,
+//! keys, primitives) and sweeps each type's valid encoding through
+//! exhaustive truncations and single-byte corruptions. On top of that,
+//! for the three types a client acts on directly — transactions, state
+//! proofs, certificates — a mutation that still decodes must also be
+//! *semantically* harmless: it fails verification or changes no
+//! authenticated claim.
 
 use dcert::baselines::lineage::LineageIndex;
 use dcert::baselines::skiplist::AuthSkipList;
@@ -17,11 +20,10 @@ use dcert::core::{
     BatchLink, BlockInput, Certificate, EcallRequest, EcallResponse, IdxRequest, IndexInput,
     NetMessage,
 };
-use dcert::merkle::aggmb::AggAppendProof;
 use dcert::merkle::{
-    AggMbTree, AggOpProof, AggProof, Aggregate, MbAppendProof, MbOpProof, MbRangeProof, MbTree,
-    MerkleTree, MhtOpProof, MhtProof, Mpt, MptProof, OpNode, ProofOp, SmtProof, SparseMerkleTree,
-    MAX_OP_STACK, MAX_PROOF_DEPTH,
+    AggAppendProof, AggMbTree, AggOpProof, AggProof, Aggregate, MbAppendProof, MbOpProof,
+    MbRangeProof, MbTree, MerkleTree, MhtOpProof, MhtProof, Mpt, MptProof, OpNode, ProofOp,
+    SmtProof, SparseMerkleTree, MAX_OP_STACK, MAX_PROOF_DEPTH,
 };
 use dcert::primitives::codec::{encode_seq, Decode, Encode};
 use dcert::primitives::hash::{hash_bytes, Address, Hash};
@@ -431,6 +433,30 @@ fn every_decoder_survives_every_other_types_encoding() {
     }
 }
 
+#[test]
+fn empty_input_is_rejected_by_every_decoder() {
+    // Most types need at least one byte; none may panic on zero bytes.
+    try_decode_everything(&[]);
+}
+
+#[test]
+fn length_prefix_bombs_are_bounded() {
+    // A 4 GB length prefix must be rejected before any allocation.
+    let mut bytes = Vec::new();
+    u32::MAX.encode(&mut bytes);
+    bytes.extend_from_slice(&[0u8; 64]);
+    assert!(Vec::<u8>::decode_all(&bytes).is_err());
+    let _ = Block::decode_all(&bytes);
+    let _ = SmtProof::decode_all(&bytes);
+}
+
+#[test]
+fn hash_decode_requires_exactly_32_bytes() {
+    assert!(Hash::decode_all(&[0u8; 31]).is_err());
+    assert!(Hash::decode_all(&[0u8; 33]).is_err());
+    assert!(Hash::decode_all(&[0u8; 32]).is_ok());
+}
+
 fn sample_head_state() -> HeadState {
     HeadState {
         seq: 7,
@@ -650,6 +676,92 @@ proptest! {
         bytes.extend_from_slice(&tail);
         let _ = (p.decode_ok)(&bytes);
         try_decode_everything(&bytes);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Structured prefixes (valid-looking tags + lengths) never panic.
+    #[test]
+    fn prop_tagged_junk_never_panics(
+        tag in 0u8..8,
+        len in any::<u32>(),
+        body in proptest::collection::vec(any::<u8>(), 0..128),
+    ) {
+        let mut bytes = vec![tag];
+        bytes.extend_from_slice(&len.to_be_bytes());
+        bytes.extend_from_slice(&body);
+        try_decode_everything(&bytes);
+    }
+
+    /// Mutating one byte of a *valid* encoding either still decodes (to a
+    /// different value the verifier will reject) or fails cleanly.
+    #[test]
+    fn prop_bitflipped_transactions_never_panic(pos in 0usize..160, flip in 1u8..=255) {
+        let tx = Transaction::sign(&Keypair::from_seed([9; 32]), 7, "kvstore", b"payload".to_vec());
+        let mut bytes = tx.to_encoded_bytes();
+        let idx = pos % bytes.len();
+        bytes[idx] ^= flip;
+        if let Ok(decoded) = Transaction::decode_all(&bytes) {
+            // A decodable mutation must fail signature verification or
+            // decode to the identical transaction (flip in ignored
+            // range is impossible: every byte is significant).
+            if decoded != tx {
+                prop_assert!(decoded.verify().is_err() || decoded.id() != tx.id());
+            }
+        }
+    }
+
+    /// Mutated SMT proofs never panic the verifier, and when a mutation
+    /// still verifies (e.g. a flipped bit turned an absent key into a
+    /// *different* absent key — a legitimately different proof), it must
+    /// not change any authenticated claim about the original keys.
+    #[test]
+    fn prop_bitflipped_smt_proofs_sound(pos in 0usize..4096, flip in 1u8..=255) {
+        let mut tree = SparseMerkleTree::new();
+        for i in 0..20u32 {
+            tree.insert(hash_bytes(format!("k{i}")), vec![i as u8]);
+        }
+        let root = tree.root();
+        let original_keys = [hash_bytes("k3"), hash_bytes("missing")];
+        let proof = tree.prove(&original_keys);
+        let mut bytes = proof.to_encoded_bytes();
+        let idx = pos % bytes.len();
+        bytes[idx] ^= flip;
+        if let Ok(decoded) = SmtProof::decode_all(&bytes) {
+            if decoded.verify(&root).is_ok() {
+                // Soundness: every original key the mutated proof still
+                // covers must carry the true pre-state value.
+                for key in &original_keys {
+                    if let Ok(claimed) = decoded.pre_value_hash(key) {
+                        let truth = tree.get(key).map(hash_bytes);
+                        prop_assert_eq!(claimed, truth);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Mutated certificates never panic and never validate.
+    #[test]
+    fn prop_bitflipped_certificates_safe(pos in 0usize..512, flip in 1u8..=255) {
+        let (cert, _) = certificate();
+        let ias_key = AttestationService::with_seed([1; 32]).public_key();
+        let measurement = hash_bytes(b"program");
+        cert.verify(&ias_key, &measurement, &cert.digest).unwrap();
+
+        let mut bytes = cert.to_encoded_bytes();
+        let idx = pos % bytes.len();
+        bytes[idx] ^= flip;
+        if let Ok(decoded) = Certificate::decode_all(&bytes) {
+            if decoded != cert {
+                prop_assert!(
+                    decoded.verify(&ias_key, &measurement, &cert.digest).is_err(),
+                    "a mutated certificate must never verify"
+                );
+            }
+        }
     }
 }
 

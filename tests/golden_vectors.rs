@@ -1,0 +1,309 @@
+//! Byte-identity against the past: every constant below was produced by
+//! the two hand-copied tree modules (`merkle::mbtree`, `merkle::aggmb`)
+//! and the two hand-copied index modules (`query::history`,
+//! `query::aggregate`) at commit 848016d, immediately before they were
+//! collapsed into one generic core. Certificates already issued bind
+//! these digests, so the unified code must reproduce each one exactly —
+//! roots after every insert, and the SHA-256 of every encoded proof form.
+//!
+//! To re-capture (only ever legitimate at a commit that intends to break
+//! the wire format): empty `GOLDEN`, run the test, paste the table it
+//! prints.
+
+use dcert::merkle::{AggMbTree, MbTree};
+use dcert::primitives::codec::Encode;
+use dcert::primitives::hash::hash_bytes;
+use dcert::query::aggregate::AggregateIndex;
+use dcert::query::history::HistoryIndex;
+use dcert::vm::StateKey;
+
+/// Fixed insert sequence: seventeen rightmost appends (enough to split an
+/// order-16 leaf), two out-of-order inserts, one replacement.
+const INSERTS: [u64; 20] = [
+    1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597, 2584, 4, 100, 13,
+];
+const ORDERS: [usize; 3] = [3, 4, 16];
+const WINDOW: (u64, u64) = (5, 144);
+
+fn digest_of(value: &impl Encode) -> String {
+    hash_bytes(value.to_encoded_bytes()).to_string()
+}
+
+fn computed() -> Vec<(String, String)> {
+    let mut out = Vec::new();
+    let (lo, hi) = WINDOW;
+    for order in ORDERS {
+        let mut mb = MbTree::new(order);
+        let mut agg = AggMbTree::new(order);
+        for (i, ts) in INSERTS.iter().enumerate() {
+            mb.insert(*ts, format!("v{ts}-{i}").into_bytes());
+            agg.insert(*ts, ts * 7 + i as u64);
+            out.push((format!("mb/{order}/root/{i}"), mb.root().to_string()));
+            out.push((format!("agg/{order}/root/{i}"), agg.root().to_string()));
+        }
+        out.push((format!("mb/{order}/append"), digest_of(&mb.prove_append())));
+        out.push((format!("mb/{order}/range"), digest_of(&mb.range(lo, hi).1)));
+        out.push((
+            format!("mb/{order}/ops"),
+            digest_of(&mb.prove_ops(&[(lo, hi)])),
+        ));
+        out.push((
+            format!("mb/{order}/non_membership"),
+            digest_of(&mb.prove_non_membership(6)),
+        ));
+        out.push((
+            format!("agg/{order}/append"),
+            digest_of(&agg.prove_append()),
+        ));
+        out.push((
+            format!("agg/{order}/aggregate"),
+            digest_of(&agg.aggregate(lo, hi).1),
+        ));
+        out.push((
+            format!("agg/{order}/ops"),
+            digest_of(&agg.prove_agg_ops(lo, hi)),
+        ));
+
+        // The two-level indexes: twelve blocks over two keys (one written
+        // every block, one every third), then the last block's `aux`, the
+        // digest it leads to, and all four query-proof envelopes.
+        let alice = StateKey::new("smallbank", b"alice");
+        let bob = StateKey::new("smallbank", b"bob");
+        let mut history = HistoryIndex::with_order("history", order);
+        let mut aggregate = AggregateIndex::with_order("aggregate", order);
+        let mut last = None;
+        for height in 1..=12u64 {
+            let mut writes = vec![(alice, Some((100 + height).to_be_bytes().to_vec()))];
+            if height % 3 == 0 {
+                writes.push((bob, (height % 2 == 0).then(|| b"memo".to_vec())));
+            }
+            writes.sort_by_key(|(k, _)| *k.as_hash());
+            last = Some((
+                history.apply_block(height, &writes),
+                aggregate.apply_block(height, &writes),
+            ));
+        }
+        let ((h_aux, h_digest), (a_aux, a_digest)) = last.expect("twelve blocks applied");
+        out.push((
+            format!("history/{order}/aux"),
+            hash_bytes(&h_aux).to_string(),
+        ));
+        out.push((format!("history/{order}/digest"), h_digest.to_string()));
+        out.push((
+            format!("aggregate/{order}/aux"),
+            hash_bytes(&a_aux).to_string(),
+        ));
+        out.push((format!("aggregate/{order}/digest"), a_digest.to_string()));
+        out.push((
+            format!("history/{order}/proof"),
+            digest_of(&history.query(&alice, 3, 9).1),
+        ));
+        out.push((
+            format!("history/{order}/op_proof"),
+            digest_of(&history.query_ops(&alice, 3, 9).1),
+        ));
+        out.push((
+            format!("aggregate/{order}/proof"),
+            digest_of(&aggregate.query(&alice, 3, 9).1),
+        ));
+        out.push((
+            format!("aggregate/{order}/op_proof"),
+            digest_of(&aggregate.query_ops(&alice, 3, 9).1),
+        ));
+    }
+    out
+}
+
+#[test]
+fn unified_core_reproduces_pre_refactor_bytes() {
+    let computed = computed();
+    let matches = computed.len() == GOLDEN.len()
+        && computed
+            .iter()
+            .zip(GOLDEN)
+            .all(|((label, hex), (want_label, want_hex))| label == want_label && hex == want_hex);
+    if !matches {
+        for ((label, hex), want) in computed
+            .iter()
+            .zip(GOLDEN.iter().map(Some).chain(std::iter::repeat(None)))
+        {
+            if want.map_or(true, |(l, h)| l != label || h != hex) {
+                eprintln!("MISMATCH {label}: computed {hex}, golden {want:?}");
+            }
+        }
+        eprintln!("--- computed table ---");
+        for (label, hex) in &computed {
+            eprintln!("    (\"{label}\", \"{hex}\"),");
+        }
+        panic!("golden vectors diverged (see stderr)");
+    }
+}
+
+#[rustfmt::skip]
+const GOLDEN: &[(&str, &str)] = &[
+    ("mb/3/root/0", "f25b2d62a80ba5a055bbc81d8967b7cf0bc8db9c2ed091edf97537e87bb5ee92"),
+    ("agg/3/root/0", "604304e944019e1fd82e27c1b290a634f2f3415aa61aa1604e25d40dd17e311a"),
+    ("mb/3/root/1", "e0bff3784d3adac94a0bc6e64b10ec5656dbbb8127cb649ee9e5b1d359c0ada5"),
+    ("agg/3/root/1", "99f87c39395e8f1d327565911d42d588a858bb58b388586dc598de3cb0371173"),
+    ("mb/3/root/2", "e0926b6f6aaf4da638abffc71125ad4b0f77a8d9f1251928970414f83abd09a3"),
+    ("agg/3/root/2", "46fbeabb87b4dbaaf5356bc43b449fc75923c4391fd80f021a7dbec8a30325d6"),
+    ("mb/3/root/3", "cc368d4a8f8c15dded1145afd76cf7db9a4d3e43c38fa844b3bb75751adc081b"),
+    ("agg/3/root/3", "65cc806e1e072bc3597b57d38e18a027f2c808342afb074c892929686b062943"),
+    ("mb/3/root/4", "56219670ba1cba1d7c28ec68a8767003c9cd256d04270e703b88f3a33c8afd64"),
+    ("agg/3/root/4", "760f77edaa73371a98894bf68b652d183ca35b4f94a8dfbad0446ba35dc6d226"),
+    ("mb/3/root/5", "f3057f79d183ec8d33c87b64c6aec9ca5898039a6e0e0b956c26c5da97ce97f1"),
+    ("agg/3/root/5", "d560576661ef964227977c89b68362dec97891aec4d6d0001d2b5be65f79c0fb"),
+    ("mb/3/root/6", "2c126bcf0fe0d9222a106685fdf03a2287b6dce3719a1e06afd4ca3208234b8c"),
+    ("agg/3/root/6", "60be32ef31da48691fc90b9563ac8fc2ad79cd62de16ce7f5ad4b93e678f8b01"),
+    ("mb/3/root/7", "9e9c41a6c6095488c0f0d286b79316cd0c8255ccdc3729a4726368485e8a8b7d"),
+    ("agg/3/root/7", "0f30c46d283a0c2a86e547dfc8626a4d48a41a01eac10137257a30f73e54240c"),
+    ("mb/3/root/8", "a09c582880b21ac8da9f57a1db5919d0f04ece0f05033c95a308fea0f933d4da"),
+    ("agg/3/root/8", "5761b6cf44e969bea553c391bf7e6ad29676ba94eda5eee50ea2faf7ce6237b5"),
+    ("mb/3/root/9", "b200d883e2995626848ddfb7f9eb96c310c35cdf14a58d7d7e21b4f2434c6c03"),
+    ("agg/3/root/9", "c980edc09e8bb8dc46a966f8a50f0d037db2f22a79b91ea88eb5dfa1fe7c5e0d"),
+    ("mb/3/root/10", "8299e93f809e0ae12550052a6f3610f91f14404c4ca2f8b0011e92764c221906"),
+    ("agg/3/root/10", "7ec8876877dd7539ecfc1b7412dcd3b1361b96e97c8bc44f713a8312c43a47d9"),
+    ("mb/3/root/11", "3f25b67016e905f62c7af0c4a62d3a857581cb5f3ec8da342de2bd6f6fdde899"),
+    ("agg/3/root/11", "f1fdd495ac7786985ce144c193b56d6ce26642e01ad1abc93787f6e0e928c892"),
+    ("mb/3/root/12", "d309a610b8b5042d9ee3319df60d1a9cc23ed413676734e59f610c0861372cd2"),
+    ("agg/3/root/12", "9bfda60bb9c42928eb398efea144ddaa473ef909c5c37a92bd75ed5fca4be296"),
+    ("mb/3/root/13", "999cba8f1552f58dcd17c4ddaaf42474958cebbb75292f7b982e40e7683c0050"),
+    ("agg/3/root/13", "d852e12e47b31a8274361ecb218da524741351ca595d1e072a1e04ce9532f737"),
+    ("mb/3/root/14", "12d190daac3f4ab4a0e061c84547c1dfc65cb4e9021f7923a9175006ab8f68bb"),
+    ("agg/3/root/14", "91fd063e03492cf64d1615a8b20333b2c1d600f50d1af0001b743a2fcbb90c0b"),
+    ("mb/3/root/15", "7e1645a9b5e03e187bbe506c506bed237aaa865ec6a113c51b53996f0b11b9c1"),
+    ("agg/3/root/15", "32f6f9cebbc9ff37c7b55b7012d99435868700e23033dc1c92fed5a33f90b1de"),
+    ("mb/3/root/16", "a3bb73cb6a896c4ccf92cf20ca44844b80f642d3a60e1e874da09b577d06cb1d"),
+    ("agg/3/root/16", "cf15f08334f4f420cc94d4d2a25fa4871c8d5f6ba519e68947fe0262a978cb48"),
+    ("mb/3/root/17", "2433d8994b974deb4afcb9421468517ef40f7708fa9c4716a95cd7d2fda04e75"),
+    ("agg/3/root/17", "7f6911e98f8cdd17b292d814cf51f8877342fc646e8c2f6bf00ea26715690bac"),
+    ("mb/3/root/18", "3dc3653c70ec01f2aa71939bc3c4ad9292c6c2417438844f91b2103351583b5e"),
+    ("agg/3/root/18", "1d3bd4fda5121dde8cfa17840d8d66126955771534d12857883befd946959b97"),
+    ("mb/3/root/19", "3130e0971e9299505ffb2e8a84ff6f389b5d1b41aab6f1153c2ec0abc4fd1aec"),
+    ("agg/3/root/19", "f954bd78e53f65d42a4b65789237e40d70024297cb91699a4f56b42f7660ff86"),
+    ("mb/3/append", "d563fbb03ce441eb7e26dd002cfd79a582e715586c97cf5fcdc951e4204d66a9"),
+    ("mb/3/range", "77cd3a1a65a790fbd762f34e203ebe5331b028a1321268d2b83acb3cb49010e7"),
+    ("mb/3/ops", "ac0e446c58a3cc6476adca9eda854b19150c059d0e2b165c226947cbd15778aa"),
+    ("mb/3/non_membership", "881a32a21215ee910f99ea836acf36c70a940e408eac0085a9a12235efdc30ed"),
+    ("agg/3/append", "553e570c7268983c895a5496e0b368faabcf4012f6655b8f4179b70fcc078b63"),
+    ("agg/3/aggregate", "412c9c4397308c80a0ec12aee6a4cd318192654aef193f0baa783f7cf310ecfb"),
+    ("agg/3/ops", "9ca6ab2902649e8380f164c5a0a6fd0c51a1d8588b2fa8cd3bf1a2ada3810d43"),
+    ("history/3/aux", "5d493592df096adcd0fcccc0f80c60279c75e4d041fc2fec6a160bdef41b2686"),
+    ("history/3/digest", "bbcc5530b68f303653b7f88ccd9e9cc6992e821a58b19e4dfcb2c9b04cc84bf1"),
+    ("aggregate/3/aux", "b2e565f69f66e85cc4bb0a50a8a4f1865142cb80f0f7cc0a57d1d847d03c3301"),
+    ("aggregate/3/digest", "6dbcc98a32ba8d84ec915fb73f2e59343460c51268f7e2556a0230c5915b4e8c"),
+    ("history/3/proof", "5b23d1f0193c5285654b2741e9e2cf16a6008e273d6e277182cf9057d3da899c"),
+    ("history/3/op_proof", "08ecc9698133c7b6b2c9890f19518df46c34e37fd056b22a59f795045fef6785"),
+    ("aggregate/3/proof", "a2f4e37fd00f93e9031ad215200e8fdde84039e1a479080e4e6753f19fab7088"),
+    ("aggregate/3/op_proof", "c3c165f0f011ef04c903d2cc46d060877768ed26fb251cbd4845cead31aa916d"),
+    ("mb/4/root/0", "f25b2d62a80ba5a055bbc81d8967b7cf0bc8db9c2ed091edf97537e87bb5ee92"),
+    ("agg/4/root/0", "604304e944019e1fd82e27c1b290a634f2f3415aa61aa1604e25d40dd17e311a"),
+    ("mb/4/root/1", "e0bff3784d3adac94a0bc6e64b10ec5656dbbb8127cb649ee9e5b1d359c0ada5"),
+    ("agg/4/root/1", "99f87c39395e8f1d327565911d42d588a858bb58b388586dc598de3cb0371173"),
+    ("mb/4/root/2", "e0926b6f6aaf4da638abffc71125ad4b0f77a8d9f1251928970414f83abd09a3"),
+    ("agg/4/root/2", "46fbeabb87b4dbaaf5356bc43b449fc75923c4391fd80f021a7dbec8a30325d6"),
+    ("mb/4/root/3", "ad0c3084827652dce7614d97b7fcb3b2f20f7148e8886a26e033a9fb081b0e46"),
+    ("agg/4/root/3", "cb84e1fa3cb12d5d87d33cfaf914a4b062c9691cc759d4d2ed8ec9cb662dd46e"),
+    ("mb/4/root/4", "56219670ba1cba1d7c28ec68a8767003c9cd256d04270e703b88f3a33c8afd64"),
+    ("agg/4/root/4", "760f77edaa73371a98894bf68b652d183ca35b4f94a8dfbad0446ba35dc6d226"),
+    ("mb/4/root/5", "7af2f117ddcaf6c666b158a2f6860b0cfb17039ea5fb46800df9789958a03a71"),
+    ("agg/4/root/5", "84a3bd50dd7ee0d130a7f34bdb1c6d7deedf052974c4c2caa22d232110b78a22"),
+    ("mb/4/root/6", "2c126bcf0fe0d9222a106685fdf03a2287b6dce3719a1e06afd4ca3208234b8c"),
+    ("agg/4/root/6", "60be32ef31da48691fc90b9563ac8fc2ad79cd62de16ce7f5ad4b93e678f8b01"),
+    ("mb/4/root/7", "e600e1e7b0f103172dc0d6cbb849eb4858c7800668b62bd8fa3aa0f4f148159d"),
+    ("agg/4/root/7", "c1334dbf7a3093de3cac84b9c5fe4f8bf7b96dbe946b4e2a41354fc158e6d589"),
+    ("mb/4/root/8", "4f53e8d79b86eebb9ec14a37eaadbabedbe762d90f95cbc3ae3295089d3c9f38"),
+    ("agg/4/root/8", "ee5c2781a40d4c7ad46c285d6aba2158881fd58a0718b6ca5db05b8782005066"),
+    ("mb/4/root/9", "2e054fd118390a15492703cc6da579faf93b9d75ad6f9aae13b3506d889327c8"),
+    ("agg/4/root/9", "3a105f9a895dff591557911b0998f7fe6566777fe9a81d1457f0f535d6c74aad"),
+    ("mb/4/root/10", "8299e93f809e0ae12550052a6f3610f91f14404c4ca2f8b0011e92764c221906"),
+    ("agg/4/root/10", "7ec8876877dd7539ecfc1b7412dcd3b1361b96e97c8bc44f713a8312c43a47d9"),
+    ("mb/4/root/11", "db38ab617a85053e4c6a12830e3ee8c3bbd50651dde3e7cd02ba8df583acb43b"),
+    ("agg/4/root/11", "0240560fee1d60b7978016d12f834a8ee6dcb9a0996db1b83eb30720b4c33274"),
+    ("mb/4/root/12", "4cc4e693f7e52082be26a17e4ba487ea6bdcd1b92e79018982f9b8bd427c9b7e"),
+    ("agg/4/root/12", "0544d448c3bf02849c77c50497e4c210dac55dde8dc4f0e6ff67dfd39a1943c9"),
+    ("mb/4/root/13", "37a74e2ecc4a726550ed7503930a0f5cf2d51566fc78eb0b089b9727e32cbb5f"),
+    ("agg/4/root/13", "e81936d93731fc3753dcc0b20ad46673c3191c8784fd265c6f3114ba7b2c8bf9"),
+    ("mb/4/root/14", "12d190daac3f4ab4a0e061c84547c1dfc65cb4e9021f7923a9175006ab8f68bb"),
+    ("agg/4/root/14", "91fd063e03492cf64d1615a8b20333b2c1d600f50d1af0001b743a2fcbb90c0b"),
+    ("mb/4/root/15", "025f39a84ec84315d71e953afc3f027a5e3751d5ee19bd03c3678e02864f7a1e"),
+    ("agg/4/root/15", "39870773742e9adb7b537be07dde097d7ffda1d1dd36baf75de76544bf56aa56"),
+    ("mb/4/root/16", "4623635105658471fc8c2daa23b6547addf88803fd0c7b7343d40e6ac4d7e210"),
+    ("agg/4/root/16", "3ced2d71ceaef9103693f198b698576f4ce6bee53d389c5f034d8c896398f997"),
+    ("mb/4/root/17", "b742b9ab1a8e1240a2bae5b1b74e0d56a60969065162864ffb3d86137693d83e"),
+    ("agg/4/root/17", "e04b909d3f9a32bbc541859ce033b21e62608218721809cc9d4e59ce661685fc"),
+    ("mb/4/root/18", "361775afc68bc877495c76b4417577fba46e4b14825c2d57e3c8047e2ca5f0f2"),
+    ("agg/4/root/18", "97bf0325bf2e2b011e8b25e6eb14569af99ddf5757b84a89ecf412e4040ed717"),
+    ("mb/4/root/19", "243eef349a3500bc2a0d5f597fb7bdc281837365b52f6b55e654aa5b5aeee85f"),
+    ("agg/4/root/19", "6ad74c523e8ccdb0e694ca2498fc31a560342f55e5a2074ff5b70861aaa47348"),
+    ("mb/4/append", "715086f82980e1c812ca62e45c5cfc425f82631e02bfaf6908692580aeafa83c"),
+    ("mb/4/range", "6b82b8a0e316bd891d1edde85779d4b37bd838725e94dcc6704578e8c7cd7023"),
+    ("mb/4/ops", "54975c24c52458403c8c9a3406659b4e5d8206ee05d5bd3bbd7cb2582648a57f"),
+    ("mb/4/non_membership", "a31a25c4c4f1e04d2401fb2e76e06ba214ffd5244cd6ebbddc90654983bb0ea5"),
+    ("agg/4/append", "d34bcc24c900a33c8304956ca29fe9a3f805169a7ae89cf80b93d4179db66617"),
+    ("agg/4/aggregate", "1471b7522fe7b03214ccc43351e9179967a3d744ce5b699428fa96ff777d18ff"),
+    ("agg/4/ops", "6e45f456916e7c28994c664d099d5948e3e7e204d32b52b5983809a71cc485a9"),
+    ("history/4/aux", "ec626d6552d4c26b0b81fe74c66cc30f8fbf0b645d342d794e53adb2e2ba9bf9"),
+    ("history/4/digest", "ff94bb79aa5ccdd0ebe8ab8729cee39a8e7b6204b8157b9806516b1b8a992410"),
+    ("aggregate/4/aux", "b2e565f69f66e85cc4bb0a50a8a4f1865142cb80f0f7cc0a57d1d847d03c3301"),
+    ("aggregate/4/digest", "f98a47a642eed9321f2b2779818cb7419ec1d2a3ef8511d17e6488d74b269c10"),
+    ("history/4/proof", "b83657cf182ad9e2f52e26c8a30e625bf75b5a23442d4da1b6b800f1415415e5"),
+    ("history/4/op_proof", "a3fab395e9a889af3a2625454621895063df14a3f9d3dab7713e8116c275adae"),
+    ("aggregate/4/proof", "d99d3f0095f9415bafd5c5737b6007fd36d3bb94cd415a625bef9692f55a2ded"),
+    ("aggregate/4/op_proof", "1aa56e8ebad27424d45608f40f0d2ab3eee652d7bb1a5769427ea79269d4ec7c"),
+    ("mb/16/root/0", "f25b2d62a80ba5a055bbc81d8967b7cf0bc8db9c2ed091edf97537e87bb5ee92"),
+    ("agg/16/root/0", "604304e944019e1fd82e27c1b290a634f2f3415aa61aa1604e25d40dd17e311a"),
+    ("mb/16/root/1", "e0bff3784d3adac94a0bc6e64b10ec5656dbbb8127cb649ee9e5b1d359c0ada5"),
+    ("agg/16/root/1", "99f87c39395e8f1d327565911d42d588a858bb58b388586dc598de3cb0371173"),
+    ("mb/16/root/2", "e0926b6f6aaf4da638abffc71125ad4b0f77a8d9f1251928970414f83abd09a3"),
+    ("agg/16/root/2", "46fbeabb87b4dbaaf5356bc43b449fc75923c4391fd80f021a7dbec8a30325d6"),
+    ("mb/16/root/3", "ad0c3084827652dce7614d97b7fcb3b2f20f7148e8886a26e033a9fb081b0e46"),
+    ("agg/16/root/3", "cb84e1fa3cb12d5d87d33cfaf914a4b062c9691cc759d4d2ed8ec9cb662dd46e"),
+    ("mb/16/root/4", "8a484a031c9413c136e3f12aa6a39cc034f31e9365b95a1a2af281201ba6feda"),
+    ("agg/16/root/4", "8050ab81c57be8fe72cf542d6b65d4c9ad3fc15cf65af571d4e0790e99630727"),
+    ("mb/16/root/5", "90b4dfa00a0bd7f9e06be71d53d2e60956ea7b56da51c47e938e6b727a7d2881"),
+    ("agg/16/root/5", "17144782d606aeab61bcad3a2d827016d267701abcde584dba7ce95cb3b848ce"),
+    ("mb/16/root/6", "4e8569b7990b42faff4317bbf32eb9033f35cc5b1cc481bfde902a5c9963ed14"),
+    ("agg/16/root/6", "0d24facfa48ac42d846e3cc705aebe1bf2653df0376816c45a46b16f9aec6be1"),
+    ("mb/16/root/7", "37ef151c80ab62b65a44b3bf214e13e63854661ad454c6428955b0f4c46cd52a"),
+    ("agg/16/root/7", "a635d7f6d0bd944d5f7a267734eb348fb5e9ad74c3cfbbe614d57df0abc23900"),
+    ("mb/16/root/8", "3cc9842997a4ca003178de58cac2ed963d1870771941556ce335439531453359"),
+    ("agg/16/root/8", "8ea473af28a0234faf7fc9cb38392a66e5cd702e33441983b43719593c8d9dc6"),
+    ("mb/16/root/9", "ec7541b821e90423d82e90427d5382500bb7f42d0b828959687046647fffb0ba"),
+    ("agg/16/root/9", "f84e6f566c2ef1dff64805d56cd6b7671eb76727cf4454b1eaabdc8c668896b8"),
+    ("mb/16/root/10", "9ff116b9a88194e924d691353b8b66973d0cfe5309679cac5df1a4a5e96e6726"),
+    ("agg/16/root/10", "f942c2deb72b3d6fbd556f1ccaae5fbd8d59712c14c232556a04507195d17b88"),
+    ("mb/16/root/11", "4b2767cd7aa8dd7e6fc541ea667a4c0441f6b3a7947e3558940a8dea01f655c4"),
+    ("agg/16/root/11", "4466b5e7b818ab2180a41ffc7594a6f2e8124d833bfbe016810bf2ebfda29056"),
+    ("mb/16/root/12", "8aeb2ba33bd37a84b7ff2eafbdcd4b915a5ff6290bb515d533c8ef10d0148607"),
+    ("agg/16/root/12", "484b2ed5fbbd97cd45c72734a920ce4f014149afb4bd5065ca4c7a7afee2b080"),
+    ("mb/16/root/13", "8f3373ff8bae62835ad34f540d63b92852b5b1ac7165ee2a695e4142e9aa9af8"),
+    ("agg/16/root/13", "01f3d1a79327cef65334576b0c34b7a8214ec328bbbed474e5ec798785116858"),
+    ("mb/16/root/14", "59f5870f673fb6a638b5fc5ed288a669b22a8c9008a9b2f1e138b9419b1ebfa5"),
+    ("agg/16/root/14", "1115fa0fe9ce6ff5ffcf106fd6ea30923762cae015e656063ea8b0ada7132866"),
+    ("mb/16/root/15", "5c99a10cbbde40dcf1e9495fc5b682ff2fe10a71f93971ee35fa7487bb956687"),
+    ("agg/16/root/15", "6b6877b4b0f364925bab21214e6f2f72a96b25f998b443493c1ce9ffc1d3e2e8"),
+    ("mb/16/root/16", "4f5bd98959e5150f13466252137af85db03e7ad7fc8c4264985a6d52fcb89c74"),
+    ("agg/16/root/16", "d8207fd9f256c78263266cd39a111ca9f8ed96752fcd35a3248a15ee576bea8d"),
+    ("mb/16/root/17", "f74935b310bddae690c3e3309722cb0f071e718e44b72cb4c461769ab27fa333"),
+    ("agg/16/root/17", "a857141bb3b23246994a5c3c3cabc34490f5afa99d7475ffb138c4c0bbf74bf4"),
+    ("mb/16/root/18", "87e0df90224f0b2ec9accd4f5004569ad6320d05cd266ecfbe5c2589630cc1ca"),
+    ("agg/16/root/18", "c8e409808cc179d50feac565603aa70d888e302fd3e2f42b7b69ddd88c211b95"),
+    ("mb/16/root/19", "a9d3b5c759d51bc02cc5a1ecb8baff55f2074c3f7ed19b3933704e2f8b7b50ee"),
+    ("agg/16/root/19", "b8d99c874ed54d1d629ae12f8659c02d270d24eb0140efd5313c3f0b382a4cd2"),
+    ("mb/16/append", "992e326a21723dbb6bb189dd5269675ed5313d386fcc46e3e17d62c6e4df2f90"),
+    ("mb/16/range", "874b5487a1d7f8fe91624a3a3bc65f5071875c99cec4c6809394837efa89c36d"),
+    ("mb/16/ops", "559e1d2452093547204fbdc8c00f75464744bbe503d55fb49c3f4799a582d8ab"),
+    ("mb/16/non_membership", "8012d98af1639f21ce2b3642818f411bd2d782591468e15141a343fc6fba2464"),
+    ("agg/16/append", "eb37dcd1963308a361cfe62d0ba822319d2427192601cf1ed679656fe9bf3b12"),
+    ("agg/16/aggregate", "adf37d51c50844064c6b74f08bf442923d1204fcd17d02a9b3983f399295b3c5"),
+    ("agg/16/ops", "fe81cf68a9dd2c8c0b33f3d896d24ffda97321233b83527001ca02fd526f07ac"),
+    ("history/16/aux", "17c3706f1ed988bcb30f07457ea81d2705a43d1f8fc3e17a9a23b6c5070d6c34"),
+    ("history/16/digest", "3dd3e23983bc6dfcb0259843205a16a1d909f224c95d463ae7e12a26d517d1a2"),
+    ("aggregate/16/aux", "403be7bb1e1ab273d113da4f7b6e7ed892eb30d0ef93af0ea0c7659a01a6497f"),
+    ("aggregate/16/digest", "e0b6c636f9c420aa8b2dcebc045ba3d80f91be554e7b23ac03b11856bc6484cf"),
+    ("history/16/proof", "ab819389dd51935f5d28b54cba5fa2a7bfcbc8b084c4ce40808c01349b94ab04"),
+    ("history/16/op_proof", "6613fa78c995932af7a9c9f756e5a51efc2cc5e064eb54a6818a54b647cb9cbe"),
+    ("aggregate/16/proof", "125dd93a3c3955752038e40289521219cd3a65f32f114bc6123547638fefd4dd"),
+    ("aggregate/16/op_proof", "de225a168421696a37cd5f5dce882dd172dc82ca58a788ca6f4fa840685b6ac6"),
+];
