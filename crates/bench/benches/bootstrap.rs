@@ -16,7 +16,7 @@ fn bench_bootstrap(c: &mut Criterion) {
         // Build one certified chain of this length.
         let mut rig = Rig::new(RigConfig {
             cost: CostModel::calibrated(),
-            indexes: Vec::new(),
+            ..RigConfig::default()
         });
         let mut headers = vec![rig.genesis.header.clone()];
         let mut tip = None;

@@ -14,7 +14,7 @@ use dcert_workloads::Workload;
 fn prepare(workload: Workload, txs: usize) -> (Rig, EcallRequest) {
     let mut rig = Rig::new(RigConfig {
         cost: CostModel::calibrated(),
-        indexes: Vec::new(),
+        ..RigConfig::default()
     });
     let mut gen = rig.generator(workload, 42);
     let block = rig.mine(gen.next_block(txs));

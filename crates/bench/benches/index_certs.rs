@@ -42,6 +42,7 @@ fn bench_index_certs(c: &mut Criterion) {
                     let mut rig = Rig::new(RigConfig {
                         cost: CostModel::calibrated(),
                         indexes: indexes(count),
+                        ..RigConfig::default()
                     });
                     let result =
                         rig.run(Workload::KvStore { keyspace: 500 }, iters, 32, 42, scheme);

@@ -6,14 +6,10 @@
 //! per chain approaches the pure ECall time — the target is ≥ 1.5× over
 //! sequential with 4 preparers under the calibrated cost model.
 
-use std::collections::HashMap;
-
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use dcert_bench::{Rig, RigConfig};
 use dcert_chain::Block;
-use dcert_core::{
-    CertJob, CertPipeline, Certificate, CertificateIssuer, Gossip, IndexInput, PipelineConfig,
-};
+use dcert_core::{CertJob, CertPipeline, CertificateIssuer, Gossip, IndexInput, PipelineConfig};
 use dcert_query::sp::IndexKind;
 use dcert_sgx::CostModel;
 use dcert_workloads::Workload;
@@ -33,8 +29,8 @@ enum Scheme {
 }
 
 /// Mines the chain once and stages every block's index inputs (digest
-/// bookkeeping only — certificates are either patched in by the
-/// sequential reference or spliced by the pipeline's issuer stage).
+/// bookkeeping only — either arm's issuer chains each index from the
+/// certificate it issued last).
 fn fixture(scheme: Scheme) -> (Rig, Vec<Block>, Vec<Vec<IndexInput>>) {
     let indexes = match scheme {
         Scheme::Plain => Vec::new(),
@@ -45,6 +41,7 @@ fn fixture(scheme: Scheme) -> (Rig, Vec<Block>, Vec<Vec<IndexInput>>) {
     let mut rig = Rig::new(RigConfig {
         cost: CostModel::calibrated(),
         indexes,
+        ..RigConfig::default()
     });
     let mut gen = rig.generator(Workload::IoHeavy { batch: 4 }, 7);
     let mut blocks = Vec::with_capacity(BLOCKS as usize);
@@ -59,25 +56,6 @@ fn fixture(scheme: Scheme) -> (Rig, Vec<Block>, Vec<Vec<IndexInput>>) {
     (rig, blocks, staged)
 }
 
-/// Fills each staged input's `prev_cert` from the certificates issued so
-/// far, exactly as `ServiceProvider::record_certs` would have.
-fn patch(inputs: &[IndexInput], last: &HashMap<String, Certificate>) -> Vec<IndexInput> {
-    inputs
-        .iter()
-        .map(|input| {
-            let mut input = input.clone();
-            input.prev_cert = last.get(&input.index_type).cloned();
-            input
-        })
-        .collect()
-}
-
-fn record(last: &mut HashMap<String, Certificate>, inputs: &[IndexInput], certs: Vec<Certificate>) {
-    for (input, cert) in inputs.iter().zip(certs) {
-        last.insert(input.index_type.clone(), cert);
-    }
-}
-
 /// The sequential reference: one `certify_*` call per block, in order.
 fn certify_sequential(
     mut ci: CertificateIssuer,
@@ -85,21 +63,16 @@ fn certify_sequential(
     blocks: &[Block],
     staged: &[Vec<IndexInput>],
 ) -> CertificateIssuer {
-    let mut last = HashMap::new();
     for (block, inputs) in blocks.iter().zip(staged) {
         match scheme {
             Scheme::Plain => {
                 ci.certify_block(block).expect("certifies");
             }
             Scheme::Augmented => {
-                let patched = patch(inputs, &last);
-                let (certs, _) = ci.certify_augmented(block, &patched).expect("certifies");
-                record(&mut last, &patched, certs);
+                ci.certify_augmented(block, inputs).expect("certifies");
             }
             Scheme::Hierarchical => {
-                let patched = patch(inputs, &last);
-                let (_, certs, _) = ci.certify_hierarchical(block, &patched).expect("certifies");
-                record(&mut last, &patched, certs);
+                ci.certify_hierarchical(block, inputs).expect("certifies");
             }
         }
     }

@@ -14,21 +14,25 @@
 //!
 //! Every stage is timed into a [`CertBreakdown`], which is what the
 //! Figure 8–10 benches report.
+//!
+//! The steps themselves live in the crate's `engine` module; this module
+//! is their *inline* driver: each `certify_*` method runs sequence →
+//! prepare → issue → commit on the calling thread, against the node's
+//! live pre-state.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use dcert_chain::{Block, ChainState, ConsensusEngine, FullNode};
-use dcert_primitives::codec::{Decode, Encode};
 use dcert_primitives::hash::Address;
-use dcert_primitives::keys::{PublicKey, Signature};
-use dcert_sgx::cost::timed;
+use dcert_primitives::keys::PublicKey;
 use dcert_sgx::{AttestationReport, AttestationService, CostModel, Enclave};
-use dcert_vm::{Executor, StateKey};
+use dcert_vm::Executor;
 
 use crate::cert::Certificate;
+use crate::engine::{build_links, Attested, ExecutedLink, Indexing, Issued, Issuer, PreparedJob};
 use crate::error::CertError;
-use crate::messages::{BatchLink, BlockInput, EcallRequest, EcallResponse, IdxRequest, IndexInput};
+use crate::messages::IndexInput;
 use crate::program::CertProgram;
 use crate::verifier::IndexVerifier;
 
@@ -63,43 +67,23 @@ impl CertBreakdown {
 
 /// The SGX-enabled Certificate Issuer.
 ///
-/// The enclave handle is `Arc`-shared: ECalls serialize inside the
-/// enclave itself, so the certification pipeline
-/// ([`crate::pipeline::CertPipeline`]) can drive the same enclave from a
-/// dedicated issuer thread while this struct's sequential methods remain
-/// available for single-threaded callers.
+/// A chain view plus the enclave-bound issuer (the attested enclave and
+/// the block- and index-certificate chains its next request extends). The
+/// enclave handle is `Arc`-shared: ECalls serialize inside the enclave
+/// itself, so the certification pipeline
+/// ([`crate::pipeline::CertPipeline`]) can move the issuer onto a
+/// dedicated thread — and hand it back — while the host keeps a handle for
+/// sealing.
 pub struct CertificateIssuer {
-    node: FullNode,
-    enclave: Arc<Enclave<CertProgram>>,
-    pk_enc: PublicKey,
-    report: AttestationReport,
-    prev_block_cert: Option<Certificate>,
-    /// Reused request-encoding buffer: every ECall request is marshalled
-    /// into this vector instead of a fresh allocation per call.
-    scratch: Vec<u8>,
-    /// Largest request encoding seen so far. Bytes up to this mark are
-    /// "served from reuse" — a pure function of the request-length
-    /// sequence (deliberately not `Vec::capacity`, which is
-    /// allocator-dependent), so the derived counter is deterministic.
-    scratch_high_water: usize,
-}
-
-/// The CI deconstructed into the pieces the pipeline's stages own while
-/// running; [`CertificateIssuer::from_parts`] reassembles them at
-/// shutdown.
-pub(crate) struct CiParts {
     pub(crate) node: FullNode,
-    pub(crate) enclave: Arc<Enclave<CertProgram>>,
-    pub(crate) pk_enc: PublicKey,
-    pub(crate) report: AttestationReport,
-    pub(crate) prev_block_cert: Option<Certificate>,
+    pub(crate) issuer: Issuer,
 }
 
 impl std::fmt::Debug for CertificateIssuer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CertificateIssuer")
             .field("height", &self.node.height())
-            .field("pk_enc", &self.pk_enc)
+            .field("pk_enc", &self.pk_enc())
             .finish()
     }
 }
@@ -196,14 +180,6 @@ impl CertificateIssuer {
         ias: &mut AttestationService,
         cost: CostModel,
     ) -> Result<Self, CertError> {
-        checkpoint_cert.verify(
-            &ias.public_key(),
-            &crate::program::expected_measurement(),
-            &checkpoint.hash(),
-        )?;
-        if snapshot.root() != checkpoint.state_root {
-            return Err(CertError::StateRootMismatch);
-        }
         let program = CertProgram::new(
             genesis_digest,
             ias.public_key(),
@@ -211,15 +187,9 @@ impl CertificateIssuer {
             engine.clone(),
             verifiers,
         );
+        let node = checkpoint_node(checkpoint, checkpoint_cert, snapshot, executor, engine, ias)?;
         let enclave = Enclave::restore(program, cost, platform_seed, sealed_key)
             .map_err(CertError::Attestation)?;
-        let node = FullNode::new_at_checkpoint(
-            checkpoint.clone(),
-            snapshot,
-            executor,
-            engine,
-            Address::default(),
-        );
         Self::finish_boot(enclave, node, ias, Some(checkpoint_cert.clone()))
     }
 
@@ -227,36 +197,19 @@ impl CertificateIssuer {
     /// [`CertificateIssuer::resume_on_platform`]. The plaintext key never
     /// crosses the enclave boundary.
     pub fn seal_enclave_key(&self) -> dcert_sgx::SealedBlob {
-        self.enclave.seal_state()
+        self.issuer.attested.enclave.seal_state()
     }
 
-    /// Shared boot tail: register the platform, run `Init`, attest.
+    /// Shared constructor tail: boot and attest the enclave
+    /// ([`Attested::boot`]), then pair it with the chain view.
     fn finish_boot(
         enclave: Enclave<CertProgram>,
         node: FullNode,
         ias: &mut AttestationService,
         prev_block_cert: Option<Certificate>,
     ) -> Result<Self, CertError> {
-        ias.register_platform(enclave.platform_key());
-        let response = enclave.ecall(&EcallRequest::Init.to_encoded_bytes());
-        let pk_enc = match EcallResponse::decode_all(&response)? {
-            EcallResponse::Initialized(pk) => pk,
-            EcallResponse::Rejected(reason) => return Err(CertError::EnclaveRejected(reason)),
-            EcallResponse::Signature(_) | EcallResponse::Signatures(_) => {
-                return Err(CertError::EnclaveRejected("unexpected response".into()))
-            }
-        };
-        let quote = enclave.quote(Certificate::key_binding(&pk_enc));
-        let report = ias.attest(&quote)?;
-        Ok(CertificateIssuer {
-            node,
-            enclave: Arc::new(enclave),
-            pk_enc,
-            report,
-            prev_block_cert,
-            scratch: Vec::new(),
-            scratch_high_water: 0,
-        })
+        let issuer = Issuer::new(Attested::boot(enclave, ias)?, prev_block_cert);
+        Ok(CertificateIssuer { node, issuer })
     }
 
     /// Like [`CertificateIssuer::new_on_platform`], but also pre-seeds the
@@ -327,16 +280,6 @@ impl CertificateIssuer {
         ias: &mut AttestationService,
         cost: CostModel,
     ) -> Result<Self, CertError> {
-        // Trust the checkpoint the same way a superlight client would.
-        checkpoint_cert.verify(
-            &ias.public_key(),
-            &crate::program::expected_measurement(),
-            &checkpoint.hash(),
-        )?;
-        if snapshot.root() != checkpoint.state_root {
-            return Err(CertError::StateRootMismatch);
-        }
-
         let program = CertProgram::new(
             genesis_digest,
             ias.public_key(),
@@ -344,14 +287,8 @@ impl CertificateIssuer {
             engine.clone(),
             verifiers,
         );
+        let node = checkpoint_node(checkpoint, checkpoint_cert, snapshot, executor, engine, ias)?;
         let enclave = Enclave::launch(program, cost);
-        let node = FullNode::new_at_checkpoint(
-            checkpoint.clone(),
-            snapshot,
-            executor,
-            engine,
-            Address::default(),
-        );
         Self::finish_boot(enclave, node, ias, Some(checkpoint_cert.clone()))
     }
 
@@ -362,22 +299,22 @@ impl CertificateIssuer {
 
     /// The enclave public key `pk_enc`.
     pub fn pk_enc(&self) -> PublicKey {
-        self.pk_enc
+        self.issuer.attested.pk_enc
     }
 
     /// The attestation report `rep` bound into every certificate.
     pub fn report(&self) -> &AttestationReport {
-        &self.report
+        &self.issuer.attested.report
     }
 
     /// The enclave measurement (clients pin this).
     pub fn measurement(&self) -> dcert_primitives::hash::Hash {
-        self.enclave.measurement()
+        self.issuer.attested.enclave.measurement()
     }
 
     /// The latest block certificate, if any block has been certified.
     pub fn latest_block_cert(&self) -> Option<&Certificate> {
-        self.prev_block_cert.as_ref()
+        self.issuer.latest_block_cert()
     }
 
     /// Attaches a metric registry to the CI's enclave boundary, so every
@@ -385,7 +322,7 @@ impl CertificateIssuer {
     /// charges, and EPC residency into `registry` (see
     /// [`Enclave::attach_obs`]).
     pub fn attach_obs(&self, registry: &dcert_obs::Registry) {
-        self.enclave.attach_obs(registry);
+        self.issuer.attested.enclave.attach_obs(registry);
     }
 
     /// Algorithm 1: `gen_cert`. Certifies `block` (which must extend the
@@ -394,30 +331,24 @@ impl CertificateIssuer {
     ///
     /// # Errors
     ///
-    /// Enclave-side rejections surface as [`CertError::EnclaveRejected`];
-    /// local validation failures as their typed variants.
+    /// A block that does not extend the tip is refused before the ECall as
+    /// [`CertError::Chain`]; enclave-side rejections surface as
+    /// [`CertError::EnclaveRejected`]; local validation failures as their
+    /// typed variants.
     pub fn certify_block(
         &mut self,
         block: &Block,
     ) -> Result<(Certificate, CertBreakdown), CertError> {
-        let mut breakdown = CertBreakdown::default();
-        let input = self.prepare_block_input(block, &mut breakdown);
-        let request = EcallRequest::SigGen(input);
-        let signature = self.issue(&request, &mut breakdown)?;
-        let cert = Certificate {
-            pk_enc: self.pk_enc,
-            report: self.report.clone(),
-            digest: block.header.hash(),
-            signature,
-        };
-        self.node.apply(block)?;
-        self.prev_block_cert = Some(cert.clone());
-        Ok((cert, breakdown))
+        let (issued, breakdown) = self.certify_one(block, Indexing::None)?;
+        Ok((issued.into_certs()?.0, breakdown))
     }
 
     /// Algorithm 4: augmented certificates — one full-replay ECall *per
     /// index* (this is exactly the repetition the hierarchical scheme
     /// removes; Fig. 10 measures the difference). Advances the chain.
+    ///
+    /// Each index chains from the certificate this CI last issued for it,
+    /// else from the staged [`IndexInput::prev_cert`].
     ///
     /// # Errors
     ///
@@ -427,25 +358,15 @@ impl CertificateIssuer {
         block: &Block,
         indexes: &[IndexInput],
     ) -> Result<(Vec<Certificate>, CertBreakdown), CertError> {
-        let mut breakdown = CertBreakdown::default();
-        let input = self.prepare_block_input(block, &mut breakdown);
-        let mut certs = Vec::with_capacity(indexes.len());
-        for index in indexes {
-            let request = EcallRequest::AugSigGen(input.clone(), index.clone());
-            let signature = self.issue(&request, &mut breakdown)?;
-            certs.push(Certificate {
-                pk_enc: self.pk_enc,
-                report: self.report.clone(),
-                digest: Certificate::index_digest(&block.header.hash(), &index.new_digest),
-                signature,
-            });
-        }
-        self.node.apply(block)?;
-        Ok((certs, breakdown))
+        let (issued, breakdown) = self.certify_one(block, Indexing::Augmented(indexes.to_vec()))?;
+        Ok((issued.into_index_certs(), breakdown))
     }
 
     /// Algorithm 5: hierarchical certificates — one block certificate, then
     /// one light (replay-free) ECall per index. Advances the chain.
+    ///
+    /// Each index chains from the certificate this CI last issued for it,
+    /// else from the staged [`IndexInput::prev_cert`].
     ///
     /// # Errors
     ///
@@ -455,59 +376,10 @@ impl CertificateIssuer {
         block: &Block,
         indexes: &[IndexInput],
     ) -> Result<(Certificate, Vec<Certificate>, CertBreakdown), CertError> {
-        let mut breakdown = CertBreakdown::default();
-        let prev_header = self.node.tip().clone();
-
-        // Line 1: the block certificate via gen_cert.
-        let input = self.prepare_block_input(block, &mut breakdown);
-        let request = EcallRequest::SigGen(input);
-        let signature = self.issue(&request, &mut breakdown)?;
-        let block_cert = Certificate {
-            pk_enc: self.pk_enc,
-            report: self.report.clone(),
-            digest: block.header.hash(),
-            signature,
-        };
-
-        // Per-index ECalls: ship the write set authenticated against the
-        // two certified state roots instead of replaying.
-        let (writes, took) = timed(|| {
-            let execution = self.node.execute(&block.txs);
-            execution
-                .writes
-                .iter()
-                .map(|(k, v)| (*k, v.clone()))
-                .collect::<Vec<(StateKey, Option<Vec<u8>>)>>()
-        });
-        breakdown.rw_set_gen += took;
-        let (write_proof, took) = timed(|| {
-            let write_keys: Vec<StateKey> = writes.iter().map(|(k, _)| *k).collect();
-            self.node.state().prove(&write_keys)
-        });
-        breakdown.proof_gen += took;
-
-        let mut certs = Vec::with_capacity(indexes.len());
-        for index in indexes {
-            let request = EcallRequest::IdxSigGen(Box::new(IdxRequest {
-                prev_header: prev_header.clone(),
-                header: block.header.clone(),
-                block: block.clone(),
-                block_cert: block_cert.clone(),
-                writes: writes.clone(),
-                write_proof: write_proof.clone(),
-                index: index.clone(),
-            }));
-            let signature = self.issue(&request, &mut breakdown)?;
-            certs.push(Certificate {
-                pk_enc: self.pk_enc,
-                report: self.report.clone(),
-                digest: Certificate::index_digest(&block.header.hash(), &index.new_digest),
-                signature,
-            });
-        }
-        self.node.apply(block)?;
-        self.prev_block_cert = Some(block_cert.clone());
-        Ok((block_cert, certs, breakdown))
+        let (issued, breakdown) =
+            self.certify_one(block, Indexing::Hierarchical(indexes.to_vec()))?;
+        let (block_cert, index_certs) = issued.into_certs()?;
+        Ok((block_cert, index_certs, breakdown))
     }
 
     /// Batch extension: certifies `blocks` (consecutive extensions of the
@@ -525,168 +397,71 @@ impl CertificateIssuer {
         &mut self,
         blocks: &[Block],
     ) -> Result<(Certificate, CertBreakdown), CertError> {
-        let Some(last) = blocks.last() else {
-            return Err(CertError::EnclaveRejected("empty batch".into()));
-        };
         let mut breakdown = CertBreakdown::default();
-        // Pre-process each link against a scratch state (the links build
-        // on each other, not on the current tip). Each block is executed
-        // exactly once here; the enclave is the validator.
+        // Each link builds on the previous one, not on the current tip:
+        // pre-process against one scratch copy of the state. Each block is
+        // executed exactly once; the enclave is the validator.
         let mut state = self.node.state().clone();
-        let links = build_links(self.node.executor(), &mut state, blocks, &mut breakdown);
-        let request = EcallRequest::BatchSigGen {
-            prev_header: self.node.tip().clone(),
-            prev_cert: self.prev_block_cert.clone(),
-            links,
-        };
-        let signature = self.issue(&request, &mut breakdown)?;
-        let cert = Certificate {
-            pk_enc: self.pk_enc,
-            report: self.report.clone(),
-            digest: last.header.hash(),
-            signature,
-        };
+        let links = build_links(
+            self.node.executor(),
+            &mut state,
+            self.node.tip(),
+            blocks,
+            &mut breakdown,
+        )?;
+        let job = PreparedJob::batch(self.node.tip(), &links)?;
+        let issued = self.issuer.issue(&job, &mut breakdown)?;
         // The enclave validated every transition; adopt the scratch state
         // instead of re-executing the batch locally.
-        self.node.adopt_validated(last.header.clone(), state);
-        self.prev_block_cert = Some(cert.clone());
-        Ok((cert, breakdown))
+        self.node.adopt_validated(issued.header.clone(), state);
+        self.issuer.commit(&issued);
+        Ok((issued.into_certs()?.0, breakdown))
     }
 
-    /// Outside-enclave pre-processing (Algorithm 1, lines 2–3):
-    /// `comp_data_set` + `get_update_proof`, timed into `breakdown`.
-    fn prepare_block_input(&self, block: &Block, breakdown: &mut CertBreakdown) -> BlockInput {
-        let (execution, took) = timed(|| self.node.execute(&block.txs));
-        breakdown.rw_set_gen += took;
-
-        let (state_proof, took) = timed(|| self.node.state().prove(&execution.touched_keys()));
-        breakdown.proof_gen += took;
-
-        BlockInput {
-            prev_header: self.node.tip().clone(),
-            prev_cert: self.prev_block_cert.clone(),
-            block: block.clone(),
-            reads: execution
-                .reads
-                .iter()
-                .map(|(k, v)| (*k, v.clone()))
-                .collect(),
-            state_proof,
-        }
-    }
-
-    /// Crosses the enclave boundary once and extracts a signature.
-    ///
-    /// The request is marshalled into the issuer's reused scratch buffer;
-    /// bytes below the buffer's high-water mark are attributed to the
-    /// `enclave.marshal_reuse_bytes` counter.
-    fn issue(
+    /// A one-block job, inline: sequence → prepare → issue on the calling
+    /// thread against the live tip state (no snapshot), then the chain
+    /// advance, then the commit.
+    fn certify_one(
         &mut self,
-        request: &EcallRequest,
-        breakdown: &mut CertBreakdown,
-    ) -> Result<Signature, CertError> {
-        self.scratch.clear();
-        request.encode(&mut self.scratch);
-        let reused = self.scratch.len().min(self.scratch_high_water);
-        if reused > 0 {
-            self.enclave.note_marshal_reuse(reused as u64);
-        }
-        self.scratch_high_water = self.scratch_high_water.max(self.scratch.len());
-        issue_encoded(&self.enclave, &self.scratch, breakdown)
-    }
-
-    /// Tears the CI apart for the pipeline's stages.
-    pub(crate) fn into_parts(self) -> CiParts {
-        CiParts {
-            node: self.node,
-            enclave: self.enclave,
-            pk_enc: self.pk_enc,
-            report: self.report,
-            prev_block_cert: self.prev_block_cert,
-        }
-    }
-
-    /// Reassembles a CI from pipeline-owned parts. The marshalling scratch
-    /// starts empty: the pipeline's issuer kept its own buffer, and reuse
-    /// accounting is per-buffer by construction.
-    pub(crate) fn from_parts(parts: CiParts) -> Self {
-        CertificateIssuer {
-            node: parts.node,
-            enclave: parts.enclave,
-            pk_enc: parts.pk_enc,
-            report: parts.report,
-            prev_block_cert: parts.prev_block_cert,
-            scratch: Vec::new(),
-            scratch_high_water: 0,
-        }
+        block: &Block,
+        indexing: Indexing,
+    ) -> Result<(Issued, CertBreakdown), CertError> {
+        let mut breakdown = CertBreakdown::default();
+        let (executor, state, tip) = (self.node.executor(), self.node.state(), self.node.tip());
+        let link = ExecutedLink::execute(executor, state, tip, block.clone(), &mut breakdown)?;
+        let job = PreparedJob::single(tip, link, state, indexing, &mut breakdown);
+        let issued = self.issuer.issue(&job, &mut breakdown)?;
+        self.node.apply(block)?;
+        self.issuer.commit(&issued);
+        Ok((issued, breakdown))
     }
 }
 
-/// Executes consecutive `blocks` against `state` (advanced in place) and
-/// builds the authenticated per-block links a batch or range request ships
-/// into the enclave: each block is executed exactly once, its update proof
-/// extracted against the pre-state, and its writes applied so the next
-/// link builds on the result. The enclave is the validator — this is pure
-/// untrusted pre-processing.
-///
-/// Shared by [`CertificateIssuer::certify_batch`] and the shard-fleet
-/// workers ([`crate::shard`]), so both paths feed the enclave byte-equal
-/// link material by construction.
-pub(crate) fn build_links(
-    executor: &Executor,
-    state: &mut ChainState,
-    blocks: &[Block],
-    breakdown: &mut CertBreakdown,
-) -> Vec<BatchLink> {
-    let mut links = Vec::with_capacity(blocks.len());
-    for block in blocks {
-        let (execution, took) = timed(|| {
-            let calls: Vec<dcert_vm::Call> = block.txs.iter().map(|tx| tx.call.clone()).collect();
-            executor.execute_block(state, &calls)
-        });
-        breakdown.rw_set_gen += took;
-        let (state_proof, took) = timed(|| state.prove(&execution.touched_keys()));
-        breakdown.proof_gen += took;
-        links.push(BatchLink {
-            block: block.clone(),
-            reads: execution
-                .reads
-                .iter()
-                .map(|(k, v)| (*k, v.clone()))
-                .collect(),
-            state_proof,
-        });
-        state.apply_writes(execution.writes.iter());
+/// Trusts `checkpoint` the same way a superlight client would — its
+/// certificate under the IAS root and the expected measurement, the
+/// snapshot against the certified state root — and builds the chain view
+/// standing on it.
+fn checkpoint_node(
+    checkpoint: &dcert_chain::BlockHeader,
+    checkpoint_cert: &Certificate,
+    snapshot: ChainState,
+    executor: Executor,
+    engine: Arc<dyn ConsensusEngine>,
+    ias: &AttestationService,
+) -> Result<FullNode, CertError> {
+    checkpoint_cert.verify(
+        &ias.public_key(),
+        &crate::program::expected_measurement(),
+        &checkpoint.hash(),
+    )?;
+    if snapshot.root() != checkpoint.state_root {
+        return Err(CertError::StateRootMismatch);
     }
-    links
-}
-
-/// Dispatches one pre-encoded ECall request and extracts a signature,
-/// charging the boundary's cost-model delta into `breakdown`.
-///
-/// This is the single signing path shared by the sequential CI methods
-/// and the pipeline's issuer stage; the stats delta (instead of a
-/// reset/read) keeps the enclave's cumulative counters intact for other
-/// observers of a shared handle.
-pub(crate) fn issue_encoded(
-    enclave: &Enclave<CertProgram>,
-    encoded: &[u8],
-    breakdown: &mut CertBreakdown,
-) -> Result<Signature, CertError> {
-    let before = enclave.stats();
-    let (response, took) = timed(|| enclave.ecall(encoded));
-    breakdown.enclave_total += took;
-    let after = enclave.stats();
-    breakdown.enclave_overhead += after.overhead - before.overhead;
-    breakdown.enclave_trusted += after.trusted_time - before.trusted_time;
-    breakdown.ecalls += after.ecalls - before.ecalls;
-    breakdown.request_bytes += after.bytes_in - before.bytes_in;
-    breakdown.response_bytes += after.bytes_out - before.bytes_out;
-    match EcallResponse::decode_all(&response)? {
-        EcallResponse::Signature(sig) => Ok(sig),
-        EcallResponse::Rejected(reason) => Err(CertError::EnclaveRejected(reason)),
-        EcallResponse::Initialized(_) | EcallResponse::Signatures(_) => {
-            Err(CertError::EnclaveRejected("unexpected response".into()))
-        }
-    }
+    Ok(FullNode::new_at_checkpoint(
+        checkpoint.clone(),
+        snapshot,
+        executor,
+        engine,
+        Address::default(),
+    ))
 }

@@ -13,11 +13,14 @@
 //! - [`CertProgram`]: the trusted in-enclave program — Algorithm 2
 //!   (`ecall_sig_gen` / `blk_verify_t` / `cert_verify_t`), Algorithm 4
 //!   (augmented), Algorithm 5's per-index step (hierarchical),
-//! - [`CertificateIssuer`]: the untrusted full-node half — Algorithm 1's
-//!   pre-processing, enclave boot, attestation, and certificate assembly,
-//! - [`CertPipeline`]: the staged, concurrent certification engine — a
-//!   preparer pool feeding a single enclave-bound issuer stage over
-//!   bounded channels, byte-identical to sequential issuance,
+//! - the certification core (the private `engine` module): the one
+//!   definition of each untrusted step of Algorithm 1 — enclave boot and
+//!   attestation, link building, request marshalling, ECall dispatch,
+//!   certificate assembly and chaining — driven by three engines:
+//!   [`CertificateIssuer`] inline on the calling thread, [`CertPipeline`]
+//!   across a sequencer, a preparer pool, an issuer and a publisher thread,
+//!   and [`ShardedCertEngine`] across parallel shard enclaves plus an
+//!   aggregator — all three byte-identical at every height (DESIGN.md §4),
 //! - [`SuperlightClient`]: Algorithm 3 plus index-certificate tracking,
 //! - [`IndexVerifier`]: the extension point through which authenticated
 //!   indexes (in `dcert-query`) plug their trusted update checks into the
@@ -72,6 +75,7 @@
 
 pub mod cert;
 pub mod ci;
+mod engine;
 pub mod error;
 pub mod messages;
 pub mod netsim;

@@ -166,6 +166,16 @@ pub enum EcallResponse {
 
 // --- codec ----------------------------------------------------------------
 
+/// [`EcallRequest`] wire tags, shared by the encoder, the decoder and the
+/// split encoders below.
+const TAG_INIT: u8 = 0;
+const TAG_SIG_GEN: u8 = 1;
+const TAG_AUG_SIG_GEN: u8 = 2;
+const TAG_IDX_SIG_GEN: u8 = 3;
+const TAG_BATCH_SIG_GEN: u8 = 4;
+const TAG_RANGE_SIG_GEN: u8 = 5;
+const TAG_FOLD_RANGES: u8 = 6;
+
 fn encode_kv_set(set: &[(StateKey, Option<Vec<u8>>)], out: &mut Vec<u8>) {
     encode_seq(set, out);
 }
@@ -266,18 +276,18 @@ impl Decode for IdxRequest {
 impl Encode for EcallRequest {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
-            EcallRequest::Init => out.push(0),
+            EcallRequest::Init => out.push(TAG_INIT),
             EcallRequest::SigGen(input) => {
-                out.push(1);
+                out.push(TAG_SIG_GEN);
                 input.encode(out);
             }
             EcallRequest::AugSigGen(block, index) => {
-                out.push(2);
+                out.push(TAG_AUG_SIG_GEN);
                 block.encode(out);
                 index.encode(out);
             }
             EcallRequest::IdxSigGen(req) => {
-                out.push(3);
+                out.push(TAG_IDX_SIG_GEN);
                 req.encode(out);
             }
             EcallRequest::BatchSigGen {
@@ -285,13 +295,13 @@ impl Encode for EcallRequest {
                 prev_cert,
                 links,
             } => {
-                out.push(4);
+                out.push(TAG_BATCH_SIG_GEN);
                 prev_header.encode(out);
                 prev_cert.encode(out);
                 encode_seq(links, out);
             }
             EcallRequest::RangeSigGen { anchor, links } => {
-                out.push(5);
+                out.push(TAG_RANGE_SIG_GEN);
                 anchor.encode(out);
                 encode_seq(links, out);
             }
@@ -300,7 +310,7 @@ impl Encode for EcallRequest {
                 anchor_cert,
                 ranges,
             } => {
-                out.push(6);
+                out.push(TAG_FOLD_RANGES);
                 anchor.encode(out);
                 anchor_cert.encode(out);
                 encode_seq(ranges, out);
@@ -312,29 +322,127 @@ impl Encode for EcallRequest {
 impl Decode for EcallRequest {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         match r.take_byte()? {
-            0 => Ok(EcallRequest::Init),
-            1 => Ok(EcallRequest::SigGen(BlockInput::decode(r)?)),
-            2 => Ok(EcallRequest::AugSigGen(
+            TAG_INIT => Ok(EcallRequest::Init),
+            TAG_SIG_GEN => Ok(EcallRequest::SigGen(BlockInput::decode(r)?)),
+            TAG_AUG_SIG_GEN => Ok(EcallRequest::AugSigGen(
                 BlockInput::decode(r)?,
                 IndexInput::decode(r)?,
             )),
-            3 => Ok(EcallRequest::IdxSigGen(Box::new(IdxRequest::decode(r)?))),
-            4 => Ok(EcallRequest::BatchSigGen {
+            TAG_IDX_SIG_GEN => Ok(EcallRequest::IdxSigGen(Box::new(IdxRequest::decode(r)?))),
+            TAG_BATCH_SIG_GEN => Ok(EcallRequest::BatchSigGen {
                 prev_header: BlockHeader::decode(r)?,
                 prev_cert: Option::<Certificate>::decode(r)?,
                 links: decode_seq(r)?,
             }),
-            5 => Ok(EcallRequest::RangeSigGen {
+            TAG_RANGE_SIG_GEN => Ok(EcallRequest::RangeSigGen {
                 anchor: BlockHeader::decode(r)?,
                 links: decode_seq(r)?,
             }),
-            6 => Ok(EcallRequest::FoldRanges {
+            TAG_FOLD_RANGES => Ok(EcallRequest::FoldRanges {
                 anchor: BlockHeader::decode(r)?,
                 anchor_cert: Option::<Certificate>::decode(r)?,
                 ranges: decode_seq(r)?,
             }),
             other => Err(CodecError::InvalidTag(other)),
         }
+    }
+}
+
+/// A request encoding cut at the one certificate only the issuer can
+/// supply — `prev_cert` of a `SigGen`/`AugSigGen`/`BatchSigGen`/
+/// [`IndexInput`], `block_cert` of an `IdxSigGen` — so everything around it
+/// can be marshalled before that certificate exists. For every
+/// constructor, `head ++ enc(certificate) ++ tail` is byte-for-byte the
+/// canonical [`EcallRequest`] encoding (the law the tests below pin); this
+/// is the only place outside the codec that spells a request's field order.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct SplitRequest {
+    head: Vec<u8>,
+    tail: Vec<u8>,
+}
+
+impl SplitRequest {
+    /// `tag ++ enc(prev_header)` — how every certifying request starts.
+    fn anchored(tag: u8, prev_header: &BlockHeader) -> Self {
+        let mut split = SplitRequest {
+            head: vec![tag],
+            tail: Vec::new(),
+        };
+        prev_header.encode(&mut split.head);
+        split
+    }
+
+    /// A [`BlockInput`] under `tag`, cut at its `prev_cert`: a [`BatchLink`]
+    /// encodes exactly the `block`, `reads`, `state_proof` run that follows.
+    fn block_input(tag: u8, prev_header: &BlockHeader, link: &BatchLink) -> Self {
+        let mut split = Self::anchored(tag, prev_header);
+        link.encode(&mut split.tail);
+        split
+    }
+
+    /// `SigGen`, cut at [`BlockInput::prev_cert`].
+    pub(crate) fn sig_gen(prev_header: &BlockHeader, link: &BatchLink) -> Self {
+        Self::block_input(TAG_SIG_GEN, prev_header, link)
+    }
+
+    /// `AugSigGen` up to its [`IndexInput`], cut at
+    /// [`BlockInput::prev_cert`]; a [`SplitRequest::index`] follows.
+    pub(crate) fn aug_sig_gen(prev_header: &BlockHeader, link: &BatchLink) -> Self {
+        Self::block_input(TAG_AUG_SIG_GEN, prev_header, link)
+    }
+
+    /// `BatchSigGen`, cut at its `prev_cert`.
+    pub(crate) fn batch_sig_gen(prev_header: &BlockHeader, links: &[BatchLink]) -> Self {
+        let mut split = Self::anchored(TAG_BATCH_SIG_GEN, prev_header);
+        encode_seq(links, &mut split.tail);
+        split
+    }
+
+    /// `RangeSigGen`: a batch under another tag with no certificate slot —
+    /// marshal it with [`SplitRequest::joined`].
+    pub(crate) fn range_sig_gen(anchor: &BlockHeader, links: &[BatchLink]) -> Self {
+        let mut split = Self::anchored(TAG_RANGE_SIG_GEN, anchor);
+        encode_seq(links, &mut split.tail);
+        split
+    }
+
+    /// `IdxSigGen` up to its [`IndexInput`], cut at
+    /// [`IdxRequest::block_cert`]; a [`SplitRequest::index`] follows.
+    pub(crate) fn idx_sig_gen(
+        prev_header: &BlockHeader,
+        block: &Block,
+        writes: &WriteSet,
+        write_proof: &SmtProof,
+    ) -> Self {
+        let mut split = Self::anchored(TAG_IDX_SIG_GEN, prev_header);
+        block.header.encode(&mut split.head);
+        block.encode(&mut split.head);
+        encode_kv_set(writes, &mut split.tail);
+        write_proof.encode(&mut split.tail);
+        split
+    }
+
+    /// A trailing [`IndexInput`], cut at its `prev_cert`.
+    pub(crate) fn index(index: &IndexInput) -> Self {
+        let mut split = SplitRequest::default();
+        index.index_type.encode(&mut split.head);
+        index.prev_digest.encode(&mut split.head);
+        index.new_digest.encode(&mut split.tail);
+        index.aux.encode(&mut split.tail);
+        split
+    }
+
+    /// Appends `head ++ enc(certificate) ++ tail` to `out`.
+    pub(crate) fn splice(&self, certificate: &impl Encode, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.head);
+        certificate.encode(out);
+        out.extend_from_slice(&self.tail);
+    }
+
+    /// `head ++ tail`: the whole request, when it has no certificate slot.
+    pub(crate) fn joined(mut self) -> Vec<u8> {
+        self.head.extend_from_slice(&self.tail);
+        self.head
     }
 }
 
@@ -444,7 +552,10 @@ impl Decode for EcallResponse {
 mod tests {
     use super::*;
     use dcert_chain::consensus::ConsensusProof;
+    use dcert_chain::Transaction;
     use dcert_primitives::hash::{hash_bytes, Address};
+    use dcert_primitives::keys::Keypair;
+    use proptest::prelude::*;
 
     fn header() -> BlockHeader {
         BlockHeader {
@@ -525,8 +636,6 @@ mod tests {
 
     #[test]
     fn fold_ranges_round_trip() {
-        use dcert_primitives::keys::Keypair;
-
         let kp = Keypair::from_seed([4; 32]);
         let range = RangeCert {
             pk_range: kp.public(),
@@ -554,8 +663,6 @@ mod tests {
 
     #[test]
     fn signatures_round_trip() {
-        use dcert_primitives::keys::Keypair;
-
         let kp = Keypair::from_seed([5; 32]);
         let resp = EcallResponse::Signatures(vec![kp.sign(b"a"), kp.sign(b"b")]);
         assert_eq!(
@@ -567,7 +674,6 @@ mod tests {
     #[test]
     fn net_message_round_trips() {
         use crate::network::NetMessage;
-        use dcert_primitives::keys::Keypair;
 
         let kp = Keypair::from_seed([9; 32]);
         let cert = Certificate {
@@ -608,5 +714,227 @@ mod tests {
             );
         }
         assert!(NetMessage::decode_all(&[0xEE]).is_err());
+    }
+
+    // --- the split-encoder law ------------------------------------------------
+    //
+    // For every request the issuer splices a certificate into,
+    // `head ++ enc(certificate) ++ tail` must be the canonical encoding,
+    // and must decode back to the request — with the slot both empty and
+    // filled.
+
+    fn arb_hash() -> impl Strategy<Value = Hash> {
+        any::<[u8; 32]>().prop_map(hash_bytes)
+    }
+
+    fn arb_header() -> impl Strategy<Value = BlockHeader> {
+        (
+            any::<u64>(),
+            arb_hash(),
+            arb_hash(),
+            any::<u64>(),
+            any::<u64>(),
+        )
+            .prop_map(
+                |(height, prev_hash, state_root, timestamp, nonce)| BlockHeader {
+                    height,
+                    prev_hash,
+                    state_root,
+                    tx_root: hash_bytes(nonce.to_be_bytes()),
+                    timestamp,
+                    miner: Address::from_seed(timestamp),
+                    consensus: ConsensusProof::Pow {
+                        difficulty_bits: 3,
+                        nonce,
+                    },
+                },
+            )
+    }
+
+    fn arb_cert() -> impl Strategy<Value = Certificate> {
+        (any::<[u8; 32]>(), arb_hash()).prop_map(|(seed, digest)| {
+            let kp = Keypair::from_seed(seed);
+            Certificate {
+                pk_enc: kp.public(),
+                report: dcert_sgx::AttestationReport {
+                    measurement: hash_bytes(b"measurement"),
+                    report_data: Certificate::key_binding(&kp.public()),
+                    signature: kp.sign(b"report"),
+                },
+                digest,
+                signature: kp.sign(digest.as_bytes()),
+            }
+        })
+    }
+
+    fn arb_kv_set() -> impl Strategy<Value = ReadSet> {
+        proptest::collection::vec(
+            (
+                proptest::collection::vec(any::<u8>(), 0..6),
+                proptest::option::of(proptest::collection::vec(any::<u8>(), 0..12)),
+            ),
+            0..5,
+        )
+        .prop_map(|set| {
+            set.into_iter()
+                .map(|(field, value)| (StateKey::new("kv", &field), value))
+                .collect()
+        })
+    }
+
+    fn arb_proof() -> impl Strategy<Value = SmtProof> {
+        proptest::collection::vec((any::<u8>(), any::<bool>()), 0..6).prop_map(|entries| {
+            let mut tree = dcert_merkle::SparseMerkleTree::new();
+            let mut keys = Vec::new();
+            for (label, present) in entries {
+                let key = hash_bytes([label]);
+                if present {
+                    tree.insert(key, vec![label]);
+                }
+                keys.push(key);
+            }
+            tree.prove(&keys)
+        })
+    }
+
+    fn arb_link() -> impl Strategy<Value = BatchLink> {
+        (
+            arb_header(),
+            proptest::collection::vec((any::<[u8; 32]>(), any::<u64>()), 0..3),
+            arb_kv_set(),
+            arb_proof(),
+        )
+            .prop_map(|(header, senders, reads, state_proof)| BatchLink {
+                block: Block {
+                    header,
+                    txs: senders
+                        .into_iter()
+                        .map(|(seed, nonce)| {
+                            let key = Keypair::from_seed(seed);
+                            Transaction::sign(&key, nonce, "kv", nonce.to_be_bytes().to_vec())
+                        })
+                        .collect(),
+                },
+                reads,
+                state_proof,
+            })
+    }
+
+    fn arb_index() -> impl Strategy<Value = IndexInput> {
+        (
+            proptest::collection::vec(any::<u8>(), 0..8),
+            arb_hash(),
+            proptest::option::of(arb_cert()),
+            arb_hash(),
+            proptest::collection::vec(any::<u8>(), 0..40),
+        )
+            .prop_map(
+                |(name, prev_digest, prev_cert, new_digest, aux)| IndexInput {
+                    index_type: name.iter().map(|b| char::from(b'a' + b % 26)).collect(),
+                    prev_digest,
+                    prev_cert,
+                    new_digest,
+                    aux,
+                },
+            )
+    }
+
+    /// `spliced` is the canonical encoding of `request` and decodes back
+    /// to it.
+    fn assert_law(spliced: &[u8], request: &EcallRequest) -> Result<(), TestCaseError> {
+        prop_assert_eq!(spliced, &request.to_encoded_bytes()[..]);
+        prop_assert_eq!(&EcallRequest::decode_all(spliced).unwrap(), request);
+        Ok(())
+    }
+
+    fn block_input(
+        prev_header: &BlockHeader,
+        prev_cert: &Option<Certificate>,
+        link: &BatchLink,
+    ) -> BlockInput {
+        BlockInput {
+            prev_header: prev_header.clone(),
+            prev_cert: prev_cert.clone(),
+            block: link.block.clone(),
+            reads: link.reads.clone(),
+            state_proof: link.state_proof.clone(),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn prop_sig_gen_splits_at_prev_cert(
+            prev_header in arb_header(),
+            prev_cert in proptest::option::of(arb_cert()),
+            link in arb_link(),
+        ) {
+            let mut spliced = Vec::new();
+            SplitRequest::sig_gen(&prev_header, &link).splice(&prev_cert, &mut spliced);
+            let request = EcallRequest::SigGen(block_input(&prev_header, &prev_cert, &link));
+            assert_law(&spliced, &request)?;
+        }
+
+        #[test]
+        fn prop_aug_sig_gen_splits_at_both_prev_certs(
+            prev_header in arb_header(),
+            prev_cert in proptest::option::of(arb_cert()),
+            link in arb_link(),
+            index in arb_index(),
+        ) {
+            let mut spliced = Vec::new();
+            SplitRequest::aug_sig_gen(&prev_header, &link).splice(&prev_cert, &mut spliced);
+            SplitRequest::index(&index).splice(&index.prev_cert, &mut spliced);
+            let request =
+                EcallRequest::AugSigGen(block_input(&prev_header, &prev_cert, &link), index);
+            assert_law(&spliced, &request)?;
+        }
+
+        #[test]
+        fn prop_idx_sig_gen_splits_at_block_cert_and_prev_cert(
+            prev_header in arb_header(),
+            block_cert in arb_cert(),
+            link in arb_link(),
+            writes in arb_kv_set(),
+            index in arb_index(),
+        ) {
+            let mut spliced = Vec::new();
+            SplitRequest::idx_sig_gen(&prev_header, &link.block, &writes, &link.state_proof)
+                .splice(&block_cert, &mut spliced);
+            SplitRequest::index(&index).splice(&index.prev_cert, &mut spliced);
+            let request = EcallRequest::IdxSigGen(Box::new(IdxRequest {
+                prev_header,
+                header: link.block.header.clone(),
+                block: link.block,
+                block_cert,
+                writes,
+                write_proof: link.state_proof,
+                index,
+            }));
+            assert_law(&spliced, &request)?;
+        }
+
+        #[test]
+        fn prop_batch_sig_gen_splits_at_prev_cert(
+            prev_header in arb_header(),
+            prev_cert in proptest::option::of(arb_cert()),
+            links in proptest::collection::vec(arb_link(), 0..4),
+        ) {
+            let mut spliced = Vec::new();
+            SplitRequest::batch_sig_gen(&prev_header, &links).splice(&prev_cert, &mut spliced);
+            let request = EcallRequest::BatchSigGen { prev_header, prev_cert, links };
+            assert_law(&spliced, &request)?;
+        }
+
+        #[test]
+        fn prop_range_sig_gen_joins_without_a_slot(
+            anchor in arb_header(),
+            links in proptest::collection::vec(arb_link(), 0..4),
+        ) {
+            let joined = SplitRequest::range_sig_gen(&anchor, &links).joined();
+            let request = EcallRequest::RangeSigGen { anchor, links };
+            assert_law(&joined, &request)?;
+        }
     }
 }

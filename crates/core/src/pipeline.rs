@@ -2,10 +2,11 @@
 //!
 //! The paper's Fig. 2 runtime loop — sync → enclave-certify → broadcast —
 //! is inherently staged, and only one stage actually needs the enclave.
-//! [`CertPipeline`] exploits that: it splits the sequential
-//! [`CertificateIssuer`] into four concurrent stages connected by bounded
-//! crossbeam channels (bounded = backpressure; a slow enclave throttles
-//! submission instead of buffering unboundedly):
+//! [`CertPipeline`] exploits that: it is the *threaded* driver of the same
+//! certification steps the sequential [`CertificateIssuer`] runs inline
+//! (the crate's `engine` module), spread over four concurrent stages
+//! connected by bounded crossbeam channels (bounded = backpressure; a slow
+//! enclave throttles submission instead of buffering unboundedly):
 //!
 //! 1. **Sequencer** (one thread): owns the chain view. Validates each
 //!    job's linkage against the tip, executes its transactions *once*,
@@ -17,11 +18,11 @@
 //!    pre-state snapshot and request serialization — runs here, in
 //!    parallel across in-flight blocks.
 //! 3. **Issuer** (one thread): re-orders prepared requests back into
-//!    chain order and drains them through the shared enclave. ECalls stay
-//!    serialized, exactly as a real single-enclave signer requires, and
-//!    the recursive `prev_cert` — which only exists once the previous
-//!    certificate has been issued — is spliced into the pre-encoded
-//!    request here.
+//!    chain order and drains them through the CI's own issuer, moved onto
+//!    this thread for the pipeline's lifetime. ECalls stay serialized,
+//!    exactly as a real single-enclave signer requires, and the recursive
+//!    `prev_cert` — which only exists once the previous certificate has
+//!    been issued — is spliced into the pre-encoded request here.
 //! 4. **Publisher** (one thread): broadcasts certificates on the
 //!    [`Transport`] (a [`Gossip`](crate::network::Gossip) bus, or a
 //!    fault-injecting [`SimNet`](crate::netsim::SimNet)) in issuance
@@ -30,44 +31,46 @@
 //!    dead-lettering what never confirms — and accumulates the
 //!    [`PipelineReport`].
 //!
-//! Compared to the sequential path, each block is executed once (the
-//! issuer adopts the sequencer-validated state the way
-//! [`CertificateIssuer::certify_batch`] does, instead of re-executing in
-//! `apply`), proofs for block *i+1* are built while block *i* is inside
-//! the enclave, and the certificates that come out are **byte-identical**
-//! to sequential issuance — `tests/pipeline_equivalence.rs` proves this
-//! property over arbitrary mixed workloads.
+//! Compared to the per-block sequential methods, the chain view advances
+//! without re-validation (the issuer adopts the sequencer-validated state
+//! the way [`CertificateIssuer::certify_batch`] does, instead of
+//! re-executing in `apply`), proofs for block *i+1* are built while block
+//! *i* is inside the enclave, and the certificates that come out are
+//! **byte-identical** to sequential issuance —
+//! `tests/pipeline_equivalence.rs` proves this property over arbitrary
+//! mixed workloads, and `tests/golden_vectors.rs` pins both against the
+//! bytes issued before the two shared any code.
 //!
 //! Shutdown is orderly: dropping the submission side (or the whole
 //! pipeline) closes the channel cascade, every stage drains its in-flight
 //! work, and [`CertPipeline::shutdown`] hands back the reassembled
-//! [`CertificateIssuer`] positioned at the last successfully certified
-//! block.
+//! [`CertificateIssuer`] — positioned at the last successfully certified
+//! block, its block- and index-certificate chains intact, so sequential
+//! certification (or another pipeline) continues where this one stopped.
 
 // SP-side orchestration: thread spawns, channel sends, and lock acquisitions
 // here operate on SP-owned state, never on attacker-supplied bytes. A poisoned
 // lock or failed spawn is a deployment fault, not a protocol input.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crossbeam::channel::{bounded, Receiver, Sender};
 
 use dcert_chain::{Block, BlockHeader, ChainError, ChainState, FullNode};
 use dcert_obs::{Buckets, Counter, Gauge, Histogram, Registry};
-use dcert_primitives::codec::{encode_seq, Encode};
-use dcert_primitives::hash::Hash;
-use dcert_sgx::{AttestationReport, Enclave};
-use dcert_vm::{Call, Executor, StateKey};
+use dcert_sgx::cost::timed;
+use dcert_sgx::Enclave;
+use dcert_vm::Executor;
 
-use crate::cert::Certificate;
-use crate::ci::{issue_encoded, CertBreakdown, CertificateIssuer, CiParts};
+use crate::ci::{CertBreakdown, CertificateIssuer};
+use crate::engine::{ExecutedLink, Indexing, Issuer, PreparedJob};
 use crate::error::CertError;
-use crate::messages::{BatchLink, IndexInput, ReadSet, WriteSet};
+use crate::messages::IndexInput;
 use crate::netsim::SimRng;
 use crate::network::{NetMessage, Transport};
 use crate::program::CertProgram;
@@ -83,8 +86,8 @@ pub enum CertJob {
     Augmented {
         /// The block to certify.
         block: Block,
-        /// Staged index updates (their `prev_cert` fields are filled by
-        /// the issuer stage — see [`CertPipeline`] docs).
+        /// Staged index updates. Each chains from the certificate the CI
+        /// last issued for that index, else from its staged `prev_cert`.
         indexes: Vec<IndexInput>,
     },
     /// Algorithm 5: a block certificate plus one light per-index
@@ -310,26 +313,21 @@ impl PipelineObs {
     }
 }
 
-/// One executed block with everything a preparer needs to build its
-/// proofs off-thread.
-struct LinkPrep {
-    block: Block,
-    reads: ReadSet,
-    touched: Vec<StateKey>,
-    pre_state: ChainState,
-}
+/// An executed block paired with a snapshot of the state it executed on,
+/// so a preparer can prove it off-thread.
+type SequencedLink = (ExecutedLink, ChainState);
 
-/// The job-type-specific remainder of a sequenced job.
-enum JobKind {
-    Block,
-    Augmented {
-        indexes: Vec<IndexInput>,
-    },
-    Hierarchical {
-        indexes: Vec<IndexInput>,
-        writes: WriteSet,
-    },
-    Batch,
+/// The chain position a job leaves behind — `(tip header, post-state)` —
+/// adopted once its issuance succeeds.
+type Tip = (BlockHeader, ChainState);
+
+/// What the preparer still has to prove and marshal.
+// Built once per job and moved through one channel: boxing the common
+// variant would buy nothing.
+#[allow(clippy::large_enum_variant)]
+enum PrepWork {
+    Single(SequencedLink, Indexing),
+    Batch(Vec<SequencedLink>),
 }
 
 /// Sequencer → preparer: an executed, chain-ordered job.
@@ -337,87 +335,18 @@ struct PrepTask {
     seq: u64,
     /// The tip the job extends (the request's `prev_header` / batch anchor).
     prev_header: BlockHeader,
-    links: Vec<LinkPrep>,
-    kind: JobKind,
-    /// The job's resulting tip, for CI adoption at shutdown.
-    tip_header: BlockHeader,
-    post_state: ChainState,
-    rw_set_gen: Duration,
-}
-
-/// An index update with its request bytes pre-encoded around the
-/// `prev_cert` splice point.
-struct PreparedIndex {
-    index_type: String,
-    new_digest: Hash,
-    /// `enc(index_type) ++ enc(prev_digest)`.
-    head: Vec<u8>,
-    /// `enc(new_digest) ++ enc(aux)`.
-    tail: Vec<u8>,
-}
-
-/// Pre-encoded request parts. Each payload splits the canonical
-/// [`crate::messages::EcallRequest`] encoding at the fields only the
-/// issuer knows (`prev_cert`, `block_cert`): the issuer splices those in
-/// and the resulting bytes are identical to a full sequential encode.
-enum PreparedPayload {
-    /// `SigGen = [1] ++ head ++ enc(prev_cert) ++ tail`.
-    Block {
-        header: BlockHeader,
-        /// `enc(prev_header)`.
-        head: Vec<u8>,
-        /// `enc(block) ++ enc(reads) ++ enc(state_proof)`.
-        tail: Vec<u8>,
-    },
-    /// `AugSigGen = [2] ++ head ++ enc(prev_cert) ++ tail ++ index` per index.
-    Augmented {
-        header: BlockHeader,
-        head: Vec<u8>,
-        tail: Vec<u8>,
-        indexes: Vec<PreparedIndex>,
-    },
-    /// `SigGen` as above, then
-    /// `IdxSigGen = [3] ++ idx_head ++ enc(block_cert) ++ idx_mid ++ index`
-    /// per index.
-    Hierarchical {
-        header: BlockHeader,
-        head: Vec<u8>,
-        tail: Vec<u8>,
-        /// `enc(prev_header) ++ enc(header) ++ enc(block)`.
-        idx_head: Vec<u8>,
-        /// `enc(writes) ++ enc(write_proof)`.
-        idx_mid: Vec<u8>,
-        indexes: Vec<PreparedIndex>,
-    },
-    /// `BatchSigGen = [4] ++ head ++ enc(prev_cert) ++ links_enc`.
-    Batch {
-        last_header: BlockHeader,
-        head: Vec<u8>,
-        links_enc: Vec<u8>,
-    },
+    work: PrepWork,
+    tip: Tip,
+    /// Carries `rw_set_gen` forward; the preparer adds `proof_gen`.
+    breakdown: CertBreakdown,
 }
 
 /// Preparer → issuer (or sequencer → issuer for jobs that failed before
 /// preparation).
 struct Prepared {
     seq: u64,
-    payload: Result<PreparedPayload, CertError>,
-    /// `(tip header, post state)` to adopt if issuance succeeds.
-    tip: Option<(BlockHeader, ChainState)>,
-    rw_set_gen: Duration,
-    proof_gen: Duration,
-}
-
-impl Prepared {
-    fn failed(seq: u64, error: CertError) -> Self {
-        Prepared {
-            seq,
-            payload: Err(error),
-            tip: None,
-            rw_set_gen: Duration::default(),
-            proof_gen: Duration::default(),
-        }
-    }
+    job: Result<(PreparedJob, Tip), CertError>,
+    breakdown: CertBreakdown,
 }
 
 /// Issuer → publisher: one job's outcome, in chain order.
@@ -426,14 +355,9 @@ struct JobOutcome {
     result: Result<(Vec<NetMessage>, CertBreakdown), CertError>,
 }
 
-/// What the issuer thread hands back at shutdown.
-struct IssuerFinal {
-    enclave: Arc<Enclave<CertProgram>>,
-    pk_enc: dcert_primitives::keys::PublicKey,
-    report: AttestationReport,
-    prev_block_cert: Option<Certificate>,
-    adopted: Option<(BlockHeader, ChainState)>,
-}
+/// What the issuer thread hands back at shutdown: the issuer itself and
+/// where the last job it certified left the chain.
+type IssuerFinal = (Issuer, Option<Tip>);
 
 /// The staged, concurrent certification engine. See the module docs for
 /// the stage layout.
@@ -470,8 +394,7 @@ impl CertPipeline {
         if config.parallelism.merkle_threads > 0 {
             dcert_merkle::set_build_threads(config.parallelism.merkle_threads);
         }
-        let parts = ci.into_parts();
-        let node = parts.node;
+        let CertificateIssuer { node, issuer } = ci;
         let state = node.state().clone();
         let tip = node.tip().clone();
         let executor = node.executor().clone();
@@ -513,9 +436,8 @@ impl CertPipeline {
                             if prep_poison.load(Ordering::SeqCst) {
                                 break;
                             }
-                            let started = Instant::now();
-                            let prepared = prepare(task);
-                            prep_obs.prepare_ns.record(started.elapsed());
+                            let (prepared, took) = timed(|| prepare(task));
+                            prep_obs.prepare_ns.record(took);
                             if tx.send(prepared).is_err() {
                                 break;
                             }
@@ -529,27 +451,12 @@ impl CertPipeline {
         drop(prep_rx);
         drop(issue_tx);
 
-        let enclave = parts.enclave;
-        let enclave_handle = enclave.clone();
-        let pk_enc = parts.pk_enc;
-        let report = parts.report;
-        let prev_block_cert = parts.prev_block_cert;
+        let enclave = issuer.attested.enclave.clone();
         let issue_poison = poison.clone();
         let issue_obs = obs.clone();
         let issuer = thread::Builder::new()
             .name("dcert-issuer".into())
-            .spawn(move || {
-                issuer_loop(
-                    issue_rx,
-                    publish_tx,
-                    enclave,
-                    pk_enc,
-                    report,
-                    prev_block_cert,
-                    issue_poison,
-                    issue_obs,
-                )
-            })
+            .spawn(move || issuer_loop(issue_rx, publish_tx, issuer, issue_poison, issue_obs))
             .expect("spawn issuer");
 
         let policy = config.publish.clone();
@@ -566,7 +473,7 @@ impl CertPipeline {
             issuer: Some(issuer),
             publisher: Some(publisher),
             node: Some(node),
-            enclave: enclave_handle,
+            enclave,
             poison,
         }
     }
@@ -628,21 +535,14 @@ impl CertPipeline {
     /// rejected block is an error, not a panic).
     pub fn shutdown(mut self) -> (CertificateIssuer, PipelineReport) {
         let (fin, pipeline_report) = self.drain();
-        let fin = fin.expect("pipeline stages already joined");
+        let (issuer, adopted) = fin.expect("pipeline stages already joined");
         let mut node = self.node.take().expect("node present until shutdown");
-        if let Some((header, state)) = fin.adopted {
+        if let Some((header, state)) = adopted {
             // Every adopted transition was validated by the sequencer
             // (and certified by the enclave); no re-execution needed.
             node.adopt_validated(header, state);
         }
-        let ci = CertificateIssuer::from_parts(CiParts {
-            node,
-            enclave: fin.enclave,
-            pk_enc: fin.pk_enc,
-            report: fin.report,
-            prev_block_cert: fin.prev_block_cert,
-        });
-        (ci, pipeline_report)
+        (CertificateIssuer { node, issuer }, pipeline_report)
     }
 
     /// Closes submission and joins every stage in cascade order.
@@ -711,17 +611,26 @@ fn sequencer_loop(
         // +1: the job just taken off the queue was part of the backlog.
         obs.submit_depth
             .record_max(i64::try_from(jobs.len() + 1).unwrap_or(i64::MAX));
-        let started = Instant::now();
-        let sequenced = sequence_job(job, &mut state, &mut tip, &executor, seq);
-        obs.sequence_ns.record(started.elapsed());
+        let (sequenced, took) = timed(|| sequence_job(job, &mut state, &mut tip, &executor, seq));
+        obs.sequence_ns.record(took);
         let sent = match sequenced {
             Ok(task) => {
-                obs.batch_blocks.observe(task.links.len() as u64);
+                obs.batch_blocks.observe(match &task.work {
+                    PrepWork::Single(..) => 1,
+                    PrepWork::Batch(links) => links.len() as u64,
+                });
                 prep_tx.send(task).is_ok()
             }
             // Route the failure straight to the issuer so the sequence
             // numbering stays contiguous for its reorder buffer.
-            Err(error) => fail_tx.send(Prepared::failed(seq, error)).is_ok(),
+            Err(error) => {
+                let failed = Prepared {
+                    seq,
+                    job: Err(error),
+                    breakdown: CertBreakdown::default(),
+                };
+                fail_tx.send(failed).is_ok()
+            }
         };
         if !sent {
             break;
@@ -729,6 +638,9 @@ fn sequencer_loop(
     }
 }
 
+/// Executes the job's blocks in order against the sequencer's chain view
+/// and advances it. A job certifies atomically: if any link fails, the
+/// view is rolled back to where the job started.
 fn sequence_job(
     job: CertJob,
     state: &mut ChainState,
@@ -737,81 +649,49 @@ fn sequence_job(
     seq: u64,
 ) -> Result<PrepTask, CertError> {
     let prev_header = tip.clone();
-    match job {
-        CertJob::Block(block) => {
-            let (link, _writes, rw_set_gen) = advance(state, tip, executor, &block)?;
-            Ok(PrepTask {
-                seq,
-                prev_header,
-                links: vec![link],
-                kind: JobKind::Block,
-                tip_header: tip.clone(),
-                post_state: state.clone(),
-                rw_set_gen,
-            })
-        }
-        CertJob::Augmented { block, indexes } => {
-            let (link, _writes, rw_set_gen) = advance(state, tip, executor, &block)?;
-            Ok(PrepTask {
-                seq,
-                prev_header,
-                links: vec![link],
-                kind: JobKind::Augmented { indexes },
-                tip_header: tip.clone(),
-                post_state: state.clone(),
-                rw_set_gen,
-            })
-        }
-        CertJob::Hierarchical { block, indexes } => {
-            let (link, writes, rw_set_gen) = advance(state, tip, executor, &block)?;
-            Ok(PrepTask {
-                seq,
-                prev_header,
-                links: vec![link],
-                kind: JobKind::Hierarchical { indexes, writes },
-                tip_header: tip.clone(),
-                post_state: state.clone(),
-                rw_set_gen,
-            })
-        }
+    let mut breakdown = CertBreakdown::default();
+    let work = match job {
+        CertJob::Block(block) => PrepWork::Single(
+            advance(state, tip, executor, block, &mut breakdown)?,
+            Indexing::None,
+        ),
+        CertJob::Augmented { block, indexes } => PrepWork::Single(
+            advance(state, tip, executor, block, &mut breakdown)?,
+            Indexing::Augmented(indexes),
+        ),
+        CertJob::Hierarchical { block, indexes } => PrepWork::Single(
+            advance(state, tip, executor, block, &mut breakdown)?,
+            Indexing::Hierarchical(indexes),
+        ),
         CertJob::Batch(blocks) => {
-            if blocks.is_empty() {
-                return Err(CertError::EnclaveRejected("empty batch".into()));
-            }
-            // A batch certifies atomically: roll the chain view back if
-            // any link fails.
-            let saved_state = state.clone();
-            let saved_tip = tip.clone();
-            let mut links = Vec::with_capacity(blocks.len());
-            let mut rw_set_gen = Duration::default();
-            for block in &blocks {
-                match advance(state, tip, executor, block) {
-                    Ok((link, _writes, rw)) => {
-                        links.push(link);
-                        rw_set_gen += rw;
-                    }
+            let mut links: Vec<SequencedLink> = Vec::with_capacity(blocks.len());
+            for block in blocks {
+                match advance(state, tip, executor, block, &mut breakdown) {
+                    Ok(link) => links.push(link),
                     Err(error) => {
-                        *state = saved_state;
-                        *tip = saved_tip;
+                        if let Some((_, start)) = links.into_iter().next() {
+                            *state = start;
+                        }
+                        *tip = prev_header;
                         return Err(error);
                     }
                 }
             }
-            Ok(PrepTask {
-                seq,
-                prev_header,
-                links,
-                kind: JobKind::Batch,
-                tip_header: tip.clone(),
-                post_state: state.clone(),
-                rw_set_gen,
-            })
+            PrepWork::Batch(links)
         }
-    }
+    };
+    Ok(PrepTask {
+        seq,
+        prev_header,
+        work,
+        tip: (tip.clone(), state.clone()),
+        breakdown,
+    })
 }
 
-/// Validates `block` against the sequencer's tip, executes it once, and
-/// advances the chain view. On error the view is untouched.
+/// Executes `block` once against the sequencer's view, snapshots the
+/// pre-state for the preparer, and advances the view. On error the view is
+/// untouched.
 ///
 /// Linkage and the post-state root are checked here because the
 /// sequencer *advances* on them; everything else (tx signatures, tx
@@ -822,241 +702,68 @@ fn advance(
     state: &mut ChainState,
     tip: &mut BlockHeader,
     executor: &Executor,
-    block: &Block,
-) -> Result<(LinkPrep, WriteSet, Duration), CertError> {
-    let parent = tip.hash();
-    if block.header.prev_hash != parent {
-        return Err(CertError::Chain(ChainError::BrokenLink {
-            claimed: block.header.prev_hash,
-            actual: parent,
-        }));
-    }
-    if block.header.height != tip.height + 1 {
-        return Err(CertError::Chain(ChainError::BadHeight {
-            parent: tip.height,
-            child: block.header.height,
-        }));
-    }
-    let started = Instant::now();
-    let calls: Vec<Call> = block.txs.iter().map(|tx| tx.call.clone()).collect();
-    let execution = executor.execute_block(state, &calls);
-    let rw_set_gen = started.elapsed();
-
-    let reads: ReadSet = execution
-        .reads
-        .iter()
-        .map(|(k, v)| (*k, v.clone()))
-        .collect();
-    let writes: WriteSet = execution
-        .writes
-        .iter()
-        .map(|(k, v)| (*k, v.clone()))
-        .collect();
-    let touched = execution.touched_keys();
-
+    block: Block,
+    breakdown: &mut CertBreakdown,
+) -> Result<SequencedLink, CertError> {
+    let link = ExecutedLink::execute(executor, state, tip, block, breakdown)?;
     let pre_state = state.clone();
-    state.apply_writes(execution.writes.iter());
-    if state.root() != block.header.state_root {
+    link.apply_to(state);
+    if state.root() != link.block.header.state_root {
         *state = pre_state;
         return Err(CertError::Chain(ChainError::StateRootMismatch));
     }
-    *tip = block.header.clone();
-    Ok((
-        LinkPrep {
-            block: block.clone(),
-            reads,
-            touched,
-            pre_state,
-        },
-        writes,
-        rw_set_gen,
-    ))
+    *tip = link.block.header.clone();
+    Ok((link, pre_state))
 }
 
 // --- preparers -------------------------------------------------------------
 
+/// Proves every link against its pre-state snapshot and marshals the job's
+/// requests around the certificates only the issuer stage will have.
 fn prepare(task: PrepTask) -> Prepared {
-    let PrepTask {
-        seq,
-        prev_header,
-        mut links,
-        kind,
-        tip_header,
-        post_state,
-        rw_set_gen,
-    } = task;
-    let mut proof_gen = Duration::default();
-    let payload = match kind {
-        JobKind::Block => {
-            let link = links.pop().expect("block job has one link");
-            let (head, tail) = encode_block_parts(&prev_header, &link, &mut proof_gen);
-            PreparedPayload::Block {
-                header: link.block.header,
-                head,
-                tail,
-            }
-        }
-        JobKind::Augmented { indexes } => {
-            let link = links.pop().expect("augmented job has one link");
-            let (head, tail) = encode_block_parts(&prev_header, &link, &mut proof_gen);
-            PreparedPayload::Augmented {
-                header: link.block.header,
-                head,
-                tail,
-                indexes: indexes.into_iter().map(encode_index_parts).collect(),
-            }
-        }
-        JobKind::Hierarchical { indexes, writes } => {
-            let link = links.pop().expect("hierarchical job has one link");
-            let (head, tail) = encode_block_parts(&prev_header, &link, &mut proof_gen);
-
-            let started = Instant::now();
-            let write_keys: Vec<StateKey> = writes.iter().map(|(k, _)| *k).collect();
-            let write_proof = link.pre_state.prove(&write_keys);
-            proof_gen += started.elapsed();
-
-            let mut idx_head = Vec::new();
-            prev_header.encode(&mut idx_head);
-            link.block.header.encode(&mut idx_head);
-            link.block.encode(&mut idx_head);
-            let mut idx_mid = Vec::new();
-            encode_seq(&writes, &mut idx_mid);
-            write_proof.encode(&mut idx_mid);
-
-            PreparedPayload::Hierarchical {
-                header: link.block.header,
-                head,
-                tail,
-                idx_head,
-                idx_mid,
-                indexes: indexes.into_iter().map(encode_index_parts).collect(),
-            }
-        }
-        JobKind::Batch => {
-            let mut batch_links = Vec::with_capacity(links.len());
-            for link in links {
-                let started = Instant::now();
-                let state_proof = link.pre_state.prove(&link.touched);
-                proof_gen += started.elapsed();
-                batch_links.push(BatchLink {
-                    block: link.block,
-                    reads: link.reads,
-                    state_proof,
-                });
-            }
-            let last_header = batch_links
-                .last()
-                .expect("batch job has links")
-                .block
-                .header
-                .clone();
-            let mut head = Vec::new();
-            prev_header.encode(&mut head);
-            let mut links_enc = Vec::new();
-            encode_seq(&batch_links, &mut links_enc);
-            PreparedPayload::Batch {
-                last_header,
-                head,
-                links_enc,
-            }
+    let mut breakdown = task.breakdown;
+    let job = match task.work {
+        PrepWork::Single((link, pre_state), indexing) => Ok(PreparedJob::single(
+            &task.prev_header,
+            link,
+            &pre_state,
+            indexing,
+            &mut breakdown,
+        )),
+        PrepWork::Batch(links) => {
+            let links: Vec<_> = links
+                .into_iter()
+                .map(|(link, pre_state)| link.prove(&pre_state, &mut breakdown).0)
+                .collect();
+            PreparedJob::batch(&task.prev_header, &links)
         }
     };
     Prepared {
-        seq,
-        payload: Ok(payload),
-        tip: Some((tip_header, post_state)),
-        rw_set_gen,
-        proof_gen,
-    }
-}
-
-/// Builds the `prev_cert` splice parts of a `SigGen`/`AugSigGen` body
-/// (see [`crate::messages::BlockInput`]'s field order).
-fn encode_block_parts(
-    prev_header: &BlockHeader,
-    link: &LinkPrep,
-    proof_gen: &mut Duration,
-) -> (Vec<u8>, Vec<u8>) {
-    let started = Instant::now();
-    let state_proof = link.pre_state.prove(&link.touched);
-    *proof_gen += started.elapsed();
-
-    let mut head = Vec::new();
-    prev_header.encode(&mut head);
-    let mut tail = Vec::new();
-    link.block.encode(&mut tail);
-    encode_seq(&link.reads, &mut tail);
-    state_proof.encode(&mut tail);
-    (head, tail)
-}
-
-/// Pre-encodes an [`IndexInput`] around its `prev_cert` splice point.
-fn encode_index_parts(index: IndexInput) -> PreparedIndex {
-    let mut head = Vec::new();
-    index.index_type.encode(&mut head);
-    index.prev_digest.encode(&mut head);
-    let mut tail = Vec::new();
-    index.new_digest.encode(&mut tail);
-    index.aux.encode(&mut tail);
-    PreparedIndex {
-        index_type: index.index_type,
-        new_digest: index.new_digest,
-        head,
-        tail,
+        seq: task.seq,
+        job: job.map(|job| (job, task.tip)),
+        breakdown,
     }
 }
 
 // --- issuer ----------------------------------------------------------------
 
-struct Issuer {
-    enclave: Arc<Enclave<CertProgram>>,
-    pk_enc: dcert_primitives::keys::PublicKey,
-    report: AttestationReport,
-    prev_block_cert: Option<Certificate>,
-    /// The last certificate issued per index name: the `cert_{i-1}^{idx}`
-    /// each next [`IndexInput`] chains from. The issuer owns this (rather
-    /// than trusting the staged input's `prev_cert` field) because the
-    /// previous index certificate does not exist yet when a job is
-    /// submitted — filling it here is what lets preparation run ahead of
-    /// issuance.
-    prev_index_certs: HashMap<String, Certificate>,
-    adopted: Option<(BlockHeader, ChainState)>,
-    /// Reused request-marshalling buffer: every spliced request is
-    /// assembled here instead of a fresh `Vec` per ECall.
-    scratch: Vec<u8>,
-    /// Largest request encoding seen so far; bytes below this mark count
-    /// as reused (see [`Enclave::note_marshal_reuse`]). The issuer
-    /// processes jobs in strict sequence order, so the mark — and the
-    /// derived counter — is a pure function of the request stream,
-    /// identical to the sequential CI's.
-    scratch_high_water: usize,
-}
-
-#[allow(clippy::too_many_arguments)]
 fn issuer_loop(
     issue_rx: Receiver<Prepared>,
     publish_tx: Sender<JobOutcome>,
-    enclave: Arc<Enclave<CertProgram>>,
-    pk_enc: dcert_primitives::keys::PublicKey,
-    report: AttestationReport,
-    prev_block_cert: Option<Certificate>,
+    mut issuer: Issuer,
     poison: Arc<AtomicBool>,
     obs: PipelineObs,
 ) -> IssuerFinal {
-    let mut issuer = Issuer {
-        enclave,
-        pk_enc,
-        report,
-        prev_block_cert,
-        prev_index_certs: HashMap::new(),
-        adopted: None,
-        scratch: Vec::new(),
-        scratch_high_water: 0,
+    let mut adopted = None;
+    let mut process = |prepared: Prepared| {
+        let (outcome, took) = timed(|| issue_prepared(&mut issuer, &mut adopted, prepared));
+        obs.issue_ns.record(took);
+        publish_tx.send(outcome).is_ok()
     };
     // Preparers finish out of order; issue strictly by sequence number.
     let mut next = 0u64;
     let mut pending: BTreeMap<u64, Prepared> = BTreeMap::new();
-    for prepared in issue_rx {
+    'recv: for prepared in issue_rx {
         if poison.load(Ordering::SeqCst) {
             break;
         }
@@ -1064,12 +771,9 @@ fn issuer_loop(
         obs.reorder_depth
             .record_max(i64::try_from(pending.len()).unwrap_or(i64::MAX));
         while let Some(ready) = pending.remove(&next) {
-            let started = Instant::now();
-            let outcome = issuer.process(ready);
-            obs.issue_ns.record(started.elapsed());
             next += 1;
-            if publish_tx.send(outcome).is_err() {
-                break;
+            if !process(ready) {
+                break 'recv;
             }
         }
     }
@@ -1078,222 +782,34 @@ fn issuer_loop(
     // dropping it silently. A killed pipeline drops it instead — that is
     // the crash being simulated.
     if !poison.load(Ordering::SeqCst) {
-        for (_, stranded) in std::mem::take(&mut pending) {
-            let started = Instant::now();
-            let outcome = issuer.process(stranded);
-            obs.issue_ns.record(started.elapsed());
-            if publish_tx.send(outcome).is_err() {
+        for (_, stranded) in pending {
+            if !process(stranded) {
                 break;
             }
         }
     }
-    IssuerFinal {
-        enclave: issuer.enclave,
-        pk_enc: issuer.pk_enc,
-        report: issuer.report,
-        prev_block_cert: issuer.prev_block_cert,
-        adopted: issuer.adopted,
-    }
+    (issuer, adopted)
 }
 
-impl Issuer {
-    fn process(&mut self, prepared: Prepared) -> JobOutcome {
-        let Prepared {
-            seq,
-            payload,
-            tip,
-            rw_set_gen,
-            proof_gen,
-        } = prepared;
-        let mut breakdown = CertBreakdown {
-            rw_set_gen,
-            proof_gen,
-            ..CertBreakdown::default()
-        };
-        let result = payload.and_then(|payload| {
-            let messages = self.issue_payload(payload, &mut breakdown)?;
-            // Certified: the CI returned at shutdown stands at this tip.
-            self.adopted = tip;
-            Ok(messages)
-        });
-        JobOutcome {
-            seq,
-            result: result.map(|messages| (messages, breakdown)),
-        }
+/// Issues one prepared job in chain order. The certificate chains and the
+/// tip handed back at shutdown advance only if the whole job succeeded —
+/// matching the inline driver, which bails before `apply` on any failure.
+fn issue_prepared(
+    issuer: &mut Issuer,
+    adopted: &mut Option<Tip>,
+    prepared: Prepared,
+) -> JobOutcome {
+    let mut breakdown = prepared.breakdown;
+    let result = prepared.job.and_then(|(job, tip)| {
+        let issued = issuer.issue(&job, &mut breakdown)?;
+        issuer.commit(&issued);
+        *adopted = Some(tip);
+        Ok((issued.into_messages(), breakdown))
+    });
+    JobOutcome {
+        seq: prepared.seq,
+        result,
     }
-
-    /// Splices the previous certificates into the pre-encoded request(s),
-    /// crosses the enclave boundary, and assembles the certificates. The
-    /// certificate chain state (`prev_block_cert`, `prev_index_certs`)
-    /// commits only if the whole job succeeds — matching the sequential
-    /// methods, which bail before `apply` on any index failure.
-    fn issue_payload(
-        &mut self,
-        payload: PreparedPayload,
-        breakdown: &mut CertBreakdown,
-    ) -> Result<Vec<NetMessage>, CertError> {
-        match payload {
-            PreparedPayload::Block { header, head, tail } => {
-                let cert = self.issue_block_cert(1, &head, &tail, &header, breakdown)?;
-                self.prev_block_cert = Some(cert.clone());
-                Ok(vec![NetMessage::BlockCert { header, cert }])
-            }
-            PreparedPayload::Augmented {
-                header,
-                head,
-                tail,
-                indexes,
-            } => {
-                // Algorithm 4 issues no standalone block certificate and
-                // leaves prev_block_cert untouched.
-                let mut issued = Vec::with_capacity(indexes.len());
-                for index in &indexes {
-                    self.scratch.clear();
-                    self.scratch
-                        .reserve(2 + head.len() + tail.len() + index.head.len());
-                    self.scratch.push(2u8);
-                    self.scratch.extend_from_slice(&head);
-                    self.prev_block_cert.encode(&mut self.scratch);
-                    self.scratch.extend_from_slice(&tail);
-                    splice_index(&self.prev_index_certs, index, &mut self.scratch);
-                    let signature = self.dispatch_scratch(breakdown)?;
-                    issued.push(Certificate {
-                        pk_enc: self.pk_enc,
-                        report: self.report.clone(),
-                        digest: Certificate::index_digest(&header.hash(), &index.new_digest),
-                        signature,
-                    });
-                }
-                Ok(self.commit_index_certs(&header, indexes, issued))
-            }
-            PreparedPayload::Hierarchical {
-                header,
-                head,
-                tail,
-                idx_head,
-                idx_mid,
-                indexes,
-            } => {
-                let block_cert = self.issue_block_cert(1, &head, &tail, &header, breakdown)?;
-                let mut issued = Vec::with_capacity(indexes.len());
-                for index in &indexes {
-                    self.scratch.clear();
-                    self.scratch
-                        .reserve(2 + idx_head.len() + idx_mid.len() + index.head.len());
-                    self.scratch.push(3u8);
-                    self.scratch.extend_from_slice(&idx_head);
-                    block_cert.encode(&mut self.scratch);
-                    self.scratch.extend_from_slice(&idx_mid);
-                    splice_index(&self.prev_index_certs, index, &mut self.scratch);
-                    let signature = self.dispatch_scratch(breakdown)?;
-                    issued.push(Certificate {
-                        pk_enc: self.pk_enc,
-                        report: self.report.clone(),
-                        digest: Certificate::index_digest(&header.hash(), &index.new_digest),
-                        signature,
-                    });
-                }
-                self.prev_block_cert = Some(block_cert.clone());
-                let mut messages = vec![NetMessage::BlockCert {
-                    header: header.clone(),
-                    cert: block_cert,
-                }];
-                messages.extend(self.commit_index_certs(&header, indexes, issued));
-                Ok(messages)
-            }
-            PreparedPayload::Batch {
-                last_header,
-                head,
-                links_enc,
-            } => {
-                let cert = self.issue_block_cert(4, &head, &links_enc, &last_header, breakdown)?;
-                self.prev_block_cert = Some(cert.clone());
-                Ok(vec![NetMessage::BlockCert {
-                    header: last_header,
-                    cert,
-                }])
-            }
-        }
-    }
-
-    /// One `prev_block_cert`-spliced ECall producing a certificate over
-    /// `H(header)` (`SigGen` and `BatchSigGen` share this shape).
-    fn issue_block_cert(
-        &mut self,
-        tag: u8,
-        head: &[u8],
-        tail: &[u8],
-        header: &BlockHeader,
-        breakdown: &mut CertBreakdown,
-    ) -> Result<Certificate, CertError> {
-        self.scratch.clear();
-        self.scratch.reserve(1 + head.len() + tail.len() + 256);
-        self.scratch.push(tag);
-        self.scratch.extend_from_slice(head);
-        self.prev_block_cert.encode(&mut self.scratch);
-        self.scratch.extend_from_slice(tail);
-        let signature = self.dispatch_scratch(breakdown)?;
-        Ok(Certificate {
-            pk_enc: self.pk_enc,
-            report: self.report.clone(),
-            digest: header.hash(),
-            signature,
-        })
-    }
-
-    /// Dispatches the request currently marshalled in `self.scratch`,
-    /// crediting the bytes below the buffer's high-water mark to
-    /// `enclave.marshal_reuse_bytes`.
-    fn dispatch_scratch(
-        &mut self,
-        breakdown: &mut CertBreakdown,
-    ) -> Result<dcert_primitives::keys::Signature, CertError> {
-        let reused = self.scratch.len().min(self.scratch_high_water);
-        if reused > 0 {
-            self.enclave.note_marshal_reuse(reused as u64);
-        }
-        self.scratch_high_water = self.scratch_high_water.max(self.scratch.len());
-        issue_encoded(&self.enclave, &self.scratch, breakdown)
-    }
-
-    /// Records the issued index certificates and turns them into gossip
-    /// messages.
-    fn commit_index_certs(
-        &mut self,
-        header: &BlockHeader,
-        indexes: Vec<PreparedIndex>,
-        issued: Vec<Certificate>,
-    ) -> Vec<NetMessage> {
-        indexes
-            .into_iter()
-            .zip(issued)
-            .map(|(index, cert)| {
-                self.prev_index_certs
-                    .insert(index.index_type.clone(), cert.clone());
-                NetMessage::IndexCert {
-                    header: header.clone(),
-                    index: index.index_type,
-                    digest: index.new_digest,
-                    cert,
-                }
-            })
-            .collect()
-    }
-}
-
-/// Appends `index` with its tracked `prev_cert` spliced in.
-///
-/// Free function (rather than an `Issuer` method) so the caller can borrow
-/// `prev_index_certs` while holding `&mut` to the issuer's scratch buffer.
-fn splice_index(
-    prev_index_certs: &HashMap<String, Certificate>,
-    index: &PreparedIndex,
-    encoded: &mut Vec<u8>,
-) {
-    encoded.extend_from_slice(&index.head);
-    let prev = prev_index_certs.get(&index.index_type).cloned();
-    prev.encode(encoded);
-    encoded.extend_from_slice(&index.tail);
 }
 
 // --- publisher -------------------------------------------------------------
@@ -1315,30 +831,31 @@ fn publisher_loop(
         obs.jobs.inc();
         match outcome.result {
             Ok((messages, breakdown)) => {
-                let started = Instant::now();
-                for message in messages {
-                    match &message {
-                        NetMessage::BlockCert { .. } => {
-                            report.block_certs += 1;
-                            obs.block_certs.inc();
+                let ((), took) = timed(|| {
+                    for message in messages {
+                        match &message {
+                            NetMessage::BlockCert { .. } => {
+                                report.block_certs += 1;
+                                obs.block_certs.inc();
+                            }
+                            NetMessage::IndexCert { .. } => {
+                                report.index_certs += 1;
+                                obs.index_certs.inc();
+                            }
+                            _ => {}
                         }
-                        NetMessage::IndexCert { .. } => {
-                            report.index_certs += 1;
-                            obs.index_certs.inc();
-                        }
-                        _ => {}
+                        publish_confirmed(
+                            &*transport,
+                            &policy,
+                            outcome.seq,
+                            message,
+                            &mut report,
+                            &obs,
+                            &mut jitter,
+                        );
                     }
-                    publish_confirmed(
-                        &*transport,
-                        &policy,
-                        outcome.seq,
-                        message,
-                        &mut report,
-                        &obs,
-                        &mut jitter,
-                    );
-                }
-                obs.publish_ns.record(started.elapsed());
+                });
+                obs.publish_ns.record(took);
                 report.breakdowns.push(breakdown);
             }
             Err(error) => {

@@ -37,17 +37,18 @@ use std::sync::{Arc, Mutex};
 use dcert_chain::{Block, BlockHeader, ChainState, ConsensusEngine};
 use dcert_obs::{Counter, Histogram, Registry};
 use dcert_primitives::codec::{Decode, Encode};
-use dcert_primitives::hash::{hash_concat, Hash};
-use dcert_primitives::keys::PublicKey;
+use dcert_primitives::hash::hash_concat;
+use dcert_primitives::keys::Signature;
 use dcert_sgx::cost::timed;
-use dcert_sgx::{AttestationReport, AttestationService, CostModel, Enclave, SealedBlob};
+use dcert_sgx::{AttestationService, CostModel, Enclave, SealedBlob};
 use dcert_store::Store;
 use dcert_vm::Executor;
 
 use crate::cert::Certificate;
-use crate::ci::{build_links, CertBreakdown};
+use crate::ci::CertBreakdown;
+use crate::engine::{build_links, Attested};
 use crate::error::{CertError, ShardError};
-use crate::messages::{EcallRequest, EcallResponse};
+use crate::messages::{EcallRequest, SplitRequest};
 use crate::program::CertProgram;
 use crate::range::RangeCert;
 
@@ -241,13 +242,6 @@ impl ShardMetrics {
     }
 }
 
-/// A booted, attested enclave (shard or aggregator).
-struct EnclaveHandle {
-    enclave: Enclave<CertProgram>,
-    pk_enc: PublicKey,
-    report: AttestationReport,
-}
-
 /// Engine-side state of one shard between worker rounds.
 struct ShardSlot {
     range: HeightRange,
@@ -256,7 +250,7 @@ struct ShardSlot {
     /// Next height this shard will certify.
     next: u64,
     kill_after: Option<usize>,
-    boot: Option<EnclaveHandle>,
+    boot: Option<Attested>,
 }
 
 /// What one worker round produced for one shard.
@@ -291,7 +285,7 @@ pub struct ShardedCertEngine {
     ranges: Vec<RangeCert>,
     /// The client-facing certificate stream, heights `1..=tip`.
     certs: Vec<Certificate>,
-    aggregator: Option<EnclaveHandle>,
+    aggregator: Option<Attested>,
     /// Bumped on every reorg: re-signing a height needs fresh shard
     /// identities (shard enclaves strictly refuse height regression).
     generation: u64,
@@ -440,52 +434,50 @@ impl ShardedCertEngine {
             Vec::new()
         };
 
-        if reorg {
-            let mut all_ranges = kept;
-            all_ranges.extend(new_ranges);
-            // The old aggregator's sealed watermark sits at the old tip:
-            // folding from genesis again is a height regression it must
-            // refuse — the stale-range guard. Count the refusal, then boot
-            // a fresh aggregator with the same canonical seeds (same key,
-            // same client-visible identity) and re-fold.
-            if let Some(old) = self.aggregator.take() {
-                if self
-                    .fold(&old, &self.genesis.header.clone(), None, &all_ranges)
-                    .is_err()
-                {
-                    self.metrics.stale_range_refusals.inc();
-                }
-            }
-            let agg = self.boot_aggregator(ias)?;
-            let sigs = self.fold(&agg, &self.genesis.header.clone(), None, &all_ranges)?;
-            self.install(blocks, &all_ranges, &sigs, 1, &agg)?;
-            self.aggregator = Some(agg);
-        } else if self.chain.is_empty() {
-            let agg = self.boot_aggregator(ias)?;
-            let sigs = self.fold(&agg, &self.genesis.header.clone(), None, &new_ranges)?;
-            self.install(blocks, &new_ranges, &sigs, 1, &agg)?;
-            self.aggregator = Some(agg);
-        } else {
+        // What to fold, from where, on which aggregator.
+        let (agg, anchor, anchor_cert, ranges) = match self.chain.last() {
             // Pure extension: fold only the new ranges, anchored at the
             // certified tip, on the existing aggregator.
-            let anchor = self
-                .chain
-                .last()
-                .map(|b| b.header.clone())
-                .ok_or(CertError::EmptyRange)?;
-            let anchor_cert = self.certs.last().cloned();
-            let agg = match self.aggregator.take() {
-                Some(agg) => agg,
-                None => self.boot_aggregator(ias)?,
-            };
-            let sigs = self.fold(&agg, &anchor, anchor_cert, &new_ranges)?;
-            let first_new = anchor
-                .height
-                .checked_add(1)
-                .ok_or(CertError::HeightOverflow)?;
-            self.install(blocks, &new_ranges, &sigs, first_new, &agg)?;
-            self.aggregator = Some(agg);
-        }
+            Some(tip) if !reorg => {
+                let agg = match self.aggregator.take() {
+                    Some(agg) => agg,
+                    None => self.boot_aggregator(ias)?,
+                };
+                (
+                    agg,
+                    tip.header.clone(),
+                    self.certs.last().cloned(),
+                    new_ranges,
+                )
+            }
+            // First run or reorg: fold everything from genesis.
+            _ => {
+                let mut all_ranges = kept;
+                all_ranges.extend(new_ranges);
+                // After a reorg the old aggregator's sealed watermark sits
+                // at the old tip: folding from genesis again is a height
+                // regression it must refuse — the stale-range guard. Count
+                // the refusal, then boot a fresh aggregator with the same
+                // canonical seeds (same key, same client-visible identity).
+                if let Some(old) = self.aggregator.take() {
+                    if self
+                        .fold(&old, &self.genesis.header, None, &all_ranges)
+                        .is_err()
+                    {
+                        self.metrics.stale_range_refusals.inc();
+                    }
+                }
+                let agg = self.boot_aggregator(ias)?;
+                (agg, self.genesis.header.clone(), None, all_ranges)
+            }
+        };
+        let first_signed = anchor
+            .height
+            .checked_add(1)
+            .ok_or(CertError::HeightOverflow)?;
+        let sigs = self.fold(&agg, &anchor, anchor_cert, &ranges)?;
+        self.install(blocks, &ranges, &sigs, first_signed, &agg)?;
+        self.aggregator = Some(agg);
         Ok(self.certs.clone())
     }
 
@@ -496,9 +488,9 @@ impl ShardedCertEngine {
         &mut self,
         blocks: &[Block],
         all_ranges: &[RangeCert],
-        sigs: &[dcert_primitives::keys::Signature],
+        sigs: &[Signature],
         first_signed: u64,
-        agg: &EnclaveHandle,
+        agg: &Attested,
     ) -> Result<(), CertError> {
         let keep = usize::try_from(first_signed.saturating_sub(1))
             .map_err(|_| CertError::HeightOverflow)?;
@@ -513,12 +505,7 @@ impl ShardedCertEngine {
             let block = blocks
                 .get(at_index)
                 .ok_or(ShardError::MissingBlock { height })?;
-            self.certs.push(Certificate {
-                pk_enc: agg.pk_enc,
-                report: agg.report.clone(),
-                digest: block.header.hash(),
-                signature: *sig,
-            });
+            self.certs.push(agg.certificate(block.header.hash(), *sig));
         }
         self.chain = blocks.to_vec();
         let mut ranges = self
@@ -562,7 +549,7 @@ impl ShardedCertEngine {
         loop {
             // One parallel round over every unfinished shard.
             let mut rounds: Vec<(usize, Result<ShardRun, ShardError>)> = Vec::new();
-            let pending: Vec<(usize, u64, Option<usize>, EnclaveHandle)> = slots
+            let pending: Vec<(usize, HeightRange, u64, Option<usize>, Attested)> = slots
                 .iter_mut()
                 .enumerate()
                 .filter(|(_, slot)| slot.next <= slot.range.last)
@@ -571,7 +558,7 @@ impl ShardedCertEngine {
                         shard,
                         reason: "shard enclave not booted".to_owned(),
                     })?;
-                    Ok((shard, slot.next, slot.kill_after, boot))
+                    Ok((shard, slot.range, slot.next, slot.kill_after, boot))
                 })
                 .collect::<Result<_, ShardError>>()
                 .map_err(CertError::Shard)?;
@@ -586,32 +573,17 @@ impl ShardedCertEngine {
                 chunk: self.chunk,
                 store: self.store.clone(),
                 generation: self.generation,
+                metrics: &self.metrics,
             };
             std::thread::scope(|scope| {
                 let joins: Vec<_> = pending
                     .into_iter()
-                    .map(|(shard, start, kill_after, boot)| {
-                        let range = slots.get(shard).map(|s| s.range);
-                        let metrics = WorkerMetrics {
-                            blocks: self.metrics.blocks_certified.clone(),
-                            shard_blocks: self.metrics.shard_blocks(shard),
-                            chunks: self.metrics.chunks.clone(),
-                            ranges: self.metrics.ranges_certified.clone(),
-                            seal_ns: self.metrics.seal_ns.clone(),
-                        };
+                    .map(|(shard, range, start, kill_after, boot)| {
                         let ctx = &ctx;
-                        (
-                            shard,
-                            scope.spawn(move || {
-                                let range = range.ok_or(ShardError::Worker {
-                                    shard,
-                                    reason: "shard slot missing".to_owned(),
-                                })?;
-                                run_shard_worker(
-                                    shard, range, start, kill_after, boot, ctx, &metrics,
-                                )
-                            }),
-                        )
+                        let worker = scope.spawn(move || {
+                            run_shard_worker(shard, range, start, kill_after, boot, ctx)
+                        });
+                        (shard, worker)
                     })
                     .collect();
                 for (shard, join) in joins {
@@ -700,15 +672,11 @@ impl ShardedCertEngine {
                     if cursor > watermark {
                         // The full prefix is durable: restore and resume.
                         let program = self.make_program(ias);
-                        let platform = derive_seed(
-                            b"dcert-shard-platform",
-                            &self.platform_seed,
-                            shard,
-                            self.generation,
-                        );
+                        let platform =
+                            self.shard_seed(b"dcert-shard-platform", &self.platform_seed, shard);
                         let enclave = Enclave::restore(program, self.cost, platform, &seal)
                             .map_err(CertError::Attestation)?;
-                        let boot = finish_enclave_boot(enclave, ias)?;
+                        let boot = Attested::boot(enclave, ias)?;
                         self.metrics
                             .resumed_ranges
                             .add(u64::try_from(resumed.len()).unwrap_or(u64::MAX));
@@ -737,80 +705,72 @@ impl ShardedCertEngine {
         )
     }
 
-    /// Boots and attests one shard enclave on derived seeds: the shard's
-    /// key is unique to `(shard, generation)`, so it can never stand in
-    /// for the aggregator in a client artifact, and a reorg's generation
-    /// bump gives re-certification a fresh identity.
-    fn boot_shard(
-        &mut self,
-        shard: usize,
+    /// Launches, instruments and attests one fleet enclave on the given
+    /// seeds.
+    fn boot(
+        &self,
+        platform_seed: [u8; 32],
+        signing_seed: [u8; 32],
         ias: &mut AttestationService,
-    ) -> Result<EnclaveHandle, CertError> {
-        let platform = derive_seed(
-            b"dcert-shard-platform",
-            &self.platform_seed,
-            shard,
-            self.generation,
-        );
-        let signing = derive_seed(
-            b"dcert-shard-signing",
-            &self.signing_seed,
-            shard,
-            self.generation,
-        );
-        let program = self.make_program(ias).with_signing_seed(signing);
-        let enclave = Enclave::launch_with_platform_seed(program, self.cost, platform);
+    ) -> Result<Attested, CertError> {
+        let program = self.make_program(ias).with_signing_seed(signing_seed);
+        let enclave = Enclave::launch_with_platform_seed(program, self.cost, platform_seed);
         if self.metrics.registry.is_enabled() {
             enclave.attach_obs(&self.metrics.registry);
         }
-        finish_enclave_boot(enclave, ias)
+        Attested::boot(enclave, ias)
+    }
+
+    /// The seed a shard enclave derives from `base`: unique to
+    /// `(shard, generation)`, so a shard key can never stand in for the
+    /// aggregator in a client artifact, and a reorg's generation bump gives
+    /// re-certification a fresh identity.
+    fn shard_seed(&self, domain: &[u8], base: &[u8; 32], shard: usize) -> [u8; 32] {
+        derive_seed(domain, base, shard, self.generation)
+    }
+
+    /// Boots and attests one shard enclave on derived seeds.
+    fn boot_shard(
+        &self,
+        shard: usize,
+        ias: &mut AttestationService,
+    ) -> Result<Attested, CertError> {
+        let platform = self.shard_seed(b"dcert-shard-platform", &self.platform_seed, shard);
+        let signing = self.shard_seed(b"dcert-shard-signing", &self.signing_seed, shard);
+        self.boot(platform, signing, ias)
     }
 
     /// Boots the aggregator with the fleet's *canonical* seeds — the same
     /// identity a deterministic sequential CI would have, which is exactly
     /// why the folded certificates come out byte-identical.
-    fn boot_aggregator(
-        &mut self,
-        ias: &mut AttestationService,
-    ) -> Result<EnclaveHandle, CertError> {
-        let program = self.make_program(ias).with_signing_seed(self.signing_seed);
-        let enclave = Enclave::launch_with_platform_seed(program, self.cost, self.platform_seed);
-        if self.metrics.registry.is_enabled() {
-            enclave.attach_obs(&self.metrics.registry);
-        }
+    fn boot_aggregator(&self, ias: &mut AttestationService) -> Result<Attested, CertError> {
         self.metrics.agg_fresh_boots.inc();
-        finish_enclave_boot(enclave, ias)
+        self.boot(self.platform_seed, self.signing_seed, ias)
     }
 
     /// One `FoldRanges` ECall: verify, chain, and sign `ranges` from
     /// `anchor` inside the aggregator enclave.
     fn fold(
         &self,
-        agg: &EnclaveHandle,
+        agg: &Attested,
         anchor: &BlockHeader,
         anchor_cert: Option<Certificate>,
         ranges: &[RangeCert],
-    ) -> Result<Vec<dcert_primitives::keys::Signature>, CertError> {
+    ) -> Result<Vec<Signature>, CertError> {
         let request = EcallRequest::FoldRanges {
             anchor: anchor.clone(),
             anchor_cert,
             ranges: ranges.to_vec(),
         };
-        let (response, took) = timed(|| agg.enclave.ecall(&request.to_encoded_bytes()));
-        self.metrics.fold_ns.observe(duration_ns(took));
-        match EcallResponse::decode_all(&response)? {
-            EcallResponse::Signatures(sigs) => {
-                self.metrics.agg_folds.inc();
-                self.metrics
-                    .agg_signatures
-                    .add(u64::try_from(sigs.len()).unwrap_or(u64::MAX));
-                Ok(sigs)
-            }
-            EcallResponse::Rejected(reason) => Err(CertError::EnclaveRejected(reason)),
-            EcallResponse::Initialized(_) | EcallResponse::Signature(_) => {
-                Err(CertError::EnclaveRejected("unexpected response".into()))
-            }
-        }
+        let (result, took) =
+            timed(|| agg.sign_each(&request.to_encoded_bytes(), &mut CertBreakdown::default()));
+        self.metrics.fold_ns.record(took);
+        let sigs = result?;
+        self.metrics.agg_folds.inc();
+        self.metrics
+            .agg_signatures
+            .add(u64::try_from(sigs.len()).unwrap_or(u64::MAX));
+        Ok(sigs)
     }
 }
 
@@ -823,15 +783,7 @@ struct WorkerCtx<'a> {
     chunk: u64,
     store: Option<SharedStore>,
     generation: u64,
-}
-
-/// Metric handles a worker updates (all `Arc`-backed clones).
-struct WorkerMetrics {
-    blocks: Counter,
-    shard_blocks: Counter,
-    chunks: Counter,
-    ranges: Counter,
-    seal_ns: Histogram,
+    metrics: &'a ShardMetrics,
 }
 
 /// One shard worker: replay the untrusted prefix, then certify the
@@ -843,9 +795,8 @@ fn run_shard_worker(
     range: HeightRange,
     start: u64,
     kill_after: Option<usize>,
-    boot: EnclaveHandle,
+    boot: Attested,
     ctx: &WorkerCtx<'_>,
-    metrics: &WorkerMetrics,
 ) -> Result<ShardRun, ShardError> {
     // Untrusted prefix replay: execute (no proofs, no enclave) up to the
     // anchor. The enclave re-validates everything from the anchor on.
@@ -867,6 +818,14 @@ fn run_shard_worker(
             })?
     };
 
+    let worker_error = |error: CertError| ShardError::Worker {
+        shard,
+        reason: match error {
+            CertError::EnclaveRejected(reason) => reason,
+            other => other.to_string(),
+        },
+    };
+    let shard_blocks = ctx.metrics.shard_blocks(shard);
     let mut produced = Vec::new();
     let mut chunks_done = 0usize;
     let mut cursor = start;
@@ -882,85 +841,63 @@ fn run_shard_worker(
             .ok_or(ShardError::HeightOverflow)?
             .min(range.last);
         let chunk_blocks = blocks_for(ctx.blocks, cursor, chunk_last)?;
+        // A range chunk is a batch under another tag with no spliced
+        // certificate: same link builder, same dispatch.
+        let mut breakdown = CertBreakdown::default();
         let links = build_links(
             ctx.executor,
             &mut state,
+            &anchor,
             chunk_blocks,
-            &mut CertBreakdown::default(),
-        );
-        let header_digests: Vec<Hash> = links.iter().map(|l| l.block.header.hash()).collect();
-        let request = EcallRequest::RangeSigGen {
-            anchor: anchor.clone(),
-            links,
-        };
-        let (response, took) = timed(|| boot.enclave.ecall(&request.to_encoded_bytes()));
-        metrics.seal_ns.observe(duration_ns(took));
-        let signature = match EcallResponse::decode_all(&response).map_err(|e| {
-            ShardError::Worker {
-                shard,
-                reason: format!("range response codec: {e}"),
-            }
-        })? {
-            EcallResponse::Signature(sig) => sig,
-            EcallResponse::Rejected(reason) => return Err(ShardError::Worker { shard, reason }),
-            EcallResponse::Initialized(_) | EcallResponse::Signatures(_) => {
-                return Err(ShardError::Worker {
-                    shard,
-                    reason: "unexpected range response".to_owned(),
-                })
-            }
-        };
+            &mut breakdown,
+        )
+        .map_err(worker_error)?;
+        let (result, took) = timed(|| {
+            let request = SplitRequest::range_sig_gen(&anchor, &links).joined();
+            boot.sign(&request, &mut breakdown)
+        });
+        ctx.metrics.seal_ns.record(took);
         let range_cert = RangeCert {
             pk_range: boot.pk_enc,
             report: boot.report.clone(),
             anchor_digest: anchor.hash(),
             first: cursor,
             last: chunk_last,
-            header_digests,
-            signature,
+            header_digests: links.iter().map(|l| l.block.header.hash()).collect(),
+            signature: result.map_err(worker_error)?,
         };
         if let Some(store) = &ctx.store {
             let mut guard = lock_store(store);
-            guard
-                .put_head(
-                    &range_key(ctx.generation, cursor),
+            let heads = [
+                (
+                    range_key(ctx.generation, cursor),
                     range_cert.to_encoded_bytes(),
-                )
-                .map_err(|e| ShardError::Store(e.to_string()))?;
-            guard
-                .put_head(
-                    &watermark_key(ctx.generation, shard),
+                ),
+                (
+                    watermark_key(ctx.generation, shard),
                     chunk_last.to_encoded_bytes(),
-                )
-                .map_err(|e| ShardError::Store(e.to_string()))?;
-            guard
-                .put_head(
-                    &seal_key(ctx.generation, shard),
+                ),
+                (
+                    seal_key(ctx.generation, shard),
                     boot.enclave.seal_state().to_encoded_bytes(),
-                )
-                .map_err(|e| ShardError::Store(e.to_string()))?;
+                ),
+            ];
+            for (key, value) in heads {
+                guard
+                    .put_head(&key, value)
+                    .map_err(|e| ShardError::Store(e.to_string()))?;
+            }
             guard.sync().map_err(|e| ShardError::Store(e.to_string()))?;
         }
         anchor = chunk_blocks
             .last()
             .map(|b| b.header.clone())
             .ok_or(ShardError::MissingBlock { height: chunk_last })?;
-        metrics.ranges.inc();
-        metrics.chunks.inc();
-        metrics.blocks.add(
-            range_cert
-                .header_digests
-                .len()
-                .try_into()
-                .unwrap_or(u64::MAX),
-        );
-        metrics.shard_blocks.add(
-            range_cert
-                .header_digests
-                .len()
-                .try_into()
-                .unwrap_or(u64::MAX),
-        );
+        let certified = u64::try_from(range_cert.header_digests.len()).unwrap_or(u64::MAX);
+        ctx.metrics.ranges_certified.inc();
+        ctx.metrics.chunks.inc();
+        ctx.metrics.blocks_certified.add(certified);
+        shard_blocks.add(certified);
         produced.push(range_cert);
         chunks_done = chunks_done.saturating_add(1);
         cursor = chunk_last.saturating_add(1);
@@ -968,30 +905,6 @@ fn run_shard_worker(
     Ok(ShardRun {
         produced,
         killed: false,
-    })
-}
-
-/// Register-init-quote-attest boot tail shared by shard and aggregator
-/// enclaves (the fleet's copy of the CI's `finish_boot`).
-fn finish_enclave_boot(
-    enclave: Enclave<CertProgram>,
-    ias: &mut AttestationService,
-) -> Result<EnclaveHandle, CertError> {
-    ias.register_platform(enclave.platform_key());
-    let response = enclave.ecall(&EcallRequest::Init.to_encoded_bytes());
-    let pk_enc = match EcallResponse::decode_all(&response)? {
-        EcallResponse::Initialized(pk) => pk,
-        EcallResponse::Rejected(reason) => return Err(CertError::EnclaveRejected(reason)),
-        EcallResponse::Signature(_) | EcallResponse::Signatures(_) => {
-            return Err(CertError::EnclaveRejected("unexpected response".into()))
-        }
-    };
-    let quote = enclave.quote(Certificate::key_binding(&pk_enc));
-    let report = ias.attest(&quote)?;
-    Ok(EnclaveHandle {
-        enclave,
-        pk_enc,
-        report,
     })
 }
 
@@ -1019,10 +932,6 @@ fn derive_seed(domain: &[u8], base: &[u8; 32], shard: usize, generation: u64) ->
         *dst = *src;
     }
     seed
-}
-
-fn duration_ns(took: std::time::Duration) -> u64 {
-    u64::try_from(took.as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// A poisoned store lock only means another worker panicked mid-write;

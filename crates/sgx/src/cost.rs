@@ -158,7 +158,7 @@ impl Default for CostModel {
 /// This is the single sanctioned clock access for code outside the
 /// simulation modules: callers measure a closure instead of holding an
 /// ambient [`Instant`] themselves, which keeps the determinism lint's
-/// allowlist down to this module plus the network/pipeline simulators.
+/// allowlist down to this module plus the network simulator.
 pub fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     let start = Instant::now();
     let value = f();

@@ -6,16 +6,42 @@
 //! these digests, so the unified code must reproduce each one exactly —
 //! roots after every insert, and the SHA-256 of every encoded proof form.
 //!
+//!
+//! `CERT_GOLDEN` does the same for certification: it was captured at
+//! commit ea994e5, while `CertificateIssuer`, `CertPipeline` and
+//! `ShardedCertEngine` were still three separate prepare → marshal →
+//! ECall → sign programs, and pins — per engine and per scheme — the
+//! SHA-256 of the encoded certificate stream over one fixed chain plus
+//! the boundary work behind it (ECalls, bytes in and out, marshalling
+//! bytes served from the reused buffer). Now that the three engines are
+//! drivers of one core these constants, with `bench::naive` (an
+//! independent second certification program), are the reference.
+//!
 //! To re-capture (only ever legitimate at a commit that intends to break
-//! the wire format): empty `GOLDEN`, run the test, paste the table it
+//! the wire format): empty the table, run the test, paste the table it
 //! prints.
 
+mod common;
+
+use std::sync::{Arc, Mutex};
+
+use common::{World, TEST_PLATFORM_SEED, TEST_SIGNING_SEED};
+use dcert::chain::Block;
+use dcert::core::{
+    CertBreakdown, CertJob, CertPipeline, Certificate, Gossip, IndexInput, NetMessage,
+    PipelineConfig, ShardFailurePlan, ShardFleetConfig, ShardedCertEngine, SharedStore,
+};
 use dcert::merkle::{AggMbTree, MbTree};
+use dcert::obs::Registry;
 use dcert::primitives::codec::Encode;
 use dcert::primitives::hash::hash_bytes;
 use dcert::query::aggregate::AggregateIndex;
 use dcert::query::history::HistoryIndex;
+use dcert::query::sp::IndexKind;
+use dcert::sgx::CostModel;
+use dcert::store::MemStore;
 use dcert::vm::StateKey;
+use dcert::workloads::Workload;
 
 /// Fixed insert sequence: seventeen rightmost appends (enough to split an
 /// order-16 leaf), two out-of-order inserts, one replacement.
@@ -114,29 +140,34 @@ fn computed() -> Vec<(String, String)> {
     out
 }
 
-#[test]
-fn unified_core_reproduces_pre_refactor_bytes() {
-    let computed = computed();
-    let matches = computed.len() == GOLDEN.len()
+/// Fails with a paste-ready table unless `computed` equals `golden` row for
+/// row.
+fn assert_golden(computed: &[(String, String)], golden: &[(&str, &str)]) {
+    let matches = computed.len() == golden.len()
         && computed
             .iter()
-            .zip(GOLDEN)
+            .zip(golden)
             .all(|((label, hex), (want_label, want_hex))| label == want_label && hex == want_hex);
     if !matches {
         for ((label, hex), want) in computed
             .iter()
-            .zip(GOLDEN.iter().map(Some).chain(std::iter::repeat(None)))
+            .zip(golden.iter().map(Some).chain(std::iter::repeat(None)))
         {
-            if want.map_or(true, |(l, h)| l != label || h != hex) {
+            if !want.is_some_and(|(l, h)| l == label && h == hex) {
                 eprintln!("MISMATCH {label}: computed {hex}, golden {want:?}");
             }
         }
         eprintln!("--- computed table ---");
-        for (label, hex) in &computed {
+        for (label, hex) in computed {
             eprintln!("    (\"{label}\", \"{hex}\"),");
         }
         panic!("golden vectors diverged (see stderr)");
     }
+}
+
+#[test]
+fn unified_core_reproduces_pre_refactor_bytes() {
+    assert_golden(&computed(), GOLDEN);
 }
 
 #[rustfmt::skip]
@@ -306,4 +337,299 @@ const GOLDEN: &[(&str, &str)] = &[
     ("history/16/op_proof", "6613fa78c995932af7a9c9f756e5a51efc2cc5e064eb54a6818a54b647cb9cbe"),
     ("aggregate/16/proof", "125dd93a3c3955752038e40289521219cd3a65f32f114bc6123547638fefd4dd"),
     ("aggregate/16/op_proof", "de225a168421696a37cd5f5dce882dd172dc82ca58a788ca6f4fa840685b6ac6"),
+];
+
+// --- certification streams ----------------------------------------------------
+
+/// The four certification schemes, as both the sequential methods and the
+/// pipeline's [`CertJob`]s spell them.
+#[derive(Clone, Copy)]
+enum Scheme {
+    Block,
+    /// Batches of 3, 1 and 2 blocks.
+    Batch,
+    Augmented,
+    Hierarchical,
+}
+
+const SCHEMES: [(&str, Scheme); 4] = [
+    ("block", Scheme::Block),
+    ("batch", Scheme::Batch),
+    ("augmented", Scheme::Augmented),
+    ("hierarchical", Scheme::Hierarchical),
+];
+const BATCH_SHAPE: [usize; 3] = [3, 1, 2];
+
+fn cert_indexes() -> Vec<(IndexKind, &'static str)> {
+    vec![
+        (IndexKind::History, "history"),
+        (IndexKind::Inverted, "keywords"),
+    ]
+}
+
+/// The one fixed chain every stream certifies: six SmallBank blocks.
+fn cert_chain() -> Vec<Block> {
+    let (mut world, _) = World::deterministic(cert_indexes());
+    world.mine_blocks(Workload::SmallBank { customers: 16 }, 6, 3, 0x000D_CE47)
+}
+
+/// One golden row pair: the stream digest and the boundary work behind it.
+fn stream_rows(
+    label: &str,
+    certs: &[Certificate],
+    (ecalls, request_bytes, response_bytes): (u64, u64, u64),
+    marshal_reuse_bytes: u64,
+    out: &mut Vec<(String, String)>,
+) {
+    let mut stream = Vec::new();
+    for cert in certs {
+        cert.encode(&mut stream);
+    }
+    out.push((format!("{label}/stream"), hash_bytes(&stream).to_string()));
+    out.push((
+        format!("{label}/work"),
+        format!(
+            "certs={} ecalls={ecalls} request_bytes={request_bytes} \
+             response_bytes={response_bytes} marshal_reuse_bytes={marshal_reuse_bytes}",
+            certs.len()
+        ),
+    ));
+}
+
+fn boundary_sum<'a>(breakdowns: impl IntoIterator<Item = &'a CertBreakdown>) -> (u64, u64, u64) {
+    breakdowns.into_iter().fold((0, 0, 0), |(e, i, o), b| {
+        (e + b.ecalls, i + b.request_bytes, o + b.response_bytes)
+    })
+}
+
+fn sequential_stream(
+    scheme: Scheme,
+    blocks: &[Block],
+    label: &str,
+    out: &mut Vec<(String, String)>,
+) {
+    let (mut world, mut sp) = World::deterministic(cert_indexes());
+    let registry = Registry::new();
+    world.ci.attach_obs(&registry);
+    let mut certs = Vec::new();
+    let mut breakdowns = Vec::new();
+    match scheme {
+        Scheme::Block => {
+            for block in blocks {
+                let (cert, breakdown) = world.ci.certify_block(block).expect("certifies");
+                certs.push(cert);
+                breakdowns.push(breakdown);
+            }
+        }
+        Scheme::Batch => {
+            let mut rest = blocks;
+            for len in BATCH_SHAPE {
+                let (batch, tail) = rest.split_at(len);
+                let (cert, breakdown) = world.ci.certify_batch(batch).expect("certifies");
+                certs.push(cert);
+                breakdowns.push(breakdown);
+                rest = tail;
+            }
+        }
+        Scheme::Augmented => {
+            for block in blocks {
+                let inputs = sp.stage_block(block).expect("sp stages");
+                let (index_certs, breakdown) = world
+                    .ci
+                    .certify_augmented(block, &inputs)
+                    .expect("certifies");
+                sp.record_certs(&index_certs);
+                certs.extend(index_certs);
+                breakdowns.push(breakdown);
+            }
+        }
+        Scheme::Hierarchical => {
+            for block in blocks {
+                let inputs = sp.stage_block(block).expect("sp stages");
+                let (block_cert, index_certs, breakdown) = world
+                    .ci
+                    .certify_hierarchical(block, &inputs)
+                    .expect("certifies");
+                sp.record_certs(&index_certs);
+                certs.push(block_cert);
+                certs.extend(index_certs);
+                breakdowns.push(breakdown);
+            }
+        }
+    }
+    let reuse = registry.snapshot().counter("enclave.marshal_reuse_bytes");
+    stream_rows(label, &certs, boundary_sum(&breakdowns), reuse, out);
+}
+
+fn pipelined_stream(
+    scheme: Scheme,
+    preparers: usize,
+    blocks: &[Block],
+    label: &str,
+    out: &mut Vec<(String, String)>,
+) {
+    let (world, mut sp) = World::deterministic(cert_indexes());
+    let registry = Registry::new();
+    world.ci.attach_obs(&registry);
+    let mut stage = |block: &Block| -> Vec<IndexInput> {
+        let inputs = sp.stage_block(block).expect("sp stages");
+        sp.advance_staged();
+        inputs
+    };
+    let jobs: Vec<CertJob> = match scheme {
+        Scheme::Block => blocks.iter().cloned().map(CertJob::Block).collect(),
+        Scheme::Batch => {
+            let mut rest = blocks;
+            BATCH_SHAPE
+                .iter()
+                .map(|len| {
+                    let (batch, tail) = rest.split_at(*len);
+                    rest = tail;
+                    CertJob::Batch(batch.to_vec())
+                })
+                .collect()
+        }
+        Scheme::Augmented => blocks
+            .iter()
+            .map(|block| CertJob::Augmented {
+                block: block.clone(),
+                indexes: stage(block),
+            })
+            .collect(),
+        Scheme::Hierarchical => blocks
+            .iter()
+            .map(|block| CertJob::Hierarchical {
+                block: block.clone(),
+                indexes: stage(block),
+            })
+            .collect(),
+    };
+    let gossip = Arc::new(Gossip::new());
+    let feed = gossip.join();
+    let pipeline = CertPipeline::spawn(
+        world.ci,
+        PipelineConfig {
+            preparers,
+            queue_depth: 2,
+            ..PipelineConfig::default()
+        },
+        gossip,
+    );
+    for job in jobs {
+        pipeline.submit(job).expect("pipeline accepts jobs");
+    }
+    let (_, report) = pipeline.shutdown();
+    assert_eq!(report.errors, Vec::new(), "no job may fail");
+    let mut certs = Vec::new();
+    while let Ok(message) = feed.try_recv() {
+        match message {
+            NetMessage::BlockCert { cert, .. } | NetMessage::IndexCert { cert, .. } => {
+                certs.push(cert)
+            }
+            _ => {}
+        }
+    }
+    let reuse = registry.snapshot().counter("enclave.marshal_reuse_bytes");
+    stream_rows(label, &certs, boundary_sum(&report.breakdowns), reuse, out);
+}
+
+/// The fleet exposes no breakdowns; its boundary work is read off the
+/// `enclave.*` counters every shard and aggregator enclave reports into
+/// (boot `Init` calls and the killed shard's restart included).
+fn fleet_stream(
+    shards: usize,
+    kill: (usize, usize),
+    blocks: &[Block],
+    label: &str,
+    out: &mut Vec<(String, String)>,
+) {
+    let (mut world, _) = World::deterministic(Vec::new());
+    let registry = Registry::new();
+    let store: SharedStore = Arc::new(Mutex::new(Box::new(MemStore::new())));
+    let mut config = ShardFleetConfig::new(shards, 2);
+    config.registry = registry.clone();
+    config.store = Some(store);
+    config.failures = ShardFailurePlan::none().kill(kill.0, kill.1);
+    let mut fleet = ShardedCertEngine::new_deterministic(
+        TEST_PLATFORM_SEED,
+        TEST_SIGNING_SEED,
+        &world.genesis,
+        world.genesis_state.clone(),
+        world.executor.clone(),
+        world.engine.clone(),
+        CostModel::zero(),
+        config,
+    )
+    .expect("fleet configures");
+    let certs = fleet
+        .certify_chain(blocks, &mut world.ias)
+        .expect("fleet certifies through the kill");
+    let snap = registry.snapshot();
+    assert_eq!(snap.counter("shard.kills"), 1, "the scheduled kill fired");
+    stream_rows(
+        label,
+        &certs,
+        (
+            snap.counter("enclave.ecalls"),
+            snap.counter("enclave.bytes_in"),
+            snap.counter("enclave.bytes_out"),
+        ),
+        snap.counter("enclave.marshal_reuse_bytes"),
+        out,
+    );
+}
+
+#[test]
+fn certification_engines_reproduce_parent_commit_streams() {
+    let blocks = cert_chain();
+    let mut out = Vec::new();
+    for (name, scheme) in SCHEMES {
+        sequential_stream(
+            scheme,
+            &blocks,
+            &format!("cert/sequential/{name}"),
+            &mut out,
+        );
+    }
+    for preparers in [1usize, 4] {
+        for (name, scheme) in SCHEMES {
+            let label = format!("cert/pipeline{preparers}/{name}");
+            pipelined_stream(scheme, preparers, &blocks, &label, &mut out);
+        }
+    }
+    fleet_stream(1, (0, 1), &blocks, "cert/fleet1", &mut out);
+    fleet_stream(2, (1, 1), &blocks, "cert/fleet2", &mut out);
+    assert_golden(&out, CERT_GOLDEN);
+}
+
+#[rustfmt::skip]
+const CERT_GOLDEN: &[(&str, &str)] = &[
+    ("cert/sequential/block/stream", "ef290344fb765a1deb4360131c9c4f33f15da5db04b599107359657f50b0d360"),
+    ("cert/sequential/block/work", "certs=6 ecalls=6 request_bytes=9439 response_bytes=390 marshal_reuse_bytes=7432"),
+    ("cert/sequential/batch/stream", "72b7cc03b49fb77967f74d3a3c1f82d91bd247b9399d6f3472ecc1088fced15b"),
+    ("cert/sequential/batch/work", "certs=3 ecalls=3 request_bytes=8251 response_bytes=195 marshal_reuse_bytes=5006"),
+    ("cert/sequential/augmented/stream", "428c908d65a7082b93b51473ee6b3f1e2f869b9c7899acb8d1efd144f6ba9402"),
+    ("cert/sequential/augmented/work", "certs=12 ecalls=12 request_bytes=31056 response_bytes=780 marshal_reuse_bytes=25649"),
+    ("cert/sequential/hierarchical/stream", "6c3312e3507c52490f6b431800bd154e4d43fdd2b8bcc16011cdd7ff75a7e4b9"),
+    ("cert/sequential/hierarchical/work", "certs=18 ecalls=18 request_bytes=43141 response_bytes=1170 marshal_reuse_bytes=37325"),
+    ("cert/pipeline1/block/stream", "ef290344fb765a1deb4360131c9c4f33f15da5db04b599107359657f50b0d360"),
+    ("cert/pipeline1/block/work", "certs=6 ecalls=6 request_bytes=9439 response_bytes=390 marshal_reuse_bytes=7432"),
+    ("cert/pipeline1/batch/stream", "72b7cc03b49fb77967f74d3a3c1f82d91bd247b9399d6f3472ecc1088fced15b"),
+    ("cert/pipeline1/batch/work", "certs=3 ecalls=3 request_bytes=8251 response_bytes=195 marshal_reuse_bytes=5006"),
+    ("cert/pipeline1/augmented/stream", "428c908d65a7082b93b51473ee6b3f1e2f869b9c7899acb8d1efd144f6ba9402"),
+    ("cert/pipeline1/augmented/work", "certs=12 ecalls=12 request_bytes=31056 response_bytes=780 marshal_reuse_bytes=25649"),
+    ("cert/pipeline1/hierarchical/stream", "6c3312e3507c52490f6b431800bd154e4d43fdd2b8bcc16011cdd7ff75a7e4b9"),
+    ("cert/pipeline1/hierarchical/work", "certs=18 ecalls=18 request_bytes=43141 response_bytes=1170 marshal_reuse_bytes=37325"),
+    ("cert/pipeline4/block/stream", "ef290344fb765a1deb4360131c9c4f33f15da5db04b599107359657f50b0d360"),
+    ("cert/pipeline4/block/work", "certs=6 ecalls=6 request_bytes=9439 response_bytes=390 marshal_reuse_bytes=7432"),
+    ("cert/pipeline4/batch/stream", "72b7cc03b49fb77967f74d3a3c1f82d91bd247b9399d6f3472ecc1088fced15b"),
+    ("cert/pipeline4/batch/work", "certs=3 ecalls=3 request_bytes=8251 response_bytes=195 marshal_reuse_bytes=5006"),
+    ("cert/pipeline4/augmented/stream", "428c908d65a7082b93b51473ee6b3f1e2f869b9c7899acb8d1efd144f6ba9402"),
+    ("cert/pipeline4/augmented/work", "certs=12 ecalls=12 request_bytes=31056 response_bytes=780 marshal_reuse_bytes=25649"),
+    ("cert/pipeline4/hierarchical/stream", "6c3312e3507c52490f6b431800bd154e4d43fdd2b8bcc16011cdd7ff75a7e4b9"),
+    ("cert/pipeline4/hierarchical/work", "certs=18 ecalls=18 request_bytes=43141 response_bytes=1170 marshal_reuse_bytes=37325"),
+    ("cert/fleet1/stream", "ef290344fb765a1deb4360131c9c4f33f15da5db04b599107359657f50b0d360"),
+    ("cert/fleet1/work", "certs=6 ecalls=4 request_bytes=3184 response_bytes=520 marshal_reuse_bytes=0"),
+    ("cert/fleet2/stream", "ef290344fb765a1deb4360131c9c4f33f15da5db04b599107359657f50b0d360"),
+    ("cert/fleet2/work", "certs=6 ecalls=7 request_bytes=7576 response_bytes=683 marshal_reuse_bytes=0"),
 ];

@@ -2,7 +2,10 @@
 //! observationally equivalent to the sequential [`CertificateIssuer`]:
 //! byte-identical certificates, in the same chain order, for plain,
 //! batched, augmented, and hierarchical jobs — across worker counts and
-//! queue depths — plus deterministic tests for orderly shutdown.
+//! queue depths — plus deterministic tests for orderly shutdown and for
+//! sequential ⇄ pipelined hand-overs, the sharded fleet's equivalence to
+//! both, and the sequential issuer's own properties (any random chain
+//! certifies, replicas agree, client storage is constant).
 //!
 //! Two fully deterministic worlds ([`World::deterministic`]) share every
 //! seed (genesis, IAS, platform, enclave signing key), so the sequential
@@ -40,7 +43,7 @@ use dcert::query::sp::IndexKind;
 use dcert::query::ServiceProvider;
 use dcert::sgx::CostModel;
 use dcert::store::MemStore;
-use dcert::workloads::Workload;
+use dcert::workloads::{Workload, WorkloadGen};
 
 // --- the observable stream --------------------------------------------------
 
@@ -573,6 +576,67 @@ fn merkle_threads_do_not_change_certificates() {
     }
 }
 
+// --- hand-overs keep the certificate chains -----------------------------------
+
+/// One CI certifies two blocks sequentially, moves into a pipeline for two
+/// more, and comes back for a fifth. Its index-certificate chains must
+/// survive both hand-overs: the pipeline's first request chains from the
+/// certificates issued sequentially before `spawn`, and the last
+/// sequential request from the ones the pipeline issued — even though the
+/// SP, which only saw `advance_staged` meanwhile, stages a stale
+/// `prev_cert`. The five-block stream equals the all-sequential one byte
+/// for byte.
+fn assert_handover_keeps_chains(plan_for: fn(usize) -> Plan) {
+    let (mut seq_world, mut seq_sp) = World::deterministic(plan_for(5).indexes());
+    let blocks = seq_world.mine_blocks(Workload::SmallBank { customers: 16 }, 5, 2, 83);
+    let seq_events = run_sequential(&mut seq_world.ci, &mut seq_sp, &plan_for(5), &blocks);
+
+    let (world, mut sp) = World::deterministic(plan_for(5).indexes());
+    let mut ci = world.ci;
+    let mut events = run_sequential(&mut ci, &mut sp, &plan_for(2), &blocks[..2]);
+    let jobs = build_jobs(&mut sp, &plan_for(2), &blocks[2..4]);
+    let (piped, mut ci, report) = run_pipeline(ci, jobs, 2, 2, Registry::disabled());
+    assert_eq!(
+        report.errors,
+        Vec::new(),
+        "the pipeline must chain from pre-spawn certificates"
+    );
+    events.extend(piped);
+    events.extend(run_sequential(&mut ci, &mut sp, &plan_for(1), &blocks[4..]));
+
+    assert_eq!(seq_events, events);
+    for (seq, handed) in seq_events.iter().zip(&events) {
+        assert_eq!(
+            seq.cert().to_encoded_bytes(),
+            handed.cert().to_encoded_bytes()
+        );
+    }
+    assert_eq!(ci.node().tip(), seq_world.ci.node().tip());
+    let client = replay(
+        &events,
+        world.ias.public_key(),
+        dcert::core::expected_measurement(),
+    );
+    assert_eq!(client.latest_header().map(|h| h.height), Some(5));
+}
+
+fn handover_indexes() -> Vec<(IndexKind, &'static str)> {
+    vec![
+        (IndexKind::History, "history"),
+        (IndexKind::Inverted, "keywords"),
+    ]
+}
+
+#[test]
+fn handover_keeps_augmented_index_chain() {
+    assert_handover_keeps_chains(|blocks| Plan::Augmented(handover_indexes(), blocks));
+}
+
+#[test]
+fn handover_keeps_hierarchical_index_chain() {
+    assert_handover_keeps_chains(|blocks| Plan::Hierarchical(handover_indexes(), blocks));
+}
+
 // --- orderly shutdown -------------------------------------------------------
 
 /// Shutdown drains every in-flight job, and the reassembled CI keeps
@@ -1031,4 +1095,92 @@ fn empty_pipeline_shutdown_is_clean() {
     assert_eq!(report.index_certs, 0);
     assert_eq!(report.errors, Vec::new());
     assert_eq!(ci.node().tip(), &genesis_tip);
+}
+
+// --- properties of the sequential issuer --------------------------------------
+
+fn arb_workload() -> impl Strategy<Value = Workload> {
+    prop_oneof![
+        Just(Workload::DoNothing),
+        (16u32..256).prop_map(|size| Workload::CpuHeavy { size }),
+        (1u32..8).prop_map(|batch| Workload::IoHeavy { batch }),
+        (4u64..64).prop_map(|keyspace| Workload::KvStore { keyspace }),
+        (4u64..64).prop_map(|customers| Workload::SmallBank { customers }),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Any random chain certifies block by block and the final certificate
+    /// validates on a fresh superlight client.
+    #[test]
+    fn prop_random_chains_certify(
+        workload in arb_workload(),
+        seed in any::<u64>(),
+        blocks in 1u64..5,
+        block_size in 1usize..6,
+    ) {
+        let mut world = World::new();
+        let mut gen = WorkloadGen::new(workload, 6, seed);
+        let mut latest = None;
+        for height in 1..=blocks {
+            let block = world.miner.mine(gen.next_block(block_size), height).unwrap();
+            let (cert, _) = world.ci.certify_block(&block).unwrap();
+            latest = Some((block, cert));
+        }
+        let (block, cert) = latest.unwrap();
+        prop_assert!(world.client.validate_chain(&block.header, &cert).is_ok());
+        prop_assert_eq!(world.client.height(), Some(blocks));
+    }
+
+    /// Two independent replicas fed the same transactions produce
+    /// byte-identical blocks, certificates digests, and index digests.
+    #[test]
+    fn prop_replicas_are_deterministic(
+        seed in any::<u64>(),
+        blocks in 1u64..4,
+    ) {
+        let (mut wa, mut sa) = World::with_setup(vec![(IndexKind::History, "h")]);
+        let (mut wb, mut sb) = World::with_setup(vec![(IndexKind::History, "h")]);
+        let mut gen = WorkloadGen::new(Workload::KvStore { keyspace: 16 }, 4, seed);
+        for height in 1..=blocks {
+            let txs = gen.next_block(3);
+            let ba = wa.miner.mine(txs.clone(), height).unwrap();
+            let bb = wb.miner.mine(txs, height).unwrap();
+            prop_assert_eq!(ba.hash(), bb.hash());
+
+            let ia = sa.stage_block(&ba).unwrap();
+            let ib = sb.stage_block(&bb).unwrap();
+            prop_assert_eq!(ia[0].new_digest, ib[0].new_digest);
+
+            let (ca, _) = wa.ci.certify_augmented(&ba, &ia).unwrap();
+            let (cb, _) = wb.ci.certify_augmented(&bb, &ib).unwrap();
+            // Signatures differ (different enclave keys) but the certified
+            // digests agree.
+            prop_assert_eq!(ca[0].digest, cb[0].digest);
+            sa.record_certs(&ca);
+            sb.record_certs(&cb);
+        }
+    }
+
+    /// Superlight storage is the same constant regardless of workload,
+    /// block size, or chain length.
+    #[test]
+    fn prop_client_storage_constant(
+        workload in arb_workload(),
+        seed in any::<u64>(),
+        blocks in 1u64..4,
+    ) {
+        let mut world = World::new();
+        let mut gen = WorkloadGen::new(workload, 4, seed);
+        let mut sizes = Vec::new();
+        for height in 1..=blocks {
+            let block = world.miner.mine(gen.next_block(2), height).unwrap();
+            let (cert, _) = world.ci.certify_block(&block).unwrap();
+            world.client.validate_chain(&block.header, &cert).unwrap();
+            sizes.push(world.client.storage_bytes());
+        }
+        prop_assert!(sizes.windows(2).all(|w| w[0] == w[1]), "sizes: {sizes:?}");
+    }
 }
