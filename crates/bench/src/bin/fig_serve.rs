@@ -234,10 +234,10 @@ fn replay(front: &mut ServeFront, schedule: &[ServeEvent], fresh: &Block) -> Rep
     let mut current_tick = schedule.first().map_or(0, |e| e.tick);
     let half = schedule.len() / 2;
 
-    let mut drain = |front: &mut ServeFront,
-                     outcome: &mut ReplayOutcome,
-                     admitted: &mut HashMap<u64, u64>,
-                     tick: u64| {
+    let drain = |front: &mut ServeFront,
+                 outcome: &mut ReplayOutcome,
+                 admitted: &mut HashMap<u64, u64>,
+                 tick: u64| {
         for (_, wire) in front.pump(tick, PUMP_BUDGET) {
             match wire {
                 ServeWire::Response(response) => {

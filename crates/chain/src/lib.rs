@@ -15,6 +15,9 @@
 //!   implementing the VM's [`StateReader`],
 //! - [`store`]: a fork-aware header/block store with longest-chain
 //!   selection,
+//! - [`validity`]: the block-validity rule — link, height, consensus
+//!   proof, transaction root and signatures — spelled once for the full
+//!   node, the header store and the enclave's `blk_verify_t`,
 //! - [`node`]: a mining/validating full node that executes blocks and
 //!   maintains tip state,
 //! - [`genesis`]: deterministic genesis construction.
@@ -33,6 +36,7 @@ pub mod node;
 pub mod state;
 pub mod store;
 pub mod tx;
+pub mod validity;
 
 pub use block::{Block, BlockHeader};
 pub use consensus::{ConsensusEngine, ConsensusProof, ProofOfAuthority, ProofOfWork};

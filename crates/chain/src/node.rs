@@ -10,6 +10,7 @@ use crate::consensus::{ConsensusEngine, ConsensusProof};
 use crate::error::ChainError;
 use crate::state::ChainState;
 use crate::tx::Transaction;
+use crate::validity::{check_body, check_extends, hash_writes};
 
 /// A full node: executes, validates, and (optionally) proposes blocks,
 /// maintaining the canonical-chain tip state.
@@ -37,12 +38,13 @@ impl std::fmt::Debug for FullNode {
 }
 
 impl FullNode {
-    /// Creates a node at the given genesis block and state.
+    /// Creates a node at the given genesis block and state: the
+    /// checkpoint at height 0.
     ///
     /// # Panics
     ///
-    /// Panics if the genesis state root does not match the genesis header —
-    /// that is a construction bug, not a runtime condition.
+    /// As [`FullNode::new_at_checkpoint`] — a genesis state that does not
+    /// match the genesis header is a construction bug.
     pub fn new(
         genesis: &Block,
         genesis_state: ChainState,
@@ -50,18 +52,13 @@ impl FullNode {
         engine: Arc<dyn ConsensusEngine>,
         miner: Address,
     ) -> Self {
-        assert_eq!(
-            genesis.header.state_root,
-            genesis_state.root(),
-            "genesis state root mismatch"
-        );
-        FullNode {
+        Self::new_at_checkpoint(
+            genesis.header.clone(),
+            genesis_state,
             executor,
             engine,
-            tip: genesis.header.clone(),
-            state: genesis_state,
             miner,
-        }
+        )
     }
 
     /// Creates a node at an arbitrary checkpoint `(header, state)` instead
@@ -130,18 +127,8 @@ impl FullNode {
     pub fn predicted_state_root(&self, execution: &BlockExecution) -> Hash {
         let touched = execution.touched_keys();
         let proof = self.state.prove(&touched);
-        let writes: Vec<(Hash, Option<Hash>)> = execution
-            .writes
-            .iter()
-            .map(|(k, v)| {
-                (
-                    *k.as_hash(),
-                    v.as_ref().map(dcert_primitives::hash::hash_bytes),
-                )
-            })
-            .collect();
         proof
-            .updated_root(&writes)
+            .updated_root(&hash_writes(&execution.writes))
             // dcert-lint: allow(r5-panic-reachability, reason = "the proof was generated two lines up against this node's own tree over exactly the touched keys, so every written key is covered")
             .expect("proof covers every written key")
     }
@@ -161,7 +148,9 @@ impl FullNode {
         let execution = self.execute(&txs);
         let state_root = self.predicted_state_root(&execution);
         let mut header = BlockHeader {
-            height: self.tip.height + 1,
+            // Saturating: nothing extends a tip at `u64::MAX`, and `apply`
+            // says so when offered this proposal.
+            height: self.tip.height.saturating_add(1),
             prev_hash: self.tip.hash(),
             state_root,
             tx_root: Block::tx_root(&txs),
@@ -184,24 +173,8 @@ impl FullNode {
     ///
     /// Any [`ChainError`] leaves the node unchanged.
     pub fn apply(&mut self, block: &Block) -> Result<(), ChainError> {
-        let tip_hash = self.tip.hash();
-        if block.header.prev_hash != tip_hash {
-            return Err(ChainError::BrokenLink {
-                claimed: block.header.prev_hash,
-                actual: tip_hash,
-            });
-        }
-        if block.header.height != self.tip.height + 1 {
-            return Err(ChainError::BadHeight {
-                parent: self.tip.height,
-                child: block.header.height,
-            });
-        }
-        self.engine.verify(&block.header)?;
-        block.verify_tx_root()?;
-        for tx in &block.txs {
-            tx.verify()?;
-        }
+        check_extends(&self.tip, &block.header)?;
+        check_body(self.engine.as_ref(), block)?;
         let execution = self.execute(&block.txs);
         if self.predicted_state_root(&execution) != block.header.state_root {
             return Err(ChainError::StateRootMismatch);

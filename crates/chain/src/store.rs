@@ -6,6 +6,7 @@ use dcert_primitives::hash::Hash;
 
 use crate::block::BlockHeader;
 use crate::error::ChainError;
+use crate::validity::check_height;
 
 /// Stores headers of all observed branches and tracks the canonical tip by
 /// the longest-chain rule (height, ties broken by smaller digest for
@@ -96,12 +97,8 @@ impl ChainStore {
             .headers
             .get(&header.prev_hash)
             .ok_or(ChainError::UnknownParent(header.prev_hash))?;
-        if header.height != parent.height + 1 {
-            return Err(ChainError::BadHeight {
-                parent: parent.height,
-                child: header.height,
-            });
-        }
+        // The link holds by construction (the parent was looked up by it).
+        check_height(parent, &header)?;
         let candidate = (header.height, digest);
         let best = self.best_header();
         let current = (best.height, self.best);

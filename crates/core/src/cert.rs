@@ -75,14 +75,7 @@ impl Certificate {
         ias_key: &PublicKey,
         expected_measurement: &Hash,
     ) -> Result<(), CertError> {
-        self.report.verify(ias_key)?;
-        if self.report.measurement != *expected_measurement {
-            return Err(CertError::WrongMeasurement);
-        }
-        if self.report.report_data != Self::key_binding(&self.pk_enc) {
-            return Err(CertError::KeyBindingMismatch);
-        }
-        Ok(())
+        verify_attested_key(&self.report, &self.pk_enc, ias_key, expected_measurement)
     }
 
     /// Steps 4–5 of [`Certificate::verify`]: the per-certificate part.
@@ -105,6 +98,26 @@ impl Certificate {
     pub fn size_bytes(&self) -> usize {
         self.encoded_len()
     }
+}
+
+/// The attested-key check behind every enclave-signed artifact (this
+/// module's [`Certificate`], the fleet's [`RangeCert`](crate::RangeCert)):
+/// `report` is signed by the IAS root, names the expected program, and
+/// binds `key` — one [`CertError`] per failed step, in that order.
+pub(crate) fn verify_attested_key(
+    report: &AttestationReport,
+    key: &PublicKey,
+    ias_key: &PublicKey,
+    expected_measurement: &Hash,
+) -> Result<(), CertError> {
+    report.verify(ias_key)?;
+    if report.measurement != *expected_measurement {
+        return Err(CertError::WrongMeasurement);
+    }
+    if report.report_data != Certificate::key_binding(key) {
+        return Err(CertError::KeyBindingMismatch);
+    }
+    Ok(())
 }
 
 impl Encode for Certificate {

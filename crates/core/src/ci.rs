@@ -188,8 +188,7 @@ impl CertificateIssuer {
             verifiers,
         );
         let node = checkpoint_node(checkpoint, checkpoint_cert, snapshot, executor, engine, ias)?;
-        let enclave = Enclave::restore(program, cost, platform_seed, sealed_key)
-            .map_err(CertError::Attestation)?;
+        let enclave = Enclave::restore(program, cost, platform_seed, sealed_key)?;
         Self::finish_boot(enclave, node, ias, Some(checkpoint_cert.clone()))
     }
 

@@ -13,7 +13,8 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use dcert_chain::{Block, BlockHeader, ChainError, ChainState};
+use dcert_chain::validity::check_extends;
+use dcert_chain::{Block, BlockHeader, ChainState};
 use dcert_primitives::codec::{Decode, Encode};
 use dcert_primitives::hash::Hash;
 use dcert_primitives::keys::{PublicKey, Signature};
@@ -143,19 +144,7 @@ impl ExecutedLink {
         block: Block,
         breakdown: &mut CertBreakdown,
     ) -> Result<Self, CertError> {
-        let parent = tip.hash();
-        if block.header.prev_hash != parent {
-            return Err(CertError::Chain(ChainError::BrokenLink {
-                claimed: block.header.prev_hash,
-                actual: parent,
-            }));
-        }
-        if tip.height.checked_add(1) != Some(block.header.height) {
-            return Err(CertError::Chain(ChainError::BadHeight {
-                parent: tip.height,
-                child: block.header.height,
-            }));
-        }
+        check_extends(tip, &block.header)?;
         let (execution, took) = timed(|| {
             let calls: Vec<Call> = block.txs.iter().map(|tx| tx.call.clone()).collect();
             executor.execute_block(pre_state, &calls)

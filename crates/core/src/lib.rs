@@ -12,7 +12,9 @@
 //! - [`Certificate`]: `⟨pk_enc, rep, dig, sig⟩` (Section 3.3),
 //! - [`CertProgram`]: the trusted in-enclave program — Algorithm 2
 //!   (`ecall_sig_gen` / `blk_verify_t` / `cert_verify_t`), Algorithm 4
-//!   (augmented), Algorithm 5's per-index step (hierarchical),
+//!   (augmented), Algorithm 5's per-index step (hierarchical): one replay
+//!   walk over borrowed links running the full node's own
+//!   `dcert_chain::validity` rule, one recursion-anchor check,
 //! - the certification core (the private `engine` module): the one
 //!   definition of each untrusted step of Algorithm 1 — enclave boot and
 //!   attestation, link building, request marshalling, ECall dispatch,
@@ -21,7 +23,8 @@
 //!   across a sequencer, a preparer pool, an issuer and a publisher thread,
 //!   and [`ShardedCertEngine`] across parallel shard enclaves plus an
 //!   aggregator — all three byte-identical at every height (DESIGN.md §4),
-//! - [`SuperlightClient`]: Algorithm 3 plus index-certificate tracking,
+//! - [`SuperlightClient`]: Algorithm 3 — one acceptance path behind its
+//!   three `validate_*` entries — plus index-certificate tracking,
 //! - [`IndexVerifier`]: the extension point through which authenticated
 //!   indexes (in `dcert-query`) plug their trusted update checks into the
 //!   enclave.

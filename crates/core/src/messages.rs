@@ -60,6 +60,20 @@ pub struct BlockInput {
     pub state_proof: SmtProof,
 }
 
+impl BlockInput {
+    /// Splits the input into its anchor — `(prev_header, prev_cert)` — and
+    /// the one [`BatchLink`] validated against it: a `SigGen` is a batch
+    /// of one, and the trusted program replays it as such without copying.
+    pub fn into_anchor_and_link(self) -> (BlockHeader, Option<Certificate>, BatchLink) {
+        let link = BatchLink {
+            block: self.block,
+            reads: self.reads,
+            state_proof: self.state_proof,
+        };
+        (self.prev_header, self.prev_cert, link)
+    }
+}
+
 /// The per-index inputs shared by Algorithms 4 and 5.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IndexInput {
@@ -176,19 +190,10 @@ const TAG_BATCH_SIG_GEN: u8 = 4;
 const TAG_RANGE_SIG_GEN: u8 = 5;
 const TAG_FOLD_RANGES: u8 = 6;
 
-fn encode_kv_set(set: &[(StateKey, Option<Vec<u8>>)], out: &mut Vec<u8>) {
-    encode_seq(set, out);
-}
-
-#[allow(clippy::type_complexity)]
-fn decode_kv_set(r: &mut Reader<'_>) -> Result<Vec<(StateKey, Option<Vec<u8>>)>, CodecError> {
-    decode_seq(r)
-}
-
 impl Encode for BatchLink {
     fn encode(&self, out: &mut Vec<u8>) {
         self.block.encode(out);
-        encode_kv_set(&self.reads, out);
+        encode_seq(&self.reads, out);
         self.state_proof.encode(out);
     }
 }
@@ -197,7 +202,7 @@ impl Decode for BatchLink {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(BatchLink {
             block: Block::decode(r)?,
-            reads: decode_kv_set(r)?,
+            reads: decode_seq(r)?,
             state_proof: SmtProof::decode(r)?,
         })
     }
@@ -208,7 +213,7 @@ impl Encode for BlockInput {
         self.prev_header.encode(out);
         self.prev_cert.encode(out);
         self.block.encode(out);
-        encode_kv_set(&self.reads, out);
+        encode_seq(&self.reads, out);
         self.state_proof.encode(out);
     }
 }
@@ -219,7 +224,7 @@ impl Decode for BlockInput {
             prev_header: BlockHeader::decode(r)?,
             prev_cert: Option::<Certificate>::decode(r)?,
             block: Block::decode(r)?,
-            reads: decode_kv_set(r)?,
+            reads: decode_seq(r)?,
             state_proof: SmtProof::decode(r)?,
         })
     }
@@ -253,7 +258,7 @@ impl Encode for IdxRequest {
         self.header.encode(out);
         self.block.encode(out);
         self.block_cert.encode(out);
-        encode_kv_set(&self.writes, out);
+        encode_seq(&self.writes, out);
         self.write_proof.encode(out);
         self.index.encode(out);
     }
@@ -266,7 +271,7 @@ impl Decode for IdxRequest {
             header: BlockHeader::decode(r)?,
             block: Block::decode(r)?,
             block_cert: Certificate::decode(r)?,
-            writes: decode_kv_set(r)?,
+            writes: decode_seq(r)?,
             write_proof: SmtProof::decode(r)?,
             index: IndexInput::decode(r)?,
         })
@@ -417,7 +422,7 @@ impl SplitRequest {
         let mut split = Self::anchored(TAG_IDX_SIG_GEN, prev_header);
         block.header.encode(&mut split.head);
         block.encode(&mut split.head);
-        encode_kv_set(writes, &mut split.tail);
+        encode_seq(writes, &mut split.tail);
         write_proof.encode(&mut split.tail);
         split
     }

@@ -10,7 +10,8 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-use dcert_chain::{BlockHeader, ConsensusEngine};
+use dcert_chain::validity::{check_body, check_extends};
+use dcert_chain::{Block, BlockHeader, ConsensusEngine};
 use dcert_primitives::codec::{Decode, Encode};
 use dcert_primitives::hash::Hash;
 use dcert_primitives::keys::{Keypair, PublicKey, Signature};
@@ -22,9 +23,7 @@ use rand::rngs::OsRng;
 
 use crate::cert::Certificate;
 use crate::error::CertError;
-use crate::messages::{
-    BatchLink, BlockInput, EcallRequest, EcallResponse, IdxRequest, IndexInput, WriteSet,
-};
+use crate::messages::{BatchLink, EcallRequest, EcallResponse, IdxRequest, IndexInput, WriteSet};
 use crate::range::RangeCert;
 use crate::verifier::IndexVerifier;
 
@@ -96,10 +95,6 @@ impl CertProgram {
         self
     }
 
-    fn own_measurement(&self) -> Hash {
-        expected_measurement()
-    }
-
     fn keypair(&self) -> Result<&Keypair, CertError> {
         self.keypair.as_ref().ok_or(CertError::NotInitialized)
     }
@@ -107,85 +102,83 @@ impl CertProgram {
     /// Dispatches a decoded request — the logic behind the byte-level
     /// [`TrustedApp::call`]. Public so tests can assert on typed
     /// [`CertError`]s rather than boundary-rendered strings.
+    ///
+    /// Every signing request is framed the same way by the sealed
+    /// watermark: guard the lowest height on offer, verify and sign, then
+    /// advance the mark to the highest height signed.
     pub fn handle(&mut self, request: EcallRequest) -> Result<EcallResponse, CertError> {
-        match request {
+        let at = |height: u64, strict: bool| (Some(height), strict, Some(height));
+        let last_of = |links: &[BatchLink]| links.last().map(|link| link.block.header.height);
+        // `(height offered to the guard, strict?, height marked signed)`.
+        // Strict guards refuse *at* the watermark too: block certificates
+        // must advance the chain, while the per-index certificates of
+        // Algorithms 4 and 5 legitimately share their block's height. The
+        // fleet's guards are strict — a shard or aggregator never re-signs
+        // heights it already vouched for; restart recovery resumes *above*
+        // the sealed watermark and re-certifying after a reorg takes a
+        // fresh enclave (a new key, a new attestation).
+        let (offered, strict, signs) = match &request {
+            EcallRequest::Init => (None, true, None),
+            EcallRequest::SigGen(input) => at(input.block.header.height, true),
+            EcallRequest::AugSigGen(input, _) => at(input.block.header.height, false),
+            EcallRequest::IdxSigGen(req) => at(req.header.height, false),
+            EcallRequest::BatchSigGen { links, .. } => (last_of(links), true, last_of(links)),
+            EcallRequest::RangeSigGen { anchor, links } => {
+                (Some(first_above(anchor)?), true, last_of(links))
+            }
+            EcallRequest::FoldRanges { ranges, .. } => {
+                let first = ranges.first().ok_or(CertError::EmptyRange)?.first;
+                (Some(first), true, ranges.last().map(|range| range.last))
+            }
+        };
+        if let Some(offered) = offered {
+            self.guard_height(offered, strict)?;
+        }
+        let response = match request {
             EcallRequest::Init => {
                 let kp = self.keypair.get_or_insert_with(|| {
                     // dcert-lint: allow(r3-determinism, reason = "sk_enc generation entropy on the Init ECall; replayable runs pre-seed via with_signing_seed")
                     Keypair::generate(&mut OsRng)
                 });
-                Ok(EcallResponse::Initialized(kp.public()))
+                EcallResponse::Initialized(kp.public())
             }
+            // Algorithm 2 (`ecall_sig_gen`) is a batch of one.
             EcallRequest::SigGen(input) => {
-                self.guard_height(input.block.header.height, true)?;
-                let sig = self.sig_gen(&input)?;
-                self.mark_signed(input.block.header.height);
-                Ok(EcallResponse::Signature(sig))
+                let (prev_header, prev_cert, link) = input.into_anchor_and_link();
+                let sig = self.batch_sig_gen(&prev_header, prev_cert.as_ref(), &[link])?;
+                EcallResponse::Signature(sig)
             }
-            EcallRequest::AugSigGen(block_input, index_input) => {
-                // Non-strict: one augmented certificate *per index* is
-                // legitimately signed at the same height.
-                self.guard_height(block_input.block.header.height, false)?;
-                let sig = self.aug_sig_gen(&block_input, &index_input)?;
-                self.mark_signed(block_input.block.header.height);
-                Ok(EcallResponse::Signature(sig))
+            EcallRequest::AugSigGen(input, index) => {
+                let (prev_header, _, link) = input.into_anchor_and_link();
+                EcallResponse::Signature(self.aug_sig_gen(&prev_header, &link, &index)?)
             }
-            EcallRequest::IdxSigGen(req) => {
-                // Non-strict: index certificates follow the block
-                // certificate at the same height (Algorithm 5).
-                self.guard_height(req.header.height, false)?;
-                let sig = self.idx_sig_gen(&req)?;
-                self.mark_signed(req.header.height);
-                Ok(EcallResponse::Signature(sig))
-            }
+            EcallRequest::IdxSigGen(req) => EcallResponse::Signature(self.idx_sig_gen(&req)?),
             EcallRequest::BatchSigGen {
                 prev_header,
                 prev_cert,
                 links,
-            } => {
-                if let Some(last) = links.last() {
-                    self.guard_height(last.block.header.height, true)?;
-                }
-                let sig = self.batch_sig_gen(&prev_header, prev_cert.as_ref(), &links)?;
-                if let Some(last) = links.last() {
-                    self.mark_signed(last.block.header.height);
-                }
-                Ok(EcallResponse::Signature(sig))
-            }
+            } => EcallResponse::Signature(self.batch_sig_gen(
+                &prev_header,
+                prev_cert.as_ref(),
+                &links,
+            )?),
             EcallRequest::RangeSigGen { anchor, links } => {
-                let first = anchor
-                    .height
-                    .checked_add(1)
-                    .ok_or(CertError::HeightOverflow)?;
-                // Strict: a shard enclave never re-signs a range it already
-                // vouched for — restart recovery resumes *above* the sealed
-                // watermark; re-certifying after a reorg requires a fresh
-                // shard enclave (a new key, a new attestation).
-                self.guard_height(first, true)?;
-                let sig = self.range_sig_gen(&anchor, &links)?;
-                if let Some(last) = links.last() {
-                    self.mark_signed(last.block.header.height);
-                }
-                Ok(EcallResponse::Signature(sig))
+                EcallResponse::Signature(self.range_sig_gen(&anchor, &links)?)
             }
             EcallRequest::FoldRanges {
                 anchor,
                 anchor_cert,
                 ranges,
-            } => {
-                let first = ranges.first().ok_or(CertError::EmptyRange)?.first;
-                // Strict: the aggregator refuses to fold ranges at or below
-                // heights it already signed — the stale-range watermark.
-                // After a reorg the fleet must boot a fresh aggregator to
-                // re-issue the affected suffix.
-                self.guard_height(first, true)?;
-                let sigs = self.fold_ranges(&anchor, anchor_cert.as_ref(), &ranges)?;
-                if let Some(last) = ranges.last() {
-                    self.mark_signed(last.last);
-                }
-                Ok(EcallResponse::Signatures(sigs))
-            }
+            } => EcallResponse::Signatures(self.fold_ranges(
+                &anchor,
+                anchor_cert.as_ref(),
+                &ranges,
+            )?),
+        };
+        if let Some(height) = signs {
+            self.mark_signed(height);
         }
+        Ok(response)
     }
 
     /// The monotonicity guard: refuse to sign below the sealed watermark
@@ -215,35 +208,24 @@ impl CertProgram {
         self.last_signed_height
     }
 
-    /// Batch extension of Algorithm 2: one anchor check, then sequential
-    /// `blk_verify_t` per link, one signature over the final header. The
-    /// returned certificate vouches for the whole prefix exactly as a
-    /// per-block certificate would (recursion is unchanged; intermediate
-    /// certificates are simply never materialized).
+    /// Algorithm 2 and its batch extension: one anchor check, then
+    /// sequential `blk_verify_t` per link, one signature over the final
+    /// header. The returned certificate vouches for the whole prefix
+    /// exactly as a per-block certificate would (recursion is unchanged;
+    /// intermediate certificates are simply never materialized).
     fn batch_sig_gen(
         &self,
         prev_header: &BlockHeader,
         prev_cert: Option<&Certificate>,
         links: &[BatchLink],
     ) -> Result<Signature, CertError> {
-        if links.is_empty() {
-            return Err(CertError::EnclaveRejected("empty batch".into()));
-        }
-        self.verify_prev_block(prev_header, prev_cert)?;
-        let mut anchor = prev_header.clone();
-        for link in links {
-            let input = BlockInput {
-                prev_header: anchor,
-                prev_cert: None, // the anchor chain is verified in-batch
-                block: link.block.clone(),
-                reads: link.reads.clone(),
-                state_proof: link.state_proof.clone(),
-            };
-            self.blk_verify(&input)?;
-            anchor = link.block.header.clone();
-        }
+        let last = links
+            .last()
+            .ok_or_else(|| CertError::EnclaveRejected("empty batch".into()))?;
+        self.verify_anchor(prev_header, prev_cert, None)?;
+        self.replay(prev_header, links)?;
         let kp = self.keypair()?;
-        Ok(kp.sign(anchor.hash().as_bytes()))
+        Ok(kp.sign(last.block.header.hash().as_bytes()))
     }
 
     /// Shard-fleet range step: sequential `blk_verify_t` from an
@@ -257,29 +239,12 @@ impl CertProgram {
         anchor: &BlockHeader,
         links: &[BatchLink],
     ) -> Result<Signature, CertError> {
-        if links.is_empty() {
-            return Err(CertError::EmptyRange);
-        }
-        let first = anchor
-            .height
-            .checked_add(1)
-            .ok_or(CertError::HeightOverflow)?;
-        let anchor_digest = anchor.hash();
-        let mut prev = anchor.clone();
-        let mut digests = Vec::with_capacity(links.len());
-        for link in links {
-            let input = BlockInput {
-                prev_header: prev,
-                prev_cert: None, // anchor is uncertified by design
-                block: link.block.clone(),
-                reads: link.reads.clone(),
-                state_proof: link.state_proof.clone(),
-            };
-            self.blk_verify(&input)?;
-            prev = link.block.header.clone();
-            digests.push(prev.hash());
-        }
-        let binding = RangeCert::binding_digest(&anchor_digest, first, prev.height, &digests);
+        let last = links.last().ok_or(CertError::EmptyRange)?;
+        let first = first_above(anchor)?;
+        self.replay(anchor, links)?;
+        let digests: Vec<Hash> = links.iter().map(|link| link.block.header.hash()).collect();
+        let binding =
+            RangeCert::binding_digest(&anchor.hash(), first, last.block.header.height, &digests);
         let kp = self.keypair()?;
         Ok(kp.sign(binding.as_bytes()))
     }
@@ -297,16 +262,10 @@ impl CertProgram {
         anchor_cert: Option<&Certificate>,
         ranges: &[RangeCert],
     ) -> Result<Vec<Signature>, CertError> {
-        if ranges.is_empty() {
-            return Err(CertError::EmptyRange);
-        }
-        self.verify_prev_block(anchor, anchor_cert)?;
-        let measurement = self.own_measurement();
+        self.verify_anchor(anchor, anchor_cert, None)?;
+        let measurement = expected_measurement();
         let mut prev_digest = anchor.hash();
-        let mut next_height = anchor
-            .height
-            .checked_add(1)
-            .ok_or(CertError::HeightOverflow)?;
+        let mut next_height = first_above(anchor)?;
         let kp = self.keypair()?;
         let mut sigs = Vec::new();
         for range in ranges {
@@ -329,57 +288,26 @@ impl CertProgram {
         Ok(sigs)
     }
 
-    /// Algorithm 2: `ecall_sig_gen`.
-    fn sig_gen(&self, input: &BlockInput) -> Result<Signature, CertError> {
-        self.verify_prev_block(&input.prev_header, input.prev_cert.as_ref())?;
-        self.blk_verify(input)?;
-        let kp = self.keypair()?;
-        Ok(kp.sign(input.block.header.hash().as_bytes()))
-    }
-
     /// Algorithm 4: augmented certificate (block + one index, one ECall).
     fn aug_sig_gen(
         &self,
-        block_input: &BlockInput,
-        index_input: &IndexInput,
+        prev_header: &BlockHeader,
+        link: &BatchLink,
+        index: &IndexInput,
     ) -> Result<Signature, CertError> {
-        let verifier = self.verifier(&index_input.index_type)?;
+        let verifier = self.verifier(&index.index_type)?;
         // Lines 3–6: validate the previous augmented certificate, or the
         // genesis anchors for both the chain and the index.
-        if block_input.prev_header.height == 0 {
-            if block_input.prev_header.hash() != self.genesis_digest {
-                return Err(CertError::GenesisMismatch);
-            }
-            if index_input.prev_digest != verifier.genesis_digest() {
-                return Err(CertError::GenesisMismatch);
-            }
-        } else {
-            let cert = index_input
-                .prev_cert
-                .as_ref()
-                .ok_or(CertError::MissingPrevCert)?;
-            let expected = Certificate::index_digest(
-                &block_input.prev_header.hash(),
-                &index_input.prev_digest,
-            );
-            cert.verify(&self.ias_key, &self.own_measurement(), &expected)?;
-        }
-        // Line 7: full block validation (replay), yielding the write set.
-        let writes = self.blk_verify(block_input)?;
-        // Lines 8–10: recompute the index digest from the update proof.
-        let new_digest = verifier.verify_update(
-            &index_input.prev_digest,
-            &block_input.block,
-            &writes,
-            &index_input.aux,
+        self.verify_anchor(
+            prev_header,
+            index.prev_cert.as_ref(),
+            Some((verifier, &index.prev_digest)),
         )?;
-        if new_digest != index_input.new_digest {
-            return Err(CertError::IndexDigestMismatch);
-        }
-        // Line 12: sign H(H(hdr_i) ‖ H_i^idx).
-        let digest = Certificate::index_digest(&block_input.block.header.hash(), &new_digest);
-        let kp = self.keypair()?;
-        Ok(kp.sign(digest.as_bytes()))
+        // Line 7: full block validation (replay), yielding the write set.
+        let writes = self.replay(prev_header, std::slice::from_ref(link))?;
+        // Lines 8–12.
+        let header_digest = link.block.header.hash();
+        self.sign_index_update(verifier, index, &link.block, &writes, &header_digest)
     }
 
     /// Algorithm 5, loop body: hierarchical index certificate. The block is
@@ -389,21 +317,10 @@ impl CertProgram {
         let header_digest = req.header.hash();
         // Line 10: the block certificate vouches for hdr_i.
         req.block_cert
-            .verify(&self.ias_key, &self.own_measurement(), &header_digest)?;
+            .verify(&self.ias_key, &expected_measurement(), &header_digest)?;
         // Linkage: hdr_i commits to hdr_{i-1}, so the parent header (and
         // its state root) is authentic once cert_i checks out.
-        if req.header.prev_hash != req.prev_header.hash() {
-            return Err(CertError::Chain(dcert_chain::ChainError::BrokenLink {
-                claimed: req.header.prev_hash,
-                actual: req.prev_header.hash(),
-            }));
-        }
-        if req.header.height != req.prev_header.height + 1 {
-            return Err(CertError::Chain(dcert_chain::ChainError::BadHeight {
-                parent: req.prev_header.height,
-                child: req.header.height,
-            }));
-        }
+        check_extends(&req.prev_header, &req.header)?;
         // The block body must be the certified one (verifiers may read tx
         // payloads, e.g. for keyword indexes).
         if req.block.header.hash() != header_digest {
@@ -411,49 +328,45 @@ impl CertProgram {
         }
         req.block.verify_tx_root()?;
         // Lines 5–9: previous index certificate or genesis anchors.
-        if req.prev_header.height == 0 {
-            if req.prev_header.hash() != self.genesis_digest {
-                return Err(CertError::GenesisMismatch);
-            }
-            if req.index.prev_digest != verifier.genesis_digest() {
-                return Err(CertError::GenesisMismatch);
-            }
-        } else {
-            let cert = req
-                .index
-                .prev_cert
-                .as_ref()
-                .ok_or(CertError::MissingPrevCert)?;
-            let expected =
-                Certificate::index_digest(&req.prev_header.hash(), &req.index.prev_digest);
-            cert.verify(&self.ias_key, &self.own_measurement(), &expected)?;
-        }
+        self.verify_anchor(
+            &req.prev_header,
+            req.index.prev_cert.as_ref(),
+            Some((verifier, &req.index.prev_digest)),
+        )?;
         // Authenticate the claimed write set without replaying: it must
         // transform the certified parent state root into the certified new
         // state root.
-        req.write_proof
-            .verify(&req.prev_header.state_root)
-            .map_err(CertError::Proof)?;
-        let write_hashes = hash_writes(&req.writes);
-        let reached = req
-            .write_proof
-            .updated_root(&write_hashes)
-            .map_err(CertError::Proof)?;
+        req.write_proof.verify(&req.prev_header.state_root)?;
+        let reached = req.write_proof.updated_root(&hash_writes(&req.writes))?;
         if reached != req.header.state_root {
             return Err(CertError::WriteSetMismatch);
         }
-        // Lines 11–13: recompute the index digest.
-        let new_digest = verifier.verify_update(
-            &req.index.prev_digest,
+        // Lines 11–15.
+        self.sign_index_update(
+            verifier,
+            &req.index,
             &req.block,
             &req.writes,
-            &req.index.aux,
-        )?;
-        if new_digest != req.index.new_digest {
+            &header_digest,
+        )
+    }
+
+    /// The tail Algorithms 4 and 5 share: recompute the index digest from
+    /// the update proof, hold it against the claimed one, and sign
+    /// `H(H(hdr_i) ‖ H_i^idx)`.
+    fn sign_index_update(
+        &self,
+        verifier: &dyn IndexVerifier,
+        index: &IndexInput,
+        block: &Block,
+        writes: &WriteSet,
+        header_digest: &Hash,
+    ) -> Result<Signature, CertError> {
+        let new_digest = verifier.verify_update(&index.prev_digest, block, writes, &index.aux)?;
+        if new_digest != index.new_digest {
             return Err(CertError::IndexDigestMismatch);
         }
-        // Line 15: sign H(H(hdr_i) ‖ H_i^idx).
-        let digest = Certificate::index_digest(&header_digest, &new_digest);
+        let digest = Certificate::index_digest(header_digest, &new_digest);
         let kp = self.keypair()?;
         Ok(kp.sign(digest.as_bytes()))
     }
@@ -465,58 +378,63 @@ impl CertProgram {
             .ok_or_else(|| CertError::UnknownIndexType(name.to_owned()))
     }
 
-    /// `cert_verify_t` on the previous block, or the genesis anchor
-    /// (Algorithm 2, lines 3–6).
-    fn verify_prev_block(
+    /// The recursion anchor: `cert_verify_t` on the previous certificate,
+    /// or the genesis digest when the parent is genesis (Algorithm 2,
+    /// lines 3–6). With `index` — a verifier and the claimed `H_{i-1}^idx`
+    /// — the anchor is the previous *index* certificate over
+    /// `H(H(hdr_{i-1}) ‖ H_{i-1}^idx)`, or both genesis digests
+    /// (Algorithm 4, lines 3–6; Algorithm 5, lines 5–9).
+    fn verify_anchor(
         &self,
         prev_header: &BlockHeader,
         prev_cert: Option<&Certificate>,
+        index: Option<(&dyn IndexVerifier, &Hash)>,
     ) -> Result<(), CertError> {
+        let prev_digest = prev_header.hash();
         if prev_header.height == 0 {
-            if prev_header.hash() != self.genesis_digest {
+            let index_off_genesis =
+                index.is_some_and(|(verifier, digest)| *digest != verifier.genesis_digest());
+            if prev_digest != self.genesis_digest || index_off_genesis {
                 return Err(CertError::GenesisMismatch);
             }
             return Ok(());
         }
         let cert = prev_cert.ok_or(CertError::MissingPrevCert)?;
-        cert.verify(&self.ias_key, &self.own_measurement(), &prev_header.hash())
+        let expected = match index {
+            None => prev_digest,
+            Some((_, digest)) => Certificate::index_digest(&prev_digest, digest),
+        };
+        cert.verify(&self.ias_key, &expected_measurement(), &expected)
+    }
+
+    /// Replays `links` as consecutive chain transitions from `anchor` —
+    /// `blk_verify_t` on each link against its predecessor's header, all
+    /// borrowed from the decoded request. Returns the last link's write set
+    /// (what an index verifier consumes); an empty run writes nothing.
+    fn replay(&self, anchor: &BlockHeader, links: &[BatchLink]) -> Result<WriteSet, CertError> {
+        let mut prev = anchor;
+        let mut writes = WriteSet::new();
+        for link in links {
+            writes = self.blk_verify(prev, link)?;
+            prev = &link.block.header;
+        }
+        Ok(writes)
     }
 
     /// `blk_verify_t` (Algorithm 2, lines 10–24). Returns the replayed
     /// write set for index verifiers.
-    fn blk_verify(&self, input: &BlockInput) -> Result<WriteSet, CertError> {
-        let prev = &input.prev_header;
-        let header = &input.block.header;
-        // Line 14: linkage and height.
-        if header.prev_hash != prev.hash() {
-            return Err(CertError::Chain(dcert_chain::ChainError::BrokenLink {
-                claimed: header.prev_hash,
-                actual: prev.hash(),
-            }));
-        }
-        if header.height != prev.height + 1 {
-            return Err(CertError::Chain(dcert_chain::ChainError::BadHeight {
-                parent: prev.height,
-                child: header.height,
-            }));
-        }
-        // Line 15: consensus proof.
-        self.engine.verify(header)?;
-        // Line 16: transaction commitment and signatures (line 19).
-        input.block.verify_tx_root()?;
-        for tx in &input.block.txs {
-            tx.verify()?;
-        }
+    fn blk_verify(&self, prev: &BlockHeader, link: &BatchLink) -> Result<WriteSet, CertError> {
+        let (block, state_proof) = (&link.block, &link.state_proof);
+        // Lines 14–16 and 19: linkage and height, consensus proof,
+        // transaction commitment and signatures — the full node's rule.
+        check_extends(prev, &block.header)?;
+        check_body(self.engine.as_ref(), block)?;
         // Line 17: authenticate the read set against H_{i-1}^s.
-        input
-            .state_proof
-            .verify(&prev.state_root)
-            .map_err(CertError::Proof)?;
+        state_proof.verify(&prev.state_root)?;
         let mut read_map: BTreeMap<StateKey, Option<Vec<u8>>> = BTreeMap::new();
-        for (key, value) in &input.reads {
+        for (key, value) in &link.reads {
             let claimed = value.as_ref().map(dcert_primitives::hash::hash_bytes);
-            let proven = input
-                .state_proof
+            let proven = state_proof
                 .pre_value_hash(key.as_hash())
                 .map_err(|_| CertError::ReadSetMismatch)?;
             if claimed != proven {
@@ -526,7 +444,7 @@ impl CertProgram {
         }
         // Lines 18–21: replay every transaction on the read set.
         let backend = ReadSetState::new(read_map);
-        let calls: Vec<dcert_vm::Call> = input.block.txs.iter().map(|tx| tx.call.clone()).collect();
+        let calls: Vec<dcert_vm::Call> = block.txs.iter().map(|tx| tx.call.clone()).collect();
         let replay = self.executor.execute_block(&backend, &calls);
         if replay
             .statuses
@@ -537,31 +455,27 @@ impl CertProgram {
         }
         // Lines 22–23: authenticate the write neighborhood and recompute
         // the post-state root.
-        let writes: WriteSet = replay.writes.iter().map(|(k, v)| (*k, v.clone())).collect();
-        let write_hashes = hash_writes(&writes);
-        let reached = input
-            .state_proof
-            .updated_root(&write_hashes)
-            .map_err(CertError::Proof)?;
-        if reached != header.state_root {
+        let writes: WriteSet = replay.writes.into_iter().collect();
+        let reached = state_proof.updated_root(&hash_writes(&writes))?;
+        if reached != block.header.state_root {
             return Err(CertError::StateRootMismatch);
         }
         Ok(writes)
     }
 }
 
+/// The first height above `anchor` — where a range anchored there starts.
+fn first_above(anchor: &BlockHeader) -> Result<u64, CertError> {
+    anchor
+        .height
+        .checked_add(1)
+        .ok_or(CertError::HeightOverflow)
+}
+
 /// Converts a write set into the `(path, value-hash)` pairs the SMT update
 /// consumes.
 pub fn hash_writes(writes: &WriteSet) -> Vec<(Hash, Option<Hash>)> {
-    writes
-        .iter()
-        .map(|(k, v)| {
-            (
-                *k.as_hash(),
-                v.as_ref().map(dcert_primitives::hash::hash_bytes),
-            )
-        })
-        .collect()
+    dcert_chain::validity::hash_writes(writes.iter().map(|(key, value)| (key, value)))
 }
 
 impl Sealable for CertProgram {
@@ -590,11 +504,8 @@ impl Sealable for CertProgram {
             32 => (state, 0u64),
             40 => {
                 let (key, be) = state.split_at(32);
-                let mut buf = [0u8; 8];
-                for (dst, src) in buf.iter_mut().zip(be) {
-                    *dst = *src;
-                }
-                (key, u64::from_be_bytes(buf))
+                let be = be.try_into().map_err(|_| SgxError::BadSeal)?;
+                (key, u64::from_be_bytes(be))
             }
             _ => return Err(SgxError::BadSeal),
         };

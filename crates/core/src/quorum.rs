@@ -18,7 +18,7 @@ use dcert_primitives::keys::PublicKey;
 use crate::cert::Certificate;
 use crate::error::CertError;
 use crate::network::NetMessage;
-use crate::superlight::{SuperlightClient, SyncOutcome};
+use crate::superlight::{check_selection, GapTracker, SuperlightClient, SyncOutcome};
 
 /// One trust domain: an attestation root plus the expected program
 /// measurement within it (e.g. "Intel IAS + SGX build" or
@@ -49,9 +49,7 @@ pub struct QuorumClient {
     /// domains' certificates for a height arrive interleaved and possibly
     /// out of order, so they are accumulated per-message.
     pending: HashMap<Hash, (BlockHeader, HashMap<String, Certificate>)>,
-    /// Highest height any certificate message announced (gap detection,
-    /// as in [`SuperlightClient`]).
-    highest_seen: Option<u64>,
+    gap: GapTracker,
 }
 
 impl QuorumClient {
@@ -78,7 +76,7 @@ impl QuorumClient {
             threshold,
             adopted: None,
             pending: HashMap::new(),
-            highest_seen: None,
+            gap: GapTracker::default(),
         }
     }
 
@@ -89,11 +87,11 @@ impl QuorumClient {
     pub fn on_message(&mut self, message: &NetMessage) -> SyncOutcome {
         let NetMessage::BlockCert { header, cert } = message else {
             if let Some(h) = message.height() {
-                self.saw_height(h);
+                self.gap.saw_height(h);
             }
             return SyncOutcome::Ignored;
         };
-        self.saw_height(header.height);
+        self.gap.saw_height(header.height);
         if self.height().is_some_and(|h| header.height <= h) {
             return SyncOutcome::Stale;
         }
@@ -101,16 +99,13 @@ impl QuorumClient {
         let mut first_error = None;
         let mut accepted_by = None;
         for (domain, client) in &self.domains {
-            let mut scratch = client.clone();
-            match scratch.validate_chain(header, cert) {
+            match client.clone().validate_chain(header, cert) {
                 Ok(()) => {
                     accepted_by = Some(domain.name.clone());
                     break;
                 }
                 Err(e) => {
-                    if first_error.is_none() {
-                        first_error = Some(e);
-                    }
+                    first_error.get_or_insert(e);
                 }
             }
         }
@@ -149,24 +144,17 @@ impl QuorumClient {
     /// were announced beyond the adopted height (missed deliveries, or a
     /// quorum stuck waiting on a domain whose certificate was lost).
     pub fn needs_resync(&self) -> Option<(u64, u64)> {
-        let seen = self.highest_seen?;
-        let have = self.height().unwrap_or(0);
-        (seen > have).then_some((have + 1, seen))
+        self.gap.needs_resync(self.height())
     }
 
     /// The re-request to publish when a gap is detected.
     pub fn resync_request(&self) -> Option<NetMessage> {
-        self.needs_resync()
-            .map(|(from, to)| NetMessage::CertRequest { from, to })
+        self.gap.resync_request(self.height())
     }
 
     /// Highest height any certificate message announced.
     pub fn highest_seen(&self) -> Option<u64> {
-        self.highest_seen
-    }
-
-    fn saw_height(&mut self, height: u64) {
-        self.highest_seen = Some(self.highest_seen.map_or(height, |h| h.max(height)));
+        self.gap.highest_seen
     }
 
     /// The quorum threshold.
@@ -199,14 +187,7 @@ impl QuorumClient {
         header: &BlockHeader,
         certs: &[(String, Certificate)],
     ) -> Result<usize, CertError> {
-        if let Some(current) = &self.adopted {
-            if header.height <= current.height {
-                return Err(CertError::ChainSelection {
-                    current: current.height,
-                    offered: header.height,
-                });
-            }
-        }
+        check_selection(self.height(), header.height)?;
         let by_name: HashMap<&str, &Certificate> =
             certs.iter().map(|(n, c)| (n.as_str(), c)).collect();
         let mut accepted = 0usize;
@@ -225,9 +206,7 @@ impl QuorumClient {
                     accepted += 1;
                 }
                 Err(e) => {
-                    if first_error.is_none() {
-                        first_error = Some(e);
-                    }
+                    first_error.get_or_insert(e);
                 }
             }
         }

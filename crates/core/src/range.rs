@@ -22,7 +22,7 @@ use dcert_primitives::hash::{hash_concat, Hash};
 use dcert_primitives::keys::{PublicKey, Signature};
 use dcert_sgx::AttestationReport;
 
-use crate::cert::Certificate;
+use crate::cert::verify_attested_key;
 use crate::error::CertError;
 
 /// Domain tag for the range binding digest — keeps range signatures
@@ -87,8 +87,9 @@ impl RangeCert {
     }
 
     /// Verifies the range certificate's trust chain and structure — the
-    /// aggregator-side acceptance check, mirroring
-    /// [`Certificate::verify_trust`] plus the range-specific binding:
+    /// aggregator-side acceptance check: the attested-key check of
+    /// [`Certificate::verify_trust`](crate::Certificate::verify_trust)
+    /// (steps 1–3, the same function) plus the range-specific binding:
     ///
     /// 1. the report is signed by the IAS root,
     /// 2. the report's measurement equals the certificate program's,
@@ -109,13 +110,7 @@ impl RangeCert {
         ias_key: &PublicKey,
         expected_measurement: &Hash,
     ) -> Result<(), CertError> {
-        self.report.verify(ias_key)?;
-        if self.report.measurement != *expected_measurement {
-            return Err(CertError::WrongMeasurement);
-        }
-        if self.report.report_data != Certificate::key_binding(&self.pk_range) {
-            return Err(CertError::KeyBindingMismatch);
-        }
+        verify_attested_key(&self.report, &self.pk_range, ias_key, expected_measurement)?;
         let span = self.span_len()?;
         let digests =
             u64::try_from(self.header_digests.len()).map_err(|_| CertError::HeightOverflow)?;
@@ -169,27 +164,35 @@ impl Decode for RangeCert {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cert::Certificate;
     use dcert_primitives::hash::hash_bytes;
     use dcert_primitives::keys::Keypair;
     use dcert_sgx::{AttestationService, Quote};
 
+    fn make_range_cert(first: u64, count: u64) -> (RangeCert, PublicKey, Hash) {
+        make_range_cert_at(hash_bytes(b"anchor"), first, count)
+    }
+
     /// Hand-assembles a valid range certificate outside the enclave
     /// machinery, mirroring `cert::tests::make_cert`.
-    fn make_range_cert(first: u64, count: u64) -> (RangeCert, PublicKey, Hash) {
+    fn make_range_cert_at(
+        anchor_digest: Hash,
+        first: u64,
+        count: u64,
+    ) -> (RangeCert, PublicKey, Hash) {
         let mut ias = AttestationService::with_seed([7; 32]);
         let platform = Keypair::from_seed([8; 32]);
         ias.register_platform(platform.public());
         let range_key = Keypair::from_seed([9; 32]);
-        let measurement = hash_bytes(b"cert-program");
+        let measurement = crate::expected_measurement();
         let quote = Quote::sign(
             &platform,
             measurement,
             Certificate::key_binding(&range_key.public()),
         );
         let report = ias.attest(&quote).unwrap();
-        let anchor_digest = hash_bytes(b"anchor");
         let header_digests: Vec<Hash> = (0..count)
-            .map(|i| hash_bytes(format!("hdr-{i}").as_bytes()))
+            .map(|i| hash_bytes(format!("hdr-{}", first + i).as_bytes()))
             .collect();
         let last = first + count - 1;
         let binding = RangeCert::binding_digest(&anchor_digest, first, last, &header_digests);
@@ -289,6 +292,51 @@ mod tests {
         assert_eq!(
             cert.verify(&ias_key, &measurement),
             Err(CertError::EmptyRange)
+        );
+    }
+
+    /// The aggregator's chaining checks (`FoldRanges`): attested,
+    /// well-signed ranges are still refused when they do not chain
+    /// digest-to-digest from the fold anchor, or leave a height gap.
+    #[test]
+    fn fold_refuses_misanchored_and_discontiguous_ranges() {
+        use crate::{CertProgram, EcallRequest, EcallResponse};
+        use dcert_chain::{GenesisBuilder, ProofOfWork};
+        use dcert_vm::{ContractRegistry, Executor};
+        use std::sync::Arc;
+
+        let anchor = GenesisBuilder::new().build().0.header;
+        let (first, ias_key, _) = make_range_cert_at(anchor.hash(), 1, 2);
+        let fold = |second: RangeCert| {
+            let mut program = CertProgram::new(
+                anchor.hash(),
+                ias_key,
+                Executor::new(Arc::new(ContractRegistry::new())),
+                Arc::new(ProofOfWork::new(0)),
+                Vec::new(),
+            );
+            program.handle(EcallRequest::Init).unwrap();
+            program.handle(EcallRequest::FoldRanges {
+                anchor: anchor.clone(),
+                anchor_cert: None,
+                ranges: vec![first.clone(), second],
+            })
+        };
+        let tip = first.header_digests[1];
+        assert!(matches!(
+            fold(make_range_cert_at(tip, 3, 2).0),
+            Ok(EcallResponse::Signatures(signatures)) if signatures.len() == 4
+        ));
+        assert_eq!(
+            fold(make_range_cert_at(hash_bytes(b"another chain"), 3, 2).0),
+            Err(CertError::RangeAnchorMismatch)
+        );
+        assert_eq!(
+            fold(make_range_cert_at(tip, 4, 2).0),
+            Err(CertError::RangeDiscontinuity {
+                expected: 3,
+                found: 4
+            })
         );
     }
 

@@ -534,7 +534,7 @@ impl ShardedCertEngine {
         last: u64,
         ias: &mut AttestationService,
     ) -> Result<Vec<RangeCert>, CertError> {
-        let plan = ShardPlan::partition(first, last, self.shards).map_err(CertError::Shard)?;
+        let plan = ShardPlan::partition(first, last, self.shards)?;
         let mut slots: Vec<ShardSlot> = Vec::with_capacity(plan.ranges.len());
         for (shard, range) in plan.ranges.iter().enumerate() {
             slots.push(ShardSlot {
@@ -560,8 +560,7 @@ impl ShardedCertEngine {
                     })?;
                     Ok((shard, slot.range, slot.next, slot.kill_after, boot))
                 })
-                .collect::<Result<_, ShardError>>()
-                .map_err(CertError::Shard)?;
+                .collect::<Result<_, ShardError>>()?;
             if pending.is_empty() {
                 break;
             }
@@ -599,7 +598,7 @@ impl ShardedCertEngine {
 
             let mut any_killed = false;
             for (shard, outcome) in rounds {
-                let run = outcome.map_err(CertError::Shard)?;
+                let run = outcome?;
                 let slot = slots
                     .get_mut(shard)
                     .ok_or(CertError::Shard(ShardError::Worker {
@@ -674,8 +673,7 @@ impl ShardedCertEngine {
                         let program = self.make_program(ias);
                         let platform =
                             self.shard_seed(b"dcert-shard-platform", &self.platform_seed, shard);
-                        let enclave = Enclave::restore(program, self.cost, platform, &seal)
-                            .map_err(CertError::Attestation)?;
+                        let enclave = Enclave::restore(program, self.cost, platform, &seal)?;
                         let boot = Attested::boot(enclave, ias)?;
                         self.metrics
                             .resumed_ranges

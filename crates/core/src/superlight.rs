@@ -58,10 +58,43 @@ pub struct SuperlightClient {
     attested: HashSet<[u8; 32]>,
     /// Latest certified digest + certificate per tracked index.
     indexes: HashMap<String, (Hash, Certificate)>,
-    /// Highest height any *certificate message* announced, adopted or
-    /// not. When it runs ahead of the validated height the client knows
-    /// a delivery was lost or rejected — the gap-detection signal.
-    highest_seen: Option<u64>,
+    gap: GapTracker,
+}
+
+/// Gap detection, shared by [`SuperlightClient`] and
+/// [`QuorumClient`](crate::QuorumClient): the highest height any
+/// *certificate message* announced, adopted or not. When it runs ahead of
+/// the validated height the client knows a delivery was lost or rejected.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct GapTracker {
+    pub(crate) highest_seen: Option<u64>,
+}
+
+impl GapTracker {
+    pub(crate) fn saw_height(&mut self, height: u64) {
+        self.highest_seen = Some(self.highest_seen.map_or(height, |h| h.max(height)));
+    }
+
+    /// The inclusive `(from, to)` heights announced above the view `have`.
+    pub(crate) fn needs_resync(&self, have: Option<u64>) -> Option<(u64, u64)> {
+        let seen = self.highest_seen?;
+        let have = have.unwrap_or(0);
+        (seen > have).then_some((have + 1, seen))
+    }
+
+    pub(crate) fn resync_request(&self, have: Option<u64>) -> Option<NetMessage> {
+        self.needs_resync(have)
+            .map(|(from, to)| NetMessage::CertRequest { from, to })
+    }
+}
+
+/// The chain-selection rule (Algorithm 3, line 8): a header is adopted
+/// only above the view already held.
+pub(crate) fn check_selection(current: Option<u64>, offered: u64) -> Result<(), CertError> {
+    match current {
+        Some(current) if offered <= current => Err(CertError::ChainSelection { current, offered }),
+        _ => Ok(()),
+    }
 }
 
 impl SuperlightClient {
@@ -73,7 +106,7 @@ impl SuperlightClient {
             latest: None,
             attested: HashSet::new(),
             indexes: HashMap::new(),
-            highest_seen: None,
+            gap: GapTracker::default(),
         }
     }
 
@@ -85,7 +118,7 @@ impl SuperlightClient {
     pub fn on_message(&mut self, message: &NetMessage) -> SyncOutcome {
         match message {
             NetMessage::BlockCert { header, cert } => {
-                self.saw_height(header.height);
+                self.gap.saw_height(header.height);
                 if self.height().is_some_and(|h| header.height <= h) {
                     return SyncOutcome::Stale;
                 }
@@ -100,7 +133,7 @@ impl SuperlightClient {
                 digest,
                 cert,
             } => {
-                self.saw_height(header.height);
+                self.gap.saw_height(header.height);
                 match self.height() {
                     // Hierarchical scheme: the index certificate rides on
                     // the already-adopted header.
@@ -131,26 +164,50 @@ impl SuperlightClient {
     /// missing heights — `Some` when a certificate was announced beyond
     /// the validated view (lost, late, or rejected in flight).
     pub fn needs_resync(&self) -> Option<(u64, u64)> {
-        let seen = self.highest_seen?;
-        let have = self.height().unwrap_or(0);
-        (seen > have).then_some((have + 1, seen))
+        self.gap.needs_resync(self.height())
     }
 
     /// The re-request to publish when a gap is detected: any CI or
     /// archive holding the range answers by republishing it. `None` when
     /// the client is caught up.
     pub fn resync_request(&self) -> Option<NetMessage> {
-        self.needs_resync()
-            .map(|(from, to)| NetMessage::CertRequest { from, to })
+        self.gap.resync_request(self.height())
     }
 
     /// Highest height any certificate message announced, validated or not.
     pub fn highest_seen(&self) -> Option<u64> {
-        self.highest_seen
+        self.gap.highest_seen
     }
 
-    fn saw_height(&mut self, height: u64) {
-        self.highest_seen = Some(self.highest_seen.map_or(height, |h| h.max(height)));
+    /// The one certificate-acceptance path (Algorithm 3): the attestation
+    /// report (lines 3–5, once per enclave key), signature and digest
+    /// against `expected` (lines 6–7) and, for a certificate offered as the
+    /// new chain view `advance`, longest-chain selection (line 8). Only a
+    /// certificate passing all of it is cached as attested and adopted —
+    /// as the chain view, and as the certificate of `index`.
+    fn accept(
+        &mut self,
+        cert: &Certificate,
+        expected: &Hash,
+        advance: Option<&BlockHeader>,
+        index: Option<(&str, Hash)>,
+    ) -> Result<(), CertError> {
+        let key_bytes = cert.pk_enc.to_array();
+        if !self.attested.contains(&key_bytes) {
+            cert.verify_trust(&self.ias_key, &self.measurement)?;
+        }
+        cert.verify_digest(expected)?;
+        if let Some(header) = advance {
+            check_selection(self.height(), header.height)?;
+        }
+        self.attested.insert(key_bytes);
+        if let Some(header) = advance {
+            self.latest = Some((header.clone(), cert.clone()));
+        }
+        if let Some((name, digest)) = index {
+            self.indexes.insert(name.to_owned(), (digest, cert.clone()));
+        }
+        Ok(())
     }
 
     /// Algorithm 3: `validate_chain`. On success the client adopts
@@ -166,25 +223,7 @@ impl SuperlightClient {
         header: &BlockHeader,
         cert: &Certificate,
     ) -> Result<(), CertError> {
-        // Lines 3–5, cached per enclave key.
-        let key_bytes = cert.pk_enc.to_array();
-        if !self.attested.contains(&key_bytes) {
-            cert.verify_trust(&self.ias_key, &self.measurement)?;
-        }
-        // Lines 6–7.
-        cert.verify_digest(&header.hash())?;
-        // Line 8: longest-chain selection.
-        if let Some((current, _)) = &self.latest {
-            if header.height <= current.height {
-                return Err(CertError::ChainSelection {
-                    current: current.height,
-                    offered: header.height,
-                });
-            }
-        }
-        self.attested.insert(key_bytes);
-        self.latest = Some((header.clone(), cert.clone()));
-        Ok(())
+        self.accept(cert, &header.hash(), Some(header), None)
     }
 
     /// Validates an **augmented** certificate, which vouches for the chain
@@ -205,25 +244,8 @@ impl SuperlightClient {
         idx_digest: Hash,
         cert: &Certificate,
     ) -> Result<(), CertError> {
-        let key_bytes = cert.pk_enc.to_array();
-        if !self.attested.contains(&key_bytes) {
-            cert.verify_trust(&self.ias_key, &self.measurement)?;
-        }
         let expected = Certificate::index_digest(&header.hash(), &idx_digest);
-        cert.verify_digest(&expected)?;
-        if let Some((current, _)) = &self.latest {
-            if header.height <= current.height {
-                return Err(CertError::ChainSelection {
-                    current: current.height,
-                    offered: header.height,
-                });
-            }
-        }
-        self.attested.insert(key_bytes);
-        self.latest = Some((header.clone(), cert.clone()));
-        self.indexes
-            .insert(name.to_owned(), (idx_digest, cert.clone()));
-        Ok(())
+        self.accept(cert, &expected, Some(header), Some((name, idx_digest)))
     }
 
     /// Adopts an index certificate for `name`, verifying it against the
@@ -241,15 +263,7 @@ impl SuperlightClient {
     ) -> Result<(), CertError> {
         let (header, _) = self.latest.as_ref().ok_or(CertError::NotInitialized)?;
         let expected = Certificate::index_digest(&header.hash(), &idx_digest);
-        let key_bytes = cert.pk_enc.to_array();
-        if !self.attested.contains(&key_bytes) {
-            cert.verify_trust(&self.ias_key, &self.measurement)?;
-        }
-        cert.verify_digest(&expected)?;
-        self.attested.insert(key_bytes);
-        self.indexes
-            .insert(name.to_owned(), (idx_digest, cert.clone()));
-        Ok(())
+        self.accept(cert, &expected, None, Some((name, idx_digest)))
     }
 
     /// The latest validated header, if any.
@@ -290,7 +304,7 @@ impl SuperlightClient {
             let key = format!("{SUPERLIGHT_INDEX_PREFIX}{name}");
             store.put_head(&key, (*digest, cert.clone()).to_encoded_bytes())?;
         }
-        if let Some(seen) = self.highest_seen {
+        if let Some(seen) = self.gap.highest_seen {
             store.put_head(SUPERLIGHT_SEEN_KEY, seen.to_encoded_bytes())?;
         }
         store.sync()
@@ -326,7 +340,7 @@ impl SuperlightClient {
             }
         }
         if let Some(bytes) = store.head(SUPERLIGHT_SEEN_KEY) {
-            client.saw_height(u64::decode_all(&bytes)?);
+            client.gap.saw_height(u64::decode_all(&bytes)?);
         }
         Ok(client)
     }
@@ -631,6 +645,70 @@ mod tests {
                 .unwrap();
         assert_eq!(resumed.height(), None);
         assert_eq!(resumed.highest_seen(), None);
+    }
+
+    #[test]
+    fn refused_certificates_leave_no_trace() {
+        // Every `validate_*` entry shares one acceptance path: a
+        // certificate that fails any line of it neither marks its key
+        // attested nor moves the chain view or an index digest.
+        let ca = MiniCa::new();
+        let mut client = ca.client();
+        let h1 = header(1);
+        let wrong_digest = ca.certify(hash_bytes(b"somewhere else"));
+        assert_eq!(
+            client.validate_chain(&h1, &wrong_digest),
+            Err(CertError::DigestMismatch)
+        );
+        assert_eq!(
+            client.validate_chain_with_index(&h1, "history", Hash::ZERO, &wrong_digest),
+            Err(CertError::DigestMismatch)
+        );
+        assert_eq!(client.height(), None);
+        assert_eq!(client.index_digest("history"), None);
+        // The key is still unattested: a garbled report is caught.
+        let mut garbled = ca.certify(h1.hash());
+        garbled.report.report_data = hash_bytes(b"not the key binding");
+        assert!(matches!(
+            client.validate_chain(&h1, &garbled),
+            Err(CertError::Attestation(_))
+        ));
+
+        client.validate_chain(&h1, &ca.certify(h1.hash())).unwrap();
+        let idx_digest = hash_bytes(b"index-root");
+        assert_eq!(
+            client.validate_index("history", idx_digest, &wrong_digest),
+            Err(CertError::DigestMismatch)
+        );
+        assert_eq!(client.index_digest("history"), None);
+        // Chain selection is the last line: a valid certificate for a
+        // height the client is already past changes nothing either.
+        let h0 = header(0);
+        assert_eq!(
+            client.validate_chain(&h0, &ca.certify(h0.hash())),
+            Err(CertError::ChainSelection {
+                current: 1,
+                offered: 0
+            })
+        );
+        assert_eq!(client.latest_header(), Some(&h1));
+    }
+
+    #[test]
+    fn gap_tracker_reports_heights_announced_above_the_view() {
+        let mut gap = GapTracker::default();
+        assert_eq!(gap.needs_resync(None), None);
+        gap.saw_height(4);
+        gap.saw_height(2); // late announcements never lower the mark
+        assert_eq!(gap.highest_seen, Some(4));
+        assert_eq!(gap.needs_resync(None), Some((1, 4)));
+        assert_eq!(gap.needs_resync(Some(3)), Some((4, 4)));
+        assert_eq!(gap.needs_resync(Some(4)), None);
+        assert_eq!(
+            gap.resync_request(Some(1)),
+            Some(NetMessage::CertRequest { from: 2, to: 4 })
+        );
+        assert_eq!(gap.resync_request(Some(9)), None);
     }
 
     #[test]

@@ -95,7 +95,12 @@ const ED25519_HOME: &str = "crates/primitives/src/keys.rs";
 
 /// Untrusted-input modules: every byte they verify or decode may be
 /// attacker-supplied, so they must reject, never panic.
-pub const R2_VERIFIER_MODULES: [&str; 15] = [
+pub const R2_VERIFIER_MODULES: [&str; 17] = [
+    // The trusted program decodes host-controlled bytes and acts on them;
+    // the block-validity rule it shares with the full node judges
+    // host-supplied headers and bodies.
+    "crates/core/src/program.rs",
+    "crates/chain/src/validity.rs",
     "crates/core/src/superlight.rs",
     "crates/core/src/range.rs",
     "crates/store/src/",

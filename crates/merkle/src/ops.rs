@@ -487,7 +487,7 @@ mod tests {
     fn leaf(keys: &[u64]) -> OpNode {
         OpNode::Leaf(
             keys.iter()
-                .map(|k| (*k, hash_bytes(&k.to_be_bytes())))
+                .map(|k| (*k, hash_bytes(k.to_be_bytes())))
                 .collect(),
         )
     }

@@ -207,15 +207,6 @@ impl SpObs {
             cert_bytes: registry.histogram("sp.cert_bytes", Buckets::bytes()),
         }
     }
-
-    fn record_query(&self, family: &Counter, vo_bytes: usize, results: usize) {
-        self.queries.inc();
-        family.inc();
-        self.vo_bytes
-            .observe(u64::try_from(vo_bytes).unwrap_or(u64::MAX));
-        self.results
-            .observe(u64::try_from(results).unwrap_or(u64::MAX));
-    }
 }
 
 /// The SP: a full node plus its maintained indexes and their certificate
@@ -394,6 +385,27 @@ impl ServiceProvider {
         self.aggregates.get(name)
     }
 
+    /// The measured query path behind every `serve_*`: runs `query`, then
+    /// records its serving time, VO size and result count (`results` of
+    /// the answer) under `family` into the attached registry, if any.
+    fn measured<A, P: Encode>(
+        &self,
+        family: fn(&SpObs) -> &Counter,
+        results: fn(&A) -> usize,
+        query: impl FnOnce() -> (A, P),
+    ) -> (A, P) {
+        let ((answer, proof), took) = timed(query);
+        if let Some(obs) = &self.obs {
+            let as_u64 = |n: usize| u64::try_from(n).unwrap_or(u64::MAX);
+            obs.queries.inc();
+            family(obs).inc();
+            obs.vo_bytes.observe(as_u64(proof.encoded_len()));
+            obs.results.observe(as_u64(results(&answer)));
+            obs.serve_ns.record(took);
+        }
+        (answer, proof)
+    }
+
     /// Serves an authenticated time-window history query through the SP's
     /// measured query path: the result and proof are exactly
     /// [`HistoryIndex::query`]'s, with serving time, VO size, and result
@@ -407,12 +419,11 @@ impl ServiceProvider {
         t2: u64,
     ) -> Option<(Vec<(u64, Version)>, HistoryProof)> {
         let index = self.histories.get(name)?;
-        let ((results, proof), took) = timed(|| index.query(key, t1, t2));
-        if let Some(obs) = &self.obs {
-            obs.record_query(&obs.history_queries, proof.encoded_len(), results.len());
-            obs.serve_ns.record(took);
-        }
-        Some((results, proof))
+        Some(self.measured(
+            |obs| &obs.history_queries,
+            Vec::len,
+            || index.query(key, t1, t2),
+        ))
     }
 
     /// Serves an authenticated time-window history query with the
@@ -428,12 +439,11 @@ impl ServiceProvider {
         t2: u64,
     ) -> Option<(Vec<(u64, Version)>, HistoryOpProof)> {
         let index = self.histories.get(name)?;
-        let ((results, proof), took) = timed(|| index.query_ops(key, t1, t2));
-        if let Some(obs) = &self.obs {
-            obs.record_query(&obs.history_queries, proof.encoded_len(), results.len());
-            obs.serve_ns.record(took);
-        }
-        Some((results, proof))
+        Some(self.measured(
+            |obs| &obs.history_queries,
+            Vec::len,
+            || index.query_ops(key, t1, t2),
+        ))
     }
 
     /// Serves a conjunctive keyword query ([`InvertedIndex::query`])
@@ -445,12 +455,11 @@ impl ServiceProvider {
         keywords: &[&str],
     ) -> Option<(Vec<Hash>, KeywordProof)> {
         let index = self.inverteds.get(name)?;
-        let ((results, proof), took) = timed(|| index.query(keywords));
-        if let Some(obs) = &self.obs {
-            obs.record_query(&obs.keyword_queries, proof.encoded_len(), results.len());
-            obs.serve_ns.record(took);
-        }
-        Some((results, proof))
+        Some(self.measured(
+            |obs| &obs.keyword_queries,
+            Vec::len,
+            || index.query(keywords),
+        ))
     }
 
     /// Serves a verifiable window aggregation ([`AggregateIndex::query`])
@@ -464,12 +473,11 @@ impl ServiceProvider {
         t2: u64,
     ) -> Option<(Aggregate, AggQueryProof)> {
         let index = self.aggregates.get(name)?;
-        let ((aggregate, proof), took) = timed(|| index.query(key, t1, t2));
-        if let Some(obs) = &self.obs {
-            obs.record_query(&obs.aggregate_queries, proof.encoded_len(), 1);
-            obs.serve_ns.record(took);
-        }
-        Some((aggregate, proof))
+        Some(self.measured(
+            |obs| &obs.aggregate_queries,
+            |_| 1,
+            || index.query(key, t1, t2),
+        ))
     }
 
     /// Serves a verifiable window aggregation with the op-stream proof
@@ -483,12 +491,11 @@ impl ServiceProvider {
         t2: u64,
     ) -> Option<(Aggregate, AggOpQueryProof)> {
         let index = self.aggregates.get(name)?;
-        let ((aggregate, proof), took) = timed(|| index.query_ops(key, t1, t2));
-        if let Some(obs) = &self.obs {
-            obs.record_query(&obs.aggregate_queries, proof.encoded_len(), 1);
-            obs.serve_ns.record(took);
-        }
-        Some((aggregate, proof))
+        Some(self.measured(
+            |obs| &obs.aggregate_queries,
+            |_| 1,
+            || index.query_ops(key, t1, t2),
+        ))
     }
 
     /// Processes one block: executes it, updates every index, advances the
@@ -550,19 +557,15 @@ impl ServiceProvider {
         } = self;
         staged.clear();
         let mut inputs = Vec::with_capacity(histories.len() + inverteds.len() + aggregates.len());
-        let indexes = histories
-            .iter_mut()
-            .map(|(n, i)| (n.as_str(), i as &mut dyn MaintainedIndex))
-            .chain(
-                inverteds
-                    .iter_mut()
-                    .map(|(n, i)| (n.as_str(), i as &mut dyn MaintainedIndex)),
-            )
-            .chain(
-                aggregates
-                    .iter_mut()
-                    .map(|(n, i)| (n.as_str(), i as &mut dyn MaintainedIndex)),
-            );
+        fn as_dyn<I: MaintainedIndex>(
+            map: &mut BTreeMap<String, I>,
+        ) -> impl Iterator<Item = (&str, &mut dyn MaintainedIndex)> {
+            map.iter_mut()
+                .map(|(name, index)| (name.as_str(), index as &mut dyn MaintainedIndex))
+        }
+        let indexes = as_dyn(histories)
+            .chain(as_dyn(inverteds))
+            .chain(as_dyn(aggregates));
         for (name, index) in indexes {
             let (prev_digest, prev_cert) = certified
                 .get(name)
@@ -587,17 +590,13 @@ impl ServiceProvider {
     /// Appends one record if a healthy store is attached; a failure
     /// latches [`ServiceProvider::store_error`] and stops persistence.
     fn persist(&mut self, height: u64, stream: StreamId, body: Vec<u8>) {
-        if self.store_error.is_some() {
-            return;
-        }
-        if let Some(store) = &mut self.store {
-            if let Err(e) = store.append(&Record {
+        if let (Some(store), None) = (&mut self.store, &self.store_error) {
+            let record = Record {
                 height,
                 stream,
                 body,
-            }) {
-                self.store_error = Some(e);
-            }
+            };
+            self.store_error = store.append(&record).err();
         }
     }
 
@@ -607,9 +606,9 @@ impl ServiceProvider {
     /// [`ServiceProvider::advance_staged`] — the two points where the SP's
     /// in-memory bookkeeping reaches a consistent post-block state.
     fn commit_store(&mut self) {
-        if self.store_error.is_some() || self.store.is_none() {
+        let (Some(store), None) = (&mut self.store, &self.store_error) else {
             return;
-        }
+        };
         let mut entries = Vec::with_capacity(self.certified.len() + 1);
         for (name, (digest, cert)) in &self.certified {
             let anchor = match (cert, self.anchors.get(name)) {
@@ -628,18 +627,11 @@ impl ServiceProvider {
             SP_HEIGHT_KEY.to_owned(),
             self.index_height.to_encoded_bytes(),
         ));
-        let result: Result<(), StoreError> = (|| {
-            if let Some(store) = &mut self.store {
-                for (key, value) in entries {
-                    store.put_head(&key, value)?;
-                }
-                store.sync()?;
-            }
-            Ok(())
-        })();
-        if let Err(e) = result {
-            self.store_error = Some(e);
-        }
+        let committed = entries
+            .into_iter()
+            .try_for_each(|(key, value)| store.put_head(&key, value))
+            .and_then(|()| store.sync());
+        self.store_error = committed.err();
     }
 
     /// Records the certificates the CI issued for the last staged block,
@@ -740,6 +732,7 @@ impl ServiceProvider {
     ) -> Result<Self, RecoverError> {
         assert_eq!(self.node.height(), 0, "recover_from requires a genesis SP");
         assert_eq!(self.index_height, 0, "recover_from requires a genesis SP");
+        let refused = |why| RecoverError::Store(StoreError::VerifyFailed(why));
         let committed = match store.head(SP_HEIGHT_KEY) {
             Some(bytes) => u64::decode_all(&bytes)?,
             None => 0,
@@ -768,18 +761,12 @@ impl ServiceProvider {
         // Replay in height order; a gap below the watermark means
         // acknowledged data is missing, so recovery refuses.
         for height in 1..=committed {
-            let writes =
-                writes_pages
-                    .get(&height)
-                    .ok_or(RecoverError::Store(StoreError::VerifyFailed(
-                        "missing writes page below the committed watermark",
-                    )))?;
-            let keywords =
-                keyword_pages
-                    .get(&height)
-                    .ok_or(RecoverError::Store(StoreError::VerifyFailed(
-                        "missing keyword page below the committed watermark",
-                    )))?;
+            let writes = writes_pages
+                .get(&height)
+                .ok_or(refused("missing writes page below the committed watermark"))?;
+            let keywords = keyword_pages.get(&height).ok_or(refused(
+                "missing keyword page below the committed watermark",
+            ))?;
             for index in self.histories.values_mut() {
                 HistoryIndex::apply_block(index, height, &writes.writes);
             }
@@ -800,16 +787,14 @@ impl ServiceProvider {
                 if committed == 0 {
                     continue; // fresh store: nothing committed yet
                 }
-                return Err(RecoverError::Store(StoreError::VerifyFailed(
-                    "missing per-index head entry",
-                )));
+                return Err(refused("missing per-index head entry"));
             };
             let entry = CertifiedEntry::decode_all(&bytes)?;
             let replayed = self.live_digest(name).unwrap_or(Hash::ZERO);
             if entry.digest != replayed {
-                return Err(RecoverError::Store(StoreError::VerifyFailed(
+                return Err(refused(
                     "replayed index digest does not match the committed digest",
-                )));
+                ));
             }
             if let Some((header_hash, cert_digest, cert)) = &entry.anchor {
                 cert.verify(
@@ -832,9 +817,7 @@ impl ServiceProvider {
         for (key, _) in store.head_entries() {
             if let Some(name) = key.strip_prefix(SP_CERT_PREFIX) {
                 if !self.certified.contains_key(name) {
-                    return Err(RecoverError::Store(StoreError::VerifyFailed(
-                        "head entry for an unregistered index",
-                    )));
+                    return Err(refused("head entry for an unregistered index"));
                 }
             }
         }

@@ -104,41 +104,37 @@ impl QuerySpec {
     }
 }
 
+/// [`QuerySpec`] wire tags. The four windowed kinds share one field
+/// layout: `index, key, t1, t2`.
+const TAG_HISTORY: u8 = 0;
+const TAG_KEYWORDS: u8 = 1;
+const TAG_AGGREGATE: u8 = 2;
+const TAG_HISTORY_OP: u8 = 3;
+const TAG_AGGREGATE_OP: u8 = 4;
+
 impl Encode for QuerySpec {
     fn encode(&self, out: &mut Vec<u8>) {
+        let tag = match self {
+            QuerySpec::History { .. } => TAG_HISTORY,
+            QuerySpec::Keywords { .. } => TAG_KEYWORDS,
+            QuerySpec::Aggregate { .. } => TAG_AGGREGATE,
+            QuerySpec::HistoryOp { .. } => TAG_HISTORY_OP,
+            QuerySpec::AggregateOp { .. } => TAG_AGGREGATE_OP,
+        };
+        out.push(tag);
         match self {
-            QuerySpec::History { index, key, t1, t2 } => {
-                out.push(0);
+            QuerySpec::History { index, key, t1, t2 }
+            | QuerySpec::Aggregate { index, key, t1, t2 }
+            | QuerySpec::HistoryOp { index, key, t1, t2 }
+            | QuerySpec::AggregateOp { index, key, t1, t2 } => {
                 index.encode(out);
                 key.encode(out);
                 t1.encode(out);
                 t2.encode(out);
             }
             QuerySpec::Keywords { index, keywords } => {
-                out.push(1);
                 index.encode(out);
                 encode_seq(keywords, out);
-            }
-            QuerySpec::Aggregate { index, key, t1, t2 } => {
-                out.push(2);
-                index.encode(out);
-                key.encode(out);
-                t1.encode(out);
-                t2.encode(out);
-            }
-            QuerySpec::HistoryOp { index, key, t1, t2 } => {
-                out.push(3);
-                index.encode(out);
-                key.encode(out);
-                t1.encode(out);
-                t2.encode(out);
-            }
-            QuerySpec::AggregateOp { index, key, t1, t2 } => {
-                out.push(4);
-                index.encode(out);
-                key.encode(out);
-                t1.encode(out);
-                t2.encode(out);
             }
         }
     }
@@ -160,37 +156,22 @@ impl Encode for QuerySpec {
 
 impl Decode for QuerySpec {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        match r.take_byte()? {
-            0 => Ok(QuerySpec::History {
-                index: String::decode(r)?,
-                key: StateKey::decode(r)?,
-                t1: u64::decode(r)?,
-                t2: u64::decode(r)?,
-            }),
-            1 => Ok(QuerySpec::Keywords {
-                index: String::decode(r)?,
-                keywords: decode_seq(r)?,
-            }),
-            2 => Ok(QuerySpec::Aggregate {
-                index: String::decode(r)?,
-                key: StateKey::decode(r)?,
-                t1: u64::decode(r)?,
-                t2: u64::decode(r)?,
-            }),
-            3 => Ok(QuerySpec::HistoryOp {
-                index: String::decode(r)?,
-                key: StateKey::decode(r)?,
-                t1: u64::decode(r)?,
-                t2: u64::decode(r)?,
-            }),
-            4 => Ok(QuerySpec::AggregateOp {
-                index: String::decode(r)?,
-                key: StateKey::decode(r)?,
-                t1: u64::decode(r)?,
-                t2: u64::decode(r)?,
-            }),
-            other => Err(CodecError::InvalidTag(other)),
+        let tag = r.take_byte()?;
+        if tag > TAG_AGGREGATE_OP {
+            return Err(CodecError::InvalidTag(tag));
         }
+        let index = String::decode(r)?;
+        if tag == TAG_KEYWORDS {
+            let keywords = decode_seq(r)?;
+            return Ok(QuerySpec::Keywords { index, keywords });
+        }
+        let (key, t1, t2) = (StateKey::decode(r)?, u64::decode(r)?, u64::decode(r)?);
+        Ok(match tag {
+            TAG_HISTORY => QuerySpec::History { index, key, t1, t2 },
+            TAG_AGGREGATE => QuerySpec::Aggregate { index, key, t1, t2 },
+            TAG_HISTORY_OP => QuerySpec::HistoryOp { index, key, t1, t2 },
+            _ => QuerySpec::AggregateOp { index, key, t1, t2 },
+        })
     }
 }
 
@@ -290,20 +271,15 @@ pub enum RefusalReason {
 
 impl Encode for RefusalReason {
     fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            RefusalReason::QueueFull { depth } => {
-                out.push(0);
-                depth.encode(out);
-            }
-            RefusalReason::RateLimited { retry_after_ticks } => {
-                out.push(1);
-                retry_after_ticks.encode(out);
-            }
-            RefusalReason::Backlogged { waiters } => {
-                out.push(2);
-                waiters.encode(out);
-            }
-            RefusalReason::UnknownIndex => out.push(3),
+        let (tag, count) = match *self {
+            RefusalReason::QueueFull { depth } => (0, Some(depth)),
+            RefusalReason::RateLimited { retry_after_ticks } => (1, Some(retry_after_ticks)),
+            RefusalReason::Backlogged { waiters } => (2, Some(waiters)),
+            RefusalReason::UnknownIndex => (3, None),
+        };
+        out.push(tag);
+        if let Some(count) = count {
+            count.encode(out);
         }
     }
 
@@ -318,15 +294,10 @@ impl Encode for RefusalReason {
 impl Decode for RefusalReason {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         match r.take_byte()? {
-            0 => Ok(RefusalReason::QueueFull {
-                depth: u64::decode(r)?,
-            }),
-            1 => Ok(RefusalReason::RateLimited {
-                retry_after_ticks: u64::decode(r)?,
-            }),
-            2 => Ok(RefusalReason::Backlogged {
-                waiters: u64::decode(r)?,
-            }),
+            0 => u64::decode(r).map(|depth| RefusalReason::QueueFull { depth }),
+            1 => u64::decode(r)
+                .map(|retry_after_ticks| RefusalReason::RateLimited { retry_after_ticks }),
+            2 => u64::decode(r).map(|waiters| RefusalReason::Backlogged { waiters }),
             3 => Ok(RefusalReason::UnknownIndex),
             other => Err(CodecError::InvalidTag(other)),
         }
@@ -446,12 +417,37 @@ impl Decode for ServeWire {
 // equivalence suite's oracle.
 // ---------------------------------------------------------------------------
 
-/// Encodes a history answer as the canonical response payload.
-pub fn encode_history_payload(results: &[(u64, Version)], proof: &HistoryProof) -> Vec<u8> {
+/// `enc(answer) ++ enc(proof)`: every payload is this, with the answer
+/// written by `put_answer` — [`encode_seq`] for a result list,
+/// [`Encode::encode`] for one aggregate.
+fn encode_payload<A: ?Sized, P: Encode>(
+    put_answer: fn(&A, &mut Vec<u8>),
+    answer: &A,
+    proof: &P,
+) -> Vec<u8> {
     let mut out = Vec::new();
-    encode_seq(results, &mut out);
+    put_answer(answer, &mut out);
     proof.encode(&mut out);
     out
+}
+
+/// The inverse of [`encode_payload`], refusing trailing bytes.
+fn decode_payload<A, P: Decode>(
+    take_answer: fn(&mut Reader<'_>) -> Result<A, CodecError>,
+    bytes: &[u8],
+) -> Result<(A, P), CodecError> {
+    let mut r = Reader::new(bytes);
+    let answer = take_answer(&mut r)?;
+    let proof = P::decode(&mut r)?;
+    if r.remaining() != 0 {
+        return Err(CodecError::TrailingBytes(r.remaining()));
+    }
+    Ok((answer, proof))
+}
+
+/// Encodes a history answer as the canonical response payload.
+pub fn encode_history_payload(results: &[(u64, Version)], proof: &HistoryProof) -> Vec<u8> {
+    encode_payload(encode_seq, results, proof)
 }
 
 /// Decodes a history response payload.
@@ -462,19 +458,12 @@ pub fn encode_history_payload(results: &[(u64, Version)], proof: &HistoryProof) 
 pub fn decode_history_payload(
     bytes: &[u8],
 ) -> Result<(Vec<(u64, Version)>, HistoryProof), CodecError> {
-    let mut r = Reader::new(bytes);
-    let results = decode_seq(&mut r)?;
-    let proof = HistoryProof::decode(&mut r)?;
-    finish(r)?;
-    Ok((results, proof))
+    decode_payload(decode_seq, bytes)
 }
 
 /// Encodes a keyword answer as the canonical response payload.
 pub fn encode_keyword_payload(results: &[Hash], proof: &KeywordProof) -> Vec<u8> {
-    let mut out = Vec::new();
-    encode_seq(results, &mut out);
-    proof.encode(&mut out);
-    out
+    encode_payload(encode_seq, results, proof)
 }
 
 /// Decodes a keyword response payload.
@@ -483,19 +472,12 @@ pub fn encode_keyword_payload(results: &[Hash], proof: &KeywordProof) -> Vec<u8>
 ///
 /// Returns a [`CodecError`] on malformed or trailing bytes.
 pub fn decode_keyword_payload(bytes: &[u8]) -> Result<(Vec<Hash>, KeywordProof), CodecError> {
-    let mut r = Reader::new(bytes);
-    let results = decode_seq(&mut r)?;
-    let proof = KeywordProof::decode(&mut r)?;
-    finish(r)?;
-    Ok((results, proof))
+    decode_payload(decode_seq, bytes)
 }
 
 /// Encodes an aggregate answer as the canonical response payload.
 pub fn encode_aggregate_payload(aggregate: &Aggregate, proof: &AggQueryProof) -> Vec<u8> {
-    let mut out = Vec::new();
-    aggregate.encode(&mut out);
-    proof.encode(&mut out);
-    out
+    encode_payload(Aggregate::encode, aggregate, proof)
 }
 
 /// Decodes an aggregate response payload.
@@ -504,19 +486,12 @@ pub fn encode_aggregate_payload(aggregate: &Aggregate, proof: &AggQueryProof) ->
 ///
 /// Returns a [`CodecError`] on malformed or trailing bytes.
 pub fn decode_aggregate_payload(bytes: &[u8]) -> Result<(Aggregate, AggQueryProof), CodecError> {
-    let mut r = Reader::new(bytes);
-    let aggregate = Aggregate::decode(&mut r)?;
-    let proof = AggQueryProof::decode(&mut r)?;
-    finish(r)?;
-    Ok((aggregate, proof))
+    decode_payload(Aggregate::decode, bytes)
 }
 
 /// Encodes an op-stream history answer as the canonical response payload.
 pub fn encode_history_op_payload(results: &[(u64, Version)], proof: &HistoryOpProof) -> Vec<u8> {
-    let mut out = Vec::new();
-    encode_seq(results, &mut out);
-    proof.encode(&mut out);
-    out
+    encode_payload(encode_seq, results, proof)
 }
 
 /// Decodes an op-stream history response payload.
@@ -527,19 +502,12 @@ pub fn encode_history_op_payload(results: &[(u64, Version)], proof: &HistoryOpPr
 pub fn decode_history_op_payload(
     bytes: &[u8],
 ) -> Result<(Vec<(u64, Version)>, HistoryOpProof), CodecError> {
-    let mut r = Reader::new(bytes);
-    let results = decode_seq(&mut r)?;
-    let proof = HistoryOpProof::decode(&mut r)?;
-    finish(r)?;
-    Ok((results, proof))
+    decode_payload(decode_seq, bytes)
 }
 
 /// Encodes an op-stream aggregate answer as the canonical response payload.
 pub fn encode_aggregate_op_payload(aggregate: &Aggregate, proof: &AggOpQueryProof) -> Vec<u8> {
-    let mut out = Vec::new();
-    aggregate.encode(&mut out);
-    proof.encode(&mut out);
-    out
+    encode_payload(Aggregate::encode, aggregate, proof)
 }
 
 /// Decodes an op-stream aggregate response payload.
@@ -550,18 +518,7 @@ pub fn encode_aggregate_op_payload(aggregate: &Aggregate, proof: &AggOpQueryProo
 pub fn decode_aggregate_op_payload(
     bytes: &[u8],
 ) -> Result<(Aggregate, AggOpQueryProof), CodecError> {
-    let mut r = Reader::new(bytes);
-    let aggregate = Aggregate::decode(&mut r)?;
-    let proof = AggOpQueryProof::decode(&mut r)?;
-    finish(r)?;
-    Ok((aggregate, proof))
-}
-
-fn finish(r: Reader<'_>) -> Result<(), CodecError> {
-    if r.remaining() != 0 {
-        return Err(CodecError::TrailingBytes(r.remaining()));
-    }
-    Ok(())
+    decode_payload(Aggregate::decode, bytes)
 }
 
 #[cfg(test)]
@@ -652,6 +609,67 @@ mod tests {
                 assert_ne!(a, b);
             }
         }
+    }
+
+    /// Every payload pair round-trips, and every decoder refuses a
+    /// trailing byte and a truncated payload — once per answer shape
+    /// (result list, aggregate) and proof encoding.
+    #[test]
+    fn payloads_round_trip_and_refuse_trailing_bytes() {
+        use dcert_query::{AggregateIndex, HistoryIndex, InvertedIndex};
+
+        fn check<T: PartialEq + std::fmt::Debug>(
+            bytes: Vec<u8>,
+            decode: fn(&[u8]) -> Result<T, CodecError>,
+            expected: T,
+        ) {
+            assert_eq!(decode(&bytes).as_ref(), Ok(&expected));
+            let mut trailing = bytes.clone();
+            trailing.push(0);
+            assert_eq!(decode(&trailing), Err(CodecError::TrailingBytes(1)));
+            assert!(decode(&bytes[..bytes.len() - 1]).is_err());
+        }
+
+        let key = StateKey::new("kvstore", b"acct-1");
+        let mut history = HistoryIndex::new("history");
+        let mut aggregate = AggregateIndex::new("agg");
+        for height in 1..=5u64 {
+            let writes = [(key, Some(height.to_be_bytes().to_vec()))];
+            history.apply_block(height, &writes);
+            aggregate.apply_block(height, &writes);
+        }
+
+        let (rows, proof) = history.query(&key, 2, 4);
+        assert_eq!(rows.len(), 3);
+        check(
+            encode_history_payload(&rows, &proof),
+            decode_history_payload,
+            (rows, proof),
+        );
+        let (rows, proof) = history.query_ops(&key, 2, 4);
+        check(
+            encode_history_op_payload(&rows, &proof),
+            decode_history_op_payload,
+            (rows, proof),
+        );
+        let (total, proof) = aggregate.query(&key, 2, 4);
+        check(
+            encode_aggregate_payload(&total, &proof),
+            decode_aggregate_payload,
+            (total, proof),
+        );
+        let (total, proof) = aggregate.query_ops(&key, 2, 4);
+        check(
+            encode_aggregate_op_payload(&total, &proof),
+            decode_aggregate_op_payload,
+            (total, proof),
+        );
+        let (matches, proof) = InvertedIndex::new("inverted").query(&["stock"]);
+        check(
+            encode_keyword_payload(&matches, &proof),
+            decode_keyword_payload,
+            (matches, proof),
+        );
     }
 
     #[test]

@@ -4,13 +4,18 @@
 
 use std::sync::Arc;
 
-use dcert::chain::{Block, ChainState, ConsensusEngine, FullNode, GenesisBuilder, ProofOfWork};
+use dcert::chain::{
+    Block, ChainState, ConsensusEngine, FullNode, GenesisBuilder, ProofOfWork, Transaction,
+};
 use dcert::core::{expected_measurement, CertificateIssuer, SuperlightClient};
-use dcert::primitives::hash::Address;
+use dcert::primitives::codec::{encode_seq, Encode};
+use dcert::primitives::hash::{Address, Hash};
+use dcert::primitives::keys::Keypair;
 use dcert::query::sp::IndexKind;
 use dcert::query::ServiceProvider;
 use dcert::sgx::{AttestationService, CostModel};
-use dcert::vm::Executor;
+use dcert::vm::{Executor, StateKey};
+use dcert::workloads::kvstore::KvCall;
 use dcert::workloads::{blockbench_registry, Workload, WorkloadGen};
 
 /// Difficulty used by integration tests (fast to mine, non-trivial to
@@ -166,4 +171,100 @@ pub fn temp_dir(label: &str) -> std::path::PathBuf {
     }
     std::fs::create_dir_all(&dir).expect("temp dir creatable");
     dir
+}
+
+// --- the persistence suites' shared SP fixture ---------------------------------
+
+/// Everything a client could ask the SP, captured as comparable bytes.
+/// Two SPs with equal observations are indistinguishable to clients.
+#[allow(dead_code)] // only the persistence suites observe SPs
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Observation {
+    pub index_height: u64,
+    pub history_digest: Option<Hash>,
+    pub inverted_digest: Option<Hash>,
+    pub history_cert: Option<Vec<u8>>,
+    pub inverted_cert: Option<Vec<u8>>,
+    pub history_answer: Vec<u8>,
+    pub keyword_answer: Vec<u8>,
+}
+
+#[allow(dead_code)]
+pub fn observe(sp: &ServiceProvider) -> Observation {
+    let key = StateKey::new("kvstore", b"acct-main");
+    let (results, proof) = sp
+        .serve_history("history", &key, 0, 100)
+        .expect("history index");
+    let mut history_answer = Vec::new();
+    encode_seq(&results, &mut history_answer);
+    proof.encode(&mut history_answer);
+
+    let (matches, kproof) = sp
+        .serve_keywords("inverted", &["stock", "bank"])
+        .expect("inverted index");
+    let mut keyword_answer = Vec::new();
+    encode_seq(&matches, &mut keyword_answer);
+    kproof.encode(&mut keyword_answer);
+
+    Observation {
+        index_height: sp.index_height(),
+        history_digest: sp.certified_digest("history"),
+        inverted_digest: sp.certified_digest("inverted"),
+        history_cert: sp.certificate("history").map(Encode::to_encoded_bytes),
+        inverted_cert: sp.certificate("inverted").map(Encode::to_encoded_bytes),
+        history_answer,
+        keyword_answer,
+    }
+}
+
+/// The indexes the persistence suites' worlds and SPs register.
+#[allow(dead_code)]
+pub fn world_indexes() -> Vec<(IndexKind, &'static str)> {
+    vec![
+        (IndexKind::History, "history"),
+        (IndexKind::Inverted, "inverted"),
+    ]
+}
+
+/// A fresh genesis SP structurally identical to the one a
+/// `World::deterministic(world_indexes())` drives (same deterministic
+/// genesis, same registered indexes) — the starting point `recover_from`
+/// requires.
+#[allow(dead_code)]
+pub fn genesis_sp() -> ServiceProvider {
+    let executor = Executor::new(Arc::new(blockbench_registry()));
+    let engine: Arc<dyn ConsensusEngine> = Arc::new(ProofOfWork::new(TEST_POW_BITS));
+    let (genesis, genesis_state) = GenesisBuilder::new().timestamp(1_700_000_000).build();
+    let mut sp = ServiceProvider::new(&genesis, genesis_state, executor, engine);
+    for (kind, name) in world_indexes() {
+        sp.add_index(kind, name);
+    }
+    sp
+}
+
+/// Mines a deterministic chain of memo-carrying puts, so both keyword and
+/// history queries return non-trivial certified answers.
+#[allow(dead_code)]
+pub fn memo_blocks(world: &mut World, count: u64) -> Vec<Block> {
+    let kp = Keypair::from_seed([77; 32]);
+    (1..=count)
+        .map(|height| {
+            let memo = match height % 3 {
+                0 => format!("dividend stock payout at {height}"),
+                1 => format!("bank wire transfer at {height}"),
+                _ => format!("stock AND bank combo at {height}"),
+            };
+            let tx = Transaction::sign(
+                &kp,
+                height,
+                "kvstore",
+                KvCall::Put {
+                    key: b"acct-main".to_vec(),
+                    value: memo.into_bytes(),
+                }
+                .to_encoded_bytes(),
+            );
+            world.miner.mine(vec![tx], height).expect("mines")
+        })
+        .collect()
 }

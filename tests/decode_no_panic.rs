@@ -274,7 +274,7 @@ fn sample_encodings() -> Vec<Probe> {
 
     let serve_query = QuerySpec::History {
         index: "history".into(),
-        key: key.clone(),
+        key,
         t1: 1,
         t2: 9,
     };
@@ -366,7 +366,7 @@ fn sample_encodings() -> Vec<Probe> {
             "QuerySpec::HistoryOp",
             &QuerySpec::HistoryOp {
                 index: "history".into(),
-                key: key.clone(),
+                key,
                 t1: 2,
                 t2: 5,
             },
@@ -375,7 +375,7 @@ fn sample_encodings() -> Vec<Probe> {
             "QuerySpec::AggregateOp",
             &QuerySpec::AggregateOp {
                 index: "aggregate".into(),
-                key: key.clone(),
+                key,
                 t1: 2,
                 t2: 5,
             },

@@ -11,9 +11,9 @@ use std::sync::Arc;
 
 use common::{World, TEST_POW_BITS};
 use dcert::chain::consensus::ConsensusProof;
-use dcert::chain::{ChainError, GenesisBuilder, ProofOfWork};
+use dcert::chain::{Block, ChainError, ConsensusEngine, FullNode, GenesisBuilder, ProofOfWork};
 use dcert::core::{
-    expected_measurement, BlockInput, CertError, CertProgram, Certificate, EcallRequest,
+    expected_measurement, BatchLink, BlockInput, CertError, CertProgram, Certificate, EcallRequest,
     EcallResponse, FaultConfig, NetMessage, SimNet, SuperlightClient, SyncOutcome, Transport,
 };
 use dcert::primitives::codec::Decode;
@@ -26,12 +26,19 @@ use dcert::workloads::{blockbench_registry, Workload, WorkloadGen};
 /// A trusted program outside any enclave, plus a valid `BlockInput` for
 /// block 1 — the raw material for request-level attacks.
 fn program_and_input() -> (CertProgram, BlockInput) {
+    let (program, input, _) = fixture();
+    (program, input)
+}
+
+/// [`program_and_input`], plus the full node at genesis that proposed the
+/// block — the other acceptor of the same block.
+fn fixture() -> (CertProgram, BlockInput, FullNode) {
     let executor = Executor::new(Arc::new(blockbench_registry()));
     let engine = Arc::new(ProofOfWork::new(TEST_POW_BITS));
     let (genesis, state) = GenesisBuilder::new().timestamp(1_700_000_000).build();
     let ias = AttestationService::with_seed([0xA5; 32]);
 
-    let miner = dcert::chain::FullNode::new(
+    let miner = FullNode::new(
         &genesis,
         state.clone(),
         executor.clone(),
@@ -66,9 +73,10 @@ fn program_and_input() -> (CertProgram, BlockInput) {
         executor,
         engine,
         Vec::new(),
-    );
+    )
+    .with_signing_seed(common::TEST_SIGNING_SEED);
     program.handle(EcallRequest::Init).unwrap();
-    (program, input)
+    (program, input, miner)
 }
 
 fn state_reader(state: &dcert::chain::ChainState) -> &dcert::chain::ChainState {
@@ -76,87 +84,154 @@ fn state_reader(state: &dcert::chain::ChainState) -> &dcert::chain::ChainState {
 }
 
 fn expect_sig(program: &mut CertProgram, input: BlockInput) -> Result<(), CertError> {
-    match program.handle(EcallRequest::SigGen(input))? {
-        EcallResponse::Signature(_) => Ok(()),
-        other => panic!("unexpected response {other:?}"),
+    program.handle(EcallRequest::SigGen(input)).map(|_| ())
+}
+
+/// How every acceptor of block 1 answers it after `mutate` (then, with
+/// `reseal`, an honest proof-of-work over the mutated header, so the check
+/// under test — not the consensus proof — is what trips): the full node's
+/// `apply`, then the trusted program's `SigGen`, one-link `BatchSigGen` and
+/// one-link `RangeSigGen`, each on a fresh fixture. The program's refusals
+/// are unwrapped to the `ChainError` they carry (`StateRootMismatch` is the
+/// one check it reports under its own name).
+fn verdicts(mutate: fn(&mut Block), reseal: bool) -> [Result<(), ChainError>; 4] {
+    let mutated = || {
+        let (program, mut input, node) = fixture();
+        mutate(&mut input.block);
+        if reseal {
+            let engine = ProofOfWork::new(TEST_POW_BITS);
+            engine.seal(&mut input.block.header).unwrap();
+        }
+        (program, input, node)
+    };
+    let offer = |request: fn(BlockInput) -> EcallRequest| {
+        let (mut program, input, _) = mutated();
+        match program.handle(request(input)) {
+            Ok(_) => Ok(()),
+            Err(CertError::Chain(refusal)) => Err(refusal),
+            Err(CertError::StateRootMismatch) => Err(ChainError::StateRootMismatch),
+            Err(other) => panic!("not a block-validity refusal: {other:?}"),
+        }
+    };
+    let (_, input, mut node) = mutated();
+    [
+        node.apply(&input.block),
+        offer(EcallRequest::SigGen),
+        offer(one_link_batch),
+        offer(|input| {
+            let (anchor, _, link) = input.into_anchor_and_link();
+            let links = vec![link];
+            EcallRequest::RangeSigGen { anchor, links }
+        }),
+    ]
+}
+
+/// The one-link `BatchSigGen` asking what `SigGen(input)` asks.
+fn one_link_batch(input: BlockInput) -> EcallRequest {
+    let (prev_header, prev_cert, link) = input.into_anchor_and_link();
+    EcallRequest::BatchSigGen {
+        prev_header,
+        prev_cert,
+        links: vec![link],
     }
 }
 
 #[test]
 fn honest_input_is_signed() {
-    let (mut program, input) = program_and_input();
-    expect_sig(&mut program, input).unwrap();
-}
-
-#[test]
-fn tampered_state_root_rejected() {
-    let (mut program, mut input) = program_and_input();
-    input.block.header.state_root = hash_bytes(b"forged");
-    // Reseal so the consensus check passes and the state check trips.
-    let engine = ProofOfWork::new(TEST_POW_BITS);
-    dcert::chain::ConsensusEngine::seal(&engine, &mut input.block.header).unwrap();
-    assert_eq!(
-        expect_sig(&mut program, input),
-        Err(CertError::StateRootMismatch)
-    );
-}
-
-#[test]
-fn broken_parent_link_rejected() {
-    let (mut program, mut input) = program_and_input();
-    input.block.header.prev_hash = hash_bytes(b"elsewhere");
-    let engine = ProofOfWork::new(TEST_POW_BITS);
-    dcert::chain::ConsensusEngine::seal(&engine, &mut input.block.header).unwrap();
-    assert!(matches!(
-        expect_sig(&mut program, input),
-        Err(CertError::Chain(ChainError::BrokenLink { .. }))
-    ));
-}
-
-#[test]
-fn wrong_height_rejected() {
-    let (mut program, mut input) = program_and_input();
-    input.block.header.height = 7;
-    let engine = ProofOfWork::new(TEST_POW_BITS);
-    dcert::chain::ConsensusEngine::seal(&engine, &mut input.block.header).unwrap();
-    assert!(matches!(
-        expect_sig(&mut program, input),
-        Err(CertError::Chain(ChainError::BadHeight { .. }))
-    ));
-}
-
-#[test]
-fn unsealed_block_rejected() {
-    let (mut program, mut input) = program_and_input();
-    input.block.header.state_root = hash_bytes(b"changed-without-resealing");
-    // Old nonce, new content: the consensus check must trip first.
-    assert!(matches!(
-        expect_sig(&mut program, input),
-        Err(CertError::Chain(ChainError::BadConsensus(_)))
-    ));
-}
-
-#[test]
-fn weak_difficulty_claim_rejected() {
-    let (mut program, mut input) = program_and_input();
-    input.block.header.consensus = ConsensusProof::Pow {
-        difficulty_bits: 0,
-        nonce: 0,
+    // A `SigGen` is a batch of one: both sign the same header digest.
+    let sign = |request: fn(BlockInput) -> EcallRequest| {
+        let (mut program, input) = program_and_input();
+        match program.handle(request(input)).unwrap() {
+            EcallResponse::Signature(signature) => signature,
+            other => panic!("unexpected response {other:?}"),
+        }
     };
-    assert!(matches!(
-        expect_sig(&mut program, input),
-        Err(CertError::Chain(ChainError::BadConsensus(_)))
-    ));
+    assert_eq!(sign(EcallRequest::SigGen), sign(one_link_batch));
 }
 
+/// **The full node and the enclave agree.** The honest block is accepted
+/// by all four acceptors; for each single mutation of it — one per check
+/// of the block-validity rule — `FullNode::apply` and the trusted
+/// program's three replaying requests refuse with the same `ChainError`
+/// variant: they run the same `chain::validity` functions, and the
+/// state-root comparison is the one line each keeps.
 #[test]
-fn tampered_tx_body_rejected() {
-    let (mut program, mut input) = program_and_input();
-    input.block.txs[0].call.payload = b"evil".to_vec();
-    assert!(matches!(
-        expect_sig(&mut program, input),
-        Err(CertError::Chain(ChainError::TxRootMismatch))
-    ));
+fn full_node_and_enclave_agree_on_every_mutation() {
+    assert_eq!(verdicts(|_| {}, false), [Ok(()), Ok(()), Ok(()), Ok(())]);
+    /// A name, the mutation, whether to reseal, and the refusal it draws.
+    type Row = (&'static str, fn(&mut Block), bool, fn(&ChainError) -> bool);
+    #[rustfmt::skip]
+    let table: [Row; 7] = [
+        ("broken link", |b| b.header.prev_hash = hash_bytes(b"elsewhere"), true,
+            |e| matches!(e, ChainError::BrokenLink { .. })),
+        ("wrong height", |b| b.header.height = 7, true,
+            |e| matches!(e, ChainError::BadHeight { parent: 0, child: 7 })),
+        // Old nonce, new content: the consensus check trips first.
+        ("stale seal", |b| b.header.state_root = hash_bytes(b"changed-without-resealing"), false,
+            |e| matches!(e, ChainError::BadConsensus(_))),
+        ("weak difficulty claim",
+            |b| b.header.consensus = ConsensusProof::Pow { difficulty_bits: 0, nonce: 0 }, false,
+            |e| matches!(e, ChainError::BadConsensus(_))),
+        ("wrong tx root", |b| b.txs[0].call.payload = b"evil".to_vec(), false,
+            |e| matches!(e, ChainError::TxRootMismatch)),
+        ("bad tx signature",
+            |b| { b.txs[0].nonce += 1; b.header.tx_root = Block::tx_root(&b.txs) }, true,
+            |e| matches!(e, ChainError::BadTxSignature)),
+        ("wrong state root", |b| b.header.state_root = hash_bytes(b"forged"), true,
+            |e| matches!(e, ChainError::StateRootMismatch)),
+    ];
+    for (name, mutate, reseal, is_expected) in table {
+        for (acceptor, verdict) in ["apply", "SigGen", "BatchSigGen", "RangeSigGen"]
+            .iter()
+            .zip(verdicts(mutate, reseal))
+        {
+            match verdict {
+                Err(refusal) if is_expected(&refusal) => {}
+                other => panic!("{name}: {acceptor} answered {other:?}"),
+            }
+        }
+    }
+}
+
+/// Regression (panicked with an add overflow before `check_extends`):
+/// nothing extends a tip at `u64::MAX`, and every acceptor says so with a
+/// typed error.
+#[test]
+fn nothing_extends_the_last_height() {
+    let (mut program, input, genesis_node) = fixture();
+    let mut tip = input.prev_header.clone();
+    tip.height = u64::MAX;
+    let mut node = FullNode::new_at_checkpoint(
+        tip.clone(),
+        genesis_node.state().clone(),
+        genesis_node.executor().clone(),
+        genesis_node.engine().clone(),
+        dcert::primitives::hash::Address::from_seed(1),
+    );
+    let block = node.propose(Vec::new(), 1).unwrap();
+    assert_eq!(block.header.prev_hash, tip.hash());
+    assert_eq!(
+        node.apply(&block),
+        Err(ChainError::BadHeight {
+            parent: u64::MAX,
+            child: u64::MAX
+        })
+    );
+    assert_eq!(node.tip(), &tip, "node must be unchanged");
+
+    let link = BatchLink {
+        block,
+        reads: Vec::new(),
+        state_proof: genesis_node.state().prove(&[]),
+    };
+    assert_eq!(
+        program.handle(EcallRequest::RangeSigGen {
+            anchor: tip,
+            links: vec![link],
+        }),
+        Err(CertError::HeightOverflow)
+    );
+    assert_eq!(program.last_signed_height(), 0);
 }
 
 #[test]

@@ -144,7 +144,7 @@ fn run_load(load: ServeLoadConfig, config: ServeConfig, seed: u64) -> LoadRun {
     let mut current_tick = schedule.first().map_or(0, |e| e.tick);
     let half = schedule.len() / 2;
 
-    let mut drain =
+    let drain =
         |front: &mut ServeFront, run: &mut LoadRun, admitted: &mut HashMap<u64, u64>, tick: u64| {
             for (_, wire) in front.pump(tick, PUMP_BUDGET) {
                 match wire {

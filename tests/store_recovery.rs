@@ -19,21 +19,18 @@
 mod common;
 
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
-use common::{temp_dir, World, TEST_POW_BITS};
-use dcert::chain::{Block, ConsensusEngine, GenesisBuilder, ProofOfWork, Transaction};
+use common::{genesis_sp, memo_blocks, observe, temp_dir, world_indexes, Observation, World};
+use dcert::chain::Block;
 use dcert::core::expected_measurement;
-use dcert::primitives::codec::{encode_seq, Encode};
+use dcert::primitives::codec::Encode;
 use dcert::primitives::hash::{hash_bytes, Hash};
-use dcert::primitives::keys::{Keypair, PublicKey};
-use dcert::query::sp::IndexKind;
+use dcert::primitives::keys::PublicKey;
 use dcert::query::{CertifiedEntry, ServiceProvider};
 use dcert::store::head::{HEAD_SLOT_A, HEAD_SLOT_B};
 use dcert::store::{MemStore, SegmentStore, Store, StoreConfig, StoreError};
-use dcert::vm::{Executor, StateKey};
-use dcert::workloads::kvstore::KvCall;
-use dcert::workloads::{blockbench_registry, Workload};
+use dcert::workloads::Workload;
 use proptest::prelude::*;
 
 /// Chaos seeds the CI matrix fans out over (`CHAOS_SEED` env var).
@@ -45,92 +42,6 @@ const GOLDEN_BLOCKS: u64 = 3;
 /// The single segment file the golden run writes (4 MiB roll threshold is
 /// never reached).
 const SEG_FILE: &str = "seg-00000000.dcs";
-
-/// Everything a client could ask the SP, captured as comparable bytes.
-/// Two SPs with equal observations are indistinguishable to clients.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Observation {
-    index_height: u64,
-    history_digest: Option<Hash>,
-    inverted_digest: Option<Hash>,
-    history_cert: Option<Vec<u8>>,
-    inverted_cert: Option<Vec<u8>>,
-    history_answer: Vec<u8>,
-    keyword_answer: Vec<u8>,
-}
-
-fn observe(sp: &ServiceProvider) -> Observation {
-    let key = StateKey::new("kvstore", b"acct-main");
-    let (results, proof) = sp
-        .serve_history("history", &key, 0, 100)
-        .expect("history index");
-    let mut history_answer = Vec::new();
-    encode_seq(&results, &mut history_answer);
-    proof.encode(&mut history_answer);
-
-    let (matches, kproof) = sp
-        .serve_keywords("inverted", &["stock", "bank"])
-        .expect("inverted index");
-    let mut keyword_answer = Vec::new();
-    encode_seq(&matches, &mut keyword_answer);
-    kproof.encode(&mut keyword_answer);
-
-    Observation {
-        index_height: sp.index_height(),
-        history_digest: sp.certified_digest("history"),
-        inverted_digest: sp.certified_digest("inverted"),
-        history_cert: sp.certificate("history").map(Encode::to_encoded_bytes),
-        inverted_cert: sp.certificate("inverted").map(Encode::to_encoded_bytes),
-        history_answer,
-        keyword_answer,
-    }
-}
-
-/// A fresh genesis SP structurally identical to the golden run's (same
-/// deterministic genesis, same registered indexes) — the starting point
-/// `recover_from` requires.
-fn genesis_sp() -> ServiceProvider {
-    let executor = Executor::new(Arc::new(blockbench_registry()));
-    let engine: Arc<dyn ConsensusEngine> = Arc::new(ProofOfWork::new(TEST_POW_BITS));
-    let (genesis, genesis_state) = GenesisBuilder::new().timestamp(1_700_000_000).build();
-    let mut sp = ServiceProvider::new(&genesis, genesis_state, executor, engine);
-    sp.add_index(IndexKind::History, "history");
-    sp.add_index(IndexKind::Inverted, "inverted");
-    sp
-}
-
-fn world_indexes() -> Vec<(IndexKind, &'static str)> {
-    vec![
-        (IndexKind::History, "history"),
-        (IndexKind::Inverted, "inverted"),
-    ]
-}
-
-/// Mines the golden chain: memo-carrying puts so both keyword and history
-/// queries return non-trivial certified answers. Fully deterministic.
-fn memo_blocks(world: &mut World, count: u64) -> Vec<Block> {
-    let kp = Keypair::from_seed([77; 32]);
-    (1..=count)
-        .map(|height| {
-            let memo = match height % 3 {
-                0 => format!("dividend stock payout at {height}"),
-                1 => format!("bank wire transfer at {height}"),
-                _ => format!("stock AND bank combo at {height}"),
-            };
-            let tx = Transaction::sign(
-                &kp,
-                height,
-                "kvstore",
-                KvCall::Put {
-                    key: b"acct-main".to_vec(),
-                    value: memo.into_bytes(),
-                }
-                .to_encoded_bytes(),
-            );
-            world.miner.mine(vec![tx], height).expect("mines")
-        })
-        .collect()
-}
 
 /// The golden run's plain-data residue: file snapshots after each commit
 /// plus the oracle's expected observation at each commit.
@@ -365,8 +276,7 @@ fn recovery_refuses_substituted_head_entry() {
     store.sync().unwrap();
     let err = genesis_sp()
         .recover_from(&g.ias_key, &g.measurement, Box::new(store))
-        .err()
-        .expect("substituted digest must refuse");
+        .expect_err("substituted digest must refuse");
     let msg = format!("{err:?}");
     assert!(msg.contains("VerifyFailed"), "{msg}");
     std::fs::remove_dir_all(&dir).ok();
