@@ -5,7 +5,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dcert_baselines::AuthSkipList;
-use dcert_merkle::{MbTree, Mpt, SparseMerkleTree};
+use dcert_merkle::{MbTree, Mpt, SmtProof, SparseMerkleTree};
+use dcert_primitives::codec::{Decode, Encode};
 use dcert_primitives::hash::{hash_bytes, Hash};
 
 fn bench_smt(c: &mut Criterion) {
@@ -34,6 +35,38 @@ fn bench_smt(c: &mut Criterion) {
             b.iter(|| proof.updated_root(&writes).unwrap());
         });
     }
+
+    // The `blocks_io` shape: 32 transactions each touching 32 adjacent
+    // records of a 4 128-record state, all in one block's multiproof.
+    let record = |i: usize| hash_bytes(format!("rec-{i}"));
+    let mut tree = SparseMerkleTree::new();
+    for i in 0..4_128usize {
+        tree.insert(record(i), i.to_be_bytes().to_vec());
+    }
+    let root = tree.root();
+    let touched: Vec<Hash> = (0..32usize)
+        .flat_map(|range| {
+            let start = range * 2_654_435_761 % 4_096;
+            (start..start + 32).map(record)
+        })
+        .collect();
+    group.bench_function("prove_1024_keys", |b| b.iter(|| tree.prove(&touched)));
+    let proof = tree.prove(&touched);
+    group.bench_function("verify_1024_keys", |b| {
+        b.iter(|| proof.verify(&root).unwrap())
+    });
+    let writes: Vec<(Hash, Option<Hash>)> = touched
+        .iter()
+        .step_by(2)
+        .map(|k| (*k, Some(hash_bytes(b"new"))))
+        .collect();
+    group.bench_function("updated_root_1024_keys", |b| {
+        b.iter(|| proof.updated_root(&writes).unwrap())
+    });
+    let frame = proof.to_encoded_bytes();
+    group.bench_function("decode_1024_keys", |b| {
+        b.iter(|| SmtProof::decode_all(&frame).unwrap())
+    });
     group.finish();
 }
 

@@ -31,6 +31,39 @@
 //! Keys are 256-bit [`struct@Hash`]es (callers hash their logical keys first), and
 //! the key is bound inside the leaf hash, so leaves cannot be repositioned.
 //!
+//! # Proof layout
+//!
+//! A proof is the sorted covered keys, each key's pre-state value hash, and
+//! one *evidence* item per maximal untouched subtree next to a covered
+//! path: empty, a single disclosed leaf, or the hash of a subtree with two
+//! or more leaves. Evidence is in depth-first order. The walk descends one
+//! key bit per level with the covered keys that share the path so far; at
+//! each level the keys split by that bit, the left side is finished first
+//! and then the right, and a side no covered key enters consumes exactly
+//! one item *at that moment* — a left sibling on the way down, a right
+//! sibling on the way back up. The prover ([`SparseMerkleTree::prove`]) and
+//! the verifier ([`SmtProof::verify`], [`SmtProof::updated_root`]) make the
+//! same walk, so neither positions nor depths are written down.
+//!
+//! Most siblings are empty — below the depth at which a key parts from
+//! every other key, all of them are — so consecutive empty items are kept
+//! as one run, in memory exactly as on the wire: a run extends the run
+//! before it until that holds `u16::MAX` subtrees, then a new one starts
+//! (one 3-byte chunk each). A decoder merges the same way, so a frame that
+//! splits a run or sends zero-length chunks decodes to what the prover
+//! would have built.
+//!
+//! Once a key is alone on its path at depth `d`, everything it still
+//! consumes is contiguous: its left siblings from `d` down to 255, then its
+//! right siblings from 255 back up to `d`, `256 - d` items in all and
+//! nothing in between. Empty siblings are transparent to the hash rules
+//! above, so when the run at the cursor covers all of them the subtree *is*
+//! the key's leaf (or empty, for an absent or deleted key), and the walk
+//! takes the run in one step instead of one step per level. The prover
+//! emits the whole run at once in the matching case: a lone key over an
+//! empty subtree or over its own leaf. Walks therefore cost in proportion
+//! to the real depth of the tree around the covered keys, not to 256.
+//!
 //! # Example
 //!
 //! ```
@@ -336,32 +369,33 @@ impl SparseMerkleTree {
         pre: &mut Vec<Option<Hash>>,
         evidence: &mut Vec<Evidence>,
     ) {
-        if keys.is_empty() {
-            evidence.push(match node {
-                NodeView::Empty => Evidence::Empty,
-                NodeView::Leaf { key, value_hash } => Evidence::Leaf {
-                    key: *key,
-                    value_hash: *value_hash,
-                },
-                NodeView::Branch(branch) => Evidence::Node(branch.hash()),
-            });
-            return;
+        match (keys, node) {
+            ([], NodeView::Empty) => push_empties(evidence, 1),
+            ([], NodeView::Leaf { key, value_hash }) => evidence.push(Evidence::Leaf {
+                key: *key,
+                value_hash: *value_hash,
+            }),
+            ([], NodeView::Branch(branch)) => evidence.push(Evidence::Node(branch.hash())),
+            // A lone key over an empty subtree or over its own leaf: every
+            // sibling from here down to depth 256 is empty, so the rest of
+            // its path is one run.
+            ([_], NodeView::Empty) => {
+                push_empties(evidence, KEY_BITS.saturating_sub(depth));
+                pre.push(None);
+            }
+            ([wanted], NodeView::Leaf { key, value_hash }) if key == wanted => {
+                push_empties(evidence, KEY_BITS.saturating_sub(depth));
+                pre.push(Some(*value_hash));
+            }
+            _ => {
+                debug_assert!(depth < KEY_BITS, "sorted unique keys part before bit 256");
+                let split = keys.partition_point(|k| !k.bit(depth));
+                let (lkeys, rkeys) = keys.split_at(split);
+                let (lchild, rchild) = node.children(depth);
+                Self::prove_rec(lchild, depth + 1, lkeys, pre, evidence);
+                Self::prove_rec(rchild, depth + 1, rkeys, pre, evidence);
+            }
         }
-        if depth == KEY_BITS {
-            debug_assert_eq!(keys.len(), 1, "sorted unique keys collide only at 256 bits");
-            pre.push(match (node, keys.first()) {
-                (NodeView::Leaf { key, value_hash }, Some(wanted)) if key == wanted => {
-                    Some(*value_hash)
-                }
-                _ => None,
-            });
-            return;
-        }
-        let split = keys.partition_point(|k| !k.bit(depth));
-        let (lkeys, rkeys) = keys.split_at(split);
-        let (lchild, rchild) = node.children(depth);
-        Self::prove_rec(lchild, depth + 1, lkeys, pre, evidence);
-        Self::prove_rec(rchild, depth + 1, rkeys, pre, evidence);
     }
 }
 
@@ -432,16 +466,35 @@ impl<'a> NodeView<'a> {
     }
 }
 
-/// Evidence for one maximal untouched subtree adjacent to the proof paths.
+/// Evidence for the maximal untouched subtrees adjacent to the proof paths.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Evidence {
-    /// The subtree is empty.
-    Empty,
+    /// This many consecutive subtrees (in proof order) are empty. One item
+    /// per wire chunk: [`push_empties`] keeps adjacent runs merged.
+    Empties(u16),
     /// The subtree contains exactly one leaf (content disclosed so that
     /// inserts/deletes near it can recompute divergence points).
     Leaf { key: Hash, value_hash: Hash },
     /// The subtree contains two or more leaves; only its root hash matters.
     Node(Hash),
+}
+
+/// Appends `n` empty subtrees, filling a trailing run up to the `u16::MAX`
+/// a wire chunk can carry before starting the next one. Prover and decoder
+/// both build evidence through this greedy merge, so the same subtrees
+/// always make the same items and the same bytes.
+fn push_empties(evidence: &mut Vec<Evidence>, mut n: usize) {
+    while n > 0 {
+        match evidence.last_mut() {
+            Some(Evidence::Empties(run)) if *run < u16::MAX => {
+                let room = u16::MAX - *run;
+                let add = u16::try_from(n).map_or(room, |n| n.min(room));
+                *run += add;
+                n -= usize::from(add);
+            }
+            _ => evidence.push(Evidence::Empties(0)),
+        }
+    }
 }
 
 /// A stateless multiproof over a set of keys of a [`SparseMerkleTree`].
@@ -528,7 +581,7 @@ impl SmtProof {
     /// Returns [`ProofError::RootMismatch`] if the recomputed commitment
     /// differs, or [`ProofError::Malformed`] on structural problems.
     pub fn verify(&self, root: &Hash) -> Result<(), ProofError> {
-        let computed = self.compute_root(None)?;
+        let computed = self.compute_root::<true>(None)?;
         if computed == *root {
             Ok(())
         } else {
@@ -555,10 +608,13 @@ impl SmtProof {
             }
             overrides.insert(*key, *value_hash);
         }
-        self.compute_root(Some(&overrides))
+        self.compute_root::<true>(Some(&overrides))
     }
 
-    fn compute_root(
+    /// `SKIP_RUNS` is `true` everywhere but in the test that checks the run
+    /// shortcut of [`Self::compute_rec`] against the level-by-level
+    /// recursion it abbreviates.
+    fn compute_root<const SKIP_RUNS: bool>(
         &self,
         overrides: Option<&BTreeMap<Hash, Option<Hash>>>,
     ) -> Result<Hash, ProofError> {
@@ -568,100 +624,133 @@ impl SmtProof {
         if self.keys.windows(2).any(|w| matches!(w, [a, b] if a >= b)) {
             return Err(ProofError::Malformed("keys not sorted unique"));
         }
-        let mut cursor = 0usize;
-        let mut prefix = [0u8; 32];
-        let subtree =
-            self.compute_rec(0, 0, self.keys.len(), &mut cursor, &mut prefix, overrides)?;
-        if cursor != self.evidence.len() {
+        let mut cursor = Cursor {
+            items: self.evidence.iter(),
+            empties: 0,
+        };
+        let subtree = if self.keys.is_empty() {
+            // No covered key: the whole tree is the one untouched subtree.
+            cursor.take(|_| true)?
+        } else {
+            self.compute_rec::<SKIP_RUNS>(0, 0, self.keys.len(), &mut cursor, overrides)?
+        };
+        if cursor.empties != 0 || cursor.items.next().is_some() {
             return Err(ProofError::Malformed("unconsumed evidence"));
         }
         Ok(subtree.hash())
     }
 
-    fn compute_rec(
+    /// The subtree at `depth` holding the covered keys `key_lo..key_hi`
+    /// (at least one), which all share their first `depth` bits.
+    fn compute_rec<const SKIP_RUNS: bool>(
         &self,
         depth: usize,
         key_lo: usize,
         key_hi: usize,
-        cursor: &mut usize,
-        prefix: &mut [u8; 32],
+        cursor: &mut Cursor<'_>,
         overrides: Option<&BTreeMap<Hash, Option<Hash>>>,
     ) -> Result<Subtree, ProofError> {
-        if key_lo == key_hi {
-            // Untouched subtree: consume one evidence item.
-            let item = self
-                .evidence
-                .get(*cursor)
-                .ok_or(ProofError::Malformed("missing evidence"))?;
-            *cursor += 1;
-            return Ok(match item {
-                Evidence::Empty => Subtree::Empty,
-                Evidence::Leaf { key, value_hash } => {
-                    // Fail fast when the prover placed a leaf outside its
-                    // subtree; root comparison would also catch this.
-                    if !prefix_matches(key, prefix, depth) {
-                        return Err(ProofError::Malformed("leaf evidence outside subtree"));
-                    }
-                    Subtree::One(leaf_hash(key, value_hash))
-                }
-                Evidence::Node(hash) => Subtree::Many(*hash),
-            });
-        }
-        if depth == KEY_BITS {
-            if key_hi - key_lo != 1 {
-                return Err(ProofError::Malformed("key collision at max depth"));
+        let first = self
+            .keys
+            .get(key_lo)
+            .ok_or(ProofError::Malformed("key range out of bounds"))?;
+        if key_hi - key_lo == 1 {
+            // A lone key's remaining evidence is its `KEY_BITS - depth`
+            // siblings, left ones top-down and then right ones bottom-up,
+            // with nothing in between. When they are all empty they are
+            // transparent, and the subtree is the key's own leaf (or
+            // nothing) without a step per level.
+            let levels = KEY_BITS.saturating_sub(depth);
+            if levels == 0 || (SKIP_RUNS && cursor.skip_empties(levels)) {
+                let value_hash = match overrides.and_then(|o| o.get(first)) {
+                    Some(over) => *over,
+                    None => self.pre.get(key_lo).copied().flatten(),
+                };
+                return Ok(match value_hash {
+                    None => Subtree::Empty,
+                    Some(vh) => Subtree::One(leaf_hash(first, &vh)),
+                });
             }
-            let key = self
-                .keys
-                .get(key_lo)
-                .ok_or(ProofError::Malformed("key range out of bounds"))?;
-            let value_hash = match overrides.and_then(|o| o.get(key)) {
-                Some(over) => *over,
-                None => self.pre.get(key_lo).copied().flatten(),
-            };
-            return Ok(match value_hash {
-                None => Subtree::Empty,
-                Some(vh) => Subtree::One(leaf_hash(key, &vh)),
-            });
+        } else if depth >= KEY_BITS {
+            return Err(ProofError::Malformed("key collision at max depth"));
         }
         let split = key_lo
             + self
                 .keys
                 .get(key_lo..key_hi)
                 .map_or(0, |range| range.partition_point(|k| !k.bit(depth)));
-        set_bit(prefix, depth, false);
-        let left = self.compute_rec(depth + 1, key_lo, split, cursor, prefix, overrides)?;
-        set_bit(prefix, depth, true);
-        let right = self.compute_rec(depth + 1, split, key_hi, cursor, prefix, overrides)?;
-        set_bit(prefix, depth, false);
+        // A side no covered key enters is one evidence item. A leaf disclosed
+        // there must part from the covered keys at exactly this bit — a
+        // fail-fast check; root comparison would also catch a misplaced one.
+        let side = |lo: usize, hi: usize, cursor: &mut Cursor<'_>| {
+            if lo == hi {
+                cursor.take(|leaf| diverge_bit(leaf, first) == depth)
+            } else {
+                self.compute_rec::<SKIP_RUNS>(depth + 1, lo, hi, cursor, overrides)
+            }
+        };
+        let left = side(key_lo, split, cursor)?;
+        let right = side(split, key_hi, cursor)?;
         Ok(combine(left, right))
     }
 }
 
-fn set_bit(bytes: &mut [u8; 32], i: usize, value: bool) {
-    let mask = 1u8 << (7 - i % 8);
-    // `i < KEY_BITS` always holds; an out-of-range index is a no-op.
-    if let Some(byte) = bytes.get_mut(i / 8) {
-        if value {
-            *byte |= mask;
-        } else {
-            *byte &= !mask;
+/// Reads a proof's evidence in order, one untouched subtree at a time.
+struct Cursor<'a> {
+    items: std::slice::Iter<'a, Evidence>,
+    /// Empty subtrees of the current run not yet handed out.
+    empties: usize,
+}
+
+impl Cursor<'_> {
+    /// The next untouched subtree; `in_subtree` says whether a disclosed
+    /// leaf key belongs where the walk stands.
+    fn take(&mut self, in_subtree: impl FnOnce(&Hash) -> bool) -> Result<Subtree, ProofError> {
+        loop {
+            if let Some(rest) = self.empties.checked_sub(1) {
+                self.empties = rest;
+                return Ok(Subtree::Empty);
+            }
+            match self
+                .items
+                .next()
+                .ok_or(ProofError::Malformed("missing evidence"))?
+            {
+                Evidence::Empties(run) => self.empties = usize::from(*run),
+                Evidence::Leaf { key, value_hash } => {
+                    if !in_subtree(key) {
+                        return Err(ProofError::Malformed("leaf evidence outside subtree"));
+                    }
+                    return Ok(Subtree::One(leaf_hash(key, value_hash)));
+                }
+                Evidence::Node(hash) => return Ok(Subtree::Many(*hash)),
+            }
+        }
+    }
+
+    /// Consumes the next `n` subtrees if the run the cursor stands in (or
+    /// is about to enter) shows them all empty; otherwise consumes nothing.
+    fn skip_empties(&mut self, n: usize) -> bool {
+        if self.empties == 0 {
+            if let Some(Evidence::Empties(run)) = self.items.as_slice().first() {
+                self.empties = usize::from(*run);
+                self.items.next();
+            }
+        }
+        match self.empties.checked_sub(n) {
+            Some(rest) => {
+                self.empties = rest;
+                true
+            }
+            None => false,
         }
     }
 }
 
-fn prefix_matches(key: &Hash, prefix: &[u8; 32], depth: usize) -> bool {
-    (0..depth).all(|i| {
-        let byte = prefix.get(i / 8).copied().unwrap_or(0);
-        key.bit(i) == ((byte >> (7 - i % 8)) & 1 == 1)
-    })
-}
-
 // --- serialization -------------------------------------------------------
 //
-// Evidence vectors are dominated by long runs of `Empty` (one per tree
-// level along each proof path), so runs are length-encoded: tag 0 is
-// followed by a u16 run length.
+// One chunk per evidence item: tag 0 is followed by the run length as a
+// u16, tags 1 and 2 by the leaf's key and value hash or the node's hash.
 
 const TAG_EMPTY_RUN: u8 = 0;
 const TAG_LEAF: u8 = 1;
@@ -671,36 +760,41 @@ impl Encode for SmtProof {
     fn encode(&self, out: &mut Vec<u8>) {
         dcert_primitives::codec::encode_seq(&self.keys, out);
         dcert_primitives::codec::encode_seq(&self.pre, out);
-        let mut i = 0usize;
-        let mut chunks: u32 = 0;
-        let mut body = Vec::new();
-        while let Some(item) = self.evidence.get(i) {
+        // A proof over n keys holds at most 256·n + 1 items.
+        u32::try_from(self.evidence.len())
+            .unwrap_or(u32::MAX)
+            .encode(out);
+        for item in &self.evidence {
             match item {
-                Evidence::Empty => {
-                    let mut run = 0u16;
-                    while matches!(self.evidence.get(i), Some(Evidence::Empty)) && run < u16::MAX {
-                        run += 1;
-                        i += 1;
-                    }
-                    body.push(TAG_EMPTY_RUN);
-                    run.encode(&mut body);
+                Evidence::Empties(run) => {
+                    out.push(TAG_EMPTY_RUN);
+                    run.encode(out);
                 }
                 Evidence::Leaf { key, value_hash } => {
-                    body.push(TAG_LEAF);
-                    key.encode(&mut body);
-                    value_hash.encode(&mut body);
-                    i += 1;
+                    out.push(TAG_LEAF);
+                    key.encode(out);
+                    value_hash.encode(out);
                 }
                 Evidence::Node(hash) => {
-                    body.push(TAG_NODE);
-                    hash.encode(&mut body);
-                    i += 1;
+                    out.push(TAG_NODE);
+                    hash.encode(out);
                 }
             }
-            chunks += 1;
         }
-        chunks.encode(out);
-        out.extend_from_slice(&body);
+    }
+
+    fn encoded_len(&self) -> usize {
+        let pre: usize = self.pre.iter().map(Encode::encoded_len).sum();
+        let evidence: usize = self
+            .evidence
+            .iter()
+            .map(|item| match item {
+                Evidence::Empties(_) => 1 + 2,
+                Evidence::Leaf { .. } => 1 + 2 * Hash::LEN,
+                Evidence::Node(_) => 1 + Hash::LEN,
+            })
+            .sum();
+        4 + self.keys.len() * Hash::LEN + 4 + pre + 4 + evidence
     }
 }
 
@@ -712,12 +806,10 @@ impl Decode for SmtProof {
         let mut evidence = Vec::new();
         for _ in 0..chunks {
             match r.take_byte()? {
-                TAG_EMPTY_RUN => {
-                    let run = u16::decode(r)?;
-                    for _ in 0..run {
-                        evidence.push(Evidence::Empty);
-                    }
-                }
+                // Runs merge as they arrive, so a frame that splits one
+                // (or pads it with zero-length chunks) decodes to what the
+                // prover would have built, whatever it cost to send.
+                TAG_EMPTY_RUN => push_empties(&mut evidence, usize::from(u16::decode(r)?)),
                 TAG_LEAF => evidence.push(Evidence::Leaf {
                     key: Hash::decode(r)?,
                     value_hash: Hash::decode(r)?,
@@ -737,6 +829,7 @@ impl Decode for SmtProof {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dcert_primitives::codec::{decode_seq, encode_seq};
     use proptest::prelude::*;
 
     fn key(label: &str) -> Hash {
@@ -946,6 +1039,153 @@ mod tests {
         assert!(proof.size_bytes() < 1200, "size = {}", proof.size_bytes());
     }
 
+    /// Keys with long shared prefixes: `base`, its sibling at bit 255, and a
+    /// cousin parting at bit 248.
+    fn deep_keys() -> [Hash; 3] {
+        let base = key("deep").to_array();
+        let flip_last = |mask: u8| {
+            let mut bytes = base;
+            bytes[31] ^= mask;
+            Hash::from_bytes(bytes)
+        };
+        [flip_last(0), flip_last(0x01), flip_last(0x80)]
+    }
+
+    #[test]
+    fn evidence_is_one_item_per_wire_chunk() {
+        let [base, sibling, cousin] = deep_keys();
+        let mut tree = SparseMerkleTree::new();
+        for i in 0..40u32 {
+            tree.insert(key(&format!("k{i}")), vec![i as u8]);
+        }
+        tree.insert(base, b"deep".to_vec());
+        for touched in [
+            vec![],
+            vec![key("k3")],
+            vec![key("absent")],
+            vec![base, sibling, cousin, key("k9"), key("nope")],
+        ] {
+            let proof = tree.prove(&touched);
+            proof.verify(&tree.root()).unwrap();
+            let bytes = proof.to_encoded_bytes();
+            assert_eq!(proof.encoded_len(), bytes.len());
+            // keys, pre, then the chunk count in front of the evidence body.
+            let mut r = Reader::new(&bytes);
+            let _: Vec<Hash> = decode_seq(&mut r).unwrap();
+            let _: Vec<Option<Hash>> = decode_seq(&mut r).unwrap();
+            let chunks = u32::decode(&mut r).unwrap();
+            assert_eq!(proof.evidence.len(), chunks as usize);
+            assert!(proof
+                .evidence
+                .windows(2)
+                .all(|w| !matches!(w, [Evidence::Empties(_), Evidence::Empties(_)])));
+        }
+    }
+
+    #[test]
+    fn empty_runs_merge_up_to_the_chunk_cap() {
+        let mut evidence = Vec::new();
+        push_empties(&mut evidence, 0);
+        assert!(evidence.is_empty());
+        push_empties(&mut evidence, 65_000);
+        push_empties(&mut evidence, 535);
+        assert_eq!(evidence, [Evidence::Empties(u16::MAX)]);
+        push_empties(&mut evidence, 65_536);
+        assert_eq!(
+            evidence,
+            [
+                Evidence::Empties(u16::MAX),
+                Evidence::Empties(u16::MAX),
+                Evidence::Empties(1)
+            ]
+        );
+        evidence.push(Evidence::Node(Hash::ZERO));
+        push_empties(&mut evidence, 2);
+        assert_eq!(evidence.last(), Some(&Evidence::Empties(2)));
+    }
+
+    #[test]
+    fn split_and_zero_length_run_chunks_decode_canonically() {
+        let mut tree = SparseMerkleTree::new();
+        for i in 0..8u32 {
+            tree.insert(key(&format!("k{i}")), vec![i as u8]);
+        }
+        let proof = tree.prove(&[key("k2"), key("absent")]);
+        // The same evidence as a hostile encoder may frame it: every run cut
+        // in two, with zero-length chunks around the pieces.
+        let mut framed = proof.clone();
+        framed.evidence = proof
+            .evidence
+            .iter()
+            .flat_map(|item| match item {
+                Evidence::Empties(run) => vec![
+                    Evidence::Empties(0),
+                    Evidence::Empties(run / 2),
+                    Evidence::Empties(0),
+                    Evidence::Empties(run - run / 2),
+                ],
+                other => vec![other.clone()],
+            })
+            .collect();
+        assert!(framed.evidence.len() > proof.evidence.len());
+        let frame = framed.to_encoded_bytes();
+        assert_eq!(framed.encoded_len(), frame.len());
+        let decoded = SmtProof::decode_all(&frame).unwrap();
+        assert_eq!(decoded, proof);
+        assert_eq!(decoded.size_bytes(), proof.size_bytes());
+        assert_eq!(decoded.to_encoded_bytes(), proof.to_encoded_bytes());
+        // Unmerged in memory, it still walks to the same answers.
+        let writes = [(key("k2"), None), (key("absent"), Some(hash_bytes(b"v")))];
+        for p in [&framed, &decoded] {
+            p.verify(&tree.root()).unwrap();
+            assert_eq!(p.updated_root(&writes), proof.updated_root(&writes));
+        }
+    }
+
+    #[test]
+    fn full_run_chunks_are_not_expanded_on_decode() {
+        // 64 KiB of `0x00 0xFF 0xFF`: 21 845 maximal runs, 1.4 G empty
+        // subtrees. One in-memory item per chunk, never one per subtree.
+        let chunks = 65_535 / 3;
+        let mut frame = Vec::new();
+        encode_seq(&[key("k")], &mut frame);
+        encode_seq(&[None::<Hash>], &mut frame);
+        (chunks as u32).encode(&mut frame);
+        for _ in 0..chunks {
+            frame.extend_from_slice(&[TAG_EMPTY_RUN, 0xFF, 0xFF]);
+        }
+        let proof = SmtProof::decode_all(&frame).unwrap();
+        assert_eq!(proof.evidence.len(), chunks);
+        assert_eq!(proof.size_bytes(), frame.len());
+        assert_eq!(
+            proof.verify(&Hash::ZERO),
+            Err(ProofError::Malformed("unconsumed evidence"))
+        );
+    }
+
+    #[test]
+    fn misplaced_leaf_evidence_is_refused() {
+        let [base, sibling, cousin] = deep_keys();
+        let mut tree = SparseMerkleTree::new();
+        tree.insert(base, b"1".to_vec());
+        tree.insert(cousin, b"2".to_vec());
+        // `sibling` is absent; `base` is disclosed as the leaf beside it.
+        let proof = tree.prove(&[sibling]);
+        proof.verify(&tree.root()).unwrap();
+        let mut forged = proof.clone();
+        for item in &mut forged.evidence {
+            if let Evidence::Leaf { key, .. } = item {
+                if *key == base {
+                    *key = cousin;
+                }
+            }
+        }
+        assert_ne!(forged, proof);
+        let refused = Err(ProofError::Malformed("leaf evidence outside subtree"));
+        assert_eq!(forged.compute_root::<true>(None), refused);
+        assert_eq!(forged.compute_root::<false>(None), refused);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -1001,6 +1241,52 @@ mod tests {
                 }
             }
             prop_assert_eq!(predicted, tree.root());
+        }
+
+        /// The run shortcut changes no verdict: whatever a one-byte change
+        /// does to an encoded proof, if it still decodes then the walk that
+        /// skips a lone key's all-empty remainder and the walk that steps
+        /// through it level by level agree — on the root, or on the refusal.
+        #[test]
+        fn prop_run_shortcut_agrees_with_per_level_walk(
+            present in proptest::collection::btree_set(0u8..24, 0..12),
+            touched in proptest::collection::btree_set(0u8..32, 0..5),
+            deep in any::<bool>(),
+            mutations in proptest::collection::vec((any::<usize>(), any::<u8>()), 24),
+        ) {
+            let mut tree = SparseMerkleTree::new();
+            for k in &present {
+                tree.insert(key(&format!("key-{k}")), vec![*k]);
+            }
+            let mut touched: Vec<Hash> = touched.iter().map(|k| key(&format!("key-{k}"))).collect();
+            if deep {
+                let [base, sibling, cousin] = deep_keys();
+                tree.insert(base, b"deep".to_vec());
+                touched.extend([sibling, cousin]);
+            }
+            let proof = tree.prove(&touched);
+            let overrides: BTreeMap<Hash, Option<Hash>> = proof
+                .keys
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| i % 3 != 2)
+                .map(|(i, k)| (*k, (i % 3 == 0).then(|| hash_bytes([i as u8]))))
+                .collect();
+            prop_assert_eq!(proof.compute_root::<false>(None), Ok(tree.root()));
+            let bytes = proof.to_encoded_bytes();
+            for (at, byte) in mutations {
+                let mut frame = bytes.clone();
+                frame[at % bytes.len()] = byte;
+                let Ok(mutant) = SmtProof::decode_all(&frame) else { continue };
+                prop_assert_eq!(
+                    mutant.compute_root::<true>(None),
+                    mutant.compute_root::<false>(None)
+                );
+                prop_assert_eq!(
+                    mutant.compute_root::<true>(Some(&overrides)),
+                    mutant.compute_root::<false>(Some(&overrides))
+                );
+            }
         }
 
         /// Proofs for random key sets never panic on junk roots.

@@ -31,10 +31,10 @@ use dcert::core::{
     CertBreakdown, CertJob, CertPipeline, Certificate, Gossip, IndexInput, NetMessage,
     PipelineConfig, ShardFailurePlan, ShardFleetConfig, ShardedCertEngine, SharedStore,
 };
-use dcert::merkle::{AggMbTree, MbTree};
+use dcert::merkle::{AggMbTree, MbTree, SmtProof, SparseMerkleTree};
 use dcert::obs::Registry;
-use dcert::primitives::codec::Encode;
-use dcert::primitives::hash::hash_bytes;
+use dcert::primitives::codec::{Decode, Encode};
+use dcert::primitives::hash::{hash_bytes, Hash};
 use dcert::query::aggregate::AggregateIndex;
 use dcert::query::history::HistoryIndex;
 use dcert::query::sp::IndexKind;
@@ -632,4 +632,181 @@ const CERT_GOLDEN: &[(&str, &str)] = &[
     ("cert/fleet1/work", "certs=6 ecalls=4 request_bytes=3184 response_bytes=520 marshal_reuse_bytes=0"),
     ("cert/fleet2/stream", "ef290344fb765a1deb4360131c9c4f33f15da5db04b599107359657f50b0d360"),
     ("cert/fleet2/work", "certs=6 ecalls=7 request_bytes=7576 response_bytes=683 marshal_reuse_bytes=0"),
+];
+
+// --- sparse Merkle multiproofs --------------------------------------------------
+//
+// `SMT_GOLDEN` pins the state tree's multiproof: captured at commit
+// 2926b75, while every empty sibling was still one in-memory slot and
+// every walk descended to depth 256 per key. The run-length walk that
+// replaced it must reproduce each byte and root.
+
+/// Four rows per key set: the SHA-256 of the encoded `prove` output, its
+/// byte length, the root it verifies against, and the root after a fixed
+/// upsert / delete / absent-key-insert mix (checked against the real tree).
+fn smt_rows(
+    label: &str,
+    tree: &SparseMerkleTree,
+    touched: &[Hash],
+    out: &mut Vec<(String, String)>,
+) {
+    let proof = tree.prove(touched);
+    let root = tree.root();
+    proof.verify(&root).expect("honest proof verifies");
+    let bytes = proof.to_encoded_bytes();
+    assert_eq!(proof.size_bytes(), bytes.len(), "{label}: size_bytes");
+    let decoded = SmtProof::decode_all(&bytes).expect("honest proof decodes");
+    assert_eq!(decoded, proof, "{label}: decode round trip");
+    assert_eq!(decoded.to_encoded_bytes(), bytes, "{label}: re-encoding");
+    // Every third covered key is upserted, every third deleted (an absent
+    // key among them is an insert or a no-op), the rest are only read.
+    let mut after = tree.clone();
+    let mut writes = Vec::new();
+    for (i, key) in proof.keys().iter().enumerate() {
+        match i % 3 {
+            0 => {
+                let value = i.to_be_bytes().to_vec();
+                writes.push((*key, Some(hash_bytes(&value))));
+                after.insert(*key, value);
+            }
+            1 => {
+                writes.push((*key, None));
+                after.remove(key);
+            }
+            _ => {}
+        }
+    }
+    let updated = decoded.updated_root(&writes).expect("covered writes");
+    assert_eq!(updated, after.root(), "{label}: stateless update");
+    out.push((format!("smt/{label}/proof"), hash_bytes(&bytes).to_string()));
+    out.push((format!("smt/{label}/bytes"), bytes.len().to_string()));
+    out.push((format!("smt/{label}/root"), root.to_string()));
+    out.push((format!("smt/{label}/updated"), updated.to_string()));
+}
+
+fn smt_key(label: &str, i: u64) -> Hash {
+    hash_bytes(format!("{label}-{i}"))
+}
+
+fn smt_tree(label: &str, n: u64) -> SparseMerkleTree {
+    let mut tree = SparseMerkleTree::new();
+    for i in 0..n {
+        tree.insert(smt_key(label, i), i.to_be_bytes().to_vec());
+    }
+    tree
+}
+
+fn smt_computed() -> Vec<(String, String)> {
+    let mut out = Vec::new();
+
+    // (a) The `blocks_io` shape: 4 128 records, 32 ranges of 32 adjacent
+    // record numbers (overlapping, and two running past the last record).
+    let records = smt_tree("rec", 4128);
+    let mut touched = Vec::new();
+    for range in 0..32u64 {
+        let start = match range {
+            30 => 4110,
+            31 => 4127,
+            _ => range * 2_654_435_761 % 4096,
+        };
+        touched.extend((start..start + 32).map(|i| smt_key("rec", i)));
+    }
+    smt_rows("blocks_io", &records, &touched, &mut out);
+
+    // (b) 300 absent keys over an empty tree: one run of empties longer
+    // than a `u16` chunk can hold.
+    let absent: Vec<Hash> = (0..300).map(|i| smt_key("absent", i)).collect();
+    smt_rows(
+        "empty_tree_300",
+        &SparseMerkleTree::new(),
+        &absent,
+        &mut out,
+    );
+
+    // (c) Keys sharing 248- and 255-bit prefixes, present and absent.
+    let base = smt_key("deep", 0).to_array();
+    let flip_last = |mask: u8| {
+        let mut bytes = base;
+        bytes[31] ^= mask;
+        Hash::from_bytes(bytes)
+    };
+    let mut deep = smt_tree("deep-fill", 64);
+    deep.insert(flip_last(0x00), b"base".to_vec());
+    deep.insert(flip_last(0x80), b"cousin".to_vec());
+    let touched = [
+        flip_last(0x00),
+        flip_last(0x01),
+        flip_last(0x80),
+        flip_last(0x81),
+        smt_key("deep-fill", 7),
+        smt_key("deep-miss", 7),
+    ];
+    smt_rows("deep_prefixes", &deep, &touched, &mut out);
+    smt_rows(
+        "deep_absent_pair",
+        &deep,
+        &[flip_last(0x01), flip_last(0x81)],
+        &mut out,
+    );
+
+    // (d) The empty key set: the whole tree is one evidence item.
+    let small = smt_tree("small", 64);
+    smt_rows(
+        "no_keys/empty_tree",
+        &SparseMerkleTree::new(),
+        &[],
+        &mut out,
+    );
+    smt_rows("no_keys/one_leaf", &smt_tree("small", 1), &[], &mut out);
+    smt_rows("no_keys/64_leaves", &small, &[], &mut out);
+
+    // (e) A single present and a single absent key.
+    smt_rows("one_present", &small, &[smt_key("small", 9)], &mut out);
+    smt_rows("one_absent", &small, &[smt_key("nobody", 9)], &mut out);
+    out
+}
+
+#[test]
+fn smt_multiproofs_reproduce_parent_commit_bytes() {
+    assert_golden(&smt_computed(), SMT_GOLDEN);
+}
+
+#[rustfmt::skip]
+const SMT_GOLDEN: &[(&str, &str)] = &[
+    ("smt/blocks_io/proof", "bbb75653093c291c3f6716a8889838d5e3feb840898119d679c92fa028298635"),
+    ("smt/blocks_io/bytes", "154861"),
+    ("smt/blocks_io/root", "133605b5bc9f6e965e2779026e0d180f4e3bc14871cfa78c7fabca41a08db377"),
+    ("smt/blocks_io/updated", "4a0ed3f00f333b1fdd6d8406b5222aea81a1a6289be89a0bc3d224abdec15e95"),
+    ("smt/empty_tree_300/proof", "02dab4463946006f95a2ce1caf3bead92b18c673bbb20b139afd35975f2386fb"),
+    ("smt/empty_tree_300/bytes", "9918"),
+    ("smt/empty_tree_300/root", "0000000000000000000000000000000000000000000000000000000000000000"),
+    ("smt/empty_tree_300/updated", "250852306ca8cd05a23b88459556c058c9d8ee514c87a8fe6af45798806946f3"),
+    ("smt/deep_prefixes/proof", "a0a83fcc7592673e282243d31abb36e5b27364d7f9f63f9fd59e43de1d423b5c"),
+    ("smt/deep_prefixes/bytes", "1034"),
+    ("smt/deep_prefixes/root", "34b744b2bc5b39f90e32ff68bd44db012471926be0b13c69ff05afe723acffd6"),
+    ("smt/deep_prefixes/updated", "f3f62f47c2180fa363fc41d5ab612dbdf73e677ca4d0a850c1f000c66ad07c4d"),
+    ("smt/deep_absent_pair/proof", "7b3276015ae0e9d40b7ba1d6a8f8d7e239fdfc80fe9b0eb2867a9887425a0477"),
+    ("smt/deep_absent_pair/bytes", "447"),
+    ("smt/deep_absent_pair/root", "34b744b2bc5b39f90e32ff68bd44db012471926be0b13c69ff05afe723acffd6"),
+    ("smt/deep_absent_pair/updated", "865cd2f7d91509099a46c01271f99911011d4cdf50a5b22fb7ec39d7b96bec47"),
+    ("smt/no_keys/empty_tree/proof", "e605996b7ab132f21c3c80bf8b74dc895e92146a404c58180cbb822c04212793"),
+    ("smt/no_keys/empty_tree/bytes", "15"),
+    ("smt/no_keys/empty_tree/root", "0000000000000000000000000000000000000000000000000000000000000000"),
+    ("smt/no_keys/empty_tree/updated", "0000000000000000000000000000000000000000000000000000000000000000"),
+    ("smt/no_keys/one_leaf/proof", "6ba2eaca303921db61c60ecbfe3787845c832cfbde72cd127ebc4a4ed5fb8e0e"),
+    ("smt/no_keys/one_leaf/bytes", "77"),
+    ("smt/no_keys/one_leaf/root", "8c99dd5b1925a03e9ab8f7ae53f744a1fda696f53bcd1092a902298b53e19fab"),
+    ("smt/no_keys/one_leaf/updated", "8c99dd5b1925a03e9ab8f7ae53f744a1fda696f53bcd1092a902298b53e19fab"),
+    ("smt/no_keys/64_leaves/proof", "6986f1d88bbe92b9b07a5a899636342d29a41729173e1d3361d4c84ec3a7ab9c"),
+    ("smt/no_keys/64_leaves/bytes", "45"),
+    ("smt/no_keys/64_leaves/root", "6e6fc4f9d076706d52fee389ceb4aef4e2b843e0bd8ae0b4803e46bb1ab1b595"),
+    ("smt/no_keys/64_leaves/updated", "6e6fc4f9d076706d52fee389ceb4aef4e2b843e0bd8ae0b4803e46bb1ab1b595"),
+    ("smt/one_present/proof", "cb94968d8a79bfcae13e64d08ccdf15467f2cede588c4350fb2c757adee561b5"),
+    ("smt/one_present/bytes", "345"),
+    ("smt/one_present/root", "6e6fc4f9d076706d52fee389ceb4aef4e2b843e0bd8ae0b4803e46bb1ab1b595"),
+    ("smt/one_present/updated", "ae89ff7ae73d62932c63692e20d1de048f65d55c675b2568c366355d3bdbd374"),
+    ("smt/one_absent/proof", "8a7f3f1cf9edde41e99c4d21de1abb0637046faa87d32ccbdc3cc55215d5299d"),
+    ("smt/one_absent/bytes", "343"),
+    ("smt/one_absent/root", "6e6fc4f9d076706d52fee389ceb4aef4e2b843e0bd8ae0b4803e46bb1ab1b595"),
+    ("smt/one_absent/updated", "787f80c6e5f35208b403475405693261f89bd49be40111ff6b75c0cc60044453"),
 ];
