@@ -10,7 +10,7 @@ use crate::consensus::{ConsensusEngine, ConsensusProof};
 use crate::error::ChainError;
 use crate::state::ChainState;
 use crate::tx::Transaction;
-use crate::validity::{check_body, check_extends, hash_writes};
+use crate::validity::{check_body, check_extends, check_height, hash_writes};
 
 /// A full node: executes, validates, and (optionally) proposes blocks,
 /// maintaining the canonical-chain tip state.
@@ -129,27 +129,20 @@ impl FullNode {
         let proof = self.state.prove(&touched);
         proof
             .updated_root(&hash_writes(&execution.writes))
-            // dcert-lint: allow(r5-panic-reachability, reason = "the proof was generated two lines up against this node's own tree over exactly the touched keys, so every written key is covered")
+            // Proven two lines up, on this node's own tree, over these keys.
             .expect("proof covers every written key")
     }
 
-    /// Builds and seals the next block from `txs` (transactions with
-    /// invalid signatures are rejected up front). Does **not** advance the
-    /// chain — call [`FullNode::apply`] with the returned block.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first transaction validation error, or a consensus
-    /// sealing error.
-    pub fn propose(&self, txs: Vec<Transaction>, timestamp: u64) -> Result<Block, ChainError> {
-        for tx in &txs {
-            tx.verify()?;
-        }
-        let execution = self.execute(&txs);
-        let state_root = self.predicted_state_root(&execution);
+    /// Seals the block that carries `txs` from the tip to `state_root`.
+    fn seal(
+        &self,
+        txs: Vec<Transaction>,
+        timestamp: u64,
+        state_root: Hash,
+    ) -> Result<Block, ChainError> {
         let mut header = BlockHeader {
             // Saturating: nothing extends a tip at `u64::MAX`, and `apply`
-            // says so when offered this proposal.
+            // and `mine` say so when they come to extend it.
             height: self.tip.height.saturating_add(1),
             prev_hash: self.tip.hash(),
             state_root,
@@ -165,35 +158,65 @@ impl FullNode {
         Ok(Block { header, txs })
     }
 
-    /// Fully validates `block` against the tip and commits it: header
-    /// linkage and height, consensus proof, transaction root and
-    /// signatures, re-execution, and state-root agreement.
+    /// Builds and seals the next block from `txs` (transactions with
+    /// invalid signatures are rejected up front). Does **not** advance the
+    /// chain — [`FullNode::apply`] the returned block, or [`FullNode::mine`].
+    ///
+    /// # Errors
+    ///
+    /// Returns the first transaction validation error, or a consensus
+    /// sealing error.
+    pub fn propose(&self, txs: Vec<Transaction>, timestamp: u64) -> Result<Block, ChainError> {
+        txs.iter().try_for_each(Transaction::verify)?;
+        let state_root = self.predicted_state_root(&self.execute(&txs));
+        self.seal(txs, timestamp, state_root)
+    }
+
+    /// Fully validates a foreign `block` against the tip and commits it:
+    /// header linkage and height, consensus proof, transaction root and
+    /// signatures, re-execution, state-root agreement. Returns that execution.
     ///
     /// # Errors
     ///
     /// Any [`ChainError`] leaves the node unchanged.
-    pub fn apply(&mut self, block: &Block) -> Result<(), ChainError> {
+    pub fn apply(&mut self, block: &Block) -> Result<BlockExecution, ChainError> {
         check_extends(&self.tip, &block.header)?;
         check_body(self.engine.as_ref(), block)?;
         let execution = self.execute(&block.txs);
-        if self.predicted_state_root(&execution) != block.header.state_root {
+        // Commit, compare, and take it back on a mismatch.
+        let displaced = self.state.apply_writes(execution.writes.iter());
+        if self.state.root() != block.header.state_root {
+            self.state.restore(displaced);
             return Err(ChainError::StateRootMismatch);
         }
-        self.state.apply_writes(execution.writes.iter());
-        debug_assert_eq!(self.state.root(), block.header.state_root);
         self.tip = block.header.clone();
-        Ok(())
+        Ok(execution)
     }
 
-    /// Convenience: propose and immediately apply a block, returning it.
+    /// Mines the next block: one signature pass, one execution, and one
+    /// state commit whose root seals the header — what [`FullNode::propose`]
+    /// then [`FullNode::apply`] produce, without the second validation.
     ///
     /// # Errors
     ///
-    /// Propagates proposal and validation errors.
+    /// What `propose` then `apply` refuse, in their order — a bad
+    /// transaction signature, an engine that cannot seal, a tip at
+    /// `u64::MAX`, a seal its own engine rejects — with the node unchanged.
     pub fn mine(&mut self, txs: Vec<Transaction>, timestamp: u64) -> Result<Block, ChainError> {
-        let block = self.propose(txs, timestamp)?;
-        self.apply(&block)?;
-        Ok(block)
+        txs.iter().try_for_each(Transaction::verify)?;
+        let displaced = self.state.apply_writes(self.execute(&txs).writes.iter());
+        let sealed = self
+            .seal(txs, timestamp, self.state.root())
+            .and_then(|block| {
+                check_height(&self.tip, &block.header)?;
+                self.engine.verify(&block.header)?;
+                Ok(block)
+            });
+        match &sealed {
+            Ok(block) => self.tip = block.header.clone(),
+            Err(_) => self.state.restore(displaced),
+        }
+        sealed
     }
 
     /// Replaces the tip and state wholesale, asserting only root
@@ -212,6 +235,26 @@ impl FullNode {
         );
         self.tip = header;
         self.state = state;
+    }
+
+    /// [`FullNode::adopt_validated`] in place, for one block: advances the
+    /// tip state by `writes`, the write set of the caller's own execution.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `writes` do not lead to `header.state_root`.
+    pub fn advance_validated<'a>(
+        &mut self,
+        header: BlockHeader,
+        writes: impl IntoIterator<Item = (&'a StateKey, &'a Option<Vec<u8>>)>,
+    ) {
+        self.state.apply_writes(writes);
+        assert_eq!(
+            header.state_root,
+            self.state.root(),
+            "adopted state root mismatch"
+        );
+        self.tip = header;
     }
 
     /// Direct state write used only when bootstrapping test fixtures; not
@@ -257,6 +300,16 @@ mod tests {
         )
     }
 
+    /// Everything a refusal must leave alone: tip, state commitment, and
+    /// every entry behind it.
+    fn fingerprint(node: &FullNode) -> (BlockHeader, Hash, Vec<(Hash, Vec<u8>)>) {
+        (
+            node.tip().clone(),
+            node.state().root(),
+            node.state().dump_entries(),
+        )
+    }
+
     #[test]
     fn mine_and_apply_advances_chain() {
         let mut node = node(Arc::new(ProofOfWork::new(4)));
@@ -291,8 +344,74 @@ mod tests {
         block.header.state_root = Hash::ZERO;
         // Reseal so consensus passes and the state check is what trips.
         node.engine().seal(&mut block.header).unwrap();
+        let before = fingerprint(&node);
         assert_eq!(node.apply(&block), Err(ChainError::StateRootMismatch));
-        assert_eq!(node.height(), 0, "node must be unchanged");
+        // The refusal comes after the write set was committed, and takes
+        // it back.
+        assert_eq!(fingerprint(&node), before, "node must be unchanged");
+    }
+
+    #[test]
+    fn a_refused_mine_leaves_the_node_unchanged() {
+        let refused = |what: &str,
+                       engine: Arc<dyn ConsensusEngine>,
+                       height: u64,
+                       txs: Vec<Transaction>,
+                       refusal: ChainError| {
+            // A tip whose state already counts, so the refused block's
+            // write displaced a value that has to come back.
+            let mut node = node(engine);
+            let counter = StateKey::new("counter", b"value");
+            node.state.set(counter, 41u64.to_be_bytes().into());
+            node.tip.state_root = node.state.root();
+            node.tip.height = height;
+            let before = fingerprint(&node);
+            let mut twin = node.clone();
+            assert_eq!(node.mine(txs.clone(), 1), Err(refusal.clone()), "{what}");
+            assert_eq!(fingerprint(&node), before, "{what}: node must be unchanged");
+            // What `mine` refuses is what `propose` then `apply` refuse.
+            let two_step = twin
+                .propose(txs, 1)
+                .and_then(|block| twin.apply(&block).map(|_| block));
+            assert_eq!(two_step, Err(refusal), "{what}: propose + apply");
+        };
+        let authorized = vec![Keypair::from_seed([9; 32]).public()];
+        let mut forged = bump_tx(2, 0);
+        forged.nonce = 99;
+        refused(
+            "bad tx signature",
+            Arc::new(ProofOfWork::new(2)),
+            4,
+            vec![bump_tx(1, 0), forged],
+            ChainError::BadTxSignature,
+        );
+        refused(
+            "verify-only sealer",
+            Arc::new(ProofOfAuthority::new_verifier(authorized.clone())),
+            4,
+            vec![bump_tx(1, 0)],
+            ChainError::BadConsensus("verify-only PoA engine"),
+        );
+        refused(
+            "unauthorised sealer",
+            Arc::new(ProofOfAuthority::new_sealer(
+                authorized,
+                Keypair::from_seed([8; 32]),
+            )),
+            4,
+            vec![bump_tx(1, 0)],
+            ChainError::BadConsensus("unauthorized signer"),
+        );
+        refused(
+            "tip at the last height",
+            Arc::new(ProofOfWork::new(2)),
+            u64::MAX,
+            vec![bump_tx(1, 0)],
+            ChainError::BadHeight {
+                parent: u64::MAX,
+                child: u64::MAX,
+            },
+        );
     }
 
     #[test]

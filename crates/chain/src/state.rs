@@ -15,6 +15,11 @@ pub struct ChainState {
     tree: SparseMerkleTree,
 }
 
+/// The values a write set overwrote or deleted, per tree path (`None` =
+/// the path was empty): the exact undo of one [`ChainState::apply_writes`].
+#[derive(Debug)]
+pub struct Displaced(Vec<(Hash, Option<Vec<u8>>)>);
+
 impl ChainState {
     /// Creates an empty state (root = [`Hash::ZERO`]).
     pub fn new() -> Self {
@@ -46,21 +51,22 @@ impl ChainState {
         self.tree.insert((*key.as_hash()).to_owned(), value);
     }
 
-    /// Applies a block's write set (`None` deletes).
+    /// Applies a block's write set (`None` deletes) in one walk of the
+    /// tree, and hands back what it displaced for [`ChainState::restore`].
     pub fn apply_writes<'a>(
         &mut self,
         writes: impl IntoIterator<Item = (&'a StateKey, &'a Option<Vec<u8>>)>,
-    ) {
-        for (key, value) in writes {
-            match value {
-                Some(v) => {
-                    self.tree.insert(*key.as_hash(), v.clone());
-                }
-                None => {
-                    self.tree.remove(key.as_hash());
-                }
-            }
-        }
+    ) -> Displaced {
+        let writes = writes
+            .into_iter()
+            .map(|(key, value)| (*key.as_hash(), value.clone()));
+        Displaced(self.tree.commit(writes))
+    }
+
+    /// Undoes the [`ChainState::apply_writes`] that returned `displaced`,
+    /// provided nothing was written since.
+    pub fn restore(&mut self, displaced: Displaced) {
+        self.tree.commit(displaced.0);
     }
 
     /// Dumps every `(tree path, value)` entry — used by the naive

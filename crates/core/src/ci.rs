@@ -419,7 +419,8 @@ impl CertificateIssuer {
 
     /// A one-block job, inline: sequence → prepare → issue on the calling
     /// thread against the live tip state (no snapshot), then the chain
-    /// advance, then the commit.
+    /// advance — in place, by this job's own write set: the enclave has just
+    /// validated the block — then the commit.
     fn certify_one(
         &mut self,
         block: &Block,
@@ -428,9 +429,12 @@ impl CertificateIssuer {
         let mut breakdown = CertBreakdown::default();
         let (executor, state, tip) = (self.node.executor(), self.node.state(), self.node.tip());
         let link = ExecutedLink::execute(executor, state, tip, block.clone(), &mut breakdown)?;
-        let job = PreparedJob::single(tip, link, state, indexing, &mut breakdown);
+        let (job, writes) = PreparedJob::single(tip, link, state, indexing, &mut breakdown);
         let issued = self.issuer.issue(&job, &mut breakdown)?;
-        self.node.apply(block)?;
+        self.node.advance_validated(
+            issued.header.clone(),
+            writes.iter().map(|(key, value)| (key, value)),
+        );
         self.issuer.commit(&issued);
         Ok((issued, breakdown))
     }

@@ -241,14 +241,15 @@ pub(crate) struct PreparedJob {
 
 impl PreparedJob {
     /// Marshals a one-block job: proves `executed` — and, for Algorithm 5,
-    /// its write set — against `pre_state`, the state it executed on.
+    /// its write set — against `pre_state`, the state it executed on. Also
+    /// hands back that write set, which takes `pre_state` past the block.
     pub(crate) fn single(
         prev_header: &BlockHeader,
         executed: ExecutedLink,
         pre_state: &ChainState,
         indexing: Indexing,
         breakdown: &mut CertBreakdown,
-    ) -> Self {
+    ) -> (Self, WriteSet) {
         let (link, writes) = executed.prove(pre_state, breakdown);
         let (block, index_body, indexes) = match indexing {
             Indexing::None => (
@@ -274,7 +275,7 @@ impl PreparedJob {
                 )
             }
         };
-        PreparedJob {
+        let job = PreparedJob {
             header: link.block.header,
             block,
             index_body,
@@ -287,7 +288,8 @@ impl PreparedJob {
                     staged_prev: index.prev_cert,
                 })
                 .collect(),
-        }
+        };
+        (job, writes)
     }
 
     /// Marshals a batch: one `BatchSigGen` over `links`, certifying the

@@ -723,13 +723,15 @@ fn advance(
 fn prepare(task: PrepTask) -> Prepared {
     let mut breakdown = task.breakdown;
     let job = match task.work {
+        // The sequencer has already applied the write set.
         PrepWork::Single((link, pre_state), indexing) => Ok(PreparedJob::single(
             &task.prev_header,
             link,
             &pre_state,
             indexing,
             &mut breakdown,
-        )),
+        )
+        .0),
         PrepWork::Batch(links) => {
             let links: Vec<_> = links
                 .into_iter()

@@ -517,15 +517,11 @@ impl ServiceProvider {
             self.node.apply(block)?;
             return Ok(Vec::new());
         }
-        let execution = self.node.execute(&block.txs);
-        let writes: Vec<(StateKey, Option<Vec<u8>>)> = execution
-            .writes
-            .iter()
-            .map(|(k, v)| (*k, v.clone()))
-            .collect();
         // Validate + advance the chain first; a bad block must not touch
-        // the indexes.
-        self.node.apply(block)?;
+        // the indexes. The indexes are fed from the execution the node
+        // validated.
+        let execution = self.node.apply(block)?;
+        let writes: Vec<(StateKey, Option<Vec<u8>>)> = execution.writes.into_iter().collect();
 
         // Persist the raw material recovery replays: the block's writes
         // (rebuilds history/aggregate indexes) and its keyword appends

@@ -115,7 +115,7 @@ fn verdicts(mutate: fn(&mut Block), reseal: bool) -> [Result<(), ChainError>; 4]
     };
     let (_, input, mut node) = mutated();
     [
-        node.apply(&input.block),
+        node.apply(&input.block).map(drop),
         offer(EcallRequest::SigGen),
         offer(one_link_batch),
         offer(|input| {
