@@ -366,7 +366,7 @@ impl Decode for SkipRangeProof {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use dcert_testkit::check;
 
     fn build(n: u64) -> AuthSkipList {
         let mut list = AuthSkipList::new();
@@ -466,20 +466,19 @@ mod tests {
         decoded.verify(&list.head(), 5, 15, &results).unwrap();
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
-
-        #[test]
-        fn prop_ranges_verify(n in 0u64..200, t1 in 0u64..250, width in 0u64..80) {
+    #[test]
+    fn prop_ranges_verify() {
+        check("prop_ranges_verify", 48, |g| {
+            let (n, t1, width) = (g.range(0u64..200), g.range(0u64..250), g.range(0u64..80));
             let list = build(n);
             let t2 = t1 + width;
             let (results, proof) = list.range(t1, t2);
             let expected: Vec<u64> = (t1..=t2).filter(|t| *t < n).collect();
-            prop_assert_eq!(
+            assert_eq!(
                 results.iter().map(|(t, _)| *t).collect::<Vec<_>>(),
                 expected
             );
-            prop_assert!(proof.verify(&list.head(), t1, t2, &results).is_ok());
-        }
+            assert!(proof.verify(&list.head(), t1, t2, &results).is_ok());
+        });
     }
 }

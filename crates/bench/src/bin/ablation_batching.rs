@@ -12,11 +12,9 @@
 
 use std::time::Instant;
 
-use dcert_bench::export::export_figure;
-use dcert_bench::json::{obj, Json};
 use dcert_bench::params::scaled;
-use dcert_bench::report::{banner, fmt_duration, json_mode};
-use dcert_bench::{Rig, RigConfig};
+use dcert_bench::report::{banner, fmt_duration};
+use dcert_bench::{shape, Rig};
 use dcert_obs::Registry;
 use dcert_sgx::CostModel;
 use dcert_workloads::Workload;
@@ -36,13 +34,8 @@ fn main() {
     println!("{}", "-".repeat(52));
 
     let obs = Registry::new();
-    let mut json_rows = Vec::new();
     for &batch in &[1usize, 2, 4, 8, 16] {
-        let mut rig = Rig::new(RigConfig {
-            cost: CostModel::calibrated(),
-            indexes: Vec::new(),
-            obs: obs.clone(),
-        });
+        let mut rig = Rig::block_only(CostModel::calibrated(), &obs);
         let mut gen = rig.generator(Workload::KvStore { keyspace: 500 }, 42);
         let blocks: Vec<_> = (0..total).map(|_| rig.mine(gen.next_block(32))).collect();
 
@@ -63,18 +56,14 @@ fn main() {
             fmt_duration(per_block),
             fmt_duration(elapsed),
         );
-        json_rows.push(obj(vec![
-            ("batch_size", batch.into()),
-            ("per_block_us", (per_block.as_secs_f64() * 1e6).into()),
-            ("total_us", (elapsed.as_secs_f64() * 1e6).into()),
-            ("ecalls", ecalls.into()),
-        ]));
+        // What batching amortizes: one ECall per batch, not per block.
+        assert_eq!(
+            ecalls,
+            total.div_ceil(batch as u64),
+            "batch {batch}: one ECall per batch"
+        );
     }
     println!();
     println!("(KV workload, 32-tx blocks, {total} blocks per configuration)");
-    let rows = Json::Arr(json_rows);
-    export_figure("ablation_batching", &obs, rows.clone());
-    if json_mode() {
-        println!("{}", rows.to_string_pretty());
-    }
+    shape::recorded(&obs, &["enclave.ecalls"], &[]);
 }

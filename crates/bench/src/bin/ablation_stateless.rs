@@ -18,11 +18,10 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use dcert_bench::export::export_figure;
-use dcert_bench::json::{obj, Json};
 use dcert_bench::naive::{NaiveCertProgram, NaiveRequest, Response};
 use dcert_bench::params::scaled;
-use dcert_bench::report::{banner, fmt_bytes, fmt_duration, json_mode};
+use dcert_bench::report::{banner, fmt_bytes, fmt_duration};
+use dcert_bench::shape;
 use dcert_chain::{FullNode, GenesisBuilder, ProofOfAuthority};
 use dcert_core::{BlockInput, CertProgram, EcallRequest, EcallResponse};
 use dcert_obs::Registry;
@@ -30,7 +29,7 @@ use dcert_primitives::codec::{Decode, Encode};
 use dcert_primitives::hash::Address;
 use dcert_primitives::keys::Keypair;
 use dcert_sgx::{AttestationService, CostModel, Enclave};
-use dcert_vm::{Executor, StateKey};
+use dcert_vm::Executor;
 use dcert_workloads::{blockbench_registry, Workload};
 
 /// Reduced EPC budget making the paging cliff visible at bench scale.
@@ -55,16 +54,13 @@ fn main() {
     println!("{}", "-".repeat(72));
 
     let obs = Registry::new();
-    let mut json_rows = Vec::new();
-    for &entries in &[1_000u64, 5_000, 20_000, 60_000] {
-        let entries = scaled(entries);
+    let sizes = [1_000u64, 5_000, 20_000, 60_000].map(scaled);
+    let mut naive_bytes = Vec::new();
+    for entries in sizes {
         // Genesis pre-populated with `entries` KV records.
         let mut genesis_builder = GenesisBuilder::new();
         for i in 0..entries {
-            genesis_builder = genesis_builder.allocate(
-                StateKey::new("kvstore", format!("key-{i}").as_bytes()),
-                vec![0xAB; 64],
-            );
+            genesis_builder = genesis_builder.allocate(dcert_bench::kv_key(i), vec![0xAB; 64]);
         }
         let (genesis, state) = genesis_builder.build();
 
@@ -153,8 +149,7 @@ fn main() {
         ));
 
         let ratio = naive_time.as_secs_f64() / stateless_time.as_secs_f64();
-        let naive_paged_bytes = naive_enclave.stats().paged_bytes;
-        let paged = naive_paged_bytes > 0;
+        let paged = naive_enclave.stats().paged_bytes > 0;
         println!(
             "{:>9} | {:>10} {:>12} | {:>10} {:>12} | {:>6.1}x{}",
             entries,
@@ -165,28 +160,20 @@ fn main() {
             ratio,
             if paged { "  (paged!)" } else { "" },
         );
-        json_rows.push(obj(vec![
-            ("state_entries", entries.into()),
-            ("stateless_request_bytes", stateless_req.len().into()),
-            (
-                "stateless_ecall_us",
-                (stateless_time.as_secs_f64() * 1e6).into(),
-            ),
-            ("naive_request_bytes", naive_req.len().into()),
-            ("naive_ecall_us", (naive_time.as_secs_f64() * 1e6).into()),
-            ("ratio", ratio.into()),
-            ("naive_paged", paged.into()),
-            ("naive_paged_bytes", naive_paged_bytes.into()),
-        ]));
+        // Section 4.1's argument: the stateless request never outgrows the
+        // EPC, the naive one is the whole state and pages once it does.
+        assert_eq!(stateless_enclave.stats().paged_bytes, 0, "stateless paged");
+        assert!(
+            paged || naive_req.len() <= EPC_BUDGET,
+            "{entries} entries: a naive request over the EPC budget must page"
+        );
+        naive_bytes.push(naive_req.len());
     }
+    shape::grows_with("naive request bytes", &sizes, &naive_bytes);
     println!();
     println!(
         "(EPC budget reduced to {} for a visible paging cliff)",
         fmt_bytes(EPC_BUDGET)
     );
-    let rows = Json::Arr(json_rows);
-    export_figure("ablation_stateless", &obs, rows.clone());
-    if json_mode() {
-        println!("{}", rows.to_string_pretty());
-    }
+    shape::recorded(&obs, &["enclave.ecalls", "enclave.bytes_in"], &[]);
 }

@@ -10,11 +10,9 @@
 
 #![forbid(unsafe_code)]
 
-use dcert_bench::export::export_figure;
-use dcert_bench::json::{obj, Json};
 use dcert_bench::params::{scaled, BLOCKS_PER_MEASUREMENT, DEFAULT_BLOCK_SIZE, INDEX_COUNTS};
-use dcert_bench::report::{banner, fmt_duration, json_mode};
-use dcert_bench::{Rig, RigConfig, Scheme};
+use dcert_bench::report::{banner, fmt_duration};
+use dcert_bench::{shape, Rig, RigConfig, Scheme};
 use dcert_obs::Registry;
 use dcert_query::sp::IndexKind;
 use dcert_sgx::CostModel;
@@ -68,7 +66,6 @@ fn main() {
     );
     println!("{}", "-".repeat(56));
     let obs = Registry::new();
-    let mut json_rows = Vec::new();
     for &count in INDEX_COUNTS {
         let (aug, aug_ecalls) = measure(Scheme::Augmented, count, blocks, &obs);
         let (hier, hier_ecalls) = measure(Scheme::Hierarchical, count, blocks, &obs);
@@ -77,19 +74,22 @@ fn main() {
             fmt_duration(aug),
             fmt_duration(hier),
         );
-        json_rows.push(obj(vec![
-            ("indexes", count.into()),
-            ("augmented_us", (aug.as_secs_f64() * 1e6).into()),
-            ("hierarchical_us", (hier.as_secs_f64() * 1e6).into()),
-            ("augmented_ecalls", aug_ecalls.into()),
-            ("hierarchical_ecalls", hier_ecalls.into()),
-        ]));
+        // Algorithm 4 replays the block once per index; Algorithm 5 pays
+        // one block certificate plus one light ECall per index.
+        assert_eq!(aug_ecalls, count as f64, "augmented: one ECall per index");
+        assert_eq!(
+            hier_ecalls,
+            count as f64 + 1.0,
+            "hierarchical: block + indexes"
+        );
+        if shape::wall_clock() && count >= 2 {
+            assert!(
+                hier < aug,
+                "{count} indexes: hierarchical ({hier:?}) must undercut augmented ({aug:?})"
+            );
+        }
     }
     println!();
     println!("(KV workload, block size = {DEFAULT_BLOCK_SIZE} txs, {blocks} blocks per point)");
-    let rows = Json::Arr(json_rows);
-    export_figure("fig10_index_certs", &obs, rows.clone());
-    if json_mode() {
-        println!("{}", rows.to_string_pretty());
-    }
+    shape::recorded(&obs, &["enclave.ecalls"], &["sp.cert_bytes"]);
 }

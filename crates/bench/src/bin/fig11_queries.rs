@@ -11,24 +11,16 @@
 
 #![forbid(unsafe_code)]
 
-use std::time::Instant;
-
 use dcert_baselines::lineage::{verify_lineage, LineageIndex};
-use dcert_bench::export::export_figure;
-use dcert_bench::json::{obj, Json};
+use dcert_bench::kv_key;
 use dcert_bench::params::{scaled, QUERY_ACCOUNTS, QUERY_CHAIN_LENGTH, WINDOW_DISTANCES};
-use dcert_bench::report::{banner, fmt_bytes, fmt_duration, json_mode};
-use dcert_obs::{Buckets, Registry};
-use dcert_primitives::hash::Hash;
+use dcert_bench::report::{banner, fmt_bytes, fmt_duration, short};
 use dcert_query::history::verify_history;
 use dcert_query::HistoryIndex;
+use dcert_sgx::cost::timed;
 use dcert_vm::StateKey;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-fn account(i: u64) -> StateKey {
-    StateKey::new("kvstore", format!("key-{i}").as_bytes())
-}
 
 fn main() {
     banner(
@@ -42,7 +34,7 @@ fn main() {
     // a handful of the 500 tuples, and the probe account every block (so
     // every window contains versions).
     eprintln!("building {chain_len}-block indexes over {accounts} accounts...");
-    let probe = account(0);
+    let probe = kv_key(0);
     let mut dcert_idx = HistoryIndex::new("history");
     let mut lineage_idx = LineageIndex::new();
     let mut rng = StdRng::seed_from_u64(42);
@@ -52,7 +44,7 @@ fn main() {
         for _ in 0..4 {
             let acct = rng.gen_range(1..accounts);
             writes.push((
-                account(acct),
+                kv_key(acct),
                 Some(format!("balance-{acct}-{height}").into_bytes()),
             ));
         }
@@ -64,22 +56,11 @@ fn main() {
     let dcert_digest = dcert_idx.digest();
     let lineage_digest = lineage_idx.digest();
 
-    let obs = Registry::new();
-    let queries = obs.counter("bench.fig11.queries");
-    let results_hist = obs.histogram("bench.fig11.results", Buckets::exponential(1, 2, 16));
-    let dcert_proof_bytes = obs.histogram("bench.fig11.dcert_proof_bytes", Buckets::bytes());
-    let lineage_proof_bytes = obs.histogram("bench.fig11.lineage_proof_bytes", Buckets::bytes());
-    let dcert_query_ns = obs.timer("bench.fig11.dcert_query_ns");
-    let dcert_verify_ns = obs.timer("bench.fig11.dcert_verify_ns");
-    let lineage_query_ns = obs.timer("bench.fig11.lineage_query_ns");
-    let lineage_verify_ns = obs.timer("bench.fig11.lineage_verify_ns");
-
     println!(
         "{:>9} | {:>11} {:>11} {:>10} | {:>11} {:>11} {:>10}",
         "distance", "DCert query", "verify", "proof", "LC query", "verify", "proof"
     );
     println!("{}", "-".repeat(86));
-    let mut json_rows = Vec::new();
     for &distance in WINDOW_DISTANCES {
         // The window reaches back `distance` blocks from the chain tip
         // (the paper grows the window away from the latest block).
@@ -88,33 +69,26 @@ fn main() {
         let t1 = chain_len - distance + 1;
 
         // DCert two-level index.
-        let started = Instant::now();
-        let (d_results, d_proof) = dcert_idx.query(&probe, t1, t2);
-        let d_query = started.elapsed();
-        let started = Instant::now();
-        verify_history(&dcert_digest, &probe, t1, t2, &d_results, &d_proof)
-            .expect("dcert query verifies");
-        let d_verify = started.elapsed();
+        let ((d_results, d_proof), d_query) = timed(|| dcert_idx.query(&probe, t1, t2));
+        let (verdict, d_verify) =
+            timed(|| verify_history(&dcert_digest, &probe, t1, t2, &d_results, &d_proof));
+        verdict.expect("dcert query verifies");
 
         // LineageChain-style baseline.
-        let started = Instant::now();
-        let (l_results, l_proof) = lineage_idx.query(&probe, t1, t2);
-        let l_query = started.elapsed();
-        let started = Instant::now();
-        verify_lineage(&lineage_digest, &probe, t1, t2, &l_results, &l_proof)
-            .expect("baseline query verifies");
-        let l_verify = started.elapsed();
+        let ((l_results, l_proof), l_query) = timed(|| lineage_idx.query(&probe, t1, t2));
+        let (verdict, l_verify) =
+            timed(|| verify_lineage(&lineage_digest, &probe, t1, t2, &l_results, &l_proof));
+        verdict.expect("baseline query verifies");
 
+        // Fig. 11b: same answer, smaller proof, at every distance.
         assert_eq!(d_results, l_results, "both indexes must agree");
-
-        queries.inc();
-        results_hist.observe(u64::try_from(d_results.len()).unwrap_or(u64::MAX));
-        dcert_proof_bytes.observe(u64::try_from(d_proof.size_bytes()).unwrap_or(u64::MAX));
-        lineage_proof_bytes.observe(u64::try_from(l_proof.size_bytes()).unwrap_or(u64::MAX));
-        dcert_query_ns.record(d_query);
-        dcert_verify_ns.record(d_verify);
-        lineage_query_ns.record(l_query);
-        lineage_verify_ns.record(l_verify);
+        assert_eq!(d_results.len() as u64, distance, "probe writes every block");
+        assert!(
+            d_proof.size_bytes() < l_proof.size_bytes(),
+            "distance {distance}: DCert proof ({} B) must undercut the skip list ({} B)",
+            d_proof.size_bytes(),
+            l_proof.size_bytes()
+        );
 
         println!(
             "{distance:>9} | {:>11} {:>11} {:>10} | {:>11} {:>11} {:>10}",
@@ -125,17 +99,6 @@ fn main() {
             fmt_duration(l_verify),
             fmt_bytes(l_proof.size_bytes()),
         );
-        json_rows.push(obj(vec![
-            ("distance", distance.into()),
-            ("window", Json::Arr(vec![t1.into(), t2.into()])),
-            ("results", d_results.len().into()),
-            ("dcert_query_us", (d_query.as_secs_f64() * 1e6).into()),
-            ("dcert_verify_us", (d_verify.as_secs_f64() * 1e6).into()),
-            ("dcert_proof_bytes", d_proof.size_bytes().into()),
-            ("lineage_query_us", (l_query.as_secs_f64() * 1e6).into()),
-            ("lineage_verify_us", (l_verify.as_secs_f64() * 1e6).into()),
-            ("lineage_proof_bytes", l_proof.size_bytes().into()),
-        ]));
     }
     println!();
     println!(
@@ -144,13 +107,4 @@ fn main() {
         short(&dcert_digest),
         short(&lineage_digest)
     );
-    let rows = Json::Arr(json_rows);
-    export_figure("fig11_queries", &obs, rows.clone());
-    if json_mode() {
-        println!("{}", rows.to_string_pretty());
-    }
-}
-
-fn short(h: &Hash) -> String {
-    h.to_string()[..12].to_owned()
 }

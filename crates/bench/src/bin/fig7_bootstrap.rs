@@ -11,16 +11,13 @@
 
 #![forbid(unsafe_code)]
 
-use std::time::Instant;
-
 use dcert_baselines::TraditionalLightClient;
-use dcert_bench::export::export_figure;
-use dcert_bench::json::{obj, Json};
 use dcert_bench::params::{scaled, CHAIN_LENGTHS};
-use dcert_bench::report::{banner, fmt_bytes, fmt_duration, json_mode};
-use dcert_bench::{Rig, RigConfig};
+use dcert_bench::report::{banner, fmt_bytes, fmt_duration};
+use dcert_bench::{shape, Rig};
 use dcert_core::{expected_measurement, SuperlightClient};
 use dcert_obs::Registry;
+use dcert_sgx::cost::timed;
 use dcert_sgx::CostModel;
 
 fn main() {
@@ -36,11 +33,7 @@ fn main() {
     // certificate at each measured height.
     eprintln!("building a certified {max}-block chain...");
     let obs = Registry::new();
-    let mut rig = Rig::new(RigConfig {
-        cost: CostModel::calibrated(),
-        indexes: Vec::new(),
-        obs: obs.clone(),
-    });
+    let mut rig = Rig::block_only(CostModel::calibrated(), &obs);
     let mut headers = vec![rig.genesis.header.clone()];
     let mut checkpoints = std::collections::HashMap::new();
     for height in 1..=max {
@@ -60,7 +53,7 @@ fn main() {
         "blocks", "LC storage", "LC (ETH eq)", "LC validate", "SL storage", "SL validate"
     );
     println!("{}", "-".repeat(80));
-    let mut json_rows = Vec::new();
+    let (mut light_storage, mut superlight_storage) = (Vec::new(), Vec::new());
     for &height in &lengths {
         // Traditional light client: store + validate every header.
         let mut light = TraditionalLightClient::new(rig.genesis.header.clone()).unwrap();
@@ -69,24 +62,14 @@ fn main() {
                 .sync(header.clone(), rig.engine.as_ref())
                 .expect("header syncs");
         }
-        let started = Instant::now();
-        light
-            .validate_all(rig.engine.as_ref())
-            .expect("chain valid");
-        let light_time = started.elapsed();
-        obs.timer("bench.fig7.light_validate_ns").record(light_time);
+        let (verdict, light_time) = timed(|| light.validate_all(rig.engine.as_ref()));
+        verdict.expect("chain valid");
 
         // Superlight client: one header + one certificate.
         let (header, cert) = &checkpoints[&height];
         let mut client = SuperlightClient::new(rig.ias.public_key(), expected_measurement());
-        let started = Instant::now();
-        client.validate_chain(header, cert).expect("cert valid");
-        let superlight_time = started.elapsed();
-        obs.counter("bench.fig7.validations").inc();
-        obs.timer("bench.fig7.superlight_validate_ns")
-            .record(superlight_time);
-        obs.gauge("bench.fig7.superlight_storage_bytes")
-            .record_max(i64::try_from(client.storage_bytes()).unwrap_or(i64::MAX));
+        let (verdict, superlight_time) = timed(|| client.validate_chain(header, cert));
+        verdict.expect("cert valid");
 
         println!(
             "{height:>9} | {:>12} {:>12} {:>12} | {:>10} {:>12}",
@@ -96,24 +79,22 @@ fn main() {
             fmt_bytes(client.storage_bytes()),
             fmt_duration(superlight_time),
         );
-        json_rows.push(obj(vec![
-            ("blocks", height.into()),
-            ("light_storage_bytes", light.storage_bytes().into()),
-            (
-                "light_storage_eth_equiv_bytes",
-                light.ethereum_equivalent_bytes().into(),
-            ),
-            ("light_validate_us", (light_time.as_secs_f64() * 1e6).into()),
-            ("superlight_storage_bytes", client.storage_bytes().into()),
-            (
-                "superlight_validate_us",
-                (superlight_time.as_secs_f64() * 1e6).into(),
-            ),
-        ]));
+        light_storage.push(light.storage_bytes());
+        superlight_storage.push(client.storage_bytes());
+        if shape::wall_clock() {
+            assert!(
+                superlight_time < light_time,
+                "{height} blocks: one certificate must validate faster than {height} headers"
+            );
+        }
     }
-    let rows = Json::Arr(json_rows);
-    export_figure("fig7_bootstrap", &obs, rows.clone());
-    if json_mode() {
-        println!("{}", rows.to_string_pretty());
-    }
+    // Fig. 7a: the light client stores every header, the superlight client
+    // one header and one certificate whatever the chain length.
+    shape::grows_with("light-client storage", &lengths, &light_storage);
+    shape::constant("superlight storage", &superlight_storage);
+    shape::recorded(
+        &obs,
+        &["enclave.ecalls", "enclave.bytes_in"],
+        &["enclave.crossing_bytes"],
+    );
 }

@@ -11,11 +11,9 @@
 
 #![forbid(unsafe_code)]
 
-use dcert_bench::export::export_figure;
-use dcert_bench::json::{obj, Json};
-use dcert_bench::params::{merkle_threads, scaled, BLOCKS_PER_MEASUREMENT, DEFAULT_BLOCK_SIZE};
-use dcert_bench::report::{banner, fmt_bytes, fmt_duration, json_mode};
-use dcert_bench::{Rig, RigConfig, Scheme};
+use dcert_bench::params::{scaled, BLOCKS_PER_MEASUREMENT, DEFAULT_BLOCK_SIZE};
+use dcert_bench::report::{banner, fmt_bytes, fmt_duration};
+use dcert_bench::{shape, Rig, Scheme};
 use dcert_obs::Registry;
 use dcert_sgx::CostModel;
 use dcert_workloads::Workload;
@@ -25,12 +23,9 @@ fn main() {
         "Figure 8: certificate construction time by workload",
         "inside-enclave dominates; enclave overhead ≤ ~1.8×; proof-gen negligible",
     );
-    // Parallel Merkle construction only moves wall-clock; exported
-    // counters stay byte-identical across settings (`check_bench --compare`).
-    dcert_merkle::set_build_threads(merkle_threads());
     // At least two blocks per rig: marshal-buffer reuse only starts with
-    // the second request, and `enclave.marshal_reuse_bytes` is gated
-    // non-zero by check_bench even at smoke scale.
+    // the second request, and `enclave.marshal_reuse_bytes` is asserted
+    // non-zero below even at smoke scale.
     let blocks = scaled(BLOCKS_PER_MEASUREMENT).max(2);
     println!(
         "{:>4} | {:>10} {:>10} | {:>10} {:>10} {:>9} | {:>10} {:>9}",
@@ -38,13 +33,8 @@ fn main() {
     );
     println!("{}", "-".repeat(86));
     let obs = Registry::new();
-    let mut json_rows = Vec::new();
     for workload in Workload::paper_defaults() {
-        let mut rig = Rig::new(RigConfig {
-            cost: CostModel::calibrated(),
-            indexes: Vec::new(),
-            obs: obs.clone(),
-        });
+        let mut rig = Rig::block_only(CostModel::calibrated(), &obs);
         let result = rig.run(workload, blocks, DEFAULT_BLOCK_SIZE, 42, Scheme::BlockOnly);
         let avg = result.average();
         println!(
@@ -58,31 +48,37 @@ fn main() {
             fmt_duration(avg.total()),
             fmt_bytes(avg.request_bytes as usize),
         );
-        json_rows.push(obj(vec![
-            ("workload", workload.label().into()),
-            ("rw_set_us", (avg.rw_set_gen.as_secs_f64() * 1e6).into()),
-            ("proof_gen_us", (avg.proof_gen.as_secs_f64() * 1e6).into()),
-            (
-                "enclave_total_us",
-                (avg.enclave_total.as_secs_f64() * 1e6).into(),
-            ),
-            (
-                "enclave_trusted_us",
-                (avg.enclave_trusted.as_secs_f64() * 1e6).into(),
-            ),
-            ("overhead_factor", avg.overhead_factor().into()),
-            ("total_us", (avg.total().as_secs_f64() * 1e6).into()),
-            ("request_bytes", avg.request_bytes.into()),
-        ]));
+        assert_eq!(avg.ecalls, 1.0, "block-only certification is one ECall");
+        if shape::wall_clock() {
+            let label = workload.label();
+            assert!(
+                avg.overhead_factor() <= 1.8,
+                "{label}: enclave overhead {:.2}x exceeds the paper's ~1.8x",
+                avg.overhead_factor()
+            );
+            assert!(
+                avg.enclave_trusted > avg.rw_set_gen + avg.proof_gen,
+                "{label}: the trusted replay must dominate host-side pre-processing"
+            );
+            assert!(
+                avg.proof_gen * 4 < avg.total(),
+                "{label}: Merkle-proof generation must stay a minor share"
+            );
+        }
     }
     println!();
     println!(
         "(block size = {DEFAULT_BLOCK_SIZE} txs, {blocks} blocks per workload, averages \
          exclude the first warm-up block)"
     );
-    let rows = Json::Arr(json_rows);
-    export_figure("fig8_cert_construction", &obs, rows.clone());
-    if json_mode() {
-        println!("{}", rows.to_string_pretty());
-    }
+    shape::recorded(
+        &obs,
+        &[
+            "enclave.ecalls",
+            "enclave.bytes_in",
+            "enclave.sim_charge_nanos",
+            "enclave.marshal_reuse_bytes",
+        ],
+        &["enclave.crossing_bytes"],
+    );
 }

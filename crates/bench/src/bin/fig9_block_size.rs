@@ -9,11 +9,9 @@
 
 #![forbid(unsafe_code)]
 
-use dcert_bench::export::export_figure;
-use dcert_bench::json::{obj, Json};
-use dcert_bench::params::{merkle_threads, scaled, BLOCKS_PER_MEASUREMENT, BLOCK_SIZES};
-use dcert_bench::report::{banner, fmt_bytes, fmt_duration, json_mode};
-use dcert_bench::{Rig, RigConfig, Scheme};
+use dcert_bench::params::{scaled, BLOCKS_PER_MEASUREMENT, BLOCK_SIZES};
+use dcert_bench::report::{banner, fmt_bytes, fmt_duration};
+use dcert_bench::{shape, Rig, Scheme};
 use dcert_obs::Registry;
 use dcert_sgx::CostModel;
 use dcert_workloads::Workload;
@@ -23,9 +21,6 @@ fn main() {
         "Figure 9: impact of block size on certificate construction (KV, SB)",
         "cost grows with #txs; enclave share grows with marshalled r/w-set bytes",
     );
-    // Parallel Merkle construction only moves wall-clock; exported
-    // counters stay byte-identical across settings (`check_bench --compare`).
-    dcert_merkle::set_build_threads(merkle_threads());
     let blocks = scaled(BLOCKS_PER_MEASUREMENT);
     let workloads = [
         Workload::KvStore { keyspace: 500 },
@@ -37,14 +32,10 @@ fn main() {
     );
     println!("{}", "-".repeat(82));
     let obs = Registry::new();
-    let mut json_rows = Vec::new();
     for workload in workloads {
+        let (mut request_bytes, mut totals) = (Vec::new(), Vec::new());
         for &size in BLOCK_SIZES {
-            let mut rig = Rig::new(RigConfig {
-                cost: CostModel::calibrated(),
-                indexes: Vec::new(),
-                obs: obs.clone(),
-            });
+            let mut rig = Rig::block_only(CostModel::calibrated(), &obs);
             let result = rig.run(workload, blocks, size, 42, Scheme::BlockOnly);
             let avg = result.average();
             println!(
@@ -57,25 +48,17 @@ fn main() {
                 fmt_duration(avg.total()),
                 fmt_bytes(avg.request_bytes as usize),
             );
-            json_rows.push(obj(vec![
-                ("workload", workload.label().into()),
-                ("block_size", size.into()),
-                ("rw_set_us", (avg.rw_set_gen.as_secs_f64() * 1e6).into()),
-                ("proof_gen_us", (avg.proof_gen.as_secs_f64() * 1e6).into()),
-                (
-                    "enclave_total_us",
-                    (avg.enclave_total.as_secs_f64() * 1e6).into(),
-                ),
-                ("overhead_factor", avg.overhead_factor().into()),
-                ("total_us", (avg.total().as_secs_f64() * 1e6).into()),
-                ("request_bytes", avg.request_bytes.into()),
-            ]));
+            assert_eq!(avg.ecalls, 1.0, "one ECall per block at every size");
+            request_bytes.push(avg.request_bytes);
+            totals.push(avg.total());
         }
         println!("{}", "-".repeat(82));
+        // More transactions are more marshalled read/write-set and proof
+        // bytes through the same single ECall — and, measured, more time.
+        shape::grows_with("request bytes", BLOCK_SIZES, &request_bytes);
+        if shape::wall_clock() {
+            shape::grows_with("construction time", BLOCK_SIZES, &totals);
+        }
     }
-    let rows = Json::Arr(json_rows);
-    export_figure("fig9_block_size", &obs, rows.clone());
-    if json_mode() {
-        println!("{}", rows.to_string_pretty());
-    }
+    shape::recorded(&obs, &["enclave.ecalls"], &[]);
 }

@@ -1,0 +1,80 @@
+//! Micro-rows of the structures the end-to-end numbers lean on: the
+//! `blocks_io`-shaped SMT multiproof (32 transactions × 32 adjacent records
+//! of a 4 128-record state in one proof), and single-key prove + verify on
+//! the SMT vs the MPT at 2 048 keys — the comparison ROADMAP item 5 must
+//! re-size before the MPT leaves the product.
+//!
+//! Run with: `cargo run --release -p dcert-bench --bin fig_micro`
+
+#![forbid(unsafe_code)]
+
+use std::hint::black_box;
+
+use dcert_bench::params::scaled;
+use dcert_bench::report::{banner, fmt_duration};
+use dcert_merkle::{Mpt, SmtProof, SparseMerkleTree};
+use dcert_primitives::codec::{Decode, Encode};
+use dcert_primitives::hash::{hash_bytes, Hash};
+use dcert_sgx::cost::timed;
+
+/// Prints the mean time of `f` over `iters` runs.
+fn row<T>(name: &str, iters: u32, mut f: impl FnMut() -> T) {
+    let ((), elapsed) = timed(|| (0..iters).for_each(|_| drop(black_box(f()))));
+    println!("{name:<28} {:>12}", fmt_duration(elapsed / iters));
+}
+
+fn main() {
+    banner(
+        "fig_micro: SMT multiproof and SMT-vs-MPT single-key rows",
+        "no paper figure; the rows optimisation PRs and ROADMAP item 5 size against",
+    );
+    let iters = u32::try_from(scaled(200)).unwrap_or(u32::MAX);
+    let record = |i: usize| hash_bytes(format!("rec-{i}"));
+    let mut tree = SparseMerkleTree::new();
+    for i in 0..4_128usize {
+        tree.insert(record(i), i.to_be_bytes().to_vec());
+    }
+    let touched: Vec<Hash> = (0..32usize)
+        .flat_map(|range| {
+            let start = range * 2_654_435_761 % 4_096;
+            (start..start + 32).map(record)
+        })
+        .collect();
+    let (root, proof) = (tree.root(), tree.prove(&touched));
+    let writes: Vec<(Hash, Option<Hash>)> = touched
+        .iter()
+        .step_by(2)
+        .map(|k| (*k, Some(hash_bytes(b"new"))))
+        .collect();
+    let frame = proof.to_encoded_bytes();
+    // The rows time what they say: verify, decode and update all succeed.
+    assert_eq!(proof.verify(&root), Ok(()));
+    assert_eq!(SmtProof::decode_all(&frame).as_ref(), Ok(&proof));
+    let mut committed = tree.clone();
+    for (key, _) in &writes {
+        committed.insert(*key, b"new".to_vec());
+    }
+    assert_eq!(proof.updated_root(&writes), Ok(committed.root()));
+    row("smt/prove_1024_keys", iters, || tree.prove(&touched));
+    row("smt/verify_1024_keys", iters, || proof.verify(&root));
+    row("smt/updated_root_1024_keys", iters, || {
+        proof.updated_root(&writes)
+    });
+    row("smt/decode_1024_keys", iters, || {
+        SmtProof::decode_all(&frame)
+    });
+    let key = |i: u32| format!("account-{i}").into_bytes();
+    let (mut smt, mut mpt) = (SparseMerkleTree::new(), Mpt::new());
+    for i in 0..2_048u32 {
+        smt.insert(hash_bytes(key(i)), vec![0u8; 32]);
+        mpt.insert(&key(i), vec![0u8; 32]);
+    }
+    let (smt_root, mpt_root, probe) = (smt.root(), mpt.root(), key(1_000));
+    assert!(mpt.prove(&probe).verify(&mpt_root, &probe).is_ok());
+    row("smt/prove_verify_1_of_2048", iters, || {
+        smt.prove(&[hash_bytes(&probe)]).verify(&smt_root)
+    });
+    row("mpt/prove_verify_1_of_2048", iters, || {
+        mpt.prove(&probe).verify(&mpt_root, &probe)
+    });
+}

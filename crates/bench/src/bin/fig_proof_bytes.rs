@@ -5,7 +5,7 @@
 //!
 //! Expected result: the op stream shares every interior node the `k`
 //! per-path proofs re-send, so its byte size is strictly smaller from a
-//! modest window width on (`k >= 4` is the gate `check_bench` enforces).
+//! modest window width on (`k >= 4` is asserted below, at every scale).
 //! Both encodings verify against the same certified digest and return
 //! byte-identical results — `tests/op_proof_equivalence.rs` pins that;
 //! this binary measures the size and time axes.
@@ -16,11 +16,9 @@
 
 use std::time::Instant;
 
-use dcert_bench::export::export_figure;
-use dcert_bench::json::{obj, Json};
+use dcert_bench::kv_key;
 use dcert_bench::params::scaled;
-use dcert_bench::report::{banner, fmt_bytes, fmt_duration, json_mode};
-use dcert_obs::{Buckets, Registry};
+use dcert_bench::report::{banner, fmt_bytes, fmt_duration, short};
 use dcert_query::aggregate::verify_aggregate_op;
 use dcert_query::history::{verify_history, verify_history_op};
 use dcert_query::{AggregateIndex, HistoryIndex};
@@ -28,27 +26,23 @@ use dcert_vm::StateKey;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Contiguous window widths measured; the `check_bench` gate requires the
-/// op stream to win from `k = 4` on.
+/// Contiguous window widths measured; the op stream must win from
+/// `k = 4` on.
 const WINDOW_WIDTHS: &[u64] = &[1, 2, 4, 8, 16, 32];
-
-fn account(i: u64) -> StateKey {
-    StateKey::new("kvstore", format!("key-{i}").as_bytes())
-}
 
 fn main() {
     banner(
         "fig_proof_bytes: op-stream vs per-path proof size for contiguous windows",
         "one shared-structure op proof beats k singleton proofs from k >= 4",
     );
-    let chain_len = scaled(2_000);
+    let chain_len = scaled(2_000).max(32); // the widest window must fit
     let accounts = 64u64;
 
     // Both indexes ingest the same stream: the probe account writes every
     // block (history gets a version per height, aggregate an 8-byte BE
     // amount), plus background accounts so the trees have real fan-out.
     eprintln!("building {chain_len}-block history + aggregate indexes...");
-    let probe = account(0);
+    let probe = kv_key(0);
     let mut history = HistoryIndex::new("history");
     let mut aggregate = AggregateIndex::new("agg");
     let mut rng = StdRng::seed_from_u64(42);
@@ -57,7 +51,7 @@ fn main() {
             vec![(probe, Some((height % 1_000).to_be_bytes().to_vec()))];
         for _ in 0..4 {
             let acct = rng.gen_range(1..accounts);
-            writes.push((account(acct), Some(height.to_be_bytes().to_vec())));
+            writes.push((kv_key(acct), Some(height.to_be_bytes().to_vec())));
         }
         writes.sort_by_key(|(k, _)| *k.as_hash());
         writes.dedup_by_key(|(k, _)| *k.as_hash());
@@ -67,21 +61,11 @@ fn main() {
     let history_digest = history.digest();
     let aggregate_digest = aggregate.digest();
 
-    let obs = Registry::new();
-    let windows = obs.counter("bench.fig_proof.windows");
-    let op_proof_bytes = obs.histogram("bench.fig_proof.op_proof_bytes", Buckets::bytes());
-    let perpath_proof_bytes =
-        obs.histogram("bench.fig_proof.perpath_proof_bytes", Buckets::bytes());
-    let agg_op_bytes = obs.histogram("bench.fig_proof.agg_op_bytes", Buckets::bytes());
-    let op_verify_ns = obs.timer("bench.fig_proof.op_verify_ns");
-    let perpath_verify_ns = obs.timer("bench.fig_proof.perpath_verify_ns");
-
     println!(
         "{:>6} | {:>12} {:>12} {:>7} | {:>12} {:>12} | {:>12}",
         "k", "per-path", "op-stream", "ratio", "pp verify", "op verify", "agg op"
     );
     println!("{}", "-".repeat(88));
-    let mut json_rows = Vec::new();
     for &k in WINDOW_WIDTHS {
         let t2 = chain_len;
         let t1 = chain_len - k + 1;
@@ -114,16 +98,13 @@ fn main() {
             .expect("aggregate op window verifies");
         let agg_bytes = agg_proof.size_bytes();
 
-        windows.inc();
-        obs.counter(&format!("bench.fig_proof.perpath_bytes_k{k}"))
-            .add(u64::try_from(perpath_bytes).unwrap_or(u64::MAX));
-        obs.counter(&format!("bench.fig_proof.op_bytes_k{k}"))
-            .add(u64::try_from(op_bytes).unwrap_or(u64::MAX));
-        op_proof_bytes.observe(u64::try_from(op_bytes).unwrap_or(u64::MAX));
-        perpath_proof_bytes.observe(u64::try_from(perpath_bytes).unwrap_or(u64::MAX));
-        agg_op_bytes.observe(u64::try_from(agg_bytes).unwrap_or(u64::MAX));
-        op_verify_ns.record(op_verify);
-        perpath_verify_ns.record(perpath_verify);
+        // The headline: one shared-structure proof replaces k per-path
+        // proofs and is strictly smaller from a modest width on.
+        assert!(
+            k < 4 || op_bytes < perpath_bytes,
+            "k={k}: op stream ({op_bytes} B) must beat per-path ({perpath_bytes} B)"
+        );
+        assert!(agg_bytes > 0, "aggregate op proof is never empty");
 
         println!(
             "{k:>6} | {:>12} {:>12} {:>6.2}x | {:>12} {:>12} | {:>12}",
@@ -134,18 +115,6 @@ fn main() {
             fmt_duration(op_verify),
             fmt_bytes(agg_bytes),
         );
-        json_rows.push(obj(vec![
-            ("k", k.into()),
-            ("window", Json::Arr(vec![t1.into(), t2.into()])),
-            ("perpath_bytes", perpath_bytes.into()),
-            ("op_bytes", op_bytes.into()),
-            ("agg_op_bytes", agg_bytes.into()),
-            (
-                "perpath_verify_us",
-                (perpath_verify.as_secs_f64() * 1e6).into(),
-            ),
-            ("op_verify_us", (op_verify.as_secs_f64() * 1e6).into()),
-        ]));
     }
     println!();
     println!(
@@ -153,13 +122,4 @@ fn main() {
         short(&history_digest),
         short(&aggregate_digest)
     );
-    let rows = Json::Arr(json_rows);
-    export_figure("fig_proof_bytes", &obs, rows.clone());
-    if json_mode() {
-        println!("{}", rows.to_string_pretty());
-    }
-}
-
-fn short(h: &dcert_primitives::hash::Hash) -> String {
-    h.to_string()[..12].to_owned()
 }

@@ -17,11 +17,9 @@
 use std::collections::HashMap;
 use std::time::Instant;
 
-use dcert_bench::export::export_figure;
-use dcert_bench::json::{obj, Json};
 use dcert_bench::params::scaled;
-use dcert_bench::report::{banner, fmt_duration, json_mode};
-use dcert_bench::{Rig, RigConfig};
+use dcert_bench::report::{banner, fmt_duration};
+use dcert_bench::{kv_key, shape, Rig, RigConfig};
 use dcert_chain::Block;
 use dcert_obs::Registry;
 use dcert_query::sp::IndexKind;
@@ -121,7 +119,7 @@ fn main() {
         "elapsed"
     );
     println!("{}", "-".repeat(96));
-    let mut json_rows = Vec::new();
+    let mut backend_calls = Vec::new();
     for (capacity, fresh) in CACHE_CAPACITIES.iter().zip(&freshen) {
         let config = ServeConfig {
             queue_capacity: 192,
@@ -152,22 +150,11 @@ fn main() {
             outcome.cancelled,
             fmt_duration(elapsed),
         );
-        json_rows.push(obj(vec![
-            ("cache_capacity", (*capacity).into()),
-            ("clients", load.clients.into()),
-            ("requests", schedule.len().into()),
-            ("cache_hits", outcome.cache_hits.into()),
-            ("coalesce_hits", outcome.coalesce_hits.into()),
-            ("backend_calls", backend.into()),
-            ("responses", outcome.responses.into()),
-            ("refused_admission", outcome.refused_admission.into()),
-            ("refused_pump", outcome.refused_pump.into()),
-            ("cancelled", outcome.cancelled.into()),
-            ("hit_rate_pct", hit_rate.into()),
-            ("wait_ticks_p50", p50.into()),
-            ("wait_ticks_p99", p99.into()),
-            ("elapsed_us", (elapsed.as_secs_f64() * 1e6).into()),
-        ]));
+        assert!(
+            *capacity > 0 || outcome.cache_hits == 0,
+            "a zero-capacity cache cannot hit"
+        );
+        backend_calls.push(backend);
 
         sp = front.into_sp();
     }
@@ -177,13 +164,27 @@ fn main() {
          aband = slow-loris cancels; waits in virtual ticks)"
     );
 
-    pin_required_counters(sp, &obs);
+    // What the figure is for: on the same schedule, a larger proof cache
+    // never sends more work to the backend than a smaller one.
+    assert!(
+        backend_calls.windows(2).all(|w| w[0] >= w[1]),
+        "backend calls must not grow with cache capacity: {backend_calls:?}"
+    );
 
-    let rows = Json::Arr(json_rows);
-    export_figure("fig_serve", &obs, rows.clone());
-    if json_mode() {
-        println!("{}", rows.to_string_pretty());
-    }
+    pin_required_counters(sp, &obs);
+    shape::recorded(
+        &obs,
+        &[
+            "serve.requests",
+            "serve.backend_calls",
+            "serve.cache_hits",
+            "serve.coalesce_hits",
+            "serve.shed_queue_full",
+            "serve.shed_rate_limited",
+            "serve.invalidations",
+        ],
+        &["serve.wait_ticks", "serve.payload_bytes"],
+    );
 }
 
 /// Terminal-outcome tallies for one replay. Every submitted request ends
@@ -316,7 +317,7 @@ fn replay(front: &mut ServeFront, schedule: &[ServeEvent], fresh: &Block) -> Rep
 /// indexes. Windows span the full certified history so equal keys make
 /// equal specs (the regime caching targets).
 fn spec_for(event: &ServeEvent, height: u64) -> QuerySpec {
-    let key = dcert_vm::StateKey::new("kvstore", format!("key-{}", event.key).as_bytes());
+    let key = kv_key(event.key);
     match event.kind {
         ServeQueryKind::History => QuerySpec::History {
             index: "history".to_owned(),
@@ -352,8 +353,8 @@ fn spec_for(event: &ServeEvent, height: u64) -> QuerySpec {
     }
 }
 
-/// Deterministic mini-scenario pinning every `check_bench`-required
-/// counter independent of `DCERT_SCALE`: one coalesce, one rate-limit
+/// Deterministic mini-scenario moving every counter `main` asserts,
+/// independent of `DCERT_SCALE`: one coalesce, one rate-limit
 /// shed, one queue-full shed, one backend call, one cache hit.
 fn pin_required_counters(sp: ServiceProvider, obs: &Registry) {
     let height = sp.index_height().max(1);
@@ -372,7 +373,7 @@ fn pin_required_counters(sp: ServiceProvider, obs: &Registry) {
     front.attach_obs(obs);
     let probe = |t2: u64| QuerySpec::History {
         index: "history".to_owned(),
-        key: dcert_vm::StateKey::new("kvstore", b"key-0"),
+        key: kv_key(0),
         t1: 1,
         t2,
     };

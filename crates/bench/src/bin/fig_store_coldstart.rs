@@ -15,11 +15,9 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use dcert_bench::export::export_figure;
-use dcert_bench::json::{obj, Json};
 use dcert_bench::params::scaled;
-use dcert_bench::report::{banner, fmt_bytes, fmt_duration, json_mode};
-use dcert_bench::{Rig, RigConfig};
+use dcert_bench::report::{banner, fmt_bytes, fmt_duration};
+use dcert_bench::{shape, Rig};
 use dcert_core::{expected_measurement, CertArchive, Gossip, NetMessage};
 use dcert_obs::Registry;
 use dcert_primitives::codec::Encode;
@@ -39,11 +37,7 @@ fn main() {
     let obs = Registry::new();
     // The enclave cost model is irrelevant here — the measured phases run
     // entirely outside the enclave, against the disk and the verifier.
-    let mut rig = Rig::new(RigConfig {
-        cost: CostModel::zero(),
-        indexes: Vec::new(),
-        obs: obs.clone(),
-    });
+    let mut rig = Rig::block_only(CostModel::zero(), &obs);
     let ias_key = rig.ias.public_key();
     let measurement = expected_measurement();
 
@@ -59,7 +53,7 @@ fn main() {
         "blocks", "disk", "replayed", "open", "re-verify"
     );
     println!("{}", "-".repeat(64));
-    let mut json_rows = Vec::new();
+    let (mut disks, mut replays) = (Vec::new(), Vec::new());
     let mut height = 0u64;
     for &target in &lengths {
         // Grow the durable history to `target`, the way the live archive
@@ -111,30 +105,25 @@ fn main() {
             "recovery lost certificates"
         );
 
-        obs.counter("bench.fig_store.coldstarts").inc();
-        obs.timer("bench.fig_store.open_ns").record(open_time);
-        obs.timer("bench.fig_store.verify_ns").record(verify_time);
-
         println!(
             "{target:>9} | {:>12} {replayed:>10} | {:>12} {:>12}",
             fmt_bytes(disk as usize),
             fmt_duration(open_time),
             fmt_duration(verify_time),
         );
-        json_rows.push(obj(vec![
-            ("blocks", target.into()),
-            ("segment_bytes", disk.into()),
-            ("replayed_records", replayed.into()),
-            ("open_us", (open_time.as_secs_f64() * 1e6).into()),
-            ("reverify_us", (verify_time.as_secs_f64() * 1e6).into()),
-        ]));
+        disks.push(disk);
+        replays.push(replayed);
         store = archive.into_store().expect("store stays attached");
     }
     let _ = std::fs::remove_dir_all(&dir);
 
-    let rows = Json::Arr(json_rows);
-    export_figure("fig_store_coldstart", &obs, rows.clone());
-    if json_mode() {
-        println!("{}", rows.to_string_pretty());
-    }
+    // Recovery replays exactly what was made durable: disk footprint and
+    // replayed records are linear in the retained history.
+    shape::grows_with("segment bytes", &lengths, &disks);
+    shape::grows_with("replayed records", &lengths, &replays);
+    shape::recorded(
+        &obs,
+        &["store.appends", "store.recovery_replays", "store.fsyncs"],
+        &[],
+    );
 }

@@ -11,11 +11,9 @@
 
 #![forbid(unsafe_code)]
 
-use dcert_bench::export::export_figure;
-use dcert_bench::json::{obj, Json};
 use dcert_bench::params::{scaled, BLOCKS_PER_MEASUREMENT, DEFAULT_BLOCK_SIZE};
-use dcert_bench::report::{banner, fmt_duration, json_mode};
-use dcert_bench::{Rig, RigConfig, Scheme};
+use dcert_bench::report::{banner, fmt_duration};
+use dcert_bench::{shape, Rig, Scheme};
 use dcert_obs::Registry;
 use dcert_sgx::CostModel;
 use dcert_workloads::Workload;
@@ -38,13 +36,9 @@ fn main() {
     );
     println!("{}", "-".repeat(64));
     let obs = Registry::new();
-    let mut json_rows = Vec::new();
+    let mut request_bytes = Vec::new();
     for (name, cost) in tees {
-        let mut rig = Rig::new(RigConfig {
-            cost: *cost,
-            indexes: Vec::new(),
-            obs: obs.clone(),
-        });
+        let mut rig = Rig::block_only(*cost, &obs);
         let result = rig.run(
             Workload::SmallBank { customers: 500 },
             blocks,
@@ -60,25 +54,18 @@ fn main() {
             avg.overhead_factor(),
             fmt_duration(avg.total()),
         );
-        json_rows.push(obj(vec![
-            ("tee", (*name).into()),
-            (
-                "enclave_total_us",
-                (avg.enclave_total.as_secs_f64() * 1e6).into(),
-            ),
-            (
-                "enclave_trusted_us",
-                (avg.enclave_trusted.as_secs_f64() * 1e6).into(),
-            ),
-            ("overhead_factor", avg.overhead_factor().into()),
-            ("total_us", (avg.total().as_secs_f64() * 1e6).into()),
-        ]));
+        request_bytes.push(avg.request_bytes);
+        if shape::wall_clock() {
+            assert!(
+                (1.0..=1.8).contains(&avg.overhead_factor()),
+                "{name}: boundary overhead {:.2}x outside [1, 1.8]",
+                avg.overhead_factor()
+            );
+        }
     }
+    // The algorithm is unchanged across TEEs: same blocks, same requests.
+    shape::constant("the marshalled request", &request_bytes);
     println!();
     println!("(SmallBank, block size = {DEFAULT_BLOCK_SIZE} txs, {blocks} blocks per TEE)");
-    let rows = Json::Arr(json_rows);
-    export_figure("tee_comparison", &obs, rows.clone());
-    if json_mode() {
-        println!("{}", rows.to_string_pretty());
-    }
+    shape::recorded(&obs, &["enclave.ecalls"], &[]);
 }

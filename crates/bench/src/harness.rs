@@ -13,10 +13,16 @@ use dcert_primitives::keys::Keypair;
 use dcert_query::sp::IndexKind;
 use dcert_query::ServiceProvider;
 use dcert_sgx::{AttestationService, CostModel};
-use dcert_vm::Executor;
+use dcert_vm::{Executor, StateKey};
 use dcert_workloads::{blockbench_registry, Workload, WorkloadGen};
 
 use crate::params::SENDER_ACCOUNTS;
+
+/// The KVStore contract's state key for account `i` (`key-<i>`): what the
+/// query and serving figures probe.
+pub fn kv_key(i: u64) -> StateKey {
+    StateKey::new("kvstore", format!("key-{i}").as_bytes())
+}
 
 /// Which certificate scheme the rig drives per block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,12 +70,19 @@ pub struct Rig {
     pub genesis: Block,
     pub genesis_state: ChainState,
     pub executor: Executor,
-    /// The registry every instrumented component reports into.
-    pub obs: Registry,
     timestamp: u64,
 }
 
 impl Rig {
+    /// A rig without indexes, under `cost`, reporting into `obs`.
+    pub fn block_only(cost: CostModel, obs: &Registry) -> Self {
+        Rig::new(RigConfig {
+            cost,
+            indexes: Vec::new(),
+            obs: obs.clone(),
+        })
+    }
+
     /// Builds a rig.
     pub fn new(config: RigConfig) -> Self {
         let sealer = Keypair::from_seed([0x5e; 32]);
@@ -120,7 +133,6 @@ impl Rig {
             genesis,
             genesis_state,
             executor,
-            obs: config.obs,
             timestamp: 1_700_000_000,
         }
     }
@@ -217,34 +229,27 @@ impl RunResult {
             &self.breakdowns[..]
         };
         let n = slice.len() as u32;
-        let mut avg = AvgBreakdown::default();
-        for b in slice {
-            avg.rw_set_gen += b.rw_set_gen;
-            avg.proof_gen += b.proof_gen;
-            avg.enclave_total += b.enclave_total;
-            avg.enclave_overhead += b.enclave_overhead;
-            avg.enclave_trusted += b.enclave_trusted;
-            avg.request_bytes += b.request_bytes as f64;
-            avg.ecalls += b.ecalls as f64;
+        let mean =
+            |part: fn(&CertBreakdown) -> Duration| slice.iter().map(part).sum::<Duration>() / n;
+        let mean_count =
+            |count: fn(&CertBreakdown) -> f64| slice.iter().map(count).sum::<f64>() / f64::from(n);
+        AvgBreakdown {
+            rw_set_gen: mean(|b| b.rw_set_gen),
+            proof_gen: mean(|b| b.proof_gen),
+            enclave_total: mean(|b| b.enclave_total),
+            enclave_trusted: mean(|b| b.enclave_trusted),
+            request_bytes: mean_count(|b| b.request_bytes as f64),
+            ecalls: mean_count(|b| b.ecalls as f64),
         }
-        avg.rw_set_gen /= n;
-        avg.proof_gen /= n;
-        avg.enclave_total /= n;
-        avg.enclave_overhead /= n;
-        avg.enclave_trusted /= n;
-        avg.request_bytes /= f64::from(n);
-        avg.ecalls /= f64::from(n);
-        avg
     }
 }
 
 /// Averaged certificate-construction breakdown.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 pub struct AvgBreakdown {
     pub rw_set_gen: Duration,
     pub proof_gen: Duration,
     pub enclave_total: Duration,
-    pub enclave_overhead: Duration,
     pub enclave_trusted: Duration,
     pub request_bytes: f64,
     pub ecalls: f64,
@@ -271,13 +276,18 @@ impl AvgBreakdown {
 mod tests {
     use super::*;
 
-    #[test]
-    fn rig_runs_all_schemes() {
-        let mut rig = Rig::new(RigConfig {
+    /// A zero-cost rig with one history index.
+    fn history_rig(obs: Registry) -> Rig {
+        Rig::new(RigConfig {
             cost: CostModel::zero(),
             indexes: vec![(IndexKind::History, "history".into())],
-            obs: Registry::disabled(),
-        });
+            obs,
+        })
+    }
+
+    #[test]
+    fn rig_runs_all_schemes() {
+        let mut rig = history_rig(Registry::disabled());
         let result = rig.run(
             Workload::KvStore { keyspace: 16 },
             3,
@@ -288,11 +298,7 @@ mod tests {
         assert_eq!(result.breakdowns.len(), 3);
         assert!(result.average().total() > Duration::ZERO);
 
-        let mut rig2 = Rig::new(RigConfig {
-            cost: CostModel::zero(),
-            indexes: vec![(IndexKind::History, "history".into())],
-            obs: Registry::disabled(),
-        });
+        let mut rig2 = history_rig(Registry::disabled());
         let result2 = rig2.run(
             Workload::KvStore { keyspace: 16 },
             2,
@@ -314,11 +320,7 @@ mod tests {
     #[test]
     fn attached_registry_sees_rig_traffic() {
         let obs = Registry::new();
-        let mut rig = Rig::new(RigConfig {
-            cost: CostModel::zero(),
-            indexes: vec![(IndexKind::History, "history".into())],
-            obs: obs.clone(),
-        });
+        let mut rig = history_rig(obs.clone());
         rig.run(
             Workload::KvStore { keyspace: 16 },
             2,
@@ -337,5 +339,35 @@ mod tests {
             .get("sp.cert_bytes")
             .expect("SP records certificate sizes");
         assert!(cert_bytes.count > 0);
+    }
+
+    /// One KV + index run under `threads` Merkle build threads, as the
+    /// replay-stable part of its metric snapshot.
+    fn replay_stable_snapshot(threads: usize) -> dcert_obs::Snapshot {
+        dcert_merkle::set_build_threads(threads);
+        let obs = Registry::new();
+        let mut rig = history_rig(obs.clone());
+        // 1 100 transactions in the block: past the 1 024-leaf gate, so the
+        // tx-root builder takes its chunked path when threads allow.
+        rig.run(
+            Workload::KvStore { keyspace: 64 },
+            1,
+            1_100,
+            42,
+            Scheme::Hierarchical,
+        );
+        obs.snapshot().without_wall_clock()
+    }
+
+    /// The determinism the figures rest on: two same-seed runs export the
+    /// same counters, and the Merkle thread count moves wall-clock only.
+    #[test]
+    fn same_seed_runs_and_thread_counts_agree_on_every_counter() {
+        let before = dcert_merkle::build_threads();
+        let first = replay_stable_snapshot(1);
+        assert!(first.counter("enclave.ecalls") > 0 && first.counter("enclave.bytes_in") > 0);
+        assert_eq!(first, replay_stable_snapshot(1), "same seed, same counters");
+        assert_eq!(first, replay_stable_snapshot(4), "threads move only `*_ns`");
+        dcert_merkle::set_build_threads(before);
     }
 }

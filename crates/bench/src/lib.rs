@@ -1,40 +1,33 @@
 //! Benchmark harness regenerating every table and figure of the paper's
 //! evaluation (Section 7).
 //!
-//! Two entry points per experiment:
+//! One **binary** per experiment (`cargo run --release -p dcert-bench
+//! --bin figN_...`) prints the rows/series the paper reports and
+//! `assert!`s the figure's *shape* beside the row that shows it, so a
+//! figure that loses its shape exits non-zero. `scripts/figures.sh` runs
+//! them all and regenerates `results/*.txt`.
 //!
-//! - a **binary** (`cargo run --release -p dcert-bench --bin figN_...`)
-//!   that prints the same rows/series the paper reports (and JSON with
-//!   `--json`), and
-//! - a **criterion bench** (`cargo bench -p dcert-bench`) measuring the
-//!   same operations statistically.
-//!
-//! | Experiment | Binary | Criterion bench |
-//! |---|---|---|
-//! | Table 1 (parameters) | `table1_params` | — |
-//! | Fig. 7a/b (bootstrapping) | `fig7_bootstrap` | `bootstrap` |
-//! | Fig. 8 (cert construction by workload) | `fig8_cert_construction` | `certification` |
-//! | Fig. 9 (impact of block size) | `fig9_block_size` | `certification` |
-//! | Fig. 10 (augmented vs hierarchical) | `fig10_index_certs` | `index_certs` |
-//! | Fig. 11a/b (verifiable queries) | `fig11_queries` | `queries` |
+//! EXPERIMENTS.md maps each table and figure to its binary (`table1_params`,
+//! `fig7_bootstrap` … `fig11_queries`, the ablations, and the figures that
+//! go beyond the paper).
 //!
 //! Scale every experiment down/up with the `DCERT_SCALE` environment
 //! variable (default 1.0): chain lengths and block counts are multiplied
-//! by it, so `DCERT_SCALE=0.1` gives a quick smoke run.
+//! by it, so `DCERT_SCALE=0.1` gives a quick smoke run. Deterministic
+//! shapes (bytes, counts, ECalls) are asserted at every scale; wall-clock
+//! relations only at `DCERT_SCALE >= 1` ([`shape::wall_clock`]), where
+//! the timed sections are long enough to be stable.
 //!
-//! Every figure binary additionally attaches a [`dcert_obs::Registry`] to
-//! the components it drives and merges the resulting snapshot into
-//! `BENCH_pr10.json` (see [`export`]); `check_bench` gates CI on the
-//! required counters being present and non-zero.
+//! Numbers that are compared *across commits* do not come from here:
+//! `benchmark/run.sh compare` is the one measurement system for that.
 
 #![forbid(unsafe_code)]
 
-pub mod export;
 pub mod harness;
-pub mod json;
 pub mod naive;
 pub mod params;
 pub mod report;
+pub mod shape;
 
-pub use harness::{Rig, RigConfig, Scheme};
+pub use harness::{kv_key, Rig, RigConfig, Scheme};
 pub use params::{scale, scaled};

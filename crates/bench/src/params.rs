@@ -50,19 +50,6 @@ pub fn scaled(n: u64) -> u64 {
     ((n as f64 * scale()).round() as u64).max(1)
 }
 
-/// Reads `DCERT_MERKLE_THREADS` (default 1): the worker count for the
-/// parallel Merkle builder (`dcert_merkle::set_build_threads`). Output is
-/// byte-identical at every setting, so this knob only moves `*_ns`
-/// wall-clock metrics — `check_bench --compare` must pass between any two
-/// settings.
-pub fn merkle_threads() -> usize {
-    std::env::var("DCERT_MERKLE_THREADS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|t: &usize| *t >= 1)
-        .unwrap_or(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

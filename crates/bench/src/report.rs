@@ -1,12 +1,6 @@
-//! Output helpers for the figure/table binaries: aligned text rows plus
-//! optional machine-readable JSON (pass `--json` to any binary).
+//! Output helpers for the figure/table binaries: aligned text rows.
 
 use std::time::Duration;
-
-/// Returns `true` if `--json` was passed on the command line.
-pub fn json_mode() -> bool {
-    std::env::args().any(|a| a == "--json")
-}
 
 /// Formats a duration with appropriate precision for table cells.
 pub fn fmt_duration(d: Duration) -> String {
@@ -30,6 +24,11 @@ pub fn fmt_bytes(bytes: usize) -> String {
     } else {
         format!("{bytes} B")
     }
+}
+
+/// The first 12 hex digits of a digest, for figure footers.
+pub fn short(digest: &dcert_primitives::hash::Hash) -> String {
+    digest.to_string()[..12].to_owned()
 }
 
 /// Prints the standard experiment banner.

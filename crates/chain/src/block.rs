@@ -146,73 +146,60 @@ impl Decode for Block {
 mod tests {
     use super::*;
     use dcert_primitives::keys::Keypair;
-    use proptest::prelude::*;
+    use dcert_testkit::{check, Gen};
 
-    fn arb_hash() -> impl Strategy<Value = Hash> {
-        any::<[u8; 32]>().prop_map(Hash::from_bytes)
+    fn arb_hash(g: &mut Gen) -> Hash {
+        Hash::from_bytes(g.any())
     }
 
-    fn arb_header() -> impl Strategy<Value = BlockHeader> {
-        (
-            any::<u64>(),
-            arb_hash(),
-            arb_hash(),
-            arb_hash(),
-            any::<u64>(),
-            any::<u64>(),
-            any::<u8>(),
-            any::<u64>(),
-        )
-            .prop_map(
-                |(height, prev_hash, state_root, tx_root, timestamp, miner, bits, nonce)| {
-                    BlockHeader {
-                        height,
-                        prev_hash,
-                        state_root,
-                        tx_root,
-                        timestamp,
-                        miner: Address::from_seed(miner),
-                        consensus: ConsensusProof::Pow {
-                            difficulty_bits: bits,
-                            nonce,
-                        },
-                    }
-                },
-            )
-    }
-
-    proptest! {
-        /// Arbitrary headers survive the wire format, and distinct headers
-        /// have distinct digests (encoding is canonical and injective).
-        #[test]
-        fn prop_header_codec_round_trip(a in arb_header(), b in arb_header()) {
-            let decoded = BlockHeader::decode_all(&a.to_encoded_bytes()).unwrap();
-            prop_assert_eq!(&decoded, &a);
-            if a != b {
-                prop_assert_ne!(a.hash(), b.hash());
-            }
+    fn arb_header(g: &mut Gen) -> BlockHeader {
+        BlockHeader {
+            height: g.any(),
+            prev_hash: arb_hash(g),
+            state_root: arb_hash(g),
+            tx_root: arb_hash(g),
+            timestamp: g.any(),
+            miner: Address::from_seed(g.any()),
+            consensus: ConsensusProof::Pow {
+                difficulty_bits: g.any(),
+                nonce: g.any(),
+            },
         }
+    }
 
-        /// Arbitrary signed transactions survive the wire format inside a
-        /// block, and the tx root changes whenever the body changes.
-        #[test]
-        fn prop_block_codec_round_trip(
-            header in arb_header(),
-            payloads in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..24), 0..6),
-        ) {
+    /// Arbitrary headers survive the wire format, and distinct headers
+    /// have distinct digests (encoding is canonical and injective).
+    #[test]
+    fn prop_header_codec_round_trip() {
+        check("prop_header_codec_round_trip", 256, |g| {
+            let (a, b) = (arb_header(g), arb_header(g));
+            let decoded = BlockHeader::decode_all(&a.to_encoded_bytes()).unwrap();
+            assert_eq!(&decoded, &a);
+            if a != b {
+                assert_ne!(a.hash(), b.hash());
+            }
+        });
+    }
+
+    /// Arbitrary signed transactions survive the wire format inside a
+    /// block, and the tx root changes whenever the body changes.
+    #[test]
+    fn prop_block_codec_round_trip() {
+        check("prop_block_codec_round_trip", 256, |g| {
+            let mut header = arb_header(g);
+            let payloads = g.vec(0..6, |g| g.vec(0..24, |g| g.any::<u8>()));
             let kp = Keypair::from_seed([11; 32]);
             let txs: Vec<Transaction> = payloads
                 .into_iter()
                 .enumerate()
                 .map(|(i, p)| Transaction::sign(&kp, i as u64, "kv", p))
                 .collect();
-            let mut header = header;
             header.tx_root = Block::tx_root(&txs);
             let block = Block { header, txs };
             let decoded = Block::decode_all(&block.to_encoded_bytes()).unwrap();
-            prop_assert_eq!(&decoded, &block);
-            prop_assert!(decoded.verify_tx_root().is_ok());
-        }
+            assert_eq!(&decoded, &block);
+            assert!(decoded.verify_tx_root().is_ok());
+        });
     }
 
     fn header() -> BlockHeader {

@@ -560,7 +560,7 @@ mod tests {
     use dcert_chain::Transaction;
     use dcert_primitives::hash::{hash_bytes, Address};
     use dcert_primitives::keys::Keypair;
-    use proptest::prelude::*;
+    use dcert_testkit::{check, Gen};
 
     fn header() -> BlockHeader {
         BlockHeader {
@@ -728,128 +728,102 @@ mod tests {
     // and must decode back to the request — with the slot both empty and
     // filled.
 
-    fn arb_hash() -> impl Strategy<Value = Hash> {
-        any::<[u8; 32]>().prop_map(hash_bytes)
+    fn arb_hash(g: &mut Gen) -> Hash {
+        hash_bytes(g.any::<[u8; 32]>())
     }
 
-    fn arb_header() -> impl Strategy<Value = BlockHeader> {
-        (
-            any::<u64>(),
-            arb_hash(),
-            arb_hash(),
-            any::<u64>(),
-            any::<u64>(),
-        )
-            .prop_map(
-                |(height, prev_hash, state_root, timestamp, nonce)| BlockHeader {
-                    height,
-                    prev_hash,
-                    state_root,
-                    tx_root: hash_bytes(nonce.to_be_bytes()),
-                    timestamp,
-                    miner: Address::from_seed(timestamp),
-                    consensus: ConsensusProof::Pow {
-                        difficulty_bits: 3,
-                        nonce,
-                    },
-                },
-            )
+    fn arb_header(g: &mut Gen) -> BlockHeader {
+        let (height, timestamp, nonce) = (g.any(), g.any(), g.any::<u64>());
+        BlockHeader {
+            height,
+            prev_hash: arb_hash(g),
+            state_root: arb_hash(g),
+            tx_root: hash_bytes(nonce.to_be_bytes()),
+            timestamp,
+            miner: Address::from_seed(timestamp),
+            consensus: ConsensusProof::Pow {
+                difficulty_bits: 3,
+                nonce,
+            },
+        }
     }
 
-    fn arb_cert() -> impl Strategy<Value = Certificate> {
-        (any::<[u8; 32]>(), arb_hash()).prop_map(|(seed, digest)| {
-            let kp = Keypair::from_seed(seed);
-            Certificate {
-                pk_enc: kp.public(),
-                report: dcert_sgx::AttestationReport {
-                    measurement: hash_bytes(b"measurement"),
-                    report_data: Certificate::key_binding(&kp.public()),
-                    signature: kp.sign(b"report"),
-                },
-                digest,
-                signature: kp.sign(digest.as_bytes()),
+    fn arb_cert(g: &mut Gen) -> Certificate {
+        let kp = Keypair::from_seed(g.any());
+        let digest = arb_hash(g);
+        Certificate {
+            pk_enc: kp.public(),
+            report: dcert_sgx::AttestationReport {
+                measurement: hash_bytes(b"measurement"),
+                report_data: Certificate::key_binding(&kp.public()),
+                signature: kp.sign(b"report"),
+            },
+            digest,
+            signature: kp.sign(digest.as_bytes()),
+        }
+    }
+
+    fn arb_bytes(g: &mut Gen, max: usize) -> Vec<u8> {
+        g.vec(0..max, |g| g.any())
+    }
+
+    fn arb_kv_set(g: &mut Gen) -> ReadSet {
+        let set = g.vec(0..5, |g| (arb_bytes(g, 6), g.option(|g| arb_bytes(g, 12))));
+        set.into_iter()
+            .map(|(field, value)| (StateKey::new("kv", &field), value))
+            .collect()
+    }
+
+    fn arb_proof(g: &mut Gen) -> SmtProof {
+        let mut tree = dcert_merkle::SparseMerkleTree::new();
+        let mut keys = Vec::new();
+        for (label, present) in g.vec(0..6, |g| (g.any::<u8>(), g.any::<bool>())) {
+            let key = hash_bytes([label]);
+            if present {
+                tree.insert(key, vec![label]);
             }
-        })
+            keys.push(key);
+        }
+        tree.prove(&keys)
     }
 
-    fn arb_kv_set() -> impl Strategy<Value = ReadSet> {
-        proptest::collection::vec(
-            (
-                proptest::collection::vec(any::<u8>(), 0..6),
-                proptest::option::of(proptest::collection::vec(any::<u8>(), 0..12)),
-            ),
-            0..5,
-        )
-        .prop_map(|set| {
-            set.into_iter()
-                .map(|(field, value)| (StateKey::new("kv", &field), value))
-                .collect()
-        })
+    fn arb_link(g: &mut Gen) -> BatchLink {
+        let header = arb_header(g);
+        let senders = g.vec(0..3, |g| (g.any::<[u8; 32]>(), g.any::<u64>()));
+        BatchLink {
+            block: Block {
+                header,
+                txs: senders
+                    .into_iter()
+                    .map(|(seed, nonce)| {
+                        let key = Keypair::from_seed(seed);
+                        Transaction::sign(&key, nonce, "kv", nonce.to_be_bytes().to_vec())
+                    })
+                    .collect(),
+            },
+            reads: arb_kv_set(g),
+            state_proof: arb_proof(g),
+        }
     }
 
-    fn arb_proof() -> impl Strategy<Value = SmtProof> {
-        proptest::collection::vec((any::<u8>(), any::<bool>()), 0..6).prop_map(|entries| {
-            let mut tree = dcert_merkle::SparseMerkleTree::new();
-            let mut keys = Vec::new();
-            for (label, present) in entries {
-                let key = hash_bytes([label]);
-                if present {
-                    tree.insert(key, vec![label]);
-                }
-                keys.push(key);
-            }
-            tree.prove(&keys)
-        })
-    }
-
-    fn arb_link() -> impl Strategy<Value = BatchLink> {
-        (
-            arb_header(),
-            proptest::collection::vec((any::<[u8; 32]>(), any::<u64>()), 0..3),
-            arb_kv_set(),
-            arb_proof(),
-        )
-            .prop_map(|(header, senders, reads, state_proof)| BatchLink {
-                block: Block {
-                    header,
-                    txs: senders
-                        .into_iter()
-                        .map(|(seed, nonce)| {
-                            let key = Keypair::from_seed(seed);
-                            Transaction::sign(&key, nonce, "kv", nonce.to_be_bytes().to_vec())
-                        })
-                        .collect(),
-                },
-                reads,
-                state_proof,
-            })
-    }
-
-    fn arb_index() -> impl Strategy<Value = IndexInput> {
-        (
-            proptest::collection::vec(any::<u8>(), 0..8),
-            arb_hash(),
-            proptest::option::of(arb_cert()),
-            arb_hash(),
-            proptest::collection::vec(any::<u8>(), 0..40),
-        )
-            .prop_map(
-                |(name, prev_digest, prev_cert, new_digest, aux)| IndexInput {
-                    index_type: name.iter().map(|b| char::from(b'a' + b % 26)).collect(),
-                    prev_digest,
-                    prev_cert,
-                    new_digest,
-                    aux,
-                },
-            )
+    fn arb_index(g: &mut Gen) -> IndexInput {
+        IndexInput {
+            index_type: arb_bytes(g, 8)
+                .iter()
+                .map(|b| char::from(b'a' + b % 26))
+                .collect(),
+            prev_digest: arb_hash(g),
+            prev_cert: g.option(arb_cert),
+            new_digest: arb_hash(g),
+            aux: arb_bytes(g, 40),
+        }
     }
 
     /// `spliced` is the canonical encoding of `request` and decodes back
     /// to it.
-    fn assert_law(spliced: &[u8], request: &EcallRequest) -> Result<(), TestCaseError> {
-        prop_assert_eq!(spliced, &request.to_encoded_bytes()[..]);
-        prop_assert_eq!(&EcallRequest::decode_all(spliced).unwrap(), request);
-        Ok(())
+    fn assert_law(spliced: &[u8], request: &EcallRequest) {
+        assert_eq!(spliced, &request.to_encoded_bytes()[..]);
+        assert_eq!(&EcallRequest::decode_all(spliced).unwrap(), request);
     }
 
     fn block_input(
@@ -866,80 +840,80 @@ mod tests {
         }
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
-
-        #[test]
-        fn prop_sig_gen_splits_at_prev_cert(
-            prev_header in arb_header(),
-            prev_cert in proptest::option::of(arb_cert()),
-            link in arb_link(),
-        ) {
+    #[test]
+    fn prop_sig_gen_splits_at_prev_cert() {
+        check("prop_sig_gen_splits_at_prev_cert", 48, |g| {
+            let (prev_header, prev_cert, link) = (arb_header(g), g.option(arb_cert), arb_link(g));
             let mut spliced = Vec::new();
             SplitRequest::sig_gen(&prev_header, &link).splice(&prev_cert, &mut spliced);
             let request = EcallRequest::SigGen(block_input(&prev_header, &prev_cert, &link));
-            assert_law(&spliced, &request)?;
-        }
+            assert_law(&spliced, &request);
+        });
+    }
 
-        #[test]
-        fn prop_aug_sig_gen_splits_at_both_prev_certs(
-            prev_header in arb_header(),
-            prev_cert in proptest::option::of(arb_cert()),
-            link in arb_link(),
-            index in arb_index(),
-        ) {
+    #[test]
+    fn prop_aug_sig_gen_splits_at_both_prev_certs() {
+        check("prop_aug_sig_gen_splits_at_both_prev_certs", 48, |g| {
+            let (prev_header, prev_cert, link) = (arb_header(g), g.option(arb_cert), arb_link(g));
+            let index = arb_index(g);
             let mut spliced = Vec::new();
             SplitRequest::aug_sig_gen(&prev_header, &link).splice(&prev_cert, &mut spliced);
             SplitRequest::index(&index).splice(&index.prev_cert, &mut spliced);
             let request =
                 EcallRequest::AugSigGen(block_input(&prev_header, &prev_cert, &link), index);
-            assert_law(&spliced, &request)?;
-        }
+            assert_law(&spliced, &request);
+        });
+    }
 
-        #[test]
-        fn prop_idx_sig_gen_splits_at_block_cert_and_prev_cert(
-            prev_header in arb_header(),
-            block_cert in arb_cert(),
-            link in arb_link(),
-            writes in arb_kv_set(),
-            index in arb_index(),
-        ) {
-            let mut spliced = Vec::new();
-            SplitRequest::idx_sig_gen(&prev_header, &link.block, &writes, &link.state_proof)
-                .splice(&block_cert, &mut spliced);
-            SplitRequest::index(&index).splice(&index.prev_cert, &mut spliced);
-            let request = EcallRequest::IdxSigGen(Box::new(IdxRequest {
-                prev_header,
-                header: link.block.header.clone(),
-                block: link.block,
-                block_cert,
-                writes,
-                write_proof: link.state_proof,
-                index,
-            }));
-            assert_law(&spliced, &request)?;
-        }
+    #[test]
+    fn prop_idx_sig_gen_splits_at_block_cert_and_prev_cert() {
+        check(
+            "prop_idx_sig_gen_splits_at_block_cert_and_prev_cert",
+            48,
+            |g| {
+                let (prev_header, block_cert, link) = (arb_header(g), arb_cert(g), arb_link(g));
+                let (writes, index) = (arb_kv_set(g), arb_index(g));
+                let mut spliced = Vec::new();
+                SplitRequest::idx_sig_gen(&prev_header, &link.block, &writes, &link.state_proof)
+                    .splice(&block_cert, &mut spliced);
+                SplitRequest::index(&index).splice(&index.prev_cert, &mut spliced);
+                let request = EcallRequest::IdxSigGen(Box::new(IdxRequest {
+                    prev_header,
+                    header: link.block.header.clone(),
+                    block: link.block,
+                    block_cert,
+                    writes,
+                    write_proof: link.state_proof,
+                    index,
+                }));
+                assert_law(&spliced, &request);
+            },
+        );
+    }
 
-        #[test]
-        fn prop_batch_sig_gen_splits_at_prev_cert(
-            prev_header in arb_header(),
-            prev_cert in proptest::option::of(arb_cert()),
-            links in proptest::collection::vec(arb_link(), 0..4),
-        ) {
+    #[test]
+    fn prop_batch_sig_gen_splits_at_prev_cert() {
+        check("prop_batch_sig_gen_splits_at_prev_cert", 48, |g| {
+            let (prev_header, prev_cert) = (arb_header(g), g.option(arb_cert));
+            let links = g.vec(0..4, arb_link);
             let mut spliced = Vec::new();
             SplitRequest::batch_sig_gen(&prev_header, &links).splice(&prev_cert, &mut spliced);
-            let request = EcallRequest::BatchSigGen { prev_header, prev_cert, links };
-            assert_law(&spliced, &request)?;
-        }
+            let request = EcallRequest::BatchSigGen {
+                prev_header,
+                prev_cert,
+                links,
+            };
+            assert_law(&spliced, &request);
+        });
+    }
 
-        #[test]
-        fn prop_range_sig_gen_joins_without_a_slot(
-            anchor in arb_header(),
-            links in proptest::collection::vec(arb_link(), 0..4),
-        ) {
+    #[test]
+    fn prop_range_sig_gen_joins_without_a_slot() {
+        check("prop_range_sig_gen_joins_without_a_slot", 48, |g| {
+            let (anchor, links) = (arb_header(g), g.vec(0..4, arb_link));
             let joined = SplitRequest::range_sig_gen(&anchor, &links).joined();
             let request = EcallRequest::RangeSigGen { anchor, links };
-            assert_law(&joined, &request)?;
-        }
+            assert_law(&joined, &request);
+        });
     }
 }

@@ -1336,7 +1336,7 @@ impl<F: Flavor> Decode for AppendProof<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use dcert_testkit::check;
 
     /// What the flavor-generic tests need to know about a flavor: how to
     /// make a value, what the true answer to a window is, and how to
@@ -1604,39 +1604,41 @@ mod tests {
         }
     }
 
-    fn prop_windows_verify<F: Fixture>(
-        n: u64,
-        order: usize,
-        lo: u64,
-        width: u64,
-    ) -> Result<(), TestCaseError> {
-        let tree = build::<F>(n, order);
-        let hi = lo + width;
-        let (answer, proof) = tree.window(lo, hi);
-        prop_assert_eq!(&answer, &F::expected(lo, hi, n));
-        prop_assert!(proof
-            .verify(&tree.root(), lo, hi, F::claim(&answer))
-            .is_ok());
-        Ok(())
+    /// Window query + proof verifies for arbitrary windows, tree sizes
+    /// and fanouts.
+    fn prop_windows_verify<F: Fixture>() {
+        check("prop_windows_verify", 48, |g| {
+            let (n, order) = (g.range(0u64..300), g.range(3usize..12));
+            let (lo, width) = (g.range(0u64..350), g.range(0u64..120));
+            let tree = build::<F>(n, order);
+            let hi = lo + width;
+            let (answer, proof) = tree.window(lo, hi);
+            assert_eq!(&answer, &F::expected(lo, hi, n));
+            assert!(proof
+                .verify(&tree.root(), lo, hi, F::claim(&answer))
+                .is_ok());
+        });
     }
 
-    fn prop_append_agrees<F: Fixture>(
-        order: usize,
-        steps: Vec<(u64, u64)>,
-    ) -> Result<(), TestCaseError> {
-        let mut tree = BTree::<F>::new(order);
-        let mut ts = 0u64;
-        for (step, seed) in steps {
-            ts += step;
-            let value = F::value(seed % (u64::MAX / 4));
-            let predicted = tree
-                .prove_append()
-                .appended_root(&tree.root(), order, ts, &F::digest(&value))
-                .unwrap();
-            tree.insert(ts, value);
-            prop_assert_eq!(predicted, tree.root());
-        }
-        Ok(())
+    /// Stateless appends always agree with real inserts under random
+    /// fanouts and skip patterns.
+    fn prop_append_agrees<F: Fixture>() {
+        check("prop_append_agrees", 48, |g| {
+            let order = g.range(3usize..10);
+            let steps = g.vec(1..60, |g| (g.range(1u64..5), g.any::<u64>()));
+            let mut tree = BTree::<F>::new(order);
+            let mut ts = 0u64;
+            for (step, seed) in steps {
+                ts += step;
+                let value = F::value(seed % (u64::MAX / 4));
+                let predicted = tree
+                    .prove_append()
+                    .appended_root(&tree.root(), order, ts, &F::digest(&value))
+                    .unwrap();
+                tree.insert(ts, value);
+                assert_eq!(predicted, tree.root());
+            }
+        });
     }
 
     macro_rules! for_each_flavor {
@@ -1654,32 +1656,6 @@ mod tests {
                         super::$test::<$flavor>();
                     }
                 )*
-
-                proptest! {
-                    #![proptest_config(ProptestConfig::with_cases(48))]
-
-                    /// Window query + proof verifies for arbitrary
-                    /// windows, tree sizes and fanouts.
-                    #[test]
-                    fn prop_windows_verify(
-                        n in 0u64..300,
-                        order in 3usize..12,
-                        lo in 0u64..350,
-                        width in 0u64..120,
-                    ) {
-                        super::prop_windows_verify::<$flavor>(n, order, lo, width)?;
-                    }
-
-                    /// Stateless appends always agree with real inserts
-                    /// under random fanouts and skip patterns.
-                    #[test]
-                    fn prop_append_agrees(
-                        order in 3usize..10,
-                        steps in proptest::collection::vec((1u64..5, any::<u64>()), 1..60),
-                    ) {
-                        super::prop_append_agrees::<$flavor>(order, steps)?;
-                    }
-                }
             }
         };
     }
@@ -1698,6 +1674,8 @@ mod tests {
         window_proof_codec_round_trip,
         append_proof_codec_round_trip,
         op_proof_matches_per_path,
+        prop_windows_verify,
+        prop_append_agrees,
     );
 
     // --- Plain only: row-level claims, key sets, non-membership ----------
@@ -1930,11 +1908,10 @@ mod tests {
         );
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
-
-        #[test]
-        fn prop_random_insert_order_same_total(mut entries in proptest::collection::vec((0u64..500, any::<u64>()), 1..80)) {
+    #[test]
+    fn prop_random_insert_order_same_total() {
+        check("prop_random_insert_order_same_total", 48, |g| {
+            let entries = g.vec(1..80, |g| (g.range(0u64..500), g.any::<u64>()));
             let mut a = AggMbTree::new(4);
             for (ts, v) in &entries {
                 a.insert(*ts, *v);
@@ -1942,16 +1919,13 @@ mod tests {
             // The B+-tree is not order-independent in general, but the
             // *aggregate* must match the deduplicated entry set (last
             // write per ts wins).
-            let mut last: std::collections::BTreeMap<u64, u64> = Default::default();
-            for (ts, v) in entries.drain(..) {
-                last.insert(ts, v);
-            }
+            let last: std::collections::BTreeMap<u64, u64> = entries.into_iter().collect();
             let mut want = Aggregate::EMPTY;
             for v in last.values() {
                 want.merge(&Aggregate::of(*v));
             }
-            prop_assert_eq!(a.total(), want);
-            prop_assert_eq!(a.len(), last.len());
-        }
+            assert_eq!(a.total(), want);
+            assert_eq!(a.len(), last.len());
+        });
     }
 }

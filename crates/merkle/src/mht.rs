@@ -584,7 +584,7 @@ impl Decode for MhtProof {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use dcert_testkit::check;
 
     fn items(n: usize) -> Vec<Vec<u8>> {
         (0..n).map(|i| format!("item-{i}").into_bytes()).collect()
@@ -810,28 +810,30 @@ mod tests {
         }
     }
 
-    proptest! {
-        #[test]
-        fn prop_any_leaf_verifies(n in 1usize..80, pick in 0usize..80) {
-            let pick = pick % n;
+    #[test]
+    fn prop_any_leaf_verifies() {
+        check("prop_any_leaf_verifies", 256, |g| {
+            let n = g.range(1usize..80);
+            let pick = g.range(0usize..80) % n;
             let data = items(n);
             let tree = MerkleTree::from_items(&data);
             let proof = tree.prove(pick).unwrap();
-            prop_assert!(proof.verify(&tree.root(), &data[pick]).is_ok());
-        }
+            assert!(proof.verify(&tree.root(), &data[pick]).is_ok());
+        });
+    }
 
-        #[test]
-        fn prop_distinct_lists_have_distinct_roots(
-            a in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..8), 1..8),
-            b in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..8), 1..8),
-        ) {
+    #[test]
+    fn prop_distinct_lists_have_distinct_roots() {
+        check("prop_distinct_lists_have_distinct_roots", 256, |g| {
+            let mut list = || g.vec(1..8, |g| g.vec(0..8, |g| g.any::<u8>()));
+            let (a, b) = (list(), list());
             let ta = MerkleTree::from_items(&a);
             let tb = MerkleTree::from_items(&b);
             if a != b {
-                prop_assert_ne!(ta.root(), tb.root());
+                assert_ne!(ta.root(), tb.root());
             } else {
-                prop_assert_eq!(ta.root(), tb.root());
+                assert_eq!(ta.root(), tb.root());
             }
-        }
+        });
     }
 }

@@ -792,7 +792,7 @@ impl Decode for MptProof {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use dcert_testkit::{check, Gen};
     use std::collections::BTreeMap;
 
     #[test]
@@ -955,43 +955,42 @@ mod tests {
         assert_eq!(decoded, proof);
     }
 
-    fn arb_key() -> impl Strategy<Value = Vec<u8>> {
-        proptest::collection::vec(0u8..8, 0..5)
+    fn arb_key(g: &mut Gen) -> Vec<u8> {
+        g.vec(0..5, |g| g.range(0u8..8))
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// The trie agrees with a BTreeMap model and roots are
-        /// insertion-order independent.
-        #[test]
-        fn prop_model_agreement(entries in proptest::collection::vec((arb_key(), any::<u8>()), 0..40)) {
+    /// The trie agrees with a BTreeMap model and roots are
+    /// insertion-order independent.
+    #[test]
+    fn prop_model_agreement() {
+        check("prop_model_agreement", 64, |g| {
+            let entries = g.vec(0..40, |g| (arb_key(g), g.any::<u8>()));
             let mut trie = Mpt::new();
             let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
             for (k, v) in &entries {
                 trie.insert(k, vec![*v]);
                 model.insert(k.clone(), vec![*v]);
             }
-            prop_assert_eq!(trie.len(), model.len());
+            assert_eq!(trie.len(), model.len());
             for (k, v) in &model {
-                prop_assert_eq!(trie.get(k), Some(v.as_slice()));
+                assert_eq!(trie.get(k), Some(v.as_slice()));
             }
             // Rebuild in sorted order: same root.
             let mut sorted = Mpt::new();
             for (k, v) in &model {
                 sorted.insert(k, v.clone());
             }
-            prop_assert_eq!(trie.root(), sorted.root());
-        }
+            assert_eq!(trie.root(), sorted.root());
+        });
+    }
 
-        /// Every key (present or absent) yields a verifying proof, and
-        /// stateless upserts agree with real inserts.
-        #[test]
-        fn prop_proofs_and_stateless_updates(
-            entries in proptest::collection::vec((arb_key(), any::<u8>()), 0..30),
-            probe in arb_key(),
-            new_val in any::<u8>(),
-        ) {
+    /// Every key (present or absent) yields a verifying proof, and
+    /// stateless upserts agree with real inserts.
+    #[test]
+    fn prop_proofs_and_stateless_updates() {
+        check("prop_proofs_and_stateless_updates", 64, |g| {
+            let entries = g.vec(0..30, |g| (arb_key(g), g.any::<u8>()));
+            let (probe, new_val) = (arb_key(g), g.any::<u8>());
             let mut trie = Mpt::new();
             for (k, v) in &entries {
                 trie.insert(k, vec![*v]);
@@ -999,13 +998,13 @@ mod tests {
             let root = trie.root();
             let proof = trie.prove(&probe);
             let res = proof.verify(&root, &probe).unwrap();
-            prop_assert_eq!(res, trie.get(&probe).map(hash_bytes));
+            assert_eq!(res, trie.get(&probe).map(hash_bytes));
 
             let predicted = proof
                 .updated_root(&root, &probe, &hash_bytes([new_val]))
                 .unwrap();
             trie.insert(&probe, vec![new_val]);
-            prop_assert_eq!(predicted, trie.root());
-        }
+            assert_eq!(predicted, trie.root());
+        });
     }
 }

@@ -858,7 +858,7 @@ impl Decode for SmtProof {
 mod tests {
     use super::*;
     use dcert_primitives::codec::{decode_seq, encode_seq};
-    use proptest::prelude::*;
+    use dcert_testkit::check;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -1383,12 +1383,11 @@ mod tests {
         }
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// Incremental root always equals the reference recomputation.
-        #[test]
-        fn prop_root_matches_reference(ops in proptest::collection::vec((any::<u8>(), any::<bool>()), 1..120)) {
+    /// Incremental root always equals the reference recomputation.
+    #[test]
+    fn prop_root_matches_reference() {
+        check("prop_root_matches_reference", 64, |g| {
+            let ops = g.vec(1..120, |g| (g.any::<u8>(), g.any::<bool>()));
             let mut tree = SparseMerkleTree::new();
             let mut model: BTreeMap<Hash, Hash> = BTreeMap::new();
             for (label, is_insert) in ops {
@@ -1402,16 +1401,17 @@ mod tests {
                     tree.remove(&k);
                 }
             }
-            prop_assert_eq!(tree.root(), reference_root(&model));
-        }
+            assert_eq!(tree.root(), reference_root(&model));
+        });
+    }
 
-        /// Any key subset proves and verifies; stateless updates agree with
-        /// the real tree.
-        #[test]
-        fn prop_stateless_update_agrees(
-            initial in proptest::collection::btree_map(0u8..40, any::<u8>(), 0..30),
-            touched in proptest::collection::btree_map(0u8..48, proptest::option::of(any::<u8>()), 1..10),
-        ) {
+    /// Any key subset proves and verifies; stateless updates agree with
+    /// the real tree.
+    #[test]
+    fn prop_stateless_update_agrees() {
+        check("prop_stateless_update_agrees", 64, |g| {
+            let initial = g.btree_map(0..30, |g| g.range(0u8..40), |g| g.any::<u8>());
+            let touched = g.btree_map(1..10, |g| g.range(0u8..48), |g| g.option(|g| g.any::<u8>()));
             let mut tree = SparseMerkleTree::new();
             for (k, v) in &initial {
                 tree.insert(key(&format!("key-{k}")), vec![*v]);
@@ -1420,51 +1420,60 @@ mod tests {
             let touched_keys: Vec<Hash> =
                 touched.keys().map(|k| key(&format!("key-{k}"))).collect();
             let proof = tree.prove(&touched_keys);
-            prop_assert!(proof.verify(&old_root).is_ok());
+            assert!(proof.verify(&old_root).is_ok());
 
             let writes: Vec<(Hash, Option<Hash>)> = touched
                 .iter()
-                .map(|(k, v)| {
-                    (key(&format!("key-{k}")), v.map(|b| hash_bytes([b])))
-                })
+                .map(|(k, v)| (key(&format!("key-{k}")), v.map(|b| hash_bytes([b]))))
                 .collect();
             let predicted = proof.updated_root(&writes).unwrap();
 
             for (k, v) in &touched {
                 let kh = key(&format!("key-{k}"));
                 match v {
-                    Some(b) => { tree.insert(kh, vec![*b]); }
-                    None => { tree.remove(&kh); }
+                    Some(b) => {
+                        tree.insert(kh, vec![*b]);
+                    }
+                    None => {
+                        tree.remove(&kh);
+                    }
                 }
             }
-            prop_assert_eq!(predicted, tree.root());
-        }
+            assert_eq!(predicted, tree.root());
+        });
+    }
 
-        /// The one-walk commit agrees with its three references and undoes
-        /// exactly, whatever the tree and the write set.
-        #[test]
-        fn prop_commit_agrees_and_undoes(
-            initial in proptest::collection::btree_map(0usize..30, any::<u8>(), 0..30),
-            writes in proptest::collection::vec((0usize..30, proptest::option::of(any::<u8>())), 0..20),
-        ) {
+    /// The one-walk commit agrees with its three references and undoes
+    /// exactly, whatever the tree and the write set.
+    #[test]
+    fn prop_commit_agrees_and_undoes() {
+        check("prop_commit_agrees_and_undoes", 64, |g| {
+            let initial = g.btree_map(0..30, |g| g.range(0usize..30), |g| g.any::<u8>());
+            let writes = g.vec(0..20, |g| {
+                (g.range(0usize..30), g.option(|g| g.any::<u8>()))
+            });
             let pool = crowded_keys();
-            let initial: Vec<(Hash, Vec<u8>)> = initial.iter().map(|(k, v)| (pool[*k], vec![*v])).collect();
-            let writes: Vec<(Hash, Option<Vec<u8>>)> =
-                writes.iter().map(|(k, v)| (pool[*k], v.map(|b| vec![b]))).collect();
+            let initial: Vec<(Hash, Vec<u8>)> =
+                initial.iter().map(|(k, v)| (pool[*k], vec![*v])).collect();
+            let writes: Vec<(Hash, Option<Vec<u8>>)> = writes
+                .iter()
+                .map(|(k, v)| (pool[*k], v.map(|b| vec![b])))
+                .collect();
             check_commit(&initial, &writes);
-        }
+        });
+    }
 
-        /// The run shortcut changes no verdict: whatever a one-byte change
-        /// does to an encoded proof, if it still decodes then the walk that
-        /// skips a lone key's all-empty remainder and the walk that steps
-        /// through it level by level agree — on the root, or on the refusal.
-        #[test]
-        fn prop_run_shortcut_agrees_with_per_level_walk(
-            present in proptest::collection::btree_set(0u8..24, 0..12),
-            touched in proptest::collection::btree_set(0u8..32, 0..5),
-            deep in any::<bool>(),
-            mutations in proptest::collection::vec((any::<usize>(), any::<u8>()), 24),
-        ) {
+    /// The run shortcut changes no verdict: whatever a one-byte change
+    /// does to an encoded proof, if it still decodes then the walk that
+    /// skips a lone key's all-empty remainder and the walk that steps
+    /// through it level by level agree — on the root, or on the refusal.
+    #[test]
+    fn prop_run_shortcut_agrees_with_per_level_walk() {
+        check("prop_run_shortcut_agrees_with_per_level_walk", 64, |g| {
+            let present = g.btree_set(0..12, |g| g.range(0u8..24));
+            let touched = g.btree_set(0..5, |g| g.range(0u8..32));
+            let deep = g.any::<bool>();
+            let mutations = g.vec(24..=24, |g| (g.any::<usize>(), g.any::<u8>()));
             let mut tree = SparseMerkleTree::new();
             for k in &present {
                 tree.insert(key(&format!("key-{k}")), vec![*k]);
@@ -1483,35 +1492,37 @@ mod tests {
                 .filter(|(i, _)| i % 3 != 2)
                 .map(|(i, k)| (*k, (i % 3 == 0).then(|| hash_bytes([i as u8]))))
                 .collect();
-            prop_assert_eq!(proof.compute_root::<false>(None), Ok(tree.root()));
+            assert_eq!(proof.compute_root::<false>(None), Ok(tree.root()));
             let bytes = proof.to_encoded_bytes();
             for (at, byte) in mutations {
                 let mut frame = bytes.clone();
                 frame[at % bytes.len()] = byte;
-                let Ok(mutant) = SmtProof::decode_all(&frame) else { continue };
-                prop_assert_eq!(
+                let Ok(mutant) = SmtProof::decode_all(&frame) else {
+                    continue;
+                };
+                assert_eq!(
                     mutant.compute_root::<true>(None),
                     mutant.compute_root::<false>(None)
                 );
-                prop_assert_eq!(
+                assert_eq!(
                     mutant.compute_root::<true>(Some(&overrides)),
                     mutant.compute_root::<false>(Some(&overrides))
                 );
             }
-        }
+        });
+    }
 
-        /// Proofs for random key sets never panic on junk roots.
-        #[test]
-        fn prop_verify_never_panics(
-            n in 0usize..20,
-            probe in 0u8..255,
-        ) {
+    /// Proofs for random key sets never panic on junk roots.
+    #[test]
+    fn prop_verify_never_panics() {
+        check("prop_verify_never_panics", 64, |g| {
+            let (n, probe) = (g.range(0usize..20), g.range(0u8..255));
             let mut tree = SparseMerkleTree::new();
             for i in 0..n {
                 tree.insert(key(&format!("k{i}")), vec![i as u8]);
             }
             let proof = tree.prove(&[key(&format!("probe-{probe}"))]);
             let _ = proof.verify(&hash_bytes([probe]));
-        }
+        });
     }
 }

@@ -327,7 +327,7 @@ pub fn decode_seq<T: Decode>(r: &mut Reader<'_>) -> Result<Vec<T>, CodecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use dcert_testkit::{check, Gen};
 
     #[test]
     fn uints_are_big_endian() {
@@ -432,34 +432,52 @@ mod tests {
         assert_eq!(none.encoded_len(), none.to_encoded_bytes().len());
     }
 
-    proptest! {
-        #[test]
-        fn prop_u64_round_trip(x: u64) {
-            prop_assert_eq!(u64::decode_all(&x.to_encoded_bytes()).unwrap(), x);
-        }
+    /// Byte strings of 0..100 bytes (what `proptest` drew for `Vec<u8>`).
+    fn bytes(g: &mut Gen) -> Vec<u8> {
+        g.vec(0..100, |g| g.any())
+    }
 
-        #[test]
-        fn prop_bytes_round_trip(v: Vec<u8>) {
-            prop_assert_eq!(Vec::<u8>::decode_all(&v.to_encoded_bytes()).unwrap(), v);
-        }
+    #[test]
+    fn prop_u64_round_trip() {
+        check("prop_u64_round_trip", 256, |g| {
+            let x: u64 = g.any();
+            assert_eq!(u64::decode_all(&x.to_encoded_bytes()).unwrap(), x);
+        });
+    }
 
-        #[test]
-        fn prop_string_round_trip(s: String) {
-            prop_assert_eq!(String::decode_all(&s.to_encoded_bytes()).unwrap(), s);
-        }
+    #[test]
+    fn prop_bytes_round_trip() {
+        check("prop_bytes_round_trip", 256, |g| {
+            let v = bytes(g);
+            assert_eq!(Vec::<u8>::decode_all(&v.to_encoded_bytes()).unwrap(), v);
+        });
+    }
 
-        #[test]
-        fn prop_tuple_round_trip(a: u32, b: Vec<u8>, c: bool) {
-            let v = (a, b.clone(), c);
+    #[test]
+    fn prop_string_round_trip() {
+        check("prop_string_round_trip", 256, |g| {
+            let chars = g.vec(0..64, |g| char::from_u32(g.range(0u32..0x11_0000)));
+            let s: String = chars.into_iter().flatten().collect();
+            assert_eq!(String::decode_all(&s.to_encoded_bytes()).unwrap(), s);
+        });
+    }
+
+    #[test]
+    fn prop_tuple_round_trip() {
+        check("prop_tuple_round_trip", 256, |g| {
+            let v: (u32, Vec<u8>, bool) = (g.any(), bytes(g), g.any());
             let back = <(u32, Vec<u8>, bool)>::decode_all(&v.to_encoded_bytes()).unwrap();
-            prop_assert_eq!(back, v);
-        }
+            assert_eq!(back, v);
+        });
+    }
 
-        #[test]
-        fn prop_decoding_random_junk_never_panics(junk: Vec<u8>) {
+    #[test]
+    fn prop_decoding_random_junk_never_panics() {
+        check("prop_decoding_random_junk_never_panics", 256, |g| {
+            let junk = bytes(g);
             let _ = Vec::<u8>::decode_all(&junk);
             let _ = String::decode_all(&junk);
             let _ = Option::<u64>::decode_all(&junk);
-        }
+        });
     }
 }

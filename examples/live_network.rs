@@ -22,7 +22,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use dcert::chain::{FullNode, GenesisBuilder, ProofOfWork};
 use dcert::core::{
@@ -137,13 +137,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // has caught up.
         ci_net.heal();
         while !ci_done.load(Ordering::SeqCst) {
-            match ci_rx.recv_timeout(Duration::from_millis(20)) {
-                Ok(NetMessage::CertRequest { from, to }) => {
-                    let served = ci_archive.republish(from, to);
-                    println!("[  CI  ] resync {from}..={to}: republished {served}");
-                }
-                Ok(_) => {}
-                Err(_) => {}
+            if let Some(NetMessage::CertRequest { from, to }) =
+                recv_within(Duration::from_millis(20), || ci_rx.try_recv().ok())
+            {
+                let served = ci_archive.republish(from, to);
+                println!("[  CI  ] resync {from}..={to}: republished {served}");
             }
         }
     });
@@ -155,8 +153,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let client_thread = thread::spawn(move || {
         let mut client = SuperlightClient::new(ias_key, expected_measurement());
         while client.height() != Some(BLOCKS) {
-            match client_rx.recv_timeout(Duration::from_millis(50)) {
-                Ok(msg) => match client.on_message(&msg) {
+            match recv_within(Duration::from_millis(50), || client_rx.try_recv().ok()) {
+                Some(msg) => match client.on_message(&msg) {
                     SyncOutcome::Adopted => println!(
                         "[client] chain height {:>3} validated ({} bytes stored)",
                         client.height().unwrap(),
@@ -165,7 +163,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     SyncOutcome::Rejected(e) => println!("[client] rejected a certificate: {e}"),
                     _ => {}
                 },
-                Err(_) => {
+                None => {
                     // Quiet network but not caught up: ask for everything
                     // missed (`u64::MAX` = "and anything newer" — the CI
                     // serves whatever its archive holds in the range).
@@ -194,4 +192,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         client.storage_bytes()
     );
     Ok(())
+}
+
+/// Polls `try_recv` until it yields or `deadline` passes — a receive with
+/// a timeout built on `try_recv` alone.
+fn recv_within<T>(deadline: Duration, mut try_recv: impl FnMut() -> Option<T>) -> Option<T> {
+    let started = Instant::now();
+    loop {
+        if let Some(message) = try_recv() {
+            return Some(message);
+        }
+        if started.elapsed() >= deadline {
+            return None;
+        }
+        thread::sleep(Duration::from_millis(1));
+    }
 }

@@ -15,8 +15,6 @@ mod common;
 
 use std::sync::{Arc, OnceLock};
 
-use proptest::prelude::*;
-
 use dcert::chain::Block;
 use dcert::core::{
     expected_measurement, CertArchive, CertJob, CertPipeline, FaultConfig, Gossip, NetMessage,
@@ -28,7 +26,8 @@ use dcert::primitives::keys::PublicKey;
 use dcert::store::{SegmentStore, Store, StoreConfig};
 use dcert::workloads::Workload;
 
-use common::{temp_dir, World};
+use common::{fleet_for, temp_dir, World};
+use dcert_testkit::{check, Gen};
 
 /// Chain length for every chaos scenario.
 const CHAIN: u64 = 20;
@@ -406,91 +405,75 @@ fn total_blackout_dead_letters_then_resyncs() {
     );
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// The convergence invariant over arbitrary fault schedules: any
-    /// (seed, loss rate, duplication, corruption, reorder window,
-    /// partition window) — once healed, every client reaches the
-    /// sequential issuer's exact stream. Proptest prints the failing
-    /// inputs; `seed` alone replays the schedule.
-    #[test]
-    fn any_fault_schedule_converges_once_healed(
-        seed in any::<u64>(),
-        drop_rate in 0.0f64..0.35,
-        duplicate_rate in 0.0f64..0.15,
-        corrupt_rate in 0.0f64..0.15,
-        reorder_window in 0u64..6,
-        part_start in 0u64..20,
-        part_len in 0u64..5,
-    ) {
-        let faults = FaultConfig {
-            drop_rate,
-            duplicate_rate,
-            corrupt_rate,
-            reorder_window,
-            partitions: vec![Partition {
-                start: part_start,
-                end: part_start + part_len,
-                endpoints: vec![0],
-            }],
-        };
-        let run = run_chaos(seed, faults);
-        prop_assert_eq!(run.superlight.height(), Some(CHAIN));
-        prop_assert_eq!(run.quorum.height(), Some(CHAIN));
-        prop_assert_eq!(&run.retained, &fixture().expected);
+/// One arbitrary fault schedule: loss, duplication and corruption rates
+/// below the given caps, a reorder window, and one partition window on
+/// endpoint 0.
+fn arb_faults(g: &mut Gen, rates: [f64; 3], windows: [u64; 3]) -> FaultConfig {
+    let [drop_rate, duplicate_rate, corrupt_rate] = rates.map(|cap| g.range(0.0..cap));
+    let [reorder_window, part_start, part_len] = windows.map(|cap| g.range(0..cap));
+    FaultConfig {
+        drop_rate,
+        duplicate_rate,
+        corrupt_rate,
+        reorder_window,
+        partitions: vec![Partition {
+            start: part_start,
+            end: part_start + part_len,
+            endpoints: vec![0],
+        }],
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+/// The convergence invariant over arbitrary fault schedules: any
+/// (seed, loss rate, duplication, corruption, reorder window,
+/// partition window) — once healed, every client reaches the
+/// sequential issuer's exact stream. A failure names the drawn schedule;
+/// its `seed` and rates replay it through `run_chaos` directly.
+#[test]
+fn any_fault_schedule_converges_once_healed() {
+    check("any_fault_schedule_converges_once_healed", 6, |g| {
+        let seed = g.any::<u64>();
+        let faults = arb_faults(g, [0.35, 0.15, 0.15], [6, 20, 5]);
+        let run = run_chaos(seed, faults.clone());
+        let schedule = format!("seed {seed}, {faults:?}");
+        assert_eq!(run.superlight.height(), Some(CHAIN), "{schedule}");
+        assert_eq!(run.quorum.height(), Some(CHAIN), "{schedule}");
+        assert_eq!(&run.retained, &fixture().expected, "{schedule}");
+    });
+}
 
-    /// The delivery ledger balances at **every instant**, not just at
-    /// rest: after each publish, clock advance, subscriber departure,
-    /// and the final heal,
-    /// `delivered + undeliverable + in_flight ==
-    ///  attempted + duplicated − partitioned − dropped − garbled`.
-    /// This is the invariant the duplicate-delivery accounting bug
-    /// violated — duplicates were delivered but never entered the ledger.
-    #[test]
-    fn netstats_conserve_deliveries_at_every_instant(
-        seed in any::<u64>(),
-        drop_rate in 0.0f64..0.5,
-        duplicate_rate in 0.0f64..0.3,
-        corrupt_rate in 0.0f64..0.3,
-        reorder_window in 0u64..8,
-        part_start in 0u64..12,
-        part_len in 0u64..6,
-    ) {
-        let faults = FaultConfig {
-            drop_rate,
-            duplicate_rate,
-            corrupt_rate,
-            reorder_window,
-            partitions: vec![Partition {
-                start: part_start,
-                end: part_start + part_len,
-                endpoints: vec![0],
-            }],
-        };
+/// The delivery ledger balances at **every instant**, not just at
+/// rest: after each publish, clock advance, subscriber departure,
+/// and the final heal,
+/// `delivered + undeliverable + in_flight ==
+///  attempted + duplicated − partitioned − dropped − garbled`.
+/// This is the invariant the duplicate-delivery accounting bug
+/// violated — duplicates were delivered but never entered the ledger.
+#[test]
+fn netstats_conserve_deliveries_at_every_instant() {
+    check("netstats_conserve_deliveries_at_every_instant", 32, |g| {
+        let seed = g.any::<u64>();
+        let faults = arb_faults(g, [0.5, 0.3, 0.3], [8, 12, 6]);
         let net = SimNet::new(seed, faults);
         let rx = net.join();
         let mut quitter = Some(net.join());
-        let check = |step: &str| {
+        let balanced = |step: &str| {
             let (stats, in_flight) = (net.stats(), net.in_flight());
-            prop_assert!(
+            assert!(
                 stats.conserves_deliveries(in_flight),
                 "seed {seed} after {step}: ledger out of balance: {stats:?} \
                  (in flight {in_flight})"
             );
-            Ok(())
         };
         for height in 1..=16u64 {
-            net.publish(NetMessage::CertRequest { from: height, to: height });
-            check("publish")?;
+            net.publish(NetMessage::CertRequest {
+                from: height,
+                to: height,
+            });
+            balanced("publish");
             if height % 3 == 0 {
                 net.advance(2);
-                check("advance")?;
+                balanced("advance");
             }
             if height == 8 {
                 // One subscriber walks away mid-run: later deliveries to
@@ -499,10 +482,10 @@ proptest! {
             }
         }
         net.heal();
-        check("heal")?;
-        prop_assert_eq!(net.in_flight(), 0, "heal flushes everything pending");
+        balanced("heal");
+        assert_eq!(net.in_flight(), 0, "heal flushes everything pending");
         while rx.try_recv().is_ok() {}
-    }
+    });
 }
 
 /// The CI seed-matrix entry: `CHAOS_SEED=<n> cargo test --test
@@ -794,9 +777,7 @@ fn serve_chaos_replays_bit_for_bit() {
 
 use std::sync::Mutex;
 
-use common::{TEST_PLATFORM_SEED, TEST_SIGNING_SEED};
-use dcert::core::{ShardFailurePlan, ShardFleetConfig, ShardedCertEngine, SharedStore};
-use dcert::sgx::CostModel;
+use dcert::core::{ShardFailurePlan, ShardFleetConfig, SharedStore};
 use dcert::store::MemStore;
 
 /// Shards in the chaos fleet: the 20-block fixture chain splits into
@@ -833,17 +814,7 @@ fn run_shard_fleet_chaos(seed: u64, faults: FaultConfig) -> ShardFleetChaosRun {
     config.registry = obs.clone();
     config.store = Some(store);
     config.failures = ShardFailurePlan::none().kill(1, 1).kill(3, 0);
-    let mut fleet = ShardedCertEngine::new_deterministic(
-        TEST_PLATFORM_SEED,
-        TEST_SIGNING_SEED,
-        &world.genesis,
-        world.genesis_state.clone(),
-        world.executor.clone(),
-        world.engine.clone(),
-        CostModel::zero(),
-        config,
-    )
-    .expect("fleet configures");
+    let mut fleet = fleet_for(&world, config);
     let certs = fleet
         .certify_chain(&fx.blocks, &mut world.ias)
         .expect("CHAOS_SEED: fleet certifies through the kill plan");

@@ -7,7 +7,10 @@ use std::sync::Arc;
 use dcert::chain::{
     Block, ChainState, ConsensusEngine, FullNode, GenesisBuilder, ProofOfWork, Transaction,
 };
-use dcert::core::{expected_measurement, CertificateIssuer, SuperlightClient};
+use dcert::core::{
+    expected_measurement, Certificate, CertificateIssuer, ShardFleetConfig, ShardedCertEngine,
+    SuperlightClient,
+};
 use dcert::primitives::codec::{encode_seq, Encode};
 use dcert::primitives::hash::{Address, Hash};
 use dcert::primitives::keys::Keypair;
@@ -154,6 +157,73 @@ impl World {
                 self.miner.mine(gen.next_block(txs), height).expect("mines")
             })
             .collect()
+    }
+}
+
+// --- the fleet suites' shared fixtures ------------------------------------------
+
+/// Builds a fleet sharing the deterministic world's seeds and chain
+/// semantics, so its aggregator is seed-identical to the world's CI.
+#[allow(dead_code)] // only the fleet suites build fleets
+pub fn fleet_for(world: &World, config: ShardFleetConfig) -> ShardedCertEngine {
+    ShardedCertEngine::new_deterministic(
+        TEST_PLATFORM_SEED,
+        TEST_SIGNING_SEED,
+        &world.genesis,
+        world.genesis_state.clone(),
+        world.executor.clone(),
+        world.engine.clone(),
+        CostModel::zero(),
+        config,
+    )
+    .expect("fleet configures")
+}
+
+/// Sequential oracle: a fresh seed-identical CI certifying `blocks` from
+/// genesis, height by height.
+#[allow(dead_code)]
+pub fn sequential_oracle(blocks: &[Block]) -> Vec<Certificate> {
+    let (mut world, _) = World::deterministic(Vec::new());
+    blocks
+        .iter()
+        .map(|block| world.ci.certify_block(block).expect("oracle certifies").0)
+        .collect()
+}
+
+/// Asserts byte-identity at every height.
+#[allow(dead_code)]
+pub fn assert_bytes_equal(oracle: &[Certificate], fleet: &[Certificate], label: &str) {
+    assert_eq!(oracle.len(), fleet.len(), "{label}: certificate count");
+    for (at, (a, b)) in oracle.iter().zip(fleet).enumerate() {
+        assert_eq!(
+            a.to_encoded_bytes(),
+            b.to_encoded_bytes(),
+            "{label}: certificate bytes diverge at height {}",
+            at + 1
+        );
+    }
+}
+
+/// Polls `try_recv` until it yields or `deadline` passes: the threaded
+/// suites' hang guard. A deadline poll over `try_recv` asks nothing of the
+/// channel crate that every build of it does not carry.
+#[allow(dead_code)] // only the threaded suites wait on channels
+pub fn recv_within<T>(
+    deadline: std::time::Duration,
+    mut try_recv: impl FnMut() -> Option<T>,
+) -> Option<T> {
+    let started = std::time::Instant::now();
+    loop {
+        if let Some(message) = try_recv() {
+            return Some(message);
+        }
+        if started.elapsed() >= deadline {
+            return None;
+        }
+        // Yield, not sleep: the crash drills kill the pipeline the moment
+        // the first certificate is out, and a sleep quantum is long enough
+        // for a short chain to finish first.
+        std::thread::yield_now();
     }
 }
 

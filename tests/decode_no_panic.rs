@@ -44,7 +44,7 @@ use dcert::store::frame::{append_frame, scan_frames};
 use dcert::store::head::HEAD_SLOT_A;
 use dcert::store::{HeadState, Record, SegmentMark, StreamId};
 use dcert::vm::StateKey;
-use proptest::prelude::*;
+use dcert_testkit::check;
 
 /// Feeds `bytes` to every wire decoder in the workspace. Each call must
 /// return (any result is fine) without panicking.
@@ -612,15 +612,12 @@ fn hostile_op_programs_fail_verification_cleanly() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(192))]
-
-    /// Arbitrary op programs (syntactically valid, semantically hostile)
-    /// never panic either executor — they verify or fail typed.
-    #[test]
-    fn prop_random_op_programs_never_panic(
-        selectors in proptest::collection::vec(any::<u8>(), 0..48),
-    ) {
+/// Arbitrary op programs (syntactically valid, semantically hostile)
+/// never panic either executor — they verify or fail typed.
+#[test]
+fn prop_random_op_programs_never_panic() {
+    check("prop_random_op_programs_never_panic", 192, |g| {
+        let selectors = g.vec(0..48, |g| g.any::<u8>());
         let program: Vec<ProofOp> = selectors
             .iter()
             .map(|&b| match b % 6 {
@@ -638,68 +635,73 @@ proptest! {
         let _ = mb.verify_non_membership(&root, 9);
         let agg = agg_op_proof(&program);
         let _ = agg.verify(&root, 0, 9, &Aggregate::EMPTY);
-    }
+    });
+}
 
-    /// Arbitrary junk never panics any decoder.
-    #[test]
-    fn prop_random_bytes_never_panic(bytes in proptest::collection::vec(any::<u8>(), 0..1024)) {
-        try_decode_everything(&bytes);
-    }
+/// Arbitrary junk never panics any decoder.
+#[test]
+fn prop_random_bytes_never_panic() {
+    check("prop_random_bytes_never_panic", 192, |g| {
+        try_decode_everything(&g.vec(0..1024, |g| g.any::<u8>()));
+    });
+}
 
-    /// One flipped byte in a valid encoding never panics any decoder —
-    /// including the type's own.
-    #[test]
-    fn prop_bitflipped_encodings_never_panic(
-        which in any::<usize>(),
-        pos in any::<usize>(),
-        flip in 1u8..=255,
-    ) {
-        let samples = sample_encodings();
+/// One flipped byte in a valid encoding never panics any decoder —
+/// including the type's own.
+#[test]
+fn prop_bitflipped_encodings_never_panic() {
+    let samples = sample_encodings();
+    check("prop_bitflipped_encodings_never_panic", 192, |g| {
+        let (which, pos, flip) = (g.any::<usize>(), g.any::<usize>(), g.range(1u8..=255));
         let p = &samples[which % samples.len()];
         let mut bytes = p.bytes.clone();
         let idx = pos % bytes.len();
         bytes[idx] ^= flip;
         let _ = (p.decode_ok)(&bytes);
         try_decode_everything(&bytes);
-    }
+    });
+}
 
-    /// A truncated valid encoding with random junk appended never panics.
-    #[test]
-    fn prop_truncated_with_junk_tail_never_panics(
-        which in any::<usize>(),
-        cut in any::<usize>(),
-        tail in proptest::collection::vec(any::<u8>(), 0..64),
-    ) {
-        let samples = sample_encodings();
+/// A truncated valid encoding with random junk appended never panics.
+#[test]
+fn prop_truncated_with_junk_tail_never_panics() {
+    let samples = sample_encodings();
+    check("prop_truncated_with_junk_tail_never_panics", 192, |g| {
+        let (which, cut) = (g.any::<usize>(), g.any::<usize>());
         let p = &samples[which % samples.len()];
+        let tail = g.vec(0..64, |g| g.any::<u8>());
         let mut bytes = p.bytes[..cut % bytes_len(&p.bytes)].to_vec();
         bytes.extend_from_slice(&tail);
         let _ = (p.decode_ok)(&bytes);
         try_decode_everything(&bytes);
-    }
+    });
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// Structured prefixes (valid-looking tags + lengths) never panic.
-    #[test]
-    fn prop_tagged_junk_never_panics(
-        tag in 0u8..8,
-        len in any::<u32>(),
-        body in proptest::collection::vec(any::<u8>(), 0..128),
-    ) {
+/// Structured prefixes (valid-looking tags + lengths) never panic.
+#[test]
+fn prop_tagged_junk_never_panics() {
+    check("prop_tagged_junk_never_panics", 256, |g| {
+        let (tag, len) = (g.range(0u8..8), g.any::<u32>());
+        let body = g.vec(0..128, |g| g.any::<u8>());
         let mut bytes = vec![tag];
         bytes.extend_from_slice(&len.to_be_bytes());
         bytes.extend_from_slice(&body);
         try_decode_everything(&bytes);
-    }
+    });
+}
 
-    /// Mutating one byte of a *valid* encoding either still decodes (to a
-    /// different value the verifier will reject) or fails cleanly.
-    #[test]
-    fn prop_bitflipped_transactions_never_panic(pos in 0usize..160, flip in 1u8..=255) {
-        let tx = Transaction::sign(&Keypair::from_seed([9; 32]), 7, "kvstore", b"payload".to_vec());
+/// Mutating one byte of a *valid* encoding either still decodes (to a
+/// different value the verifier will reject) or fails cleanly.
+#[test]
+fn prop_bitflipped_transactions_never_panic() {
+    check("prop_bitflipped_transactions_never_panic", 256, |g| {
+        let (pos, flip) = (g.range(0usize..160), g.range(1u8..=255));
+        let tx = Transaction::sign(
+            &Keypair::from_seed([9; 32]),
+            7,
+            "kvstore",
+            b"payload".to_vec(),
+        );
         let mut bytes = tx.to_encoded_bytes();
         let idx = pos % bytes.len();
         bytes[idx] ^= flip;
@@ -708,17 +710,20 @@ proptest! {
             // decode to the identical transaction (flip in ignored
             // range is impossible: every byte is significant).
             if decoded != tx {
-                prop_assert!(decoded.verify().is_err() || decoded.id() != tx.id());
+                assert!(decoded.verify().is_err() || decoded.id() != tx.id());
             }
         }
-    }
+    });
+}
 
-    /// Mutated SMT proofs never panic the verifier, and when a mutation
-    /// still verifies (e.g. a flipped bit turned an absent key into a
-    /// *different* absent key — a legitimately different proof), it must
-    /// not change any authenticated claim about the original keys.
-    #[test]
-    fn prop_bitflipped_smt_proofs_sound(pos in 0usize..4096, flip in 1u8..=255) {
+/// Mutated SMT proofs never panic the verifier, and when a mutation
+/// still verifies (e.g. a flipped bit turned an absent key into a
+/// *different* absent key — a legitimately different proof), it must
+/// not change any authenticated claim about the original keys.
+#[test]
+fn prop_bitflipped_smt_proofs_sound() {
+    check("prop_bitflipped_smt_proofs_sound", 256, |g| {
+        let (pos, flip) = (g.range(0usize..4096), g.range(1u8..=255));
         let mut tree = SparseMerkleTree::new();
         for i in 0..20u32 {
             tree.insert(hash_bytes(format!("k{i}")), vec![i as u8]);
@@ -736,16 +741,19 @@ proptest! {
                 for key in &original_keys {
                     if let Ok(claimed) = decoded.pre_value_hash(key) {
                         let truth = tree.get(key).map(hash_bytes);
-                        prop_assert_eq!(claimed, truth);
+                        assert_eq!(claimed, truth);
                     }
                 }
             }
         }
-    }
+    });
+}
 
-    /// Mutated certificates never panic and never validate.
-    #[test]
-    fn prop_bitflipped_certificates_safe(pos in 0usize..512, flip in 1u8..=255) {
+/// Mutated certificates never panic and never validate.
+#[test]
+fn prop_bitflipped_certificates_safe() {
+    check("prop_bitflipped_certificates_safe", 256, |g| {
+        let (pos, flip) = (g.range(0usize..512), g.range(1u8..=255));
         let (cert, _) = certificate();
         let ias_key = AttestationService::with_seed([1; 32]).public_key();
         let measurement = hash_bytes(b"program");
@@ -756,13 +764,15 @@ proptest! {
         bytes[idx] ^= flip;
         if let Ok(decoded) = Certificate::decode_all(&bytes) {
             if decoded != cert {
-                prop_assert!(
-                    decoded.verify(&ias_key, &measurement, &cert.digest).is_err(),
+                assert!(
+                    decoded
+                        .verify(&ias_key, &measurement, &cert.digest)
+                        .is_err(),
                     "a mutated certificate must never verify"
                 );
             }
         }
-    }
+    });
 }
 
 fn bytes_len(bytes: &[u8]) -> usize {

@@ -3,7 +3,7 @@
 //! the same certified digest verifies both, and the result rows they
 //! authenticate are byte-identical — while the op stream alone supports
 //! range completeness, non-membership brackets, and aggregate windows in
-//! one shared-structure proof. The rejection side is proptested: omission,
+//! one shared-structure proof. The rejection side is a property: omission,
 //! tampering, and boundary truncation all fail typed for every family.
 //!
 //! The serve-level tests drive real certified data (kvstore workload,
@@ -27,7 +27,7 @@ use dcert::serve::{
 };
 use dcert::vm::StateKey;
 use dcert::workloads::Workload;
-use proptest::prelude::*;
+use dcert_testkit::{check, reject};
 
 fn key(i: u64) -> StateKey {
     StateKey::new("kvstore", format!("key-{i}").as_bytes())
@@ -87,56 +87,50 @@ fn check_pair(history: &HistoryIndex, aggregate: &AggregateIndex, k: u64, t1: u6
     );
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// **Tentpole equivalence.** For arbitrary windows and keys (tracked
-    /// and untracked), both encodings authenticate the same rows against
-    /// the same digest, and every `size_bytes()` equals the real encoded
-    /// length.
-    #[test]
-    fn prop_both_encodings_agree_and_verify(
-        heights in 3u64..24,
-        keys in 1u64..6,
-        probe in 0u64..8,
-        (a, b) in (1u64..30, 1u64..30),
-    ) {
+/// **Tentpole equivalence.** For arbitrary windows and keys (tracked
+/// and untracked), both encodings authenticate the same rows against
+/// the same digest, and every `size_bytes()` equals the real encoded
+/// length.
+#[test]
+fn prop_both_encodings_agree_and_verify() {
+    check("prop_both_encodings_agree_and_verify", 48, |g| {
+        let (heights, keys, probe) = (g.range(3u64..24), g.range(1u64..6), g.range(0u64..8));
+        let (a, b) = (g.range(1u64..30), g.range(1u64..30));
         let (history, aggregate) = build_indexes(heights, keys);
         let (t1, t2) = (a.min(b), a.max(b));
         check_pair(&history, &aggregate, probe, t1, t2);
         // Degenerate and clamped windows ride along.
         check_pair(&history, &aggregate, probe, t1, t1);
         check_pair(&history, &aggregate, probe, 0, u64::MAX);
-    }
+    });
+}
 
-    /// **Rejection.** Omitting a row (middle or window edge), tampering
-    /// with a value, or shifting a timestamp makes the op-stream proof
-    /// fail — the verifier cannot be talked into a truncated tail.
-    #[test]
-    fn prop_op_stream_rejects_omission_and_tampering(
-        heights in 6u64..20,
-        probe in 0u64..3,
-        drop_at in 0usize..32,
-    ) {
+/// **Rejection.** Omitting a row (middle or window edge), tampering
+/// with a value, or shifting a timestamp makes the op-stream proof
+/// fail — the verifier cannot be talked into a truncated tail.
+#[test]
+fn prop_op_stream_rejects_omission_and_tampering() {
+    check("prop_op_stream_rejects_omission_and_tampering", 48, |g| {
+        let (heights, probe, drop_at) = (g.range(6u64..20), g.range(0u64..3), g.range(0usize..32));
         let (history, _) = build_indexes(heights, 3);
         let digest = history.digest();
         let (results, proof) = history.query_ops(&key(probe), 1, heights);
-        prop_assume!(!results.is_empty());
+        if results.is_empty() {
+            reject();
+        }
 
         // Omission at an arbitrary position, including the window edge.
         let mut omitted = results.clone();
         omitted.remove(drop_at % results.len());
-        prop_assert!(
+        assert!(
             verify_history_op(&digest, &key(probe), 1, heights, &omitted, &proof).is_err(),
             "an omitted row must be detected"
         );
         // The provably-empty claim is just total omission.
-        if !results.is_empty() {
-            prop_assert!(
-                verify_history_op(&digest, &key(probe), 1, heights, &[], &proof).is_err(),
-                "claiming emptiness over a populated window must fail"
-            );
-        }
+        assert!(
+            verify_history_op(&digest, &key(probe), 1, heights, &[], &proof).is_err(),
+            "claiming emptiness over a populated window must fail"
+        );
         // Value tampering.
         let mut tampered = results.clone();
         if let Some(v) = tampered[0].1.as_mut() {
@@ -144,27 +138,28 @@ proptest! {
         } else {
             tampered[0].1 = Some(vec![0xFF]);
         }
-        prop_assert!(
+        assert!(
             verify_history_op(&digest, &key(probe), 1, heights, &tampered, &proof).is_err(),
             "a tampered value must be detected"
         );
         // Timestamp shifting.
         let mut shifted = results.clone();
         shifted[0].0 = shifted[0].0.wrapping_add(1_000_000);
-        prop_assert!(
+        assert!(
             verify_history_op(&digest, &key(probe), 1, heights, &shifted, &proof).is_err(),
             "a shifted timestamp must be detected"
         );
-    }
+    });
+}
 
-    /// **Non-membership.** For any key set and probe, the bracket proof
-    /// verifies exactly when the probe is absent, and the proven bracket
-    /// is the true adjacent pair.
-    #[test]
-    fn prop_non_membership_brackets_are_adjacent(
-        members in proptest::collection::btree_set(0u64..200, 1..20),
-        probe in 0u64..200,
-    ) {
+/// **Non-membership.** For any key set and probe, the bracket proof
+/// verifies exactly when the probe is absent, and the proven bracket
+/// is the true adjacent pair.
+#[test]
+fn prop_non_membership_brackets_are_adjacent() {
+    check("prop_non_membership_brackets_are_adjacent", 48, |g| {
+        let members = g.btree_set(1..20, |g| g.range(0u64..200));
+        let probe = g.range(0u64..200);
         let mut tree = MbTree::new(4);
         for &ts in &members {
             tree.insert(ts, ts.to_be_bytes().to_vec());
@@ -172,7 +167,7 @@ proptest! {
         let root = tree.root();
         let proof = tree.prove_non_membership(probe);
         if members.contains(&probe) {
-            prop_assert!(
+            assert!(
                 proof.verify_non_membership(&root, probe).is_err(),
                 "a present key can never prove its own absence"
             );
@@ -180,10 +175,10 @@ proptest! {
             let (pred, succ) = proof
                 .verify_non_membership(&root, probe)
                 .expect("absence verifies");
-            prop_assert_eq!(pred, members.range(..probe).next_back().copied());
-            prop_assert_eq!(succ, members.range(probe + 1..).next().copied());
+            assert_eq!(pred, members.range(..probe).next_back().copied());
+            assert_eq!(succ, members.range(probe + 1..).next().copied());
         }
-    }
+    });
 }
 
 /// Stages `block` through the front and records its augmented

@@ -5,12 +5,12 @@
 //! sequential build for every leaf count and thread count — roots, full
 //! level vectors (via `MerkleTree`'s structural equality), and every proof.
 //! These tests sweep the edge cases deterministically (empty tree, single
-//! leaf, odd promotions, the parallel-gate boundary) and then let proptest
+//! leaf, odd promotions, the parallel-gate boundary) and then let a property
 //! roam leaf counts 0..=1025 across thread counts {1, 2, 3, 4, 8}.
 
 use dcert::merkle::{build_threads, set_build_threads, MerkleTree};
 use dcert::primitives::hash::{hash_bytes, Hash};
-use proptest::prelude::*;
+use dcert_testkit::check;
 
 /// Distinct, deterministic leaf hashes: `H(index || salt)`.
 fn leaves(n: usize, salt: u64) -> Vec<Hash> {
@@ -90,27 +90,22 @@ fn global_knob_round_trips_and_feeds_default_builders() {
     set_build_threads(before);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Any leaf count in 0..=1025 builds byte-identically for every thread
-    /// count in {1, 2, 3, 4, 8}.
-    #[test]
-    fn prop_thread_count_never_changes_output(
-        n in 0usize..=1025,
-        salt in any::<u64>(),
-        threads_index in 0usize..5,
-    ) {
-        let threads = [1usize, 2, 3, 4, 8][threads_index];
+/// Any leaf count in 0..=1025 builds byte-identically for every thread
+/// count in {1, 2, 3, 4, 8}.
+#[test]
+fn prop_thread_count_never_changes_output() {
+    check("prop_thread_count_never_changes_output", 48, |g| {
+        let (n, salt) = (g.range(0usize..=1025), g.any::<u64>());
+        let threads = g.one_of(&[1usize, 2, 3, 4, 8]);
         let items = leaves(n, salt);
         let sequential = MerkleTree::from_leaf_hashes_with_threads(items.clone(), 1);
         let parallel = MerkleTree::from_leaf_hashes_with_threads(items.clone(), threads);
-        prop_assert_eq!(&sequential, &parallel);
-        prop_assert_eq!(sequential.root(), parallel.root());
+        assert_eq!(&sequential, &parallel);
+        assert_eq!(sequential.root(), parallel.root());
         // Spot-check proofs at the boundaries and the middle rather than
         // all n (the deterministic sweep covers exhaustive proofs).
         for index in [0, n / 2, n.saturating_sub(1)] {
-            prop_assert_eq!(sequential.prove(index), parallel.prove(index));
+            assert_eq!(sequential.prove(index), parallel.prove(index));
         }
-    }
+    });
 }

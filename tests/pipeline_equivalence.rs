@@ -18,7 +18,7 @@
 //! replaces it and Algorithm 5 (hierarchical) adds per-index chains that
 //! must be gap-free (`idx_sig_gen` requires the previous index
 //! certificate to cover exactly the previous header). Schemes therefore
-//! mix across proptest cases, and plain/batch jobs mix within a stream —
+//! mix across property cases, and plain/batch jobs mix within a stream —
 //! the same constraint the sequential issuer has.
 
 mod common;
@@ -26,14 +26,12 @@ mod common;
 use std::sync::{Arc, Mutex};
 use std::thread;
 
-use proptest::prelude::*;
-
-use common::{World, TEST_PLATFORM_SEED, TEST_SIGNING_SEED};
+use common::{assert_bytes_equal, fleet_for, sequential_oracle, World};
 use dcert::chain::{Block, BlockHeader};
 use dcert::core::{
     CertError, CertJob, CertPipeline, Certificate, CertificateIssuer, Gossip, NetMessage,
     ParallelismConfig, PipelineConfig, PipelineReport, ShardFailurePlan, ShardFleetConfig,
-    ShardedCertEngine, SharedStore, SuperlightClient,
+    SharedStore, SuperlightClient,
 };
 use dcert::obs::Registry;
 use dcert::primitives::codec::Encode;
@@ -41,9 +39,9 @@ use dcert::primitives::hash::Hash;
 use dcert::primitives::keys::PublicKey;
 use dcert::query::sp::IndexKind;
 use dcert::query::ServiceProvider;
-use dcert::sgx::CostModel;
 use dcert::store::MemStore;
 use dcert::workloads::{Workload, WorkloadGen};
+use dcert_testkit::{check, Gen};
 
 // --- the observable stream --------------------------------------------------
 
@@ -378,68 +376,53 @@ fn assert_equivalent(
 
 // --- strategies -------------------------------------------------------------
 
-fn plain_mix() -> impl Strategy<Value = Plan> {
-    prop::collection::vec(
-        prop_oneof![
-            Just(BatchShape::Single),
-            (1usize..=3).prop_map(BatchShape::Batch),
-        ],
-        1..=4,
-    )
-    .prop_map(Plan::PlainMix)
-}
-
-fn index_set() -> impl Strategy<Value = Vec<(IndexKind, &'static str)>> {
-    prop_oneof![
-        Just(vec![(IndexKind::History, "history")]),
-        Just(vec![(IndexKind::Inverted, "keywords")]),
-        Just(vec![
+fn index_set(g: &mut Gen) -> Vec<(IndexKind, &'static str)> {
+    g.one_of(&[
+        vec![(IndexKind::History, "history")],
+        vec![(IndexKind::Inverted, "keywords")],
+        vec![
             (IndexKind::History, "history"),
             (IndexKind::Inverted, "keywords"),
-        ]),
-        Just(vec![
+        ],
+        vec![
             (IndexKind::Aggregate, "volume"),
             (IndexKind::History, "history"),
             (IndexKind::Inverted, "keywords"),
-        ]),
-    ]
+        ],
+    ])
 }
 
-fn plan() -> impl Strategy<Value = Plan> {
-    prop_oneof![
-        plain_mix(),
-        (index_set(), 1usize..=4).prop_map(|(idx, n)| Plan::Augmented(idx, n)),
-        (index_set(), 1usize..=4).prop_map(|(idx, n)| Plan::Hierarchical(idx, n)),
-    ]
-}
-
-fn workload() -> impl Strategy<Value = Workload> {
-    prop_oneof![
-        Just(Workload::DoNothing),
-        Just(Workload::KvStore { keyspace: 32 }),
-        Just(Workload::SmallBank { customers: 16 }),
-        Just(Workload::IoHeavy { batch: 4 }),
-    ]
-}
-
-proptest! {
-    // 96 cases ≈ 32 per chain scheme; the suite's floor is 64.
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    /// The pipeline is equivalent to the sequential issuer for every
-    /// chain scheme, workload, worker count, queue depth, and batch
-    /// shape.
-    #[test]
-    fn pipeline_matches_sequential(
-        plan in plan(),
-        workload in workload(),
-        txs in 1usize..=3,
-        seed in any::<u64>(),
-        preparers in 1usize..=4,
-        queue_depth in 1usize..=8,
-    ) {
-        assert_equivalent(plan, workload, txs, seed, preparers, queue_depth);
+fn plan(g: &mut Gen) -> Plan {
+    match g.range(0u8..3) {
+        0 => Plan::PlainMix(g.vec(1..=4, |g| match g.range(0u8..2) {
+            0 => BatchShape::Single,
+            _ => BatchShape::Batch(g.range(1usize..=3)),
+        })),
+        1 => Plan::Augmented(index_set(g), g.range(1usize..=4)),
+        _ => Plan::Hierarchical(index_set(g), g.range(1usize..=4)),
     }
+}
+
+fn workload(g: &mut Gen) -> Workload {
+    g.one_of(&[
+        Workload::DoNothing,
+        Workload::KvStore { keyspace: 32 },
+        Workload::SmallBank { customers: 16 },
+        Workload::IoHeavy { batch: 4 },
+    ])
+}
+
+/// The pipeline is equivalent to the sequential issuer for every chain
+/// scheme, workload, worker count, queue depth, and batch shape.
+#[test]
+fn pipeline_matches_sequential() {
+    // 96 cases ≈ 32 per chain scheme; the suite's floor is 64.
+    check("pipeline_matches_sequential", 96, |g| {
+        let (plan, workload) = (plan(g), workload(g));
+        let (txs, seed) = (g.range(1usize..=3), g.any::<u64>());
+        let (preparers, queue_depth) = (g.range(1usize..=4), g.range(1usize..=8));
+        assert_equivalent(plan, workload, txs, seed, preparers, queue_depth);
+    });
 }
 
 // --- observability is inert -------------------------------------------------
@@ -848,31 +831,6 @@ fn shutdown_message_mid_stream_is_orderly() {
 // certificates at every height, for every shard count — including with
 // shard enclaves killed and restarted mid-run, and across reorgs.
 
-/// Builds a fleet sharing the deterministic world's seeds and chain
-/// semantics, so its aggregator is seed-identical to the world's CI.
-fn fleet_for(world: &World, config: ShardFleetConfig) -> ShardedCertEngine {
-    ShardedCertEngine::new_deterministic(
-        TEST_PLATFORM_SEED,
-        TEST_SIGNING_SEED,
-        &world.genesis,
-        world.genesis_state.clone(),
-        world.executor.clone(),
-        world.engine.clone(),
-        CostModel::zero(),
-        config,
-    )
-    .expect("fleet configures")
-}
-
-/// Certifies every block sequentially — the byte-identity oracle for the
-/// fleet.
-fn sequential_certs(world: &mut World, blocks: &[Block]) -> Vec<Certificate> {
-    blocks
-        .iter()
-        .map(|block| world.ci.certify_block(block).expect("certifies").0)
-        .collect()
-}
-
 /// Asserts the two certificate streams are byte-identical at every height
 /// and that a superlight client adopts the fleet's stream to the tip.
 fn assert_fleet_matches(
@@ -882,15 +840,7 @@ fn assert_fleet_matches(
     ias_key: PublicKey,
     label: &str,
 ) {
-    assert_eq!(seq.len(), fleet.len(), "{label}: certificate count");
-    for (at, (s, f)) in seq.iter().zip(fleet).enumerate() {
-        assert_eq!(
-            s.to_encoded_bytes(),
-            f.to_encoded_bytes(),
-            "{label}: certificate bytes diverge at height {}",
-            at + 1
-        );
-    }
+    assert_bytes_equal(seq, fleet, label);
     let mut client = SuperlightClient::new(ias_key, dcert::core::expected_measurement());
     for (block, cert) in blocks.iter().zip(fleet) {
         client
@@ -911,7 +861,7 @@ fn assert_fleet_matches(
 fn shard_counts_1_2_4_8_match_sequential_bytes() {
     let (mut seq_world, _) = World::deterministic(Vec::new());
     let blocks = seq_world.mine_blocks(Workload::SmallBank { customers: 16 }, 12, 2, 31);
-    let seq = sequential_certs(&mut seq_world, &blocks);
+    let seq = sequential_oracle(&blocks);
     let ias_key = seq_world.ias.public_key();
 
     for shards in [1usize, 2, 4, 8] {
@@ -931,7 +881,7 @@ fn shard_counts_1_2_4_8_match_sequential_bytes() {
 fn shard_fleet_incremental_extension_matches_sequential() {
     let (mut seq_world, _) = World::deterministic(Vec::new());
     let blocks = seq_world.mine_blocks(Workload::KvStore { keyspace: 32 }, 10, 2, 47);
-    let seq = sequential_certs(&mut seq_world, &blocks);
+    let seq = sequential_oracle(&blocks);
     let ias_key = seq_world.ias.public_key();
 
     let (mut fleet_world, _) = World::deterministic(Vec::new());
@@ -963,7 +913,7 @@ fn shard_fleet_incremental_extension_matches_sequential() {
 fn shard_kill_restart_is_byte_identical() {
     let (mut seq_world, _) = World::deterministic(Vec::new());
     let blocks = seq_world.mine_blocks(Workload::SmallBank { customers: 16 }, 12, 2, 59);
-    let seq = sequential_certs(&mut seq_world, &blocks);
+    let seq = sequential_oracle(&blocks);
     let ias_key = seq_world.ias.public_key();
 
     let registry = Registry::new();
@@ -1017,9 +967,7 @@ fn shard_fleet_reorg_matches_sequential() {
     );
 
     // Sequential oracle: a fresh CI certifying the reorged chain.
-    let (mut oracle_world, _) = World::deterministic(Vec::new());
-    let seq = sequential_certs(&mut oracle_world, &reorged);
-    let ias_key = oracle_world.ias.public_key();
+    let seq = sequential_oracle(&reorged);
 
     let registry = Registry::new();
     let (mut fleet_world, _) = World::deterministic(Vec::new());
@@ -1032,6 +980,7 @@ fn shard_fleet_reorg_matches_sequential() {
     let certs = fleet
         .certify_chain(&reorged, &mut fleet_world.ias)
         .expect("reorg re-certifies");
+    let ias_key = fleet_world.ias.public_key();
     assert_fleet_matches(&seq, &certs, &reorged, ias_key, "reorg");
 
     let snap = registry.snapshot();
@@ -1047,27 +996,20 @@ fn shard_fleet_reorg_matches_sequential() {
     assert_eq!(snap.counter("shard.agg.fresh_boots"), 2);
 }
 
-proptest! {
+/// The fleet matches sequential bytes for arbitrary shard counts, chunk
+/// sizes, chain lengths, and workloads.
+#[test]
+fn shard_fleet_matches_sequential() {
     // Each case boots up to 9 enclaves; 16 cases keep the suite fast while
     // still sweeping shard counts, chunk sizes, chain lengths, and
-    // workloads. (TSan CI runs with PROPTEST_CASES=8 semantics via the
-    // suite's shared budget.)
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// The fleet matches sequential bytes for arbitrary shard counts,
-    /// chunk sizes, chain lengths, and workloads.
-    #[test]
-    fn shard_fleet_matches_sequential(
-        shards in 1usize..=8,
-        chunk in 1u64..=4,
-        count in 1usize..=8,
-        workload in workload(),
-        txs in 1usize..=2,
-        seed in any::<u64>(),
-    ) {
+    // workloads. (TSan CI trims further with `DCERT_PROP_CASES`.)
+    check("shard_fleet_matches_sequential", 16, |g| {
+        let (shards, chunk) = (g.range(1usize..=8), g.range(1u64..=4));
+        let (count, workload) = (g.range(1usize..=8), workload(g));
+        let (txs, seed) = (g.range(1usize..=2), g.any::<u64>());
         let (mut seq_world, _) = World::deterministic(Vec::new());
         let blocks = seq_world.mine_blocks(workload, count, txs, seed);
-        let seq = sequential_certs(&mut seq_world, &blocks);
+        let seq = sequential_oracle(&blocks);
         let ias_key = seq_world.ias.public_key();
 
         let (mut fleet_world, _) = World::deterministic(Vec::new());
@@ -1075,9 +1017,9 @@ proptest! {
         let certs = fleet
             .certify_chain(&blocks, &mut fleet_world.ias)
             .expect("fleet certifies");
-        assert_fleet_matches(&seq, &certs, &blocks, ias_key,
-            &format!("shards={shards} chunk={chunk}"));
-    }
+        let label = format!("shards={shards} chunk={chunk}");
+        assert_fleet_matches(&seq, &certs, &blocks, ias_key, &label);
+    });
 }
 
 /// An idle pipeline shuts down cleanly and hands back an untouched CI.
@@ -1099,48 +1041,54 @@ fn empty_pipeline_shutdown_is_clean() {
 
 // --- properties of the sequential issuer --------------------------------------
 
-fn arb_workload() -> impl Strategy<Value = Workload> {
-    prop_oneof![
-        Just(Workload::DoNothing),
-        (16u32..256).prop_map(|size| Workload::CpuHeavy { size }),
-        (1u32..8).prop_map(|batch| Workload::IoHeavy { batch }),
-        (4u64..64).prop_map(|keyspace| Workload::KvStore { keyspace }),
-        (4u64..64).prop_map(|customers| Workload::SmallBank { customers }),
-    ]
+fn arb_workload(g: &mut Gen) -> Workload {
+    match g.range(0u8..5) {
+        0 => Workload::DoNothing,
+        1 => Workload::CpuHeavy {
+            size: g.range(16u32..256),
+        },
+        2 => Workload::IoHeavy {
+            batch: g.range(1u32..8),
+        },
+        3 => Workload::KvStore {
+            keyspace: g.range(4u64..64),
+        },
+        _ => Workload::SmallBank {
+            customers: g.range(4u64..64),
+        },
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Any random chain certifies block by block and the final certificate
-    /// validates on a fresh superlight client.
-    #[test]
-    fn prop_random_chains_certify(
-        workload in arb_workload(),
-        seed in any::<u64>(),
-        blocks in 1u64..5,
-        block_size in 1usize..6,
-    ) {
+/// Any random chain certifies block by block and the final certificate
+/// validates on a fresh superlight client.
+#[test]
+fn prop_random_chains_certify() {
+    check("prop_random_chains_certify", 12, |g| {
+        let (workload, seed) = (arb_workload(g), g.any::<u64>());
+        let (blocks, block_size) = (g.range(1u64..5), g.range(1usize..6));
         let mut world = World::new();
         let mut gen = WorkloadGen::new(workload, 6, seed);
         let mut latest = None;
         for height in 1..=blocks {
-            let block = world.miner.mine(gen.next_block(block_size), height).unwrap();
+            let block = world
+                .miner
+                .mine(gen.next_block(block_size), height)
+                .unwrap();
             let (cert, _) = world.ci.certify_block(&block).unwrap();
             latest = Some((block, cert));
         }
         let (block, cert) = latest.unwrap();
-        prop_assert!(world.client.validate_chain(&block.header, &cert).is_ok());
-        prop_assert_eq!(world.client.height(), Some(blocks));
-    }
+        assert!(world.client.validate_chain(&block.header, &cert).is_ok());
+        assert_eq!(world.client.height(), Some(blocks));
+    });
+}
 
-    /// Two independent replicas fed the same transactions produce
-    /// byte-identical blocks, certificates digests, and index digests.
-    #[test]
-    fn prop_replicas_are_deterministic(
-        seed in any::<u64>(),
-        blocks in 1u64..4,
-    ) {
+/// Two independent replicas fed the same transactions produce
+/// byte-identical blocks, certificates digests, and index digests.
+#[test]
+fn prop_replicas_are_deterministic() {
+    check("prop_replicas_are_deterministic", 12, |g| {
+        let (seed, blocks) = (g.any::<u64>(), g.range(1u64..4));
         let (mut wa, mut sa) = World::with_setup(vec![(IndexKind::History, "h")]);
         let (mut wb, mut sb) = World::with_setup(vec![(IndexKind::History, "h")]);
         let mut gen = WorkloadGen::new(Workload::KvStore { keyspace: 16 }, 4, seed);
@@ -1148,30 +1096,30 @@ proptest! {
             let txs = gen.next_block(3);
             let ba = wa.miner.mine(txs.clone(), height).unwrap();
             let bb = wb.miner.mine(txs, height).unwrap();
-            prop_assert_eq!(ba.hash(), bb.hash());
+            assert_eq!(ba.hash(), bb.hash());
 
             let ia = sa.stage_block(&ba).unwrap();
             let ib = sb.stage_block(&bb).unwrap();
-            prop_assert_eq!(ia[0].new_digest, ib[0].new_digest);
+            assert_eq!(ia[0].new_digest, ib[0].new_digest);
 
             let (ca, _) = wa.ci.certify_augmented(&ba, &ia).unwrap();
             let (cb, _) = wb.ci.certify_augmented(&bb, &ib).unwrap();
             // Signatures differ (different enclave keys) but the certified
             // digests agree.
-            prop_assert_eq!(ca[0].digest, cb[0].digest);
+            assert_eq!(ca[0].digest, cb[0].digest);
             sa.record_certs(&ca);
             sb.record_certs(&cb);
         }
-    }
+    });
+}
 
-    /// Superlight storage is the same constant regardless of workload,
-    /// block size, or chain length.
-    #[test]
-    fn prop_client_storage_constant(
-        workload in arb_workload(),
-        seed in any::<u64>(),
-        blocks in 1u64..4,
-    ) {
+/// Superlight storage is the same constant regardless of workload,
+/// block size, or chain length.
+#[test]
+fn prop_client_storage_constant() {
+    check("prop_client_storage_constant", 12, |g| {
+        let (workload, seed) = (arb_workload(g), g.any::<u64>());
+        let blocks = g.range(1u64..4);
         let mut world = World::new();
         let mut gen = WorkloadGen::new(workload, 4, seed);
         let mut sizes = Vec::new();
@@ -1181,6 +1129,6 @@ proptest! {
             world.client.validate_chain(&block.header, &cert).unwrap();
             sizes.push(world.client.storage_bytes());
         }
-        prop_assert!(sizes.windows(2).all(|w| w[0] == w[1]), "sizes: {sizes:?}");
-    }
+        assert!(sizes.windows(2).all(|w| w[0] == w[1]), "sizes: {sizes:?}");
+    });
 }

@@ -19,7 +19,7 @@ use dcert::serve::{
 };
 use dcert::vm::StateKey;
 use dcert::workloads::Workload;
-use proptest::prelude::*;
+use dcert_testkit::{check, Gen};
 
 /// Keyspace the kvstore workload writes; queries draw from a slightly
 /// larger space so absence proofs are exercised too.
@@ -81,30 +81,37 @@ fn key(i: u64) -> StateKey {
 }
 
 /// A random time window inside `1..=height`.
-fn arb_window(height: u64) -> impl Strategy<Value = (u64, u64)> {
-    (1..=height, 1..=height).prop_map(|(a, b)| (a.min(b), a.max(b)))
+fn arb_window(g: &mut Gen, height: u64) -> (u64, u64) {
+    let (a, b) = (g.range(1..=height), g.range(1..=height));
+    (a.min(b), a.max(b))
 }
 
 /// A random query over the three registered indexes.
-fn arb_spec(height: u64) -> impl Strategy<Value = QuerySpec> {
-    prop_oneof![
-        (0..KEYSPACE + 4, arb_window(height)).prop_map(|(k, (t1, t2))| QuerySpec::History {
-            index: "history".to_owned(),
-            key: key(k),
-            t1,
-            t2,
-        }),
-        proptest::collection::vec(0..20u64, 1..3).prop_map(|words| QuerySpec::Keywords {
+fn arb_spec(g: &mut Gen, height: u64) -> QuerySpec {
+    match g.range(0u8..3) {
+        0 => {
+            let (k, (t1, t2)) = (g.range(0..KEYSPACE + 4), arb_window(g, height));
+            QuerySpec::History {
+                index: "history".to_owned(),
+                key: key(k),
+                t1,
+                t2,
+            }
+        }
+        1 => QuerySpec::Keywords {
             index: "inverted".to_owned(),
-            keywords: words.iter().map(|w| format!("word-{w}")).collect(),
-        }),
-        (0..KEYSPACE + 4, arb_window(height)).prop_map(|(k, (t1, t2))| QuerySpec::Aggregate {
-            index: "agg".to_owned(),
-            key: key(k),
-            t1,
-            t2,
-        }),
-    ]
+            keywords: g.vec(1..3, |g| format!("word-{}", g.range(0..20u64))),
+        },
+        _ => {
+            let (k, (t1, t2)) = (g.range(0..KEYSPACE + 4), arb_window(g, height));
+            QuerySpec::Aggregate {
+                index: "agg".to_owned(),
+                key: key(k),
+                t1,
+                t2,
+            }
+        }
+    }
 }
 
 /// Submits `spec` twice (to force a coalesced join), pumps, and returns
@@ -137,57 +144,52 @@ fn serve_via_front(front: &mut ServeFront, spec: &QuerySpec, base_id: u64) -> Ve
         .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 10,
-        .. ProptestConfig::default()
-    })]
-
-    /// **Satellite 1a.** Coalesced and cached responses are byte-identical
-    /// to direct uncached `serve_*` calls at the same certified height —
-    /// across random chains and random query mixes.
-    #[test]
-    fn prop_front_responses_match_direct_serving(
-        seed in any::<u64>(),
-        blocks in 1usize..4,
-        txs in 1usize..4,
-        specs in proptest::collection::vec(arb_spec(3), 1..6),
-    ) {
+/// **Satellite 1a.** Coalesced and cached responses are byte-identical
+/// to direct uncached `serve_*` calls at the same certified height —
+/// across random chains and random query mixes.
+#[test]
+fn prop_front_responses_match_direct_serving() {
+    check("prop_front_responses_match_direct_serving", 10, |g| {
+        let (seed, blocks, txs) = (g.any::<u64>(), g.range(1usize..4), g.range(1usize..4));
+        let specs = g.vec(1..6, |g| arb_spec(g, 3));
         let mut front = certified_front(blocks, txs, seed);
         let height = front.sp().index_height();
-        prop_assert_eq!(height, blocks as u64);
+        assert_eq!(height, blocks as u64);
 
         for (i, spec) in specs.iter().enumerate() {
             let direct = direct_payload(front.sp(), spec).expect("indexes are registered");
             // Round 1: backend call + coalesced fan-out.
             for (stamped, payload) in serve_via_front(&mut front, spec, 100 * i as u64) {
-                prop_assert_eq!(stamped, height, "responses carry the certified height");
-                prop_assert_eq!(&payload, &direct, "fan-out bytes == direct bytes");
+                assert_eq!(stamped, height, "responses carry the certified height");
+                assert_eq!(&payload, &direct, "fan-out bytes == direct bytes");
             }
             // Round 2: the same spec now comes straight from the proof cache.
-            let cached = front.submit(3, ServeRequest {
-                client: 9_000 + i as u64,
-                id: 9_000 + i as u64,
-                query: spec.clone(),
-            });
+            let cached = front.submit(
+                3,
+                ServeRequest {
+                    client: 9_000 + i as u64,
+                    id: 9_000 + i as u64,
+                    query: spec.clone(),
+                },
+            );
             match cached.expect("cache hits are admitted") {
                 Submitted::CacheHit(response) => {
-                    prop_assert_eq!(response.certified_height, height);
-                    prop_assert_eq!(&response.payload, &direct, "cached bytes == direct bytes");
+                    assert_eq!(response.certified_height, height);
+                    assert_eq!(&response.payload, &direct, "cached bytes == direct bytes");
                 }
-                Submitted::Enqueued { .. } => prop_assert!(false, "second round must hit the cache"),
+                Submitted::Enqueued { .. } => panic!("second round must hit the cache"),
             }
         }
-    }
+    });
+}
 
-    /// **Satellite 1b.** Cache invalidation: once `record_certs` moves the
-    /// certified height, no response is served from the stale cache — the
-    /// replayed query is re-executed and returns the new height's bytes.
-    #[test]
-    fn prop_no_stale_proof_survives_height_advance(
-        seed in any::<u64>(),
-        probe in 0..KEYSPACE,
-    ) {
+/// **Satellite 1b.** Cache invalidation: once `record_certs` moves the
+/// certified height, no response is served from the stale cache — the
+/// replayed query is re-executed and returns the new height's bytes.
+#[test]
+fn prop_no_stale_proof_survives_height_advance() {
+    check("prop_no_stale_proof_survives_height_advance", 10, |g| {
+        let (seed, probe) = (g.any::<u64>(), g.range(0..KEYSPACE));
         let (mut world, sp) = World::deterministic(vec![
             (IndexKind::History, "history"),
             (IndexKind::Inverted, "inverted"),
@@ -205,14 +207,14 @@ proptest! {
             t2: 2,
         };
         let served = serve_via_front(&mut front, &spec, 0);
-        prop_assert!(!served.is_empty());
+        assert!(!served.is_empty());
         let generation = front.cache_generation();
-        prop_assert_eq!(front.cached_entries(), 1, "the proof is cached");
+        assert_eq!(front.cached_entries(), 1, "the proof is cached");
 
         // The certified height moves: stage + record block 3.
         certify_into(&mut world, &mut front, &blocks[2]);
-        prop_assert_eq!(front.cached_entries(), 0, "invalidation clears the cache");
-        prop_assert!(front.cache_generation() > generation);
+        assert_eq!(front.cached_entries(), 0, "invalidation clears the cache");
+        assert!(front.cache_generation() > generation);
 
         // Replaying the same query misses the cache and re-executes at the
         // new height; its bytes match a fresh direct call, not the stale
@@ -220,17 +222,20 @@ proptest! {
         let replayed = serve_via_front(&mut front, &spec, 50);
         let direct = direct_payload(front.sp(), &spec).expect("index registered");
         for (stamped, payload) in &replayed {
-            prop_assert_eq!(*stamped, 3u64, "post-advance responses carry the new height");
-            prop_assert_eq!(payload, &direct);
+            assert_eq!(
+                *stamped, 3u64,
+                "post-advance responses carry the new height"
+            );
+            assert_eq!(payload, &direct);
         }
         let (results, proof) =
             dcert::serve::decode_history_payload(&replayed[0].1).expect("payload decodes");
         let digest = front.sp().certified_digest("history").expect("certified");
-        prop_assert!(
+        assert!(
             verify_history(&digest, &key(probe), 1, 2, &results, &proof).is_ok(),
             "replayed proof verifies against the advanced certified digest"
         );
-    }
+    });
 }
 
 /// `advance_staged` (the no-certificate pipelined path) invalidates just

@@ -18,34 +18,17 @@ mod common;
 
 use std::sync::{Arc, Mutex};
 
-use common::{World, TEST_PLATFORM_SEED, TEST_SIGNING_SEED};
+use common::{assert_bytes_equal, fleet_for, sequential_oracle, World, TEST_SIGNING_SEED};
 use dcert::chain::Block;
 use dcert::core::{
-    CertError, Certificate, EcallRequest, EcallResponse, RangeCert, ShardFleetConfig,
-    ShardedCertEngine, SharedStore,
+    CertError, Certificate, EcallRequest, EcallResponse, RangeCert, ShardFleetConfig, SharedStore,
 };
 use dcert::obs::Registry;
-use dcert::primitives::codec::Encode;
 use dcert::primitives::hash::Hash;
 use dcert::primitives::keys::Keypair;
-use dcert::sgx::{CostModel, Quote};
+use dcert::sgx::Quote;
 use dcert::store::MemStore;
 use dcert::workloads::Workload;
-
-/// Builds a fleet seed-identical to the deterministic world's CI.
-fn fleet_for(world: &World, config: ShardFleetConfig) -> ShardedCertEngine {
-    ShardedCertEngine::new_deterministic(
-        TEST_PLATFORM_SEED,
-        TEST_SIGNING_SEED,
-        &world.genesis,
-        world.genesis_state.clone(),
-        world.executor.clone(),
-        world.engine.clone(),
-        CostModel::zero(),
-        config,
-    )
-    .expect("fleet configures")
-}
 
 /// Mines a chain that shares its first `shared` heights with a `base`
 /// seed and then diverges: a fresh deterministic world replays the base
@@ -60,29 +43,6 @@ fn mine_fork(shared: usize, fork_len: usize, base_seed: u64, fork_seed: u64) -> 
         fork_seed,
     );
     prefix.into_iter().chain(suffix).collect()
-}
-
-/// Sequential oracle: a fresh seed-identical CI certifying `blocks` from
-/// genesis, height by height.
-fn sequential_oracle(blocks: &[Block]) -> Vec<Certificate> {
-    let (mut world, _) = World::deterministic(Vec::new());
-    blocks
-        .iter()
-        .map(|block| world.ci.certify_block(block).expect("oracle certifies").0)
-        .collect()
-}
-
-/// Asserts byte-identity at every height.
-fn assert_bytes_equal(oracle: &[Certificate], fleet: &[Certificate], label: &str) {
-    assert_eq!(oracle.len(), fleet.len(), "{label}: certificate count");
-    for (at, (a, b)) in oracle.iter().zip(fleet).enumerate() {
-        assert_eq!(
-            a.to_encoded_bytes(),
-            b.to_encoded_bytes(),
-            "{label}: bytes diverge at height {}",
-            at + 1
-        );
-    }
 }
 
 /// Runs the original-then-reorg sequence through one fleet and checks the

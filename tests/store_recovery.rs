@@ -31,7 +31,7 @@ use dcert::query::{CertifiedEntry, ServiceProvider};
 use dcert::store::head::{HEAD_SLOT_A, HEAD_SLOT_B};
 use dcert::store::{MemStore, SegmentStore, Store, StoreConfig, StoreError};
 use dcert::workloads::Workload;
-use proptest::prelude::*;
+use dcert_testkit::{check, Gen};
 
 /// Chaos seeds the CI matrix fans out over (`CHAOS_SEED` env var).
 const CHAOS_SEEDS: [u64; 5] = [1, 42, 1234, 77777, 424242];
@@ -282,14 +282,6 @@ fn recovery_refuses_substituted_head_entry() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Seeded single-bit flips across all three files of the final state.
 /// Every flip must either refuse (typed) or recover — and a recovery must
 /// be byte-identical to the oracle at whatever watermark it lands on.
@@ -304,11 +296,10 @@ fn run_bit_flips(g: &Golden, seed: u64) -> (usize, usize) {
         (HEAD_SLOT_B, head_b),
     ];
     let (mut recovered, mut refused) = (0, 0);
-    let mut state = seed;
+    let mut draw = Gen::from_seed(seed);
     for case in 0..40 {
-        let (name, bytes) = files[(splitmix64(&mut state) % 3) as usize];
-        let pos = (splitmix64(&mut state) as usize) % bytes.len();
-        let bit = (splitmix64(&mut state) % 8) as u8;
+        let (name, bytes) = draw.one_of(&files);
+        let (pos, bit) = (draw.range(0..bytes.len()), draw.range(0u8..8));
         let dir = restore(g, g.seg.len(), last, "bit-flip");
         let mut flipped = bytes.to_vec();
         flipped[pos] ^= 1 << bit;
@@ -424,20 +415,15 @@ fn resync_after_recovery_converges_on_the_oracle() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(5))]
-
-    /// Property form of the sweep over *arbitrary* record schedules:
-    /// workload-generated blocks (any contract mix), any kill fraction,
-    /// seeds drawn from the chaos matrix. Recovery at the kill point must
-    /// serve the MemStore oracle's answers at the surviving commit.
-    #[test]
-    fn kill_point_identity_over_schedules(
-        blocks in 1usize..=3,
-        txs in 1usize..=2,
-        seed_idx in 0usize..CHAOS_SEEDS.len(),
-        kill_permille in 0u64..=1000,
-    ) {
+/// Property form of the sweep over *arbitrary* record schedules:
+/// workload-generated blocks (any contract mix), any kill fraction,
+/// seeds drawn from the chaos matrix. Recovery at the kill point must
+/// serve the MemStore oracle's answers at the surviving commit.
+#[test]
+fn kill_point_identity_over_schedules() {
+    check("kill_point_identity_over_schedules", 5, |draw| {
+        let (blocks, txs) = (draw.range(1usize..=3), draw.range(1usize..=2));
+        let (seed, kill_permille) = (draw.one_of(&CHAOS_SEEDS), draw.range(0usize..=1000));
         let (mut world, mut sp_seg) = World::deterministic(world_indexes());
         let mut sp_mem = genesis_sp();
         sp_mem.attach_store(Box::new(MemStore::new()));
@@ -445,25 +431,20 @@ proptest! {
         sp_seg.attach_store(Box::new(
             SegmentStore::open(StoreConfig::new(&dir)).expect("schedule store opens"),
         ));
-        let mined = world.mine_blocks(
-            Workload::KvStore { keyspace: 16 },
-            blocks,
-            txs,
-            CHAOS_SEEDS[seed_idx],
-        );
+        let mined = world.mine_blocks(Workload::KvStore { keyspace: 16 }, blocks, txs, seed);
         let g = drive(&mut world, &mut sp_seg, &mut sp_mem, &mined, &dir);
         drop(sp_seg);
         std::fs::remove_dir_all(&dir).ok();
 
-        let cut = (g.seg.len() * kill_permille as usize / 1000).min(g.seg.len());
+        let cut = (g.seg.len() * kill_permille / 1000).min(g.seg.len());
         let commit = commit_at(&g, cut);
         let scratch = restore(&g, cut, commit, "schedule-cut");
         let store = SegmentStore::open(StoreConfig::new(&scratch)).expect("kill point opens");
-        prop_assert_eq!(store.durable_height(), commit as u64);
+        assert_eq!(store.durable_height(), commit as u64);
         let sp = genesis_sp()
             .recover_from(&g.ias_key, &g.measurement, Box::new(store))
             .expect("re-verification succeeds");
-        prop_assert_eq!(observe(&sp), g.expected[commit].clone());
+        assert_eq!(observe(&sp), g.expected[commit].clone());
         std::fs::remove_dir_all(&scratch).ok();
-    }
+    });
 }
