@@ -127,10 +127,11 @@ impl FullNode {
     pub fn predicted_state_root(&self, execution: &BlockExecution) -> Hash {
         let touched = execution.touched_keys();
         let proof = self.state.prove(&touched);
+        // Proven on this node's own tree, over the keys the execution touched.
         proof
-            .updated_root(&hash_writes(&execution.writes))
-            // Proven two lines up, on this node's own tree, over these keys.
-            .expect("proof covers every written key")
+            .verify(&self.state.root())
+            .and_then(|tip_state| tip_state.updated_root(&hash_writes(&execution.writes)))
+            .expect("own proof verifies and covers every written key")
     }
 
     /// Seals the block that carries `txs` from the tip to `state_root`.

@@ -130,13 +130,13 @@ mod tests {
             StateKey::new("kv", b"fresh"),
         ];
         let proof = state.prove(&touched);
-        proof.verify(&old_root).unwrap();
+        let verified = proof.verify(&old_root).unwrap();
 
         let writes = vec![
             (*touched[0].as_hash(), Some(hash_bytes(b"updated"))),
             (*touched[1].as_hash(), Some(hash_bytes(b"created"))),
         ];
-        let predicted = proof.updated_root(&writes).unwrap();
+        let predicted = verified.updated_root(&writes).unwrap();
 
         let block_writes: Vec<(StateKey, Option<Vec<u8>>)> = vec![
             (touched[0], Some(b"updated".to_vec())),

@@ -47,7 +47,7 @@ pub fn check_body(engine: &dyn ConsensusEngine, block: &Block) -> Result<(), Cha
 }
 
 /// A write set (`None` = deletion) as the `(path, value-hash)` pairs a
-/// state proof's `updated_root` consumes.
+/// verified state proof's `updated_root` consumes.
 pub fn hash_writes<'a>(
     writes: impl IntoIterator<Item = (&'a StateKey, &'a Option<Vec<u8>>)>,
 ) -> Vec<(Hash, Option<Hash>)> {

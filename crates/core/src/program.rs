@@ -336,8 +336,8 @@ impl CertProgram {
         // Authenticate the claimed write set without replaying: it must
         // transform the certified parent state root into the certified new
         // state root.
-        req.write_proof.verify(&req.prev_header.state_root)?;
-        let reached = req.write_proof.updated_root(&hash_writes(&req.writes))?;
+        let parent_state = req.write_proof.verify(&req.prev_header.state_root)?;
+        let reached = parent_state.updated_root(&hash_writes(&req.writes))?;
         if reached != req.header.state_root {
             return Err(CertError::WriteSetMismatch);
         }
@@ -430,11 +430,11 @@ impl CertProgram {
         check_extends(prev, &block.header)?;
         check_body(self.engine.as_ref(), block)?;
         // Line 17: authenticate the read set against H_{i-1}^s.
-        state_proof.verify(&prev.state_root)?;
+        let pre_state = state_proof.verify(&prev.state_root)?;
         let mut read_map: BTreeMap<StateKey, Option<Vec<u8>>> = BTreeMap::new();
         for (key, value) in &link.reads {
             let claimed = value.as_ref().map(dcert_primitives::hash::hash_bytes);
-            let proven = state_proof
+            let proven = pre_state
                 .pre_value_hash(key.as_hash())
                 .map_err(|_| CertError::ReadSetMismatch)?;
             if claimed != proven {
@@ -456,7 +456,7 @@ impl CertProgram {
         // Lines 22–23: authenticate the write neighborhood and recompute
         // the post-state root.
         let writes: WriteSet = replay.writes.into_iter().collect();
-        let reached = state_proof.updated_root(&hash_writes(&writes))?;
+        let reached = pre_state.updated_root(&hash_writes(&writes))?;
         if reached != block.header.state_root {
             return Err(CertError::StateRootMismatch);
         }

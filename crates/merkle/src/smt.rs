@@ -13,7 +13,8 @@
 //! 3. compute the post-write root (`update(π_i^w, {w}_i)`) to compare
 //!    against `H_i^s` in the new block,
 //!
-//! all from the proof alone.
+//! all from the proof alone: one [`SmtProof::verify`] does the first two,
+//! and the [`Verified`] it returns answers the reads and does the third.
 //!
 //! # Structure
 //!
@@ -42,8 +43,8 @@
 //! and then the right, and a side no covered key enters consumes exactly
 //! one item *at that moment* — a left sibling on the way down, a right
 //! sibling on the way back up. The prover ([`SparseMerkleTree::prove`]) and
-//! the verifier ([`SmtProof::verify`], [`SmtProof::updated_root`]) make the
-//! same walk, so neither positions nor depths are written down.
+//! the verifier ([`SmtProof::verify`]) make the same walk, so neither
+//! positions nor depths are written down.
 //!
 //! Most siblings are empty — below the depth at which a key parts from
 //! every other key, all of them are — so consecutive empty items are kept
@@ -64,13 +65,30 @@
 //! empty subtree or over its own leaf. Walks therefore cost in proportion
 //! to the real depth of the tree around the covered keys, not to 256.
 //!
+//! The verifying walk is the only reader of the evidence, and it keeps what
+//! it learned: each step at which covered keys split or go on leaves one
+//! frame on a flat list — the two sides it combined, and for each side
+//! where the frame of the step that computed it sits, if there was one; a
+//! side that is an evidence item, or a lone key above nothing but empty
+//! siblings, has none. That list is the [`Verified`] a successful
+//! [`SmtProof::verify`] hands back. [`Verified::updated_root`] sends the
+//! sorted write set down the recorded steps the way `commit` sends it down
+//! the tree: the writes split where the walk split, a side no write enters
+//! is what the walk found there, and only written leaves and the branches
+//! above them are hashed again. The memo is as long as the walk (a few
+//! frames per covered key, none for a lone key over an empty tree) and
+//! goes when the `Verified` does.
+//!
 //! # Updates
 //!
 //! The tree is a function of its contents alone, so a write set needs no
 //! order of its own: [`SparseMerkleTree::commit`] sorts it and applies it in
 //! one walk, in place, re-hashing every branch above a written key once. An
 //! insert or a remove is that walk with one write; committing what a walk
-//! displaced is its exact undo.
+//! displaced is its exact undo. A leaf keeps the hash it was made with, so
+//! re-hashing a branch reads both children's hashes and computes one — the
+//! stateless update over a proof and the commit on the tree hash the same
+//! nodes for the same writes.
 //!
 //! # Example
 //!
@@ -85,16 +103,16 @@
 //!
 //! // A stateless verifier authenticates the read and applies a write.
 //! let proof = tree.prove(&[key]);
-//! proof.verify(&root)?;
-//! assert_eq!(proof.pre_value_hash(&key)?, Some(hash_bytes(b"100")));
-//! let new_root = proof.updated_root(&[(key, Some(hash_bytes(b"42")))])?;
+//! let verified = proof.verify(&root)?;
+//! assert_eq!(verified.pre_value_hash(&key)?, Some(hash_bytes(b"100")));
+//! let new_root = verified.updated_root(&[(key, Some(hash_bytes(b"42")))])?;
 //!
 //! tree.insert(key, b"42".to_vec());
 //! assert_eq!(tree.root(), new_root);
 //! # Ok::<(), dcert_merkle::ProofError>(())
 //! ```
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 use dcert_primitives::codec::{Decode, Encode, Reader};
 use dcert_primitives::error::CodecError;
@@ -145,6 +163,9 @@ enum Node {
     Leaf {
         key: Hash,
         value_hash: Hash,
+        /// `leaf_hash(key, value_hash)`, computed once where the leaf is
+        /// made: a branch re-hashed beside it reads this.
+        hash: Hash,
     },
     Branch {
         /// The bit index at which the two children diverge. All leaf keys
@@ -164,8 +185,7 @@ impl Node {
     fn hash(&self) -> Hash {
         match self {
             Node::Empty => Hash::ZERO,
-            Node::Leaf { key, value_hash } => leaf_hash(key, value_hash),
-            Node::Branch { hash, .. } => *hash,
+            Node::Leaf { hash, .. } | Node::Branch { hash, .. } => *hash,
         }
     }
 
@@ -199,6 +219,26 @@ fn make_branch(bit: usize, left: Node, right: Node) -> Node {
     }
 }
 
+/// `writes` in key order, one per key: the last write to a key wins.
+fn last_write_per_key<V>(mut writes: Vec<(Hash, V)>) -> Vec<(Hash, V)> {
+    // Stable, so the last write to a key is the last of its run.
+    writes.sort_by_key(|(key, _)| *key);
+    writes.dedup_by(|later, earlier| {
+        later.0 == earlier.0 && {
+            // `dedup_by` drops `later`; it is the write that counts.
+            std::mem::swap(later, earlier);
+            true
+        }
+    });
+    writes
+}
+
+/// Where sorted `writes` that agree on every bit above `bit` part at it:
+/// those before go to its zero side, the rest to its one side.
+fn parting<W>(writes: &[(Hash, W)], bit: usize) -> usize {
+    writes.partition_point(|(key, _)| !key.bit(bit))
+}
+
 /// The subtree holding `left` and `right`, whose keys part at `bit`: an
 /// empty side is transparent, so only two live sides make a branch.
 fn join(bit: usize, left: Node, right: Node) -> Node {
@@ -228,7 +268,6 @@ impl Node {
         };
         // Sorted keys leave `rep`'s prefix earliest at one of their ends.
         let parts = diverge_bit(&rep, first).min(diverge_bit(&rep, last));
-        let split = |at: usize| writes.split_at(writes.partition_point(|(k, _)| !k.bit(at)));
         if parts < bit {
             // Some keys part from the shared prefix above this subtree: it
             // moves, intact, beside whatever the keys on the other side make.
@@ -237,7 +276,7 @@ impl Node {
             } else {
                 (std::mem::take(self), Node::Empty)
             };
-            let (lower, upper) = split(parts);
+            let (lower, upper) = writes.split_at(parting(writes, parts));
             left.apply(lower);
             right.apply(upper);
             *self = join(parts, left, right);
@@ -251,7 +290,7 @@ impl Node {
                 hash,
                 ..
             } => {
-                let (lower, upper) = split(bit);
+                let (lower, upper) = writes.split_at(parting(writes, bit));
                 left.apply(lower);
                 right.apply(upper);
                 match (left.rep(), right.is_empty()) {
@@ -269,6 +308,7 @@ impl Node {
                 *self = value_hash.map_or(Node::Empty, |value_hash| Node::Leaf {
                     key: rep,
                     value_hash,
+                    hash: leaf_hash(&rep, &value_hash),
                 });
             }
         }
@@ -337,16 +377,7 @@ impl SparseMerkleTree {
         &mut self,
         writes: impl IntoIterator<Item = (Hash, Option<Vec<u8>>)>,
     ) -> Vec<(Hash, Option<Vec<u8>>)> {
-        let mut writes: Vec<_> = writes.into_iter().collect();
-        // Stable, so the last write to a key is the last of its run.
-        writes.sort_by_key(|(key, _)| *key);
-        writes.dedup_by(|later, earlier| {
-            later.0 == earlier.0 && {
-                // `dedup_by` drops `later`; it is the write that counts.
-                std::mem::swap(later, earlier);
-                true
-            }
-        });
+        let mut writes = last_write_per_key(writes.into_iter().collect());
         let hashed: Vec<(Hash, Option<Hash>)> = writes
             .iter()
             .map(|(key, value)| (*key, value.as_deref().map(hash_bytes)))
@@ -440,7 +471,9 @@ impl<'a> From<&'a Node> for NodeView<'a> {
     fn from(node: &'a Node) -> Self {
         match node {
             Node::Empty => NodeView::Empty,
-            Node::Leaf { key, value_hash } => NodeView::Leaf { key, value_hash },
+            Node::Leaf {
+                key, value_hash, ..
+            } => NodeView::Leaf { key, value_hash },
             branch @ Node::Branch { .. } => NodeView::Branch(branch),
         }
     }
@@ -527,11 +560,9 @@ fn push_empties(evidence: &mut Vec<Evidence>, mut n: usize) {
 
 /// A stateless multiproof over a set of keys of a [`SparseMerkleTree`].
 ///
-/// Construct with [`SparseMerkleTree::prove`], ship to a verifier, then:
-///
-/// 1. [`SmtProof::verify`] against the trusted root,
-/// 2. [`SmtProof::pre_value_hash`] to read authenticated pre-state,
-/// 3. [`SmtProof::updated_root`] to compute the root after writes.
+/// Construct with [`SparseMerkleTree::prove`] and ship to a verifier, who
+/// calls [`SmtProof::verify`] against the trusted root. Everything a proof
+/// can say about the tree is read off the [`Verified`] that returns.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SmtProof {
     /// Sorted, deduplicated touched keys.
@@ -559,6 +590,11 @@ impl Subtree {
             Subtree::One(h) | Subtree::Many(h) => h,
         }
     }
+
+    /// A key's own subtree: its leaf, or nothing when it is absent.
+    fn of_key(key: &Hash, value_hash: Option<Hash>) -> Subtree {
+        value_hash.map_or(Subtree::Empty, |vh| Subtree::One(leaf_hash(key, &vh)))
+    }
 }
 
 fn combine(left: Subtree, right: Subtree) -> Subtree {
@@ -569,6 +605,37 @@ fn combine(left: Subtree, right: Subtree) -> Subtree {
         (l, r) => Subtree::Many(branch_hash(&l.hash(), &r.hash())),
     }
 }
+
+/// One side of a step of the verifying walk, kept so that an update
+/// re-hashes only what a write changes.
+#[derive(Debug, Clone, Copy)]
+struct Side {
+    /// The subtree the walk found there: one evidence item, a lone key's
+    /// own leaf, or what the steps beneath combined.
+    found: Subtree,
+    /// How many frames were on record when the side was done, if covered
+    /// keys split or went on beneath it: its own frame is the last of them.
+    /// Zero for a side that left none — an evidence item, or a lone key
+    /// with nothing but empty siblings beneath.
+    recorded: u32,
+}
+
+impl Side {
+    /// A side with no step of the walk beneath it.
+    fn whole(found: Subtree) -> Side {
+        Side { found, recorded: 0 }
+    }
+}
+
+/// The two sides a step of the verifying walk combined. A step records its
+/// frame as it returns, after every frame beneath it.
+#[derive(Debug)]
+struct Frame {
+    left: Side,
+    right: Side,
+}
+
+const MEMO_LOST: ProofError = ProofError::Malformed("walk memo out of step");
 
 impl SmtProof {
     /// The sorted set of keys this proof covers.
@@ -582,70 +649,31 @@ impl SmtProof {
         self.encoded_len()
     }
 
-    /// The authenticated pre-state value hash of a covered key
-    /// (`Ok(None)` = key proven absent).
-    ///
-    /// Only meaningful after [`SmtProof::verify`] has succeeded against a
-    /// trusted root.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProofError::MissingKey`] if `key` is not covered.
-    pub fn pre_value_hash(&self, key: &Hash) -> Result<Option<Hash>, ProofError> {
-        let idx = self
-            .keys
-            .binary_search(key)
-            .map_err(|_| ProofError::MissingKey)?;
-        self.pre
-            .get(idx)
-            .copied()
-            .ok_or(ProofError::Malformed("pre/keys length mismatch"))
-    }
-
-    /// Verifies the proof against a trusted `root`.
+    /// Verifies the proof against a trusted `root` and returns what the
+    /// walk established: the covered keys' pre-state, and enough of the
+    /// tree around them to compute the root after writes to them.
     ///
     /// # Errors
     ///
     /// Returns [`ProofError::RootMismatch`] if the recomputed commitment
     /// differs, or [`ProofError::Malformed`] on structural problems.
-    pub fn verify(&self, root: &Hash) -> Result<(), ProofError> {
-        let computed = self.compute_root::<true>(None)?;
-        if computed == *root {
-            Ok(())
+    pub fn verify(&self, root: &Hash) -> Result<Verified<'_>, ProofError> {
+        let walked = self.walk::<true>()?;
+        if walked.root() == *root {
+            Ok(walked)
         } else {
             Err(ProofError::RootMismatch)
         }
     }
 
-    /// Computes the root after applying `writes` to the covered keys.
+    /// Walks the proof to the root it commits to — whichever that is; the
+    /// comparison is [`Self::verify`]'s. All handling of the untrusted
+    /// evidence happens here.
     ///
-    /// Each write is `(key, Some(new_value_hash))` for an upsert or
-    /// `(key, None)` for a deletion. Every written key must be covered by
-    /// the proof. Call [`SmtProof::verify`] first; the returned root is only
-    /// trustworthy if the proof verified against a trusted pre-state root.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProofError::MissingKey`] if a write touches an uncovered
-    /// key, or [`ProofError::Malformed`] on structural problems.
-    pub fn updated_root(&self, writes: &[(Hash, Option<Hash>)]) -> Result<Hash, ProofError> {
-        let mut overrides: BTreeMap<Hash, Option<Hash>> = BTreeMap::new();
-        for (key, value_hash) in writes {
-            if self.keys.binary_search(key).is_err() {
-                return Err(ProofError::MissingKey);
-            }
-            overrides.insert(*key, *value_hash);
-        }
-        self.compute_root::<true>(Some(&overrides))
-    }
-
-    /// `SKIP_RUNS` is `true` everywhere but in the test that checks the run
+    /// `SKIP_RUNS` is `true` everywhere but in the tests that check the run
     /// shortcut of [`Self::compute_rec`] against the level-by-level
     /// recursion it abbreviates.
-    fn compute_root<const SKIP_RUNS: bool>(
-        &self,
-        overrides: Option<&BTreeMap<Hash, Option<Hash>>>,
-    ) -> Result<Hash, ProofError> {
+    fn walk<const SKIP_RUNS: bool>(&self) -> Result<Verified<'_>, ProofError> {
         if self.pre.len() != self.keys.len() {
             return Err(ProofError::Malformed("pre/keys length mismatch"));
         }
@@ -656,28 +684,38 @@ impl SmtProof {
             items: self.evidence.iter(),
             empties: 0,
         };
-        let subtree = if self.keys.is_empty() {
+        // A frame where two covered keys part and one per sibling passed on
+        // the way: about right, as most runs are taken whole, and nothing
+        // for a lone key over an empty tree.
+        let steps = (self.keys.len() + self.evidence.len()).saturating_sub(2);
+        let mut frames = Vec::with_capacity(steps);
+        let top = if self.keys.is_empty() {
             // No covered key: the whole tree is the one untouched subtree.
-            cursor.take(|_| true)?
+            Side::whole(cursor.take(|_| true)?)
         } else {
-            self.compute_rec::<SKIP_RUNS>(0, 0, self.keys.len(), &mut cursor, overrides)?
+            self.compute_rec::<SKIP_RUNS>(0, 0, self.keys.len(), &mut cursor, &mut frames)?
         };
         if cursor.empties != 0 || cursor.items.next().is_some() {
             return Err(ProofError::Malformed("unconsumed evidence"));
         }
-        Ok(subtree.hash())
+        Ok(Verified {
+            proof: self,
+            top,
+            frames,
+        })
     }
 
     /// The subtree at `depth` holding the covered keys `key_lo..key_hi`
-    /// (at least one), which all share their first `depth` bits.
+    /// (at least one), which all share their first `depth` bits. Where the
+    /// keys split or go on, the step leaves its [`Frame`] on `frames`.
     fn compute_rec<const SKIP_RUNS: bool>(
         &self,
         depth: usize,
         key_lo: usize,
         key_hi: usize,
         cursor: &mut Cursor<'_>,
-        overrides: Option<&BTreeMap<Hash, Option<Hash>>>,
-    ) -> Result<Subtree, ProofError> {
+        frames: &mut Vec<Frame>,
+    ) -> Result<Side, ProofError> {
         let first = self
             .keys
             .get(key_lo)
@@ -690,14 +728,8 @@ impl SmtProof {
             // nothing) without a step per level.
             let levels = KEY_BITS.saturating_sub(depth);
             if levels == 0 || (SKIP_RUNS && cursor.skip_empties(levels)) {
-                let value_hash = match overrides.and_then(|o| o.get(first)) {
-                    Some(over) => *over,
-                    None => self.pre.get(key_lo).copied().flatten(),
-                };
-                return Ok(match value_hash {
-                    None => Subtree::Empty,
-                    Some(vh) => Subtree::One(leaf_hash(first, &vh)),
-                });
+                let value_hash = self.pre.get(key_lo).copied().flatten();
+                return Ok(Side::whole(Subtree::of_key(first, value_hash)));
             }
         } else if depth >= KEY_BITS {
             return Err(ProofError::Malformed("key collision at max depth"));
@@ -708,18 +740,117 @@ impl SmtProof {
                 .get(key_lo..key_hi)
                 .map_or(0, |range| range.partition_point(|k| !k.bit(depth)));
         // A side no covered key enters is one evidence item. A leaf disclosed
-        // there must part from the covered keys at exactly this bit — a
-        // fail-fast check; root comparison would also catch a misplaced one.
-        let side = |lo: usize, hi: usize, cursor: &mut Cursor<'_>| {
+        // there must part from the covered keys at exactly this bit. Nothing
+        // else binds evidence to a position: an empty sibling is transparent
+        // to `combine` and a branch hash commits to no prefix, so the root
+        // comparison does not catch what this check lets through.
+        let side = |lo: usize, hi: usize, cursor: &mut Cursor<'_>, frames: &mut Vec<Frame>| {
             if lo == hi {
-                cursor.take(|leaf| diverge_bit(leaf, first) == depth)
+                cursor
+                    .take(|leaf| diverge_bit(leaf, first) == depth)
+                    .map(Side::whole)
             } else {
-                self.compute_rec::<SKIP_RUNS>(depth + 1, lo, hi, cursor, overrides)
+                self.compute_rec::<SKIP_RUNS>(depth + 1, lo, hi, cursor, frames)
             }
         };
-        let left = side(key_lo, split, cursor)?;
-        let right = side(split, key_hi, cursor)?;
-        Ok(combine(left, right))
+        let left = side(key_lo, split, cursor, frames)?;
+        let right = side(split, key_hi, cursor, frames)?;
+        frames.push(Frame { left, right });
+        Ok(Side {
+            found: combine(left.found, right.found),
+            recorded: u32::try_from(frames.len())
+                .map_err(|_| ProofError::Malformed("proof walk too long"))?,
+        })
+    }
+}
+
+/// A proof that has verified against a trusted root, and what its walk
+/// learned on the way. Only [`SmtProof::verify`] makes one, so whatever it
+/// answers is authenticated.
+#[derive(Debug)]
+pub struct Verified<'a> {
+    proof: &'a SmtProof,
+    /// The whole tree as the walk found it — at the trusted root.
+    top: Side,
+    /// One frame per step of the walk at which covered keys split or went
+    /// on, in the order the steps returned.
+    frames: Vec<Frame>,
+}
+
+impl Verified<'_> {
+    fn root(&self) -> Hash {
+        self.top.found.hash()
+    }
+
+    /// The authenticated pre-state value hash of a covered key
+    /// (`Ok(None)` = key proven absent).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ProofError::MissingKey`] if `key` is not covered.
+    pub fn pre_value_hash(&self, key: &Hash) -> Result<Option<Hash>, ProofError> {
+        let idx = self
+            .proof
+            .keys
+            .binary_search(key)
+            .map_err(|_| ProofError::MissingKey)?;
+        self.proof
+            .pre
+            .get(idx)
+            .copied()
+            .ok_or(ProofError::Malformed("pre/keys length mismatch"))
+    }
+
+    /// Computes the root after applying `writes` to the covered keys.
+    ///
+    /// Each write is `(key, Some(new_value_hash))` for an upsert or
+    /// `(key, None)` for a deletion; the last write to a key wins. Every
+    /// written key must be covered by the proof. Only written leaves and
+    /// the branches above them are hashed — what
+    /// [`SparseMerkleTree::commit`] hashes for the same writes — and no
+    /// write at all returns the verified root as it stands.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ProofError::MissingKey`] if a write touches an uncovered
+    /// key.
+    pub fn updated_root(&self, writes: &[(Hash, Option<Hash>)]) -> Result<Hash, ProofError> {
+        let covered = |(key, _): &(Hash, Option<Hash>)| self.proof.keys.binary_search(key).is_ok();
+        if !writes.iter().all(covered) {
+            return Err(ProofError::MissingKey);
+        }
+        let writes = last_write_per_key(writes.to_vec());
+        Ok(self.rewalk(0, self.top, &writes)?.hash())
+    }
+
+    /// What `side`, found at `depth`, comes to under `writes`: sorted, one
+    /// per key, all to covered keys beneath it. The writes go down the
+    /// recorded walk together and split where it did; a side none of them
+    /// enters is what the walk found there.
+    fn rewalk(
+        &self,
+        depth: usize,
+        side: Side,
+        writes: &[(Hash, Option<Hash>)],
+    ) -> Result<Subtree, ProofError> {
+        if writes.is_empty() {
+            return Ok(side.found);
+        }
+        let recorded = usize::try_from(side.recorded).map_err(|_| MEMO_LOST)?;
+        let Some(own) = recorded.checked_sub(1) else {
+            // Covered keys entered the side and no step split them: it
+            // holds one lone key, and the write is to it.
+            let [(key, value_hash)] = writes else {
+                return Err(MEMO_LOST);
+            };
+            return Ok(Subtree::of_key(key, *value_hash));
+        };
+        let Frame { left, right } = self.frames.get(own).ok_or(MEMO_LOST)?;
+        let (lower, upper) = writes.split_at(parting(writes, depth));
+        Ok(combine(
+            self.rewalk(depth + 1, *left, lower)?,
+            self.rewalk(depth + 1, *right, upper)?,
+        ))
     }
 }
 
@@ -861,6 +992,7 @@ mod tests {
     use dcert_testkit::check;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn key(label: &str) -> Hash {
         hash_bytes(label.as_bytes())
@@ -951,14 +1083,14 @@ mod tests {
         let present = key("k7");
         let absent = key("nope");
         let proof = tree.prove(&[present, absent]);
-        proof.verify(&tree.root()).unwrap();
+        let verified = proof.verify(&tree.root()).unwrap();
         assert_eq!(
-            proof.pre_value_hash(&present).unwrap(),
+            verified.pre_value_hash(&present).unwrap(),
             Some(hash_bytes([7u8]))
         );
-        assert_eq!(proof.pre_value_hash(&absent).unwrap(), None);
+        assert_eq!(verified.pre_value_hash(&absent).unwrap(), None);
         assert_eq!(
-            proof.pre_value_hash(&key("uncovered")),
+            verified.pre_value_hash(&key("uncovered")),
             Err(ProofError::MissingKey)
         );
     }
@@ -968,7 +1100,10 @@ mod tests {
         let mut tree = SparseMerkleTree::new();
         tree.insert(key("a"), b"1".to_vec());
         let proof = tree.prove(&[key("a")]);
-        assert_eq!(proof.verify(&Hash::ZERO), Err(ProofError::RootMismatch));
+        assert_eq!(
+            proof.verify(&Hash::ZERO).err(),
+            Some(ProofError::RootMismatch)
+        );
     }
 
     #[test]
@@ -979,7 +1114,10 @@ mod tests {
         }
         let mut proof = tree.prove(&[key("k3")]);
         proof.pre[0] = Some(hash_bytes(b"forged"));
-        assert_eq!(proof.verify(&tree.root()), Err(ProofError::RootMismatch));
+        assert_eq!(
+            proof.verify(&tree.root()).err(),
+            Some(ProofError::RootMismatch)
+        );
     }
 
     #[test]
@@ -993,8 +1131,8 @@ mod tests {
         let k_new = key("brand-new");
         let k_del = key("k20");
         let proof = tree.prove(&[k_upd, k_new, k_del]);
-        proof.verify(&old_root).unwrap();
-        let predicted = proof
+        let verified = proof.verify(&old_root).unwrap();
+        let predicted = verified
             .updated_root(&[
                 (k_upd, Some(hash_bytes(b"updated"))),
                 (k_new, Some(hash_bytes(b"created"))),
@@ -1012,10 +1150,23 @@ mod tests {
         let mut tree = SparseMerkleTree::new();
         tree.insert(key("a"), b"1".to_vec());
         let proof = tree.prove(&[key("a")]);
+        let verified = proof.verify(&tree.root()).unwrap();
         assert_eq!(
-            proof.updated_root(&[(key("b"), Some(Hash::ZERO))]),
+            verified.updated_root(&[(key("b"), Some(Hash::ZERO))]),
             Err(ProofError::MissingKey)
         );
+        // Beside a covered write too, and from a proof that covers nothing.
+        assert_eq!(
+            verified.updated_root(&[(key("a"), None), (key("b"), None)]),
+            Err(ProofError::MissingKey)
+        );
+        let nothing = tree.prove(&[]);
+        let verified = nothing.verify(&tree.root()).unwrap();
+        assert_eq!(
+            verified.updated_root(&[(key("a"), None)]),
+            Err(ProofError::MissingKey)
+        );
+        assert_eq!(verified.updated_root(&[]), Ok(tree.root()));
     }
 
     #[test]
@@ -1023,8 +1174,10 @@ mod tests {
         let tree = SparseMerkleTree::new();
         let k = key("genesis");
         let proof = tree.prove(&[k]);
-        proof.verify(&Hash::ZERO).unwrap();
-        let new_root = proof.updated_root(&[(k, Some(hash_bytes(b"v")))]).unwrap();
+        let verified = proof.verify(&Hash::ZERO).unwrap();
+        let new_root = verified
+            .updated_root(&[(k, Some(hash_bytes(b"v")))])
+            .unwrap();
         let mut real = SparseMerkleTree::new();
         real.insert(k, b"v".to_vec());
         assert_eq!(new_root, real.root());
@@ -1166,9 +1319,10 @@ mod tests {
         assert_eq!(decoded.to_encoded_bytes(), proof.to_encoded_bytes());
         // Unmerged in memory, it still walks to the same answers.
         let writes = [(key("k2"), None), (key("absent"), Some(hash_bytes(b"v")))];
+        let want = proof.verify(&tree.root()).unwrap().updated_root(&writes);
         for p in [&framed, &decoded] {
-            p.verify(&tree.root()).unwrap();
-            assert_eq!(p.updated_root(&writes), proof.updated_root(&writes));
+            let verified = p.verify(&tree.root()).unwrap();
+            assert_eq!(verified.updated_root(&writes), want);
         }
     }
 
@@ -1188,8 +1342,8 @@ mod tests {
         assert_eq!(proof.evidence.len(), chunks);
         assert_eq!(proof.size_bytes(), frame.len());
         assert_eq!(
-            proof.verify(&Hash::ZERO),
-            Err(ProofError::Malformed("unconsumed evidence"))
+            proof.verify(&Hash::ZERO).err(),
+            Some(ProofError::Malformed("unconsumed evidence"))
         );
     }
 
@@ -1211,9 +1365,77 @@ mod tests {
             }
         }
         assert_ne!(forged, proof);
-        let refused = Err(ProofError::Malformed("leaf evidence outside subtree"));
-        assert_eq!(forged.compute_root::<true>(None), refused);
-        assert_eq!(forged.compute_root::<false>(None), refused);
+        let refused = Some(ProofError::Malformed("leaf evidence outside subtree"));
+        assert_eq!(forged.walk::<true>().err(), refused);
+        assert_eq!(forged.walk::<false>().err(), refused);
+    }
+
+    /// A prover that lies about one present key: [`SparseMerkleTree::prove_rec`]
+    /// for `wanted` alone, except that where the honest walk ends on
+    /// `wanted`'s own leaf this one goes a level further, hands the leaf's
+    /// hash over as an opaque sibling on the side `wanted` does not take,
+    /// and shows `wanted`'s side empty to the bottom.
+    fn forge_absence(
+        node: NodeView<'_>,
+        depth: usize,
+        wanted: &Hash,
+        evidence: &mut Vec<Evidence>,
+    ) {
+        let honest = |node, evidence: &mut Vec<Evidence>| {
+            SparseMerkleTree::prove_rec(node, depth + 1, &[], &mut Vec::new(), evidence);
+        };
+        match node {
+            NodeView::Leaf { key, value_hash } if key == wanted => {
+                let hidden = Evidence::Node(leaf_hash(key, value_hash));
+                let below = KEY_BITS - depth - 1;
+                if wanted.bit(depth) {
+                    evidence.push(hidden);
+                    push_empties(evidence, below);
+                } else {
+                    push_empties(evidence, below);
+                    evidence.push(hidden);
+                }
+            }
+            _ => {
+                let (left, right) = node.children(depth);
+                if wanted.bit(depth) {
+                    honest(left, evidence);
+                    forge_absence(right, depth + 1, wanted, evidence);
+                } else {
+                    forge_absence(left, depth + 1, wanted, evidence);
+                    honest(right, evidence);
+                }
+            }
+        }
+    }
+
+    /// Known gap, pinned: only a disclosed leaf is held to its position. An
+    /// opaque hash beside an all-empty path passes through `combine`
+    /// unchanged, and a branch hash commits to no prefix, so a subtree
+    /// handed over one level too low recomputes the genuine root — and the
+    /// covered key inside it reads as absent. Closing it changes
+    /// `branch_hash`, hence every state root (ROADMAP item 2).
+    #[test]
+    #[ignore = "known gap: ROADMAP item 2"]
+    fn opaque_sibling_cannot_hide_a_present_key() {
+        let mut tree = SparseMerkleTree::new();
+        for i in 0..51u32 {
+            tree.insert(key(&format!("k{i}")), vec![i as u8]);
+        }
+        let present = key("k7");
+        let mut evidence = Vec::new();
+        forge_absence(NodeView::from(&tree.root), 0, &present, &mut evidence);
+        let forged = SmtProof {
+            keys: vec![present],
+            pre: vec![None],
+            evidence,
+        };
+        // The lie survives the wire as it stands.
+        let forged = SmtProof::decode_all(&forged.to_encoded_bytes()).unwrap();
+        let claimed = forged
+            .verify(&tree.root())
+            .and_then(|verified| verified.pre_value_hash(&present));
+        assert_ne!(claimed, Ok(None), "a present key was proven absent");
     }
 
     /// Keys that crowd each other: hashed labels part within the first few
@@ -1239,8 +1461,13 @@ mod tests {
     /// The one-walk commit of `writes` over a tree holding `initial` agrees
     /// with everything that computes the same thing another way — the same
     /// writes one key at a time, the from-scratch oracle, the stateless
-    /// update — and committing what it displaced is an exact undo.
-    fn check_commit(initial: &[(Hash, Vec<u8>)], writes: &[(Hash, Option<Vec<u8>>)]) {
+    /// update from a proof that covers the written keys and `reads` — and
+    /// committing what it displaced is an exact undo.
+    fn check_commit(
+        initial: &[(Hash, Vec<u8>)],
+        writes: &[(Hash, Option<Vec<u8>>)],
+        reads: &[Hash],
+    ) {
         let mut before = SparseMerkleTree::new();
         for (k, v) in initial {
             before.insert(*k, v.clone());
@@ -1248,8 +1475,7 @@ mod tests {
         let mut stepwise = before.clone();
         let mut model: BTreeMap<Hash, Vec<u8>> =
             before.iter().map(|(k, v)| (*k, v.to_vec())).collect();
-        // The last write to a key is the one that counts.
-        let mut last: BTreeMap<Hash, Option<Hash>> = BTreeMap::new();
+        let mut touched = BTreeSet::new();
         for (k, v) in writes {
             match v {
                 Some(v) => {
@@ -1261,19 +1487,32 @@ mod tests {
                     model.remove(k);
                 }
             }
-            last.insert(*k, v.as_ref().map(hash_bytes));
+            touched.insert(*k);
         }
-        let touched: Vec<Hash> = last.keys().copied().collect();
-        let proof = before.prove(&touched);
-        proof.verify(&before.root()).unwrap();
-        let stateless: Vec<(Hash, Option<Hash>)> = last.into_iter().collect();
+        let touched: Vec<Hash> = touched.into_iter().collect();
+        let covered: Vec<Hash> = touched.iter().chain(reads).copied().collect();
+        let proof = before.prove(&covered);
+        // As given: the last write to a key is the one that counts.
+        let stateless: Vec<(Hash, Option<Hash>)> = writes
+            .iter()
+            .map(|(k, v)| (*k, v.as_ref().map(hash_bytes)))
+            .collect();
 
         let mut tree = before.clone();
         let displaced = tree.commit(writes.iter().cloned());
         let hashed: BTreeMap<Hash, Hash> = model.iter().map(|(k, v)| (*k, hash_bytes(v))).collect();
         assert_eq!(tree.root(), stepwise.root(), "key by key");
         assert_eq!(tree.root(), reference_root(&hashed), "from scratch");
-        assert_eq!(Ok(tree.root()), proof.updated_root(&stateless), "stateless");
+        // Stateless, whether the walk took the runs whole or level by level.
+        for walked in [proof.walk::<true>(), proof.walk::<false>()] {
+            let verified = walked.unwrap();
+            assert_eq!(verified.root(), before.root());
+            for k in &covered {
+                let held = before.get(k).map(hash_bytes);
+                assert_eq!(verified.pre_value_hash(k), Ok(held));
+            }
+            assert_eq!(verified.updated_root(&stateless), Ok(tree.root()));
+        }
         assert_eq!(tree.len(), model.len());
         for (k, v) in &model {
             assert_eq!(tree.get(k), Some(v.as_slice()));
@@ -1301,13 +1540,23 @@ mod tests {
         let deep_pair = [(base, vec![1]), (cousin, vec![2])];
         let crowd: Vec<(Hash, Vec<u8>)> =
             crowded_keys().into_iter().map(|k| (k, vec![7])).collect();
+        // Each shape under three covers: the written keys alone (what they
+        // collapse onto or land beside is evidence), with the deep family
+        // read around them, with the whole crowd read.
+        let family = [base, sibling, cousin];
+        let everyone = crowded_keys();
+        let check = |initial: &[(Hash, Vec<u8>)], writes: &[(Hash, Option<Vec<u8>>)]| {
+            for reads in [&[][..], &family[..], &everyone[..]] {
+                check_commit(initial, writes, reads);
+            }
+        };
         // Nothing to do, to an empty tree and to a full one.
-        check_commit(&[], &[]);
-        check_commit(&crowd, &[]);
+        check(&[], &[]);
+        check(&crowd, &[]);
         // Inserts that part from the pair's 248-bit prefix above its branch,
         // on either side of it, alone and together with one that goes below.
-        check_commit(&deep_pair, &[(key("key-0"), val(3))]);
-        check_commit(
+        check(&deep_pair, &[(key("key-0"), val(3))]);
+        check(
             &deep_pair,
             &[
                 (key("key-0"), val(3)),
@@ -1318,32 +1567,32 @@ mod tests {
         // Deletes that collapse the branch at bit 248, the one at bit 255
         // under it, and both; then everything.
         let deep_three = [(base, vec![1]), (sibling, vec![2]), (cousin, vec![3])];
-        check_commit(&deep_three, &[(cousin, None)]);
-        check_commit(&deep_three, &[(sibling, None)]);
-        check_commit(&deep_three, &[(base, None), (sibling, None)]);
-        check_commit(
+        check(&deep_three, &[(cousin, None)]);
+        check(&deep_three, &[(sibling, None)]);
+        check(&deep_three, &[(base, None), (sibling, None)]);
+        check(
             &deep_three,
             &[(base, None), (sibling, None), (cousin, None)],
         );
         // Deletes of absent keys: into nothing, beside a leaf, above and
         // below a branch — the tree must come out untouched.
-        check_commit(&[], &[(base, None), (key("key-0"), None)]);
-        check_commit(&[(base, vec![1])], &[(sibling, None)]);
-        check_commit(&deep_pair, &[(sibling, None), (key("key-0"), None)]);
+        check(&[], &[(base, None), (key("key-0"), None)]);
+        check(&[(base, vec![1])], &[(sibling, None)]);
+        check(&deep_pair, &[(sibling, None), (key("key-0"), None)]);
         // A fresh subtree built from nothing; every key overwritten; every
         // key deleted while as many new ones arrive.
         let fresh: Vec<_> = crowd.iter().map(|(k, _)| (*k, val(9))).collect();
-        check_commit(&[], &fresh);
-        check_commit(&crowd, &fresh);
+        check(&[], &fresh);
+        check(&crowd, &fresh);
         let (go, stay): (Vec<_>, Vec<_>) = crowd.iter().cloned().partition(|(k, _)| k.bit(7));
         let swap: Vec<_> = go
             .iter()
             .map(|(k, _)| (*k, None))
             .chain(stay.iter().map(|(k, _)| (*k, val(8))))
             .collect();
-        check_commit(&go, &swap);
+        check(&go, &swap);
         // The last write to a key wins, whichever way round.
-        check_commit(
+        check(
             &deep_pair,
             &[
                 (base, None),
@@ -1352,6 +1601,21 @@ mod tests {
                 (cousin, None),
             ],
         );
+        // Inserts that make a branch beside a disclosed leaf and beside an
+        // opaque subtree — a delete back onto each is the undo.
+        check(&[(base, vec![1])], &[(sibling, val(2))]);
+        check(&[(base, vec![1]), (sibling, vec![2])], &[(cousin, val(3))]);
+        // Every other key of the crowd written, the ones between only read.
+        let mut sorted = crowd.clone();
+        sorted.sort();
+        let (written, read): (Vec<_>, Vec<_>) =
+            sorted.iter().enumerate().partition(|(i, _)| i % 2 == 0);
+        let written: Vec<_> = written
+            .into_iter()
+            .map(|(i, (k, _))| (*k, (i % 4 == 0).then(|| vec![5])))
+            .collect();
+        let read: Vec<Hash> = read.into_iter().map(|(_, (k, _))| *k).collect();
+        check_commit(&crowd, &written, &read);
     }
 
     #[test]
@@ -1374,10 +1638,16 @@ mod tests {
                     (k, (rng.gen_range(0..3) != 0).then_some(value))
                 })
                 .collect();
-            let caught = std::panic::catch_unwind(|| check_commit(&initial, &writes));
+            let reading = rng.gen_range(0..4);
+            let reads: Vec<Hash> = pool
+                .iter()
+                .filter(|_| rng.gen_range(0..4) < reading)
+                .copied()
+                .collect();
+            let caught = std::panic::catch_unwind(|| check_commit(&initial, &writes, &reads));
             assert!(
                 caught.is_ok(),
-                "seed {seed}: {} keys, writes {writes:?}",
+                "seed {seed}: {} keys, writes {writes:?}, reads {reads:?}",
                 initial.len()
             );
         }
@@ -1405,41 +1675,53 @@ mod tests {
         });
     }
 
-    /// Any key subset proves and verifies; stateless updates agree with
-    /// the real tree.
+    /// Any key subset proves and verifies, and whichever of the covered keys
+    /// are written, the stateless update, the tree's own commit and the
+    /// from-scratch oracle reach one root.
     #[test]
     fn prop_stateless_update_agrees() {
         check("prop_stateless_update_agrees", 64, |g| {
             let initial = g.btree_map(0..30, |g| g.range(0u8..40), |g| g.any::<u8>());
-            let touched = g.btree_map(1..10, |g| g.range(0u8..48), |g| g.option(|g| g.any::<u8>()));
+            // `None` reads the key, `Some(None)` deletes it.
+            let touched = g.btree_map(
+                0..10,
+                |g| g.range(0u8..48),
+                |g| g.option(|g| g.option(|g| g.any::<u8>())),
+            );
+            let label = |k: &u8| key(&format!("key-{k}"));
             let mut tree = SparseMerkleTree::new();
+            let mut model: BTreeMap<Hash, Hash> = BTreeMap::new();
             for (k, v) in &initial {
-                tree.insert(key(&format!("key-{k}")), vec![*v]);
+                tree.insert(label(k), vec![*v]);
+                model.insert(label(k), hash_bytes([*v]));
             }
-            let old_root = tree.root();
-            let touched_keys: Vec<Hash> =
-                touched.keys().map(|k| key(&format!("key-{k}"))).collect();
-            let proof = tree.prove(&touched_keys);
-            assert!(proof.verify(&old_root).is_ok());
+            let covered: Vec<Hash> = touched.keys().map(label).collect();
+            let proof = tree.prove(&covered);
+            let verified = proof.verify(&tree.root()).unwrap();
+            for (k, key) in touched.keys().zip(&covered) {
+                let held = initial.get(k).map(|v| hash_bytes([*v]));
+                assert_eq!(verified.pre_value_hash(key), Ok(held));
+            }
 
-            let writes: Vec<(Hash, Option<Hash>)> = touched
+            let writes: Vec<(Hash, Option<Vec<u8>>)> = touched
                 .iter()
-                .map(|(k, v)| (key(&format!("key-{k}")), v.map(|b| hash_bytes([b]))))
+                .filter_map(|(k, write)| Some((label(k), write.map(|v| v.map(|b| vec![b]))?)))
                 .collect();
-            let predicted = proof.updated_root(&writes).unwrap();
+            let hashed: Vec<(Hash, Option<Hash>)> = writes
+                .iter()
+                .map(|(k, v)| (*k, v.as_ref().map(hash_bytes)))
+                .collect();
+            let predicted = verified.updated_root(&hashed).unwrap();
 
-            for (k, v) in &touched {
-                let kh = key(&format!("key-{k}"));
-                match v {
-                    Some(b) => {
-                        tree.insert(kh, vec![*b]);
-                    }
-                    None => {
-                        tree.remove(&kh);
-                    }
-                }
+            tree.commit(writes);
+            for (k, value_hash) in hashed {
+                match value_hash {
+                    Some(value_hash) => model.insert(k, value_hash),
+                    None => model.remove(&k),
+                };
             }
             assert_eq!(predicted, tree.root());
+            assert_eq!(predicted, reference_root(&model));
         });
     }
 
@@ -1452,6 +1734,7 @@ mod tests {
             let writes = g.vec(0..20, |g| {
                 (g.range(0usize..30), g.option(|g| g.any::<u8>()))
             });
+            let reads = g.btree_set(0..10, |g| g.range(0usize..30));
             let pool = crowded_keys();
             let initial: Vec<(Hash, Vec<u8>)> =
                 initial.iter().map(|(k, v)| (pool[*k], vec![*v])).collect();
@@ -1459,14 +1742,16 @@ mod tests {
                 .iter()
                 .map(|(k, v)| (pool[*k], v.map(|b| vec![b])))
                 .collect();
-            check_commit(&initial, &writes);
+            let reads: Vec<Hash> = reads.iter().map(|k| pool[*k]).collect();
+            check_commit(&initial, &writes, &reads);
         });
     }
 
     /// The run shortcut changes no verdict: whatever a one-byte change
     /// does to an encoded proof, if it still decodes then the walk that
     /// skips a lone key's all-empty remainder and the walk that steps
-    /// through it level by level agree — on the root, or on the refusal.
+    /// through it level by level agree — on the root and on the root after
+    /// writes, or on the refusal.
     #[test]
     fn prop_run_shortcut_agrees_with_per_level_walk() {
         check("prop_run_shortcut_agrees_with_per_level_walk", 64, |g| {
@@ -1485,14 +1770,19 @@ mod tests {
                 touched.extend([sibling, cousin]);
             }
             let proof = tree.prove(&touched);
-            let overrides: BTreeMap<Hash, Option<Hash>> = proof
+            let writes: Vec<(Hash, Option<Hash>)> = proof
                 .keys
                 .iter()
                 .enumerate()
                 .filter(|(i, _)| i % 3 != 2)
                 .map(|(i, k)| (*k, (i % 3 == 0).then(|| hash_bytes([i as u8]))))
                 .collect();
-            assert_eq!(proof.compute_root::<false>(None), Ok(tree.root()));
+            // The root a walk reaches and, where the mutant still covers the
+            // written keys, the root the writes take it to.
+            let roots = |walked: Result<Verified<'_>, ProofError>| {
+                walked.map(|verified| (verified.root(), verified.updated_root(&writes)))
+            };
+            assert_eq!(proof.walk::<false>().map(|v| v.root()), Ok(tree.root()));
             let bytes = proof.to_encoded_bytes();
             for (at, byte) in mutations {
                 let mut frame = bytes.clone();
@@ -1500,14 +1790,7 @@ mod tests {
                 let Ok(mutant) = SmtProof::decode_all(&frame) else {
                     continue;
                 };
-                assert_eq!(
-                    mutant.compute_root::<true>(None),
-                    mutant.compute_root::<false>(None)
-                );
-                assert_eq!(
-                    mutant.compute_root::<true>(Some(&overrides)),
-                    mutant.compute_root::<false>(Some(&overrides))
-                );
+                assert_eq!(roots(mutant.walk::<true>()), roots(mutant.walk::<false>()));
             }
         });
     }

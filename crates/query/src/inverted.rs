@@ -312,14 +312,11 @@ impl IndexVerifier for InvertedVerifier {
         {
             return Err(CertError::BadIndexUpdate("keyword set mismatch"));
         }
-        update.proof.verify(prev_digest).map_err(CertError::Proof)?;
+        let dictionary = update.proof.verify(prev_digest).map_err(CertError::Proof)?;
         let mut new_values = Vec::with_capacity(appends.len());
         for ((keyword, prev_head), ids) in update.prev_heads.iter().zip(appends.values()) {
             let key = keyword_key(keyword);
-            let proven = update
-                .proof
-                .pre_value_hash(&key)
-                .map_err(CertError::Proof)?;
+            let proven = dictionary.pre_value_hash(&key).map_err(CertError::Proof)?;
             let claimed = prev_head.map(|h| hash_bytes(h.as_bytes()));
             if proven != claimed {
                 return Err(CertError::BadIndexUpdate("stale chain head"));
@@ -330,8 +327,7 @@ impl IndexVerifier for InvertedVerifier {
             }
             new_values.push((key, Some(hash_bytes(head.as_bytes()))));
         }
-        update
-            .proof
+        dictionary
             .updated_root(&new_values)
             .map_err(CertError::Proof)
     }
@@ -416,10 +412,10 @@ fn verify_posting_lists(
     {
         return Err(QueryError::ResultMismatch("keyword set mismatch"));
     }
-    proof.smt.verify(digest)?;
+    let dictionary = proof.smt.verify(digest)?;
     for (keyword, list) in &proof.lists {
         let key = keyword_key(keyword);
-        let proven = proof.smt.pre_value_hash(&key)?;
+        let proven = dictionary.pre_value_hash(&key)?;
         let expected = if list.is_empty() {
             None
         } else {

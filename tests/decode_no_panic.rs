@@ -735,11 +735,11 @@ fn prop_bitflipped_smt_proofs_sound() {
         let idx = pos % bytes.len();
         bytes[idx] ^= flip;
         if let Ok(decoded) = SmtProof::decode_all(&bytes) {
-            if decoded.verify(&root).is_ok() {
+            if let Ok(verified) = decoded.verify(&root) {
                 // Soundness: every original key the mutated proof still
                 // covers must carry the true pre-state value.
                 for key in &original_keys {
-                    if let Ok(claimed) = decoded.pre_value_hash(key) {
+                    if let Ok(claimed) = verified.pre_value_hash(key) {
                         let truth = tree.get(key).map(hash_bytes);
                         assert_eq!(claimed, truth);
                     }

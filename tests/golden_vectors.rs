@@ -676,7 +676,8 @@ fn smt_rows(
             _ => {}
         }
     }
-    let updated = decoded.updated_root(&writes).expect("covered writes");
+    let verified = decoded.verify(&root).expect("decoded proof verifies");
+    let updated = verified.updated_root(&writes).expect("covered writes");
     assert_eq!(updated, after.root(), "{label}: stateless update");
     out.push((format!("smt/{label}/proof"), hash_bytes(&bytes).to_string()));
     out.push((format!("smt/{label}/bytes"), bytes.len().to_string()));
