@@ -28,6 +28,11 @@
 //! the same prover walk, the same verifier walk and the same append
 //! replay.
 //!
+//! A window proof is a program ([`crate::ops`]): the prover walk pushes
+//! one [`ProofOp`] per node it reveals, the verifier executes the program
+//! into the pruned tree it describes and walks that tree once
+//! ([`OpProof::verify`]).
+//!
 //! # Example
 //!
 //! ```
@@ -39,11 +44,11 @@
 //!     versions.insert(ts, format!("v{ts}").into_bytes());
 //!     balances.insert(ts, ts);
 //! }
-//! let (rows, proof) = versions.range(5, 8);
+//! let (rows, proof) = versions.window(5, 8);
 //! assert_eq!(rows.len(), 4);
 //! proof.verify(&versions.root(), 5, 8, &rows)?;
 //!
-//! let (agg, proof) = balances.aggregate(10, 19);
+//! let (agg, proof) = balances.window(10, 19);
 //! assert_eq!((agg.count, agg.min, agg.max), (10, 10, 19));
 //! assert_eq!(agg.sum, (10..=19).sum::<u64>() as u128);
 //! proof.verify(&balances.root(), 10, 19, &agg)?;
@@ -52,12 +57,12 @@
 
 use std::fmt::Debug;
 
-use dcert_primitives::codec::{decode_seq, encode_seq, Decode, Encode, Reader};
+use dcert_primitives::codec::{decode_seq, encode_seq, seq_encoded_len, Decode, Encode, Reader};
 use dcert_primitives::error::CodecError;
 use dcert_primitives::hash::{hash_bytes, Hash};
 
 use crate::domain;
-use crate::ops::{OpNode, OpProof};
+use crate::ops::{Executed, OpProof, ProofOp};
 use crate::ProofError;
 
 // --- annotations -------------------------------------------------------------
@@ -152,6 +157,10 @@ impl Encode for Aggregate {
         self.min.encode(out);
         self.max.encode(out);
     }
+
+    fn encoded_len(&self) -> usize {
+        8 + 16 + 8 + 8
+    }
 }
 
 impl Decode for Aggregate {
@@ -193,6 +202,10 @@ pub trait Flavor: sealed::Sealed + Debug + Clone + PartialEq + Eq + 'static {
     const LEAF_DOMAIN: u8;
     /// Internal-node domain tag.
     const NODE_DOMAIN: u8;
+    /// Wire tag of this flavor's pruned [`Shape`]; its leaf and internal
+    /// tags follow. The two flavors' tags are disjoint, so a program of
+    /// one flavor does not decode as the other's.
+    const OP_TAG: u8;
 
     /// The digest of a stored value.
     fn digest(value: &Self::Value) -> Self::Digest;
@@ -204,10 +217,6 @@ pub trait Flavor: sealed::Sealed + Debug + Clone + PartialEq + Eq + 'static {
     ///
     /// [`ProofError::Incomplete`] when it is not.
     fn check_claim(proven: &Self::Proven, claimed: &Self::Claim) -> Result<(), ProofError>;
-    /// This flavor's op-stream node for one proof-node shape.
-    fn op_node(shape: Shape<Self>) -> OpNode;
-    /// The inverse of [`Flavor::op_node`]; `None` for another family's node.
-    fn shape(node: OpNode) -> Option<Shape<Self>>;
 }
 
 /// Accumulates a window answer while a walk visits the tree; `P` is the
@@ -222,8 +231,8 @@ pub trait Fold<F: Flavor, P> {
     fn subtree(&mut self, ann: &F::Ann) -> bool;
 }
 
-/// One node of a window proof detached from its children — the unit the
-/// op-stream encoding pushes.
+/// One node of a window proof detached from its children — the unit a
+/// [`ProofOp`] pushes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Shape<F: Flavor> {
     /// An unopened subtree.
@@ -257,6 +266,7 @@ impl Flavor for Plain {
 
     const LEAF_DOMAIN: u8 = domain::MBT_LEAF;
     const NODE_DOMAIN: u8 = domain::MBT_NODE;
+    const OP_TAG: u8 = 0;
 
     fn digest(value: &Vec<u8>) -> Hash {
         hash_bytes(value)
@@ -274,23 +284,6 @@ impl Flavor for Plain {
             }
         }
         Ok(())
-    }
-
-    fn op_node(shape: Shape<Self>) -> OpNode {
-        match shape {
-            Shape::Pruned(summary) => OpNode::Pruned(summary.hash),
-            Shape::Leaf(entries) => OpNode::Leaf(entries),
-            Shape::Internal(separators) => OpNode::Internal(separators),
-        }
-    }
-
-    fn shape(node: OpNode) -> Option<Shape<Self>> {
-        match node {
-            OpNode::Pruned(hash) => Some(Shape::Pruned(Summary { hash, ann: () })),
-            OpNode::Leaf(entries) => Some(Shape::Leaf(entries)),
-            OpNode::Internal(separators) => Some(Shape::Internal(separators)),
-            _ => None,
-        }
     }
 }
 
@@ -313,6 +306,7 @@ impl Flavor for Summed {
 
     const LEAF_DOMAIN: u8 = domain::AGG_LEAF;
     const NODE_DOMAIN: u8 = domain::AGG_NODE;
+    const OP_TAG: u8 = 3;
 
     fn digest(value: &u64) -> u64 {
         *value
@@ -327,23 +321,6 @@ impl Flavor for Summed {
             return Err(ProofError::Incomplete("aggregate mismatch"));
         }
         Ok(())
-    }
-
-    fn op_node(shape: Shape<Self>) -> OpNode {
-        match shape {
-            Shape::Pruned(summary) => OpNode::AggPruned(summary.hash, summary.ann),
-            Shape::Leaf(entries) => OpNode::AggLeaf(entries),
-            Shape::Internal(separators) => OpNode::AggInternal(separators),
-        }
-    }
-
-    fn shape(node: OpNode) -> Option<Shape<Self>> {
-        match node {
-            OpNode::AggPruned(hash, ann) => Some(Shape::Pruned(Summary { hash, ann })),
-            OpNode::AggLeaf(entries) => Some(Shape::Leaf(entries)),
-            OpNode::AggInternal(separators) => Some(Shape::Internal(separators)),
-            _ => None,
-        }
     }
 }
 
@@ -706,24 +683,17 @@ impl<F: Flavor> BTree<F> {
 
     /// Answers the window query `[lo, hi]` (inclusive) with a
     /// completeness proof.
-    pub fn window(&self, lo: u64, hi: u64) -> (F::Answer, WindowProof<F>) {
+    pub fn window(&self, lo: u64, hi: u64) -> (F::Answer, OpProof<F>) {
         self.open_windows(&[(lo, hi)])
     }
 
-    /// [`BTree::window`] with the proof in the op-stream encoding
-    /// ([`crate::ops`]); same answer, same pruning.
-    pub fn window_ops(&self, lo: u64, hi: u64) -> (F::Answer, OpProof<F>) {
-        let (answer, proof) = self.window(lo, hi);
-        (answer, OpProof::from_window_proof(proof))
-    }
-
-    fn open_windows(&self, windows: &[(u64, u64)]) -> (F::Answer, WindowProof<F>) {
+    fn open_windows(&self, windows: &[(u64, u64)]) -> (F::Answer, OpProof<F>) {
         let mut answer = F::Answer::default();
-        let root = self
-            .root
-            .as_ref()
-            .map(|root| open(root, None, None, windows, &mut answer));
-        (answer, WindowProof { root })
+        let mut ops = Vec::new();
+        if let Some(root) = &self.root {
+            open(root, None, None, windows, &mut answer, &mut ops);
+        }
+        (answer, OpProof::from_ops(ops))
     }
 
     /// Produces a proof of the rightmost path, enabling a stateless
@@ -759,19 +729,12 @@ impl<F: Flavor> BTree<F> {
 }
 
 impl BTree<Plain> {
-    /// Answers the range query `[lo, hi]` (inclusive), returning the
-    /// matching entries and a completeness proof ([`BTree::window`]).
-    pub fn range(&self, lo: u64, hi: u64) -> (Vec<(u64, Vec<u8>)>, MbRangeProof) {
-        self.window(lo, hi)
-    }
-
-    /// Emits a single op-stream proof opening every subtree that
-    /// intersects *any* of the inclusive query `windows` — one compact
-    /// program for an arbitrary key set (singleton windows) or a
-    /// contiguous range. For one window it is byte-identical to
-    /// [`BTree::window_ops`].
+    /// One proof opening every subtree that intersects *any* of the
+    /// inclusive query `windows` — one program for an arbitrary key set
+    /// (singleton windows) or a contiguous range. For one window it is
+    /// [`BTree::window`]'s proof.
     pub fn prove_ops(&self, windows: &[(u64, u64)]) -> OpProof<Plain> {
-        OpProof::from_window_proof(self.open_windows(windows).1)
+        self.open_windows(windows).1
     }
 
     /// One proof program whose [`OpProof::verify_non_membership`] check
@@ -784,19 +747,6 @@ impl BTree<Plain> {
         let lo = root.and_then(|r| r.predecessor(ts)).unwrap_or(0);
         let hi = root.and_then(|r| r.successor(ts)).unwrap_or(u64::MAX);
         self.prove_ops(&[(lo, hi)])
-    }
-}
-
-impl BTree<Summed> {
-    /// Answers the window-aggregate query `[lo, hi]` (inclusive) with an
-    /// O(log n)-size proof ([`BTree::window`]).
-    pub fn aggregate(&self, lo: u64, hi: u64) -> (Aggregate, AggProof) {
-        self.window(lo, hi)
-    }
-
-    /// The op-stream proof of [`BTree::aggregate`]'s window.
-    pub fn prove_agg_ops(&self, lo: u64, hi: u64) -> OpProof<Summed> {
-        self.window_ops(lo, hi).1
     }
 }
 
@@ -858,8 +808,10 @@ fn in_window(windows: &[(u64, u64)], ts: u64) -> bool {
     windows.iter().any(|&(lo, hi)| lo <= ts && ts <= hi)
 }
 
-/// The prover walk: folds the in-window content into `answer` and returns
-/// the proof node for `node`. A child is left pruned iff it is outside
+/// The prover walk: folds the in-window content into `answer` and pushes
+/// the proof of `node` onto `ops` as a left-to-right post-order program —
+/// each child, then the parent's shell after the first (`Parent`) and a
+/// `Child` after every later one. A child is left pruned iff it is outside
 /// every window, or inside one and the answer took its annotation.
 fn open<F: Flavor>(
     node: &Node<F>,
@@ -867,7 +819,8 @@ fn open<F: Flavor>(
     bound_hi: Option<u64>,
     windows: &[(u64, u64)],
     answer: &mut F::Answer,
-) -> ProofNode<F> {
+    ops: &mut Vec<ProofOp<F>>,
+) {
     match node {
         Node::Leaf { entries, .. } => {
             for (ts, value) in entries {
@@ -875,158 +828,57 @@ fn open<F: Flavor>(
                     answer.entry(*ts, value);
                 }
             }
-            ProofNode::Leaf {
-                entries: digests::<F>(entries).collect(),
-            }
+            ops.push(ProofOp::Push(Shape::Leaf(digests::<F>(entries).collect())));
         }
         Node::Internal {
             separators,
             children,
             ..
         } => {
-            let children = children
-                .iter()
-                .enumerate()
-                .map(|(i, child)| {
-                    let (child_lo, child_hi) = child_bounds(separators, i, bound_lo, bound_hi);
-                    let summary = child.summary();
-                    let pruned = match coverage(child_lo, child_hi, windows) {
-                        Coverage::Outside => true,
-                        Coverage::Inside => answer.subtree(&summary.ann),
-                        Coverage::Partial => false,
-                    };
-                    if pruned {
-                        ProofChild::Pruned(summary)
-                    } else {
-                        ProofChild::Open(Box::new(open(child, child_lo, child_hi, windows, answer)))
-                    }
-                })
-                .collect();
-            ProofNode::Internal {
-                separators: separators.clone(),
-                children,
-            }
-        }
-    }
-}
-
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum ProofChild<F: Flavor> {
-    /// An unopened child: hash and annotation.
-    Pruned(Summary<F::Ann>),
-    /// An opened child.
-    Open(Box<ProofNode<F>>),
-}
-
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum ProofNode<F: Flavor> {
-    Leaf {
-        entries: Vec<(u64, F::Digest)>,
-    },
-    Internal {
-        separators: Vec<u64>,
-        children: Vec<ProofChild<F>>,
-    },
-}
-
-/// A completeness proof for a window query over a [`BTree`]: the tree
-/// pruned to what the window needs.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WindowProof<F: Flavor> {
-    pub(crate) root: Option<ProofNode<F>>,
-}
-
-/// Completeness proof of an [`MbTree`] range query.
-pub type MbRangeProof = WindowProof<Plain>;
-/// Proof of an [`AggMbTree`] window aggregate.
-pub type AggProof = WindowProof<Summed>;
-
-impl<F: Flavor> WindowProof<F> {
-    /// Size of the serialized proof in bytes.
-    pub fn size_bytes(&self) -> usize {
-        self.encoded_len()
-    }
-
-    /// Verifies that `claimed` is exactly the answer to the window query
-    /// `[lo, hi]` — every entry in the window for [`Plain`], their
-    /// aggregate for [`Summed`] — against the trusted `root`.
-    ///
-    /// # Errors
-    ///
-    /// - [`ProofError::RootMismatch`] if the proof does not recompute to
-    ///   `root`,
-    /// - [`ProofError::Incomplete`] if a subtree the window needs was
-    ///   pruned, or the claim omits, adds or alters anything relative to
-    ///   the proof,
-    /// - [`ProofError::Malformed`] on structural violations.
-    pub fn verify(
-        &self,
-        root: &Hash,
-        lo: u64,
-        hi: u64,
-        claimed: &F::Claim,
-    ) -> Result<(), ProofError> {
-        let mut proven = F::Proven::default();
-        let computed = match &self.root {
-            None => Hash::ZERO,
-            Some(node) => check(node, None, None, &[(lo, hi)], &mut proven)?.hash,
-        };
-        if computed != *root {
-            return Err(ProofError::RootMismatch);
-        }
-        F::check_claim(&proven, claimed)
-    }
-
-    /// The tightest opened keys strictly below and above `ts`.
-    pub(crate) fn bracket(&self, ts: u64) -> (Option<u64>, Option<u64>) {
-        fn visit<F: Flavor>(
-            node: &ProofNode<F>,
-            ts: u64,
-            pred: &mut Option<u64>,
-            succ: &mut Option<u64>,
-        ) {
-            match node {
-                ProofNode::Leaf { entries } => {
-                    for (key, _) in entries {
-                        if *key < ts && pred.is_none_or(|best| *key > best) {
-                            *pred = Some(*key);
-                        }
-                        if *key > ts && succ.is_none_or(|best| *key < best) {
-                            *succ = Some(*key);
-                        }
-                    }
+            for (i, child) in children.iter().enumerate() {
+                let (child_lo, child_hi) = child_bounds(separators, i, bound_lo, bound_hi);
+                let summary = child.summary();
+                let pruned = match coverage(child_lo, child_hi, windows) {
+                    Coverage::Outside => true,
+                    Coverage::Inside => answer.subtree(&summary.ann),
+                    Coverage::Partial => false,
+                };
+                if pruned {
+                    ops.push(ProofOp::Push(Shape::Pruned(summary)));
+                } else {
+                    open(child, child_lo, child_hi, windows, answer, ops);
                 }
-                ProofNode::Internal { children, .. } => {
-                    for child in children {
-                        if let ProofChild::Open(sub) = child {
-                            visit(sub, ts, pred, succ);
-                        }
-                    }
+                if i == 0 {
+                    ops.push(ProofOp::Push(Shape::Internal(separators.clone())));
+                    ops.push(ProofOp::Parent);
+                } else {
+                    ops.push(ProofOp::Child);
                 }
             }
         }
-        let (mut pred, mut succ) = (None, None);
-        if let Some(root) = &self.root {
-            visit(root, ts, &mut pred, &mut succ);
-        }
-        (pred, succ)
     }
 }
 
-/// The verifier walk: recomputes `node`'s summary while folding the
-/// in-window content into `proven`. A pruned child is accepted iff its
-/// interval is outside the window, or inside it *and* the answer is
-/// derived from annotations — never when it straddles a bound, which is
-/// what makes omission detectable.
-fn check<F: Flavor>(
-    node: &ProofNode<F>,
+/// The verifier walk over an executed program: recomputes `node`'s
+/// summary while folding the in-window content into `proven`. A pruned
+/// child is accepted iff its interval is outside the window, or inside it
+/// *and* the answer is derived from annotations — never when it straddles
+/// a bound, which is what makes omission detectable. The executor has
+/// already held every internal node to its arity and the tree to
+/// [`MAX_PROOF_DEPTH`](crate::ops::MAX_PROOF_DEPTH), which bounds this
+/// recursion.
+pub(crate) fn check<F: Flavor>(
+    node: &Executed<'_, F>,
     bound_lo: Option<u64>,
     bound_hi: Option<u64>,
     windows: &[(u64, u64)],
     proven: &mut F::Proven,
 ) -> Result<Summary<F::Ann>, ProofError> {
-    match node {
-        ProofNode::Leaf { entries } => {
+    match node.shape {
+        // Only the root arrives here pruned: a parent answers for its
+        // pruned children below.
+        Shape::Pruned(_) => Err(ProofError::Malformed("op proof root is pruned")),
+        Shape::Leaf(entries) => {
             let mut prev: Option<u64> = None;
             for (ts, digest) in entries {
                 if prev.is_some_and(|p| *ts <= p) {
@@ -1042,21 +894,15 @@ fn check<F: Flavor>(
             }
             Ok(leaf_summary::<F>(entries.iter().copied()))
         }
-        ProofNode::Internal {
-            separators,
-            children,
-        } => {
-            if children.len() != separators.len() + 1 {
-                return Err(ProofError::Malformed("arity mismatch"));
-            }
+        Shape::Internal(separators) => {
             if separators.windows(2).any(|w| matches!(w, [a, b] if a >= b)) {
                 return Err(ProofError::Malformed("separators not sorted"));
             }
-            let mut summaries = Vec::with_capacity(children.len());
-            for (i, child) in children.iter().enumerate() {
+            let mut summaries = Vec::with_capacity(node.children.len());
+            for (i, child) in node.children.iter().enumerate() {
                 let (child_lo, child_hi) = child_bounds(separators, i, bound_lo, bound_hi);
-                summaries.push(match child {
-                    ProofChild::Pruned(summary) => {
+                summaries.push(match child.shape {
+                    Shape::Pruned(summary) => {
                         let answered = match coverage(child_lo, child_hi, windows) {
                             Coverage::Outside => true,
                             Coverage::Inside => proven.subtree(&summary.ann),
@@ -1069,11 +915,34 @@ fn check<F: Flavor>(
                         }
                         *summary
                     }
-                    ProofChild::Open(sub) => check(sub, child_lo, child_hi, windows, proven)?,
+                    _ => check(child, child_lo, child_hi, windows, proven)?,
                 });
             }
             Ok(node_summary::<F>(separators, &summaries))
         }
+    }
+}
+
+/// Tightens `pred` / `succ` to the closest opened keys strictly below and
+/// above `ts` anywhere under `node`.
+pub(crate) fn bracket<F: Flavor>(
+    node: &Executed<'_, F>,
+    ts: u64,
+    pred: &mut Option<u64>,
+    succ: &mut Option<u64>,
+) {
+    if let Shape::Leaf(entries) = node.shape {
+        for (key, _) in entries {
+            if *key < ts && pred.is_none_or(|best| *key > best) {
+                *pred = Some(*key);
+            }
+            if *key > ts && succ.is_none_or(|best| *key < best) {
+                *succ = Some(*key);
+            }
+        }
+    }
+    for child in &node.children {
+        bracket(child, ts, pred, succ);
     }
 }
 
@@ -1201,6 +1070,10 @@ impl<A: Annotation> Encode for Summary<A> {
         self.hash.encode(out);
         self.ann.encode(out);
     }
+
+    fn encoded_len(&self) -> usize {
+        Hash::LEN + self.ann.encoded_len()
+    }
 }
 
 impl<A: Annotation> Decode for Summary<A> {
@@ -1212,76 +1085,42 @@ impl<A: Annotation> Decode for Summary<A> {
     }
 }
 
-impl<F: Flavor> Encode for ProofChild<F> {
+impl<F: Flavor> Encode for Shape<F> {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
-            ProofChild::Pruned(summary) => {
-                out.push(0);
+            Shape::Pruned(summary) => {
+                out.push(F::OP_TAG);
                 summary.encode(out);
             }
-            ProofChild::Open(node) => {
-                out.push(1);
-                node.encode(out);
-            }
-        }
-    }
-}
-
-impl<F: Flavor> Decode for ProofChild<F> {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        match r.take_byte()? {
-            0 => Ok(ProofChild::Pruned(Summary::decode(r)?)),
-            1 => Ok(ProofChild::Open(Box::new(ProofNode::decode(r)?))),
-            other => Err(CodecError::InvalidTag(other)),
-        }
-    }
-}
-
-impl<F: Flavor> Encode for ProofNode<F> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            ProofNode::Leaf { entries } => {
-                out.push(0);
+            Shape::Leaf(entries) => {
+                out.push(F::OP_TAG + 1);
                 encode_seq(entries, out);
             }
-            ProofNode::Internal {
-                separators,
-                children,
-            } => {
-                out.push(1);
+            Shape::Internal(separators) => {
+                out.push(F::OP_TAG + 2);
                 encode_seq(separators, out);
-                encode_seq(children, out);
             }
         }
     }
-}
 
-impl<F: Flavor> Decode for ProofNode<F> {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        match r.take_byte()? {
-            0 => Ok(ProofNode::Leaf {
-                entries: decode_seq(r)?,
-            }),
-            1 => Ok(ProofNode::Internal {
-                separators: decode_seq(r)?,
-                children: decode_seq(r)?,
-            }),
-            other => Err(CodecError::InvalidTag(other)),
+    fn encoded_len(&self) -> usize {
+        1 + match self {
+            Shape::Pruned(summary) => summary.encoded_len(),
+            Shape::Leaf(entries) => seq_encoded_len(entries),
+            Shape::Internal(separators) => seq_encoded_len(separators),
         }
     }
 }
 
-impl<F: Flavor> Encode for WindowProof<F> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.root.encode(out);
-    }
-}
-
-impl<F: Flavor> Decode for WindowProof<F> {
+impl<F: Flavor> Decode for Shape<F> {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(WindowProof {
-            root: Option::decode(r)?,
-        })
+        let tag = r.take_byte()?;
+        match tag.checked_sub(F::OP_TAG) {
+            Some(0) => Ok(Shape::Pruned(Summary::decode(r)?)),
+            Some(1) => Ok(Shape::Leaf(decode_seq(r)?)),
+            Some(2) => Ok(Shape::Internal(decode_seq(r)?)),
+            _ => Err(CodecError::InvalidTag(tag)),
+        }
     }
 }
 
@@ -1472,22 +1311,15 @@ mod tests {
     fn proof_for_other_window_rejected<F: Fixture>() {
         // A proof generated for a narrow window cannot be replayed for a
         // wider one: pruned subtrees now overlap a bound (or, answered
-        // from annotations, no longer add up to the claim) — in either
-        // encoding.
+        // from annotations, no longer add up to the claim).
         for (n, (lo, hi), (wide_lo, wide_hi)) in [(64, (10, 12), (5, 20)), (100, (10, 20), (5, 40))]
         {
             let tree = build::<F>(n, 4);
             let (answer, proof) = tree.window(lo, hi);
-            let (_, op) = tree.window_ops(lo, hi);
-            for outcome in [
+            assert!(matches!(
                 proof.verify(&tree.root(), wide_lo, wide_hi, F::claim(&answer)),
-                op.verify(&tree.root(), wide_lo, wide_hi, F::claim(&answer)),
-            ] {
-                assert!(matches!(
-                    outcome,
-                    Err(ProofError::Incomplete(_)) | Err(ProofError::RootMismatch)
-                ));
-            }
+                Err(ProofError::Incomplete(_)) | Err(ProofError::RootMismatch)
+            ));
         }
     }
 
@@ -1553,7 +1385,9 @@ mod tests {
     fn window_proof_codec_round_trip<F: Fixture>() {
         let tree = build::<F>(100, 4);
         let (answer, proof) = tree.window(10, 60);
-        let decoded = WindowProof::<F>::decode_all(&proof.to_encoded_bytes()).unwrap();
+        let bytes = proof.to_encoded_bytes();
+        assert_eq!(proof.size_bytes(), bytes.len());
+        let decoded = OpProof::<F>::decode_all(&bytes).unwrap();
         assert_eq!(decoded, proof);
         decoded
             .verify(&tree.root(), 10, 60, F::claim(&answer))
@@ -1565,43 +1399,6 @@ mod tests {
         let proof = tree.prove_append();
         let decoded = AppendProof::<F>::decode_all(&proof.to_encoded_bytes()).unwrap();
         assert_eq!(decoded, proof);
-    }
-
-    fn op_proof_matches_per_path<F: Fixture>() {
-        for (n, order) in [
-            (0u64, 4usize),
-            (1, 4),
-            (30, 4),
-            (64, 3),
-            (100, 4),
-            (300, 16),
-        ] {
-            let tree = build::<F>(n, order);
-            for (lo, hi) in [
-                (0u64, 0u64),
-                (5, 15),
-                (10, 90),
-                (0, 500),
-                (150, 90),
-                (250, 320),
-                (299, 360),
-            ] {
-                let (answer, per_path) = tree.window(lo, hi);
-                per_path
-                    .verify(&tree.root(), lo, hi, F::claim(&answer))
-                    .unwrap();
-                let (op_answer, op) = tree.window_ops(lo, hi);
-                assert_eq!(op_answer, answer);
-                op.verify(&tree.root(), lo, hi, F::claim(&answer))
-                    .unwrap_or_else(|e| panic!("n={n} order={order} [{lo},{hi}]: {e}"));
-                assert_eq!(op.size_bytes(), op.to_encoded_bytes().len());
-                assert_eq!(per_path.size_bytes(), per_path.to_encoded_bytes().len());
-
-                // Tampered claims fail through the op encoding too.
-                let forged = F::forge(&answer);
-                assert!(op.verify(&tree.root(), lo, hi, F::claim(&forged)).is_err());
-            }
-        }
     }
 
     /// Window query + proof verifies for arbitrary windows, tree sizes
@@ -1673,7 +1470,6 @@ mod tests {
         append_proof_rejects_stale_root_bad_ts_and_small_order,
         window_proof_codec_round_trip,
         append_proof_codec_round_trip,
-        op_proof_matches_per_path,
         prop_windows_verify,
         prop_append_agrees,
     );
@@ -1683,7 +1479,7 @@ mod tests {
     #[test]
     fn verify_rejects_omitted_result() {
         let tree = build::<Plain>(30, 4);
-        let (mut results, proof) = tree.range(5, 15);
+        let (mut results, proof) = tree.window(5, 15);
         results.remove(3);
         assert!(matches!(
             proof.verify(&tree.root(), 5, 15, &results),
@@ -1694,7 +1490,7 @@ mod tests {
     #[test]
     fn verify_rejects_tampered_value() {
         let tree = build::<Plain>(30, 4);
-        let (mut results, proof) = tree.range(5, 15);
+        let (mut results, proof) = tree.window(5, 15);
         results[0].1 = b"forged".to_vec();
         assert!(matches!(
             proof.verify(&tree.root(), 5, 15, &results),
@@ -1709,7 +1505,7 @@ mod tests {
 
         // lo beyond max_key: the proof opens the rightmost boundary and
         // verifies the window is empty.
-        let (results, proof) = tree.range(100, 200);
+        let (results, proof) = tree.window(100, 200);
         assert!(results.is_empty());
         proof.verify(&tree.root(), 100, 200, &results).unwrap();
 
@@ -1721,7 +1517,7 @@ mod tests {
         ));
 
         // Inverted window (lo > hi) is provably empty too.
-        let (results, proof) = tree.range(20, 10);
+        let (results, proof) = tree.window(20, 10);
         assert!(results.is_empty());
         proof.verify(&tree.root(), 20, 10, &results).unwrap();
     }
@@ -1734,16 +1530,10 @@ mod tests {
         // claimed window, so truncation is distinguishable from "no
         // entries past 9".
         let tree = build::<Plain>(30, 4);
-        let (truncated, narrow_proof) = tree.range(5, 9);
+        let (truncated, narrow_proof) = tree.window(5, 9);
         assert_eq!(truncated.len(), 5);
         assert!(matches!(
             narrow_proof.verify(&tree.root(), 5, 15, &truncated),
-            Err(ProofError::Incomplete(_)) | Err(ProofError::RootMismatch)
-        ));
-        // Same attack through the op-stream encoding.
-        let narrow_ops = tree.prove_ops(&[(5, 9)]);
-        assert!(matches!(
-            narrow_ops.verify(&tree.root(), 5, 15, &truncated),
             Err(ProofError::Incomplete(_)) | Err(ProofError::RootMismatch)
         ));
     }
@@ -1754,8 +1544,8 @@ mod tests {
         // windows verifies each window independently...
         let tree = build::<Plain>(64, 4);
         let proof = tree.prove_ops(&[(2, 4), (20, 22)]);
-        let (r1, _) = tree.range(2, 4);
-        let (r2, _) = tree.range(20, 22);
+        let (r1, _) = tree.window(2, 4);
+        let (r2, _) = tree.window(20, 22);
         proof.verify(&tree.root(), 2, 4, &r1).unwrap();
         proof.verify(&tree.root(), 20, 22, &r2).unwrap();
         // ...but not the hull between them: the gap is pruned.
@@ -1764,8 +1554,52 @@ mod tests {
             proof.verify(&tree.root(), 2, 22, &hull),
             Err(ProofError::Incomplete(_))
         ));
-        // A one-window program is the per-path proof re-encoded.
-        assert_eq!(tree.prove_ops(&[(2, 4)]), tree.window_ops(2, 4).1);
+        // A one-window program is the window query's proof.
+        assert_eq!(tree.prove_ops(&[(2, 4)]), tree.window(2, 4).1);
+    }
+
+    /// One hand-built lie per structural check of the verifier walk, each
+    /// refused with that check's own error (DESIGN.md §6) before the root
+    /// is compared.
+    #[test]
+    fn structural_lies_are_refused_by_name() {
+        use ProofOp::{Child, Parent, Push};
+        let leaf = |keys: &[u64]| {
+            let entries = keys.iter().map(|key| (*key, Hash::ZERO));
+            Push(Shape::<Plain>::Leaf(entries.collect()))
+        };
+        let shell = |separators: &[u64]| Push(Shape::Internal(separators.to_vec()));
+        let (hash, ann) = (Hash::ZERO, ());
+        let pruned = Push(Shape::Pruned(Summary { hash, ann }));
+        for (program, refusal) in [
+            (
+                vec![leaf(&[5, 3])],
+                ProofError::Malformed("leaf entries not sorted"),
+            ),
+            (
+                vec![leaf(&[1]), shell(&[5]), Parent, leaf(&[4]), Child],
+                ProofError::Malformed("leaf entry outside bounds"),
+            ),
+            (
+                vec![
+                    leaf(&[1]),
+                    shell(&[5, 5]),
+                    Parent,
+                    leaf(&[5]),
+                    Child,
+                    leaf(&[6]),
+                    Child,
+                ],
+                ProofError::Malformed("separators not sorted"),
+            ),
+            (
+                vec![pruned, shell(&[5]), Parent, leaf(&[7]), Child],
+                ProofError::Incomplete("pruned subtree overlaps query window"),
+            ),
+        ] {
+            let proof = OpProof::from_ops(program);
+            assert_eq!(proof.verify(&Hash::ZERO, 0, 9, &[]), Err(refusal));
+        }
     }
 
     #[test]
@@ -1816,36 +1650,20 @@ mod tests {
     fn forged_annotation_rejected() {
         // An SP inflating a pruned child's aggregate breaks the hash chain.
         let tree = build::<Summed>(200, 4);
-        let (agg, proof) = tree.aggregate(20, 180);
-        let mut forged = proof.clone();
-        #[allow(clippy::collapsible_match)] // guard can't borrow `sub` mutably
-        fn inflate(node: &mut ProofNode<Summed>) -> bool {
-            let ProofNode::Internal { children, .. } = node else {
-                return false;
-            };
-            for child in children {
-                match child {
-                    ProofChild::Pruned(summary) if summary.ann.count > 0 => {
-                        summary.ann.sum += 1_000;
-                        return true;
-                    }
-                    ProofChild::Open(sub) => {
-                        if inflate(sub) {
-                            return true;
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            false
-        }
-        assert!(
-            inflate(forged.root.as_mut().unwrap()),
-            "fixture has pruned children"
-        );
+        let (agg, proof) = tree.window(20, 180);
+        let mut ops = proof.ops().to_vec();
+        let inflated = ops.iter_mut().find_map(|op| match op {
+            ProofOp::Push(Shape::Pruned(summary)) if summary.ann.count > 0 => Some(summary),
+            _ => None,
+        });
+        inflated.expect("fixture has pruned children").ann.sum += 1_000;
+        let forged = OpProof::<Summed>::from_ops(ops);
         let mut claimed = agg;
         claimed.sum += 1_000;
-        assert!(forged.verify(&tree.root(), 20, 180, &claimed).is_err());
+        assert_eq!(
+            forged.verify(&tree.root(), 20, 180, &claimed),
+            Err(ProofError::RootMismatch)
+        );
     }
 
     #[test]
@@ -1863,17 +1681,18 @@ mod tests {
             max: u64::MAX,
         };
         let pruned = |label: &[u8]| {
-            ProofChild::Pruned(Summary {
+            ProofOp::Push(Shape::Pruned(Summary {
                 hash: hash_bytes(label),
                 ann: hostile,
-            })
+            }))
         };
-        let proof = AggProof {
-            root: Some(ProofNode::Internal {
-                separators: vec![50],
-                children: vec![pruned(b"left"), pruned(b"right")],
-            }),
-        };
+        let proof = OpProof::<Summed>::from_ops(vec![
+            pruned(b"left"),
+            ProofOp::Push(Shape::Internal(vec![50])),
+            ProofOp::Parent,
+            pruned(b"right"),
+            ProofOp::Child,
+        ]);
         // Window [0, 100]: both pruned children are fully inside, so both
         // annotations are merged into the running aggregate.
         let err = proof
@@ -1884,7 +1703,7 @@ mod tests {
             ProofError::RootMismatch | ProofError::Incomplete(_)
         ));
         // The decoded form takes the same path.
-        let decoded = AggProof::decode_all(&proof.to_encoded_bytes()).unwrap();
+        let decoded = OpProof::<Summed>::decode_all(&proof.to_encoded_bytes()).unwrap();
         assert!(decoded
             .verify(&hash_bytes(b"no-such-root"), 0, 100, &Aggregate::EMPTY)
             .is_err());
@@ -1897,8 +1716,8 @@ mod tests {
     #[test]
     fn proof_size_is_logarithmic_in_window() {
         let tree = build::<Summed>(10_000, 16);
-        let (_, narrow) = tree.aggregate(4_000, 4_100);
-        let (_, wide) = tree.aggregate(100, 9_900);
+        let (_, narrow) = tree.window(4_000, 4_100);
+        let (_, wide) = tree.window(100, 9_900);
         // A 98× wider window must not cost anywhere near 98× the proof.
         assert!(
             wide.size_bytes() < narrow.size_bytes() * 8,

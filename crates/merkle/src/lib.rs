@@ -26,10 +26,14 @@
 //!   O(log n) proofs. Both are the same generic [`btree::BTree`]: one
 //!   insert, one window prover, one window verifier, one stateless
 //!   rightmost append the enclave replays.
-//! - [`ops`]: the **stack-machine proof encoding** — one bounded
-//!   post-order program per key set or window, for either B+-tree flavor
-//!   and for the static Merkle tree, lifted into the same verifiers the
-//!   per-path encoding uses.
+//! - [`ops`]: **the window proof** — the pruned B+-tree written as one
+//!   bounded post-order program per window or key set. The prover walk
+//!   pushes it, an iterative executor rebuilds the tree it describes, and
+//!   the one verifier walk checks that tree.
+//!
+//! Each tree has exactly one proof form: a sibling path ([`MhtProof`]), a
+//! compact multiproof ([`SmtProof`]), a node path ([`MptProof`]), a
+//! program ([`ops::OpProof`]).
 //!
 //! All node hashes are domain-separated (see [`domain`]) so that a node of
 //! one structure can never be confused with a node of another.
@@ -46,32 +50,11 @@ pub mod mpt;
 pub mod ops;
 pub mod smt;
 
-pub use btree::{
-    AggAppendProof, AggMbTree, AggProof, Aggregate, MbAppendProof, MbRangeProof, MbTree,
-};
-pub use mht::{build_threads, set_build_threads, MerkleTree, MhtOpProof, MhtProof};
+pub use btree::{AggAppendProof, AggMbTree, Aggregate, MbAppendProof, MbTree};
+pub use mht::{build_threads, set_build_threads, MerkleTree, MhtProof};
 pub use mpt::{Mpt, MptProof};
-pub use ops::{AggOpProof, MbOpProof, OpNode, ProofOp, MAX_OP_STACK, MAX_PROOF_DEPTH};
+pub use ops::{AggOpProof, MbOpProof, ProofOp, MAX_OP_STACK, MAX_PROOF_DEPTH};
 pub use smt::{SmtProof, SparseMerkleTree};
-
-/// Which wire encoding a proof uses.
-///
-/// Both encodings share verification semantics — the op-stream executor
-/// lifts its reconstructed partial tree into the per-path verifier's
-/// node form — so the choice is purely a wire-size/batching trade-off:
-/// per-path pays k·log n hashes for a window of k adjacent keys, the op
-/// stream shares every interior hash across the window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ProofEncoding {
-    /// One pruned tree (or sibling path) per query — the original
-    /// encoding; smallest for point queries.
-    #[default]
-    PerPath,
-    /// A single stack-machine program covering the whole key set — see
-    /// [`ops`]; strictly smaller for contiguous windows of four or more
-    /// adjacent keys.
-    OpStream,
-}
 
 /// Domain-separation tags for node hashing.
 ///

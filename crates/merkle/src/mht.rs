@@ -25,7 +25,6 @@ use dcert_primitives::error::CodecError;
 use dcert_primitives::hash::{Hash, Hasher};
 
 use crate::domain;
-use crate::ops::{self, OpNode, ProofOp};
 use crate::ProofError;
 
 fn leaf_hash(item: &[u8]) -> Hash {
@@ -231,66 +230,6 @@ impl MerkleTree {
             siblings,
         })
     }
-
-    /// Emits a single op-stream proof for the contiguous leaf range
-    /// `[first, first + count)` — one program replacing `count`
-    /// independent [`MhtProof`]s, sharing every interior hash between
-    /// adjacent leaves.
-    ///
-    /// Returns `None` for an empty range or one out of bounds.
-    pub fn prove_range_ops(&self, first: usize, count: usize) -> Option<MhtOpProof> {
-        let len = self.len();
-        if count == 0 || first >= len || len - first < count {
-            return None;
-        }
-        let mut ops = Vec::new();
-        let top = self.levels.len().saturating_sub(1);
-        self.emit_range_ops(top, 0, first, first + count - 1, &mut ops);
-        Some(MhtOpProof {
-            first: first as u64,
-            leaf_count: len as u64,
-            ops,
-        })
-    }
-
-    fn emit_range_ops(
-        &self,
-        level: usize,
-        pos: usize,
-        lo: usize,
-        hi: usize,
-        ops: &mut Vec<ProofOp>,
-    ) {
-        let hash = self
-            .levels
-            .get(level)
-            .and_then(|l| l.get(pos))
-            .copied()
-            .unwrap_or(Hash::ZERO);
-        let span_lo = (pos as u128) << level;
-        let span_hi = (((pos as u128) + 1) << level).saturating_sub(1);
-        if span_hi < lo as u128 || span_lo > hi as u128 {
-            ops.push(ProofOp::Push(OpNode::MhtPruned(hash)));
-            return;
-        }
-        if level == 0 {
-            ops.push(ProofOp::Push(OpNode::MhtLeaf(hash)));
-            return;
-        }
-        let below = self.levels.get(level - 1).map_or(0, Vec::len);
-        let left = 2 * pos;
-        if left + 1 >= below {
-            // Promoted odd node: the partial tree collapses it into its
-            // single child, exactly as the hash does.
-            self.emit_range_ops(level - 1, left, lo, hi, ops);
-            return;
-        }
-        self.emit_range_ops(level - 1, left, lo, hi, ops);
-        ops.push(ProofOp::Push(OpNode::MhtNode));
-        ops.push(ProofOp::Parent);
-        self.emit_range_ops(level - 1, left + 1, lo, hi, ops);
-        ops.push(ProofOp::Child);
-    }
 }
 
 /// A membership proof for one leaf of a [`MerkleTree`].
@@ -381,185 +320,6 @@ impl MhtProof {
         } else {
             Err(ProofError::RootMismatch)
         }
-    }
-}
-
-/// An op-stream proof for a contiguous leaf range of a [`MerkleTree`].
-///
-/// The verifier recomputes the tree *shape* from `leaf_count` alone
-/// (level widths, promotion points), so the program cannot lie about
-/// structure: every node of the reconstructed partial tree is checked
-/// against its expected coordinate, opened leaves must cover exactly
-/// `[first, first + k)` in order, and everything else must be pruned.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MhtOpProof {
-    first: u64,
-    leaf_count: u64,
-    ops: Vec<ProofOp>,
-}
-
-impl MhtOpProof {
-    /// First leaf index the proof speaks about.
-    pub fn first(&self) -> u64 {
-        self.first
-    }
-
-    /// The total number of leaves in the committed tree.
-    pub fn leaf_count(&self) -> u64 {
-        self.leaf_count
-    }
-
-    /// The proof program.
-    pub fn ops(&self) -> &[ProofOp] {
-        &self.ops
-    }
-
-    /// Serialized size in bytes (exactly the encoded length).
-    pub fn size_bytes(&self) -> usize {
-        self.encoded_len()
-    }
-
-    /// Verifies that `items` are the leaves at positions
-    /// `first..first + items.len()` under `root`.
-    ///
-    /// # Errors
-    ///
-    /// [`ProofError`] on root mismatch, malformed programs, or any
-    /// structural lie (pruned in-range subtree, opened out-of-range
-    /// leaf, wrong shape for the claimed `leaf_count`).
-    pub fn verify<T: AsRef<[u8]>>(&self, root: &Hash, items: &[T]) -> Result<(), ProofError> {
-        let hashes: Vec<Hash> = items.iter().map(|i| leaf_hash(i.as_ref())).collect();
-        self.verify_leaf_hashes(root, &hashes)
-    }
-
-    /// Verifies pre-hashed leaves. See [`MhtOpProof::verify`].
-    pub fn verify_leaf_hashes(&self, root: &Hash, leaves: &[Hash]) -> Result<(), ProofError> {
-        if leaves.is_empty() {
-            return Err(ProofError::Malformed("empty leaf range"));
-        }
-        let count = leaves.len() as u64;
-        if self.leaf_count == 0
-            || self.first >= self.leaf_count
-            || self.leaf_count - self.first < count
-        {
-            return Err(ProofError::Malformed("leaf range out of bounds"));
-        }
-        let partial = ops::execute(&self.ops)?;
-        let mut widths = vec![self.leaf_count];
-        while let Some(&w) = widths.last() {
-            if w <= 1 {
-                break;
-            }
-            widths.push(w.div_ceil(2));
-        }
-        let top = widths.len().saturating_sub(1);
-        let mut expect = leaves.iter();
-        let computed = Self::walk(
-            &partial,
-            top,
-            0,
-            &widths,
-            self.first,
-            self.first + count - 1,
-            &mut expect,
-        )?;
-        if expect.next().is_some() {
-            return Err(ProofError::Incomplete("results exceed proven range"));
-        }
-        if computed == *root {
-            Ok(())
-        } else {
-            Err(ProofError::RootMismatch)
-        }
-    }
-
-    fn walk(
-        p: &ops::Partial,
-        level: usize,
-        pos: u64,
-        widths: &[u64],
-        lo: u64,
-        hi: u64,
-        expect: &mut std::slice::Iter<'_, Hash>,
-    ) -> Result<Hash, ProofError> {
-        let span_lo = (pos as u128) << level;
-        let span_hi = (((pos as u128) + 1) << level).saturating_sub(1);
-        let in_range = !(span_hi < lo as u128 || span_lo > hi as u128);
-        if level == 0 {
-            return match &p.node {
-                OpNode::MhtLeaf(h) => {
-                    if !in_range {
-                        return Err(ProofError::Malformed("opened leaf outside range"));
-                    }
-                    let want = expect
-                        .next()
-                        .ok_or(ProofError::Incomplete("more opened leaves than results"))?;
-                    if h != want {
-                        return Err(ProofError::Incomplete("leaf hash mismatch"));
-                    }
-                    Ok(*h)
-                }
-                OpNode::MhtPruned(h) => {
-                    if in_range {
-                        return Err(ProofError::Incomplete("pruned leaf in proven range"));
-                    }
-                    Ok(*h)
-                }
-                _ => Err(ProofError::Malformed("op node family mismatch")),
-            };
-        }
-        let below = *widths
-            .get(level - 1)
-            .ok_or(ProofError::Malformed("level underflow"))?;
-        let left = 2 * pos;
-        if left + 1 >= below {
-            // Promoted coordinate: the hash (and hence the partial-tree
-            // node) is the single child's, one level down.
-            return Self::walk(p, level - 1, left, widths, lo, hi, expect);
-        }
-        match &p.node {
-            OpNode::MhtPruned(h) => {
-                if in_range {
-                    return Err(ProofError::Incomplete(
-                        "pruned subtree overlaps proven range",
-                    ));
-                }
-                Ok(*h)
-            }
-            OpNode::MhtNode => {
-                let lc = p
-                    .children
-                    .first()
-                    .ok_or(ProofError::Malformed("mht op node needs two children"))?;
-                let rc = p
-                    .children
-                    .get(1)
-                    .ok_or(ProofError::Malformed("mht op node needs two children"))?;
-                let lh = Self::walk(lc, level - 1, left, widths, lo, hi, expect)?;
-                let rh = Self::walk(rc, level - 1, left + 1, widths, lo, hi, expect)?;
-                Ok(node_hash(&lh, &rh))
-            }
-            OpNode::MhtLeaf(_) => Err(ProofError::Malformed("leaf at internal level")),
-            _ => Err(ProofError::Malformed("op node family mismatch")),
-        }
-    }
-}
-
-impl Encode for MhtOpProof {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.first.encode(out);
-        self.leaf_count.encode(out);
-        encode_seq(&self.ops, out);
-    }
-}
-
-impl Decode for MhtOpProof {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(MhtOpProof {
-            first: u64::decode(r)?,
-            leaf_count: u64::decode(r)?,
-            ops: decode_seq(r)?,
-        })
     }
 }
 
@@ -677,91 +437,6 @@ mod tests {
         let proof = tree.prove(10).unwrap();
         let bytes = proof.to_encoded_bytes();
         assert_eq!(MhtProof::decode_all(&bytes).unwrap(), proof);
-    }
-
-    #[test]
-    fn range_ops_verify_for_every_span_and_size() {
-        for n in 1..=17usize {
-            let data = items(n);
-            let tree = MerkleTree::from_items(&data);
-            for first in 0..n {
-                for count in 1..=(n - first) {
-                    let proof = tree.prove_range_ops(first, count).unwrap();
-                    proof
-                        .verify(&tree.root(), &data[first..first + count])
-                        .unwrap_or_else(|e| panic!("n={n} first={first} count={count}: {e}"));
-                    assert_eq!(proof.size_bytes(), proof.to_encoded_bytes().len());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn range_ops_out_of_bounds_is_none() {
-        let tree = MerkleTree::from_items(items(5));
-        assert!(tree.prove_range_ops(0, 0).is_none());
-        assert!(tree.prove_range_ops(5, 1).is_none());
-        assert!(tree.prove_range_ops(3, 3).is_none());
-        assert!(MerkleTree::from_items(Vec::<Vec<u8>>::new())
-            .prove_range_ops(0, 1)
-            .is_none());
-    }
-
-    #[test]
-    fn range_ops_reject_tampering_and_truncation() {
-        let data = items(11);
-        let tree = MerkleTree::from_items(&data);
-        let proof = tree.prove_range_ops(2, 4).unwrap();
-        proof.verify(&tree.root(), &data[2..6]).unwrap();
-
-        // Wrong item content at a proven position.
-        let mut forged = data[2..6].to_vec();
-        forged[1] = b"evil".to_vec();
-        assert!(proof.verify(&tree.root(), &forged).is_err());
-
-        // Truncated result set: the still-opened tail leaves fall
-        // outside the narrower claimed range.
-        assert!(matches!(
-            proof.verify(&tree.root(), &data[2..4]),
-            Err(ProofError::Malformed(_)) | Err(ProofError::Incomplete(_))
-        ));
-
-        // Extended result set: the extra positions are pruned.
-        assert!(matches!(
-            proof.verify(&tree.root(), &data[2..8]),
-            Err(ProofError::Incomplete(_))
-        ));
-
-        // Wrong root.
-        assert!(proof.verify(&Hash::ZERO, &data[2..6]).is_err());
-    }
-
-    #[test]
-    fn range_ops_codec_round_trip() {
-        let data = items(9);
-        let tree = MerkleTree::from_items(&data);
-        let proof = tree.prove_range_ops(3, 4).unwrap();
-        let decoded = MhtOpProof::decode_all(&proof.to_encoded_bytes()).unwrap();
-        assert_eq!(decoded, proof);
-        decoded.verify(&tree.root(), &data[3..7]).unwrap();
-    }
-
-    #[test]
-    fn range_ops_share_interior_hashes() {
-        // One program for k adjacent leaves beats k separate proofs.
-        let data = items(256);
-        let tree = MerkleTree::from_items(&data);
-        for k in [4usize, 8, 16] {
-            let op = tree.prove_range_ops(100, k).unwrap();
-            let per_path: usize = (100..100 + k)
-                .map(|i| tree.prove(i).unwrap().size_bytes())
-                .sum();
-            assert!(
-                op.size_bytes() < per_path,
-                "k={k}: op={} per-path={per_path}",
-                op.size_bytes()
-            );
-        }
     }
 
     #[test]

@@ -36,7 +36,7 @@
 //! # Ok::<(), dcert_merkle::ProofError>(())
 //! ```
 
-use dcert_primitives::codec::{decode_seq, encode_seq, Decode, Encode, Reader};
+use dcert_primitives::codec::{decode_seq, encode_seq, seq_encoded_len, Decode, Encode, Reader};
 use dcert_primitives::error::CodecError;
 use dcert_primitives::hash::{hash_bytes, Hash};
 use sha2_free_hasher::*;
@@ -747,6 +747,18 @@ impl Encode for ProofNode {
             }
         }
     }
+
+    fn encoded_len(&self) -> usize {
+        1 + match self {
+            ProofNode::Leaf { path, .. } | ProofNode::Ext { path, .. } => {
+                path.encoded_len() + Hash::LEN
+            }
+            ProofNode::Branch {
+                children,
+                value_hash,
+            } => children.len() * Hash::LEN + value_hash.encoded_len(),
+        }
+    }
 }
 
 impl Decode for ProofNode {
@@ -778,6 +790,10 @@ impl Decode for ProofNode {
 impl Encode for MptProof {
     fn encode(&self, out: &mut Vec<u8>) {
         encode_seq(&self.nodes, out);
+    }
+
+    fn encoded_len(&self) -> usize {
+        seq_encoded_len(&self.nodes)
     }
 }
 

@@ -310,6 +310,11 @@ pub fn encode_seq<T: Encode>(items: &[T], out: &mut Vec<u8>) {
     }
 }
 
+/// The number of bytes [`encode_seq`] writes for `items`.
+pub fn seq_encoded_len<T: Encode>(items: &[T]) -> usize {
+    4 + items.iter().map(Encode::encoded_len).sum::<usize>()
+}
+
 /// Decodes a vector of elements with a `u32` count prefix.
 ///
 /// # Errors

@@ -6,16 +6,13 @@
 //! is ingested. A query returns all versions of a key in `[t1, t2]`.
 //!
 //! - the SP maintains [`HistoryIndex`] and serves
-//!   [`HistoryIndex::query`] / [`HistoryIndex::query_ops`] with
-//!   completeness proofs;
+//!   [`HistoryIndex::query`] with completeness proofs;
 //! - the enclave runs [`HistoryVerifier`] (an
 //!   [`dcert_core::IndexVerifier`]) to recompute the digest
 //!   after each block from chained stateless proofs;
-//! - clients call [`verify_history`] / [`verify_history_op`] against the
-//!   certified digest.
+//! - clients call [`verify_history`] against the certified digest.
 
 use dcert_merkle::btree::Plain;
-use dcert_merkle::{MbOpProof, MbRangeProof};
 use dcert_primitives::codec::{Decode, Encode};
 use dcert_primitives::hash::Hash;
 use dcert_vm::StateKey;
@@ -32,12 +29,7 @@ pub type HistoryIndex = TwoLevelIndex<Plain>;
 /// enclave's certificate program.
 pub type HistoryVerifier = TwoLevelVerifier<Plain>;
 /// Proof returned with a historical query ([`HistoryIndex::query`]).
-pub type HistoryProof = QueryProof<MbRangeProof>;
-/// Proof returned with an op-stream historical query
-/// ([`HistoryIndex::query_ops`]): identical to [`HistoryProof`] except the
-/// lower-level evidence is a stack-machine program covering the window
-/// instead of a pruned tree.
-pub type HistoryOpProof = QueryProof<MbOpProof>;
+pub type HistoryProof = QueryProof<Plain>;
 
 impl IndexFlavor for Plain {
     type Output = Vec<(u64, Version)>;
@@ -88,27 +80,9 @@ pub fn verify_history(
     })
 }
 
-/// Client-side verification of an op-stream historical query result.
-///
-/// Enforces exactly the checks of [`verify_history`]; the op program is
-/// executed and lifted into the same window verifier the per-path
-/// encoding uses.
-///
-/// # Errors
-///
-/// [`QueryError`] describing the first failed check.
-pub fn verify_history_op(
-    digest: &Hash,
-    key: &StateKey,
-    t1: u64,
-    t2: u64,
-    results: &[(u64, Version)],
-    proof: &HistoryOpProof,
-) -> Result<(), QueryError> {
-    verify_window(digest, key, proof, results.is_empty(), |ops, root| {
-        ops.verify(root, t1, t2, &stored_rows(results))
-    })
-}
+/// Compatibility name `benchmark/driver` imports; leaves at ROADMAP item
+/// 4(c).
+pub use verify_history as verify_history_op;
 
 #[cfg(test)]
 mod tests {
@@ -256,6 +230,8 @@ mod tests {
         assert!(verify_history(&stale_digest, &key("acct"), 0, 10, &results, &proof).is_err());
     }
 
+    /// Degenerate, out-of-range and clamped windows, through the `_op`
+    /// compatibility name of the same verifier.
     #[test]
     fn op_query_matches_per_path_results_and_verifies() {
         let mut index = HistoryIndex::with_order("history", 4);
@@ -264,9 +240,10 @@ mod tests {
         }
         let digest = index.digest();
         for (t1, t2) in [(10, 20), (0, 0), (50, 50), (60, 90), (0, u64::MAX)] {
-            let (per_path, _) = index.query(&key("acct"), t1, t2);
-            let (results, proof) = index.query_ops(&key("acct"), t1, t2);
-            assert_eq!(results, per_path, "[{t1},{t2}]");
+            let (results, proof) = index.query(&key("acct"), t1, t2);
+            let heights: Vec<u64> = results.iter().map(|(ts, _)| *ts).collect();
+            let expected: Vec<u64> = (t1.max(1)..=t2.min(50)).collect();
+            assert_eq!(heights, expected, "[{t1},{t2}]");
             verify_history_op(&digest, &key("acct"), t1, t2, &results, &proof).unwrap();
             assert_eq!(proof.size_bytes(), proof.to_encoded_bytes().len());
         }
@@ -279,11 +256,11 @@ mod tests {
             index.apply_block(height, &writes(&[("acct", Some(&format!("v{height}")))]));
         }
         let digest = index.digest();
-        let (mut results, proof) = index.query_ops(&key("acct"), 5, 15);
+        let (mut results, proof) = index.query(&key("acct"), 5, 15);
         results.remove(4);
         assert!(verify_history_op(&digest, &key("acct"), 5, 15, &results, &proof).is_err());
 
-        let (absent, absent_proof) = index.query_ops(&key("unknown"), 0, 100);
+        let (absent, absent_proof) = index.query(&key("unknown"), 0, 100);
         assert!(absent.is_empty());
         verify_history_op(&digest, &key("unknown"), 0, 100, &absent, &absent_proof).unwrap();
     }

@@ -13,7 +13,7 @@ use std::collections::{BTreeMap, HashMap};
 use dcert_chain::Block;
 use dcert_core::{CertError, IndexVerifier};
 use dcert_merkle::{domain, SmtProof, SparseMerkleTree};
-use dcert_primitives::codec::{decode_seq, encode_seq, Decode, Encode, Reader};
+use dcert_primitives::codec::{decode_seq, encode_seq, seq_encoded_len, Decode, Encode, Reader};
 use dcert_primitives::error::CodecError;
 use dcert_primitives::hash::{hash_bytes, Hash, Hasher};
 use dcert_vm::StateKey;
@@ -353,6 +353,10 @@ impl Encode for KeywordProof {
     fn encode(&self, out: &mut Vec<u8>) {
         encode_seq(&self.lists, out);
         self.smt.encode(out);
+    }
+
+    fn encoded_len(&self) -> usize {
+        seq_encoded_len(&self.lists) + self.smt.encoded_len()
     }
 }
 

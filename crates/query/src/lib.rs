@@ -44,9 +44,9 @@ pub mod inverted;
 pub mod sp;
 pub mod two_level;
 
-pub use aggregate::{AggOpQueryProof, AggQueryProof, AggregateIndex, AggregateVerifier};
+pub use aggregate::{AggQueryProof, AggregateIndex, AggregateVerifier};
 pub use error::QueryError;
-pub use history::{HistoryIndex, HistoryOpProof, HistoryProof, HistoryVerifier};
+pub use history::{HistoryIndex, HistoryProof, HistoryVerifier};
 pub use inverted::{extract_keywords, InvertedIndex, InvertedVerifier, KeywordProof};
 pub use inverted::{verify_keywords, verify_keywords_any};
 pub use sp::{

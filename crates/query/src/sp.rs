@@ -18,10 +18,8 @@ use dcert_sgx::cost::timed;
 use dcert_store::{Record, Store, StoreError, StreamId};
 use dcert_vm::{Executor, StateKey};
 
-use crate::aggregate::{
-    AggOpQueryProof, AggQueryProof, Aggregate, AggregateIndex, AggregateVerifier,
-};
-use crate::history::{HistoryIndex, HistoryOpProof, HistoryProof, HistoryVerifier, Version};
+use crate::aggregate::{AggQueryProof, Aggregate, AggregateIndex, AggregateVerifier};
+use crate::history::{HistoryIndex, HistoryProof, HistoryVerifier, Version};
 use crate::inverted::{InvertedIndex, InvertedVerifier, KeywordProof};
 use crate::two_level::{IndexFlavor, TwoLevelIndex};
 
@@ -426,26 +424,6 @@ impl ServiceProvider {
         ))
     }
 
-    /// Serves an authenticated time-window history query with the
-    /// op-stream proof encoding ([`HistoryIndex::query_ops`]) through the
-    /// measured query path. Results are byte-identical to
-    /// [`ServiceProvider::serve_history`]; only the proof encoding
-    /// differs. `None` if no history index is registered under `name`.
-    pub fn serve_history_ops(
-        &self,
-        name: &str,
-        key: &StateKey,
-        t1: u64,
-        t2: u64,
-    ) -> Option<(Vec<(u64, Version)>, HistoryOpProof)> {
-        let index = self.histories.get(name)?;
-        Some(self.measured(
-            |obs| &obs.history_queries,
-            Vec::len,
-            || index.query_ops(key, t1, t2),
-        ))
-    }
-
     /// Serves a conjunctive keyword query ([`InvertedIndex::query`])
     /// through the measured query path. `None` if no inverted index is
     /// registered under `name`.
@@ -480,22 +458,28 @@ impl ServiceProvider {
         ))
     }
 
-    /// Serves a verifiable window aggregation with the op-stream proof
-    /// encoding ([`AggregateIndex::query_ops`]) through the measured query
-    /// path. `None` if no aggregate index is registered under `name`.
+    /// Compatibility name `benchmark/driver` calls; leaves at ROADMAP
+    /// item 4(c).
+    pub fn serve_history_ops(
+        &self,
+        name: &str,
+        key: &StateKey,
+        t1: u64,
+        t2: u64,
+    ) -> Option<(Vec<(u64, Version)>, HistoryProof)> {
+        self.serve_history(name, key, t1, t2)
+    }
+
+    /// Compatibility name `benchmark/driver` calls; leaves at ROADMAP
+    /// item 4(c).
     pub fn serve_aggregate_ops(
         &self,
         name: &str,
         key: &StateKey,
         t1: u64,
         t2: u64,
-    ) -> Option<(Aggregate, AggOpQueryProof)> {
-        let index = self.aggregates.get(name)?;
-        Some(self.measured(
-            |obs| &obs.aggregate_queries,
-            |_| 1,
-            || index.query_ops(key, t1, t2),
-        ))
+    ) -> Option<(Aggregate, AggQueryProof)> {
+        self.serve_aggregate(name, key, t1, t2)
     }
 
     /// Processes one block: executes it, updates every index, advances the

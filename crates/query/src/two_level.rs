@@ -13,20 +13,22 @@
 //! it:
 //!
 //! - the SP maintains a [`TwoLevelIndex`] and serves window queries with
-//!   completeness proofs in either encoding;
+//!   completeness proofs ([`TwoLevelIndex::query`], the only query);
 //! - the enclave runs a [`TwoLevelVerifier`] (an
 //!   [`dcert_core::IndexVerifier`]) to recompute the digest after each
 //!   block from chained stateless proofs;
 //! - clients check an answer against the certified digest with the
-//!   instantiation's `verify_*` function, each a thin call into one
-//!   checker here.
+//!   instantiation's `verify_*` function, each a thin call into the one
+//!   checker here. A [`QueryProof`] is an upper-trie node path plus the
+//!   lower tree's window proof, which is a program
+//!   ([`dcert_merkle::ops`]).
 
 use std::collections::HashMap;
 use std::marker::PhantomData;
 
 use dcert_chain::Block;
 use dcert_core::{CertError, IndexVerifier};
-use dcert_merkle::btree::{AppendProof, BTree, Flavor, WindowProof};
+use dcert_merkle::btree::{AppendProof, BTree, Flavor};
 use dcert_merkle::ops::OpProof;
 use dcert_merkle::{Mpt, MptProof, ProofError};
 use dcert_primitives::codec::{decode_seq, encode_seq, Decode, Encode, Reader};
@@ -130,36 +132,8 @@ impl<F: IndexFlavor> TwoLevelIndex<F> {
         (aux, self.digest())
     }
 
-    /// Answers "`key` over `[t1, t2]`" with a per-path proof.
-    pub fn query(
-        &self,
-        key: &StateKey,
-        t1: u64,
-        t2: u64,
-    ) -> (F::Output, QueryProof<WindowProof<F>>) {
-        self.answer(key, |tree| tree.window(t1, t2))
-    }
-
-    /// Like [`TwoLevelIndex::query`], but the lower-tree evidence is one
-    /// op-stream program ([`dcert_merkle::ProofEncoding::OpStream`])
-    /// instead of a per-path pruned tree.
-    ///
-    /// Returns exactly the same output as `query` for the same window;
-    /// only the proof encoding differs.
-    pub fn query_ops(
-        &self,
-        key: &StateKey,
-        t1: u64,
-        t2: u64,
-    ) -> (F::Output, QueryProof<OpProof<F>>) {
-        self.answer(key, |tree| tree.window_ops(t1, t2))
-    }
-
-    fn answer<P>(
-        &self,
-        key: &StateKey,
-        window: impl FnOnce(&BTree<F>) -> (F::Answer, P),
-    ) -> (F::Output, QueryProof<P>) {
+    /// Answers "`key` over `[t1, t2]`" with a completeness proof.
+    pub fn query(&self, key: &StateKey, t1: u64, t2: u64) -> (F::Output, QueryProof<F>) {
         let key_bytes = key.as_hash().as_bytes();
         let mpt = self.upper.prove(key_bytes);
         match self.lower.get(key_bytes) {
@@ -172,7 +146,7 @@ impl<F: IndexFlavor> TwoLevelIndex<F> {
                 },
             ),
             Some(tree) => {
-                let (answer, lower) = window(tree);
+                let (answer, lower) = tree.window(t1, t2);
                 (
                     F::present(answer),
                     QueryProof {
@@ -308,34 +282,37 @@ impl<F: IndexFlavor> IndexVerifier for TwoLevelVerifier<F> {
     }
 }
 
-/// Proof returned with a two-level index query: `P` is the lower tree's
-/// window evidence, per-path ([`WindowProof`]) or op-stream ([`OpProof`]).
+/// Proof returned with a two-level index query.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QueryProof<P> {
+pub struct QueryProof<F: Flavor> {
     /// Upper-trie (non-)membership proof for the queried key.
     mpt: MptProof,
     /// The key's lower-tree root (absent if the key is untracked).
     lower_root: Option<Hash>,
     /// Window-completeness proof within the lower tree.
-    lower: Option<P>,
+    lower: Option<OpProof<F>>,
 }
 
-impl<P: Encode> QueryProof<P> {
+impl<F: Flavor> QueryProof<F> {
     /// Serialized proof size in bytes (the Fig. 11b metric).
     pub fn size_bytes(&self) -> usize {
         self.encoded_len()
     }
 }
 
-impl<P: Encode> Encode for QueryProof<P> {
+impl<F: Flavor> Encode for QueryProof<F> {
     fn encode(&self, out: &mut Vec<u8>) {
         self.mpt.encode(out);
         self.lower_root.encode(out);
         self.lower.encode(out);
     }
+
+    fn encoded_len(&self) -> usize {
+        self.mpt.encoded_len() + self.lower_root.encoded_len() + self.lower.encoded_len()
+    }
 }
 
-impl<P: Decode> Decode for QueryProof<P> {
+impl<F: Flavor> Decode for QueryProof<F> {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(QueryProof {
             mpt: MptProof::decode(r)?,
@@ -348,18 +325,18 @@ impl<P: Decode> Decode for QueryProof<P> {
 /// Client-side verification of a two-level query answer against the
 /// certified index digest: upper-trie (non-)membership for the key,
 /// digest binding of the lower-tree root, then `verify_lower` — the
-/// window-completeness check of whichever encoding `P` is — against that
-/// root. An untracked key must come with an empty answer.
+/// window-completeness check with the instantiation's claim — against
+/// that root. An untracked key must come with an empty answer.
 ///
 /// # Errors
 ///
 /// [`QueryError`] describing the first failed check.
-pub(crate) fn verify_window<P>(
+pub(crate) fn verify_window<F: Flavor>(
     digest: &Hash,
     key: &StateKey,
-    proof: &QueryProof<P>,
+    proof: &QueryProof<F>,
     answer_is_empty: bool,
-    verify_lower: impl FnOnce(&P, &Hash) -> Result<(), ProofError>,
+    verify_lower: impl FnOnce(&OpProof<F>, &Hash) -> Result<(), ProofError>,
 ) -> Result<(), QueryError> {
     let proven = proof.mpt.verify(digest, key.as_hash().as_bytes())?;
     match (&proof.lower_root, &proof.lower) {

@@ -43,9 +43,9 @@ use crate::admission::{RateLimit, TokenBuckets, TokenGrant};
 use crate::cache::ProofCache;
 use crate::metrics::ServeMetrics;
 use crate::wire::{
-    decode_history_op_payload, encode_aggregate_op_payload, encode_aggregate_payload,
-    encode_history_op_payload, encode_history_payload, encode_keyword_payload, QuerySpec,
-    RefusalReason, ServeRefusal, ServeRequest, ServeResponse, ServeWire,
+    decode_history_payload, encode_aggregate_payload, encode_history_payload,
+    encode_keyword_payload, QuerySpec, RefusalReason, ServeRefusal, ServeRequest, ServeResponse,
+    ServeWire,
 };
 
 /// Capacity and rate-limit policy for a [`ServeFront`].
@@ -99,12 +99,14 @@ struct PendingEntry {
     waiters: Vec<Waiter>,
 }
 
-/// One op-stream history window the cache holds an answer for. A later
-/// [`QuerySpec::HistoryOp`] whose window is *contained* in this one is
-/// answered by narrowing the cached answer: the op-stream proof for
-/// `[t1, t2]` verifies any sub-window, so only the result rows need
-/// filtering — no backend call, no new proof. (Aggregate op answers are
-/// deliberately not window-narrowed: their proofs prune `Inside`
+/// One [`QuerySpec::HistoryOp`] window the cache holds an answer for. A
+/// later `HistoryOp` whose window is *contained* in this one is answered
+/// by narrowing the cached answer: the proof for `[t1, t2]` verifies any
+/// sub-window, so only the result rows need filtering — no backend call,
+/// no new proof. Narrowing is keyed to this one kind: the record list is
+/// scanned linearly on every miss, a cost `History` traffic — in practice
+/// whole-history windows, which never narrow — does not pay. (Aggregate
+/// answers cannot be narrowed at all: their proofs prune `Inside`
 /// subtrees to bare annotations, which do not re-verify for a narrower
 /// window.)
 #[derive(Debug, Clone)]
@@ -130,9 +132,9 @@ pub struct ServeFront {
     arrival_order: VecDeque<Vec<u8>>,
     pending: HashMap<Vec<u8>, PendingEntry>,
     parked_waiters: usize,
-    /// Windows of op-stream history answers in the cache, in insertion
-    /// order. Cleared wholesale with every cache invalidation: a window
-    /// entry must never outlive the generation its answer was served in.
+    /// Windows of `HistoryOp` answers in the cache, in insertion order.
+    /// Cleared wholesale with every cache invalidation: a window entry
+    /// must never outlive the generation its answer was served in.
     op_windows: Vec<OpWindow>,
     metrics: ServeMetrics,
 }
@@ -445,7 +447,8 @@ impl ServeFront {
 
     fn execute(&self, spec: &QuerySpec) -> Option<Vec<u8>> {
         match spec {
-            QuerySpec::History { index, key, t1, t2 } => self
+            QuerySpec::History { index, key, t1, t2 }
+            | QuerySpec::HistoryOp { index, key, t1, t2 } => self
                 .sp
                 .serve_history(index, key, *t1, *t2)
                 .map(|(results, proof)| encode_history_payload(&results, &proof)),
@@ -455,18 +458,11 @@ impl ServeFront {
                     .serve_keywords(index, &words)
                     .map(|(results, proof)| encode_keyword_payload(&results, &proof))
             }
-            QuerySpec::Aggregate { index, key, t1, t2 } => self
+            QuerySpec::Aggregate { index, key, t1, t2 }
+            | QuerySpec::AggregateOp { index, key, t1, t2 } => self
                 .sp
                 .serve_aggregate(index, key, *t1, *t2)
                 .map(|(aggregate, proof)| encode_aggregate_payload(&aggregate, &proof)),
-            QuerySpec::HistoryOp { index, key, t1, t2 } => self
-                .sp
-                .serve_history_ops(index, key, *t1, *t2)
-                .map(|(results, proof)| encode_history_op_payload(&results, &proof)),
-            QuerySpec::AggregateOp { index, key, t1, t2 } => self
-                .sp
-                .serve_aggregate_ops(index, key, *t1, *t2)
-                .map(|(aggregate, proof)| encode_aggregate_op_payload(&aggregate, &proof)),
         }
     }
 
@@ -474,7 +470,7 @@ impl ServeFront {
     /// contains it, if one is alive in the current cache generation.
     /// Result rows are filtered to the requested window — byte-identical
     /// to what a direct backend call would return — and the covering
-    /// op-stream proof is reused as-is (it verifies every sub-window).
+    /// proof is reused as-is (it verifies every sub-window).
     fn answer_from_covering_window(
         &self,
         index: &str,
@@ -489,7 +485,7 @@ impl ServeFront {
             let Some(cached) = self.cache.get(&window.spec_key) else {
                 continue; // evicted: the window record outlived its answer
             };
-            let Ok((results, proof)) = decode_history_op_payload(&cached.payload) else {
+            let Ok((results, proof)) = decode_history_payload(&cached.payload) else {
                 continue; // never narrow what we cannot re-derive
             };
             let narrowed: Vec<_> = results
@@ -499,7 +495,7 @@ impl ServeFront {
             return Some(ServeResponse {
                 id: 0,
                 certified_height: cached.certified_height,
-                payload: encode_history_op_payload(&narrowed, &proof),
+                payload: encode_history_payload(&narrowed, &proof),
             });
         }
         None

@@ -131,7 +131,7 @@ mod tests {
         };
         assert_eq!(resp.id, 9);
         let (results, _proof) =
-            crate::wire::decode_history_op_payload(&resp.payload).expect("payload decodes");
+            crate::wire::decode_history_payload(&resp.payload).expect("payload decodes");
         assert!(results.is_empty(), "empty chain has no versions");
 
         // The narrowed answer became a first-class cache entry.
@@ -205,11 +205,11 @@ mod tests {
         let key = StateKey::new("kvstore", b"acct");
         let (results, proof) = front
             .sp()
-            .serve_history_ops("history", &key, 0, 100)
+            .serve_history("history", &key, 0, 100)
             .expect("index registered");
         assert_eq!(
             resp.payload,
-            crate::wire::encode_history_op_payload(&results, &proof)
+            crate::wire::encode_history_payload(&results, &proof)
         );
 
         // Nothing to narrow from: a contained window goes to the backend.
@@ -243,7 +243,7 @@ mod tests {
             panic!("expected response");
         };
         let (agg, _proof) =
-            crate::wire::decode_aggregate_op_payload(&resp.payload).expect("payload decodes");
+            crate::wire::decode_aggregate_payload(&resp.payload).expect("payload decodes");
         assert_eq!(agg, dcert_merkle::Aggregate::EMPTY);
     }
 

@@ -33,7 +33,7 @@ pub struct ServeMetrics {
     pub shed_unknown_index: Counter,
     /// Pending entries dropped because every waiter had abandoned them.
     pub waiters_released: Counter,
-    /// Op-stream queries answered by narrowing a cached covering window
+    /// `HistoryOp` queries answered by narrowing a cached covering window
     /// (no backend call, no new proof).
     pub window_hits: Counter,
     /// Cache invalidations (generation bumps).

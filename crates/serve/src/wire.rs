@@ -13,18 +13,24 @@
 //! casts) and is swept by `tests/decode_no_panic.rs`.
 
 use dcert_merkle::Aggregate;
-use dcert_primitives::codec::{decode_seq, encode_seq, Decode, Encode, Reader};
+use dcert_primitives::codec::{decode_seq, encode_seq, seq_encoded_len, Decode, Encode, Reader};
 use dcert_primitives::error::CodecError;
 use dcert_primitives::hash::Hash;
 use dcert_query::history::Version;
-use dcert_query::{AggOpQueryProof, AggQueryProof, HistoryOpProof, HistoryProof, KeywordProof};
+use dcert_query::{AggQueryProof, HistoryProof, KeywordProof};
 use dcert_vm::StateKey;
 
 /// One verifiable query, exactly as the `ServiceProvider` serve methods
 /// take it. The canonical encoding of a spec doubles as the coalescing
 /// and cache key: two requests coalesce iff their specs encode to the
-/// same bytes, which is precisely when the backend would answer them
-/// with byte-identical `(results, proof)` pairs.
+/// same bytes.
+///
+/// Five kinds, three answers: [`QuerySpec::HistoryOp`] is answered with
+/// [`QuerySpec::History`]'s payload and [`QuerySpec::AggregateOp`] with
+/// [`QuerySpec::Aggregate`]'s, byte for byte. The `Op` kinds date from
+/// when a window proof had a second wire form; their tags still decode —
+/// and still key the cache apart — until `benchmark/driver` stops
+/// sending them (ROADMAP item 4(c)).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum QuerySpec {
     /// Time-window history query against a named history index.
@@ -57,11 +63,9 @@ pub enum QuerySpec {
         /// Window end height (inclusive).
         t2: u64,
     },
-    /// Time-window history query answered with the op-stream proof
-    /// encoding ([`dcert_merkle::ProofEncoding::OpStream`]). Results are
-    /// byte-identical to [`QuerySpec::History`] over the same window;
-    /// only the proof encoding differs — and the front-end may answer a
-    /// contained window from a cached covering op-stream answer.
+    /// [`QuerySpec::History`] under its compatibility tag — the one kind
+    /// the front-end may answer from a cached answer to a covering
+    /// window.
     HistoryOp {
         /// Registered index name.
         index: String,
@@ -72,8 +76,7 @@ pub enum QuerySpec {
         /// Window end height (inclusive).
         t2: u64,
     },
-    /// Verifiable window aggregation answered with the op-stream proof
-    /// encoding.
+    /// [`QuerySpec::Aggregate`] under its compatibility tag.
     AggregateOp {
         /// Registered index name.
         index: String,
@@ -148,7 +151,7 @@ impl Encode for QuerySpec {
                 index.encoded_len() + key.encoded_len() + t1.encoded_len() + t2.encoded_len()
             }
             QuerySpec::Keywords { index, keywords } => {
-                index.encoded_len() + 4 + keywords.iter().map(Encode::encoded_len).sum::<usize>()
+                index.encoded_len() + seq_encoded_len(keywords)
             }
         }
     }
@@ -489,37 +492,14 @@ pub fn decode_aggregate_payload(bytes: &[u8]) -> Result<(Aggregate, AggQueryProo
     decode_payload(Aggregate::decode, bytes)
 }
 
-/// Encodes an op-stream history answer as the canonical response payload.
-pub fn encode_history_op_payload(results: &[(u64, Version)], proof: &HistoryOpProof) -> Vec<u8> {
-    encode_payload(encode_seq, results, proof)
-}
-
-/// Decodes an op-stream history response payload.
-///
-/// # Errors
-///
-/// Returns a [`CodecError`] on malformed or trailing bytes.
-pub fn decode_history_op_payload(
-    bytes: &[u8],
-) -> Result<(Vec<(u64, Version)>, HistoryOpProof), CodecError> {
-    decode_payload(decode_seq, bytes)
-}
-
-/// Encodes an op-stream aggregate answer as the canonical response payload.
-pub fn encode_aggregate_op_payload(aggregate: &Aggregate, proof: &AggOpQueryProof) -> Vec<u8> {
-    encode_payload(Aggregate::encode, aggregate, proof)
-}
-
-/// Decodes an op-stream aggregate response payload.
-///
-/// # Errors
-///
-/// Returns a [`CodecError`] on malformed or trailing bytes.
-pub fn decode_aggregate_op_payload(
-    bytes: &[u8],
-) -> Result<(Aggregate, AggOpQueryProof), CodecError> {
-    decode_payload(Aggregate::decode, bytes)
-}
+/// Compatibility names `benchmark/driver` imports; they leave at ROADMAP
+/// item 4(c).
+pub use {
+    decode_aggregate_payload as decode_aggregate_op_payload,
+    decode_history_payload as decode_history_op_payload,
+    encode_aggregate_payload as encode_aggregate_op_payload,
+    encode_history_payload as encode_history_op_payload,
+};
 
 #[cfg(test)]
 mod tests {
@@ -613,7 +593,7 @@ mod tests {
 
     /// Every payload pair round-trips, and every decoder refuses a
     /// trailing byte and a truncated payload — once per answer shape
-    /// (result list, aggregate) and proof encoding.
+    /// (result list, aggregate, id list).
     #[test]
     fn payloads_round_trip_and_refuse_trailing_bytes() {
         use dcert_query::{AggregateIndex, HistoryIndex, InvertedIndex};
@@ -646,22 +626,10 @@ mod tests {
             decode_history_payload,
             (rows, proof),
         );
-        let (rows, proof) = history.query_ops(&key, 2, 4);
-        check(
-            encode_history_op_payload(&rows, &proof),
-            decode_history_op_payload,
-            (rows, proof),
-        );
         let (total, proof) = aggregate.query(&key, 2, 4);
         check(
             encode_aggregate_payload(&total, &proof),
             decode_aggregate_payload,
-            (total, proof),
-        );
-        let (total, proof) = aggregate.query_ops(&key, 2, 4);
-        check(
-            encode_aggregate_op_payload(&total, &proof),
-            decode_aggregate_op_payload,
             (total, proof),
         );
         let (matches, proof) = InvertedIndex::new("inverted").query(&["stock"]);

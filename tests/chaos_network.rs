@@ -577,12 +577,7 @@ fn run_serve_chaos(seed: u64) -> ServeChaosRun {
     );
     let mut front = ServeFront::new(sp, ServeConfig::default());
     for block in &blocks {
-        let inputs = front.stage_block(block).expect("block stages");
-        let (certs, _) = world
-            .ci
-            .certify_augmented(block, &inputs)
-            .expect("block certifies");
-        front.record_certs(&certs);
+        world.certify_into(&mut front, block);
     }
     let expected: Vec<Vec<u8>> = (0..SERVE_QUERIES)
         .map(|q| {

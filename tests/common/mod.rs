@@ -11,11 +11,12 @@ use dcert::core::{
     expected_measurement, Certificate, CertificateIssuer, ShardFleetConfig, ShardedCertEngine,
     SuperlightClient,
 };
-use dcert::primitives::codec::{encode_seq, Encode};
+use dcert::primitives::codec::Encode;
 use dcert::primitives::hash::{Address, Hash};
 use dcert::primitives::keys::Keypair;
 use dcert::query::sp::IndexKind;
 use dcert::query::ServiceProvider;
+use dcert::serve::{encode_history_payload, encode_keyword_payload, ServeFront};
 use dcert::sgx::{AttestationService, CostModel};
 use dcert::vm::{Executor, StateKey};
 use dcert::workloads::kvstore::KvCall;
@@ -158,6 +159,18 @@ impl World {
             })
             .collect()
     }
+
+    /// Stages `block` through `front` and records its augmented
+    /// certificates — the full invalidating write path.
+    #[allow(dead_code)] // only the serving suites hold a front
+    pub fn certify_into(&mut self, front: &mut ServeFront, block: &Block) {
+        let inputs = front.stage_block(block).expect("block stages");
+        let (certs, _) = self
+            .ci
+            .certify_augmented(block, &inputs)
+            .expect("block certifies");
+        front.record_certs(&certs);
+    }
 }
 
 // --- the fleet suites' shared fixtures ------------------------------------------
@@ -265,16 +278,11 @@ pub fn observe(sp: &ServiceProvider) -> Observation {
     let (results, proof) = sp
         .serve_history("history", &key, 0, 100)
         .expect("history index");
-    let mut history_answer = Vec::new();
-    encode_seq(&results, &mut history_answer);
-    proof.encode(&mut history_answer);
-
+    let history_answer = encode_history_payload(&results, &proof);
     let (matches, kproof) = sp
         .serve_keywords("inverted", &["stock", "bank"])
         .expect("inverted index");
-    let mut keyword_answer = Vec::new();
-    encode_seq(&matches, &mut keyword_answer);
-    kproof.encode(&mut keyword_answer);
+    let keyword_answer = encode_keyword_payload(&matches, &kproof);
 
     Observation {
         index_height: sp.index_height(),

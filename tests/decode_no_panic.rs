@@ -20,24 +20,26 @@ use dcert::core::{
     BatchLink, BlockInput, Certificate, EcallRequest, EcallResponse, IdxRequest, IndexInput,
     NetMessage,
 };
+use dcert::merkle::btree::{Annotation, Flavor, Plain, Shape, Summary, Summed};
+use dcert::merkle::ops::OpProof;
 use dcert::merkle::{
-    AggAppendProof, AggMbTree, AggOpProof, AggProof, Aggregate, MbAppendProof, MbOpProof,
-    MbRangeProof, MbTree, MerkleTree, MhtOpProof, MhtProof, Mpt, MptProof, OpNode, ProofOp,
-    SmtProof, SparseMerkleTree, MAX_OP_STACK, MAX_PROOF_DEPTH,
+    AggAppendProof, AggMbTree, AggOpProof, Aggregate, MbAppendProof, MbOpProof, MbTree, MerkleTree,
+    MhtProof, Mpt, MptProof, ProofError, ProofOp, SmtProof, SparseMerkleTree, MAX_OP_STACK,
+    MAX_PROOF_DEPTH,
 };
 use dcert::primitives::codec::{encode_seq, Decode, Encode};
 use dcert::primitives::hash::{hash_bytes, Address, Hash};
 use dcert::primitives::keys::{Keypair, PublicKey, Signature};
-use dcert::query::aggregate::AggregateIndex;
-use dcert::query::history::HistoryIndex;
+use dcert::query::aggregate::{verify_aggregate, verify_aggregate_op, AggregateIndex};
+use dcert::query::history::{verify_history, verify_history_op, HistoryIndex};
 use dcert::query::inverted::InvertedIndex;
 use dcert::query::{
-    AggOpQueryProof, AggQueryProof, CertifiedEntry, HistoryOpProof, HistoryProof, KeywordPage,
-    KeywordProof, WritesPage,
+    AggQueryProof, CertifiedEntry, HistoryProof, KeywordPage, KeywordProof, QueryError, WritesPage,
 };
 use dcert::serve::{
-    encode_history_payload, QuerySpec, RefusalReason, ServeRefusal, ServeRequest, ServeResponse,
-    ServeWire,
+    decode_aggregate_op_payload, decode_aggregate_payload, decode_history_op_payload,
+    decode_history_payload, encode_history_payload, QuerySpec, RefusalReason, ServeRefusal,
+    ServeRequest, ServeResponse, ServeWire,
 };
 use dcert::sgx::{sealing, AttestationReport, AttestationService, Quote, SealedBlob};
 use dcert::store::frame::{append_frame, scan_frames};
@@ -78,22 +80,17 @@ fn try_decode_everything(bytes: &[u8]) {
     let _ = MhtProof::decode_all(bytes);
     let _ = SmtProof::decode_all(bytes);
     let _ = MptProof::decode_all(bytes);
-    let _ = MbRangeProof::decode_all(bytes);
     let _ = MbAppendProof::decode_all(bytes);
-    let _ = AggProof::decode_all(bytes);
     let _ = AggAppendProof::decode_all(bytes);
     let _ = Aggregate::decode_all(bytes);
     let _ = HistoryProof::decode_all(bytes);
     let _ = KeywordProof::decode_all(bytes);
     let _ = AggQueryProof::decode_all(bytes);
-    // Op-stream proof family (the stack-machine encoding).
-    let _ = ProofOp::decode_all(bytes);
-    let _ = OpNode::decode_all(bytes);
+    // Window proofs: the program and its ops (and so nodes), per flavor.
+    let _ = ProofOp::<Plain>::decode_all(bytes);
+    let _ = ProofOp::<Summed>::decode_all(bytes);
     let _ = MbOpProof::decode_all(bytes);
     let _ = AggOpProof::decode_all(bytes);
-    let _ = MhtOpProof::decode_all(bytes);
-    let _ = HistoryOpProof::decode_all(bytes);
-    let _ = AggOpQueryProof::decode_all(bytes);
     let _ = SkipRangeProof::decode_all(bytes);
     let _ = LineageProof::decode_all(bytes);
     // Persistence layer: segment records, head state, SP pages.
@@ -110,11 +107,9 @@ fn try_decode_everything(bytes: &[u8]) {
     let _ = ServeResponse::decode_all(bytes);
     let _ = ServeRefusal::decode_all(bytes);
     let _ = ServeWire::decode_all(bytes);
-    let _ = dcert::serve::decode_history_payload(bytes);
+    let _ = decode_history_payload(bytes);
     let _ = dcert::serve::decode_keyword_payload(bytes);
-    let _ = dcert::serve::decode_aggregate_payload(bytes);
-    let _ = dcert::serve::decode_history_op_payload(bytes);
-    let _ = dcert::serve::decode_aggregate_op_payload(bytes);
+    let _ = decode_aggregate_payload(bytes);
     // Framing decoders (distinct from plain codecs: CRC-checked length-
     // prefixed frames and magic-guarded slot files).
     let _ = scan_frames(bytes);
@@ -123,10 +118,12 @@ fn try_decode_everything(bytes: &[u8]) {
 }
 
 /// A named valid encoding plus its own type's decoder (for asserting that
-/// truncation breaks the *matching* decoder, not just any decoder).
+/// truncation breaks the *matching* decoder, not just any decoder) and
+/// the size its type accounts for it.
 struct Probe {
     name: &'static str,
     bytes: Vec<u8>,
+    encoded_len: usize,
     decode_ok: fn(&[u8]) -> bool,
 }
 
@@ -137,6 +134,7 @@ fn probe<T: Encode + Decode>(name: &'static str, value: &T) -> Probe {
     Probe {
         name,
         bytes: value.to_encoded_bytes(),
+        encoded_len: value.encoded_len(),
         decode_ok: ok::<T>,
     }
 }
@@ -203,20 +201,17 @@ fn sample_encodings() -> Vec<Probe> {
     for t in 0..10u64 {
         mb.insert(t, vec![t as u8]);
     }
-    let (_, mb_range) = mb.range(2, 7);
     let mb_append = mb.prove_append();
 
     let mut agg = AggMbTree::new(4);
     for t in 0..10u64 {
         agg.insert(t, t * 3);
     }
-    let (aggregate, agg_proof) = agg.aggregate(2, 7);
+    let (aggregate, agg_ops) = agg.window(2, 7);
     let agg_append = agg.prove_append();
 
     let mb_ops = mb.prove_ops(&[(2, 7)]);
     let mb_nonmember_ops = mb.prove_non_membership(42);
-    let agg_ops = agg.prove_agg_ops(2, 7);
-    let mht_ops = mht.prove_range_ops(0, 2).expect("range in bounds");
 
     let history = HistoryIndex::new("history");
     let (_, history_proof) = history.query(&key, 0, 10);
@@ -225,7 +220,7 @@ fn sample_encodings() -> Vec<Probe> {
     let aggregate_index = AggregateIndex::new("aggregate");
     let (_, agg_query_proof) = aggregate_index.query(&key, 0, 10);
 
-    // Populated indexes so the op-stream query proofs carry real programs.
+    // Populated indexes so the query proofs carry real programs.
     let mut tracked_history = HistoryIndex::new("history");
     let mut tracked_aggregate = AggregateIndex::new("aggregate");
     for height in 1..=6u64 {
@@ -233,8 +228,8 @@ fn sample_encodings() -> Vec<Probe> {
         tracked_history.apply_block(height, &writes);
         tracked_aggregate.apply_block(height, &writes);
     }
-    let (_, history_op_proof) = tracked_history.query_ops(&key, 2, 5);
-    let (_, agg_op_query_proof) = tracked_aggregate.query_ops(&key, 2, 5);
+    let (_, tracked_history_proof) = tracked_history.query(&key, 2, 5);
+    let (_, tracked_agg_query_proof) = tracked_aggregate.query(&key, 2, 5);
 
     let mut skiplist = AuthSkipList::new();
     for t in 0..6u64 {
@@ -278,6 +273,11 @@ fn sample_encodings() -> Vec<Probe> {
         t1: 1,
         t2: 9,
     };
+    // The compatibility kinds: same layout, their own tags.
+    let (index, t1, t2) = ("history".to_owned(), 2, 5);
+    let history_op = QuerySpec::HistoryOp { index, key, t1, t2 };
+    let index = "aggregate".to_owned();
+    let aggregate_op = QuerySpec::AggregateOp { index, key, t1, t2 };
     let serve_request = ServeRequest {
         client: 41,
         id: 7,
@@ -334,24 +334,18 @@ fn sample_encodings() -> Vec<Probe> {
         probe("MhtProof", &mht_proof),
         probe("SmtProof", &smt_proof),
         probe("MptProof", &mpt_proof),
-        probe("MbRangeProof", &mb_range),
         probe("MbAppendProof", &mb_append),
-        probe("AggProof", &agg_proof),
         probe("AggAppendProof", &agg_append),
         probe("Aggregate", &aggregate),
         probe("HistoryProof", &history_proof),
         probe("KeywordProof", &keyword_proof),
         probe("AggQueryProof", &agg_query_proof),
-        probe(
-            "ProofOp",
-            &ProofOp::Push(OpNode::Pruned(hash_bytes(b"pruned"))),
-        ),
+        probe("ProofOp", &ProofOp::<Plain>::Push(pruned(b"pruned"))),
         probe("MbOpProof", &mb_ops),
         probe("MbOpProof::non_membership", &mb_nonmember_ops),
         probe("AggOpProof", &agg_ops),
-        probe("MhtOpProof", &mht_ops),
-        probe("HistoryOpProof", &history_op_proof),
-        probe("AggOpQueryProof", &agg_op_query_proof),
+        probe("HistoryProof::tracked", &tracked_history_proof),
+        probe("AggQueryProof::tracked", &tracked_agg_query_proof),
         probe("SkipRangeProof", &skip_proof),
         probe("LineageProof", &lineage_proof),
         probe("Record", &record),
@@ -362,24 +356,8 @@ fn sample_encodings() -> Vec<Probe> {
         probe("KeywordPage", &keyword_page),
         probe("CertifiedEntry", &certified_entry),
         probe("QuerySpec", &serve_query),
-        probe(
-            "QuerySpec::HistoryOp",
-            &QuerySpec::HistoryOp {
-                index: "history".into(),
-                key,
-                t1: 2,
-                t2: 5,
-            },
-        ),
-        probe(
-            "QuerySpec::AggregateOp",
-            &QuerySpec::AggregateOp {
-                index: "aggregate".into(),
-                key,
-                t1: 2,
-                t2: 5,
-            },
-        ),
+        probe("QuerySpec::HistoryOp", &history_op),
+        probe("QuerySpec::AggregateOp", &aggregate_op),
         probe("ServeWire::Request", &ServeWire::Request(serve_request)),
         probe("ServeWire::Response", &ServeWire::Response(serve_response)),
         probe("ServeWire::Refusal", &ServeWire::Refusal(serve_refusal)),
@@ -400,6 +378,9 @@ fn sample_encodings() -> Vec<Probe> {
     ]
 }
 
+/// Every sample decodes, and its type's size accounting is exact whether
+/// `encoded_len` is overridden or not — `ServiceProvider` observes a
+/// served proof's size through it instead of serializing the proof twice.
 #[test]
 fn sample_encodings_round_trip() {
     for p in sample_encodings() {
@@ -408,6 +389,7 @@ fn sample_encodings_round_trip() {
             "{}: canonical encoding must decode",
             p.name
         );
+        assert_eq!(p.encoded_len, p.bytes.len(), "{}: encoded_len", p.name);
     }
 }
 
@@ -534,68 +516,67 @@ fn segment_frame_stream_damage_yields_record_prefix() {
     }
 }
 
-/// Round-trips a hand-built op program through the wire codec, yielding a
-/// proof exactly as a verifier would see it from an untrusted prover.
-fn mb_op_proof(program: &[ProofOp]) -> MbOpProof {
-    let mut bytes = Vec::new();
-    encode_seq(program, &mut bytes);
-    MbOpProof::decode_all(&bytes).expect("syntactically valid op stream decodes")
+fn pruned<F: Flavor>(label: &[u8]) -> Shape<F> {
+    let (hash, ann) = (hash_bytes(label), Annotation::EMPTY);
+    Shape::Pruned(Summary { hash, ann })
 }
 
-fn agg_op_proof(program: &[ProofOp]) -> AggOpProof {
+/// Round-trips a hand-built op program through the wire codec, yielding a
+/// proof exactly as a verifier would see it from an untrusted prover.
+fn op_proof<F: Flavor>(program: &[ProofOp<F>]) -> OpProof<F> {
     let mut bytes = Vec::new();
     encode_seq(program, &mut bytes);
-    AggOpProof::decode_all(&bytes).expect("syntactically valid op stream decodes")
+    OpProof::decode_all(&bytes).expect("syntactically valid op stream decodes")
+}
+
+/// A `Push` / `Parent` chain `levels` internal nodes deep above one leaf:
+/// the tree deepens while the stack never grows past two entries.
+fn parent_chain<F: Flavor>(levels: usize) -> Vec<ProofOp<F>> {
+    let mut program = vec![ProofOp::Push(Shape::Leaf(Vec::new()))];
+    for _ in 0..levels {
+        program.push(ProofOp::Push(Shape::Internal(Vec::new())));
+        program.push(ProofOp::Parent);
+    }
+    program
 }
 
 /// Adversarial stack programs — underflow, overflow, over-deep chains,
-/// wrong arities, attaches to non-shells, wrong node families — must be
-/// rejected by the bounded executor with typed errors, never a panic and
-/// never an accepted verification against a root they don't hash to.
-#[test]
-fn hostile_op_programs_fail_verification_cleanly() {
-    let root = hash_bytes(b"not the zero root");
-    let leaf = |ts: u64| OpNode::Leaf(vec![(ts, hash_bytes(ts.to_be_bytes()))]);
-    let mut programs: Vec<Vec<ProofOp>> = vec![
+/// wrong arities, attaches to non-shells — in either flavor's nodes.
+fn hostile_programs<F: Flavor>() -> Vec<Vec<ProofOp<F>>> {
+    let leaf = || ProofOp::Push(Shape::Leaf(Vec::new()));
+    vec![
         // Stack underflow in every shape.
         vec![ProofOp::Parent],
         vec![ProofOp::Child],
-        vec![ProofOp::Push(leaf(1)), ProofOp::Parent],
+        vec![leaf(), ProofOp::Parent],
         // Attach to a non-shell node.
-        vec![
-            ProofOp::Push(leaf(1)),
-            ProofOp::Push(leaf(2)),
-            ProofOp::Child,
-        ],
+        vec![leaf(), leaf(), ProofOp::Child],
         // Trailing operands left on the stack.
-        vec![ProofOp::Push(leaf(1)), ProofOp::Push(leaf(2))],
+        vec![leaf(), leaf()],
         // Inverted push of a non-shell.
-        vec![ProofOp::PushInverted(leaf(1))],
+        vec![ProofOp::PushInverted(Shape::Leaf(Vec::new()))],
         // Arity mismatch: one separator demands two children, got none.
-        vec![ProofOp::Push(OpNode::Internal(vec![5]))],
-        // Wrong node family for the claimed proof type.
-        vec![ProofOp::Push(OpNode::AggLeaf(vec![(1, 2)]))],
-        vec![ProofOp::Push(OpNode::MhtNode)],
+        vec![ProofOp::Push(Shape::Internal(vec![5]))],
+        // A pruned root proves nothing.
+        vec![ProofOp::Push(pruned(b"root"))],
         // Empty stream only proves the empty tree (`Hash::ZERO`).
         vec![],
-    ];
-    // Stack overflow: one more push than the executor's bound.
-    programs.push(
-        (0..=MAX_OP_STACK as u64)
-            .map(|k| ProofOp::Push(leaf(k)))
-            .collect(),
-    );
-    // Depth bomb: a parent chain one level past the depth bound, while
-    // the stack itself never grows past two entries.
-    let mut deep = vec![ProofOp::Push(leaf(1))];
-    for _ in 0..=MAX_PROOF_DEPTH {
-        deep.push(ProofOp::Push(OpNode::Internal(vec![])));
-        deep.push(ProofOp::Parent);
-    }
-    programs.push(deep);
+        // Stack overflow: one more push than the executor's bound.
+        (0..=MAX_OP_STACK).map(|_| leaf()).collect(),
+        // Depth bomb: one level past the depth bound.
+        parent_chain(MAX_PROOF_DEPTH + 1),
+    ]
+}
 
-    for (i, program) in programs.iter().enumerate() {
-        let mb = mb_op_proof(program);
+/// Hostile programs must be rejected by the bounded executor with typed
+/// errors, never a panic and never an accepted verification against a
+/// root they don't hash to. (A program with another family's nodes does
+/// not get that far — it does not decode: `ops::tests::family_mix_rejected`.)
+#[test]
+fn hostile_op_programs_fail_verification_cleanly() {
+    let root = hash_bytes(b"not the zero root");
+    for (i, program) in hostile_programs::<Plain>().iter().enumerate() {
+        let mb = op_proof(program);
         assert!(
             mb.verify(&root, 0, u64::MAX, &[]).is_err(),
             "program {i} must fail MB verification"
@@ -604,36 +585,104 @@ fn hostile_op_programs_fail_verification_cleanly() {
             mb.verify_non_membership(&root, 7).is_err(),
             "program {i} must fail non-membership verification"
         );
-        let agg = agg_op_proof(program);
+    }
+    for (i, program) in hostile_programs::<Summed>().iter().enumerate() {
         assert!(
-            agg.verify(&root, 0, u64::MAX, &Aggregate::EMPTY).is_err(),
+            op_proof(program)
+                .verify(&root, 0, u64::MAX, &Aggregate::EMPTY)
+                .is_err(),
             "program {i} must fail aggregate verification"
         );
     }
+}
+
+/// Hostile depth is a typed refusal, not a stack overflow — checked on a
+/// thread whose stack (256 KiB) a decoder recursing on untrusted bytes,
+/// or an unbounded walk, exhausts long before 20 000 levels. Through each
+/// windowed payload decoder and its verifier, behind an honest
+/// upper-trie prefix so the verifier reaches the lower proof: (a) the
+/// byte pattern that nested the retired per-path form 20 000 nodes deep,
+/// (b) a 20 000-deep `parent_chain`, (c) 10^6 bare `Push`es. What was
+/// decoded is a flat `Vec`, so dropping it does not recurse either.
+#[test]
+fn hostile_depth_is_refused_not_overflowed() {
+    /// The lower-proof bytes of (a), (b) and (c), in `F`'s nodes.
+    fn lowers<F: Flavor>() -> [Vec<u8>; 3] {
+        let legacy = [vec![1], [1, 0, 0, 0, 0, 0, 0, 0, 1, 1].repeat(20_000)].concat();
+        let wide = vec![ProofOp::<F>::Push(Shape::Leaf(Vec::new())); 1_000_000];
+        let [deep, wide] = [parent_chain(20_000), wide].map(|program| {
+            let mut bytes = Vec::new();
+            encode_seq(&program, &mut bytes);
+            bytes
+        });
+        [legacy, deep, wide]
+    }
+    fn run() {
+        let key = StateKey::new("kvstore", b"balance");
+        let lower_root = hash_bytes(b"lower root");
+        let mut upper = Mpt::new();
+        upper.insert(key.as_hash().as_bytes(), lower_root.as_bytes().to_vec());
+        let digest = upper.root();
+        let mut proof_prefix = upper.prove(key.as_hash().as_bytes()).to_encoded_bytes();
+        Some(lower_root).encode(&mut proof_prefix);
+        proof_prefix.push(1); // `lower: Some(..)`
+
+        let refusal = |why| Err(QueryError::Proof(ProofError::Malformed(why)));
+        macro_rules! refused {
+            ($decode:path, $verify:path, $answer:expr, $lowers:expr) => {{
+                let client = |lower: &[u8]| -> Result<(), QueryError> {
+                    let payload = [&$answer.to_encoded_bytes(), &proof_prefix[..], lower].concat();
+                    let (answer, proof) = $decode(&payload)?;
+                    $verify(&digest, &key, 0, u64::MAX, &answer, &proof)
+                };
+                let [legacy, deep, wide] = $lowers;
+                assert!(matches!(client(legacy), Err(QueryError::Codec(_))));
+                assert_eq!(client(deep), refusal("op-stream proof too deep"));
+                assert_eq!(client(wide), refusal("op stack overflow"));
+            }};
+        }
+        let (rows, plain) = (0u32, lowers::<Plain>());
+        let (none, summed) = (Aggregate::EMPTY, lowers::<Summed>());
+        refused!(decode_history_payload, verify_history, rows, &plain);
+        refused!(decode_history_op_payload, verify_history_op, rows, &plain);
+        refused!(decode_aggregate_payload, verify_aggregate, none, &summed);
+        refused!(
+            decode_aggregate_op_payload,
+            verify_aggregate_op,
+            none,
+            &summed
+        );
+    }
+    std::thread::Builder::new()
+        .stack_size(256 * 1024)
+        .spawn(run)
+        .expect("thread spawns")
+        .join()
+        .expect("every hostile payload is refused, none overflows the stack");
 }
 
 /// Arbitrary op programs (syntactically valid, semantically hostile)
 /// never panic either executor — they verify or fail typed.
 #[test]
 fn prop_random_op_programs_never_panic() {
+    fn program<F: Flavor>(selectors: &[u8], digest: fn(u8) -> F::Digest) -> OpProof<F> {
+        let op = |&b: &u8| match b % 6 {
+            0 => ProofOp::Parent,
+            1 => ProofOp::Child,
+            2 => ProofOp::Push(Shape::Leaf(vec![(b as u64, digest(b))])),
+            3 => ProofOp::Push(Shape::Internal(vec![b as u64])),
+            4 => ProofOp::PushInverted(Shape::Internal(vec![b as u64, b as u64 + 7])),
+            _ => ProofOp::Push(pruned(&[b, 1])),
+        };
+        op_proof(&selectors.iter().map(op).collect::<Vec<_>>())
+    }
     check("prop_random_op_programs_never_panic", 192, |g| {
         let selectors = g.vec(0..48, |g| g.any::<u8>());
-        let program: Vec<ProofOp> = selectors
-            .iter()
-            .map(|&b| match b % 6 {
-                0 => ProofOp::Parent,
-                1 => ProofOp::Child,
-                2 => ProofOp::Push(OpNode::Leaf(vec![(b as u64, hash_bytes([b]))])),
-                3 => ProofOp::Push(OpNode::Internal(vec![b as u64])),
-                4 => ProofOp::PushInverted(OpNode::Internal(vec![b as u64, b as u64 + 7])),
-                _ => ProofOp::Push(OpNode::Pruned(hash_bytes([b, 1]))),
-            })
-            .collect();
         let root = hash_bytes(b"prop root");
-        let mb = mb_op_proof(&program);
+        let mb = program::<Plain>(&selectors, |b| hash_bytes([b]));
         let _ = mb.verify(&root, 0, u64::MAX, &[]);
         let _ = mb.verify_non_membership(&root, 9);
-        let agg = agg_op_proof(&program);
+        let agg = program::<Summed>(&selectors, u64::from);
         let _ = agg.verify(&root, 0, 9, &Aggregate::EMPTY);
     });
 }

@@ -5,7 +5,9 @@
 //! collapsed into one generic core. Certificates already issued bind
 //! these digests, so the unified code must reproduce each one exactly —
 //! roots after every insert, and the SHA-256 of every encoded proof form.
-//!
+//! (Twelve rows — `mb/*/range`, `agg/*/aggregate`, `{history,aggregate}/*/proof`
+//! — left with the per-path window-proof format they pinned; the op rows,
+//! captured beside them, pin the one form a window proof has.)
 //!
 //! `CERT_GOLDEN` does the same for certification: it was captured at
 //! commit ea994e5, while `CertificateIssuer`, `CertPipeline` and
@@ -68,7 +70,6 @@ fn computed() -> Vec<(String, String)> {
             out.push((format!("agg/{order}/root/{i}"), agg.root().to_string()));
         }
         out.push((format!("mb/{order}/append"), digest_of(&mb.prove_append())));
-        out.push((format!("mb/{order}/range"), digest_of(&mb.range(lo, hi).1)));
         out.push((
             format!("mb/{order}/ops"),
             digest_of(&mb.prove_ops(&[(lo, hi)])),
@@ -81,18 +82,11 @@ fn computed() -> Vec<(String, String)> {
             format!("agg/{order}/append"),
             digest_of(&agg.prove_append()),
         ));
-        out.push((
-            format!("agg/{order}/aggregate"),
-            digest_of(&agg.aggregate(lo, hi).1),
-        ));
-        out.push((
-            format!("agg/{order}/ops"),
-            digest_of(&agg.prove_agg_ops(lo, hi)),
-        ));
+        out.push((format!("agg/{order}/ops"), digest_of(&agg.window(lo, hi).1)));
 
         // The two-level indexes: twelve blocks over two keys (one written
         // every block, one every third), then the last block's `aux`, the
-        // digest it leads to, and all four query-proof envelopes.
+        // digest it leads to, and both query-proof envelopes.
         let alice = StateKey::new("smallbank", b"alice");
         let bob = StateKey::new("smallbank", b"bob");
         let mut history = HistoryIndex::with_order("history", order);
@@ -121,20 +115,12 @@ fn computed() -> Vec<(String, String)> {
         ));
         out.push((format!("aggregate/{order}/digest"), a_digest.to_string()));
         out.push((
-            format!("history/{order}/proof"),
+            format!("history/{order}/op_proof"),
             digest_of(&history.query(&alice, 3, 9).1),
         ));
         out.push((
-            format!("history/{order}/op_proof"),
-            digest_of(&history.query_ops(&alice, 3, 9).1),
-        ));
-        out.push((
-            format!("aggregate/{order}/proof"),
-            digest_of(&aggregate.query(&alice, 3, 9).1),
-        ));
-        out.push((
             format!("aggregate/{order}/op_proof"),
-            digest_of(&aggregate.query_ops(&alice, 3, 9).1),
+            digest_of(&aggregate.query(&alice, 3, 9).1),
         ));
     }
     out
@@ -213,19 +199,15 @@ const GOLDEN: &[(&str, &str)] = &[
     ("mb/3/root/19", "3130e0971e9299505ffb2e8a84ff6f389b5d1b41aab6f1153c2ec0abc4fd1aec"),
     ("agg/3/root/19", "f954bd78e53f65d42a4b65789237e40d70024297cb91699a4f56b42f7660ff86"),
     ("mb/3/append", "d563fbb03ce441eb7e26dd002cfd79a582e715586c97cf5fcdc951e4204d66a9"),
-    ("mb/3/range", "77cd3a1a65a790fbd762f34e203ebe5331b028a1321268d2b83acb3cb49010e7"),
     ("mb/3/ops", "ac0e446c58a3cc6476adca9eda854b19150c059d0e2b165c226947cbd15778aa"),
     ("mb/3/non_membership", "881a32a21215ee910f99ea836acf36c70a940e408eac0085a9a12235efdc30ed"),
     ("agg/3/append", "553e570c7268983c895a5496e0b368faabcf4012f6655b8f4179b70fcc078b63"),
-    ("agg/3/aggregate", "412c9c4397308c80a0ec12aee6a4cd318192654aef193f0baa783f7cf310ecfb"),
     ("agg/3/ops", "9ca6ab2902649e8380f164c5a0a6fd0c51a1d8588b2fa8cd3bf1a2ada3810d43"),
     ("history/3/aux", "5d493592df096adcd0fcccc0f80c60279c75e4d041fc2fec6a160bdef41b2686"),
     ("history/3/digest", "bbcc5530b68f303653b7f88ccd9e9cc6992e821a58b19e4dfcb2c9b04cc84bf1"),
     ("aggregate/3/aux", "b2e565f69f66e85cc4bb0a50a8a4f1865142cb80f0f7cc0a57d1d847d03c3301"),
     ("aggregate/3/digest", "6dbcc98a32ba8d84ec915fb73f2e59343460c51268f7e2556a0230c5915b4e8c"),
-    ("history/3/proof", "5b23d1f0193c5285654b2741e9e2cf16a6008e273d6e277182cf9057d3da899c"),
     ("history/3/op_proof", "08ecc9698133c7b6b2c9890f19518df46c34e37fd056b22a59f795045fef6785"),
-    ("aggregate/3/proof", "a2f4e37fd00f93e9031ad215200e8fdde84039e1a479080e4e6753f19fab7088"),
     ("aggregate/3/op_proof", "c3c165f0f011ef04c903d2cc46d060877768ed26fb251cbd4845cead31aa916d"),
     ("mb/4/root/0", "f25b2d62a80ba5a055bbc81d8967b7cf0bc8db9c2ed091edf97537e87bb5ee92"),
     ("agg/4/root/0", "604304e944019e1fd82e27c1b290a634f2f3415aa61aa1604e25d40dd17e311a"),
@@ -268,19 +250,15 @@ const GOLDEN: &[(&str, &str)] = &[
     ("mb/4/root/19", "243eef349a3500bc2a0d5f597fb7bdc281837365b52f6b55e654aa5b5aeee85f"),
     ("agg/4/root/19", "6ad74c523e8ccdb0e694ca2498fc31a560342f55e5a2074ff5b70861aaa47348"),
     ("mb/4/append", "715086f82980e1c812ca62e45c5cfc425f82631e02bfaf6908692580aeafa83c"),
-    ("mb/4/range", "6b82b8a0e316bd891d1edde85779d4b37bd838725e94dcc6704578e8c7cd7023"),
     ("mb/4/ops", "54975c24c52458403c8c9a3406659b4e5d8206ee05d5bd3bbd7cb2582648a57f"),
     ("mb/4/non_membership", "a31a25c4c4f1e04d2401fb2e76e06ba214ffd5244cd6ebbddc90654983bb0ea5"),
     ("agg/4/append", "d34bcc24c900a33c8304956ca29fe9a3f805169a7ae89cf80b93d4179db66617"),
-    ("agg/4/aggregate", "1471b7522fe7b03214ccc43351e9179967a3d744ce5b699428fa96ff777d18ff"),
     ("agg/4/ops", "6e45f456916e7c28994c664d099d5948e3e7e204d32b52b5983809a71cc485a9"),
     ("history/4/aux", "ec626d6552d4c26b0b81fe74c66cc30f8fbf0b645d342d794e53adb2e2ba9bf9"),
     ("history/4/digest", "ff94bb79aa5ccdd0ebe8ab8729cee39a8e7b6204b8157b9806516b1b8a992410"),
     ("aggregate/4/aux", "b2e565f69f66e85cc4bb0a50a8a4f1865142cb80f0f7cc0a57d1d847d03c3301"),
     ("aggregate/4/digest", "f98a47a642eed9321f2b2779818cb7419ec1d2a3ef8511d17e6488d74b269c10"),
-    ("history/4/proof", "b83657cf182ad9e2f52e26c8a30e625bf75b5a23442d4da1b6b800f1415415e5"),
     ("history/4/op_proof", "a3fab395e9a889af3a2625454621895063df14a3f9d3dab7713e8116c275adae"),
-    ("aggregate/4/proof", "d99d3f0095f9415bafd5c5737b6007fd36d3bb94cd415a625bef9692f55a2ded"),
     ("aggregate/4/op_proof", "1aa56e8ebad27424d45608f40f0d2ab3eee652d7bb1a5769427ea79269d4ec7c"),
     ("mb/16/root/0", "f25b2d62a80ba5a055bbc81d8967b7cf0bc8db9c2ed091edf97537e87bb5ee92"),
     ("agg/16/root/0", "604304e944019e1fd82e27c1b290a634f2f3415aa61aa1604e25d40dd17e311a"),
@@ -323,19 +301,15 @@ const GOLDEN: &[(&str, &str)] = &[
     ("mb/16/root/19", "a9d3b5c759d51bc02cc5a1ecb8baff55f2074c3f7ed19b3933704e2f8b7b50ee"),
     ("agg/16/root/19", "b8d99c874ed54d1d629ae12f8659c02d270d24eb0140efd5313c3f0b382a4cd2"),
     ("mb/16/append", "992e326a21723dbb6bb189dd5269675ed5313d386fcc46e3e17d62c6e4df2f90"),
-    ("mb/16/range", "874b5487a1d7f8fe91624a3a3bc65f5071875c99cec4c6809394837efa89c36d"),
     ("mb/16/ops", "559e1d2452093547204fbdc8c00f75464744bbe503d55fb49c3f4799a582d8ab"),
     ("mb/16/non_membership", "8012d98af1639f21ce2b3642818f411bd2d782591468e15141a343fc6fba2464"),
     ("agg/16/append", "eb37dcd1963308a361cfe62d0ba822319d2427192601cf1ed679656fe9bf3b12"),
-    ("agg/16/aggregate", "adf37d51c50844064c6b74f08bf442923d1204fcd17d02a9b3983f399295b3c5"),
     ("agg/16/ops", "fe81cf68a9dd2c8c0b33f3d896d24ffda97321233b83527001ca02fd526f07ac"),
     ("history/16/aux", "17c3706f1ed988bcb30f07457ea81d2705a43d1f8fc3e17a9a23b6c5070d6c34"),
     ("history/16/digest", "3dd3e23983bc6dfcb0259843205a16a1d909f224c95d463ae7e12a26d517d1a2"),
     ("aggregate/16/aux", "403be7bb1e1ab273d113da4f7b6e7ed892eb30d0ef93af0ea0c7659a01a6497f"),
     ("aggregate/16/digest", "e0b6c636f9c420aa8b2dcebc045ba3d80f91be554e7b23ac03b11856bc6484cf"),
-    ("history/16/proof", "ab819389dd51935f5d28b54cba5fa2a7bfcbc8b084c4ce40808c01349b94ab04"),
     ("history/16/op_proof", "6613fa78c995932af7a9c9f756e5a51efc2cc5e064eb54a6818a54b647cb9cbe"),
-    ("aggregate/16/proof", "125dd93a3c3955752038e40289521219cd3a65f32f114bc6123547638fefd4dd"),
     ("aggregate/16/op_proof", "de225a168421696a37cd5f5dce882dd172dc82ca58a788ca6f4fa840685b6ac6"),
 ];
 

@@ -8,14 +8,12 @@
 mod common;
 
 use common::World;
-use dcert::chain::Block;
 use dcert::query::history::verify_history;
 use dcert::query::sp::IndexKind;
 use dcert::query::ServiceProvider;
 use dcert::serve::{
-    encode_aggregate_op_payload, encode_aggregate_payload, encode_history_op_payload,
-    encode_history_payload, encode_keyword_payload, QuerySpec, RateLimit, ServeConfig, ServeFront,
-    ServeRequest, ServeWire, Submitted,
+    encode_aggregate_payload, encode_history_payload, encode_keyword_payload, QuerySpec, RateLimit,
+    ServeConfig, ServeFront, ServeRequest, ServeWire, Submitted,
 };
 use dcert::vm::StateKey;
 use dcert::workloads::Workload;
@@ -36,43 +34,28 @@ fn certified_front(blocks: usize, txs: usize, seed: u64) -> ServeFront {
     let mined = world.mine_blocks(Workload::KvStore { keyspace: KEYSPACE }, blocks, txs, seed);
     let mut front = ServeFront::new(sp, ServeConfig::default());
     for block in &mined {
-        certify_into(&mut world, &mut front, block);
+        world.certify_into(&mut front, block);
     }
     front
-}
-
-/// Stages `block` through the front and records its augmented
-/// certificates — the full invalidating write path.
-fn certify_into(world: &mut World, front: &mut ServeFront, block: &Block) {
-    let inputs = front.stage_block(block).expect("block stages");
-    let (certs, _) = world
-        .ci
-        .certify_augmented(block, &inputs)
-        .expect("block certifies");
-    front.record_certs(&certs);
 }
 
 /// What a direct, uncached backend call returns for `spec`, encoded the
 /// same way the front encodes response payloads.
 fn direct_payload(sp: &ServiceProvider, spec: &QuerySpec) -> Option<Vec<u8>> {
     match spec {
-        QuerySpec::History { index, key, t1, t2 } => sp
-            .serve_history(index, key, *t1, *t2)
-            .map(|(results, proof)| encode_history_payload(&results, &proof)),
+        QuerySpec::History { index, key, t1, t2 } | QuerySpec::HistoryOp { index, key, t1, t2 } => {
+            sp.serve_history(index, key, *t1, *t2)
+                .map(|(results, proof)| encode_history_payload(&results, &proof))
+        }
         QuerySpec::Keywords { index, keywords } => {
             let words: Vec<&str> = keywords.iter().map(String::as_str).collect();
             sp.serve_keywords(index, &words)
                 .map(|(results, proof)| encode_keyword_payload(&results, &proof))
         }
-        QuerySpec::Aggregate { index, key, t1, t2 } => sp
+        QuerySpec::Aggregate { index, key, t1, t2 }
+        | QuerySpec::AggregateOp { index, key, t1, t2 } => sp
             .serve_aggregate(index, key, *t1, *t2)
             .map(|(aggregate, proof)| encode_aggregate_payload(&aggregate, &proof)),
-        QuerySpec::HistoryOp { index, key, t1, t2 } => sp
-            .serve_history_ops(index, key, *t1, *t2)
-            .map(|(results, proof)| encode_history_op_payload(&results, &proof)),
-        QuerySpec::AggregateOp { index, key, t1, t2 } => sp
-            .serve_aggregate_ops(index, key, *t1, *t2)
-            .map(|(aggregate, proof)| encode_aggregate_op_payload(&aggregate, &proof)),
     }
 }
 
@@ -197,8 +180,8 @@ fn prop_no_stale_proof_survives_height_advance() {
         ]);
         let blocks = world.mine_blocks(Workload::KvStore { keyspace: KEYSPACE }, 3, 4, seed);
         let mut front = ServeFront::new(sp, ServeConfig::default());
-        certify_into(&mut world, &mut front, &blocks[0]);
-        certify_into(&mut world, &mut front, &blocks[1]);
+        world.certify_into(&mut front, &blocks[0]);
+        world.certify_into(&mut front, &blocks[1]);
 
         let spec = QuerySpec::History {
             index: "history".to_owned(),
@@ -212,7 +195,7 @@ fn prop_no_stale_proof_survives_height_advance() {
         assert_eq!(front.cached_entries(), 1, "the proof is cached");
 
         // The certified height moves: stage + record block 3.
-        certify_into(&mut world, &mut front, &blocks[2]);
+        world.certify_into(&mut front, &blocks[2]);
         assert_eq!(front.cached_entries(), 0, "invalidation clears the cache");
         assert!(front.cache_generation() > generation);
 
@@ -245,7 +228,7 @@ fn advance_staged_also_invalidates() {
     let (mut world, sp) = World::deterministic(vec![(IndexKind::History, "history")]);
     let blocks = world.mine_blocks(Workload::KvStore { keyspace: KEYSPACE }, 2, 3, 7);
     let mut front = ServeFront::new(sp, ServeConfig::default());
-    certify_into(&mut world, &mut front, &blocks[0]);
+    world.certify_into(&mut front, &blocks[0]);
 
     let spec = QuerySpec::History {
         index: "history".to_owned(),
@@ -316,7 +299,7 @@ fn rate_limited_client_does_not_perturb_equivalence() {
             ..ServeConfig::default()
         },
     );
-    certify_into(&mut world, &mut front, &blocks[0]);
+    world.certify_into(&mut front, &blocks[0]);
 
     let spec = |k: u64| QuerySpec::History {
         index: "history".to_owned(),

@@ -71,12 +71,7 @@ fn certified_front(blocks: usize, config: ServeConfig, obs: &Registry) -> (Serve
     let mined = world.mine_blocks(Workload::KvStore { keyspace: KEYSPACE }, blocks + 1, 4, 5);
     let mut front = ServeFront::new(sp, config);
     for block in &mined[..blocks] {
-        let inputs = front.stage_block(block).expect("block stages");
-        let (certs, _) = world
-            .ci
-            .certify_augmented(block, &inputs)
-            .expect("block certifies");
-        front.record_certs(&certs);
+        world.certify_into(&mut front, block);
     }
     // Attached after setup so the `serve.*` metrics cover only the load.
     front.attach_obs(obs);
