@@ -1,6 +1,6 @@
 //! Block headers and blocks.
 
-use dcert_merkle::MerkleTree;
+use dcert_merkle::mht;
 use dcert_primitives::codec::{decode_seq, encode_seq, Decode, Encode, Reader};
 use dcert_primitives::error::CodecError;
 use dcert_primitives::hash::{hash_bytes, hash_encoded, Address, Hash};
@@ -94,7 +94,7 @@ pub struct Block {
 impl Block {
     /// Computes the Merkle root (`H_tx`) of a transaction list.
     pub fn tx_root(txs: &[Transaction]) -> Hash {
-        MerkleTree::from_items(txs.iter().map(|tx| tx.to_encoded_bytes())).root()
+        mht::root(txs.iter().map(|tx| tx.to_encoded_bytes()))
     }
 
     /// The block digest (= header digest; bodies are bound via `H_tx`).

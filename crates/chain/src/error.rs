@@ -37,8 +37,6 @@ pub enum ChainError {
     Duplicate(Hash),
     /// A genesis block was malformed (e.g. non-zero height or prev hash).
     BadGenesis(&'static str),
-    /// The mempool is at capacity.
-    MempoolFull(usize),
 }
 
 impl fmt::Display for ChainError {
@@ -61,7 +59,6 @@ impl fmt::Display for ChainError {
             ChainError::UnknownParent(hash) => write!(f, "unknown parent {hash}"),
             ChainError::Duplicate(hash) => write!(f, "duplicate block {hash}"),
             ChainError::BadGenesis(why) => write!(f, "bad genesis: {why}"),
-            ChainError::MempoolFull(cap) => write!(f, "mempool full (capacity {cap})"),
         }
     }
 }

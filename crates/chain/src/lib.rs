@@ -31,7 +31,6 @@ pub mod block;
 pub mod consensus;
 pub mod error;
 pub mod genesis;
-pub mod mempool;
 pub mod node;
 pub mod state;
 pub mod store;
@@ -42,7 +41,6 @@ pub use block::{Block, BlockHeader};
 pub use consensus::{ConsensusEngine, ConsensusProof, ProofOfAuthority, ProofOfWork};
 pub use error::ChainError;
 pub use genesis::GenesisBuilder;
-pub use mempool::Mempool;
 pub use node::FullNode;
 pub use state::ChainState;
 pub use store::ChainStore;

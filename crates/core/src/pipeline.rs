@@ -115,9 +115,7 @@ pub struct PipelineConfig {
     pub queue_depth: usize,
     /// Delivery-confirmation policy for the publisher stage.
     pub publish: PublishPolicy,
-    /// Intra-block parallelism knobs (see [`ParallelismConfig`]). All
-    /// settings are byte-transparent: `tests/pipeline_equivalence.rs`
-    /// pins that certificates are unchanged at every thread count.
+    /// Read by nothing; see [`ParallelismConfig`].
     pub parallelism: ParallelismConfig,
     /// Metrics registry the stages record into (`pipeline.*`). Defaults
     /// to a disabled registry — recording is then a no-op and nothing is
@@ -138,18 +136,13 @@ impl Default for PipelineConfig {
     }
 }
 
-/// Intra-block parallelism knobs, applied at [`CertPipeline::spawn`].
-///
-/// These tune *how fast* a single block's commitments are computed, never
-/// *what* they are — every output byte is identical at every setting.
+/// Compatibility spelling `benchmark/driver` names (with
+/// `dcert_merkle::set_build_threads`); leaves at ROADMAP item 4(c). Inert:
+/// the transaction root is one fold on the calling thread, and nothing
+/// reads this.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ParallelismConfig {
-    /// Worker threads for Merkle-tree construction (tx roots, posting
-    /// lists). Applied via [`dcert_merkle::set_build_threads`], which is
-    /// process-global because tree builds also happen inside the enclave
-    /// program, beyond any per-pipeline configuration path. `0` (the
-    /// default) leaves the process-global setting untouched; values are
-    /// otherwise clamped to `1..=64`.
+    /// Ignored.
     pub merkle_threads: usize,
 }
 
@@ -391,9 +384,6 @@ impl CertPipeline {
         config: PipelineConfig,
         transport: Arc<dyn Transport>,
     ) -> Self {
-        if config.parallelism.merkle_threads > 0 {
-            dcert_merkle::set_build_threads(config.parallelism.merkle_threads);
-        }
         let CertificateIssuer { node, issuer } = ci;
         let state = node.state().clone();
         let tip = node.tip().clone();

@@ -143,6 +143,15 @@ const R3_BANNED_IDENTS: [&str; 5] = [
     "OsRng",
 ];
 
+/// Types that make a `static` process-global *mutable* state; with any
+/// `Atomic*`, refused inside the verifier-path scope
+/// ([`R2_VERIFIER_MODULES`]). (`RefCell` is not listed: a `thread_local!`
+/// scratch buffer is seen by one thread and cleared before every use.)
+const R3_SHARED_CELLS: [&str; 4] = ["Mutex", "RwLock", "OnceLock", "LazyLock"];
+
+/// `thread::` items that start a thread.
+const R3_THREAD_STARTS: [&str; 3] = ["spawn", "scope", "Builder"];
+
 // ---------------------------------------------------------------------------
 // Entry points.
 // ---------------------------------------------------------------------------
@@ -611,6 +620,13 @@ fn rule_r3(path: &str, toks: &[Tok], in_test: &[bool], findings: &mut Vec<Findin
     if in_any(path, &R3_ALLOWED_MODULES) || in_any(path, &R3_EXEMPT_TREES) {
         return;
     }
+    // On a verifier path the trusted program must also be a function of
+    // its input: no process-global mutable state, no thread start.
+    let verifier_path = in_any(path, &R2_VERIFIER_MODULES);
+    let is_punct = |k: usize, s: &str| {
+        toks.get(k)
+            .is_some_and(|t| t.kind == TokKind::Punct && t.text == s)
+    };
     for (k, t) in toks.iter().enumerate() {
         if in_test[k] || t.kind != TokKind::Ident {
             continue;
@@ -628,6 +644,59 @@ fn rule_r3(path: &str, toks: &[Tok], in_test: &[bool], findings: &mut Vec<Findin
                     t.text
                 ),
             });
+        }
+        if !verifier_path {
+            continue;
+        }
+        // `static NAME: <type>` up to its `=` (or `;`).
+        if t.text == "static" {
+            let shared = toks
+                .iter()
+                .skip(k + 1)
+                .take_while(|t| !(t.kind == TokKind::Punct && (t.text == "=" || t.text == ";")))
+                .find(|t| {
+                    t.kind == TokKind::Ident
+                        && (t.text.starts_with("Atomic")
+                            || R3_SHARED_CELLS.contains(&t.text.as_str()))
+                });
+            if let Some(cell) = shared {
+                findings.push(Finding {
+                    rule: RULE,
+                    line: t.line,
+                    col: t.col,
+                    msg: format!(
+                        "`static` `{}` is process-global mutable state on a verifier \
+                         path; the trusted program must be a function of its input — \
+                         pass the value as an argument",
+                        cell.text
+                    ),
+                });
+            }
+        }
+        // `thread::spawn` / `thread::scope` / `thread::Builder`, named
+        // directly or through a `thread::{..}` import list.
+        if t.text == "thread" && is_punct(k + 1, ":") && is_punct(k + 2, ":") {
+            let named = if is_punct(k + 3, "{") {
+                let end = matching_bracket(toks, k + 3, "{", "}").unwrap_or(toks.len());
+                toks.get(k + 4..end).unwrap_or(&[])
+            } else {
+                toks.get(k + 3..k + 4).unwrap_or(&[])
+            };
+            for start in named {
+                if start.kind == TokKind::Ident && R3_THREAD_STARTS.contains(&start.text.as_str()) {
+                    findings.push(Finding {
+                        rule: RULE,
+                        line: start.line,
+                        col: start.col,
+                        msg: format!(
+                            "`thread::{}` on a verifier path: the trusted program runs on \
+                             the calling thread and starts none — how many threads to use \
+                             is host configuration, not input",
+                            start.text
+                        ),
+                    });
+                }
+            }
         }
     }
 }

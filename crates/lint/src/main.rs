@@ -17,7 +17,8 @@
 //!   macros, slice indexing, or truncating `as` casts in designated
 //!   untrusted-input modules.
 //! * **R3 `r3-determinism`** — no ambient time or randomness outside
-//!   `core::netsim`, `core::pipeline`, and `sgx::cost`.
+//!   `core::netsim` and `sgx::cost`; on verifier paths (R2's scope) also
+//!   no process-global mutable `static` and no thread start.
 //! * **R4 `r4-error-hygiene`** — fallible APIs return crate `Error`
 //!   types, never `Result<_, String>` or `Result<_, Box<dyn ...>>`.
 //!
@@ -457,8 +458,33 @@ mod tests {
             .map(|f| f.line)
             .collect();
         // Instant import, Instant::now, SystemTime, thread_rng, OsRng,
-        // from_entropy — but NOT the allow-escaped OsRng at the bottom.
+        // from_entropy — but NOT the allow-escaped OsRng below them, and
+        // (outside the verifier-path scope) not the statics and threads.
         assert_eq!(lines, vec![4, 8, 12, 14, 16, 18]);
+    }
+
+    #[test]
+    fn r3_holds_verifier_paths_to_no_global_state_and_no_threads() {
+        let src = include_str!("../fixtures/r3_determinism.rs");
+        let report = analyze_source("crates/merkle/src/mht.rs", src);
+        let lines: Vec<u32> = report
+            .findings
+            .iter()
+            .filter(|f| f.rule == "r3-determinism")
+            .map(|f| f.line)
+            .collect();
+        // The six ambient sources as above, then: the Atomic, Mutex and
+        // OnceLock statics; `thread::scope`, `thread::spawn`,
+        // `thread::Builder`; `spawn` in the import list. NOT the plain
+        // static, the `'static` lifetime, the thread-local `RefCell`,
+        // `scope.spawn`, `thread::current`, `sleep`, or the allow-escaped
+        // static at the bottom.
+        assert_eq!(
+            lines,
+            vec![4, 8, 12, 14, 16, 18, 25, 27, 29, 40, 43, 44, 48]
+        );
+        // The escape was used, not ignored.
+        assert!(report.allows.iter().all(|a| a.used));
     }
 
     #[test]

@@ -473,51 +473,6 @@ impl<F: Flavor> Node<F> {
             summary,
         }
     }
-
-    /// Largest stored key strictly below `ts`.
-    fn predecessor(&self, ts: u64) -> Option<u64> {
-        match self {
-            Node::Leaf { entries, .. } => {
-                entries.iter().rev().find(|(t, _)| *t < ts).map(|(t, _)| *t)
-            }
-            Node::Internal {
-                separators,
-                children,
-                ..
-            } => {
-                // Children at or left of the first separator >= ts can
-                // hold keys < ts; scan right-to-left (at most two
-                // descents per level: a candidate child either yields a
-                // key or everything left of it is strictly smaller).
-                let start = separators.partition_point(|sep| *sep < ts);
-                children
-                    .iter()
-                    .take(start + 1)
-                    .rev()
-                    .find_map(|child| child.predecessor(ts))
-            }
-        }
-    }
-
-    /// Smallest stored key strictly above `ts`.
-    fn successor(&self, ts: u64) -> Option<u64> {
-        match self {
-            Node::Leaf { entries, .. } => entries.iter().find(|(t, _)| *t > ts).map(|(t, _)| *t),
-            Node::Internal {
-                separators,
-                children,
-                ..
-            } => {
-                // Children at or right of the last separator <= ts can
-                // hold keys > ts.
-                let start = separators.partition_point(|sep| *sep <= ts);
-                children
-                    .iter()
-                    .skip(start)
-                    .find_map(|child| child.successor(ts))
-            }
-        }
-    }
 }
 
 /// An authenticated B+-tree keyed by `u64` timestamps.
@@ -684,14 +639,10 @@ impl<F: Flavor> BTree<F> {
     /// Answers the window query `[lo, hi]` (inclusive) with a
     /// completeness proof.
     pub fn window(&self, lo: u64, hi: u64) -> (F::Answer, OpProof<F>) {
-        self.open_windows(&[(lo, hi)])
-    }
-
-    fn open_windows(&self, windows: &[(u64, u64)]) -> (F::Answer, OpProof<F>) {
         let mut answer = F::Answer::default();
         let mut ops = Vec::new();
         if let Some(root) = &self.root {
-            open(root, None, None, windows, &mut answer, &mut ops);
+            open(root, None, None, (lo, hi), &mut answer, &mut ops);
         }
         (answer, OpProof::from_ops(ops))
     }
@@ -728,63 +679,34 @@ impl<F: Flavor> BTree<F> {
     }
 }
 
-impl BTree<Plain> {
-    /// One proof opening every subtree that intersects *any* of the
-    /// inclusive query `windows` — one program for an arbitrary key set
-    /// (singleton windows) or a contiguous range. For one window it is
-    /// [`BTree::window`]'s proof.
-    pub fn prove_ops(&self, windows: &[(u64, u64)]) -> OpProof<Plain> {
-        self.open_windows(windows).1
-    }
-
-    /// One proof program whose [`OpProof::verify_non_membership`] check
-    /// establishes the absence of `ts`, bracketed by the two adjacent
-    /// proven keys. The window spans from the predecessor to the
-    /// successor of `ts` (widened to the domain ends when a side has no
-    /// neighbor), so the verifier's adjacency checks hold.
-    pub fn prove_non_membership(&self, ts: u64) -> OpProof<Plain> {
-        let root = self.root.as_ref();
-        let lo = root.and_then(|r| r.predecessor(ts)).unwrap_or(0);
-        let hi = root.and_then(|r| r.successor(ts)).unwrap_or(u64::MAX);
-        self.prove_ops(&[(lo, hi)])
-    }
-}
-
 // --- window walks ------------------------------------------------------------
 
-/// How a child's key interval relates to the query windows, ordered by
-/// how much of the child a proof must reveal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// How a child's key interval relates to the query window.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Coverage {
-    /// Overlaps no window.
+    /// Does not overlap the window.
     Outside,
-    /// Entirely within a window.
+    /// Entirely within the window.
     Inside,
     /// Straddles a window bound.
     Partial,
 }
 
-/// The most demanding relation any of `windows` has to a child covering
+/// The relation of the window `[lo, hi]` to a child covering
 /// `[child_lo, child_hi)` (`None` = unbounded).
-fn coverage(child_lo: Option<u64>, child_hi: Option<u64>, windows: &[(u64, u64)]) -> Coverage {
-    windows
-        .iter()
-        .map(|&(lo, hi)| {
-            let below = child_hi.is_some_and(|h| h <= lo);
-            let above = child_lo.is_some_and(|l| l > hi);
-            if below || above {
-                return Coverage::Outside;
-            }
-            let starts_inside = child_lo.is_some_and(|l| l >= lo);
-            let ends_inside = child_hi.is_some_and(|h| h.checked_sub(1).is_some_and(|h1| h1 <= hi));
-            if starts_inside && ends_inside {
-                Coverage::Inside
-            } else {
-                Coverage::Partial
-            }
-        })
-        .max()
-        .unwrap_or(Coverage::Outside)
+fn coverage(child_lo: Option<u64>, child_hi: Option<u64>, (lo, hi): (u64, u64)) -> Coverage {
+    let below = child_hi.is_some_and(|h| h <= lo);
+    let above = child_lo.is_some_and(|l| l > hi);
+    if below || above {
+        return Coverage::Outside;
+    }
+    let starts_inside = child_lo.is_some_and(|l| l >= lo);
+    let ends_inside = child_hi.is_some_and(|h| h.checked_sub(1).is_some_and(|h1| h1 <= hi));
+    if starts_inside && ends_inside {
+        Coverage::Inside
+    } else {
+        Coverage::Partial
+    }
 }
 
 /// The key interval of child `i`: its neighbouring separators, or the
@@ -804,27 +726,27 @@ fn child_bounds(
     (lo, hi)
 }
 
-fn in_window(windows: &[(u64, u64)], ts: u64) -> bool {
-    windows.iter().any(|&(lo, hi)| lo <= ts && ts <= hi)
+fn in_window((lo, hi): (u64, u64), ts: u64) -> bool {
+    lo <= ts && ts <= hi
 }
 
 /// The prover walk: folds the in-window content into `answer` and pushes
 /// the proof of `node` onto `ops` as a left-to-right post-order program —
 /// each child, then the parent's shell after the first (`Parent`) and a
 /// `Child` after every later one. A child is left pruned iff it is outside
-/// every window, or inside one and the answer took its annotation.
+/// the window, or inside it and the answer took its annotation.
 fn open<F: Flavor>(
     node: &Node<F>,
     bound_lo: Option<u64>,
     bound_hi: Option<u64>,
-    windows: &[(u64, u64)],
+    window: (u64, u64),
     answer: &mut F::Answer,
     ops: &mut Vec<ProofOp<F>>,
 ) {
     match node {
         Node::Leaf { entries, .. } => {
             for (ts, value) in entries {
-                if in_window(windows, *ts) {
+                if in_window(window, *ts) {
                     answer.entry(*ts, value);
                 }
             }
@@ -838,7 +760,7 @@ fn open<F: Flavor>(
             for (i, child) in children.iter().enumerate() {
                 let (child_lo, child_hi) = child_bounds(separators, i, bound_lo, bound_hi);
                 let summary = child.summary();
-                let pruned = match coverage(child_lo, child_hi, windows) {
+                let pruned = match coverage(child_lo, child_hi, window) {
                     Coverage::Outside => true,
                     Coverage::Inside => answer.subtree(&summary.ann),
                     Coverage::Partial => false,
@@ -846,7 +768,7 @@ fn open<F: Flavor>(
                 if pruned {
                     ops.push(ProofOp::Push(Shape::Pruned(summary)));
                 } else {
-                    open(child, child_lo, child_hi, windows, answer, ops);
+                    open(child, child_lo, child_hi, window, answer, ops);
                 }
                 if i == 0 {
                     ops.push(ProofOp::Push(Shape::Internal(separators.clone())));
@@ -871,7 +793,7 @@ pub(crate) fn check<F: Flavor>(
     node: &Executed<'_, F>,
     bound_lo: Option<u64>,
     bound_hi: Option<u64>,
-    windows: &[(u64, u64)],
+    window: (u64, u64),
     proven: &mut F::Proven,
 ) -> Result<Summary<F::Ann>, ProofError> {
     match node.shape {
@@ -888,7 +810,7 @@ pub(crate) fn check<F: Flavor>(
                 if bound_lo.is_some_and(|b| *ts < b) || bound_hi.is_some_and(|b| *ts >= b) {
                     return Err(ProofError::Malformed("leaf entry outside bounds"));
                 }
-                if in_window(windows, *ts) {
+                if in_window(window, *ts) {
                     proven.entry(*ts, digest);
                 }
             }
@@ -903,7 +825,7 @@ pub(crate) fn check<F: Flavor>(
                 let (child_lo, child_hi) = child_bounds(separators, i, bound_lo, bound_hi);
                 summaries.push(match child.shape {
                     Shape::Pruned(summary) => {
-                        let answered = match coverage(child_lo, child_hi, windows) {
+                        let answered = match coverage(child_lo, child_hi, window) {
                             Coverage::Outside => true,
                             Coverage::Inside => proven.subtree(&summary.ann),
                             Coverage::Partial => false,
@@ -915,34 +837,11 @@ pub(crate) fn check<F: Flavor>(
                         }
                         *summary
                     }
-                    _ => check(child, child_lo, child_hi, windows, proven)?,
+                    _ => check(child, child_lo, child_hi, window, proven)?,
                 });
             }
             Ok(node_summary::<F>(separators, &summaries))
         }
-    }
-}
-
-/// Tightens `pred` / `succ` to the closest opened keys strictly below and
-/// above `ts` anywhere under `node`.
-pub(crate) fn bracket<F: Flavor>(
-    node: &Executed<'_, F>,
-    ts: u64,
-    pred: &mut Option<u64>,
-    succ: &mut Option<u64>,
-) {
-    if let Shape::Leaf(entries) = node.shape {
-        for (key, _) in entries {
-            if *key < ts && pred.is_none_or(|best| *key > best) {
-                *pred = Some(*key);
-            }
-            if *key > ts && succ.is_none_or(|best| *key < best) {
-                *succ = Some(*key);
-            }
-        }
-    }
-    for child in &node.children {
-        bracket(child, ts, pred, succ);
     }
 }
 
@@ -1474,7 +1373,7 @@ mod tests {
         prop_append_agrees,
     );
 
-    // --- Plain only: row-level claims, key sets, non-membership ----------
+    // --- Plain only: row-level claims, absence -------------------------
 
     #[test]
     fn verify_rejects_omitted_result() {
@@ -1538,26 +1437,6 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn one_op_proof_serves_disjoint_windows() {
-        // Cross-query batching: a single program built for several
-        // windows verifies each window independently...
-        let tree = build::<Plain>(64, 4);
-        let proof = tree.prove_ops(&[(2, 4), (20, 22)]);
-        let (r1, _) = tree.window(2, 4);
-        let (r2, _) = tree.window(20, 22);
-        proof.verify(&tree.root(), 2, 4, &r1).unwrap();
-        proof.verify(&tree.root(), 20, 22, &r2).unwrap();
-        // ...but not the hull between them: the gap is pruned.
-        let hull: Vec<(u64, Vec<u8>)> = r1.iter().chain(&r2).cloned().collect();
-        assert!(matches!(
-            proof.verify(&tree.root(), 2, 22, &hull),
-            Err(ProofError::Incomplete(_))
-        ));
-        // A one-window program is the window query's proof.
-        assert_eq!(tree.prove_ops(&[(2, 4)]), tree.window(2, 4).1);
-    }
-
     /// One hand-built lie per structural check of the verifier walk, each
     /// refused with that check's own error (DESIGN.md §6) before the root
     /// is compared.
@@ -1603,32 +1482,22 @@ mod tests {
     }
 
     #[test]
-    fn non_membership_brackets_absent_key() {
+    fn absence_is_the_empty_window_at_the_key() {
+        // "Nothing at `ts`" is the empty claim over `[ts, ts]`: it verifies
+        // for an absent key and is refused for a present one.
         let mut tree = MbTree::new(4);
         for ts in (0..40u64).map(|t| t * 2) {
             tree.insert(ts, format!("v{ts}").into_bytes());
         }
-        let proof = tree.prove_non_membership(13);
-        let (pred, succ) = proof.verify_non_membership(&tree.root(), 13).unwrap();
-        assert_eq!((pred, succ), (Some(12), Some(14)));
-
-        // Beyond either end, the missing side of the bracket is open.
-        let proof = tree.prove_non_membership(1000);
-        let (pred, succ) = proof.verify_non_membership(&tree.root(), 1000).unwrap();
-        assert_eq!((pred, succ), (Some(78), None));
-
-        // A present key has no non-membership proof.
-        let proof = tree.prove_non_membership(12);
-        assert!(matches!(
-            proof.verify_non_membership(&tree.root(), 12),
-            Err(ProofError::Incomplete(_))
-        ));
-
-        // Empty tree: everything is absent, bracket fully open.
-        let empty = MbTree::new(4);
-        let proof = empty.prove_non_membership(7);
-        let (pred, succ) = proof.verify_non_membership(&Hash::ZERO, 7).unwrap();
-        assert_eq!((pred, succ), (None, None));
+        for absent in [13, 1000] {
+            let (_, proof) = tree.window(absent, absent);
+            proof.verify(&tree.root(), absent, absent, &[]).unwrap();
+        }
+        let (_, proof) = tree.window(12, 12);
+        assert_eq!(
+            proof.verify(&tree.root(), 12, 12, &[]),
+            Err(ProofError::Incomplete("result count mismatch"))
+        );
     }
 
     // --- Summed only: the annotation is part of what is certified -------

@@ -4,9 +4,10 @@
 //! (Section 2.1). This crate implements, from scratch, each structure the
 //! system needs:
 //!
-//! - [`mht`]: the classic static **Merkle hash tree** over a list of items —
-//!   used for the per-block transaction commitment `H_tx` and for posting
-//!   lists in the inverted keyword index.
+//! - [`mht`]: the **transaction-root fold** — the hash rule of the classic
+//!   static Merkle tree, computing the per-block transaction commitment
+//!   `H_tx`. A hash rule, not a tree: nothing proves against `H_tx`, so no
+//!   tree is kept and there is no proof form.
 //! - [`smt`]: a compact **sparse Merkle tree** over an unbounded key space —
 //!   the global-state commitment `H_state`. Crucially it supports *stateless*
 //!   multiproofs ([`smt::SmtProof`]): given only a proof, a verifier (the
@@ -27,13 +28,13 @@
 //!   insert, one window prover, one window verifier, one stateless
 //!   rightmost append the enclave replays.
 //! - [`ops`]: **the window proof** — the pruned B+-tree written as one
-//!   bounded post-order program per window or key set. The prover walk
-//!   pushes it, an iterative executor rebuilds the tree it describes, and
-//!   the one verifier walk checks that tree.
+//!   bounded post-order program per window. The prover walk pushes it, an
+//!   iterative executor rebuilds the tree it describes, and the one
+//!   verifier walk checks that tree.
 //!
-//! Each tree has exactly one proof form: a sibling path ([`MhtProof`]), a
-//! compact multiproof ([`SmtProof`]), a node path ([`MptProof`]), a
-//! program ([`ops::OpProof`]).
+//! Each of the three trees has exactly one proof form: a compact
+//! multiproof ([`SmtProof`]), a node path ([`MptProof`]), a program
+//! ([`ops::OpProof`]).
 //!
 //! All node hashes are domain-separated (see [`domain`]) so that a node of
 //! one structure can never be confused with a node of another.
@@ -51,7 +52,7 @@ pub mod ops;
 pub mod smt;
 
 pub use btree::{AggAppendProof, AggMbTree, Aggregate, MbAppendProof, MbTree};
-pub use mht::{build_threads, set_build_threads, MerkleTree, MhtProof};
+pub use mht::set_build_threads;
 pub use mpt::{Mpt, MptProof};
 pub use ops::{AggOpProof, MbOpProof, ProofOp, MAX_OP_STACK, MAX_PROOF_DEPTH};
 pub use smt::{SmtProof, SparseMerkleTree};
@@ -76,9 +77,9 @@ pub mod domain {
         SMT_LEAF = 0x01;
         /// Sparse-Merkle-tree branch: `H(tag || left || right)`.
         SMT_BRANCH = 0x02;
-        /// Static Merkle-tree leaf: `H(tag || item)`.
+        /// Transaction-root leaf: `H(tag || item)`.
         MHT_LEAF = 0x03;
-        /// Static Merkle-tree inner node: `H(tag || left || right)`.
+        /// Transaction-root inner node: `H(tag || left || right)`.
         MHT_NODE = 0x04;
         /// Patricia-trie leaf node.
         MPT_LEAF = 0x05;

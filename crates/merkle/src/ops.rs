@@ -1,10 +1,10 @@
 //! Window proofs are programs (after the Merk/GroveDB design, generalized
 //! to DCert's n-ary B+-trees).
 //!
-//! A [`BTree`](crate::btree::BTree) answers a window — or, for a
-//! [`Plain`] tree, any set of windows — with **one** proof: the tree
-//! pruned to what the windows need, written as a post-order program for a
-//! tiny stack machine. Adjacent keys share every interior node.
+//! A [`BTree`](crate::btree::BTree) answers a window with **one** proof:
+//! the tree pruned to what the window needs, written as a post-order
+//! program for a tiny stack machine. Adjacent keys share every interior
+//! node.
 //!
 //! - [`ProofOp::Push`] — push a node (an opened leaf, a pruned subtree's
 //!   hash and annotation, or an internal node's separators) onto the
@@ -37,7 +37,7 @@ use dcert_primitives::codec::{decode_seq, encode_seq, seq_encoded_len, Decode, E
 use dcert_primitives::error::CodecError;
 use dcert_primitives::hash::Hash;
 
-use crate::btree::{bracket, check, Flavor, Plain, Shape, Summed};
+use crate::btree::{check, Flavor, Plain, Shape, Summed};
 use crate::ProofError;
 
 /// Maximum operand-stack height while executing an op stream.
@@ -168,8 +168,7 @@ fn execute<F: Flavor>(ops: &[ProofOp<F>]) -> Result<Executed<'_, F>, ProofError>
 
 /// A completeness proof for a window query over a
 /// [`BTree`](crate::btree::BTree): the tree pruned to what the window
-/// needs, as one program. For a [`Plain`] tree it may cover an arbitrary
-/// key set.
+/// needs, as one program.
 ///
 /// An empty program is the proof for the empty tree (root
 /// [`Hash::ZERO`]).
@@ -178,7 +177,7 @@ pub struct OpProof<F: Flavor> {
     ops: Vec<ProofOp<F>>,
 }
 
-/// Window or key-set proof of an [`MbTree`](crate::MbTree).
+/// Window proof of an [`MbTree`](crate::MbTree).
 pub type MbOpProof = OpProof<Plain>;
 /// Window-aggregate proof of an [`AggMbTree`](crate::AggMbTree).
 pub type AggOpProof = OpProof<Summed>;
@@ -196,15 +195,6 @@ impl<F: Flavor> OpProof<F> {
     /// Serialized size in bytes (exactly the encoded length).
     pub fn size_bytes(&self) -> usize {
         self.encoded_len()
-    }
-
-    /// Executes the program: `None` for the empty program (the empty
-    /// tree), else the tree it describes.
-    fn executed(&self) -> Result<Option<Executed<'_, F>>, ProofError> {
-        if self.ops.is_empty() {
-            return Ok(None);
-        }
-        execute(&self.ops).map(Some)
     }
 
     /// Verifies that `claimed` is exactly the answer to the window query
@@ -227,68 +217,17 @@ impl<F: Flavor> OpProof<F> {
         hi: u64,
         claimed: &F::Claim,
     ) -> Result<(), ProofError> {
-        verify_window(self.executed()?.as_ref(), root, lo, hi, claimed)
-    }
-}
-
-/// The window check over an executed program: walk, root, claim.
-fn verify_window<F: Flavor>(
-    tree: Option<&Executed<'_, F>>,
-    root: &Hash,
-    lo: u64,
-    hi: u64,
-    claimed: &F::Claim,
-) -> Result<(), ProofError> {
-    let mut proven = F::Proven::default();
-    let computed = match tree {
-        None => Hash::ZERO,
-        Some(node) => check(node, None, None, &[(lo, hi)], &mut proven)?.hash,
-    };
-    if computed != *root {
-        return Err(ProofError::RootMismatch);
-    }
-    F::check_claim(&proven, claimed)
-}
-
-impl OpProof<Plain> {
-    /// Verifies that no entry exists at timestamp `ts` and returns the
-    /// proven bracket: the two adjacent proven keys strictly below and
-    /// above `ts` (a side is `None` exactly when the tree is proven to
-    /// hold nothing on that side).
-    ///
-    /// Non-membership is the empty-result range proof over `[ts, ts]`:
-    /// completeness of the range walk guarantees nothing in the window
-    /// was omitted. The bracket keys are read from the opened boundary
-    /// leaves, and *adjacency* is then proven by re-running the same
-    /// executed tree as an empty-range proof over the open intervals
-    /// `(pred, ts]` and `[ts, succ)` — so a prover cannot exhibit a
-    /// distant key pair as the bracket.
-    ///
-    /// # Errors
-    ///
-    /// Any [`ProofError`] from [`OpProof::verify`]; in particular a
-    /// proof whose opened boundary leaves actually contain `ts` fails
-    /// with [`ProofError::Incomplete`], as does a bracket with unproven
-    /// gaps on either side.
-    pub fn verify_non_membership(
-        &self,
-        root: &Hash,
-        ts: u64,
-    ) -> Result<(Option<u64>, Option<u64>), ProofError> {
-        let tree = self.executed()?;
-        let empty = |lo, hi| verify_window(tree.as_ref(), root, lo, hi, &[]);
-        empty(ts, ts)?;
-        let (mut pred, mut succ) = (None, None);
-        if let Some(node) = &tree {
-            bracket(node, ts, &mut pred, &mut succ);
+        let mut proven = F::Proven::default();
+        // The empty program is the empty tree.
+        let computed = if self.ops.is_empty() {
+            Hash::ZERO
+        } else {
+            check(&execute(&self.ops)?, None, None, (lo, hi), &mut proven)?.hash
+        };
+        if computed != *root {
+            return Err(ProofError::RootMismatch);
         }
-        // Adjacency: `(pred, ts]` and `[ts, succ)` are empty windows of
-        // the same proven tree (with a `None` side widening to the
-        // domain end). `pred < ts < succ`, so neither bound arithmetic
-        // can wrap.
-        empty(pred.map_or(0, |p| p.saturating_add(1)), ts)?;
-        empty(ts, succ.map_or(u64::MAX, |s| s.saturating_sub(1)))?;
-        Ok((pred, succ))
+        F::check_claim(&proven, claimed)
     }
 }
 

@@ -18,13 +18,17 @@
 //!
 //! Scanning never panics and never allocates proportionally to a corrupt
 //! length prefix: frame lengths are capped at [`MAX_FRAME`] before any
-//! buffer is touched.
+//! buffer is touched. There is one scanner ([`scan_frames`]), and it
+//! streams — one payload resident at a time — so the size of a file on
+//! untrusted disk never sizes an allocation.
+
+use std::io::Read;
 
 use dcert_primitives::codec::{Decode, Encode, Reader, MAX_LEN};
 use dcert_primitives::CodecError;
 
 use crate::crc32::crc32;
-use crate::error::StoreError;
+use crate::error::{io_err, StoreError};
 
 /// First eight bytes of every segment file.
 pub const SEGMENT_MAGIC: [u8; 8] = *b"DCSEGv1\0";
@@ -187,48 +191,74 @@ pub struct ScanOutcome {
     pub stop: Option<ScanStop>,
 }
 
-/// Scans `input` (the byte run *after* a segment's magic) for consecutive
-/// intact frames, stopping at the first damaged one. Never panics.
-pub fn scan_frames(input: &[u8]) -> ScanOutcome {
+/// Reads exactly `buf.len()` bytes unless EOF intervenes; returns how many
+/// bytes were read (a short count means EOF mid-buffer — a torn tail).
+pub(crate) fn read_fully(reader: &mut impl Read, buf: &mut [u8]) -> Result<usize, StoreError> {
+    let mut filled = 0usize;
+    loop {
+        let space = buf.get_mut(filled..).unwrap_or(&mut []);
+        if space.is_empty() {
+            return Ok(filled);
+        }
+        match reader.read(space) {
+            Ok(0) => return Ok(filled),
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(io_err("segment read")(e)),
+        }
+    }
+}
+
+/// Scans `input` (the bytes *after* a segment's magic — a file behind a
+/// reader, or a byte slice) for consecutive intact frames, one header and
+/// one payload at a time, stopping at the first damaged one. Never panics.
+///
+/// # Errors
+///
+/// Only when `input` itself fails to read, which a byte slice never does —
+/// damage is a successful scan with a `stop` reason.
+pub fn scan_frames(mut input: impl Read) -> Result<ScanOutcome, StoreError> {
     let mut records = Vec::new();
-    let mut offset = 0usize;
+    let mut valid_len = 0u64;
     let stop = loop {
-        let rest = input.get(offset..).unwrap_or(&[]);
-        if rest.is_empty() {
+        let mut header = [0u8; FRAME_HEADER];
+        let got = read_fully(&mut input, &mut header)?;
+        if got == 0 {
             break None;
         }
-        let Some(header) = rest.get(..FRAME_HEADER) else {
+        if got < FRAME_HEADER {
             break Some(ScanStop::ShortHeader);
-        };
-        let (len_bytes, crc_bytes) = header.split_at(4);
-        let (Some(len), Some(want_crc)) = (be_u32(len_bytes), be_u32(crc_bytes)) else {
-            break Some(ScanStop::ShortHeader);
-        };
+        }
+        let [l0, l1, l2, l3, c0, c1, c2, c3] = header;
+        let len = u32::from_be_bytes([l0, l1, l2, l3]);
+        let want_crc = u32::from_be_bytes([c0, c1, c2, c3]);
         if u64::from(len) > MAX_FRAME {
             break Some(ScanStop::OversizeFrame);
         }
         let Ok(payload_len) = usize::try_from(len) else {
             break Some(ScanStop::OversizeFrame);
         };
-        let Some(payload) = rest.get(FRAME_HEADER..FRAME_HEADER + payload_len) else {
+        let mut payload = vec![0u8; payload_len];
+        let got = read_fully(&mut input, &mut payload)?;
+        if got < payload_len {
             break Some(ScanStop::ShortPayload);
-        };
-        if crc32(payload) != want_crc {
+        }
+        if crc32(&payload) != want_crc {
             break Some(ScanStop::CrcMismatch);
         }
-        match Record::decode_all(payload) {
+        match Record::decode_all(&payload) {
             Ok(record) => {
                 records.push(record);
-                offset += FRAME_HEADER + payload_len;
+                valid_len += framed_len(payload_len);
             }
             Err(_) => break Some(ScanStop::BadRecord),
         }
     };
-    ScanOutcome {
+    Ok(ScanOutcome {
         records,
-        valid_len: offset as u64,
+        valid_len,
         stop,
-    }
+    })
 }
 
 /// Verifies that `input` is exactly one intact frame and returns its
@@ -283,6 +313,10 @@ mod tests {
         Record::new(height, StreamId::Cert, vec![7; 16])
     }
 
+    fn scan(bytes: &[u8]) -> ScanOutcome {
+        scan_frames(bytes).expect("a byte slice never fails to read")
+    }
+
     #[test]
     fn record_round_trip() {
         let r = sample(42);
@@ -304,7 +338,7 @@ mod tests {
         for h in 1..=5 {
             append_frame(&sample(h).to_encoded_bytes(), &mut bytes).unwrap();
         }
-        let outcome = scan_frames(&bytes);
+        let outcome = scan(&bytes);
         assert_eq!(outcome.records.len(), 5);
         assert_eq!(outcome.valid_len, bytes.len() as u64);
         assert_eq!(outcome.stop, None);
@@ -319,7 +353,7 @@ mod tests {
             boundaries.push(bytes.len() as u64);
         }
         for cut in 0..bytes.len() {
-            let outcome = scan_frames(&bytes[..cut]);
+            let outcome = scan(&bytes[..cut]);
             // valid_len is the largest frame boundary ≤ cut.
             let want = boundaries
                 .iter()
@@ -345,13 +379,13 @@ mod tests {
     fn scan_detects_every_single_bit_flip() {
         let mut bytes = Vec::new();
         append_frame(&sample(1).to_encoded_bytes(), &mut bytes).unwrap();
-        let clean = scan_frames(&bytes);
+        let clean = scan(&bytes);
         assert_eq!(clean.records.len(), 1);
         for pos in 0..bytes.len() {
             for bit in 0..8 {
                 let mut flipped = bytes.clone();
                 flipped[pos] ^= 1 << bit;
-                let outcome = scan_frames(&flipped);
+                let outcome = scan(&flipped);
                 // A flip in the length prefix can only shorten/lengthen the
                 // frame (caught as Short*/Oversize/Crc); a flip in crc or
                 // payload is a CRC mismatch; any flip must stop the scan.
@@ -367,7 +401,7 @@ mod tests {
     fn oversize_length_prefix_does_not_allocate() {
         let mut bytes = vec![0xFF, 0xFF, 0xFF, 0xFF];
         bytes.extend_from_slice(&[0; 12]);
-        let outcome = scan_frames(&bytes);
+        let outcome = scan(&bytes);
         assert_eq!(outcome.stop, Some(ScanStop::OversizeFrame));
         assert_eq!(outcome.valid_len, 0);
     }

@@ -57,7 +57,6 @@ pub use frame::{Record, StreamId};
 pub use head::{HeadState, SegmentMark};
 pub use mem::MemStore;
 pub use seg_store::{RecoveryReport, SegmentStore, StoreConfig, DEFAULT_MAX_SEGMENT_BYTES};
-pub use segment::ReadMode;
 
 use crate::error::StoreError as Error;
 

@@ -43,7 +43,7 @@ use dcert_primitives::Encode;
 use crate::error::{io_err, StoreError};
 use crate::frame::{append_frame, Record, SEGMENT_MAGIC};
 use crate::head::{choose_head, HeadState, SegmentMark, HEAD_SLOT_A, HEAD_SLOT_B};
-use crate::segment::{parse_segment_file_name, read_segment, segment_file_name, ReadMode};
+use crate::segment::{parse_segment_file_name, read_segment, segment_file_name};
 use crate::Store;
 
 /// Default segment roll threshold (4 MiB).
@@ -56,20 +56,16 @@ pub struct StoreConfig {
     pub dir: PathBuf,
     /// Roll the active segment when it would exceed this many bytes.
     pub max_segment_bytes: u64,
-    /// How segment files are read back at recovery.
-    pub read_mode: ReadMode,
     /// Registry receiving the `store.*` metrics (disabled by default).
     pub obs: Registry,
 }
 
 impl StoreConfig {
-    /// Builds a config with defaults: 4 MiB segments, buffered reads, no
-    /// observability.
+    /// Builds a config with defaults: 4 MiB segments, no observability.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         StoreConfig {
             dir: dir.into(),
             max_segment_bytes: DEFAULT_MAX_SEGMENT_BYTES,
-            read_mode: ReadMode::default(),
             obs: Registry::disabled(),
         }
     }
@@ -77,12 +73,6 @@ impl StoreConfig {
     /// Sets the segment roll threshold.
     pub fn max_segment_bytes(mut self, bytes: u64) -> Self {
         self.max_segment_bytes = bytes.max(64);
-        self
-    }
-
-    /// Sets the recovery read mode.
-    pub fn read_mode(mut self, mode: ReadMode) -> Self {
-        self.read_mode = mode;
         self
     }
 
@@ -213,16 +203,11 @@ impl SegmentStore {
             report: RecoveryReport::default(),
             poisoned: None,
         };
-        store.recover(head, on_disk, config.read_mode)?;
+        store.recover(head, on_disk)?;
         Ok(store)
     }
 
-    fn recover(
-        &mut self,
-        head: Option<HeadState>,
-        on_disk: Vec<u32>,
-        read_mode: ReadMode,
-    ) -> Result<(), StoreError> {
+    fn recover(&mut self, head: Option<HeadState>, on_disk: Vec<u32>) -> Result<(), StoreError> {
         let head = head.unwrap_or_default();
 
         // Every segment the head marks durable must still be present.
@@ -254,7 +239,7 @@ impl SegmentStore {
                 continue;
             }
             let durable = head.durable_len(index).unwrap_or(0);
-            let scan = read_segment(&path, read_mode)?;
+            let scan = read_segment(&path)?;
             if scan.valid_len < durable {
                 return Err(StoreError::DurableDataLost {
                     segment: index,

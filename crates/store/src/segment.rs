@@ -1,42 +1,21 @@
-//! Segment files: reading, naming, and the two read paths.
+//! Segment files: reading and naming.
 //!
 //! A segment file is immutable certified history: `SEGMENT_MAGIC` then
 //! frames (see [`crate::frame`]). This module owns the *read* side — the
 //! write side lives in [`crate::seg_store`], which is the only code that
 //! ever appends.
 //!
-//! Two read modes are provided and must be byte-equivalent:
-//!
-//! - [`ReadMode::Resident`] slurps the whole file and scans it in memory —
-//!   the stand-in for an mmap reader (the workspace forbids `unsafe`, and
-//!   real `mmap` needs either `unsafe` or a dependency the build
-//!   intentionally does not take).
-//! - [`ReadMode::Buffered`] streams the file through a fixed-size
-//!   `BufReader`, reading one frame header and payload at a time — the
-//!   shape a store larger than RAM would use.
-//!
-//! Both paths feed the same validation (length cap, CRC, canonical record
-//! decode) and stop at the first damaged frame, reporting how many bytes
-//! were intact so recovery can truncate the torn tail.
+//! A file is streamed through a fixed-size `BufReader` into the one frame
+//! scanner ([`scan_frames`]): length cap, CRC, canonical record decode,
+//! stopping at the first damaged frame and reporting how many bytes were
+//! intact so recovery can truncate the torn tail.
 
 use std::fs::File;
-use std::io::{BufReader, Read};
+use std::io::BufReader;
 use std::path::Path;
 
-use dcert_primitives::codec::Decode;
-
 use crate::error::{io_err, StoreError};
-use crate::frame::{scan_frames, Record, ScanStop, FRAME_HEADER, MAX_FRAME, SEGMENT_MAGIC};
-
-/// How segment files are read back at recovery.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReadMode {
-    /// Stream frames through a `BufReader` (constant memory).
-    #[default]
-    Buffered,
-    /// Read the whole file into memory first (mmap stand-in).
-    Resident,
-}
+use crate::frame::{read_fully, scan_frames, Record, ScanStop, SEGMENT_MAGIC};
 
 /// File name for segment `index` (fixed width keeps lexicographic and
 /// numeric order identical).
@@ -77,77 +56,14 @@ impl SegmentScan {
     }
 }
 
-/// Scans one segment file under the given read mode. Never panics; all
-/// damage is reported through `SegmentScan`, all I/O failure through
-/// [`StoreError::Io`].
+/// Scans one segment file. Never panics; all damage is reported through
+/// `SegmentScan`, all I/O failure through [`StoreError::Io`].
 ///
 /// # Errors
 ///
 /// Only on operating-system I/O failure — a damaged file is a successful
 /// scan with a `stop` reason.
-pub fn read_segment(path: &Path, mode: ReadMode) -> Result<SegmentScan, StoreError> {
-    match mode {
-        ReadMode::Resident => {
-            let bytes = std::fs::read(path).map_err(io_err("segment read"))?;
-            Ok(scan_resident(&bytes))
-        }
-        ReadMode::Buffered => scan_buffered(path),
-    }
-}
-
-fn finish(
-    records: Vec<Record>,
-    valid_len: u64,
-    file_len: u64,
-    stop: Option<ScanStop>,
-) -> SegmentScan {
-    let max_height = records.iter().map(|r| r.height).max().unwrap_or(0);
-    SegmentScan {
-        records,
-        valid_len,
-        file_len,
-        stop,
-        max_height,
-    }
-}
-
-fn scan_resident(bytes: &[u8]) -> SegmentScan {
-    let file_len = bytes.len() as u64;
-    let Some(magic) = bytes.get(..SEGMENT_MAGIC.len()) else {
-        return finish(Vec::new(), 0, file_len, Some(ScanStop::ShortHeader));
-    };
-    if magic != SEGMENT_MAGIC {
-        return finish(Vec::new(), 0, file_len, Some(ScanStop::ShortHeader));
-    }
-    let frames = bytes.get(SEGMENT_MAGIC.len()..).unwrap_or(&[]);
-    let outcome = scan_frames(frames);
-    finish(
-        outcome.records,
-        SEGMENT_MAGIC.len() as u64 + outcome.valid_len,
-        file_len,
-        outcome.stop,
-    )
-}
-
-/// Reads exactly `buf.len()` bytes unless EOF intervenes; returns how many
-/// bytes were read (a short count means EOF mid-buffer — a torn tail).
-fn read_fully(reader: &mut impl Read, buf: &mut [u8]) -> Result<usize, StoreError> {
-    let mut filled = 0usize;
-    loop {
-        let space = buf.get_mut(filled..).unwrap_or(&mut []);
-        if space.is_empty() {
-            return Ok(filled);
-        }
-        match reader.read(space) {
-            Ok(0) => return Ok(filled),
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(io_err("segment read")(e)),
-        }
-    }
-}
-
-fn scan_buffered(path: &Path) -> Result<SegmentScan, StoreError> {
+pub fn read_segment(path: &Path) -> Result<SegmentScan, StoreError> {
     let file = File::open(path).map_err(io_err("segment open"))?;
     let file_len = file.metadata().map_err(io_err("segment metadata"))?.len();
     let mut reader = BufReader::with_capacity(64 * 1024, file);
@@ -155,46 +71,22 @@ fn scan_buffered(path: &Path) -> Result<SegmentScan, StoreError> {
     let mut magic = [0u8; SEGMENT_MAGIC.len()];
     let got = read_fully(&mut reader, &mut magic)?;
     if got != SEGMENT_MAGIC.len() || magic != SEGMENT_MAGIC {
-        return Ok(finish(Vec::new(), 0, file_len, Some(ScanStop::ShortHeader)));
+        return Ok(SegmentScan {
+            records: Vec::new(),
+            valid_len: 0,
+            file_len,
+            stop: Some(ScanStop::ShortHeader),
+            max_height: 0,
+        });
     }
-
-    let mut records = Vec::new();
-    let mut valid_len = SEGMENT_MAGIC.len() as u64;
-    let stop = loop {
-        let mut header = [0u8; FRAME_HEADER];
-        let got = read_fully(&mut reader, &mut header)?;
-        if got == 0 {
-            break None;
-        }
-        if got < FRAME_HEADER {
-            break Some(ScanStop::ShortHeader);
-        }
-        let (len_bytes, crc_bytes) = header.split_at(4);
-        let len = u32::from_be_bytes(len_bytes.try_into().unwrap_or([0; 4]));
-        let want_crc = u32::from_be_bytes(crc_bytes.try_into().unwrap_or([0; 4]));
-        if u64::from(len) > MAX_FRAME {
-            break Some(ScanStop::OversizeFrame);
-        }
-        let Ok(payload_len) = usize::try_from(len) else {
-            break Some(ScanStop::OversizeFrame);
-        };
-        let mut payload = vec![0u8; payload_len];
-        let got = read_fully(&mut reader, &mut payload)?;
-        if got < payload_len {
-            break Some(ScanStop::ShortPayload);
-        }
-        if crate::crc32::crc32(&payload) != want_crc {
-            break Some(ScanStop::CrcMismatch);
-        }
-        match Record::decode_all(&payload) {
-            Ok(record) => {
-                records.push(record);
-                valid_len += (FRAME_HEADER + payload_len) as u64;
-            }
-            Err(_) => break Some(ScanStop::BadRecord),
-        }
-    };
-    Ok(finish(records, valid_len, file_len, stop))
+    let frames = scan_frames(reader)?;
+    Ok(SegmentScan {
+        max_height: frames.records.iter().map(|r| r.height).max().unwrap_or(0),
+        records: frames.records,
+        valid_len: SEGMENT_MAGIC.len() as u64 + frames.valid_len,
+        file_len,
+        stop: frames.stop,
+    })
 }
 
 #[cfg(test)]
@@ -227,26 +119,26 @@ mod tests {
     }
 
     #[test]
-    fn both_read_modes_agree_on_intact_file() {
+    fn intact_file_reads_back_whole() {
         let bytes = sample_segment(9);
-        let path = temp_file("modes-intact", &bytes);
-        let buffered = read_segment(&path, ReadMode::Buffered).unwrap();
-        let resident = read_segment(&path, ReadMode::Resident).unwrap();
-        assert_eq!(buffered, resident);
-        assert_eq!(buffered.records.len(), 9);
-        assert!(!buffered.torn());
-        assert_eq!(buffered.max_height, 9);
+        let path = temp_file("intact", &bytes);
+        let scan = read_segment(&path).unwrap();
+        assert_eq!(scan.records.len(), 9);
+        assert!(!scan.torn());
+        assert_eq!(scan.valid_len, bytes.len() as u64);
+        assert_eq!(scan.max_height, 9);
     }
 
     #[test]
-    fn both_read_modes_agree_at_every_truncation() {
+    fn every_truncation_recovers_an_intact_prefix() {
         let bytes = sample_segment(4);
         for cut in 0..bytes.len() {
-            let path = temp_file("modes-cut", &bytes[..cut]);
-            let buffered = read_segment(&path, ReadMode::Buffered).unwrap();
-            let resident = read_segment(&path, ReadMode::Resident).unwrap();
-            assert_eq!(buffered, resident, "cut {cut}");
-            assert!(buffered.valid_len <= cut as u64);
+            let path = temp_file("cut", &bytes[..cut]);
+            let scan = read_segment(&path).unwrap();
+            assert!(scan.valid_len <= cut as u64, "cut {cut}");
+            assert_eq!(scan.file_len, cut as u64, "cut {cut}");
+            // Heights are 1..=n in file order: the prefix has no gap.
+            assert_eq!(scan.records.len() as u64, scan.max_height, "cut {cut}");
         }
     }
 
@@ -255,7 +147,7 @@ mod tests {
         let mut bytes = sample_segment(2);
         bytes[0] ^= 0xFF;
         let path = temp_file("bad-magic", &bytes);
-        let scan = read_segment(&path, ReadMode::Buffered).unwrap();
+        let scan = read_segment(&path).unwrap();
         assert_eq!(scan.valid_len, 0);
         assert!(scan.torn());
         assert!(scan.records.is_empty());

@@ -15,9 +15,6 @@
 //!
 //! Run with: `cargo run --release --example live_network`
 //! Replay a specific fault schedule: `DCERT_CHAOS_SEED=42 cargo run ...`
-//! Parallel Merkle construction: `DCERT_MERKLE_THREADS=4 cargo run ...`
-//! (byte-identical certificates at every thread count — only wall-clock
-//! moves).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
@@ -27,8 +24,8 @@ use std::time::{Duration, Instant};
 use dcert::chain::{FullNode, GenesisBuilder, ProofOfWork};
 use dcert::core::{
     expected_measurement, CertArchive, CertJob, CertPipeline, CertificateIssuer, FaultConfig,
-    NetMessage, ParallelismConfig, Partition, PipelineConfig, PublishPolicy, SimNet,
-    SuperlightClient, SyncOutcome, Transport,
+    NetMessage, Partition, PipelineConfig, PublishPolicy, SimNet, SuperlightClient, SyncOutcome,
+    Transport,
 };
 use dcert::primitives::hash::Address;
 use dcert::sgx::{AttestationService, CostModel};
@@ -104,16 +101,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let ci_done = done.clone();
     let ci_archive = archive.clone();
     let ci_net = net.clone();
-    // DCERT_MERKLE_THREADS > 1 turns on the chunked parallel Merkle
-    // builder for block tx-roots; certificates stay byte-identical.
-    let merkle_threads = std::env::var("DCERT_MERKLE_THREADS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
     let ci_thread = thread::spawn(move || {
         let config = PipelineConfig {
             publish: PublishPolicy::require_acks(1),
-            parallelism: ParallelismConfig { merkle_threads },
             ..PipelineConfig::default()
         };
         let pipeline = CertPipeline::spawn(ci, config, ci_archive.clone() as Arc<dyn Transport>);

@@ -23,9 +23,8 @@ use dcert::core::{
 use dcert::merkle::btree::{Annotation, Flavor, Plain, Shape, Summary, Summed};
 use dcert::merkle::ops::OpProof;
 use dcert::merkle::{
-    AggAppendProof, AggMbTree, AggOpProof, Aggregate, MbAppendProof, MbOpProof, MbTree, MerkleTree,
-    MhtProof, Mpt, MptProof, ProofError, ProofOp, SmtProof, SparseMerkleTree, MAX_OP_STACK,
-    MAX_PROOF_DEPTH,
+    AggAppendProof, AggMbTree, AggOpProof, Aggregate, MbAppendProof, MbOpProof, MbTree, Mpt,
+    MptProof, ProofError, ProofOp, SmtProof, SparseMerkleTree, MAX_OP_STACK, MAX_PROOF_DEPTH,
 };
 use dcert::primitives::codec::{encode_seq, Decode, Encode};
 use dcert::primitives::hash::{hash_bytes, Address, Hash};
@@ -77,7 +76,6 @@ fn try_decode_everything(bytes: &[u8]) {
     let _ = NetMessage::decode_all(bytes);
     let _ = SealedBlob::decode_all(bytes);
     // Proof families.
-    let _ = MhtProof::decode_all(bytes);
     let _ = SmtProof::decode_all(bytes);
     let _ = MptProof::decode_all(bytes);
     let _ = MbAppendProof::decode_all(bytes);
@@ -183,9 +181,6 @@ fn sample_encodings() -> Vec<Probe> {
     let (cert, report) = certificate();
     let key = StateKey::new("kvstore", b"balance");
 
-    let mht = MerkleTree::from_items([b"a".as_slice(), b"b", b"c"]);
-    let mht_proof = mht.prove(1).expect("index 1 in bounds");
-
     let mut smt = SparseMerkleTree::new();
     for i in 0..8u32 {
         smt.insert(hash_bytes(format!("k{i}")), vec![i as u8]);
@@ -210,8 +205,7 @@ fn sample_encodings() -> Vec<Probe> {
     let (aggregate, agg_ops) = agg.window(2, 7);
     let agg_append = agg.prove_append();
 
-    let mb_ops = mb.prove_ops(&[(2, 7)]);
-    let mb_nonmember_ops = mb.prove_non_membership(42);
+    let (_, mb_ops) = mb.window(2, 7);
 
     let history = HistoryIndex::new("history");
     let (_, history_proof) = history.query(&key, 0, 10);
@@ -331,7 +325,6 @@ fn sample_encodings() -> Vec<Probe> {
             },
         ),
         probe("SealedBlob", &sealed),
-        probe("MhtProof", &mht_proof),
         probe("SmtProof", &smt_proof),
         probe("MptProof", &mpt_proof),
         probe("MbAppendProof", &mb_append),
@@ -342,7 +335,6 @@ fn sample_encodings() -> Vec<Probe> {
         probe("AggQueryProof", &agg_query_proof),
         probe("ProofOp", &ProofOp::<Plain>::Push(pruned(b"pruned"))),
         probe("MbOpProof", &mb_ops),
-        probe("MbOpProof::non_membership", &mb_nonmember_ops),
         probe("AggOpProof", &agg_ops),
         probe("HistoryProof::tracked", &tracked_history_proof),
         probe("AggQueryProof::tracked", &tracked_agg_query_proof),
@@ -487,7 +479,7 @@ fn segment_frame_stream_damage_yields_record_prefix() {
     for record in &originals {
         append_frame(&record.to_encoded_bytes(), &mut stream).expect("frames");
     }
-    let full = scan_frames(&stream);
+    let full = scan_frames(stream.as_slice()).expect("a slice reads");
     assert_eq!(full.records, originals);
     assert_eq!(full.valid_len, stream.len() as u64);
     assert_eq!(full.stop, None);
@@ -501,7 +493,7 @@ fn segment_frame_stream_damage_yields_record_prefix() {
         bytes
     }));
     for (case, bytes) in damaged.iter().enumerate() {
-        let scan = scan_frames(bytes);
+        let scan = scan_frames(bytes.as_slice()).expect("a slice reads");
         assert!(scan.valid_len as usize <= bytes.len(), "case {case}");
         assert_eq!(
             scan.records,
@@ -580,10 +572,6 @@ fn hostile_op_programs_fail_verification_cleanly() {
         assert!(
             mb.verify(&root, 0, u64::MAX, &[]).is_err(),
             "program {i} must fail MB verification"
-        );
-        assert!(
-            mb.verify_non_membership(&root, 7).is_err(),
-            "program {i} must fail non-membership verification"
         );
     }
     for (i, program) in hostile_programs::<Summed>().iter().enumerate() {
@@ -681,7 +669,6 @@ fn prop_random_op_programs_never_panic() {
         let root = hash_bytes(b"prop root");
         let mb = program::<Plain>(&selectors, |b| hash_bytes([b]));
         let _ = mb.verify(&root, 0, u64::MAX, &[]);
-        let _ = mb.verify_non_membership(&root, 9);
         let agg = program::<Summed>(&selectors, u64::from);
         let _ = agg.verify(&root, 0, 9, &Aggregate::EMPTY);
     });

@@ -7,7 +7,8 @@
 //! roots after every insert, and the SHA-256 of every encoded proof form.
 //! (Twelve rows — `mb/*/range`, `agg/*/aggregate`, `{history,aggregate}/*/proof`
 //! — left with the per-path window-proof format they pinned; the op rows,
-//! captured beside them, pin the one form a window proof has.)
+//! captured beside them, pin the one form a window proof has; the three
+//! `mb/*` non-membership rows left with that API.)
 //!
 //! `CERT_GOLDEN` does the same for certification: it was captured at
 //! commit ea994e5, while `CertificateIssuer`, `CertPipeline` and
@@ -33,7 +34,7 @@ use dcert::core::{
     CertBreakdown, CertJob, CertPipeline, Certificate, Gossip, IndexInput, NetMessage,
     PipelineConfig, ShardFailurePlan, ShardFleetConfig, ShardedCertEngine, SharedStore,
 };
-use dcert::merkle::{AggMbTree, MbTree, SmtProof, SparseMerkleTree};
+use dcert::merkle::{mht, AggMbTree, MbTree, SmtProof, SparseMerkleTree};
 use dcert::obs::Registry;
 use dcert::primitives::codec::{Decode, Encode};
 use dcert::primitives::hash::{hash_bytes, Hash};
@@ -70,14 +71,7 @@ fn computed() -> Vec<(String, String)> {
             out.push((format!("agg/{order}/root/{i}"), agg.root().to_string()));
         }
         out.push((format!("mb/{order}/append"), digest_of(&mb.prove_append())));
-        out.push((
-            format!("mb/{order}/ops"),
-            digest_of(&mb.prove_ops(&[(lo, hi)])),
-        ));
-        out.push((
-            format!("mb/{order}/non_membership"),
-            digest_of(&mb.prove_non_membership(6)),
-        ));
+        out.push((format!("mb/{order}/ops"), digest_of(&mb.window(lo, hi).1)));
         out.push((
             format!("agg/{order}/append"),
             digest_of(&agg.prove_append()),
@@ -200,7 +194,6 @@ const GOLDEN: &[(&str, &str)] = &[
     ("agg/3/root/19", "f954bd78e53f65d42a4b65789237e40d70024297cb91699a4f56b42f7660ff86"),
     ("mb/3/append", "d563fbb03ce441eb7e26dd002cfd79a582e715586c97cf5fcdc951e4204d66a9"),
     ("mb/3/ops", "ac0e446c58a3cc6476adca9eda854b19150c059d0e2b165c226947cbd15778aa"),
-    ("mb/3/non_membership", "881a32a21215ee910f99ea836acf36c70a940e408eac0085a9a12235efdc30ed"),
     ("agg/3/append", "553e570c7268983c895a5496e0b368faabcf4012f6655b8f4179b70fcc078b63"),
     ("agg/3/ops", "9ca6ab2902649e8380f164c5a0a6fd0c51a1d8588b2fa8cd3bf1a2ada3810d43"),
     ("history/3/aux", "5d493592df096adcd0fcccc0f80c60279c75e4d041fc2fec6a160bdef41b2686"),
@@ -251,7 +244,6 @@ const GOLDEN: &[(&str, &str)] = &[
     ("agg/4/root/19", "6ad74c523e8ccdb0e694ca2498fc31a560342f55e5a2074ff5b70861aaa47348"),
     ("mb/4/append", "715086f82980e1c812ca62e45c5cfc425f82631e02bfaf6908692580aeafa83c"),
     ("mb/4/ops", "54975c24c52458403c8c9a3406659b4e5d8206ee05d5bd3bbd7cb2582648a57f"),
-    ("mb/4/non_membership", "a31a25c4c4f1e04d2401fb2e76e06ba214ffd5244cd6ebbddc90654983bb0ea5"),
     ("agg/4/append", "d34bcc24c900a33c8304956ca29fe9a3f805169a7ae89cf80b93d4179db66617"),
     ("agg/4/ops", "6e45f456916e7c28994c664d099d5948e3e7e204d32b52b5983809a71cc485a9"),
     ("history/4/aux", "ec626d6552d4c26b0b81fe74c66cc30f8fbf0b645d342d794e53adb2e2ba9bf9"),
@@ -302,7 +294,6 @@ const GOLDEN: &[(&str, &str)] = &[
     ("agg/16/root/19", "b8d99c874ed54d1d629ae12f8659c02d270d24eb0140efd5313c3f0b382a4cd2"),
     ("mb/16/append", "992e326a21723dbb6bb189dd5269675ed5313d386fcc46e3e17d62c6e4df2f90"),
     ("mb/16/ops", "559e1d2452093547204fbdc8c00f75464744bbe503d55fb49c3f4799a582d8ab"),
-    ("mb/16/non_membership", "8012d98af1639f21ce2b3642818f411bd2d782591468e15141a343fc6fba2464"),
     ("agg/16/append", "eb37dcd1963308a361cfe62d0ba822319d2427192601cf1ed679656fe9bf3b12"),
     ("agg/16/ops", "fe81cf68a9dd2c8c0b33f3d896d24ffda97321233b83527001ca02fd526f07ac"),
     ("history/16/aux", "17c3706f1ed988bcb30f07457ea81d2705a43d1f8fc3e17a9a23b6c5070d6c34"),
@@ -784,4 +775,41 @@ const SMT_GOLDEN: &[(&str, &str)] = &[
     ("smt/one_absent/bytes", "343"),
     ("smt/one_absent/root", "6e6fc4f9d076706d52fee389ceb4aef4e2b843e0bd8ae0b4803e46bb1ab1b595"),
     ("smt/one_absent/updated", "787f80c6e5f35208b403475405693261f89bd49be40111ff6b75c0cc60044453"),
+];
+
+// --- the transaction root -------------------------------------------------------
+//
+// `MHT_GOLDEN` pins `H_tx`'s hash rule: captured at commit ea9d386 by running
+// this test with the root of the stored-levels tree `mht` then was (whose
+// only product use was that root) in place of `mht::root`.
+
+#[test]
+fn transaction_root_reproduces_parent_commit_roots() {
+    let mut out = Vec::new();
+    for n in [0usize, 1, 2, 3, 5, 8, 33, 128] {
+        let items = (0..n).map(|i| format!("mht-golden/{n}/{i}"));
+        out.push((format!("mht/items/{n}"), mht::root(items).to_string()));
+    }
+    // Every transaction of the golden world's chain, as `Block::tx_root`
+    // feeds them: encoded, in order.
+    let txs: Vec<Vec<u8>> = cert_chain()
+        .iter()
+        .flat_map(|block| block.txs.iter().map(Encode::to_encoded_bytes))
+        .collect();
+    let label = format!("mht/cert_chain_txs/{}", txs.len());
+    out.push((label, mht::root(&txs).to_string()));
+    assert_golden(&out, MHT_GOLDEN);
+}
+
+#[rustfmt::skip]
+const MHT_GOLDEN: &[(&str, &str)] = &[
+    ("mht/items/0", "0000000000000000000000000000000000000000000000000000000000000000"),
+    ("mht/items/1", "968aac7d197a6ce07572ab136b6f8f353749ad9473f3e45015ad4a06f0141f59"),
+    ("mht/items/2", "29c674b938d12f2632abf3fec2adbeeb7cfd4a7460cdc3c17e9e9c1f5d85cf14"),
+    ("mht/items/3", "c9073f6285c430545d92bd907b9351054e10c38a5ede04ff4a4101a6153b9863"),
+    ("mht/items/5", "2ebb895d144c49443c283fd1726923f39084d7c6a8f1b410066aae74e67c521d"),
+    ("mht/items/8", "7d472835913d35b2d23f72bd9df65e89f090ce55ddc0964677ea9be638ffeed1"),
+    ("mht/items/33", "b281c80a29bf6a423a60b0476fa22c0095f1ec757a11601ef50e8ed3cdfd5f94"),
+    ("mht/items/128", "a1798bc1d30ce2b72e1fbccde1f49e54ce2d724e832932311c2369d268a36e79"),
+    ("mht/cert_chain_txs/18", "f8173c0b787e79a53d888e89d2d9260846fe5997a87401ccfaf119434d563cac"),
 ];

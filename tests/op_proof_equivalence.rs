@@ -1,9 +1,8 @@
 //! Acceptance suite for the window proof — one program per window,
 //! executed and checked by one walk (`dcert::merkle::ops`) — on the
-//! two-level indexes: range completeness, non-membership brackets and
-//! aggregate windows in one shared-structure proof, with the rejection
-//! side a property: omission, tampering and boundary truncation all fail
-//! typed.
+//! two-level indexes: range completeness and aggregate windows in one
+//! shared-structure proof, with the rejection side a property: omission,
+//! tampering and boundary truncation all fail typed.
 //!
 //! Until `benchmark/driver` stops naming them, `HistoryOp` / `AggregateOp`
 //! and every `_op` function are aliases of the plain names: both names of
@@ -17,7 +16,6 @@ mod common;
 use std::cell::RefCell;
 
 use common::World;
-use dcert::merkle::MbTree;
 use dcert::primitives::codec::Encode;
 use dcert::primitives::hash::Hash;
 use dcert::query::aggregate::{verify_aggregate, verify_aggregate_op, AggregateIndex};
@@ -178,35 +176,6 @@ fn prop_op_stream_rejects_omission_and_tampering() {
                 verify_history(&digest, &key(probe), 1, heights, &forged, &proof).is_err(),
                 "{what} must be detected"
             );
-        }
-    });
-}
-
-/// **Non-membership.** For any key set and probe, the bracket proof
-/// verifies exactly when the probe is absent, and the proven bracket
-/// is the true adjacent pair.
-#[test]
-fn prop_non_membership_brackets_are_adjacent() {
-    check("prop_non_membership_brackets_are_adjacent", 48, |g| {
-        let members = g.btree_set(1..20, |g| g.range(0u64..200));
-        let probe = g.range(0u64..200);
-        let mut tree = MbTree::new(4);
-        for &ts in &members {
-            tree.insert(ts, ts.to_be_bytes().to_vec());
-        }
-        let root = tree.root();
-        let proof = tree.prove_non_membership(probe);
-        if members.contains(&probe) {
-            assert!(
-                proof.verify_non_membership(&root, probe).is_err(),
-                "a present key can never prove its own absence"
-            );
-        } else {
-            let (pred, succ) = proof
-                .verify_non_membership(&root, probe)
-                .expect("absence verifies");
-            assert_eq!(pred, members.range(..probe).next_back().copied());
-            assert_eq!(succ, members.range(probe + 1..).next().copied());
         }
     });
 }

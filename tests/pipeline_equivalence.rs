@@ -30,8 +30,8 @@ use common::{assert_bytes_equal, fleet_for, sequential_oracle, World};
 use dcert::chain::{Block, BlockHeader};
 use dcert::core::{
     CertError, CertJob, CertPipeline, Certificate, CertificateIssuer, Gossip, NetMessage,
-    ParallelismConfig, PipelineConfig, PipelineReport, ShardFailurePlan, ShardFleetConfig,
-    SharedStore, SuperlightClient,
+    PipelineConfig, PipelineReport, ShardFailurePlan, ShardFleetConfig, SharedStore,
+    SuperlightClient,
 };
 use dcert::obs::Registry;
 use dcert::primitives::codec::Encode;
@@ -479,84 +479,6 @@ fn attached_registry_is_behaviourally_inert() {
     assert!(!disabled.is_enabled());
     let empty = disabled.snapshot();
     assert!(empty.counters.is_empty() && empty.histograms.is_empty() && empty.gauges.is_empty());
-}
-
-// --- parallel Merkle construction is inert ----------------------------------
-
-/// `merkle_threads > 1` must not change a single broadcast byte: the
-/// pipelined arm running with the parallel Merkle builder produces the
-/// same certificate stream as the sequential issuer (which builds its
-/// trees single-threaded), over seed-identical worlds and one shared
-/// mined chain. This is the ISSUE's byte-identity acceptance criterion
-/// at the system level; `tests/parallel_merkle.rs` pins it structurally.
-#[test]
-fn merkle_threads_do_not_change_certificates() {
-    let plan = Plan::Hierarchical(
-        vec![
-            (IndexKind::History, "history"),
-            (IndexKind::Inverted, "keywords"),
-        ],
-        3,
-    );
-    let (mut seq_world, mut seq_sp) = World::deterministic(plan.indexes());
-    let blocks = seq_world.mine_blocks(
-        Workload::SmallBank { customers: 16 },
-        plan.block_count(),
-        2,
-        23,
-    );
-    let seq_events = run_sequential(&mut seq_world.ci, &mut seq_sp, &plan, &blocks);
-
-    let (pipe_world, mut pipe_sp) = World::deterministic(plan.indexes());
-    let jobs = build_jobs(&mut pipe_sp, &plan, &blocks);
-    let gossip = Arc::new(Gossip::new());
-    let feed = gossip.join();
-    let pipeline = CertPipeline::spawn(
-        pipe_world.ci,
-        PipelineConfig {
-            preparers: 3,
-            queue_depth: 2,
-            parallelism: ParallelismConfig { merkle_threads: 4 },
-            ..PipelineConfig::default()
-        },
-        gossip,
-    );
-    for job in jobs {
-        pipeline.submit(job).expect("pipeline accepts jobs");
-    }
-    let (_, report) = pipeline.shutdown();
-    // Restore the process-global knob for the rest of the binary.
-    dcert::merkle::set_build_threads(1);
-
-    assert_eq!(report.errors, Vec::new(), "no job may fail");
-    let mut pipe_events = Vec::new();
-    while let Ok(message) = feed.try_recv() {
-        match message {
-            NetMessage::BlockCert { header, cert } => {
-                pipe_events.push(Event::Block { header, cert })
-            }
-            NetMessage::IndexCert {
-                header,
-                index,
-                digest,
-                cert,
-            } => pipe_events.push(Event::Index {
-                header,
-                name: index,
-                digest,
-                cert,
-            }),
-            _ => {}
-        }
-    }
-    assert_eq!(seq_events, pipe_events);
-    for (seq, pipe) in seq_events.iter().zip(&pipe_events) {
-        assert_eq!(
-            seq.cert().to_encoded_bytes(),
-            pipe.cert().to_encoded_bytes(),
-            "certificates must serialize identically across merkle_threads"
-        );
-    }
 }
 
 // --- hand-overs keep the certificate chains -----------------------------------
