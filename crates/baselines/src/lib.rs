@@ -12,7 +12,7 @@
 //!   deterministic skip list over account versions, in the style of
 //!   LineageChain (Ruan et al., PVLDB'19), used as the historical-query
 //!   comparator in Fig. 11. The two-level layout matches DCert's index
-//!   (same Merkle Patricia trie upper level) so the figure isolates the
+//!   (same sparse-Merkle-tree upper level) so the figure isolates the
 //!   lower-level structure: skip-list towers vs. Merkle B-tree.
 
 #![forbid(unsafe_code)]

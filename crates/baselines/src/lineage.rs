@@ -1,6 +1,6 @@
 //! A LineageChain-style two-level historical index (the Fig. 11 baseline).
 //!
-//! Same upper level as DCert's history index (a Merkle Patricia trie over
+//! Same upper level as DCert's history index (the sparse Merkle tree over
 //! state keys) but with an authenticated deterministic **skip list** as the
 //! per-key version structure — the index family LineageChain builds into
 //! the chain. Comparing it against `dcert_query::HistoryIndex` isolates
@@ -9,7 +9,7 @@
 
 use std::collections::HashMap;
 
-use dcert_merkle::{Mpt, MptProof};
+use dcert_merkle::{SmtProof, SparseMerkleTree};
 use dcert_primitives::codec::{Decode, Encode, Reader};
 use dcert_primitives::error::CodecError;
 use dcert_primitives::hash::{hash_bytes, Hash};
@@ -28,8 +28,8 @@ fn encode_version(version: &Version) -> Vec<u8> {
 /// The baseline two-level index.
 #[derive(Debug, Clone, Default)]
 pub struct LineageIndex {
-    upper: Mpt,
-    lower: HashMap<Vec<u8>, AuthSkipList>,
+    upper: SparseMerkleTree,
+    lower: HashMap<Hash, AuthSkipList>,
 }
 
 impl LineageIndex {
@@ -38,7 +38,7 @@ impl LineageIndex {
         Self::default()
     }
 
-    /// The index digest: the upper trie's root.
+    /// The index digest: the upper tree's root.
     pub fn digest(&self) -> Hash {
         self.upper.root()
     }
@@ -51,23 +51,21 @@ impl LineageIndex {
     /// Applies one block's write set at `height`.
     pub fn apply_block(&mut self, height: u64, writes: &[(StateKey, Option<Vec<u8>>)]) {
         for (key, value) in writes {
-            let key_bytes = key.as_hash().as_bytes().to_vec();
-            let list = self.lower.entry(key_bytes.clone()).or_default();
+            let list = self.lower.entry(*key.as_hash()).or_default();
             list.append(height, encode_version(value));
             self.upper
-                .insert(&key_bytes, list.head().as_bytes().to_vec());
+                .insert(*key.as_hash(), list.head().as_bytes().to_vec());
         }
     }
 
     /// Answers "all versions of `key` in `[t1, t2]`" with a proof.
     pub fn query(&self, key: &StateKey, t1: u64, t2: u64) -> (Vec<(u64, Version)>, LineageProof) {
-        let key_bytes = key.as_hash().as_bytes().to_vec();
-        let mpt = self.upper.prove(&key_bytes);
-        match self.lower.get(&key_bytes) {
+        let upper = self.upper.prove(&[*key.as_hash()]);
+        match self.lower.get(key.as_hash()) {
             None => (
                 Vec::new(),
                 LineageProof {
-                    mpt,
+                    upper,
                     head: None,
                     range: None,
                 },
@@ -86,7 +84,7 @@ impl LineageIndex {
                 (
                     results,
                     LineageProof {
-                        mpt,
+                        upper,
                         head: Some(list.head()),
                         range: Some(range),
                     },
@@ -99,7 +97,7 @@ impl LineageIndex {
 /// Proof returned with a baseline historical query.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LineageProof {
-    mpt: MptProof,
+    upper: SmtProof,
     head: Option<Hash>,
     range: Option<SkipRangeProof>,
 }
@@ -113,7 +111,7 @@ impl LineageProof {
 
 impl Encode for LineageProof {
     fn encode(&self, out: &mut Vec<u8>) {
-        self.mpt.encode(out);
+        self.upper.encode(out);
         self.head.encode(out);
         self.range.encode(out);
     }
@@ -122,7 +120,7 @@ impl Encode for LineageProof {
 impl Decode for LineageProof {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(LineageProof {
-            mpt: MptProof::decode(r)?,
+            upper: SmtProof::decode(r)?,
             head: Option::<Hash>::decode(r)?,
             range: Option::<SkipRangeProof>::decode(r)?,
         })
@@ -168,8 +166,7 @@ pub fn verify_lineage(
     results: &[(u64, Version)],
     proof: &LineageProof,
 ) -> Result<(), LineageError> {
-    let key_bytes = key.as_hash().as_bytes();
-    let proven = proof.mpt.verify(digest, key_bytes)?;
+    let proven = proof.upper.verify(digest)?.pre_value_hash(key.as_hash())?;
     match (&proof.head, &proof.range) {
         (None, None) => {
             if proven.is_some() {

@@ -1,6 +1,6 @@
 //! Figure 11: verifiable historical queries — latency (11a) and proof size
 //! (11b) vs. the distance of the queried time window from the latest
-//! block, DCert's two-level MPT+MB-tree index against the
+//! block, DCert's two-level SMT+MB-tree index against the
 //! LineageChain-style skip-list index.
 //!
 //! Paper result: DCert is faster with smaller proofs at every distance;
@@ -25,7 +25,7 @@ use rand::{Rng, SeedableRng};
 fn main() {
     banner(
         "Figure 11: verifiable query latency & proof size vs window distance",
-        "DCert (MPT + MB-tree) beats the LineageChain-style skip list on both axes",
+        "DCert (SMT + MB-tree) beats the LineageChain-style skip list on both axes",
     );
     let chain_len = scaled(QUERY_CHAIN_LENGTH);
     let accounts = QUERY_ACCOUNTS;

@@ -1,8 +1,7 @@
 //! Micro-rows of the structures the end-to-end numbers lean on: the
 //! `blocks_io`-shaped SMT multiproof (32 transactions × 32 adjacent records
-//! of a 4 128-record state in one proof), and single-key prove + verify on
-//! the SMT vs the MPT at 2 048 keys — the comparison ROADMAP item 5 must
-//! re-size before the MPT leaves the product.
+//! of a 4 128-record state in one proof), and single-key prove + verify at
+//! 2 048 keys — what one upper-level lookup of a two-level index costs.
 //!
 //! Run with: `cargo run --release -p dcert-bench --bin fig_micro`
 
@@ -12,7 +11,7 @@ use std::hint::black_box;
 
 use dcert_bench::params::scaled;
 use dcert_bench::report::{banner, fmt_duration};
-use dcert_merkle::{Mpt, SmtProof, SparseMerkleTree};
+use dcert_merkle::{SmtProof, SparseMerkleTree};
 use dcert_primitives::codec::{Decode, Encode};
 use dcert_primitives::hash::{hash_bytes, Hash};
 use dcert_sgx::cost::timed;
@@ -25,8 +24,8 @@ fn row<T>(name: &str, iters: u32, mut f: impl FnMut() -> T) {
 
 fn main() {
     banner(
-        "fig_micro: SMT multiproof and SMT-vs-MPT single-key rows",
-        "no paper figure; the rows optimisation PRs and ROADMAP item 5 size against",
+        "fig_micro: SMT multiproof and single-key rows",
+        "no paper figure; the rows optimisation PRs size against",
     );
     let iters = u32::try_from(scaled(200)).unwrap_or(u32::MAX);
     let record = |i: usize| hash_bytes(format!("rec-{i}"));
@@ -72,18 +71,14 @@ fn main() {
     row("smt/decode_1024_keys", iters, || {
         SmtProof::decode_all(&frame)
     });
-    let key = |i: u32| format!("account-{i}").into_bytes();
-    let (mut smt, mut mpt) = (SparseMerkleTree::new(), Mpt::new());
+    let key = |i: u32| hash_bytes(format!("account-{i}"));
+    let mut smt = SparseMerkleTree::new();
     for i in 0..2_048u32 {
-        smt.insert(hash_bytes(key(i)), vec![0u8; 32]);
-        mpt.insert(&key(i), vec![0u8; 32]);
+        smt.insert(key(i), vec![0u8; 32]);
     }
-    let (smt_root, mpt_root, probe) = (smt.root(), mpt.root(), key(1_000));
-    assert!(mpt.prove(&probe).verify(&mpt_root, &probe).is_ok());
+    let (smt_root, probe) = (smt.root(), key(1_000));
+    assert!(smt.prove(&[probe]).verify(&smt_root).is_ok());
     row("smt/prove_verify_1_of_2048", iters, || {
-        smt.prove(&[hash_bytes(&probe)]).verify(&smt_root).is_ok()
-    });
-    row("mpt/prove_verify_1_of_2048", iters, || {
-        mpt.prove(&probe).verify(&mpt_root, &probe)
+        smt.prove(&[probe]).verify(&smt_root).is_ok()
     });
 }

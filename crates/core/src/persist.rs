@@ -4,7 +4,7 @@
 //! `dcert-store`'s durable backends:
 //!
 //! - [`CertArchive`](crate::network::CertArchive) persists every retained
-//!   certificate message through a [`Store`] (see
+//!   certificate message through a [`Store`](dcert_store::Store) (see
 //!   [`CertArchive::with_store`](crate::network::CertArchive::with_store)),
 //!   so a restarted CI can keep answering resync requests for history it
 //!   certified before the crash.

@@ -152,7 +152,7 @@ pub struct ParallelismConfig {
 /// scheduled; a result below `min_acks` counts as a failed attempt and is
 /// retried with truncated-exponential backoff: `backoff` doubled per
 /// attempt, capped at `max_backoff`, then scaled by a deterministic
-/// jitter factor in `[0.5, 1.0)` drawn from a [`SimRng`] stream seeded
+/// jitter factor in `[0.5, 1.0)` drawn from a `SimRng` stream seeded
 /// with `jitter_seed`. The jitter is what keeps a fleet of CIs that share
 /// a blackout from retrying in lockstep, and seeding it is what keeps a
 /// chaos run replayable — the whole retry schedule is a pure function of

@@ -31,8 +31,10 @@ use crate::verifier::IndexVerifier;
 ///
 /// In real SGX the measurement covers the enclave image — program logic,
 /// the consensus rules, the contract semantics, and the registered index
-/// verifiers. Bump the version when any of those change.
-pub const CODE_IDENTITY: &[u8] = b"dcert-certificate-program-v1";
+/// verifiers. Bump the version when any of those change (`v2`: the state
+/// tree's branch hash binds position, and the two-level indexes key their
+/// upper level with that tree).
+pub const CODE_IDENTITY: &[u8] = b"dcert-certificate-program-v2";
 
 /// Returns the expected measurement of [`CertProgram`] — what superlight
 /// clients pin as their trust anchor.

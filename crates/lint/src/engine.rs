@@ -77,7 +77,7 @@ pub const R1_TRUSTED_MODULES: [&str; 3] = [
 /// Identifiers that must not appear outside the trusted modules: secret
 /// material accessors, sealed-state plumbing, and the traits that would
 /// let untrusted code drive the trusted program without crossing the
-/// ECall-accounted [`Enclave`] boundary.
+/// ECall-accounted `Enclave` boundary.
 const R1_BANNED_IDENTS: [&str; 8] = [
     "to_secret_bytes",
     "platform_secret",

@@ -9,15 +9,14 @@
 //!   `H_tx`. A hash rule, not a tree: nothing proves against `H_tx`, so no
 //!   tree is kept and there is no proof form.
 //! - [`smt`]: a compact **sparse Merkle tree** over an unbounded key space —
-//!   the global-state commitment `H_state`. Crucially it supports *stateless*
+//!   every keyed commitment in the system: the global state `H_state`, the
+//!   inverted index's dictionary and the upper level of the two-level query
+//!   indexes (Fig. 5). Crucially it supports *stateless*
 //!   multiproofs ([`smt::SmtProof`]): given only a proof, a verifier (the
 //!   enclave in Algorithm 2) can (a) authenticate a read set, (b)
 //!   authenticate the neighborhood of a write set, and (c) compute the
 //!   post-write root without holding the tree — the `verify_mht`/`update`
 //!   pair of the paper.
-//! - [`mpt`]: a hex-nibble **Merkle Patricia trie** with membership and
-//!   non-membership proofs — the upper level of the two-level query
-//!   indexes (Fig. 5).
 //! - [`btree`]: **one annotated Merkle B+-tree, two flavors** — the lower
 //!   level of the two-level indexes, keyed by timestamp. [`MbTree`] (after
 //!   Li et al. SIGMOD'06: per-entry value digests, unit annotation)
@@ -32,9 +31,8 @@
 //!   iterative executor rebuilds the tree it describes, and the one
 //!   verifier walk checks that tree.
 //!
-//! Each of the three trees has exactly one proof form: a compact
-//! multiproof ([`SmtProof`]), a node path ([`MptProof`]), a program
-//! ([`ops::OpProof`]).
+//! Each of the two trees has exactly one proof form: a compact multiproof
+//! ([`SmtProof`]) and a program ([`ops::OpProof`]).
 //!
 //! All node hashes are domain-separated (see [`domain`]) so that a node of
 //! one structure can never be confused with a node of another.
@@ -47,13 +45,11 @@
 
 pub mod btree;
 pub mod mht;
-pub mod mpt;
 pub mod ops;
 pub mod smt;
 
 pub use btree::{AggAppendProof, AggMbTree, Aggregate, MbAppendProof, MbTree};
 pub use mht::set_build_threads;
-pub use mpt::{Mpt, MptProof};
 pub use ops::{AggOpProof, MbOpProof, ProofOp, MAX_OP_STACK, MAX_PROOF_DEPTH};
 pub use smt::{SmtProof, SparseMerkleTree};
 
@@ -75,18 +71,13 @@ pub mod domain {
     tags! {
         /// Sparse-Merkle-tree leaf: `H(tag || key || value_hash)`.
         SMT_LEAF = 0x01;
-        /// Sparse-Merkle-tree branch: `H(tag || left || right)`.
+        /// Sparse-Merkle-tree branch: `H(tag || bit || prefix || left || right)`.
         SMT_BRANCH = 0x02;
         /// Transaction-root leaf: `H(tag || item)`.
         MHT_LEAF = 0x03;
         /// Transaction-root inner node: `H(tag || left || right)`.
         MHT_NODE = 0x04;
-        /// Patricia-trie leaf node.
-        MPT_LEAF = 0x05;
-        /// Patricia-trie extension node.
-        MPT_EXT = 0x06;
-        /// Patricia-trie branch node.
-        MPT_BRANCH = 0x07;
+        // 0x05–0x07 were the Patricia trie's; retired with it, not reused.
         /// Merkle-B-tree leaf node ([`Plain`](crate::btree::Plain) flavor).
         MBT_LEAF = 0x08;
         /// Merkle-B-tree internal node ([`Plain`](crate::btree::Plain) flavor).

@@ -27,17 +27,31 @@
 //!
 //! - empty subtree → [`Hash::ZERO`],
 //! - single-leaf subtree → `H(SMT_LEAF || key || value_hash)`,
-//! - diverging subtree → `H(SMT_BRANCH || left || right)`.
+//! - diverging subtree → `H(SMT_BRANCH || bit || prefix || left || right)`:
+//!   `bit` is where the two sides part (a big-endian `u16`) and `prefix` the
+//!   key bits every leaf beneath shares above it, zero-padded to 32 bytes.
 //!
-//! Keys are 256-bit [`struct@Hash`]es (callers hash their logical keys first), and
-//! the key is bound inside the leaf hash, so leaves cannot be repositioned.
+//! Keys are 256-bit [`struct@Hash`]es (callers hash their logical keys first).
+//! Every hash says where its subtree belongs — a leaf by its key, a branch by
+//! its bit and prefix — so neither can be repositioned: a path-compressed
+//! tree has keys only at its leaves, and the prefix stands in for them the
+//! way the key inside every node's hash does in a tree that stores one per
+//! node.
 //!
 //! # Proof layout
 //!
 //! A proof is the sorted covered keys, each key's pre-state value hash, and
 //! one *evidence* item per maximal untouched subtree next to a covered
-//! path: empty, a single disclosed leaf, or the hash of a subtree with two
-//! or more leaves. Evidence is in depth-first order. The walk descends one
+//! path: empty, a single disclosed leaf, or a subtree with two or more
+//! leaves — its hash where the side beside it holds something (the branch
+//! the walk hashes over the two commits to that depth and those shared
+//! bits, which places it), its header `(bit, prefix, left, right)` where
+//! that side is empty and the subtree goes up the walk with nothing hashed
+//! over it: the walk then holds it to `prefix` parting from the covered
+//! keys at exactly this depth and `bit` lying below, as it holds a
+//! disclosed leaf's key. A bare hash beside an empty side and a header
+//! beside a live one are both refused, so a tree and a key set have one
+//! proof. Evidence is in depth-first order. The walk descends one
 //! key bit per level with the covered keys that share the path so far; at
 //! each level the keys split by that bit, the left side is finished first
 //! and then the right, and a side no covered key enters consumes exactly
@@ -133,10 +147,28 @@ pub fn leaf_hash(key: &Hash, value_hash: &Hash) -> Hash {
     ])
 }
 
-/// Hash of a subtree whose two sides both hold leaves.
-pub fn branch_hash(left: &Hash, right: &Hash) -> Hash {
+/// The first `bit` bits of `key`, the rest zero: what every key beneath a
+/// branch whose sides part at `bit` has in common.
+fn prefix(key: &Hash, bit: usize) -> Hash {
+    let mut bytes = key.to_array();
+    let mut tail = bytes.iter_mut().skip(bit / 8);
+    if let Some(parting) = tail.next() {
+        *parting &= !(u8::MAX >> (bit % 8));
+    }
+    tail.for_each(|byte| *byte = 0);
+    Hash::from_bytes(bytes)
+}
+
+/// Hash of a subtree whose two sides both hold leaves and part at `bit`;
+/// `under` is any key beneath it. 99 bytes: two SHA-256 blocks, as the 65
+/// of `tag || left || right` were.
+pub fn branch_hash(bit: usize, under: &Hash, left: &Hash, right: &Hash) -> Hash {
+    // A branch parts its keys inside the key space, so `bit` fits.
+    let bit_bytes = u16::try_from(bit).unwrap_or(u16::MAX).to_be_bytes();
     hash_concat([
         std::slice::from_ref(&domain::SMT_BRANCH),
+        &bit_bytes,
+        prefix(under, bit).as_bytes(),
         left.as_bytes(),
         right.as_bytes(),
     ])
@@ -201,6 +233,26 @@ impl Node {
             Node::Branch { rep, .. } => Some(rep),
         }
     }
+
+    /// What this node's hash commits to, if it is a branch.
+    fn header(&self) -> Option<Header> {
+        let Node::Branch {
+            bit,
+            rep,
+            left,
+            right,
+            ..
+        } = self
+        else {
+            return None;
+        };
+        Some(Header {
+            bit: *bit,
+            shared: prefix(rep, usize::from(*bit)),
+            left: left.hash(),
+            right: right.hash(),
+        })
+    }
 }
 
 fn make_branch(bit: usize, left: Node, right: Node) -> Node {
@@ -208,11 +260,12 @@ fn make_branch(bit: usize, left: Node, right: Node) -> Node {
     debug_assert!(
         left.rep().is_some_and(|r| !r.bit(bit)) && right.rep().is_some_and(|r| r.bit(bit))
     );
-    let hash = branch_hash(&left.hash(), &right.hash());
+    let rep = left.rep().copied().unwrap_or(Hash::ZERO);
+    let hash = branch_hash(bit, &rep, &left.hash(), &right.hash());
     Node::Branch {
         // `bit` indexes into a 256-bit key, so it always fits u16.
         bit: u16::try_from(bit).unwrap_or(u16::MAX),
-        rep: left.rep().copied().unwrap_or(Hash::ZERO),
+        rep,
         left: Box::new(left),
         right: Box::new(right),
         hash,
@@ -296,7 +349,7 @@ impl Node {
                 match (left.rep(), right.is_empty()) {
                     (Some(leftmost), false) => {
                         *rep = *leftmost;
-                        *hash = branch_hash(&left.hash(), &right.hash());
+                        *hash = branch_hash(bit, rep, &left.hash(), &right.hash());
                     }
                     // Canonical form: an empty side leaves the other side.
                     (Some(_), true) => *self = std::mem::take(left.as_mut()),
@@ -406,13 +459,8 @@ impl SparseMerkleTree {
         sorted.dedup();
         let mut pre = Vec::with_capacity(sorted.len());
         let mut evidence = Vec::new();
-        Self::prove_rec(
-            NodeView::from(&self.root),
-            0,
-            &sorted,
-            &mut pre,
-            &mut evidence,
-        );
+        let whole = NodeView::from(&self.root);
+        Self::prove_rec(whole, 0, &sorted, false, &mut pre, &mut evidence);
         debug_assert_eq!(pre.len(), sorted.len());
         SmtProof {
             keys: sorted,
@@ -421,10 +469,14 @@ impl SparseMerkleTree {
         }
     }
 
+    /// `passes` says the side beside this one is empty: what is found here
+    /// then goes up the verifier's walk with no branch hashed over it, so a
+    /// subtree of several leaves has to bring its own header.
     fn prove_rec(
         node: NodeView<'_>,
         depth: usize,
         keys: &[Hash],
+        passes: bool,
         pre: &mut Vec<Option<Hash>>,
         evidence: &mut Vec<Evidence>,
     ) {
@@ -434,7 +486,12 @@ impl SparseMerkleTree {
                 key: *key,
                 value_hash: *value_hash,
             }),
-            ([], NodeView::Branch(branch)) => evidence.push(Evidence::Node(branch.hash())),
+            ([], NodeView::Branch(branch)) => {
+                let header = passes.then(|| branch.header()).flatten();
+                evidence.push(header.map_or(Evidence::Node(branch.hash()), |header| {
+                    Evidence::Branch(Box::new(header))
+                }));
+            }
             // A lone key over an empty subtree or over its own leaf: every
             // sibling from here down to depth 256 is empty, so the rest of
             // its path is one run.
@@ -451,8 +508,9 @@ impl SparseMerkleTree {
                 let split = keys.partition_point(|k| !k.bit(depth));
                 let (lkeys, rkeys) = keys.split_at(split);
                 let (lchild, rchild) = node.children(depth);
-                Self::prove_rec(lchild, depth + 1, lkeys, pre, evidence);
-                Self::prove_rec(rchild, depth + 1, rkeys, pre, evidence);
+                let (lpasses, rpasses) = (rchild.is_empty(), lchild.is_empty());
+                Self::prove_rec(lchild, depth + 1, lkeys, lpasses, pre, evidence);
+                Self::prove_rec(rchild, depth + 1, rkeys, rpasses, pre, evidence);
             }
         }
     }
@@ -480,6 +538,10 @@ impl<'a> From<&'a Node> for NodeView<'a> {
 }
 
 impl<'a> NodeView<'a> {
+    fn is_empty(self) -> bool {
+        matches!(self, NodeView::Empty)
+    }
+
     /// The (left, right) children when viewed at `depth`.
     ///
     /// A leaf or a branch that diverges deeper than `depth` occupies a
@@ -536,8 +598,31 @@ enum Evidence {
     /// The subtree contains exactly one leaf (content disclosed so that
     /// inserts/deletes near it can recompute divergence points).
     Leaf { key: Hash, value_hash: Hash },
-    /// The subtree contains two or more leaves; only its root hash matters.
+    /// The subtree contains two or more leaves; only its root hash matters:
+    /// the branch the walk hashes over it and the live side beside it says
+    /// where it hangs.
     Node(Hash),
+    /// The same subtree beside an *empty* side, where no such branch is
+    /// hashed: the header its root hash commits to, so the walk can hold it
+    /// to its position the way it holds a disclosed leaf. Boxed: a proof
+    /// carries few of these, and an item stays the size of a leaf.
+    Branch(Box<Header>),
+}
+
+/// What a branch hashes: the bit at which its keys part, the bits they
+/// share above it, and its two sides.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Header {
+    bit: u16,
+    shared: Hash,
+    left: Hash,
+    right: Hash,
+}
+
+impl Header {
+    fn hash(&self) -> Hash {
+        branch_hash(usize::from(self.bit), &self.shared, &self.left, &self.right)
+    }
 }
 
 /// Appends `n` empty subtrees, filling a trailing run up to the `u16::MAX`
@@ -597,12 +682,14 @@ impl Subtree {
     }
 }
 
-fn combine(left: Subtree, right: Subtree) -> Subtree {
+/// The subtree at `depth` over `left` and `right`; `under` is any key
+/// beneath it.
+fn combine(depth: usize, under: &Hash, left: Subtree, right: Subtree) -> Subtree {
     match (left, right) {
         (Subtree::Empty, Subtree::Empty) => Subtree::Empty,
         // Pass-through: empty siblings are transparent in the compact tree.
         (Subtree::Empty, other) | (other, Subtree::Empty) => other,
-        (l, r) => Subtree::Many(branch_hash(&l.hash(), &r.hash())),
+        (l, r) => Subtree::Many(branch_hash(depth, under, &l.hash(), &r.hash())),
     }
 }
 
@@ -636,6 +723,17 @@ struct Frame {
 }
 
 const MEMO_LOST: ProofError = ProofError::Malformed("walk memo out of step");
+// The position refusals. A disclosed leaf, or branch header, whose keys do
+// not part from the covered keys where the walk stands (or, a branch's, from
+// each other no deeper than that); a header that is not the one encoding of
+// a branch — a bit outside the key space, shared bits set at or below it; a
+// subtree known by its hash alone that no branch places; a header where one
+// does, for one tree has one encoding.
+const LEAF_MISPLACED: ProofError = ProofError::Malformed("leaf evidence outside subtree");
+const BRANCH_MISPLACED: ProofError = ProofError::Malformed("branch evidence outside subtree");
+const HEADER_MALFORMED: ProofError = ProofError::Malformed("branch header not canonical");
+const SUBTREE_UNPLACED: ProofError = ProofError::Malformed("opaque subtree beside an empty side");
+const HEADER_UNCALLED: ProofError = ProofError::Malformed("branch header beside a live side");
 
 impl SmtProof {
     /// The sorted set of keys this proof covers.
@@ -690,8 +788,13 @@ impl SmtProof {
         let steps = (self.keys.len() + self.evidence.len()).saturating_sub(2);
         let mut frames = Vec::with_capacity(steps);
         let top = if self.keys.is_empty() {
-            // No covered key: the whole tree is the one untouched subtree.
-            Side::whole(cursor.take(|_| true)?)
+            // No covered key: the whole tree is the one untouched subtree,
+            // and the trusted root is all that places it.
+            let (found, header) = cursor.take(|_, _| true)?;
+            if header == Some(true) {
+                return Err(HEADER_UNCALLED);
+            }
+            Side::whole(found)
         } else {
             self.compute_rec::<SKIP_RUNS>(0, 0, self.keys.len(), &mut cursor, &mut frames)?
         };
@@ -739,25 +842,38 @@ impl SmtProof {
                 .keys
                 .get(key_lo..key_hi)
                 .map_or(0, |range| range.partition_point(|k| !k.bit(depth)));
-        // A side no covered key enters is one evidence item. A leaf disclosed
-        // there must part from the covered keys at exactly this bit. Nothing
-        // else binds evidence to a position: an empty sibling is transparent
-        // to `combine` and a branch hash commits to no prefix, so the root
-        // comparison does not catch what this check lets through.
-        let side = |lo: usize, hi: usize, cursor: &mut Cursor<'_>, frames: &mut Vec<Frame>| {
+        // A side no covered key enters is one evidence item, and what it
+        // discloses — a leaf's key, or the bits a branch's keys share down
+        // to where they part — must part from the covered keys at exactly
+        // this bit. An empty sibling is transparent to `combine`, so the
+        // root comparison alone would let a subtree sit at any depth of an
+        // otherwise empty path.
+        let mut header = None;
+        let mut side = |lo: usize, hi: usize, cursor: &mut Cursor<'_>, frames: &mut Vec<Frame>| {
             if lo == hi {
-                cursor
-                    .take(|leaf| diverge_bit(leaf, first) == depth)
-                    .map(Side::whole)
+                let (found, disclosed) =
+                    cursor.take(|at, parts| diverge_bit(at, first) == depth && parts > depth)?;
+                header = disclosed;
+                Ok(Side::whole(found))
             } else {
                 self.compute_rec::<SKIP_RUNS>(depth + 1, lo, hi, cursor, frames)
             }
         };
         let left = side(key_lo, split, cursor, frames)?;
         let right = side(split, key_hi, cursor, frames)?;
+        // A subtree known by its hash alone is placed by the branch hashed
+        // over it here, which commits to this depth and these shared bits —
+        // unless the side beside it is empty and it passes through unhashed:
+        // then, and only then, it has to come with its own header.
+        let passes = left.found == Subtree::Empty || right.found == Subtree::Empty;
+        match header {
+            Some(false) if passes => return Err(SUBTREE_UNPLACED),
+            Some(true) if !passes => return Err(HEADER_UNCALLED),
+            _ => {}
+        }
         frames.push(Frame { left, right });
         Ok(Side {
-            found: combine(left.found, right.found),
+            found: combine(depth, first, left.found, right.found),
             recorded: u32::try_from(frames.len())
                 .map_err(|_| ProofError::Malformed("proof walk too long"))?,
         })
@@ -847,7 +963,10 @@ impl Verified<'_> {
         };
         let Frame { left, right } = self.frames.get(own).ok_or(MEMO_LOST)?;
         let (lower, upper) = writes.split_at(parting(writes, depth));
+        let (under, _) = writes.first().ok_or(MEMO_LOST)?;
         Ok(combine(
+            depth,
+            under,
             self.rewalk(depth + 1, *left, lower)?,
             self.rewalk(depth + 1, *right, upper)?,
         ))
@@ -862,13 +981,18 @@ struct Cursor<'a> {
 }
 
 impl Cursor<'_> {
-    /// The next untouched subtree; `in_subtree` says whether a disclosed
-    /// leaf key belongs where the walk stands.
-    fn take(&mut self, in_subtree: impl FnOnce(&Hash) -> bool) -> Result<Subtree, ProofError> {
+    /// The next untouched subtree and, when it holds two or more leaves,
+    /// whether it came with its header. `belongs` says whether keys that
+    /// share the given bits, down to where they part, hang where the walk
+    /// stands; a leaf's key parts from nothing inside the key space.
+    fn take(
+        &mut self,
+        belongs: impl FnOnce(&Hash, usize) -> bool,
+    ) -> Result<(Subtree, Option<bool>), ProofError> {
         loop {
             if let Some(rest) = self.empties.checked_sub(1) {
                 self.empties = rest;
-                return Ok(Subtree::Empty);
+                return Ok((Subtree::Empty, None));
             }
             match self
                 .items
@@ -877,12 +1001,22 @@ impl Cursor<'_> {
             {
                 Evidence::Empties(run) => self.empties = usize::from(*run),
                 Evidence::Leaf { key, value_hash } => {
-                    if !in_subtree(key) {
-                        return Err(ProofError::Malformed("leaf evidence outside subtree"));
+                    if !belongs(key, KEY_BITS) {
+                        return Err(LEAF_MISPLACED);
                     }
-                    return Ok(Subtree::One(leaf_hash(key, value_hash)));
+                    return Ok((Subtree::One(leaf_hash(key, value_hash)), None));
                 }
-                Evidence::Node(hash) => return Ok(Subtree::Many(*hash)),
+                Evidence::Node(hash) => return Ok((Subtree::Many(*hash), Some(false))),
+                Evidence::Branch(header) => {
+                    let bit = usize::from(header.bit);
+                    if !belongs(&header.shared, bit) {
+                        return Err(BRANCH_MISPLACED);
+                    }
+                    if bit >= KEY_BITS || prefix(&header.shared, bit) != header.shared {
+                        return Err(HEADER_MALFORMED);
+                    }
+                    return Ok((Subtree::Many(header.hash()), Some(true)));
+                }
             }
         }
     }
@@ -909,11 +1043,13 @@ impl Cursor<'_> {
 // --- serialization -------------------------------------------------------
 //
 // One chunk per evidence item: tag 0 is followed by the run length as a
-// u16, tags 1 and 2 by the leaf's key and value hash or the node's hash.
+// u16, tags 1 and 2 by the leaf's key and value hash or the node's hash,
+// tag 3 by the branch's bit as a u16, its shared bits and its two sides.
 
 const TAG_EMPTY_RUN: u8 = 0;
 const TAG_LEAF: u8 = 1;
 const TAG_NODE: u8 = 2;
+const TAG_BRANCH: u8 = 3;
 
 impl Encode for SmtProof {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -938,6 +1074,13 @@ impl Encode for SmtProof {
                     out.push(TAG_NODE);
                     hash.encode(out);
                 }
+                Evidence::Branch(header) => {
+                    out.push(TAG_BRANCH);
+                    header.bit.encode(out);
+                    header.shared.encode(out);
+                    header.left.encode(out);
+                    header.right.encode(out);
+                }
             }
         }
     }
@@ -951,6 +1094,7 @@ impl Encode for SmtProof {
                 Evidence::Empties(_) => 1 + 2,
                 Evidence::Leaf { .. } => 1 + 2 * Hash::LEN,
                 Evidence::Node(_) => 1 + Hash::LEN,
+                Evidence::Branch(_) => 1 + 2 + 3 * Hash::LEN,
             })
             .sum();
         4 + self.keys.len() * Hash::LEN + 4 + pre + 4 + evidence
@@ -974,6 +1118,12 @@ impl Decode for SmtProof {
                     value_hash: Hash::decode(r)?,
                 }),
                 TAG_NODE => evidence.push(Evidence::Node(Hash::decode(r)?)),
+                TAG_BRANCH => evidence.push(Evidence::Branch(Box::new(Header {
+                    bit: u16::decode(r)?,
+                    shared: Hash::decode(r)?,
+                    left: Hash::decode(r)?,
+                    right: Hash::decode(r)?,
+                }))),
                 other => return Err(CodecError::InvalidTag(other)),
             }
         }
@@ -990,6 +1140,7 @@ mod tests {
     use super::*;
     use dcert_primitives::codec::{decode_seq, encode_seq};
     use dcert_testkit::check;
+    use dcert_testkit::smt_frames::{forged_absences, header_lies, Refusal, Rules};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::collections::{BTreeMap, BTreeSet};
@@ -1000,23 +1151,37 @@ mod tests {
 
     /// Reference oracle: recompute the root from scratch, recursively, from
     /// the full sorted key/value-hash map — an independent code path from
-    /// the incremental tree.
+    /// the incremental tree, with its own spelling of the branch rule.
     fn reference_root(entries: &BTreeMap<Hash, Hash>) -> Hash {
-        fn rec(depth: usize, entries: &[(&Hash, &Hash)]) -> Subtree {
-            match entries.len() {
-                0 => Subtree::Empty,
-                1 => Subtree::One(leaf_hash(entries[0].0, entries[0].1)),
-                _ => {
+        fn branch(depth: usize, under: &Hash, left: Hash, right: Hash) -> Hash {
+            let mut preimage = vec![domain::SMT_BRANCH, (depth >> 8) as u8, depth as u8];
+            let mut shared = [0u8; 32];
+            for i in (0..depth).filter(|i| under.bit(*i)) {
+                shared[i / 8] |= 0x80 >> (i % 8);
+            }
+            preimage.extend_from_slice(&shared);
+            preimage.extend_from_slice(left.as_bytes());
+            preimage.extend_from_slice(right.as_bytes());
+            hash_bytes(preimage)
+        }
+        fn rec(depth: usize, entries: &[(&Hash, &Hash)]) -> Hash {
+            match entries {
+                [] => Hash::ZERO,
+                [(key, value_hash)] => leaf_hash(key, value_hash),
+                [(under, _), ..] => {
                     let split = entries.partition_point(|(k, _)| !k.bit(depth));
-                    combine(
-                        rec(depth + 1, &entries[..split]),
-                        rec(depth + 1, &entries[split..]),
-                    )
+                    let left = rec(depth + 1, &entries[..split]);
+                    let right = rec(depth + 1, &entries[split..]);
+                    if left == Hash::ZERO || right == Hash::ZERO {
+                        left.max(right)
+                    } else {
+                        branch(depth, under, left, right)
+                    }
                 }
             }
         }
         let list: Vec<(&Hash, &Hash)> = entries.iter().collect();
-        rec(0, &list).hash()
+        rec(0, &list)
     }
 
     #[test]
@@ -1370,72 +1535,147 @@ mod tests {
         assert_eq!(forged.walk::<false>().err(), refused);
     }
 
-    /// A prover that lies about one present key: [`SparseMerkleTree::prove_rec`]
-    /// for `wanted` alone, except that where the honest walk ends on
-    /// `wanted`'s own leaf this one goes a level further, hands the leaf's
-    /// hash over as an opaque sibling on the side `wanted` does not take,
-    /// and shows `wanted`'s side empty to the bottom.
-    fn forge_absence(
-        node: NodeView<'_>,
-        depth: usize,
-        wanted: &Hash,
-        evidence: &mut Vec<Evidence>,
-    ) {
-        let honest = |node, evidence: &mut Vec<Evidence>| {
-            SparseMerkleTree::prove_rec(node, depth + 1, &[], &mut Vec::new(), evidence);
+    /// This tree's hash rules, for the frame forgers of `dcert-testkit`.
+    const RULES: Rules = Rules {
+        leaf: |key, value_hash| {
+            leaf_hash(&Hash::from_bytes(*key), &Hash::from_bytes(*value_hash)).to_array()
+        },
+        branch: |bit, under, left, right| {
+            let [under, left, right] = [under, left, right].map(|h| Hash::from_bytes(*h));
+            branch_hash(usize::from(bit), &under, &left, &right).to_array()
+        },
+    };
+
+    /// The header of the branch under `node` that hashes to `hash`.
+    fn header_of(node: &Node, hash: &Hash) -> Option<Header> {
+        let Node::Branch { left, right, .. } = node else {
+            return None;
         };
-        match node {
-            NodeView::Leaf { key, value_hash } if key == wanted => {
-                let hidden = Evidence::Node(leaf_hash(key, value_hash));
-                let below = KEY_BITS - depth - 1;
-                if wanted.bit(depth) {
-                    evidence.push(hidden);
-                    push_empties(evidence, below);
-                } else {
-                    push_empties(evidence, below);
-                    evidence.push(hidden);
-                }
-            }
-            _ => {
-                let (left, right) = node.children(depth);
-                if wanted.bit(depth) {
-                    honest(left, evidence);
-                    forge_absence(right, depth + 1, wanted, evidence);
-                } else {
-                    forge_absence(left, depth + 1, wanted, evidence);
-                    honest(right, evidence);
-                }
-            }
+        if node.hash() == *hash {
+            return node.header();
         }
+        header_of(left, hash).or_else(|| header_of(right, hash))
     }
 
-    /// Known gap, pinned: only a disclosed leaf is held to its position. An
-    /// opaque hash beside an all-empty path passes through `combine`
-    /// unchanged, and a branch hash commits to no prefix, so a subtree
-    /// handed over one level too low recomputes the genuine root — and the
-    /// covered key inside it reads as absent. Closing it changes
-    /// `branch_hash`, hence every state root (ROADMAP item 2).
+    /// Every lie about where a subtree belongs that the frame forgers can
+    /// tell — about a header the honest proof of `touched` has to carry,
+    /// and to make each key of `present` read as absent; left unchecked,
+    /// those commit to the genuine root — and the one they cannot, knowing
+    /// no tree: that proof with a bare hash, which the branch above places,
+    /// replaced by the header it stands for. Each with the refusal it meets.
+    fn position_lies(
+        tree: &SparseMerkleTree,
+        touched: &[Hash],
+        present: &[Hash],
+    ) -> Vec<(SmtProof, ProofError)> {
+        let proof = tree.prove(touched);
+        assert_eq!(proof.walk::<true>().map(|v| v.root()), Ok(tree.root()));
+        let mut frames = header_lies(&proof.to_encoded_bytes(), RULES);
+        for key in present {
+            let honest = tree.prove(&[*key]).to_encoded_bytes();
+            let (forged, commits_to) = forged_absences(&honest, RULES);
+            assert_eq!(Hash::from_bytes(commits_to), tree.root());
+            frames.extend(forged);
+        }
+        let lies = frames.into_iter().map(|(frame, refusal)| {
+            let refusal = match refusal {
+                Refusal::LeafMisplaced => LEAF_MISPLACED,
+                Refusal::BranchMisplaced => BRANCH_MISPLACED,
+                Refusal::SubtreeUnplaced => SUBTREE_UNPLACED,
+                Refusal::HeaderMalformed => HEADER_MALFORMED,
+                Refusal::RootMismatch => ProofError::RootMismatch,
+            };
+            (SmtProof::decode_all(&frame).unwrap(), refusal)
+        });
+        let uncalled = proof.evidence.iter().enumerate().filter_map(|(at, item)| {
+            let Evidence::Node(hash) = item else {
+                return None;
+            };
+            let mut lie = proof.clone();
+            lie.evidence[at] = Evidence::Branch(Box::new(header_of(&tree.root, hash)?));
+            Some((lie, HEADER_UNCALLED))
+        });
+        lies.chain(uncalled).collect()
+    }
+
+    /// Each lie survives the wire as it stands and is refused for what it
+    /// is, whether the walk takes runs whole or level by level. Returns the
+    /// refusals met.
+    fn assert_refused(
+        tree: &SparseMerkleTree,
+        lies: Vec<(SmtProof, ProofError)>,
+    ) -> Vec<ProofError> {
+        let mut reached = Vec::new();
+        for (lie, refusal) in lies {
+            let lie = SmtProof::decode_all(&lie.to_encoded_bytes()).unwrap();
+            for walked in [lie.walk::<true>(), lie.walk::<false>()] {
+                let root = walked.map(|verified| verified.root());
+                let told = root.and_then(|root| match root == tree.root() {
+                    true => Ok(()),
+                    false => Err(ProofError::RootMismatch),
+                });
+                assert_eq!(told, Err(refusal.clone()), "{lie:?}");
+            }
+            reached.push(refusal);
+        }
+        reached
+    }
+
+    /// The gap PR 18 found, closed: a subtree handed over beside an all-empty
+    /// path is held to its position, so the key inside it cannot read as
+    /// absent; and the family reaches every refusal it names.
     #[test]
-    #[ignore = "known gap: ROADMAP item 2"]
     fn opaque_sibling_cannot_hide_a_present_key() {
         let mut tree = SparseMerkleTree::new();
         for i in 0..51u32 {
             tree.insert(key(&format!("k{i}")), vec![i as u8]);
         }
-        let present = key("k7");
-        let mut evidence = Vec::new();
-        forge_absence(NodeView::from(&tree.root), 0, &present, &mut evidence);
-        let forged = SmtProof {
-            keys: vec![present],
-            pre: vec![None],
-            evidence,
-        };
-        // The lie survives the wire as it stands.
-        let forged = SmtProof::decode_all(&forged.to_encoded_bytes()).unwrap();
-        let claimed = forged
-            .verify(&tree.root())
-            .and_then(|verified| verified.pre_value_hash(&present));
-        assert_ne!(claimed, Ok(None), "a present key was proven absent");
+        let reached = assert_refused(&tree, position_lies(&tree, &[], &[key("k7")]));
+        assert!(reached.contains(&SUBTREE_UNPLACED));
+
+        let pool = crowded_keys();
+        let mut tree = SparseMerkleTree::new();
+        for k in &pool {
+            tree.insert(*k, vec![1]);
+        }
+        // Absent, and parting from the deep family half way down the 117
+        // levels its branch at bit 248 hangs beside nothing.
+        let mut stray = key("deep").to_array();
+        stray[24] ^= 0x40;
+        let touched = [Hash::from_bytes(stray), key("absent-1"), pool[3]];
+        let reached = assert_refused(&tree, position_lies(&tree, &touched, &pool));
+        for named in [
+            LEAF_MISPLACED,
+            BRANCH_MISPLACED,
+            HEADER_MALFORMED,
+            SUBTREE_UNPLACED,
+            HEADER_UNCALLED,
+            ProofError::RootMismatch,
+        ] {
+            assert!(reached.contains(&named), "{named} not reached");
+        }
+    }
+
+    /// Over seeded trees and key sets — present, absent and mixed, crowded
+    /// and deep — no lie about a subtree's position verifies.
+    #[test]
+    fn prop_misplaced_subtrees_are_refused() {
+        check("prop_misplaced_subtrees_are_refused", 64, |g| {
+            let pool = crowded_keys();
+            let held = g.btree_set(0..pool.len(), |g| g.range(0..pool.len()));
+            let touched = g.btree_set(0..6, |g| g.range(0..pool.len() + 8));
+            let mut tree = SparseMerkleTree::new();
+            for at in &held {
+                tree.insert(pool[*at], vec![*at as u8]);
+            }
+            let absent = |at: &usize| key(&format!("absent-{at}"));
+            let touched: Vec<Hash> = touched
+                .iter()
+                .map(|at| pool.get(*at).copied().unwrap_or_else(|| absent(at)))
+                .collect();
+            let present: Vec<Hash> = held.iter().take(3).map(|at| pool[*at]).collect();
+            assert_refused(&tree, position_lies(&tree, &touched, &present));
+        });
     }
 
     /// Keys that crowd each other: hashed labels part within the first few

@@ -127,44 +127,28 @@ impl InvertedIndex {
         appends
     }
 
+    /// A keyword's chain head in the dictionary (`None` = not indexed yet).
+    // expect() here reads SP-maintained 32-byte chain heads (see the
+    // dcert-lint rationale at the call site).
+    #[allow(clippy::expect_used)]
+    fn head(&self, keyword: &str) -> Option<Hash> {
+        self.dictionary
+            .get(&keyword_key(keyword))
+            // dcert-lint: allow(r2-panic-freedom, r5-panic-reachability, reason = "SP-maintained dictionary only ever stores 32-byte chain heads; not attacker input")
+            .map(|bytes| Hash::from_bytes(bytes.try_into().expect("32-byte heads")))
+    }
+
     /// Indexes one block, returning the enclave-verifiable update proof
     /// (`aux`) and the new digest.
-    // expect() here reads SP-maintained 32-byte chain heads (see the
-    // dcert-lint rationale at the call sites).
-    #[allow(clippy::expect_used)]
     pub fn apply_block(&mut self, block: &Block) -> (Vec<u8>, Hash) {
-        let appends = Self::block_appends(block);
-        let touched: Vec<Hash> = appends.keys().map(|kw| keyword_key(kw)).collect();
+        let appends: Vec<(String, Vec<Hash>)> = Self::block_appends(block).into_iter().collect();
+        let touched: Vec<Hash> = appends.iter().map(|(kw, _)| keyword_key(kw)).collect();
         let proof = self.dictionary.prove(&touched);
-        let prev_heads: Vec<(String, Option<Hash>)> = appends
-            .keys()
-            .map(|kw| {
-                let head = self
-                    .dictionary
-                    .get(&keyword_key(kw))
-                    // dcert-lint: allow(r2-panic-freedom, r5-panic-reachability, reason = "SP-maintained dictionary only ever stores 32-byte chain heads; not attacker input")
-                    .map(|bytes| Hash::from_bytes(bytes.try_into().expect("32-byte heads")));
-                (kw.clone(), head)
-            })
+        let prev_heads = appends
+            .iter()
+            .map(|(kw, _)| (kw.clone(), self.head(kw)))
             .collect();
-
-        // Mutate.
-        for (keyword, ids) in &appends {
-            let list = self.postings.entry(keyword.clone()).or_default();
-            let mut head = self
-                .dictionary
-                .get(&keyword_key(keyword))
-                // dcert-lint: allow(r2-panic-freedom, r5-panic-reachability, reason = "SP-maintained dictionary only ever stores 32-byte chain heads; not attacker input")
-                .map(|bytes| Hash::from_bytes(bytes.try_into().expect("32-byte heads")))
-                .unwrap_or(Hash::ZERO);
-            for id in ids {
-                list.push(*id);
-                head = chain_append(&head, id);
-            }
-            self.dictionary
-                .insert(keyword_key(keyword), head.as_bytes().to_vec());
-        }
-
+        self.replay_appends(&appends);
         let update = InvertedUpdate { prev_heads, proof };
         (update.to_encoded_bytes(), self.digest())
     }
@@ -174,18 +158,10 @@ impl InvertedIndex {
     /// the update proof — the mutation half of
     /// [`InvertedIndex::apply_block`], used by store recovery. Applying
     /// the same appends yields the same dictionary root by construction.
-    // expect() here reads SP-maintained 32-byte chain heads (see the
-    // dcert-lint rationale at the call sites).
-    #[allow(clippy::expect_used)]
     pub(crate) fn replay_appends(&mut self, appends: &[(String, Vec<Hash>)]) {
         for (keyword, ids) in appends {
+            let mut head = self.head(keyword).unwrap_or(Hash::ZERO);
             let list = self.postings.entry(keyword.clone()).or_default();
-            let mut head = self
-                .dictionary
-                .get(&keyword_key(keyword))
-                // dcert-lint: allow(r2-panic-freedom, r5-panic-reachability, reason = "SP-maintained dictionary only ever stores 32-byte chain heads; not attacker input")
-                .map(|bytes| Hash::from_bytes(bytes.try_into().expect("32-byte heads")))
-                .unwrap_or(Hash::ZERO);
             for id in ids {
                 list.push(*id);
                 head = chain_append(&head, id);

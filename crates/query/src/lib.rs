@@ -10,7 +10,7 @@
 //! Three index families are provided, matching the paper's case study
 //! (Fig. 5):
 //!
-//! - [`history`]: a **two-level historical index** — a Merkle Patricia trie
+//! - [`history`]: a **two-level historical index** — a sparse Merkle tree
 //!   over state keys whose values are the roots of per-key Merkle B-trees
 //!   of timestamped versions. Supports authenticated time-window queries
 //!   ("all versions of account X in [t1, t2]").

@@ -1,11 +1,12 @@
 //! The two-level certified index (Fig. 5, lower-left), generic over the
 //! flavor of its lower trees.
 //!
-//! Upper level: a Merkle Patricia trie mapping each state key (the 32-byte
-//! SMT path of an account/field) to the root of that key's lower tree.
-//! Lower level: one [`BTree`] per key, mapping *timestamp* (block height)
-//! to what the key was written to at that height. The digest the enclave
-//! certifies is the upper trie's root.
+//! Upper level: a [`SparseMerkleTree`] — the one keyed tree, the same that
+//! commits to the global state — mapping each state key (the 32-byte path
+//! of an account/field) to the root of that key's lower tree. Lower level:
+//! one [`BTree`] per key, mapping *timestamp* (block height) to what the
+//! key was written to at that height. The digest the enclave certifies is
+//! the upper tree's root.
 //!
 //! [`history`](crate::history) and [`aggregate`](crate::aggregate)
 //! instantiate this module with the [`Plain`](dcert_merkle::btree::Plain)
@@ -16,11 +17,12 @@
 //!   completeness proofs ([`TwoLevelIndex::query`], the only query);
 //! - the enclave runs a [`TwoLevelVerifier`] (an
 //!   [`dcert_core::IndexVerifier`]) to recompute the digest after each
-//!   block from chained stateless proofs;
+//!   block from one stateless multiproof over the block's keys, the way
+//!   it recomputes the state root;
 //! - clients check an answer against the certified digest with the
 //!   instantiation's `verify_*` function, each a thin call into the one
-//!   checker here. A [`QueryProof`] is an upper-trie node path plus the
-//!   lower tree's window proof, which is a program
+//!   checker here. A [`QueryProof`] is a single-key upper-tree proof plus
+//!   the lower tree's window proof, which is a program
 //!   ([`dcert_merkle::ops`]).
 
 use std::collections::HashMap;
@@ -30,7 +32,7 @@ use dcert_chain::Block;
 use dcert_core::{CertError, IndexVerifier};
 use dcert_merkle::btree::{AppendProof, BTree, Flavor};
 use dcert_merkle::ops::OpProof;
-use dcert_merkle::{Mpt, MptProof, ProofError};
+use dcert_merkle::{ProofError, SmtProof, SparseMerkleTree};
 use dcert_primitives::codec::{decode_seq, encode_seq, Decode, Encode, Reader};
 use dcert_primitives::error::CodecError;
 use dcert_primitives::hash::{hash_bytes, Hash};
@@ -57,8 +59,8 @@ pub trait IndexFlavor: Flavor {
 #[derive(Debug, Clone)]
 pub struct TwoLevelIndex<F: IndexFlavor> {
     name: String,
-    upper: Mpt,
-    lower: HashMap<Vec<u8>, BTree<F>>,
+    upper: SparseMerkleTree,
+    lower: HashMap<Hash, BTree<F>>,
     order: usize,
 }
 
@@ -73,7 +75,7 @@ impl<F: IndexFlavor> TwoLevelIndex<F> {
     pub fn with_order(name: impl Into<String>, order: usize) -> Self {
         TwoLevelIndex {
             name: name.into(),
-            upper: Mpt::new(),
+            upper: SparseMerkleTree::new(),
             lower: HashMap::new(),
             order,
         }
@@ -84,7 +86,7 @@ impl<F: IndexFlavor> TwoLevelIndex<F> {
         &self.name
     }
 
-    /// The certified digest `H_idx`: the upper trie's root.
+    /// The certified digest `H_idx`: the upper tree's root.
     pub fn digest(&self) -> Hash {
         self.upper.root()
     }
@@ -104,43 +106,43 @@ impl<F: IndexFlavor> TwoLevelIndex<F> {
         height: u64,
         writes: &[(StateKey, Option<Vec<u8>>)],
     ) -> (Vec<u8>, Hash) {
-        let mut updates = Vec::with_capacity(writes.len());
-        for (key, write) in writes {
-            let Some(value) = F::ingest(write) else {
-                continue;
-            };
-            let key_bytes = key.as_hash().as_bytes().to_vec();
-
-            // Proofs against the *current* (chained) state, then mutate.
-            let mpt = self.upper.prove(&key_bytes);
+        let ingested: Vec<(Hash, F::Value)> = writes
+            .iter()
+            .filter_map(|(key, write)| Some((*key.as_hash(), F::ingest(write)?)))
+            .collect();
+        // One proof of every touched key against the digest the block finds.
+        let keys: Vec<Hash> = ingested.iter().map(|(key, _)| *key).collect();
+        let upper = self.upper.prove(&keys);
+        let mut updates = Vec::with_capacity(ingested.len());
+        let mut roots = Vec::with_capacity(ingested.len());
+        for (key, value) in ingested {
             let tree = self
                 .lower
-                .entry(key_bytes.clone())
+                .entry(key)
                 .or_insert_with(|| BTree::new(self.order));
             updates.push(KeyUpdate::<F> {
                 // Empty only if just created: the key's first appearance.
                 prev_root: (!tree.is_empty()).then(|| tree.root()),
                 append: tree.prove_append(),
-                mpt,
             });
             tree.insert(height, value);
-            self.upper
-                .insert(&key_bytes, tree.root().as_bytes().to_vec());
+            roots.push((key, Some(tree.root().as_bytes().to_vec())));
         }
+        self.upper.commit(roots);
         let mut aux = Vec::new();
         encode_seq(&updates, &mut aux);
+        upper.encode(&mut aux);
         (aux, self.digest())
     }
 
     /// Answers "`key` over `[t1, t2]`" with a completeness proof.
     pub fn query(&self, key: &StateKey, t1: u64, t2: u64) -> (F::Output, QueryProof<F>) {
-        let key_bytes = key.as_hash().as_bytes();
-        let mpt = self.upper.prove(key_bytes);
-        match self.lower.get(key_bytes) {
+        let upper = self.upper.prove(&[*key.as_hash()]);
+        match self.lower.get(key.as_hash()) {
             None => (
                 F::Output::default(),
                 QueryProof {
-                    mpt,
+                    upper,
                     lower_root: None,
                     lower: None,
                 },
@@ -150,7 +152,7 @@ impl<F: IndexFlavor> TwoLevelIndex<F> {
                 (
                     F::present(answer),
                     QueryProof {
-                        mpt,
+                        upper,
                         lower_root: Some(tree.root()),
                         lower: Some(lower),
                     },
@@ -160,22 +162,21 @@ impl<F: IndexFlavor> TwoLevelIndex<F> {
     }
 }
 
-/// One key's chained update inside the aux payload.
+/// One key's update inside the aux payload: one per ingested write, in
+/// write-set order, followed by one upper-tree multiproof over those keys
+/// against the previous digest.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct KeyUpdate<F: Flavor> {
     /// The key's lower-tree root before this block (`None` = new key).
     prev_root: Option<Hash>,
     /// Rightmost-path proof of the lower tree (ignored for new keys).
     append: AppendProof<F>,
-    /// Upper-trie proof for the key against the chained upper root.
-    mpt: MptProof,
 }
 
 impl<F: Flavor> Encode for KeyUpdate<F> {
     fn encode(&self, out: &mut Vec<u8>) {
         self.prev_root.encode(out);
         self.append.encode(out);
-        self.mpt.encode(out);
     }
 }
 
@@ -184,7 +185,6 @@ impl<F: Flavor> Decode for KeyUpdate<F> {
         Ok(KeyUpdate {
             prev_root: Option::decode(r)?,
             append: AppendProof::decode(r)?,
-            mpt: MptProof::decode(r)?,
         })
     }
 }
@@ -220,7 +220,7 @@ impl<F: IndexFlavor> IndexVerifier for TwoLevelVerifier<F> {
     }
 
     fn genesis_digest(&self) -> Hash {
-        // An empty trie.
+        // An empty tree.
         Hash::ZERO
     }
 
@@ -232,8 +232,9 @@ impl<F: IndexFlavor> IndexVerifier for TwoLevelVerifier<F> {
         aux: &[u8],
     ) -> Result<Hash, CertError> {
         let mut reader = Reader::new(aux);
-        let updates: Vec<KeyUpdate<F>> =
-            decode_seq(&mut reader).map_err(|_| CertError::BadIndexUpdate("aux decode"))?;
+        let undecodable = |_| CertError::BadIndexUpdate("aux decode");
+        let updates: Vec<KeyUpdate<F>> = decode_seq(&mut reader).map_err(undecodable)?;
+        let upper = SmtProof::decode(&mut reader).map_err(undecodable)?;
         if reader.remaining() != 0 {
             return Err(CertError::BadIndexUpdate("trailing aux bytes"));
         }
@@ -247,46 +248,34 @@ impl<F: IndexFlavor> IndexVerifier for TwoLevelVerifier<F> {
             return Err(CertError::BadIndexUpdate("update count mismatch"));
         }
         let height = block.header.height;
-        let mut root = *prev_digest;
+        // Every key's current lower-tree root (or its absence) under the
+        // previous digest, authenticated once.
+        let upper = upper.verify(prev_digest)?;
+        let mut new_roots = Vec::with_capacity(entries.len());
         for ((key, value), update) in entries.iter().zip(&updates) {
-            let key_bytes = key.as_hash().as_bytes();
             let digest = F::digest(value);
-
-            // Authenticate the key's current lower-tree root (or its
-            // absence) against the chained upper root.
-            let proven = update
-                .mpt
-                .verify(&root, key_bytes)
-                .map_err(CertError::Proof)?;
             let claimed = update.prev_root.as_ref().map(|r| hash_bytes(r.as_bytes()));
-            if proven != claimed {
+            if upper.pre_value_hash(key.as_hash())? != claimed {
                 return Err(CertError::BadIndexUpdate("stale lower-tree root"));
             }
-
             // Compute the new lower-tree root statelessly.
             let new_root = match update.prev_root {
                 None => BTree::<F>::singleton_root(height, &digest),
                 Some(prev) => update
                     .append
-                    .appended_root(&prev, self.order, height, &digest)
-                    .map_err(CertError::Proof)?,
+                    .appended_root(&prev, self.order, height, &digest)?,
             };
-
-            // Chain the upper-trie root forward.
-            root = update
-                .mpt
-                .updated_root(&root, key_bytes, &hash_bytes(new_root.as_bytes()))
-                .map_err(CertError::Proof)?;
+            new_roots.push((*key.as_hash(), Some(hash_bytes(new_root.as_bytes()))));
         }
-        Ok(root)
+        Ok(upper.updated_root(&new_roots)?)
     }
 }
 
 /// Proof returned with a two-level index query.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryProof<F: Flavor> {
-    /// Upper-trie (non-)membership proof for the queried key.
-    mpt: MptProof,
+    /// Upper-tree (non-)membership proof for the queried key.
+    upper: SmtProof,
     /// The key's lower-tree root (absent if the key is untracked).
     lower_root: Option<Hash>,
     /// Window-completeness proof within the lower tree.
@@ -302,20 +291,20 @@ impl<F: Flavor> QueryProof<F> {
 
 impl<F: Flavor> Encode for QueryProof<F> {
     fn encode(&self, out: &mut Vec<u8>) {
-        self.mpt.encode(out);
+        self.upper.encode(out);
         self.lower_root.encode(out);
         self.lower.encode(out);
     }
 
     fn encoded_len(&self) -> usize {
-        self.mpt.encoded_len() + self.lower_root.encoded_len() + self.lower.encoded_len()
+        self.upper.encoded_len() + self.lower_root.encoded_len() + self.lower.encoded_len()
     }
 }
 
 impl<F: Flavor> Decode for QueryProof<F> {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(QueryProof {
-            mpt: MptProof::decode(r)?,
+            upper: SmtProof::decode(r)?,
             lower_root: Option::decode(r)?,
             lower: Option::decode(r)?,
         })
@@ -323,7 +312,7 @@ impl<F: Flavor> Decode for QueryProof<F> {
 }
 
 /// Client-side verification of a two-level query answer against the
-/// certified index digest: upper-trie (non-)membership for the key,
+/// certified index digest: upper-tree (non-)membership for the key,
 /// digest binding of the lower-tree root, then `verify_lower` — the
 /// window-completeness check with the instantiation's claim — against
 /// that root. An untracked key must come with an empty answer.
@@ -338,7 +327,7 @@ pub(crate) fn verify_window<F: Flavor>(
     answer_is_empty: bool,
     verify_lower: impl FnOnce(&OpProof<F>, &Hash) -> Result<(), ProofError>,
 ) -> Result<(), QueryError> {
-    let proven = proof.mpt.verify(digest, key.as_hash().as_bytes())?;
+    let proven = proof.upper.verify(digest)?.pre_value_hash(key.as_hash())?;
     match (&proof.lower_root, &proof.lower) {
         (None, None) => {
             if proven.is_some() {

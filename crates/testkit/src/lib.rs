@@ -14,8 +14,13 @@
 //! in the lowest `size / FULL_SIZE` of their span: shorter collections,
 //! numbers nearer their lower bound, earlier alternatives. [`Gen::any`]
 //! is never sized.
+//!
+//! Beside the runner, [`smt_frames`] holds the first family of the verifier
+//! mutation battery: format-aware forgeries of sparse-Merkle-tree proofs.
 
 #![forbid(unsafe_code)]
+
+pub mod smt_frames;
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::{Bound, RangeBounds};

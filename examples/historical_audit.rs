@@ -2,7 +2,7 @@
 //!
 //! A wallet provider wants to audit the history of an account over a time
 //! window without trusting the query service: the Service Provider
-//! maintains DCert's two-level index (Merkle Patricia trie over accounts,
+//! maintains DCert's two-level index (sparse Merkle tree over accounts,
 //! Merkle B-tree of versions per account), the enclave certifies every
 //! index update via *hierarchical* certificates, and the client verifies
 //! completeness of the returned version list.

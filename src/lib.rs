@@ -12,7 +12,7 @@
 //! | Module | Crate | Contents |
 //! |---|---|---|
 //! | [`primitives`] | `dcert-primitives` | hashes, addresses, codec, keys |
-//! | [`merkle`] | `dcert-merkle` | transaction-root fold, sparse Merkle tree, Patricia trie, Merkle B-tree |
+//! | [`merkle`] | `dcert-merkle` | transaction-root fold, sparse Merkle tree, Merkle B-tree |
 //! | [`vm`] | `dcert-vm` | deterministic contract VM with read/write-set tracking |
 //! | [`chain`] | `dcert-chain` | blocks, consensus, state, full node |
 //! | [`sgx`] | `dcert-sgx` | enclave simulator, attestation, cost model |

@@ -23,8 +23,8 @@ use dcert::core::{
 use dcert::merkle::btree::{Annotation, Flavor, Plain, Shape, Summary, Summed};
 use dcert::merkle::ops::OpProof;
 use dcert::merkle::{
-    AggAppendProof, AggMbTree, AggOpProof, Aggregate, MbAppendProof, MbOpProof, MbTree, Mpt,
-    MptProof, ProofError, ProofOp, SmtProof, SparseMerkleTree, MAX_OP_STACK, MAX_PROOF_DEPTH,
+    AggAppendProof, AggMbTree, AggOpProof, Aggregate, MbAppendProof, MbOpProof, MbTree, ProofError,
+    ProofOp, SmtProof, SparseMerkleTree, MAX_OP_STACK, MAX_PROOF_DEPTH,
 };
 use dcert::primitives::codec::{encode_seq, Decode, Encode};
 use dcert::primitives::hash::{hash_bytes, Address, Hash};
@@ -45,7 +45,7 @@ use dcert::store::frame::{append_frame, scan_frames};
 use dcert::store::head::HEAD_SLOT_A;
 use dcert::store::{HeadState, Record, SegmentMark, StreamId};
 use dcert::vm::StateKey;
-use dcert_testkit::check;
+use dcert_testkit::{check, smt_frames};
 
 /// Feeds `bytes` to every wire decoder in the workspace. Each call must
 /// return (any result is fine) without panicking.
@@ -77,7 +77,6 @@ fn try_decode_everything(bytes: &[u8]) {
     let _ = SealedBlob::decode_all(bytes);
     // Proof families.
     let _ = SmtProof::decode_all(bytes);
-    let _ = MptProof::decode_all(bytes);
     let _ = MbAppendProof::decode_all(bytes);
     let _ = AggAppendProof::decode_all(bytes);
     let _ = Aggregate::decode_all(bytes);
@@ -137,6 +136,23 @@ fn probe<T: Encode + Decode>(name: &'static str, value: &T) -> Probe {
     }
 }
 
+/// A two-leaf tree whose keys share four bits, and the proof of an absent
+/// key that parts from both at bit 0: its one sibling is their branch,
+/// beside an empty side, so it comes with its header.
+fn header_proof() -> (Hash, SmtProof) {
+    let key = |first: u8| Hash::from_bytes([first; 32]);
+    let mut tree = SparseMerkleTree::new();
+    tree.insert(key(0x00), b"a".to_vec());
+    tree.insert(key(0x0f), b"b".to_vec());
+    let proof = tree.prove(&[key(0x80)]);
+    assert_eq!(
+        proof.size_bytes(),
+        4 + 32 + 4 + 1 + 4 + 99 + 3,
+        "a header and a run"
+    );
+    (tree.root(), proof)
+}
+
 fn header(height: u64) -> BlockHeader {
     BlockHeader {
         height,
@@ -187,10 +203,7 @@ fn sample_encodings() -> Vec<Probe> {
     }
     let smt_proof = smt.prove(&[hash_bytes("k3"), hash_bytes("missing")]);
 
-    let mut mpt = Mpt::new();
-    mpt.insert(b"key-one", b"v1".to_vec());
-    mpt.insert(b"key-two", b"v2".to_vec());
-    let mpt_proof = mpt.prove(b"key-one");
+    let (_, smt_header_proof) = header_proof();
 
     let mut mb = MbTree::new(4);
     for t in 0..10u64 {
@@ -326,7 +339,7 @@ fn sample_encodings() -> Vec<Probe> {
         ),
         probe("SealedBlob", &sealed),
         probe("SmtProof", &smt_proof),
-        probe("MptProof", &mpt_proof),
+        probe("SmtProof::header", &smt_header_proof),
         probe("MbAppendProof", &mb_append),
         probe("AggAppendProof", &agg_append),
         probe("Aggregate", &aggregate),
@@ -588,7 +601,7 @@ fn hostile_op_programs_fail_verification_cleanly() {
 /// thread whose stack (256 KiB) a decoder recursing on untrusted bytes,
 /// or an unbounded walk, exhausts long before 20 000 levels. Through each
 /// windowed payload decoder and its verifier, behind an honest
-/// upper-trie prefix so the verifier reaches the lower proof: (a) the
+/// upper-tree prefix so the verifier reaches the lower proof: (a) the
 /// byte pattern that nested the retired per-path form 20 000 nodes deep,
 /// (b) a 20 000-deep `parent_chain`, (c) 10^6 bare `Push`es. What was
 /// decoded is a flat `Vec`, so dropping it does not recurse either.
@@ -608,10 +621,10 @@ fn hostile_depth_is_refused_not_overflowed() {
     fn run() {
         let key = StateKey::new("kvstore", b"balance");
         let lower_root = hash_bytes(b"lower root");
-        let mut upper = Mpt::new();
-        upper.insert(key.as_hash().as_bytes(), lower_root.as_bytes().to_vec());
+        let mut upper = SparseMerkleTree::new();
+        upper.insert(*key.as_hash(), lower_root.as_bytes().to_vec());
         let digest = upper.root();
-        let mut proof_prefix = upper.prove(key.as_hash().as_bytes()).to_encoded_bytes();
+        let mut proof_prefix = upper.prove(&[*key.as_hash()]).to_encoded_bytes();
         Some(lower_root).encode(&mut proof_prefix);
         proof_prefix.push(1); // `lower: Some(..)`
 
@@ -783,6 +796,38 @@ fn prop_bitflipped_smt_proofs_sound() {
             }
         }
     });
+}
+
+/// The branch-header evidence item (tag 3) put where the honest prover
+/// never puts it: in place of every item of a proof in turn, with its bit
+/// inside, at the edge of and beyond the key space. Each frame decodes,
+/// and the verifier refuses it — typed, no panic.
+#[test]
+fn smt_branch_headers_anywhere_are_refused_not_panicked() {
+    let mut tree = SparseMerkleTree::new();
+    for i in 0..20u32 {
+        tree.insert(hash_bytes(format!("k{i}")), vec![i as u8]);
+    }
+    let covered = [hash_bytes("k3"), hash_bytes("k11"), hash_bytes("missing")];
+    let frame = tree.prove(&covered).to_encoded_bytes();
+    let chunks = smt_frames::chunks(&frame);
+    assert!(chunks.len() > 8 && chunks.last().map(|chunk| chunk.end) == Some(frame.len()));
+    let (_, honest) = header_proof();
+    let honest = honest.to_encoded_bytes();
+    let honest = &honest[honest.len() - 102..honest.len() - 3];
+    assert_eq!(honest[..3], [3, 0, 4], "tag 3, parting at bit 4");
+    for chunk in &chunks {
+        for bit in [0u16, 4, 255, 256, u16::MAX] {
+            let mut item = honest.to_vec();
+            item[1..3].copy_from_slice(&bit.to_be_bytes());
+            let mutant = [&frame[..chunk.start], &item, &frame[chunk.end..]].concat();
+            let proof = SmtProof::decode_all(&mutant).expect("a header is a well-formed item");
+            assert!(
+                proof.verify(&tree.root()).is_err(),
+                "bit {bit} at {chunk:?}"
+            );
+        }
+    }
 }
 
 /// Mutated certificates never panic and never validate.

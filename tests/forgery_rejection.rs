@@ -11,17 +11,28 @@ use std::sync::Arc;
 
 use common::{World, TEST_POW_BITS};
 use dcert::chain::consensus::ConsensusProof;
-use dcert::chain::{Block, ChainError, ConsensusEngine, FullNode, GenesisBuilder, ProofOfWork};
+use dcert::chain::{
+    Block, ChainError, ConsensusEngine, FullNode, GenesisBuilder, ProofOfWork, Transaction,
+};
 use dcert::core::{
     expected_measurement, BatchLink, BlockInput, CertError, CertProgram, Certificate, EcallRequest,
-    EcallResponse, FaultConfig, NetMessage, SimNet, SuperlightClient, SyncOutcome, Transport,
+    EcallResponse, FaultConfig, IndexInput, IndexVerifier, NetMessage, SimNet, SuperlightClient,
+    SyncOutcome, Transport,
 };
-use dcert::primitives::codec::Decode;
-use dcert::primitives::hash::hash_bytes;
+use dcert::merkle::{smt, Aggregate, MbAppendProof, MbTree, ProofError, SmtProof};
+use dcert::primitives::codec::{decode_seq, encode_seq, Decode, Encode, Reader};
+use dcert::primitives::hash::{hash_bytes, Hash};
 use dcert::primitives::keys::Keypair;
+use dcert::query::aggregate::{verify_aggregate, AggregateIndex};
+use dcert::query::history::{verify_history, HistoryIndex, HistoryVerifier};
+use dcert::query::inverted::{verify_keywords, InvertedIndex};
+use dcert::query::sp::IndexKind;
+use dcert::query::{AggQueryProof, HistoryProof, KeywordProof, QueryError};
 use dcert::sgx::AttestationService;
-use dcert::vm::Executor;
+use dcert::vm::{Executor, StateKey};
+use dcert::workloads::kvstore::KvCall;
 use dcert::workloads::{blockbench_registry, Workload, WorkloadGen};
+use dcert_testkit::smt_frames;
 
 /// A trusted program outside any enclave, plus a valid `BlockInput` for
 /// block 1 — the raw material for request-level attacks.
@@ -457,4 +468,207 @@ fn malformed_ecall_bytes_are_rejected_not_crashing() {
     let response = program.call(&[0xde, 0xad, 0xbe, 0xef]);
     let decoded = EcallResponse::decode_all(&response).unwrap();
     assert!(matches!(decoded, EcallResponse::Rejected(_)));
+}
+
+// --- position binding of the one keyed tree --------------------------------------
+//
+// What the sparse Merkle tree's position rule protects above `dcert-merkle`:
+// an SP cannot answer "untracked" or "no postings" for a key with history,
+// and a CI host cannot have the enclave erase a tracked key's history. Each
+// is tried with every absence the frame forgers of `dcert-testkit` build —
+// the family `smt::tests` runs against the tree itself.
+
+/// Every forged proof that the present key `honest` covers is absent.
+fn forged_absences(honest: &SmtProof) -> Vec<SmtProof> {
+    let rules = smt_frames::Rules {
+        leaf: |key, value_hash| {
+            smt::leaf_hash(&Hash::from_bytes(*key), &Hash::from_bytes(*value_hash)).to_array()
+        },
+        branch: |bit, under, left, right| {
+            let [under, left, right] = [under, left, right].map(|h| Hash::from_bytes(*h));
+            smt::branch_hash(usize::from(bit), &under, &left, &right).to_array()
+        },
+    };
+    let (forged, _) = smt_frames::forged_absences(&honest.to_encoded_bytes(), rules);
+    assert!(
+        forged.len() >= 4,
+        "one level low and at the bottom, both ways"
+    );
+    let decode = |(frame, _): &(Vec<u8>, _)| SmtProof::decode_all(frame).expect("well-formed");
+    forged.iter().map(decode).collect()
+}
+
+/// The refusal of a subtree out of place, whichever way it was disclosed.
+fn misplaced(refusal: &ProofError) -> bool {
+    [
+        "opaque subtree beside an empty side",
+        "leaf evidence outside subtree",
+        "branch evidence outside subtree",
+    ]
+    .iter()
+    .any(|why| *refusal == ProofError::Malformed(why))
+}
+
+fn balance_writes(height: u64, keys: &[&str]) -> Vec<(StateKey, Option<Vec<u8>>)> {
+    let mut writes: Vec<_> = keys
+        .iter()
+        .map(|key| {
+            let value = (100 * height).to_be_bytes().to_vec();
+            (StateKey::new("smallbank", key.as_bytes()), Some(value))
+        })
+        .collect();
+    writes.sort_by_key(|(key, _)| *key.as_hash());
+    writes
+}
+
+/// The upper-tree proof a two-level query proof or index update begins or
+/// ends with, read back off the wire.
+fn upper_proof(encoded: &[u8], skip: usize) -> SmtProof {
+    SmtProof::decode(&mut Reader::new(&encoded[skip..])).expect("an honest upper proof")
+}
+
+/// (a) An SP that answers "untracked" — no lower tree, empty result — for a
+/// key with history, behind every absence the family can forge.
+#[test]
+fn untracked_answer_for_a_tracked_key_is_refused() {
+    let mut history = HistoryIndex::new("history");
+    let mut aggregate = AggregateIndex::new("aggregate");
+    let accounts = ["alice", "bob", "carol", "dave", "erin", "frank", "grace"];
+    for height in 1..=4 {
+        let writes = balance_writes(height, &accounts);
+        history.apply_block(height, &writes);
+        aggregate.apply_block(height, &writes);
+    }
+    for account in accounts {
+        let key = StateKey::new("smallbank", account.as_bytes());
+        let (rows, honest) = history.query(&key, 0, 9);
+        assert_eq!(rows.len(), 4);
+        verify_history(&history.digest(), &key, 0, 9, &rows, &honest).unwrap();
+        for forged in forged_absences(&upper_proof(&honest.to_encoded_bytes(), 0)) {
+            // The forged upper proof, no lower root, no lower proof.
+            let untracked = [forged.to_encoded_bytes(), vec![0, 0]].concat();
+            let proof = HistoryProof::decode_all(&untracked).unwrap();
+            let refused = verify_history(&history.digest(), &key, 0, 9, &[], &proof);
+            assert!(
+                matches!(&refused, Err(QueryError::Proof(why)) if misplaced(why)),
+                "{refused:?}"
+            );
+        }
+        let (_, honest) = aggregate.query(&key, 0, 9);
+        for forged in forged_absences(&upper_proof(&honest.to_encoded_bytes(), 0)) {
+            let untracked = [forged.to_encoded_bytes(), vec![0, 0]].concat();
+            let proof = AggQueryProof::decode_all(&untracked).unwrap();
+            let (digest, nothing) = (aggregate.digest(), Aggregate::EMPTY);
+            let refused = verify_aggregate(&digest, &key, 0, 9, &nothing, &proof);
+            assert!(
+                matches!(&refused, Err(QueryError::Proof(why)) if misplaced(why)),
+                "{refused:?}"
+            );
+        }
+    }
+}
+
+/// (b) A CI host that stages `prev_root: None` for a tracked key — which
+/// would restart its history under a valid index certificate — is refused
+/// by the index verifier: called directly with every forged absence, and
+/// inside `aug_sig_gen` and `idx_sig_gen` with the first.
+#[test]
+fn staging_a_tracked_key_as_new_is_refused() {
+    let put = |nonce: u64, key: &str| {
+        let (key, value) = (key.as_bytes().to_vec(), nonce.to_be_bytes().to_vec());
+        let payload = KvCall::Put { key, value }.to_encoded_bytes();
+        Transaction::sign(&Keypair::from_seed([7; 32]), nonce, "kvstore", payload)
+    };
+    for hierarchical in [false, true] {
+        let (mut world, mut sp) = World::with_setup(vec![(IndexKind::History, "history")]);
+        let certify = |world: &mut World, block: &Block, inputs: &[IndexInput]| {
+            if hierarchical {
+                let certified = world.ci.certify_hierarchical(block, inputs);
+                certified.map(|(_, certs, _)| certs)
+            } else {
+                world
+                    .ci
+                    .certify_augmented(block, inputs)
+                    .map(|(certs, _)| certs)
+            }
+        };
+        let keys = ["acct", "b", "c", "d", "e", "f"];
+        let first = keys.iter().zip(0..).map(|(key, nonce)| put(nonce, key));
+        let block = world.miner.mine(first.collect(), 1).unwrap();
+        let inputs = sp.stage_block(&block).unwrap();
+        sp.record_certs(&certify(&mut world, &block, &inputs).unwrap());
+
+        // Block 2 writes the tracked key alone: its aux is one update and
+        // the single-key upper proof the forger starts from.
+        let block = world.miner.mine(vec![put(9, "acct")], 2).unwrap();
+        let mut inputs = sp.stage_block(&block).unwrap();
+        let aux = inputs[0].aux.clone();
+        let mut reader = Reader::new(&aux);
+        assert_eq!(u32::decode(&mut reader), Ok(1));
+        assert!(
+            matches!(Option::<Hash>::decode(&mut reader), Ok(Some(_))),
+            "tracked"
+        );
+        MbAppendProof::decode(&mut reader).unwrap();
+        let honest = upper_proof(&aux, aux.len() - reader.remaining());
+        let value = Some(9u64.to_be_bytes().to_vec());
+        let writes = vec![(StateKey::new("kvstore", b"acct"), value)];
+        let verifier = HistoryVerifier::new("history");
+        let (prev, new) = (inputs[0].prev_digest, inputs[0].new_digest);
+        assert_eq!(
+            verifier.verify_update(&prev, &block, &writes, &aux),
+            Ok(new)
+        );
+
+        let staged = forged_absences(&honest).into_iter().map(|forged| {
+            // One update, `prev_root: None`, a new tree's append proof.
+            let mut staged = vec![0, 0, 0, 1, 0];
+            MbTree::new(16).prove_append().encode(&mut staged);
+            forged.encode(&mut staged);
+            let refused = verifier.verify_update(&prev, &block, &writes, &staged);
+            assert!(
+                matches!(&refused, Err(CertError::Proof(why)) if misplaced(why)),
+                "{refused:?}"
+            );
+            staged
+        });
+        inputs[0].aux = staged.collect::<Vec<_>>().pop().expect("forgeries");
+        let refused = certify(&mut world, &block, &inputs);
+        assert!(
+            matches!(&refused, Err(CertError::EnclaveRejected(why)) if why.contains("outside subtree")),
+            "{refused:?}"
+        );
+    }
+}
+
+/// (c) An SP that answers "no postings" for an indexed keyword.
+#[test]
+fn empty_posting_list_for_an_indexed_keyword_is_refused() {
+    let mut world = World::new();
+    let mut index = InvertedIndex::new("inverted");
+    for block in common::memo_blocks(&mut world, 3) {
+        index.apply_block(&block);
+    }
+    let digest = index.digest();
+    let indexed = ["stock", "bank"];
+    for keyword in indexed {
+        let (result, honest) = index.query(&[keyword]);
+        assert!(!result.is_empty(), "{keyword} is indexed");
+        verify_keywords(&digest, &[keyword], &result, &honest).unwrap();
+        let encoded = honest.to_encoded_bytes();
+        let mut reader = Reader::new(&encoded);
+        let lists: Vec<(String, Vec<Hash>)> = decode_seq(&mut reader).unwrap();
+        let honest = upper_proof(&encoded, encoded.len() - reader.remaining());
+        for forged in forged_absences(&honest) {
+            let mut nothing = Vec::new();
+            encode_seq(&[(lists[0].0.clone(), Vec::<Hash>::new())], &mut nothing);
+            forged.encode(&mut nothing);
+            let proof = KeywordProof::decode_all(&nothing).unwrap();
+            let refused = verify_keywords(&digest, &[keyword], &[], &proof);
+            assert!(
+                matches!(&refused, Err(QueryError::Proof(why)) if misplaced(why)),
+                "{refused:?}"
+            );
+        }
+    }
 }

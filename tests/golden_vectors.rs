@@ -8,7 +8,13 @@
 //! (Twelve rows — `mb/*/range`, `agg/*/aggregate`, `{history,aggregate}/*/proof`
 //! — left with the per-path window-proof format they pinned; the op rows,
 //! captured beside them, pin the one form a window proof has; the three
-//! `mb/*` non-membership rows left with that API.)
+//! `mb/*` non-membership rows left with that API. The eighteen
+//! `{history,aggregate}/{3,4,16}/{aux,digest,op_proof}` rows were
+//! re-captured at PR 21, the commit after 328719a: the upper level of the
+//! two-level index became the sparse Merkle tree — one single-key proof a
+//! query, one multiproof an update — so every digest, aux payload and proof
+//! envelope moved, once. Every `mb/*` and `agg/*` row is byte-identical to
+//! 848016d: the B+-tree and its window proof were not touched.)
 //!
 //! `CERT_GOLDEN` does the same for certification: it was captured at
 //! commit ea994e5, while `CertificateIssuer`, `CertPipeline` and
@@ -18,7 +24,15 @@
 //! the boundary work behind it (ECalls, bytes in and out, marshalling
 //! bytes served from the reused buffer). Now that the three engines are
 //! drivers of one core these constants, with `bench::naive` (an
-//! independent second certification program), are the reference.
+//! independent second certification program), are the reference. All 28
+//! rows were re-captured at PR 21, the commit after 328719a, with the three
+//! engines still byte-identical to each other: `CODE_IDENTITY` went to `v2`
+//! (the measurement is in every attestation report), every state root
+//! follows the position-binding branch rule, and the index digests follow
+//! the upper level. Inside the `work` rows `certs=`, `ecalls=` and
+//! `response_bytes=` did not move; `request_bytes` / `marshal_reuse_bytes`
+//! follow the proof bytes (+66 a disclosed header on the state proof,
+//! about −1.4 KB a block on the history index's aux).
 //!
 //! To re-capture (only ever legitimate at a commit that intends to break
 //! the wire format): empty the table, run the test, paste the table it
@@ -196,12 +210,12 @@ const GOLDEN: &[(&str, &str)] = &[
     ("mb/3/ops", "ac0e446c58a3cc6476adca9eda854b19150c059d0e2b165c226947cbd15778aa"),
     ("agg/3/append", "553e570c7268983c895a5496e0b368faabcf4012f6655b8f4179b70fcc078b63"),
     ("agg/3/ops", "9ca6ab2902649e8380f164c5a0a6fd0c51a1d8588b2fa8cd3bf1a2ada3810d43"),
-    ("history/3/aux", "5d493592df096adcd0fcccc0f80c60279c75e4d041fc2fec6a160bdef41b2686"),
-    ("history/3/digest", "bbcc5530b68f303653b7f88ccd9e9cc6992e821a58b19e4dfcb2c9b04cc84bf1"),
-    ("aggregate/3/aux", "b2e565f69f66e85cc4bb0a50a8a4f1865142cb80f0f7cc0a57d1d847d03c3301"),
-    ("aggregate/3/digest", "6dbcc98a32ba8d84ec915fb73f2e59343460c51268f7e2556a0230c5915b4e8c"),
-    ("history/3/op_proof", "08ecc9698133c7b6b2c9890f19518df46c34e37fd056b22a59f795045fef6785"),
-    ("aggregate/3/op_proof", "c3c165f0f011ef04c903d2cc46d060877768ed26fb251cbd4845cead31aa916d"),
+    ("history/3/aux", "d4508cb88a7244335a635ef9b2a8f3806fcd9988b7f66314850fbb0275123ccd"),
+    ("history/3/digest", "55d85e08301106c0d61a6cf47b183845c01a78a5996e39cc1b6ea944a99b9965"),
+    ("aggregate/3/aux", "24fb8650fc83bad810c2c8bcc1ae74834f43195d4289e42d3f90ba06405362d0"),
+    ("aggregate/3/digest", "718d05b06740541ec28f75dae5e57931552af1af734756e8ae11fda6f54042ca"),
+    ("history/3/op_proof", "a05b56599a22166ca91b8dfaac9d21d2a2b698cf7b71b33aab47b22a63ee8e74"),
+    ("aggregate/3/op_proof", "27109a1724237f8cf60cde82d65e97809fc6bc5e2eac07fa207c2b6c9183b3ad"),
     ("mb/4/root/0", "f25b2d62a80ba5a055bbc81d8967b7cf0bc8db9c2ed091edf97537e87bb5ee92"),
     ("agg/4/root/0", "604304e944019e1fd82e27c1b290a634f2f3415aa61aa1604e25d40dd17e311a"),
     ("mb/4/root/1", "e0bff3784d3adac94a0bc6e64b10ec5656dbbb8127cb649ee9e5b1d359c0ada5"),
@@ -246,12 +260,12 @@ const GOLDEN: &[(&str, &str)] = &[
     ("mb/4/ops", "54975c24c52458403c8c9a3406659b4e5d8206ee05d5bd3bbd7cb2582648a57f"),
     ("agg/4/append", "d34bcc24c900a33c8304956ca29fe9a3f805169a7ae89cf80b93d4179db66617"),
     ("agg/4/ops", "6e45f456916e7c28994c664d099d5948e3e7e204d32b52b5983809a71cc485a9"),
-    ("history/4/aux", "ec626d6552d4c26b0b81fe74c66cc30f8fbf0b645d342d794e53adb2e2ba9bf9"),
-    ("history/4/digest", "ff94bb79aa5ccdd0ebe8ab8729cee39a8e7b6204b8157b9806516b1b8a992410"),
-    ("aggregate/4/aux", "b2e565f69f66e85cc4bb0a50a8a4f1865142cb80f0f7cc0a57d1d847d03c3301"),
-    ("aggregate/4/digest", "f98a47a642eed9321f2b2779818cb7419ec1d2a3ef8511d17e6488d74b269c10"),
-    ("history/4/op_proof", "a3fab395e9a889af3a2625454621895063df14a3f9d3dab7713e8116c275adae"),
-    ("aggregate/4/op_proof", "1aa56e8ebad27424d45608f40f0d2ab3eee652d7bb1a5769427ea79269d4ec7c"),
+    ("history/4/aux", "d4508cb88a7244335a635ef9b2a8f3806fcd9988b7f66314850fbb0275123ccd"),
+    ("history/4/digest", "892ff04dc92da5dd70b083dad39bc77bdebe74240647d6b52bf57fd97ca29c90"),
+    ("aggregate/4/aux", "24fb8650fc83bad810c2c8bcc1ae74834f43195d4289e42d3f90ba06405362d0"),
+    ("aggregate/4/digest", "7be15f634963ead2f9bb3a406c0af9c6f1cea6d590a90f9521f318fd064f6094"),
+    ("history/4/op_proof", "6d239e94e1345d8821fe196ad932a94f9fc865687f7bb0544076792b2184fb55"),
+    ("aggregate/4/op_proof", "81c7f670985c8119f6c917e6f8d7449ca12121ace43567c999ca2a6fb62047a6"),
     ("mb/16/root/0", "f25b2d62a80ba5a055bbc81d8967b7cf0bc8db9c2ed091edf97537e87bb5ee92"),
     ("agg/16/root/0", "604304e944019e1fd82e27c1b290a634f2f3415aa61aa1604e25d40dd17e311a"),
     ("mb/16/root/1", "e0bff3784d3adac94a0bc6e64b10ec5656dbbb8127cb649ee9e5b1d359c0ada5"),
@@ -296,12 +310,12 @@ const GOLDEN: &[(&str, &str)] = &[
     ("mb/16/ops", "559e1d2452093547204fbdc8c00f75464744bbe503d55fb49c3f4799a582d8ab"),
     ("agg/16/append", "eb37dcd1963308a361cfe62d0ba822319d2427192601cf1ed679656fe9bf3b12"),
     ("agg/16/ops", "fe81cf68a9dd2c8c0b33f3d896d24ffda97321233b83527001ca02fd526f07ac"),
-    ("history/16/aux", "17c3706f1ed988bcb30f07457ea81d2705a43d1f8fc3e17a9a23b6c5070d6c34"),
-    ("history/16/digest", "3dd3e23983bc6dfcb0259843205a16a1d909f224c95d463ae7e12a26d517d1a2"),
-    ("aggregate/16/aux", "403be7bb1e1ab273d113da4f7b6e7ed892eb30d0ef93af0ea0c7659a01a6497f"),
-    ("aggregate/16/digest", "e0b6c636f9c420aa8b2dcebc045ba3d80f91be554e7b23ac03b11856bc6484cf"),
-    ("history/16/op_proof", "6613fa78c995932af7a9c9f756e5a51efc2cc5e064eb54a6818a54b647cb9cbe"),
-    ("aggregate/16/op_proof", "de225a168421696a37cd5f5dce882dd172dc82ca58a788ca6f4fa840685b6ac6"),
+    ("history/16/aux", "2cd9ead868e954c981ca4d35ebf709ff3c4c47bef21571c1336e206a4e3e7348"),
+    ("history/16/digest", "313106055c64deccfc6f287f75f0948d9f0d0274f95672fc4102d467bd4c8498"),
+    ("aggregate/16/aux", "6ab77bfe42b1a3a288c22ab5ab02081712a1f4248c4bc2bce6323cef5366558d"),
+    ("aggregate/16/digest", "123cd88f66d2208250eca9ff5fa1a375263cf1715b4c8a2763eedf3aa6f24abb"),
+    ("history/16/op_proof", "a4342316bd7c53ed7c7ba0a3e29e542142e22fa023bfd7a78560b2ee56c4c3e0"),
+    ("aggregate/16/op_proof", "9cd03f940bb75ddf16b5c78945bca61f0f4e4e90cb30cb37cf64a51510636204"),
 ];
 
 // --- certification streams ----------------------------------------------------
@@ -569,42 +583,46 @@ fn certification_engines_reproduce_parent_commit_streams() {
 
 #[rustfmt::skip]
 const CERT_GOLDEN: &[(&str, &str)] = &[
-    ("cert/sequential/block/stream", "ef290344fb765a1deb4360131c9c4f33f15da5db04b599107359657f50b0d360"),
-    ("cert/sequential/block/work", "certs=6 ecalls=6 request_bytes=9439 response_bytes=390 marshal_reuse_bytes=7432"),
-    ("cert/sequential/batch/stream", "72b7cc03b49fb77967f74d3a3c1f82d91bd247b9399d6f3472ecc1088fced15b"),
-    ("cert/sequential/batch/work", "certs=3 ecalls=3 request_bytes=8251 response_bytes=195 marshal_reuse_bytes=5006"),
-    ("cert/sequential/augmented/stream", "428c908d65a7082b93b51473ee6b3f1e2f869b9c7899acb8d1efd144f6ba9402"),
-    ("cert/sequential/augmented/work", "certs=12 ecalls=12 request_bytes=31056 response_bytes=780 marshal_reuse_bytes=25649"),
-    ("cert/sequential/hierarchical/stream", "6c3312e3507c52490f6b431800bd154e4d43fdd2b8bcc16011cdd7ff75a7e4b9"),
-    ("cert/sequential/hierarchical/work", "certs=18 ecalls=18 request_bytes=43141 response_bytes=1170 marshal_reuse_bytes=37325"),
-    ("cert/pipeline1/block/stream", "ef290344fb765a1deb4360131c9c4f33f15da5db04b599107359657f50b0d360"),
-    ("cert/pipeline1/block/work", "certs=6 ecalls=6 request_bytes=9439 response_bytes=390 marshal_reuse_bytes=7432"),
-    ("cert/pipeline1/batch/stream", "72b7cc03b49fb77967f74d3a3c1f82d91bd247b9399d6f3472ecc1088fced15b"),
-    ("cert/pipeline1/batch/work", "certs=3 ecalls=3 request_bytes=8251 response_bytes=195 marshal_reuse_bytes=5006"),
-    ("cert/pipeline1/augmented/stream", "428c908d65a7082b93b51473ee6b3f1e2f869b9c7899acb8d1efd144f6ba9402"),
-    ("cert/pipeline1/augmented/work", "certs=12 ecalls=12 request_bytes=31056 response_bytes=780 marshal_reuse_bytes=25649"),
-    ("cert/pipeline1/hierarchical/stream", "6c3312e3507c52490f6b431800bd154e4d43fdd2b8bcc16011cdd7ff75a7e4b9"),
-    ("cert/pipeline1/hierarchical/work", "certs=18 ecalls=18 request_bytes=43141 response_bytes=1170 marshal_reuse_bytes=37325"),
-    ("cert/pipeline4/block/stream", "ef290344fb765a1deb4360131c9c4f33f15da5db04b599107359657f50b0d360"),
-    ("cert/pipeline4/block/work", "certs=6 ecalls=6 request_bytes=9439 response_bytes=390 marshal_reuse_bytes=7432"),
-    ("cert/pipeline4/batch/stream", "72b7cc03b49fb77967f74d3a3c1f82d91bd247b9399d6f3472ecc1088fced15b"),
-    ("cert/pipeline4/batch/work", "certs=3 ecalls=3 request_bytes=8251 response_bytes=195 marshal_reuse_bytes=5006"),
-    ("cert/pipeline4/augmented/stream", "428c908d65a7082b93b51473ee6b3f1e2f869b9c7899acb8d1efd144f6ba9402"),
-    ("cert/pipeline4/augmented/work", "certs=12 ecalls=12 request_bytes=31056 response_bytes=780 marshal_reuse_bytes=25649"),
-    ("cert/pipeline4/hierarchical/stream", "6c3312e3507c52490f6b431800bd154e4d43fdd2b8bcc16011cdd7ff75a7e4b9"),
-    ("cert/pipeline4/hierarchical/work", "certs=18 ecalls=18 request_bytes=43141 response_bytes=1170 marshal_reuse_bytes=37325"),
-    ("cert/fleet1/stream", "ef290344fb765a1deb4360131c9c4f33f15da5db04b599107359657f50b0d360"),
+    ("cert/sequential/block/stream", "756d9a5c3ee068b4da6fd4dd1c0e79d26a598efde7412901dbb8546fa9998538"),
+    ("cert/sequential/block/work", "certs=6 ecalls=6 request_bytes=9571 response_bytes=390 marshal_reuse_bytes=7564"),
+    ("cert/sequential/batch/stream", "1ebb4a09d626bf697193bdde7965e1c14b549636539c7d147862acde272ba843"),
+    ("cert/sequential/batch/work", "certs=3 ecalls=3 request_bytes=8383 response_bytes=195 marshal_reuse_bytes=5072"),
+    ("cert/sequential/augmented/stream", "aa8595d15a547fc311ca23d28510aaf8456108fa89814932c30bf9023ecf6378"),
+    ("cert/sequential/augmented/work", "certs=12 ecalls=12 request_bytes=22564 response_bytes=780 marshal_reuse_bytes=19981"),
+    ("cert/sequential/hierarchical/stream", "a77317f1df6343584041bd3a96986a4af2a1a1b9a5872418a241a4755a568d1b"),
+    ("cert/sequential/hierarchical/work", "certs=18 ecalls=18 request_bytes=34913 response_bytes=1170 marshal_reuse_bytes=31921"),
+    ("cert/pipeline1/block/stream", "756d9a5c3ee068b4da6fd4dd1c0e79d26a598efde7412901dbb8546fa9998538"),
+    ("cert/pipeline1/block/work", "certs=6 ecalls=6 request_bytes=9571 response_bytes=390 marshal_reuse_bytes=7564"),
+    ("cert/pipeline1/batch/stream", "1ebb4a09d626bf697193bdde7965e1c14b549636539c7d147862acde272ba843"),
+    ("cert/pipeline1/batch/work", "certs=3 ecalls=3 request_bytes=8383 response_bytes=195 marshal_reuse_bytes=5072"),
+    ("cert/pipeline1/augmented/stream", "aa8595d15a547fc311ca23d28510aaf8456108fa89814932c30bf9023ecf6378"),
+    ("cert/pipeline1/augmented/work", "certs=12 ecalls=12 request_bytes=22564 response_bytes=780 marshal_reuse_bytes=19981"),
+    ("cert/pipeline1/hierarchical/stream", "a77317f1df6343584041bd3a96986a4af2a1a1b9a5872418a241a4755a568d1b"),
+    ("cert/pipeline1/hierarchical/work", "certs=18 ecalls=18 request_bytes=34913 response_bytes=1170 marshal_reuse_bytes=31921"),
+    ("cert/pipeline4/block/stream", "756d9a5c3ee068b4da6fd4dd1c0e79d26a598efde7412901dbb8546fa9998538"),
+    ("cert/pipeline4/block/work", "certs=6 ecalls=6 request_bytes=9571 response_bytes=390 marshal_reuse_bytes=7564"),
+    ("cert/pipeline4/batch/stream", "1ebb4a09d626bf697193bdde7965e1c14b549636539c7d147862acde272ba843"),
+    ("cert/pipeline4/batch/work", "certs=3 ecalls=3 request_bytes=8383 response_bytes=195 marshal_reuse_bytes=5072"),
+    ("cert/pipeline4/augmented/stream", "aa8595d15a547fc311ca23d28510aaf8456108fa89814932c30bf9023ecf6378"),
+    ("cert/pipeline4/augmented/work", "certs=12 ecalls=12 request_bytes=22564 response_bytes=780 marshal_reuse_bytes=19981"),
+    ("cert/pipeline4/hierarchical/stream", "a77317f1df6343584041bd3a96986a4af2a1a1b9a5872418a241a4755a568d1b"),
+    ("cert/pipeline4/hierarchical/work", "certs=18 ecalls=18 request_bytes=34913 response_bytes=1170 marshal_reuse_bytes=31921"),
+    ("cert/fleet1/stream", "756d9a5c3ee068b4da6fd4dd1c0e79d26a598efde7412901dbb8546fa9998538"),
     ("cert/fleet1/work", "certs=6 ecalls=4 request_bytes=3184 response_bytes=520 marshal_reuse_bytes=0"),
-    ("cert/fleet2/stream", "ef290344fb765a1deb4360131c9c4f33f15da5db04b599107359657f50b0d360"),
-    ("cert/fleet2/work", "certs=6 ecalls=7 request_bytes=7576 response_bytes=683 marshal_reuse_bytes=0"),
+    ("cert/fleet2/stream", "756d9a5c3ee068b4da6fd4dd1c0e79d26a598efde7412901dbb8546fa9998538"),
+    ("cert/fleet2/work", "certs=6 ecalls=7 request_bytes=7708 response_bytes=683 marshal_reuse_bytes=0"),
 ];
 
 // --- sparse Merkle multiproofs --------------------------------------------------
 //
-// `SMT_GOLDEN` pins the state tree's multiproof: captured at commit
+// `SMT_GOLDEN` pins the keyed tree's multiproof: first captured at commit
 // 2926b75, while every empty sibling was still one in-memory slot and
-// every walk descended to depth 256 per key. The run-length walk that
-// replaced it must reproduce each byte and root.
+// every walk descended to depth 256 per key; all 36 rows re-captured at
+// PR 21, the commit after 328719a, where a branch began to hash `bit ‖
+// prefix` beside its sides and a subtree beside an empty side to come with
+// its header (+66 bytes each: three on the `blocks_io` shape, none on the
+// others, whose absent keys part from the tree beside a leaf). Rows without
+// a branch — the empty tree, one leaf — kept their values.
 
 /// Four rows per key set: the SHA-256 of the encoded `prove` output, its
 /// byte length, the root it verifies against, and the root after a fixed
@@ -739,22 +757,22 @@ fn smt_multiproofs_reproduce_parent_commit_bytes() {
 
 #[rustfmt::skip]
 const SMT_GOLDEN: &[(&str, &str)] = &[
-    ("smt/blocks_io/proof", "bbb75653093c291c3f6716a8889838d5e3feb840898119d679c92fa028298635"),
-    ("smt/blocks_io/bytes", "154861"),
-    ("smt/blocks_io/root", "133605b5bc9f6e965e2779026e0d180f4e3bc14871cfa78c7fabca41a08db377"),
-    ("smt/blocks_io/updated", "4a0ed3f00f333b1fdd6d8406b5222aea81a1a6289be89a0bc3d224abdec15e95"),
+    ("smt/blocks_io/proof", "0480f3d93cceec32143a4cc05e7e39b288c840230c61b724c2ab881db621ccda"),
+    ("smt/blocks_io/bytes", "155059"),
+    ("smt/blocks_io/root", "372bb4cbfefed24229356a0862249c36797f1a3509f85d8271178603e4a31be2"),
+    ("smt/blocks_io/updated", "8040fcbbab22ad7d93c83eb08fc419da9e1060c152544c031c2f1a5a415f33f5"),
     ("smt/empty_tree_300/proof", "02dab4463946006f95a2ce1caf3bead92b18c673bbb20b139afd35975f2386fb"),
     ("smt/empty_tree_300/bytes", "9918"),
     ("smt/empty_tree_300/root", "0000000000000000000000000000000000000000000000000000000000000000"),
-    ("smt/empty_tree_300/updated", "250852306ca8cd05a23b88459556c058c9d8ee514c87a8fe6af45798806946f3"),
-    ("smt/deep_prefixes/proof", "a0a83fcc7592673e282243d31abb36e5b27364d7f9f63f9fd59e43de1d423b5c"),
+    ("smt/empty_tree_300/updated", "8335286d7098ecf69220731f54017979511d924761c795a898c3699f066abb2e"),
+    ("smt/deep_prefixes/proof", "087406e271d8e72a9809baa7c9d89c7344a2c81c31aa0de0f903f44583bed4c4"),
     ("smt/deep_prefixes/bytes", "1034"),
-    ("smt/deep_prefixes/root", "34b744b2bc5b39f90e32ff68bd44db012471926be0b13c69ff05afe723acffd6"),
-    ("smt/deep_prefixes/updated", "f3f62f47c2180fa363fc41d5ab612dbdf73e677ca4d0a850c1f000c66ad07c4d"),
-    ("smt/deep_absent_pair/proof", "7b3276015ae0e9d40b7ba1d6a8f8d7e239fdfc80fe9b0eb2867a9887425a0477"),
+    ("smt/deep_prefixes/root", "8584c2b9262c81159f51c709ee795898af96079062560cd812faea3839f5d7d4"),
+    ("smt/deep_prefixes/updated", "62af5b8d9897c5dd516b3daf6aa7a17a80a02539a3ba542d9272f0da2cdeb8c2"),
+    ("smt/deep_absent_pair/proof", "60997555ce7c971a9b57fc36187c9a9df1ce5354f600b6d0600c06ae67dbb762"),
     ("smt/deep_absent_pair/bytes", "447"),
-    ("smt/deep_absent_pair/root", "34b744b2bc5b39f90e32ff68bd44db012471926be0b13c69ff05afe723acffd6"),
-    ("smt/deep_absent_pair/updated", "865cd2f7d91509099a46c01271f99911011d4cdf50a5b22fb7ec39d7b96bec47"),
+    ("smt/deep_absent_pair/root", "8584c2b9262c81159f51c709ee795898af96079062560cd812faea3839f5d7d4"),
+    ("smt/deep_absent_pair/updated", "4c83bfef90201d660dda2af05f4dde15cdeadecef9cb2f8b4d467f3f06e47b8c"),
     ("smt/no_keys/empty_tree/proof", "e605996b7ab132f21c3c80bf8b74dc895e92146a404c58180cbb822c04212793"),
     ("smt/no_keys/empty_tree/bytes", "15"),
     ("smt/no_keys/empty_tree/root", "0000000000000000000000000000000000000000000000000000000000000000"),
@@ -763,18 +781,18 @@ const SMT_GOLDEN: &[(&str, &str)] = &[
     ("smt/no_keys/one_leaf/bytes", "77"),
     ("smt/no_keys/one_leaf/root", "8c99dd5b1925a03e9ab8f7ae53f744a1fda696f53bcd1092a902298b53e19fab"),
     ("smt/no_keys/one_leaf/updated", "8c99dd5b1925a03e9ab8f7ae53f744a1fda696f53bcd1092a902298b53e19fab"),
-    ("smt/no_keys/64_leaves/proof", "6986f1d88bbe92b9b07a5a899636342d29a41729173e1d3361d4c84ec3a7ab9c"),
+    ("smt/no_keys/64_leaves/proof", "9cdecd372fa2eda373a381488ddc9888a5144735b7d471ddcb0bdca3a7c27fd4"),
     ("smt/no_keys/64_leaves/bytes", "45"),
-    ("smt/no_keys/64_leaves/root", "6e6fc4f9d076706d52fee389ceb4aef4e2b843e0bd8ae0b4803e46bb1ab1b595"),
-    ("smt/no_keys/64_leaves/updated", "6e6fc4f9d076706d52fee389ceb4aef4e2b843e0bd8ae0b4803e46bb1ab1b595"),
-    ("smt/one_present/proof", "cb94968d8a79bfcae13e64d08ccdf15467f2cede588c4350fb2c757adee561b5"),
+    ("smt/no_keys/64_leaves/root", "2ba16aa37a1088a4465a9790244d35fb2afb9094bfe93a83a4c37cd1c6ffaf74"),
+    ("smt/no_keys/64_leaves/updated", "2ba16aa37a1088a4465a9790244d35fb2afb9094bfe93a83a4c37cd1c6ffaf74"),
+    ("smt/one_present/proof", "ffcd32c571053456ae4b13f1f03f50129999f88965f04d125c6a60d657811054"),
     ("smt/one_present/bytes", "345"),
-    ("smt/one_present/root", "6e6fc4f9d076706d52fee389ceb4aef4e2b843e0bd8ae0b4803e46bb1ab1b595"),
-    ("smt/one_present/updated", "ae89ff7ae73d62932c63692e20d1de048f65d55c675b2568c366355d3bdbd374"),
-    ("smt/one_absent/proof", "8a7f3f1cf9edde41e99c4d21de1abb0637046faa87d32ccbdc3cc55215d5299d"),
+    ("smt/one_present/root", "2ba16aa37a1088a4465a9790244d35fb2afb9094bfe93a83a4c37cd1c6ffaf74"),
+    ("smt/one_present/updated", "b756d2f8084d86ddad1f78e7e41c3803781ec0490636e0df2b90a65005d70ba1"),
+    ("smt/one_absent/proof", "a9f960a46a586fd707359f28e628bbbcca31a741b4ed23cdc0cedaa8042af615"),
     ("smt/one_absent/bytes", "343"),
-    ("smt/one_absent/root", "6e6fc4f9d076706d52fee389ceb4aef4e2b843e0bd8ae0b4803e46bb1ab1b595"),
-    ("smt/one_absent/updated", "787f80c6e5f35208b403475405693261f89bd49be40111ff6b75c0cc60044453"),
+    ("smt/one_absent/root", "2ba16aa37a1088a4465a9790244d35fb2afb9094bfe93a83a4c37cd1c6ffaf74"),
+    ("smt/one_absent/updated", "9f8bbbd3751b982d596c1e57508a9f8c9ae58e9a44fac90e141066b6dff4b5be"),
 ];
 
 // --- the transaction root -------------------------------------------------------
