@@ -3,8 +3,18 @@
 //!
 //! Paper result: the augmented scheme grows steeply (it replays block
 //! validation once per index), the hierarchical scheme only slightly (one
-//! block certificate plus cheap per-index ECalls); with a single index the
-//! augmented scheme is slightly faster (one fewer ECall).
+//! block certificate plus cheap per-index ECalls).
+//!
+//! Departure from the paper's schedule: Algorithm 5 as printed crosses
+//! `n + 1` times (the block, then each index leaning on `cert_i`); this
+//! reproduction issues it as **one** crossing that replays the block once
+//! and signs the block certificate and every index certificate off that
+//! replay — every check of Algorithms 2, 4 and 5 kept, the certificates
+//! byte-identical (DESIGN.md §4). So the paper's "augmented slightly ahead
+//! at 1 index (one fewer ECall)" does not carry over: at one index the
+//! fused request is the augmented request's work plus one block signature
+//! and one anchor check in the same single crossing, and the two are within
+//! noise.
 //!
 //! Run with: `cargo run --release -p dcert-bench --bin fig10_index_certs`
 
@@ -56,8 +66,8 @@ fn measure(
 fn main() {
     banner(
         "Figure 10: augmented vs hierarchical certificates vs #indexes",
-        "augmented steep-linear (replays per index); hierarchical shallow; \
-         augmented slightly ahead at 1 index",
+        "augmented steep-linear (replays per index); hierarchical shallow, \
+         one crossing a block whatever the index count",
     );
     let blocks = scaled(BLOCKS_PER_MEASUREMENT);
     println!(
@@ -74,14 +84,10 @@ fn main() {
             fmt_duration(aug),
             fmt_duration(hier),
         );
-        // Algorithm 4 replays the block once per index; Algorithm 5 pays
-        // one block certificate plus one light ECall per index.
+        // Algorithm 4 replays the block once per index; Algorithm 5 replays
+        // it once and signs everything in that one crossing.
         assert_eq!(aug_ecalls, count as f64, "augmented: one ECall per index");
-        assert_eq!(
-            hier_ecalls,
-            count as f64 + 1.0,
-            "hierarchical: block + indexes"
-        );
+        assert_eq!(hier_ecalls, 1.0, "hierarchical: one ECall per block");
         if shape::wall_clock() && count >= 2 {
             assert!(
                 hier < aug,

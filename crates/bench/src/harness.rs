@@ -31,7 +31,8 @@ pub enum Scheme {
     BlockOnly,
     /// Algorithm 4: one augmented certificate per index.
     Augmented,
-    /// Algorithm 5: a block certificate plus light per-index certificates.
+    /// Algorithm 5: a block certificate plus per-index certificates, off
+    /// one replay in one ECall.
     Hierarchical,
 }
 

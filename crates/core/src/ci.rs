@@ -8,8 +8,9 @@
 //!    set `{w}_i` (`comp_data_set`),
 //! 2. extracts the Merkle update proof `π_i` from its state tree
 //!    (`get_update_proof`),
-//! 3. crosses into the enclave exactly once per certificate
-//!    (`ecall_sig_gen` / augmented / hierarchical requests), and
+//! 3. crosses into the enclave once per job (`ecall_sig_gen`; the
+//!    hierarchical request, which brings back the block certificate and
+//!    every index certificate) or once per index (augmented requests), and
 //! 4. assembles and publishes `cert_i = ⟨pk_enc, rep, dig_i, sig_i⟩`.
 //!
 //! Every stage is timed into a [`CertBreakdown`], which is what the
@@ -41,7 +42,7 @@ use crate::verifier::IndexVerifier;
 pub struct CertBreakdown {
     /// Outside: transaction execution for read/write-set generation.
     pub rw_set_gen: Duration,
-    /// Outside: Merkle update-proof generation.
+    /// Outside: Merkle update-proof generation (one multiproof a block).
     pub proof_gen: Duration,
     /// Wall-clock time spent across all ECalls (trusted work + overhead).
     pub enclave_total: Duration,
@@ -50,11 +51,13 @@ pub struct CertBreakdown {
     pub enclave_overhead: Duration,
     /// Portion of `enclave_total` spent running trusted code.
     pub enclave_trusted: Duration,
-    /// Number of ECalls issued.
+    /// Number of ECalls issued: 1 for a block, a batch or a hierarchical
+    /// job over any number of indexes; `n` for an augmented job over `n`.
     pub ecalls: u64,
-    /// Bytes marshalled into the enclave.
+    /// Bytes marshalled into the enclave: the block once (hierarchical), or
+    /// once per index (augmented).
     pub request_bytes: u64,
-    /// Bytes marshalled out of the enclave.
+    /// Bytes marshalled out: a signature, or a hierarchical job's `1 + n`.
     pub response_bytes: u64,
 }
 
@@ -361,8 +364,10 @@ impl CertificateIssuer {
         Ok((issued.into_index_certs(), breakdown))
     }
 
-    /// Algorithm 5: hierarchical certificates — one block certificate, then
-    /// one light (replay-free) ECall per index. Advances the chain.
+    /// Algorithm 5: hierarchical certificates — the block certificate and
+    /// one per index, signed off one replay in **one** ECall (the paper
+    /// crosses once more per index; DESIGN.md §4). A refused index leaves
+    /// nothing signed: the same CI can retry the block. Advances the chain.
     ///
     /// Each index chains from the certificate this CI last issued for it,
     /// else from the staged [`IndexInput::prev_cert`].

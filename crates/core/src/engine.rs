@@ -1,6 +1,7 @@
 //! The certification core: the one definition of every step between a
 //! mined block and its certificate (Algorithm 1 `gen_cert`, with
-//! Algorithms 4/5 as per-index variants of its ECall step) — boot + attest,
+//! Algorithm 4 repeating its ECall step per index and Algorithm 5 widening
+//! it to sign every index certificate in the same crossing) — boot + attest,
 //! link building, marshalling, dispatch, issue, commit, in this file's
 //! order. DESIGN.md §4 ("Certification core") has the step list and which
 //! thread runs what.
@@ -20,7 +21,7 @@ use dcert_primitives::hash::Hash;
 use dcert_primitives::keys::{PublicKey, Signature};
 use dcert_sgx::cost::timed;
 use dcert_sgx::{AttestationReport, AttestationService, Enclave};
-use dcert_vm::{BlockExecution, Call, Executor, StateKey};
+use dcert_vm::{BlockExecution, Call, Executor};
 
 use crate::cert::Certificate;
 use crate::ci::CertBreakdown;
@@ -72,7 +73,8 @@ impl Attested {
         }
     }
 
-    /// One ECall answered by a signature per folded digest (`FoldRanges`).
+    /// One ECall answered by a signature per requested digest
+    /// (`FoldRanges`, `HierSigGen`).
     pub(crate) fn sign_each(
         &self,
         encoded: &[u8],
@@ -209,9 +211,21 @@ pub(crate) enum Indexing {
     /// Algorithm 4: one full-replay certificate per index, no block
     /// certificate.
     Augmented(Vec<IndexInput>),
-    /// Algorithm 5: the block certificate, then one light certificate per
-    /// index.
+    /// Algorithm 5: the block certificate and one certificate per index,
+    /// off one replay.
     Hierarchical(Vec<IndexInput>),
+}
+
+/// How a job's requests cross the boundary.
+enum Crossing {
+    /// `SigGen`/`BatchSigGen`: one crossing, the block certificate.
+    Block,
+    /// `AugSigGen` (Algorithm 4): one crossing per index, each the body
+    /// followed by that index; no block certificate.
+    PerIndex,
+    /// `HierSigGen` (Algorithm 5): one crossing, the body followed by every
+    /// index; the block certificate and every index certificate.
+    Fused,
 }
 
 /// One staged index update, marshalled around its `prev_cert`.
@@ -229,20 +243,16 @@ struct PreparedIndex {
 pub(crate) struct PreparedJob {
     /// The header the job's certificates bind (a batch's last).
     header: BlockHeader,
-    /// `SigGen`/`BatchSigGen`, cut at `prev_cert`. `None` for Algorithm 4,
-    /// which issues no standalone block certificate.
-    block: Option<SplitRequest>,
-    /// What precedes each index in its request: `AugSigGen` cut at
-    /// `prev_cert` (Algorithm 4), or `IdxSigGen` cut at `block_cert`
-    /// (Algorithm 5).
-    index_body: SplitRequest,
+    crossing: Crossing,
+    /// The request up to its indexes, cut at the block `prev_cert`.
+    body: SplitRequest,
     indexes: Vec<PreparedIndex>,
 }
 
 impl PreparedJob {
-    /// Marshals a one-block job: proves `executed` — and, for Algorithm 5,
-    /// its write set — against `pre_state`, the state it executed on. Also
-    /// hands back that write set, which takes `pre_state` past the block.
+    /// Marshals a one-block job: proves `executed` against `pre_state`, the
+    /// state it executed on. Also hands back its write set, which takes
+    /// `pre_state` past the block.
     pub(crate) fn single(
         prev_header: &BlockHeader,
         executed: ExecutedLink,
@@ -251,34 +261,27 @@ impl PreparedJob {
         breakdown: &mut CertBreakdown,
     ) -> (Self, WriteSet) {
         let (link, writes) = executed.prove(pre_state, breakdown);
-        let (block, index_body, indexes) = match indexing {
+        let (crossing, body, indexes) = match indexing {
             Indexing::None => (
-                Some(SplitRequest::sig_gen(prev_header, &link)),
-                SplitRequest::default(),
+                Crossing::Block,
+                SplitRequest::sig_gen(prev_header, &link),
                 Vec::new(),
             ),
-            Indexing::Augmented(indexes) => {
-                (None, SplitRequest::aug_sig_gen(prev_header, &link), indexes)
-            }
-            Indexing::Hierarchical(indexes) => {
-                // Ship the write set authenticated against the two
-                // certified state roots instead of replaying.
-                let (write_proof, took) = timed(|| {
-                    let keys: Vec<StateKey> = writes.iter().map(|(key, _)| *key).collect();
-                    pre_state.prove(&keys)
-                });
-                breakdown.proof_gen += took;
-                (
-                    Some(SplitRequest::sig_gen(prev_header, &link)),
-                    SplitRequest::idx_sig_gen(prev_header, &link.block, &writes, &write_proof),
-                    indexes,
-                )
-            }
+            Indexing::Augmented(indexes) => (
+                Crossing::PerIndex,
+                SplitRequest::aug_sig_gen(prev_header, &link),
+                indexes,
+            ),
+            Indexing::Hierarchical(indexes) => (
+                Crossing::Fused,
+                SplitRequest::hier_sig_gen(prev_header, &link, indexes.len()),
+                indexes,
+            ),
         };
         let job = PreparedJob {
             header: link.block.header,
-            block,
-            index_body,
+            crossing,
+            body,
             indexes: indexes
                 .into_iter()
                 .map(|index| PreparedIndex {
@@ -298,8 +301,8 @@ impl PreparedJob {
         let last = links.last().ok_or_else(empty_batch)?;
         Ok(PreparedJob {
             header: last.block.header.clone(),
-            block: Some(SplitRequest::batch_sig_gen(prev_header, links)),
-            index_body: SplitRequest::default(),
+            crossing: Crossing::Block,
+            body: SplitRequest::batch_sig_gen(prev_header, links),
             indexes: Vec::new(),
         })
     }
@@ -394,33 +397,63 @@ impl Issuer {
     }
 
     /// Issues every certificate of `job`: splices the previous certificates
-    /// into its requests, crosses the boundary once per certificate, and
-    /// assembles the results. The issuer's chains are left as they were —
-    /// see [`Issuer::commit`].
+    /// into its requests, crosses the boundary — once, but for Algorithm 4's
+    /// once per index — and assembles the results. The issuer's chains are
+    /// left as they were — see [`Issuer::commit`].
     pub(crate) fn issue(
         &mut self,
         job: &PreparedJob,
         breakdown: &mut CertBreakdown,
     ) -> Result<Issued, CertError> {
-        let header_digest = job.header.hash();
-        let block_cert = match &job.block {
-            Some(request) => {
-                self.scratch.clear();
-                request.splice(&self.prev_block_cert, &mut self.scratch);
-                let signature = self.send(breakdown)?;
-                Some(self.attested.certificate(header_digest, signature))
+        let (block_sig, index_sigs) = match job.crossing {
+            Crossing::Block => {
+                self.marshal(job, &[]);
+                let signature = self.attested.sign(&self.scratch, breakdown)?;
+                (Some(signature), Vec::new())
             }
-            None => None,
+            Crossing::PerIndex => {
+                let mut signatures = Vec::with_capacity(job.indexes.len());
+                for index in &job.indexes {
+                    self.marshal(job, std::slice::from_ref(index));
+                    signatures.push(self.attested.sign(&self.scratch, breakdown)?);
+                }
+                (None, signatures)
+            }
+            Crossing::Fused => {
+                self.marshal(job, &job.indexes);
+                let mut signatures = self.attested.sign_each(&self.scratch, breakdown)?;
+                if signatures.len() != job.indexes.len() + 1 {
+                    return Err(unexpected_response());
+                }
+                (Some(signatures.remove(0)), signatures)
+            }
         };
-        let mut index_certs = Vec::with_capacity(job.indexes.len());
-        for index in &job.indexes {
-            self.scratch.clear();
-            match &block_cert {
-                Some(cert) => job.index_body.splice(cert, &mut self.scratch),
-                None => job
-                    .index_body
-                    .splice(&self.prev_block_cert, &mut self.scratch),
-            }
+        let header_digest = job.header.hash();
+        let certify = |digest, signature| self.attested.certificate(digest, signature);
+        let index_certs = job
+            .indexes
+            .iter()
+            .zip(index_sigs)
+            .map(|(index, signature)| {
+                let digest = Certificate::index_digest(&header_digest, &index.new_digest);
+                let cert = certify(digest, signature);
+                (index.index_type.clone(), index.new_digest, cert)
+            });
+        Ok(Issued {
+            header: job.header.clone(),
+            index_certs: index_certs.collect(),
+            block_cert: block_sig.map(|signature| certify(header_digest, signature)),
+        })
+    }
+
+    /// Marshals one request of `job` into the scratch buffer — its body
+    /// around the previous block certificate, then each of `indexes` around
+    /// the certificate it chains from — crediting the bytes below the
+    /// buffer's high-water mark to `enclave.marshal_reuse_bytes`.
+    fn marshal(&mut self, job: &PreparedJob, indexes: &[PreparedIndex]) {
+        self.scratch.clear();
+        job.body.splice(&self.prev_block_cert, &mut self.scratch);
+        for index in indexes {
             // Issued-else-staged: chain from the certificate this issuer
             // last issued for the index, else from the staged one.
             let prev_cert = self
@@ -429,31 +462,12 @@ impl Issuer {
                 .or(index.staged_prev.as_ref())
                 .cloned();
             index.request.splice(&prev_cert, &mut self.scratch);
-            let signature = self.send(breakdown)?;
-            let digest = Certificate::index_digest(&header_digest, &index.new_digest);
-            index_certs.push((
-                index.index_type.clone(),
-                index.new_digest,
-                self.attested.certificate(digest, signature),
-            ));
         }
-        Ok(Issued {
-            header: job.header.clone(),
-            block_cert,
-            index_certs,
-        })
-    }
-
-    /// Dispatches the request marshalled in the scratch buffer, crediting
-    /// the bytes below its high-water mark to
-    /// `enclave.marshal_reuse_bytes`.
-    fn send(&mut self, breakdown: &mut CertBreakdown) -> Result<Signature, CertError> {
         let reused = self.scratch.len().min(self.scratch_high_water);
         if reused > 0 {
             self.attested.enclave.note_marshal_reuse(reused as u64);
         }
         self.scratch_high_water = self.scratch_high_water.max(self.scratch.len());
-        self.attested.sign(&self.scratch, breakdown)
     }
 
     /// Makes `issued` the tip of the issuer's certificate chains. Called

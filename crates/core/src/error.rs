@@ -39,9 +39,6 @@ pub enum CertError {
     StateRootMismatch,
     /// The claimed index digest does not match the recomputed one.
     IndexDigestMismatch,
-    /// The claimed write set does not transform the parent state root into
-    /// the block's state root.
-    WriteSetMismatch,
     /// No verifier is registered for the named index type.
     UnknownIndexType(String),
     /// An index update's auxiliary data failed to decode or apply.
@@ -124,9 +121,6 @@ impl fmt::Display for CertError {
                 )
             }
             CertError::IndexDigestMismatch => write!(f, "index digest mismatch"),
-            CertError::WriteSetMismatch => {
-                write!(f, "write set does not connect the certified state roots")
-            }
             CertError::UnknownIndexType(name) => write!(f, "unknown index type: {name}"),
             CertError::BadIndexUpdate(why) => write!(f, "bad index update: {why}"),
             CertError::NotInitialized => write!(f, "enclave key not initialized"),

@@ -12,7 +12,8 @@
 //! - [`Certificate`]: `⟨pk_enc, rep, dig, sig⟩` (Section 3.3),
 //! - [`CertProgram`]: the trusted in-enclave program — Algorithm 2
 //!   (`ecall_sig_gen` / `blk_verify_t` / `cert_verify_t`), Algorithm 4
-//!   (augmented), Algorithm 5's per-index step (hierarchical): one replay
+//!   (augmented), Algorithm 5 (hierarchical) as one request that signs the
+//!   block certificate and every index certificate off one replay: one replay
 //!   walk over borrowed links running the full node's own
 //!   `dcert_chain::validity` rule, one recursion-anchor check,
 //! - the certification core (the private `engine` module): the one
@@ -95,7 +96,7 @@ pub mod verifier;
 pub use cert::Certificate;
 pub use ci::{CertBreakdown, CertificateIssuer};
 pub use error::{CertError, ShardError};
-pub use messages::{BatchLink, BlockInput, EcallRequest, EcallResponse, IdxRequest, IndexInput};
+pub use messages::{BatchLink, BlockInput, EcallRequest, EcallResponse, IndexInput};
 pub use netsim::{FaultConfig, NetStats, Partition, SimNet};
 pub use network::{CertArchive, Gossip, NetMessage, Transport};
 pub use persist::RecoverError;

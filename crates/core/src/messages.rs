@@ -4,7 +4,9 @@
 //! the same (and charges the cost model by byte), so every request and
 //! response here has a canonical binary encoding. The message sizes are the
 //! "data passed into the enclave" whose growth drives the enclave-overhead
-//! curves of Figures 8–9.
+//! curves of Figures 8–9. What one replay can answer travels in one
+//! request: Algorithm 5's block and index certificates are one
+//! [`EcallRequest::HierSigGen`], not a request each.
 //!
 //! [`NetMessage`](crate::network::NetMessage) gets its canonical encoding
 //! here too: a real deployment ships certificates as bytes, and the
@@ -103,9 +105,12 @@ pub enum EcallRequest {
     /// Algorithm 4: validate the chain transition *and* one index update;
     /// sign `H(H(hdr_i) ‖ H_i^{idx})`.
     AugSigGen(BlockInput, IndexInput),
-    /// Algorithm 5 (per-index step): reuse the block certificate instead of
-    /// replaying; validate one index update; sign `H(H(hdr_i) ‖ H_i^{idx})`.
-    IdxSigGen(Box<IdxRequest>),
+    /// Algorithm 5, in one crossing: validate the chain transition once,
+    /// sign `H(hdr_i)`, then validate every index update on the replayed
+    /// write set and sign each `H(H(hdr_i) ‖ H_i^{idx})` — answered by
+    /// [`EcallResponse::Signatures`], the block's first, then the indexes'
+    /// in request order.
+    HierSigGen(BlockInput, Vec<IndexInput>),
     /// Batch extension: validate `links` as consecutive chain transitions
     /// from the anchor `(prev_header, prev_cert)` and sign the **last**
     /// header — amortizing the ECall and recursive-verification cost. The
@@ -145,25 +150,6 @@ pub enum EcallRequest {
     },
 }
 
-/// The hierarchical per-index request (Algorithm 5, loop body).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IdxRequest {
-    /// `hdr_{i-1}`.
-    pub prev_header: BlockHeader,
-    /// `hdr_i`.
-    pub header: BlockHeader,
-    /// The block itself (keyword-style verifiers read transaction bodies).
-    pub block: Block,
-    /// `cert_i` — the block certificate produced by `gen_cert`.
-    pub block_cert: Certificate,
-    /// The claimed block write set `{w}_i`.
-    pub writes: WriteSet,
-    /// Proof of `{w}_i` against `prev_header.state_root`.
-    pub write_proof: SmtProof,
-    /// The index-update inputs.
-    pub index: IndexInput,
-}
-
 /// A response crossing out of the enclave.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EcallResponse {
@@ -173,8 +159,9 @@ pub enum EcallResponse {
     Signature(Signature),
     /// The trusted program rejected the request.
     Rejected(String),
-    /// One signature per folded header digest, ordered by height
-    /// (`FoldRanges` response).
+    /// One signature per digest the request asked for: per folded header,
+    /// ordered by height (`FoldRanges`), or the block's then one per index
+    /// (`HierSigGen`).
     Signatures(Vec<Signature>),
 }
 
@@ -185,7 +172,7 @@ pub enum EcallResponse {
 const TAG_INIT: u8 = 0;
 const TAG_SIG_GEN: u8 = 1;
 const TAG_AUG_SIG_GEN: u8 = 2;
-const TAG_IDX_SIG_GEN: u8 = 3;
+const TAG_HIER_SIG_GEN: u8 = 3;
 const TAG_BATCH_SIG_GEN: u8 = 4;
 const TAG_RANGE_SIG_GEN: u8 = 5;
 const TAG_FOLD_RANGES: u8 = 6;
@@ -252,32 +239,6 @@ impl Decode for IndexInput {
     }
 }
 
-impl Encode for IdxRequest {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.prev_header.encode(out);
-        self.header.encode(out);
-        self.block.encode(out);
-        self.block_cert.encode(out);
-        encode_seq(&self.writes, out);
-        self.write_proof.encode(out);
-        self.index.encode(out);
-    }
-}
-
-impl Decode for IdxRequest {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(IdxRequest {
-            prev_header: BlockHeader::decode(r)?,
-            header: BlockHeader::decode(r)?,
-            block: Block::decode(r)?,
-            block_cert: Certificate::decode(r)?,
-            writes: decode_seq(r)?,
-            write_proof: SmtProof::decode(r)?,
-            index: IndexInput::decode(r)?,
-        })
-    }
-}
-
 impl Encode for EcallRequest {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
@@ -291,9 +252,10 @@ impl Encode for EcallRequest {
                 block.encode(out);
                 index.encode(out);
             }
-            EcallRequest::IdxSigGen(req) => {
-                out.push(TAG_IDX_SIG_GEN);
-                req.encode(out);
+            EcallRequest::HierSigGen(block, indexes) => {
+                out.push(TAG_HIER_SIG_GEN);
+                block.encode(out);
+                encode_seq(indexes, out);
             }
             EcallRequest::BatchSigGen {
                 prev_header,
@@ -333,7 +295,10 @@ impl Decode for EcallRequest {
                 BlockInput::decode(r)?,
                 IndexInput::decode(r)?,
             )),
-            TAG_IDX_SIG_GEN => Ok(EcallRequest::IdxSigGen(Box::new(IdxRequest::decode(r)?))),
+            TAG_HIER_SIG_GEN => Ok(EcallRequest::HierSigGen(
+                BlockInput::decode(r)?,
+                decode_seq(r)?,
+            )),
             TAG_BATCH_SIG_GEN => Ok(EcallRequest::BatchSigGen {
                 prev_header: BlockHeader::decode(r)?,
                 prev_cert: Option::<Certificate>::decode(r)?,
@@ -354,12 +319,12 @@ impl Decode for EcallRequest {
 }
 
 /// A request encoding cut at the one certificate only the issuer can
-/// supply — `prev_cert` of a `SigGen`/`AugSigGen`/`BatchSigGen`/
-/// [`IndexInput`], `block_cert` of an `IdxSigGen` — so everything around it
-/// can be marshalled before that certificate exists. For every
-/// constructor, `head ++ enc(certificate) ++ tail` is byte-for-byte the
-/// canonical [`EcallRequest`] encoding (the law the tests below pin); this
-/// is the only place outside the codec that spells a request's field order.
+/// supply — `prev_cert` of a `SigGen`/`AugSigGen`/`HierSigGen`/
+/// `BatchSigGen`/[`IndexInput`] — so everything around it can be marshalled
+/// before that certificate exists. For every constructor,
+/// `head ++ enc(certificate) ++ tail` is byte-for-byte the canonical
+/// [`EcallRequest`] encoding (the law the tests below pin); this is the
+/// only place outside the codec that spells a request's field order.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct SplitRequest {
     head: Vec<u8>,
@@ -411,19 +376,17 @@ impl SplitRequest {
         split
     }
 
-    /// `IdxSigGen` up to its [`IndexInput`], cut at
-    /// [`IdxRequest::block_cert`]; a [`SplitRequest::index`] follows.
-    pub(crate) fn idx_sig_gen(
+    /// `HierSigGen` up to the items of its index list, cut at
+    /// [`BlockInput::prev_cert`]; `index_count` [`SplitRequest::index`]es
+    /// follow.
+    pub(crate) fn hier_sig_gen(
         prev_header: &BlockHeader,
-        block: &Block,
-        writes: &WriteSet,
-        write_proof: &SmtProof,
+        link: &BatchLink,
+        index_count: usize,
     ) -> Self {
-        let mut split = Self::anchored(TAG_IDX_SIG_GEN, prev_header);
-        block.header.encode(&mut split.head);
-        block.encode(&mut split.head);
-        encode_seq(writes, &mut split.tail);
-        write_proof.encode(&mut split.tail);
+        let mut split = Self::block_input(TAG_HIER_SIG_GEN, prev_header, link);
+        // The list's count prefix: a sequence of that many zero-width items.
+        encode_seq(&vec![(); index_count], &mut split.tail);
         split
     }
 
@@ -605,6 +568,53 @@ mod tests {
         );
     }
 
+    /// A well-formed certificate (it need not verify: these are codec tests).
+    fn sample_cert() -> Certificate {
+        let kp = Keypair::from_seed([9; 32]);
+        Certificate {
+            pk_enc: kp.public(),
+            report: dcert_sgx::AttestationReport {
+                measurement: hash_bytes(b"m"),
+                report_data: hash_bytes(b"d"),
+                signature: kp.sign(b"r"),
+            },
+            digest: header().hash(),
+            signature: kp.sign(b"s"),
+        }
+    }
+
+    #[test]
+    fn hier_sig_gen_round_trip() {
+        let cert = sample_cert();
+        let input = BlockInput {
+            prev_header: header(),
+            prev_cert: Some(cert.clone()),
+            block: Block {
+                header: header(),
+                txs: Vec::new(),
+            },
+            reads: vec![(StateKey::new("kv", b"a"), None)],
+            state_proof: dcert_merkle::SparseMerkleTree::new().prove(&[hash_bytes(b"k")]),
+        };
+        let index = |name: &str, prev_cert| IndexInput {
+            index_type: name.to_owned(),
+            prev_digest: hash_bytes(b"prev"),
+            prev_cert,
+            new_digest: hash_bytes(b"new"),
+            aux: vec![1, 2, 3],
+        };
+        for indexes in [
+            Vec::new(),
+            vec![index("history", Some(cert)), index("inverted", None)],
+        ] {
+            let req = EcallRequest::HierSigGen(input.clone(), indexes);
+            assert_eq!(
+                EcallRequest::decode_all(&req.to_encoded_bytes()).unwrap(),
+                req
+            );
+        }
+    }
+
     #[test]
     fn response_round_trip() {
         let rejected = EcallResponse::Rejected("nope".to_owned());
@@ -680,17 +690,7 @@ mod tests {
     fn net_message_round_trips() {
         use crate::network::NetMessage;
 
-        let kp = Keypair::from_seed([9; 32]);
-        let cert = Certificate {
-            pk_enc: kp.public(),
-            report: dcert_sgx::AttestationReport {
-                measurement: hash_bytes(b"m"),
-                report_data: hash_bytes(b"d"),
-                signature: kp.sign(b"r"),
-            },
-            digest: header().hash(),
-            signature: kp.sign(b"s"),
-        };
+        let cert = sample_cert();
         let messages = [
             NetMessage::Block(Block {
                 header: header(),
@@ -866,29 +866,20 @@ mod tests {
     }
 
     #[test]
-    fn prop_idx_sig_gen_splits_at_block_cert_and_prev_cert() {
-        check(
-            "prop_idx_sig_gen_splits_at_block_cert_and_prev_cert",
-            48,
-            |g| {
-                let (prev_header, block_cert, link) = (arb_header(g), arb_cert(g), arb_link(g));
-                let (writes, index) = (arb_kv_set(g), arb_index(g));
-                let mut spliced = Vec::new();
-                SplitRequest::idx_sig_gen(&prev_header, &link.block, &writes, &link.state_proof)
-                    .splice(&block_cert, &mut spliced);
-                SplitRequest::index(&index).splice(&index.prev_cert, &mut spliced);
-                let request = EcallRequest::IdxSigGen(Box::new(IdxRequest {
-                    prev_header,
-                    header: link.block.header.clone(),
-                    block: link.block,
-                    block_cert,
-                    writes,
-                    write_proof: link.state_proof,
-                    index,
-                }));
-                assert_law(&spliced, &request);
-            },
-        );
+    fn prop_hier_sig_gen_splits_at_every_prev_cert() {
+        check("prop_hier_sig_gen_splits_at_every_prev_cert", 48, |g| {
+            let (prev_header, prev_cert, link) = (arb_header(g), g.option(arb_cert), arb_link(g));
+            let indexes = g.vec(0..4, arb_index);
+            let mut spliced = Vec::new();
+            SplitRequest::hier_sig_gen(&prev_header, &link, indexes.len())
+                .splice(&prev_cert, &mut spliced);
+            for index in &indexes {
+                SplitRequest::index(index).splice(&index.prev_cert, &mut spliced);
+            }
+            let request =
+                EcallRequest::HierSigGen(block_input(&prev_header, &prev_cert, &link), indexes);
+            assert_law(&spliced, &request);
+        });
     }
 
     #[test]

@@ -90,8 +90,8 @@ pub enum CertJob {
         /// last issued for that index, else from its staged `prev_cert`.
         indexes: Vec<IndexInput>,
     },
-    /// Algorithm 5: a block certificate plus one light per-index
-    /// certificate each.
+    /// Algorithm 5: a block certificate plus one certificate per index,
+    /// signed off one replay in one ECall.
     Hierarchical {
         /// The block to certify.
         block: Block,

@@ -2,10 +2,13 @@
 //!
 //! This module is the in-enclave half of DCert: Algorithm 2
 //! (`ecall_sig_gen` with `blk_verify_t` and `cert_verify_t`), the trusted
-//! part of Algorithm 4 (augmented certificates), and the per-index loop
-//! body of Algorithm 5 (hierarchical certificates). It is loaded into a
-//! [`dcert_sgx::Enclave`], which measures it and confines the enclave key
-//! `sk_enc` — generated here on the `Init` ECall — behind the boundary.
+//! part of Algorithm 4 (augmented certificates), and Algorithm 5
+//! (hierarchical certificates) as one request that signs the block
+//! certificate and every index certificate off one replay. It is loaded
+//! into a [`dcert_sgx::Enclave`], which measures it and confines the enclave
+//! key `sk_enc` — generated here on the `Init` ECall — behind the boundary.
+//! It is a function of its request and the sealed watermark: nothing it
+//! learns in one request is remembered for the next.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -23,7 +26,7 @@ use rand::rngs::OsRng;
 
 use crate::cert::Certificate;
 use crate::error::CertError;
-use crate::messages::{BatchLink, EcallRequest, EcallResponse, IdxRequest, IndexInput, WriteSet};
+use crate::messages::{BatchLink, BlockInput, EcallRequest, EcallResponse, IndexInput, WriteSet};
 use crate::range::RangeCert;
 use crate::verifier::IndexVerifier;
 
@@ -113,9 +116,9 @@ impl CertProgram {
         let last_of = |links: &[BatchLink]| links.last().map(|link| link.block.header.height);
         // `(height offered to the guard, strict?, height marked signed)`.
         // Strict guards refuse *at* the watermark too: block certificates
-        // must advance the chain, while the per-index certificates of
-        // Algorithms 4 and 5 legitimately share their block's height. The
-        // fleet's guards are strict — a shard or aggregator never re-signs
+        // must advance the chain (Algorithm 5's request signs one), while
+        // Algorithm 4's per-index certificates share their block's height.
+        // The fleet's guards are strict — a shard or aggregator never re-signs
         // heights it already vouched for; restart recovery resumes *above*
         // the sealed watermark and re-certifying after a reorg takes a
         // fresh enclave (a new key, a new attestation).
@@ -123,7 +126,7 @@ impl CertProgram {
             EcallRequest::Init => (None, true, None),
             EcallRequest::SigGen(input) => at(input.block.header.height, true),
             EcallRequest::AugSigGen(input, _) => at(input.block.header.height, false),
-            EcallRequest::IdxSigGen(req) => at(req.header.height, false),
+            EcallRequest::HierSigGen(input, _) => at(input.block.header.height, true),
             EcallRequest::BatchSigGen { links, .. } => (last_of(links), true, last_of(links)),
             EcallRequest::RangeSigGen { anchor, links } => {
                 (Some(first_above(anchor)?), true, last_of(links))
@@ -154,7 +157,9 @@ impl CertProgram {
                 let (prev_header, _, link) = input.into_anchor_and_link();
                 EcallResponse::Signature(self.aug_sig_gen(&prev_header, &link, &index)?)
             }
-            EcallRequest::IdxSigGen(req) => EcallResponse::Signature(self.idx_sig_gen(&req)?),
+            EcallRequest::HierSigGen(input, indexes) => {
+                EcallResponse::Signatures(self.hier_sig_gen(input, &indexes)?)
+            }
             EcallRequest::BatchSigGen {
                 prev_header,
                 prev_cert,
@@ -224,7 +229,7 @@ impl CertProgram {
         let last = links
             .last()
             .ok_or_else(|| CertError::EnclaveRejected("empty batch".into()))?;
-        self.verify_anchor(prev_header, prev_cert, None)?;
+        self.verify_anchor(prev_header, prev_cert, None, &[])?;
         self.replay(prev_header, links)?;
         let kp = self.keypair()?;
         Ok(kp.sign(last.block.header.hash().as_bytes()))
@@ -264,7 +269,7 @@ impl CertProgram {
         anchor_cert: Option<&Certificate>,
         ranges: &[RangeCert],
     ) -> Result<Vec<Signature>, CertError> {
-        self.verify_anchor(anchor, anchor_cert, None)?;
+        self.verify_anchor(anchor, anchor_cert, None, &[])?;
         let measurement = expected_measurement();
         let mut prev_digest = anchor.hash();
         let mut next_height = first_above(anchor)?;
@@ -304,6 +309,7 @@ impl CertProgram {
             prev_header,
             index.prev_cert.as_ref(),
             Some((verifier, &index.prev_digest)),
+            &[],
         )?;
         // Line 7: full block validation (replay), yielding the write set.
         let writes = self.replay(prev_header, std::slice::from_ref(link))?;
@@ -312,45 +318,35 @@ impl CertProgram {
         self.sign_index_update(verifier, index, &link.block, &writes, &header_digest)
     }
 
-    /// Algorithm 5, loop body: hierarchical index certificate. The block is
-    /// validated through its *certificate* (line 10) instead of re-replay.
-    fn idx_sig_gen(&self, req: &IdxRequest) -> Result<Signature, CertError> {
-        let verifier = self.verifier(&req.index.index_type)?;
-        let header_digest = req.header.hash();
-        // Line 10: the block certificate vouches for hdr_i.
-        req.block_cert
-            .verify(&self.ias_key, &expected_measurement(), &header_digest)?;
-        // Linkage: hdr_i commits to hdr_{i-1}, so the parent header (and
-        // its state root) is authentic once cert_i checks out.
-        check_extends(&req.prev_header, &req.header)?;
-        // The block body must be the certified one (verifiers may read tx
-        // payloads, e.g. for keyword indexes).
-        if req.block.header.hash() != header_digest {
-            return Err(CertError::DigestMismatch);
+    /// Algorithm 5 in one crossing: the block certificate and every index
+    /// certificate, signed off one replay. Every anchor is checked before
+    /// anything is signed — the block's (Algorithm 2, lines 3–6), then each
+    /// index's (Algorithm 5, lines 5–9). Line 10, "`cert_i` vouches for
+    /// `hdr_i`", is discharged by line 7 of Algorithm 4 instead: the
+    /// certificate it would check is the one this very call produces, so
+    /// the replay that earns it also hands every index its write set. The
+    /// block's signature comes first, then the indexes' in request order.
+    fn hier_sig_gen(
+        &self,
+        input: BlockInput,
+        indexes: &[IndexInput],
+    ) -> Result<Vec<Signature>, CertError> {
+        let (prev, prev_cert, link) = input.into_anchor_and_link();
+        let mut attested = Vec::with_capacity(1 + indexes.len());
+        attested.extend(self.verify_anchor(&prev, prev_cert.as_ref(), None, &attested)?);
+        for index in indexes {
+            let anchor = Some((self.verifier(&index.index_type)?, &index.prev_digest));
+            let checked = self.verify_anchor(&prev, index.prev_cert.as_ref(), anchor, &attested)?;
+            attested.extend(checked);
         }
-        req.block.verify_tx_root()?;
-        // Lines 5–9: previous index certificate or genesis anchors.
-        self.verify_anchor(
-            &req.prev_header,
-            req.index.prev_cert.as_ref(),
-            Some((verifier, &req.index.prev_digest)),
-        )?;
-        // Authenticate the claimed write set without replaying: it must
-        // transform the certified parent state root into the certified new
-        // state root.
-        let parent_state = req.write_proof.verify(&req.prev_header.state_root)?;
-        let reached = parent_state.updated_root(&hash_writes(&req.writes))?;
-        if reached != req.header.state_root {
-            return Err(CertError::WriteSetMismatch);
+        let writes = self.replay(&prev, std::slice::from_ref(&link))?;
+        let digest = link.block.header.hash();
+        let mut sigs = vec![self.keypair()?.sign(digest.as_bytes())];
+        for index in indexes {
+            let verifier = self.verifier(&index.index_type)?;
+            sigs.push(self.sign_index_update(verifier, index, &link.block, &writes, &digest)?);
         }
-        // Lines 11–15.
-        self.sign_index_update(
-            verifier,
-            &req.index,
-            &req.block,
-            &req.writes,
-            &header_digest,
-        )
+        Ok(sigs)
     }
 
     /// The tail Algorithms 4 and 5 share: recompute the index digest from
@@ -386,12 +382,19 @@ impl CertProgram {
     /// — the anchor is the previous *index* certificate over
     /// `H(H(hdr_{i-1}) ‖ H_{i-1}^idx)`, or both genesis digests
     /// (Algorithm 4, lines 3–6; Algorithm 5, lines 5–9).
-    fn verify_anchor(
+    ///
+    /// Hands back the certificate it checked (none off genesis). `attested`
+    /// are those this request has already checked — "check an attestation
+    /// report only once" (§4.3) inside one request, never across two: the
+    /// same `⟨rep, pk_enc⟩`, byte for byte, skips to the certificate's own
+    /// signature and digest.
+    fn verify_anchor<'a>(
         &self,
         prev_header: &BlockHeader,
-        prev_cert: Option<&Certificate>,
+        prev_cert: Option<&'a Certificate>,
         index: Option<(&dyn IndexVerifier, &Hash)>,
-    ) -> Result<(), CertError> {
+        attested: &[&Certificate],
+    ) -> Result<Option<&'a Certificate>, CertError> {
         let prev_digest = prev_header.hash();
         if prev_header.height == 0 {
             let index_off_genesis =
@@ -399,14 +402,19 @@ impl CertProgram {
             if prev_digest != self.genesis_digest || index_off_genesis {
                 return Err(CertError::GenesisMismatch);
             }
-            return Ok(());
+            return Ok(None);
         }
         let cert = prev_cert.ok_or(CertError::MissingPrevCert)?;
         let expected = match index {
             None => prev_digest,
             Some((_, digest)) => Certificate::index_digest(&prev_digest, digest),
         };
-        cert.verify(&self.ias_key, &expected_measurement(), &expected)
+        let known = |seen: &&Certificate| seen.report == cert.report && seen.pk_enc == cert.pk_enc;
+        if !attested.iter().any(known) {
+            cert.verify_trust(&self.ias_key, &expected_measurement())?;
+        }
+        cert.verify_digest(&expected)?;
+        Ok(Some(cert))
     }
 
     /// Replays `links` as consecutive chain transitions from `anchor` —

@@ -17,8 +17,7 @@ use dcert::baselines::{LineageProof, SkipRangeProof};
 use dcert::chain::consensus::ConsensusProof;
 use dcert::chain::{Block, BlockHeader, Transaction};
 use dcert::core::{
-    BatchLink, BlockInput, Certificate, EcallRequest, EcallResponse, IdxRequest, IndexInput,
-    NetMessage,
+    BatchLink, BlockInput, Certificate, EcallRequest, EcallResponse, IndexInput, NetMessage,
 };
 use dcert::merkle::btree::{Annotation, Flavor, Plain, Shape, Summary, Summed};
 use dcert::merkle::ops::OpProof;
@@ -71,7 +70,6 @@ fn try_decode_everything(bytes: &[u8]) {
     let _ = EcallResponse::decode_all(bytes);
     let _ = BlockInput::decode_all(bytes);
     let _ = IndexInput::decode_all(bytes);
-    let _ = IdxRequest::decode_all(bytes);
     let _ = BatchLink::decode_all(bytes);
     let _ = NetMessage::decode_all(bytes);
     let _ = SealedBlob::decode_all(bytes);
@@ -191,6 +189,33 @@ fn certificate() -> (Certificate, AttestationReport) {
 
 /// One valid encoding per wire type — the corpus the truncation and
 /// bit-flip sweeps run over.
+/// The fused hierarchical request over two indexes, and the offset of its
+/// index list's count prefix.
+fn hier_sig_gen() -> (EcallRequest, usize) {
+    let (cert, _) = certificate();
+    let tx = Transaction::sign(&Keypair::from_seed([9; 32]), 7, "kvstore", b"p".to_vec());
+    let input = BlockInput {
+        prev_header: header(2),
+        prev_cert: Some(cert.clone()),
+        block: Block {
+            header: header(3),
+            txs: vec![tx],
+        },
+        reads: vec![(StateKey::new("kvstore", b"balance"), Some(vec![1]))],
+        state_proof: header_proof().1,
+    };
+    let index = |name: &str, prev_cert| IndexInput {
+        index_type: name.to_owned(),
+        prev_digest: hash_bytes(b"prev"),
+        prev_cert,
+        new_digest: hash_bytes(b"new"),
+        aux: vec![7; 9],
+    };
+    let count_at = 1 + input.encoded_len();
+    let indexes = vec![index("history", Some(cert)), index("inverted", None)];
+    (EcallRequest::HierSigGen(input, indexes), count_at)
+}
+
 fn sample_encodings() -> Vec<Probe> {
     let kp = Keypair::from_seed([9; 32]);
     let tx = Transaction::sign(&kp, 7, "kvstore", b"payload".to_vec());
@@ -320,6 +345,7 @@ fn sample_encodings() -> Vec<Probe> {
         probe("Certificate", &cert),
         probe("AttestationReport", &report),
         probe("EcallRequest", &EcallRequest::Init),
+        probe("EcallRequest::HierSigGen", &hier_sig_gen().0),
         probe("EcallResponse", &EcallResponse::Initialized(kp.public())),
         probe(
             "NetMessage::BlockCert",
@@ -435,6 +461,16 @@ fn length_prefix_bombs_are_bounded() {
     assert!(Vec::<u8>::decode_all(&bytes).is_err());
     let _ = Block::decode_all(&bytes);
     let _ = SmtProof::decode_all(&bytes);
+    // The fused request's index list: a count prefix past what the payload
+    // holds — by one item, or by four billion — is refused, not trusted.
+    let (request, count_at) = hier_sig_gen();
+    let honest = request.to_encoded_bytes();
+    assert_eq!(honest[count_at..count_at + 4], [0, 0, 0, 2]);
+    for count in [3, u32::MAX] {
+        let mut bytes = honest.clone();
+        bytes[count_at..count_at + 4].copy_from_slice(&count.to_be_bytes());
+        assert!(EcallRequest::decode_all(&bytes).is_err(), "count {count}");
+    }
 }
 
 #[test]

@@ -22,13 +22,13 @@ use dcert::core::{
 use dcert::merkle::{smt, Aggregate, MbAppendProof, MbTree, ProofError, SmtProof};
 use dcert::primitives::codec::{decode_seq, encode_seq, Decode, Encode, Reader};
 use dcert::primitives::hash::{hash_bytes, Hash};
-use dcert::primitives::keys::Keypair;
+use dcert::primitives::keys::{Keypair, PublicKey};
 use dcert::query::aggregate::{verify_aggregate, AggregateIndex};
 use dcert::query::history::{verify_history, HistoryIndex, HistoryVerifier};
 use dcert::query::inverted::{verify_keywords, InvertedIndex};
 use dcert::query::sp::IndexKind;
 use dcert::query::{AggQueryProof, HistoryProof, KeywordProof, QueryError};
-use dcert::sgx::AttestationService;
+use dcert::sgx::{AttestationReport, AttestationService};
 use dcert::vm::{Executor, StateKey};
 use dcert::workloads::kvstore::KvCall;
 use dcert::workloads::{blockbench_registry, Workload, WorkloadGen};
@@ -101,11 +101,12 @@ fn expect_sig(program: &mut CertProgram, input: BlockInput) -> Result<(), CertEr
 /// How every acceptor of block 1 answers it after `mutate` (then, with
 /// `reseal`, an honest proof-of-work over the mutated header, so the check
 /// under test — not the consensus proof — is what trips): the full node's
-/// `apply`, then the trusted program's `SigGen`, one-link `BatchSigGen` and
-/// one-link `RangeSigGen`, each on a fresh fixture. The program's refusals
-/// are unwrapped to the `ChainError` they carry (`StateRootMismatch` is the
-/// one check it reports under its own name).
-fn verdicts(mutate: fn(&mut Block), reseal: bool) -> [Result<(), ChainError>; 4] {
+/// `apply`, then the trusted program's `SigGen`, one-link `BatchSigGen`,
+/// one-link `RangeSigGen` and index-less `HierSigGen`, each on a fresh
+/// fixture. The program's refusals are unwrapped to the `ChainError` they
+/// carry (`StateRootMismatch` is the one check it reports under its own
+/// name), and a program that refused has signed nothing.
+fn verdicts(mutate: fn(&mut Block), reseal: bool) -> [Result<(), ChainError>; 5] {
     let mutated = || {
         let (program, mut input, node) = fixture();
         mutate(&mut input.block);
@@ -117,12 +118,14 @@ fn verdicts(mutate: fn(&mut Block), reseal: bool) -> [Result<(), ChainError>; 4]
     };
     let offer = |request: fn(BlockInput) -> EcallRequest| {
         let (mut program, input, _) = mutated();
-        match program.handle(request(input)) {
-            Ok(_) => Ok(()),
+        let verdict = match program.handle(request(input)) {
+            Ok(_) => return Ok(()),
             Err(CertError::Chain(refusal)) => Err(refusal),
             Err(CertError::StateRootMismatch) => Err(ChainError::StateRootMismatch),
             Err(other) => panic!("not a block-validity refusal: {other:?}"),
-        }
+        };
+        assert_eq!(program.last_signed_height(), 0, "refused, so unsigned");
+        verdict
     };
     let (_, input, mut node) = mutated();
     [
@@ -134,6 +137,7 @@ fn verdicts(mutate: fn(&mut Block), reseal: bool) -> [Result<(), ChainError>; 4]
             let links = vec![link];
             EcallRequest::RangeSigGen { anchor, links }
         }),
+        offer(|input| EcallRequest::HierSigGen(input, Vec::new())),
     ]
 }
 
@@ -163,12 +167,12 @@ fn honest_input_is_signed() {
 /// **The full node and the enclave agree.** The honest block is accepted
 /// by all four acceptors; for each single mutation of it — one per check
 /// of the block-validity rule — `FullNode::apply` and the trusted
-/// program's three replaying requests refuse with the same `ChainError`
+/// program's four replaying requests refuse with the same `ChainError`
 /// variant: they run the same `chain::validity` functions, and the
 /// state-root comparison is the one line each keeps.
 #[test]
 fn full_node_and_enclave_agree_on_every_mutation() {
-    assert_eq!(verdicts(|_| {}, false), [Ok(()), Ok(()), Ok(()), Ok(())]);
+    assert!(verdicts(|_| {}, false).iter().all(Result::is_ok));
     /// A name, the mutation, whether to reseal, and the refusal it draws.
     type Row = (&'static str, fn(&mut Block), bool, fn(&ChainError) -> bool);
     #[rustfmt::skip]
@@ -192,10 +196,14 @@ fn full_node_and_enclave_agree_on_every_mutation() {
             |e| matches!(e, ChainError::StateRootMismatch)),
     ];
     for (name, mutate, reseal, is_expected) in table {
-        for (acceptor, verdict) in ["apply", "SigGen", "BatchSigGen", "RangeSigGen"]
-            .iter()
-            .zip(verdicts(mutate, reseal))
-        {
+        let acceptors = [
+            "apply",
+            "SigGen",
+            "BatchSigGen",
+            "RangeSigGen",
+            "HierSigGen",
+        ];
+        for (acceptor, verdict) in acceptors.iter().zip(verdicts(mutate, reseal)) {
             match verdict {
                 Err(refusal) if is_expected(&refusal) => {}
                 other => panic!("{name}: {acceptor} answered {other:?}"),
@@ -323,6 +331,198 @@ fn self_signed_prev_cert_rejected() {
     assert!(matches!(
         expect_sig(&mut program, input),
         Err(CertError::Attestation(_))
+    ));
+}
+
+// --- the fused hierarchical request ----------------------------------------
+//
+// `HierSigGen` signs the block certificate and every index certificate in
+// one crossing. Each check it makes before signing is tried with one forgery
+// of an otherwise honest request, matched by `CertError` variant; the block
+// body's checks are the `HierSigGen` column of the table above.
+
+/// The honest `HierSigGen` for block `height` over two indexes, whose
+/// predecessors the world's CI certified hierarchically, and a trusted
+/// program — outside any enclave, signing with the CI's seed — to offer it
+/// to.
+fn fused_fixture(height: u64) -> (CertProgram, BlockInput, Vec<IndexInput>, World) {
+    let (mut world, mut sp) = World::deterministic(vec![
+        (IndexKind::History, "history"),
+        (IndexKind::Inverted, "inverted"),
+    ]);
+    let mut gen = WorkloadGen::new(Workload::KvStore { keyspace: 16 }, 4, 11);
+    let mut prev_cert = None;
+    for below in 1..height {
+        let block = world.miner.mine(gen.next_block(4), below).unwrap();
+        let inputs = sp.stage_block(&block).unwrap();
+        let (block_cert, index_certs, _) = world.ci.certify_hierarchical(&block, &inputs).unwrap();
+        sp.record_certs(&index_certs);
+        prev_cert = Some(block_cert);
+    }
+    let block = world.miner.mine(gen.next_block(4), height).unwrap();
+    let indexes = sp.stage_block(&block).unwrap();
+    let state = world.ci.node().state();
+    let calls: Vec<_> = block.txs.iter().map(|tx| tx.call.clone()).collect();
+    let execution = world.executor.execute_block(state, &calls);
+    let input = BlockInput {
+        prev_header: world.ci.node().tip().clone(),
+        prev_cert,
+        state_proof: state.prove(&execution.touched_keys()),
+        reads: execution.reads.into_iter().collect(),
+        block,
+    };
+    let mut program = CertProgram::new(
+        world.genesis.hash(),
+        world.ias.public_key(),
+        world.executor.clone(),
+        world.engine.clone(),
+        sp.verifiers(),
+    )
+    .with_signing_seed(common::TEST_SIGNING_SEED);
+    program.handle(EcallRequest::Init).unwrap();
+    (program, input, indexes, world)
+}
+
+/// A report naming the right program and binding `pk_enc`, signed by a root
+/// that is not the IAS.
+fn rogue_report(pk_enc: &PublicKey) -> AttestationReport {
+    let platform = Keypair::from_seed([67; 32]);
+    let mut rogue_ias = AttestationService::with_seed([66; 32]);
+    rogue_ias.register_platform(platform.public());
+    let binding = Certificate::key_binding(pk_enc);
+    let quote = dcert::sgx::Quote::sign(&platform, expected_measurement(), binding);
+    rogue_ias.attest(&quote).unwrap()
+}
+
+/// A certificate over `digest` by a key the IAS never attested.
+fn self_attested(digest: Hash) -> Certificate {
+    let attacker = Keypair::from_seed([66; 32]);
+    Certificate {
+        pk_enc: attacker.public(),
+        report: rogue_report(&attacker.public()),
+        digest,
+        signature: attacker.sign(digest.as_bytes()),
+    }
+}
+
+/// The honest request yields the signatures the CI publishes — the block's,
+/// then one per index in request order — and moves the watermark once; the
+/// guard at its height is strict.
+#[test]
+fn fused_request_signs_the_block_and_every_index_once() {
+    let (mut program, input, indexes, mut world) = fused_fixture(2);
+    let request = EcallRequest::HierSigGen(input.clone(), indexes.clone());
+    let Ok(EcallResponse::Signatures(signatures)) = program.handle(request.clone()) else {
+        panic!("the honest request is signed");
+    };
+    let (block_cert, index_certs, breakdown) = world
+        .ci
+        .certify_hierarchical(&input.block, &indexes)
+        .unwrap();
+    let published = std::iter::once(&block_cert).chain(&index_certs);
+    assert_eq!(
+        signatures,
+        published.map(|cert| cert.signature).collect::<Vec<_>>()
+    );
+    assert_eq!(breakdown.ecalls, 1);
+    assert_eq!(program.last_signed_height(), 2);
+    assert_eq!(
+        program.handle(request),
+        Err(CertError::HeightRegression {
+            last_signed: 2,
+            offered: 2
+        })
+    );
+}
+
+/// One forgery per check, each refused by that check alone and leaving
+/// nothing signed: afterwards the same program signs the honest request.
+#[test]
+fn every_check_of_the_fused_request_refuses_its_forgery() {
+    type Forge = fn(&mut BlockInput, &mut Vec<IndexInput>);
+    type Row = (&'static str, Forge, fn(&CertError) -> bool);
+    fn flip(hash: &mut Hash) {
+        let mut bytes = hash.to_array();
+        bytes[31] ^= 1;
+        *hash = Hash::from_bytes(bytes);
+    }
+    /// What index 1's previous certificate must certify.
+    fn anchor_digest(input: &BlockInput, indexes: &[IndexInput]) -> Hash {
+        Certificate::index_digest(&input.prev_header.hash(), &indexes[1].prev_digest)
+    }
+    #[rustfmt::skip]
+    let table: [Row; 13] = [
+        ("block prev_cert signed over something else", |input, indexes| {
+            let cert = input.prev_cert.as_mut().unwrap();
+            cert.signature = indexes[0].prev_cert.as_ref().unwrap().signature;
+        }, |e| matches!(e, CertError::BadSignature)),
+        ("no block prev_cert", |input, _| input.prev_cert = None,
+            |e| matches!(e, CertError::MissingPrevCert)),
+        ("block prev_cert under an unattested root", |input, _| {
+            input.prev_cert = Some(self_attested(input.prev_header.hash()));
+        }, |e| matches!(e, CertError::Attestation(dcert::sgx::SgxError::BadReport))),
+        ("index prev_cert over another index's digest", |_, indexes| {
+            indexes[1].prev_cert = indexes[0].prev_cert.clone();
+        }, |e| matches!(e, CertError::DigestMismatch)),
+        ("no index prev_cert", |_, indexes| indexes[1].prev_cert = None,
+            |e| matches!(e, CertError::MissingPrevCert)),
+        // The attestation is checked once per `(rep, pk_enc)`, not once per
+        // request: a second report beside the block's honest one…
+        ("index prev_cert under an unattested root", |input, indexes| {
+            indexes[1].prev_cert = Some(self_attested(anchor_digest(input, indexes)));
+        }, |e| matches!(e, CertError::Attestation(dcert::sgx::SgxError::BadReport))),
+        // …the honest key under a second report…
+        ("index prev_cert with its report swapped", |_, indexes| {
+            let cert = indexes[1].prev_cert.as_mut().unwrap();
+            cert.report = rogue_report(&cert.pk_enc);
+        }, |e| matches!(e, CertError::Attestation(dcert::sgx::SgxError::BadReport))),
+        // …and the block's honest report beside a second key.
+        ("index prev_cert reusing the honest report for another key", |input, indexes| {
+            let forged = self_attested(anchor_digest(input, indexes));
+            let report = input.prev_cert.as_ref().unwrap().report.clone();
+            indexes[1].prev_cert = Some(Certificate { report, ..forged });
+        }, |e| matches!(e, CertError::KeyBindingMismatch)),
+        ("unknown index type", |_, indexes| indexes[1].index_type = "not-registered".into(),
+            |e| matches!(e, CertError::UnknownIndexType(name) if name == "not-registered")),
+        ("read set off its proof", |input, _| input.reads[0].1 = Some(b"lies".to_vec()),
+            |e| matches!(e, CertError::ReadSetMismatch)),
+        ("index digest off by a bit", |_, indexes| flip(&mut indexes[1].new_digest),
+            |e| matches!(e, CertError::IndexDigestMismatch)),
+        ("previous index digest off by a bit", |_, indexes| flip(&mut indexes[1].prev_digest),
+            |e| matches!(e, CertError::DigestMismatch)),
+        ("forged aux", |_, indexes| *indexes[1].aux.last_mut().unwrap() ^= 0xff,
+            |e| matches!(e, CertError::Proof(_) | CertError::BadIndexUpdate(_))),
+    ];
+    for (name, forge, is_expected) in table {
+        let (mut program, honest_input, honest_indexes, _) = fused_fixture(2);
+        let (mut input, mut indexes) = (honest_input.clone(), honest_indexes.clone());
+        forge(&mut input, &mut indexes);
+        match program.handle(EcallRequest::HierSigGen(input, indexes)) {
+            Err(refusal) if is_expected(&refusal) => {}
+            other => panic!("{name}: answered {other:?}"),
+        }
+        assert_eq!(program.last_signed_height(), 0, "{name}: nothing signed");
+        let honest = EcallRequest::HierSigGen(honest_input, honest_indexes);
+        assert!(program.handle(honest).is_ok(), "{name}: honest retry");
+    }
+}
+
+/// Off genesis both anchors are digests, not certificates: the chain's
+/// genesis and each index's own.
+#[test]
+fn fused_request_anchors_every_index_at_genesis() {
+    let (mut program, input, mut indexes, _) = fused_fixture(1);
+    assert!(input.prev_cert.is_none() && indexes.iter().all(|i| i.prev_cert.is_none()));
+    let honest = EcallRequest::HierSigGen(input.clone(), indexes.clone());
+    indexes[1].prev_digest = hash_bytes(b"an index with a past");
+    assert_eq!(
+        program.handle(EcallRequest::HierSigGen(input, indexes)),
+        Err(CertError::GenesisMismatch)
+    );
+    assert_eq!(program.last_signed_height(), 0);
+    assert!(matches!(
+        program.handle(honest),
+        Ok(EcallResponse::Signatures(signatures)) if signatures.len() == 3
     ));
 }
 
@@ -571,7 +771,7 @@ fn untracked_answer_for_a_tracked_key_is_refused() {
 /// (b) A CI host that stages `prev_root: None` for a tracked key — which
 /// would restart its history under a valid index certificate — is refused
 /// by the index verifier: called directly with every forged absence, and
-/// inside `aug_sig_gen` and `idx_sig_gen` with the first.
+/// inside `aug_sig_gen` and `hier_sig_gen` with the first.
 #[test]
 fn staging_a_tracked_key_as_new_is_refused() {
     let put = |nonce: u64, key: &str| {

@@ -3,10 +3,16 @@
 
 mod common;
 
+use std::sync::Arc;
+
 use common::World;
-use dcert::core::CertError;
+use dcert::chain::Block;
+use dcert::core::{
+    CertError, CertJob, CertPipeline, Certificate, Gossip, IndexInput, PipelineConfig,
+};
 use dcert::primitives::hash::hash_bytes;
 use dcert::query::sp::IndexKind;
+use dcert::query::ServiceProvider;
 use dcert::workloads::{Workload, WorkloadGen};
 
 fn kv_gen() -> WorkloadGen {
@@ -46,8 +52,8 @@ fn hierarchical_scheme_certifies_multi_block_chain() {
         let (block_cert, idx_certs, breakdown) =
             world.ci.certify_hierarchical(&block, &inputs).unwrap();
         assert_eq!(idx_certs.len(), 2);
-        // One block ECall + one light ECall per index.
-        assert_eq!(breakdown.ecalls, 3);
+        // One crossing: the block certificate and both index certificates.
+        assert_eq!(breakdown.ecalls, 1);
         sp.record_certs(&idx_certs);
         last = Some((block, block_cert, idx_certs, inputs));
     }
@@ -182,8 +188,125 @@ fn five_indexes_certify_hierarchically() {
         let (block_cert, certs, breakdown) =
             world.ci.certify_hierarchical(&block, &inputs).unwrap();
         assert_eq!(certs.len(), 5);
-        assert_eq!(breakdown.ecalls, 6);
+        assert_eq!(breakdown.ecalls, 1);
         sp.record_certs(&certs);
         let _ = block_cert;
+    }
+}
+
+// --- a refused index leaves nothing signed -------------------------------------
+//
+// The fused request signs the block certificate only beside every index
+// certificate. Before it, the block's `SigGen` had already advanced the
+// sealed watermark when the second index's `IdxSigGen` was refused, and the
+// honest retry died with "height regression: already signed 3, offered 3".
+
+fn two_index_world() -> (World, ServiceProvider) {
+    World::deterministic(vec![
+        (IndexKind::History, "history"),
+        (IndexKind::Inverted, "inverted"),
+    ])
+}
+
+/// A way to forge a staged index update, and what the enclave says to it.
+type Forgery = (fn(&mut IndexInput), &'static str);
+
+/// The two ways the second index of a job is forged here.
+const FORGERIES: [Forgery; 2] = [
+    (
+        |index| index.new_digest = hash_bytes(b"forged index digest"),
+        "index digest mismatch",
+    ),
+    (
+        |index| index.aux.truncate(index.aux.len() / 2),
+        "bad index update",
+    ),
+];
+
+/// Certifies `blocks` hierarchically on a CI that never sees a forgery: the
+/// stream the retry must reproduce, and the staged inputs behind it.
+fn clean_run(blocks: &[Block]) -> Vec<(Certificate, Vec<Certificate>, Vec<IndexInput>)> {
+    let (mut world, mut sp) = two_index_world();
+    let certify = |block| {
+        let inputs = sp.stage_block(block).unwrap();
+        let (block_cert, index_certs, _) = world.ci.certify_hierarchical(block, &inputs).unwrap();
+        sp.record_certs(&index_certs);
+        (block_cert, index_certs, inputs)
+    };
+    blocks.iter().map(certify).collect()
+}
+
+#[test]
+fn refused_index_leaves_nothing_signed_and_the_same_ci_retries() {
+    for (forge, refusal) in FORGERIES {
+        let (mut world, _) = two_index_world();
+        let blocks = world.mine_blocks(Workload::KvStore { keyspace: 32 }, 3, 4, 99);
+        let clean = clean_run(&blocks);
+        for (block, (_, _, inputs)) in blocks.iter().zip(&clean).take(2) {
+            world.ci.certify_hierarchical(block, inputs).unwrap();
+        }
+        let (block_cert, index_certs, inputs) = &clean[2];
+        let mut forged = inputs.clone();
+        forge(&mut forged[1]);
+        match world.ci.certify_hierarchical(&blocks[2], &forged) {
+            Err(CertError::EnclaveRejected(why)) => assert!(why.contains(refusal), "{why}"),
+            other => panic!("expected a refusal, got {other:?}"),
+        }
+        let (retried_block, retried_indexes, breakdown) =
+            world.ci.certify_hierarchical(&blocks[2], inputs).unwrap();
+        assert_eq!(
+            (&retried_block, &retried_indexes),
+            (block_cert, index_certs)
+        );
+        assert_eq!(breakdown.ecalls, 1);
+    }
+}
+
+#[test]
+fn refused_index_in_the_pipeline_leaves_nothing_signed() {
+    for (forge, refusal) in FORGERIES {
+        let (mut world, _) = two_index_world();
+        let blocks = world.mine_blocks(Workload::KvStore { keyspace: 32 }, 3, 4, 99);
+        let clean = clean_run(&blocks);
+        let pipeline =
+            CertPipeline::spawn(world.ci, PipelineConfig::default(), Arc::new(Gossip::new()));
+        for (height, (block, (_, _, inputs))) in blocks.iter().zip(&clean).enumerate() {
+            let mut indexes = inputs.clone();
+            if height == 2 {
+                forge(&mut indexes[1]);
+            }
+            let block = block.clone();
+            pipeline
+                .submit(CertJob::Hierarchical { block, indexes })
+                .unwrap();
+        }
+        let (mut ci, report) = pipeline.shutdown();
+        match report.errors.as_slice() {
+            [(2, CertError::EnclaveRejected(why))] => assert!(why.contains(refusal), "{why}"),
+            other => panic!("expected job 2 refused, got {other:?}"),
+        }
+        // The CI comes back standing on block 2, its enclave unsigned at 3.
+        let (block_cert, index_certs, inputs) = &clean[2];
+        let (retried_block, retried_indexes, _) =
+            ci.certify_hierarchical(&blocks[2], inputs).unwrap();
+        assert_eq!(
+            (&retried_block, &retried_indexes),
+            (block_cert, index_certs)
+        );
+    }
+}
+
+#[test]
+fn hierarchical_over_no_index_is_the_block_certificate() {
+    let (mut plain, _) = World::deterministic(Vec::new());
+    let (mut fused, _) = World::deterministic(Vec::new());
+    let blocks = plain.mine_blocks(Workload::KvStore { keyspace: 32 }, 3, 4, 99);
+    for block in &blocks {
+        let (expected, _) = plain.ci.certify_block(block).unwrap();
+        let (block_cert, index_certs, breakdown) =
+            fused.ci.certify_hierarchical(block, &[]).unwrap();
+        assert_eq!(block_cert, expected);
+        assert!(index_certs.is_empty());
+        assert_eq!(breakdown.ecalls, 1);
     }
 }
