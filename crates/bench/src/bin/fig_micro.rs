@@ -1,30 +1,41 @@
 //! Micro-rows of the structures the end-to-end numbers lean on: the
 //! `blocks_io`-shaped SMT multiproof (32 transactions × 32 adjacent records
-//! of a 4 128-record state in one proof), and single-key prove + verify at
-//! 2 048 keys — what one upper-level lookup of a two-level index costs.
+//! of a 4 128-record state in one proof), single-key prove + verify at
+//! 2 048 keys — what one upper-level lookup of a two-level index costs —
+//! and a 32-transaction signature pass, sequential (the enclave's) and in
+//! the full node's lanes.
 //!
 //! Run with: `cargo run --release -p dcert-bench --bin fig_micro`
 
 #![forbid(unsafe_code)]
 
 use std::hint::black_box;
+use std::sync::Arc;
+use std::time::Duration;
 
 use dcert_bench::params::scaled;
 use dcert_bench::report::{banner, fmt_duration};
+use dcert_bench::shape;
+use dcert_chain::validity::check_signatures;
+use dcert_chain::{FullNode, GenesisBuilder, ProofOfWork};
 use dcert_merkle::{SmtProof, SparseMerkleTree};
 use dcert_primitives::codec::{Decode, Encode};
-use dcert_primitives::hash::{hash_bytes, Hash};
+use dcert_primitives::hash::{hash_bytes, Address, Hash};
 use dcert_sgx::cost::timed;
+use dcert_vm::{ContractRegistry, Executor};
+use dcert_workloads::{Workload, WorkloadGen};
 
-/// Prints the mean time of `f` over `iters` runs.
-fn row<T>(name: &str, iters: u32, mut f: impl FnMut() -> T) {
+/// Prints the mean time of `f` over `iters` runs, and returns it.
+fn row<T>(name: &str, iters: u32, mut f: impl FnMut() -> T) -> Duration {
     let ((), elapsed) = timed(|| (0..iters).for_each(|_| drop(black_box(f()))));
-    println!("{name:<28} {:>12}", fmt_duration(elapsed / iters));
+    let mean = elapsed / iters;
+    println!("{name:<28} {:>12}", fmt_duration(mean));
+    mean
 }
 
 fn main() {
     banner(
-        "fig_micro: SMT multiproof and single-key rows",
+        "fig_micro: SMT multiproof, single-key and signature-pass rows",
         "no paper figure; the rows optimisation PRs size against",
     );
     let iters = u32::try_from(scaled(200)).unwrap_or(u32::MAX);
@@ -81,4 +92,25 @@ fn main() {
     row("smt/prove_verify_1_of_2048", iters, || {
         smt.prove(&[probe]).verify(&smt_root).is_ok()
     });
+
+    // A `blocks_kv` body: the enclave's pass is sequential, the miner's
+    // and the SP's split it into as many lanes as the node found cores for.
+    let (genesis, state) = GenesisBuilder::new().build();
+    let executor = Executor::new(Arc::new(ContractRegistry::new()));
+    let engine = Arc::new(ProofOfWork::new(0));
+    let node = FullNode::new(&genesis, state, executor, engine, Address::from_seed(1));
+    let txs = WorkloadGen::new(Workload::KvStore { keyspace: 1_024 }, 32, 1).next_block(32);
+    let lanes = node.signature_lanes(txs.len());
+    assert_eq!(check_signatures(&txs), Ok(()));
+    assert_eq!(node.verify_signatures(&txs), check_signatures(&txs));
+    let sequential = row("chain/sigs_32_sequential", iters, || check_signatures(&txs));
+    let in_lanes = row(&format!("chain/sigs_32_in_{lanes}_lanes"), iters, || {
+        node.verify_signatures(&txs)
+    });
+    if shape::wall_clock() && lanes >= 2 {
+        assert!(
+            in_lanes < sequential,
+            "{lanes} lanes ({in_lanes:?}) must beat one ({sequential:?})"
+        );
+    }
 }

@@ -19,7 +19,8 @@
 //!   proof, transaction root and signatures — spelled once for the full
 //!   node, the header store and the enclave's `blk_verify_t`,
 //! - [`node`]: a mining/validating full node that executes blocks and
-//!   maintains tip state,
+//!   maintains tip state, checking a block's signatures in lanes across
+//!   its cores,
 //! - [`genesis`]: deterministic genesis construction.
 //!
 //! [`Call`]: dcert_vm::Call

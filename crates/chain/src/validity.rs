@@ -2,8 +2,11 @@
 //! trusted certificate program's `blk_verify_t` and the CI's link builder
 //! call these functions — in Algorithm 2's line order, [`check_extends`]
 //! (line 14) then [`check_body`] (lines 15, 16, 19) — so the enclave
-//! accepts exactly what a full node accepts. Inputs may be host-supplied:
-//! nothing here may panic.
+//! accepts exactly what a full node accepts. `check_body` is
+//! [`check_header`] then [`check_signatures`]: the enclave runs the pair
+//! as one call, the host full node runs the second over contiguous chunks
+//! of the body on several cores (`node.rs`). Inputs may be host-supplied:
+//! nothing here may panic, and nothing here starts a thread.
 
 use dcert_primitives::hash::{hash_bytes, Hash};
 use dcert_vm::StateKey;
@@ -11,6 +14,7 @@ use dcert_vm::StateKey;
 use crate::block::{Block, BlockHeader};
 use crate::consensus::ConsensusEngine;
 use crate::error::ChainError;
+use crate::tx::Transaction;
 
 /// `header` sits exactly one height above `prev` (nothing sits above
 /// `u64::MAX`), or [`ChainError::BadHeight`].
@@ -38,12 +42,22 @@ pub fn check_extends(prev: &BlockHeader, header: &BlockHeader) -> Result<(), Cha
 }
 
 /// What can be checked of `block` without its pre-state, first failure
-/// first: the consensus proof, the header's commitment to the
-/// transactions, every transaction signature.
+/// first: [`check_header`], then [`check_signatures`].
 pub fn check_body(engine: &dyn ConsensusEngine, block: &Block) -> Result<(), ChainError> {
+    check_header(engine, block)?;
+    check_signatures(&block.txs)
+}
+
+/// The consensus proof, then the header's commitment to the transactions.
+pub fn check_header(engine: &dyn ConsensusEngine, block: &Block) -> Result<(), ChainError> {
     engine.verify(&block.header)?;
-    block.verify_tx_root()?;
-    block.txs.iter().try_for_each(|tx| tx.verify())
+    block.verify_tx_root()
+}
+
+/// Every transaction's sender binding and signature, in order, stopping at
+/// the first failure.
+pub fn check_signatures(txs: &[Transaction]) -> Result<(), ChainError> {
+    txs.iter().try_for_each(Transaction::verify)
 }
 
 /// A write set (`None` = deletion) as the `(path, value-hash)` pairs a
@@ -61,7 +75,6 @@ pub fn hash_writes<'a>(
 mod tests {
     use super::*;
     use crate::consensus::{ConsensusProof, ProofOfWork};
-    use crate::tx::Transaction;
     use dcert_primitives::hash::Address;
     use dcert_primitives::keys::Keypair;
 

@@ -44,6 +44,11 @@ fn program_and_input() -> (CertProgram, BlockInput) {
 /// [`program_and_input`], plus the full node at genesis that proposed the
 /// block — the other acceptor of the same block.
 fn fixture() -> (CertProgram, BlockInput, FullNode) {
+    fixture_of(4)
+}
+
+/// [`fixture`] with a block of `txs` transactions.
+fn fixture_of(txs: usize) -> (CertProgram, BlockInput, FullNode) {
     let executor = Executor::new(Arc::new(blockbench_registry()));
     let engine = Arc::new(ProofOfWork::new(TEST_POW_BITS));
     let (genesis, state) = GenesisBuilder::new().timestamp(1_700_000_000).build();
@@ -57,8 +62,7 @@ fn fixture() -> (CertProgram, BlockInput, FullNode) {
         dcert::primitives::hash::Address::from_seed(1),
     );
     let mut gen = WorkloadGen::new(Workload::KvStore { keyspace: 16 }, 4, 11);
-    let txs = gen.next_block(4);
-    let block = miner.propose(txs, 1).unwrap();
+    let block = miner.propose(gen.next_block(txs), 1).unwrap();
 
     let execution = {
         let calls: Vec<_> = block.txs.iter().map(|t| t.call.clone()).collect();
@@ -98,17 +102,18 @@ fn expect_sig(program: &mut CertProgram, input: BlockInput) -> Result<(), CertEr
     program.handle(EcallRequest::SigGen(input)).map(|_| ())
 }
 
-/// How every acceptor of block 1 answers it after `mutate` (then, with
-/// `reseal`, an honest proof-of-work over the mutated header, so the check
-/// under test — not the consensus proof — is what trips): the full node's
-/// `apply`, then the trusted program's `SigGen`, one-link `BatchSigGen`,
-/// one-link `RangeSigGen` and index-less `HierSigGen`, each on a fresh
-/// fixture. The program's refusals are unwrapped to the `ChainError` they
-/// carry (`StateRootMismatch` is the one check it reports under its own
-/// name), and a program that refused has signed nothing.
-fn verdicts(mutate: fn(&mut Block), reseal: bool) -> [Result<(), ChainError>; 5] {
+/// How every acceptor of block 1, of `txs` transactions, answers it after
+/// `mutate` (then, with `reseal`, an honest proof-of-work over the mutated
+/// header, so the check under test — not the consensus proof — is what
+/// trips): the full node's `apply`, then the trusted program's `SigGen`,
+/// one-link `BatchSigGen`, one-link `RangeSigGen` and index-less
+/// `HierSigGen`, each on a fresh fixture. The program's refusals are
+/// unwrapped to the `ChainError` they carry (`StateRootMismatch` is the one
+/// check it reports under its own name), a node that refused is unchanged,
+/// and a program that refused has signed nothing.
+fn verdicts(txs: usize, mutate: fn(&mut Block), reseal: bool) -> [Result<(), ChainError>; 5] {
     let mutated = || {
-        let (program, mut input, node) = fixture();
+        let (program, mut input, node) = fixture_of(txs);
         mutate(&mut input.block);
         if reseal {
             let engine = ProofOfWork::new(TEST_POW_BITS);
@@ -128,8 +133,14 @@ fn verdicts(mutate: fn(&mut Block), reseal: bool) -> [Result<(), ChainError>; 5]
         verdict
     };
     let (_, input, mut node) = mutated();
+    let before = (node.tip().clone(), node.state().dump_entries());
+    let applied = node.apply(&input.block).map(drop);
+    if applied.is_err() {
+        let after = (node.tip().clone(), node.state().dump_entries());
+        assert_eq!(after, before, "refused, so unchanged");
+    }
     [
-        node.apply(&input.block).map(drop),
+        applied,
         offer(EcallRequest::SigGen),
         offer(one_link_batch),
         offer(|input| {
@@ -172,7 +183,14 @@ fn honest_input_is_signed() {
 /// state-root comparison is the one line each keeps.
 #[test]
 fn full_node_and_enclave_agree_on_every_mutation() {
-    assert!(verdicts(|_| {}, false).iter().all(Result::is_ok));
+    assert!(verdicts(4, |_| {}, false).iter().all(Result::is_ok));
+    let acceptors = [
+        "apply",
+        "SigGen",
+        "BatchSigGen",
+        "RangeSigGen",
+        "HierSigGen",
+    ];
     /// A name, the mutation, whether to reseal, and the refusal it draws.
     type Row = (&'static str, fn(&mut Block), bool, fn(&ChainError) -> bool);
     #[rustfmt::skip]
@@ -196,19 +214,26 @@ fn full_node_and_enclave_agree_on_every_mutation() {
             |e| matches!(e, ChainError::StateRootMismatch)),
     ];
     for (name, mutate, reseal, is_expected) in table {
-        let acceptors = [
-            "apply",
-            "SigGen",
-            "BatchSigGen",
-            "RangeSigGen",
-            "HierSigGen",
-        ];
-        for (acceptor, verdict) in acceptors.iter().zip(verdicts(mutate, reseal)) {
+        for (acceptor, verdict) in acceptors.iter().zip(verdicts(4, mutate, reseal)) {
             match verdict {
                 Err(refusal) if is_expected(&refusal) => {}
                 other => panic!("{name}: {acceptor} answered {other:?}"),
             }
         }
+    }
+    // Thirty-two transactions, two forgeries: a bad signature at 15 and a
+    // spoofed sender at 20 fall in different lanes of a two-core full
+    // node's signature pass, and the later lane — which refuses before any
+    // signature check — finishes first. Every acceptor reports the first
+    // failure in the body, as the enclave's sequential pass does.
+    let two_lanes: fn(&mut Block) = |b| {
+        b.txs[15].nonce += 1;
+        b.txs[20].call.sender = dcert::primitives::hash::Address::from_seed(20);
+        b.header.tx_root = Block::tx_root(&b.txs);
+    };
+    assert!(verdicts(32, |_| {}, false).iter().all(Result::is_ok));
+    for (acceptor, verdict) in acceptors.iter().zip(verdicts(32, two_lanes, true)) {
+        assert_eq!(verdict, Err(ChainError::BadTxSignature), "{acceptor}");
     }
 }
 
