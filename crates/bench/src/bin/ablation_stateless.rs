@@ -23,7 +23,7 @@ use dcert_bench::params::scaled;
 use dcert_bench::report::{banner, fmt_bytes, fmt_duration};
 use dcert_bench::shape;
 use dcert_chain::{FullNode, GenesisBuilder, ProofOfAuthority};
-use dcert_core::{BlockInput, CertProgram, EcallRequest, EcallResponse};
+use dcert_core::{BatchLink, BlockInput, CertProgram, EcallRequest, EcallResponse};
 use dcert_obs::Registry;
 use dcert_primitives::codec::{Decode, Encode};
 use dcert_primitives::hash::Address;
@@ -88,13 +88,11 @@ fn main() {
         let stateless_req = EcallRequest::SigGen(BlockInput {
             prev_header: genesis.header.clone(),
             prev_cert: None,
-            block: block.clone(),
-            reads: execution
-                .reads
-                .iter()
-                .map(|(k, v)| (*k, v.clone()))
-                .collect(),
-            state_proof: state.prove(&execution.touched_keys()),
+            link: BatchLink {
+                block: block.clone(),
+                state_proof: state.prove(&execution.touched_keys()),
+                reads: execution.reads.into_iter().collect(),
+            },
         })
         .to_encoded_bytes();
 

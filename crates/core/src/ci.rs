@@ -25,7 +25,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dcert_chain::{Block, ChainState, ConsensusEngine, FullNode};
-use dcert_primitives::hash::Address;
+use dcert_primitives::hash::{Address, Hash};
 use dcert_primitives::keys::PublicKey;
 use dcert_sgx::{AttestationReport, AttestationService, CostModel, Enclave};
 use dcert_vm::Executor;
@@ -144,13 +144,7 @@ impl CertificateIssuer {
         ias: &mut AttestationService,
         cost: CostModel,
     ) -> Result<Self, CertError> {
-        let program = CertProgram::new(
-            genesis.hash(),
-            ias.public_key(),
-            executor.clone(),
-            engine.clone(),
-            verifiers,
-        );
+        let program = cert_program(genesis.hash(), ias, &executor, &engine, verifiers);
         let enclave = Enclave::launch_with_platform_seed(program, cost, platform_seed);
         let node = FullNode::new(genesis, genesis_state, executor, engine, Address::default());
         Self::finish_boot(enclave, node, ias, None)
@@ -173,7 +167,7 @@ impl CertificateIssuer {
     pub fn resume_on_platform(
         platform_seed: [u8; 32],
         sealed_key: &dcert_sgx::SealedBlob,
-        genesis_digest: dcert_primitives::hash::Hash,
+        genesis_digest: Hash,
         checkpoint: &dcert_chain::BlockHeader,
         checkpoint_cert: &Certificate,
         snapshot: ChainState,
@@ -183,13 +177,7 @@ impl CertificateIssuer {
         ias: &mut AttestationService,
         cost: CostModel,
     ) -> Result<Self, CertError> {
-        let program = CertProgram::new(
-            genesis_digest,
-            ias.public_key(),
-            executor.clone(),
-            engine.clone(),
-            verifiers,
-        );
+        let program = cert_program(genesis_digest, ias, &executor, &engine, verifiers);
         let node = checkpoint_node(checkpoint, checkpoint_cert, snapshot, executor, engine, ias)?;
         let enclave = Enclave::restore(program, cost, platform_seed, sealed_key)?;
         Self::finish_boot(enclave, node, ias, Some(checkpoint_cert.clone()))
@@ -237,14 +225,8 @@ impl CertificateIssuer {
         ias: &mut AttestationService,
         cost: CostModel,
     ) -> Result<Self, CertError> {
-        let program = CertProgram::new(
-            genesis.hash(),
-            ias.public_key(),
-            executor.clone(),
-            engine.clone(),
-            verifiers,
-        )
-        .with_signing_seed(signing_seed);
+        let program = cert_program(genesis.hash(), ias, &executor, &engine, verifiers)
+            .with_signing_seed(signing_seed);
         let enclave = Enclave::launch_with_platform_seed(program, cost, platform_seed);
         let node = FullNode::new(genesis, genesis_state, executor, engine, Address::default());
         Self::finish_boot(enclave, node, ias, None)
@@ -272,7 +254,7 @@ impl CertificateIssuer {
     /// - attestation errors from booting the new enclave.
     #[allow(clippy::too_many_arguments)] // mirrors `new` plus the checkpoint triple
     pub fn new_from_checkpoint(
-        genesis_digest: dcert_primitives::hash::Hash,
+        genesis_digest: Hash,
         checkpoint: &dcert_chain::BlockHeader,
         checkpoint_cert: &Certificate,
         snapshot: ChainState,
@@ -282,13 +264,7 @@ impl CertificateIssuer {
         ias: &mut AttestationService,
         cost: CostModel,
     ) -> Result<Self, CertError> {
-        let program = CertProgram::new(
-            genesis_digest,
-            ias.public_key(),
-            executor.clone(),
-            engine.clone(),
-            verifiers,
-        );
+        let program = cert_program(genesis_digest, ias, &executor, &engine, verifiers);
         let node = checkpoint_node(checkpoint, checkpoint_cert, snapshot, executor, engine, ias)?;
         let enclave = Enclave::launch(program, cost);
         Self::finish_boot(enclave, node, ias, Some(checkpoint_cert.clone()))
@@ -310,7 +286,7 @@ impl CertificateIssuer {
     }
 
     /// The enclave measurement (clients pin this).
-    pub fn measurement(&self) -> dcert_primitives::hash::Hash {
+    pub fn measurement(&self) -> Hash {
         self.issuer.attested.enclave.measurement()
     }
 
@@ -413,8 +389,8 @@ impl CertificateIssuer {
             blocks,
             &mut breakdown,
         )?;
-        let job = PreparedJob::batch(self.node.tip(), &links)?;
-        let issued = self.issuer.issue(&job, &mut breakdown)?;
+        let job = PreparedJob::batch(self.node.tip().clone(), links);
+        let issued = self.issuer.issue(job, &mut breakdown)?;
         // The enclave validated every transition; adopt the scratch state
         // instead of re-executing the batch locally.
         self.node.adopt_validated(issued.header.clone(), state);
@@ -434,8 +410,8 @@ impl CertificateIssuer {
         let mut breakdown = CertBreakdown::default();
         let (executor, state, tip) = (self.node.executor(), self.node.state(), self.node.tip());
         let link = ExecutedLink::execute(executor, state, tip, block.clone(), &mut breakdown)?;
-        let (job, writes) = PreparedJob::single(tip, link, state, indexing, &mut breakdown);
-        let issued = self.issuer.issue(&job, &mut breakdown)?;
+        let (job, writes) = PreparedJob::single(tip.clone(), link, state, indexing, &mut breakdown);
+        let issued = self.issuer.issue(job, &mut breakdown)?;
         self.node.advance_validated(
             issued.header.clone(),
             writes.iter().map(|(key, value)| (key, value)),
@@ -443,6 +419,24 @@ impl CertificateIssuer {
         self.issuer.commit(&issued);
         Ok((issued, breakdown))
     }
+}
+
+/// The trusted program every enclave of a CI or a fleet runs, anchored at
+/// `genesis_digest` and the IAS root.
+pub(crate) fn cert_program(
+    genesis_digest: Hash,
+    ias: &AttestationService,
+    executor: &Executor,
+    engine: &Arc<dyn ConsensusEngine>,
+    verifiers: Vec<Box<dyn IndexVerifier>>,
+) -> CertProgram {
+    CertProgram::new(
+        genesis_digest,
+        ias.public_key(),
+        executor.clone(),
+        engine.clone(),
+        verifiers,
+    )
 }
 
 /// Trusts `checkpoint` the same way a superlight client would — its

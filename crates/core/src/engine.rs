@@ -2,8 +2,10 @@
 //! mined block and its certificate (Algorithm 1 `gen_cert`, with
 //! Algorithm 4 repeating its ECall step per index and Algorithm 5 widening
 //! it to sign every index certificate in the same crossing) — boot + attest,
-//! link building, marshalling, dispatch, issue, commit, in this file's
-//! order. DESIGN.md §4 ("Certification core") has the step list and which
+//! link building, request building, dispatch, issue, commit, in this file's
+//! order. Whoever proves a job builds its [`EcallRequest`]; the issuer sets
+//! the previous certificates on it and serialises it, once, through the
+//! codec. DESIGN.md §4 ("Certification core") has the step list and which
 //! thread runs what.
 //!
 //! The engines are drivers of these steps: [`crate::CertificateIssuer`]
@@ -15,7 +17,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use dcert_chain::validity::check_extends;
-use dcert_chain::{Block, BlockHeader, ChainState};
+use dcert_chain::{state::Displaced, Block, BlockHeader, ChainState};
 use dcert_primitives::codec::{Decode, Encode};
 use dcert_primitives::hash::Hash;
 use dcert_primitives::keys::{PublicKey, Signature};
@@ -26,7 +28,9 @@ use dcert_vm::{BlockExecution, Call, Executor};
 use crate::cert::Certificate;
 use crate::ci::CertBreakdown;
 use crate::error::CertError;
-use crate::messages::{BatchLink, EcallRequest, EcallResponse, IndexInput, SplitRequest, WriteSet};
+use crate::messages::{
+    encode_aug_sig_gen, BatchLink, BlockInput, EcallRequest, EcallResponse, IndexInput, WriteSet,
+};
 use crate::network::NetMessage;
 use crate::program::CertProgram;
 
@@ -155,9 +159,9 @@ impl ExecutedLink {
         Ok(ExecutedLink { block, execution })
     }
 
-    /// Advances `state` — the state this link executed against — past it.
-    pub(crate) fn apply_to(&self, state: &mut ChainState) {
-        state.apply_writes(self.execution.writes.iter());
+    /// Advances `state`, the state this link executed on, past it; returns the undo.
+    pub(crate) fn apply_to(&self, state: &mut ChainState) -> Displaced {
+        state.apply_writes(self.execution.writes.iter())
     }
 
     /// `get_update_proof`: the proof over reads ∪ writes against
@@ -202,7 +206,7 @@ pub(crate) fn build_links(
     Ok(links)
 }
 
-// --- marshalling ----------------------------------------------------------------
+// --- request building ------------------------------------------------------------
 
 /// Which per-index certificates accompany a one-block job.
 pub(crate) enum Indexing {
@@ -216,94 +220,54 @@ pub(crate) enum Indexing {
     Hierarchical(Vec<IndexInput>),
 }
 
-/// How a job's requests cross the boundary.
-enum Crossing {
-    /// `SigGen`/`BatchSigGen`: one crossing, the block certificate.
-    Block,
-    /// `AugSigGen` (Algorithm 4): one crossing per index, each the body
-    /// followed by that index; no block certificate.
-    PerIndex,
-    /// `HierSigGen` (Algorithm 5): one crossing, the body followed by every
-    /// index; the block certificate and every index certificate.
-    Fused,
-}
-
-/// One staged index update, marshalled around its `prev_cert`.
-struct PreparedIndex {
-    index_type: String,
-    new_digest: Hash,
-    /// The `prev_cert` the job was staged with: spliced only when this
-    /// issuer has not itself issued a certificate for the index yet.
-    staged_prev: Option<Certificate>,
-    request: SplitRequest,
-}
-
-/// Every request of one job, marshalled as far as it can be before the
-/// certificates it chains from exist.
-pub(crate) struct PreparedJob {
-    /// The header the job's certificates bind (a batch's last).
-    header: BlockHeader,
-    crossing: Crossing,
-    /// The request up to its indexes, cut at the block `prev_cert`.
-    body: SplitRequest,
-    indexes: Vec<PreparedIndex>,
+/// One job's requests, built by whoever proved it, with its proofs and the
+/// index `prev_cert`s it was staged with. The block `prev_cert` stays empty
+/// until [`Issuer::issue`], which alone holds it.
+// Built once per job and moved to the issuer: boxing the common variant
+// would buy nothing.
+#[allow(clippy::large_enum_variant)]
+pub(crate) enum PreparedJob {
+    /// `SigGen`, `HierSigGen` or `BatchSigGen`: the job's one crossing.
+    Once(EcallRequest),
+    /// Algorithm 4: one `AugSigGen` per index, each this block input
+    /// followed by that index.
+    PerIndex(BlockInput, Vec<IndexInput>),
 }
 
 impl PreparedJob {
-    /// Marshals a one-block job: proves `executed` against `pre_state`, the
+    /// Builds a one-block job: proves `executed` against `pre_state`, the
     /// state it executed on. Also hands back its write set, which takes
     /// `pre_state` past the block.
     pub(crate) fn single(
-        prev_header: &BlockHeader,
+        prev_header: BlockHeader,
         executed: ExecutedLink,
         pre_state: &ChainState,
         indexing: Indexing,
         breakdown: &mut CertBreakdown,
     ) -> (Self, WriteSet) {
         let (link, writes) = executed.prove(pre_state, breakdown);
-        let (crossing, body, indexes) = match indexing {
-            Indexing::None => (
-                Crossing::Block,
-                SplitRequest::sig_gen(prev_header, &link),
-                Vec::new(),
-            ),
-            Indexing::Augmented(indexes) => (
-                Crossing::PerIndex,
-                SplitRequest::aug_sig_gen(prev_header, &link),
-                indexes,
-            ),
-            Indexing::Hierarchical(indexes) => (
-                Crossing::Fused,
-                SplitRequest::hier_sig_gen(prev_header, &link, indexes.len()),
-                indexes,
-            ),
+        let input = BlockInput {
+            prev_header,
+            prev_cert: None,
+            link,
         };
-        let job = PreparedJob {
-            header: link.block.header,
-            crossing,
-            body,
-            indexes: indexes
-                .into_iter()
-                .map(|index| PreparedIndex {
-                    request: SplitRequest::index(&index),
-                    index_type: index.index_type,
-                    new_digest: index.new_digest,
-                    staged_prev: index.prev_cert,
-                })
-                .collect(),
+        let job = match indexing {
+            Indexing::None => PreparedJob::Once(EcallRequest::SigGen(input)),
+            Indexing::Augmented(indexes) => PreparedJob::PerIndex(input, indexes),
+            Indexing::Hierarchical(indexes) => {
+                PreparedJob::Once(EcallRequest::HierSigGen(input, indexes))
+            }
         };
         (job, writes)
     }
 
-    /// Marshals a batch: one `BatchSigGen` over `links`, certifying the
-    /// last header.
-    pub(crate) fn batch(prev_header: &BlockHeader, links: &[BatchLink]) -> Result<Self, CertError> {
-        let last = links.last().ok_or_else(empty_batch)?;
-        Ok(PreparedJob {
-            header: last.block.header.clone(),
-            crossing: Crossing::Block,
-            body: SplitRequest::batch_sig_gen(prev_header, links),
-            indexes: Vec::new(),
+    /// Builds a batch: one `BatchSigGen` over `links`, certifying the last
+    /// header.
+    pub(crate) fn batch(prev_header: BlockHeader, links: Vec<BatchLink>) -> Self {
+        PreparedJob::Once(EcallRequest::BatchSigGen {
+            prev_header,
+            prev_cert: None,
+            links,
         })
     }
 }
@@ -371,8 +335,8 @@ pub(crate) struct Issuer {
     /// trusted from the staged input because that certificate may not
     /// exist yet when a job is staged.
     prev_index_certs: HashMap<String, Certificate>,
-    /// Reused request-marshalling buffer: every spliced request is
-    /// assembled here instead of a fresh `Vec` per ECall.
+    /// Reused request-marshalling buffer: every request is encoded here
+    /// instead of into a fresh `Vec` per ECall.
     scratch: Vec<u8>,
     /// Largest request marshalled so far. Bytes up to this mark are
     /// "served from reuse" — a pure function of the request-length
@@ -396,73 +360,93 @@ impl Issuer {
         self.prev_block_cert.as_ref()
     }
 
-    /// Issues every certificate of `job`: splices the previous certificates
-    /// into its requests, crosses the boundary — once, but for Algorithm 4's
-    /// once per index — and assembles the results. The issuer's chains are
-    /// left as they were — see [`Issuer::commit`].
+    /// Issues every certificate of `job`: sets the previous certificates on
+    /// its requests, encodes each once into the scratch buffer, crosses the
+    /// boundary — once, but for Algorithm 4's once per index — and
+    /// assembles the results. The issuer's chains are left as they were —
+    /// see [`Issuer::commit`].
     pub(crate) fn issue(
         &mut self,
-        job: &PreparedJob,
+        mut job: PreparedJob,
         breakdown: &mut CertBreakdown,
     ) -> Result<Issued, CertError> {
-        let (block_sig, index_sigs) = match job.crossing {
-            Crossing::Block => {
-                self.marshal(job, &[]);
-                let signature = self.attested.sign(&self.scratch, breakdown)?;
-                (Some(signature), Vec::new())
+        let (header, prev_cert, indexes) = match &mut job {
+            PreparedJob::Once(EcallRequest::SigGen(input)) => (
+                input.link.block.header.clone(),
+                &mut input.prev_cert,
+                &mut [][..],
+            ),
+            PreparedJob::Once(EcallRequest::HierSigGen(input, indexes))
+            | PreparedJob::PerIndex(input, indexes) => (
+                input.link.block.header.clone(),
+                &mut input.prev_cert,
+                &mut indexes[..],
+            ),
+            PreparedJob::Once(EcallRequest::BatchSigGen {
+                prev_cert, links, ..
+            }) => {
+                let last = links.last().ok_or_else(empty_batch)?;
+                (last.block.header.clone(), prev_cert, &mut [][..])
             }
-            Crossing::PerIndex => {
-                let mut signatures = Vec::with_capacity(job.indexes.len());
-                for index in &job.indexes {
-                    self.marshal(job, std::slice::from_ref(index));
+            PreparedJob::Once(_) => return Err(unexpected_response()),
+        };
+        prev_cert.clone_from(&self.prev_block_cert);
+        for index in indexes.iter_mut() {
+            // Issued-else-staged: chain from the certificate this issuer
+            // last issued for the index, else from the staged one.
+            if let Some(cert) = self.prev_index_certs.get(&index.index_type) {
+                index.prev_cert = Some(cert.clone());
+            }
+        }
+        let certified: Vec<(String, Hash)> = indexes
+            .iter()
+            .map(|index| (index.index_type.clone(), index.new_digest))
+            .collect();
+        let (block_sig, index_sigs) = match &job {
+            PreparedJob::PerIndex(input, indexes) => {
+                let mut signatures = Vec::with_capacity(indexes.len());
+                for index in indexes {
+                    self.marshal(|out| encode_aug_sig_gen(input, index, out));
                     signatures.push(self.attested.sign(&self.scratch, breakdown)?);
                 }
                 (None, signatures)
             }
-            Crossing::Fused => {
-                self.marshal(job, &job.indexes);
+            PreparedJob::Once(request @ EcallRequest::HierSigGen(..)) => {
+                self.marshal(|out| request.encode(out));
                 let mut signatures = self.attested.sign_each(&self.scratch, breakdown)?;
-                if signatures.len() != job.indexes.len() + 1 {
+                if signatures.len() != certified.len() + 1 {
                     return Err(unexpected_response());
                 }
                 (Some(signatures.remove(0)), signatures)
             }
+            PreparedJob::Once(request) => {
+                self.marshal(|out| request.encode(out));
+                let signature = self.attested.sign(&self.scratch, breakdown)?;
+                (Some(signature), Vec::new())
+            }
         };
-        let header_digest = job.header.hash();
+        let header_digest = header.hash();
         let certify = |digest, signature| self.attested.certificate(digest, signature);
-        let index_certs = job
-            .indexes
-            .iter()
-            .zip(index_sigs)
-            .map(|(index, signature)| {
-                let digest = Certificate::index_digest(&header_digest, &index.new_digest);
-                let cert = certify(digest, signature);
-                (index.index_type.clone(), index.new_digest, cert)
-            });
+        let index_certs =
+            certified
+                .into_iter()
+                .zip(index_sigs)
+                .map(|((index_type, new_digest), signature)| {
+                    let digest = Certificate::index_digest(&header_digest, &new_digest);
+                    (index_type, new_digest, certify(digest, signature))
+                });
         Ok(Issued {
-            header: job.header.clone(),
             index_certs: index_certs.collect(),
             block_cert: block_sig.map(|signature| certify(header_digest, signature)),
+            header,
         })
     }
 
-    /// Marshals one request of `job` into the scratch buffer — its body
-    /// around the previous block certificate, then each of `indexes` around
-    /// the certificate it chains from — crediting the bytes below the
-    /// buffer's high-water mark to `enclave.marshal_reuse_bytes`.
-    fn marshal(&mut self, job: &PreparedJob, indexes: &[PreparedIndex]) {
+    /// Encodes one request into the scratch buffer, crediting the bytes
+    /// below the buffer's high-water mark to `enclave.marshal_reuse_bytes`.
+    fn marshal(&mut self, encode: impl FnOnce(&mut Vec<u8>)) {
         self.scratch.clear();
-        job.body.splice(&self.prev_block_cert, &mut self.scratch);
-        for index in indexes {
-            // Issued-else-staged: chain from the certificate this issuer
-            // last issued for the index, else from the staged one.
-            let prev_cert = self
-                .prev_index_certs
-                .get(&index.index_type)
-                .or(index.staged_prev.as_ref())
-                .cloned();
-            index.request.splice(&prev_cert, &mut self.scratch);
-        }
+        encode(&mut self.scratch);
         let reused = self.scratch.len().min(self.scratch_high_water);
         if reused > 0 {
             self.attested.enclave.note_marshal_reuse(reused as u64);

@@ -61,12 +61,6 @@ pub enum CertError {
         /// Height that was offered.
         offered: u64,
     },
-    /// The publisher could not confirm delivery of a certificate within
-    /// its retry budget; the message went to the dead-letter report.
-    PublishFailed {
-        /// Publish attempts made (initial try + retries).
-        attempts: u32,
-    },
     /// The enclave refused to sign at or below a height it already
     /// signed — the monotonicity guard that makes a restarted CI unable
     /// to double-issue (sealed state carries the watermark).
@@ -131,9 +125,6 @@ impl fmt::Display for CertError {
                 f,
                 "chain selection violated: have height {current}, offered {offered}"
             ),
-            CertError::PublishFailed { attempts } => {
-                write!(f, "publish unconfirmed after {attempts} attempts")
-            }
             CertError::HeightRegression {
                 last_signed,
                 offered,
@@ -191,11 +182,6 @@ pub enum ShardError {
         /// Rendered failure reason.
         reason: String,
     },
-    /// The failure plan killed this shard before it finished its ranges.
-    Killed {
-        /// Index of the killed shard.
-        shard: usize,
-    },
     /// The durable store rejected a watermark or seal write.
     Store(String),
 }
@@ -215,7 +201,6 @@ impl fmt::Display for ShardError {
             ShardError::Worker { shard, reason } => {
                 write!(f, "shard {shard} worker failed: {reason}")
             }
-            ShardError::Killed { shard } => write!(f, "shard {shard} killed by failure plan"),
             ShardError::Store(reason) => write!(f, "shard store write failed: {reason}"),
         }
     }

@@ -18,7 +18,7 @@
 //!   `dcert_chain::validity` rule, one recursion-anchor check,
 //! - the certification core (the private `engine` module): the one
 //!   definition of each untrusted step of Algorithm 1 — enclave boot and
-//!   attestation, link building, request marshalling, ECall dispatch,
+//!   attestation, link building, request building, ECall dispatch,
 //!   certificate assembly and chaining — driven by three engines:
 //!   [`CertificateIssuer`] inline on the calling thread, [`CertPipeline`]
 //!   across a sequencer, a preparer pool, an issuer and a publisher thread,

@@ -8,6 +8,11 @@
 //! request: Algorithm 5's block and index certificates are one
 //! [`EcallRequest::HierSigGen`], not a request each.
 //!
+//! The codec below is the one spelling of a request's field order. Whoever
+//! proves a job builds its [`EcallRequest`]; the issuer sets the previous
+//! certificates on it and encodes it once, through this codec, into a
+//! reused buffer.
+//!
 //! [`NetMessage`](crate::network::NetMessage) gets its canonical encoding
 //! here too: a real deployment ships certificates as bytes, and the
 //! fault-injection layer ([`crate::netsim`]) corrupts traffic at exactly
@@ -45,35 +50,18 @@ pub struct BatchLink {
     pub state_proof: SmtProof,
 }
 
-/// The block-validation inputs shared by Algorithms 2 and 4: everything
-/// `blk_verify_t` consumes.
+/// The block-validation inputs shared by Algorithms 2, 4 and 5: everything
+/// `blk_verify_t` consumes — one [`BatchLink`] and the anchor it is
+/// validated against, so a `SigGen` is a batch of one.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockInput {
     /// The previous block's header `hdr_{i-1}`.
     pub prev_header: BlockHeader,
     /// The previous block's certificate (absent iff parent is genesis).
     pub prev_cert: Option<Certificate>,
-    /// The new block `blk_i` (header and transactions).
-    pub block: Block,
-    /// The authenticated read set `{r}_i`.
-    pub reads: ReadSet,
-    /// The update proof `π_i` over reads ∪ writes against
-    /// `prev_header.state_root`.
-    pub state_proof: SmtProof,
-}
-
-impl BlockInput {
-    /// Splits the input into its anchor — `(prev_header, prev_cert)` — and
-    /// the one [`BatchLink`] validated against it: a `SigGen` is a batch
-    /// of one, and the trusted program replays it as such without copying.
-    pub fn into_anchor_and_link(self) -> (BlockHeader, Option<Certificate>, BatchLink) {
-        let link = BatchLink {
-            block: self.block,
-            reads: self.reads,
-            state_proof: self.state_proof,
-        };
-        (self.prev_header, self.prev_cert, link)
-    }
+    /// The new block `blk_i`, its read set `{r}_i` and its update proof
+    /// `π_i` against `prev_header.state_root`.
+    pub link: BatchLink,
 }
 
 /// The per-index inputs shared by Algorithms 4 and 5.
@@ -167,8 +155,7 @@ pub enum EcallResponse {
 
 // --- codec ----------------------------------------------------------------
 
-/// [`EcallRequest`] wire tags, shared by the encoder, the decoder and the
-/// split encoders below.
+/// [`EcallRequest`] wire tags, shared by the encoder and the decoder.
 const TAG_INIT: u8 = 0;
 const TAG_SIG_GEN: u8 = 1;
 const TAG_AUG_SIG_GEN: u8 = 2;
@@ -199,9 +186,7 @@ impl Encode for BlockInput {
     fn encode(&self, out: &mut Vec<u8>) {
         self.prev_header.encode(out);
         self.prev_cert.encode(out);
-        self.block.encode(out);
-        encode_seq(&self.reads, out);
-        self.state_proof.encode(out);
+        self.link.encode(out);
     }
 }
 
@@ -210,9 +195,7 @@ impl Decode for BlockInput {
         Ok(BlockInput {
             prev_header: BlockHeader::decode(r)?,
             prev_cert: Option::<Certificate>::decode(r)?,
-            block: Block::decode(r)?,
-            reads: decode_seq(r)?,
-            state_proof: SmtProof::decode(r)?,
+            link: BatchLink::decode(r)?,
         })
     }
 }
@@ -247,11 +230,7 @@ impl Encode for EcallRequest {
                 out.push(TAG_SIG_GEN);
                 input.encode(out);
             }
-            EcallRequest::AugSigGen(block, index) => {
-                out.push(TAG_AUG_SIG_GEN);
-                block.encode(out);
-                index.encode(out);
-            }
+            EcallRequest::AugSigGen(block, index) => encode_aug_sig_gen(block, index, out),
             EcallRequest::HierSigGen(block, indexes) => {
                 out.push(TAG_HIER_SIG_GEN);
                 block.encode(out);
@@ -318,100 +297,13 @@ impl Decode for EcallRequest {
     }
 }
 
-/// A request encoding cut at the one certificate only the issuer can
-/// supply — `prev_cert` of a `SigGen`/`AugSigGen`/`HierSigGen`/
-/// `BatchSigGen`/[`IndexInput`] — so everything around it can be marshalled
-/// before that certificate exists. For every constructor,
-/// `head ++ enc(certificate) ++ tail` is byte-for-byte the canonical
-/// [`EcallRequest`] encoding (the law the tests below pin); this is the
-/// only place outside the codec that spells a request's field order.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub(crate) struct SplitRequest {
-    head: Vec<u8>,
-    tail: Vec<u8>,
-}
-
-impl SplitRequest {
-    /// `tag ++ enc(prev_header)` — how every certifying request starts.
-    fn anchored(tag: u8, prev_header: &BlockHeader) -> Self {
-        let mut split = SplitRequest {
-            head: vec![tag],
-            tail: Vec::new(),
-        };
-        prev_header.encode(&mut split.head);
-        split
-    }
-
-    /// A [`BlockInput`] under `tag`, cut at its `prev_cert`: a [`BatchLink`]
-    /// encodes exactly the `block`, `reads`, `state_proof` run that follows.
-    fn block_input(tag: u8, prev_header: &BlockHeader, link: &BatchLink) -> Self {
-        let mut split = Self::anchored(tag, prev_header);
-        link.encode(&mut split.tail);
-        split
-    }
-
-    /// `SigGen`, cut at [`BlockInput::prev_cert`].
-    pub(crate) fn sig_gen(prev_header: &BlockHeader, link: &BatchLink) -> Self {
-        Self::block_input(TAG_SIG_GEN, prev_header, link)
-    }
-
-    /// `AugSigGen` up to its [`IndexInput`], cut at
-    /// [`BlockInput::prev_cert`]; a [`SplitRequest::index`] follows.
-    pub(crate) fn aug_sig_gen(prev_header: &BlockHeader, link: &BatchLink) -> Self {
-        Self::block_input(TAG_AUG_SIG_GEN, prev_header, link)
-    }
-
-    /// `BatchSigGen`, cut at its `prev_cert`.
-    pub(crate) fn batch_sig_gen(prev_header: &BlockHeader, links: &[BatchLink]) -> Self {
-        let mut split = Self::anchored(TAG_BATCH_SIG_GEN, prev_header);
-        encode_seq(links, &mut split.tail);
-        split
-    }
-
-    /// `RangeSigGen`: a batch under another tag with no certificate slot —
-    /// marshal it with [`SplitRequest::joined`].
-    pub(crate) fn range_sig_gen(anchor: &BlockHeader, links: &[BatchLink]) -> Self {
-        let mut split = Self::anchored(TAG_RANGE_SIG_GEN, anchor);
-        encode_seq(links, &mut split.tail);
-        split
-    }
-
-    /// `HierSigGen` up to the items of its index list, cut at
-    /// [`BlockInput::prev_cert`]; `index_count` [`SplitRequest::index`]es
-    /// follow.
-    pub(crate) fn hier_sig_gen(
-        prev_header: &BlockHeader,
-        link: &BatchLink,
-        index_count: usize,
-    ) -> Self {
-        let mut split = Self::block_input(TAG_HIER_SIG_GEN, prev_header, link);
-        // The list's count prefix: a sequence of that many zero-width items.
-        encode_seq(&vec![(); index_count], &mut split.tail);
-        split
-    }
-
-    /// A trailing [`IndexInput`], cut at its `prev_cert`.
-    pub(crate) fn index(index: &IndexInput) -> Self {
-        let mut split = SplitRequest::default();
-        index.index_type.encode(&mut split.head);
-        index.prev_digest.encode(&mut split.head);
-        index.new_digest.encode(&mut split.tail);
-        index.aux.encode(&mut split.tail);
-        split
-    }
-
-    /// Appends `head ++ enc(certificate) ++ tail` to `out`.
-    pub(crate) fn splice(&self, certificate: &impl Encode, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.head);
-        certificate.encode(out);
-        out.extend_from_slice(&self.tail);
-    }
-
-    /// `head ++ tail`: the whole request, when it has no certificate slot.
-    pub(crate) fn joined(mut self) -> Vec<u8> {
-        self.head.extend_from_slice(&self.tail);
-        self.head
-    }
+/// The `AugSigGen` arm of the request codec. Algorithm 4 sends one such
+/// request per index over the same block input, so the issuer encodes each
+/// through this function instead of building a request per index.
+pub(crate) fn encode_aug_sig_gen(block: &BlockInput, index: &IndexInput, out: &mut Vec<u8>) {
+    out.push(TAG_AUG_SIG_GEN);
+    block.encode(out);
+    index.encode(out);
 }
 
 impl Encode for crate::network::NetMessage {
@@ -520,10 +412,8 @@ impl Decode for EcallResponse {
 mod tests {
     use super::*;
     use dcert_chain::consensus::ConsensusProof;
-    use dcert_chain::Transaction;
     use dcert_primitives::hash::{hash_bytes, Address};
     use dcert_primitives::keys::Keypair;
-    use dcert_testkit::{check, Gen};
 
     fn header() -> BlockHeader {
         BlockHeader {
@@ -554,12 +444,14 @@ mod tests {
         let input = BlockInput {
             prev_header: header(),
             prev_cert: None,
-            block: Block {
-                header: header(),
-                txs: Vec::new(),
+            link: BatchLink {
+                block: Block {
+                    header: header(),
+                    txs: Vec::new(),
+                },
+                reads: vec![(StateKey::new("kv", b"a"), Some(b"1".to_vec()))],
+                state_proof: dcert_merkle::SparseMerkleTree::new().prove(&[hash_bytes(b"k")]),
             },
-            reads: vec![(StateKey::new("kv", b"a"), Some(b"1".to_vec()))],
-            state_proof: dcert_merkle::SparseMerkleTree::new().prove(&[hash_bytes(b"k")]),
         };
         let req = EcallRequest::SigGen(input);
         assert_eq!(
@@ -589,12 +481,14 @@ mod tests {
         let input = BlockInput {
             prev_header: header(),
             prev_cert: Some(cert.clone()),
-            block: Block {
-                header: header(),
-                txs: Vec::new(),
+            link: BatchLink {
+                block: Block {
+                    header: header(),
+                    txs: Vec::new(),
+                },
+                reads: vec![(StateKey::new("kv", b"a"), None)],
+                state_proof: dcert_merkle::SparseMerkleTree::new().prove(&[hash_bytes(b"k")]),
             },
-            reads: vec![(StateKey::new("kv", b"a"), None)],
-            state_proof: dcert_merkle::SparseMerkleTree::new().prove(&[hash_bytes(b"k")]),
         };
         let index = |name: &str, prev_cert| IndexInput {
             index_type: name.to_owned(),
@@ -719,192 +613,5 @@ mod tests {
             );
         }
         assert!(NetMessage::decode_all(&[0xEE]).is_err());
-    }
-
-    // --- the split-encoder law ------------------------------------------------
-    //
-    // For every request the issuer splices a certificate into,
-    // `head ++ enc(certificate) ++ tail` must be the canonical encoding,
-    // and must decode back to the request — with the slot both empty and
-    // filled.
-
-    fn arb_hash(g: &mut Gen) -> Hash {
-        hash_bytes(g.any::<[u8; 32]>())
-    }
-
-    fn arb_header(g: &mut Gen) -> BlockHeader {
-        let (height, timestamp, nonce) = (g.any(), g.any(), g.any::<u64>());
-        BlockHeader {
-            height,
-            prev_hash: arb_hash(g),
-            state_root: arb_hash(g),
-            tx_root: hash_bytes(nonce.to_be_bytes()),
-            timestamp,
-            miner: Address::from_seed(timestamp),
-            consensus: ConsensusProof::Pow {
-                difficulty_bits: 3,
-                nonce,
-            },
-        }
-    }
-
-    fn arb_cert(g: &mut Gen) -> Certificate {
-        let kp = Keypair::from_seed(g.any());
-        let digest = arb_hash(g);
-        Certificate {
-            pk_enc: kp.public(),
-            report: dcert_sgx::AttestationReport {
-                measurement: hash_bytes(b"measurement"),
-                report_data: Certificate::key_binding(&kp.public()),
-                signature: kp.sign(b"report"),
-            },
-            digest,
-            signature: kp.sign(digest.as_bytes()),
-        }
-    }
-
-    fn arb_bytes(g: &mut Gen, max: usize) -> Vec<u8> {
-        g.vec(0..max, |g| g.any())
-    }
-
-    fn arb_kv_set(g: &mut Gen) -> ReadSet {
-        let set = g.vec(0..5, |g| (arb_bytes(g, 6), g.option(|g| arb_bytes(g, 12))));
-        set.into_iter()
-            .map(|(field, value)| (StateKey::new("kv", &field), value))
-            .collect()
-    }
-
-    fn arb_proof(g: &mut Gen) -> SmtProof {
-        let mut tree = dcert_merkle::SparseMerkleTree::new();
-        let mut keys = Vec::new();
-        for (label, present) in g.vec(0..6, |g| (g.any::<u8>(), g.any::<bool>())) {
-            let key = hash_bytes([label]);
-            if present {
-                tree.insert(key, vec![label]);
-            }
-            keys.push(key);
-        }
-        tree.prove(&keys)
-    }
-
-    fn arb_link(g: &mut Gen) -> BatchLink {
-        let header = arb_header(g);
-        let senders = g.vec(0..3, |g| (g.any::<[u8; 32]>(), g.any::<u64>()));
-        BatchLink {
-            block: Block {
-                header,
-                txs: senders
-                    .into_iter()
-                    .map(|(seed, nonce)| {
-                        let key = Keypair::from_seed(seed);
-                        Transaction::sign(&key, nonce, "kv", nonce.to_be_bytes().to_vec())
-                    })
-                    .collect(),
-            },
-            reads: arb_kv_set(g),
-            state_proof: arb_proof(g),
-        }
-    }
-
-    fn arb_index(g: &mut Gen) -> IndexInput {
-        IndexInput {
-            index_type: arb_bytes(g, 8)
-                .iter()
-                .map(|b| char::from(b'a' + b % 26))
-                .collect(),
-            prev_digest: arb_hash(g),
-            prev_cert: g.option(arb_cert),
-            new_digest: arb_hash(g),
-            aux: arb_bytes(g, 40),
-        }
-    }
-
-    /// `spliced` is the canonical encoding of `request` and decodes back
-    /// to it.
-    fn assert_law(spliced: &[u8], request: &EcallRequest) {
-        assert_eq!(spliced, &request.to_encoded_bytes()[..]);
-        assert_eq!(&EcallRequest::decode_all(spliced).unwrap(), request);
-    }
-
-    fn block_input(
-        prev_header: &BlockHeader,
-        prev_cert: &Option<Certificate>,
-        link: &BatchLink,
-    ) -> BlockInput {
-        BlockInput {
-            prev_header: prev_header.clone(),
-            prev_cert: prev_cert.clone(),
-            block: link.block.clone(),
-            reads: link.reads.clone(),
-            state_proof: link.state_proof.clone(),
-        }
-    }
-
-    #[test]
-    fn prop_sig_gen_splits_at_prev_cert() {
-        check("prop_sig_gen_splits_at_prev_cert", 48, |g| {
-            let (prev_header, prev_cert, link) = (arb_header(g), g.option(arb_cert), arb_link(g));
-            let mut spliced = Vec::new();
-            SplitRequest::sig_gen(&prev_header, &link).splice(&prev_cert, &mut spliced);
-            let request = EcallRequest::SigGen(block_input(&prev_header, &prev_cert, &link));
-            assert_law(&spliced, &request);
-        });
-    }
-
-    #[test]
-    fn prop_aug_sig_gen_splits_at_both_prev_certs() {
-        check("prop_aug_sig_gen_splits_at_both_prev_certs", 48, |g| {
-            let (prev_header, prev_cert, link) = (arb_header(g), g.option(arb_cert), arb_link(g));
-            let index = arb_index(g);
-            let mut spliced = Vec::new();
-            SplitRequest::aug_sig_gen(&prev_header, &link).splice(&prev_cert, &mut spliced);
-            SplitRequest::index(&index).splice(&index.prev_cert, &mut spliced);
-            let request =
-                EcallRequest::AugSigGen(block_input(&prev_header, &prev_cert, &link), index);
-            assert_law(&spliced, &request);
-        });
-    }
-
-    #[test]
-    fn prop_hier_sig_gen_splits_at_every_prev_cert() {
-        check("prop_hier_sig_gen_splits_at_every_prev_cert", 48, |g| {
-            let (prev_header, prev_cert, link) = (arb_header(g), g.option(arb_cert), arb_link(g));
-            let indexes = g.vec(0..4, arb_index);
-            let mut spliced = Vec::new();
-            SplitRequest::hier_sig_gen(&prev_header, &link, indexes.len())
-                .splice(&prev_cert, &mut spliced);
-            for index in &indexes {
-                SplitRequest::index(index).splice(&index.prev_cert, &mut spliced);
-            }
-            let request =
-                EcallRequest::HierSigGen(block_input(&prev_header, &prev_cert, &link), indexes);
-            assert_law(&spliced, &request);
-        });
-    }
-
-    #[test]
-    fn prop_batch_sig_gen_splits_at_prev_cert() {
-        check("prop_batch_sig_gen_splits_at_prev_cert", 48, |g| {
-            let (prev_header, prev_cert) = (arb_header(g), g.option(arb_cert));
-            let links = g.vec(0..4, arb_link);
-            let mut spliced = Vec::new();
-            SplitRequest::batch_sig_gen(&prev_header, &links).splice(&prev_cert, &mut spliced);
-            let request = EcallRequest::BatchSigGen {
-                prev_header,
-                prev_cert,
-                links,
-            };
-            assert_law(&spliced, &request);
-        });
-    }
-
-    #[test]
-    fn prop_range_sig_gen_joins_without_a_slot() {
-        check("prop_range_sig_gen_joins_without_a_slot", 48, |g| {
-            let (anchor, links) = (arb_header(g), g.vec(0..4, arb_link));
-            let joined = SplitRequest::range_sig_gen(&anchor, &links).joined();
-            let request = EcallRequest::RangeSigGen { anchor, links };
-            assert_law(&joined, &request);
-        });
     }
 }

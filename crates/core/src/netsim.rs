@@ -487,7 +487,7 @@ impl Transport for SimNet {
         let mut scheduled = 0usize;
         for endpoint in 0..state.endpoints.len() {
             state.stats.attempted += 1;
-            for (due, payload) in self.schedule(&mut state, &message, endpoint) {
+            for (due, payload) in state.deliveries_for(&message, endpoint) {
                 let id = state.next_id;
                 state.next_id += 1;
                 state.pending.insert(
@@ -508,17 +508,6 @@ impl Transport for SimNet {
 
     fn subscriber_count(&self) -> usize {
         self.state.lock().endpoints.len()
-    }
-}
-
-impl SimNet {
-    fn schedule(
-        &self,
-        state: &mut SimState,
-        message: &NetMessage,
-        endpoint: usize,
-    ) -> Vec<(u64, NetMessage)> {
-        state.deliveries_for(message, endpoint)
     }
 }
 

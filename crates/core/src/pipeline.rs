@@ -10,19 +10,19 @@
 //!
 //! 1. **Sequencer** (one thread): owns the chain view. Validates each
 //!    job's linkage against the tip, executes its transactions *once*,
-//!    snapshots the pre-state for proof generation, and advances. This is
-//!    the stage that fixes chain order — everything downstream is
-//!    order-preserving.
+//!    snapshots the pre-state for proof generation, and advances, keeping
+//!    the job's undo until the issuer certifies it. This is the stage that
+//!    fixes chain order — everything downstream is order-preserving.
 //! 2. **Preparers** (a pool of untrusted workers): the expensive
 //!    outside-enclave work of Algorithm 1 — Merkle update proofs over the
-//!    pre-state snapshot and request serialization — runs here, in
-//!    parallel across in-flight blocks.
+//!    pre-state snapshot — runs here, in parallel across in-flight blocks,
+//!    and each preparer builds the job's request around its proofs.
 //! 3. **Issuer** (one thread): re-orders prepared requests back into
 //!    chain order and drains them through the CI's own issuer, moved onto
 //!    this thread for the pipeline's lifetime. ECalls stay serialized,
-//!    exactly as a real single-enclave signer requires, and the recursive
-//!    `prev_cert` — which only exists once the previous certificate has
-//!    been issued — is spliced into the pre-encoded request here.
+//!    exactly as a real single-enclave signer requires. The recursive
+//!    `prev_cert` only exists once the previous certificate has been
+//!    issued, so this stage sets it on the request and serialises it.
 //! 4. **Publisher** (one thread): broadcasts certificates on the
 //!    [`Transport`] (a [`Gossip`](crate::network::Gossip) bus, or a
 //!    fault-injecting [`SimNet`](crate::netsim::SimNet)) in issuance
@@ -54,13 +54,14 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
 use crossbeam::channel::{bounded, Receiver, Sender};
 
+use dcert_chain::state::Displaced;
 use dcert_chain::{Block, BlockHeader, ChainError, ChainState, FullNode};
 use dcert_obs::{Buckets, Counter, Gauge, Histogram, Registry};
 use dcert_sgx::cost::timed;
@@ -108,7 +109,7 @@ pub enum CertJob {
 /// Tuning knobs for [`CertPipeline::spawn`].
 #[derive(Debug, Clone)]
 pub struct PipelineConfig {
-    /// Number of preparer workers (proof generation + serialization).
+    /// Number of preparer workers (proof generation).
     pub preparers: usize,
     /// Capacity of each inter-stage channel; bounds in-flight jobs and
     /// therefore memory (each in-flight job pins a state snapshot).
@@ -310,11 +311,15 @@ impl PipelineObs {
 /// so a preparer can prove it off-thread.
 type SequencedLink = (ExecutedLink, ChainState);
 
-/// The chain position a job leaves behind — `(tip header, post-state)` —
-/// adopted once its issuance succeeds.
-type Tip = (BlockHeader, ChainState);
+/// One job's way back: its sequence number, the tip it extended, and what
+/// each of its blocks displaced.
+type Undo = (u64, BlockHeader, Vec<Displaced>);
 
-/// What the preparer still has to prove and marshal.
+/// Where the sequencer left its view, and the undo of each job the issuer
+/// had not certified when the sequencer last looked, newest last.
+type Sequenced = (BlockHeader, ChainState, Vec<Undo>);
+
+/// What the preparer still has to prove and build a request around.
 // Built once per job and moved through one channel: boxing the common
 // variant would buy nothing.
 #[allow(clippy::large_enum_variant)]
@@ -329,7 +334,6 @@ struct PrepTask {
     /// The tip the job extends (the request's `prev_header` / batch anchor).
     prev_header: BlockHeader,
     work: PrepWork,
-    tip: Tip,
     /// Carries `rw_set_gen` forward; the preparer adds `proof_gen`.
     breakdown: CertBreakdown,
 }
@@ -338,7 +342,7 @@ struct PrepTask {
 /// preparation).
 struct Prepared {
     seq: u64,
-    job: Result<(PreparedJob, Tip), CertError>,
+    job: Result<PreparedJob, CertError>,
     breakdown: CertBreakdown,
 }
 
@@ -347,10 +351,6 @@ struct JobOutcome {
     seq: u64,
     result: Result<(Vec<NetMessage>, CertBreakdown), CertError>,
 }
-
-/// What the issuer thread hands back at shutdown: the issuer itself and
-/// where the last job it certified left the chain.
-type IssuerFinal = (Issuer, Option<Tip>);
 
 /// The staged, concurrent certification engine. See the module docs for
 /// the stage layout.
@@ -362,11 +362,13 @@ type IssuerFinal = (Issuer, Option<Tip>);
 /// fail too — the enclave is the authority).
 pub struct CertPipeline {
     submit_tx: Option<Sender<CertJob>>,
-    sequencer: Option<JoinHandle<()>>,
+    sequencer: Option<JoinHandle<Sequenced>>,
     preparers: Vec<JoinHandle<()>>,
-    issuer: Option<JoinHandle<IssuerFinal>>,
+    issuer: Option<JoinHandle<Issuer>>,
     publisher: Option<JoinHandle<PipelineReport>>,
     node: Option<FullNode>,
+    /// One past the last job certified: no job below it is ever undone.
+    certified: Arc<AtomicU64>,
     /// Shared handle onto the enclave driving the issuer stage, so the
     /// host can seal its state while the pipeline runs (crash drills,
     /// periodic checkpointing).
@@ -389,6 +391,7 @@ impl CertPipeline {
         let tip = node.tip().clone();
         let executor = node.executor().clone();
         let poison = Arc::new(AtomicBool::new(false));
+        let certified = Arc::new(AtomicU64::new(0));
         let obs = PipelineObs::register(&config.obs);
 
         let depth = config.queue_depth.max(1);
@@ -404,11 +407,12 @@ impl CertPipeline {
         let fail_tx = issue_tx.clone();
         let seq_poison = poison.clone();
         let seq_obs = obs.clone();
+        let done = certified.clone();
         let sequencer = thread::Builder::new()
             .name("dcert-sequencer".into())
             .spawn(move || {
                 sequencer_loop(
-                    submit_rx, prep_tx, fail_tx, state, tip, executor, seq_poison, seq_obs,
+                    submit_rx, prep_tx, fail_tx, state, tip, executor, done, seq_poison, seq_obs,
                 )
             })
             .expect("spawn sequencer");
@@ -444,9 +448,10 @@ impl CertPipeline {
         let enclave = issuer.attested.enclave.clone();
         let issue_poison = poison.clone();
         let issue_obs = obs.clone();
+        let done = certified.clone();
         let issuer = thread::Builder::new()
             .name("dcert-issuer".into())
-            .spawn(move || issuer_loop(issue_rx, publish_tx, issuer, issue_poison, issue_obs))
+            .spawn(move || issuer_loop(issue_rx, publish_tx, issuer, done, issue_poison, issue_obs))
             .expect("spawn issuer");
 
         let policy = config.publish.clone();
@@ -463,6 +468,7 @@ impl CertPipeline {
             issuer: Some(issuer),
             publisher: Some(publisher),
             node: Some(node),
+            certified,
             enclave,
             poison,
         }
@@ -524,39 +530,45 @@ impl CertPipeline {
     /// Propagates a panic from any stage thread (none are expected; a
     /// rejected block is an error, not a panic).
     pub fn shutdown(mut self) -> (CertificateIssuer, PipelineReport) {
-        let (fin, pipeline_report) = self.drain();
-        let (issuer, adopted) = fin.expect("pipeline stages already joined");
-        let mut node = self.node.take().expect("node present until shutdown");
-        if let Some((header, state)) = adopted {
-            // Every adopted transition was validated by the sequencer
-            // (and certified by the enclave); no re-execution needed.
-            node.adopt_validated(header, state);
+        let (issuer, sequenced, pipeline_report) = self.drain(true);
+        let issuer = issuer.expect("pipeline stages already joined");
+        let (mut tip, mut state, undo) = sequenced.expect("pipeline stages already joined");
+        // Undo, newest first, every job after the last certified one. What
+        // is left was validated by the sequencer (and certified by the
+        // enclave); no re-execution needed.
+        let done = self.certified.load(Ordering::SeqCst);
+        for (_, prev_tip, displaced) in undo.into_iter().rev().take_while(|u| u.0 >= done) {
+            displaced.into_iter().rev().for_each(|d| state.restore(d));
+            tip = prev_tip;
         }
+        let mut node = self.node.take().expect("node present until shutdown");
+        node.adopt_validated(tip, state);
         (CertificateIssuer { node, issuer }, pipeline_report)
     }
 
     /// Closes submission and joins every stage in cascade order.
-    fn drain(&mut self) -> (Option<IssuerFinal>, PipelineReport) {
+    fn drain(&mut self, propagate: bool) -> (Option<Issuer>, Option<Sequenced>, PipelineReport) {
         // Dropping the submission sender starts the cascade: sequencer
         // finishes → preparer queue closes → issuer queue closes →
         // publisher queue closes.
         drop(self.submit_tx.take());
-        if let Some(h) = self.sequencer.take() {
-            h.join().expect("sequencer panicked");
+        let sequenced = self.sequencer.take().and_then(|h| join_stage(h, propagate));
+        for stage in self.preparers.drain(..) {
+            join_stage(stage, propagate);
         }
-        for h in self.preparers.drain(..) {
-            h.join().expect("preparer panicked");
-        }
-        let fin = self
-            .issuer
-            .take()
-            .map(|h| h.join().expect("issuer panicked"));
-        let report = self
-            .publisher
-            .take()
-            .map(|h| h.join().expect("publisher panicked"))
-            .unwrap_or_default();
-        (fin, report)
+        let issuer = self.issuer.take().and_then(|h| join_stage(h, propagate));
+        let report = self.publisher.take().and_then(|h| join_stage(h, propagate));
+        (issuer, sequenced, report.unwrap_or_default())
+    }
+}
+
+/// Joins one stage thread: its result, or its panic re-raised when
+/// `propagate` is set (and `None` otherwise).
+fn join_stage<T>(stage: JoinHandle<T>, propagate: bool) -> Option<T> {
+    match stage.join() {
+        Ok(value) => Some(value),
+        Err(panic) if propagate => std::panic::resume_unwind(panic),
+        Err(_) => None,
     }
 }
 
@@ -565,19 +577,7 @@ impl Drop for CertPipeline {
     /// drains in-flight jobs (certificates reach the bus) — only the
     /// reassembled CI and the report are lost.
     fn drop(&mut self) {
-        drop(self.submit_tx.take());
-        if let Some(h) = self.sequencer.take() {
-            let _ = h.join();
-        }
-        for h in self.preparers.drain(..) {
-            let _ = h.join();
-        }
-        if let Some(h) = self.issuer.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.publisher.take() {
-            let _ = h.join();
-        }
+        self.drain(false);
     }
 }
 
@@ -591,20 +591,25 @@ fn sequencer_loop(
     mut state: ChainState,
     mut tip: BlockHeader,
     executor: Executor,
+    certified: Arc<AtomicU64>,
     poison: Arc<AtomicBool>,
     obs: PipelineObs,
-) {
+) -> Sequenced {
+    let mut undo: Vec<Undo> = Vec::new();
     for (seq, job) in (0u64..).zip(jobs.iter()) {
         if poison.load(Ordering::SeqCst) {
             break;
         }
+        let done = certified.load(Ordering::SeqCst);
+        undo.retain(|(job_seq, ..)| *job_seq >= done);
         // +1: the job just taken off the queue was part of the backlog.
         obs.submit_depth
             .record_max(i64::try_from(jobs.len() + 1).unwrap_or(i64::MAX));
         let (sequenced, took) = timed(|| sequence_job(job, &mut state, &mut tip, &executor, seq));
         obs.sequence_ns.record(took);
         let sent = match sequenced {
-            Ok(task) => {
+            Ok((task, displaced)) => {
+                undo.push((seq, task.prev_header.clone(), displaced));
                 obs.batch_blocks.observe(match &task.work {
                     PrepWork::Single(..) => 1,
                     PrepWork::Batch(links) => links.len() as u64,
@@ -626,37 +631,40 @@ fn sequencer_loop(
             break;
         }
     }
+    (tip, state, undo)
 }
 
 /// Executes the job's blocks in order against the sequencer's chain view
-/// and advances it. A job certifies atomically: if any link fails, the
-/// view is rolled back to where the job started.
+/// and advances it, handing back what each block displaced. A job
+/// certifies atomically: if any link fails, the view is rolled back to
+/// where the job started.
 fn sequence_job(
     job: CertJob,
     state: &mut ChainState,
     tip: &mut BlockHeader,
     executor: &Executor,
     seq: u64,
-) -> Result<PrepTask, CertError> {
+) -> Result<(PrepTask, Vec<Displaced>), CertError> {
     let prev_header = tip.clone();
     let mut breakdown = CertBreakdown::default();
+    let mut undo = Vec::new();
     let work = match job {
         CertJob::Block(block) => PrepWork::Single(
-            advance(state, tip, executor, block, &mut breakdown)?,
+            advance(state, tip, executor, block, &mut breakdown, &mut undo)?,
             Indexing::None,
         ),
         CertJob::Augmented { block, indexes } => PrepWork::Single(
-            advance(state, tip, executor, block, &mut breakdown)?,
+            advance(state, tip, executor, block, &mut breakdown, &mut undo)?,
             Indexing::Augmented(indexes),
         ),
         CertJob::Hierarchical { block, indexes } => PrepWork::Single(
-            advance(state, tip, executor, block, &mut breakdown)?,
+            advance(state, tip, executor, block, &mut breakdown, &mut undo)?,
             Indexing::Hierarchical(indexes),
         ),
         CertJob::Batch(blocks) => {
             let mut links: Vec<SequencedLink> = Vec::with_capacity(blocks.len());
             for block in blocks {
-                match advance(state, tip, executor, block, &mut breakdown) {
+                match advance(state, tip, executor, block, &mut breakdown, &mut undo) {
                     Ok(link) => links.push(link),
                     Err(error) => {
                         if let Some((_, start)) = links.into_iter().next() {
@@ -670,18 +678,18 @@ fn sequence_job(
             PrepWork::Batch(links)
         }
     };
-    Ok(PrepTask {
+    let task = PrepTask {
         seq,
         prev_header,
         work,
-        tip: (tip.clone(), state.clone()),
         breakdown,
-    })
+    };
+    Ok((task, undo))
 }
 
 /// Executes `block` once against the sequencer's view, snapshots the
-/// pre-state for the preparer, and advances the view. On error the view is
-/// untouched.
+/// pre-state for the preparer, and advances the view, pushing the undo
+/// onto `undo`. On error the view is untouched.
 ///
 /// Linkage and the post-state root are checked here because the
 /// sequencer *advances* on them; everything else (tx signatures, tx
@@ -694,45 +702,43 @@ fn advance(
     executor: &Executor,
     block: Block,
     breakdown: &mut CertBreakdown,
+    undo: &mut Vec<Displaced>,
 ) -> Result<SequencedLink, CertError> {
     let link = ExecutedLink::execute(executor, state, tip, block, breakdown)?;
     let pre_state = state.clone();
-    link.apply_to(state);
+    let displaced = link.apply_to(state);
     if state.root() != link.block.header.state_root {
         *state = pre_state;
         return Err(CertError::Chain(ChainError::StateRootMismatch));
     }
     *tip = link.block.header.clone();
+    undo.push(displaced);
     Ok((link, pre_state))
 }
 
 // --- preparers -------------------------------------------------------------
 
-/// Proves every link against its pre-state snapshot and marshals the job's
-/// requests around the certificates only the issuer stage will have.
+/// Proves every link against its pre-state snapshot and builds the job's
+/// requests; the certificates only the issuer stage will have stay unset.
 fn prepare(task: PrepTask) -> Prepared {
     let mut breakdown = task.breakdown;
     let job = match task.work {
         // The sequencer has already applied the write set.
-        PrepWork::Single((link, pre_state), indexing) => Ok(PreparedJob::single(
-            &task.prev_header,
-            link,
-            &pre_state,
-            indexing,
-            &mut breakdown,
-        )
-        .0),
+        PrepWork::Single((link, pre_state), indexing) => {
+            let prev_header = task.prev_header;
+            PreparedJob::single(prev_header, link, &pre_state, indexing, &mut breakdown).0
+        }
         PrepWork::Batch(links) => {
-            let links: Vec<_> = links
+            let links = links
                 .into_iter()
                 .map(|(link, pre_state)| link.prove(&pre_state, &mut breakdown).0)
                 .collect();
-            PreparedJob::batch(&task.prev_header, &links)
+            PreparedJob::batch(task.prev_header, links)
         }
     };
     Prepared {
         seq: task.seq,
-        job: job.map(|job| (job, task.tip)),
+        job: Ok(job),
         breakdown,
     }
 }
@@ -743,12 +749,12 @@ fn issuer_loop(
     issue_rx: Receiver<Prepared>,
     publish_tx: Sender<JobOutcome>,
     mut issuer: Issuer,
+    certified: Arc<AtomicU64>,
     poison: Arc<AtomicBool>,
     obs: PipelineObs,
-) -> IssuerFinal {
-    let mut adopted = None;
+) -> Issuer {
     let mut process = |prepared: Prepared| {
-        let (outcome, took) = timed(|| issue_prepared(&mut issuer, &mut adopted, prepared));
+        let (outcome, took) = timed(|| issue_prepared(&mut issuer, &certified, prepared));
         obs.issue_ns.record(took);
         publish_tx.send(outcome).is_ok()
     };
@@ -780,22 +786,18 @@ fn issuer_loop(
             }
         }
     }
-    (issuer, adopted)
+    issuer
 }
 
 /// Issues one prepared job in chain order. The certificate chains and the
 /// tip handed back at shutdown advance only if the whole job succeeded —
 /// matching the inline driver, which bails before `apply` on any failure.
-fn issue_prepared(
-    issuer: &mut Issuer,
-    adopted: &mut Option<Tip>,
-    prepared: Prepared,
-) -> JobOutcome {
+fn issue_prepared(issuer: &mut Issuer, certified: &AtomicU64, prepared: Prepared) -> JobOutcome {
     let mut breakdown = prepared.breakdown;
-    let result = prepared.job.and_then(|(job, tip)| {
-        let issued = issuer.issue(&job, &mut breakdown)?;
+    let result = prepared.job.and_then(|job| {
+        let issued = issuer.issue(job, &mut breakdown)?;
         issuer.commit(&issued);
-        *adopted = Some(tip);
+        certified.fetch_max(prepared.seq + 1, Ordering::SeqCst);
         Ok((issued.into_messages(), breakdown))
     });
     JobOutcome {

@@ -124,9 +124,9 @@ impl CertProgram {
         // fresh enclave (a new key, a new attestation).
         let (offered, strict, signs) = match &request {
             EcallRequest::Init => (None, true, None),
-            EcallRequest::SigGen(input) => at(input.block.header.height, true),
-            EcallRequest::AugSigGen(input, _) => at(input.block.header.height, false),
-            EcallRequest::HierSigGen(input, _) => at(input.block.header.height, true),
+            EcallRequest::SigGen(input) => at(input.link.block.header.height, true),
+            EcallRequest::AugSigGen(input, _) => at(input.link.block.header.height, false),
+            EcallRequest::HierSigGen(input, _) => at(input.link.block.header.height, true),
             EcallRequest::BatchSigGen { links, .. } => (last_of(links), true, last_of(links)),
             EcallRequest::RangeSigGen { anchor, links } => {
                 (Some(first_above(anchor)?), true, last_of(links))
@@ -149,16 +149,17 @@ impl CertProgram {
             }
             // Algorithm 2 (`ecall_sig_gen`) is a batch of one.
             EcallRequest::SigGen(input) => {
-                let (prev_header, prev_cert, link) = input.into_anchor_and_link();
-                let sig = self.batch_sig_gen(&prev_header, prev_cert.as_ref(), &[link])?;
+                let links = std::slice::from_ref(&input.link);
+                let sig =
+                    self.batch_sig_gen(&input.prev_header, input.prev_cert.as_ref(), links)?;
                 EcallResponse::Signature(sig)
             }
             EcallRequest::AugSigGen(input, index) => {
-                let (prev_header, _, link) = input.into_anchor_and_link();
-                EcallResponse::Signature(self.aug_sig_gen(&prev_header, &link, &index)?)
+                let sig = self.aug_sig_gen(&input.prev_header, &input.link, &index)?;
+                EcallResponse::Signature(sig)
             }
             EcallRequest::HierSigGen(input, indexes) => {
-                EcallResponse::Signatures(self.hier_sig_gen(input, &indexes)?)
+                EcallResponse::Signatures(self.hier_sig_gen(&input, &indexes)?)
             }
             EcallRequest::BatchSigGen {
                 prev_header,
@@ -328,18 +329,18 @@ impl CertProgram {
     /// block's signature comes first, then the indexes' in request order.
     fn hier_sig_gen(
         &self,
-        input: BlockInput,
+        input: &BlockInput,
         indexes: &[IndexInput],
     ) -> Result<Vec<Signature>, CertError> {
-        let (prev, prev_cert, link) = input.into_anchor_and_link();
+        let (prev, link) = (&input.prev_header, &input.link);
         let mut attested = Vec::with_capacity(1 + indexes.len());
-        attested.extend(self.verify_anchor(&prev, prev_cert.as_ref(), None, &attested)?);
+        attested.extend(self.verify_anchor(prev, input.prev_cert.as_ref(), None, &attested)?);
         for index in indexes {
             let anchor = Some((self.verifier(&index.index_type)?, &index.prev_digest));
-            let checked = self.verify_anchor(&prev, index.prev_cert.as_ref(), anchor, &attested)?;
+            let checked = self.verify_anchor(prev, index.prev_cert.as_ref(), anchor, &attested)?;
             attested.extend(checked);
         }
-        let writes = self.replay(&prev, std::slice::from_ref(&link))?;
+        let writes = self.replay(prev, std::slice::from_ref(link))?;
         let digest = link.block.header.hash();
         let mut sigs = vec![self.keypair()?.sign(digest.as_bytes())];
         for index in indexes {
@@ -509,19 +510,12 @@ impl Sealable for CertProgram {
             self.last_signed_height = 0;
             return Ok(());
         }
-        let (key, height) = match state.len() {
-            // Legacy blobs sealed before the watermark existed.
-            32 => (state, 0u64),
-            40 => {
-                let (key, be) = state.split_at(32);
-                let be = be.try_into().map_err(|_| SgxError::BadSeal)?;
-                (key, u64::from_be_bytes(be))
-            }
-            _ => return Err(SgxError::BadSeal),
-        };
-        let seed: [u8; 32] = key.try_into().map_err(|_| SgxError::BadSeal)?;
-        self.keypair = Some(Keypair::from_seed(seed));
-        self.last_signed_height = height;
+        // Exactly `key ++ watermark`: a key-only blob would restore the
+        // key with the rollback guard reset to 0.
+        let (key, be) = state.split_first_chunk::<32>().ok_or(SgxError::BadSeal)?;
+        let be: [u8; 8] = be.try_into().map_err(|_| SgxError::BadSeal)?;
+        self.keypair = Some(Keypair::from_seed(*key));
+        self.last_signed_height = u64::from_be_bytes(be);
         Ok(())
     }
 }

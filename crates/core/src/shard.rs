@@ -45,10 +45,10 @@ use dcert_store::Store;
 use dcert_vm::Executor;
 
 use crate::cert::Certificate;
-use crate::ci::CertBreakdown;
+use crate::ci::{cert_program, CertBreakdown};
 use crate::engine::{build_links, Attested};
 use crate::error::{CertError, ShardError};
-use crate::messages::{EcallRequest, SplitRequest};
+use crate::messages::EcallRequest;
 use crate::program::CertProgram;
 use crate::range::RangeCert;
 
@@ -674,6 +674,7 @@ impl ShardedCertEngine {
                         let platform =
                             self.shard_seed(b"dcert-shard-platform", &self.platform_seed, shard);
                         let enclave = Enclave::restore(program, self.cost, platform, &seal)?;
+                        enclave.attach_obs(&self.metrics.registry);
                         let boot = Attested::boot(enclave, ias)?;
                         self.metrics
                             .resumed_ranges
@@ -694,11 +695,11 @@ impl ShardedCertEngine {
     /// The trusted program every fleet enclave runs — identical chain
     /// semantics (and therefore measurement) to the sequential CI's.
     fn make_program(&self, ias: &AttestationService) -> CertProgram {
-        CertProgram::new(
+        cert_program(
             self.genesis.hash(),
-            ias.public_key(),
-            self.executor.clone(),
-            self.consensus.clone(),
+            ias,
+            &self.executor,
+            &self.consensus,
             Vec::new(),
         )
     }
@@ -713,9 +714,7 @@ impl ShardedCertEngine {
     ) -> Result<Attested, CertError> {
         let program = self.make_program(ias).with_signing_seed(signing_seed);
         let enclave = Enclave::launch_with_platform_seed(program, self.cost, platform_seed);
-        if self.metrics.registry.is_enabled() {
-            enclave.attach_obs(&self.metrics.registry);
-        }
+        enclave.attach_obs(&self.metrics.registry);
         Attested::boot(enclave, ias)
     }
 
@@ -839,7 +838,7 @@ fn run_shard_worker(
             .ok_or(ShardError::HeightOverflow)?
             .min(range.last);
         let chunk_blocks = blocks_for(ctx.blocks, cursor, chunk_last)?;
-        // A range chunk is a batch under another tag with no spliced
+        // A range chunk is a batch under another tag with no previous
         // certificate: same link builder, same dispatch.
         let mut breakdown = CertBreakdown::default();
         let links = build_links(
@@ -850,18 +849,20 @@ fn run_shard_worker(
             &mut breakdown,
         )
         .map_err(worker_error)?;
+        let anchor_digest = anchor.hash();
+        let header_digests = links.iter().map(|l| l.block.header.hash()).collect();
         let (result, took) = timed(|| {
-            let request = SplitRequest::range_sig_gen(&anchor, &links).joined();
+            let request = EcallRequest::RangeSigGen { anchor, links }.to_encoded_bytes();
             boot.sign(&request, &mut breakdown)
         });
         ctx.metrics.seal_ns.record(took);
         let range_cert = RangeCert {
             pk_range: boot.pk_enc,
             report: boot.report.clone(),
-            anchor_digest: anchor.hash(),
+            anchor_digest,
             first: cursor,
             last: chunk_last,
-            header_digests: links.iter().map(|l| l.block.header.hash()).collect(),
+            header_digests,
             signature: result.map_err(worker_error)?,
         };
         if let Some(store) = &ctx.store {

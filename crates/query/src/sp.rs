@@ -640,7 +640,7 @@ impl ServiceProvider {
     /// waiting for the certificates themselves.
     ///
     /// In pipelined mode the issuer stage owns the `prev_cert` chain and
-    /// splices freshly issued certificates into each request, so the SP
+    /// sets freshly issued certificates on each request, so the SP
     /// only needs its digest bookkeeping advanced before staging the next
     /// block. The certificates recorded here stay at their last
     /// [`ServiceProvider::record_certs`] value (`None` if never recorded).

@@ -377,17 +377,14 @@ fn input_for(
 ) -> BlockInput {
     let calls: Vec<_> = block.txs.iter().map(|t| t.call.clone()).collect();
     let execution = executor.execute_block(state, &calls);
-    let touched = execution.touched_keys();
     BlockInput {
         prev_header: genesis.header.clone(),
         prev_cert: None,
-        block: block.clone(),
-        reads: execution
-            .reads
-            .iter()
-            .map(|(k, v)| (*k, v.clone()))
-            .collect(),
-        state_proof: state.prove(&touched),
+        link: dcert::core::BatchLink {
+            block: block.clone(),
+            state_proof: state.prove(&execution.touched_keys()),
+            reads: execution.reads.into_iter().collect(),
+        },
     }
 }
 
@@ -455,9 +452,10 @@ fn enclave_refuses_competing_block_at_signed_height() {
 }
 
 /// Sealed-state format: the watermark rides in the blob (key ‖ height),
-/// and a legacy 32-byte key-only blob still imports with watermark 0.
+/// and a 32-byte key-only blob is refused — importing it would reset the
+/// rollback guard to 0.
 #[test]
-fn sealed_state_carries_watermark_and_accepts_legacy_blobs() {
+fn sealed_state_carries_watermark_and_refuses_key_only_blobs() {
     let (world, _) = World::deterministic(Vec::new());
     let mut program = CertProgram::new(
         world.genesis.hash(),
@@ -482,15 +480,11 @@ fn sealed_state_carries_watermark_and_accepts_legacy_blobs() {
     assert_eq!(exported.len(), 40, "export = key ‖ watermark");
     assert_eq!(&exported[32..], &7u64.to_be_bytes());
 
-    // Legacy blob: the same bytes truncated to the key alone.
-    program
-        .import_state(&exported[..32])
-        .expect("legacy 32-byte import");
-    assert_eq!(
-        program.last_signed_height(),
-        0,
-        "legacy blobs predate the watermark"
-    );
-    // Anything else is malformed.
-    assert!(program.import_state(&exported[..16]).is_err());
+    // The same bytes truncated to the key alone, or shorter, are malformed
+    // and leave the imported state as it was.
+    for len in [32, 16] {
+        let refused = program.import_state(&exported[..len]);
+        assert_eq!(refused, Err(dcert::sgx::SgxError::BadSeal));
+        assert_eq!(program.last_signed_height(), 7);
+    }
 }

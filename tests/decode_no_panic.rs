@@ -197,12 +197,14 @@ fn hier_sig_gen() -> (EcallRequest, usize) {
     let input = BlockInput {
         prev_header: header(2),
         prev_cert: Some(cert.clone()),
-        block: Block {
-            header: header(3),
-            txs: vec![tx],
+        link: BatchLink {
+            block: Block {
+                header: header(3),
+                txs: vec![tx],
+            },
+            reads: vec![(StateKey::new("kvstore", b"balance"), Some(vec![1]))],
+            state_proof: header_proof().1,
         },
-        reads: vec![(StateKey::new("kvstore", b"balance"), Some(vec![1]))],
-        state_proof: header_proof().1,
     };
     let index = |name: &str, prev_cert| IndexInput {
         index_type: name.to_owned(),

@@ -68,18 +68,14 @@ fn fixture_of(txs: usize) -> (CertProgram, BlockInput, FullNode) {
         let calls: Vec<_> = block.txs.iter().map(|t| t.call.clone()).collect();
         executor.execute_block(state_reader(&state), &calls)
     };
-    let touched = execution.touched_keys();
-    let state_proof = state.prove(&touched);
     let input = BlockInput {
         prev_header: genesis.header.clone(),
         prev_cert: None,
-        block,
-        reads: execution
-            .reads
-            .iter()
-            .map(|(k, v)| (*k, v.clone()))
-            .collect(),
-        state_proof,
+        link: BatchLink {
+            block,
+            state_proof: state.prove(&execution.touched_keys()),
+            reads: execution.reads.into_iter().collect(),
+        },
     };
 
     let mut program = CertProgram::new(
@@ -114,10 +110,10 @@ fn expect_sig(program: &mut CertProgram, input: BlockInput) -> Result<(), CertEr
 fn verdicts(txs: usize, mutate: fn(&mut Block), reseal: bool) -> [Result<(), ChainError>; 5] {
     let mutated = || {
         let (program, mut input, node) = fixture_of(txs);
-        mutate(&mut input.block);
+        mutate(&mut input.link.block);
         if reseal {
             let engine = ProofOfWork::new(TEST_POW_BITS);
-            engine.seal(&mut input.block.header).unwrap();
+            engine.seal(&mut input.link.block.header).unwrap();
         }
         (program, input, node)
     };
@@ -134,7 +130,7 @@ fn verdicts(txs: usize, mutate: fn(&mut Block), reseal: bool) -> [Result<(), Cha
     };
     let (_, input, mut node) = mutated();
     let before = (node.tip().clone(), node.state().dump_entries());
-    let applied = node.apply(&input.block).map(drop);
+    let applied = node.apply(&input.link.block).map(drop);
     if applied.is_err() {
         let after = (node.tip().clone(), node.state().dump_entries());
         assert_eq!(after, before, "refused, so unchanged");
@@ -143,10 +139,9 @@ fn verdicts(txs: usize, mutate: fn(&mut Block), reseal: bool) -> [Result<(), Cha
         applied,
         offer(EcallRequest::SigGen),
         offer(one_link_batch),
-        offer(|input| {
-            let (anchor, _, link) = input.into_anchor_and_link();
-            let links = vec![link];
-            EcallRequest::RangeSigGen { anchor, links }
+        offer(|input| EcallRequest::RangeSigGen {
+            anchor: input.prev_header,
+            links: vec![input.link],
         }),
         offer(|input| EcallRequest::HierSigGen(input, Vec::new())),
     ]
@@ -154,11 +149,10 @@ fn verdicts(txs: usize, mutate: fn(&mut Block), reseal: bool) -> [Result<(), Cha
 
 /// The one-link `BatchSigGen` asking what `SigGen(input)` asks.
 fn one_link_batch(input: BlockInput) -> EcallRequest {
-    let (prev_header, prev_cert, link) = input.into_anchor_and_link();
     EcallRequest::BatchSigGen {
-        prev_header,
-        prev_cert,
-        links: vec![link],
+        prev_header: input.prev_header,
+        prev_cert: input.prev_cert,
+        links: vec![input.link],
     }
 }
 
@@ -281,10 +275,10 @@ fn nothing_extends_the_last_height() {
 #[test]
 fn forged_read_value_rejected() {
     let (mut program, mut input) = program_and_input();
-    if input.reads.is_empty() {
+    if input.link.reads.is_empty() {
         panic!("fixture must produce reads");
     }
-    input.reads[0].1 = Some(b"lies about pre-state".to_vec());
+    input.link.reads[0].1 = Some(b"lies about pre-state".to_vec());
     assert_eq!(
         expect_sig(&mut program, input),
         Err(CertError::ReadSetMismatch)
@@ -294,7 +288,7 @@ fn forged_read_value_rejected() {
 #[test]
 fn incomplete_read_set_rejected() {
     let (mut program, mut input) = program_and_input();
-    input.reads.clear();
+    input.link.reads.clear();
     // With no reads provided, replay reverts with ReadSetMiss.
     assert_eq!(
         expect_sig(&mut program, input),
@@ -319,7 +313,7 @@ fn missing_prev_cert_rejected() {
     let (mut program, mut input) = program_and_input();
     // Claim the parent is height 3 (non-genesis) without a certificate.
     input.prev_header.height = 3;
-    input.block.header.height = 4;
+    input.link.block.header.height = 4;
     assert_eq!(
         expect_sig(&mut program, input),
         Err(CertError::MissingPrevCert)
@@ -344,7 +338,7 @@ fn self_signed_prev_cert_rejected() {
     let report = attacker_ias.attest(&quote).unwrap();
 
     input.prev_header.height = 1;
-    input.block.header.height = 2;
+    input.link.block.header.height = 2;
     let digest = input.prev_header.hash();
     input.prev_cert = Some(Certificate {
         pk_enc: attacker.public(),
@@ -392,9 +386,11 @@ fn fused_fixture(height: u64) -> (CertProgram, BlockInput, Vec<IndexInput>, Worl
     let input = BlockInput {
         prev_header: world.ci.node().tip().clone(),
         prev_cert,
-        state_proof: state.prove(&execution.touched_keys()),
-        reads: execution.reads.into_iter().collect(),
-        block,
+        link: BatchLink {
+            state_proof: state.prove(&execution.touched_keys()),
+            reads: execution.reads.into_iter().collect(),
+            block,
+        },
     };
     let mut program = CertProgram::new(
         world.genesis.hash(),
@@ -442,7 +438,7 @@ fn fused_request_signs_the_block_and_every_index_once() {
     };
     let (block_cert, index_certs, breakdown) = world
         .ci
-        .certify_hierarchical(&input.block, &indexes)
+        .certify_hierarchical(&input.link.block, &indexes)
         .unwrap();
     let published = std::iter::once(&block_cert).chain(&index_certs);
     assert_eq!(
@@ -509,7 +505,7 @@ fn every_check_of_the_fused_request_refuses_its_forgery() {
         }, |e| matches!(e, CertError::KeyBindingMismatch)),
         ("unknown index type", |_, indexes| indexes[1].index_type = "not-registered".into(),
             |e| matches!(e, CertError::UnknownIndexType(name) if name == "not-registered")),
-        ("read set off its proof", |input, _| input.reads[0].1 = Some(b"lies".to_vec()),
+        ("read set off its proof", |input, _| input.link.reads[0].1 = Some(b"lies".to_vec()),
             |e| matches!(e, CertError::ReadSetMismatch)),
         ("index digest off by a bit", |_, indexes| flip(&mut indexes[1].new_digest),
             |e| matches!(e, CertError::IndexDigestMismatch)),

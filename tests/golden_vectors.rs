@@ -41,6 +41,9 @@
 //! write set and its second proof not at all) and `response_bytes=`
 //! 1170 → 1182 (6 signature lists with a count prefix instead of 18 bare
 //! signatures). Their `…/stream` rows, and the other 25 rows, did not move.
+//! After 998a08d the restored shard enclave reports its ECalls too, so only
+//! `cert/fleet{1,2}/work` moved: `ecalls=` 4 → 7 / 7 → 9, `request_bytes=`
+//! 3184 → 9039 / 7708 → 9463, `response_bytes=` 520 → 683 / 683 → 781.
 //!
 //! To re-capture (only ever legitimate at a commit that intends to break
 //! the wire format): empty the table, run the test, paste the table it
@@ -553,6 +556,10 @@ fn fleet_stream(
         .expect("fleet certifies through the kill");
     let snap = registry.snapshot();
     assert_eq!(snap.counter("shard.kills"), 1, "the scheduled kill fired");
+    let c = |name: &str| snap.counter(name);
+    let boots = shards as u64 + c("shard.restarts") + c("shard.agg.fresh_boots");
+    let closed = boots + c("shard.chunks") + c("shard.agg.folds");
+    assert_eq!(c("enclave.ecalls"), closed, "every fleet ECall counted");
     stream_rows(
         label,
         &certs,
@@ -616,9 +623,9 @@ const CERT_GOLDEN: &[(&str, &str)] = &[
     ("cert/pipeline4/hierarchical/stream", "a77317f1df6343584041bd3a96986a4af2a1a1b9a5872418a241a4755a568d1b"),
     ("cert/pipeline4/hierarchical/work", "certs=18 ecalls=6 request_bytes=15577 response_bytes=1182 marshal_reuse_bytes=12378"),
     ("cert/fleet1/stream", "756d9a5c3ee068b4da6fd4dd1c0e79d26a598efde7412901dbb8546fa9998538"),
-    ("cert/fleet1/work", "certs=6 ecalls=4 request_bytes=3184 response_bytes=520 marshal_reuse_bytes=0"),
+    ("cert/fleet1/work", "certs=6 ecalls=7 request_bytes=9039 response_bytes=683 marshal_reuse_bytes=0"),
     ("cert/fleet2/stream", "756d9a5c3ee068b4da6fd4dd1c0e79d26a598efde7412901dbb8546fa9998538"),
-    ("cert/fleet2/work", "certs=6 ecalls=7 request_bytes=7708 response_bytes=683 marshal_reuse_bytes=0"),
+    ("cert/fleet2/work", "certs=6 ecalls=9 request_bytes=9463 response_bytes=781 marshal_reuse_bytes=0"),
 ];
 
 // --- sparse Merkle multiproofs --------------------------------------------------

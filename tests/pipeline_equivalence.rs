@@ -191,7 +191,7 @@ fn run_sequential(
 
 /// Materialises the plan into pipeline jobs. Indexed jobs carry the SP's
 /// staged inputs; their `prev_cert` fields are left for the issuer stage
-/// to splice (the certificates do not exist yet at submission time), so
+/// to set (the certificates do not exist yet at submission time), so
 /// the SP only advances its digest bookkeeping.
 fn build_jobs(sp: &mut ServiceProvider, plan: &Plan, blocks: &[Block]) -> Vec<CertJob> {
     match plan {
@@ -621,33 +621,34 @@ fn drop_without_shutdown_still_drains() {
 }
 
 /// A job that breaks chain rules fails in place — it neither stalls the
-/// pipeline nor corrupts the sequencer's view for later valid jobs.
+/// pipeline nor corrupts the sequencer's view for later valid jobs — and
+/// one the enclave refuses is undone from the view shutdown hands back.
 #[test]
 fn bad_job_fails_without_stalling() {
     let (mut world, _sp) = World::deterministic(Vec::new());
     let blocks = world.mine_blocks(Workload::KvStore { keyspace: 32 }, 3, 2, 5);
+    // Block 3 with its calls intact (it links and executes) but unsigned.
+    let mut unsigned = blocks[2].clone();
+    unsigned.txs[0].nonce ^= 1;
 
     let gossip = Arc::new(Gossip::new());
     let feed = gossip.join();
     let pipeline = CertPipeline::spawn(world.ci, PipelineConfig::default(), gossip);
     // Deliver out of order: 1, 3, 2. Block 3 cannot link and must fail;
     // block 2 still extends the (unmoved) tip and must succeed.
-    pipeline
-        .submit(CertJob::Block(blocks[0].clone()))
-        .expect("accepts");
-    pipeline
-        .submit(CertJob::Block(blocks[2].clone()))
-        .expect("accepts");
-    pipeline
-        .submit(CertJob::Block(blocks[1].clone()))
-        .expect("accepts");
+    for block in [&blocks[0], &blocks[2], &blocks[1], &unsigned] {
+        pipeline
+            .submit(CertJob::Block(block.clone()))
+            .expect("accepts");
+    }
     let (ci, report) = pipeline.shutdown();
 
-    assert_eq!(report.jobs, 3);
+    assert_eq!(report.jobs, 4);
     assert_eq!(report.block_certs, 2);
-    assert_eq!(report.errors.len(), 1);
+    assert_eq!(report.errors.len(), 2);
     assert_eq!(report.errors[0].0, 1, "the out-of-order job is the failure");
     assert!(matches!(report.errors[0].1, CertError::Chain(_)));
+    assert!(matches!(report.errors[1].1, CertError::EnclaveRejected(_)));
     assert_eq!(ci.node().tip(), &blocks[1].header);
 
     let mut heights = Vec::new();
