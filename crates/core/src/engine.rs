@@ -17,7 +17,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use dcert_chain::validity::check_extends;
-use dcert_chain::{state::Displaced, Block, BlockHeader, ChainState};
+use dcert_chain::{Block, BlockHeader, ChainState};
 use dcert_primitives::codec::{Decode, Encode};
 use dcert_primitives::hash::Hash;
 use dcert_primitives::keys::{PublicKey, Signature};
@@ -157,11 +157,6 @@ impl ExecutedLink {
         });
         breakdown.rw_set_gen += took;
         Ok(ExecutedLink { block, execution })
-    }
-
-    /// Advances `state`, the state this link executed on, past it; returns the undo.
-    pub(crate) fn apply_to(&self, state: &mut ChainState) -> Displaced {
-        state.apply_writes(self.execution.writes.iter())
     }
 
     /// `get_update_proof`: the proof over reads ∪ writes against

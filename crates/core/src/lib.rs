@@ -21,7 +21,7 @@
 //!   attestation, link building, request building, ECall dispatch,
 //!   certificate assembly and chaining — driven by three engines:
 //!   [`CertificateIssuer`] inline on the calling thread, [`CertPipeline`]
-//!   across a sequencer, a preparer pool, an issuer and a publisher thread,
+//!   across a sequencer, an issuer and a publisher thread,
 //!   and [`ShardedCertEngine`] across parallel shard enclaves plus an
 //!   aggregator — all three byte-identical at every height (DESIGN.md §4),
 //! - [`SuperlightClient`]: Algorithm 3 — one acceptance path behind its

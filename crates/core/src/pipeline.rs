@@ -4,26 +4,26 @@
 //! is inherently staged, and only one stage actually needs the enclave.
 //! [`CertPipeline`] exploits that: it is the *threaded* driver of the same
 //! certification steps the sequential [`CertificateIssuer`] runs inline
-//! (the crate's `engine` module), spread over four concurrent stages
+//! (the crate's `engine` module), spread over three concurrent stages
 //! connected by bounded crossbeam channels (bounded = backpressure; a slow
 //! enclave throttles submission instead of buffering unboundedly):
 //!
-//! 1. **Sequencer** (one thread): owns the chain view. Validates each
-//!    job's linkage against the tip, executes its transactions *once*,
-//!    snapshots the pre-state for proof generation, and advances, keeping
-//!    the job's undo until the issuer certifies it. This is the stage that
-//!    fixes chain order — everything downstream is order-preserving.
-//! 2. **Preparers** (a pool of untrusted workers): the expensive
-//!    outside-enclave work of Algorithm 1 — Merkle update proofs over the
-//!    pre-state snapshot — runs here, in parallel across in-flight blocks,
-//!    and each preparer builds the job's request around its proofs.
-//! 3. **Issuer** (one thread): re-orders prepared requests back into
-//!    chain order and drains them through the CI's own issuer, moved onto
-//!    this thread for the pipeline's lifetime. ECalls stay serialized,
-//!    exactly as a real single-enclave signer requires. The recursive
-//!    `prev_cert` only exists once the previous certificate has been
-//!    issued, so this stage sets it on the request and serialises it.
-//! 4. **Publisher** (one thread): broadcasts certificates on the
+//! 1. **Sequencer** (one thread): owns the chain view and runs the
+//!    untrusted half of Algorithm 1 on it, in the CI's own order
+//!    (`engine::build_links`): per block, check its linkage against the
+//!    tip, execute its transactions *once* (`comp_data_set`), build its
+//!    Merkle update proof against the state it executed on
+//!    (`get_update_proof`), then apply its writes and advance. It builds
+//!    the job's request around the proofs and keeps the job's undo until
+//!    the issuer certifies it. This is the stage that fixes chain order —
+//!    everything downstream receives jobs in it.
+//! 2. **Issuer** (one thread): drains prepared requests, in arrival order,
+//!    through the CI's own issuer, moved onto this thread for the
+//!    pipeline's lifetime. ECalls stay serialized, exactly as a real
+//!    single-enclave signer requires. The recursive `prev_cert` only
+//!    exists once the previous certificate has been issued, so this stage
+//!    sets it on the request and serialises it.
+//! 3. **Publisher** (one thread): broadcasts certificates on the
 //!    [`Transport`] (a [`Gossip`](crate::network::Gossip) bus, or a
 //!    fault-injecting [`SimNet`](crate::netsim::SimNet)) in issuance
 //!    order, confirms delivery against the configured
@@ -34,8 +34,8 @@
 //! Compared to the per-block sequential methods, the chain view advances
 //! without re-validation (the issuer adopts the sequencer-validated state
 //! the way [`CertificateIssuer::certify_batch`] does, instead of
-//! re-executing in `apply`), proofs for block *i+1* are built while block
-//! *i* is inside the enclave, and the certificates that come out are
+//! re-executing in `apply`), block *i+1* is executed and proven while
+//! block *i* is inside the enclave, and the certificates that come out are
 //! **byte-identical** to sequential issuance —
 //! `tests/pipeline_equivalence.rs` proves this property over arbitrary
 //! mixed workloads, and `tests/golden_vectors.rs` pins both against the
@@ -53,7 +53,6 @@
 // lock or failed spawn is a deployment fault, not a protocol input.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
@@ -71,7 +70,7 @@ use dcert_vm::Executor;
 use crate::ci::{CertBreakdown, CertificateIssuer};
 use crate::engine::{ExecutedLink, Indexing, Issuer, PreparedJob};
 use crate::error::CertError;
-use crate::messages::IndexInput;
+use crate::messages::{IndexInput, WriteSet};
 use crate::netsim::SimRng;
 use crate::network::{NetMessage, Transport};
 use crate::program::CertProgram;
@@ -109,10 +108,12 @@ pub enum CertJob {
 /// Tuning knobs for [`CertPipeline::spawn`].
 #[derive(Debug, Clone)]
 pub struct PipelineConfig {
-    /// Number of preparer workers (proof generation).
+    /// Read by nothing: the sequencer proves every job itself. Kept for
+    /// `benchmark/driver`, which sets it; leaves at ROADMAP item 4(c).
     pub preparers: usize,
     /// Capacity of each inter-stage channel; bounds in-flight jobs and
-    /// therefore memory (each in-flight job pins a state snapshot).
+    /// therefore memory (each in-flight job holds its proofs, and the
+    /// sequencer its undo).
     pub queue_depth: usize,
     /// Delivery-confirmation policy for the publisher stage.
     pub publish: PublishPolicy,
@@ -147,48 +148,35 @@ pub struct ParallelismConfig {
     pub merkle_threads: usize,
 }
 
+/// Retries after the initial publish attempt before dead-lettering.
+const MAX_RETRIES: u32 = 5;
+/// Backoff before the first retry; doubles per subsequent retry.
+const BACKOFF: Duration = Duration::from_millis(1);
+/// Ceiling on the doubled backoff (pre-jitter). Without one, a persistent
+/// outage turns the doubling into sleeps that outlive the outage itself.
+const MAX_BACKOFF: Duration = Duration::from_millis(64);
+
 /// How hard the publisher stage works to confirm a broadcast.
 ///
 /// [`Transport::publish`] acks with the number of deliveries it
 /// scheduled; a result below `min_acks` counts as a failed attempt and is
-/// retried with truncated-exponential backoff: `backoff` doubled per
-/// attempt, capped at `max_backoff`, then scaled by a deterministic
-/// jitter factor in `[0.5, 1.0)` drawn from a `SimRng` stream seeded
-/// with `jitter_seed`. The jitter is what keeps a fleet of CIs that share
-/// a blackout from retrying in lockstep, and seeding it is what keeps a
-/// chaos run replayable — the whole retry schedule is a pure function of
-/// the policy. A message still unconfirmed after `max_retries` retries
-/// goes to [`PipelineReport::dead_letters`] instead of wedging the
-/// pipeline.
-#[derive(Debug, Clone)]
+/// retried with truncated-exponential backoff: 1 ms doubled per attempt,
+/// capped at 64 ms, then scaled by a deterministic jitter factor in
+/// `[0.5, 1.0)` drawn from a `SimRng` stream seeded with `jitter_seed`.
+/// The jitter is what keeps a fleet of CIs that share a blackout from
+/// retrying in lockstep, and seeding it is what keeps a chaos run
+/// replayable — the whole retry schedule is a pure function of the seed.
+/// A message still unconfirmed after 5 retries goes to
+/// [`PipelineReport::dead_letters`] instead of wedging the pipeline.
+#[derive(Debug, Clone, Default)]
 pub struct PublishPolicy {
     /// Minimum deliveries for a publish to count as confirmed. The
     /// default `0` accepts any outcome — fire-and-forget, the behavior
     /// benches and single-process runs want (their bus may legitimately
     /// have no subscribers).
     pub min_acks: usize,
-    /// Retries after the initial attempt before dead-lettering.
-    pub max_retries: u32,
-    /// Backoff before the first retry; doubles per subsequent retry.
-    pub backoff: Duration,
-    /// Ceiling on the doubled backoff (pre-jitter). Without one, a
-    /// generous retry budget turns a persistent outage into multi-minute
-    /// sleeps that outlive the outage itself.
-    pub max_backoff: Duration,
     /// Seed of the deterministic jitter stream.
     pub jitter_seed: u64,
-}
-
-impl Default for PublishPolicy {
-    fn default() -> Self {
-        PublishPolicy {
-            min_acks: 0,
-            max_retries: 5,
-            backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(64),
-            jitter_seed: 0,
-        }
-    }
 }
 
 impl PublishPolicy {
@@ -199,18 +187,16 @@ impl PublishPolicy {
             ..PublishPolicy::default()
         }
     }
+}
 
-    /// The delay before retry number `retry` (1-based): truncated
-    /// exponential with deterministic full-range jitter. Pure given the
-    /// policy and the RNG position, so tests can replay — and benches
-    /// export — the exact schedule.
-    pub(crate) fn backoff_for(&self, retry: u32, jitter: &mut SimRng) -> Duration {
-        let doubled = self
-            .backoff
-            .saturating_mul(1u32 << retry.saturating_sub(1).min(16));
-        let capped = doubled.min(self.max_backoff.max(self.backoff));
-        capped.mul_f64(0.5 + jitter.next_f64() / 2.0)
-    }
+/// The delay before retry number `retry` (1-based): truncated exponential
+/// with deterministic full-range jitter. Pure given the RNG position, so
+/// tests can replay — and benches export — the exact schedule.
+fn backoff_for(retry: u32, jitter: &mut SimRng) -> Duration {
+    let doubled = BACKOFF.saturating_mul(1u32 << retry.saturating_sub(1).min(16));
+    doubled
+        .min(MAX_BACKOFF)
+        .mul_f64(0.5 + jitter.next_f64() / 2.0)
 }
 
 /// A certificate broadcast the publisher could not confirm within its
@@ -258,18 +244,17 @@ impl PipelineReport {
 #[derive(Clone)]
 struct PipelineObs {
     /// Per-stage wall-clock latency (suffix `_ns`: stripped from replay
-    /// comparisons).
+    /// comparisons). `sequence_ns` is the sequencer's whole job;
+    /// `prepare_ns` the proof generation within it.
     sequence_ns: Histogram,
     prepare_ns: Histogram,
     issue_ns: Histogram,
     publish_ns: Histogram,
     /// Blocks per sequenced job (1 except for `CertJob::Batch`).
     batch_blocks: Histogram,
-    /// Peak occupancy of the submit queue and the issuer's reorder buffer
-    /// (suffix `_depth`: scheduling-dependent, stripped from replay
-    /// comparisons).
+    /// Peak occupancy of the submit queue (suffix `_depth`:
+    /// scheduling-dependent, stripped from replay comparisons).
     submit_depth: Gauge,
-    reorder_depth: Gauge,
     jobs: Counter,
     block_certs: Counter,
     index_certs: Counter,
@@ -278,10 +263,9 @@ struct PipelineObs {
     publish_retries: Counter,
     dead_letters: Counter,
     /// Computed retry backoffs in nanoseconds. Deliberately `_nanos`, not
-    /// `_ns`: the values come from [`PublishPolicy::backoff_for`], a pure
-    /// function of the policy, so they must replay bit-for-bit — the
-    /// blackout test in `tests/chaos_network.rs` reads growth off this
-    /// histogram.
+    /// `_ns`: the values come from [`backoff_for`], a pure function of the
+    /// jitter seed, so they must replay bit-for-bit — the blackout test in
+    /// `tests/chaos_network.rs` reads growth off this histogram.
     backoff_nanos: Histogram,
 }
 
@@ -294,7 +278,6 @@ impl PipelineObs {
             publish_ns: registry.timer("pipeline.stage.publish_ns"),
             batch_blocks: registry.histogram("pipeline.batch_blocks", Buckets::linear(1, 1, 16)),
             submit_depth: registry.gauge("pipeline.submit_depth"),
-            reorder_depth: registry.gauge("pipeline.reorder_depth"),
             jobs: registry.counter("pipeline.jobs"),
             block_certs: registry.counter("pipeline.block_certs"),
             index_certs: registry.counter("pipeline.index_certs"),
@@ -307,10 +290,6 @@ impl PipelineObs {
     }
 }
 
-/// An executed block paired with a snapshot of the state it executed on,
-/// so a preparer can prove it off-thread.
-type SequencedLink = (ExecutedLink, ChainState);
-
 /// One job's way back: its sequence number, the tip it extended, and what
 /// each of its blocks displaced.
 type Undo = (u64, BlockHeader, Vec<Displaced>);
@@ -319,30 +298,12 @@ type Undo = (u64, BlockHeader, Vec<Displaced>);
 /// had not certified when the sequencer last looked, newest last.
 type Sequenced = (BlockHeader, ChainState, Vec<Undo>);
 
-/// What the preparer still has to prove and build a request around.
-// Built once per job and moved through one channel: boxing the common
-// variant would buy nothing.
-#[allow(clippy::large_enum_variant)]
-enum PrepWork {
-    Single(SequencedLink, Indexing),
-    Batch(Vec<SequencedLink>),
-}
-
-/// Sequencer → preparer: an executed, chain-ordered job.
-struct PrepTask {
-    seq: u64,
-    /// The tip the job extends (the request's `prev_header` / batch anchor).
-    prev_header: BlockHeader,
-    work: PrepWork,
-    /// Carries `rw_set_gen` forward; the preparer adds `proof_gen`.
-    breakdown: CertBreakdown,
-}
-
-/// Preparer → issuer (or sequencer → issuer for jobs that failed before
-/// preparation).
+/// Sequencer → issuer: one job, proven and ready to cross, or why it
+/// failed, in chain order.
 struct Prepared {
     seq: u64,
     job: Result<PreparedJob, CertError>,
+    /// `rw_set_gen` and `proof_gen`; the issuer adds the enclave's share.
     breakdown: CertBreakdown,
 }
 
@@ -363,7 +324,6 @@ struct JobOutcome {
 pub struct CertPipeline {
     submit_tx: Option<Sender<CertJob>>,
     sequencer: Option<JoinHandle<Sequenced>>,
-    preparers: Vec<JoinHandle<()>>,
     issuer: Option<JoinHandle<Issuer>>,
     publisher: Option<JoinHandle<PipelineReport>>,
     node: Option<FullNode>,
@@ -395,16 +355,10 @@ impl CertPipeline {
         let obs = PipelineObs::register(&config.obs);
 
         let depth = config.queue_depth.max(1);
-        let workers = config.preparers.max(1);
         let (submit_tx, submit_rx) = bounded::<CertJob>(depth);
-        let (prep_tx, prep_rx) = bounded::<PrepTask>(depth);
-        // Room for every preparer to have one result in flight on top of
-        // the reorder window, so a fast preparer never blocks the slow
-        // one holding the next sequence number.
-        let (issue_tx, issue_rx) = bounded::<Prepared>(depth + workers);
+        let (issue_tx, issue_rx) = bounded::<Prepared>(depth);
         let (publish_tx, publish_rx) = bounded::<JobOutcome>(depth);
 
-        let fail_tx = issue_tx.clone();
         let seq_poison = poison.clone();
         let seq_obs = obs.clone();
         let done = certified.clone();
@@ -412,38 +366,10 @@ impl CertPipeline {
             .name("dcert-sequencer".into())
             .spawn(move || {
                 sequencer_loop(
-                    submit_rx, prep_tx, fail_tx, state, tip, executor, done, seq_poison, seq_obs,
+                    submit_rx, issue_tx, state, tip, executor, done, seq_poison, seq_obs,
                 )
             })
             .expect("spawn sequencer");
-
-        let preparers = (0..workers)
-            .map(|i| {
-                let rx = prep_rx.clone();
-                let tx = issue_tx.clone();
-                let prep_poison = poison.clone();
-                let prep_obs = obs.clone();
-                thread::Builder::new()
-                    .name(format!("dcert-preparer-{i}"))
-                    .spawn(move || {
-                        for task in rx {
-                            if prep_poison.load(Ordering::SeqCst) {
-                                break;
-                            }
-                            let (prepared, took) = timed(|| prepare(task));
-                            prep_obs.prepare_ns.record(took);
-                            if tx.send(prepared).is_err() {
-                                break;
-                            }
-                        }
-                    })
-                    .expect("spawn preparer")
-            })
-            .collect();
-        // The loops above hold the only remaining clones; dropping these
-        // lets each channel close when its senders finish.
-        drop(prep_rx);
-        drop(issue_tx);
 
         let enclave = issuer.attested.enclave.clone();
         let issue_poison = poison.clone();
@@ -454,17 +380,15 @@ impl CertPipeline {
             .spawn(move || issuer_loop(issue_rx, publish_tx, issuer, done, issue_poison, issue_obs))
             .expect("spawn issuer");
 
-        let policy = config.publish.clone();
         let pub_poison = poison.clone();
         let publisher = thread::Builder::new()
             .name("dcert-publisher".into())
-            .spawn(move || publisher_loop(publish_rx, transport, policy, pub_poison, obs))
+            .spawn(move || publisher_loop(publish_rx, transport, config.publish, pub_poison, obs))
             .expect("spawn publisher");
 
         CertPipeline {
             submit_tx: Some(submit_tx),
             sequencer: Some(sequencer),
-            preparers,
             issuer: Some(issuer),
             publisher: Some(publisher),
             node: Some(node),
@@ -484,7 +408,7 @@ impl CertPipeline {
     /// **Abort, not drain.** `kill` is the opposite of calling
     /// [`CertPipeline::shutdown`] directly: `shutdown` on a live pipeline
     /// *drains* — it closes the intake, lets every queued job flow through
-    /// prepare → issue → publish, and returns only once the channels are
+    /// sequence → issue → publish, and returns only once the channels are
     /// empty — whereas `kill` *aborts*: stages check the poison flag
     /// between jobs and bail out with whatever is still in their channels
     /// unprocessed. Nothing in-enclave is rolled back (the signing
@@ -538,8 +462,7 @@ impl CertPipeline {
         // enclave); no re-execution needed.
         let done = self.certified.load(Ordering::SeqCst);
         for (_, prev_tip, displaced) in undo.into_iter().rev().take_while(|u| u.0 >= done) {
-            displaced.into_iter().rev().for_each(|d| state.restore(d));
-            tip = prev_tip;
+            rewind(&mut state, &mut tip, prev_tip, displaced);
         }
         let mut node = self.node.take().expect("node present until shutdown");
         node.adopt_validated(tip, state);
@@ -549,13 +472,9 @@ impl CertPipeline {
     /// Closes submission and joins every stage in cascade order.
     fn drain(&mut self, propagate: bool) -> (Option<Issuer>, Option<Sequenced>, PipelineReport) {
         // Dropping the submission sender starts the cascade: sequencer
-        // finishes → preparer queue closes → issuer queue closes →
-        // publisher queue closes.
+        // finishes → issuer queue closes → publisher queue closes.
         drop(self.submit_tx.take());
         let sequenced = self.sequencer.take().and_then(|h| join_stage(h, propagate));
-        for stage in self.preparers.drain(..) {
-            join_stage(stage, propagate);
-        }
         let issuer = self.issuer.take().and_then(|h| join_stage(h, propagate));
         let report = self.publisher.take().and_then(|h| join_stage(h, propagate));
         (issuer, sequenced, report.unwrap_or_default())
@@ -586,8 +505,7 @@ impl Drop for CertPipeline {
 #[allow(clippy::too_many_arguments)]
 fn sequencer_loop(
     jobs: Receiver<CertJob>,
-    prep_tx: Sender<PrepTask>,
-    fail_tx: Sender<Prepared>,
+    issue_tx: Sender<Prepared>,
     mut state: ChainState,
     mut tip: BlockHeader,
     executor: Executor,
@@ -605,142 +523,113 @@ fn sequencer_loop(
         // +1: the job just taken off the queue was part of the backlog.
         obs.submit_depth
             .record_max(i64::try_from(jobs.len() + 1).unwrap_or(i64::MAX));
-        let (sequenced, took) = timed(|| sequence_job(job, &mut state, &mut tip, &executor, seq));
+        let prev_tip = tip.clone();
+        let mut breakdown = CertBreakdown::default();
+        let mut displaced = Vec::new();
+        let (job, took) = timed(|| {
+            sequence_job(
+                job,
+                &prev_tip,
+                &mut state,
+                &mut tip,
+                &mut displaced,
+                &executor,
+                &mut breakdown,
+            )
+        });
         obs.sequence_ns.record(took);
-        let sent = match sequenced {
-            Ok((task, displaced)) => {
-                undo.push((seq, task.prev_header.clone(), displaced));
-                obs.batch_blocks.observe(match &task.work {
-                    PrepWork::Single(..) => 1,
-                    PrepWork::Batch(links) => links.len() as u64,
-                });
-                prep_tx.send(task).is_ok()
-            }
-            // Route the failure straight to the issuer so the sequence
-            // numbering stays contiguous for its reorder buffer.
-            Err(error) => {
-                let failed = Prepared {
-                    seq,
-                    job: Err(error),
-                    breakdown: CertBreakdown::default(),
-                };
-                fail_tx.send(failed).is_ok()
-            }
+        if job.is_ok() {
+            obs.prepare_ns.record(breakdown.proof_gen);
+            obs.batch_blocks.observe(displaced.len() as u64);
+            undo.push((seq, prev_tip, displaced));
+        } else {
+            // A job certifies atomically: take the view back to where it
+            // started.
+            rewind(&mut state, &mut tip, prev_tip, displaced);
+        }
+        let prepared = Prepared {
+            seq,
+            job,
+            breakdown,
         };
-        if !sent {
+        if issue_tx.send(prepared).is_err() {
             break;
         }
     }
     (tip, state, undo)
 }
 
-/// Executes the job's blocks in order against the sequencer's chain view
-/// and advances it, handing back what each block displaced. A job
-/// certifies atomically: if any link fails, the view is rolled back to
-/// where the job started.
+/// Runs the untrusted half of Algorithm 1 for each block of `job`, which
+/// extends `prev_header`, in `engine::build_links`'s order: execute, prove
+/// against the state it executed on, apply. Builds the job's request; the
+/// certificates only the issuer stage will have stay unset. Every block
+/// applied to the view leaves its undo on `undo`, the failing one
+/// included, so the caller can rewind a failed job whole.
 fn sequence_job(
     job: CertJob,
+    prev_header: &BlockHeader,
     state: &mut ChainState,
     tip: &mut BlockHeader,
+    undo: &mut Vec<Displaced>,
     executor: &Executor,
-    seq: u64,
-) -> Result<(PrepTask, Vec<Displaced>), CertError> {
-    let prev_header = tip.clone();
-    let mut breakdown = CertBreakdown::default();
-    let mut undo = Vec::new();
-    let work = match job {
-        CertJob::Block(block) => PrepWork::Single(
-            advance(state, tip, executor, block, &mut breakdown, &mut undo)?,
-            Indexing::None,
-        ),
-        CertJob::Augmented { block, indexes } => PrepWork::Single(
-            advance(state, tip, executor, block, &mut breakdown, &mut undo)?,
-            Indexing::Augmented(indexes),
-        ),
-        CertJob::Hierarchical { block, indexes } => PrepWork::Single(
-            advance(state, tip, executor, block, &mut breakdown, &mut undo)?,
-            Indexing::Hierarchical(indexes),
-        ),
+    breakdown: &mut CertBreakdown,
+) -> Result<PreparedJob, CertError> {
+    let (block, indexing) = match job {
+        CertJob::Block(block) => (block, Indexing::None),
+        CertJob::Augmented { block, indexes } => (block, Indexing::Augmented(indexes)),
+        CertJob::Hierarchical { block, indexes } => (block, Indexing::Hierarchical(indexes)),
         CertJob::Batch(blocks) => {
-            let mut links: Vec<SequencedLink> = Vec::with_capacity(blocks.len());
+            let mut links = Vec::with_capacity(blocks.len());
             for block in blocks {
-                match advance(state, tip, executor, block, &mut breakdown, &mut undo) {
-                    Ok(link) => links.push(link),
-                    Err(error) => {
-                        if let Some((_, start)) = links.into_iter().next() {
-                            *state = start;
-                        }
-                        *tip = prev_header;
-                        return Err(error);
-                    }
-                }
+                let executed = ExecutedLink::execute(executor, state, tip, block, breakdown)?;
+                let (link, writes) = executed.prove(state, breakdown);
+                advance(state, tip, &link.block.header, &writes, undo)?;
+                links.push(link);
             }
-            PrepWork::Batch(links)
+            return Ok(PreparedJob::batch(prev_header.clone(), links));
         }
     };
-    let task = PrepTask {
-        seq,
-        prev_header,
-        work,
-        breakdown,
-    };
-    Ok((task, undo))
+    let executed = ExecutedLink::execute(executor, state, tip, block, breakdown)?;
+    let header = executed.block.header.clone();
+    let (job, writes) =
+        PreparedJob::single(prev_header.clone(), executed, state, indexing, breakdown);
+    advance(state, tip, &header, &writes, undo)?;
+    Ok(job)
 }
 
-/// Executes `block` once against the sequencer's view, snapshots the
-/// pre-state for the preparer, and advances the view, pushing the undo
-/// onto `undo`. On error the view is untouched.
+/// Applies one proven block's `writes` to the view, pushing the undo onto
+/// `undo`, and moves the tip to its `header`.
 ///
-/// Linkage and the post-state root are checked here because the
-/// sequencer *advances* on them; everything else (tx signatures, tx
-/// root, consensus proof, read-set authenticity) is the enclave's call —
-/// it re-validates the lot, so a bad block fails at issuance and the
+/// Linkage and the post-state root are checked by the sequencer because
+/// it *advances* on them; everything else (tx signatures, tx root,
+/// consensus proof, read-set authenticity) is the enclave's call — it
+/// re-validates the lot, so a bad block fails at issuance and the
 /// certificate chain simply does not advance past it.
 fn advance(
     state: &mut ChainState,
     tip: &mut BlockHeader,
-    executor: &Executor,
-    block: Block,
-    breakdown: &mut CertBreakdown,
+    header: &BlockHeader,
+    writes: &WriteSet,
     undo: &mut Vec<Displaced>,
-) -> Result<SequencedLink, CertError> {
-    let link = ExecutedLink::execute(executor, state, tip, block, breakdown)?;
-    let pre_state = state.clone();
-    let displaced = link.apply_to(state);
-    if state.root() != link.block.header.state_root {
-        *state = pre_state;
+) -> Result<(), CertError> {
+    undo.push(state.apply_writes(writes.iter().map(|(key, value)| (key, value))));
+    if state.root() != header.state_root {
         return Err(CertError::Chain(ChainError::StateRootMismatch));
     }
-    *tip = link.block.header.clone();
-    undo.push(displaced);
-    Ok((link, pre_state))
+    tip.clone_from(header);
+    Ok(())
 }
 
-// --- preparers -------------------------------------------------------------
-
-/// Proves every link against its pre-state snapshot and builds the job's
-/// requests; the certificates only the issuer stage will have stay unset.
-fn prepare(task: PrepTask) -> Prepared {
-    let mut breakdown = task.breakdown;
-    let job = match task.work {
-        // The sequencer has already applied the write set.
-        PrepWork::Single((link, pre_state), indexing) => {
-            let prev_header = task.prev_header;
-            PreparedJob::single(prev_header, link, &pre_state, indexing, &mut breakdown).0
-        }
-        PrepWork::Batch(links) => {
-            let links = links
-                .into_iter()
-                .map(|(link, pre_state)| link.prove(&pre_state, &mut breakdown).0)
-                .collect();
-            PreparedJob::batch(task.prev_header, links)
-        }
-    };
-    Prepared {
-        seq: task.seq,
-        job: Ok(job),
-        breakdown,
-    }
+/// Takes the view back past one job: what each of its blocks displaced,
+/// newest first, then the tip it extended.
+fn rewind(
+    state: &mut ChainState,
+    tip: &mut BlockHeader,
+    prev_tip: BlockHeader,
+    displaced: Vec<Displaced>,
+) {
+    displaced.into_iter().rev().for_each(|d| state.restore(d));
+    *tip = prev_tip;
 }
 
 // --- issuer ----------------------------------------------------------------
@@ -753,37 +642,15 @@ fn issuer_loop(
     poison: Arc<AtomicBool>,
     obs: PipelineObs,
 ) -> Issuer {
-    let mut process = |prepared: Prepared| {
-        let (outcome, took) = timed(|| issue_prepared(&mut issuer, &certified, prepared));
-        obs.issue_ns.record(took);
-        publish_tx.send(outcome).is_ok()
-    };
-    // Preparers finish out of order; issue strictly by sequence number.
-    let mut next = 0u64;
-    let mut pending: BTreeMap<u64, Prepared> = BTreeMap::new();
-    'recv: for prepared in issue_rx {
+    // One sequencer sends in sequence order: arrival order is chain order.
+    for prepared in issue_rx {
         if poison.load(Ordering::SeqCst) {
             break;
         }
-        pending.insert(prepared.seq, prepared);
-        obs.reorder_depth
-            .record_max(i64::try_from(pending.len()).unwrap_or(i64::MAX));
-        while let Some(ready) = pending.remove(&next) {
-            next += 1;
-            if !process(ready) {
-                break 'recv;
-            }
-        }
-    }
-    // A panicked preparer leaves a gap; surface anything stranded behind
-    // it (out of chain order, so the enclave will reject) rather than
-    // dropping it silently. A killed pipeline drops it instead — that is
-    // the crash being simulated.
-    if !poison.load(Ordering::SeqCst) {
-        for (_, stranded) in pending {
-            if !process(stranded) {
-                break;
-            }
+        let (outcome, took) = timed(|| issue_prepared(&mut issuer, &certified, prepared));
+        obs.issue_ns.record(took);
+        if publish_tx.send(outcome).is_err() {
+            break;
         }
     }
     issuer
@@ -840,7 +707,7 @@ fn publisher_loop(
                         }
                         publish_confirmed(
                             &*transport,
-                            &policy,
+                            policy.min_acks,
                             outcome.seq,
                             message,
                             &mut report,
@@ -861,24 +728,23 @@ fn publisher_loop(
     report
 }
 
-/// One acked publish: retries on the policy's capped, jittered
-/// exponential schedule ([`PublishPolicy::backoff_for`]) until the
-/// transport confirms at least `min_acks` deliveries, dead-lettering the
-/// message when the budget runs out. With `min_acks == 0` this is a
-/// plain fire-and-forget broadcast (no clone, no sleeping). Every
-/// computed backoff is recorded into `pipeline.publish.backoff_nanos`
-/// before sleeping, so the schedule is observable without timing the
-/// sleeps themselves.
+/// One acked publish: retries on the capped, jittered exponential
+/// schedule ([`backoff_for`]) until the transport confirms at least
+/// `min_acks` deliveries, dead-lettering the message when the budget runs
+/// out. With `min_acks == 0` this is a plain fire-and-forget broadcast (no
+/// clone, no sleeping). Every computed backoff is recorded into
+/// `pipeline.publish.backoff_nanos` before sleeping, so the schedule is
+/// observable without timing the sleeps themselves.
 fn publish_confirmed(
     transport: &dyn Transport,
-    policy: &PublishPolicy,
+    min_acks: usize,
     seq: u64,
     message: NetMessage,
     report: &mut PipelineReport,
     obs: &PipelineObs,
     jitter: &mut SimRng,
 ) {
-    if policy.min_acks == 0 {
+    if min_acks == 0 {
         obs.publish_attempts.inc();
         transport.publish(message);
         return;
@@ -887,10 +753,10 @@ fn publish_confirmed(
     loop {
         attempts += 1;
         obs.publish_attempts.inc();
-        if transport.publish(message.clone()) >= policy.min_acks {
+        if transport.publish(message.clone()) >= min_acks {
             return;
         }
-        if attempts > policy.max_retries {
+        if attempts > MAX_RETRIES {
             obs.dead_letters.inc();
             report.dead_letters.push(DeadLetter {
                 seq,
@@ -900,7 +766,7 @@ fn publish_confirmed(
             return;
         }
         obs.publish_retries.inc();
-        let backoff = policy.backoff_for(attempts, jitter);
+        let backoff = backoff_for(attempts, jitter);
         obs.backoff_nanos
             .observe(u64::try_from(backoff.as_nanos()).unwrap_or(u64::MAX));
         thread::sleep(backoff);
@@ -913,24 +779,18 @@ mod tests {
 
     #[test]
     fn backoff_schedule_doubles_jitters_caps_and_replays() {
-        let policy = PublishPolicy {
-            min_acks: 1,
-            max_retries: 10,
-            backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(8),
-            jitter_seed: 42,
-        };
         let schedule = |seed: u64| -> Vec<Duration> {
             let mut jitter = SimRng::new(seed);
             (1..=10)
-                .map(|retry| policy.backoff_for(retry, &mut jitter))
+                .map(|retry| backoff_for(retry, &mut jitter))
                 .collect()
         };
-        let a = schedule(policy.jitter_seed);
-        assert_eq!(a, schedule(policy.jitter_seed), "same seed, same schedule");
+        let a = schedule(42);
+        assert_eq!(a, schedule(42), "same seed, same schedule");
+        assert_ne!(a, schedule(43), "the seed moves the jitter");
         for (i, delay) in a.iter().enumerate() {
-            // Pre-jitter base: 1 ms doubled per retry, capped at 8 ms.
-            let base = Duration::from_millis(1u64 << i.min(3));
+            // Pre-jitter base: 1 ms doubled per retry, capped at 64 ms.
+            let base = Duration::from_millis(1u64 << i.min(6));
             assert!(
                 *delay >= base / 2 && *delay < base,
                 "retry {}: {delay:?} outside [{:?}, {:?})",
@@ -939,25 +799,20 @@ mod tests {
                 base
             );
         }
-        // The capped tail can never exceed max_backoff...
-        assert!(a.iter().all(|d| *d < Duration::from_millis(8)));
+        // The capped tail can never exceed the cap...
+        assert!(a.iter().all(|d| *d < MAX_BACKOFF));
         // ...and the early schedule genuinely grows: every pre-cap delay
-        // exceeds the previous retry's jitter ceiling.
-        assert!(a[1] >= Duration::from_millis(1));
-        assert!(a[2] >= Duration::from_millis(2));
-        assert!(a[3] >= Duration::from_millis(4));
+        // reaches the previous retry's jitter ceiling.
+        for (i, pair) in a[..7].windows(2).enumerate() {
+            assert!(pair[1] >= Duration::from_millis(1 << i), "retry {}", i + 2);
+        }
     }
 
     #[test]
     fn zero_retry_shift_saturates() {
-        let policy = PublishPolicy {
-            backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_secs(1),
-            ..PublishPolicy::default()
-        };
         let mut jitter = SimRng::new(0);
         // A huge retry number must cap, not overflow the shift.
-        let delay = policy.backoff_for(u32::MAX, &mut jitter);
-        assert!(delay <= Duration::from_secs(1));
+        let delay = backoff_for(u32::MAX, &mut jitter);
+        assert!(delay >= MAX_BACKOFF / 2 && delay < MAX_BACKOFF);
     }
 }

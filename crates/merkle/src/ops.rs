@@ -9,9 +9,6 @@
 //! - [`ProofOp::Push`] — push a node (an opened leaf, a pruned subtree's
 //!   hash and annotation, or an internal node's separators) onto the
 //!   stack;
-//! - [`ProofOp::PushInverted`] — like `Push`, but the internal node
-//!   collects its children right-to-left (they are reversed when the node
-//!   closes);
 //! - [`ProofOp::Parent`] — pop an internal node, pop the node below it,
 //!   attach the node as the internal node's first child, push it back;
 //! - [`ProofOp::Child`] — pop a node, attach it as the next child of the
@@ -63,8 +60,6 @@ pub const MAX_PROOF_DEPTH: usize = 64;
 pub enum ProofOp<F: Flavor> {
     /// Push a node; an internal node collects children left-to-right.
     Push(Shape<F>),
-    /// Push an internal node that collects children right-to-left.
-    PushInverted(Shape<F>),
     /// Pop the internal node on top, then the node below it; attach the
     /// node as the internal node's first child and push it back.
     Parent,
@@ -79,23 +74,17 @@ pub enum ProofOp<F: Flavor> {
 pub(crate) struct Executed<'a, F: Flavor> {
     pub(crate) shape: &'a Shape<F>,
     pub(crate) children: Vec<Executed<'a, F>>,
-    /// Children are collected right-to-left; reversed at close.
-    inverted: bool,
     /// Height of this subtree (leaf = 1); bounded by [`MAX_PROOF_DEPTH`].
     depth: usize,
 }
 
-/// Closes a node: holds an internal node to its arity and restores
-/// left-to-right child order if it was pushed inverted. (Attach rejects
+/// Closes a node: holds an internal node to its arity. (Attach rejects
 /// every other parent, so a leaf or pruned node never has children.)
-fn close<F: Flavor>(mut node: Executed<'_, F>) -> Result<Executed<'_, F>, ProofError> {
+fn close<F: Flavor>(node: Executed<'_, F>) -> Result<Executed<'_, F>, ProofError> {
     if let Shape::Internal(separators) = node.shape {
         if node.children.len() != separators.len() + 1 {
             return Err(ProofError::Malformed("op-stream arity mismatch"));
         }
-    }
-    if node.inverted {
-        node.children.reverse();
     }
     Ok(node)
 }
@@ -130,18 +119,13 @@ fn execute<F: Flavor>(ops: &[ProofOp<F>]) -> Result<Executed<'_, F>, ProofError>
     let mut stack: Vec<Executed<'_, F>> = Vec::new();
     for op in ops {
         match op {
-            ProofOp::Push(shape) | ProofOp::PushInverted(shape) => {
+            ProofOp::Push(shape) => {
                 if stack.len() >= MAX_OP_STACK {
                     return Err(ProofError::Malformed("op stack overflow"));
-                }
-                let inverted = matches!(op, ProofOp::PushInverted(_));
-                if inverted && !matches!(shape, Shape::Internal(_)) {
-                    return Err(ProofError::Malformed("inverted push of non-shell node"));
                 }
                 stack.push(Executed {
                     shape,
                     children: Vec::new(),
-                    inverted,
                     depth: 1,
                 });
             }
@@ -240,10 +224,6 @@ impl<F: Flavor> Encode for ProofOp<F> {
                 out.push(0);
                 shape.encode(out);
             }
-            ProofOp::PushInverted(shape) => {
-                out.push(1);
-                shape.encode(out);
-            }
             ProofOp::Parent => out.push(2),
             ProofOp::Child => out.push(3),
         }
@@ -251,7 +231,7 @@ impl<F: Flavor> Encode for ProofOp<F> {
 
     fn encoded_len(&self) -> usize {
         match self {
-            ProofOp::Push(shape) | ProofOp::PushInverted(shape) => 1 + shape.encoded_len(),
+            ProofOp::Push(shape) => 1 + shape.encoded_len(),
             ProofOp::Parent | ProofOp::Child => 1,
         }
     }
@@ -261,7 +241,7 @@ impl<F: Flavor> Decode for ProofOp<F> {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         match r.take_byte()? {
             0 => Ok(ProofOp::Push(Shape::decode(r)?)),
-            1 => Ok(ProofOp::PushInverted(Shape::decode(r)?)),
+            // Tag 1 is unassigned: one tree has one program.
             2 => Ok(ProofOp::Parent),
             3 => Ok(ProofOp::Child),
             other => Err(CodecError::InvalidTag(other)),
@@ -378,14 +358,6 @@ mod tests {
     }
 
     #[test]
-    fn inverted_push_of_leaf_rejected() {
-        assert_eq!(
-            refusal(&[Op::PushInverted(leaf(&[1]))]),
-            ProofError::Malformed("inverted push of non-shell node")
-        );
-    }
-
-    #[test]
     fn pruned_root_rejected() {
         let pruned = Shape::Pruned(Summary {
             hash: hash_bytes(b"root"),
@@ -428,46 +400,10 @@ mod tests {
     }
 
     #[test]
-    fn inverted_stream_verifies_like_plain() {
-        let mut tree = crate::MbTree::new(4);
-        for ts in 0..8u64 {
-            tree.insert(ts, vec![ts as u8]);
-        }
-        let (results, plain) = tree.window(0, 7);
-        plain.verify(&tree.root(), 0, 7, &results).expect("plain");
-
-        // Re-encode the same tree right-to-left by hand: every shell is
-        // pushed inverted after its *last* child.
-        let executed = execute(plain.ops()).expect("valid program");
-        let mut ops = Vec::new();
-        fn emit_inverted(node: &Executed<'_, Plain>, ops: &mut Vec<Op>) {
-            if node.children.is_empty() {
-                ops.push(Op::Push(node.shape.clone()));
-                return;
-            }
-            for (i, child) in node.children.iter().rev().enumerate() {
-                emit_inverted(child, ops);
-                if i == 0 {
-                    ops.push(Op::PushInverted(node.shape.clone()));
-                    ops.push(Op::Parent);
-                } else {
-                    ops.push(Op::Child);
-                }
-            }
-        }
-        emit_inverted(&executed, &mut ops);
-        let inverted = MbOpProof::from_ops(ops);
-        assert_ne!(inverted.ops(), plain.ops(), "distinct programs");
-        inverted
-            .verify(&tree.root(), 0, 7, &results)
-            .expect("inverted program describes the same tree");
-    }
-
-    #[test]
     fn op_roundtrip_codec() {
         let ops = vec![
             Op::Push(leaf(&[3, 9])),
-            Op::PushInverted(Shape::Internal(vec![7])),
+            Op::Push(Shape::Internal(vec![7])),
             Op::Parent,
             Op::Push(Shape::Pruned(Summary {
                 hash: hash_bytes(b"x"),

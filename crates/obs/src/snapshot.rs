@@ -220,12 +220,12 @@ mod tests {
     #[test]
     fn without_wall_clock_strips_replay_variant_metrics() {
         let registry = sample();
-        registry.gauge("pipeline.issue.reorder_depth").record_max(4);
+        registry.gauge("pipeline.submit_depth").record_max(4);
         let snapshot = registry.snapshot();
         assert!(snapshot.histograms.contains_key("stage.issue_ns"));
         let stripped = snapshot.without_wall_clock();
         assert!(!stripped.histograms.contains_key("stage.issue_ns"));
-        assert!(!stripped.gauges.contains_key("pipeline.issue.reorder_depth"));
+        assert!(!stripped.gauges.contains_key("pipeline.submit_depth"));
         assert!(stripped.histograms.contains_key("cert.bytes"));
         assert_eq!(stripped.counter("net.published"), 3);
         assert_eq!(

@@ -15,6 +15,8 @@
 //!
 //! Run with: `cargo run --release --example live_network`
 //! Replay a specific fault schedule: `DCERT_CHAOS_SEED=42 cargo run ...`
+//! Exits non-zero unless every job certifies and the client reaches the
+//! tip.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
@@ -134,6 +136,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 println!("[  CI  ] resync {from}..={to}: republished {served}");
             }
         }
+        report.errors
     });
 
     // Superlight client: follows the certificate stream only, detecting
@@ -169,12 +172,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     miner_thread.join().unwrap();
     let client = client_thread.join().unwrap();
-    ci_thread.join().unwrap();
+    let errors = ci_thread.join().unwrap();
     let stats = net.stats();
     println!(
         "\nnetwork: {} published, {} delivered, {} dropped, {} delayed, {} partitioned",
         stats.published, stats.delivered, stats.dropped, stats.delayed, stats.partitioned
     );
+    // Exit non-zero (CI runs this example) unless every job certified and
+    // the client followed the whole chain.
+    if !errors.is_empty() || client.height() != Some(BLOCKS) {
+        let height = client.height();
+        return Err(format!("pipeline errors {errors:?}, client height {height:?}").into());
+    }
     println!(
         "final client state: height {} with {} bytes of storage — the whole \
          {BLOCKS}-block chain, validated without downloading a single block.",

@@ -131,7 +131,6 @@ fn run_chaos_with_store(
         None => Arc::new(CertArchive::new(net.clone() as Arc<dyn Transport>)),
     };
     let config = PipelineConfig {
-        preparers: 2,
         publish: PublishPolicy {
             jitter_seed: seed,
             ..PublishPolicy::require_acks(1)

@@ -176,7 +176,7 @@ fn kill_and_resume_at_every_height() {
 }
 
 /// Mid-flight crash: all jobs submitted up front, so the kill lands while
-/// the sequencer/preparers/issuer hold in-flight work at their stage
+/// the sequencer/issuer/publisher hold in-flight work at their stage
 /// boundaries. Anything signed but unpublished is lost with the process;
 /// the sealed watermark then makes the outcome binary — resume and finish,
 /// or refuse with a height-regression rejection — but never a second
@@ -200,7 +200,6 @@ fn mid_flight_kill_never_double_issues() {
     let pipeline = CertPipeline::spawn(
         ci,
         PipelineConfig {
-            preparers: 2,
             queue_depth: 2,
             ..PipelineConfig::default()
         },

@@ -28,6 +28,7 @@ use dcert::merkle::{
 use dcert::primitives::codec::{encode_seq, Decode, Encode};
 use dcert::primitives::hash::{hash_bytes, Address, Hash};
 use dcert::primitives::keys::{Keypair, PublicKey, Signature};
+use dcert::primitives::CodecError;
 use dcert::query::aggregate::{verify_aggregate, verify_aggregate_op, AggregateIndex};
 use dcert::query::history::{verify_history, verify_history_op, HistoryIndex};
 use dcert::query::inverted::InvertedIndex;
@@ -596,8 +597,6 @@ fn hostile_programs<F: Flavor>() -> Vec<Vec<ProofOp<F>>> {
         vec![leaf(), leaf(), ProofOp::Child],
         // Trailing operands left on the stack.
         vec![leaf(), leaf()],
-        // Inverted push of a non-shell.
-        vec![ProofOp::PushInverted(Shape::Leaf(Vec::new()))],
         // Arity mismatch: one separator demands two children, got none.
         vec![ProofOp::Push(Shape::Internal(vec![5]))],
         // A pruned root proves nothing.
@@ -633,6 +632,18 @@ fn hostile_op_programs_fail_verification_cleanly() {
             "program {i} must fail aggregate verification"
         );
     }
+    // A window has one program: no op reads tag 1 (only `Push`, 0, carries
+    // a node), so re-tagging an honest push does not decode.
+    let mut retagged = Vec::new();
+    encode_seq(
+        &[ProofOp::<Plain>::Push(Shape::Internal(vec![7]))],
+        &mut retagged,
+    );
+    retagged[4] = 1;
+    assert_eq!(
+        MbOpProof::decode_all(&retagged),
+        Err(CodecError::InvalidTag(1))
+    );
 }
 
 /// Hostile depth is a typed refusal, not a stack overflow — checked on a
@@ -710,7 +721,7 @@ fn prop_random_op_programs_never_panic() {
             1 => ProofOp::Child,
             2 => ProofOp::Push(Shape::Leaf(vec![(b as u64, digest(b))])),
             3 => ProofOp::Push(Shape::Internal(vec![b as u64])),
-            4 => ProofOp::PushInverted(Shape::Internal(vec![b as u64, b as u64 + 7])),
+            4 => ProofOp::Push(Shape::Internal(vec![b as u64, b as u64 + 7])),
             _ => ProofOp::Push(pruned(&[b, 1])),
         };
         op_proof(&selectors.iter().map(op).collect::<Vec<_>>())

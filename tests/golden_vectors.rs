@@ -453,7 +453,6 @@ fn sequential_stream(
 
 fn pipelined_stream(
     scheme: Scheme,
-    preparers: usize,
     blocks: &[Block],
     label: &str,
     out: &mut Vec<(String, String)>,
@@ -499,7 +498,6 @@ fn pipelined_stream(
     let pipeline = CertPipeline::spawn(
         world.ci,
         PipelineConfig {
-            preparers,
             queue_depth: 2,
             ..PipelineConfig::default()
         },
@@ -585,11 +583,9 @@ fn certification_engines_reproduce_parent_commit_streams() {
             &mut out,
         );
     }
-    for preparers in [1usize, 4] {
-        for (name, scheme) in SCHEMES {
-            let label = format!("cert/pipeline{preparers}/{name}");
-            pipelined_stream(scheme, preparers, &blocks, &label, &mut out);
-        }
+    for (name, scheme) in SCHEMES {
+        let label = format!("cert/pipeline1/{name}");
+        pipelined_stream(scheme, &blocks, &label, &mut out);
     }
     fleet_stream(1, (0, 1), &blocks, "cert/fleet1", &mut out);
     fleet_stream(2, (1, 1), &blocks, "cert/fleet2", &mut out);
@@ -614,14 +610,6 @@ const CERT_GOLDEN: &[(&str, &str)] = &[
     ("cert/pipeline1/augmented/work", "certs=12 ecalls=12 request_bytes=22564 response_bytes=780 marshal_reuse_bytes=19981"),
     ("cert/pipeline1/hierarchical/stream", "a77317f1df6343584041bd3a96986a4af2a1a1b9a5872418a241a4755a568d1b"),
     ("cert/pipeline1/hierarchical/work", "certs=18 ecalls=6 request_bytes=15577 response_bytes=1182 marshal_reuse_bytes=12378"),
-    ("cert/pipeline4/block/stream", "756d9a5c3ee068b4da6fd4dd1c0e79d26a598efde7412901dbb8546fa9998538"),
-    ("cert/pipeline4/block/work", "certs=6 ecalls=6 request_bytes=9571 response_bytes=390 marshal_reuse_bytes=7564"),
-    ("cert/pipeline4/batch/stream", "1ebb4a09d626bf697193bdde7965e1c14b549636539c7d147862acde272ba843"),
-    ("cert/pipeline4/batch/work", "certs=3 ecalls=3 request_bytes=8383 response_bytes=195 marshal_reuse_bytes=5072"),
-    ("cert/pipeline4/augmented/stream", "aa8595d15a547fc311ca23d28510aaf8456108fa89814932c30bf9023ecf6378"),
-    ("cert/pipeline4/augmented/work", "certs=12 ecalls=12 request_bytes=22564 response_bytes=780 marshal_reuse_bytes=19981"),
-    ("cert/pipeline4/hierarchical/stream", "a77317f1df6343584041bd3a96986a4af2a1a1b9a5872418a241a4755a568d1b"),
-    ("cert/pipeline4/hierarchical/work", "certs=18 ecalls=6 request_bytes=15577 response_bytes=1182 marshal_reuse_bytes=12378"),
     ("cert/fleet1/stream", "756d9a5c3ee068b4da6fd4dd1c0e79d26a598efde7412901dbb8546fa9998538"),
     ("cert/fleet1/work", "certs=6 ecalls=7 request_bytes=9039 response_bytes=683 marshal_reuse_bytes=0"),
     ("cert/fleet2/stream", "756d9a5c3ee068b4da6fd4dd1c0e79d26a598efde7412901dbb8546fa9998538"),

@@ -1,8 +1,8 @@
 //! Property-based evidence that the pipelined certification engine is
 //! observationally equivalent to the sequential [`CertificateIssuer`]:
 //! byte-identical certificates, in the same chain order, for plain,
-//! batched, augmented, and hierarchical jobs — across worker counts and
-//! queue depths — plus deterministic tests for orderly shutdown and for
+//! batched, augmented, and hierarchical jobs — across queue depths — plus
+//! deterministic tests for orderly shutdown, a failed batch's rollback, and
 //! sequential ⇄ pipelined hand-overs, the sharded fleet's equivalence to
 //! both, and the sequential issuer's own properties (any random chain
 //! certifies, replicas agree, client storage is constant).
@@ -27,7 +27,7 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 
 use common::{assert_bytes_equal, fleet_for, sequential_oracle, World};
-use dcert::chain::{Block, BlockHeader};
+use dcert::chain::{Block, BlockHeader, ChainError};
 use dcert::core::{
     CertError, CertJob, CertPipeline, Certificate, CertificateIssuer, Gossip, NetMessage,
     PipelineConfig, PipelineReport, ShardFailurePlan, ShardFleetConfig, SharedStore,
@@ -238,7 +238,6 @@ fn build_jobs(sp: &mut ServiceProvider, plan: &Plan, blocks: &[Block]) -> Vec<Ce
 fn run_pipeline(
     ci: CertificateIssuer,
     jobs: Vec<CertJob>,
-    preparers: usize,
     queue_depth: usize,
     obs: Registry,
 ) -> (Vec<Event>, CertificateIssuer, PipelineReport) {
@@ -247,7 +246,6 @@ fn run_pipeline(
     let pipeline = CertPipeline::spawn(
         ci,
         PipelineConfig {
-            preparers,
             queue_depth,
             obs,
             ..PipelineConfig::default()
@@ -313,14 +311,7 @@ fn replay(events: &[Event], ias_key: PublicKey, measurement: Hash) -> Superlight
 /// The full oracle: mine one chain, certify it sequentially and through
 /// the pipeline in two seed-identical worlds, and require byte-identical
 /// observable outcomes.
-fn assert_equivalent(
-    plan: Plan,
-    workload: Workload,
-    txs: usize,
-    seed: u64,
-    preparers: usize,
-    queue_depth: usize,
-) {
+fn assert_equivalent(plan: Plan, workload: Workload, txs: usize, seed: u64, queue_depth: usize) {
     let (mut seq_world, mut seq_sp) = World::deterministic(plan.indexes());
     let blocks = seq_world.mine_blocks(workload, plan.block_count(), txs, seed);
     let seq_events = run_sequential(&mut seq_world.ci, &mut seq_sp, &plan, &blocks);
@@ -328,13 +319,8 @@ fn assert_equivalent(
     let (pipe_world, mut pipe_sp) = World::deterministic(plan.indexes());
     let jobs = build_jobs(&mut pipe_sp, &plan, &blocks);
     let job_count = jobs.len() as u64;
-    let (pipe_events, pipe_ci, report) = run_pipeline(
-        pipe_world.ci,
-        jobs,
-        preparers,
-        queue_depth,
-        Registry::disabled(),
-    );
+    let (pipe_events, pipe_ci, report) =
+        run_pipeline(pipe_world.ci, jobs, queue_depth, Registry::disabled());
 
     assert_eq!(report.errors, Vec::new(), "no job may fail");
     assert_eq!(report.jobs, job_count);
@@ -413,15 +399,15 @@ fn workload(g: &mut Gen) -> Workload {
 }
 
 /// The pipeline is equivalent to the sequential issuer for every chain
-/// scheme, workload, worker count, queue depth, and batch shape.
+/// scheme, workload, queue depth, and batch shape.
 #[test]
 fn pipeline_matches_sequential() {
     // 96 cases ≈ 32 per chain scheme; the suite's floor is 64.
     check("pipeline_matches_sequential", 96, |g| {
         let (plan, workload) = (plan(g), workload(g));
         let (txs, seed) = (g.range(1usize..=3), g.any::<u64>());
-        let (preparers, queue_depth) = (g.range(1usize..=4), g.range(1usize..=8));
-        assert_equivalent(plan, workload, txs, seed, preparers, queue_depth);
+        let queue_depth = g.range(1usize..=8);
+        assert_equivalent(plan, workload, txs, seed, queue_depth);
     });
 }
 
@@ -449,7 +435,7 @@ fn attached_registry_is_behaviourally_inert() {
             17,
         );
         let jobs = build_jobs(&mut sp, &plan, &blocks);
-        run_pipeline(world.ci, jobs, 3, 2, registry)
+        run_pipeline(world.ci, jobs, 2, registry)
     };
 
     let live = Registry::new();
@@ -500,7 +486,7 @@ fn assert_handover_keeps_chains(plan_for: fn(usize) -> Plan) {
     let mut ci = world.ci;
     let mut events = run_sequential(&mut ci, &mut sp, &plan_for(2), &blocks[..2]);
     let jobs = build_jobs(&mut sp, &plan_for(2), &blocks[2..4]);
-    let (piped, mut ci, report) = run_pipeline(ci, jobs, 2, 2, Registry::disabled());
+    let (piped, mut ci, report) = run_pipeline(ci, jobs, 2, Registry::disabled());
     assert_eq!(
         report.errors,
         Vec::new(),
@@ -559,7 +545,6 @@ fn shutdown_drains_in_flight_and_ci_resumes() {
     let pipeline = CertPipeline::spawn(
         world.ci,
         PipelineConfig {
-            preparers: 4,
             queue_depth: 2,
             ..PipelineConfig::default()
         },
@@ -660,6 +645,42 @@ fn bad_job_fails_without_stalling() {
     assert_eq!(heights, vec![1, 2]);
 }
 
+/// A batch whose last block carries a forged `state_root` fails on the
+/// sequencer, before any ECall, and takes the view back to where the batch
+/// started: the honest batch of the same blocks, submitted next, certifies
+/// byte for byte as the sequential issuer does.
+#[test]
+fn failed_batch_rolls_back_whole() {
+    let plan = Plan::PlainMix(vec![BatchShape::Batch(3)]);
+    let (mut seq_world, mut seq_sp) = World::deterministic(Vec::new());
+    let blocks = seq_world.mine_blocks(Workload::KvStore { keyspace: 32 }, 3, 2, 19);
+    let seq_events = run_sequential(&mut seq_world.ci, &mut seq_sp, &plan, &blocks);
+
+    let (world, _sp) = World::deterministic(Vec::new());
+    let enclave = Registry::new();
+    world.ci.attach_obs(&enclave);
+    let mut forged = blocks.clone();
+    forged[2].header.state_root = Hash::ZERO;
+    let jobs = vec![CertJob::Batch(forged), CertJob::Batch(blocks.clone())];
+    let (events, ci, report) = run_pipeline(world.ci, jobs, 2, Registry::disabled());
+
+    assert_eq!(
+        report.errors,
+        vec![(0, CertError::Chain(ChainError::StateRootMismatch))]
+    );
+    assert_eq!(
+        enclave.snapshot().counter("enclave.ecalls"),
+        1,
+        "only the honest batch crosses"
+    );
+    assert_eq!(seq_events, events);
+    assert_eq!(
+        seq_events[0].cert().to_encoded_bytes(),
+        events[0].cert().to_encoded_bytes()
+    );
+    assert_eq!(ci.node().tip(), &blocks[2].header);
+}
+
 /// The Fig. 2 actor loop: a miner flooding blocks then broadcasting
 /// `NetMessage::Shutdown` mid-stream. The CI actor stops accepting,
 /// drains its pipeline, republishes the shutdown marker, and the client
@@ -689,7 +710,6 @@ fn shutdown_message_mid_stream_is_orderly() {
         let pipeline = CertPipeline::spawn(
             ci,
             PipelineConfig {
-                preparers: 4,
                 queue_depth: 2,
                 ..PipelineConfig::default()
             },
