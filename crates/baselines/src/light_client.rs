@@ -1,8 +1,8 @@
 //! The traditional header-chain light client (the Fig. 7 baseline).
 
+use dcert_chain::validity::check_extends;
 use dcert_chain::{BlockHeader, ChainError, ConsensusEngine};
 use dcert_primitives::codec::Encode;
-use dcert_primitives::hash::Hash;
 
 /// Bytes per header the paper attributes to Ethereum (Section 1).
 pub const ETHEREUM_HEADER_BYTES: usize = 508;
@@ -36,7 +36,8 @@ impl TraditionalLightClient {
         })
     }
 
-    /// Syncs one header, validating its linkage and consensus proof.
+    /// Syncs one header, validating its linkage (the chain's one link
+    /// rule, [`check_extends`]) and consensus proof.
     ///
     /// # Errors
     ///
@@ -46,18 +47,8 @@ impl TraditionalLightClient {
         header: BlockHeader,
         engine: &dyn ConsensusEngine,
     ) -> Result<(), ChainError> {
-        let tip = self.headers.last().expect("genesis always present");
-        if header.prev_hash != tip.hash() {
-            return Err(ChainError::BrokenLink {
-                claimed: header.prev_hash,
-                actual: tip.hash(),
-            });
-        }
-        if header.height != tip.height + 1 {
-            return Err(ChainError::BadHeight {
-                parent: tip.height,
-                child: header.height,
-            });
+        if let Some(tip) = self.headers.last() {
+            check_extends(tip, &header)?;
         }
         engine.verify(&header)?;
         self.headers.push(header);
@@ -71,31 +62,16 @@ impl TraditionalLightClient {
     ///
     /// Returns the first validation failure.
     pub fn validate_all(&self, engine: &dyn ConsensusEngine) -> Result<(), ChainError> {
-        let mut prev_hash: Option<Hash> = None;
-        for (i, header) in self.headers.iter().enumerate() {
-            if let Some(expected) = prev_hash {
-                if header.prev_hash != expected {
-                    return Err(ChainError::BrokenLink {
-                        claimed: header.prev_hash,
-                        actual: expected,
-                    });
-                }
-                if header.height != i as u64 {
-                    return Err(ChainError::BadHeight {
-                        parent: i as u64 - 1,
-                        child: header.height,
-                    });
-                }
-                engine.verify(header)?;
-            }
-            prev_hash = Some(header.hash());
+        for (prev, header) in self.headers.iter().zip(self.headers.iter().skip(1)) {
+            check_extends(prev, header)?;
+            engine.verify(header)?;
         }
         Ok(())
     }
 
     /// Chain height (genesis = 0).
     pub fn height(&self) -> u64 {
-        self.headers.last().expect("genesis always present").height
+        self.headers.last().map_or(0, |tip| tip.height)
     }
 
     /// Number of stored headers.
@@ -125,7 +101,7 @@ mod tests {
     use super::*;
     use dcert_chain::consensus::ConsensusProof;
     use dcert_chain::ProofOfWork;
-    use dcert_primitives::hash::Address;
+    use dcert_primitives::hash::{Address, Hash};
 
     fn genesis() -> BlockHeader {
         BlockHeader {

@@ -77,11 +77,6 @@ impl AuthSkipList {
         self.nodes.last().map_or(Hash::ZERO, |n| n.hash)
     }
 
-    /// The newest timestamp, if any.
-    pub fn max_ts(&self) -> Option<u64> {
-        self.nodes.last().map(|n| n.ts)
-    }
-
     /// Appends a version; `ts` must exceed every stored timestamp.
     ///
     /// # Panics

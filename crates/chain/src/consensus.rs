@@ -148,7 +148,7 @@ impl ConsensusEngine for ProofOfWork {
         let mut nonce = 0u64;
         loop {
             let digest = base.clone().chain(nonce.to_be_bytes()).finalize();
-            if leading_zero_bits(&digest) >= self.difficulty_bits as u32 {
+            if leading_zero_bits(&digest) >= u32::from(self.difficulty_bits) {
                 header.consensus = ConsensusProof::Pow {
                     difficulty_bits: self.difficulty_bits,
                     nonce,
@@ -176,7 +176,7 @@ impl ConsensusEngine for ProofOfWork {
             return Err(ChainError::BadConsensus("wrong difficulty"));
         }
         let digest = Self::pow_digest(&header.sealing_digest(), *nonce);
-        if leading_zero_bits(&digest) >= self.difficulty_bits as u32 {
+        if leading_zero_bits(&digest) >= u32::from(self.difficulty_bits) {
             Ok(())
         } else {
             Err(ChainError::BadConsensus("insufficient work"))

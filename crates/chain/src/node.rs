@@ -333,13 +333,6 @@ impl FullNode {
         self.tip = header;
     }
 
-    /// Direct state write used only when bootstrapping test fixtures; not
-    /// reachable from block processing.
-    #[doc(hidden)]
-    pub fn state_mut_for_tests(&mut self) -> &mut ChainState {
-        &mut self.state
-    }
-
     /// Reads a state value at the tip.
     pub fn read_state(&self, key: &StateKey) -> Option<Vec<u8>> {
         self.state.get(key).map(<[u8]>::to_vec)

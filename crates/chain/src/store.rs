@@ -18,7 +18,6 @@ use crate::validity::check_height;
 #[derive(Debug, Clone)]
 pub struct ChainStore {
     headers: HashMap<Hash, BlockHeader>,
-    genesis: Hash,
     best: Hash,
 }
 
@@ -41,14 +40,8 @@ impl ChainStore {
         headers.insert(digest, genesis);
         Ok(ChainStore {
             headers,
-            genesis: digest,
             best: digest,
         })
-    }
-
-    /// The genesis digest.
-    pub fn genesis_hash(&self) -> Hash {
-        self.genesis
     }
 
     /// The canonical tip header.

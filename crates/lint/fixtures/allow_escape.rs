@@ -3,9 +3,9 @@
 //! itself reported as malformed.
 #![allow(unused)]
 fn head(bytes: &[u8]) -> u8 {
-    // dcert-lint: allow(r2-panic-freedom, reason = "length checked on entry")
+    // dcert-lint: allow(r5-panic-reachability, reason = "length checked on entry")
     bytes[0]
 }
 
-// dcert-lint: allow(r2-panic-freedom)
+// dcert-lint: allow(r5-panic-reachability)
 fn tail(bytes: &[u8]) -> u8 { bytes[bytes.len() - 1] }

@@ -1,5 +1,5 @@
-//! Fixture: R2 must fire on every panic-capable construct in a
-//! verifier path — and stay silent on the test module at the bottom.
+//! Fixture: R5 must fire on every panic site in a verifier module, each
+//! fn a root — and stay silent on the test module at the bottom.
 #![allow(unused)]
 
 struct Client { ias: Ias }

@@ -1,28 +1,22 @@
 //! Rule engine: scopes, test-code detection, allow directives, and the
-//! four per-file DCert rules (R1–R4). The workspace-wide rules (R5–R8)
-//! live in [`crate::rules`] on top of the call graph in [`crate::graph`].
+//! three per-file DCert rules (R1, R3, R4). The workspace-wide rules
+//! (R5–R8) live in [`crate::rules`] on top of the call graph in
+//! [`crate::graph`].
 //!
 //! Rules are keyed by stable names so `// dcert-lint: allow(...)`
-//! directives and CLI filters can reference them:
-//!
-//! * `r1-enclave-secrecy`
-//! * `r2-panic-freedom`
-//! * `r3-determinism`
-//! * `r4-error-hygiene`
-//! * `r5-panic-reachability`
-//! * `r6-secret-taint`
-//! * `r7-alloc-bound`
-//! * `r8-durability-order`
+//! directives and CLI filters can reference them — [`RULES`] lists them.
+//! Numbers are never reused: `r2` (lexical panic freedom) was retired
+//! into R5.
 
 use crate::lexer::{Comment, Tok, TokKind};
+use crate::parse::{is_punct, matching};
 
 /// Pseudo-rule reported for `allow(...)` directives lacking a reason.
 pub const MALFORMED_DIRECTIVE: &str = "malformed-directive";
 
 /// All rule names, in report order.
-pub const RULES: [&str; 8] = [
+pub const RULES: [&str; 7] = [
     "r1-enclave-secrecy",
-    "r2-panic-freedom",
     "r3-determinism",
     "r4-error-hygiene",
     "r5-panic-reachability",
@@ -48,16 +42,6 @@ pub struct AllowDirective {
     pub line: u32,
     /// Whether any finding was actually suppressed by this directive.
     pub used: bool,
-}
-
-/// Result of analyzing one file. The production driver merges per-file
-/// and workspace findings before applying directives, so this one-shot
-/// surface only backs the test suites.
-#[cfg(test)]
-#[derive(Debug, Default)]
-pub struct FileReport {
-    pub findings: Vec<Finding>,
-    pub allows: Vec<AllowDirective>,
 }
 
 // ---------------------------------------------------------------------------
@@ -94,8 +78,9 @@ const ED25519_IDENT: &str = "ed25519_dalek";
 const ED25519_HOME: &str = "crates/primitives/src/keys.rs";
 
 /// Untrusted-input modules: every byte they verify or decode may be
-/// attacker-supplied, so they must reject, never panic.
-pub const R2_VERIFIER_MODULES: [&str; 17] = [
+/// attacker-supplied, so they must reject, never panic (R5), and stay a
+/// function of their input (R3).
+pub const VERIFIER_MODULES: [&str; 17] = [
     // The trusted program decodes host-controlled bytes and acts on them;
     // the block-validity rule it shares with the full node judges
     // host-supplied headers and bodies.
@@ -121,10 +106,6 @@ pub const R2_VERIFIER_MODULES: [&str; 17] = [
     "crates/sgx/src/attestation.rs",
 ];
 
-/// Integer targets of `as` casts that can silently truncate or re-sign
-/// attacker-controlled lengths/offsets.
-const R2_TRUNCATING_CASTS: [&str; 8] = ["u8", "u16", "u32", "i8", "i16", "i32", "usize", "isize"];
-
 /// The only modules allowed to read wall-clock time or ambient
 /// randomness: the simulated network's virtual clock, and the SGX cost
 /// model's calibrated busy-wait and `timed` helper (which everything
@@ -144,8 +125,8 @@ const R3_BANNED_IDENTS: [&str; 5] = [
 ];
 
 /// Types that make a `static` process-global *mutable* state; with any
-/// `Atomic*`, refused inside the verifier-path scope
-/// ([`R2_VERIFIER_MODULES`]). (`RefCell` is not listed: a `thread_local!`
+/// `Atomic*`, refused inside the verifier modules
+/// ([`VERIFIER_MODULES`]). (`RefCell` is not listed: a `thread_local!`
 /// scratch buffer is seen by one thread and cleared before every use.)
 const R3_SHARED_CELLS: [&str; 4] = ["Mutex", "RwLock", "OnceLock", "LazyLock"];
 
@@ -171,29 +152,14 @@ pub fn in_any(path: &str, prefixes: &[&str]) -> bool {
     prefixes.iter().any(|p| path.starts_with(p))
 }
 
-/// Analyzes one file with the per-file rules (R1–R4) and applies its
-/// allow directives. `path` must be workspace-relative with `/`
-/// separators; `source` is its full text. The two-phase driver in
-/// `main` uses [`file_rule_findings`] + [`apply_allows`] directly so
-/// workspace findings (R5–R8) share the directive contract.
-#[cfg(test)]
-pub fn analyze_source(path: &str, source: &str) -> FileReport {
-    let (toks, comments) = crate::lexer::lex(source);
-    let in_test = mark_test_tokens(&toks);
-    let mut allows = parse_allow_directives(&comments);
-    let mut findings = file_rule_findings(path, &toks, &in_test);
-    apply_allows(&mut findings, &mut allows);
-    FileReport { findings, allows }
-}
-
-/// Runs the per-file rules (R1–R4) without applying allow directives.
+/// Runs the per-file rules (R1, R3, R4) without applying allow
+/// directives. `path` is workspace-relative with `/` separators.
 pub fn file_rule_findings(path: &str, toks: &[Tok], in_test: &[bool]) -> Vec<Finding> {
     let mut findings = Vec::new();
     if !is_harness_path(path) || path.starts_with("examples/") || path.contains("/examples/") {
         rule_r1(path, toks, in_test, &mut findings);
     }
     if !is_harness_path(path) {
-        rule_r2(path, toks, in_test, &mut findings);
         rule_r3(path, toks, in_test, &mut findings);
         rule_r4(path, toks, in_test, &mut findings);
     }
@@ -245,33 +211,25 @@ pub fn mark_test_tokens(toks: &[Tok]) -> Vec<bool> {
     let mut test = vec![false; toks.len()];
     let mut i = 0usize;
     while i < toks.len() {
-        if !(toks[i].kind == TokKind::Punct && toks[i].text == "#") {
+        if !is_punct(toks, i, "#") {
             i += 1;
             continue;
         }
         // Parse the attribute `#[...]` (or inner `#![...]`).
-        let mut j = i + 1;
-        if j < toks.len() && toks[j].kind == TokKind::Punct && toks[j].text == "!" {
-            j += 1;
-        }
-        if !(j < toks.len() && toks[j].kind == TokKind::Punct && toks[j].text == "[") {
+        let j = i + 1 + usize::from(is_punct(toks, i + 1, "!"));
+        if !is_punct(toks, j, "[") {
             i += 1;
             continue;
         }
-        let attr_start = j + 1;
-        let attr_end = match matching_bracket(toks, j, "[", "]") {
-            Some(e) => e,
-            None => break,
+        let Some(attr_end) = matching(toks, j, "[", "]") else {
+            break;
         };
-        if is_test_attr(&toks[attr_start..attr_end]) {
+        if is_test_attr(&toks[j + 1..attr_end]) {
             // Skip any further attributes, then mark the following item.
             let mut k = attr_end + 1;
-            while k + 1 < toks.len() && toks[k].kind == TokKind::Punct && toks[k].text == "#" {
-                let mut b = k + 1;
-                if toks[b].kind == TokKind::Punct && toks[b].text == "!" {
-                    b += 1;
-                }
-                match matching_bracket(toks, b, "[", "]") {
+            while k + 1 < toks.len() && is_punct(toks, k, "#") {
+                let b = k + 1 + usize::from(is_punct(toks, k + 1, "!"));
+                match matching(toks, b, "[", "]") {
                     Some(e) => k = e + 1,
                     None => break,
                 }
@@ -321,9 +279,7 @@ fn item_extent(toks: &[Tok], start: usize) -> usize {
                 "]" => depth_brack -= 1,
                 ";" if depth_paren == 0 && depth_brack == 0 => return k + 1,
                 "{" if depth_paren == 0 && depth_brack == 0 => {
-                    return matching_bracket(toks, k, "{", "}")
-                        .map(|e| e + 1)
-                        .unwrap_or(toks.len());
+                    return matching(toks, k, "{", "}").map_or(toks.len(), |e| e + 1);
                 }
                 _ => {}
             }
@@ -333,31 +289,13 @@ fn item_extent(toks: &[Tok], start: usize) -> usize {
     toks.len()
 }
 
-/// Index of the bracket matching `toks[open]`.
-fn matching_bracket(toks: &[Tok], open: usize, open_s: &str, close_s: &str) -> Option<usize> {
-    let mut depth = 0i32;
-    for (k, t) in toks.iter().enumerate().skip(open) {
-        if t.kind == TokKind::Punct {
-            if t.text == open_s {
-                depth += 1;
-            } else if t.text == close_s {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(k);
-                }
-            }
-        }
-    }
-    None
-}
-
 // ---------------------------------------------------------------------------
 // Allow directives.
 // ---------------------------------------------------------------------------
 
 /// Parses `// dcert-lint: allow(<rules...>, reason = "...")` comments.
 /// One or more comma-separated rule names may precede the reason clause
-/// (`allow(r2-panic-freedom, r5-panic-reachability, reason = "...")`),
+/// (`allow(r3-determinism, r5-panic-reachability, reason = "...")`),
 /// yielding one directive per rule sharing the reason and line. A
 /// directive without a reason is deliberately *not* honored — the
 /// escape hatch exists to document why a rule is violated, and the main
@@ -473,10 +411,10 @@ fn rule_r1(path: &str, toks: &[Tok], in_test: &[bool], findings: &mut Vec<Findin
             {
                 // Find the field block `{`, skipping generics.
                 let mut b = k + 2;
-                while b < toks.len() && !(toks[b].kind == TokKind::Punct && toks[b].text == "{") {
+                while b < toks.len() && !is_punct(toks, b, "{") {
                     b += 1;
                 }
-                if let Some(end) = matching_bracket(toks, b, "{", "}") {
+                if let Some(end) = matching(toks, b, "{", "}") {
                     let mut depth = 0i32;
                     for t in &toks[b..end] {
                         if t.kind == TokKind::Punct {
@@ -506,112 +444,6 @@ fn rule_r1(path: &str, toks: &[Tok], in_test: &[bool], findings: &mut Vec<Findin
 }
 
 // ---------------------------------------------------------------------------
-// R2: panic freedom on untrusted input.
-// ---------------------------------------------------------------------------
-
-/// Identifiers after which a `[` cannot be an index expression.
-const NON_INDEX_KEYWORDS: [&str; 17] = [
-    "return", "break", "continue", "in", "if", "else", "match", "move", "let", "mut", "ref",
-    "const", "static", "where", "for", "dyn", "impl",
-];
-
-fn rule_r2(path: &str, toks: &[Tok], in_test: &[bool], findings: &mut Vec<Finding>) {
-    const RULE: &str = "r2-panic-freedom";
-    if !in_any(path, &R2_VERIFIER_MODULES) {
-        return;
-    }
-    for k in 0..toks.len() {
-        if in_test[k] {
-            continue;
-        }
-        let t = &toks[k];
-        // `.unwrap(` / `.expect(`
-        if t.kind == TokKind::Ident
-            && (t.text == "unwrap" || t.text == "expect")
-            && k >= 1
-            && toks[k - 1].kind == TokKind::Punct
-            && toks[k - 1].text == "."
-            && k + 1 < toks.len()
-            && toks[k + 1].kind == TokKind::Punct
-            && toks[k + 1].text == "("
-        {
-            findings.push(Finding {
-                rule: RULE,
-                line: t.line,
-                col: t.col,
-                msg: format!(
-                    "`.{}()` in a verifier path can panic on attacker-supplied input; \
-                     return a typed error instead",
-                    t.text
-                ),
-            });
-            continue;
-        }
-        // panic-family macros
-        if t.kind == TokKind::Ident
-            && matches!(
-                t.text.as_str(),
-                "panic" | "unreachable" | "todo" | "unimplemented"
-            )
-            && k + 1 < toks.len()
-            && toks[k + 1].kind == TokKind::Punct
-            && toks[k + 1].text == "!"
-        {
-            findings.push(Finding {
-                rule: RULE,
-                line: t.line,
-                col: t.col,
-                msg: format!(
-                    "`{}!` in a verifier path is a remote DoS on malformed input; \
-                     return a typed error instead",
-                    t.text
-                ),
-            });
-            continue;
-        }
-        // Index / slice expressions: `expr[...]`.
-        if t.kind == TokKind::Punct && t.text == "[" && k >= 1 {
-            let p = &toks[k - 1];
-            let indexable = match p.kind {
-                TokKind::Ident => !NON_INDEX_KEYWORDS.contains(&p.text.as_str()),
-                TokKind::Punct => p.text == ")" || p.text == "]" || p.text == "?",
-                _ => false,
-            };
-            if indexable {
-                findings.push(Finding {
-                    rule: RULE,
-                    line: t.line,
-                    col: t.col,
-                    msg: "slice/array indexing in a verifier path panics when out of \
-                          bounds; use `.get()`/`.get_mut()` or `split_at_checked`-style \
-                          accessors"
-                        .to_string(),
-                });
-                continue;
-            }
-        }
-        // Truncating `as` casts.
-        if t.kind == TokKind::Ident
-            && t.text == "as"
-            && k + 1 < toks.len()
-            && toks[k + 1].kind == TokKind::Ident
-            && R2_TRUNCATING_CASTS.contains(&toks[k + 1].text.as_str())
-        {
-            findings.push(Finding {
-                rule: RULE,
-                line: t.line,
-                col: t.col,
-                msg: format!(
-                    "`as {}` silently truncates attacker-controlled integers in a \
-                     verifier path; use `try_into`/`try_from` with a typed error",
-                    toks[k + 1].text
-                ),
-            });
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // R3: determinism.
 // ---------------------------------------------------------------------------
 
@@ -622,11 +454,7 @@ fn rule_r3(path: &str, toks: &[Tok], in_test: &[bool], findings: &mut Vec<Findin
     }
     // On a verifier path the trusted program must also be a function of
     // its input: no process-global mutable state, no thread start.
-    let verifier_path = in_any(path, &R2_VERIFIER_MODULES);
-    let is_punct = |k: usize, s: &str| {
-        toks.get(k)
-            .is_some_and(|t| t.kind == TokKind::Punct && t.text == s)
-    };
+    let verifier_path = in_any(path, &VERIFIER_MODULES);
     for (k, t) in toks.iter().enumerate() {
         if in_test[k] || t.kind != TokKind::Ident {
             continue;
@@ -675,9 +503,9 @@ fn rule_r3(path: &str, toks: &[Tok], in_test: &[bool], findings: &mut Vec<Findin
         }
         // `thread::spawn` / `thread::scope` / `thread::Builder`, named
         // directly or through a `thread::{..}` import list.
-        if t.text == "thread" && is_punct(k + 1, ":") && is_punct(k + 2, ":") {
-            let named = if is_punct(k + 3, "{") {
-                let end = matching_bracket(toks, k + 3, "{", "}").unwrap_or(toks.len());
+        if t.text == "thread" && is_punct(toks, k + 1, ":") && is_punct(toks, k + 2, ":") {
+            let named = if is_punct(toks, k + 3, "{") {
+                let end = matching(toks, k + 3, "{", "}").unwrap_or(toks.len());
                 toks.get(k + 4..end).unwrap_or(&[])
             } else {
                 toks.get(k + 3..k + 4).unwrap_or(&[])
@@ -713,16 +541,12 @@ fn rule_r4(path: &str, toks: &[Tok], in_test: &[bool], findings: &mut Vec<Findin
     let mut k = 0usize;
     while k + 3 < toks.len() {
         // `-> Result <`
-        let arrow = toks[k].kind == TokKind::Punct
-            && toks[k].text == "-"
-            && toks[k + 1].kind == TokKind::Punct
-            && toks[k + 1].text == ">";
-        if arrow
+        if is_punct(toks, k, "-")
+            && is_punct(toks, k + 1, ">")
             && !in_test[k]
             && toks[k + 2].kind == TokKind::Ident
             && toks[k + 2].text == "Result"
-            && toks[k + 3].kind == TokKind::Punct
-            && toks[k + 3].text == "<"
+            && is_punct(toks, k + 3, "<")
         {
             // Collect the top-level generic args.
             let open = k + 3;

@@ -5,14 +5,26 @@
 //! on [`crate::parse`] for the philosophy. The facts feed the call graph
 //! ([`crate::graph`]) and the workspace rules ([`crate::rules`]).
 
+use std::collections::HashSet;
+
 use crate::lexer::{Tok, TokKind};
-use crate::parse::matching;
+use crate::parse::{is_punct, matching, skip_generics};
 
 /// Keywords that can be followed by `(` without being a call.
 const NON_CALL_KEYWORDS: [&str; 20] = [
     "if", "while", "match", "for", "return", "in", "as", "let", "mut", "ref", "move", "else", "fn",
     "impl", "pub", "use", "where", "loop", "break", "continue",
 ];
+
+/// Identifiers after which a `[` cannot be an index expression.
+const NON_INDEX_KEYWORDS: [&str; 17] = [
+    "return", "break", "continue", "in", "if", "else", "match", "move", "let", "mut", "ref",
+    "const", "static", "where", "for", "dyn", "impl",
+];
+
+/// Integer targets of `as` casts that can silently truncate or re-sign
+/// attacker-controlled lengths/offsets.
+const TRUNCATING_CASTS: [&str; 8] = ["u8", "u16", "u32", "i8", "i16", "i32", "usize", "isize"];
 
 /// One call expression: `name(...)`, `path::name(...)`, or `.name(...)`.
 #[derive(Debug, Clone)]
@@ -58,13 +70,14 @@ pub struct MacroSite {
     pub body: (usize, usize),
 }
 
-/// One construct that can panic at runtime.
+/// One construct that can panic (or silently truncate) at runtime.
 #[derive(Debug, Clone)]
 pub struct PanicSite {
     pub line: u32,
     pub col: u32,
-    /// Human-readable label: `.unwrap()`, `panic!`, `slice indexing`, ...
-    pub what: &'static str,
+    /// What goes wrong: "`.unwrap()` can panic", "`as u32` can truncate
+    /// silently", ...
+    pub what: String,
 }
 
 /// One simple `let [mut] name [: Ty] = rhs;` binding.
@@ -88,20 +101,25 @@ pub struct FnFlow {
     pub lets: Vec<LetBind>,
 }
 
-fn is_p(toks: &[Tok], i: usize, s: &str) -> bool {
-    toks.get(i)
-        .is_some_and(|t| t.kind == TokKind::Punct && t.text == s)
-}
-
 fn is_ident(toks: &[Tok], i: usize) -> bool {
     toks.get(i).is_some_and(|t| t.kind == TokKind::Ident)
 }
 
 /// Scans the body token range `(open_brace, close_brace)` of one
 /// function. Tokens marked `in_test` are skipped entirely.
+///
+/// This is the one definition of a panic site: `.unwrap()`/`.expect()`,
+/// the panic-family macros, every index except the full range `[..]`
+/// (`x[0]` panics on an empty slice), and an `as` cast to a narrower
+/// integer type.
 pub fn scan_fn(toks: &[Tok], in_test: &[bool], body: (usize, usize)) -> FnFlow {
     let mut flow = FnFlow::default();
     let (start, end) = (body.0 + 1, body.1.min(toks.len()));
+    let site = |t: &Tok, what: String| PanicSite {
+        line: t.line,
+        col: t.col,
+        what,
+    };
     let mut k = start;
     while k < end {
         if in_test.get(k).copied().unwrap_or(false) {
@@ -111,8 +129,8 @@ pub fn scan_fn(toks: &[Tok], in_test: &[bool], body: (usize, usize)) -> FnFlow {
         let t = &toks[k];
         if t.kind == TokKind::Ident {
             // Macro invocation.
-            if is_p(toks, k + 1, "!")
-                && (is_p(toks, k + 2, "(") || is_p(toks, k + 2, "[") || is_p(toks, k + 2, "{"))
+            if is_punct(toks, k + 1, "!")
+                && ["(", "[", "{"].iter().any(|o| is_punct(toks, k + 2, o))
             {
                 let (open_s, close_s) = match toks[k + 2].text.as_str() {
                     "(" => ("(", ")"),
@@ -124,11 +142,8 @@ pub fn scan_fn(toks: &[Tok], in_test: &[bool], body: (usize, usize)) -> FnFlow {
                     t.text.as_str(),
                     "panic" | "unreachable" | "todo" | "unimplemented"
                 ) {
-                    flow.panics.push(PanicSite {
-                        line: t.line,
-                        col: t.col,
-                        what: panic_macro_label(&t.text),
-                    });
+                    flow.panics
+                        .push(site(t, format!("`{}!` can panic", t.text)));
                 }
                 flow.macros.push(MacroSite {
                     tok: k,
@@ -144,28 +159,33 @@ pub fn scan_fn(toks: &[Tok], in_test: &[bool], body: (usize, usize)) -> FnFlow {
             }
             // `.unwrap(` / `.expect(`.
             if (t.text == "unwrap" || t.text == "expect")
-                && is_p(toks, k.wrapping_sub(1), ".")
-                && is_p(toks, k + 1, "(")
+                && is_punct(toks, k.wrapping_sub(1), ".")
+                && is_punct(toks, k + 1, "(")
             {
-                flow.panics.push(PanicSite {
-                    line: t.line,
-                    col: t.col,
-                    what: if t.text == "unwrap" {
-                        ".unwrap()"
-                    } else {
-                        ".expect()"
-                    },
-                });
+                flow.panics
+                    .push(site(t, format!("`.{}()` can panic", t.text)));
                 k += 1;
                 continue;
             }
+            // `as` to a narrower integer type.
+            if t.text == "as" {
+                if let Some(ty) = toks.get(k + 1).filter(|n| {
+                    n.kind == TokKind::Ident && TRUNCATING_CASTS.contains(&n.text.as_str())
+                }) {
+                    flow.panics
+                        .push(site(t, format!("`as {}` can truncate silently", ty.text)));
+                }
+            }
             // Call expression: ident, optional turbofish, then `(`.
             let mut paren = None;
-            if is_p(toks, k + 1, "(") {
+            if is_punct(toks, k + 1, "(") {
                 paren = Some(k + 1);
-            } else if is_p(toks, k + 1, ":") && is_p(toks, k + 2, ":") && is_p(toks, k + 3, "<") {
-                let after = skip_angle(toks, k + 3, end);
-                if is_p(toks, after, "(") {
+            } else if is_punct(toks, k + 1, ":")
+                && is_punct(toks, k + 2, ":")
+                && is_punct(toks, k + 3, "<")
+            {
+                let after = skip_generics(toks, k + 3);
+                if is_punct(toks, after, "(") {
                     paren = Some(after);
                 }
             }
@@ -173,7 +193,7 @@ pub fn scan_fn(toks: &[Tok], in_test: &[bool], body: (usize, usize)) -> FnFlow {
                 if !NON_CALL_KEYWORDS.contains(&t.text.as_str()) && !is_fn_decl(toks, k) {
                     let close = matching(toks, open, "(", ")").unwrap_or(end);
                     let args = split_args(toks, open, close);
-                    if is_p(toks, k.wrapping_sub(1), ".") {
+                    if is_punct(toks, k.wrapping_sub(1), ".") {
                         flow.calls.push(CallSite {
                             tok: k,
                             line: t.line,
@@ -207,33 +227,21 @@ pub fn scan_fn(toks: &[Tok], in_test: &[bool], body: (usize, usize)) -> FnFlow {
                 continue;
             }
         }
-        // Index/slice expression `expr[...]` — a panic site unless the
-        // index is a single literal (fixed-size-array access like
-        // `seed[0]` cannot fail at the sizes this codebase uses; range
-        // and variable indexes can).
-        if t.kind == TokKind::Punct && t.text == "[" && k >= 1 {
+        // Index/slice expression `expr[...]`; only the full range `[..]`
+        // cannot fail.
+        if is_punct(toks, k, "[") && k >= 1 {
             let p = &toks[k - 1];
             let indexable = match p.kind {
-                TokKind::Ident => !crate::flow::NON_INDEX_KEYWORDS.contains(&p.text.as_str()),
+                TokKind::Ident => !NON_INDEX_KEYWORDS.contains(&p.text.as_str()),
                 TokKind::Punct => p.text == ")" || p.text == "]" || p.text == "?",
                 _ => false,
             };
-            if indexable {
-                let close = matching(toks, k, "[", "]").unwrap_or(end);
-                let single_literal = close == k + 2 && toks[k + 1].kind == TokKind::Num;
-                // `&x[..]` (full-range slicing) cannot fail either.
-                let full_range = close == k + 3
-                    && toks[k + 1].kind == TokKind::Punct
-                    && toks[k + 1].text == "."
-                    && toks[k + 2].kind == TokKind::Punct
-                    && toks[k + 2].text == ".";
-                if !single_literal && !full_range {
-                    flow.panics.push(PanicSite {
-                        line: t.line,
-                        col: t.col,
-                        what: "slice indexing",
-                    });
-                }
+            let full_range = is_punct(toks, k + 1, ".")
+                && is_punct(toks, k + 2, ".")
+                && is_punct(toks, k + 3, "]");
+            if indexable && !full_range {
+                flow.panics
+                    .push(site(t, "slice indexing can panic".to_string()));
             }
         }
         k += 1;
@@ -241,18 +249,36 @@ pub fn scan_fn(toks: &[Tok], in_test: &[bool], body: (usize, usize)) -> FnFlow {
     flow
 }
 
-/// Identifiers after which a `[` cannot be an index expression.
-pub const NON_INDEX_KEYWORDS: [&str; 17] = [
-    "return", "break", "continue", "in", "if", "else", "match", "move", "let", "mut", "ref",
-    "const", "static", "where", "for", "dyn", "impl",
-];
-
-fn panic_macro_label(name: &str) -> &'static str {
-    match name {
-        "panic" => "panic!",
-        "unreachable" => "unreachable!",
-        "todo" => "todo!",
-        _ => "unimplemented!",
+/// Grows `tainted` to a fixpoint over `lets`: a binding is tainted when
+/// `seeds` holds of its initializer's tokens or the initializer names a
+/// tainted binding.
+pub fn taint_lets(
+    toks: &[Tok],
+    lets: &[LetBind],
+    tainted: &mut HashSet<String>,
+    seeds: impl Fn(&[Tok]) -> bool,
+) {
+    loop {
+        let mut changed = false;
+        for b in lets {
+            if tainted.contains(&b.name) {
+                continue;
+            }
+            let rhs = toks
+                .get(b.rhs.0..b.rhs.1.min(toks.len()))
+                .unwrap_or_default();
+            if seeds(rhs)
+                || rhs
+                    .iter()
+                    .any(|t| t.kind == TokKind::Ident && tainted.contains(&t.text))
+            {
+                tainted.insert(b.name.clone());
+                changed = true;
+            }
+        }
+        if !changed {
+            return;
+        }
     }
 }
 
@@ -261,35 +287,12 @@ fn is_fn_decl(toks: &[Tok], k: usize) -> bool {
     k >= 1 && toks[k - 1].kind == TokKind::Ident && toks[k - 1].text == "fn"
 }
 
-/// Skips a balanced `<...>` starting at `toks[i] == "<"`; returns the
-/// index just past the matching `>`.
-fn skip_angle(toks: &[Tok], i: usize, end: usize) -> usize {
-    let mut depth = 0i32;
-    let mut k = i;
-    while k < end {
-        if toks[k].kind == TokKind::Punct {
-            match toks[k].text.as_str() {
-                "<" => depth += 1,
-                ">" if !is_p(toks, k.wrapping_sub(1), "-") => {
-                    depth -= 1;
-                    if depth == 0 {
-                        return k + 1;
-                    }
-                }
-                _ => {}
-            }
-        }
-        k += 1;
-    }
-    end
-}
-
 /// Walks back from a callee name over `path::segments` (including
 /// turbofish like `Vec::<u8>::decode`), returning the full path.
 fn path_back(toks: &[Tok], name_at: usize) -> Vec<String> {
     let mut segs = vec![toks[name_at].text.clone()];
     let mut k = name_at as isize;
-    let p = |i: isize, s: &str| i >= 0 && is_p(toks, i as usize, s);
+    let p = |i: isize, s: &str| i >= 0 && is_punct(toks, i as usize, s);
     while p(k - 1, ":") && p(k - 2, ":") {
         let mut b = k - 3;
         // Skip a turbofish group `::<...>` backwards (`Vec::<u8>::decode`).
@@ -333,7 +336,7 @@ fn simple_receiver(toks: &[Tok], name_at: usize) -> Option<String> {
     }
     // `a.b.name(` → receiver is the field `b`, whose type is unknown.
     // `self.x.name(` likewise. Only a bare ident (or `self`) qualifies.
-    if name_at >= 3 && is_p(toks, name_at - 3, ".") {
+    if name_at >= 3 && is_punct(toks, name_at - 3, ".") {
         return None;
     }
     Some(r.text.clone())
@@ -381,7 +384,7 @@ fn parse_let(toks: &[Tok], at: usize, end: usize) -> Option<LetBind> {
     let name = toks[k].text.clone();
     k += 1;
     let mut ty = None;
-    if is_p(toks, k, ":") && !is_p(toks, k + 1, ":") {
+    if is_punct(toks, k, ":") && !is_punct(toks, k + 1, ":") {
         // Ascribed type up to the `=` at depth 0.
         let ty_start = k + 1;
         let mut depth = 0i32;
@@ -390,8 +393,8 @@ fn parse_let(toks: &[Tok], at: usize, end: usize) -> Option<LetBind> {
                 match toks[k].text.as_str() {
                     "(" | "[" | "{" | "<" => depth += 1,
                     ")" | "]" | "}" => depth -= 1,
-                    ">" if !is_p(toks, k.wrapping_sub(1), "-") => depth -= 1,
-                    "=" if depth <= 0 && !is_p(toks, k + 1, "=") => break,
+                    ">" if !is_punct(toks, k.wrapping_sub(1), "-") => depth -= 1,
+                    "=" if depth <= 0 && !is_punct(toks, k + 1, "=") => break,
                     ";" if depth <= 0 => return None,
                     _ => {}
                 }
@@ -401,7 +404,7 @@ fn parse_let(toks: &[Tok], at: usize, end: usize) -> Option<LetBind> {
         ty = crate::parse::base_type_name(toks.get(ty_start..k)?);
     }
     // Require a plain `=` (not `==`) at the binding position.
-    if !is_p(toks, k, "=") || is_p(toks, k + 1, "=") {
+    if !is_punct(toks, k, "=") || is_punct(toks, k + 1, "=") {
         return None;
     }
     let rhs_start = k + 1;
@@ -470,7 +473,7 @@ mod tests {
     }
 
     #[test]
-    fn finds_panic_sites_but_not_literal_indexing() {
+    fn finds_panic_sites_but_not_full_range_slicing() {
         let f = flow_of(
             "fn f(v: &[u8], i: usize) {\n\
                v.get(i).unwrap();\n\
@@ -478,15 +481,23 @@ mod tests {
                let _ = v[0];\n\
                let _ = &v[..];\n\
                let _ = &v[..i];\n\
+               let _ = (i as u32, i as u64);\n\
                panic!(\"no\");\n\
              }",
         );
-        let what: Vec<_> = f.panics.iter().map(|p| p.what).collect();
-        // `v[0]` (literal index) and `&v[..]` (full range) are exempt;
-        // `v[i]` and `&v[..i]` are not.
+        let what: Vec<_> = f.panics.iter().map(|p| p.what.as_str()).collect();
+        // Only `&v[..]` (full range) and the widening `as u64` are exempt;
+        // `v[0]` panics on an empty slice.
         assert_eq!(
             what,
-            [".unwrap()", "slice indexing", "slice indexing", "panic!"]
+            [
+                "`.unwrap()` can panic",
+                "slice indexing can panic",
+                "slice indexing can panic",
+                "slice indexing can panic",
+                "`as u32` can truncate silently",
+                "`panic!` can panic"
+            ]
         );
     }
 

@@ -31,7 +31,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use crate::engine::mark_test_tokens;
 use crate::flow::{scan_fn, FnFlow};
 use crate::lexer::{lex, Tok};
-use crate::parse::{crate_of_path, parse_items, stem_of_path, FnItem, ParsedFile};
+use crate::parse::{crate_of_path, is_punct, parse_items, stem_of_path, FnItem, ParsedFile};
 
 /// Methods whose names are so common in std that a name-based fallback
 /// would wire bogus edges (`.len()` on a `Vec` is not a workspace call).
@@ -312,24 +312,27 @@ impl Graph {
         }
     }
 
-    /// BFS from `entries` over call edges, never entering test functions.
+    /// BFS over call edges, never entering test functions. Each entry in
+    /// turn seeds a search over what the earlier ones left unvisited, so
+    /// a witness starts at the first entry that reaches its target.
     pub fn reachable(&self, entries: &[usize]) -> Reach {
         let mut visited = vec![false; self.fns.len()];
         let mut parent = vec![None; self.fns.len()];
         let mut queue = VecDeque::new();
         for &e in entries {
-            if !visited[e] && !self.fns[e].item.is_test {
-                visited[e] = true;
-                queue.push_back(e);
+            if visited[e] || self.fns[e].item.is_test {
+                continue;
             }
-        }
-        while let Some(id) = queue.pop_front() {
-            for edge in &self.edges[id] {
-                let to = edge.callee;
-                if !visited[to] && !self.fns[to].item.is_test {
-                    visited[to] = true;
-                    parent[to] = Some(id);
-                    queue.push_back(to);
+            visited[e] = true;
+            queue.push_back(e);
+            while let Some(id) = queue.pop_front() {
+                for edge in &self.edges[id] {
+                    let to = edge.callee;
+                    if !visited[to] && !self.fns[to].item.is_test {
+                        visited[to] = true;
+                        parent[to] = Some(id);
+                        queue.push_back(to);
+                    }
                 }
             }
         }
@@ -466,11 +469,7 @@ fn init_type(toks: &[Tok], rhs: (usize, usize)) -> Option<String> {
                 if !first.is_ascii_uppercase() {
                     return None;
                 }
-                let next_is = |s: &str| {
-                    toks.get(k + 1)
-                        .is_some_and(|n| n.kind == crate::lexer::TokKind::Punct && n.text == s)
-                };
-                if next_is(":") || next_is("{") {
+                if is_punct(toks, k + 1, ":") || is_punct(toks, k + 1, "{") {
                     return Some(t.text.clone());
                 }
                 return None;

@@ -7,18 +7,15 @@
 //! plumbing, no dependencies — and fails CI on violation. Analysis runs
 //! in two phases:
 //!
-//! **Per-file (lexical)** — R1–R4 from PR 3:
+//! **Per-file (lexical)** — R1, R3, R4:
 //!
 //! * **R1 `r1-enclave-secrecy`** — secret-key/sealing identifiers and the
 //!   `TrustedApp`/`Sealable` traits are confined to the trusted modules;
 //!   `Enclave` fields stay private; raw `ed25519_dalek` stays inside
 //!   `primitives::keys`.
-//! * **R2 `r2-panic-freedom`** — no `unwrap`/`expect`/`panic!`-family
-//!   macros, slice indexing, or truncating `as` casts in designated
-//!   untrusted-input modules.
 //! * **R3 `r3-determinism`** — no ambient time or randomness outside
-//!   `core::netsim` and `sgx::cost`; on verifier paths (R2's scope) also
-//!   no process-global mutable `static` and no thread start.
+//!   `core::netsim` and `sgx::cost`; in the verifier modules also no
+//!   process-global mutable `static` and no thread start.
 //! * **R4 `r4-error-hygiene`** — fallible APIs return crate `Error`
 //!   types, never `Result<_, String>` or `Result<_, Box<dyn ...>>`.
 //!
@@ -26,9 +23,12 @@
 //! builds a workspace-wide call graph with resolved cross-crate edges
 //! plus per-function dataflow facts, and on top of it:
 //!
-//! * **R5 `r5-panic-reachability`** — no panic construct reachable
-//!   (transitively, across crates) from verifier/enclave entry points;
-//!   findings carry the full call-path witness.
+//! * **R5 `r5-panic-reachability`** — no `unwrap`/`expect`, panic-family
+//!   macro, index other than `[..]`, or truncating `as` cast in any
+//!   function of the verifier modules or reachable (transitively, across
+//!   crates) from them or the `Enclave` ECall surface; findings carry the
+//!   full call-path witness. (The number `r2` is retired: it was the
+//!   lexical twin of this rule.)
 //! * **R6 `r6-secret-taint`** — secret *values* must not flow into
 //!   formatting, wire encoders, or non-allow-listed functions outside
 //!   the trusted modules; taint propagates through calls with a
@@ -40,10 +40,10 @@
 //!   the head-commit `sync()`.
 //!
 //! Escape hatch (counted and reported, never silent), shared by all
-//! eight rules:
+//! seven rules:
 //!
 //! ```text
-//! // dcert-lint: allow(r2-panic-freedom, reason = "length checked above")
+//! // dcert-lint: allow(r5-panic-reachability, reason = "length checked above")
 //! ```
 //!
 //! Usage: `cargo run -p dcert-lint -- [--deny-all] [--root DIR]
@@ -78,24 +78,33 @@ enum Format {
 struct Options {
     root: PathBuf,
     deny_all: bool,
-    rules: Vec<String>,
+    rules: Vec<&'static str>,
     format: Format,
 }
 
-fn usage() -> &'static str {
-    "dcert-lint: DCert workspace static analysis\n\
-     \n\
-     USAGE: dcert-lint [--deny-all] [--root DIR] [--rule NAME]... [--format MODE]\n\
-     \n\
-     --deny-all     exit nonzero if any violation is found (CI mode)\n\
-     --root DIR     workspace root to scan (default: current directory)\n\
-     --rule NAME    only run the named rule (repeatable); names:\n\
-                    r1-enclave-secrecy r2-panic-freedom r3-determinism\n\
-                    r4-error-hygiene r5-panic-reachability r6-secret-taint\n\
-                    r7-alloc-bound r8-durability-order\n\
-     --format MODE  `text` (default) or `github` (workflow-command\n\
-                    annotations: `::error file=...,line=...::msg`)\n\
-     -h, --help     show this help"
+fn usage() -> String {
+    format!(
+        "dcert-lint: DCert workspace static analysis\n\
+         \n\
+         USAGE: dcert-lint [--deny-all] [--root DIR] [--rule NAME]... [--format MODE]\n\
+         \n\
+         --deny-all     exit nonzero if any violation is found (CI mode)\n\
+         --root DIR     workspace root to scan (default: current directory)\n\
+         --rule NAME    only run the named rule (repeatable): a full name or\n\
+                        its `rN` prefix, one of {}\n\
+         --format MODE  `text` (default) or `github` (workflow-command\n\
+                        annotations: `::error file=...,line=...::msg`)\n\
+         -h, --help     show this help",
+        RULES.join(" ")
+    )
+}
+
+/// The [`RULES`] entry `name` spells in full or as its `rN` prefix.
+fn resolve_rule(name: &str) -> Result<&'static str, String> {
+    RULES
+        .into_iter()
+        .find(|r| *r == name || r.split('-').next() == Some(name))
+        .ok_or_else(|| format!("unknown rule `{name}`"))
 }
 
 fn parse_args() -> Result<Options, String> {
@@ -114,21 +123,7 @@ fn parse_args() -> Result<Options, String> {
             }
             "--rule" => {
                 let name = args.next().ok_or("--rule requires a rule name")?;
-                let name = match name.as_str() {
-                    "r1" => "r1-enclave-secrecy".to_string(),
-                    "r2" => "r2-panic-freedom".to_string(),
-                    "r3" => "r3-determinism".to_string(),
-                    "r4" => "r4-error-hygiene".to_string(),
-                    "r5" => "r5-panic-reachability".to_string(),
-                    "r6" => "r6-secret-taint".to_string(),
-                    "r7" => "r7-alloc-bound".to_string(),
-                    "r8" => "r8-durability-order".to_string(),
-                    _ => name,
-                };
-                if !RULES.contains(&name.as_str()) {
-                    return Err(format!("unknown rule `{name}`"));
-                }
-                opts.rules.push(name);
+                opts.rules.push(resolve_rule(&name)?);
             }
             "--format" => {
                 let mode = args.next().ok_or("--format requires a mode")?;
@@ -190,7 +185,7 @@ fn gh_escape_prop(s: &str) -> String {
 type WorkspaceReport = (Vec<(String, Finding)>, Vec<(String, AllowDirective)>);
 
 /// Both analysis phases plus directive application over loaded sources:
-/// per-file rules (R1–R4), the workspace call graph with rules R5–R8,
+/// per-file rules (R1, R3, R4), the workspace call graph with R5–R8,
 /// then each file's allow directives across the merged findings. Shared
 /// by `main` and the workspace-clean regression test.
 fn analyze_workspace(sources: &[(String, String)]) -> (graph::Graph, WorkspaceReport) {
@@ -269,7 +264,7 @@ fn main() -> ExitCode {
     }
     let mut findings: Vec<(String, Finding)> = all_findings
         .into_iter()
-        .filter(|(_, f)| opts.rules.is_empty() || opts.rules.iter().any(|r| r == f.rule))
+        .filter(|(_, f)| opts.rules.is_empty() || opts.rules.contains(&f.rule))
         .collect();
 
     findings.sort_by(|a, b| (&a.0, a.1.line, a.1.col).cmp(&(&b.0, b.1.line, b.1.col)));
@@ -318,10 +313,25 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
-    use super::engine::{analyze_source, MALFORMED_DIRECTIVE};
+    use super::engine::{AllowDirective, Finding, MALFORMED_DIRECTIVE};
     use super::graph::Graph;
     use super::lexer::{lex, TokKind};
     use super::rules::run_all;
+
+    /// One file through both phases, its directives applied.
+    struct Report {
+        findings: Vec<Finding>,
+        allows: Vec<AllowDirective>,
+    }
+
+    fn analyze_source(path: &str, source: &str) -> Report {
+        let (_, (findings, allows)) =
+            super::analyze_workspace(&[(path.to_string(), source.to_string())]);
+        Report {
+            findings: findings.into_iter().map(|(_, f)| f).collect(),
+            allows: allows.into_iter().map(|(_, a)| a).collect(),
+        }
+    }
 
     // -- lexer ----------------------------------------------------------
 
@@ -419,32 +429,27 @@ mod tests {
     }
 
     #[test]
-    fn r2_fires_on_panic_fixture() {
-        let src = include_str!("../fixtures/r2_panic_freedom.rs");
+    fn r5_fires_on_every_panic_site_in_a_verifier_module() {
+        let src = include_str!("../fixtures/r5_panic_sites.rs");
         let report = analyze_source("crates/core/src/superlight.rs", src);
-        let lines: Vec<(u32, &str)> = report
+        let lines: Vec<u32> = report
             .findings
             .iter()
-            .filter(|f| f.rule == "r2-panic-freedom")
-            .map(|f| (f.line, f.msg.split_whitespace().next().unwrap()))
+            .filter(|f| f.rule == "r5-panic-reachability")
+            .map(|f| f.line)
             .collect();
-        // One per banned construct, in order: the regression `.unwrap()`
-        // on ias.attest, `.expect`, `panic!`, `unreachable!`, indexing,
-        // slicing, truncating cast.
-        let expected_lines: Vec<u32> = vec![9, 14, 19, 21, 27, 29, 34];
-        assert_eq!(
-            lines.iter().map(|(l, _)| *l).collect::<Vec<_>>(),
-            expected_lines
-        );
-        // And the cfg(test) module at the bottom contributed nothing.
-        assert!(lines.iter().all(|(l, _)| *l < 40));
+        // One per construct, in order, each in a private fn: the
+        // regression `.unwrap()` on ias.attest, `.expect`, `panic!`,
+        // `unreachable!`, a literal index, slicing, a truncating cast —
+        // and nothing from the cfg(test) module at the bottom.
+        assert_eq!(lines, vec![9, 14, 19, 21, 27, 29, 34]);
     }
 
     #[test]
-    fn r2_ignores_files_outside_verifier_scope() {
-        let src = include_str!("../fixtures/r2_panic_freedom.rs");
+    fn r5_ignores_files_outside_verifier_scope() {
+        let src = include_str!("../fixtures/r5_panic_sites.rs");
         let report = analyze_source("crates/workloads/src/generator.rs", src);
-        assert!(report.findings.iter().all(|f| f.rule != "r2-panic-freedom"));
+        assert!(report.findings.is_empty(), "{:?}", report.findings);
     }
 
     #[test]
@@ -525,12 +530,12 @@ mod tests {
         assert!(report
             .findings
             .iter()
-            .all(|f| !(f.rule == "r2-panic-freedom" && f.line == 7)));
+            .all(|f| !(f.rule == "r5-panic-reachability" && f.line == 7)));
         // …the reasonless escape did not…
         assert!(report
             .findings
             .iter()
-            .any(|f| f.rule == "r2-panic-freedom" && f.line == 11));
+            .any(|f| f.rule == "r5-panic-reachability" && f.line == 11));
         // …and was itself reported as malformed.
         assert!(report
             .findings
@@ -545,10 +550,10 @@ mod tests {
 
     #[test]
     fn multi_rule_allow_directive_covers_each_listed_rule() {
-        // Two rules, one directive, one shared reason: both the r2 hits
-        // on the next line are suppressed; an unrelated rule is not.
+        // Two rules, one directive, one shared reason: the r5 hit on the
+        // next line is suppressed; an unrelated rule is not.
         let src = "fn get(v: &[u8], i: usize) -> u8 {\n\
-                   \x20   // dcert-lint: allow(r2-panic-freedom, r3-determinism, reason = \"SP-side data\")\n\
+                   \x20   // dcert-lint: allow(r5-panic-reachability, r3-determinism, reason = \"SP-side data\")\n\
                    \x20   v[i]\n\
                    }\n";
         let report = analyze_source("crates/core/src/superlight.rs", src);
@@ -558,7 +563,7 @@ mod tests {
             report.findings
         );
         assert_eq!(report.allows.len(), 2);
-        assert_eq!(report.allows[0].rule, "r2-panic-freedom");
+        assert_eq!(report.allows[0].rule, "r5-panic-reachability");
         assert_eq!(report.allows[1].rule, "r3-determinism");
         assert_eq!(report.allows[0].reason, "SP-side data");
         assert_eq!(report.allows[1].reason, "SP-side data");
@@ -615,6 +620,28 @@ mod tests {
         assert!(
             rule_findings(&g, "r5-panic-reachability").is_empty(),
             "clean helper must not fire"
+        );
+    }
+
+    #[test]
+    fn r5_reports_a_truncating_cast_in_another_crate() {
+        // No lexical scan of the verifier modules sees this cast: it sits
+        // in a helper crate, one call away from the entry.
+        let entry = include_str!("../fixtures/r5_entry.rs");
+        let helper =
+            "pub fn find_header(raw: &[u8]) -> u64 {\n    u64::from(raw.len() as u32)\n}\n";
+        let g = ws(&[
+            ("crates/core/src/superlight.rs", entry),
+            ("crates/chain/src/helpers.rs", helper),
+        ]);
+        let hits = rule_findings(&g, "r5-panic-reachability");
+        assert_eq!(hits.len(), 1, "{hits:?}");
+        let (path, line, msg) = &hits[0];
+        assert_eq!((path.as_str(), *line), ("crates/chain/src/helpers.rs", 2));
+        assert!(
+            msg.starts_with("`as u32` can truncate silently")
+                && msg.contains("(path: Client::verify_header → check_shape → find_header)"),
+            "{msg}"
         );
     }
 
@@ -721,7 +748,7 @@ mod tests {
         assert!(edges > 300, "only {edges} call edges resolved");
     }
 
-    /// The workspace itself must lint clean under all eight rules with
+    /// The workspace itself must lint clean under all seven rules with
     /// directives applied — removing any in-tree fix (or its documented
     /// allow) re-triggers the rule here.
     #[test]
@@ -748,6 +775,17 @@ mod tests {
             "unused allow directives:\n{}",
             unused.join("\n")
         );
+    }
+
+    // -- command line ---------------------------------------------------
+
+    #[test]
+    fn rule_short_names_come_from_rules() {
+        assert_eq!(super::resolve_rule("r5"), Ok("r5-panic-reachability"));
+        assert!(super::resolve_rule("r2").is_err(), "retired, not reused");
+        // Spelled in two pieces so a search for the retired name finds
+        // no live use of it.
+        assert!(super::resolve_rule(concat!("r2", "-panic-freedom")).is_err());
     }
 
     // -- github output escaping ----------------------------------------

@@ -218,7 +218,8 @@ fn ident_at(toks: &[Tok], i: usize) -> Option<String> {
         .map(|t| t.text.clone())
 }
 
-fn is_punct(toks: &[Tok], i: usize, s: &str) -> bool {
+/// Is `toks[i]` the punct `s`? (`false` past the end.)
+pub fn is_punct(toks: &[Tok], i: usize, s: &str) -> bool {
     toks.get(i)
         .is_some_and(|t| t.kind == TokKind::Punct && t.text == s)
 }
@@ -265,7 +266,7 @@ pub fn matching(toks: &[Tok], open: usize, open_s: &str, close_s: &str) -> Optio
 /// Skips a balanced `<...>` generic group starting at `toks[i] == "<"`,
 /// returning the index just past the matching `>`. `->` arrows inside
 /// (fn-pointer types) do not count as closers.
-fn skip_generics(toks: &[Tok], i: usize) -> usize {
+pub fn skip_generics(toks: &[Tok], i: usize) -> usize {
     let mut depth = 0i32;
     let mut k = i;
     while k < toks.len() {
@@ -327,12 +328,7 @@ pub fn base_type_name(ty: &[Tok]) -> Option<String> {
                 _ => {
                     last = Some(t.text.clone());
                     // Continue through `::` path segments.
-                    if k + 2 < ty.len()
-                        && ty[k + 1].kind == TokKind::Punct
-                        && ty[k + 1].text == ":"
-                        && ty[k + 2].kind == TokKind::Punct
-                        && ty[k + 2].text == ":"
-                    {
+                    if is_punct(ty, k + 1, ":") && is_punct(ty, k + 2, ":") {
                         k += 3;
                         continue;
                     }

@@ -2,9 +2,9 @@
 //! and per-function dataflow facts ([`crate::flow`]).
 //!
 //! Each rule returns `(file index, Finding)` pairs; the driver merges
-//! them with the per-file R1–R4 findings and applies that file's
+//! them with the per-file R1, R3 and R4 findings and applies that file's
 //! `allow(...)` directives, so the escape-hatch contract is identical
-//! across all eight rules.
+//! across all seven rules. R5 is the only panic-freedom rule.
 
 mod r5;
 mod r6;

@@ -1,34 +1,34 @@
-//! R5 `r5-panic-reachability`: transitive panic freedom.
+//! R5 `r5-panic-reachability`: panic freedom on untrusted input, the one
+//! rule that states it.
 //!
-//! R2 bans panic constructs *lexically inside* the verifier modules; it
-//! cannot see a verifier function calling a panicking helper elsewhere.
-//! R5 closes that gap: every externally callable function in the
-//! verifier/enclave entry modules is an analysis root, and no function
-//! reachable from a root (across files and crates) may contain
-//! `unwrap`/`expect`/panic-family macros/non-literal indexing. Findings
-//! carry the full call-path witness from a root to the panic site.
+//! Every non-test function of the verifier modules is an analysis root,
+//! and so is the `Enclave` ECall surface (its public and trait-impl
+//! functions: untrusted host code drives it). No function reachable from
+//! a root (across files and crates) may hold a panic site as
+//! [`crate::flow::scan_fn`] defines one: `unwrap`/`expect`, a
+//! panic-family macro, an index other than `[..]`, or a truncating `as`
+//! cast. Findings carry the call-path witness from a root to the site,
+//! from a public entry point whenever one reaches it.
 
-use crate::engine::{in_any, Finding, R2_VERIFIER_MODULES};
+use crate::engine::{in_any, Finding, VERIFIER_MODULES};
 use crate::graph::Graph;
 
 pub const RULE: &str = "r5-panic-reachability";
 
-/// Entry modules: everything R2 protects, plus the enclave container
-/// itself (its ECall surface is driven by untrusted host code).
-fn is_entry_module(path: &str) -> bool {
-    in_any(path, &R2_VERIFIER_MODULES) || path == "crates/sgx/src/enclave.rs"
-}
-
 pub fn run(g: &Graph) -> Vec<(usize, Finding)> {
-    let entries: Vec<usize> = (0..g.fns.len())
+    let public = |id: usize| g.fns[id].item.is_pub || g.fns[id].item.in_trait_impl;
+    let mut roots: Vec<usize> = (0..g.fns.len())
         .filter(|&id| {
-            let n = &g.fns[id];
-            !n.item.is_test
-                && (n.item.is_pub || n.item.in_trait_impl)
-                && is_entry_module(&g.files[n.file].path)
+            let path = g.files[g.fns[id].file].path.as_str();
+            !g.fns[id].item.is_test
+                && (in_any(path, &VERIFIER_MODULES)
+                    || (path == "crates/sgx/src/enclave.rs" && public(id)))
         })
         .collect();
-    let reach = g.reachable(&entries);
+    // Public roots first: a witness starts where the outside world comes
+    // in whenever one reaches the site.
+    roots.sort_by_key(|&id| !public(id));
+    let reach = g.reachable(&roots);
 
     let mut out = Vec::new();
     for id in 0..g.fns.len() {
@@ -44,8 +44,8 @@ pub fn run(g: &Graph) -> Vec<(usize, Finding)> {
                     line: p.line,
                     col: p.col,
                     msg: format!(
-                        "{} can panic and is reachable from verifier/enclave entry \
-                         points (path: {witness}); return a typed error instead",
+                        "{} and is reachable from verifier/enclave entry points \
+                         (path: {witness}); return a typed error instead",
                         p.what
                     ),
                 },

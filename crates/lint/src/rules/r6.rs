@@ -21,6 +21,7 @@
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 
 use crate::engine::{in_any, Finding, R1_TRUSTED_MODULES};
+use crate::flow::taint_lets;
 use crate::graph::Graph;
 use crate::lexer::TokKind;
 
@@ -115,28 +116,12 @@ pub fn run(g: &Graph) -> Vec<(usize, Finding)> {
                 tainted.insert(p.name.clone());
             }
         }
-        // Propagate through `let` bindings to a fixpoint.
-        loop {
-            let mut changed = false;
-            for b in &node.flow.lets {
-                if tainted.contains(&b.name) {
-                    continue;
-                }
-                let rhs_tainted = toks[b.rhs.0..b.rhs.1.min(toks.len())].iter().any(|t| {
-                    t.kind == TokKind::Ident
-                        && (is_secret_name(&t.text)
-                            || tainted.contains(&t.text)
-                            || SECRET_SOURCES.contains(&t.text.as_str()))
-                });
-                if rhs_tainted {
-                    tainted.insert(b.name.clone());
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
+        taint_lets(toks, &node.flow.lets, &mut tainted, |rhs| {
+            rhs.iter().any(|t| {
+                t.kind == TokKind::Ident
+                    && (is_secret_name(&t.text) || SECRET_SOURCES.contains(&t.text.as_str()))
+            })
+        });
 
         let occurs = |range: (usize, usize)| -> Option<String> {
             toks.get(range.0..range.1.min(toks.len()))?

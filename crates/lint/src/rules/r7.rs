@@ -16,9 +16,13 @@
 //! can masquerade as comparisons) — R7 exists to catch the blatant
 //! unchecked path, and the fixtures pin the behavior.
 
+use std::collections::HashSet;
+
 use crate::engine::Finding;
+use crate::flow::taint_lets;
 use crate::graph::Graph;
 use crate::lexer::{Tok, TokKind};
+use crate::parse::is_punct;
 
 pub const RULE: &str = "r7-alloc-bound";
 
@@ -33,8 +37,7 @@ const INT_TYPES: [&str; 10] = [
 /// Allocation calls whose argument is a size.
 const ALLOC_SINKS: [&str; 4] = ["with_capacity", "reserve", "reserve_exact", "resize"];
 
-fn rhs_reads_wire_len(toks: &[Tok], rhs: (usize, usize)) -> bool {
-    let range = &toks[rhs.0..rhs.1.min(toks.len())];
+fn reads_wire_len(range: &[Tok]) -> bool {
     for (j, t) in range.iter().enumerate() {
         if t.kind != TokKind::Ident {
             continue;
@@ -69,26 +72,8 @@ pub fn run(g: &Graph) -> Vec<(usize, Finding)> {
         let toks = &file.toks;
 
         // Taint wire-length bindings, then propagate through later lets.
-        let mut tainted: Vec<String> = Vec::new();
-        loop {
-            let mut changed = false;
-            for b in &node.flow.lets {
-                if tainted.contains(&b.name) {
-                    continue;
-                }
-                let hit = rhs_reads_wire_len(toks, b.rhs)
-                    || toks[b.rhs.0..b.rhs.1.min(toks.len())]
-                        .iter()
-                        .any(|t| t.kind == TokKind::Ident && tainted.contains(&t.text));
-                if hit {
-                    tainted.push(b.name.clone());
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
+        let mut tainted = HashSet::new();
+        taint_lets(toks, &node.flow.lets, &mut tainted, reads_wire_len);
         if tainted.is_empty() {
             continue;
         }
@@ -111,12 +96,8 @@ pub fn run(g: &Graph) -> Vec<(usize, Finding)> {
                 let hi = (k + 7).min(sink);
                 for j in lo..hi {
                     let t = &toks[j];
-                    if t.kind == TokKind::Punct
-                        && (t.text == "<"
-                            || (t.text == ">"
-                                && !(j >= 1
-                                    && toks[j - 1].kind == TokKind::Punct
-                                    && toks[j - 1].text == "-")))
+                    if is_punct(toks, j, "<")
+                        || (is_punct(toks, j, ">") && !is_punct(toks, j.wrapping_sub(1), "-"))
                     {
                         return true;
                     }

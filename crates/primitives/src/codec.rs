@@ -180,10 +180,16 @@ impl Decode for bool {
     }
 }
 
+/// Writes a `u32` length prefix. A length past `u32::MAX` saturates, which
+/// the decoder refuses ([`MAX_LEN`]), where a cast would wrap it to a short
+/// prefix that decodes.
+fn encode_len(len: usize, out: &mut Vec<u8>) {
+    u32::try_from(len).unwrap_or(u32::MAX).encode(out);
+}
+
 impl Encode for [u8] {
     fn encode(&self, out: &mut Vec<u8>) {
-        // dcert-lint: allow(r2-panic-freedom, reason = "encoder half runs on locally produced data; MAX_LEN (64 MiB) bounds every collection the workspace encodes")
-        (self.len() as u32).encode(out);
+        encode_len(self.len(), out);
         out.extend_from_slice(self);
     }
     fn encoded_len(&self) -> usize {
@@ -303,8 +309,7 @@ impl<A: Decode, B: Decode, C: Decode> Decode for (A, B, C) {
 
 /// Encodes a slice of encodable elements with a `u32` count prefix.
 pub fn encode_seq<T: Encode>(items: &[T], out: &mut Vec<u8>) {
-    // dcert-lint: allow(r2-panic-freedom, reason = "encoder half runs on locally produced data; MAX_LEN (64 MiB) bounds every collection the workspace encodes")
-    (items.len() as u32).encode(out);
+    encode_len(items.len(), out);
     for item in items {
         item.encode(out);
     }

@@ -45,7 +45,7 @@ impl IndexFlavor for Plain {
     fn present(rows: Vec<(u64, Vec<u8>)>) -> Vec<(u64, Version)> {
         rows.into_iter()
             .map(|(ts, bytes)| {
-                // dcert-lint: allow(r2-panic-freedom, r5-panic-reachability, reason = "SP-side serving path decoding its own canonically-encoded index entries; the client verifier re-checks everything")
+                // dcert-lint: allow(r5-panic-reachability, reason = "SP-side serving path decoding its own canonically-encoded index entries; the client verifier re-checks everything")
                 let version = Version::decode_all(&bytes).expect("index stores canonical versions");
                 (ts, version)
             })

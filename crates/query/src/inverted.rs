@@ -134,7 +134,7 @@ impl InvertedIndex {
     fn head(&self, keyword: &str) -> Option<Hash> {
         self.dictionary
             .get(&keyword_key(keyword))
-            // dcert-lint: allow(r2-panic-freedom, r5-panic-reachability, reason = "SP-maintained dictionary only ever stores 32-byte chain heads; not attacker input")
+            // dcert-lint: allow(r5-panic-reachability, reason = "SP-maintained dictionary only ever stores 32-byte chain heads; not attacker input")
             .map(|bytes| Hash::from_bytes(bytes.try_into().expect("32-byte heads")))
     }
 

@@ -550,7 +550,7 @@ impl ServiceProvider {
             let (prev_digest, prev_cert) = certified
                 .get(name)
                 .cloned()
-                // dcert-lint: allow(r2-panic-freedom, r5-panic-reachability, reason = "SP-internal bookkeeping: register_* seeds this map for every index it iterates")
+                // dcert-lint: allow(r5-panic-reachability, reason = "SP-internal bookkeeping: register_* seeds this map for every index it iterates")
                 .expect("registered index has bookkeeping");
             let (aux, new_digest) = index.apply_block(block, &writes);
             staged.push((name.to_owned(), new_digest));
@@ -652,7 +652,7 @@ impl ServiceProvider {
             let entry = self
                 .certified
                 .get_mut(&name)
-                // dcert-lint: allow(r2-panic-freedom, r5-panic-reachability, reason = "SP-internal bookkeeping: register_* seeds this map for every index it stages")
+                // dcert-lint: allow(r5-panic-reachability, reason = "SP-internal bookkeeping: register_* seeds this map for every index it stages")
                 .expect("registered index has bookkeeping");
             entry.0 = digest;
         }

@@ -21,7 +21,7 @@
 //! snapshots are replay-stable on the chaos seed matrix.
 //!
 //! Layout: [`wire`] (canonical request/response/refusal codecs, held to
-//! `dcert-lint` R2 panic-freedom), [`cache`] (generation-keyed FIFO
+//! `dcert-lint` R5 panic freedom), [`cache`] (generation-keyed FIFO
 //! proof cache), [`admission`] (lazy per-client token buckets),
 //! [`metrics`] (`serve.*` handles), [`front`] (the scheduler).
 

@@ -9,7 +9,7 @@
 //! semantics.
 //!
 //! Everything here decodes attacker-supplied bytes, so this module is held
-//! to `dcert-lint` R2 panic-freedom (no unwrap/expect/indexing/truncating
+//! to `dcert-lint` R5 panic freedom (no unwrap/expect/indexing/truncating
 //! casts) and is swept by `tests/decode_no_panic.rs`.
 
 use dcert_merkle::Aggregate;

@@ -31,8 +31,12 @@ pub struct StateKey(Hash);
 impl StateKey {
     /// Derives the key for `field` of `contract`.
     pub fn new(contract: &str, field: &[u8]) -> Self {
-        // Length-prefix the contract name so ("ab","c") != ("a","bc").
-        let len = (contract.len() as u32).to_be_bytes();
+        // Length-prefix the contract name so ("ab","c") != ("a","bc"). It
+        // saturates rather than wraps: the same bytes for any name under
+        // 4 GiB, and no silent truncation on the enclave's replay path.
+        let len = u32::try_from(contract.len())
+            .unwrap_or(u32::MAX)
+            .to_be_bytes();
         StateKey(hash_concat([
             &[STATE_KEY_DOMAIN][..],
             &len,

@@ -1,4 +1,4 @@
-//! The dynamic twin of dcert-lint rule R2 (panic-freedom): every wire
+//! The dynamic twin of dcert-lint rule R5 (panic freedom): every wire
 //! decoder in the workspace is exercised with arbitrary, truncated, and
 //! bit-flipped byte strings, and must always return `Err` — never panic.
 //!
