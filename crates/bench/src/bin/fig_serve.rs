@@ -99,9 +99,8 @@ fn main() {
     };
     let schedule: Vec<ServeEvent> = ServeLoadGen::new(load, 7).collect();
     eprintln!(
-        "replaying {} requests from {} clients over {} hot keys...",
+        "replaying {} requests over {} hot keys...",
         schedule.len(),
-        load.clients,
         load.keyspace
     );
 

@@ -16,7 +16,7 @@ use dcert_vm::{BlockExecution, Call, Executor, StateKey};
 use crate::block::{Block, BlockHeader};
 use crate::consensus::{ConsensusEngine, ConsensusProof};
 use crate::error::ChainError;
-use crate::state::ChainState;
+use crate::state::{ChainState, Displaced};
 use crate::tx::Transaction;
 use crate::validity::{check_extends, check_header, check_height, check_signatures, hash_writes};
 
@@ -69,6 +69,14 @@ fn check_signatures_in_lanes(txs: &[Transaction], lanes: usize) -> Result<(), Ch
 /// In DCert's system model (Fig. 2 of the paper) both the miner and the
 /// Certificate Issuer are full nodes; the CI (`dcert-core`) wraps this type
 /// and adds the enclave-backed certification pipeline.
+///
+/// Every block that moves the tip goes through one forward step,
+/// [`FullNode::advance`] — commit the write set, compare the post-state
+/// root, move the tip or take the commit back — and [`FullNode::retract`]
+/// is its inverse. [`FullNode::apply`] ends in it, and so does every
+/// certification driver in `dcert-core`; only [`FullNode::mine`], whose
+/// header is sealed over the root its commit reaches, has nothing to
+/// compare against.
 #[derive(Clone)]
 pub struct FullNode {
     executor: Executor,
@@ -259,14 +267,39 @@ impl FullNode {
         check_header(self.engine.as_ref(), block)?;
         self.verify_signatures(&block.txs)?;
         let execution = self.execute(&block.txs);
-        // Commit, compare, and take it back on a mismatch.
-        let displaced = self.state.apply_writes(execution.writes.iter());
-        if self.state.root() != block.header.state_root {
+        self.advance(&block.header, execution.writes.iter())?;
+        Ok(execution)
+    }
+
+    /// The one forward step: commits `writes` — the write set of `header`'s
+    /// block, executed against the tip — and, if they reach
+    /// `header.state_root`, makes `header` the tip. Returns what the writes
+    /// displaced, for [`FullNode::retract`]. Linkage and everything else
+    /// about the block are the caller's to have checked.
+    ///
+    /// # Errors
+    ///
+    /// [`ChainError::StateRootMismatch`], with the node unchanged: the
+    /// commit is taken back before the refusal.
+    pub fn advance<'a>(
+        &mut self,
+        header: &BlockHeader,
+        writes: impl IntoIterator<Item = (&'a StateKey, &'a Option<Vec<u8>>)>,
+    ) -> Result<Displaced, ChainError> {
+        let displaced = self.state.apply_writes(writes);
+        if self.state.root() != header.state_root {
             self.state.restore(displaced);
             return Err(ChainError::StateRootMismatch);
         }
-        self.tip = block.header.clone();
-        Ok(execution)
+        self.tip.clone_from(header);
+        Ok(displaced)
+    }
+
+    /// Takes back the last [`FullNode::advance`]: restores what it
+    /// `displaced` and makes `prev_tip`, the tip it extended, the tip again.
+    pub fn retract(&mut self, prev_tip: BlockHeader, displaced: Displaced) {
+        self.state.restore(displaced);
+        self.tip = prev_tip;
     }
 
     /// Mines the next block: one signature pass, one execution, and one
@@ -293,49 +326,6 @@ impl FullNode {
             Err(_) => self.state.restore(displaced),
         }
         sealed
-    }
-
-    /// Replaces the tip and state wholesale, asserting only root
-    /// consistency. The caller must have validated the whole transition by
-    /// other means — DCert's CI uses this after the *enclave* has verified
-    /// a batch of blocks, avoiding a redundant local re-execution.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `state`'s root does not match `header.state_root`.
-    pub fn adopt_validated(&mut self, header: BlockHeader, state: ChainState) {
-        assert_eq!(
-            header.state_root,
-            state.root(),
-            "adopted state root mismatch"
-        );
-        self.tip = header;
-        self.state = state;
-    }
-
-    /// [`FullNode::adopt_validated`] in place, for one block: advances the
-    /// tip state by `writes`, the write set of the caller's own execution.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `writes` do not lead to `header.state_root`.
-    pub fn advance_validated<'a>(
-        &mut self,
-        header: BlockHeader,
-        writes: impl IntoIterator<Item = (&'a StateKey, &'a Option<Vec<u8>>)>,
-    ) {
-        self.state.apply_writes(writes);
-        assert_eq!(
-            header.state_root,
-            self.state.root(),
-            "adopted state root mismatch"
-        );
-        self.tip = header;
-    }
-
-    /// Reads a state value at the tip.
-    pub fn read_state(&self, key: &StateKey) -> Option<Vec<u8>> {
-        self.state.get(key).map(<[u8]>::to_vec)
     }
 }
 
@@ -390,10 +380,8 @@ mod tests {
         assert_eq!(node.height(), 2);
         assert_eq!(b2.header.prev_hash, b1.hash());
         // Counter bumped three times in total.
-        let value = node
-            .read_state(&StateKey::new("counter", b"value"))
-            .unwrap();
-        assert_eq!(value, 3u64.to_be_bytes().to_vec());
+        let value = node.state().get(&StateKey::new("counter", b"value"));
+        assert_eq!(value, Some(3u64.to_be_bytes().as_slice()));
     }
 
     #[test]
@@ -419,6 +407,34 @@ mod tests {
         // The refusal comes after the write set was committed, and takes
         // it back.
         assert_eq!(fingerprint(&node), before, "node must be unchanged");
+    }
+
+    #[test]
+    fn advance_refuses_a_wrong_root_and_retract_undoes_a_good_one() {
+        let mut node = node(Arc::new(ProofOfWork::new(2)));
+        // A counter that already counts, so the block's write displaces a
+        // value that has to come back.
+        node.mine(vec![bump_tx(1, 0)], 1).unwrap();
+        let block = node.propose(vec![bump_tx(1, 1), bump_tx(2, 0)], 2).unwrap();
+        let writes = node.execute(&block.txs).writes;
+        let before = fingerprint(&node);
+
+        let mut forged = block.header.clone();
+        forged.state_root = Hash::ZERO;
+        let refused = node.advance(&forged, writes.iter()).err();
+        assert_eq!(refused, Some(ChainError::StateRootMismatch));
+        assert_eq!(fingerprint(&node), before, "a refusal changes nothing");
+
+        let mut applied = node.clone();
+        applied.apply(&block).unwrap();
+        let displaced = node.advance(&block.header, writes.iter()).unwrap();
+        assert_eq!(
+            fingerprint(&node),
+            fingerprint(&applied),
+            "apply's own step"
+        );
+        node.retract(before.0.clone(), displaced);
+        assert_eq!(fingerprint(&node), before, "retract takes it back exactly");
     }
 
     #[test]

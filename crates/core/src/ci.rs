@@ -17,9 +17,13 @@
 //! Figure 8–10 benches report.
 //!
 //! The steps themselves live in the crate's `engine` module; this module
-//! is their *inline* driver: each `certify_*` method runs sequence →
-//! prepare → issue → commit on the calling thread, against the node's
-//! live pre-state.
+//! is their *inline* driver: each `certify_*` method runs `sequence` →
+//! issue → commit on the calling thread. Sequencing advances the node's
+//! live view block by block (`FullNode::advance`: commit, compare the
+//! post-state root) before the ECall, so a block whose writes miss its
+//! root is refused before it costs one; a job the enclave refuses is
+//! taken back by one `rewind`. A refusal of either kind leaves the CI as
+//! it was.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -31,9 +35,10 @@ use dcert_sgx::{AttestationReport, AttestationService, CostModel, Enclave};
 use dcert_vm::Executor;
 
 use crate::cert::Certificate;
-use crate::engine::{build_links, Attested, ExecutedLink, Indexing, Issued, Issuer, PreparedJob};
+use crate::engine::{rewind, sequence, Attested, Issued, Issuer};
 use crate::error::CertError;
 use crate::messages::IndexInput;
+use crate::pipeline::CertJob;
 use crate::program::CertProgram;
 use crate::verifier::IndexVerifier;
 
@@ -309,15 +314,15 @@ impl CertificateIssuer {
     ///
     /// # Errors
     ///
-    /// A block that does not extend the tip is refused before the ECall as
-    /// [`CertError::Chain`]; enclave-side rejections surface as
-    /// [`CertError::EnclaveRejected`]; local validation failures as their
-    /// typed variants.
+    /// A block that does not extend the tip, or whose writes do not reach
+    /// its state root, is refused before the ECall as [`CertError::Chain`];
+    /// enclave-side rejections surface as [`CertError::EnclaveRejected`].
+    /// Either way the CI is left as it was.
     pub fn certify_block(
         &mut self,
         block: &Block,
     ) -> Result<(Certificate, CertBreakdown), CertError> {
-        let (issued, breakdown) = self.certify_one(block, Indexing::None)?;
+        let (issued, breakdown) = self.certify(CertJob::Block(block.clone()))?;
         Ok((issued.into_certs()?.0, breakdown))
     }
 
@@ -336,7 +341,10 @@ impl CertificateIssuer {
         block: &Block,
         indexes: &[IndexInput],
     ) -> Result<(Vec<Certificate>, CertBreakdown), CertError> {
-        let (issued, breakdown) = self.certify_one(block, Indexing::Augmented(indexes.to_vec()))?;
+        let (issued, breakdown) = self.certify(CertJob::Augmented {
+            block: block.clone(),
+            indexes: indexes.to_vec(),
+        })?;
         Ok((issued.into_index_certs(), breakdown))
     }
 
@@ -356,8 +364,10 @@ impl CertificateIssuer {
         block: &Block,
         indexes: &[IndexInput],
     ) -> Result<(Certificate, Vec<Certificate>, CertBreakdown), CertError> {
-        let (issued, breakdown) =
-            self.certify_one(block, Indexing::Hierarchical(indexes.to_vec()))?;
+        let (issued, breakdown) = self.certify(CertJob::Hierarchical {
+            block: block.clone(),
+            indexes: indexes.to_vec(),
+        })?;
         let (block_cert, index_certs) = issued.into_certs()?;
         Ok((block_cert, index_certs, breakdown))
     }
@@ -377,47 +387,26 @@ impl CertificateIssuer {
         &mut self,
         blocks: &[Block],
     ) -> Result<(Certificate, CertBreakdown), CertError> {
-        let mut breakdown = CertBreakdown::default();
-        // Each link builds on the previous one, not on the current tip:
-        // pre-process against one scratch copy of the state. Each block is
-        // executed exactly once; the enclave is the validator.
-        let mut state = self.node.state().clone();
-        let links = build_links(
-            self.node.executor(),
-            &mut state,
-            self.node.tip(),
-            blocks,
-            &mut breakdown,
-        )?;
-        let job = PreparedJob::batch(self.node.tip().clone(), links);
-        let issued = self.issuer.issue(job, &mut breakdown)?;
-        // The enclave validated every transition; adopt the scratch state
-        // instead of re-executing the batch locally.
-        self.node.adopt_validated(issued.header.clone(), state);
-        self.issuer.commit(&issued);
+        let (issued, breakdown) = self.certify(CertJob::Batch(blocks.to_vec()))?;
         Ok((issued.into_certs()?.0, breakdown))
     }
 
-    /// A one-block job, inline: sequence → prepare → issue on the calling
-    /// thread against the live tip state (no snapshot), then the chain
-    /// advance — in place, by this job's own write set: the enclave has just
-    /// validated the block — then the commit.
-    fn certify_one(
-        &mut self,
-        block: &Block,
-        indexing: Indexing,
-    ) -> Result<(Issued, CertBreakdown), CertError> {
+    /// One job, inline: [`sequence`] it on the live view, issue it, and
+    /// commit — or, if the enclave refuses it, [`rewind`] the view to where
+    /// the job found it.
+    fn certify(&mut self, job: CertJob) -> Result<(Issued, CertBreakdown), CertError> {
         let mut breakdown = CertBreakdown::default();
-        let (executor, state, tip) = (self.node.executor(), self.node.state(), self.node.tip());
-        let link = ExecutedLink::execute(executor, state, tip, block.clone(), &mut breakdown)?;
-        let (job, writes) = PreparedJob::single(tip.clone(), link, state, indexing, &mut breakdown);
-        let issued = self.issuer.issue(job, &mut breakdown)?;
-        self.node.advance_validated(
-            issued.header.clone(),
-            writes.iter().map(|(key, value)| (key, value)),
-        );
-        self.issuer.commit(&issued);
-        Ok((issued, breakdown))
+        let (prepared, undo) = sequence(&mut self.node, job, &mut breakdown)?;
+        match self.issuer.issue(prepared, &mut breakdown) {
+            Ok(issued) => {
+                self.issuer.commit(&issued);
+                Ok((issued, breakdown))
+            }
+            Err(error) => {
+                rewind(&mut self.node, undo);
+                Err(error)
+            }
+        }
     }
 }
 

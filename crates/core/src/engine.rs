@@ -2,36 +2,40 @@
 //! mined block and its certificate (Algorithm 1 `gen_cert`, with
 //! Algorithm 4 repeating its ECall step per index and Algorithm 5 widening
 //! it to sign every index certificate in the same crossing) — boot + attest,
-//! link building, request building, dispatch, issue, commit, in this file's
+//! sequencing, request building, dispatch, issue, commit, in this file's
 //! order. Whoever proves a job builds its [`EcallRequest`]; the issuer sets
 //! the previous certificates on it and serialises it, once, through the
 //! codec. DESIGN.md §4 ("Certification core") has the step list and which
 //! thread runs what.
 //!
-//! The engines are drivers of these steps: [`crate::CertificateIssuer`]
-//! inline on the calling thread, [`crate::CertPipeline`] across its stage
-//! threads, [`crate::ShardedCertEngine`] for every shard and the
-//! aggregator.
+//! The engines are drivers of these steps, and each moves its chain view
+//! the one way: [`link_block`] per block, which ends in
+//! [`FullNode::advance`], and [`rewind`] when a job is refused.
+//! [`crate::CertificateIssuer`] runs [`sequence`] → issue → commit inline
+//! on the calling thread, [`crate::CertPipeline`] the same steps across its
+//! stage threads, [`crate::ShardedCertEngine`] `link_block` per block on
+//! every shard before its aggregator folds the ranges.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use dcert_chain::state::Displaced;
 use dcert_chain::validity::check_extends;
-use dcert_chain::{Block, BlockHeader, ChainState};
+use dcert_chain::{Block, BlockHeader, FullNode};
 use dcert_primitives::codec::{Decode, Encode};
 use dcert_primitives::hash::Hash;
 use dcert_primitives::keys::{PublicKey, Signature};
 use dcert_sgx::cost::timed;
 use dcert_sgx::{AttestationReport, AttestationService, Enclave};
-use dcert_vm::{BlockExecution, Call, Executor};
 
 use crate::cert::Certificate;
 use crate::ci::CertBreakdown;
 use crate::error::CertError;
 use crate::messages::{
-    encode_aug_sig_gen, BatchLink, BlockInput, EcallRequest, EcallResponse, IndexInput, WriteSet,
+    encode_aug_sig_gen, BatchLink, BlockInput, EcallRequest, EcallResponse, IndexInput,
 };
 use crate::network::NetMessage;
+use crate::pipeline::CertJob;
 use crate::program::CertProgram;
 
 // --- boot, dispatch, assembly ---------------------------------------------------
@@ -129,82 +133,88 @@ fn unexpected_response() -> CertError {
     CertError::EnclaveRejected("unexpected response".into())
 }
 
-// --- link building ------------------------------------------------------------
+// --- sequencing -----------------------------------------------------------------
 
-/// One block checked against its parent and executed exactly once
-/// (`comp_data_set`), awaiting its update proof.
-pub(crate) struct ExecutedLink {
-    pub(crate) block: Block,
-    execution: BlockExecution,
-}
+/// A sequenced job's way back: per block it advanced, oldest first, the
+/// tip that block extended and what its writes displaced.
+pub(crate) type Undo = Vec<(BlockHeader, Displaced)>;
 
-impl ExecutedLink {
-    /// Checks that `block` extends `tip` and executes it against
-    /// `pre_state`, which is left untouched. Only linkage is checked here,
-    /// because callers advance on it; transaction signatures, roots and the
-    /// consensus proof are the enclave's call.
-    pub(crate) fn execute(
-        executor: &Executor,
-        pre_state: &ChainState,
-        tip: &BlockHeader,
-        block: Block,
-        breakdown: &mut CertBreakdown,
-    ) -> Result<Self, CertError> {
-        check_extends(tip, &block.header)?;
-        let (execution, took) = timed(|| {
-            let calls: Vec<Call> = block.txs.iter().map(|tx| tx.call.clone()).collect();
-            executor.execute_block(pre_state, &calls)
-        });
-        breakdown.rw_set_gen += took;
-        Ok(ExecutedLink { block, execution })
-    }
-
-    /// `get_update_proof`: the proof over reads ∪ writes against
-    /// `pre_state`, the state this link executed against. Also hands back
-    /// the write set `{w}_i`, in key order.
-    pub(crate) fn prove(
-        self,
-        pre_state: &ChainState,
-        breakdown: &mut CertBreakdown,
-    ) -> (BatchLink, WriteSet) {
-        let (state_proof, took) = timed(|| pre_state.prove(&self.execution.touched_keys()));
-        breakdown.proof_gen += took;
-        let link = BatchLink {
-            block: self.block,
-            reads: self.execution.reads.into_iter().collect(),
-            state_proof,
-        };
-        (link, self.execution.writes.into_iter().collect())
-    }
-}
-
-/// Builds the links of consecutive `blocks` extending `tip` over `state`,
-/// which ends up past the last of them: each link is proven against the
-/// state it executed on before the next one builds on its writes. A batch
-/// and a shard's range chunk are both this.
-pub(crate) fn build_links(
-    executor: &Executor,
-    state: &mut ChainState,
-    tip: &BlockHeader,
-    blocks: &[Block],
+/// The untrusted half of Algorithm 1 for one block, on `node`'s live view:
+/// check that `block` extends the tip, execute it once (`comp_data_set`),
+/// prove reads ∪ writes against the pre-state (`get_update_proof`), then
+/// [`FullNode::advance`] by its writes — which compares the post-state
+/// root — pushing the way back onto `undo`. Linkage and the root are the
+/// host's to check because it moves its view on them; transaction
+/// signatures, the transaction root and the consensus proof are the
+/// enclave's call. A refused block leaves `node` and `undo` as they were.
+pub(crate) fn link_block(
+    node: &mut FullNode,
+    block: Block,
+    undo: &mut Undo,
     breakdown: &mut CertBreakdown,
-) -> Result<Vec<BatchLink>, CertError> {
-    let mut links = Vec::with_capacity(blocks.len());
-    let mut tip = tip;
-    for block in blocks {
-        let executed = ExecutedLink::execute(executor, state, tip, block.clone(), breakdown)?;
-        let (link, writes) = executed.prove(state, breakdown);
-        state.apply_writes(writes.iter().map(|(key, value)| (key, value)));
-        links.push(link);
-        tip = &block.header;
+) -> Result<BatchLink, CertError> {
+    check_extends(node.tip(), &block.header)?;
+    let (execution, took) = timed(|| node.execute(&block.txs));
+    breakdown.rw_set_gen += took;
+    let (state_proof, took) = timed(|| node.state().prove(&execution.touched_keys()));
+    breakdown.proof_gen += took;
+    let prev_tip = node.tip().clone();
+    let displaced = node.advance(&block.header, execution.writes.iter())?;
+    undo.push((prev_tip, displaced));
+    Ok(BatchLink {
+        block,
+        reads: execution.reads.into_iter().collect(),
+        state_proof,
+    })
+}
+
+/// Sequences `job` on `node`: [`link_block`] for each of its blocks, in
+/// order, then the job's request around the links. Hands back the job's
+/// [`Undo`] for the driver to [`rewind`] if the enclave refuses it; a
+/// block that fails here rewinds the whole job first, so `node` is where
+/// it was.
+pub(crate) fn sequence(
+    node: &mut FullNode,
+    job: CertJob,
+    breakdown: &mut CertBreakdown,
+) -> Result<(PreparedJob, Undo), CertError> {
+    let prev_header = node.tip().clone();
+    let mut undo = Undo::new();
+    let mut link = |block| link_block(node, block, &mut undo, breakdown);
+    let prepared = match job {
+        CertJob::Block(block) => {
+            link(block).map(|link| PreparedJob::single(prev_header, link, Indexing::None))
+        }
+        CertJob::Augmented { block, indexes } => link(block)
+            .map(|link| PreparedJob::single(prev_header, link, Indexing::Augmented(indexes))),
+        CertJob::Hierarchical { block, indexes } => link(block)
+            .map(|link| PreparedJob::single(prev_header, link, Indexing::Hierarchical(indexes))),
+        CertJob::Batch(blocks) => blocks
+            .into_iter()
+            .map(link)
+            .collect::<Result<_, _>>()
+            .map(|links| PreparedJob::batch(prev_header, links)),
+    };
+    match prepared {
+        Ok(prepared) => Ok((prepared, undo)),
+        Err(error) => {
+            rewind(node, undo);
+            Err(error)
+        }
     }
-    Ok(links)
+}
+
+/// Takes `node` back past one sequenced job, newest block first.
+pub(crate) fn rewind(node: &mut FullNode, undo: Undo) {
+    for (prev_tip, displaced) in undo.into_iter().rev() {
+        node.retract(prev_tip, displaced);
+    }
 }
 
 // --- request building ------------------------------------------------------------
 
 /// Which per-index certificates accompany a one-block job.
-pub(crate) enum Indexing {
+enum Indexing {
     /// Algorithm 1: the block certificate only.
     None,
     /// Algorithm 4: one full-replay certificate per index, no block
@@ -230,35 +240,25 @@ pub(crate) enum PreparedJob {
 }
 
 impl PreparedJob {
-    /// Builds a one-block job: proves `executed` against `pre_state`, the
-    /// state it executed on. Also hands back its write set, which takes
-    /// `pre_state` past the block.
-    pub(crate) fn single(
-        prev_header: BlockHeader,
-        executed: ExecutedLink,
-        pre_state: &ChainState,
-        indexing: Indexing,
-        breakdown: &mut CertBreakdown,
-    ) -> (Self, WriteSet) {
-        let (link, writes) = executed.prove(pre_state, breakdown);
+    /// Builds a one-block job around `link`, which extends `prev_header`.
+    fn single(prev_header: BlockHeader, link: BatchLink, indexing: Indexing) -> Self {
         let input = BlockInput {
             prev_header,
             prev_cert: None,
             link,
         };
-        let job = match indexing {
+        match indexing {
             Indexing::None => PreparedJob::Once(EcallRequest::SigGen(input)),
             Indexing::Augmented(indexes) => PreparedJob::PerIndex(input, indexes),
             Indexing::Hierarchical(indexes) => {
                 PreparedJob::Once(EcallRequest::HierSigGen(input, indexes))
             }
-        };
-        (job, writes)
+        }
     }
 
     /// Builds a batch: one `BatchSigGen` over `links`, certifying the last
     /// header.
-    pub(crate) fn batch(prev_header: BlockHeader, links: Vec<BatchLink>) -> Self {
+    fn batch(prev_header: BlockHeader, links: Vec<BatchLink>) -> Self {
         PreparedJob::Once(EcallRequest::BatchSigGen {
             prev_header,
             prev_cert: None,
@@ -275,7 +275,7 @@ fn empty_batch() -> CertError {
 
 /// The certificates one job produced, not yet part of the issuer's chain.
 pub(crate) struct Issued {
-    pub(crate) header: BlockHeader,
+    header: BlockHeader,
     block_cert: Option<Certificate>,
     /// `(index name, certified digest, certificate)`, in staging order.
     index_certs: Vec<(String, Hash, Certificate)>,

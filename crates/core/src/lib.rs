@@ -18,8 +18,9 @@
 //!   `dcert_chain::validity` rule, one recursion-anchor check,
 //! - the certification core (the private `engine` module): the one
 //!   definition of each untrusted step of Algorithm 1 — enclave boot and
-//!   attestation, link building, request building, ECall dispatch,
-//!   certificate assembly and chaining — driven by three engines:
+//!   attestation, sequencing (one forward step per block, one rewind per
+//!   refused job), request building, ECall dispatch, certificate assembly
+//!   and chaining — driven by three engines:
 //!   [`CertificateIssuer`] inline on the calling thread, [`CertPipeline`]
 //!   across a sequencer, an issuer and a publisher thread,
 //!   and [`ShardedCertEngine`] across parallel shard enclaves plus an

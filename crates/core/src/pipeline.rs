@@ -8,15 +8,15 @@
 //! connected by bounded crossbeam channels (bounded = backpressure; a slow
 //! enclave throttles submission instead of buffering unboundedly):
 //!
-//! 1. **Sequencer** (one thread): owns the chain view and runs the
-//!    untrusted half of Algorithm 1 on it, in the CI's own order
-//!    (`engine::build_links`): per block, check its linkage against the
-//!    tip, execute its transactions *once* (`comp_data_set`), build its
-//!    Merkle update proof against the state it executed on
-//!    (`get_update_proof`), then apply its writes and advance. It builds
-//!    the job's request around the proofs and keeps the job's undo until
-//!    the issuer certifies it. This is the stage that fixes chain order —
-//!    everything downstream receives jobs in it.
+//! 1. **Sequencer** (one thread): owns the CI's chain view — its
+//!    `FullNode`, moved onto the thread at spawn — and runs `engine::sequence`
+//!    on it, exactly as the inline CI does: per block, check its linkage
+//!    against the tip, execute its transactions *once* (`comp_data_set`),
+//!    build its Merkle update proof against the state it executed on
+//!    (`get_update_proof`), then `FullNode::advance`, which compares the
+//!    post-state root. It keeps the job's undo until the issuer certifies
+//!    it. This is the stage that fixes chain order — everything downstream
+//!    receives jobs in it.
 //! 2. **Issuer** (one thread): drains prepared requests, in arrival order,
 //!    through the CI's own issuer, moved onto this thread for the
 //!    pipeline's lifetime. ECalls stay serialized, exactly as a real
@@ -31,11 +31,9 @@
 //!    dead-lettering what never confirms — and accumulates the
 //!    [`PipelineReport`].
 //!
-//! Compared to the per-block sequential methods, the chain view advances
-//! without re-validation (the issuer adopts the sequencer-validated state
-//! the way [`CertificateIssuer::certify_batch`] does, instead of
-//! re-executing in `apply`), block *i+1* is executed and proven while
-//! block *i* is inside the enclave, and the certificates that come out are
+//! Compared to the per-block sequential methods, the steps and the chain
+//! view are the same — block *i+1* is executed and proven while block *i*
+//! is inside the enclave — and the certificates that come out are
 //! **byte-identical** to sequential issuance —
 //! `tests/pipeline_equivalence.rs` proves this property over arbitrary
 //! mixed workloads, and `tests/golden_vectors.rs` pins both against the
@@ -44,9 +42,10 @@
 //! Shutdown is orderly: dropping the submission side (or the whole
 //! pipeline) closes the channel cascade, every stage drains its in-flight
 //! work, and [`CertPipeline::shutdown`] hands back the reassembled
-//! [`CertificateIssuer`] — positioned at the last successfully certified
-//! block, its block- and index-certificate chains intact, so sequential
-//! certification (or another pipeline) continues where this one stopped.
+//! [`CertificateIssuer`] — its view rewound (`engine::rewind`, newest job
+//! first) to the last successfully certified block, its block- and
+//! index-certificate chains intact, so sequential certification (or
+//! another pipeline) continues where this one stopped.
 
 // SP-side orchestration: thread spawns, channel sends, and lock acquisitions
 // here operate on SP-owned state, never on attacker-supplied bytes. A poisoned
@@ -60,17 +59,15 @@ use std::time::Duration;
 
 use crossbeam::channel::{bounded, Receiver, Sender};
 
-use dcert_chain::state::Displaced;
-use dcert_chain::{Block, BlockHeader, ChainError, ChainState, FullNode};
+use dcert_chain::{Block, FullNode};
 use dcert_obs::{Buckets, Counter, Gauge, Histogram, Registry};
 use dcert_sgx::cost::timed;
 use dcert_sgx::Enclave;
-use dcert_vm::Executor;
 
 use crate::ci::{CertBreakdown, CertificateIssuer};
-use crate::engine::{ExecutedLink, Indexing, Issuer, PreparedJob};
+use crate::engine::{rewind, sequence, Issuer, PreparedJob, Undo};
 use crate::error::CertError;
-use crate::messages::{IndexInput, WriteSet};
+use crate::messages::IndexInput;
 use crate::netsim::SimRng;
 use crate::network::{NetMessage, Transport};
 use crate::program::CertProgram;
@@ -290,13 +287,9 @@ impl PipelineObs {
     }
 }
 
-/// One job's way back: its sequence number, the tip it extended, and what
-/// each of its blocks displaced.
-type Undo = (u64, BlockHeader, Vec<Displaced>);
-
-/// Where the sequencer left its view, and the undo of each job the issuer
-/// had not certified when the sequencer last looked, newest last.
-type Sequenced = (BlockHeader, ChainState, Vec<Undo>);
+/// The undo of each job the issuer had not certified when the sequencer
+/// last looked, by sequence number, newest last.
+type Pending = Vec<(u64, Undo)>;
 
 /// Sequencer → issuer: one job, proven and ready to cross, or why it
 /// failed, in chain order.
@@ -323,10 +316,10 @@ struct JobOutcome {
 /// fail too — the enclave is the authority).
 pub struct CertPipeline {
     submit_tx: Option<Sender<CertJob>>,
-    sequencer: Option<JoinHandle<Sequenced>>,
+    /// Hands back the CI's chain view and its pending undos.
+    sequencer: Option<JoinHandle<(FullNode, Pending)>>,
     issuer: Option<JoinHandle<Issuer>>,
     publisher: Option<JoinHandle<PipelineReport>>,
-    node: Option<FullNode>,
     /// One past the last job certified: no job below it is ever undone.
     certified: Arc<AtomicU64>,
     /// Shared handle onto the enclave driving the issuer stage, so the
@@ -339,17 +332,16 @@ pub struct CertPipeline {
 }
 
 impl CertPipeline {
-    /// Spawns the pipeline's stages around `ci`'s enclave and chain view.
-    /// Certificates are broadcast on `transport` as they are issued.
+    /// Spawns the pipeline's stages around `ci`'s enclave and chain view,
+    /// moving the view onto the sequencer thread and the issuer onto the
+    /// issuer thread. Certificates are broadcast on `transport` as they are
+    /// issued.
     pub fn spawn(
         ci: CertificateIssuer,
         config: PipelineConfig,
         transport: Arc<dyn Transport>,
     ) -> Self {
         let CertificateIssuer { node, issuer } = ci;
-        let state = node.state().clone();
-        let tip = node.tip().clone();
-        let executor = node.executor().clone();
         let poison = Arc::new(AtomicBool::new(false));
         let certified = Arc::new(AtomicU64::new(0));
         let obs = PipelineObs::register(&config.obs);
@@ -364,11 +356,7 @@ impl CertPipeline {
         let done = certified.clone();
         let sequencer = thread::Builder::new()
             .name("dcert-sequencer".into())
-            .spawn(move || {
-                sequencer_loop(
-                    submit_rx, issue_tx, state, tip, executor, done, seq_poison, seq_obs,
-                )
-            })
+            .spawn(move || sequencer_loop(submit_rx, issue_tx, node, done, seq_poison, seq_obs))
             .expect("spawn sequencer");
 
         let enclave = issuer.attested.enclave.clone();
@@ -391,7 +379,6 @@ impl CertPipeline {
             sequencer: Some(sequencer),
             issuer: Some(issuer),
             publisher: Some(publisher),
-            node: Some(node),
             certified,
             enclave,
             poison,
@@ -454,30 +441,33 @@ impl CertPipeline {
     /// Propagates a panic from any stage thread (none are expected; a
     /// rejected block is an error, not a panic).
     pub fn shutdown(mut self) -> (CertificateIssuer, PipelineReport) {
-        let (issuer, sequenced, pipeline_report) = self.drain(true);
+        let (sequenced, issuer, pipeline_report) = self.drain(true);
         let issuer = issuer.expect("pipeline stages already joined");
-        let (mut tip, mut state, undo) = sequenced.expect("pipeline stages already joined");
-        // Undo, newest first, every job after the last certified one. What
-        // is left was validated by the sequencer (and certified by the
-        // enclave); no re-execution needed.
+        let (mut node, pending) = sequenced.expect("pipeline stages already joined");
+        // Rewind, newest first, every job after the last certified one.
         let done = self.certified.load(Ordering::SeqCst);
-        for (_, prev_tip, displaced) in undo.into_iter().rev().take_while(|u| u.0 >= done) {
-            rewind(&mut state, &mut tip, prev_tip, displaced);
+        let uncertified = pending
+            .into_iter()
+            .rev()
+            .take_while(|(seq, _)| *seq >= done);
+        for (_, undo) in uncertified {
+            rewind(&mut node, undo);
         }
-        let mut node = self.node.take().expect("node present until shutdown");
-        node.adopt_validated(tip, state);
         (CertificateIssuer { node, issuer }, pipeline_report)
     }
 
     /// Closes submission and joins every stage in cascade order.
-    fn drain(&mut self, propagate: bool) -> (Option<Issuer>, Option<Sequenced>, PipelineReport) {
+    fn drain(
+        &mut self,
+        propagate: bool,
+    ) -> (Option<(FullNode, Pending)>, Option<Issuer>, PipelineReport) {
         // Dropping the submission sender starts the cascade: sequencer
         // finishes → issuer queue closes → publisher queue closes.
         drop(self.submit_tx.take());
         let sequenced = self.sequencer.take().and_then(|h| join_stage(h, propagate));
         let issuer = self.issuer.take().and_then(|h| join_stage(h, propagate));
         let report = self.publisher.take().and_then(|h| join_stage(h, propagate));
-        (issuer, sequenced, report.unwrap_or_default())
+        (sequenced, issuer, report.unwrap_or_default())
     }
 }
 
@@ -502,51 +492,33 @@ impl Drop for CertPipeline {
 
 // --- sequencer -------------------------------------------------------------
 
-#[allow(clippy::too_many_arguments)]
 fn sequencer_loop(
     jobs: Receiver<CertJob>,
     issue_tx: Sender<Prepared>,
-    mut state: ChainState,
-    mut tip: BlockHeader,
-    executor: Executor,
+    mut node: FullNode,
     certified: Arc<AtomicU64>,
     poison: Arc<AtomicBool>,
     obs: PipelineObs,
-) -> Sequenced {
-    let mut undo: Vec<Undo> = Vec::new();
+) -> (FullNode, Pending) {
+    let mut pending = Pending::new();
     for (seq, job) in (0u64..).zip(jobs.iter()) {
         if poison.load(Ordering::SeqCst) {
             break;
         }
         let done = certified.load(Ordering::SeqCst);
-        undo.retain(|(job_seq, ..)| *job_seq >= done);
+        pending.retain(|(job_seq, _)| *job_seq >= done);
         // +1: the job just taken off the queue was part of the backlog.
         obs.submit_depth
             .record_max(i64::try_from(jobs.len() + 1).unwrap_or(i64::MAX));
-        let prev_tip = tip.clone();
         let mut breakdown = CertBreakdown::default();
-        let mut displaced = Vec::new();
-        let (job, took) = timed(|| {
-            sequence_job(
-                job,
-                &prev_tip,
-                &mut state,
-                &mut tip,
-                &mut displaced,
-                &executor,
-                &mut breakdown,
-            )
-        });
+        let (sequenced, took) = timed(|| sequence(&mut node, job, &mut breakdown));
         obs.sequence_ns.record(took);
-        if job.is_ok() {
+        let job = sequenced.map(|(job, undo)| {
             obs.prepare_ns.record(breakdown.proof_gen);
-            obs.batch_blocks.observe(displaced.len() as u64);
-            undo.push((seq, prev_tip, displaced));
-        } else {
-            // A job certifies atomically: take the view back to where it
-            // started.
-            rewind(&mut state, &mut tip, prev_tip, displaced);
-        }
+            obs.batch_blocks.observe(undo.len() as u64);
+            pending.push((seq, undo));
+            job
+        });
         let prepared = Prepared {
             seq,
             job,
@@ -556,80 +528,7 @@ fn sequencer_loop(
             break;
         }
     }
-    (tip, state, undo)
-}
-
-/// Runs the untrusted half of Algorithm 1 for each block of `job`, which
-/// extends `prev_header`, in `engine::build_links`'s order: execute, prove
-/// against the state it executed on, apply. Builds the job's request; the
-/// certificates only the issuer stage will have stay unset. Every block
-/// applied to the view leaves its undo on `undo`, the failing one
-/// included, so the caller can rewind a failed job whole.
-fn sequence_job(
-    job: CertJob,
-    prev_header: &BlockHeader,
-    state: &mut ChainState,
-    tip: &mut BlockHeader,
-    undo: &mut Vec<Displaced>,
-    executor: &Executor,
-    breakdown: &mut CertBreakdown,
-) -> Result<PreparedJob, CertError> {
-    let (block, indexing) = match job {
-        CertJob::Block(block) => (block, Indexing::None),
-        CertJob::Augmented { block, indexes } => (block, Indexing::Augmented(indexes)),
-        CertJob::Hierarchical { block, indexes } => (block, Indexing::Hierarchical(indexes)),
-        CertJob::Batch(blocks) => {
-            let mut links = Vec::with_capacity(blocks.len());
-            for block in blocks {
-                let executed = ExecutedLink::execute(executor, state, tip, block, breakdown)?;
-                let (link, writes) = executed.prove(state, breakdown);
-                advance(state, tip, &link.block.header, &writes, undo)?;
-                links.push(link);
-            }
-            return Ok(PreparedJob::batch(prev_header.clone(), links));
-        }
-    };
-    let executed = ExecutedLink::execute(executor, state, tip, block, breakdown)?;
-    let header = executed.block.header.clone();
-    let (job, writes) =
-        PreparedJob::single(prev_header.clone(), executed, state, indexing, breakdown);
-    advance(state, tip, &header, &writes, undo)?;
-    Ok(job)
-}
-
-/// Applies one proven block's `writes` to the view, pushing the undo onto
-/// `undo`, and moves the tip to its `header`.
-///
-/// Linkage and the post-state root are checked by the sequencer because
-/// it *advances* on them; everything else (tx signatures, tx root,
-/// consensus proof, read-set authenticity) is the enclave's call — it
-/// re-validates the lot, so a bad block fails at issuance and the
-/// certificate chain simply does not advance past it.
-fn advance(
-    state: &mut ChainState,
-    tip: &mut BlockHeader,
-    header: &BlockHeader,
-    writes: &WriteSet,
-    undo: &mut Vec<Displaced>,
-) -> Result<(), CertError> {
-    undo.push(state.apply_writes(writes.iter().map(|(key, value)| (key, value))));
-    if state.root() != header.state_root {
-        return Err(CertError::Chain(ChainError::StateRootMismatch));
-    }
-    tip.clone_from(header);
-    Ok(())
-}
-
-/// Takes the view back past one job: what each of its blocks displaced,
-/// newest first, then the tip it extended.
-fn rewind(
-    state: &mut ChainState,
-    tip: &mut BlockHeader,
-    prev_tip: BlockHeader,
-    displaced: Vec<Displaced>,
-) {
-    displaced.into_iter().rev().for_each(|d| state.restore(d));
-    *tip = prev_tip;
+    (node, pending)
 }
 
 // --- issuer ----------------------------------------------------------------
@@ -658,7 +557,7 @@ fn issuer_loop(
 
 /// Issues one prepared job in chain order. The certificate chains and the
 /// tip handed back at shutdown advance only if the whole job succeeded —
-/// matching the inline driver, which bails before `apply` on any failure.
+/// matching the inline driver, which rewinds a refused job at once.
 fn issue_prepared(issuer: &mut Issuer, certified: &AtomicU64, prepared: Prepared) -> JobOutcome {
     let mut breakdown = prepared.breakdown;
     let result = prepared.job.and_then(|job| {

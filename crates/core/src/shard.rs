@@ -17,6 +17,12 @@
 //! enclaves boot with *derived* seeds: their keys never appear in client
 //! artifacts, and a shard key cannot forge a final certificate.
 //!
+//! **Chain view.** The fleet holds one genesis `FullNode`. Each shard
+//! worker clones it, replays the prefix below its range through
+//! `FullNode::advance`, and links every block of its range with the step
+//! every driver takes (`engine::link_block`), so a block whose writes miss
+//! its state root fails the worker on its host, before any ECall for it.
+//!
 //! **Reorgs.** The fleet compares the offered chain against what it last
 //! certified, keeps every range certificate entirely below the fork
 //! point, and re-certifies only the affected suffix (with
@@ -34,10 +40,10 @@
 
 use std::sync::{Arc, Mutex};
 
-use dcert_chain::{Block, BlockHeader, ChainState, ConsensusEngine};
+use dcert_chain::{Block, BlockHeader, ChainState, ConsensusEngine, FullNode};
 use dcert_obs::{Counter, Histogram, Registry};
 use dcert_primitives::codec::{Decode, Encode};
-use dcert_primitives::hash::hash_concat;
+use dcert_primitives::hash::{hash_concat, Address};
 use dcert_primitives::keys::Signature;
 use dcert_sgx::cost::timed;
 use dcert_sgx::{AttestationService, CostModel, Enclave, SealedBlob};
@@ -46,7 +52,7 @@ use dcert_vm::Executor;
 
 use crate::cert::Certificate;
 use crate::ci::{cert_program, CertBreakdown};
-use crate::engine::{build_links, Attested};
+use crate::engine::{link_block, Attested, Undo};
 use crate::error::{CertError, ShardError};
 use crate::messages::EcallRequest;
 use crate::program::CertProgram;
@@ -269,10 +275,8 @@ struct ShardRun {
 pub struct ShardedCertEngine {
     platform_seed: [u8; 32],
     signing_seed: [u8; 32],
-    genesis: Block,
-    genesis_state: ChainState,
-    executor: Executor,
-    consensus: Arc<dyn ConsensusEngine>,
+    /// The chain view at genesis, which every shard worker clones.
+    genesis: FullNode,
     cost: CostModel,
     shards: usize,
     chunk: u64,
@@ -313,6 +317,11 @@ impl ShardedCertEngine {
     ///
     /// [`ShardError::ZeroShards`] / [`ShardError::ZeroChunk`] for a
     /// degenerate configuration.
+    ///
+    /// # Panics
+    ///
+    /// As [`FullNode::new`]: a genesis state that does not match the
+    /// genesis header is a construction bug.
     #[allow(clippy::too_many_arguments)] // mirrors the CI constructors plus the fleet config
     pub fn new_deterministic(
         platform_seed: [u8; 32],
@@ -334,10 +343,13 @@ impl ShardedCertEngine {
         Ok(ShardedCertEngine {
             platform_seed,
             signing_seed,
-            genesis: genesis.clone(),
-            genesis_state,
-            executor,
-            consensus,
+            genesis: FullNode::new(
+                genesis,
+                genesis_state,
+                executor,
+                consensus,
+                Address::default(),
+            ),
             cost,
             shards: config.shards,
             chunk: config.chunk,
@@ -461,14 +473,14 @@ impl ShardedCertEngine {
                 // canonical seeds (same key, same client-visible identity).
                 if let Some(old) = self.aggregator.take() {
                     if self
-                        .fold(&old, &self.genesis.header, None, &all_ranges)
+                        .fold(&old, self.genesis.tip(), None, &all_ranges)
                         .is_err()
                     {
                         self.metrics.stale_range_refusals.inc();
                     }
                 }
                 let agg = self.boot_aggregator(ias)?;
-                (agg, self.genesis.header.clone(), None, all_ranges)
+                (agg, self.genesis.tip().clone(), None, all_ranges)
             }
         };
         let first_signed = anchor
@@ -566,9 +578,7 @@ impl ShardedCertEngine {
             }
             let ctx = WorkerCtx {
                 blocks,
-                genesis_header: &self.genesis.header,
-                genesis_state: &self.genesis_state,
-                executor: &self.executor,
+                genesis: &self.genesis,
                 chunk: self.chunk,
                 store: self.store.clone(),
                 generation: self.generation,
@@ -696,10 +706,10 @@ impl ShardedCertEngine {
     /// semantics (and therefore measurement) to the sequential CI's.
     fn make_program(&self, ias: &AttestationService) -> CertProgram {
         cert_program(
-            self.genesis.hash(),
+            self.genesis.tip().hash(),
             ias,
-            &self.executor,
-            &self.consensus,
+            self.genesis.executor(),
+            self.genesis.engine(),
             Vec::new(),
         )
     }
@@ -774,19 +784,17 @@ impl ShardedCertEngine {
 /// Shared (read-only) context every worker in a round borrows.
 struct WorkerCtx<'a> {
     blocks: &'a [Block],
-    genesis_header: &'a BlockHeader,
-    genesis_state: &'a ChainState,
-    executor: &'a Executor,
+    genesis: &'a FullNode,
     chunk: u64,
     store: Option<SharedStore>,
     generation: u64,
     metrics: &'a ShardMetrics,
 }
 
-/// One shard worker: replay the untrusted prefix, then certify the
-/// shard's span chunk by chunk — links built by the same pre-processing
-/// the sequential batch path uses, one `RangeSigGen` ECall per chunk, and
-/// (with a store) one durable checkpoint per chunk.
+/// One shard worker: replay the untrusted prefix on a clone of the genesis
+/// view, then certify the shard's span chunk by chunk — `link_block` per
+/// block, one `RangeSigGen` ECall per chunk, and (with a store) one durable
+/// checkpoint per chunk.
 fn run_shard_worker(
     shard: usize,
     range: HeightRange,
@@ -795,26 +803,6 @@ fn run_shard_worker(
     boot: Attested,
     ctx: &WorkerCtx<'_>,
 ) -> Result<ShardRun, ShardError> {
-    // Untrusted prefix replay: execute (no proofs, no enclave) up to the
-    // anchor. The enclave re-validates everything from the anchor on.
-    let mut state = ctx.genesis_state.clone();
-    let prefix = blocks_for(ctx.blocks, 1, start.saturating_sub(1))?;
-    for block in prefix {
-        let calls: Vec<dcert_vm::Call> = block.txs.iter().map(|tx| tx.call.clone()).collect();
-        let execution = ctx.executor.execute_block(&state, &calls);
-        state.apply_writes(execution.writes.iter());
-    }
-    let mut anchor = if start <= 1 {
-        ctx.genesis_header.clone()
-    } else {
-        prefix
-            .last()
-            .map(|b| b.header.clone())
-            .ok_or(ShardError::MissingBlock {
-                height: start.saturating_sub(1),
-            })?
-    };
-
     let worker_error = |error: CertError| ShardError::Worker {
         shard,
         reason: match error {
@@ -822,6 +810,15 @@ fn run_shard_worker(
             other => other.to_string(),
         },
     };
+    // Untrusted prefix replay: execute and advance (no proofs, no enclave)
+    // up to the anchor. The enclave re-validates everything from the
+    // anchor on.
+    let mut node = ctx.genesis.clone();
+    for block in blocks_for(ctx.blocks, 1, start.saturating_sub(1))? {
+        let writes = node.execute(&block.txs).writes;
+        node.advance(&block.header, writes.iter())
+            .map_err(|error| worker_error(error.into()))?;
+    }
     let shard_blocks = ctx.metrics.shard_blocks(shard);
     let mut produced = Vec::new();
     let mut chunks_done = 0usize;
@@ -837,18 +834,16 @@ fn run_shard_worker(
             .checked_add(ctx.chunk.saturating_sub(1))
             .ok_or(ShardError::HeightOverflow)?
             .min(range.last);
-        let chunk_blocks = blocks_for(ctx.blocks, cursor, chunk_last)?;
         // A range chunk is a batch under another tag with no previous
-        // certificate: same link builder, same dispatch.
-        let mut breakdown = CertBreakdown::default();
-        let links = build_links(
-            ctx.executor,
-            &mut state,
-            &anchor,
-            chunk_blocks,
-            &mut breakdown,
-        )
-        .map_err(worker_error)?;
+        // certificate: same per-block step, same dispatch. Its undo is never
+        // used: a refused chunk fails the worker, whose view goes with it.
+        let anchor = node.tip().clone();
+        let (mut breakdown, mut undo) = (CertBreakdown::default(), Undo::new());
+        let links = blocks_for(ctx.blocks, cursor, chunk_last)?
+            .iter()
+            .map(|block| link_block(&mut node, block.clone(), &mut undo, &mut breakdown))
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(worker_error)?;
         let anchor_digest = anchor.hash();
         let header_digests = links.iter().map(|l| l.block.header.hash()).collect();
         let (result, took) = timed(|| {
@@ -888,10 +883,6 @@ fn run_shard_worker(
             }
             guard.sync().map_err(|e| ShardError::Store(e.to_string()))?;
         }
-        anchor = chunk_blocks
-            .last()
-            .map(|b| b.header.clone())
-            .ok_or(ShardError::MissingBlock { height: chunk_last })?;
         let certified = u64::try_from(range_cert.header_digests.len()).unwrap_or(u64::MAX);
         ctx.metrics.ranges_certified.inc();
         ctx.metrics.chunks.inc();

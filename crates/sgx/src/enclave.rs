@@ -243,23 +243,10 @@ impl<A: TrustedApp> Enclave<A> {
         self.boundary.lock().stats
     }
 
-    /// Resets the boundary counters (between benchmark phases). EPC
-    /// residency is *not* reset: clearing a counter does not free enclave
-    /// memory (see [`Enclave::reset_epc_residency`]).
-    pub fn reset_stats(&self) {
-        self.boundary.lock().stats = EnclaveStats::default();
-    }
-
     /// Cumulative bytes marshalled into EPC-backed memory — the working
-    /// set the paging charge is assessed against.
+    /// set the paging charge is assessed against. Nothing lowers it.
     pub fn epc_resident_bytes(&self) -> u64 {
         self.boundary.lock().resident_bytes
-    }
-
-    /// Empties the simulated EPC working set (models an enclave
-    /// teardown/relaunch between independent benchmark phases).
-    pub fn reset_epc_residency(&self) {
-        self.boundary.lock().resident_bytes = 0;
     }
 
     /// Registers this enclave's cost-center metrics (`enclave.*`) in
@@ -460,15 +447,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_stats_zeroes_counters() {
-        let enclave = Enclave::launch(Secret { key: 1, calls: 0 }, CostModel::zero());
-        enclave.ecall(b"abc");
-        enclave.note_marshal_reuse(17);
-        enclave.reset_stats();
-        assert_eq!(enclave.stats(), EnclaveStats::default());
-    }
-
-    #[test]
     fn marshal_reuse_accumulates_in_stats_and_registry() {
         let enclave = Enclave::launch(Secret { key: 0, calls: 0 }, CostModel::zero());
         let registry = dcert_obs::Registry::new();
@@ -503,14 +481,10 @@ mod tests {
         }
         assert_eq!(enclave.epc_resident_bytes(), 2000);
         assert_eq!(enclave.stats().paged_bytes, 1000);
-        // Counter resets must not pretend the EPC emptied.
-        enclave.reset_stats();
-        assert_eq!(enclave.epc_resident_bytes(), 2000);
+        // Residency only grows: the next call pages in full.
         enclave.ecall(&[0u8; 100]);
-        assert_eq!(enclave.stats().paged_bytes, 200, "fully beyond budget");
-        // An explicit teardown does empty it.
-        enclave.reset_epc_residency();
-        assert_eq!(enclave.epc_resident_bytes(), 0);
+        assert_eq!(enclave.epc_resident_bytes(), 2200);
+        assert_eq!(enclave.stats().paged_bytes, 1200, "fully beyond budget");
     }
 
     #[test]

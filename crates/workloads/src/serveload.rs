@@ -3,12 +3,12 @@
 //! Generates the client-side arrival schedule the `dcert-serve` suites
 //! and the `fig_serve` bench replay against a `ServeFront`:
 //!
-//! - **Zipfian keys** — queries concentrate on a small hot set drawn
-//!   from a precomputed Zipf CDF, the regime where coalescing and proof
-//!   caching pay.
-//! - **Bursty arrivals** — requests land in bursts of `burst` on one
-//!   virtual tick, separated by `gap_ticks` of quiet; a burst larger
-//!   than the front's queue exercises typed shedding.
+//! - **Zipfian keys** — queries from 10⁵ clients concentrate on a small
+//!   hot set drawn from a precomputed Zipf CDF (exponent 1.1), the regime
+//!   where coalescing and proof caching pay.
+//! - **Bursty arrivals** — requests land in bursts of 512 on one virtual
+//!   tick, separated by 3 ticks of quiet; a burst larger than the front's
+//!   queue exercises typed shedding.
 //! - **Slow-loris readers** — a configured fraction of requests is
 //!   marked `abandon`: the client parks as a waiter and walks away
 //!   before the pump, exercising the coalescing-slot release path.
@@ -61,21 +61,22 @@ pub struct ServeEvent {
     pub abandon: bool,
 }
 
+/// Client population size.
+const CLIENTS: u64 = 100_000;
+/// Zipf exponent `s` (1.0 ≈ classic web-cache skew; larger = hotter).
+const ZIPF_EXPONENT: f64 = 1.1;
+/// Requests arriving on each burst tick.
+const BURST: u64 = 512;
+/// Quiet ticks between bursts.
+const GAP_TICKS: u64 = 3;
+
 /// Scenario shape. `Default` is the smoke-scale profile the CI job runs.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeLoadConfig {
-    /// Client population size.
-    pub clients: u64,
     /// Total requests to emit.
     pub requests: u64,
     /// Distinct hot keys.
     pub keyspace: u64,
-    /// Zipf exponent `s` (1.0 ≈ classic web-cache skew; larger = hotter).
-    pub zipf_exponent: f64,
-    /// Requests arriving on each burst tick.
-    pub burst: u64,
-    /// Quiet ticks between bursts.
-    pub gap_ticks: u64,
     /// Per-mille of requests marked as slow-loris abandons.
     pub slow_loris_permille: u64,
     /// Per-mille of requests re-issued as op-stream queries
@@ -89,12 +90,8 @@ pub struct ServeLoadConfig {
 impl Default for ServeLoadConfig {
     fn default() -> Self {
         ServeLoadConfig {
-            clients: 100_000,
             requests: 50_000,
             keyspace: 256,
-            zipf_exponent: 1.1,
-            burst: 512,
-            gap_ticks: 3,
             slow_loris_permille: 20,
             op_query_permille: 0,
         }
@@ -120,7 +117,7 @@ impl ServeLoadGen {
         let mut weights = Vec::with_capacity(keyspace);
         let mut total = 0.0f64;
         for rank in 0..keyspace {
-            let w = 1.0 / ((rank as f64) + 1.0).powf(config.zipf_exponent);
+            let w = 1.0 / ((rank as f64) + 1.0).powf(ZIPF_EXPONENT);
             total += w;
             weights.push(total);
         }
@@ -158,14 +155,14 @@ impl Iterator for ServeLoadGen {
         if self.issued >= self.config.requests {
             return None;
         }
-        if self.in_burst >= self.config.burst.max(1) {
+        if self.in_burst >= BURST {
             self.in_burst = 0;
-            self.tick += 1 + self.config.gap_ticks;
+            self.tick += 1 + GAP_TICKS;
         }
         self.in_burst += 1;
         self.issued += 1;
 
-        let client = self.rng.gen_range(0..self.config.clients.max(1));
+        let client = self.rng.gen_range(0..CLIENTS);
         let key = self.zipf_key();
         let kind = match self.rng.gen_range(0..3u8) {
             0 => ServeQueryKind::History,
@@ -221,24 +218,18 @@ mod tests {
     #[test]
     fn bursts_share_ticks_with_gaps_between() {
         let config = ServeLoadConfig {
-            requests: 100,
-            burst: 10,
-            gap_ticks: 4,
+            requests: 3 * BURST,
             ..ServeLoadConfig::default()
         };
         let events: Vec<ServeEvent> = ServeLoadGen::new(config, 7).collect();
-        assert_eq!(events.len(), 100);
-        for pair in events.chunks(10) {
+        assert_eq!(events.len() as u64, 3 * BURST);
+        for (at, burst) in events.chunks(BURST as usize).enumerate() {
             assert!(
-                pair.iter().all(|e| e.tick == pair[0].tick),
-                "a burst lands on one tick"
+                burst.iter().all(|e| e.tick == at as u64 * (GAP_TICKS + 1)),
+                "burst {at} lands on one tick, gap + 1 after the last"
             );
         }
-        assert_eq!(
-            events[10].tick - events[9].tick,
-            5,
-            "gap + 1 between bursts"
-        );
+        assert!(events.iter().all(|e| e.client < CLIENTS));
     }
 
     #[test]
@@ -246,7 +237,6 @@ mod tests {
         let config = ServeLoadConfig {
             requests: 10_000,
             keyspace: 100,
-            zipf_exponent: 1.2,
             ..ServeLoadConfig::default()
         };
         let events: Vec<ServeEvent> = ServeLoadGen::new(config, 1).collect();
