@@ -12,9 +12,10 @@
 
 use std::time::Instant;
 
+use dcert::world::{Setup, World};
 use dcert_bench::params::scaled;
 use dcert_bench::report::{banner, fmt_duration};
-use dcert_bench::{shape, Rig};
+use dcert_bench::shape;
 use dcert_obs::Registry;
 use dcert_sgx::CostModel;
 use dcert_workloads::Workload;
@@ -35,17 +36,20 @@ fn main() {
 
     let obs = Registry::new();
     for &batch in &[1usize, 2, 4, 8, 16] {
-        let mut rig = Rig::block_only(CostModel::calibrated(), &obs);
-        let mut gen = rig.generator(Workload::KvStore { keyspace: 500 }, 42);
-        let blocks: Vec<_> = (0..total).map(|_| rig.mine(gen.next_block(32))).collect();
+        let mut world = World::new(Setup {
+            registry: obs.clone(),
+            ..Setup::poa(CostModel::calibrated())
+        });
+        let mut gen = world.generator(Workload::KvStore { keyspace: 500 }, 42);
+        let blocks: Vec<_> = (0..total).map(|_| world.mine(gen.next_block(32))).collect();
 
         let started = Instant::now();
         let mut ecalls = 0;
         for chunk in blocks.chunks(batch) {
             let (_, breakdown) = if chunk.len() == 1 {
-                rig.ci.certify_block(&chunk[0]).expect("certifies")
+                world.ci.certify_block(&chunk[0]).expect("certifies")
             } else {
-                rig.ci.certify_batch(chunk).expect("certifies")
+                world.ci.certify_batch(chunk).expect("certifies")
             };
             ecalls += breakdown.ecalls;
         }

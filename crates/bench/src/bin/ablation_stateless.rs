@@ -15,22 +15,18 @@
 
 #![forbid(unsafe_code)]
 
-use std::sync::Arc;
 use std::time::Instant;
 
-use dcert_bench::naive::{NaiveCertProgram, NaiveRequest, Response};
+use dcert::world::naive::{NaiveCertProgram, NaiveRequest, Response};
+use dcert::world::{kv_key, Setup, World};
 use dcert_bench::params::scaled;
 use dcert_bench::report::{banner, fmt_bytes, fmt_duration};
 use dcert_bench::shape;
-use dcert_chain::{FullNode, GenesisBuilder, ProofOfAuthority};
 use dcert_core::{BatchLink, BlockInput, CertProgram, EcallRequest, EcallResponse};
 use dcert_obs::Registry;
 use dcert_primitives::codec::{Decode, Encode};
-use dcert_primitives::hash::Address;
-use dcert_primitives::keys::Keypair;
-use dcert_sgx::{AttestationService, CostModel, Enclave};
-use dcert_vm::Executor;
-use dcert_workloads::{blockbench_registry, Workload};
+use dcert_sgx::{CostModel, Enclave};
+use dcert_workloads::{Workload, WorkloadGen};
 
 /// Reduced EPC budget making the paging cliff visible at bench scale.
 const EPC_BUDGET: usize = 4 * 1024 * 1024;
@@ -58,27 +54,21 @@ fn main() {
     let mut naive_bytes = Vec::new();
     for entries in sizes {
         // Genesis pre-populated with `entries` KV records.
-        let mut genesis_builder = GenesisBuilder::new();
-        for i in 0..entries {
-            genesis_builder = genesis_builder.allocate(dcert_bench::kv_key(i), vec![0xAB; 64]);
-        }
-        let (genesis, state) = genesis_builder.build();
-
-        let sealer = Keypair::from_seed([0x5e; 32]);
-        let engine = Arc::new(ProofOfAuthority::new_sealer(vec![sealer.public()], sealer));
-        let executor = Executor::new(Arc::new(blockbench_registry()));
-        let ias = AttestationService::with_seed([0xA5; 32]);
-        let miner = FullNode::new(
-            &genesis,
-            state.clone(),
-            executor.clone(),
-            engine.clone(),
-            Address::from_seed(1),
-        );
+        let World {
+            genesis,
+            genesis_state: state,
+            executor,
+            engine,
+            ias,
+            miner,
+            ..
+        } = World::new(Setup {
+            genesis_entries: (0..entries).map(|i| (kv_key(i), vec![0xAB; 64])).collect(),
+            ..Setup::poa(cost_model())
+        });
 
         // One block of KV traffic over the existing keyspace.
-        let mut gen =
-            dcert_workloads::WorkloadGen::new(Workload::KvStore { keyspace: entries }, 64, 42);
+        let mut gen = WorkloadGen::new(Workload::KvStore { keyspace: entries }, 64, 42);
         let block = miner.propose(gen.next_block(32), 1).expect("proposes");
 
         // Stateless request (Algorithm 1 pre-processing).

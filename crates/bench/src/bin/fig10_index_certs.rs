@@ -20,9 +20,11 @@
 
 #![forbid(unsafe_code)]
 
+use dcert::world::{Scheme, Setup, World};
 use dcert_bench::params::{scaled, BLOCKS_PER_MEASUREMENT, DEFAULT_BLOCK_SIZE, INDEX_COUNTS};
+use dcert_bench::report::AvgBreakdown;
 use dcert_bench::report::{banner, fmt_duration};
-use dcert_bench::{shape, Rig, RigConfig, Scheme};
+use dcert_bench::shape;
 use dcert_obs::Registry;
 use dcert_query::sp::IndexKind;
 use dcert_sgx::CostModel;
@@ -47,19 +49,19 @@ fn measure(
     blocks: u64,
     obs: &Registry,
 ) -> (std::time::Duration, f64) {
-    let mut rig = Rig::new(RigConfig {
-        cost: CostModel::calibrated(),
+    let mut world = World::new(Setup {
         indexes: indexes(count),
-        obs: obs.clone(),
+        registry: obs.clone(),
+        ..Setup::poa(CostModel::calibrated())
     });
-    let result = rig.run(
+    let result = world.run(
         Workload::KvStore { keyspace: 500 },
         blocks,
         DEFAULT_BLOCK_SIZE,
         42,
         scheme,
     );
-    let avg = result.average();
+    let avg = AvgBreakdown::of(&result.breakdowns);
     (avg.total(), avg.ecalls)
 }
 

@@ -11,8 +11,8 @@
 
 #![forbid(unsafe_code)]
 
+use dcert::world::kv_key;
 use dcert_baselines::lineage::{verify_lineage, LineageIndex};
-use dcert_bench::kv_key;
 use dcert_bench::params::{scaled, QUERY_ACCOUNTS, QUERY_CHAIN_LENGTH, WINDOW_DISTANCES};
 use dcert_bench::report::{banner, fmt_bytes, fmt_duration, short};
 use dcert_query::history::verify_history;

@@ -11,10 +11,11 @@
 
 #![forbid(unsafe_code)]
 
+use dcert::world::{Setup, World};
 use dcert_baselines::TraditionalLightClient;
 use dcert_bench::params::{scaled, CHAIN_LENGTHS};
 use dcert_bench::report::{banner, fmt_bytes, fmt_duration};
-use dcert_bench::{shape, Rig};
+use dcert_bench::shape;
 use dcert_core::{expected_measurement, SuperlightClient};
 use dcert_obs::Registry;
 use dcert_sgx::cost::timed;
@@ -33,12 +34,15 @@ fn main() {
     // certificate at each measured height.
     eprintln!("building a certified {max}-block chain...");
     let obs = Registry::new();
-    let mut rig = Rig::block_only(CostModel::calibrated(), &obs);
-    let mut headers = vec![rig.genesis.header.clone()];
+    let mut world = World::new(Setup {
+        registry: obs.clone(),
+        ..Setup::poa(CostModel::calibrated())
+    });
+    let mut headers = vec![world.genesis.header.clone()];
     let mut checkpoints = std::collections::HashMap::new();
     for height in 1..=max {
-        let block = rig.mine(Vec::new());
-        let (cert, _) = rig.ci.certify_block(&block).expect("certifies");
+        let block = world.mine(Vec::new());
+        let (cert, _) = world.ci.certify_block(&block).expect("certifies");
         headers.push(block.header.clone());
         if lengths.contains(&height) {
             checkpoints.insert(height, (block.header.clone(), cert));
@@ -56,18 +60,18 @@ fn main() {
     let (mut light_storage, mut superlight_storage) = (Vec::new(), Vec::new());
     for &height in &lengths {
         // Traditional light client: store + validate every header.
-        let mut light = TraditionalLightClient::new(rig.genesis.header.clone()).unwrap();
+        let mut light = TraditionalLightClient::new(world.genesis.header.clone()).unwrap();
         for header in &headers[1..=height as usize] {
             light
-                .sync(header.clone(), rig.engine.as_ref())
+                .sync(header.clone(), world.engine.as_ref())
                 .expect("header syncs");
         }
-        let (verdict, light_time) = timed(|| light.validate_all(rig.engine.as_ref()));
+        let (verdict, light_time) = timed(|| light.validate_all(world.engine.as_ref()));
         verdict.expect("chain valid");
 
         // Superlight client: one header + one certificate.
         let (header, cert) = &checkpoints[&height];
-        let mut client = SuperlightClient::new(rig.ias.public_key(), expected_measurement());
+        let mut client = SuperlightClient::new(world.ias.public_key(), expected_measurement());
         let (verdict, superlight_time) = timed(|| client.validate_chain(header, cert));
         verdict.expect("cert valid");
 

@@ -11,9 +11,11 @@
 
 #![forbid(unsafe_code)]
 
+use dcert::world::{Scheme, Setup, World};
 use dcert_bench::params::{scaled, BLOCKS_PER_MEASUREMENT, DEFAULT_BLOCK_SIZE};
+use dcert_bench::report::AvgBreakdown;
 use dcert_bench::report::{banner, fmt_bytes, fmt_duration};
-use dcert_bench::{shape, Rig, Scheme};
+use dcert_bench::shape;
 use dcert_obs::Registry;
 use dcert_sgx::CostModel;
 use dcert_workloads::Workload;
@@ -23,7 +25,7 @@ fn main() {
         "Figure 8: certificate construction time by workload",
         "inside-enclave dominates; enclave overhead ≤ ~1.8×; proof-gen negligible",
     );
-    // At least two blocks per rig: marshal-buffer reuse only starts with
+    // At least two blocks per world: marshal-buffer reuse only starts with
     // the second request, and `enclave.marshal_reuse_bytes` is asserted
     // non-zero below even at smoke scale.
     let blocks = scaled(BLOCKS_PER_MEASUREMENT).max(2);
@@ -34,9 +36,12 @@ fn main() {
     println!("{}", "-".repeat(86));
     let obs = Registry::new();
     for workload in Workload::paper_defaults() {
-        let mut rig = Rig::block_only(CostModel::calibrated(), &obs);
-        let result = rig.run(workload, blocks, DEFAULT_BLOCK_SIZE, 42, Scheme::BlockOnly);
-        let avg = result.average();
+        let mut world = World::new(Setup {
+            registry: obs.clone(),
+            ..Setup::poa(CostModel::calibrated())
+        });
+        let result = world.run(workload, blocks, DEFAULT_BLOCK_SIZE, 42, Scheme::BlockOnly);
+        let avg = AvgBreakdown::of(&result.breakdowns);
         println!(
             "{:>4} | {:>10} {:>10} | {:>10} {:>10} {:>8.2}x | {:>10} {:>9}",
             workload.label(),

@@ -9,9 +9,11 @@
 
 #![forbid(unsafe_code)]
 
+use dcert::world::{Scheme, Setup, World};
 use dcert_bench::params::{scaled, BLOCKS_PER_MEASUREMENT, BLOCK_SIZES};
+use dcert_bench::report::AvgBreakdown;
 use dcert_bench::report::{banner, fmt_bytes, fmt_duration};
-use dcert_bench::{shape, Rig, Scheme};
+use dcert_bench::shape;
 use dcert_obs::Registry;
 use dcert_sgx::CostModel;
 use dcert_workloads::Workload;
@@ -35,9 +37,12 @@ fn main() {
     for workload in workloads {
         let (mut request_bytes, mut totals) = (Vec::new(), Vec::new());
         for &size in BLOCK_SIZES {
-            let mut rig = Rig::block_only(CostModel::calibrated(), &obs);
-            let result = rig.run(workload, blocks, size, 42, Scheme::BlockOnly);
-            let avg = result.average();
+            let mut world = World::new(Setup {
+                registry: obs.clone(),
+                ..Setup::poa(CostModel::calibrated())
+            });
+            let result = world.run(workload, blocks, size, 42, Scheme::BlockOnly);
+            let avg = AvgBreakdown::of(&result.breakdowns);
             println!(
                 "{:>4} {size:>6} | {:>10} {:>10} | {:>10} {:>8.2}x | {:>10} {:>9}",
                 workload.label(),

@@ -16,7 +16,7 @@
 
 use std::time::Instant;
 
-use dcert_bench::kv_key;
+use dcert::world::kv_key;
 use dcert_bench::params::scaled;
 use dcert_bench::report::{banner, fmt_bytes, fmt_duration, short};
 use dcert_query::aggregate::verify_aggregate;

@@ -14,21 +14,18 @@
 
 #![forbid(unsafe_code)]
 
-use std::collections::HashMap;
 use std::time::Instant;
 
+use dcert::world::{kv_key, replay, Scheme, Setup, World, SERVE_INDEXES};
 use dcert_bench::params::scaled;
 use dcert_bench::report::{banner, fmt_duration};
-use dcert_bench::{kv_key, shape, Rig, RigConfig};
+use dcert_bench::shape;
 use dcert_chain::Block;
 use dcert_obs::Registry;
-use dcert_query::sp::IndexKind;
 use dcert_query::ServiceProvider;
-use dcert_serve::{
-    QuerySpec, RateLimit, ServeConfig, ServeFront, ServeRequest, ServeWire, Submitted,
-};
+use dcert_serve::{QuerySpec, RateLimit, ServeConfig, ServeFront, ServeRequest, Submitted};
 use dcert_sgx::CostModel;
-use dcert_workloads::{ServeEvent, ServeLoadConfig, ServeLoadGen, ServeQueryKind, Workload};
+use dcert_workloads::{ServeEvent, ServeLoadConfig, ServeLoadGen, Workload};
 
 /// Blocks of indexed history behind the front (scaled by `DCERT_SCALE`).
 const HISTORY_BLOCKS: u64 = 240;
@@ -53,45 +50,35 @@ fn main() {
     );
 
     let obs = Registry::new();
-    let mut rig = Rig::new(RigConfig {
-        cost: CostModel::zero(),
-        indexes: vec![
-            (IndexKind::History, "history".to_owned()),
-            (IndexKind::Inverted, "inverted".to_owned()),
-            (IndexKind::Aggregate, "agg".to_owned()),
-        ],
-        obs: obs.clone(),
+    let mut world = World::new(Setup {
+        indexes: SERVE_INDEXES
+            .iter()
+            .map(|&(kind, name)| (kind, name.to_owned()))
+            .collect(),
+        registry: obs.clone(),
+        ..Setup::poa(CostModel::zero())
     });
 
     let blocks = scaled(HISTORY_BLOCKS);
     eprintln!("building {blocks}-block certified history (kvstore workload)...");
-    rig.run(
+    world.run(
         Workload::KvStore { keyspace: 500 },
         blocks,
         TXS_PER_BLOCK,
         42,
-        dcert_bench::Scheme::Augmented,
+        Scheme::Augmented,
     );
 
     // One pre-mined block per swept configuration: each replay stages it
     // halfway through, exercising the strict-invalidation path under load
     // (heights stay consecutive across the sweep).
-    let mut gen = rig.generator(Workload::KvStore { keyspace: 500 }, 43);
+    let mut gen = world.generator(Workload::KvStore { keyspace: 500 }, 43);
     let freshen: Vec<Block> = (0..CACHE_CAPACITIES.len())
-        .map(|_| rig.mine(gen.next_block(TXS_PER_BLOCK)))
+        .map(|_| world.mine(gen.next_block(TXS_PER_BLOCK)))
         .collect();
 
-    // The front takes ownership of the SP; leave a fresh stand-in on the
-    // rig so it stays whole.
-    let mut sp = std::mem::replace(
-        &mut rig.sp,
-        ServiceProvider::new(
-            &rig.genesis,
-            rig.genesis_state.clone(),
-            rig.executor.clone(),
-            rig.engine.clone(),
-        ),
-    );
+    // The front takes the SP by ownership, one configuration at a time.
+    let mut sp = world.sp;
 
     let load = ServeLoadConfig {
         requests: scaled(REQUESTS),
@@ -134,10 +121,18 @@ fn main() {
         let backend_before = obs.counter("serve.backend_calls").get();
 
         let started = Instant::now();
-        let outcome = replay(&mut front, &schedule, fresh);
+        let outcome = replay(&mut front, &schedule, fresh, PUMP_BUDGET);
         let elapsed = started.elapsed();
         let backend = obs.counter("serve.backend_calls").get() - backend_before;
-        outcome.check(schedule.len() as u64);
+        assert_eq!(
+            outcome.accounted(),
+            outcome.submitted,
+            "every request must reach exactly one terminal outcome"
+        );
+        assert!(
+            outcome.unanswered.is_empty() && outcome.parked_waiters == 0,
+            "no waiter may be silently dropped"
+        );
 
         let hit_rate = 100.0 * outcome.cache_hits as f64 / schedule.len() as f64;
         let (p50, p99) = outcome.wait_percentiles();
@@ -184,172 +179,6 @@ fn main() {
         ],
         &["serve.wait_ticks", "serve.payload_bytes"],
     );
-}
-
-/// Terminal-outcome tallies for one replay. Every submitted request ends
-/// in exactly one bucket; [`ReplayOutcome::check`] enforces it.
-#[derive(Default)]
-struct ReplayOutcome {
-    cache_hits: u64,
-    coalesce_hits: u64,
-    responses: u64,
-    refused_admission: u64,
-    refused_pump: u64,
-    cancelled: u64,
-    waits: Vec<u64>,
-}
-
-impl ReplayOutcome {
-    fn shed(&self) -> u64 {
-        self.refused_admission + self.refused_pump
-    }
-
-    fn check(&self, submitted: u64) {
-        let accounted = self.cache_hits + self.responses + self.shed() + self.cancelled;
-        assert_eq!(
-            accounted, submitted,
-            "every request must reach exactly one terminal outcome"
-        );
-    }
-
-    /// Exact wait-tick percentiles over the delivered responses.
-    fn wait_percentiles(&self) -> (u64, u64) {
-        if self.waits.is_empty() {
-            return (0, 0);
-        }
-        let mut sorted = self.waits.clone();
-        sorted.sort_unstable();
-        let at = |pct: usize| sorted[(sorted.len() - 1) * pct / 100];
-        (at(50), at(99))
-    }
-}
-
-/// Replays the schedule: admit each burst, cancel its slow-loris
-/// waiters, then spend `PUMP_BUDGET` queries per quiet tick. `fresh` is
-/// staged halfway through to exercise cache invalidation mid-load.
-fn replay(front: &mut ServeFront, schedule: &[ServeEvent], fresh: &Block) -> ReplayOutcome {
-    let mut outcome = ReplayOutcome::default();
-    let mut admitted: HashMap<u64, u64> = HashMap::new(); // id -> admitted tick
-    let mut burst_abandons: Vec<(u64, u64)> = Vec::new(); // (client, id)
-    let mut current_tick = schedule.first().map_or(0, |e| e.tick);
-    let half = schedule.len() / 2;
-
-    let drain = |front: &mut ServeFront,
-                 outcome: &mut ReplayOutcome,
-                 admitted: &mut HashMap<u64, u64>,
-                 tick: u64| {
-        for (_, wire) in front.pump(tick, PUMP_BUDGET) {
-            match wire {
-                ServeWire::Response(response) => {
-                    if let Some(at) = admitted.remove(&response.id) {
-                        outcome.waits.push(tick.saturating_sub(at));
-                    }
-                    outcome.responses += 1;
-                }
-                ServeWire::Refusal(refusal) => {
-                    admitted.remove(&refusal.id);
-                    outcome.refused_pump += 1;
-                }
-                ServeWire::Request(_) => unreachable!("the front never emits requests"),
-            }
-        }
-    };
-
-    for (i, event) in schedule.iter().enumerate() {
-        if event.tick != current_tick {
-            for (client, id) in burst_abandons.drain(..) {
-                if front.cancel(client, id) {
-                    admitted.remove(&id);
-                    outcome.cancelled += 1;
-                }
-            }
-            for tick in current_tick + 1..=event.tick {
-                drain(front, &mut outcome, &mut admitted, tick);
-            }
-            current_tick = event.tick;
-        }
-        if i == half {
-            front
-                .stage_block(fresh)
-                .expect("freshen block stages cleanly");
-            front.advance_staged();
-        }
-
-        let id = i as u64;
-        let request = ServeRequest {
-            client: event.client,
-            id,
-            query: spec_for(event, front.sp().index_height()),
-        };
-        match front.submit(event.tick, request) {
-            Ok(Submitted::CacheHit(_)) => outcome.cache_hits += 1,
-            Ok(Submitted::Enqueued { coalesced }) => {
-                if coalesced {
-                    outcome.coalesce_hits += 1;
-                }
-                admitted.insert(id, event.tick);
-                if event.abandon {
-                    burst_abandons.push((event.client, id));
-                }
-            }
-            Err(_) => outcome.refused_admission += 1,
-        }
-    }
-
-    // Tail: cancel the last burst's abandons, then pump until dry.
-    for (client, id) in burst_abandons.drain(..) {
-        if front.cancel(client, id) {
-            admitted.remove(&id);
-            outcome.cancelled += 1;
-        }
-    }
-    let mut tick = current_tick;
-    while front.inflight_entries() > 0 {
-        tick += 1;
-        drain(front, &mut outcome, &mut admitted, tick);
-    }
-    assert!(admitted.is_empty(), "no waiter may be silently dropped");
-    outcome
-}
-
-/// Maps a schedule event to a concrete query over the rig's three
-/// indexes. Windows span the full certified history so equal keys make
-/// equal specs (the regime caching targets).
-fn spec_for(event: &ServeEvent, height: u64) -> QuerySpec {
-    let key = kv_key(event.key);
-    match event.kind {
-        ServeQueryKind::History => QuerySpec::History {
-            index: "history".to_owned(),
-            key,
-            t1: 1,
-            t2: height.max(1),
-        },
-        ServeQueryKind::Keywords => QuerySpec::Keywords {
-            index: "inverted".to_owned(),
-            keywords: vec![format!("key-{}", event.key)],
-        },
-        ServeQueryKind::Aggregate => QuerySpec::Aggregate {
-            index: "agg".to_owned(),
-            key,
-            t1: 1,
-            t2: height.max(1),
-        },
-        // Op-stream kinds map the schedule's nested [0,100] window onto
-        // the certified height range monotonically, so containment in
-        // the schedule stays containment in the spec.
-        ServeQueryKind::HistoryOp => QuerySpec::HistoryOp {
-            index: "history".to_owned(),
-            key,
-            t1: 1 + event.window.0 * height.max(1) / 100,
-            t2: 1 + event.window.1 * height.max(1) / 100,
-        },
-        ServeQueryKind::AggregateOp => QuerySpec::AggregateOp {
-            index: "agg".to_owned(),
-            key,
-            t1: 1 + event.window.0 * height.max(1) / 100,
-            t2: 1 + event.window.1 * height.max(1) / 100,
-        },
-    }
 }
 
 /// Deterministic mini-scenario moving every counter `main` asserts,

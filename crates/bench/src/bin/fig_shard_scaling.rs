@@ -21,13 +21,13 @@
 
 use std::time::{Duration, Instant};
 
+use dcert::world::{assert_bytes_equal, Setup, World};
 use dcert_bench::params::scaled;
 use dcert_bench::report::{banner, fmt_duration};
-use dcert_bench::{shape, Rig, RigConfig};
+use dcert_bench::shape;
 use dcert_chain::Block;
-use dcert_core::{Certificate, CertificateIssuer, ShardFleetConfig, ShardedCertEngine};
+use dcert_core::ShardFleetConfig;
 use dcert_obs::Registry;
-use dcert_primitives::codec::Encode;
 use dcert_sgx::CostModel;
 use dcert_workloads::Workload;
 
@@ -36,11 +36,6 @@ const SHARD_COUNTS: &[usize] = &[1, 2, 4, 8];
 
 /// Blocks per `RangeSigGen` ECall inside each shard.
 const CHUNK: u64 = 4;
-
-/// Deterministic seeds shared by the sequential issuer and every fleet —
-/// the precondition for byte-identical output.
-const PLATFORM_SEED: [u8; 32] = [0xC1; 32];
-const SIGNING_SEED: [u8; 32] = [0x51; 32];
 
 fn main() {
     banner(
@@ -62,42 +57,20 @@ fn main() {
         ..CostModel::calibrated()
     };
 
-    // One deterministic world: the rig's PoA-sealed chain, which both the
-    // sequential issuer and every fleet certify (the rig's own CI idles).
-    let mut rig = Rig::new(RigConfig::default());
+    // One deterministic world under that cost model: its CI is the
+    // sequential baseline, and every fleet it builds shares its chain and
+    // seeds — the precondition for byte-identical output.
+    let mut world = World::new(Setup::poa(cost));
     eprintln!("mining {chain_len} blocks ({txs_per_block} txs each)...");
-    let mut gen = rig.generator(Workload::SmallBank { customers: 64 }, 7);
+    let mut gen = world.generator(Workload::SmallBank { customers: 64 }, 7);
     let blocks: Vec<Block> = (0..chain_len)
-        .map(|_| rig.mine(gen.next_block(txs_per_block)))
+        .map(|_| world.mine(gen.next_block(txs_per_block)))
         .collect();
-    let Rig {
-        genesis,
-        genesis_state,
-        executor,
-        engine,
-        mut ias,
-        ..
-    } = rig;
 
     // The sequential baseline: one deterministic CI, one block per ECall.
     eprintln!("sequential baseline...");
-    let mut ci = CertificateIssuer::new_deterministic(
-        PLATFORM_SEED,
-        SIGNING_SEED,
-        &genesis,
-        genesis_state.clone(),
-        executor.clone(),
-        engine.clone(),
-        Vec::new(),
-        &mut ias,
-        cost,
-    )
-    .expect("sequential CI boots");
     let started = Instant::now();
-    let seq_certs: Vec<Certificate> = blocks
-        .iter()
-        .map(|b| ci.certify_block(b).expect("sequential certify").0)
-        .collect();
+    let seq_certs = world.certify_blocks(&blocks);
     let seq_elapsed = started.elapsed();
 
     let obs = Registry::new();
@@ -123,37 +96,19 @@ fn main() {
     for &shards in SHARD_COUNTS {
         let mut config = ShardFleetConfig::new(shards, CHUNK);
         config.registry = obs.clone();
-        let mut fleet = ShardedCertEngine::new_deterministic(
-            PLATFORM_SEED,
-            SIGNING_SEED,
-            &genesis,
-            genesis_state.clone(),
-            executor.clone(),
-            engine.clone(),
-            cost,
-            config,
-        )
-        .expect("fleet configures");
+        let mut fleet = world.fleet(config);
 
         // Aggregation time for this run is the growth of the fold timer.
         let fold_before = fold_ns(&obs);
         let started = Instant::now();
         let certs = fleet
-            .certify_chain(&blocks, &mut ias)
+            .certify_chain(&blocks, &mut world.ias)
             .expect("fleet certifies");
         let elapsed = started.elapsed();
         let agg = Duration::from_nanos(fold_ns(&obs).saturating_sub(fold_before));
 
         // Byte-identity at every height, or the throughput is meaningless.
-        assert_eq!(certs.len(), seq_certs.len(), "{shards} shards: cert count");
-        for (at, (seq, fleet_cert)) in seq_certs.iter().zip(&certs).enumerate() {
-            assert_eq!(
-                seq.to_encoded_bytes(),
-                fleet_cert.to_encoded_bytes(),
-                "{shards} shards: certificate bytes diverge at height {}",
-                at + 1
-            );
-        }
+        assert_bytes_equal(&seq_certs, &certs, &format!("{shards} shards"));
 
         let speedup = seq_elapsed.as_secs_f64() / elapsed.as_secs_f64();
         println!(

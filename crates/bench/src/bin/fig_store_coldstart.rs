@@ -15,9 +15,10 @@
 use std::sync::Arc;
 use std::time::Instant;
 
+use dcert::world::{Setup, World};
 use dcert_bench::params::scaled;
 use dcert_bench::report::{banner, fmt_bytes, fmt_duration};
-use dcert_bench::{shape, Rig};
+use dcert_bench::shape;
 use dcert_core::{expected_measurement, CertArchive, Gossip, NetMessage};
 use dcert_obs::Registry;
 use dcert_primitives::codec::Encode;
@@ -37,8 +38,11 @@ fn main() {
     let obs = Registry::new();
     // The enclave cost model is irrelevant here — the measured phases run
     // entirely outside the enclave, against the disk and the verifier.
-    let mut rig = Rig::block_only(CostModel::zero(), &obs);
-    let ias_key = rig.ias.public_key();
+    let mut world = World::new(Setup {
+        registry: obs.clone(),
+        ..Setup::poa(CostModel::zero())
+    });
+    let ias_key = world.ias.public_key();
     let measurement = expected_measurement();
 
     let dir = std::env::temp_dir().join(format!("dcert-bench-coldstart-{}", std::process::id()));
@@ -60,9 +64,9 @@ fn main() {
         // does: one certificate record per block, synced before the
         // publish is acknowledged.
         while height < target {
-            let block = rig.mine(Vec::new());
+            let block = world.mine(Vec::new());
             height = block.header.height;
-            let (cert, _) = rig.ci.certify_block(&block).expect("certifies");
+            let (cert, _) = world.ci.certify_block(&block).expect("certifies");
             let message = NetMessage::BlockCert {
                 header: block.header.clone(),
                 cert,

@@ -11,9 +11,11 @@
 
 #![forbid(unsafe_code)]
 
+use dcert::world::{Scheme, Setup, World};
 use dcert_bench::params::{scaled, BLOCKS_PER_MEASUREMENT, DEFAULT_BLOCK_SIZE};
+use dcert_bench::report::AvgBreakdown;
 use dcert_bench::report::{banner, fmt_duration};
-use dcert_bench::{shape, Rig, Scheme};
+use dcert_bench::shape;
 use dcert_obs::Registry;
 use dcert_sgx::CostModel;
 use dcert_workloads::Workload;
@@ -38,15 +40,18 @@ fn main() {
     let obs = Registry::new();
     let mut request_bytes = Vec::new();
     for (name, cost) in tees {
-        let mut rig = Rig::block_only(*cost, &obs);
-        let result = rig.run(
+        let mut world = World::new(Setup {
+            registry: obs.clone(),
+            ..Setup::poa(*cost)
+        });
+        let result = world.run(
             Workload::SmallBank { customers: 500 },
             blocks,
             DEFAULT_BLOCK_SIZE,
             42,
             Scheme::BlockOnly,
         );
-        let avg = result.average();
+        let avg = AvgBreakdown::of(&result.breakdowns);
         println!(
             "{name:>14} | {:>10} {:>10} {:>8.2}x | {:>10}",
             fmt_duration(avg.enclave_total),

@@ -18,16 +18,16 @@
 //! relations only at `DCERT_SCALE >= 1` ([`shape::wall_clock`]), where
 //! the timed sections are long enough to be stable.
 //!
+//! Every figure builds its chain, CI, SP and client through
+//! [`dcert::world`], on the proof-of-authority chain `results/` pins.
+//!
 //! Numbers that are compared *across commits* do not come from here:
 //! `benchmark/run.sh compare` is the one measurement system for that.
 
 #![forbid(unsafe_code)]
 
-pub mod harness;
-pub mod naive;
 pub mod params;
 pub mod report;
 pub mod shape;
 
-pub use harness::{kv_key, Rig, RigConfig, Scheme};
 pub use params::{scale, scaled};

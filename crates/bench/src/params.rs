@@ -31,7 +31,7 @@ pub const PAPER_SENDER_ACCOUNTS: usize = 100_000;
 
 /// Sender accounts actually generated (keypair generation is the only
 /// cost that depends on it; access patterns are uniform either way).
-pub const SENDER_ACCOUNTS: usize = 1_024;
+pub const SENDER_ACCOUNTS: usize = dcert::world::Chain::Poa.senders();
 
 /// Blocks certified per measured configuration in Figs. 8–10.
 pub const BLOCKS_PER_MEASUREMENT: u64 = 20;

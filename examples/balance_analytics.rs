@@ -9,47 +9,21 @@
 //!
 //! Run with: `cargo run --release --example balance_analytics`
 
-use std::sync::Arc;
-
-use dcert::chain::{FullNode, GenesisBuilder, ProofOfWork, Transaction};
-use dcert::core::{expected_measurement, CertificateIssuer, SuperlightClient};
+use dcert::chain::Transaction;
 use dcert::primitives::codec::Encode;
-use dcert::primitives::hash::Address;
 use dcert::primitives::keys::Keypair;
 use dcert::query::aggregate::verify_aggregate;
 use dcert::query::sp::IndexKind;
-use dcert::query::ServiceProvider;
-use dcert::sgx::{AttestationService, CostModel};
-use dcert::vm::{Executor, StateKey};
-use dcert::workloads::blockbench_registry;
+use dcert::sgx::CostModel;
+use dcert::vm::StateKey;
 use dcert::workloads::smallbank::BankCall;
+use dcert::world::{Setup, World};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let executor = Executor::new(Arc::new(blockbench_registry()));
-    let engine = Arc::new(ProofOfWork::new(6));
-    let (genesis, state) = GenesisBuilder::new().build();
-
-    let mut miner = FullNode::new(
-        &genesis,
-        state.clone(),
-        executor.clone(),
-        engine.clone(),
-        Address::from_seed(1),
-    );
-    let mut sp = ServiceProvider::new(&genesis, state.clone(), executor.clone(), engine.clone());
-    sp.add_index(IndexKind::Aggregate, "balances");
-
-    let mut ias = AttestationService::with_seed([42; 32]);
-    let mut ci = CertificateIssuer::new(
-        &genesis,
-        state,
-        executor,
-        engine,
-        sp.verifiers(),
-        &mut ias,
-        CostModel::calibrated(),
-    )?;
-    let mut client = SuperlightClient::new(ias.public_key(), expected_measurement());
+    let mut world = World::new(Setup {
+        indexes: vec![(IndexKind::Aggregate, "balances".to_owned())],
+        ..Setup::poa(CostModel::calibrated())
+    });
 
     // 60 blocks of banking activity on customer 7's checking account.
     println!("certifying 60 blocks of SmallBank activity...");
@@ -67,12 +41,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             }
         };
         let tx = Transaction::sign(&sender, height, "smallbank", call.to_encoded_bytes());
-        let block = miner.mine(vec![tx], height)?;
-        let inputs = sp.stage_block(&block)?;
-        let (block_cert, idx_certs, _) = ci.certify_hierarchical(&block, &inputs)?;
-        sp.record_certs(&idx_certs);
-        client.validate_chain(&block.header, &block_cert)?;
-        client.validate_index("balances", inputs[0].new_digest, &idx_certs[0])?;
+        let block = world.mine(vec![tx]);
+        let inputs = world.sp.stage_block(&block)?;
+        let (block_cert, idx_certs, _) = world.ci.certify_hierarchical(&block, &inputs)?;
+        world.sp.record_certs(&idx_certs);
+        world.client.validate_chain(&block.header, &block_cert)?;
+        world
+            .client
+            .validate_index("balances", inputs[0].new_digest, &idx_certs[0])?;
     }
 
     // The analytics query: balance statistics over blocks [20, 50].
@@ -82,10 +58,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (t1, t2) = (20u64, 50u64);
 
     let started = std::time::Instant::now();
-    let (agg, proof) = sp.aggregate("balances").unwrap().query(&account, t1, t2);
+    let (agg, proof) = world
+        .sp
+        .aggregate("balances")
+        .unwrap()
+        .query(&account, t1, t2);
     let query_time = started.elapsed();
 
-    let digest = client.index_digest("balances").unwrap();
+    let digest = world.client.index_digest("balances").unwrap();
     let started = std::time::Instant::now();
     verify_aggregate(&digest, &account, t1, t2, &agg, &proof)?;
     let verify_time = started.elapsed();

@@ -8,61 +8,31 @@
 //!
 //! Run with: `cargo run --example fork_resolution`
 
-use std::sync::Arc;
-
-use dcert::chain::{ChainStore, FullNode, GenesisBuilder, ProofOfWork};
-use dcert::core::{expected_measurement, CertificateIssuer, SuperlightClient};
-use dcert::primitives::hash::Address;
-use dcert::sgx::{AttestationService, CostModel};
-use dcert::vm::Executor;
-use dcert::workloads::{blockbench_registry, Workload, WorkloadGen};
+use dcert::chain::ChainStore;
+use dcert::workloads::Workload;
+use dcert::world::World;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let executor = Executor::new(Arc::new(blockbench_registry()));
-    let engine = Arc::new(ProofOfWork::new(8));
-    let (genesis, state) = GenesisBuilder::new().build();
-    let mut ias = AttestationService::with_seed([42; 32]);
-
-    // Two rival miners, each with their own CI, from the same genesis.
-    let mut make_side =
-        |seed: u64| -> Result<(FullNode, CertificateIssuer), Box<dyn std::error::Error>> {
-            let miner = FullNode::new(
-                &genesis,
-                state.clone(),
-                executor.clone(),
-                engine.clone(),
-                Address::from_seed(seed),
-            );
-            let ci = CertificateIssuer::new(
-                &genesis,
-                state.clone(),
-                executor.clone(),
-                engine.clone(),
-                Vec::new(),
-                &mut ias,
-                CostModel::zero(),
-            )?;
-            Ok((miner, ci))
-        };
-    let (mut miner_a, mut ci_a) = make_side(0xA)?;
-    let (mut miner_b, mut ci_b) = make_side(0xB)?;
-
-    let mut gen_a = WorkloadGen::new(Workload::KvStore { keyspace: 16 }, 4, 1);
-    let mut gen_b = WorkloadGen::new(Workload::KvStore { keyspace: 16 }, 4, 2);
+    // Two rival miners, each with its own CI, from the same genesis: two
+    // worlds built alike share genesis, IAS and enclave program.
+    let mut side_a = World::pow(&[]);
+    let mut side_b = World::pow(&[]);
+    let mut gen_a = side_a.generator(Workload::KvStore { keyspace: 16 }, 1);
+    let mut gen_b = side_b.generator(Workload::KvStore { keyspace: 16 }, 2);
 
     // Branch A mines 2 blocks; branch B mines 3.
-    let mut store = ChainStore::new(genesis.header.clone())?;
+    let mut store = ChainStore::new(side_a.genesis.header.clone())?;
     let mut certified_a = Vec::new();
-    for h in 1..=2u64 {
-        let block = miner_a.mine(gen_a.next_block(2), h)?;
-        let (cert, _) = ci_a.certify_block(&block)?;
+    for _ in 0..2 {
+        let block = side_a.mine(gen_a.next_block(2));
+        let (cert, _) = side_a.ci.certify_block(&block)?;
         store.insert(block.header.clone())?;
         certified_a.push((block, cert));
     }
     let mut certified_b = Vec::new();
-    for h in 1..=3u64 {
-        let block = miner_b.mine(gen_b.next_block(2), h)?;
-        let (cert, _) = ci_b.certify_block(&block)?;
+    for _ in 0..3 {
+        let block = side_b.mine(gen_b.next_block(2));
+        let (cert, _) = side_b.ci.certify_block(&block)?;
         store.insert(block.header.clone())?;
         certified_b.push((block, cert));
     }
@@ -78,7 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(store.best_hash(), certified_b[2].0.hash());
 
     // The superlight client first hears about branch A...
-    let mut client = SuperlightClient::new(ias.public_key(), expected_measurement());
+    let client = &mut side_a.client;
     let (a2, ca2) = &certified_a[1];
     client.validate_chain(&a2.header, ca2)?;
     println!(

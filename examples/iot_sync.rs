@@ -10,17 +10,12 @@
 //!
 //! Run with: `cargo run --release --example iot_sync`
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use dcert::baselines::TraditionalLightClient;
-use dcert::chain::{FullNode, GenesisBuilder, ProofOfAuthority};
-use dcert::core::{expected_measurement, CertificateIssuer, SuperlightClient};
-use dcert::primitives::hash::Address;
-use dcert::primitives::keys::Keypair;
-use dcert::sgx::{AttestationService, CostModel};
-use dcert::vm::Executor;
-use dcert::workloads::blockbench_registry;
+use dcert::core::{expected_measurement, SuperlightClient};
+use dcert::sgx::CostModel;
+use dcert::world::{Setup, World};
 
 const CHAIN_LENGTH: u64 = 2_000;
 const CHECKPOINTS: &[u64] = &[200, 500, 1000, 1500, 2000];
@@ -28,36 +23,14 @@ const CHECKPOINTS: &[u64] = &[200, 500, 1000, 1500, 2000];
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Proof-of-authority keeps the chain build fast; the comparison is
     // about client-side costs, not mining.
-    let sealer = Keypair::from_seed([1; 32]);
-    let authority = sealer.public();
-    let engine = Arc::new(ProofOfAuthority::new_sealer(vec![authority], sealer));
-    let executor = Executor::new(Arc::new(blockbench_registry()));
-    let (genesis, state) = GenesisBuilder::new().build();
-
-    let mut miner = FullNode::new(
-        &genesis,
-        state.clone(),
-        executor.clone(),
-        engine.clone(),
-        Address::from_seed(1),
-    );
-    let mut ias = AttestationService::with_seed([42; 32]);
-    let mut ci = CertificateIssuer::new(
-        &genesis,
-        state,
-        executor,
-        engine.clone(),
-        Vec::new(),
-        &mut ias,
-        CostModel::calibrated(),
-    )?;
+    let mut world = World::new(Setup::poa(CostModel::calibrated()));
 
     println!("building + certifying a {CHAIN_LENGTH}-block chain...");
-    let mut headers = vec![genesis.header.clone()];
+    let mut headers = vec![world.genesis.header.clone()];
     let mut certs_at = std::collections::HashMap::new();
     for height in 1..=CHAIN_LENGTH {
-        let block = miner.mine(Vec::new(), height)?;
-        let (cert, _) = ci.certify_block(&block)?;
+        let block = world.mine(Vec::new());
+        let (cert, _) = world.ci.certify_block(&block)?;
         headers.push(block.header.clone());
         if CHECKPOINTS.contains(&height) {
             certs_at.insert(height, (block.header.clone(), cert));
@@ -77,9 +50,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for &height in CHECKPOINTS {
         // Traditional light client: sync & validate all headers.
         let started = Instant::now();
-        let mut light = TraditionalLightClient::new(genesis.header.clone())?;
+        let mut light = TraditionalLightClient::new(world.genesis.header.clone())?;
         for header in &headers[1..=height as usize] {
-            light.sync(header.clone(), engine.as_ref())?;
+            light.sync(header.clone(), world.engine.as_ref())?;
         }
         let light_time = started.elapsed();
         let light_bytes = light.storage_bytes();
@@ -87,7 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // Superlight client: one certificate.
         let (header, cert) = &certs_at[&height];
         let started = Instant::now();
-        let mut superlight = SuperlightClient::new(ias.public_key(), expected_measurement());
+        let mut superlight = SuperlightClient::new(world.ias.public_key(), expected_measurement());
         superlight.validate_chain(header, cert)?;
         let super_time = started.elapsed();
         let super_bytes = superlight.storage_bytes();

@@ -10,20 +10,14 @@
 //!
 //! Run with: `cargo run --example keyword_search`
 
-use std::sync::Arc;
-
-use dcert::chain::{FullNode, GenesisBuilder, ProofOfWork, Transaction};
-use dcert::core::{expected_measurement, CertificateIssuer, SuperlightClient};
+use dcert::chain::Transaction;
 use dcert::primitives::codec::Encode;
-use dcert::primitives::hash::Address;
 use dcert::primitives::keys::Keypair;
 use dcert::query::inverted::verify_keywords;
 use dcert::query::sp::IndexKind;
-use dcert::query::ServiceProvider;
-use dcert::sgx::{AttestationService, CostModel};
-use dcert::vm::Executor;
-use dcert::workloads::blockbench_registry;
+use dcert::sgx::CostModel;
 use dcert::workloads::kvstore::KvCall;
+use dcert::world::{Setup, World};
 
 const MEMOS: &[&str] = &[
     "buy stock ACME quantity 100",
@@ -37,31 +31,10 @@ const MEMOS: &[&str] = &[
 ];
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let executor = Executor::new(Arc::new(blockbench_registry()));
-    let engine = Arc::new(ProofOfWork::new(6));
-    let (genesis, state) = GenesisBuilder::new().build();
-
-    let mut miner = FullNode::new(
-        &genesis,
-        state.clone(),
-        executor.clone(),
-        engine.clone(),
-        Address::from_seed(1),
-    );
-    let mut sp = ServiceProvider::new(&genesis, state.clone(), executor.clone(), engine.clone());
-    sp.add_index(IndexKind::Inverted, "inverted");
-
-    let mut ias = AttestationService::with_seed([42; 32]);
-    let mut ci = CertificateIssuer::new(
-        &genesis,
-        state,
-        executor,
-        engine,
-        sp.verifiers(),
-        &mut ias,
-        CostModel::calibrated(),
-    )?;
-    let mut client = SuperlightClient::new(ias.public_key(), expected_measurement());
+    let mut world = World::new(Setup {
+        indexes: vec![(IndexKind::Inverted, "inverted".to_owned())],
+        ..Setup::poa(CostModel::calibrated())
+    });
 
     // One memo-carrying transaction per block, indexed as it lands.
     let sender = Keypair::from_seed([3; 32]);
@@ -78,28 +51,32 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .to_encoded_bytes(),
         );
         memo_of_tx.insert(tx.id(), *memo);
-        let block = miner.mine(vec![tx], i as u64 + 1)?;
-        let inputs = sp.stage_block(&block)?;
-        let (certs, _) = ci.certify_augmented(&block, &inputs)?;
+        let block = world.mine(vec![tx]);
+        let inputs = world.sp.stage_block(&block)?;
+        let (certs, _) = world.ci.certify_augmented(&block, &inputs)?;
         // One augmented certificate carries the chain AND the index.
-        client.validate_chain_with_index(
+        world.client.validate_chain_with_index(
             &block.header,
             "inverted",
             inputs[0].new_digest,
             &certs[0],
         )?;
-        sp.record_certs(&certs);
+        world.sp.record_certs(&certs);
     }
     println!(
         "indexed {} blocks, {} distinct keywords, client height {}",
         MEMOS.len(),
-        sp.inverted("inverted").unwrap().keywords(),
-        client.height().unwrap(),
+        world.sp.inverted("inverted").unwrap().keywords(),
+        world.client.height().unwrap(),
     );
 
     // The query: every transaction mentioning "stock" AND "bank".
-    let digest = client.index_digest("inverted").unwrap();
-    let (matches, proof) = sp.inverted("inverted").unwrap().query(&["stock", "bank"]);
+    let digest = world.client.index_digest("inverted").unwrap();
+    let (matches, proof) = world
+        .sp
+        .inverted("inverted")
+        .unwrap()
+        .query(&["stock", "bank"]);
     verify_keywords(&digest, &["stock", "bank"], &matches, &proof)?;
     println!("\n[stock AND bank] — {} verified matches:", matches.len());
     for id in &matches {

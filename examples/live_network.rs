@@ -23,42 +23,28 @@ use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use dcert::chain::{FullNode, GenesisBuilder, ProofOfWork};
 use dcert::core::{
-    expected_measurement, CertArchive, CertJob, CertPipeline, CertificateIssuer, FaultConfig,
-    NetMessage, Partition, PipelineConfig, PublishPolicy, SimNet, SuperlightClient, SyncOutcome,
-    Transport,
+    CertArchive, CertJob, CertPipeline, FaultConfig, NetMessage, Partition, PipelineConfig,
+    PublishPolicy, SimNet, SyncOutcome, Transport,
 };
-use dcert::primitives::hash::Address;
-use dcert::sgx::{AttestationService, CostModel};
-use dcert::vm::Executor;
-use dcert::workloads::{blockbench_registry, Workload, WorkloadGen};
+use dcert::sgx::CostModel;
+use dcert::workloads::Workload;
+use dcert::world::{Setup, World};
 
 const BLOCKS: u64 = 30;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let executor = Executor::new(Arc::new(blockbench_registry()));
-    let engine = Arc::new(ProofOfWork::new(10));
-    let (genesis, state) = GenesisBuilder::new().build();
-
-    let mut miner = FullNode::new(
-        &genesis,
-        state.clone(),
-        executor.clone(),
-        engine.clone(),
-        Address::from_seed(1),
-    );
-    let mut ias = AttestationService::with_seed([42; 32]);
-    let ci = CertificateIssuer::new(
-        &genesis,
-        state,
-        executor,
-        engine,
-        Vec::new(),
-        &mut ias,
-        CostModel::calibrated(),
-    )?;
-    let ias_key = ias.public_key();
+    let world = World::new(Setup {
+        cost: CostModel::calibrated(),
+        ..Setup::pow()
+    });
+    let mut gen = world.generator(Workload::SmallBank { customers: 64 }, 3);
+    let World {
+        mut miner,
+        ci,
+        mut client,
+        ..
+    } = world;
 
     // The certificate network: seeded faults (replayable via
     // DCERT_CHAOS_SEED), including a partition that cuts the client off
@@ -83,7 +69,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // certificate broadcast; block download has its own retries).
     let (block_tx, block_rx) = mpsc::sync_channel(4);
     let miner_thread = thread::spawn(move || {
-        let mut gen = WorkloadGen::new(Workload::SmallBank { customers: 64 }, 16, 3);
         for height in 1..=BLOCKS {
             let block = miner.mine(gen.next_block(8), height).expect("mines");
             println!("[miner ] block {height:>3} mined        {}", block.hash());
@@ -144,7 +129,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let client_done = done.clone();
     let client_net = net.clone();
     let client_thread = thread::spawn(move || {
-        let mut client = SuperlightClient::new(ias_key, expected_measurement());
         while client.height() != Some(BLOCKS) {
             match recv_within(Duration::from_millis(50), || client_rx.try_recv().ok()) {
                 Some(msg) => match client.on_message(&msg) {

@@ -7,53 +7,26 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use std::sync::Arc;
-
-use dcert::chain::{FullNode, GenesisBuilder, ProofOfWork};
-use dcert::core::{expected_measurement, CertificateIssuer, SuperlightClient};
 use dcert::primitives::codec::Encode;
-use dcert::primitives::hash::Address;
-use dcert::sgx::{AttestationService, CostModel};
-use dcert::vm::Executor;
-use dcert::workloads::{blockbench_registry, Workload, WorkloadGen};
+use dcert::sgx::CostModel;
+use dcert::workloads::Workload;
+use dcert::world::{Setup, World};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // 1. Shared chain semantics: contracts + consensus + genesis.
-    let executor = Executor::new(Arc::new(blockbench_registry()));
-    let engine = Arc::new(ProofOfWork::new(8));
-    let (genesis, state) = GenesisBuilder::new().timestamp(1_700_000_000).build();
-    println!("genesis        {}", genesis.hash());
+    // 1. The whole cast on one genesis: contracts + consensus, a miner,
+    //    the simulated IAS, and the SGX-enabled Certificate Issuer, whose
+    //    enclave holds (sk_enc, pk_enc) and is attested.
+    let mut world = World::new(Setup::poa(CostModel::calibrated()));
+    println!("genesis        {}", world.genesis.hash());
+    println!("enclave        {}", world.ci.measurement());
+    println!("pk_enc         {}", world.ci.pk_enc());
 
-    // 2. A miner and the attestation infrastructure.
-    let mut miner = FullNode::new(
-        &genesis,
-        state.clone(),
-        executor.clone(),
-        engine.clone(),
-        Address::from_seed(1),
-    );
-    let mut ias = AttestationService::with_seed([42; 32]);
-
-    // 3. The SGX-enabled Certificate Issuer: launches the enclave,
-    //    generates (sk_enc, pk_enc) inside it, and gets attested.
-    let mut ci = CertificateIssuer::new(
-        &genesis,
-        state,
-        executor,
-        engine,
-        Vec::new(),
-        &mut ias,
-        CostModel::calibrated(),
-    )?;
-    println!("enclave        {}", ci.measurement());
-    println!("pk_enc         {}", ci.pk_enc());
-
-    // 4. Mine and certify blocks running the SmallBank workload.
-    let mut gen = WorkloadGen::new(Workload::SmallBank { customers: 100 }, 32, 7);
+    // 2. Mine and certify blocks running the SmallBank workload.
+    let mut gen = world.generator(Workload::SmallBank { customers: 100 }, 7);
     let mut latest = None;
     for height in 1..=10u64 {
-        let block = miner.mine(gen.next_block(16), 1_700_000_000 + height * 15)?;
-        let (cert, breakdown) = ci.certify_block(&block)?;
+        let block = world.mine(gen.next_block(16));
+        let (cert, breakdown) = world.ci.certify_block(&block)?;
         println!(
             "block {height:>2}  txs={:>2}  cert in {:>8.2?} (enclave {:>8.2?}, overhead {:>7.2?})",
             block.txs.len(),
@@ -64,9 +37,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         latest = Some((block, cert));
     }
 
-    // 5. A superlight client bootstraps from ONE header + ONE certificate.
+    // 3. A superlight client bootstraps from ONE header + ONE certificate.
     let (block, cert) = latest.expect("blocks were mined");
-    let mut client = SuperlightClient::new(ias.public_key(), expected_measurement());
+    let client = &mut world.client;
     let started = std::time::Instant::now();
     client.validate_chain(&block.header, &cert)?;
     let elapsed = started.elapsed();

@@ -22,6 +22,7 @@
 //! | [`store`] | `dcert-store` | crash-safe segment/head persistence for certified history |
 //! | [`baselines`] | `dcert-baselines` | traditional light client, LineageChain-style index |
 //! | [`workloads`] | `dcert-workloads` | Blockbench DN/CPU/IO/KV/SB |
+//! | [`world`] | (this crate) | the seeded Fig. 2 cast every test, figure and example drives; the serve replay; the naive reference program |
 //!
 //! Start with the [`core`] crate documentation — its example walks the full
 //! pipeline — or run `cargo run --example quickstart`.
@@ -40,3 +41,5 @@ pub use dcert_sgx as sgx;
 pub use dcert_store as store;
 pub use dcert_vm as vm;
 pub use dcert_workloads as workloads;
+
+pub mod world;

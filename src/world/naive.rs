@@ -9,6 +9,12 @@
 //! in state size, with a paging cliff past the EPC budget), while DCert's
 //! stateless ECall marshals only read/write sets and proofs (cost
 //! independent of state size).
+//!
+//! It is also the reference model beside the [`World`](super::World):
+//! sequential, unbatched, whole-state, with its own spelling of every
+//! check rather than a call into `dcert_core`'s engine or certificate
+//! program, and its key drawn from [`SIGNING_SEED`] so its signatures
+//! replay.
 
 use std::sync::Arc;
 
@@ -21,7 +27,8 @@ use dcert_primitives::hash::Hash;
 use dcert_primitives::keys::{Keypair, PublicKey, Signature};
 use dcert_sgx::TrustedApp;
 use dcert_vm::{Executor, StateKey, StateReader, VmError};
-use rand::rngs::OsRng;
+
+use super::SIGNING_SEED;
 
 /// Code identity of the naive program (distinct measurement from the real
 /// certificate program).
@@ -91,7 +98,7 @@ impl NaiveCertProgram {
         let Some(request) = request else {
             let kp = self
                 .keypair
-                .get_or_insert_with(|| Keypair::generate(&mut OsRng));
+                .get_or_insert_with(|| Keypair::from_seed(SIGNING_SEED));
             return Ok(Response::Initialized(kp.public()));
         };
         let kp = self.keypair.as_ref().ok_or(CertError::NotInitialized)?;
@@ -240,34 +247,33 @@ impl TrustedApp for NaiveCertProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Rig, RigConfig};
+    use crate::world::{Setup, World};
     use dcert_sgx::{CostModel, Enclave};
     use dcert_workloads::Workload;
 
     #[test]
     fn naive_program_certifies_and_rejects_like_the_real_one() {
-        let mut rig = Rig::new(RigConfig {
-            cost: CostModel::zero(),
-            ..RigConfig::default()
-        });
+        let mut world = World::new(Setup::poa(CostModel::zero()));
         // Seed some state via one applied block, then prepare the next.
-        let mut gen = rig.generator(Workload::KvStore { keyspace: 16 }, 7);
-        let b1 = rig.mine(gen.next_block(4));
-        rig.ci.certify_block(&b1).unwrap();
-        let b2 = rig.mine(gen.next_block(4));
+        let mut gen = world.generator(Workload::KvStore { keyspace: 16 }, 7);
+        let b1 = world.mine(gen.next_block(4));
+        world.ci.certify_block(&b1).unwrap();
+        let b2 = world.mine(gen.next_block(4));
 
         let program = NaiveCertProgram::new(
-            rig.genesis.hash(),
-            rig.ias.public_key(),
-            rig.executor.clone(),
-            rig.engine.clone(),
+            world.genesis.hash(),
+            world.ias.public_key(),
+            world.executor.clone(),
+            world.engine.clone(),
         );
         let enclave = Enclave::launch(program, CostModel::zero());
+        // The key is the seed's, so every run signs alike.
         let init = Response::decode_all(&enclave.ecall(&[])).unwrap();
-        assert!(matches!(init, Response::Initialized(_)));
+        let key = Keypair::from_seed(SIGNING_SEED);
+        assert_eq!(init, Response::Initialized(key.public()));
 
         // Full pre-state of block 2 = state after block 1 (the CI's view).
-        let state: Vec<(Hash, Vec<u8>)> = rig.ci.node().state().dump_entries();
+        let state: Vec<(Hash, Vec<u8>)> = world.ci.node().state().dump_entries();
         let request = NaiveRequest {
             prev_header: b1.header.clone(),
             prev_cert: None, // prev cert came from the *real* program: use genesis-anchored path instead
@@ -281,20 +287,23 @@ mod tests {
         // Anchor at genesis instead: certify block 1 naively.
         let genesis_state: Vec<(Hash, Vec<u8>)> = Vec::new();
         let request = NaiveRequest {
-            prev_header: rig.genesis.header.clone(),
+            prev_header: world.genesis.header.clone(),
             prev_cert: None,
             block: b1.clone(),
             state: genesis_state,
         };
         let response = Response::decode_all(&enclave.ecall(&request.to_encoded_bytes())).unwrap();
-        assert!(matches!(response, Response::Signature(_)), "{response:?}");
+        assert_eq!(
+            response,
+            Response::Signature(key.sign(b1.header.hash().as_bytes()))
+        );
 
         // Tampered state root → rejected.
         let mut bad = b1.clone();
         bad.header.state_root = Hash::ZERO;
-        rig.engine.seal(&mut bad.header).unwrap();
+        world.engine.seal(&mut bad.header).unwrap();
         let request = NaiveRequest {
-            prev_header: rig.genesis.header.clone(),
+            prev_header: world.genesis.header.clone(),
             prev_cert: None,
             block: bad,
             state: Vec::new(),

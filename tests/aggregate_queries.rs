@@ -3,20 +3,18 @@
 //! (hierarchically), and window aggregates verify on the client with
 //! O(log n) proofs.
 
-mod common;
-
-use common::World;
 use dcert::primitives::codec::Encode;
 use dcert::primitives::keys::Keypair;
 use dcert::query::aggregate::{verify_aggregate, Aggregate};
 use dcert::query::sp::IndexKind;
 use dcert::vm::StateKey;
 use dcert::workloads::smallbank::BankCall;
+use dcert::world::World;
 
 /// Runs a chain where customer 1 receives one deposit per block, with the
 /// aggregate index certified hierarchically. Returns the expected balance
 /// per height.
-fn run(world: &mut World, sp: &mut dcert::query::ServiceProvider, blocks: u64) -> Vec<u64> {
+fn run(world: &mut World, blocks: u64) -> Vec<u64> {
     let kp = Keypair::from_seed([21; 32]);
     let mut balances = Vec::new();
     let mut balance = dcert::workloads::smallbank::INITIAL_BALANCE;
@@ -35,9 +33,9 @@ fn run(world: &mut World, sp: &mut dcert::query::ServiceProvider, blocks: u64) -
             .to_encoded_bytes(),
         );
         let block = world.miner.mine(vec![tx], height).unwrap();
-        let inputs = sp.stage_block(&block).unwrap();
+        let inputs = world.sp.stage_block(&block).unwrap();
         let (block_cert, idx_certs, _) = world.ci.certify_hierarchical(&block, &inputs).unwrap();
-        sp.record_certs(&idx_certs);
+        world.sp.record_certs(&idx_certs);
         world
             .client
             .validate_chain(&block.header, &block_cert)
@@ -61,11 +59,12 @@ fn checking_key() -> StateKey {
 
 #[test]
 fn certified_window_aggregates_verify() {
-    let (mut world, mut sp) = World::with_setup(vec![(IndexKind::Aggregate, "balances")]);
-    let balances = run(&mut world, &mut sp, 20);
+    let mut world = World::pow(&[(IndexKind::Aggregate, "balances")]);
+    let balances = run(&mut world, 20);
 
     let digest = world.client.index_digest("balances").unwrap();
-    let (agg, proof) = sp
+    let (agg, proof) = world
+        .sp
         .aggregate("balances")
         .unwrap()
         .query(&checking_key(), 6, 15);
@@ -80,10 +79,11 @@ fn certified_window_aggregates_verify() {
 
 #[test]
 fn sp_cannot_inflate_certified_aggregates() {
-    let (mut world, mut sp) = World::with_setup(vec![(IndexKind::Aggregate, "balances")]);
-    run(&mut world, &mut sp, 12);
+    let mut world = World::pow(&[(IndexKind::Aggregate, "balances")]);
+    run(&mut world, 12);
     let digest = world.client.index_digest("balances").unwrap();
-    let (mut agg, proof) = sp
+    let (mut agg, proof) = world
+        .sp
         .aggregate("balances")
         .unwrap()
         .query(&checking_key(), 1, 12);
@@ -93,9 +93,9 @@ fn sp_cannot_inflate_certified_aggregates() {
 
 #[test]
 fn aggregate_proofs_do_not_grow_with_window() {
-    let (mut world, mut sp) = World::with_setup(vec![(IndexKind::Aggregate, "balances")]);
-    run(&mut world, &mut sp, 64);
-    let idx = sp.aggregate("balances").unwrap();
+    let mut world = World::pow(&[(IndexKind::Aggregate, "balances")]);
+    run(&mut world, 64);
+    let idx = world.sp.aggregate("balances").unwrap();
     let (_, narrow) = idx.query(&checking_key(), 30, 33);
     let (_, wide) = idx.query(&checking_key(), 2, 62);
     assert!(
@@ -104,16 +104,19 @@ fn aggregate_proofs_do_not_grow_with_window() {
         wide.size_bytes(),
         narrow.size_bytes()
     );
-    let _ = world;
 }
 
 #[test]
 fn untracked_customer_verifies_empty() {
-    let (mut world, mut sp) = World::with_setup(vec![(IndexKind::Aggregate, "balances")]);
-    run(&mut world, &mut sp, 5);
+    let mut world = World::pow(&[(IndexKind::Aggregate, "balances")]);
+    run(&mut world, 5);
     let digest = world.client.index_digest("balances").unwrap();
     let ghost = StateKey::new("smallbank", b"chk-nobody");
-    let (agg, proof) = sp.aggregate("balances").unwrap().query(&ghost, 0, 100);
+    let (agg, proof) = world
+        .sp
+        .aggregate("balances")
+        .unwrap()
+        .query(&ghost, 0, 100);
     assert_eq!(agg, Aggregate::EMPTY);
     verify_aggregate(&digest, &ghost, 0, 100, &agg, &proof).unwrap();
 }
@@ -121,12 +124,12 @@ fn untracked_customer_verifies_empty() {
 #[test]
 fn aggregate_index_composes_with_other_indexes() {
     // All three index families certified hierarchically on one chain.
-    let (mut world, mut sp) = World::with_setup(vec![
+    let mut world = World::pow(&[
         (IndexKind::History, "history"),
         (IndexKind::Inverted, "inverted"),
         (IndexKind::Aggregate, "balances"),
     ]);
-    run(&mut world, &mut sp, 6);
+    run(&mut world, 6);
     assert!(world.client.index_digest("history").is_some());
     assert!(world.client.index_digest("inverted").is_some());
     assert!(world.client.index_digest("balances").is_some());

@@ -2,14 +2,12 @@
 //! single certificate over the last header — the recursive trust argument
 //! is unchanged, the per-block cost is amortized.
 
-mod common;
-
-use common::World;
 use dcert::workloads::{Workload, WorkloadGen};
+use dcert::world::World;
 
 #[test]
 fn batch_certificate_validates_whole_prefix() {
-    let mut world = World::new();
+    let mut world = World::pow(&[]);
     let mut gen = WorkloadGen::new(Workload::KvStore { keyspace: 32 }, 8, 17);
 
     let blocks: Vec<_> = (1..=6u64)
@@ -28,7 +26,7 @@ fn batch_certificate_validates_whole_prefix() {
 
 #[test]
 fn batches_chain_recursively() {
-    let mut world = World::new();
+    let mut world = World::pow(&[]);
     let mut gen = WorkloadGen::new(Workload::SmallBank { customers: 16 }, 8, 3);
 
     // Batch 1 (blocks 1..3), then a single block (4), then batch 2 (5..7).
@@ -54,7 +52,7 @@ fn batches_chain_recursively() {
 
 #[test]
 fn tampered_middle_block_rejects_whole_batch() {
-    let mut world = World::new();
+    let mut world = World::pow(&[]);
     let mut gen = WorkloadGen::new(Workload::KvStore { keyspace: 32 }, 8, 5);
     let mut blocks: Vec<_> = (1..=4u64)
         .map(|h| world.miner.mine(gen.next_block(3), h).unwrap())
@@ -69,7 +67,7 @@ fn tampered_middle_block_rejects_whole_batch() {
 
 #[test]
 fn empty_batch_rejected() {
-    let mut world = World::new();
+    let mut world = World::pow(&[]);
     assert!(world.ci.certify_batch(&[]).is_err());
 }
 
@@ -77,8 +75,8 @@ fn empty_batch_rejected() {
 fn batch_amortizes_enclave_cost() {
     // Certify 8 identical-shaped blocks per-block vs in one batch and
     // compare ECall counts and request bytes (the amortization source).
-    let mut world_a = World::new();
-    let mut world_b = World::new();
+    let mut world_a = World::pow(&[]);
+    let mut world_b = World::pow(&[]);
     let mut gen_a = WorkloadGen::new(Workload::KvStore { keyspace: 32 }, 8, 9);
     let mut gen_b = WorkloadGen::new(Workload::KvStore { keyspace: 32 }, 8, 9);
 

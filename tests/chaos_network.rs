@@ -26,7 +26,8 @@ use dcert::primitives::keys::PublicKey;
 use dcert::store::{SegmentStore, Store, StoreConfig};
 use dcert::workloads::Workload;
 
-use common::{fleet_for, temp_dir, World};
+use common::temp_dir;
+use dcert::world::{certify_into, World};
 use dcert_testkit::{check, Gen};
 
 /// Chain length for every chaos scenario.
@@ -45,7 +46,7 @@ struct Fixture {
 fn fixture() -> &'static Fixture {
     static FX: OnceLock<Fixture> = OnceLock::new();
     FX.get_or_init(|| {
-        let (mut world, _) = World::deterministic(Vec::new());
+        let mut world = World::pow(&[]);
         let blocks = world.mine_blocks(Workload::SmallBank { customers: 32 }, CHAIN as usize, 4, 3);
         let expected = blocks
             .iter()
@@ -108,7 +109,7 @@ fn run_chaos_with_store(
     store_dir: Option<&std::path::Path>,
 ) -> ChaosRun {
     let fx = fixture();
-    let (world, _) = World::deterministic(Vec::new());
+    let world = World::pow(&[]);
     let net = Arc::new(SimNet::new(seed, faults));
     let client_rx = net.join();
 
@@ -567,16 +568,16 @@ struct ServeChaosRun {
 /// network heals after round 4, and the run ends when every query has a
 /// response.
 fn run_serve_chaos(seed: u64) -> ServeChaosRun {
-    let (mut world, sp) = World::deterministic(vec![(IndexKind::History, "history")]);
+    let mut world = World::pow(&[(IndexKind::History, "history")]);
     let blocks = world.mine_blocks(
         Workload::KvStore { keyspace: 8 },
         SERVE_CHAIN as usize,
         4,
         9,
     );
-    let mut front = ServeFront::new(sp, ServeConfig::default());
+    let mut front = ServeFront::new(world.sp, ServeConfig::default());
     for block in &blocks {
-        world.certify_into(&mut front, block);
+        certify_into(&mut world.ci, &mut front, block);
     }
     let expected: Vec<Vec<u8>> = (0..SERVE_QUERIES)
         .map(|q| {
@@ -800,7 +801,7 @@ struct ShardFleetChaosRun {
 /// kinds to the tip.
 fn run_shard_fleet_chaos(seed: u64, faults: FaultConfig) -> ShardFleetChaosRun {
     let fx = fixture();
-    let (mut world, _) = World::deterministic(Vec::new());
+    let mut world = World::pow(&[]);
     let obs = Registry::new();
 
     let store: SharedStore = Arc::new(Mutex::new(Box::new(MemStore::new())));
@@ -808,7 +809,7 @@ fn run_shard_fleet_chaos(seed: u64, faults: FaultConfig) -> ShardFleetChaosRun {
     config.registry = obs.clone();
     config.store = Some(store);
     config.failures = ShardFailurePlan::none().kill(1, 1).kill(3, 0);
-    let mut fleet = fleet_for(&world, config);
+    let mut fleet = world.fleet(config);
     let certs = fleet
         .certify_chain(&fx.blocks, &mut world.ias)
         .expect("CHAOS_SEED: fleet certifies through the kill plan");

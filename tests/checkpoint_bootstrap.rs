@@ -2,14 +2,12 @@
 //! new Certificate Issuer can join mid-chain from (header, certificate,
 //! snapshot) and continue certification — no genesis replay.
 
-mod common;
-
-use common::World;
 use dcert::chain::ChainState;
 use dcert::core::{CertError, CertificateIssuer};
 use dcert::sgx::CostModel;
 use dcert::vm::StateKey;
 use dcert::workloads::{Workload, WorkloadGen};
+use dcert::world::World;
 
 /// Runs a chain to height 5, returning the world plus the checkpoint
 /// block/cert and the CI's state snapshot.
@@ -19,7 +17,7 @@ fn certified_prefix() -> (
     dcert::core::Certificate,
     ChainState,
 ) {
-    let mut world = World::new();
+    let mut world = World::pow(&[]);
     let mut gen = WorkloadGen::new(Workload::KvStore { keyspace: 32 }, 8, 5);
     let mut latest = None;
     for height in 1..=5u64 {

@@ -21,7 +21,7 @@ mod common;
 use std::sync::Arc;
 use std::time::Duration;
 
-use common::{recv_within, temp_dir, World, TEST_PLATFORM_SEED};
+use common::temp_dir;
 use dcert::chain::{Block, BlockHeader, ChainState, ConsensusEngine, FullNode};
 use dcert::core::{
     expected_measurement, BlockInput, CertError, CertJob, CertPipeline, CertProgram, Certificate,
@@ -35,6 +35,7 @@ use dcert::sgx::CostModel;
 use dcert::store::{SegmentStore, Store, StoreConfig};
 use dcert::vm::Executor;
 use dcert::workloads::{Workload, WorkloadGen};
+use dcert::world::{World, PLATFORM_SEED};
 
 const CHAIN: u64 = 6;
 
@@ -42,7 +43,7 @@ const CHAIN: u64 = 6;
 /// certificate per height (fresh worlds share seeds, so every run signs
 /// byte-identically).
 fn ground_truth() -> (Vec<Block>, Vec<(BlockHeader, Certificate)>) {
-    let (mut world, _) = World::deterministic(Vec::new());
+    let mut world = World::pow(&[]);
     let blocks = world.mine_blocks(Workload::KvStore { keyspace: 16 }, CHAIN as usize, 3, 9);
     let expected = blocks
         .iter()
@@ -84,7 +85,7 @@ fn state_at(
 /// no later job has entered the pipeline.
 fn drill_kill_at(kill_after: u64) {
     let (blocks, expected) = ground_truth();
-    let (world, _) = World::deterministic(Vec::new());
+    let world = World::pow(&[]);
     let World {
         executor,
         engine,
@@ -134,7 +135,7 @@ fn drill_kill_at(kill_after: u64) {
     );
 
     let mut resumed = CertificateIssuer::resume_on_platform(
-        TEST_PLATFORM_SEED,
+        PLATFORM_SEED,
         &sealed,
         genesis.hash(),
         &checkpoint,
@@ -184,7 +185,7 @@ fn kill_and_resume_at_every_height() {
 #[test]
 fn mid_flight_kill_never_double_issues() {
     let (blocks, expected) = ground_truth();
-    let (world, _) = World::deterministic(Vec::new());
+    let world = World::pow(&[]);
     let World {
         executor,
         engine,
@@ -231,7 +232,7 @@ fn mid_flight_kill_never_double_issues() {
     let snapshot = state_at(&genesis, &genesis_state, &executor, &engine, &blocks, tip);
 
     let mut resumed = CertificateIssuer::resume_on_platform(
-        TEST_PLATFORM_SEED,
+        PLATFORM_SEED,
         &sealed,
         genesis.hash(),
         &checkpoint,
@@ -293,10 +294,10 @@ fn mid_flight_kill_never_double_issues() {
 fn sp_store_drill(label: &str) -> Snapshot {
     const DRILL_CHAIN: u64 = 4;
     let indexes = vec![(IndexKind::History, "history")];
-    let (mut world, mut sp) = World::deterministic(indexes.clone());
+    let mut world = World::pow(&indexes);
     let obs = Registry::new();
     let dir = temp_dir(label);
-    sp.attach_store(Box::new(
+    world.sp.attach_store(Box::new(
         SegmentStore::open(StoreConfig::new(&dir).obs(obs.clone())).expect("drill store opens"),
     ));
 
@@ -307,21 +308,24 @@ fn sp_store_drill(label: &str) -> Snapshot {
         9,
     );
     for block in &blocks {
-        let inputs = sp.stage_block(block).expect("stages");
+        let inputs = world.sp.stage_block(block).expect("stages");
         let (certs, _) = world
             .ci
             .certify_augmented(block, &inputs)
             .expect("certifies");
-        sp.record_certs(&certs);
+        world.sp.record_certs(&certs);
     }
-    assert!(sp.store_error().is_none(), "store poisoned during the run");
-    let live_digest = sp.certified_digest("history");
-    let live_cert = sp.certificate("history").cloned();
+    assert!(
+        world.sp.store_error().is_none(),
+        "store poisoned during the run"
+    );
+    let live_digest = world.sp.certified_digest("history");
+    let live_cert = world.sp.certificate("history").cloned();
 
     // Crash: the store dies with the process, mid-way through appending
     // the next record — half a frame header lands past the watermark.
-    drop(sp.take_store());
-    drop(sp);
+    drop(world.sp.take_store());
+    world.sp = world.genesis_sp(); // the restarted process starts at genesis
     let seg = dir.join("seg-00000000.dcs");
     let mut bytes = std::fs::read(&seg).expect("segment readable");
     bytes.extend_from_slice(&[0xEE; 5]);
@@ -332,8 +336,8 @@ fn sp_store_drill(label: &str) -> Snapshot {
     let store =
         SegmentStore::open(StoreConfig::new(&dir).obs(obs.clone())).expect("torn tail recovers");
     assert_eq!(store.durable_height(), DRILL_CHAIN);
-    let (_, fresh_sp) = World::deterministic(indexes);
-    let recovered = fresh_sp
+    let recovered = world
+        .sp
         .recover_from(
             &world.ias.public_key(),
             &expected_measurement(),
@@ -394,7 +398,7 @@ fn input_for(
 #[test]
 fn enclave_refuses_competing_block_at_signed_height() {
     let (blocks, _) = ground_truth();
-    let (world, _) = World::deterministic(Vec::new());
+    let world = World::pow(&[]);
     let World {
         executor,
         engine,
@@ -455,7 +459,7 @@ fn enclave_refuses_competing_block_at_signed_height() {
 /// rollback guard to 0.
 #[test]
 fn sealed_state_carries_watermark_and_refuses_key_only_blobs() {
-    let (world, _) = World::deterministic(Vec::new());
+    let world = World::pow(&[]);
     let mut program = CertProgram::new(
         world.genesis.hash(),
         world.ias.public_key(),
@@ -485,5 +489,24 @@ fn sealed_state_carries_watermark_and_refuses_key_only_blobs() {
         let refused = program.import_state(&exported[..len]);
         assert_eq!(refused, Err(dcert::sgx::SgxError::BadSeal));
         assert_eq!(program.last_signed_height(), 7);
+    }
+}
+
+/// Polls `try_recv` until it yields or `deadline` passes: the drills' hang
+/// guard. A deadline poll over `try_recv` asks nothing of the channel crate
+/// that every build of it does not carry.
+fn recv_within<T>(deadline: Duration, mut try_recv: impl FnMut() -> Option<T>) -> Option<T> {
+    let started = std::time::Instant::now();
+    loop {
+        if let Some(message) = try_recv() {
+            return Some(message);
+        }
+        if started.elapsed() >= deadline {
+            return None;
+        }
+        // Yield, not sleep: the drills kill the pipeline the moment the
+        // first certificate is out, and a sleep quantum is long enough for
+        // a short chain to finish first.
+        std::thread::yield_now();
     }
 }

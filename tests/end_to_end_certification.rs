@@ -1,17 +1,15 @@
 //! End-to-end certification: mine → certify → validate, across every
 //! Blockbench workload, asserting the paper's constant-cost claims.
 
-mod common;
-
-use common::World;
 use dcert::baselines::TraditionalLightClient;
 use dcert::core::CertError;
 use dcert::primitives::codec::Encode;
 use dcert::workloads::{Workload, WorkloadGen};
+use dcert::world::World;
 
 #[test]
 fn certified_chain_validates_on_superlight_client() {
-    let mut world = World::new();
+    let mut world = World::pow(&[]);
     let mut gen = WorkloadGen::new(Workload::KvStore { keyspace: 64 }, 8, 42);
 
     let mut last = None;
@@ -35,7 +33,7 @@ fn every_workload_certifies() {
         Workload::KvStore { keyspace: 32 },
         Workload::SmallBank { customers: 32 },
     ] {
-        let mut world = World::new();
+        let mut world = World::pow(&[]);
         let mut gen = WorkloadGen::new(workload, 8, 7);
         for height in 1..=3u64 {
             let block = world.miner.mine(gen.next_block(4), height).unwrap();
@@ -50,7 +48,7 @@ fn every_workload_certifies() {
 
 #[test]
 fn superlight_storage_is_constant_while_light_client_grows() {
-    let mut world = World::new();
+    let mut world = World::pow(&[]);
     let mut light = TraditionalLightClient::new(world.genesis.header.clone()).unwrap();
     let mut gen = WorkloadGen::new(Workload::DoNothing, 4, 1);
 
@@ -82,7 +80,7 @@ fn certificates_are_transferable_bytes() {
     use dcert::core::Certificate;
     use dcert::primitives::codec::Decode;
 
-    let mut world = World::new();
+    let mut world = World::pow(&[]);
     let block = world.miner.mine(Vec::new(), 1).unwrap();
     let (cert, _) = world.ci.certify_block(&block).unwrap();
     let wire = cert.to_encoded_bytes();
@@ -95,7 +93,7 @@ fn certificates_are_transferable_bytes() {
 
 #[test]
 fn chain_selection_rejects_stale_and_equal_heights() {
-    let mut world = World::new();
+    let mut world = World::pow(&[]);
     let b1 = world.miner.mine(Vec::new(), 1).unwrap();
     let (c1, _) = world.ci.certify_block(&b1).unwrap();
     let b2 = world.miner.mine(Vec::new(), 2).unwrap();
@@ -122,7 +120,7 @@ fn chain_selection_rejects_stale_and_equal_heights() {
 fn client_accepts_catch_up_jumps() {
     // A client that was offline can jump straight to the newest
     // certificate — that is the whole point of the scheme.
-    let mut world = World::new();
+    let mut world = World::pow(&[]);
     let mut latest = None;
     for height in 1..=8u64 {
         let block = world.miner.mine(Vec::new(), height).unwrap();
@@ -136,7 +134,7 @@ fn client_accepts_catch_up_jumps() {
 
 #[test]
 fn breakdown_accounts_are_sane() {
-    let mut world = World::new();
+    let mut world = World::pow(&[]);
     let mut gen = WorkloadGen::new(Workload::SmallBank { customers: 16 }, 8, 3);
     let block = world.miner.mine(gen.next_block(8), 1).unwrap();
     let (_, breakdown) = world.ci.certify_block(&block).unwrap();

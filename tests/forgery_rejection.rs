@@ -5,19 +5,14 @@
 //! assertions can match *typed* errors; client-side attacks go through
 //! `SuperlightClient`.
 
-mod common;
-
-use std::sync::Arc;
-
-use common::{World, TEST_POW_BITS};
 use dcert::chain::consensus::ConsensusProof;
 use dcert::chain::{
     Block, ChainError, ConsensusEngine, FullNode, GenesisBuilder, ProofOfWork, Transaction,
 };
 use dcert::core::{
-    expected_measurement, BatchLink, BlockInput, CertError, CertProgram, Certificate, EcallRequest,
-    EcallResponse, FaultConfig, IndexInput, IndexVerifier, NetMessage, SimNet, SuperlightClient,
-    SyncOutcome, Transport,
+    expected_measurement, BatchLink, BlockInput, CertError, CertProgram, Certificate,
+    CertificateIssuer, EcallRequest, EcallResponse, FaultConfig, IndexInput, IndexVerifier,
+    NetMessage, SimNet, SuperlightClient, SyncOutcome, Transport,
 };
 use dcert::merkle::{smt, Aggregate, MbAppendProof, MbTree, ProofError, SmtProof};
 use dcert::primitives::codec::{decode_seq, encode_seq, Decode, Encode, Reader};
@@ -29,9 +24,10 @@ use dcert::query::inverted::{verify_keywords, InvertedIndex};
 use dcert::query::sp::IndexKind;
 use dcert::query::{AggQueryProof, HistoryProof, KeywordProof, QueryError};
 use dcert::sgx::{AttestationReport, AttestationService};
-use dcert::vm::{Executor, StateKey};
+use dcert::vm::StateKey;
 use dcert::workloads::kvstore::KvCall;
-use dcert::workloads::{blockbench_registry, Workload, WorkloadGen};
+use dcert::workloads::{Workload, WorkloadGen};
+use dcert::world::{World, POW_BITS, SIGNING_SEED};
 use dcert_testkit::smt_frames;
 
 /// A trusted program outside any enclave, plus a valid `BlockInput` for
@@ -49,18 +45,15 @@ fn fixture() -> (CertProgram, BlockInput, FullNode) {
 
 /// [`fixture`] with a block of `txs` transactions.
 fn fixture_of(txs: usize) -> (CertProgram, BlockInput, FullNode) {
-    let executor = Executor::new(Arc::new(blockbench_registry()));
-    let engine = Arc::new(ProofOfWork::new(TEST_POW_BITS));
-    let (genesis, state) = GenesisBuilder::new().timestamp(1_700_000_000).build();
-    let ias = AttestationService::with_seed([0xA5; 32]);
-
-    let miner = FullNode::new(
-        &genesis,
-        state.clone(),
-        executor.clone(),
-        engine.clone(),
-        dcert::primitives::hash::Address::from_seed(1),
-    );
+    let World {
+        executor,
+        engine,
+        genesis,
+        genesis_state: state,
+        miner,
+        ias,
+        ..
+    } = World::pow(&[]);
     let mut gen = WorkloadGen::new(Workload::KvStore { keyspace: 16 }, 4, 11);
     let block = miner.propose(gen.next_block(txs), 1).unwrap();
 
@@ -85,7 +78,7 @@ fn fixture_of(txs: usize) -> (CertProgram, BlockInput, FullNode) {
         engine,
         Vec::new(),
     )
-    .with_signing_seed(common::TEST_SIGNING_SEED);
+    .with_signing_seed(SIGNING_SEED);
     program.handle(EcallRequest::Init).unwrap();
     (program, input, miner)
 }
@@ -112,7 +105,7 @@ fn verdicts(txs: usize, mutate: fn(&mut Block), reseal: bool) -> [Result<(), Cha
         let (program, mut input, node) = fixture_of(txs);
         mutate(&mut input.link.block);
         if reseal {
-            let engine = ProofOfWork::new(TEST_POW_BITS);
+            let engine = ProofOfWork::new(POW_BITS);
             engine.seal(&mut input.link.block.header).unwrap();
         }
         (program, input, node)
@@ -365,7 +358,7 @@ fn self_signed_prev_cert_rejected() {
 /// program — outside any enclave, signing with the CI's seed — to offer it
 /// to.
 fn fused_fixture(height: u64) -> (CertProgram, BlockInput, Vec<IndexInput>, World) {
-    let (mut world, mut sp) = World::deterministic(vec![
+    let mut world = World::pow(&[
         (IndexKind::History, "history"),
         (IndexKind::Inverted, "inverted"),
     ]);
@@ -373,13 +366,13 @@ fn fused_fixture(height: u64) -> (CertProgram, BlockInput, Vec<IndexInput>, Worl
     let mut prev_cert = None;
     for below in 1..height {
         let block = world.miner.mine(gen.next_block(4), below).unwrap();
-        let inputs = sp.stage_block(&block).unwrap();
+        let inputs = world.sp.stage_block(&block).unwrap();
         let (block_cert, index_certs, _) = world.ci.certify_hierarchical(&block, &inputs).unwrap();
-        sp.record_certs(&index_certs);
+        world.sp.record_certs(&index_certs);
         prev_cert = Some(block_cert);
     }
     let block = world.miner.mine(gen.next_block(4), height).unwrap();
-    let indexes = sp.stage_block(&block).unwrap();
+    let indexes = world.sp.stage_block(&block).unwrap();
     let state = world.ci.node().state();
     let calls: Vec<_> = block.txs.iter().map(|tx| tx.call.clone()).collect();
     let execution = world.executor.execute_block(state, &calls);
@@ -397,9 +390,9 @@ fn fused_fixture(height: u64) -> (CertProgram, BlockInput, Vec<IndexInput>, Worl
         world.ias.public_key(),
         world.executor.clone(),
         world.engine.clone(),
-        sp.verifiers(),
+        world.sp.verifiers(),
     )
-    .with_signing_seed(common::TEST_SIGNING_SEED);
+    .with_signing_seed(SIGNING_SEED);
     program.handle(EcallRequest::Init).unwrap();
     (program, input, indexes, world)
 }
@@ -551,7 +544,7 @@ fn fused_request_anchors_every_index_at_genesis() {
 
 #[test]
 fn client_rejects_cert_from_unexpected_program() {
-    let mut world = World::new();
+    let mut world = World::pow(&[]);
     let block = world.miner.mine(Vec::new(), 1).unwrap();
     let (cert, _) = world.ci.certify_block(&block).unwrap();
 
@@ -566,7 +559,7 @@ fn client_rejects_cert_from_unexpected_program() {
 
 #[test]
 fn client_rejects_cert_for_different_header() {
-    let mut world = World::new();
+    let mut world = World::pow(&[]);
     let b1 = world.miner.mine(Vec::new(), 1).unwrap();
     let (c1, _) = world.ci.certify_block(&b1).unwrap();
     let b2 = world.miner.mine(Vec::new(), 2).unwrap();
@@ -580,7 +573,7 @@ fn client_rejects_cert_for_different_header() {
 
 #[test]
 fn client_rejects_tampered_header() {
-    let mut world = World::new();
+    let mut world = World::pow(&[]);
     let block = world.miner.mine(Vec::new(), 1).unwrap();
     let (cert, _) = world.ci.certify_block(&block).unwrap();
     let mut tampered = block.header.clone();
@@ -593,7 +586,7 @@ fn client_rejects_tampered_header() {
 
 #[test]
 fn client_rejects_resigned_certificate() {
-    let mut world = World::new();
+    let mut world = World::pow(&[]);
     let block = world.miner.mine(Vec::new(), 1).unwrap();
     let (cert, _) = world.ci.certify_block(&block).unwrap();
 
@@ -619,7 +612,7 @@ fn client_rejects_resigned_certificate() {
 /// it recovers through resync rather than wedging on the garbage it saw.
 #[test]
 fn corrupted_in_flight_certificates_rejected_then_recovered() {
-    let (mut world, _) = World::deterministic(Vec::new());
+    let mut world = World::pow(&[]);
     let blocks = world.mine_blocks(Workload::KvStore { keyspace: 16 }, 4, 3, 21);
     let pristine: Vec<NetMessage> = blocks
         .iter()
@@ -801,28 +794,27 @@ fn staging_a_tracked_key_as_new_is_refused() {
         Transaction::sign(&Keypair::from_seed([7; 32]), nonce, "kvstore", payload)
     };
     for hierarchical in [false, true] {
-        let (mut world, mut sp) = World::with_setup(vec![(IndexKind::History, "history")]);
-        let certify = |world: &mut World, block: &Block, inputs: &[IndexInput]| {
+        let mut world = World::pow(&[(IndexKind::History, "history")]);
+        let certify = |ci: &mut CertificateIssuer, block: &Block, inputs: &[IndexInput]| {
             if hierarchical {
-                let certified = world.ci.certify_hierarchical(block, inputs);
+                let certified = ci.certify_hierarchical(block, inputs);
                 certified.map(|(_, certs, _)| certs)
             } else {
-                world
-                    .ci
-                    .certify_augmented(block, inputs)
-                    .map(|(certs, _)| certs)
+                ci.certify_augmented(block, inputs).map(|(certs, _)| certs)
             }
         };
         let keys = ["acct", "b", "c", "d", "e", "f"];
         let first = keys.iter().zip(0..).map(|(key, nonce)| put(nonce, key));
         let block = world.miner.mine(first.collect(), 1).unwrap();
-        let inputs = sp.stage_block(&block).unwrap();
-        sp.record_certs(&certify(&mut world, &block, &inputs).unwrap());
+        let inputs = world.sp.stage_block(&block).unwrap();
+        world
+            .sp
+            .record_certs(&certify(&mut world.ci, &block, &inputs).unwrap());
 
         // Block 2 writes the tracked key alone: its aux is one update and
         // the single-key upper proof the forger starts from.
         let block = world.miner.mine(vec![put(9, "acct")], 2).unwrap();
-        let mut inputs = sp.stage_block(&block).unwrap();
+        let mut inputs = world.sp.stage_block(&block).unwrap();
         let aux = inputs[0].aux.clone();
         let mut reader = Reader::new(&aux);
         assert_eq!(u32::decode(&mut reader), Ok(1));
@@ -854,7 +846,7 @@ fn staging_a_tracked_key_as_new_is_refused() {
             staged
         });
         inputs[0].aux = staged.collect::<Vec<_>>().pop().expect("forgeries");
-        let refused = certify(&mut world, &block, &inputs);
+        let refused = certify(&mut world.ci, &block, &inputs);
         assert!(
             matches!(&refused, Err(CertError::EnclaveRejected(why)) if why.contains("outside subtree")),
             "{refused:?}"
@@ -865,9 +857,9 @@ fn staging_a_tracked_key_as_new_is_refused() {
 /// (c) An SP that answers "no postings" for an indexed keyword.
 #[test]
 fn empty_posting_list_for_an_indexed_keyword_is_refused() {
-    let mut world = World::new();
+    let mut world = World::pow(&[]);
     let mut index = InvertedIndex::new("inverted");
-    for block in common::memo_blocks(&mut world, 3) {
+    for block in world.mine_memos(3) {
         index.apply_block(&block);
     }
     let digest = index.digest();

@@ -2,16 +2,14 @@
 //! client's chain-selection check, and certified blocks across competing
 //! branches.
 
-mod common;
-
-use common::World;
 use dcert::chain::{ChainStore, FullNode};
 use dcert::primitives::hash::Address;
 use dcert::workloads::{Workload, WorkloadGen};
+use dcert::world::World;
 
 #[test]
 fn store_follows_longest_certified_branch() {
-    let mut world = World::new();
+    let mut world = World::pow(&[]);
     let mut store = ChainStore::new(world.genesis.header.clone()).unwrap();
 
     // Branch A: mined by `world.miner` (2 blocks).
@@ -42,7 +40,7 @@ fn store_follows_longest_certified_branch() {
 fn client_follows_whichever_certified_branch_is_longer() {
     // Two CIs certify two competing branches; the client ends on the
     // longer one and refuses to roll back.
-    let (mut world, _) = World::with_setup(Vec::new());
+    let mut world = World::pow(&[]);
 
     // CI certifies branch A (2 blocks).
     let a1 = world.miner.mine(Vec::new(), 10).unwrap();
@@ -91,7 +89,7 @@ fn client_follows_whichever_certified_branch_is_longer() {
 fn two_cis_same_measurement_are_interchangeable() {
     // Switching certification services only requires one new attestation
     // (Section 4.3); both enclaves run the same measured program.
-    let mut world = World::new();
+    let mut world = World::pow(&[]);
     let mut gen = WorkloadGen::new(Workload::DoNothing, 2, 5);
 
     let block1 = world.miner.mine(gen.next_block(1), 1).unwrap();

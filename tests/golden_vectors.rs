@@ -49,15 +49,12 @@
 //! the wire format): empty the table, run the test, paste the table it
 //! prints.
 
-mod common;
-
 use std::sync::{Arc, Mutex};
 
-use common::{World, TEST_PLATFORM_SEED, TEST_SIGNING_SEED};
 use dcert::chain::Block;
 use dcert::core::{
     CertBreakdown, CertJob, CertPipeline, Certificate, Gossip, IndexInput, NetMessage,
-    PipelineConfig, ShardFailurePlan, ShardFleetConfig, ShardedCertEngine, SharedStore,
+    PipelineConfig, ShardFailurePlan, ShardFleetConfig, SharedStore,
 };
 use dcert::merkle::{mht, AggMbTree, MbTree, SmtProof, SparseMerkleTree};
 use dcert::obs::Registry;
@@ -66,10 +63,10 @@ use dcert::primitives::hash::{hash_bytes, Hash};
 use dcert::query::aggregate::AggregateIndex;
 use dcert::query::history::HistoryIndex;
 use dcert::query::sp::IndexKind;
-use dcert::sgx::CostModel;
 use dcert::store::MemStore;
 use dcert::vm::StateKey;
 use dcert::workloads::Workload;
+use dcert::world::World;
 
 /// Fixed insert sequence: seventeen rightmost appends (enough to split an
 /// order-16 leaf), two out-of-order inserts, one replacement.
@@ -359,7 +356,7 @@ fn cert_indexes() -> Vec<(IndexKind, &'static str)> {
 
 /// The one fixed chain every stream certifies: six SmallBank blocks.
 fn cert_chain() -> Vec<Block> {
-    let (mut world, _) = World::deterministic(cert_indexes());
+    let mut world = World::pow(&cert_indexes());
     world.mine_blocks(Workload::SmallBank { customers: 16 }, 6, 3, 0x000D_CE47)
 }
 
@@ -398,7 +395,7 @@ fn sequential_stream(
     label: &str,
     out: &mut Vec<(String, String)>,
 ) {
-    let (mut world, mut sp) = World::deterministic(cert_indexes());
+    let mut world = World::pow(&cert_indexes());
     let registry = Registry::new();
     world.ci.attach_obs(&registry);
     let mut certs = Vec::new();
@@ -423,24 +420,24 @@ fn sequential_stream(
         }
         Scheme::Augmented => {
             for block in blocks {
-                let inputs = sp.stage_block(block).expect("sp stages");
+                let inputs = world.sp.stage_block(block).expect("sp stages");
                 let (index_certs, breakdown) = world
                     .ci
                     .certify_augmented(block, &inputs)
                     .expect("certifies");
-                sp.record_certs(&index_certs);
+                world.sp.record_certs(&index_certs);
                 certs.extend(index_certs);
                 breakdowns.push(breakdown);
             }
         }
         Scheme::Hierarchical => {
             for block in blocks {
-                let inputs = sp.stage_block(block).expect("sp stages");
+                let inputs = world.sp.stage_block(block).expect("sp stages");
                 let (block_cert, index_certs, breakdown) = world
                     .ci
                     .certify_hierarchical(block, &inputs)
                     .expect("certifies");
-                sp.record_certs(&index_certs);
+                world.sp.record_certs(&index_certs);
                 certs.push(block_cert);
                 certs.extend(index_certs);
                 breakdowns.push(breakdown);
@@ -457,12 +454,12 @@ fn pipelined_stream(
     label: &str,
     out: &mut Vec<(String, String)>,
 ) {
-    let (world, mut sp) = World::deterministic(cert_indexes());
+    let mut world = World::pow(&cert_indexes());
     let registry = Registry::new();
     world.ci.attach_obs(&registry);
     let mut stage = |block: &Block| -> Vec<IndexInput> {
-        let inputs = sp.stage_block(block).expect("sp stages");
-        sp.advance_staged();
+        let inputs = world.sp.stage_block(block).expect("sp stages");
+        world.sp.advance_staged();
         inputs
     };
     let jobs: Vec<CertJob> = match scheme {
@@ -531,24 +528,14 @@ fn fleet_stream(
     label: &str,
     out: &mut Vec<(String, String)>,
 ) {
-    let (mut world, _) = World::deterministic(Vec::new());
+    let mut world = World::pow(&[]);
     let registry = Registry::new();
     let store: SharedStore = Arc::new(Mutex::new(Box::new(MemStore::new())));
     let mut config = ShardFleetConfig::new(shards, 2);
     config.registry = registry.clone();
     config.store = Some(store);
     config.failures = ShardFailurePlan::none().kill(kill.0, kill.1);
-    let mut fleet = ShardedCertEngine::new_deterministic(
-        TEST_PLATFORM_SEED,
-        TEST_SIGNING_SEED,
-        &world.genesis,
-        world.genesis_state.clone(),
-        world.executor.clone(),
-        world.engine.clone(),
-        CostModel::zero(),
-        config,
-    )
-    .expect("fleet configures");
+    let mut fleet = world.fleet(config);
     let certs = fleet
         .certify_chain(blocks, &mut world.ias)
         .expect("fleet certifies through the kill");

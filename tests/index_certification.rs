@@ -1,19 +1,16 @@
 //! Augmented and hierarchical certificate schemes (Algorithms 4–5) across
 //! real blocks, plus their forgery paths.
 
-mod common;
-
 use std::sync::Arc;
 
-use common::World;
 use dcert::chain::Block;
 use dcert::core::{
     CertError, CertJob, CertPipeline, Certificate, Gossip, IndexInput, PipelineConfig,
 };
 use dcert::primitives::hash::hash_bytes;
 use dcert::query::sp::IndexKind;
-use dcert::query::ServiceProvider;
 use dcert::workloads::{Workload, WorkloadGen};
+use dcert::world::World;
 
 fn kv_gen() -> WorkloadGen {
     WorkloadGen::new(Workload::KvStore { keyspace: 32 }, 8, 99)
@@ -21,26 +18,26 @@ fn kv_gen() -> WorkloadGen {
 
 #[test]
 fn augmented_scheme_certifies_multi_block_chain() {
-    let (mut world, mut sp) = World::with_setup(vec![
+    let mut world = World::pow(&[
         (IndexKind::History, "history"),
         (IndexKind::Inverted, "inverted"),
     ]);
     let mut gen = kv_gen();
     for height in 1..=6u64 {
         let block = world.miner.mine(gen.next_block(4), height).unwrap();
-        let inputs = sp.stage_block(&block).unwrap();
+        let inputs = world.sp.stage_block(&block).unwrap();
         let (certs, breakdown) = world.ci.certify_augmented(&block, &inputs).unwrap();
         assert_eq!(certs.len(), 2);
         // One full-replay ECall per index.
         assert_eq!(breakdown.ecalls, 2);
-        sp.record_certs(&certs);
+        world.sp.record_certs(&certs);
     }
-    assert_eq!(sp.height(), 6);
+    assert_eq!(world.sp.height(), 6);
 }
 
 #[test]
 fn hierarchical_scheme_certifies_multi_block_chain() {
-    let (mut world, mut sp) = World::with_setup(vec![
+    let mut world = World::pow(&[
         (IndexKind::History, "history"),
         (IndexKind::Inverted, "inverted"),
     ]);
@@ -48,13 +45,13 @@ fn hierarchical_scheme_certifies_multi_block_chain() {
     let mut last = None;
     for height in 1..=6u64 {
         let block = world.miner.mine(gen.next_block(4), height).unwrap();
-        let inputs = sp.stage_block(&block).unwrap();
+        let inputs = world.sp.stage_block(&block).unwrap();
         let (block_cert, idx_certs, breakdown) =
             world.ci.certify_hierarchical(&block, &inputs).unwrap();
         assert_eq!(idx_certs.len(), 2);
         // One crossing: the block certificate and both index certificates.
         assert_eq!(breakdown.ecalls, 1);
-        sp.record_certs(&idx_certs);
+        world.sp.record_certs(&idx_certs);
         last = Some((block, block_cert, idx_certs, inputs));
     }
     // The superlight client adopts the chain and both indexes.
@@ -79,8 +76,8 @@ fn hierarchical_scheme_certifies_multi_block_chain() {
 fn augmented_and_hierarchical_agree_on_digests() {
     // Run the same block stream through two CIs, one per scheme: the
     // certified index digests must be identical.
-    let (mut world_a, mut sp_a) = World::with_setup(vec![(IndexKind::History, "history")]);
-    let (mut world_h, mut sp_h) = World::with_setup(vec![(IndexKind::History, "history")]);
+    let mut world_a = World::pow(&[(IndexKind::History, "history")]);
+    let mut world_h = World::pow(&[(IndexKind::History, "history")]);
     let mut gen = kv_gen();
     for height in 1..=4u64 {
         let txs = gen.next_block(4);
@@ -88,25 +85,25 @@ fn augmented_and_hierarchical_agree_on_digests() {
         let block_h = world_h.miner.mine(txs, height).unwrap();
         assert_eq!(block_a.hash(), block_h.hash(), "same chain on both sides");
 
-        let in_a = sp_a.stage_block(&block_a).unwrap();
-        let in_h = sp_h.stage_block(&block_h).unwrap();
+        let in_a = world_a.sp.stage_block(&block_a).unwrap();
+        let in_h = world_h.sp.stage_block(&block_h).unwrap();
         assert_eq!(in_a[0].new_digest, in_h[0].new_digest);
 
         let (certs_a, _) = world_a.ci.certify_augmented(&block_a, &in_a).unwrap();
         let (_, certs_h, _) = world_h.ci.certify_hierarchical(&block_h, &in_h).unwrap();
         // Same certified digest in both schemes.
         assert_eq!(certs_a[0].digest, certs_h[0].digest);
-        sp_a.record_certs(&certs_a);
-        sp_h.record_certs(&certs_h);
+        world_a.sp.record_certs(&certs_a);
+        world_h.sp.record_certs(&certs_h);
     }
 }
 
 #[test]
 fn forged_index_digest_rejected_in_both_schemes() {
-    let (mut world, mut sp) = World::with_setup(vec![(IndexKind::History, "history")]);
+    let mut world = World::pow(&[(IndexKind::History, "history")]);
     let mut gen = kv_gen();
     let block = world.miner.mine(gen.next_block(4), 1).unwrap();
-    let mut inputs = sp.stage_block(&block).unwrap();
+    let mut inputs = world.sp.stage_block(&block).unwrap();
     inputs[0].new_digest = hash_bytes(b"forged index digest");
 
     match world.ci.certify_augmented(&block, &inputs) {
@@ -119,10 +116,10 @@ fn forged_index_digest_rejected_in_both_schemes() {
 
 #[test]
 fn tampered_aux_rejected() {
-    let (mut world, mut sp) = World::with_setup(vec![(IndexKind::History, "history")]);
+    let mut world = World::pow(&[(IndexKind::History, "history")]);
     let mut gen = kv_gen();
     let block = world.miner.mine(gen.next_block(4), 1).unwrap();
-    let mut inputs = sp.stage_block(&block).unwrap();
+    let mut inputs = world.sp.stage_block(&block).unwrap();
     if let Some(byte) = inputs[0].aux.last_mut() {
         *byte ^= 0xff;
     }
@@ -131,10 +128,10 @@ fn tampered_aux_rejected() {
 
 #[test]
 fn unknown_index_type_rejected() {
-    let (mut world, mut sp) = World::with_setup(vec![(IndexKind::History, "history")]);
+    let mut world = World::pow(&[(IndexKind::History, "history")]);
     let mut gen = kv_gen();
     let block = world.miner.mine(gen.next_block(2), 1).unwrap();
-    let mut inputs = sp.stage_block(&block).unwrap();
+    let mut inputs = world.sp.stage_block(&block).unwrap();
     inputs[0].index_type = "not-registered".to_owned();
     match world.ci.certify_augmented(&block, &inputs) {
         Err(CertError::EnclaveRejected(reason)) => {
@@ -146,17 +143,17 @@ fn unknown_index_type_rejected() {
 
 #[test]
 fn stale_prev_index_cert_rejected() {
-    let (mut world, mut sp) = World::with_setup(vec![(IndexKind::History, "history")]);
+    let mut world = World::pow(&[(IndexKind::History, "history")]);
     let mut gen = kv_gen();
     // Block 1 certifies fine.
     let b1 = world.miner.mine(gen.next_block(2), 1).unwrap();
-    let in1 = sp.stage_block(&b1).unwrap();
+    let in1 = world.sp.stage_block(&b1).unwrap();
     let (certs1, _) = world.ci.certify_augmented(&b1, &in1).unwrap();
-    sp.record_certs(&certs1);
+    world.sp.record_certs(&certs1);
     // Block 2: present block-1's *pre* digest with block-1's cert (stale
     // lineage — the cert certifies a different digest pairing).
     let b2 = world.miner.mine(gen.next_block(2), 2).unwrap();
-    let mut in2 = sp.stage_block(&b2).unwrap();
+    let mut in2 = world.sp.stage_block(&b2).unwrap();
     in2[0].prev_digest = in1[0].prev_digest; // stale digest (genesis)
     assert!(world.ci.certify_augmented(&b2, &in2).is_err());
 }
@@ -179,17 +176,17 @@ fn five_indexes_certify_hierarchically() {
             )
         })
         .collect();
-    let (mut world, mut sp) = World::with_setup(setup);
+    let mut world = World::pow(&setup);
     let mut gen = kv_gen();
     for height in 1..=3u64 {
         let block = world.miner.mine(gen.next_block(4), height).unwrap();
-        let inputs = sp.stage_block(&block).unwrap();
+        let inputs = world.sp.stage_block(&block).unwrap();
         assert_eq!(inputs.len(), 5);
         let (block_cert, certs, breakdown) =
             world.ci.certify_hierarchical(&block, &inputs).unwrap();
         assert_eq!(certs.len(), 5);
         assert_eq!(breakdown.ecalls, 1);
-        sp.record_certs(&certs);
+        world.sp.record_certs(&certs);
         let _ = block_cert;
     }
 }
@@ -201,8 +198,8 @@ fn five_indexes_certify_hierarchically() {
 // sealed watermark when the second index's `IdxSigGen` was refused, and the
 // honest retry died with "height regression: already signed 3, offered 3".
 
-fn two_index_world() -> (World, ServiceProvider) {
-    World::deterministic(vec![
+fn two_index_world() -> World {
+    World::pow(&[
         (IndexKind::History, "history"),
         (IndexKind::Inverted, "inverted"),
     ])
@@ -226,11 +223,11 @@ const FORGERIES: [Forgery; 2] = [
 /// Certifies `blocks` hierarchically on a CI that never sees a forgery: the
 /// stream the retry must reproduce, and the staged inputs behind it.
 fn clean_run(blocks: &[Block]) -> Vec<(Certificate, Vec<Certificate>, Vec<IndexInput>)> {
-    let (mut world, mut sp) = two_index_world();
+    let mut world = two_index_world();
     let certify = |block| {
-        let inputs = sp.stage_block(block).unwrap();
+        let inputs = world.sp.stage_block(block).unwrap();
         let (block_cert, index_certs, _) = world.ci.certify_hierarchical(block, &inputs).unwrap();
-        sp.record_certs(&index_certs);
+        world.sp.record_certs(&index_certs);
         (block_cert, index_certs, inputs)
     };
     blocks.iter().map(certify).collect()
@@ -239,7 +236,7 @@ fn clean_run(blocks: &[Block]) -> Vec<(Certificate, Vec<Certificate>, Vec<IndexI
 #[test]
 fn refused_index_leaves_nothing_signed_and_the_same_ci_retries() {
     for (forge, refusal) in FORGERIES {
-        let (mut world, _) = two_index_world();
+        let mut world = two_index_world();
         let blocks = world.mine_blocks(Workload::KvStore { keyspace: 32 }, 3, 4, 99);
         let clean = clean_run(&blocks);
         for (block, (_, _, inputs)) in blocks.iter().zip(&clean).take(2) {
@@ -265,7 +262,7 @@ fn refused_index_leaves_nothing_signed_and_the_same_ci_retries() {
 #[test]
 fn refused_index_in_the_pipeline_leaves_nothing_signed() {
     for (forge, refusal) in FORGERIES {
-        let (mut world, _) = two_index_world();
+        let mut world = two_index_world();
         let blocks = world.mine_blocks(Workload::KvStore { keyspace: 32 }, 3, 4, 99);
         let clean = clean_run(&blocks);
         let pipeline =
@@ -298,8 +295,8 @@ fn refused_index_in_the_pipeline_leaves_nothing_signed() {
 
 #[test]
 fn hierarchical_over_no_index_is_the_block_certificate() {
-    let (mut plain, _) = World::deterministic(Vec::new());
-    let (mut fused, _) = World::deterministic(Vec::new());
+    let mut plain = World::pow(&[]);
+    let mut fused = World::pow(&[]);
     let blocks = plain.mine_blocks(Workload::KvStore { keyspace: 32 }, 3, 4, 99);
     for block in &blocks {
         let (expected, _) = plain.ci.certify_block(block).unwrap();

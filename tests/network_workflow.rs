@@ -3,20 +3,18 @@
 //! and a superlight client thread follows the chain — all over the gossip
 //! bus, with no shared state beyond the network.
 
-mod common;
-
 use std::sync::Arc;
 use std::thread;
 
-use common::World;
 use dcert::core::{expected_measurement, Gossip, NetMessage, SuperlightClient};
 use dcert::workloads::{Workload, WorkloadGen};
+use dcert::world::World;
 
 const BLOCKS: u64 = 12;
 
 #[test]
 fn miner_ci_client_pipeline_over_gossip() {
-    let world = World::new();
+    let world = World::pow(&[]);
     let bus = Arc::new(Gossip::new());
 
     // The CI and client join before the miner starts publishing.
@@ -102,7 +100,7 @@ fn client_handles_reordered_certificates() {
     // Gossip gives no cross-publisher ordering; simulate reordering by
     // delivering certs newest-first. The chain-selection rule adopts the
     // newest and rejects the stale rest — no crash, correct final state.
-    let mut world = World::new();
+    let mut world = World::pow(&[]);
     let mut gen = WorkloadGen::new(Workload::DoNothing, 4, 1);
     let mut certified = Vec::new();
     for height in 1..=5u64 {

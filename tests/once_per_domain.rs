@@ -6,11 +6,8 @@
 //! certification driver refuses a block whose writes miss its state root
 //! the same way, on its own host, before any ECall.
 
-mod common;
-
 use std::sync::Arc;
 
-use common::{fleet_for, World};
 use dcert::chain::{
     Block, ChainError, ConsensusEngine, ConsensusProof, FullNode, GenesisBuilder, ProofOfAuthority,
     Transaction,
@@ -28,6 +25,7 @@ use dcert::query::ServiceProvider;
 use dcert::vm::testing::{CounterContract, FailingContract};
 use dcert::vm::{ContractRegistry, Executor};
 use dcert::workloads::{Workload, WorkloadGen};
+use dcert::world::World;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -115,7 +113,7 @@ fn mine_is_propose_then_apply() {
         for workload in WORKLOADS {
             let mut gen = WorkloadGen::new(workload, 8, seed);
             mine_matches_propose_then_apply(
-                World::new().miner,
+                World::pow(&[]).miner,
                 || gen.next_block(6),
                 50,
                 &format!("{} seed {seed}", workload.label()),
@@ -180,13 +178,13 @@ fn the_ci_node_is_a_full_node_that_applied_the_same_blocks() {
     for scheme in SCHEMES {
         for (seed, workload) in (1u64..).zip(WORKLOADS) {
             let what = format!("{scheme:?} {}", workload.label());
-            let (mut world, mut sp) = World::deterministic(indexes());
+            let mut world = World::pow(&indexes());
             let mut reference = world.miner.clone();
             for block in world.mine_blocks(workload, 10, 6, seed) {
                 reference.apply(&block).expect("an honest block applies");
-                let inputs = sp.stage_block(&block).expect("sp stages");
+                let inputs = world.sp.stage_block(&block).expect("sp stages");
                 let issued = certify(scheme, &mut world.ci, &block, &inputs).expect("certifies");
-                record(&mut sp, &issued);
+                record(&mut world.sp, &issued);
                 assert_same_node(world.ci.node(), &reference, &what);
             }
         }
@@ -214,11 +212,11 @@ fn refused_variants(block: &Block, engine: &dyn ConsensusEngine) -> Vec<(&'stati
 fn a_block_the_enclave_refuses_leaves_the_ci_as_it_was() {
     for scheme in SCHEMES {
         // The victim is offered the bad blocks; the twin never sees them.
-        let (mut victim, mut victim_sp) = World::deterministic(indexes());
-        let (mut twin, mut twin_sp) = World::deterministic(indexes());
+        let mut victim = World::pow(&indexes());
+        let mut twin = World::pow(&indexes());
         let blocks = victim.mine_blocks(Workload::KvStore { keyspace: 16 }, 4, 4, 9);
         for block in &blocks {
-            let inputs = victim_sp.stage_block(block).expect("sp stages");
+            let inputs = victim.sp.stage_block(block).expect("sp stages");
             for (fault, bad) in refused_variants(block, victim.engine.as_ref()) {
                 let what = format!("{scheme:?}, {fault}, height {}", block.header.height);
                 let refusal = certify(scheme, &mut victim.ci, &bad, &inputs);
@@ -232,7 +230,7 @@ fn a_block_the_enclave_refuses_leaves_the_ci_as_it_was() {
             // The honest block certifies as if nothing had been offered:
             // block and index certificate chains are where the twin's are.
             let got = certify(scheme, &mut victim.ci, block, &inputs).expect("certifies");
-            let twin_inputs = twin_sp.stage_block(block).expect("twin sp stages");
+            let twin_inputs = twin.sp.stage_block(block).expect("twin sp stages");
             let want = certify(scheme, &mut twin.ci, block, &twin_inputs).expect("certifies");
             assert_eq!(
                 wire(&got),
@@ -240,8 +238,8 @@ fn a_block_the_enclave_refuses_leaves_the_ci_as_it_was() {
                 "{scheme:?}: certificates at height {}",
                 block.header.height
             );
-            record(&mut victim_sp, &got);
-            record(&mut twin_sp, &want);
+            record(&mut victim.sp, &got);
+            record(&mut twin.sp, &want);
             assert_same_ci(&victim.ci, &twin.ci, &format!("{scheme:?}"));
         }
     }
@@ -304,7 +302,7 @@ fn pipelined(
 #[test]
 fn every_driver_refuses_a_forged_post_state_root_before_the_ecall() {
     let refusal = CertError::Chain(ChainError::StateRootMismatch);
-    let (mut world, _) = World::deterministic(Vec::new());
+    let mut world = World::pow(&[]);
     let blocks = world.mine_blocks(Workload::KvStore { keyspace: 16 }, 3, 4, 9);
     let mut forged = blocks[2].clone();
     forged.header.state_root = hash_bytes(b"not this block's post-state");
@@ -315,32 +313,32 @@ fn every_driver_refuses_a_forged_post_state_root_before_the_ecall() {
     // The inline CI, under each scheme, after two honest blocks.
     for scheme in SCHEMES {
         let what = format!("inline {scheme:?}");
-        let (mut victim, mut victim_sp) = World::deterministic(indexes());
-        let (mut twin, mut twin_sp) = World::deterministic(indexes());
-        for (world, sp) in [(&mut victim, &mut victim_sp), (&mut twin, &mut twin_sp)] {
+        let mut victim = World::pow(&indexes());
+        let mut twin = World::pow(&indexes());
+        for world in [&mut victim, &mut twin] {
             for block in honest {
-                let inputs = sp.stage_block(block).expect("sp stages");
+                let inputs = world.sp.stage_block(block).expect("sp stages");
                 let issued = certify(scheme, &mut world.ci, block, &inputs).expect("certifies");
-                record(sp, &issued);
+                record(&mut world.sp, &issued);
             }
         }
         let registry = Registry::new();
         victim.ci.attach_obs(&registry);
-        let inputs = victim_sp.stage_block(&last[0]).expect("sp stages");
+        let inputs = victim.sp.stage_block(&last[0]).expect("sp stages");
         let refused = certify(scheme, &mut victim.ci, &forged, &inputs);
         assert_eq!(refused.err(), Some(refusal.clone()), "{what}");
         assert_eq!(ecalls(&registry), 0, "{what}: no ECall");
         assert_same_ci(&victim.ci, &twin.ci, &what);
         let got = certify(scheme, &mut victim.ci, &last[0], &inputs).expect("certifies");
-        let twin_inputs = twin_sp.stage_block(&last[0]).expect("twin sp stages");
+        let twin_inputs = twin.sp.stage_block(&last[0]).expect("twin sp stages");
         let want = certify(scheme, &mut twin.ci, &last[0], &twin_inputs).expect("certifies");
         assert_eq!(wire(&got), wire(&want), "{what}: honest certificates");
         assert_same_ci(&victim.ci, &twin.ci, &what);
     }
 
     // The inline CI's batch, the forgery last of three.
-    let (mut victim, _) = World::deterministic(Vec::new());
-    let (mut twin, _) = World::deterministic(Vec::new());
+    let mut victim = World::pow(&[]);
+    let mut twin = World::pow(&[]);
     let registry = Registry::new();
     victim.ci.attach_obs(&registry);
     let refused = victim.ci.certify_batch(&forged_batch);
@@ -376,8 +374,8 @@ fn every_driver_refuses_a_forged_post_state_root_before_the_ecall() {
     ];
     for (what, offered, honest_jobs) in shapes {
         let twin_jobs = offered[..offered.len() - 1].to_vec();
-        let (victim, _) = World::deterministic(Vec::new());
-        let (twin, _) = World::deterministic(Vec::new());
+        let victim = World::pow(&[]);
+        let twin = World::pow(&[]);
         let (victim_registry, twin_registry) = (Registry::new(), Registry::new());
         victim.ci.attach_obs(&victim_registry);
         twin.ci.attach_obs(&twin_registry);
@@ -408,8 +406,8 @@ fn every_driver_refuses_a_forged_post_state_root_before_the_ecall() {
         registry: registry.clone(),
         ..ShardFleetConfig::new(2, 2)
     };
-    let mut victim = fleet_for(&world, config);
-    let mut twin = fleet_for(&world, ShardFleetConfig::new(2, 2));
+    let mut victim = world.fleet(config);
+    let mut twin = world.fleet(ShardFleetConfig::new(2, 2));
     victim
         .certify_chain(honest, &mut world.ias)
         .expect("certifies");

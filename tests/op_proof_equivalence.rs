@@ -11,11 +11,8 @@
 //! certified data and also pin the window-containment fast path, which
 //! stays keyed to the `HistoryOp` name.
 
-mod common;
-
 use std::cell::RefCell;
 
-use common::World;
 use dcert::primitives::codec::Encode;
 use dcert::primitives::hash::Hash;
 use dcert::query::aggregate::{verify_aggregate, verify_aggregate_op, AggregateIndex};
@@ -28,6 +25,7 @@ use dcert::serve::{
 };
 use dcert::vm::StateKey;
 use dcert::workloads::Workload;
+use dcert::world::{certify_into, World};
 use dcert_testkit::{check, reject};
 
 fn key(i: u64) -> StateKey {
@@ -94,14 +92,14 @@ fn spec(kind: u64, key: StateKey, t1: u64, t2: u64) -> QuerySpec {
 /// A front over three certified kvstore blocks with a history and an
 /// aggregate index, and the certified history digest.
 fn certified_front(config: ServeConfig) -> (ServeFront, Hash) {
-    let (mut world, sp) = World::deterministic(vec![
+    let mut world = World::pow(&[
         (IndexKind::History, "history"),
         (IndexKind::Aggregate, "agg"),
     ]);
     let blocks = world.mine_blocks(Workload::KvStore { keyspace: 8 }, 3, 6, 99);
-    let mut front = ServeFront::new(sp, config);
+    let mut front = ServeFront::new(world.sp, config);
     for block in &blocks {
-        world.certify_into(&mut front, block);
+        certify_into(&mut world.ci, &mut front, block);
     }
     let digest = front.sp().certified_digest("history").expect("certified");
     (front, digest)

@@ -7,7 +7,7 @@
 //! both, and the sequential issuer's own properties (any random chain
 //! certifies, replicas agree, client storage is constant).
 //!
-//! Two fully deterministic worlds ([`World::deterministic`]) share every
+//! Two seed-identical worlds (`dcert::world::World`) share every
 //! seed (genesis, IAS, platform, enclave signing key), so the sequential
 //! arm and the pipelined arm *must* produce the same bytes if the engine
 //! is faithful. All assertions are on counts, bytes, and digests — never
@@ -21,12 +21,9 @@
 //! mix across property cases, and plain/batch jobs mix within a stream —
 //! the same constraint the sequential issuer has.
 
-mod common;
-
 use std::sync::{Arc, Mutex};
 use std::thread;
 
-use common::{assert_bytes_equal, fleet_for, sequential_oracle, World};
 use dcert::chain::{Block, BlockHeader, ChainError};
 use dcert::core::{
     CertError, CertJob, CertPipeline, Certificate, CertificateIssuer, Gossip, NetMessage,
@@ -41,6 +38,7 @@ use dcert::query::sp::IndexKind;
 use dcert::query::ServiceProvider;
 use dcert::store::MemStore;
 use dcert::workloads::{Workload, WorkloadGen};
+use dcert::world::{assert_bytes_equal, World};
 use dcert_testkit::{check, Gen};
 
 // --- the observable stream --------------------------------------------------
@@ -312,12 +310,12 @@ fn replay(events: &[Event], ias_key: PublicKey, measurement: Hash) -> Superlight
 /// the pipeline in two seed-identical worlds, and require byte-identical
 /// observable outcomes.
 fn assert_equivalent(plan: Plan, workload: Workload, txs: usize, seed: u64, queue_depth: usize) {
-    let (mut seq_world, mut seq_sp) = World::deterministic(plan.indexes());
+    let mut seq_world = World::pow(&plan.indexes());
     let blocks = seq_world.mine_blocks(workload, plan.block_count(), txs, seed);
-    let seq_events = run_sequential(&mut seq_world.ci, &mut seq_sp, &plan, &blocks);
+    let seq_events = run_sequential(&mut seq_world.ci, &mut seq_world.sp, &plan, &blocks);
 
-    let (pipe_world, mut pipe_sp) = World::deterministic(plan.indexes());
-    let jobs = build_jobs(&mut pipe_sp, &plan, &blocks);
+    let mut pipe_world = World::pow(&plan.indexes());
+    let jobs = build_jobs(&mut pipe_world.sp, &plan, &blocks);
     let job_count = jobs.len() as u64;
     let (pipe_events, pipe_ci, report) =
         run_pipeline(pipe_world.ci, jobs, queue_depth, Registry::disabled());
@@ -427,14 +425,14 @@ fn attached_registry_is_behaviourally_inert() {
         3,
     );
     let run = |registry: Registry| {
-        let (mut world, mut sp) = World::deterministic(plan.indexes());
+        let mut world = World::pow(&plan.indexes());
         let blocks = world.mine_blocks(
             Workload::SmallBank { customers: 16 },
             plan.block_count(),
             2,
             17,
         );
-        let jobs = build_jobs(&mut sp, &plan, &blocks);
+        let jobs = build_jobs(&mut world.sp, &plan, &blocks);
         run_pipeline(world.ci, jobs, 2, registry)
     };
 
@@ -478,14 +476,14 @@ fn attached_registry_is_behaviourally_inert() {
 /// `prev_cert`. The five-block stream equals the all-sequential one byte
 /// for byte.
 fn assert_handover_keeps_chains(plan_for: fn(usize) -> Plan) {
-    let (mut seq_world, mut seq_sp) = World::deterministic(plan_for(5).indexes());
+    let mut seq_world = World::pow(&plan_for(5).indexes());
     let blocks = seq_world.mine_blocks(Workload::SmallBank { customers: 16 }, 5, 2, 83);
-    let seq_events = run_sequential(&mut seq_world.ci, &mut seq_sp, &plan_for(5), &blocks);
+    let seq_events = run_sequential(&mut seq_world.ci, &mut seq_world.sp, &plan_for(5), &blocks);
 
-    let (world, mut sp) = World::deterministic(plan_for(5).indexes());
+    let mut world = World::pow(&plan_for(5).indexes());
     let mut ci = world.ci;
-    let mut events = run_sequential(&mut ci, &mut sp, &plan_for(2), &blocks[..2]);
-    let jobs = build_jobs(&mut sp, &plan_for(2), &blocks[2..4]);
+    let mut events = run_sequential(&mut ci, &mut world.sp, &plan_for(2), &blocks[..2]);
+    let jobs = build_jobs(&mut world.sp, &plan_for(2), &blocks[2..4]);
     let (piped, mut ci, report) = run_pipeline(ci, jobs, 2, Registry::disabled());
     assert_eq!(
         report.errors,
@@ -493,7 +491,12 @@ fn assert_handover_keeps_chains(plan_for: fn(usize) -> Plan) {
         "the pipeline must chain from pre-spawn certificates"
     );
     events.extend(piped);
-    events.extend(run_sequential(&mut ci, &mut sp, &plan_for(1), &blocks[4..]));
+    events.extend(run_sequential(
+        &mut ci,
+        &mut world.sp,
+        &plan_for(1),
+        &blocks[4..],
+    ));
 
     assert_eq!(seq_events, events);
     for (seq, handed) in seq_events.iter().zip(&events) {
@@ -534,7 +537,7 @@ fn handover_keeps_hierarchical_index_chain() {
 /// certifying sequentially from where the pipeline stopped.
 #[test]
 fn shutdown_drains_in_flight_and_ci_resumes() {
-    let (mut world, _sp) = World::deterministic(Vec::new());
+    let mut world = World::pow(&[]);
     let mut blocks = world.mine_blocks(Workload::KvStore { keyspace: 32 }, 13, 2, 11);
     // Block 13 is certified sequentially after the pipeline hands the
     // CI back.
@@ -585,7 +588,7 @@ fn shutdown_drains_in_flight_and_ci_resumes() {
 /// reach the bus, only the reassembled CI and report are lost.
 #[test]
 fn drop_without_shutdown_still_drains() {
-    let (mut world, _sp) = World::deterministic(Vec::new());
+    let mut world = World::pow(&[]);
     let blocks = world.mine_blocks(Workload::DoNothing, 6, 1, 3);
 
     let gossip = Arc::new(Gossip::new());
@@ -610,7 +613,7 @@ fn drop_without_shutdown_still_drains() {
 /// one the enclave refuses is undone from the view shutdown hands back.
 #[test]
 fn bad_job_fails_without_stalling() {
-    let (mut world, _sp) = World::deterministic(Vec::new());
+    let mut world = World::pow(&[]);
     let blocks = world.mine_blocks(Workload::KvStore { keyspace: 32 }, 3, 2, 5);
     // Block 3 with its calls intact (it links and executes) but unsigned.
     let mut unsigned = blocks[2].clone();
@@ -652,11 +655,11 @@ fn bad_job_fails_without_stalling() {
 #[test]
 fn failed_batch_rolls_back_whole() {
     let plan = Plan::PlainMix(vec![BatchShape::Batch(3)]);
-    let (mut seq_world, mut seq_sp) = World::deterministic(Vec::new());
+    let mut seq_world = World::pow(&[]);
     let blocks = seq_world.mine_blocks(Workload::KvStore { keyspace: 32 }, 3, 2, 19);
-    let seq_events = run_sequential(&mut seq_world.ci, &mut seq_sp, &plan, &blocks);
+    let seq_events = run_sequential(&mut seq_world.ci, &mut seq_world.sp, &plan, &blocks);
 
-    let (world, _sp) = World::deterministic(Vec::new());
+    let world = World::pow(&[]);
     let enclave = Registry::new();
     world.ci.attach_obs(&enclave);
     let mut forged = blocks.clone();
@@ -688,7 +691,7 @@ fn failed_batch_rolls_back_whole() {
 /// work.
 #[test]
 fn shutdown_message_mid_stream_is_orderly() {
-    let (mut world, _sp) = World::deterministic(Vec::new());
+    let mut world = World::pow(&[]);
     let blocks = world.mine_blocks(Workload::SmallBank { customers: 16 }, 8, 2, 9);
     let tip = blocks.last().expect("mined").header.clone();
 
@@ -802,14 +805,14 @@ fn assert_fleet_matches(
 /// to sequential certification at every height.
 #[test]
 fn shard_counts_1_2_4_8_match_sequential_bytes() {
-    let (mut seq_world, _) = World::deterministic(Vec::new());
+    let mut seq_world = World::pow(&[]);
     let blocks = seq_world.mine_blocks(Workload::SmallBank { customers: 16 }, 12, 2, 31);
-    let seq = sequential_oracle(&blocks);
+    let seq = World::pow(&[]).certify_blocks(&blocks);
     let ias_key = seq_world.ias.public_key();
 
     for shards in [1usize, 2, 4, 8] {
-        let (mut fleet_world, _) = World::deterministic(Vec::new());
-        let mut fleet = fleet_for(&fleet_world, ShardFleetConfig::new(shards, 3));
+        let mut fleet_world = World::pow(&[]);
+        let mut fleet = fleet_world.fleet(ShardFleetConfig::new(shards, 3));
         let certs = fleet
             .certify_chain(&blocks, &mut fleet_world.ias)
             .expect("fleet certifies");
@@ -822,13 +825,13 @@ fn shard_counts_1_2_4_8_match_sequential_bytes() {
 /// full stream still matches sequential bytes.
 #[test]
 fn shard_fleet_incremental_extension_matches_sequential() {
-    let (mut seq_world, _) = World::deterministic(Vec::new());
+    let mut seq_world = World::pow(&[]);
     let blocks = seq_world.mine_blocks(Workload::KvStore { keyspace: 32 }, 10, 2, 47);
-    let seq = sequential_oracle(&blocks);
+    let seq = World::pow(&[]).certify_blocks(&blocks);
     let ias_key = seq_world.ias.public_key();
 
-    let (mut fleet_world, _) = World::deterministic(Vec::new());
-    let mut fleet = fleet_for(&fleet_world, ShardFleetConfig::new(3, 2));
+    let mut fleet_world = World::pow(&[]);
+    let mut fleet = fleet_world.fleet(ShardFleetConfig::new(3, 2));
     let first = fleet
         .certify_chain(&blocks[..6], &mut fleet_world.ias)
         .expect("prefix certifies");
@@ -854,19 +857,19 @@ fn shard_fleet_incremental_extension_matches_sequential() {
 /// scratch) and the aggregate stream still equals sequential bytes.
 #[test]
 fn shard_kill_restart_is_byte_identical() {
-    let (mut seq_world, _) = World::deterministic(Vec::new());
+    let mut seq_world = World::pow(&[]);
     let blocks = seq_world.mine_blocks(Workload::SmallBank { customers: 16 }, 12, 2, 59);
-    let seq = sequential_oracle(&blocks);
+    let seq = World::pow(&[]).certify_blocks(&blocks);
     let ias_key = seq_world.ias.public_key();
 
     let registry = Registry::new();
     let store: SharedStore = Arc::new(Mutex::new(Box::new(MemStore::new())));
-    let (mut fleet_world, _) = World::deterministic(Vec::new());
+    let mut fleet_world = World::pow(&[]);
     let mut config = ShardFleetConfig::new(4, 1);
     config.registry = registry.clone();
     config.store = Some(store);
     config.failures = ShardFailurePlan::none().kill(1, 1).kill(3, 0);
-    let mut fleet = fleet_for(&fleet_world, config);
+    let mut fleet = fleet_world.fleet(config);
     let certs = fleet
         .certify_chain(&blocks, &mut fleet_world.ias)
         .expect("fleet certifies through kills");
@@ -891,10 +894,10 @@ fn shard_kill_restart_is_byte_identical() {
 fn shard_fleet_reorg_matches_sequential() {
     // Two deterministic worlds mine the same 8-block prefix; the fork
     // world then diverges for the last 3 heights via a different tx seed.
-    let (mut world_a, _) = World::deterministic(Vec::new());
+    let mut world_a = World::pow(&[]);
     let original = world_a.mine_blocks(Workload::SmallBank { customers: 16 }, 8, 2, 71);
 
-    let (mut world_b, _) = World::deterministic(Vec::new());
+    let mut world_b = World::pow(&[]);
     let prefix = world_b.mine_blocks(Workload::SmallBank { customers: 16 }, 5, 2, 71);
     let suffix = world_b.mine_blocks(Workload::SmallBank { customers: 16 }, 3, 2, 72);
     let reorged: Vec<Block> = prefix.iter().chain(&suffix).cloned().collect();
@@ -910,13 +913,13 @@ fn shard_fleet_reorg_matches_sequential() {
     );
 
     // Sequential oracle: a fresh CI certifying the reorged chain.
-    let seq = sequential_oracle(&reorged);
+    let seq = World::pow(&[]).certify_blocks(&reorged);
 
     let registry = Registry::new();
-    let (mut fleet_world, _) = World::deterministic(Vec::new());
+    let mut fleet_world = World::pow(&[]);
     let mut config = ShardFleetConfig::new(3, 2);
     config.registry = registry.clone();
-    let mut fleet = fleet_for(&fleet_world, config);
+    let mut fleet = fleet_world.fleet(config);
     fleet
         .certify_chain(&original, &mut fleet_world.ias)
         .expect("original chain certifies");
@@ -950,13 +953,13 @@ fn shard_fleet_matches_sequential() {
         let (shards, chunk) = (g.range(1usize..=8), g.range(1u64..=4));
         let (count, workload) = (g.range(1usize..=8), workload(g));
         let (txs, seed) = (g.range(1usize..=2), g.any::<u64>());
-        let (mut seq_world, _) = World::deterministic(Vec::new());
+        let mut seq_world = World::pow(&[]);
         let blocks = seq_world.mine_blocks(workload, count, txs, seed);
-        let seq = sequential_oracle(&blocks);
+        let seq = World::pow(&[]).certify_blocks(&blocks);
         let ias_key = seq_world.ias.public_key();
 
-        let (mut fleet_world, _) = World::deterministic(Vec::new());
-        let mut fleet = fleet_for(&fleet_world, ShardFleetConfig::new(shards, chunk));
+        let mut fleet_world = World::pow(&[]);
+        let mut fleet = fleet_world.fleet(ShardFleetConfig::new(shards, chunk));
         let certs = fleet
             .certify_chain(&blocks, &mut fleet_world.ias)
             .expect("fleet certifies");
@@ -968,7 +971,7 @@ fn shard_fleet_matches_sequential() {
 /// An idle pipeline shuts down cleanly and hands back an untouched CI.
 #[test]
 fn empty_pipeline_shutdown_is_clean() {
-    let (world, _sp) = World::deterministic(Vec::new());
+    let world = World::pow(&[]);
     let genesis_tip = world.ci.node().tip().clone();
 
     let pipeline =
@@ -1009,7 +1012,7 @@ fn prop_random_chains_certify() {
     check("prop_random_chains_certify", 12, |g| {
         let (workload, seed) = (arb_workload(g), g.any::<u64>());
         let (blocks, block_size) = (g.range(1u64..5), g.range(1usize..6));
-        let mut world = World::new();
+        let mut world = World::pow(&[]);
         let mut gen = WorkloadGen::new(workload, 6, seed);
         let mut latest = None;
         for height in 1..=blocks {
@@ -1032,8 +1035,8 @@ fn prop_random_chains_certify() {
 fn prop_replicas_are_deterministic() {
     check("prop_replicas_are_deterministic", 12, |g| {
         let (seed, blocks) = (g.any::<u64>(), g.range(1u64..4));
-        let (mut wa, mut sa) = World::with_setup(vec![(IndexKind::History, "h")]);
-        let (mut wb, mut sb) = World::with_setup(vec![(IndexKind::History, "h")]);
+        let mut wa = World::pow(&[(IndexKind::History, "h")]);
+        let mut wb = World::pow(&[(IndexKind::History, "h")]);
         let mut gen = WorkloadGen::new(Workload::KvStore { keyspace: 16 }, 4, seed);
         for height in 1..=blocks {
             let txs = gen.next_block(3);
@@ -1041,17 +1044,18 @@ fn prop_replicas_are_deterministic() {
             let bb = wb.miner.mine(txs, height).unwrap();
             assert_eq!(ba.hash(), bb.hash());
 
-            let ia = sa.stage_block(&ba).unwrap();
-            let ib = sb.stage_block(&bb).unwrap();
+            let ia = wa.sp.stage_block(&ba).unwrap();
+            let ib = wb.sp.stage_block(&bb).unwrap();
             assert_eq!(ia[0].new_digest, ib[0].new_digest);
 
             let (ca, _) = wa.ci.certify_augmented(&ba, &ia).unwrap();
             let (cb, _) = wb.ci.certify_augmented(&bb, &ib).unwrap();
-            // Signatures differ (different enclave keys) but the certified
-            // digests agree.
+            // Seed-identical enclaves: the certified digests agree, and so
+            // does every signed byte.
             assert_eq!(ca[0].digest, cb[0].digest);
-            sa.record_certs(&ca);
-            sb.record_certs(&cb);
+            assert_eq!(ca, cb);
+            wa.sp.record_certs(&ca);
+            wb.sp.record_certs(&cb);
         }
     });
 }
@@ -1063,7 +1067,7 @@ fn prop_client_storage_constant() {
     check("prop_client_storage_constant", 12, |g| {
         let (workload, seed) = (arb_workload(g), g.any::<u64>());
         let blocks = g.range(1u64..4);
-        let mut world = World::new();
+        let mut world = World::pow(&[]);
         let mut gen = WorkloadGen::new(workload, 4, seed);
         let mut sizes = Vec::new();
         for height in 1..=blocks {

@@ -1,13 +1,11 @@
 //! Multi-vendor trust quorums: a client requiring k-of-n distinct TEE
 //! domains to agree (Section 6's "avoid relying solely on Intel").
 
-mod common;
-
-use common::World;
 use dcert::chain::FullNode;
 use dcert::core::{expected_measurement, CertError, CertificateIssuer, QuorumClient, TrustDomain};
 use dcert::primitives::hash::Address;
 use dcert::sgx::{AttestationService, CostModel};
+use dcert::world::World;
 
 /// Builds a second, independent trust domain (its own "vendor" attestation
 /// service) running a CI on the same chain.
@@ -43,7 +41,7 @@ fn domains(world: &World, second_ias: &AttestationService) -> Vec<TrustDomain> {
 
 #[test]
 fn two_of_two_quorum_validates_agreeing_cis() {
-    let mut world = World::new();
+    let mut world = World::pow(&[]);
     let (second_ias, mut second_ci) = second_domain(&world);
     let mut quorum = QuorumClient::new(domains(&world, &second_ias), 2);
 
@@ -67,7 +65,7 @@ fn two_of_two_quorum_validates_agreeing_cis() {
 
 #[test]
 fn quorum_fails_with_only_one_vendor() {
-    let mut world = World::new();
+    let mut world = World::pow(&[]);
     let (second_ias, _) = second_domain(&world);
     let mut quorum = QuorumClient::new(domains(&world, &second_ias), 2);
 
@@ -82,7 +80,7 @@ fn quorum_fails_with_only_one_vendor() {
 
 #[test]
 fn one_of_two_quorum_tolerates_a_missing_vendor() {
-    let mut world = World::new();
+    let mut world = World::pow(&[]);
     let (second_ias, _) = second_domain(&world);
     let mut quorum = QuorumClient::new(domains(&world, &second_ias), 1);
 
@@ -99,7 +97,7 @@ fn one_of_two_quorum_tolerates_a_missing_vendor() {
 fn compromised_vendor_cannot_forge_alone() {
     // A rogue "vendor" (its own IAS) certifies a forged branch; a 2-of-2
     // quorum must reject it even though the rogue domain validates.
-    let world = World::new();
+    let world = World::pow(&[]);
     let (second_ias, mut second_ci) = second_domain(&world);
     let mut quorum = QuorumClient::new(domains(&world, &second_ias), 2);
 
@@ -124,7 +122,7 @@ fn compromised_vendor_cannot_forge_alone() {
 #[test]
 fn mismatched_certificates_do_not_count_twice() {
     // Certificates for *different* headers cannot combine into a quorum.
-    let mut world = World::new();
+    let mut world = World::pow(&[]);
     let (second_ias, mut second_ci) = second_domain(&world);
     let mut quorum = QuorumClient::new(domains(&world, &second_ias), 2);
 
@@ -140,7 +138,7 @@ fn mismatched_certificates_do_not_count_twice() {
 
 #[test]
 fn quorum_enforces_chain_selection() {
-    let mut world = World::new();
+    let mut world = World::pow(&[]);
     let (second_ias, mut second_ci) = second_domain(&world);
     let mut quorum = QuorumClient::new(domains(&world, &second_ias), 2);
 
@@ -170,7 +168,7 @@ fn quorum_enforces_chain_selection() {
 #[test]
 #[should_panic(expected = "threshold")]
 fn zero_threshold_is_a_config_bug() {
-    let world = World::new();
+    let world = World::pow(&[]);
     let (second_ias, _) = second_domain(&world);
     let _ = QuorumClient::new(domains(&world, &second_ias), 0);
 }

@@ -2,93 +2,43 @@
 //! the same platform (SGX sealed storage), so clients keep their cached
 //! attestation and the certificate chain continues under one key.
 
-mod common;
-
-use std::sync::Arc;
-
-use common::TEST_POW_BITS;
-use dcert::chain::{ConsensusEngine, FullNode, GenesisBuilder, ProofOfWork};
-use dcert::core::{expected_measurement, CertError, CertificateIssuer, SuperlightClient};
-use dcert::primitives::hash::Address;
-use dcert::sgx::{AttestationService, CostModel};
-use dcert::vm::Executor;
-use dcert::workloads::{blockbench_registry, Workload, WorkloadGen};
-
-struct Fixture {
-    executor: Executor,
-    engine: Arc<dyn ConsensusEngine>,
-    genesis: dcert::chain::Block,
-    miner: FullNode,
-    ias: AttestationService,
-}
-
-fn fixture() -> Fixture {
-    let executor = Executor::new(Arc::new(blockbench_registry()));
-    let engine: Arc<dyn ConsensusEngine> = Arc::new(ProofOfWork::new(TEST_POW_BITS));
-    let (genesis, state) = GenesisBuilder::new().timestamp(1_700_000_000).build();
-    let miner = FullNode::new(
-        &genesis,
-        state,
-        executor.clone(),
-        engine.clone(),
-        Address::from_seed(1),
-    );
-    Fixture {
-        executor,
-        engine,
-        genesis,
-        miner,
-        ias: AttestationService::with_seed([0xA5; 32]),
-    }
-}
-
-const PLATFORM: [u8; 32] = [0xCC; 32];
+use dcert::core::{CertError, CertificateIssuer};
+use dcert::sgx::CostModel;
+use dcert::workloads::{Workload, WorkloadGen};
+use dcert::world::{World, PLATFORM_SEED};
 
 #[test]
 fn restart_preserves_pk_enc_and_the_chain_continues() {
-    let mut fx = fixture();
-    let (_, genesis_state) = GenesisBuilder::new().timestamp(1_700_000_000).build();
-    let mut ci = CertificateIssuer::new_on_platform(
-        PLATFORM,
-        &fx.genesis,
-        genesis_state,
-        fx.executor.clone(),
-        fx.engine.clone(),
-        Vec::new(),
-        &mut fx.ias,
-        CostModel::zero(),
-    )
-    .unwrap();
-    let original_pk = ci.pk_enc();
+    let mut world = World::pow(&[]);
+    let original_pk = world.ci.pk_enc();
 
     // Certify a few blocks, let the client follow.
-    let mut client = SuperlightClient::new(fx.ias.public_key(), expected_measurement());
     let mut gen = WorkloadGen::new(Workload::KvStore { keyspace: 16 }, 4, 7);
     let mut checkpoint = None;
     for height in 1..=4u64 {
-        let block = fx.miner.mine(gen.next_block(3), height).unwrap();
-        let (cert, _) = ci.certify_block(&block).unwrap();
-        client.validate_chain(&block.header, &cert).unwrap();
+        let block = world.miner.mine(gen.next_block(3), height).unwrap();
+        let (cert, _) = world.ci.certify_block(&block).unwrap();
+        world.client.validate_chain(&block.header, &cert).unwrap();
         checkpoint = Some((block.header.clone(), cert));
     }
     let (checkpoint_header, checkpoint_cert) = checkpoint.unwrap();
 
     // "Power cycle": seal the key, snapshot the state, drop the CI.
-    let sealed = ci.seal_enclave_key();
-    let snapshot = ci.node().state().clone();
-    drop(ci);
+    let sealed = world.ci.seal_enclave_key();
+    let snapshot = world.ci.node().state().clone();
+    drop(world.ci);
 
     let mut resumed = CertificateIssuer::resume_on_platform(
-        PLATFORM,
+        PLATFORM_SEED,
         &sealed,
-        fx.genesis.hash(),
+        world.genesis.hash(),
         &checkpoint_header,
         &checkpoint_cert,
         snapshot,
-        fx.executor.clone(),
-        fx.engine.clone(),
+        world.executor.clone(),
+        world.engine.clone(),
         Vec::new(),
-        &mut fx.ias,
+        &mut world.ias,
         CostModel::zero(),
     )
     .unwrap();
@@ -101,46 +51,34 @@ fn restart_preserves_pk_enc_and_the_chain_continues() {
     // The resumed CI continues the chain and the client accepts without a
     // new key (its attestation cache still covers pk_enc).
     for height in 5..=7u64 {
-        let block = fx.miner.mine(gen.next_block(3), height).unwrap();
+        let block = world.miner.mine(gen.next_block(3), height).unwrap();
         let (cert, _) = resumed.certify_block(&block).unwrap();
         assert_eq!(cert.pk_enc, original_pk);
-        client.validate_chain(&block.header, &cert).unwrap();
+        world.client.validate_chain(&block.header, &cert).unwrap();
     }
-    assert_eq!(client.height(), Some(7));
+    assert_eq!(world.client.height(), Some(7));
 }
 
 #[test]
 fn sealed_key_does_not_open_on_another_machine() {
-    let mut fx = fixture();
-    let (_, genesis_state) = GenesisBuilder::new().timestamp(1_700_000_000).build();
-    let mut ci = CertificateIssuer::new_on_platform(
-        PLATFORM,
-        &fx.genesis,
-        genesis_state,
-        fx.executor.clone(),
-        fx.engine.clone(),
-        Vec::new(),
-        &mut fx.ias,
-        CostModel::zero(),
-    )
-    .unwrap();
-    let block = fx.miner.mine(Vec::new(), 1).unwrap();
-    let (cert, _) = ci.certify_block(&block).unwrap();
-    let sealed = ci.seal_enclave_key();
-    let snapshot = ci.node().state().clone();
+    let mut world = World::pow(&[]);
+    let block = world.miner.mine(Vec::new(), 1).unwrap();
+    let (cert, _) = world.ci.certify_block(&block).unwrap();
+    let sealed = world.ci.seal_enclave_key();
+    let snapshot = world.ci.node().state().clone();
 
     // A thief copies the blob to a different machine.
     let stolen = CertificateIssuer::resume_on_platform(
         [0xDD; 32],
         &sealed,
-        fx.genesis.hash(),
+        world.genesis.hash(),
         &block.header,
         &cert,
         snapshot,
-        fx.executor.clone(),
-        fx.engine.clone(),
+        world.executor.clone(),
+        world.engine.clone(),
         Vec::new(),
-        &mut fx.ias,
+        &mut world.ias,
         CostModel::zero(),
     );
     assert!(matches!(stolen, Err(CertError::Attestation(_))));
@@ -148,36 +86,24 @@ fn sealed_key_does_not_open_on_another_machine() {
 
 #[test]
 fn tampered_sealed_blob_rejected() {
-    let mut fx = fixture();
-    let (_, genesis_state) = GenesisBuilder::new().timestamp(1_700_000_000).build();
-    let mut ci = CertificateIssuer::new_on_platform(
-        PLATFORM,
-        &fx.genesis,
-        genesis_state,
-        fx.executor.clone(),
-        fx.engine.clone(),
-        Vec::new(),
-        &mut fx.ias,
-        CostModel::zero(),
-    )
-    .unwrap();
-    let block = fx.miner.mine(Vec::new(), 1).unwrap();
-    let (cert, _) = ci.certify_block(&block).unwrap();
-    let mut sealed = ci.seal_enclave_key();
+    let mut world = World::pow(&[]);
+    let block = world.miner.mine(Vec::new(), 1).unwrap();
+    let (cert, _) = world.ci.certify_block(&block).unwrap();
+    let mut sealed = world.ci.seal_enclave_key();
     sealed.ciphertext[0] ^= 0xff;
-    let snapshot = ci.node().state().clone();
+    let snapshot = world.ci.node().state().clone();
 
     let result = CertificateIssuer::resume_on_platform(
-        PLATFORM,
+        PLATFORM_SEED,
         &sealed,
-        fx.genesis.hash(),
+        world.genesis.hash(),
         &block.header,
         &cert,
         snapshot,
-        fx.executor.clone(),
-        fx.engine.clone(),
+        world.executor.clone(),
+        world.engine.clone(),
         Vec::new(),
-        &mut fx.ias,
+        &mut world.ias,
         CostModel::zero(),
     );
     assert!(matches!(result, Err(CertError::Attestation(_))));

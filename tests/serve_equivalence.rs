@@ -5,9 +5,6 @@
 //! Service Provider produces at the same certified height. And no cached
 //! proof may survive the certified height moving.
 
-mod common;
-
-use common::World;
 use dcert::query::history::verify_history;
 use dcert::query::sp::IndexKind;
 use dcert::query::ServiceProvider;
@@ -15,8 +12,8 @@ use dcert::serve::{
     encode_aggregate_payload, encode_history_payload, encode_keyword_payload, QuerySpec, RateLimit,
     ServeConfig, ServeFront, ServeRequest, ServeWire, Submitted,
 };
-use dcert::vm::StateKey;
 use dcert::workloads::Workload;
+use dcert::world::{certify_into, kv_key, World, SERVE_INDEXES};
 use dcert_testkit::{check, Gen};
 
 /// Keyspace the kvstore workload writes; queries draw from a slightly
@@ -26,15 +23,11 @@ const KEYSPACE: u64 = 16;
 /// Builds a certified world wrapped in a serve front: `blocks` kvstore
 /// blocks mined, staged, certified (augmented), and recorded.
 fn certified_front(blocks: usize, txs: usize, seed: u64) -> ServeFront {
-    let (mut world, sp) = World::deterministic(vec![
-        (IndexKind::History, "history"),
-        (IndexKind::Inverted, "inverted"),
-        (IndexKind::Aggregate, "agg"),
-    ]);
+    let mut world = World::pow(&SERVE_INDEXES);
     let mined = world.mine_blocks(Workload::KvStore { keyspace: KEYSPACE }, blocks, txs, seed);
-    let mut front = ServeFront::new(sp, ServeConfig::default());
+    let mut front = ServeFront::new(world.sp, ServeConfig::default());
     for block in &mined {
-        world.certify_into(&mut front, block);
+        certify_into(&mut world.ci, &mut front, block);
     }
     front
 }
@@ -59,10 +52,6 @@ fn direct_payload(sp: &ServiceProvider, spec: &QuerySpec) -> Option<Vec<u8>> {
     }
 }
 
-fn key(i: u64) -> StateKey {
-    StateKey::new("kvstore", format!("key-{i}").as_bytes())
-}
-
 /// A random time window inside `1..=height`.
 fn arb_window(g: &mut Gen, height: u64) -> (u64, u64) {
     let (a, b) = (g.range(1..=height), g.range(1..=height));
@@ -76,7 +65,7 @@ fn arb_spec(g: &mut Gen, height: u64) -> QuerySpec {
             let (k, (t1, t2)) = (g.range(0..KEYSPACE + 4), arb_window(g, height));
             QuerySpec::History {
                 index: "history".to_owned(),
-                key: key(k),
+                key: kv_key(k),
                 t1,
                 t2,
             }
@@ -89,7 +78,7 @@ fn arb_spec(g: &mut Gen, height: u64) -> QuerySpec {
             let (k, (t1, t2)) = (g.range(0..KEYSPACE + 4), arb_window(g, height));
             QuerySpec::Aggregate {
                 index: "agg".to_owned(),
-                key: key(k),
+                key: kv_key(k),
                 t1,
                 t2,
             }
@@ -173,19 +162,15 @@ fn prop_front_responses_match_direct_serving() {
 fn prop_no_stale_proof_survives_height_advance() {
     check("prop_no_stale_proof_survives_height_advance", 10, |g| {
         let (seed, probe) = (g.any::<u64>(), g.range(0..KEYSPACE));
-        let (mut world, sp) = World::deterministic(vec![
-            (IndexKind::History, "history"),
-            (IndexKind::Inverted, "inverted"),
-            (IndexKind::Aggregate, "agg"),
-        ]);
+        let mut world = World::pow(&SERVE_INDEXES);
         let blocks = world.mine_blocks(Workload::KvStore { keyspace: KEYSPACE }, 3, 4, seed);
-        let mut front = ServeFront::new(sp, ServeConfig::default());
-        world.certify_into(&mut front, &blocks[0]);
-        world.certify_into(&mut front, &blocks[1]);
+        let mut front = ServeFront::new(world.sp, ServeConfig::default());
+        certify_into(&mut world.ci, &mut front, &blocks[0]);
+        certify_into(&mut world.ci, &mut front, &blocks[1]);
 
         let spec = QuerySpec::History {
             index: "history".to_owned(),
-            key: key(probe),
+            key: kv_key(probe),
             t1: 1,
             t2: 2,
         };
@@ -195,7 +180,7 @@ fn prop_no_stale_proof_survives_height_advance() {
         assert_eq!(front.cached_entries(), 1, "the proof is cached");
 
         // The certified height moves: stage + record block 3.
-        world.certify_into(&mut front, &blocks[2]);
+        certify_into(&mut world.ci, &mut front, &blocks[2]);
         assert_eq!(front.cached_entries(), 0, "invalidation clears the cache");
         assert!(front.cache_generation() > generation);
 
@@ -215,7 +200,7 @@ fn prop_no_stale_proof_survives_height_advance() {
             dcert::serve::decode_history_payload(&replayed[0].1).expect("payload decodes");
         let digest = front.sp().certified_digest("history").expect("certified");
         assert!(
-            verify_history(&digest, &key(probe), 1, 2, &results, &proof).is_ok(),
+            verify_history(&digest, &kv_key(probe), 1, 2, &results, &proof).is_ok(),
             "replayed proof verifies against the advanced certified digest"
         );
     });
@@ -225,14 +210,14 @@ fn prop_no_stale_proof_survives_height_advance() {
 /// as strictly as `record_certs`.
 #[test]
 fn advance_staged_also_invalidates() {
-    let (mut world, sp) = World::deterministic(vec![(IndexKind::History, "history")]);
+    let mut world = World::pow(&[(IndexKind::History, "history")]);
     let blocks = world.mine_blocks(Workload::KvStore { keyspace: KEYSPACE }, 2, 3, 7);
-    let mut front = ServeFront::new(sp, ServeConfig::default());
-    world.certify_into(&mut front, &blocks[0]);
+    let mut front = ServeFront::new(world.sp, ServeConfig::default());
+    certify_into(&mut world.ci, &mut front, &blocks[0]);
 
     let spec = QuerySpec::History {
         index: "history".to_owned(),
-        key: key(0),
+        key: kv_key(0),
         t1: 1,
         t2: 1,
     };
@@ -254,7 +239,7 @@ fn unknown_index_refuses_typed_and_uncached() {
     let mut front = certified_front(1, 2, 11);
     let spec = QuerySpec::History {
         index: "no-such-index".to_owned(),
-        key: key(0),
+        key: kv_key(0),
         t1: 1,
         t2: 1,
     };
@@ -287,10 +272,10 @@ fn unknown_index_refuses_typed_and_uncached() {
 /// stay equivalent (admission control never corrupts payloads).
 #[test]
 fn rate_limited_client_does_not_perturb_equivalence() {
-    let (mut world, sp) = World::deterministic(vec![(IndexKind::History, "history")]);
+    let mut world = World::pow(&[(IndexKind::History, "history")]);
     let blocks = world.mine_blocks(Workload::KvStore { keyspace: KEYSPACE }, 1, 3, 13);
     let mut front = ServeFront::new(
-        sp,
+        world.sp,
         ServeConfig {
             rate_limit: RateLimit {
                 tokens_per_tick: 1,
@@ -299,11 +284,11 @@ fn rate_limited_client_does_not_perturb_equivalence() {
             ..ServeConfig::default()
         },
     );
-    world.certify_into(&mut front, &blocks[0]);
+    certify_into(&mut world.ci, &mut front, &blocks[0]);
 
     let spec = |k: u64| QuerySpec::History {
         index: "history".to_owned(),
-        key: key(k),
+        key: kv_key(k),
         t1: 1,
         t2: 1,
     };

@@ -12,20 +12,11 @@
 //!   same snapshot (`CHAOS_SEED=<n> cargo test --test serve_load --
 //!   --include-ignored` runs the full-scale matrix entry).
 
-mod common;
-
-use std::collections::HashMap;
-
-use common::World;
 use dcert::chain::Block;
 use dcert::obs::{Registry, Snapshot};
-use dcert::query::sp::IndexKind;
-use dcert::serve::{
-    QuerySpec, RateLimit, RefusalReason, ServeConfig, ServeFront, ServeRequest, ServeWire,
-    Submitted,
-};
-use dcert::vm::StateKey;
-use dcert::workloads::{ServeEvent, ServeLoadConfig, ServeLoadGen, ServeQueryKind, Workload};
+use dcert::serve::{QuerySpec, RateLimit, RefusalReason, ServeConfig, ServeFront, ServeRequest};
+use dcert::workloads::{ServeLoadConfig, ServeLoadGen, Workload};
+use dcert::world::{certify_into, kv_key, replay, ReplayOutcome, World, SERVE_INDEXES};
 
 /// Keys the backing kvstore workload writes.
 const KEYSPACE: u64 = 64;
@@ -33,193 +24,54 @@ const KEYSPACE: u64 = 64;
 /// Queries the front executes per virtual tick during replay.
 const PUMP_BUDGET: usize = 48;
 
-/// Outcome tallies plus the final metric snapshot of one load replay.
-struct LoadRun {
-    submitted: u64,
-    cache_hits: u64,
-    responses: u64,
-    refused_admission: u64,
-    refused_pump: u64,
-    cancelled: u64,
-    snapshot: Snapshot,
-}
-
-impl LoadRun {
-    fn shed(&self) -> u64 {
-        self.refused_admission + self.refused_pump
-    }
-
-    /// The terminal-outcome conservation law.
-    fn assert_accounted(&self, seed: u64) {
-        assert_eq!(
-            self.cache_hits + self.responses + self.shed() + self.cancelled,
-            self.submitted,
-            "CHAOS_SEED={seed}: requests leaked without a terminal outcome"
-        );
-    }
-}
-
 /// Builds a certified three-index world and wraps its SP in a front.
 fn certified_front(blocks: usize, config: ServeConfig, obs: &Registry) -> (ServeFront, Vec<Block>) {
-    let (mut world, sp) = World::deterministic(vec![
-        (IndexKind::History, "history"),
-        (IndexKind::Inverted, "inverted"),
-        (IndexKind::Aggregate, "agg"),
-    ]);
+    let mut world = World::pow(&SERVE_INDEXES);
     // One extra block is mined but not staged: the replay stages it
     // halfway through to exercise invalidation under load.
     let mined = world.mine_blocks(Workload::KvStore { keyspace: KEYSPACE }, blocks + 1, 4, 5);
-    let mut front = ServeFront::new(sp, config);
+    let mut front = ServeFront::new(world.sp, config);
     for block in &mined[..blocks] {
-        world.certify_into(&mut front, block);
+        certify_into(&mut world.ci, &mut front, block);
     }
     // Attached after setup so the `serve.*` metrics cover only the load.
     front.attach_obs(obs);
     (front, mined)
 }
 
-/// Maps a schedule event onto the three registered indexes.
-fn spec_for(event: &ServeEvent, height: u64) -> QuerySpec {
-    let key = StateKey::new("kvstore", format!("key-{}", event.key).as_bytes());
-    match event.kind {
-        ServeQueryKind::History => QuerySpec::History {
-            index: "history".to_owned(),
-            key,
-            t1: 1,
-            t2: height.max(1),
-        },
-        ServeQueryKind::Keywords => QuerySpec::Keywords {
-            index: "inverted".to_owned(),
-            keywords: vec![format!("key-{}", event.key)],
-        },
-        ServeQueryKind::Aggregate => QuerySpec::Aggregate {
-            index: "agg".to_owned(),
-            key,
-            t1: 1,
-            t2: height.max(1),
-        },
-        // Op-stream kinds map the schedule's nested [0,100] window onto
-        // the certified height range monotonically, so containment in
-        // the schedule stays containment in the spec.
-        ServeQueryKind::HistoryOp => QuerySpec::HistoryOp {
-            index: "history".to_owned(),
-            key,
-            t1: 1 + event.window.0 * height.max(1) / 100,
-            t2: 1 + event.window.1 * height.max(1) / 100,
-        },
-        ServeQueryKind::AggregateOp => QuerySpec::AggregateOp {
-            index: "agg".to_owned(),
-            key,
-            t1: 1 + event.window.0 * height.max(1) / 100,
-            t2: 1 + event.window.1 * height.max(1) / 100,
-        },
-    }
-}
-
-/// Replays the seeded schedule: admit each burst, cancel its slow-loris
-/// waiters, spend `PUMP_BUDGET` queries per quiet tick, stage the fresh
-/// block halfway through, and drain to empty at the end.
-fn run_load(load: ServeLoadConfig, config: ServeConfig, seed: u64) -> LoadRun {
+/// Replays the seeded schedule through a fresh certified front (the
+/// shared `dcert::world::replay`) and checks the laws every replay must
+/// keep: each admission refusal is typed with a reason, every request
+/// reaches exactly one terminal outcome, and no waiter is silently
+/// dropped or left parked. Returns the outcome and the final snapshot.
+fn load(load: ServeLoadConfig, config: ServeConfig, seed: u64) -> (ReplayOutcome, Snapshot) {
     let obs = Registry::new();
     let (mut front, mined) = certified_front(3, config, &obs);
+    let schedule: Vec<_> = ServeLoadGen::new(load, seed).collect();
     let fresh = mined.last().expect("one unstaged block");
-    let schedule: Vec<ServeEvent> = ServeLoadGen::new(load, seed).collect();
+    let outcome = replay(&mut front, &schedule, fresh, PUMP_BUDGET);
 
-    let mut run = LoadRun {
-        submitted: schedule.len() as u64,
-        cache_hits: 0,
-        responses: 0,
-        refused_admission: 0,
-        refused_pump: 0,
-        cancelled: 0,
-        snapshot: obs.snapshot(),
-    };
-    let mut admitted: HashMap<u64, u64> = HashMap::new();
-    let mut burst_abandons: Vec<(u64, u64)> = Vec::new();
-    let mut current_tick = schedule.first().map_or(0, |e| e.tick);
-    let half = schedule.len() / 2;
-
-    let drain =
-        |front: &mut ServeFront, run: &mut LoadRun, admitted: &mut HashMap<u64, u64>, tick: u64| {
-            for (_, wire) in front.pump(tick, PUMP_BUDGET) {
-                match wire {
-                    ServeWire::Response(response) => {
-                        admitted.remove(&response.id);
-                        run.responses += 1;
-                    }
-                    ServeWire::Refusal(refusal) => {
-                        admitted.remove(&refusal.id);
-                        run.refused_pump += 1;
-                    }
-                    ServeWire::Request(_) => unreachable!("the front never emits requests"),
-                }
-            }
-        };
-
-    for (i, event) in schedule.iter().enumerate() {
-        if event.tick != current_tick {
-            for (client, id) in burst_abandons.drain(..) {
-                if front.cancel(client, id) {
-                    admitted.remove(&id);
-                    run.cancelled += 1;
-                }
-            }
-            for tick in current_tick + 1..=event.tick {
-                drain(&mut front, &mut run, &mut admitted, tick);
-            }
-            current_tick = event.tick;
-        }
-        if i == half {
-            front.stage_block(fresh).expect("fresh block stages");
-            front.advance_staged();
-        }
-        let id = i as u64;
-        let request = ServeRequest {
-            client: event.client,
-            id,
-            query: spec_for(event, front.sp().index_height()),
-        };
-        match front.submit(event.tick, request) {
-            Ok(Submitted::CacheHit(_)) => run.cache_hits += 1,
-            Ok(Submitted::Enqueued { .. }) => {
-                admitted.insert(id, event.tick);
-                if event.abandon {
-                    burst_abandons.push((event.client, id));
-                }
-            }
-            Err(refusal) => {
-                // Shed = typed, never silent: every refusal names a reason.
-                match refusal.reason {
-                    RefusalReason::QueueFull { depth } => assert!(depth > 0),
-                    RefusalReason::RateLimited { retry_after_ticks } => {
-                        assert!(retry_after_ticks > 0)
-                    }
-                    RefusalReason::Backlogged { waiters } => assert!(waiters > 0),
-                    RefusalReason::UnknownIndex => panic!("all test indexes exist"),
-                }
-                run.refused_admission += 1;
-            }
+    // Shed = typed, never silent: every refusal names a reason.
+    for reason in &outcome.refused_admission {
+        match *reason {
+            RefusalReason::QueueFull { depth } => assert!(depth > 0),
+            RefusalReason::RateLimited { retry_after_ticks } => assert!(retry_after_ticks > 0),
+            RefusalReason::Backlogged { waiters } => assert!(waiters > 0),
+            RefusalReason::UnknownIndex => panic!("all test indexes exist"),
         }
     }
-
-    for (client, id) in burst_abandons.drain(..) {
-        if front.cancel(client, id) {
-            admitted.remove(&id);
-            run.cancelled += 1;
-        }
-    }
-    let mut tick = current_tick;
-    while front.inflight_entries() > 0 {
-        tick += 1;
-        drain(&mut front, &mut run, &mut admitted, tick);
-    }
-    assert!(
-        admitted.is_empty(),
-        "CHAOS_SEED={seed}: waiters silently dropped: {admitted:?}"
+    assert_eq!(
+        outcome.accounted(),
+        outcome.submitted,
+        "CHAOS_SEED={seed}: requests leaked without a terminal outcome"
     );
-    assert_eq!(front.parked_waiters(), 0, "CHAOS_SEED={seed}");
-    run.snapshot = obs.snapshot();
-    run
+    assert!(
+        outcome.unanswered.is_empty(),
+        "CHAOS_SEED={seed}: waiters silently dropped: {:?}",
+        outcome.unanswered
+    );
+    assert_eq!(outcome.parked_waiters, 0, "CHAOS_SEED={seed}");
+    (outcome, obs.snapshot())
 }
 
 /// The smoke-scale profile: the full 10⁵-client population, fewer
@@ -252,18 +104,17 @@ fn tight_config() -> ServeConfig {
 fn hundred_thousand_clients_bounded_queues() {
     let seed = 42;
     let config = tight_config();
-    let run = run_load(smoke_load(20_000), config, seed);
-    run.assert_accounted(seed);
-    assert_eq!(run.snapshot.counter("serve.requests"), run.submitted);
+    let (run, snapshot) = load(smoke_load(20_000), config, seed);
+    assert_eq!(snapshot.counter("serve.requests"), run.submitted);
 
-    let queue_high = run.snapshot.gauge("serve.queue_high_water");
+    let queue_high = snapshot.gauge("serve.queue_high_water");
     assert!(queue_high > 0, "CHAOS_SEED={seed}: load never queued");
     assert!(
         queue_high <= config.queue_capacity as i64,
         "CHAOS_SEED={seed}: queue exceeded its bound: {queue_high} > {}",
         config.queue_capacity
     );
-    let waiter_high = run.snapshot.gauge("serve.waiter_high_water");
+    let waiter_high = snapshot.gauge("serve.waiter_high_water");
     assert!(
         waiter_high <= config.max_waiters as i64,
         "CHAOS_SEED={seed}: waiter table exceeded its bound: {waiter_high} > {}",
@@ -276,10 +127,10 @@ fn hundred_thousand_clients_bounded_queues() {
         run.shed() > 0,
         "CHAOS_SEED={seed}: nothing shed under burst"
     );
-    let typed = run.snapshot.counter("serve.shed_queue_full")
-        + run.snapshot.counter("serve.shed_rate_limited")
-        + run.snapshot.counter("serve.shed_backlogged")
-        + run.snapshot.counter("serve.shed_unknown_index");
+    let typed = snapshot.counter("serve.shed_queue_full")
+        + snapshot.counter("serve.shed_rate_limited")
+        + snapshot.counter("serve.shed_backlogged")
+        + snapshot.counter("serve.shed_unknown_index");
     assert_eq!(
         typed,
         run.shed(),
@@ -288,10 +139,10 @@ fn hundred_thousand_clients_bounded_queues() {
 
     // Zipfian traffic pays for the machinery: coalescing and the cache
     // both fire, and the mid-run height advance invalidated twice.
-    assert!(run.snapshot.counter("serve.coalesce_hits") > 0);
-    assert!(run.snapshot.counter("serve.cache_hits") > 0);
-    assert_eq!(run.cache_hits, run.snapshot.counter("serve.cache_hits"));
-    assert_eq!(run.snapshot.counter("serve.invalidations"), 2);
+    assert!(snapshot.counter("serve.coalesce_hits") > 0);
+    assert!(snapshot.counter("serve.cache_hits") > 0);
+    assert_eq!(run.cache_hits, snapshot.counter("serve.cache_hits"));
+    assert_eq!(snapshot.counter("serve.invalidations"), 2);
 }
 
 /// **Satellite 2b/4.** Slow-loris clients that abandon admitted requests
@@ -300,20 +151,19 @@ fn hundred_thousand_clients_bounded_queues() {
 #[test]
 fn slow_loris_abandons_release_coalescing_slots() {
     let seed = 7;
-    let load = ServeLoadConfig {
+    let slow_loris = ServeLoadConfig {
         requests: 4_000,
         slow_loris_permille: 300,
         ..smoke_load(4_000)
     };
-    let run = run_load(load, tight_config(), seed);
-    run.assert_accounted(seed);
+    let (run, snapshot) = load(slow_loris, tight_config(), seed);
     assert!(
         run.cancelled > 0,
         "CHAOS_SEED={seed}: no abandons generated"
     );
     // `waiters_released` counts entries whose *last* waiter walked away —
     // a subset of the cancels, but never zero under this abandon rate.
-    let released = run.snapshot.counter("serve.waiters_released");
+    let released = snapshot.counter("serve.waiters_released");
     assert!(
         released > 0 && released <= run.cancelled,
         "CHAOS_SEED={seed}: {} entries released for {} cancels",
@@ -341,7 +191,7 @@ fn tight_front_sheds_with_every_typed_reason() {
     );
     let spec = |k: u64| QuerySpec::History {
         index: "history".to_owned(),
-        key: StateKey::new("kvstore", format!("key-{k}").as_bytes()),
+        key: kv_key(k),
         t1: 1,
         t2: 2,
     };
@@ -417,21 +267,20 @@ fn tight_front_sheds_with_every_typed_reason() {
 #[test]
 fn serve_snapshots_are_replay_stable() {
     for seed in [1u64, 42, 1234] {
-        let a = run_load(smoke_load(3_000), tight_config(), seed);
-        let b = run_load(smoke_load(3_000), tight_config(), seed);
-        a.assert_accounted(seed);
+        let (a, a_snapshot) = load(smoke_load(3_000), tight_config(), seed);
+        let (b, b_snapshot) = load(smoke_load(3_000), tight_config(), seed);
         assert_eq!(a.responses, b.responses, "CHAOS_SEED={seed}");
         assert_eq!(a.cache_hits, b.cache_hits, "CHAOS_SEED={seed}");
         assert_eq!(a.shed(), b.shed(), "CHAOS_SEED={seed}");
         assert_eq!(a.cancelled, b.cancelled, "CHAOS_SEED={seed}");
         assert_eq!(
-            a.snapshot.without_wall_clock(),
-            b.snapshot.without_wall_clock(),
+            a_snapshot.without_wall_clock(),
+            b_snapshot.without_wall_clock(),
             "CHAOS_SEED={seed}: deterministic serve metrics diverged"
         );
         assert_eq!(
-            a.snapshot.without_wall_clock().to_json(),
-            b.snapshot.without_wall_clock().to_json(),
+            a_snapshot.without_wall_clock().to_json(),
+            b_snapshot.without_wall_clock().to_json(),
             "CHAOS_SEED={seed}: snapshot encoding is not canonical"
         );
     }
@@ -443,25 +292,24 @@ fn serve_snapshots_are_replay_stable() {
 #[test]
 fn op_query_load_hits_covering_windows_and_replays() {
     let seed = 1234;
-    let load = ServeLoadConfig {
+    let op_load = ServeLoadConfig {
         keyspace: 16,
         op_query_permille: 700,
         ..smoke_load(4_000)
     };
-    let a = run_load(load, tight_config(), seed);
-    let b = run_load(load, tight_config(), seed);
-    a.assert_accounted(seed);
+    let (_, a_snapshot) = load(op_load, tight_config(), seed);
+    let (_, b_snapshot) = load(op_load, tight_config(), seed);
     assert!(
-        a.snapshot.counter("serve.window_hits") > 0,
+        a_snapshot.counter("serve.window_hits") > 0,
         "CHAOS_SEED={seed}: nested op windows never hit a covering answer"
     );
     assert!(
-        a.snapshot.counter("serve.backend_calls") > 0,
+        a_snapshot.counter("serve.backend_calls") > 0,
         "CHAOS_SEED={seed}: op load executed no queries"
     );
     assert_eq!(
-        a.snapshot.without_wall_clock(),
-        b.snapshot.without_wall_clock(),
+        a_snapshot.without_wall_clock(),
+        b_snapshot.without_wall_clock(),
         "CHAOS_SEED={seed}: op-query serve metrics diverged"
     );
 }
@@ -475,17 +323,15 @@ fn seed_matrix_entry() {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(1u64);
-    let a = run_load(smoke_load(50_000), tight_config(), seed);
-    let b = run_load(smoke_load(50_000), tight_config(), seed);
-    a.assert_accounted(seed);
-    b.assert_accounted(seed);
+    let (_, a_snapshot) = load(smoke_load(50_000), tight_config(), seed);
+    let (_, b_snapshot) = load(smoke_load(50_000), tight_config(), seed);
     assert!(
-        a.snapshot.gauge("serve.queue_high_water") <= tight_config().queue_capacity as i64,
+        a_snapshot.gauge("serve.queue_high_water") <= tight_config().queue_capacity as i64,
         "CHAOS_SEED={seed}: queue bound violated at scale"
     );
     assert_eq!(
-        a.snapshot.without_wall_clock(),
-        b.snapshot.without_wall_clock(),
+        a_snapshot.without_wall_clock(),
+        b_snapshot.without_wall_clock(),
         "CHAOS_SEED={seed}: full-scale replay diverged"
     );
 }

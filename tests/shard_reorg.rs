@@ -14,11 +14,8 @@
 //! both end-to-end (via the `shard.stale_range_refusals` metric) and
 //! directly at the `CertProgram::handle` level.
 
-mod common;
-
 use std::sync::{Arc, Mutex};
 
-use common::{assert_bytes_equal, fleet_for, sequential_oracle, World, TEST_SIGNING_SEED};
 use dcert::chain::Block;
 use dcert::core::{
     CertError, Certificate, EcallRequest, EcallResponse, RangeCert, ShardFleetConfig, SharedStore,
@@ -29,12 +26,13 @@ use dcert::primitives::keys::Keypair;
 use dcert::sgx::Quote;
 use dcert::store::MemStore;
 use dcert::workloads::Workload;
+use dcert::world::{assert_bytes_equal, World, SIGNING_SEED};
 
 /// Mines a chain that shares its first `shared` heights with a `base`
 /// seed and then diverges: a fresh deterministic world replays the base
 /// seed for the prefix and switches tx seeds for the fork suffix.
 fn mine_fork(shared: usize, fork_len: usize, base_seed: u64, fork_seed: u64) -> Vec<Block> {
-    let (mut world, _) = World::deterministic(Vec::new());
+    let mut world = World::pow(&[]);
     let prefix = world.mine_blocks(Workload::SmallBank { customers: 16 }, shared, 2, base_seed);
     let suffix = world.mine_blocks(
         Workload::SmallBank { customers: 16 },
@@ -51,21 +49,29 @@ fn mine_fork(shared: usize, fork_len: usize, base_seed: u64, fork_seed: u64) -> 
 fn drill(original: &[Block], reorged: &[Block], shards: usize, chunk: u64) -> Registry {
     let registry = Registry::new();
     let store: SharedStore = Arc::new(Mutex::new(Box::new(MemStore::new())));
-    let (mut fleet_world, _) = World::deterministic(Vec::new());
+    let mut fleet_world = World::pow(&[]);
     let mut config = ShardFleetConfig::new(shards, chunk);
     config.registry = registry.clone();
     config.store = Some(store);
-    let mut fleet = fleet_for(&fleet_world, config);
+    let mut fleet = fleet_world.fleet(config);
 
     let first = fleet
         .certify_chain(original, &mut fleet_world.ias)
         .expect("original chain certifies");
-    assert_bytes_equal(&sequential_oracle(original), &first, "pre-reorg");
+    assert_bytes_equal(
+        &World::pow(&[]).certify_blocks(original),
+        &first,
+        "pre-reorg",
+    );
 
     let certs = fleet
         .certify_chain(reorged, &mut fleet_world.ias)
         .expect("reorged chain certifies");
-    assert_bytes_equal(&sequential_oracle(reorged), &certs, "post-reorg");
+    assert_bytes_equal(
+        &World::pow(&[]).certify_blocks(reorged),
+        &certs,
+        "post-reorg",
+    );
     registry
 }
 
@@ -138,7 +144,7 @@ fn reorg_onto_shorter_chain() {
 #[test]
 fn extension_after_reorg_stays_equivalent() {
     let original = mine_fork(9, 0, 107, 107);
-    let (mut fork_world, _) = World::deterministic(Vec::new());
+    let mut fork_world = World::pow(&[]);
     let prefix = fork_world.mine_blocks(Workload::SmallBank { customers: 16 }, 5, 2, 107);
     let fork = fork_world.mine_blocks(Workload::SmallBank { customers: 16 }, 4, 2, 208);
     let reorged: Vec<Block> = prefix.iter().chain(&fork).cloned().collect();
@@ -146,10 +152,10 @@ fn extension_after_reorg_stays_equivalent() {
     let extended: Vec<Block> = reorged.iter().chain(&extension).cloned().collect();
 
     let registry = Registry::new();
-    let (mut fleet_world, _) = World::deterministic(Vec::new());
+    let mut fleet_world = World::pow(&[]);
     let mut config = ShardFleetConfig::new(3, 2);
     config.registry = registry.clone();
-    let mut fleet = fleet_for(&fleet_world, config);
+    let mut fleet = fleet_world.fleet(config);
     fleet
         .certify_chain(&original, &mut fleet_world.ias)
         .expect("original certifies");
@@ -162,7 +168,7 @@ fn extension_after_reorg_stays_equivalent() {
         .certify_chain(&extended, &mut fleet_world.ias)
         .expect("post-reorg extension certifies");
     assert_bytes_equal(
-        &sequential_oracle(&extended),
+        &World::pow(&[]).certify_blocks(&extended),
         &certs,
         "post-reorg extension",
     );
@@ -180,7 +186,7 @@ fn extension_after_reorg_stays_equivalent() {
 /// reorg instead of silently double-issuing.
 #[test]
 fn aggregator_refuses_stale_range_fold() {
-    let (world, _) = World::deterministic(Vec::new());
+    let world = World::pow(&[]);
     let mut ias = world.ias;
 
     // A "shard" platform the IAS trusts, producing hand-built range
@@ -225,7 +231,7 @@ fn aggregator_refuses_stale_range_fold() {
         world.engine.clone(),
         Vec::new(),
     )
-    .with_signing_seed(TEST_SIGNING_SEED);
+    .with_signing_seed(SIGNING_SEED);
     program
         .handle(EcallRequest::Init)
         .expect("program initializes");

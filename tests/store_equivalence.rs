@@ -19,7 +19,7 @@ mod common;
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
 
-use common::{genesis_sp, memo_blocks, observe, temp_dir, world_indexes, Observation, World};
+use common::temp_dir;
 use dcert::chain::Block;
 use dcert::core::{expected_measurement, CertArchive, Gossip, NetMessage, Transport};
 use dcert::primitives::codec::Encode;
@@ -27,34 +27,31 @@ use dcert::primitives::hash::Hash;
 use dcert::primitives::keys::PublicKey;
 use dcert::query::ServiceProvider;
 use dcert::store::{MemStore, SegmentStore, Store, StoreConfig};
+use dcert::world::{observe, Observation, World, MEMO_INDEXES};
 
 /// Blocks every scenario drives (one commit per block).
 const BLOCKS: u64 = 4;
 
-/// Drives `blocks` through both SPs (certifying each block once),
-/// asserting live equivalence at every commit.
-fn drive(
-    world: &mut World,
-    sp_seg: &mut ServiceProvider,
-    sp_mem: &mut ServiceProvider,
-    blocks: &[Block],
-) {
+/// Drives `blocks` through the world's SP (the segment store's) and
+/// `sp_mem`, certifying each block once, asserting live equivalence at
+/// every commit.
+fn drive(world: &mut World, sp_mem: &mut ServiceProvider, blocks: &[Block]) {
     for block in blocks {
         let height = block.header.height;
         let inputs_mem = sp_mem.stage_block(block).expect("oracle stages");
-        let inputs_seg = sp_seg.stage_block(block).expect("segment SP stages");
+        let inputs_seg = world.sp.stage_block(block).expect("segment SP stages");
         assert_eq!(inputs_mem.len(), inputs_seg.len(), "height {height}");
         let (certs, _) = world
             .ci
             .certify_augmented(block, &inputs_seg)
             .expect("certifies");
         sp_mem.record_certs(&certs);
-        sp_seg.record_certs(&certs);
+        world.sp.record_certs(&certs);
         assert!(sp_mem.store_error().is_none(), "height {height}");
-        assert!(sp_seg.store_error().is_none(), "height {height}");
+        assert!(world.sp.store_error().is_none(), "height {height}");
         assert_eq!(
             observe(sp_mem),
-            observe(sp_seg),
+            observe(&world.sp),
             "live mem/segment divergence at height {height}"
         );
     }
@@ -93,23 +90,23 @@ fn dir_image(dir: &Path) -> Vec<(String, Vec<u8>)> {
 /// Runs the deterministic dual-SP scenario into `dir`, returning the
 /// final observation and both stores (mem oracle, segment).
 fn dual_run(dir: &Path) -> (Observation, Box<dyn Store>, Box<dyn Store>) {
-    let (mut world, mut sp_seg) = World::deterministic(world_indexes());
-    let mut sp_mem = genesis_sp();
+    let mut world = World::pow(&MEMO_INDEXES);
+    let mut sp_mem = world.genesis_sp();
     sp_mem.attach_store(Box::new(MemStore::new()));
-    sp_seg.attach_store(Box::new(
+    world.sp.attach_store(Box::new(
         SegmentStore::open(StoreConfig::new(dir)).expect("segment store opens"),
     ));
-    let blocks = memo_blocks(&mut world, BLOCKS);
-    drive(&mut world, &mut sp_seg, &mut sp_mem, &blocks);
-    let tip = observe(&sp_seg);
+    let blocks = world.mine_memos(BLOCKS);
+    drive(&mut world, &mut sp_mem, &blocks);
+    let tip = observe(&world.sp);
     let mem = sp_mem.take_store().expect("oracle store attached");
-    let seg = sp_seg.take_store().expect("segment store attached");
+    let seg = world.sp.take_store().expect("segment store attached");
     (tip, mem, seg)
 }
 
-/// Trust anchors shared by every deterministic world.
+/// Trust anchors shared by every world.
 fn anchors() -> (PublicKey, Hash) {
-    let (world, _) = World::deterministic(Vec::new());
+    let world = World::pow(&[]);
     (world.ias.public_key(), expected_measurement())
 }
 
@@ -169,7 +166,8 @@ fn sp_close_and_reopen_answers_identically() {
     assert_eq!(store_image(&reopened), store_image(mem.as_ref()));
 
     let (ias_key, measurement) = anchors();
-    let sp = genesis_sp()
+    let sp = World::pow(&MEMO_INDEXES)
+        .sp
         .recover_from(&ias_key, &measurement, Box::new(reopened))
         .expect("re-verification succeeds");
     assert_eq!(observe(&sp), tip, "recovered SP diverged from the live one");
@@ -181,8 +179,8 @@ fn sp_close_and_reopen_answers_identically() {
 fn cert_stream() -> &'static Vec<NetMessage> {
     static STREAM: OnceLock<Vec<NetMessage>> = OnceLock::new();
     STREAM.get_or_init(|| {
-        let (mut world, _) = World::deterministic(Vec::new());
-        let blocks = memo_blocks(&mut world, BLOCKS);
+        let mut world = World::pow(&[]);
+        let blocks = world.mine_memos(BLOCKS);
         blocks
             .iter()
             .map(|block| {

@@ -21,7 +21,7 @@ mod common;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
-use common::{genesis_sp, memo_blocks, observe, temp_dir, world_indexes, Observation, World};
+use common::temp_dir;
 use dcert::chain::Block;
 use dcert::core::expected_measurement;
 use dcert::primitives::codec::Encode;
@@ -31,6 +31,7 @@ use dcert::query::{CertifiedEntry, ServiceProvider};
 use dcert::store::head::{HEAD_SLOT_A, HEAD_SLOT_B};
 use dcert::store::{MemStore, SegmentStore, Store, StoreConfig, StoreError};
 use dcert::workloads::Workload;
+use dcert::world::{observe, Observation, World, MEMO_INDEXES};
 use dcert_testkit::{check, Gen};
 
 /// Chaos seeds the CI matrix fans out over (`CHAOS_SEED` env var).
@@ -59,17 +60,12 @@ struct Golden {
     measurement: Hash,
 }
 
-/// Stages `blocks` through both SPs, certifying each block and committing
-/// both stores, snapshotting the segment-store directory after every
-/// commit. Asserts the MemStore oracle and the SegmentStore SP answer
-/// identically while live.
-fn drive(
-    world: &mut World,
-    sp_seg: &mut ServiceProvider,
-    sp_mem: &mut ServiceProvider,
-    blocks: &[Block],
-    dir: &Path,
-) -> Golden {
+/// Stages `blocks` through the world's SP (on the SegmentStore) and
+/// `sp_mem`, certifying each block and committing both stores,
+/// snapshotting the segment-store directory after every commit. Asserts
+/// the MemStore oracle and the SegmentStore SP answer identically while
+/// live.
+fn drive(world: &mut World, sp_mem: &mut ServiceProvider, blocks: &[Block], dir: &Path) -> Golden {
     let read_head = |slot: &str| std::fs::read(dir.join(slot)).ok();
     let mut golden = Golden {
         seg: Vec::new(),
@@ -82,21 +78,21 @@ fn drive(
     for block in blocks {
         let height = block.header.height;
         let inputs_mem = sp_mem.stage_block(block).expect("oracle stages");
-        let inputs_seg = sp_seg.stage_block(block).expect("segment SP stages");
+        let inputs_seg = world.sp.stage_block(block).expect("segment SP stages");
         assert_eq!(inputs_mem.len(), inputs_seg.len(), "height {height}");
         let (certs, _) = world
             .ci
             .certify_augmented(block, &inputs_seg)
             .expect("certifies");
         sp_mem.record_certs(&certs);
-        sp_seg.record_certs(&certs);
+        world.sp.record_certs(&certs);
         assert!(sp_mem.store_error().is_none(), "height {height}");
-        assert!(sp_seg.store_error().is_none(), "height {height}");
+        assert!(world.sp.store_error().is_none(), "height {height}");
 
         let om = observe(sp_mem);
         assert_eq!(
             om,
-            observe(sp_seg),
+            observe(&world.sp),
             "live mem/segment divergence at height {height}"
         );
         golden.expected.push(om);
@@ -114,16 +110,16 @@ fn drive(
 }
 
 fn build_golden() -> Golden {
-    let (mut world, mut sp_seg) = World::deterministic(world_indexes());
-    let mut sp_mem = genesis_sp();
+    let mut world = World::pow(&MEMO_INDEXES);
+    let mut sp_mem = world.genesis_sp();
     sp_mem.attach_store(Box::new(MemStore::new()));
     let dir = temp_dir("recovery-golden");
-    sp_seg.attach_store(Box::new(
+    world.sp.attach_store(Box::new(
         SegmentStore::open(StoreConfig::new(&dir)).expect("golden store opens"),
     ));
-    let blocks = memo_blocks(&mut world, GOLDEN_BLOCKS);
-    let golden = drive(&mut world, &mut sp_seg, &mut sp_mem, &blocks, &dir);
-    drop(sp_seg);
+    let blocks = world.mine_memos(GOLDEN_BLOCKS);
+    let golden = drive(&mut world, &mut sp_mem, &blocks, &dir);
+    drop(world);
     std::fs::remove_dir_all(&dir).ok();
     golden
 }
@@ -157,8 +153,10 @@ fn restore(golden: &Golden, cut: usize, commit: usize, label: &str) -> PathBuf {
     dir
 }
 
-fn recover_sp(golden: &Golden, store: SegmentStore) -> ServiceProvider {
-    genesis_sp()
+/// A fresh genesis SP of `world`'s recovered from `store`.
+fn recover_sp(world: &World, golden: &Golden, store: SegmentStore) -> ServiceProvider {
+    world
+        .genesis_sp()
         .recover_from(&golden.ias_key, &golden.measurement, Box::new(store))
         .expect("re-verification succeeds")
 }
@@ -172,13 +170,15 @@ fn recover_sp(golden: &Golden, store: SegmentStore) -> ServiceProvider {
 fn kill_at_every_segment_offset_recovers_the_last_commit() {
     let g = golden();
     assert_eq!(g.expected.len() as u64, GOLDEN_BLOCKS + 1);
+    let world = World::pow(&MEMO_INDEXES);
     for cut in 0..=g.seg.len() {
         let commit = commit_at(g, cut);
         let dir = restore(g, cut, commit, "offset");
         let store = SegmentStore::open(StoreConfig::new(&dir))
             .unwrap_or_else(|e| panic!("cut {cut}: open refused intact watermark: {e:?}"));
         assert_eq!(store.durable_height(), commit as u64, "cut {cut}");
-        let sp = genesis_sp()
+        let sp = world
+            .genesis_sp()
             .recover_from(&g.ias_key, &g.measurement, Box::new(store))
             .unwrap_or_else(|e| panic!("cut {cut}: re-verification failed: {e:?}"));
         assert_eq!(observe(&sp), g.expected[commit], "cut {cut}");
@@ -198,6 +198,7 @@ fn torn_newest_head_slot_falls_back_one_commit() {
         .as_ref()
         .expect("slot A written");
     let fallback = GOLDEN_BLOCKS as usize - 1;
+    let world = World::pow(&MEMO_INDEXES);
     let mut damaged: Vec<Vec<u8>> = (0..newest.len())
         .map(|cut| newest[..cut].to_vec())
         .collect();
@@ -212,7 +213,7 @@ fn torn_newest_head_slot_falls_back_one_commit() {
         let store = SegmentStore::open(StoreConfig::new(&dir))
             .unwrap_or_else(|e| panic!("case {case}: fallback slot refused: {e:?}"));
         assert_eq!(store.durable_height(), fallback as u64, "case {case}");
-        let sp = recover_sp(g, store);
+        let sp = recover_sp(&world, g, store);
         assert_eq!(observe(&sp), g.expected[fallback], "case {case}");
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -274,7 +275,8 @@ fn recovery_refuses_substituted_head_entry() {
         .put_head("sp.cert.history", forged.to_encoded_bytes())
         .unwrap();
     store.sync().unwrap();
-    let err = genesis_sp()
+    let err = World::pow(&MEMO_INDEXES)
+        .sp
         .recover_from(&g.ias_key, &g.measurement, Box::new(store))
         .expect_err("substituted digest must refuse");
     let msg = format!("{err:?}");
@@ -296,6 +298,7 @@ fn run_bit_flips(g: &Golden, seed: u64) -> (usize, usize) {
         (HEAD_SLOT_B, head_b),
     ];
     let (mut recovered, mut refused) = (0, 0);
+    let world = World::pow(&MEMO_INDEXES);
     let mut draw = Gen::from_seed(seed);
     for case in 0..40 {
         let (name, bytes) = draw.one_of(&files);
@@ -309,7 +312,8 @@ fn run_bit_flips(g: &Golden, seed: u64) -> (usize, usize) {
             Ok(store) => {
                 let watermark = store.durable_height() as usize;
                 assert!(watermark <= last, "CHAOS_SEED={seed} case {case}");
-                let sp = genesis_sp()
+                let sp = world
+                    .genesis_sp()
                     .recover_from(&g.ias_key, &g.measurement, Box::new(store))
                     .unwrap_or_else(|e| {
                         panic!("CHAOS_SEED={seed} case {case}: intact watermark refused: {e:?}")
@@ -365,23 +369,23 @@ fn resync_after_recovery_converges_on_the_oracle() {
     let g = golden();
     for watermark in 0..=GOLDEN_BLOCKS as usize {
         // Deterministic world rebuild: byte-identical blocks and certs.
-        let (mut world, mut sp_oracle) = World::deterministic(world_indexes());
-        let blocks = memo_blocks(&mut world, GOLDEN_BLOCKS);
+        let mut world = World::pow(&MEMO_INDEXES);
+        let blocks = world.mine_memos(GOLDEN_BLOCKS);
 
         let dir = restore(g, g.synced_len[watermark], watermark, "resync");
         let store = SegmentStore::open(StoreConfig::new(&dir)).expect("boundary cut opens");
-        let mut sp_rec = recover_sp(g, store);
+        let mut sp_rec = recover_sp(&world, g, store);
         assert_eq!(sp_rec.index_height(), watermark as u64);
 
         for block in &blocks {
             let height = block.header.height as usize;
             let inputs_rec = sp_rec.stage_block(block).expect("recovered SP stages");
-            let inputs_oracle = sp_oracle.stage_block(block).expect("oracle stages");
+            let inputs_oracle = world.sp.stage_block(block).expect("oracle stages");
             let (certs, _) = world
                 .ci
                 .certify_augmented(block, &inputs_oracle)
                 .expect("certifies");
-            sp_oracle.record_certs(&certs);
+            world.sp.record_certs(&certs);
             if height <= watermark {
                 assert!(
                     inputs_rec.is_empty(),
@@ -393,7 +397,7 @@ fn resync_after_recovery_converges_on_the_oracle() {
             }
         }
         assert!(sp_rec.store_error().is_none(), "watermark {watermark}");
-        let tip = observe(&sp_oracle);
+        let tip = observe(&world.sp);
         assert_eq!(observe(&sp_rec), tip, "watermark {watermark}");
         assert_eq!(
             tip, g.expected[GOLDEN_BLOCKS as usize],
@@ -405,7 +409,7 @@ fn resync_after_recovery_converges_on_the_oracle() {
         drop(sp_rec);
         let store = SegmentStore::open(StoreConfig::new(&dir)).expect("second recovery opens");
         assert_eq!(store.durable_height(), GOLDEN_BLOCKS);
-        let sp_again = recover_sp(g, store);
+        let sp_again = recover_sp(&world, g, store);
         assert_eq!(
             observe(&sp_again),
             g.expected[GOLDEN_BLOCKS as usize],
@@ -424,16 +428,16 @@ fn kill_point_identity_over_schedules() {
     check("kill_point_identity_over_schedules", 5, |draw| {
         let (blocks, txs) = (draw.range(1usize..=3), draw.range(1usize..=2));
         let (seed, kill_permille) = (draw.one_of(&CHAOS_SEEDS), draw.range(0usize..=1000));
-        let (mut world, mut sp_seg) = World::deterministic(world_indexes());
-        let mut sp_mem = genesis_sp();
+        let mut world = World::pow(&MEMO_INDEXES);
+        let mut sp_mem = world.genesis_sp();
         sp_mem.attach_store(Box::new(MemStore::new()));
         let dir = temp_dir("schedule");
-        sp_seg.attach_store(Box::new(
+        world.sp.attach_store(Box::new(
             SegmentStore::open(StoreConfig::new(&dir)).expect("schedule store opens"),
         ));
         let mined = world.mine_blocks(Workload::KvStore { keyspace: 16 }, blocks, txs, seed);
-        let g = drive(&mut world, &mut sp_seg, &mut sp_mem, &mined, &dir);
-        drop(sp_seg);
+        let g = drive(&mut world, &mut sp_mem, &mined, &dir);
+        drop(world.sp.take_store());
         std::fs::remove_dir_all(&dir).ok();
 
         let cut = (g.seg.len() * kill_permille / 1000).min(g.seg.len());
@@ -441,7 +445,8 @@ fn kill_point_identity_over_schedules() {
         let scratch = restore(&g, cut, commit, "schedule-cut");
         let store = SegmentStore::open(StoreConfig::new(&scratch)).expect("kill point opens");
         assert_eq!(store.durable_height(), commit as u64);
-        let sp = genesis_sp()
+        let sp = world
+            .genesis_sp()
             .recover_from(&g.ias_key, &g.measurement, Box::new(store))
             .expect("re-verification succeeds");
         assert_eq!(observe(&sp), g.expected[commit].clone());

@@ -2,23 +2,20 @@
 //! superlight clients verify historical and keyword query results against
 //! enclave-certified index digests, and every SP cheating path is caught.
 
-mod common;
-
-use common::World;
 use dcert::chain::Transaction;
 use dcert::primitives::hash::hash_bytes;
 use dcert::primitives::keys::Keypair;
 use dcert::query::history::verify_history;
 use dcert::query::inverted::verify_keywords;
 use dcert::query::sp::IndexKind;
-use dcert::query::ServiceProvider;
 use dcert::vm::StateKey;
 use dcert::workloads::kvstore::KvCall;
+use dcert::world::World;
 use dcert_primitives::codec::Encode;
 
 /// Drives a chain whose transactions write memo-carrying values to known
 /// accounts, with both indexes certified hierarchically.
-fn run_scenario(world: &mut World, sp: &mut ServiceProvider, blocks: u64) {
+fn run_scenario(world: &mut World, blocks: u64) {
     let kp = Keypair::from_seed([77; 32]);
     for height in 1..=blocks {
         // Unique per block even across repeated run_scenario calls.
@@ -39,9 +36,9 @@ fn run_scenario(world: &mut World, sp: &mut ServiceProvider, blocks: u64) {
             .to_encoded_bytes(),
         );
         let block = world.miner.mine(vec![tx], height).unwrap();
-        let inputs = sp.stage_block(&block).unwrap();
+        let inputs = world.sp.stage_block(&block).unwrap();
         let (block_cert, idx_certs, _) = world.ci.certify_hierarchical(&block, &inputs).unwrap();
-        sp.record_certs(&idx_certs);
+        world.sp.record_certs(&idx_certs);
 
         // The client follows along (in reality it would only fetch the
         // latest certificate).
@@ -58,13 +55,13 @@ fn run_scenario(world: &mut World, sp: &mut ServiceProvider, blocks: u64) {
     }
 }
 
-fn setup(blocks: u64) -> (World, ServiceProvider) {
-    let (mut world, mut sp) = World::with_setup(vec![
+fn setup(blocks: u64) -> World {
+    let mut world = World::pow(&[
         (IndexKind::History, "history"),
         (IndexKind::Inverted, "inverted"),
     ]);
-    run_scenario(&mut world, &mut sp, blocks);
-    (world, sp)
+    run_scenario(&mut world, blocks);
+    world
 }
 
 fn account_key() -> StateKey {
@@ -73,9 +70,13 @@ fn account_key() -> StateKey {
 
 #[test]
 fn historical_query_verifies_against_certified_digest() {
-    let (world, sp) = setup(12);
+    let world = setup(12);
     let digest = world.client.index_digest("history").unwrap();
-    let (results, proof) = sp.history("history").unwrap().query(&account_key(), 4, 9);
+    let (results, proof) = world
+        .sp
+        .history("history")
+        .unwrap()
+        .query(&account_key(), 4, 9);
     assert_eq!(results.len(), 6, "one version per block in the window");
     verify_history(&digest, &account_key(), 4, 9, &results, &proof).unwrap();
     // Values carry the block-specific memos.
@@ -88,19 +89,23 @@ fn historical_query_verifies_against_certified_digest() {
 
 #[test]
 fn historical_query_for_unknown_account_verifies_empty() {
-    let (world, sp) = setup(6);
+    let world = setup(6);
     let digest = world.client.index_digest("history").unwrap();
     let ghost = StateKey::new("kvstore", b"no-such-account");
-    let (results, proof) = sp.history("history").unwrap().query(&ghost, 0, 100);
+    let (results, proof) = world.sp.history("history").unwrap().query(&ghost, 0, 100);
     assert!(results.is_empty());
     verify_history(&digest, &ghost, 0, 100, &results, &proof).unwrap();
 }
 
 #[test]
 fn sp_cannot_omit_or_tamper_history_results() {
-    let (world, sp) = setup(12);
+    let world = setup(12);
     let digest = world.client.index_digest("history").unwrap();
-    let (results, proof) = sp.history("history").unwrap().query(&account_key(), 2, 10);
+    let (results, proof) = world
+        .sp
+        .history("history")
+        .unwrap()
+        .query(&account_key(), 2, 10);
 
     let mut omitted = results.clone();
     omitted.remove(3);
@@ -115,11 +120,16 @@ fn sp_cannot_omit_or_tamper_history_results() {
 fn sp_cannot_serve_stale_history_snapshots() {
     // The SP answers from an old index snapshot; the client's certified
     // digest (which tracks the chain tip) must reject it.
-    let (mut world, mut sp) = setup(6);
-    let (old_results, old_proof) = sp.history("history").unwrap().query(&account_key(), 0, 100);
+    let mut world = setup(6);
+    let (old_results, old_proof) =
+        world
+            .sp
+            .history("history")
+            .unwrap()
+            .query(&account_key(), 0, 100);
 
     // The chain moves on; the client refreshes its certified digest.
-    run_scenario(&mut world, &mut sp, 3);
+    run_scenario(&mut world, 3);
     let fresh_digest = world.client.index_digest("history").unwrap();
     assert!(
         verify_history(
@@ -137,9 +147,9 @@ fn sp_cannot_serve_stale_history_snapshots() {
 
 #[test]
 fn conjunctive_keyword_query_verifies() {
-    let (world, sp) = setup(12);
+    let world = setup(12);
     let digest = world.client.index_digest("inverted").unwrap();
-    let idx = sp.inverted("inverted").unwrap();
+    let idx = world.sp.inverted("inverted").unwrap();
 
     // "stock AND bank" appears in every third block (heights 2, 5, 8, 11).
     let (result, proof) = idx.query(&["stock", "bank"]);
@@ -159,9 +169,13 @@ fn conjunctive_keyword_query_verifies() {
 
 #[test]
 fn sp_cannot_hide_keyword_matches() {
-    let (world, sp) = setup(9);
+    let world = setup(9);
     let digest = world.client.index_digest("inverted").unwrap();
-    let (result, proof) = sp.inverted("inverted").unwrap().query(&["stock", "bank"]);
+    let (result, proof) = world
+        .sp
+        .inverted("inverted")
+        .unwrap()
+        .query(&["stock", "bank"]);
     assert!(!result.is_empty());
     let mut hidden = result;
     hidden.pop();
@@ -174,7 +188,7 @@ fn baseline_lineage_index_agrees_on_results() {
     // return the same version sets (it is the comparator, not a strawman).
     use dcert::baselines::lineage::{verify_lineage, LineageIndex};
 
-    let (mut world, mut sp) = World::with_setup(vec![(IndexKind::History, "history")]);
+    let mut world = World::pow(&[(IndexKind::History, "history")]);
     let mut lineage = LineageIndex::new();
     let kp = Keypair::from_seed([77; 32]);
     for height in 1..=10u64 {
@@ -197,12 +211,16 @@ fn baseline_lineage_index_agrees_on_results() {
             .map(|(k, v)| (*k, v.clone()))
             .collect();
         lineage.apply_block(height, &writes);
-        let inputs = sp.stage_block(&block).unwrap();
+        let inputs = world.sp.stage_block(&block).unwrap();
         let (certs, _) = world.ci.certify_augmented(&block, &inputs).unwrap();
-        sp.record_certs(&certs);
+        world.sp.record_certs(&certs);
     }
 
-    let (dcert_results, _) = sp.history("history").unwrap().query(&account_key(), 3, 7);
+    let (dcert_results, _) = world
+        .sp
+        .history("history")
+        .unwrap()
+        .query(&account_key(), 3, 7);
     let (lineage_results, lineage_proof) = lineage.query(&account_key(), 3, 7);
     assert_eq!(dcert_results, lineage_results);
     verify_lineage(
@@ -222,22 +240,30 @@ fn proofs_survive_serialization() {
     use dcert::query::history::HistoryProof;
     use dcert::query::inverted::KeywordProof;
 
-    let (world, sp) = setup(8);
+    let world = setup(8);
     let hdigest = world.client.index_digest("history").unwrap();
-    let (hresults, hproof) = sp.history("history").unwrap().query(&account_key(), 2, 6);
+    let (hresults, hproof) = world
+        .sp
+        .history("history")
+        .unwrap()
+        .query(&account_key(), 2, 6);
     let hproof = HistoryProof::decode_all(&hproof.to_encoded_bytes()).unwrap();
     verify_history(&hdigest, &account_key(), 2, 6, &hresults, &hproof).unwrap();
 
     let kdigest = world.client.index_digest("inverted").unwrap();
-    let (kresults, kproof) = sp.inverted("inverted").unwrap().query(&["bank"]);
+    let (kresults, kproof) = world.sp.inverted("inverted").unwrap().query(&["bank"]);
     let kproof = KeywordProof::decode_all(&kproof.to_encoded_bytes()).unwrap();
     verify_keywords(&kdigest, &["bank"], &kresults, &kproof).unwrap();
 }
 
 #[test]
 fn query_rejected_against_wrong_digest() {
-    let (_, sp) = setup(6);
-    let (results, proof) = sp.history("history").unwrap().query(&account_key(), 0, 10);
+    let world = setup(6);
+    let (results, proof) = world
+        .sp
+        .history("history")
+        .unwrap()
+        .query(&account_key(), 0, 10);
     let wrong = hash_bytes(b"not the certified digest");
     assert!(verify_history(&wrong, &account_key(), 0, 10, &results, &proof).is_err());
 }
