@@ -1,7 +1,8 @@
 //! Generation-keyed proof cache.
 //!
-//! Entries are keyed by the canonical [`QuerySpec`](crate::QuerySpec)
-//! bytes and are valid only for the **generation** they were inserted
+//! Entries are keyed by the [`QuerySpec`] itself — a hit is one lookup of
+//! the request's own spec, with std's SipHash since clients choose the
+//! keys — and are valid only for the **generation** they were inserted
 //! under. The front-end bumps the generation whenever anything that can
 //! change an answer moves — `stage_block` advances the index height,
 //! `record_certs`/`advance_staged` move the certified digests — and a
@@ -17,15 +18,15 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use crate::wire::ServeResponse;
+use crate::wire::{QuerySpec, ServeResponse};
 
 /// A fixed-capacity FIFO cache of canonical response payloads.
 #[derive(Debug)]
 pub struct ProofCache {
     capacity: usize,
     generation: u64,
-    entries: HashMap<Vec<u8>, ServeResponse>,
-    insertion_order: VecDeque<Vec<u8>>,
+    entries: HashMap<QuerySpec, ServeResponse>,
+    insertion_order: VecDeque<QuerySpec>,
 }
 
 impl ProofCache {
@@ -55,22 +56,19 @@ impl ProofCache {
         self.entries.is_empty()
     }
 
-    /// Looks up the cached response for a spec key. The `id` of the
-    /// returned response is the *original* requester's; callers re-stamp
-    /// it with the current request id.
-    pub fn get(&self, spec_key: &[u8]) -> Option<&ServeResponse> {
-        self.entries.get(spec_key)
+    /// Looks up the cached response for a spec. The `id` of the returned
+    /// response is the *original* requester's; callers re-stamp it with
+    /// the current request id.
+    pub fn get(&self, spec: &QuerySpec) -> Option<&ServeResponse> {
+        self.entries.get(spec)
     }
 
-    /// Inserts a response under `spec_key`, evicting the oldest insertion
-    /// if the cache is full. Keys already present keep their original
-    /// insertion rank (the payload for a key cannot change within a
+    /// Inserts a response under `spec`, evicting the oldest insertion if
+    /// the cache is full. Specs already present keep their original
+    /// insertion rank (the payload for a spec cannot change within a
     /// generation, so a re-insert is a no-op in value terms).
-    pub fn insert(&mut self, spec_key: Vec<u8>, response: ServeResponse) {
-        if self.capacity == 0 {
-            return;
-        }
-        if self.entries.contains_key(&spec_key) {
+    pub fn insert(&mut self, spec: QuerySpec, response: ServeResponse) {
+        if self.capacity == 0 || self.entries.contains_key(&spec) {
             return;
         }
         while self.entries.len() >= self.capacity {
@@ -81,8 +79,8 @@ impl ProofCache {
                 None => break,
             }
         }
-        self.insertion_order.push_back(spec_key.clone());
-        self.entries.insert(spec_key, response);
+        self.insertion_order.push_back(spec.clone());
+        self.entries.insert(spec, response);
     }
 
     /// Clears every entry and bumps the generation: nothing cached before
@@ -102,47 +100,55 @@ mod tests {
         ServeResponse {
             id: 0,
             certified_height: height,
-            payload: vec![byte],
+            payload: vec![byte].into(),
+        }
+    }
+
+    /// A distinct spec per name.
+    fn spec(name: &str) -> QuerySpec {
+        QuerySpec::Keywords {
+            index: "inverted".into(),
+            keywords: vec![name.into()],
         }
     }
 
     #[test]
     fn fifo_eviction_is_deterministic() {
         let mut cache = ProofCache::new(2);
-        cache.insert(b"a".to_vec(), response(1, 0xA));
-        cache.insert(b"b".to_vec(), response(1, 0xB));
-        cache.insert(b"c".to_vec(), response(1, 0xC));
-        assert!(cache.get(b"a").is_none(), "oldest insertion evicted");
-        assert!(cache.get(b"b").is_some());
-        assert!(cache.get(b"c").is_some());
+        cache.insert(spec("a"), response(1, 0xA));
+        cache.insert(spec("b"), response(1, 0xB));
+        cache.insert(spec("c"), response(1, 0xC));
+        assert!(cache.get(&spec("a")).is_none(), "oldest insertion evicted");
+        assert!(cache.get(&spec("b")).is_some());
+        assert!(cache.get(&spec("c")).is_some());
         assert_eq!(cache.len(), 2);
     }
 
     #[test]
     fn invalidate_clears_everything_and_bumps_generation() {
         let mut cache = ProofCache::new(4);
-        cache.insert(b"a".to_vec(), response(1, 0xA));
+        cache.insert(spec("a"), response(1, 0xA));
         let before = cache.generation();
         cache.invalidate();
         assert!(cache.is_empty());
         assert_eq!(cache.generation(), before + 1);
-        assert!(cache.get(b"a").is_none());
+        assert!(cache.get(&spec("a")).is_none());
     }
 
     #[test]
     fn zero_capacity_never_caches() {
         let mut cache = ProofCache::new(0);
-        cache.insert(b"a".to_vec(), response(1, 0xA));
-        assert!(cache.get(b"a").is_none());
+        cache.insert(spec("a"), response(1, 0xA));
+        assert!(cache.get(&spec("a")).is_none());
         assert!(cache.is_empty());
     }
 
     #[test]
     fn reinsert_keeps_first_value_and_rank() {
         let mut cache = ProofCache::new(2);
-        cache.insert(b"a".to_vec(), response(1, 0xA));
-        cache.insert(b"a".to_vec(), response(9, 0xF));
-        assert_eq!(cache.get(b"a").map(|r| r.certified_height), Some(1));
+        cache.insert(spec("a"), response(1, 0xA));
+        cache.insert(spec("a"), response(9, 0xF));
+        assert_eq!(cache.get(&spec("a")).map(|r| r.certified_height), Some(1));
         assert_eq!(cache.len(), 1);
     }
 }

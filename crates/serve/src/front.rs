@@ -12,8 +12,8 @@
 //! 2. **Execution** ([`ServeFront::pump`]): the caller drains the queue
 //!    at its own pace. Each distinct query costs exactly one backend
 //!    call regardless of how many waiters coalesced onto it; the
-//!    canonical payload is fanned out to every waiter and inserted into
-//!    the cache.
+//!    canonical payload becomes one shared buffer, fanned out to every
+//!    waiter and inserted into the cache without a copy.
 //! 3. **Invalidation**: the chain-advancing passthroughs
 //!    ([`ServeFront::stage_block`], [`ServeFront::record_certs`],
 //!    [`ServeFront::advance_staged`]) bump the cache generation and
@@ -30,14 +30,13 @@
 //! convention.
 
 use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
 use dcert_chain::{Block, ChainError};
 use dcert_core::{Certificate, IndexInput};
 use dcert_obs::Registry;
 use dcert_query::ServiceProvider;
 use dcert_sgx::cost::timed;
-
-use dcert_vm::StateKey;
 
 use crate::admission::{RateLimit, TokenBuckets, TokenGrant};
 use crate::cache::ProofCache;
@@ -93,32 +92,6 @@ struct Waiter {
     admitted_at: u64,
 }
 
-#[derive(Debug)]
-struct PendingEntry {
-    spec: QuerySpec,
-    waiters: Vec<Waiter>,
-}
-
-/// One [`QuerySpec::HistoryOp`] window the cache holds an answer for. A
-/// later `HistoryOp` whose window is *contained* in this one is answered
-/// by narrowing the cached answer: the proof for `[t1, t2]` verifies any
-/// sub-window, so only the result rows need filtering — no backend call,
-/// no new proof. Narrowing is keyed to this one kind: the record list is
-/// scanned linearly on every miss, a cost `History` traffic — in practice
-/// whole-history windows, which never narrow — does not pay. (Aggregate
-/// answers cannot be narrowed at all: their proofs prune `Inside`
-/// subtrees to bare annotations, which do not re-verify for a narrower
-/// window.)
-#[derive(Debug, Clone)]
-struct OpWindow {
-    index: String,
-    key: StateKey,
-    t1: u64,
-    t2: u64,
-    /// The cache key the covering answer lives under.
-    spec_key: Vec<u8>,
-}
-
 /// The request scheduler. See the module docs for the pipeline shape.
 #[derive(Debug)]
 pub struct ServeFront {
@@ -126,16 +99,26 @@ pub struct ServeFront {
     config: ServeConfig,
     cache: ProofCache,
     buckets: TokenBuckets,
-    /// Arrival order of pending spec keys. May contain stale keys whose
+    /// Arrival order of pending specs. May contain stale specs whose
     /// entry was released by waiter abandonment; [`ServeFront::pump`]
     /// skips those.
-    arrival_order: VecDeque<Vec<u8>>,
-    pending: HashMap<Vec<u8>, PendingEntry>,
+    arrival_order: VecDeque<QuerySpec>,
+    /// The waiters parked on each pending spec.
+    pending: HashMap<QuerySpec, Vec<Waiter>>,
     parked_waiters: usize,
-    /// Windows of `HistoryOp` answers in the cache, in insertion order.
-    /// Cleared wholesale with every cache invalidation: a window entry
-    /// must never outlive the generation its answer was served in.
-    op_windows: Vec<OpWindow>,
+    /// The [`QuerySpec::HistoryOp`] specs the cache holds an answer for,
+    /// in insertion order. A later `HistoryOp` whose window is *contained*
+    /// in one of them is answered by narrowing the cached answer: the
+    /// proof for `[t1, t2]` verifies any sub-window, so only the result
+    /// rows need filtering — no backend call, no new proof. Narrowing is
+    /// keyed to this one kind: the list is scanned linearly on every miss,
+    /// a cost `History` traffic — in practice whole-history windows, which
+    /// never narrow — does not pay. (Aggregate answers cannot be narrowed
+    /// at all: their proofs prune `Inside` subtrees to bare annotations,
+    /// which do not re-verify for a narrower window.) Cleared wholesale
+    /// with every cache invalidation: a window must never outlive the
+    /// generation its answer was served in.
+    op_windows: Vec<QuerySpec>,
     metrics: ServeMetrics,
 }
 
@@ -219,8 +202,7 @@ impl ServeFront {
             });
         }
 
-        let spec_key = request.query.cache_key();
-        if let Some(cached) = self.cache.get(&spec_key) {
+        if let Some(cached) = self.cache.get(&request.query) {
             self.metrics.cache_hits.inc();
             self.metrics.wait_ticks.observe(0);
             self.metrics
@@ -229,26 +211,24 @@ impl ServeFront {
             return Ok(Submitted::CacheHit(ServeResponse {
                 id: request.id,
                 certified_height: cached.certified_height,
-                payload: cached.payload.clone(),
+                payload: Arc::clone(&cached.payload),
             }));
         }
 
-        if let QuerySpec::HistoryOp { index, key, t1, t2 } = &request.query {
-            if let Some(narrowed) = self.answer_from_covering_window(index, key, *t1, *t2) {
-                self.metrics.window_hits.inc();
-                self.metrics.wait_ticks.observe(0);
-                self.metrics
-                    .payload_bytes
-                    .observe(narrowed.payload.len() as u64);
-                // The narrowed answer is a first-class cache entry: the
-                // next identical request hits it directly.
-                self.cache.insert(spec_key, narrowed.clone());
-                return Ok(Submitted::CacheHit(ServeResponse {
-                    id: request.id,
-                    certified_height: narrowed.certified_height,
-                    payload: narrowed.payload,
-                }));
-            }
+        if let Some(narrowed) = self.answer_from_covering_window(&request.query) {
+            self.metrics.window_hits.inc();
+            self.metrics.wait_ticks.observe(0);
+            self.metrics
+                .payload_bytes
+                .observe(narrowed.payload.len() as u64);
+            let hit = ServeResponse {
+                id: request.id,
+                ..narrowed.clone()
+            };
+            // The narrowed answer is a first-class cache entry: the next
+            // identical request hits it directly.
+            self.cache.insert(request.query, narrowed);
+            return Ok(Submitted::CacheHit(hit));
         }
 
         if self.parked_waiters >= self.config.max_waiters {
@@ -266,8 +246,8 @@ impl ServeFront {
             id: request.id,
             admitted_at: now,
         };
-        if let Some(entry) = self.pending.get_mut(&spec_key) {
-            entry.waiters.push(waiter);
+        if let Some(waiters) = self.pending.get_mut(&request.query) {
+            waiters.push(waiter);
             self.parked_waiters += 1;
             self.metrics.coalesce_hits.inc();
             self.record_occupancy();
@@ -284,14 +264,8 @@ impl ServeFront {
             });
         }
 
-        self.pending.insert(
-            spec_key.clone(),
-            PendingEntry {
-                spec: request.query,
-                waiters: vec![waiter],
-            },
-        );
-        self.arrival_order.push_back(spec_key);
+        self.arrival_order.push_back(request.query.clone());
+        self.pending.insert(request.query, vec![waiter]);
         self.parked_waiters += 1;
         self.record_occupancy();
         Ok(Submitted::Enqueued { coalesced: false })
@@ -303,24 +277,23 @@ impl ServeFront {
     /// and [`ServeFront::pump`] will never spend a backend call on it.
     /// Returns true when the waiter was found.
     pub fn cancel(&mut self, client: u64, id: u64) -> bool {
-        let mut hit: Option<(Vec<u8>, bool)> = None;
-        for (key, entry) in &mut self.pending {
-            if let Some(pos) = entry
-                .waiters
+        let mut hit: Option<(QuerySpec, bool)> = None;
+        for (spec, waiters) in &mut self.pending {
+            if let Some(pos) = waiters
                 .iter()
                 .position(|w| w.client == client && w.id == id)
             {
-                entry.waiters.remove(pos);
-                hit = Some((key.clone(), entry.waiters.is_empty()));
+                waiters.remove(pos);
+                hit = Some((spec.clone(), waiters.is_empty()));
                 break;
             }
         }
-        let Some((key, emptied)) = hit else {
+        let Some((spec, emptied)) = hit else {
             return false;
         };
         self.parked_waiters -= 1;
         if emptied {
-            self.pending.remove(&key);
+            self.pending.remove(&spec);
             self.metrics.waiters_released.inc();
         }
         self.record_occupancy();
@@ -330,21 +303,16 @@ impl ServeFront {
     /// Removes every parked waiter belonging to `client` (a dropped
     /// connection). Returns how many waiters were removed.
     pub fn disconnect(&mut self, client: u64) -> usize {
-        let mut removed = 0;
-        let mut released: Vec<Vec<u8>> = Vec::new();
-        for (key, entry) in &mut self.pending {
-            let before = entry.waiters.len();
-            entry.waiters.retain(|w| w.client != client);
-            removed += before - entry.waiters.len();
-            if before > 0 && entry.waiters.is_empty() {
-                released.push(key.clone());
-            }
-        }
+        let (mut removed, mut released) = (0, 0);
+        self.pending.retain(|_, waiters| {
+            let before = waiters.len();
+            waiters.retain(|w| w.client != client);
+            removed += before - waiters.len();
+            released += u64::from(waiters.is_empty());
+            !waiters.is_empty()
+        });
         self.parked_waiters -= removed;
-        for key in released {
-            self.pending.remove(&key);
-            self.metrics.waiters_released.inc();
-        }
+        self.metrics.waiters_released.add(released);
         if removed > 0 {
             self.record_occupancy();
         }
@@ -364,55 +332,43 @@ impl ServeFront {
         let mut deliveries = Vec::new();
         let mut executed = 0;
         while executed < max_queries {
-            let Some(key) = self.arrival_order.pop_front() else {
+            let Some(spec) = self.arrival_order.pop_front() else {
                 break;
             };
-            // Stale key: its entry was released by waiter abandonment.
-            let Some(entry) = self.pending.remove(&key) else {
+            // Stale spec: its entry was released by waiter abandonment.
+            let Some(waiters) = self.pending.remove(&spec) else {
                 continue;
             };
-            self.parked_waiters -= entry.waiters.len();
+            self.parked_waiters -= waiters.len();
             executed += 1;
 
-            let (answer, took) = timed(|| self.execute(&entry.spec));
+            let (answer, took) = timed(|| self.execute(&spec));
             self.metrics.serve_ns.record(took);
             match answer {
                 Some(payload) => {
                     self.metrics.backend_calls.inc();
+                    let payload: Arc<[u8]> = payload.into();
                     let certified_height = self.sp.index_height();
                     self.metrics.payload_bytes.observe(payload.len() as u64);
-                    if let QuerySpec::HistoryOp {
-                        index,
-                        key: state_key,
-                        t1,
-                        t2,
-                    } = &entry.spec
+                    // A window record is only useful while its answer is
+                    // cached; with no cache there is nothing to narrow
+                    // from (and nothing to evict).
+                    if matches!(spec, QuerySpec::HistoryOp { .. }) && self.config.cache_capacity > 0
                     {
-                        // A window record is only useful while its answer
-                        // is cached; with no cache there is nothing to
-                        // narrow from (and nothing to evict).
-                        if self.config.cache_capacity > 0 {
-                            if self.op_windows.len() >= self.config.cache_capacity {
-                                self.op_windows.remove(0);
-                            }
-                            self.op_windows.push(OpWindow {
-                                index: index.clone(),
-                                key: *state_key,
-                                t1: *t1,
-                                t2: *t2,
-                                spec_key: key.clone(),
-                            });
+                        if self.op_windows.len() >= self.config.cache_capacity {
+                            self.op_windows.remove(0);
                         }
+                        self.op_windows.push(spec.clone());
                     }
                     self.cache.insert(
-                        key,
+                        spec,
                         ServeResponse {
                             id: 0,
                             certified_height,
-                            payload: payload.clone(),
+                            payload: Arc::clone(&payload),
                         },
                     );
-                    for waiter in &entry.waiters {
+                    for waiter in &waiters {
                         self.metrics
                             .wait_ticks
                             .observe(now.saturating_sub(waiter.admitted_at));
@@ -422,13 +378,13 @@ impl ServeFront {
                             ServeWire::Response(ServeResponse {
                                 id: waiter.id,
                                 certified_height,
-                                payload: payload.clone(),
+                                payload: Arc::clone(&payload),
                             }),
                         ));
                     }
                 }
                 None => {
-                    for waiter in &entry.waiters {
+                    for waiter in &waiters {
                         self.metrics.shed_unknown_index.inc();
                         deliveries.push((
                             waiter.client,
@@ -471,18 +427,25 @@ impl ServeFront {
     /// Result rows are filtered to the requested window — byte-identical
     /// to what a direct backend call would return — and the covering
     /// proof is reused as-is (it verifies every sub-window).
-    fn answer_from_covering_window(
-        &self,
-        index: &str,
-        key: &StateKey,
-        t1: u64,
-        t2: u64,
-    ) -> Option<ServeResponse> {
+    fn answer_from_covering_window(&self, query: &QuerySpec) -> Option<ServeResponse> {
+        let QuerySpec::HistoryOp { index, key, t1, t2 } = query else {
+            return None;
+        };
+        let (t1, t2) = (*t1, *t2);
         for window in &self.op_windows {
-            if window.index != index || window.key != *key || window.t1 > t1 || window.t2 < t2 {
+            let QuerySpec::HistoryOp {
+                index: covering,
+                key: covering_key,
+                t1: lo,
+                t2: hi,
+            } = window
+            else {
+                continue;
+            };
+            if covering != index || covering_key != key || *lo > t1 || *hi < t2 {
                 continue;
             }
-            let Some(cached) = self.cache.get(&window.spec_key) else {
+            let Some(cached) = self.cache.get(window) else {
                 continue; // evicted: the window record outlived its answer
             };
             let Ok((results, proof)) = decode_history_payload(&cached.payload) else {
@@ -495,7 +458,7 @@ impl ServeFront {
             return Some(ServeResponse {
                 id: 0,
                 certified_height: cached.certified_height,
-                payload: encode_history_payload(&narrowed, &proof),
+                payload: encode_history_payload(&narrowed, &proof).into(),
             });
         }
         None

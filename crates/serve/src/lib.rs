@@ -208,8 +208,8 @@ mod tests {
             .serve_history("history", &key, 0, 100)
             .expect("index registered");
         assert_eq!(
-            resp.payload,
-            crate::wire::encode_history_payload(&results, &proof)
+            resp.payload[..],
+            crate::wire::encode_history_payload(&results, &proof)[..]
         );
 
         // Nothing to narrow from: a contained window goes to the backend.

@@ -12,6 +12,8 @@
 //! to `dcert-lint` R5 panic freedom (no unwrap/expect/indexing/truncating
 //! casts) and is swept by `tests/decode_no_panic.rs`.
 
+use std::sync::Arc;
+
 use dcert_merkle::Aggregate;
 use dcert_primitives::codec::{decode_seq, encode_seq, seq_encoded_len, Decode, Encode, Reader};
 use dcert_primitives::error::CodecError;
@@ -21,9 +23,9 @@ use dcert_query::{AggQueryProof, HistoryProof, KeywordProof};
 use dcert_vm::StateKey;
 
 /// One verifiable query, exactly as the `ServiceProvider` serve methods
-/// take it. The canonical encoding of a spec doubles as the coalescing
-/// and cache key: two requests coalesce iff their specs encode to the
-/// same bytes.
+/// take it. The spec itself is the coalescing and cache key: two requests
+/// coalesce iff their specs are equal, which — the encoding being
+/// canonical — is iff they encode to the same bytes.
 ///
 /// Five kinds, three answers: [`QuerySpec::HistoryOp`] is answered with
 /// [`QuerySpec::History`]'s payload and [`QuerySpec::AggregateOp`] with
@@ -31,7 +33,7 @@ use dcert_vm::StateKey;
 /// when a window proof had a second wire form; their tags still decode —
 /// and still key the cache apart — until `benchmark/driver` stops
 /// sending them (ROADMAP item 4(c)).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum QuerySpec {
     /// Time-window history query against a named history index.
     History {
@@ -99,11 +101,6 @@ impl QuerySpec {
             | QuerySpec::HistoryOp { index, .. }
             | QuerySpec::AggregateOp { index, .. } => index,
         }
-    }
-
-    /// The canonical spec key: the coalescing and cache-lookup identity.
-    pub fn cache_key(&self) -> Vec<u8> {
-        self.to_encoded_bytes()
     }
 }
 
@@ -223,15 +220,18 @@ pub struct ServeResponse {
     pub id: u64,
     /// The index height the answer (and its proofs) reflect.
     pub certified_height: u64,
-    /// Canonical `(results, proof)` bytes; see the payload helpers.
-    pub payload: Vec<u8>,
+    /// Canonical `(results, proof)` bytes; see the payload helpers. One
+    /// buffer per backend answer: the cache entry, every coalesced waiter
+    /// and every later hit share it. Encoded as a length-prefixed byte
+    /// string, exactly like a `Vec<u8>`.
+    pub payload: Arc<[u8]>,
 }
 
 impl Encode for ServeResponse {
     fn encode(&self, out: &mut Vec<u8>) {
         self.id.encode(out);
         self.certified_height.encode(out);
-        self.payload.encode(out);
+        (*self.payload).encode(out);
     }
 
     fn encoded_len(&self) -> usize {
@@ -241,10 +241,12 @@ impl Encode for ServeResponse {
 
 impl Decode for ServeResponse {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let (id, certified_height) = (u64::decode(r)?, u64::decode(r)?);
+        let len = r.take_len()?;
         Ok(ServeResponse {
-            id: u64::decode(r)?,
-            certified_height: u64::decode(r)?,
-            payload: Vec::<u8>::decode(r)?,
+            id,
+            certified_height,
+            payload: Arc::from(r.take(len)?),
         })
     }
 }
@@ -551,7 +553,7 @@ mod tests {
                 ServeWire::Response(ServeResponse {
                     id: request.id,
                     certified_height: 9,
-                    payload: vec![1, 2, 3],
+                    payload: vec![1, 2, 3].into(),
                 }),
                 ServeWire::Refusal(ServeRefusal {
                     id: request.id,
@@ -581,14 +583,38 @@ mod tests {
         }
     }
 
+    /// The five kinds over one `(index, key, t1, t2)` are five cache keys:
+    /// the alias kinds answer with the same bytes but never share an entry.
     #[test]
-    fn cache_key_is_injective_across_kinds() {
-        let keys: Vec<Vec<u8>> = specs().iter().map(QuerySpec::cache_key).collect();
-        for (i, a) in keys.iter().enumerate() {
-            for b in keys.iter().skip(i + 1) {
-                assert_ne!(a, b);
-            }
-        }
+    fn kinds_over_one_window_are_distinct_specs() {
+        let (index, key, t1, t2) = ("history".to_owned(), StateKey::new("kv", b"k"), 3, 17);
+        let kinds = [
+            QuerySpec::History {
+                index: index.clone(),
+                key,
+                t1,
+                t2,
+            },
+            QuerySpec::Keywords {
+                index: index.clone(),
+                keywords: Vec::new(),
+            },
+            QuerySpec::Aggregate {
+                index: index.clone(),
+                key,
+                t1,
+                t2,
+            },
+            QuerySpec::HistoryOp {
+                index: index.clone(),
+                key,
+                t1,
+                t2,
+            },
+            QuerySpec::AggregateOp { index, key, t1, t2 },
+        ];
+        let distinct: std::collections::HashSet<&QuerySpec> = kinds.iter().collect();
+        assert_eq!(distinct.len(), kinds.len());
     }
 
     /// Every payload pair round-trips, and every decoder refuses a

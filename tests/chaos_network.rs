@@ -701,7 +701,7 @@ fn run_serve_chaos(seed: u64) -> ServeChaosRun {
                     Ok((results, proof))
                         if verify_history(&digest, &key, t1, t2, &results, &proof).is_ok() =>
                     {
-                        answers[qi] = Some((response.certified_height, response.payload));
+                        answers[qi] = Some((response.certified_height, response.payload.to_vec()));
                     }
                     _ => rejected += 1,
                 }

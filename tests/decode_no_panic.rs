@@ -322,7 +322,7 @@ fn sample_encodings() -> Vec<Probe> {
     let serve_response = ServeResponse {
         id: 7,
         certified_height: 9,
-        payload: encode_history_payload(&history_results, &history_payload_proof),
+        payload: encode_history_payload(&history_results, &history_payload_proof).into(),
     };
     let serve_refusal = ServeRefusal {
         id: 8,

@@ -63,6 +63,10 @@ use dcert::primitives::hash::{hash_bytes, Hash};
 use dcert::query::aggregate::AggregateIndex;
 use dcert::query::history::HistoryIndex;
 use dcert::query::sp::IndexKind;
+use dcert::serve::{
+    encode_history_payload, QuerySpec, RefusalReason, ServeRefusal, ServeRequest, ServeResponse,
+    ServeWire,
+};
 use dcert::store::MemStore;
 use dcert::vm::StateKey;
 use dcert::workloads::Workload;
@@ -820,4 +824,147 @@ const MHT_GOLDEN: &[(&str, &str)] = &[
     ("mht/items/33", "b281c80a29bf6a423a60b0476fa22c0095f1ec757a11601ef50e8ed3cdfd5f94"),
     ("mht/items/128", "a1798bc1d30ce2b72e1fbccde1f49e54ce2d724e832932311c2369d268a36e79"),
     ("mht/cert_chain_txs/18", "f8173c0b787e79a53d888e89d2d9260846fe5997a87401ccfaf119434d563cac"),
+];
+
+// --- the serve wire -------------------------------------------------------------
+//
+// `SERVE_GOLDEN` pins every `ServeWire` frame shape: a request per query
+// kind, a response with an empty, a short and a real history payload, and a
+// refusal per reason. Captured at commit 00af873, while a response payload
+// was a `Vec<u8>` of its own per reply; the shared `Arc<[u8]>` payload must
+// put the same bytes on the wire. Small frames are pinned whole, in hex; the
+// frame carrying the history answer by its SHA-256 and length.
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+fn serve_frames() -> Vec<(&'static str, ServeWire)> {
+    let (key, t1, t2) = (StateKey::new("kvstore", b"acct-1"), 3, 17);
+    let request = |query| {
+        ServeWire::Request(ServeRequest {
+            client: 42,
+            id: 7,
+            query,
+        })
+    };
+    let response = |payload: Vec<u8>| {
+        ServeWire::Response(ServeResponse {
+            id: 7,
+            certified_height: 9,
+            payload: payload.into(),
+        })
+    };
+    let refusal = |reason| ServeWire::Refusal(ServeRefusal { id: 8, reason });
+    let mut history = HistoryIndex::new("history");
+    for height in 1..=5u64 {
+        history.apply_block(height, &[(key, Some(height.to_be_bytes().to_vec()))]);
+    }
+    let (rows, proof) = history.query(&key, 2, 4);
+    vec![
+        (
+            "request/history",
+            request(QuerySpec::History {
+                index: "history".into(),
+                key,
+                t1,
+                t2,
+            }),
+        ),
+        (
+            "request/keywords",
+            request(QuerySpec::Keywords {
+                index: "inverted".into(),
+                keywords: vec!["stock".into(), "bank".into()],
+            }),
+        ),
+        (
+            "request/aggregate",
+            request(QuerySpec::Aggregate {
+                index: "agg".into(),
+                key,
+                t1,
+                t2,
+            }),
+        ),
+        (
+            "request/history_op",
+            request(QuerySpec::HistoryOp {
+                index: "history".into(),
+                key,
+                t1,
+                t2,
+            }),
+        ),
+        (
+            "request/aggregate_op",
+            request(QuerySpec::AggregateOp {
+                index: "agg".into(),
+                key,
+                t1: 0,
+                t2: u64::MAX,
+            }),
+        ),
+        ("response/empty", response(Vec::new())),
+        ("response/short", response(vec![1, 2, 3])),
+        (
+            "response/history",
+            response(encode_history_payload(&rows, &proof)),
+        ),
+        (
+            "refusal/queue_full",
+            refusal(RefusalReason::QueueFull { depth: 64 }),
+        ),
+        (
+            "refusal/rate_limited",
+            refusal(RefusalReason::RateLimited {
+                retry_after_ticks: 3,
+            }),
+        ),
+        (
+            "refusal/backlogged",
+            refusal(RefusalReason::Backlogged { waiters: 4096 }),
+        ),
+        (
+            "refusal/unknown_index",
+            refusal(RefusalReason::UnknownIndex),
+        ),
+    ]
+}
+
+#[test]
+fn serve_wire_frames_reproduce_parent_commit_bytes() {
+    let mut out = Vec::new();
+    for (label, frame) in serve_frames() {
+        let bytes = frame.to_encoded_bytes();
+        assert_eq!(frame.encoded_len(), bytes.len(), "{label}: encoded_len");
+        assert_eq!(
+            ServeWire::decode_all(&bytes),
+            Ok(frame),
+            "{label}: round trip"
+        );
+        let pinned = if bytes.len() > 96 {
+            format!("sha256={} len={}", hash_bytes(&bytes), bytes.len())
+        } else {
+            hex(&bytes)
+        };
+        out.push((format!("serve/{label}"), pinned));
+    }
+    assert_golden(&out, SERVE_GOLDEN);
+}
+
+#[rustfmt::skip]
+const SERVE_GOLDEN: &[(&str, &str)] = &[
+    ("serve/request/history", "00000000000000002a00000000000000070000000007686973746f72796a86c63091a37a5c4c7fd9107a582576eb43b5837860e32a8c04fc23028a827c00000000000000030000000000000011"),
+    ("serve/request/keywords", "00000000000000002a00000000000000070100000008696e766572746564000000020000000573746f636b0000000462616e6b"),
+    ("serve/request/aggregate", "00000000000000002a000000000000000702000000036167676a86c63091a37a5c4c7fd9107a582576eb43b5837860e32a8c04fc23028a827c00000000000000030000000000000011"),
+    ("serve/request/history_op", "00000000000000002a00000000000000070300000007686973746f72796a86c63091a37a5c4c7fd9107a582576eb43b5837860e32a8c04fc23028a827c00000000000000030000000000000011"),
+    ("serve/request/aggregate_op", "00000000000000002a000000000000000704000000036167676a86c63091a37a5c4c7fd9107a582576eb43b5837860e32a8c04fc23028a827c0000000000000000ffffffffffffffff"),
+    ("serve/response/empty", "010000000000000007000000000000000900000000"),
+    ("serve/response/short", "010000000000000007000000000000000900000003010203"),
+    ("serve/response/history", "sha256=56d7586c4aad0292bf5b2a71244c09997346c84aa969dd7f9070c00be3b44b55 len=412"),
+    ("serve/refusal/queue_full", "020000000000000008000000000000000040"),
+    ("serve/refusal/rate_limited", "020000000000000008010000000000000003"),
+    ("serve/refusal/backlogged", "020000000000000008020000000000001000"),
+    ("serve/refusal/unknown_index", "02000000000000000803"),
 ];

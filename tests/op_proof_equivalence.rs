@@ -12,6 +12,7 @@
 //! stays keyed to the `HistoryOp` name.
 
 use std::cell::RefCell;
+use std::sync::Arc;
 
 use dcert::primitives::codec::Encode;
 use dcert::primitives::hash::Hash;
@@ -180,7 +181,7 @@ fn prop_op_stream_rejects_omission_and_tampering() {
 
 /// Submits one spec and pumps it through the backend, returning the
 /// response payload.
-fn pump_one(front: &mut ServeFront, query: QuerySpec, id: u64) -> Vec<u8> {
+fn pump_one(front: &mut ServeFront, query: QuerySpec, id: u64) -> Arc<[u8]> {
     let client = id;
     match front
         .submit(id, ServeRequest { client, id, query })

@@ -5,6 +5,8 @@
 //! Service Provider produces at the same certified height. And no cached
 //! proof may survive the certified height moving.
 
+use std::sync::Arc;
+
 use dcert::query::history::verify_history;
 use dcert::query::sp::IndexKind;
 use dcert::query::ServiceProvider;
@@ -87,10 +89,14 @@ fn arb_spec(g: &mut Gen, height: u64) -> QuerySpec {
 }
 
 /// Submits `spec` twice (to force a coalesced join), pumps, and returns
-/// the fanned-out response payloads plus the certified height stamped on
-/// them.
-fn serve_via_front(front: &mut ServeFront, spec: &QuerySpec, base_id: u64) -> Vec<(u64, Vec<u8>)> {
-    let mut enqueued = 0u64;
+/// every response payload — cache hits first, then the fan-out — plus the
+/// certified height stamped on it.
+fn serve_via_front(
+    front: &mut ServeFront,
+    spec: &QuerySpec,
+    base_id: u64,
+) -> Vec<(u64, Arc<[u8]>)> {
+    let (mut enqueued, mut served) = (0u64, Vec::new());
     for offset in 0..2u64 {
         let submitted = front.submit(
             offset,
@@ -101,24 +107,24 @@ fn serve_via_front(front: &mut ServeFront, spec: &QuerySpec, base_id: u64) -> Ve
             },
         );
         match submitted.expect("default config admits") {
-            Submitted::CacheHit(_) => {} // a duplicate spec from an earlier round
+            // A duplicate spec from an earlier round.
+            Submitted::CacheHit(r) => served.push((r.certified_height, r.payload)),
             Submitted::Enqueued { .. } => enqueued += 1,
         }
     }
     let replies = front.pump(2, usize::MAX);
     assert_eq!(replies.len() as u64, enqueued, "one reply per waiter");
-    replies
-        .into_iter()
-        .map(|(_, wire)| match wire {
-            ServeWire::Response(r) => (r.certified_height, r.payload),
-            other => panic!("known index never refuses: {other:?}"),
-        })
-        .collect()
+    served.extend(replies.into_iter().map(|(_, wire)| match wire {
+        ServeWire::Response(r) => (r.certified_height, r.payload),
+        other => panic!("known index never refuses: {other:?}"),
+    }));
+    served
 }
 
 /// **Satellite 1a.** Coalesced and cached responses are byte-identical
 /// to direct uncached `serve_*` calls at the same certified height —
-/// across random chains and random query mixes.
+/// across random chains and random query mixes — and are one buffer: every
+/// waiter of a backend answer and every later hit share its payload.
 #[test]
 fn prop_front_responses_match_direct_serving() {
     check("prop_front_responses_match_direct_serving", 10, |g| {
@@ -131,10 +137,12 @@ fn prop_front_responses_match_direct_serving() {
         for (i, spec) in specs.iter().enumerate() {
             let direct = direct_payload(front.sp(), spec).expect("indexes are registered");
             // Round 1: backend call + coalesced fan-out.
-            for (stamped, payload) in serve_via_front(&mut front, spec, 100 * i as u64) {
-                assert_eq!(stamped, height, "responses carry the certified height");
-                assert_eq!(&payload, &direct, "fan-out bytes == direct bytes");
+            let served = serve_via_front(&mut front, spec, 100 * i as u64);
+            for (stamped, payload) in &served {
+                assert_eq!(*stamped, height, "responses carry the certified height");
+                assert_eq!(payload[..], direct[..], "fan-out bytes == direct bytes");
             }
+            let answer = Arc::clone(&served[0].1);
             // Round 2: the same spec now comes straight from the proof cache.
             let cached = front.submit(
                 3,
@@ -147,7 +155,14 @@ fn prop_front_responses_match_direct_serving() {
             match cached.expect("cache hits are admitted") {
                 Submitted::CacheHit(response) => {
                     assert_eq!(response.certified_height, height);
-                    assert_eq!(&response.payload, &direct, "cached bytes == direct bytes");
+                    assert_eq!(
+                        response.payload[..],
+                        direct[..],
+                        "cached bytes == direct bytes"
+                    );
+                    for payload in served.iter().map(|(_, p)| p).chain([&response.payload]) {
+                        assert!(Arc::ptr_eq(payload, &answer), "one buffer per answer");
+                    }
                 }
                 Submitted::Enqueued { .. } => panic!("second round must hit the cache"),
             }
@@ -194,7 +209,7 @@ fn prop_no_stale_proof_survives_height_advance() {
                 *stamped, 3u64,
                 "post-advance responses carry the new height"
             );
-            assert_eq!(payload, &direct);
+            assert_eq!(payload[..], direct[..]);
         }
         let (results, proof) =
             dcert::serve::decode_history_payload(&replayed[0].1).expect("payload decodes");
@@ -334,8 +349,8 @@ fn rate_limited_client_does_not_perturb_equivalence() {
     let direct_1 = direct_payload(front.sp(), &spec(1)).expect("registered");
     for (_, wire) in front.pump(1, usize::MAX) {
         match wire {
-            ServeWire::Response(r) if r.id == 0 => assert_eq!(r.payload, direct_0),
-            ServeWire::Response(r) if r.id == 2 => assert_eq!(r.payload, direct_1),
+            ServeWire::Response(r) if r.id == 0 => assert_eq!(r.payload[..], direct_0[..]),
+            ServeWire::Response(r) if r.id == 2 => assert_eq!(r.payload[..], direct_1[..]),
             other => panic!("unexpected reply {other:?}"),
         }
     }
