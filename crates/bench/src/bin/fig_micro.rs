@@ -2,8 +2,9 @@
 //! `blocks_io`-shaped SMT multiproof (32 transactions × 32 adjacent records
 //! of a 4 128-record state in one proof), single-key prove + verify at
 //! 2 048 keys — what one upper-level lookup of a two-level index costs —
-//! and a 32-transaction signature pass, sequential (the enclave's) and in
-//! the full node's lanes.
+//! one history-index window served by the SP, and a 32-transaction
+//! signature pass, sequential (the enclave's) and in the full node's lanes,
+//! with the lanes' speed-up printed beside them.
 //!
 //! Run with: `cargo run --release -p dcert-bench --bin fig_micro`
 
@@ -15,14 +16,15 @@ use std::time::Duration;
 
 use dcert_bench::params::scaled;
 use dcert_bench::report::{banner, fmt_duration};
-use dcert_bench::shape;
 use dcert_chain::validity::check_signatures;
 use dcert_chain::{FullNode, GenesisBuilder, ProofOfWork};
 use dcert_merkle::{SmtProof, SparseMerkleTree};
 use dcert_primitives::codec::{Decode, Encode};
 use dcert_primitives::hash::{hash_bytes, Address, Hash};
+use dcert_query::history::verify_history;
+use dcert_query::HistoryIndex;
 use dcert_sgx::cost::timed;
-use dcert_vm::{ContractRegistry, Executor};
+use dcert_vm::{ContractRegistry, Executor, StateKey};
 use dcert_workloads::{Workload, WorkloadGen};
 
 /// Prints the mean time of `f` over `iters` runs, and returns it.
@@ -35,7 +37,7 @@ fn row<T>(name: &str, iters: u32, mut f: impl FnMut() -> T) -> Duration {
 
 fn main() {
     banner(
-        "fig_micro: SMT multiproof, single-key and signature-pass rows",
+        "fig_micro: SMT multiproof, single-key, history-window and signature-pass rows",
         "no paper figure; the rows optimisation PRs size against",
     );
     let iters = u32::try_from(scaled(200)).unwrap_or(u32::MAX);
@@ -93,6 +95,22 @@ fn main() {
         smt.prove(&[probe]).verify(&smt_root).is_ok()
     });
 
+    // What the SP does per `History` query: the upper-level lookup, the
+    // window walk and both proofs, over one key's 128 versions (order 16;
+    // appends leave 8-entry leaves) and a 16-version window, two leaves.
+    let mut history = HistoryIndex::new("history");
+    let account = StateKey::new("kvstore", b"account");
+    for height in 1..=128u64 {
+        history.apply_block(height, &[(account, Some(height.to_be_bytes().repeat(4)))]);
+    }
+    let (versions, window) = history.query(&account, 49, 64);
+    assert_eq!(versions.len(), 16);
+    let verified = verify_history(&history.digest(), &account, 49, 64, &versions, &window);
+    assert_eq!(verified, Ok(()));
+    row("query/history_window_serve", iters * 10, || {
+        history.query(&account, 49, 64)
+    });
+
     // A `blocks_kv` body: the enclave's pass is sequential, the miner's
     // and the SP's split it into as many lanes as the node found cores for.
     let (genesis, state) = GenesisBuilder::new().build();
@@ -107,10 +125,13 @@ fn main() {
     let in_lanes = row(&format!("chain/sigs_32_in_{lanes}_lanes"), iters, || {
         node.verify_signatures(&txs)
     });
-    if shape::wall_clock() && lanes >= 2 {
-        assert!(
-            in_lanes < sequential,
-            "{lanes} lanes ({in_lanes:?}) must beat one ({sequential:?})"
-        );
-    }
+    // Printed, not asserted: a busy second vCPU can erase the lanes' gain
+    // on any one run. Lane correctness is pinned by the chain crate's
+    // `prop_lanes_match_one_pass`.
+    let speedup = sequential.as_secs_f64() / in_lanes.as_secs_f64();
+    println!(
+        "{:<28} {:>12}",
+        "chain/sigs_32_lane_speedup",
+        format!("{speedup:.2}x")
+    );
 }

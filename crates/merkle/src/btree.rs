@@ -28,6 +28,11 @@
 //! the same prover walk, the same verifier walk and the same append
 //! replay.
 //!
+//! A leaf stores `(ts, value, digest)`: [`BTree::insert`] computes the
+//! digest once, when it takes the value, and every later walk — a window,
+//! an append proof, a leaf rebuilt after a split — reads the stored one.
+//! Serving a window hashes no value.
+//!
 //! A window proof is a program ([`crate::ops`]): the prover walk pushes
 //! one [`ProofOp`] per node it reveals, the verifier executes the program
 //! into the pruned tree it describes and walks that tree once
@@ -207,7 +212,9 @@ pub trait Flavor: sealed::Sealed + Debug + Clone + PartialEq + Eq + 'static {
     /// one flavor does not decode as the other's.
     const OP_TAG: u8;
 
-    /// The digest of a stored value.
+    /// The digest of a stored value. A tree calls it once per stored
+    /// value, when [`BTree::insert`] takes the value, and keeps the result
+    /// beside it in the leaf: every later walk reads the stored digest.
     fn digest(value: &Self::Value) -> Self::Digest;
     /// The annotation of a single entry.
     fn annotate(digest: &Self::Digest) -> Self::Ann;
@@ -430,10 +437,14 @@ fn split_children<T>(
 
 // --- the tree ----------------------------------------------------------------
 
+/// What a leaf keeps per timestamp: the value and its digest, computed
+/// once when the value was inserted.
+type Stored<F> = (<F as Flavor>::Value, <F as Flavor>::Digest);
+
 #[derive(Debug, Clone)]
 enum Node<F: Flavor> {
     Leaf {
-        entries: Vec<(u64, F::Value)>,
+        entries: Vec<(u64, Stored<F>)>,
         summary: Summary<F::Ann>,
     },
     Internal {
@@ -445,10 +456,11 @@ enum Node<F: Flavor> {
     },
 }
 
+/// A leaf's stored digests, in key order.
 fn digests<F: Flavor>(
-    entries: &[(u64, F::Value)],
+    entries: &[(u64, Stored<F>)],
 ) -> impl ExactSizeIterator<Item = (u64, F::Digest)> + '_ {
-    entries.iter().map(|(ts, value)| (*ts, F::digest(value)))
+    entries.iter().map(|(ts, (_, digest))| (*ts, *digest))
 }
 
 impl<F: Flavor> Node<F> {
@@ -458,7 +470,7 @@ impl<F: Flavor> Node<F> {
         }
     }
 
-    fn leaf(entries: Vec<(u64, F::Value)>) -> Self {
+    fn leaf(entries: Vec<(u64, Stored<F>)>) -> Self {
         let summary = leaf_summary::<F>(digests::<F>(&entries));
         Node::Leaf { entries, summary }
     }
@@ -550,12 +562,14 @@ impl<F: Flavor> BTree<F> {
         leaf_summary::<F>(std::iter::once((ts, *digest))).hash
     }
 
-    /// Inserts `(ts, value)`, replacing any existing entry at `ts`.
+    /// Inserts `(ts, value)`, replacing any existing entry at `ts` (value
+    /// and digest together). The only place the tree hashes a value.
     pub fn insert(&mut self, ts: u64, value: F::Value) -> Option<F::Value> {
+        let digest = F::digest(&value);
         let mut previous = None;
         self.root = Some(match self.root.take() {
-            None => Node::leaf(vec![(ts, value)]),
-            Some(root) => match self.insert_rec(root, ts, value, &mut previous) {
+            None => Node::leaf(vec![(ts, (value, digest))]),
+            Some(root) => match self.insert_rec(root, ts, (value, digest), &mut previous) {
                 (node, None) => node,
                 (node, Some((sep, right))) => Node::internal(vec![sep], vec![node, right]),
             },
@@ -571,7 +585,7 @@ impl<F: Flavor> BTree<F> {
         &self,
         node: Node<F>,
         ts: u64,
-        value: F::Value,
+        stored: Stored<F>,
         previous: &mut Option<F::Value>,
     ) -> (Node<F>, Option<(u64, Node<F>)>) {
         match node {
@@ -579,10 +593,10 @@ impl<F: Flavor> BTree<F> {
                 match entries.binary_search_by_key(&ts, |(t, _)| *t) {
                     Ok(pos) => {
                         if let Some(entry) = entries.get_mut(pos) {
-                            *previous = Some(std::mem::replace(&mut entry.1, value));
+                            *previous = Some(std::mem::replace(&mut entry.1, stored).0);
                         }
                     }
-                    Err(pos) => entries.insert(pos, (ts, value)),
+                    Err(pos) => entries.insert(pos, (ts, stored)),
                 }
                 let split = split_entries(&mut entries, self.order);
                 (
@@ -597,7 +611,7 @@ impl<F: Flavor> BTree<F> {
             } => {
                 let idx = separators.partition_point(|sep| *sep <= ts);
                 let child = children.remove(idx);
-                let (child, split) = self.insert_rec(child, ts, value, previous);
+                let (child, split) = self.insert_rec(child, ts, stored, previous);
                 children.insert(idx, child);
                 if let Some((sep, right)) = split {
                     separators.insert(idx, sep);
@@ -622,7 +636,7 @@ impl<F: Flavor> BTree<F> {
                         .binary_search_by_key(&ts, |(t, _)| *t)
                         .ok()
                         .and_then(|pos| entries.get(pos))
-                        .map(|(_, v)| v);
+                        .map(|(_, (value, _))| value);
                 }
                 Node::Internal {
                     separators,
@@ -745,7 +759,7 @@ fn open<F: Flavor>(
 ) {
     match node {
         Node::Leaf { entries, .. } => {
-            for (ts, value) in entries {
+            for (ts, (value, _)) in entries {
                 if in_window(window, *ts) {
                     answer.entry(*ts, value);
                 }
@@ -1075,6 +1089,7 @@ impl<F: Flavor> Decode for AppendProof<F> {
 mod tests {
     use super::*;
     use dcert_testkit::check;
+    use std::cell::Cell;
 
     /// What the flavor-generic tests need to know about a flavor: how to
     /// make a value, what the true answer to a window is, and how to
@@ -1337,6 +1352,55 @@ mod tests {
         });
     }
 
+    /// Every stored `(ts, value, digest)`, in key order.
+    fn stored<F: Flavor>(tree: &BTree<F>) -> Vec<(u64, F::Value, F::Digest)> {
+        fn walk<F: Flavor>(node: &Node<F>, out: &mut Vec<(u64, F::Value, F::Digest)>) {
+            match node {
+                Node::Leaf { entries, .. } => out.extend(
+                    entries
+                        .iter()
+                        .map(|(ts, (value, digest))| (*ts, value.clone(), *digest)),
+                ),
+                Node::Internal { children, .. } => children.iter().for_each(|c| walk(c, out)),
+            }
+        }
+        let mut out = Vec::new();
+        if let Some(root) = &tree.root {
+            walk(root, &mut out);
+        }
+        out
+    }
+
+    /// After any insert/overwrite sequence every stored digest is its
+    /// value's, and the root is that of a tree built afresh from the final
+    /// entries in first-insert order (overwrites never reshape a tree). A
+    /// digest left stale by an overwrite would break both.
+    fn prop_stored_digests_match_values<F: Fixture>() {
+        check("prop_stored_digests_match_values", 48, |g| {
+            let order = g.range(3usize..10);
+            let writes = g.vec(1..80, |g| (g.range(0u64..40), g.any::<u64>()));
+            let mut tree = BTree::<F>::new(order);
+            let mut first_inserts = Vec::new();
+            let mut last = std::collections::HashMap::new();
+            for (ts, seed) in writes {
+                let value = F::value(seed % (u64::MAX / 4));
+                if last.insert(ts, value.clone()).is_none() {
+                    first_inserts.push(ts);
+                }
+                tree.insert(ts, value);
+            }
+            for (ts, value, digest) in stored(&tree) {
+                assert_eq!(digest, F::digest(&value), "ts={ts}");
+                assert_eq!(Some(&value), last.get(&ts), "ts={ts}");
+            }
+            let mut fresh = BTree::<F>::new(order);
+            for ts in first_inserts {
+                fresh.insert(ts, last[&ts].clone());
+            }
+            assert_eq!(tree.root(), fresh.root());
+        });
+    }
+
     macro_rules! for_each_flavor {
         ($($test:ident),* $(,)?) => {
             for_each_flavor!(@module plain, Plain, $($test),*);
@@ -1371,6 +1435,7 @@ mod tests {
         append_proof_codec_round_trip,
         prop_windows_verify,
         prop_append_agrees,
+        prop_stored_digests_match_values,
     );
 
     // --- Plain only: row-level claims, absence -------------------------
@@ -1615,5 +1680,102 @@ mod tests {
             assert_eq!(a.total(), want);
             assert_eq!(a.len(), last.len());
         });
+    }
+
+    // --- one digest per stored value ------------------------------------
+
+    thread_local! {
+        static DIGESTS: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// [`Plain`], with a `digest` that counts its calls on this thread.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Counted {}
+
+    impl sealed::Sealed for Counted {}
+
+    impl Flavor for Counted {
+        type Value = Vec<u8>;
+        type Digest = Hash;
+        type Ann = ();
+        type Answer = Vec<(u64, Vec<u8>)>;
+        type Proven = Vec<(u64, Hash)>;
+        type Claim = [(u64, Vec<u8>)];
+
+        const LEAF_DOMAIN: u8 = Plain::LEAF_DOMAIN;
+        const NODE_DOMAIN: u8 = Plain::NODE_DOMAIN;
+        const OP_TAG: u8 = Plain::OP_TAG;
+
+        fn digest(value: &Vec<u8>) -> Hash {
+            DIGESTS.with(|calls| calls.set(calls.get() + 1));
+            Plain::digest(value)
+        }
+
+        fn annotate(_digest: &Hash) {}
+
+        fn check_claim(proven: &Self::Proven, claimed: &Self::Claim) -> Result<(), ProofError> {
+            Plain::check_claim(proven, claimed)
+        }
+    }
+
+    impl<P: Clone> Fold<Counted, P> for Vec<(u64, P)> {
+        fn entry(&mut self, ts: u64, payload: &P) {
+            self.push((ts, payload.clone()));
+        }
+        fn subtree(&mut self, _ann: &()) -> bool {
+            false
+        }
+    }
+
+    /// What `f` returns, and how many values it hashed.
+    fn digests_in<T>(f: impl FnOnce() -> T) -> (T, usize) {
+        let before = DIGESTS.with(Cell::get);
+        let out = f();
+        (out, DIGESTS.with(Cell::get) - before)
+    }
+
+    #[test]
+    fn each_stored_value_is_hashed_once_at_insert() {
+        let mut tree = BTree::<Counted>::new(4);
+        let mut plain = MbTree::new(4);
+        // New timestamps: appends, then fills between them, through every
+        // leaf and internal split a 4-ary tree makes on the way.
+        for ts in (0..48u64)
+            .map(|t| t * 2)
+            .chain((0..24u64).map(|t| t * 4 + 1))
+        {
+            let (previous, calls) = digests_in(|| tree.insert(ts, Plain::value(ts)));
+            assert_eq!((previous, calls), (None, 1), "new ts={ts}");
+            plain.insert(ts, Plain::value(ts));
+        }
+        for ts in [0, 41, 94] {
+            let (previous, calls) = digests_in(|| tree.insert(ts, b"again".to_vec()));
+            assert_eq!(
+                (previous, calls),
+                (Some(Plain::value(ts)), 1),
+                "overwrite ts={ts}"
+            );
+            plain.insert(ts, b"again".to_vec());
+        }
+        assert_eq!(tree.root(), plain.root());
+
+        let ((rows, proof), calls) = digests_in(|| tree.window(10, 80));
+        assert_eq!(calls, 0, "window");
+        assert_eq!(rows, plain.window(10, 80).0);
+        proof.verify(&tree.root(), 10, 80, &rows).unwrap();
+        let (append, calls) = digests_in(|| tree.prove_append());
+        assert_eq!(calls, 0, "prove_append");
+        let next = hash_bytes(b"next");
+        let appended = append.appended_root(&tree.root(), 4, 200, &next);
+        assert_eq!(
+            appended,
+            plain
+                .prove_append()
+                .appended_root(&plain.root(), 4, 200, &next)
+        );
+        let (value, calls) = digests_in(|| tree.get(41).cloned());
+        assert_eq!((value, calls), (Some(b"again".to_vec()), 0), "get");
+        let (max, calls) = digests_in(|| tree.max_key());
+        assert_eq!((max, calls), (Some(94), 0), "max_key");
     }
 }
