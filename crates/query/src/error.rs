@@ -1,7 +1,8 @@
-//! Query verification errors.
+//! Query verification errors, and the SP's certificate refusals.
 
 use std::fmt;
 
+use dcert_core::CertError;
 use dcert_merkle::ProofError;
 use dcert_primitives::error::CodecError;
 
@@ -43,3 +44,26 @@ impl From<CodecError> for QueryError {
         QueryError::Codec(e)
     }
 }
+
+/// Why [`ServiceProvider::advance`](crate::ServiceProvider::advance)
+/// refused a block's certificates. The SP is left as it was.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SpError {
+    /// `got` certificates for `expected` indexes.
+    CertCount { expected: usize, got: usize },
+    /// The certificate in `index`'s place does not certify `H(header ‖
+    /// digest)` of the staged block and that index (`DigestMismatch`), or,
+    /// on a store-backed SP, fails verification under its trust anchors.
+    Cert { index: String, error: CertError },
+}
+
+impl fmt::Display for SpError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SpError::CertCount { expected, got } => write!(f, "{got} certs, {expected} indexes"),
+            SpError::Cert { index, error } => write!(f, "certificate for {index}: {error}"),
+        }
+    }
+}
+
+impl std::error::Error for SpError {}

@@ -8,7 +8,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use dcert_chain::{Block, ChainError, ChainState, ConsensusEngine, FullNode};
-use dcert_core::{Certificate, IndexInput, IndexVerifier, RecoverError};
+use dcert_core::{CertError, Certificate, IndexInput, IndexVerifier, RecoverError};
 use dcert_obs::{Buckets, Counter, Histogram, Registry};
 use dcert_primitives::codec::{decode_seq, encode_seq, Decode, Encode, Reader};
 use dcert_primitives::error::CodecError;
@@ -19,6 +19,7 @@ use dcert_store::{Record, Store, StoreError, StreamId};
 use dcert_vm::{Executor, StateKey};
 
 use crate::aggregate::{AggQueryProof, Aggregate, AggregateIndex, AggregateVerifier};
+use crate::error::SpError;
 use crate::history::{HistoryIndex, HistoryProof, HistoryVerifier, Version};
 use crate::inverted::{InvertedIndex, InvertedVerifier, KeywordProof};
 use crate::two_level::{IndexFlavor, TwoLevelIndex};
@@ -116,8 +117,6 @@ impl Decode for CertifiedEntry {
 /// surface is what [`ServiceProvider`] drives, while querying goes through
 /// the concrete types.
 pub trait MaintainedIndex: Send {
-    /// The registered index-type name.
-    fn type_name(&self) -> &str;
     /// The current digest `H_idx`.
     fn digest(&self) -> Hash;
     /// Applies one block, returning `(aux, new_digest)` for certification.
@@ -132,9 +131,6 @@ impl<F: IndexFlavor> MaintainedIndex for TwoLevelIndex<F>
 where
     Self: Send,
 {
-    fn type_name(&self) -> &str {
-        self.name()
-    }
     fn digest(&self) -> Hash {
         TwoLevelIndex::digest(self)
     }
@@ -148,9 +144,6 @@ where
 }
 
 impl MaintainedIndex for InvertedIndex {
-    fn type_name(&self) -> &str {
-        self.name()
-    }
     fn digest(&self) -> Hash {
         InvertedIndex::digest(self)
     }
@@ -214,21 +207,18 @@ pub struct ServiceProvider {
     histories: BTreeMap<String, HistoryIndex>,
     inverteds: BTreeMap<String, InvertedIndex>,
     aggregates: BTreeMap<String, AggregateIndex>,
-    /// Last *certified* digest and certificate per index.
-    certified: BTreeMap<String, (Hash, Option<Certificate>)>,
-    /// Digests staged by the latest `stage_block`, awaiting certificates.
-    staged: Vec<(String, Hash)>,
-    /// `(header_hash, certified_digest)` each index's latest certificate
-    /// was issued for — what recovery re-verifies the certificate against.
-    anchors: BTreeMap<String, (Hash, Hash)>,
+    /// Per index, `(header_hash, certified_digest, certificate)` of its
+    /// latest certificate — what recovery re-verifies it against.
+    anchors: BTreeMap<String, Option<(Hash, Hash, Certificate)>>,
+    /// Header hash of the block staged since the last `advance`.
+    staged: Option<Hash>,
     /// Highest block height already applied to the indexes. Equal to the
     /// chain height in normal operation; after [`ServiceProvider::recover_from`]
     /// it runs ahead of the genesis chain state until the caller re-syncs.
     index_height: u64,
-    /// Height and header hash of the most recently staged block.
-    staged_at: Option<(u64, Hash)>,
-    /// Durable backend, when persistence is attached.
-    store: Option<Box<dyn Store>>,
+    /// Durable backend, if any, with the trust anchors `(ias_key,
+    /// measurement)` a certificate must verify under to be written there.
+    store: Option<(Box<dyn Store>, PublicKey, Hash)>,
     /// First store failure; once set, persistence stops (queries keep
     /// serving) and the error is reported via [`ServiceProvider::store_error`].
     store_error: Option<StoreError>,
@@ -258,39 +248,13 @@ impl ServiceProvider {
             histories: BTreeMap::new(),
             inverteds: BTreeMap::new(),
             aggregates: BTreeMap::new(),
-            certified: BTreeMap::new(),
-            staged: Vec::new(),
             anchors: BTreeMap::new(),
+            staged: None,
             index_height: 0,
-            staged_at: None,
             store: None,
             store_error: None,
             obs: None,
         }
-    }
-
-    /// Attaches a durable [`Store`]: every block staged from here on has
-    /// its writes and keyword appends appended as records, and
-    /// [`ServiceProvider::record_certs`] / [`ServiceProvider::advance_staged`]
-    /// commit the per-index digests (plus the latest certificates) to the
-    /// head region before syncing.
-    ///
-    /// Store failures never interrupt serving: the first one is latched
-    /// (see [`ServiceProvider::store_error`]) and persistence stops.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the SP is at genesis and the store holds no records —
-    /// resuming an existing store goes through
-    /// [`ServiceProvider::recover_from`].
-    pub fn attach_store(&mut self, store: Box<dyn Store>) {
-        assert_eq!(self.node.height(), 0, "attach_store requires a genesis SP");
-        assert_eq!(
-            store.max_height(),
-            0,
-            "attach_store requires an empty store; use recover_from"
-        );
-        self.store = Some(store);
     }
 
     /// The first store failure, if persistence has been poisoned.
@@ -301,7 +265,7 @@ impl ServiceProvider {
     /// Detaches and returns the store (e.g. to close and later recover
     /// from it). Persistence stops; the SP keeps serving from memory.
     pub fn take_store(&mut self) -> Option<Box<dyn Store>> {
-        self.store.take()
+        self.store.take().map(|(store, ..)| store)
     }
 
     /// Highest block height already applied to the indexes. Runs ahead of
@@ -326,10 +290,7 @@ impl ServiceProvider {
     pub fn add_index(&mut self, kind: IndexKind, name: &str) {
         assert_eq!(self.node.height(), 0, "indexes must start from genesis");
         assert_eq!(self.index_height, 0, "indexes must start from genesis");
-        let fresh = self
-            .certified
-            .insert(name.to_owned(), (Hash::ZERO, None))
-            .is_none();
+        let fresh = self.anchors.insert(name.to_owned(), None).is_none();
         assert!(fresh, "duplicate index name {name}");
         match kind {
             IndexKind::History => {
@@ -483,16 +444,15 @@ impl ServiceProvider {
     }
 
     /// Processes one block: executes it, updates every index, advances the
-    /// chain, and returns the [`IndexInput`]s the CI needs (in the same
-    /// deterministic order as [`ServiceProvider::verifiers`]).
+    /// chain, stages the block for [`ServiceProvider::advance`], and
+    /// returns the [`IndexInput`]s the CI needs (in the same deterministic
+    /// order as [`ServiceProvider::verifiers`]), each chained from its
+    /// index's digest before the block.
     ///
     /// # Errors
     ///
     /// Propagates block-validation errors; indexes are only updated when
     /// the block is valid.
-    // expect() here reads SP-internal bookkeeping seeded by register_* (see
-    // the dcert-lint rationale at the call site).
-    #[allow(clippy::expect_used)]
     pub fn stage_block(&mut self, block: &Block) -> Result<Vec<IndexInput>, ChainError> {
         // Post-recovery catch-up: the indexes (and the store) already hold
         // this height, so only the chain state advances. Nothing is staged
@@ -509,8 +469,7 @@ impl ServiceProvider {
 
         // Persist the raw material recovery replays: the block's writes
         // (rebuilds history/aggregate indexes) and its keyword appends
-        // (rebuilds inverted indexes). Volatile until the commit in
-        // record_certs / advance_staged syncs.
+        // (rebuilds inverted indexes). Volatile until `advance` commits.
         if self.store.is_some() {
             let height = block.header.height;
             let mut writes_body = Vec::new();
@@ -523,19 +482,15 @@ impl ServiceProvider {
             self.persist(height, StreamId::Keywords, keywords_body);
         }
 
-        // Borrow the index maps and the bookkeeping as disjoint fields so
-        // the update loop can stream `&str` keys straight out of the maps —
-        // no intermediate Vec collections, no per-index key clone just to
-        // look up `certified`.
+        // Disjoint field borrows: the loop streams `&str` keys straight out
+        // of the maps, with no intermediate Vec and no key clone.
         let ServiceProvider {
             histories,
             inverteds,
             aggregates,
-            certified,
-            staged,
+            anchors,
             ..
         } = self;
-        staged.clear();
         let mut inputs = Vec::with_capacity(histories.len() + inverteds.len() + aggregates.len());
         fn as_dyn<I: MaintainedIndex>(
             map: &mut BTreeMap<String, I>,
@@ -547,30 +502,26 @@ impl ServiceProvider {
             .chain(as_dyn(inverteds))
             .chain(as_dyn(aggregates));
         for (name, index) in indexes {
-            let (prev_digest, prev_cert) = certified
-                .get(name)
-                .cloned()
-                // dcert-lint: allow(r5-panic-reachability, reason = "SP-internal bookkeeping: register_* seeds this map for every index it iterates")
-                .expect("registered index has bookkeeping");
+            let prev_digest = index.digest();
+            let prev_cert = anchors.get(name).and_then(Option::as_ref);
             let (aux, new_digest) = index.apply_block(block, &writes);
-            staged.push((name.to_owned(), new_digest));
             inputs.push(IndexInput {
                 index_type: name.to_owned(),
                 prev_digest,
-                prev_cert,
+                prev_cert: prev_cert.map(|(.., cert)| cert.clone()),
                 new_digest,
                 aux,
             });
         }
         self.index_height = block.header.height;
-        self.staged_at = Some((block.header.height, block.header.hash()));
+        self.staged = Some(block.header.hash());
         Ok(inputs)
     }
 
     /// Appends one record if a healthy store is attached; a failure
     /// latches [`ServiceProvider::store_error`] and stops persistence.
     fn persist(&mut self, height: u64, stream: StreamId, body: Vec<u8>) {
-        if let (Some(store), None) = (&mut self.store, &self.store_error) {
+        if let (Some((store, ..)), None) = (&mut self.store, &self.store_error) {
             let record = Record {
                 height,
                 stream,
@@ -580,26 +531,17 @@ impl ServiceProvider {
         }
     }
 
-    /// Commits the current certified state to the store's head region and
-    /// syncs, making every record staged for the committed height durable.
-    /// Called from [`ServiceProvider::record_certs`] and
-    /// [`ServiceProvider::advance_staged`] — the two points where the SP's
-    /// in-memory bookkeeping reaches a consistent post-block state.
+    /// Commits every index's digest and anchor to the head region and
+    /// syncs, making the records staged for the committed height durable.
     fn commit_store(&mut self) {
-        let (Some(store), None) = (&mut self.store, &self.store_error) else {
+        if self.store.is_none() || self.store_error.is_some() {
             return;
-        };
-        let mut entries = Vec::with_capacity(self.certified.len() + 1);
-        for (name, (digest, cert)) in &self.certified {
-            let anchor = match (cert, self.anchors.get(name)) {
-                (Some(c), Some((header_hash, cert_digest))) => {
-                    Some((*header_hash, *cert_digest, c.clone()))
-                }
-                _ => None,
-            };
+        }
+        let mut entries = Vec::with_capacity(self.anchors.len() + 1);
+        for (name, anchor) in &self.anchors {
             let entry = CertifiedEntry {
-                digest: *digest,
-                anchor,
+                digest: self.digest(name).unwrap_or(Hash::ZERO),
+                anchor: anchor.clone(),
             };
             entries.push((format!("{SP_CERT_PREFIX}{name}"), entry.to_encoded_bytes()));
         }
@@ -607,80 +549,100 @@ impl ServiceProvider {
             SP_HEIGHT_KEY.to_owned(),
             self.index_height.to_encoded_bytes(),
         ));
-        let committed = entries
-            .into_iter()
-            .try_for_each(|(key, value)| store.put_head(&key, value))
-            .and_then(|()| store.sync());
-        self.store_error = committed.err();
-    }
-
-    /// Records the certificates the CI issued for the last staged block,
-    /// in the same order as the returned [`IndexInput`]s.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the count does not match the staged updates.
-    pub fn record_certs(&mut self, certs: &[Certificate]) {
-        assert_eq!(certs.len(), self.staged.len(), "certificate count mismatch");
-        let header_hash = self.staged_at.map(|(_, h)| h);
-        for ((name, digest), cert) in self.staged.drain(..).zip(certs) {
-            if let Some(obs) = &self.obs {
-                obs.cert_bytes
-                    .observe(u64::try_from(cert.encoded_len()).unwrap_or(u64::MAX));
-            }
-            if let Some(hh) = header_hash {
-                self.anchors.insert(name.clone(), (hh, digest));
-            }
-            self.certified.insert(name, (digest, Some(cert.clone())));
+        if let Some((store, ..)) = &mut self.store {
+            let committed = entries
+                .into_iter()
+                .try_for_each(|(key, value)| store.put_head(&key, value))
+                .and_then(|()| store.sync());
+            self.store_error = committed.err();
         }
-        self.commit_store();
     }
 
-    /// Marks the last staged updates as headed for certification without
-    /// waiting for the certificates themselves.
+    /// Settles the staged block (with nothing staged, does nothing) and
+    /// commits the store once. `Some(certs)`, in [`ServiceProvider::verifiers`]
+    /// order, must each certify `H(header ‖ digest)` of the block and its
+    /// index — and on a store-backed SP verify under the trust anchors
+    /// recovery re-checks them with — before any is recorded. `None`
+    /// settles it uncertified (the pipelined SP): each index keeps its
+    /// latest certificate.
     ///
-    /// In pipelined mode the issuer stage owns the `prev_cert` chain and
-    /// sets freshly issued certificates on each request, so the SP
-    /// only needs its digest bookkeeping advanced before staging the next
-    /// block. The certificates recorded here stay at their last
-    /// [`ServiceProvider::record_certs`] value (`None` if never recorded).
-    // expect() here reads SP-internal bookkeeping seeded by register_* (see
-    // the dcert-lint rationale at the call site).
-    #[allow(clippy::expect_used)]
-    pub fn advance_staged(&mut self) {
-        for (name, digest) in self.staged.drain(..) {
-            let entry = self
-                .certified
-                .get_mut(&name)
-                // dcert-lint: allow(r5-panic-reachability, reason = "SP-internal bookkeeping: register_* seeds this map for every index it stages")
-                .expect("registered index has bookkeeping");
-            entry.0 = digest;
+    /// # Errors
+    ///
+    /// [`SpError`], with the SP as it was: the honest list still lands.
+    pub fn advance(&mut self, certs: Option<&[Certificate]>) -> Result<(), SpError> {
+        let Some(header_hash) = self.staged else {
+            return Ok(());
+        };
+        if let Some(certs) = certs {
+            let staged: Vec<(String, Hash)> =
+                self.digests().map(|(n, d)| (n.to_owned(), d)).collect();
+            let (expected, got) = (staged.len(), certs.len());
+            if expected != got {
+                return Err(SpError::CertCount { expected, got });
+            }
+            let mut attested = Vec::new();
+            for ((name, digest), cert) in staged.iter().zip(certs) {
+                let bound = Certificate::index_digest(&header_hash, digest);
+                let checked = match &self.store {
+                    _ if cert.digest != bound => Err(CertError::DigestMismatch),
+                    Some((_, ias, mr)) => verify_cert((ias, mr), &mut attested, cert, &bound),
+                    None => Ok(()),
+                };
+                checked.map_err(|error| SpError::Cert {
+                    index: name.clone(),
+                    error,
+                })?;
+            }
+            for ((name, digest), cert) in staged.into_iter().zip(certs) {
+                if let Some(obs) = &self.obs {
+                    obs.cert_bytes
+                        .observe(u64::try_from(cert.encoded_len()).unwrap_or(u64::MAX));
+                }
+                self.anchors
+                    .insert(name, Some((header_hash, digest, cert.clone())));
+            }
         }
+        self.staged = None;
         self.commit_store();
+        Ok(())
     }
 
-    /// The latest certified digest of an index (for serving clients).
-    pub fn certified_digest(&self, name: &str) -> Option<Hash> {
-        self.certified.get(name).map(|(d, _)| *d)
+    /// Compatibility name `benchmark/driver` calls (`advance(Some(certs))`);
+    /// leaves at ROADMAP item 4(c).
+    pub fn record_certs(&mut self, certs: &[Certificate]) -> Result<(), SpError> {
+        self.advance(Some(certs))
+    }
+
+    /// Compatibility name `benchmark/driver` calls (`advance(None)`);
+    /// leaves at ROADMAP item 4(c).
+    pub fn advance_staged(&mut self) -> Result<(), SpError> {
+        self.advance(None)
+    }
+
+    /// The current digest of an index: what every answer served from it
+    /// verifies against, and what its next certificate certifies.
+    pub fn digest(&self, name: &str) -> Option<Hash> {
+        self.digests().find(|(n, _)| *n == name).map(|(_, d)| d)
+    }
+
+    /// Every index's current digest, in [`ServiceProvider::verifiers`] order.
+    fn digests(&self) -> impl Iterator<Item = (&str, Hash)> {
+        let hist = self.histories.iter().map(|(n, i)| (n.as_str(), i.digest()));
+        let inv = self.inverteds.iter().map(|(n, i)| (n.as_str(), i.digest()));
+        let agg = self
+            .aggregates
+            .iter()
+            .map(|(n, i)| (n.as_str(), i.digest()));
+        hist.chain(inv).chain(agg)
     }
 
     /// The latest certificate of an index.
     pub fn certificate(&self, name: &str) -> Option<&Certificate> {
-        self.certified.get(name).and_then(|(_, c)| c.as_ref())
+        self.anchors.get(name)?.as_ref().map(|(.., cert)| cert)
     }
 
-    /// The current digest of the named index, across all three families.
-    fn live_digest(&self, name: &str) -> Option<Hash> {
-        self.histories
-            .get(name)
-            .map(|i| i.digest())
-            .or_else(|| self.inverteds.get(name).map(|i| i.digest()))
-            .or_else(|| self.aggregates.get(name).map(|i| i.digest()))
-    }
-
-    /// Rebuilds this SP's indexes and certificate bookkeeping from a
-    /// store written by [`ServiceProvider::attach_store`], consuming a
-    /// freshly built genesis SP with the same indexes registered.
+    /// Rebuilds this genesis SP's indexes and anchors from `store` — the
+    /// one way into persistence: an empty store gives it one to write to.
     ///
     /// Replay is bounded by the committed watermark ([`SP_HEIGHT_KEY`]):
     /// record pages beyond it (the redo tail of a crash) are ignored,
@@ -690,10 +652,9 @@ impl ServiceProvider {
     /// trust anchors — the disk is untrusted input, so any mismatch
     /// refuses with a typed error instead of serving.
     ///
-    /// On success the store stays attached and persistence continues.
-    /// Chain state is still at genesis: the caller re-syncs blocks
-    /// through [`ServiceProvider::stage_block`], which applies heights up
-    /// to [`ServiceProvider::index_height`] to the chain only.
+    /// On success the store stays attached. Chain state is still at
+    /// genesis: the caller re-syncs through [`ServiceProvider::stage_block`],
+    /// which applies heights up to `index_height` to the chain only.
     ///
     /// # Errors
     ///
@@ -760,8 +721,8 @@ impl ServiceProvider {
 
         // Re-verify: every committed digest must equal the replayed one,
         // and the latest certificate must still prove its anchor.
-        let names: Vec<String> = self.certified.keys().cloned().collect();
-        for name in &names {
+        let mut recovered = Vec::with_capacity(self.anchors.len());
+        for name in self.anchors.keys() {
             let key = format!("{SP_CERT_PREFIX}{name}");
             let Some(bytes) = store.head(&key) else {
                 if committed == 0 {
@@ -770,42 +731,53 @@ impl ServiceProvider {
                 return Err(refused("missing per-index head entry"));
             };
             let entry = CertifiedEntry::decode_all(&bytes)?;
-            let replayed = self.live_digest(name).unwrap_or(Hash::ZERO);
-            if entry.digest != replayed {
+            if Some(entry.digest) != self.digest(name) {
                 return Err(refused(
                     "replayed index digest does not match the committed digest",
                 ));
             }
-            if let Some((header_hash, cert_digest, cert)) = &entry.anchor {
-                cert.verify(
-                    ias_key,
-                    measurement,
-                    &Certificate::index_digest(header_hash, cert_digest),
-                )
+            recovered.push((name.clone(), entry.anchor));
+        }
+        let mut attested = Vec::new();
+        for (header_hash, cert_digest, cert) in recovered.iter().filter_map(|(_, a)| a.as_ref()) {
+            let bound = Certificate::index_digest(header_hash, cert_digest);
+            verify_cert((ias_key, measurement), &mut attested, cert, &bound)
                 .map_err(RecoverError::Cert)?;
-                self.anchors
-                    .insert(name.clone(), (*header_hash, *cert_digest));
-            }
-            self.certified.insert(
-                name.clone(),
-                (entry.digest, entry.anchor.map(|(_, _, c)| c)),
-            );
         }
         // A head entry for an index this SP does not maintain means the
         // store belongs to a differently-configured SP: refuse rather
         // than silently drop certified state.
         for (key, _) in store.head_entries() {
             if let Some(name) = key.strip_prefix(SP_CERT_PREFIX) {
-                if !self.certified.contains_key(name) {
+                if !self.anchors.contains_key(name) {
                     return Err(refused("head entry for an unregistered index"));
                 }
             }
         }
 
+        self.anchors.extend(recovered);
         self.index_height = committed;
-        self.store = Some(store);
+        self.store = Some((store, *ias_key, *measurement));
         Ok(self)
     }
+}
+
+/// Checks that `cert` certifies `expected` under the trust anchors, as
+/// recovery and a store-backed [`ServiceProvider::advance`] both do: the
+/// attestation once per ⟨rep, pk_enc⟩ (`attested` holds the certificates
+/// whose pair was already checked), the signature and digest every time.
+fn verify_cert<'a>(
+    (ias_key, measurement): (&PublicKey, &Hash),
+    attested: &mut Vec<&'a Certificate>,
+    cert: &'a Certificate,
+    expected: &Hash,
+) -> Result<(), CertError> {
+    let seen = |c: &&Certificate| c.report == cert.report && c.pk_enc == cert.pk_enc;
+    if !attested.iter().any(seen) {
+        cert.verify_trust(ias_key, measurement)?;
+        attested.push(cert);
+    }
+    cert.verify_digest(expected)
 }
 
 #[cfg(test)]
@@ -917,8 +889,9 @@ mod tests {
     use dcert_sgx::{AttestationService, CostModel};
     use dcert_store::MemStore;
 
-    /// A miner, an SP (history + inverted), and a CI wired with the SP's
-    /// verifiers — plus the trust anchors recovery needs.
+    /// A miner, an SP (history + inverted) on an empty [`MemStore`], and a
+    /// CI wired with the SP's verifiers — plus the trust anchors recovery
+    /// needs.
     struct CertifiedWorld {
         miner: FullNode,
         sp: ServiceProvider,
@@ -958,7 +931,7 @@ mod tests {
                 CostModel::zero(),
             )
             .expect("CI boots");
-            CertifiedWorld {
+            let mut world = CertifiedWorld {
                 miner,
                 sp,
                 ci,
@@ -968,7 +941,14 @@ mod tests {
                 state,
                 executor,
                 engine,
-            }
+            };
+            world.sp = world.recover(Box::new(MemStore::new())).unwrap();
+            world
+        }
+
+        fn recover(&self, store: Box<dyn Store>) -> Result<ServiceProvider, RecoverError> {
+            self.genesis_sp()
+                .recover_from(&self.ias_key, &self.measurement, store)
         }
 
         fn genesis_sp(&self) -> ServiceProvider {
@@ -983,9 +963,8 @@ mod tests {
             sp
         }
 
-        /// Mines one keyword-bearing kvstore block and runs it through the
-        /// full stage → certify → record loop.
-        fn certified_block(&mut self, height: u64) -> Block {
+        /// Mines one keyword-bearing kvstore block at `height`.
+        fn mine(&mut self, height: u64) -> Block {
             let kp = Keypair::from_seed([5; 32]);
             let tx = Transaction::sign(
                 &kp,
@@ -997,36 +976,107 @@ mod tests {
                 }
                 .to_encoded_bytes(),
             );
-            let block = self.miner.mine(vec![tx], height).unwrap();
-            let inputs = self.sp.stage_block(&block).unwrap();
-            let (certs, _) = self.ci.certify_augmented(&block, &inputs).unwrap();
-            self.sp.record_certs(&certs);
+            self.miner.mine(vec![tx], height).unwrap()
+        }
+
+        /// Stages `block` and certifies it: the index certificates the SP
+        /// must now accept.
+        fn stage_and_certify(&mut self, block: &Block) -> Vec<Certificate> {
+            let inputs = self.sp.stage_block(block).unwrap();
+            self.ci.certify_augmented(block, &inputs).unwrap().0
+        }
+
+        /// Mines one block and runs it through the full stage → certify →
+        /// advance loop.
+        fn certified_block(&mut self, height: u64) -> Block {
+            let block = self.mine(height);
+            let certs = self.stage_and_certify(&block);
+            self.sp.advance(Some(&certs)).unwrap();
             block
         }
+    }
+
+    /// A refused certificate list leaves the SP — its anchors, its
+    /// store's head region — as it was, and the honest list still lands.
+    #[test]
+    fn advance_refuses_misbound_certificate_lists_typed() {
+        let mut world = CertifiedWorld::new();
+        world.certified_block(1);
+        let previous: Vec<Certificate> = ["history", "inverted"]
+            .map(|name| world.sp.certificate(name).unwrap().clone())
+            .to_vec();
+        let block = world.mine(2);
+        let certs = world.stage_and_certify(&block);
+        let unbound = |index: &str| SpError::Cert {
+            index: index.to_owned(),
+            error: CertError::DigestMismatch,
+        };
+        let mut forged = certs.clone();
+        forged[1].signature = forged[0].signature;
+        let table: [(&str, Vec<Certificate>, SpError); 4] = [
+            (
+                "short list",
+                certs[..1].to_vec(),
+                SpError::CertCount {
+                    expected: 2,
+                    got: 1,
+                },
+            ),
+            (
+                "reordered list",
+                vec![certs[1].clone(), certs[0].clone()],
+                unbound("history"),
+            ),
+            ("previous block's", previous, unbound("history")),
+            (
+                "forged signature",
+                forged,
+                SpError::Cert {
+                    index: "inverted".to_owned(),
+                    error: CertError::BadSignature,
+                },
+            ),
+        ];
+        let (ias_key, measurement) = (world.ias_key, world.measurement);
+        let head = |sp: &mut ServiceProvider| {
+            let store = sp.take_store().unwrap();
+            let image = store.head_entries();
+            sp.store = Some((store, ias_key, measurement));
+            image
+        };
+        for (what, list, want) in table {
+            let before = (
+                head(&mut world.sp),
+                world.sp.certificate("history").cloned(),
+            );
+            assert_eq!(world.sp.advance(Some(&list)), Err(want), "{what}");
+            let after = (
+                head(&mut world.sp),
+                world.sp.certificate("history").cloned(),
+            );
+            assert_eq!(before, after, "{what}: the SP is untouched");
+        }
+        world.sp.advance(Some(&certs)).unwrap();
+        assert_eq!(world.sp.certificate("history"), Some(&certs[0]));
+        let store = world.sp.take_store().unwrap();
+        assert_eq!(world.recover(store).unwrap().index_height(), 2);
     }
 
     #[test]
     fn store_round_trips_through_recovery_and_resync() {
         let mut world = CertifiedWorld::new();
-        world.sp.attach_store(Box::new(MemStore::new()));
         let blocks: Vec<Block> = (1..=4u64).map(|h| world.certified_block(h)).collect();
         assert!(world.sp.store_error().is_none());
 
         let store = world.sp.take_store().unwrap();
         assert_eq!(store.durable_height(), 4);
-        let recovered = world
-            .genesis_sp()
-            .recover_from(&world.ias_key, &world.measurement, store)
-            .unwrap();
+        let recovered = world.recover(store).unwrap();
 
         // The recovered SP serves exactly what the live one does.
         assert_eq!(recovered.index_height(), 4);
         assert_eq!(recovered.height(), 0, "chain state resyncs separately");
         for name in ["history", "inverted"] {
-            assert_eq!(
-                recovered.certified_digest(name),
-                world.sp.certified_digest(name)
-            );
+            assert_eq!(recovered.digest(name), world.sp.digest(name));
             assert_eq!(
                 recovered.certificate(name).map(Encode::to_encoded_bytes),
                 world.sp.certificate(name).map(Encode::to_encoded_bytes),
@@ -1057,11 +1107,11 @@ mod tests {
         let block5 = world.certified_block(5);
         let inputs = recovered.stage_block(&block5).unwrap();
         assert_eq!(inputs.len(), 2);
-        recovered.advance_staged();
+        recovered.advance(None).unwrap();
         for name in ["history", "inverted"] {
             assert_eq!(
-                recovered.certified_digest(name),
-                world.sp.certified_digest(name),
+                recovered.digest(name),
+                world.sp.digest(name),
                 "post-recovery staging converges with the live SP"
             );
         }
@@ -1070,7 +1120,6 @@ mod tests {
     #[test]
     fn recovery_refuses_tampered_digest() {
         let mut world = CertifiedWorld::new();
-        world.sp.attach_store(Box::new(MemStore::new()));
         world.certified_block(1);
         let mut store = world.sp.take_store().unwrap();
 
@@ -1080,10 +1129,7 @@ mod tests {
         store.put_head(&key, entry.to_encoded_bytes()).unwrap();
         store.sync().unwrap();
 
-        let err = world
-            .genesis_sp()
-            .recover_from(&world.ias_key, &world.measurement, store)
-            .unwrap_err();
+        let err = world.recover(store).unwrap_err();
         assert!(
             matches!(err, RecoverError::Store(StoreError::VerifyFailed(_))),
             "got {err:?}"
@@ -1093,7 +1139,6 @@ mod tests {
     #[test]
     fn recovery_refuses_forged_certificate_anchor() {
         let mut world = CertifiedWorld::new();
-        world.sp.attach_store(Box::new(MemStore::new()));
         world.certified_block(1);
         let mut store = world.sp.take_store().unwrap();
 
@@ -1106,48 +1151,37 @@ mod tests {
         store.put_head(&key, entry.to_encoded_bytes()).unwrap();
         store.sync().unwrap();
 
-        let err = world
-            .genesis_sp()
-            .recover_from(&world.ias_key, &world.measurement, store)
-            .unwrap_err();
+        let err = world.recover(store).unwrap_err();
         assert!(matches!(err, RecoverError::Cert(_)), "got {err:?}");
     }
 
     #[test]
     fn recovery_refuses_undecodable_head_entry() {
         let mut world = CertifiedWorld::new();
-        world.sp.attach_store(Box::new(MemStore::new()));
         world.certified_block(1);
         let mut store = world.sp.take_store().unwrap();
         store
             .put_head(&format!("{SP_CERT_PREFIX}history"), vec![0xFF; 3])
             .unwrap();
         store.sync().unwrap();
-        let err = world
-            .genesis_sp()
-            .recover_from(&world.ias_key, &world.measurement, store)
-            .unwrap_err();
+        let err = world.recover(store).unwrap_err();
         assert!(matches!(err, RecoverError::Codec(_)), "got {err:?}");
     }
 
     #[test]
     fn recovery_ignores_uncommitted_tail() {
         let mut world = CertifiedWorld::new();
-        world.sp.attach_store(Box::new(MemStore::new()));
         world.certified_block(1);
         world.certified_block(2);
-        // Stage height 3 but never record/advance: records exist, the
-        // committed watermark does not cover them.
+        // Stage height 3 but never advance: records exist, the committed
+        // watermark does not cover them.
         let kp = Keypair::from_seed([5; 32]);
         let tx = Transaction::sign(&kp, 2, "kvstore", b"uncommitted".to_vec());
         let block = world.miner.mine(vec![tx], 3).unwrap();
         world.sp.stage_block(&block).unwrap();
 
         let store = world.sp.take_store().unwrap();
-        let recovered = world
-            .genesis_sp()
-            .recover_from(&world.ias_key, &world.measurement, store)
-            .unwrap();
+        let recovered = world.recover(store).unwrap();
         assert_eq!(recovered.index_height(), 2);
     }
 

@@ -4,12 +4,12 @@
 //! the request's own spec, with std's SipHash since clients choose the
 //! keys — and are valid only for the **generation** they were inserted
 //! under. The front-end bumps the generation whenever anything that can
-//! change an answer moves — `stage_block` advances the index height,
-//! `record_certs`/`advance_staged` move the certified digests — and a
-//! bump clears the cache wholesale. That makes "no stale proof survives
-//! a height advance" a structural property rather than a bookkeeping
-//! discipline: there is no code path that can return a pre-advance entry
-//! afterwards, because no pre-advance entry exists.
+//! change an answer moves — only `stage_block`, which moves the live
+//! indexes every answer comes from — and a bump clears the cache
+//! wholesale. That makes "no stale proof survives a height advance" a
+//! structural property rather than a bookkeeping discipline: there is no
+//! code path that can return a pre-advance entry afterwards, because no
+//! pre-advance entry exists.
 //!
 //! Eviction is deterministic: entries carry an insertion sequence number
 //! and the oldest insertion is evicted first (FIFO). No wall-clock, no

@@ -14,11 +14,11 @@
 //!    call regardless of how many waiters coalesced onto it; the
 //!    canonical payload becomes one shared buffer, fanned out to every
 //!    waiter and inserted into the cache without a copy.
-//! 3. **Invalidation**: the chain-advancing passthroughs
-//!    ([`ServeFront::stage_block`], [`ServeFront::record_certs`],
-//!    [`ServeFront::advance_staged`]) bump the cache generation and
-//!    clear it wholesale, so no pre-advance proof can survive a height
-//!    advance by construction.
+//! 3. **Invalidation**: every answer comes from the SP's live indexes,
+//!    which only [`ServeFront::stage_block`] moves; it bumps the cache
+//!    generation and clears it wholesale, so no pre-stage proof can
+//!    survive a height advance by construction. [`ServeFront::advance`]
+//!    settles the staged block's certificates and changes no answer.
 //!
 //! The front is intentionally synchronous and single-threaded: all
 //! scheduling is driven by explicit virtual-clock ticks the caller reads
@@ -35,7 +35,7 @@ use std::sync::Arc;
 use dcert_chain::{Block, ChainError};
 use dcert_core::{Certificate, IndexInput};
 use dcert_obs::Registry;
-use dcert_query::ServiceProvider;
+use dcert_query::{ServiceProvider, SpError};
 use dcert_sgx::cost::timed;
 
 use crate::admission::{RateLimit, TokenBuckets, TokenGrant};
@@ -145,7 +145,7 @@ impl ServeFront {
     }
 
     /// The wrapped Service Provider (read-only: mutations must go
-    /// through the invalidating passthroughs).
+    /// through the passthroughs).
     pub fn sp(&self) -> &ServiceProvider {
         &self.sp
     }
@@ -175,7 +175,7 @@ impl ServeFront {
         self.cache.len()
     }
 
-    /// The cache generation (bumps on every invalidating passthrough).
+    /// The cache generation (bumps on every [`ServeFront::stage_block`]).
     pub fn cache_generation(&self) -> u64 {
         self.cache.generation()
     }
@@ -465,11 +465,11 @@ impl ServeFront {
     }
 
     // -----------------------------------------------------------------
-    // Invalidating passthroughs.
+    // Chain-advancing passthroughs.
     // -----------------------------------------------------------------
 
-    /// Stages a block into the SP (advancing the index height) and
-    /// invalidates the proof cache.
+    /// Stages a block into the SP (moving the live indexes every answer
+    /// comes from, and the index height) and invalidates the proof cache.
     ///
     /// # Errors
     ///
@@ -481,18 +481,22 @@ impl ServeFront {
         Ok(inputs)
     }
 
-    /// Records certificates for the last staged block and invalidates
-    /// the proof cache (the certified digests moved).
-    pub fn record_certs(&mut self, certs: &[Certificate]) {
-        self.sp.record_certs(certs);
-        self.invalidate();
+    /// Settles the staged block ([`ServiceProvider::advance`]). No answer
+    /// changes — only a stage moves the indexes — so the cache stays.
+    pub fn advance(&mut self, certs: Option<&[Certificate]>) -> Result<(), SpError> {
+        self.sp.advance(certs)
     }
 
-    /// Advances the staged digests without certificates (pipelined mode)
-    /// and invalidates the proof cache.
-    pub fn advance_staged(&mut self) {
-        self.sp.advance_staged();
-        self.invalidate();
+    /// Compatibility name `benchmark/driver` calls; leaves at ROADMAP
+    /// item 4(c).
+    pub fn record_certs(&mut self, certs: &[Certificate]) -> Result<(), SpError> {
+        self.advance(Some(certs))
+    }
+
+    /// Compatibility name `benchmark/driver` calls; leaves at ROADMAP
+    /// item 4(c).
+    pub fn advance_staged(&mut self) -> Result<(), SpError> {
+        self.advance(None)
     }
 
     fn invalidate(&mut self) {

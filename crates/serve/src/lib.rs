@@ -5,7 +5,7 @@
 //! request scheduler that *coalesces* identical in-flight queries into
 //! one backend call fanned out to every waiter, *caches* hot canonical
 //! `(results, proof)` payloads keyed by the query spec and invalidated
-//! wholesale whenever the certified height moves, and *bounds admission*
+//! wholesale whenever a staged block moves the indexes, and *bounds admission*
 //! with a fixed-capacity queue, a waiter-table cap, and per-client
 //! token-bucket rate limits — all on the simulation's virtual clock, so
 //! every scheduling decision replays bit-for-bit under a fixed seed.
@@ -60,6 +60,11 @@ mod tests {
 
     /// An SP over a short empty-block chain with all three index kinds.
     fn front_with(config: ServeConfig, blocks: u64) -> ServeFront {
+        front_and_miner(config, blocks).0
+    }
+
+    /// [`front_with`], plus the miner to extend its chain with.
+    fn front_and_miner(config: ServeConfig, blocks: u64) -> (ServeFront, FullNode) {
         let executor = Executor::new(Arc::new(ContractRegistry::new()));
         let engine: Arc<dyn ConsensusEngine> = Arc::new(ProofOfWork::new(1));
         let (genesis, state) = GenesisBuilder::new().timestamp(1_700_000_000).build();
@@ -78,9 +83,15 @@ mod tests {
         for height in 1..=blocks {
             let block = miner.mine(Vec::new(), height).expect("mines");
             front.stage_block(&block).expect("stages");
-            front.advance_staged();
+            front.advance(None).expect("settles");
         }
-        front
+        (front, miner)
+    }
+
+    /// Stages the miner's next (empty) block through `front`.
+    fn stage_next(front: &mut ServeFront, miner: &mut FullNode) {
+        let block = miner.mine(Vec::new(), miner.height() + 1).expect("mines");
+        front.stage_block(&block).expect("stages");
     }
 
     fn history_request(client: u64, id: u64) -> ServeRequest {
@@ -146,39 +157,37 @@ mod tests {
         assert_eq!(snapshot.counter("serve.cache_hits"), 1);
     }
 
-    /// Regression: every height-moving passthrough must clear the
-    /// op-window records along with the cache — a surviving record would
-    /// let a pre-advance proof answer a post-advance query.
+    /// Regression: the invalidating stage must clear the op-window records
+    /// along with the cache — a surviving record would let a pre-stage
+    /// proof answer a post-stage query. Settling the staged block changes
+    /// no answer, so the records recorded after the stage live on.
     #[test]
     fn op_window_records_die_with_every_invalidation() {
-        let mut front = front_with(ServeConfig::default(), 2);
+        let (mut front, mut miner) = front_and_miner(ServeConfig::default(), 2);
         front
             .submit(0, history_op_request(1, 1, 0, 100))
             .expect("admitted");
         front.pump(1, 16);
 
-        front.advance_staged();
+        stage_next(&mut front, &mut miner);
         let after = front
             .submit(2, history_op_request(2, 2, 10, 50))
             .expect("admitted");
         assert_eq!(
             after,
             Submitted::Enqueued { coalesced: false },
-            "a stale covering window must not answer after advance_staged"
+            "a stale covering window must not answer after a stage"
         );
         front.pump(3, 16);
 
-        // Same contract across record_certs (no certs staged → no-op on
-        // the SP, still a height-consistency barrier for the cache).
-        front
+        front.advance(None).expect("settles");
+        let after = front
             .submit(4, history_op_request(3, 3, 20, 40))
             .expect("admitted");
-        front.pump(5, 16);
-        front.record_certs(&[]);
-        let after = front
-            .submit(6, history_op_request(4, 4, 25, 30))
-            .expect("admitted");
-        assert_eq!(after, Submitted::Enqueued { coalesced: false });
+        assert!(
+            matches!(after, Submitted::CacheHit(_)),
+            "the window served after the stage still answers: {after:?}"
+        );
     }
 
     /// Regression: with `cache_capacity = 0` the pump evicted from an
@@ -277,7 +286,7 @@ mod tests {
 
     #[test]
     fn second_round_is_a_cache_hit_until_invalidated() {
-        let mut front = front_with(ServeConfig::default(), 2);
+        let (mut front, mut miner) = front_and_miner(ServeConfig::default(), 2);
         front.submit(0, history_request(1, 1)).expect("admitted");
         let first = front.pump(1, 16);
         let ServeWire::Response(fresh) = &first[0].1 else {
@@ -293,7 +302,7 @@ mod tests {
             other => panic!("expected cache hit, got {other:?}"),
         }
         let generation = front.cache_generation();
-        front.advance_staged();
+        stage_next(&mut front, &mut miner);
         assert_eq!(front.cache_generation(), generation + 1);
         assert_eq!(front.cached_entries(), 0, "invalidation clears the cache");
         assert_eq!(

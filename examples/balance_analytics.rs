@@ -44,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let block = world.mine(vec![tx]);
         let inputs = world.sp.stage_block(&block)?;
         let (block_cert, idx_certs, _) = world.ci.certify_hierarchical(&block, &inputs)?;
-        world.sp.record_certs(&idx_certs);
+        world.sp.advance(Some(&idx_certs))?;
         world.client.validate_chain(&block.header, &block_cert)?;
         world
             .client

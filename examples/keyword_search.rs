@@ -61,7 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             inputs[0].new_digest,
             &certs[0],
         )?;
-        world.sp.record_certs(&certs);
+        world.sp.advance(Some(&certs))?;
     }
     println!(
         "indexed {} blocks, {} distinct keywords, client height {}",

@@ -30,8 +30,8 @@ use dcert_chain::{
     Transaction,
 };
 use dcert_core::{
-    expected_measurement, CertBreakdown, Certificate, CertificateIssuer, ShardFleetConfig,
-    ShardedCertEngine, SuperlightClient,
+    expected_measurement, CertBreakdown, Certificate, CertificateIssuer, RecoverError,
+    ShardFleetConfig, ShardedCertEngine, SuperlightClient,
 };
 use dcert_obs::Registry;
 use dcert_primitives::codec::Encode;
@@ -44,6 +44,7 @@ use dcert_serve::{
     ServeRequest, ServeWire, Submitted,
 };
 use dcert_sgx::{AttestationService, CostModel};
+use dcert_store::Store;
 use dcert_vm::{Executor, StateKey};
 use dcert_workloads::kvstore::KvCall;
 use dcert_workloads::{blockbench_registry, ServeEvent, ServeQueryKind, Workload, WorkloadGen};
@@ -290,6 +291,17 @@ impl World {
         )
     }
 
+    /// A [`World::genesis_sp`] recovered from `store` under this world's
+    /// trust anchors; an empty store gives it persistence from genesis.
+    ///
+    /// # Errors
+    ///
+    /// See [`ServiceProvider::recover_from`].
+    pub fn recover_sp(&self, store: Box<dyn Store>) -> Result<ServiceProvider, RecoverError> {
+        self.genesis_sp()
+            .recover_from(&self.ias.public_key(), &expected_measurement(), store)
+    }
+
     /// A shard fleet on this world's chain, seeds and cost model: its
     /// aggregate stream is byte-identical to this world's CI's.
     pub fn fleet(&self, config: ShardFleetConfig) -> ShardedCertEngine {
@@ -394,7 +406,7 @@ impl World {
                         .ci
                         .certify_augmented(&block, &inputs)
                         .expect("certifies");
-                    self.sp.record_certs(&index_certs);
+                    self.sp.advance(Some(&index_certs)).expect("SP advances");
                     let first = index_certs.into_iter().next().expect("≥ 1 index");
                     (first, breakdown)
                 }
@@ -404,7 +416,7 @@ impl World {
                         .ci
                         .certify_hierarchical(&block, &inputs)
                         .expect("certifies");
-                    self.sp.record_certs(&index_certs);
+                    self.sp.advance(Some(&index_certs)).expect("SP advances");
                     (block_cert, breakdown)
                 }
             };
@@ -475,8 +487,8 @@ pub fn observe(sp: &ServiceProvider) -> Observation {
         .expect("inverted index");
     Observation {
         index_height: sp.index_height(),
-        history_digest: sp.certified_digest("history"),
-        inverted_digest: sp.certified_digest("inverted"),
+        history_digest: sp.digest("history"),
+        inverted_digest: sp.digest("inverted"),
         history_cert: sp.certificate("history").map(Encode::to_encoded_bytes),
         inverted_cert: sp.certificate("inverted").map(Encode::to_encoded_bytes),
         history_answer: encode_history_payload(&results, &proof),
@@ -493,11 +505,11 @@ pub fn kv_key(i: u64) -> StateKey {
 }
 
 /// Stages `block` through `front`, certifies it (augmented) on `ci` and
-/// records the certificates: the full invalidating write path.
+/// advances the SP with the certificates: the full write path.
 pub fn certify_into(ci: &mut CertificateIssuer, front: &mut ServeFront, block: &Block) {
     let inputs = front.stage_block(block).expect("block stages");
     let (certs, _) = ci.certify_augmented(block, &inputs).expect("certifies");
-    front.record_certs(&certs);
+    front.advance(Some(&certs)).expect("SP advances");
 }
 
 /// Maps a schedule event onto the [`SERVE_INDEXES`] at certified height
@@ -664,7 +676,7 @@ pub fn replay(
         }
         if i == half {
             front.stage_block(fresh).expect("the fresh block stages");
-            front.advance_staged();
+            front.advance(None).expect("the fresh block settles");
         }
         let id = i as u64;
         let request = ServeRequest {

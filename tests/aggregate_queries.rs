@@ -35,7 +35,7 @@ fn run(world: &mut World, blocks: u64) -> Vec<u64> {
         let block = world.miner.mine(vec![tx], height).unwrap();
         let inputs = world.sp.stage_block(&block).unwrap();
         let (block_cert, idx_certs, _) = world.ci.certify_hierarchical(&block, &inputs).unwrap();
-        world.sp.record_certs(&idx_certs);
+        world.sp.advance(Some(&idx_certs)).unwrap();
         world
             .client
             .validate_chain(&block.header, &block_cert)

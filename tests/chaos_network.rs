@@ -600,10 +600,7 @@ fn run_serve_chaos(seed: u64) -> ServeChaosRun {
     let server_rx = net.join();
     let client_rx = net.join();
 
-    let digest = front
-        .sp()
-        .certified_digest("history")
-        .expect("index certified");
+    let digest = front.sp().digest("history").expect("index certified");
     let mut answers: Vec<Option<(u64, Vec<u8>)>> = vec![None; SERVE_QUERIES];
     let mut id_to_query: HashMap<u64, usize> = HashMap::new();
     let mut orphaned = 0usize;

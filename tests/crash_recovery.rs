@@ -24,8 +24,8 @@ use std::time::Duration;
 use common::temp_dir;
 use dcert::chain::{Block, BlockHeader, ChainState, ConsensusEngine, FullNode};
 use dcert::core::{
-    expected_measurement, BlockInput, CertError, CertJob, CertPipeline, CertProgram, Certificate,
-    CertificateIssuer, EcallRequest, EcallResponse, Gossip, NetMessage, PipelineConfig, Transport,
+    BlockInput, CertError, CertJob, CertPipeline, CertProgram, Certificate, CertificateIssuer,
+    EcallRequest, EcallResponse, Gossip, NetMessage, PipelineConfig, Transport,
 };
 use dcert::obs::{Registry, Snapshot};
 use dcert::primitives::hash::Address;
@@ -297,9 +297,11 @@ fn sp_store_drill(label: &str) -> Snapshot {
     let mut world = World::pow(&indexes);
     let obs = Registry::new();
     let dir = temp_dir(label);
-    world.sp.attach_store(Box::new(
-        SegmentStore::open(StoreConfig::new(&dir).obs(obs.clone())).expect("drill store opens"),
-    ));
+    world.sp = world
+        .recover_sp(Box::new(
+            SegmentStore::open(StoreConfig::new(&dir).obs(obs.clone())).expect("drill store opens"),
+        ))
+        .expect("empty store");
 
     let blocks = world.mine_blocks(
         Workload::KvStore { keyspace: 16 },
@@ -313,19 +315,18 @@ fn sp_store_drill(label: &str) -> Snapshot {
             .ci
             .certify_augmented(block, &inputs)
             .expect("certifies");
-        world.sp.record_certs(&certs);
+        world.sp.advance(Some(&certs)).expect("advances");
     }
     assert!(
         world.sp.store_error().is_none(),
         "store poisoned during the run"
     );
-    let live_digest = world.sp.certified_digest("history");
+    let live_digest = world.sp.digest("history");
     let live_cert = world.sp.certificate("history").cloned();
 
     // Crash: the store dies with the process, mid-way through appending
     // the next record — half a frame header lands past the watermark.
     drop(world.sp.take_store());
-    world.sp = world.genesis_sp(); // the restarted process starts at genesis
     let seg = dir.join("seg-00000000.dcs");
     let mut bytes = std::fs::read(&seg).expect("segment readable");
     bytes.extend_from_slice(&[0xEE; 5]);
@@ -336,16 +337,12 @@ fn sp_store_drill(label: &str) -> Snapshot {
     let store =
         SegmentStore::open(StoreConfig::new(&dir).obs(obs.clone())).expect("torn tail recovers");
     assert_eq!(store.durable_height(), DRILL_CHAIN);
+    // The restarted process starts at genesis.
     let recovered = world
-        .sp
-        .recover_from(
-            &world.ias.public_key(),
-            &expected_measurement(),
-            Box::new(store),
-        )
+        .recover_sp(Box::new(store))
         .expect("recovered pages re-verify");
     assert_eq!(recovered.index_height(), DRILL_CHAIN);
-    assert_eq!(recovered.certified_digest("history"), live_digest);
+    assert_eq!(recovered.digest("history"), live_digest);
     assert_eq!(recovered.certificate("history").cloned(), live_cert);
 
     let snap = obs.snapshot();

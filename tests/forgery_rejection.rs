@@ -368,7 +368,7 @@ fn fused_fixture(height: u64) -> (CertProgram, BlockInput, Vec<IndexInput>, Worl
         let block = world.miner.mine(gen.next_block(4), below).unwrap();
         let inputs = world.sp.stage_block(&block).unwrap();
         let (block_cert, index_certs, _) = world.ci.certify_hierarchical(&block, &inputs).unwrap();
-        world.sp.record_certs(&index_certs);
+        world.sp.advance(Some(&index_certs)).unwrap();
         prev_cert = Some(block_cert);
     }
     let block = world.miner.mine(gen.next_block(4), height).unwrap();
@@ -807,9 +807,8 @@ fn staging_a_tracked_key_as_new_is_refused() {
         let first = keys.iter().zip(0..).map(|(key, nonce)| put(nonce, key));
         let block = world.miner.mine(first.collect(), 1).unwrap();
         let inputs = world.sp.stage_block(&block).unwrap();
-        world
-            .sp
-            .record_certs(&certify(&mut world.ci, &block, &inputs).unwrap());
+        let certs = certify(&mut world.ci, &block, &inputs).unwrap();
+        world.sp.advance(Some(&certs)).unwrap();
 
         // Block 2 writes the tracked key alone: its aux is one update and
         // the single-key upper proof the forger starts from.

@@ -49,6 +49,8 @@
 //! the wire format): empty the table, run the test, paste the table it
 //! prints.
 
+mod common;
+
 use std::sync::{Arc, Mutex};
 
 use dcert::chain::Block;
@@ -67,10 +69,10 @@ use dcert::serve::{
     encode_history_payload, QuerySpec, RefusalReason, ServeRefusal, ServeRequest, ServeResponse,
     ServeWire,
 };
-use dcert::store::MemStore;
+use dcert::store::{MemStore, SegmentStore, StoreConfig};
 use dcert::vm::StateKey;
 use dcert::workloads::Workload;
-use dcert::world::World;
+use dcert::world::{World, MEMO_INDEXES};
 
 /// Fixed insert sequence: seventeen rightmost appends (enough to split an
 /// order-16 leaf), two out-of-order inserts, one replacement.
@@ -429,7 +431,7 @@ fn sequential_stream(
                     .ci
                     .certify_augmented(block, &inputs)
                     .expect("certifies");
-                world.sp.record_certs(&index_certs);
+                world.sp.advance(Some(&index_certs)).expect("sp advances");
                 certs.extend(index_certs);
                 breakdowns.push(breakdown);
             }
@@ -441,7 +443,7 @@ fn sequential_stream(
                     .ci
                     .certify_hierarchical(block, &inputs)
                     .expect("certifies");
-                world.sp.record_certs(&index_certs);
+                world.sp.advance(Some(&index_certs)).expect("sp advances");
                 certs.push(block_cert);
                 certs.extend(index_certs);
                 breakdowns.push(breakdown);
@@ -463,7 +465,7 @@ fn pipelined_stream(
     world.ci.attach_obs(&registry);
     let mut stage = |block: &Block| -> Vec<IndexInput> {
         let inputs = world.sp.stage_block(block).expect("sp stages");
-        world.sp.advance_staged();
+        world.sp.advance(None).expect("sp settles");
         inputs
     };
     let jobs: Vec<CertJob> = match scheme {
@@ -967,4 +969,71 @@ const SERVE_GOLDEN: &[(&str, &str)] = &[
     ("serve/refusal/rate_limited", "020000000000000008010000000000000003"),
     ("serve/refusal/backlogged", "020000000000000008020000000000001000"),
     ("serve/refusal/unknown_index", "02000000000000000803"),
+];
+
+// --- the SP's store ------------------------------------------------------------
+//
+// `SP_STORE_GOLDEN` pins what a store-backed SP writes: its segment file
+// (the writes and keyword pages, `CertifiedEntry` framing included) and both
+// head slots (every index's committed digest and anchor, the height, the
+// commit sequence) after four memo blocks, certified hierarchically or
+// settled without certificates. Captured at commit 4994be4, where an SP had
+// a second way into persistence and two bookkeeping paths that each
+// committed the store; one `advance` per block must write the same bytes.
+
+/// Drives four memo blocks through a store-backed SP — `certified` hands it
+/// each block's index certificates, otherwise it settles each without — and
+/// pins every file of the store by its SHA-256 and length.
+fn sp_store_rows(certified: bool, out: &mut Vec<(String, String)>) {
+    let run = if certified {
+        "certified"
+    } else {
+        "uncertified"
+    };
+    let dir = common::temp_dir(run);
+    let mut world = World::pow(&MEMO_INDEXES);
+    let store = SegmentStore::open(StoreConfig::new(&dir)).expect("store opens");
+    world.sp = world.recover_sp(Box::new(store)).expect("empty store");
+    for block in world.mine_memos(4) {
+        let inputs = world.sp.stage_block(&block).expect("sp stages");
+        let certs = certified.then(|| {
+            let issued = world.ci.certify_hierarchical(&block, &inputs);
+            issued.expect("certifies").1
+        });
+        world.sp.advance(certs.as_deref()).expect("sp advances");
+    }
+    assert!(world.sp.store_error().is_none());
+    drop(world.sp.take_store());
+    let mut files: Vec<_> = std::fs::read_dir(&dir)
+        .expect("store dir readable")
+        .map(|entry| entry.expect("dir entry").path())
+        .collect();
+    files.sort();
+    for path in files {
+        let bytes = std::fs::read(&path).expect("file readable");
+        let name = path.file_name().expect("a file").to_string_lossy();
+        out.push((
+            format!("sp_store/{run}/{name}"),
+            format!("sha256={} len={}", hash_bytes(&bytes), bytes.len()),
+        ));
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn sp_store_reproduces_parent_commit_bytes() {
+    let mut out = Vec::new();
+    sp_store_rows(true, &mut out);
+    sp_store_rows(false, &mut out);
+    assert_golden(&out, SP_STORE_GOLDEN);
+}
+
+#[rustfmt::skip]
+const SP_STORE_GOLDEN: &[(&str, &str)] = &[
+    ("sp_store/certified/head-a.dch", "sha256=5d2e9e2b39895c2501de25c898fb31bd69ff675030c31a895b49ff90838992e4 len=830"),
+    ("sp_store/certified/head-b.dch", "sha256=ad19c27e5a5e43cbcadf8bd16398bebf6c1cbd9b535c69b503badf2e5ec559a2 len=830"),
+    ("sp_store/certified/seg-00000000.dcs", "sha256=d3aefaf525b9d43d9cd2de2702c956a8012114f7c9037bea76a47d22c5209e25 len=1393"),
+    ("sp_store/uncertified/head-a.dch", "sha256=e72b258bfebd74b6960a9b34e202001f9566fc2eab51fa14169119cced42a28a len=190"),
+    ("sp_store/uncertified/head-b.dch", "sha256=217066d13d62c3f574b77693cab0da580f899f46988afe0e6d5adffd711a7538 len=190"),
+    ("sp_store/uncertified/seg-00000000.dcs", "sha256=d3aefaf525b9d43d9cd2de2702c956a8012114f7c9037bea76a47d22c5209e25 len=1393"),
 ];

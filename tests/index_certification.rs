@@ -3,14 +3,14 @@
 
 use std::sync::Arc;
 
-use dcert::chain::Block;
+use dcert::chain::{Block, ChainError};
 use dcert::core::{
     CertError, CertJob, CertPipeline, Certificate, Gossip, IndexInput, PipelineConfig,
 };
 use dcert::primitives::hash::hash_bytes;
 use dcert::query::sp::IndexKind;
 use dcert::workloads::{Workload, WorkloadGen};
-use dcert::world::World;
+use dcert::world::{assert_bytes_equal, observe, World, MEMO_INDEXES};
 
 fn kv_gen() -> WorkloadGen {
     WorkloadGen::new(Workload::KvStore { keyspace: 32 }, 8, 99)
@@ -30,7 +30,7 @@ fn augmented_scheme_certifies_multi_block_chain() {
         assert_eq!(certs.len(), 2);
         // One full-replay ECall per index.
         assert_eq!(breakdown.ecalls, 2);
-        world.sp.record_certs(&certs);
+        world.sp.advance(Some(&certs)).unwrap();
     }
     assert_eq!(world.sp.height(), 6);
 }
@@ -51,7 +51,7 @@ fn hierarchical_scheme_certifies_multi_block_chain() {
         assert_eq!(idx_certs.len(), 2);
         // One crossing: the block certificate and both index certificates.
         assert_eq!(breakdown.ecalls, 1);
-        world.sp.record_certs(&idx_certs);
+        world.sp.advance(Some(&idx_certs)).unwrap();
         last = Some((block, block_cert, idx_certs, inputs));
     }
     // The superlight client adopts the chain and both indexes.
@@ -93,8 +93,8 @@ fn augmented_and_hierarchical_agree_on_digests() {
         let (_, certs_h, _) = world_h.ci.certify_hierarchical(&block_h, &in_h).unwrap();
         // Same certified digest in both schemes.
         assert_eq!(certs_a[0].digest, certs_h[0].digest);
-        world_a.sp.record_certs(&certs_a);
-        world_h.sp.record_certs(&certs_h);
+        world_a.sp.advance(Some(&certs_a)).unwrap();
+        world_h.sp.advance(Some(&certs_h)).unwrap();
     }
 }
 
@@ -149,7 +149,7 @@ fn stale_prev_index_cert_rejected() {
     let b1 = world.miner.mine(gen.next_block(2), 1).unwrap();
     let in1 = world.sp.stage_block(&b1).unwrap();
     let (certs1, _) = world.ci.certify_augmented(&b1, &in1).unwrap();
-    world.sp.record_certs(&certs1);
+    world.sp.advance(Some(&certs1)).unwrap();
     // Block 2: present block-1's *pre* digest with block-1's cert (stale
     // lineage — the cert certifies a different digest pairing).
     let b2 = world.miner.mine(gen.next_block(2), 2).unwrap();
@@ -186,7 +186,7 @@ fn five_indexes_certify_hierarchically() {
             world.ci.certify_hierarchical(&block, &inputs).unwrap();
         assert_eq!(certs.len(), 5);
         assert_eq!(breakdown.ecalls, 1);
-        world.sp.record_certs(&certs);
+        world.sp.advance(Some(&certs)).unwrap();
         let _ = block_cert;
     }
 }
@@ -227,7 +227,7 @@ fn clean_run(blocks: &[Block]) -> Vec<(Certificate, Vec<Certificate>, Vec<IndexI
     let certify = |block| {
         let inputs = world.sp.stage_block(block).unwrap();
         let (block_cert, index_certs, _) = world.ci.certify_hierarchical(block, &inputs).unwrap();
-        world.sp.record_certs(&index_certs);
+        world.sp.advance(Some(&index_certs)).unwrap();
         (block_cert, index_certs, inputs)
     };
     blocks.iter().map(certify).collect()
@@ -305,5 +305,76 @@ fn hierarchical_over_no_index_is_the_block_certificate() {
         assert_eq!(block_cert, expected);
         assert!(index_certs.is_empty());
         assert_eq!(breakdown.ecalls, 1);
+    }
+}
+
+// --- what the SP does between a stage and its advance ---------------------------
+
+/// `stage_block` leaves a staged block behind until `advance`; a second
+/// stage chains from the first one's digests. The CI certifies both blocks
+/// from the SP's inputs, and the SP that advances once, after the second,
+/// ends where a twin that advanced after each block does.
+#[test]
+fn a_second_stage_before_advance_chains_from_the_first() {
+    let mut world = World::pow(&MEMO_INDEXES);
+    let mut twin = World::pow(&MEMO_INDEXES);
+    let blocks = world.mine_memos(2);
+    let staged: Vec<Vec<IndexInput>> = blocks
+        .iter()
+        .map(|block| world.sp.stage_block(block).expect("stages"))
+        .collect();
+    let (mut stream, mut twin_stream) = (Vec::new(), Vec::new());
+    let mut last = Vec::new();
+    for (block, inputs) in blocks.iter().zip(&staged) {
+        let (block_cert, index_certs, _) = world
+            .ci
+            .certify_hierarchical(block, inputs)
+            .expect("the CI certifies from the SP's inputs");
+        stream.push(block_cert);
+        stream.extend(index_certs.iter().cloned());
+        last = index_certs;
+
+        let inputs = twin.sp.stage_block(block).expect("twin stages");
+        let (block_cert, index_certs, _) = twin.ci.certify_hierarchical(block, &inputs).unwrap();
+        twin.sp.advance(Some(&index_certs)).expect("twin advances");
+        twin_stream.push(block_cert);
+        twin_stream.extend(index_certs);
+    }
+    world
+        .sp
+        .advance(Some(&last))
+        .expect("block 2's certificates land");
+    assert_bytes_equal(&twin_stream, &stream, "two stages, one advance");
+    assert_eq!(observe(&world.sp), observe(&twin.sp));
+}
+
+/// A reorg under the SP: a sibling of its tip and a block on that sibling
+/// are both refused as a typed [`ChainError`] before they touch an index,
+/// and the SP answers as a twin that never saw them.
+#[test]
+fn a_fork_block_under_the_sp_is_refused_typed() {
+    let mut world = World::pow(&MEMO_INDEXES);
+    let mut twin = world.genesis_sp();
+    let mut blocks = world.mine_memos(1);
+    let mut fork_miner = world.miner.clone();
+    blocks.extend(world.mine_memos(1));
+    for block in &blocks {
+        let inputs = world.sp.stage_block(block).expect("stages");
+        twin.stage_block(block).expect("twin stages");
+        let (index_certs, _) = world.ci.certify_augmented(block, &inputs).unwrap();
+        world.sp.advance(Some(&index_certs)).expect("advances");
+        twin.advance(Some(&index_certs)).expect("twin advances");
+    }
+    let sibling = fork_miner.mine(Vec::new(), 2).expect("mines the fork");
+    let child = fork_miner.mine(Vec::new(), 3).expect("extends the fork");
+    for fork in [&sibling, &child] {
+        let refused = world.sp.stage_block(fork);
+        assert!(
+            matches!(refused, Err(ChainError::BrokenLink { .. })),
+            "height {}: {refused:?}",
+            fork.header.height
+        );
+        assert_eq!(world.sp.advance(None), Ok(()), "nothing was staged");
+        assert_eq!(observe(&world.sp), observe(&twin));
     }
 }

@@ -163,14 +163,11 @@ fn certify(
     })
 }
 
-/// Moves the SP past the block it staged; the block-only scheme leaves it
-/// no certificates to record.
+/// Moves the SP past the block it staged, with the index certificates
+/// when the scheme issued any (the block-only scheme issues none).
 fn record(sp: &mut ServiceProvider, (_, index_certs): &Issued) {
-    if index_certs.is_empty() {
-        sp.advance_staged();
-    } else {
-        sp.record_certs(index_certs);
-    }
+    let certs = Some(&index_certs[..]).filter(|certs| !certs.is_empty());
+    sp.advance(certs).expect("sp advances");
 }
 
 #[test]

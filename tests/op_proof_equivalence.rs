@@ -102,7 +102,7 @@ fn certified_front(config: ServeConfig) -> (ServeFront, Hash) {
     for block in &blocks {
         certify_into(&mut world.ci, &mut front, block);
     }
-    let digest = front.sp().certified_digest("history").expect("certified");
+    let digest = front.sp().digest("history").expect("certified");
     (front, digest)
 }
 
@@ -120,7 +120,7 @@ fn prop_both_spec_kinds_are_served_identical_payloads_that_verify() {
         cache_capacity: 0,
         ..ServeConfig::default()
     });
-    let ad = front.sp().certified_digest("agg").expect("certified");
+    let ad = front.sp().digest("agg").expect("certified");
     let front = RefCell::new(front);
     check("prop_both_spec_kinds_are_served_identical", 48, |g| {
         let (probe, a, b) = (g.range(0u64..10), g.range(0u64..5), g.range(0u64..5));

@@ -151,7 +151,7 @@ fn run_sequential(
                 let (certs, _) = ci
                     .certify_augmented(block, &inputs)
                     .expect("augmented certifies");
-                sp.record_certs(&certs);
+                sp.advance(Some(&certs)).expect("sp advances");
                 for (input, cert) in inputs.iter().zip(certs) {
                     events.push(Event::Index {
                         header: block.header.clone(),
@@ -168,7 +168,7 @@ fn run_sequential(
                 let (block_cert, index_certs, _) = ci
                     .certify_hierarchical(block, &inputs)
                     .expect("hierarchical certifies");
-                sp.record_certs(&index_certs);
+                sp.advance(Some(&index_certs)).expect("sp advances");
                 events.push(Event::Block {
                     header: block.header.clone(),
                     cert: block_cert,
@@ -190,7 +190,7 @@ fn run_sequential(
 /// Materialises the plan into pipeline jobs. Indexed jobs carry the SP's
 /// staged inputs; their `prev_cert` fields are left for the issuer stage
 /// to set (the certificates do not exist yet at submission time), so
-/// the SP only advances its digest bookkeeping.
+/// the SP settles each block without them.
 fn build_jobs(sp: &mut ServiceProvider, plan: &Plan, blocks: &[Block]) -> Vec<CertJob> {
     match plan {
         Plan::PlainMix(shapes) => {
@@ -211,7 +211,7 @@ fn build_jobs(sp: &mut ServiceProvider, plan: &Plan, blocks: &[Block]) -> Vec<Ce
             .iter()
             .map(|block| {
                 let indexes = sp.stage_block(block).expect("sp stages");
-                sp.advance_staged();
+                sp.advance(None).expect("sp settles");
                 CertJob::Augmented {
                     block: block.clone(),
                     indexes,
@@ -222,7 +222,7 @@ fn build_jobs(sp: &mut ServiceProvider, plan: &Plan, blocks: &[Block]) -> Vec<Ce
             .iter()
             .map(|block| {
                 let indexes = sp.stage_block(block).expect("sp stages");
-                sp.advance_staged();
+                sp.advance(None).expect("sp settles");
                 CertJob::Hierarchical {
                     block: block.clone(),
                     indexes,
@@ -472,7 +472,7 @@ fn attached_registry_is_behaviourally_inert() {
 /// survive both hand-overs: the pipeline's first request chains from the
 /// certificates issued sequentially before `spawn`, and the last
 /// sequential request from the ones the pipeline issued — even though the
-/// SP, which only saw `advance_staged` meanwhile, stages a stale
+/// SP, which only saw `advance(None)` meanwhile, stages a stale
 /// `prev_cert`. The five-block stream equals the all-sequential one byte
 /// for byte.
 fn assert_handover_keeps_chains(plan_for: fn(usize) -> Plan) {
@@ -1054,8 +1054,8 @@ fn prop_replicas_are_deterministic() {
             // does every signed byte.
             assert_eq!(ca[0].digest, cb[0].digest);
             assert_eq!(ca, cb);
-            wa.sp.record_certs(&ca);
-            wb.sp.record_certs(&cb);
+            wa.sp.advance(Some(&ca)).unwrap();
+            wb.sp.advance(Some(&cb)).unwrap();
         }
     });
 }

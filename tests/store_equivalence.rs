@@ -45,8 +45,8 @@ fn drive(world: &mut World, sp_mem: &mut ServiceProvider, blocks: &[Block]) {
             .ci
             .certify_augmented(block, &inputs_seg)
             .expect("certifies");
-        sp_mem.record_certs(&certs);
-        world.sp.record_certs(&certs);
+        sp_mem.advance(Some(&certs)).expect("oracle advances");
+        world.sp.advance(Some(&certs)).expect("segment SP advances");
         assert!(sp_mem.store_error().is_none(), "height {height}");
         assert!(world.sp.store_error().is_none(), "height {height}");
         assert_eq!(
@@ -91,11 +91,14 @@ fn dir_image(dir: &Path) -> Vec<(String, Vec<u8>)> {
 /// final observation and both stores (mem oracle, segment).
 fn dual_run(dir: &Path) -> (Observation, Box<dyn Store>, Box<dyn Store>) {
     let mut world = World::pow(&MEMO_INDEXES);
-    let mut sp_mem = world.genesis_sp();
-    sp_mem.attach_store(Box::new(MemStore::new()));
-    world.sp.attach_store(Box::new(
-        SegmentStore::open(StoreConfig::new(dir)).expect("segment store opens"),
-    ));
+    let mut sp_mem = world
+        .recover_sp(Box::new(MemStore::new()))
+        .expect("empty store");
+    world.sp = world
+        .recover_sp(Box::new(
+            SegmentStore::open(StoreConfig::new(dir)).expect("segment store opens"),
+        ))
+        .expect("empty store");
     let blocks = world.mine_memos(BLOCKS);
     drive(&mut world, &mut sp_mem, &blocks);
     let tip = observe(&world.sp);

@@ -23,11 +23,11 @@ use std::sync::OnceLock;
 
 use common::temp_dir;
 use dcert::chain::Block;
-use dcert::core::expected_measurement;
+use dcert::core::{expected_measurement, CertError};
 use dcert::primitives::codec::Encode;
 use dcert::primitives::hash::{hash_bytes, Hash};
-use dcert::primitives::keys::PublicKey;
-use dcert::query::{CertifiedEntry, ServiceProvider};
+use dcert::primitives::keys::{PublicKey, Signature};
+use dcert::query::{CertifiedEntry, ServiceProvider, SpError};
 use dcert::store::head::{HEAD_SLOT_A, HEAD_SLOT_B};
 use dcert::store::{MemStore, SegmentStore, Store, StoreConfig, StoreError};
 use dcert::workloads::Workload;
@@ -84,8 +84,8 @@ fn drive(world: &mut World, sp_mem: &mut ServiceProvider, blocks: &[Block], dir:
             .ci
             .certify_augmented(block, &inputs_seg)
             .expect("certifies");
-        sp_mem.record_certs(&certs);
-        world.sp.record_certs(&certs);
+        sp_mem.advance(Some(&certs)).expect("oracle advances");
+        world.sp.advance(Some(&certs)).expect("segment SP advances");
         assert!(sp_mem.store_error().is_none(), "height {height}");
         assert!(world.sp.store_error().is_none(), "height {height}");
 
@@ -109,14 +109,22 @@ fn drive(world: &mut World, sp_mem: &mut ServiceProvider, blocks: &[Block], dir:
     golden
 }
 
-fn build_golden() -> Golden {
+/// The world's SP and a MemStore oracle beside it, both on empty stores;
+/// the world's writes its segment files into `dir`.
+fn stored_world(dir: &Path) -> (World, ServiceProvider) {
     let mut world = World::pow(&MEMO_INDEXES);
-    let mut sp_mem = world.genesis_sp();
-    sp_mem.attach_store(Box::new(MemStore::new()));
+    let sp_mem = world.recover_sp(Box::new(MemStore::new()));
+    world.sp = world
+        .recover_sp(Box::new(
+            SegmentStore::open(StoreConfig::new(dir)).expect("store opens"),
+        ))
+        .expect("empty store");
+    (world, sp_mem.expect("empty store"))
+}
+
+fn build_golden() -> Golden {
     let dir = temp_dir("recovery-golden");
-    world.sp.attach_store(Box::new(
-        SegmentStore::open(StoreConfig::new(&dir)).expect("golden store opens"),
-    ));
+    let (mut world, mut sp_mem) = stored_world(&dir);
     let blocks = world.mine_memos(GOLDEN_BLOCKS);
     let golden = drive(&mut world, &mut sp_mem, &blocks, &dir);
     drop(world);
@@ -385,7 +393,7 @@ fn resync_after_recovery_converges_on_the_oracle() {
                 .ci
                 .certify_augmented(block, &inputs_oracle)
                 .expect("certifies");
-            world.sp.record_certs(&certs);
+            world.sp.advance(Some(&certs)).expect("oracle advances");
             if height <= watermark {
                 assert!(
                     inputs_rec.is_empty(),
@@ -393,7 +401,7 @@ fn resync_after_recovery_converges_on_the_oracle() {
                 );
             } else {
                 assert_eq!(inputs_rec.len(), inputs_oracle.len());
-                sp_rec.record_certs(&certs);
+                sp_rec.advance(Some(&certs)).expect("recovered SP advances");
             }
         }
         assert!(sp_rec.store_error().is_none(), "watermark {watermark}");
@@ -428,13 +436,8 @@ fn kill_point_identity_over_schedules() {
     check("kill_point_identity_over_schedules", 5, |draw| {
         let (blocks, txs) = (draw.range(1usize..=3), draw.range(1usize..=2));
         let (seed, kill_permille) = (draw.one_of(&CHAOS_SEEDS), draw.range(0usize..=1000));
-        let mut world = World::pow(&MEMO_INDEXES);
-        let mut sp_mem = world.genesis_sp();
-        sp_mem.attach_store(Box::new(MemStore::new()));
         let dir = temp_dir("schedule");
-        world.sp.attach_store(Box::new(
-            SegmentStore::open(StoreConfig::new(&dir)).expect("schedule store opens"),
-        ));
+        let (mut world, mut sp_mem) = stored_world(&dir);
         let mined = world.mine_blocks(Workload::KvStore { keyspace: 16 }, blocks, txs, seed);
         let g = drive(&mut world, &mut sp_mem, &mined, &dir);
         drop(world.sp.take_store());
@@ -452,4 +455,66 @@ fn kill_point_identity_over_schedules() {
         assert_eq!(observe(&sp), g.expected[commit].clone());
         std::fs::remove_dir_all(&scratch).ok();
     });
+}
+
+/// Every file in a store directory, sorted by name, with its bytes.
+fn dir_image(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+        .expect("store dir readable")
+        .map(|entry| {
+            let entry = entry.expect("dir entry");
+            let bytes = std::fs::read(entry.path()).expect("file readable");
+            (entry.file_name().to_string_lossy().into_owned(), bytes)
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// A store-backed SP checks an index certificate before it persists it.
+/// An honest block's certificates with one signature byte flipped are
+/// refused, typed, leaving the SP's answers and its segment directory
+/// byte-identical to a twin that never saw the forgery; the honest list
+/// then lands and the store reopens — a persisted forgery would refuse
+/// the whole store at the restart.
+#[test]
+fn a_forged_certificate_is_refused_before_it_reaches_the_store() {
+    let (dir, twin_dir) = (temp_dir("forged-cert"), temp_dir("forged-twin"));
+    let open = |dir: &Path| Box::new(SegmentStore::open(StoreConfig::new(dir)).expect("opens"));
+    let (mut world, _) = stored_world(&dir);
+    let mut twin = world.recover_sp(open(&twin_dir)).expect("empty store");
+    let block = world.mine_memos(1).remove(0);
+    let inputs = world.sp.stage_block(&block).expect("stages");
+    twin.stage_block(&block).expect("twin stages");
+    let (certs, _) = world
+        .ci
+        .certify_augmented(&block, &inputs)
+        .expect("certifies");
+    let mut forged = certs.clone();
+    let mut signature = forged[0].signature.to_array();
+    signature[0] ^= 1;
+    forged[0].signature = Signature::from_bytes(signature);
+
+    let refused = world.sp.advance(Some(&forged));
+    let bad_signature = SpError::Cert {
+        index: "history".to_owned(),
+        error: CertError::BadSignature,
+    };
+    assert_eq!(refused, Err(bad_signature));
+    assert_eq!(observe(&world.sp), observe(&twin), "refused: as the twin");
+    assert_eq!(dir_image(&dir), dir_image(&twin_dir));
+
+    world
+        .sp
+        .advance(Some(&certs))
+        .expect("the honest list lands");
+    twin.advance(Some(&certs)).expect("twin advances");
+    drop((world.sp.take_store(), twin.take_store()));
+    assert_eq!(dir_image(&dir), dir_image(&twin_dir));
+    let reopened = world.recover_sp(open(&dir)).expect("the store reopens");
+    assert_eq!(observe(&reopened), observe(&twin));
+    assert_eq!(reopened.certificate("history"), Some(&certs[0]));
+    for dir in [dir, twin_dir] {
+        std::fs::remove_dir_all(dir).ok();
+    }
 }

@@ -38,7 +38,7 @@ fn run_scenario(world: &mut World, blocks: u64) {
         let block = world.miner.mine(vec![tx], height).unwrap();
         let inputs = world.sp.stage_block(&block).unwrap();
         let (block_cert, idx_certs, _) = world.ci.certify_hierarchical(&block, &inputs).unwrap();
-        world.sp.record_certs(&idx_certs);
+        world.sp.advance(Some(&idx_certs)).unwrap();
 
         // The client follows along (in reality it would only fetch the
         // latest certificate).
@@ -213,7 +213,7 @@ fn baseline_lineage_index_agrees_on_results() {
         lineage.apply_block(height, &writes);
         let inputs = world.sp.stage_block(&block).unwrap();
         let (certs, _) = world.ci.certify_augmented(&block, &inputs).unwrap();
-        world.sp.record_certs(&certs);
+        world.sp.advance(Some(&certs)).unwrap();
     }
 
     let (dcert_results, _) = world
