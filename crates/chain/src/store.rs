@@ -12,9 +12,9 @@ use crate::validity::check_height;
 /// the longest-chain rule (height, ties broken by smaller digest for
 /// determinism).
 ///
-/// This is the header-level view that both the traditional light client
-/// baseline and fork/chain-selection tests build on; full block bodies live
-/// with [`FullNode`](crate::FullNode).
+/// This is the header-level view the fork/chain-selection tests and the
+/// `fork_resolution` example build on; full block bodies live with
+/// [`FullNode`](crate::FullNode).
 #[derive(Debug, Clone)]
 pub struct ChainStore {
     headers: HashMap<Hash, BlockHeader>,

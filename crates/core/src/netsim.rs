@@ -505,10 +505,6 @@ impl Transport for SimNet {
         state.sync_obs();
         scheduled
     }
-
-    fn subscriber_count(&self) -> usize {
-        self.state.lock().endpoints.len()
-    }
 }
 
 #[cfg(test)]

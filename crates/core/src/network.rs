@@ -110,9 +110,6 @@ pub trait Transport: Send + Sync {
     /// Broadcasts a message; returns the number of subscribers it was
     /// delivered (or scheduled for delivery) to.
     fn publish(&self, message: NetMessage) -> usize;
-
-    /// Number of subscribers believed live.
-    fn subscriber_count(&self) -> usize;
 }
 
 /// A broadcast gossip bus: every published message reaches every
@@ -152,14 +149,6 @@ impl Gossip {
         subs.retain(|tx| tx.send(message.clone()).is_ok());
         subs.len()
     }
-
-    /// Number of live subscribers as of the last publish (senders cannot
-    /// observe a dropped receiver without sending, so subscribers that
-    /// disconnected since then are counted until the next publish prunes
-    /// them).
-    pub fn subscriber_count(&self) -> usize {
-        self.subscribers.lock().len()
-    }
 }
 
 impl Transport for Gossip {
@@ -169,10 +158,6 @@ impl Transport for Gossip {
 
     fn publish(&self, message: NetMessage) -> usize {
         Gossip::publish(self, message)
-    }
-
-    fn subscriber_count(&self) -> usize {
-        Gossip::subscriber_count(self)
     }
 }
 
@@ -411,10 +396,6 @@ impl<T: Transport + ?Sized> Transport for CertArchive<T> {
         }
         self.inner.publish(message)
     }
-
-    fn subscriber_count(&self) -> usize {
-        self.inner.subscriber_count()
-    }
 }
 
 #[cfg(test)]
@@ -474,10 +455,10 @@ mod tests {
         let rx = bus.join();
         drop(rx);
         let _rx2 = bus.join();
-        assert_eq!(bus.subscriber_count(), 2);
-        // The dead subscriber is pruned and does not count as a delivery.
+        // The dead subscriber is pruned and does not count as a delivery,
+        // on this publish or any later one.
         assert_eq!(bus.publish(NetMessage::Shutdown), 1);
-        assert_eq!(bus.subscriber_count(), 1);
+        assert_eq!(bus.publish(NetMessage::Shutdown), 1);
     }
 
     #[test]
@@ -487,7 +468,6 @@ mod tests {
         let rx = bus.join();
         drop(rx);
         assert_eq!(bus.publish(NetMessage::Shutdown), 0);
-        assert_eq!(bus.subscriber_count(), 0);
     }
 
     #[test]

@@ -171,23 +171,6 @@ impl InvertedIndex {
         }
     }
 
-    /// Answers a **disjunctive** keyword query ("w1 OR w2 OR ..."),
-    /// returning the union of matching transaction ids (first-seen order)
-    /// and a proof. Verified by [`verify_keywords_any`].
-    pub fn query_any(&self, keywords: &[&str]) -> (Vec<Hash>, KeywordProof) {
-        let (_, proof) = self.query(keywords);
-        let mut seen = std::collections::HashSet::new();
-        let mut result = Vec::new();
-        for (_, list) in &proof.lists {
-            for id in list {
-                if seen.insert(*id) {
-                    result.push(*id);
-                }
-            }
-        }
-        (result, proof)
-    }
-
     /// Answers a conjunctive keyword query ("w1 AND w2 AND ..."),
     /// returning the matching transaction ids and a proof.
     pub fn query(&self, keywords: &[&str]) -> (Vec<Hash>, KeywordProof) {
@@ -345,41 +328,19 @@ impl Decode for KeywordProof {
     }
 }
 
-/// Client-side verification of a **disjunctive** keyword query result
-/// (the union across keywords) against the certified index digest.
+/// Client-side verification of a conjunctive keyword query result against
+/// the certified index digest.
 ///
 /// # Errors
 ///
 /// [`QueryError`] describing the first failed check.
-pub fn verify_keywords_any(
+pub fn verify_keywords(
     digest: &Hash,
     keywords: &[&str],
     result: &[Hash],
     proof: &KeywordProof,
 ) -> Result<(), QueryError> {
-    verify_posting_lists(digest, keywords, proof)?;
-    let mut seen = std::collections::HashSet::new();
-    let mut recomputed = Vec::new();
-    for (_, list) in &proof.lists {
-        for id in list {
-            if seen.insert(*id) {
-                recomputed.push(*id);
-            }
-        }
-    }
-    if recomputed != result {
-        return Err(QueryError::ResultMismatch("union mismatch"));
-    }
-    Ok(())
-}
-
-/// Shared core: authenticate every posting list in `proof` for exactly the
-/// queried keyword set against the certified digest.
-fn verify_posting_lists(
-    digest: &Hash,
-    keywords: &[&str],
-    proof: &KeywordProof,
-) -> Result<(), QueryError> {
+    // Authenticate every posting list, for exactly the queried keyword set.
     let mut normalized: Vec<String> = keywords.iter().map(|k| k.to_ascii_lowercase()).collect();
     normalized.sort_unstable();
     normalized.dedup();
@@ -405,22 +366,6 @@ fn verify_posting_lists(
             return Err(QueryError::ResultMismatch("posting list mismatch"));
         }
     }
-    Ok(())
-}
-
-/// Client-side verification of a conjunctive keyword query result against
-/// the certified index digest.
-///
-/// # Errors
-///
-/// [`QueryError`] describing the first failed check.
-pub fn verify_keywords(
-    digest: &Hash,
-    keywords: &[&str],
-    result: &[Hash],
-    proof: &KeywordProof,
-) -> Result<(), QueryError> {
-    verify_posting_lists(digest, keywords, proof)?;
     // Recompute the intersection.
     let recomputed: Vec<Hash> = match proof.lists.split_first() {
         None => Vec::new(),
@@ -538,26 +483,6 @@ mod tests {
         verify_keywords(&digest, &["stock", "bank"], &result, &proof).unwrap();
         // Order/case-insensitive on the client side too.
         verify_keywords(&digest, &["BANK", "Stock"], &result, &proof).unwrap();
-    }
-
-    #[test]
-    fn disjunctive_query_verifies_union() {
-        let mut index = InvertedIndex::new("inverted");
-        let b1 = memo_block(1, &["stock only", "bank only", "neither word"]);
-        index.apply_block(&b1);
-        let digest = index.digest();
-        let (result, proof) = index.query_any(&["stock", "bank"]);
-        assert_eq!(result.len(), 2);
-        assert!(result.contains(&b1.txs[0].id()));
-        assert!(result.contains(&b1.txs[1].id()));
-        verify_keywords_any(&digest, &["stock", "bank"], &result, &proof).unwrap();
-
-        // Omitting a union member is caught.
-        let mut hidden = result.clone();
-        hidden.pop();
-        assert!(verify_keywords_any(&digest, &["stock", "bank"], &hidden, &proof).is_err());
-        // And the union result does not pass the conjunctive verifier.
-        assert!(verify_keywords(&digest, &["stock", "bank"], &result, &proof).is_err());
     }
 
     #[test]

@@ -47,8 +47,9 @@ pub mod two_level;
 pub use aggregate::{AggQueryProof, AggregateIndex, AggregateVerifier};
 pub use error::{QueryError, SpError};
 pub use history::{HistoryIndex, HistoryProof, HistoryVerifier};
-pub use inverted::{extract_keywords, InvertedIndex, InvertedVerifier, KeywordProof};
-pub use inverted::{verify_keywords, verify_keywords_any};
+pub use inverted::{
+    extract_keywords, verify_keywords, InvertedIndex, InvertedVerifier, KeywordProof,
+};
 pub use sp::{
     CertifiedEntry, KeywordPage, ServiceProvider, WritesPage, SP_CERT_PREFIX, SP_HEIGHT_KEY,
 };

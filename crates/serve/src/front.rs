@@ -5,7 +5,8 @@
 //!
 //! 1. **Admission** ([`ServeFront::submit`]): a per-client token bucket
 //!    on the virtual clock sheds abusive clients, then the proof cache
-//!    answers hot queries without touching the queue, then the request
+//!    answers a query it holds *exactly* (same kind, index, key and
+//!    window) without touching the queue, then the request
 //!    either *coalesces* onto an identical in-flight query or claims a
 //!    new slot in the fixed-capacity queue. Every shed is a typed
 //!    [`ServeRefusal`] returned synchronously — never a silent drop.
@@ -42,9 +43,8 @@ use crate::admission::{RateLimit, TokenBuckets, TokenGrant};
 use crate::cache::ProofCache;
 use crate::metrics::ServeMetrics;
 use crate::wire::{
-    decode_history_payload, encode_aggregate_payload, encode_history_payload,
-    encode_keyword_payload, QuerySpec, RefusalReason, ServeRefusal, ServeRequest, ServeResponse,
-    ServeWire,
+    encode_aggregate_payload, encode_history_payload, encode_keyword_payload, QuerySpec,
+    RefusalReason, ServeRefusal, ServeRequest, ServeResponse, ServeWire,
 };
 
 /// Capacity and rate-limit policy for a [`ServeFront`].
@@ -106,19 +106,6 @@ pub struct ServeFront {
     /// The waiters parked on each pending spec.
     pending: HashMap<QuerySpec, Vec<Waiter>>,
     parked_waiters: usize,
-    /// The [`QuerySpec::HistoryOp`] specs the cache holds an answer for,
-    /// in insertion order. A later `HistoryOp` whose window is *contained*
-    /// in one of them is answered by narrowing the cached answer: the
-    /// proof for `[t1, t2]` verifies any sub-window, so only the result
-    /// rows need filtering — no backend call, no new proof. Narrowing is
-    /// keyed to this one kind: the list is scanned linearly on every miss,
-    /// a cost `History` traffic — in practice whole-history windows, which
-    /// never narrow — does not pay. (Aggregate answers cannot be narrowed
-    /// at all: their proofs prune `Inside` subtrees to bare annotations,
-    /// which do not re-verify for a narrower window.) Cleared wholesale
-    /// with every cache invalidation: a window must never outlive the
-    /// generation its answer was served in.
-    op_windows: Vec<QuerySpec>,
     metrics: ServeMetrics,
 }
 
@@ -134,7 +121,6 @@ impl ServeFront {
             arrival_order: VecDeque::new(),
             pending: HashMap::new(),
             parked_waiters: 0,
-            op_windows: Vec::new(),
             metrics: ServeMetrics::disabled(),
         }
     }
@@ -213,22 +199,6 @@ impl ServeFront {
                 certified_height: cached.certified_height,
                 payload: Arc::clone(&cached.payload),
             }));
-        }
-
-        if let Some(narrowed) = self.answer_from_covering_window(&request.query) {
-            self.metrics.window_hits.inc();
-            self.metrics.wait_ticks.observe(0);
-            self.metrics
-                .payload_bytes
-                .observe(narrowed.payload.len() as u64);
-            let hit = ServeResponse {
-                id: request.id,
-                ..narrowed.clone()
-            };
-            // The narrowed answer is a first-class cache entry: the next
-            // identical request hits it directly.
-            self.cache.insert(request.query, narrowed);
-            return Ok(Submitted::CacheHit(hit));
         }
 
         if self.parked_waiters >= self.config.max_waiters {
@@ -350,16 +320,6 @@ impl ServeFront {
                     let payload: Arc<[u8]> = payload.into();
                     let certified_height = self.sp.index_height();
                     self.metrics.payload_bytes.observe(payload.len() as u64);
-                    // A window record is only useful while its answer is
-                    // cached; with no cache there is nothing to narrow
-                    // from (and nothing to evict).
-                    if matches!(spec, QuerySpec::HistoryOp { .. }) && self.config.cache_capacity > 0
-                    {
-                        if self.op_windows.len() >= self.config.cache_capacity {
-                            self.op_windows.remove(0);
-                        }
-                        self.op_windows.push(spec.clone());
-                    }
                     self.cache.insert(
                         spec,
                         ServeResponse {
@@ -422,48 +382,6 @@ impl ServeFront {
         }
     }
 
-    /// Answers a `HistoryOp` window from a cached answer whose window
-    /// contains it, if one is alive in the current cache generation.
-    /// Result rows are filtered to the requested window — byte-identical
-    /// to what a direct backend call would return — and the covering
-    /// proof is reused as-is (it verifies every sub-window).
-    fn answer_from_covering_window(&self, query: &QuerySpec) -> Option<ServeResponse> {
-        let QuerySpec::HistoryOp { index, key, t1, t2 } = query else {
-            return None;
-        };
-        let (t1, t2) = (*t1, *t2);
-        for window in &self.op_windows {
-            let QuerySpec::HistoryOp {
-                index: covering,
-                key: covering_key,
-                t1: lo,
-                t2: hi,
-            } = window
-            else {
-                continue;
-            };
-            if covering != index || covering_key != key || *lo > t1 || *hi < t2 {
-                continue;
-            }
-            let Some(cached) = self.cache.get(window) else {
-                continue; // evicted: the window record outlived its answer
-            };
-            let Ok((results, proof)) = decode_history_payload(&cached.payload) else {
-                continue; // never narrow what we cannot re-derive
-            };
-            let narrowed: Vec<_> = results
-                .into_iter()
-                .filter(|(ts, _)| t1 <= *ts && *ts <= t2)
-                .collect();
-            return Some(ServeResponse {
-                id: 0,
-                certified_height: cached.certified_height,
-                payload: encode_history_payload(&narrowed, &proof).into(),
-            });
-        }
-        None
-    }
-
     // -----------------------------------------------------------------
     // Chain-advancing passthroughs.
     // -----------------------------------------------------------------
@@ -501,10 +419,6 @@ impl ServeFront {
 
     fn invalidate(&mut self) {
         self.cache.invalidate();
-        // The window records index into the invalidated generation; a
-        // survivor here would let a pre-advance proof answer a
-        // post-advance query.
-        self.op_windows.clear();
         self.metrics.invalidations.inc();
     }
 

@@ -12,13 +12,14 @@
 //!
 //! The correctness contract, pinned by `tests/serve_equivalence.rs`, is
 //! **byte equivalence**: every response the front serves — coalesced,
-//! cached, or fresh — is byte-identical to a direct uncached
-//! `ServiceProvider::serve_*` call at the same certified height, and no
-//! cached proof survives a height advance. The load and chaos contracts,
-//! pinned by `tests/serve_load.rs` and `tests/chaos_network.rs`, are
-//! that queues never exceed their bound, every shed request gets a typed
-//! [`ServeRefusal`] (never a silent drop), and the `serve.*` metric
-//! snapshots are replay-stable on the chaos seed matrix.
+//! cached, or fresh, for every `QuerySpec` kind — is byte-identical to a
+//! direct uncached `ServiceProvider::serve_*` call at the same certified
+//! height, and no cached proof survives a height advance. The load and
+//! chaos contracts, pinned by `tests/serve_load.rs` and
+//! `tests/chaos_network.rs`, are that queues never exceed their bound,
+//! every shed request gets a typed [`ServeRefusal`] (never a silent
+//! drop), and the `serve.*` metric snapshots are replay-stable on the
+//! chaos seed matrix.
 //!
 //! Layout: [`wire`] (canonical request/response/refusal codecs, held to
 //! `dcert-lint` R5 panic freedom), [`cache`] (generation-keyed FIFO
@@ -120,80 +121,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn contained_op_window_is_answered_without_a_backend_call() {
-        let mut front = front_with(ServeConfig::default(), 2);
-        let registry = dcert_obs::Registry::new();
-        front.attach_obs(&registry);
-
-        front
-            .submit(0, history_op_request(1, 1, 0, 100))
-            .expect("admitted");
-        let deliveries = front.pump(1, 16);
-        assert_eq!(deliveries.len(), 1);
-
-        // A strictly narrower window is a synchronous answer derived from
-        // the covering cached one — no queue slot, no backend call.
-        let hit = front
-            .submit(2, history_op_request(2, 9, 10, 50))
-            .expect("admitted");
-        let Submitted::CacheHit(resp) = hit else {
-            panic!("expected window-containment hit, got {hit:?}");
-        };
-        assert_eq!(resp.id, 9);
-        let (results, _proof) =
-            crate::wire::decode_history_payload(&resp.payload).expect("payload decodes");
-        assert!(results.is_empty(), "empty chain has no versions");
-
-        // The narrowed answer became a first-class cache entry.
-        let again = front
-            .submit(3, history_op_request(3, 10, 10, 50))
-            .expect("admitted");
-        assert!(matches!(again, Submitted::CacheHit(_)));
-
-        let snapshot = registry.snapshot();
-        assert_eq!(snapshot.counter("serve.window_hits"), 1);
-        assert_eq!(snapshot.counter("serve.backend_calls"), 1);
-        assert_eq!(snapshot.counter("serve.cache_hits"), 1);
-    }
-
-    /// Regression: the invalidating stage must clear the op-window records
-    /// along with the cache — a surviving record would let a pre-stage
-    /// proof answer a post-stage query. Settling the staged block changes
-    /// no answer, so the records recorded after the stage live on.
-    #[test]
-    fn op_window_records_die_with_every_invalidation() {
-        let (mut front, mut miner) = front_and_miner(ServeConfig::default(), 2);
-        front
-            .submit(0, history_op_request(1, 1, 0, 100))
-            .expect("admitted");
-        front.pump(1, 16);
-
-        stage_next(&mut front, &mut miner);
-        let after = front
-            .submit(2, history_op_request(2, 2, 10, 50))
-            .expect("admitted");
-        assert_eq!(
-            after,
-            Submitted::Enqueued { coalesced: false },
-            "a stale covering window must not answer after a stage"
-        );
-        front.pump(3, 16);
-
-        front.advance(None).expect("settles");
-        let after = front
-            .submit(4, history_op_request(3, 3, 20, 40))
-            .expect("admitted");
-        assert!(
-            matches!(after, Submitted::CacheHit(_)),
-            "the window served after the stage still answers: {after:?}"
-        );
-    }
-
-    /// Regression: with `cache_capacity = 0` the pump evicted from an
-    /// empty window list (`remove(0)` panic) when answering a `HistoryOp`.
-    /// A cache-less front records no windows and serves exactly the
-    /// direct-serving bytes.
+    /// A cache-less front serves a `HistoryOp` exactly the direct-serving
+    /// bytes, and a repeat goes back to the backend.
     #[test]
     fn capacity_zero_front_answers_history_op_without_recording_a_window() {
         let config = ServeConfig {
@@ -201,9 +130,6 @@ mod tests {
             ..ServeConfig::default()
         };
         let mut front = front_with(config, 2);
-        let registry = dcert_obs::Registry::new();
-        front.attach_obs(&registry);
-
         front
             .submit(0, history_op_request(1, 1, 0, 100))
             .expect("admitted");
@@ -221,12 +147,10 @@ mod tests {
             crate::wire::encode_history_payload(&results, &proof)[..]
         );
 
-        // Nothing to narrow from: a contained window goes to the backend.
-        let contained = front
-            .submit(2, history_op_request(2, 2, 10, 50))
+        let repeat = front
+            .submit(2, history_op_request(2, 2, 0, 100))
             .expect("admitted");
-        assert_eq!(contained, Submitted::Enqueued { coalesced: false });
-        assert_eq!(registry.snapshot().counter("serve.window_hits"), 0);
+        assert_eq!(repeat, Submitted::Enqueued { coalesced: false });
     }
 
     #[test]

@@ -33,9 +33,6 @@ pub struct ServeMetrics {
     pub shed_unknown_index: Counter,
     /// Pending entries dropped because every waiter had abandoned them.
     pub waiters_released: Counter,
-    /// `HistoryOp` queries answered by narrowing a cached covering window
-    /// (no backend call, no new proof).
-    pub window_hits: Counter,
     /// Cache invalidations (generation bumps).
     pub invalidations: Counter,
     /// Distinct queries pending right now (`_depth`: stripped from
@@ -69,7 +66,6 @@ impl ServeMetrics {
             shed_backlogged: registry.counter("serve.shed_backlogged"),
             shed_unknown_index: registry.counter("serve.shed_unknown_index"),
             waiters_released: registry.counter("serve.waiters_released"),
-            window_hits: registry.counter("serve.window_hits"),
             invalidations: registry.counter("serve.invalidations"),
             queue_depth: registry.gauge("serve.queue_depth"),
             queue_high_water: registry.gauge("serve.queue_high_water"),

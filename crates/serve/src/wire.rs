@@ -65,9 +65,7 @@ pub enum QuerySpec {
         /// Window end height (inclusive).
         t2: u64,
     },
-    /// [`QuerySpec::History`] under its compatibility tag — the one kind
-    /// the front-end may answer from a cached answer to a covering
-    /// window.
+    /// [`QuerySpec::History`] under its compatibility tag.
     HistoryOp {
         /// Registered index name.
         index: String,

@@ -23,6 +23,9 @@ use rand::{Rng, SeedableRng};
 
 /// Which query family a [`ServeEvent`] issues. The consumer maps this
 /// plus the key index to a concrete `dcert-serve` `QuerySpec`.
+/// [`ServeLoadGen`] emits the first three; the `Op` kinds are never drawn
+/// and stay only as names `benchmark/driver` matches on (ROADMAP item
+/// 4(c)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServeQueryKind {
     /// Time-window history query.
@@ -31,12 +34,9 @@ pub enum ServeQueryKind {
     Keywords,
     /// Window aggregation query.
     Aggregate,
-    /// Time-window history query with the op-stream proof encoding;
-    /// carries an explicit [`ServeEvent::window`], drawn from a nested
-    /// family so contained windows recur (the front's window-containment
-    /// cache regime).
+    /// Alias of [`ServeQueryKind::History`].
     HistoryOp,
-    /// Window aggregation with the op-stream proof encoding.
+    /// Alias of [`ServeQueryKind::Aggregate`].
     AggregateOp,
 }
 
@@ -51,11 +51,6 @@ pub struct ServeEvent {
     pub kind: ServeQueryKind,
     /// Zipfian-chosen hot-key index in `0..keyspace`.
     pub key: u64,
-    /// The query's time window. For the op-stream kinds this is drawn
-    /// from a nested family (`[10d, 100 − 10d]` for depth `d`), so a
-    /// burst of op queries on one hot key produces containment chains;
-    /// other kinds carry the widest window and may ignore it.
-    pub window: (u64, u64),
     /// Slow-loris marker: the client abandons this request before it is
     /// served (cancels its waiter after admission).
     pub abandon: bool,
@@ -79,12 +74,6 @@ pub struct ServeLoadConfig {
     pub keyspace: u64,
     /// Per-mille of requests marked as slow-loris abandons.
     pub slow_loris_permille: u64,
-    /// Per-mille of requests re-issued as op-stream queries
-    /// ([`ServeQueryKind::HistoryOp`] / [`ServeQueryKind::AggregateOp`]
-    /// with nested windows). Zero (the default) leaves the emitted
-    /// schedule identical to pre-op-stream generators for the same seed:
-    /// the op draws only happen when this knob is enabled.
-    pub op_query_permille: u64,
 }
 
 impl Default for ServeLoadConfig {
@@ -93,7 +82,6 @@ impl Default for ServeLoadConfig {
             requests: 50_000,
             keyspace: 256,
             slow_loris_permille: 20,
-            op_query_permille: 0,
         }
     }
 }
@@ -170,29 +158,11 @@ impl Iterator for ServeLoadGen {
             _ => ServeQueryKind::Aggregate,
         };
         let abandon = self.rng.gen_range(0..1000u64) < self.config.slow_loris_permille;
-        // Op-stream rewrite draws happen strictly after (and only on top
-        // of) the base draws, so disabling the knob reproduces the
-        // pre-op-stream schedule bit-for-bit under the same seed.
-        let (kind, window) = if self.config.op_query_permille > 0
-            && self.rng.gen_range(0..1000u64) < self.config.op_query_permille
-        {
-            let depth = self.rng.gen_range(0..4u64);
-            let window = (10 * depth, 100 - 10 * depth);
-            let kind = if self.rng.gen_range(0..4u64) == 0 {
-                ServeQueryKind::AggregateOp
-            } else {
-                ServeQueryKind::HistoryOp
-            };
-            (kind, window)
-        } else {
-            (kind, (0, 100))
-        };
         Some(ServeEvent {
             tick: self.tick,
             client,
             kind,
             key,
-            window,
             abandon,
         })
     }
@@ -246,59 +216,6 @@ mod tests {
             "top-10 keys should draw most traffic, got {hot}/10000"
         );
         assert!(events.iter().all(|e| e.key < 100));
-    }
-
-    #[test]
-    fn op_queries_carry_nested_windows() {
-        let config = ServeLoadConfig {
-            requests: 10_000,
-            op_query_permille: 500,
-            ..ServeLoadConfig::default()
-        };
-        let events: Vec<ServeEvent> = ServeLoadGen::new(config, 11).collect();
-        let ops: Vec<&ServeEvent> = events
-            .iter()
-            .filter(|e| {
-                matches!(
-                    e.kind,
-                    ServeQueryKind::HistoryOp | ServeQueryKind::AggregateOp
-                )
-            })
-            .collect();
-        assert!(
-            (3500..6500).contains(&ops.len()),
-            "~half the schedule should be op queries, got {}",
-            ops.len()
-        );
-        // Every op window nests inside the widest one, and more than one
-        // depth actually occurs — the containment-cache regime.
-        let depths: std::collections::BTreeSet<(u64, u64)> = ops.iter().map(|e| e.window).collect();
-        assert!(depths.len() > 1, "nested window family has several depths");
-        for (lo, hi) in depths {
-            assert!(lo <= hi && hi <= 100, "window ({lo},{hi}) nests in [0,100]");
-        }
-        assert!(
-            ops.iter().any(|e| e.kind == ServeQueryKind::HistoryOp)
-                && ops.iter().any(|e| e.kind == ServeQueryKind::AggregateOp),
-            "both op families appear"
-        );
-    }
-
-    #[test]
-    fn disabled_op_knob_emits_no_op_queries() {
-        let events: Vec<ServeEvent> = ServeLoadGen::new(
-            ServeLoadConfig {
-                requests: 2_000,
-                ..ServeLoadConfig::default()
-            },
-            42,
-        )
-        .collect();
-        assert!(events.iter().all(|e| !matches!(
-            e.kind,
-            ServeQueryKind::HistoryOp | ServeQueryKind::AggregateOp
-        )));
-        assert!(events.iter().all(|e| e.window == (0, 100)));
     }
 
     #[test]

@@ -514,14 +514,12 @@ pub fn certify_into(ci: &mut CertificateIssuer, front: &mut ServeFront, block: &
 
 /// Maps a schedule event onto the [`SERVE_INDEXES`] at certified height
 /// `height`. Windows span the whole certified history, so equal keys make
-/// equal specs (the regime caching targets); the op-stream kinds map the
-/// schedule's nested `[0, 100]` window onto the height range
-/// monotonically, so containment in the schedule stays containment in
-/// the spec.
+/// equal specs (the regime caching targets). The op kinds, which the
+/// schedule never emits, map to the same whole-history windows as their
+/// base kinds.
 pub fn spec_for(event: &ServeEvent, height: u64) -> QuerySpec {
     let key = kv_key(event.key);
     let height = height.max(1);
-    let scaled = |at: u64| 1 + at * height / 100;
     match event.kind {
         ServeQueryKind::History => QuerySpec::History {
             index: "history".to_owned(),
@@ -542,14 +540,14 @@ pub fn spec_for(event: &ServeEvent, height: u64) -> QuerySpec {
         ServeQueryKind::HistoryOp => QuerySpec::HistoryOp {
             index: "history".to_owned(),
             key,
-            t1: scaled(event.window.0),
-            t2: scaled(event.window.1),
+            t1: 1,
+            t2: height,
         },
         ServeQueryKind::AggregateOp => QuerySpec::AggregateOp {
             index: "agg".to_owned(),
             key,
-            t1: scaled(event.window.0),
-            t2: scaled(event.window.1),
+            t1: 1,
+            t2: height,
         },
     }
 }

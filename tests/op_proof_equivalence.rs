@@ -7,9 +7,8 @@
 //! Until `benchmark/driver` stops naming them, `HistoryOp` / `AggregateOp`
 //! and every `_op` function are aliases of the plain names: both names of
 //! a query are served the same bytes, and both names of a codec or
-//! verifier are the same function. The serve-level tests drive real
-//! certified data and also pin the window-containment fast path, which
-//! stays keyed to the `HistoryOp` name.
+//! verifier are the same function. The serve-level test drives real
+//! certified data.
 
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -114,8 +113,7 @@ fn certified_front(config: ServeConfig) -> (ServeFront, Hash) {
 /// under their `_op` names.
 #[test]
 fn prop_both_spec_kinds_are_served_identical_payloads_that_verify() {
-    // No cache: all four kinds reach the backend, so a `HistoryOp` answer
-    // is never one narrowed from a wider window's.
+    // No cache: every draw of all four kinds reaches the backend.
     let (front, hd) = certified_front(ServeConfig {
         cache_capacity: 0,
         ..ServeConfig::default()
@@ -196,52 +194,6 @@ fn pump_one(front: &mut ServeFront, query: QuerySpec, id: u64) -> Arc<[u8]> {
         Some(ServeWire::Response(r)) => r.payload,
         other => panic!("expected a response, got {other:?}"),
     }
-}
-
-/// **Serve narrowing.** On real certified kvstore data, a narrowed window
-/// served from a cached covering proof agrees row-for-row with direct
-/// backend serving and verifies against the certified digest — for
-/// tracked and untracked keys alike. Narrowing is keyed to the `HistoryOp`
-/// kind.
-#[test]
-fn narrowed_windows_match_direct_serving_on_certified_data() {
-    let (mut front, digest) = certified_front(ServeConfig::default());
-
-    let mut window_hits = 0u64;
-    for probe in 0..10u64 {
-        // Prime the widest window through the pump (cached + recorded).
-        let wide_payload = pump_one(&mut front, spec(1, key(probe), 1, 3), 100 + probe);
-        let (wide_results, wide_proof) =
-            decode_history_payload(&wide_payload).expect("wide payload decodes");
-        verify_history(&digest, &key(probe), 1, 3, &wide_results, &wide_proof)
-            .expect("wide answer verifies");
-
-        // Every contained window must now be answerable without a backend
-        // call, and the carved answer must match direct serving.
-        for (t1, t2) in [(1u64, 2u64), (2, 2), (2, 3), (3, 3)] {
-            let (id, query) = (500 + 10 * probe + t1, spec(1, key(probe), t1, t2));
-            let request = ServeRequest {
-                client: id,
-                id,
-                query,
-            };
-            let submitted = front.submit(500 + probe, request).expect("admitted");
-            let Submitted::CacheHit(response) = submitted else {
-                panic!("key {probe} window [{t1},{t2}]: contained window must hit");
-            };
-            window_hits += 1;
-            let (rows, proof) =
-                decode_history_payload(&response.payload).expect("narrowed payload decodes");
-            let (direct_rows, _) = front
-                .sp()
-                .serve_history("history", &key(probe), t1, t2)
-                .expect("index registered");
-            assert_eq!(rows, direct_rows, "narrowed rows == direct backend rows");
-            verify_history(&digest, &key(probe), t1, t2, &rows, &proof)
-                .expect("covering proof verifies for the narrowed window");
-        }
-    }
-    assert!(window_hits > 0);
 }
 
 /// The CI seed-matrix entry: `CHAOS_SEED=<n> cargo test --test

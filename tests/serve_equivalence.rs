@@ -7,6 +7,7 @@
 
 use std::sync::Arc;
 
+use dcert::merkle::MbTree;
 use dcert::query::history::verify_history;
 use dcert::query::sp::IndexKind;
 use dcert::query::ServiceProvider;
@@ -14,6 +15,7 @@ use dcert::serve::{
     encode_aggregate_payload, encode_history_payload, encode_keyword_payload, QuerySpec, RateLimit,
     ServeConfig, ServeFront, ServeRequest, ServeWire, Submitted,
 };
+use dcert::vm::StateKey;
 use dcert::workloads::Workload;
 use dcert::world::{certify_into, kv_key, World, SERVE_INDEXES};
 use dcert_testkit::{check, Gen};
@@ -60,31 +62,44 @@ fn arb_window(g: &mut Gen, height: u64) -> (u64, u64) {
     (a.min(b), a.max(b))
 }
 
-/// A random query over the three registered indexes.
+/// A random query of any of the five kinds over the three registered
+/// indexes.
 fn arb_spec(g: &mut Gen, height: u64) -> QuerySpec {
-    match g.range(0u8..3) {
-        0 => {
-            let (k, (t1, t2)) = (g.range(0..KEYSPACE + 4), arb_window(g, height));
-            QuerySpec::History {
-                index: "history".to_owned(),
-                key: kv_key(k),
-                t1,
-                t2,
-            }
-        }
-        1 => QuerySpec::Keywords {
+    let kind = g.range(0u8..5);
+    if kind == 0 {
+        return QuerySpec::Keywords {
             index: "inverted".to_owned(),
             keywords: g.vec(1..3, |g| format!("word-{}", g.range(0..20u64))),
+        };
+    }
+    let (k, (t1, t2)) = (g.range(0..KEYSPACE + 4), arb_window(g, height));
+    let key = kv_key(k);
+    let (history, agg) = ("history".to_owned(), "agg".to_owned());
+    match kind {
+        1 => QuerySpec::History {
+            index: history,
+            key,
+            t1,
+            t2,
         },
-        _ => {
-            let (k, (t1, t2)) = (g.range(0..KEYSPACE + 4), arb_window(g, height));
-            QuerySpec::Aggregate {
-                index: "agg".to_owned(),
-                key: kv_key(k),
-                t1,
-                t2,
-            }
-        }
+        2 => QuerySpec::HistoryOp {
+            index: history,
+            key,
+            t1,
+            t2,
+        },
+        3 => QuerySpec::Aggregate {
+            index: agg,
+            key,
+            t1,
+            t2,
+        },
+        _ => QuerySpec::AggregateOp {
+            index: agg,
+            key,
+            t1,
+            t2,
+        },
     }
 }
 
@@ -263,6 +278,39 @@ fn a_hit_after_advance_equals_direct_serving() {
         };
         assert_eq!((hit.certified_height, &hit.payload[..]), (2, &direct[..]));
         assert!(Arc::ptr_eq(&hit.payload, &staged[0].1), "one buffer");
+    }
+}
+
+/// A `HistoryOp` window inside a cached wider one is served its own
+/// proof: after the whole history of a key that spans several B-tree
+/// leaves is cached, a 3-block window inside it is the direct bytes.
+#[test]
+fn a_window_inside_a_cached_one_equals_direct_serving() {
+    let versions = MbTree::DEFAULT_ORDER as u64 + 4;
+    let mut world = World::pow(&[(IndexKind::History, "history")]);
+    let blocks = world.mine_memos(versions);
+    let mut front = ServeFront::new(world.sp, ServeConfig::default());
+    for block in &blocks {
+        certify_into(&mut world.ci, &mut front, block);
+    }
+    let window = |t1, t2| QuerySpec::HistoryOp {
+        index: "history".to_owned(),
+        key: StateKey::new("kvstore", b"acct-main"),
+        t1,
+        t2,
+    };
+
+    let whole = window(1, versions);
+    let (rows, _) =
+        dcert::serve::decode_history_payload(&serve_via_front(&mut front, &whole, 0)[0].1)
+            .expect("payload decodes");
+    assert_eq!(rows.len() as u64, versions, "one version per block");
+    assert_eq!(front.cached_entries(), 1, "the whole history is cached");
+
+    let inside = window(5, 7);
+    let direct = direct_payload(front.sp(), &inside).expect("index registered");
+    for (_, payload) in serve_via_front(&mut front, &inside, 10) {
+        assert_eq!(payload[..], direct[..], "contained window == direct bytes");
     }
 }
 

@@ -81,7 +81,6 @@ fn smoke_load(requests: u64) -> ServeLoadConfig {
         requests,
         keyspace: 96,
         slow_loris_permille: 50,
-        ..ServeLoadConfig::default()
     }
 }
 
@@ -285,34 +284,6 @@ fn serve_snapshots_are_replay_stable() {
             "CHAOS_SEED={seed}: snapshot encoding is not canonical"
         );
     }
-}
-
-/// Op-stream load: with the op-query knob enabled, contained windows on
-/// hot keys are answered from covering cached op answers (the
-/// `serve.window_hits` path) and the whole run stays replay-stable.
-#[test]
-fn op_query_load_hits_covering_windows_and_replays() {
-    let seed = 1234;
-    let op_load = ServeLoadConfig {
-        keyspace: 16,
-        op_query_permille: 700,
-        ..smoke_load(4_000)
-    };
-    let (_, a_snapshot) = load(op_load, tight_config(), seed);
-    let (_, b_snapshot) = load(op_load, tight_config(), seed);
-    assert!(
-        a_snapshot.counter("serve.window_hits") > 0,
-        "CHAOS_SEED={seed}: nested op windows never hit a covering answer"
-    );
-    assert!(
-        a_snapshot.counter("serve.backend_calls") > 0,
-        "CHAOS_SEED={seed}: op load executed no queries"
-    );
-    assert_eq!(
-        a_snapshot.without_wall_clock(),
-        b_snapshot.without_wall_clock(),
-        "CHAOS_SEED={seed}: op-query serve metrics diverged"
-    );
 }
 
 /// The CI seed-matrix entry at full bench scale: `CHAOS_SEED=<n> cargo
