@@ -61,6 +61,21 @@ pub enum CertError {
         /// Height that was offered.
         offered: u64,
     },
+    /// The certificate validated, but fewer than the client's threshold
+    /// of trust domains have certified its digest so far.
+    BelowThreshold {
+        /// Distinct domains that certified the digest, this one included.
+        have: usize,
+        /// The client's threshold.
+        need: usize,
+    },
+    /// A client threshold of zero, or above its number of trust domains.
+    BadThreshold {
+        /// The threshold asked for.
+        threshold: usize,
+        /// The number of trust domains given.
+        domains: usize,
+    },
     /// The enclave refused to sign at or below a height it already
     /// signed — the monotonicity guard that makes a restarted CI unable
     /// to double-issue (sealed state carries the watermark).
@@ -125,6 +140,18 @@ impl fmt::Display for CertError {
                 f,
                 "chain selection violated: have height {current}, offered {offered}"
             ),
+            CertError::BelowThreshold { have, need } => {
+                write!(
+                    f,
+                    "certified by {have} of the {need} trust domains required"
+                )
+            }
+            CertError::BadThreshold { threshold, domains } => {
+                write!(
+                    f,
+                    "threshold {threshold} is not within 1..={domains} trust domains"
+                )
+            }
             CertError::HeightRegression {
                 last_signed,
                 offered,

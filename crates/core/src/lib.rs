@@ -26,7 +26,8 @@
 //!   and [`ShardedCertEngine`] across parallel shard enclaves plus an
 //!   aggregator — all three byte-identical at every height (DESIGN.md §4),
 //! - [`SuperlightClient`]: Algorithm 3 — one acceptance path behind its
-//!   three `validate_*` entries — plus index-certificate tracking,
+//!   three `validate_*` entries, counting `k` of `n` [`TrustDomain`]s (one
+//!   of one by default) — plus index-certificate tracking,
 //! - [`IndexVerifier`]: the extension point through which authenticated
 //!   indexes (in `dcert-query`) plug their trusted update checks into the
 //!   enclave.
@@ -88,7 +89,6 @@ pub mod network;
 pub mod persist;
 pub mod pipeline;
 pub mod program;
-pub mod quorum;
 pub mod range;
 pub mod shard;
 pub mod superlight;
@@ -106,11 +106,10 @@ pub use pipeline::{
     PublishPolicy,
 };
 pub use program::{expected_measurement, CertProgram, CODE_IDENTITY};
-pub use quorum::{QuorumClient, TrustDomain};
 pub use range::RangeCert;
 pub use shard::{
     HeightRange, ShardFailurePlan, ShardFleetConfig, ShardKill, ShardPlan, ShardedCertEngine,
     SharedStore,
 };
-pub use superlight::{SuperlightClient, SyncOutcome};
+pub use superlight::{SuperlightClient, SyncOutcome, TrustDomain};
 pub use verifier::IndexVerifier;

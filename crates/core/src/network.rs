@@ -34,6 +34,7 @@ use dcert_store::{Record, Store, StoreError, StreamId};
 use crate::cert::Certificate;
 use crate::error::CertError;
 use crate::persist::{RecoverError, ARCHIVE_PRUNED_KEY};
+use crate::superlight::TrustDomain;
 
 /// A message on the gossip network.
 #[derive(Debug, Clone, PartialEq)]
@@ -212,8 +213,10 @@ impl<T: Transport + ?Sized> CertArchive<T> {
     ///
     /// Every intact recovered record is decoded and its certificate
     /// **re-verified** against the trust anchors (`ias_key`,
-    /// `measurement`) before it is served to resync requests — a store
-    /// whose surviving bytes fail verification is refused, never served.
+    /// `measurement`) by one [`TrustDomain`] — the attestation once per
+    /// ⟨rep, pk_enc⟩, the signature and digest of every record — before it
+    /// is served to resync requests: a store whose surviving bytes fail
+    /// verification is refused, never served.
     /// Records below a recovered prune watermark are dropped (they are
     /// redo leftovers from a crash mid-prune).
     ///
@@ -228,6 +231,7 @@ impl<T: Transport + ?Sized> CertArchive<T> {
         measurement: &Hash,
     ) -> Result<Self, RecoverError> {
         let mut retained: BTreeMap<u64, Vec<NetMessage>> = BTreeMap::new();
+        let mut domain = TrustDomain::new(*ias_key, *measurement);
         let pruned_below = match store.head(ARCHIVE_PRUNED_KEY) {
             Some(bytes) => u64::decode_all(&bytes)?,
             None => 0,
@@ -237,23 +241,20 @@ impl<T: Transport + ?Sized> CertArchive<T> {
                 continue;
             }
             let message = NetMessage::decode_all(&record.body)?;
-            match &message {
-                NetMessage::BlockCert { header, cert } => {
-                    cert.verify(ias_key, measurement, &header.hash())?;
-                }
+            let (cert, expected) = match &message {
+                NetMessage::BlockCert { header, cert } => (cert, header.hash()),
                 NetMessage::IndexCert {
                     header,
                     digest,
                     cert,
                     ..
-                } => {
-                    let expected = Certificate::index_digest(&header.hash(), digest);
-                    cert.verify(ias_key, measurement, &expected)?;
-                }
+                } => (cert, Certificate::index_digest(&header.hash(), digest)),
                 // Only certificate messages are ever persisted; anything
                 // else in the cert stream is not certified history.
                 _ => return Err(RecoverError::Cert(CertError::DigestMismatch)),
-            }
+            };
+            domain.check(cert, &expected)?;
+            domain.remember(cert);
             let entry = retained.entry(record.height).or_default();
             if !entry.contains(&message) {
                 entry.push(message);
@@ -629,6 +630,46 @@ mod tests {
             CertArchive::with_store(bus, Box::new(store), &ca.ias.public_key(), &ca.measurement)
                 .unwrap_err();
         assert!(matches!(err, crate::persist::RecoverError::Cert(_)));
+    }
+
+    #[test]
+    fn archive_recovery_refuses_a_swapped_report_under_an_attested_key() {
+        // The memo skips the attestation of a byte-equal ⟨rep, pk_enc⟩
+        // only: a later record under the same key whose report the IAS
+        // signed for another program is checked, and refused.
+        use dcert_primitives::codec::Encode;
+        use dcert_primitives::keys::Keypair;
+        use dcert_store::{MemStore, Record, Store, StreamId};
+        let ca = RealCa::new();
+        let quote = dcert_sgx::Quote::sign(
+            &Keypair::from_seed([2; 32]),
+            dcert_primitives::hash::hash_bytes(b"other-program"),
+            Certificate::key_binding(&ca.enclave_key.public()),
+        );
+        let mut store = MemStore::new();
+        for height in 1..=2u64 {
+            let mut message = ca.block_cert(height);
+            if let (2, NetMessage::BlockCert { cert, .. }) = (height, &mut message) {
+                cert.report = ca.ias.attest(&quote).unwrap();
+            }
+            let body = message.to_encoded_bytes();
+            store
+                .append(&Record {
+                    height,
+                    stream: StreamId::Cert,
+                    body,
+                })
+                .unwrap();
+        }
+        store.sync().unwrap();
+        let bus = Arc::new(Gossip::new());
+        let err =
+            CertArchive::with_store(bus, Box::new(store), &ca.ias.public_key(), &ca.measurement)
+                .unwrap_err();
+        assert_eq!(
+            err,
+            crate::persist::RecoverError::Cert(CertError::WrongMeasurement)
+        );
     }
 
     #[test]

@@ -1,18 +1,24 @@
-//! The superlight client (Algorithm 3).
+//! The superlight client (Algorithm 3) and the one certificate check.
 //!
-//! Stores exactly one header and one certificate — constant storage — and
-//! validates the whole chain in constant time: verify the attestation
-//! report (once per enclave key), verify the certificate signature and
-//! digest against the presented header, and enforce the chain-selection
-//! rule. Optionally tracks per-index certificates so verifiable queries
-//! can be checked against certified index digests.
+//! Two layers. A [`TrustDomain`] is an attestation root plus the program
+//! measurement expected under it; [`TrustDomain::check`] is the check every
+//! certificate holder runs — the attestation report once per byte-equal
+//! ⟨rep, pk_enc⟩, the signature and digest every time. A
+//! [`SuperlightClient`] holds `threshold` of `n` such domains — one of one
+//! by default; Section 6's "avoid relying solely on Intel" is `k` of `n`
+//! TEE vendors — and stores exactly one header and one certificate
+//! (constant storage). It adopts a digest once `threshold` distinct domains
+//! certified it and the chain-selection rule passed. Optionally it tracks
+//! per-index certificates so verifiable queries can be checked against
+//! certified index digests.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use dcert_chain::BlockHeader;
 use dcert_primitives::codec::{Decode, Encode};
 use dcert_primitives::hash::Hash;
 use dcert_primitives::keys::PublicKey;
+use dcert_sgx::AttestationReport;
 use dcert_store::{Store, StoreError};
 
 use crate::cert::Certificate;
@@ -32,9 +38,10 @@ pub enum SyncOutcome {
     /// The message was for a height at or below the adopted one —
     /// a duplicate or late delivery, harmlessly discarded.
     Stale,
-    /// The certificate validated under one trust domain but the quorum
-    /// threshold is not yet met; it is buffered until enough domains
-    /// agree (quorum clients only).
+    /// The certificate validated under one trust domain, but fewer than
+    /// the client's threshold of domains have certified its digest so far
+    /// ([`CertError::BelowThreshold`]); it counts toward that digest and
+    /// changes nothing else.
     Pending,
     /// The message type is not consumed by this client.
     Ignored,
@@ -44,45 +51,103 @@ pub enum SyncOutcome {
     Rejected(CertError),
 }
 
-/// A DCert superlight client.
-///
-/// Trust anchors: the well-known IAS root key and the expected enclave
-/// measurement (pinning *which program* may sign certificates).
+/// One trust domain: an attestation root plus the expected program
+/// measurement within it (e.g. "Intel IAS + SGX build" or "vendor X's
+/// attestation + TrustZone build"), with the memo of the attestations
+/// already checked under them.
 #[derive(Debug, Clone)]
-pub struct SuperlightClient {
+pub struct TrustDomain {
     ias_key: PublicKey,
     measurement: Hash,
+    /// Every ⟨rep, pk_enc⟩ whose attestation verified in a committed
+    /// offer — "check an attestation report only once" (Section 4.3).
+    attested: Vec<(AttestationReport, [u8; 32])>,
+}
+
+impl TrustDomain {
+    /// A domain trusting `ias_key` and `measurement`, with nothing attested.
+    pub fn new(ias_key: PublicKey, measurement: Hash) -> Self {
+        TrustDomain {
+            ias_key,
+            measurement,
+            attested: Vec::new(),
+        }
+    }
+
+    /// Checks that `cert` certifies `expected` under this domain
+    /// (Algorithm 3, lines 3–7): the attestation report unless its
+    /// ⟨rep, pk_enc⟩ is byte-equal to one already remembered, then the
+    /// signature and the digest. Remembers nothing — [`Self::remember`]
+    /// does, once the caller commits the offer.
+    ///
+    /// # Errors
+    ///
+    /// The [`Certificate::verify`] error of the first failed step.
+    pub fn check(&self, cert: &Certificate, expected: &Hash) -> Result<(), CertError> {
+        if !self.knows(cert) {
+            cert.verify_trust(&self.ias_key, &self.measurement)?;
+        }
+        cert.verify_digest(expected)
+    }
+
+    /// Remembers `cert`'s ⟨rep, pk_enc⟩ as attested. Call it only for a
+    /// certificate that passed [`Self::check`], when its offer commits.
+    pub fn remember(&mut self, cert: &Certificate) {
+        if !self.knows(cert) {
+            self.attested
+                .push((cert.report.clone(), cert.pk_enc.to_array()));
+        }
+    }
+
+    fn knows(&self, cert: &Certificate) -> bool {
+        let key = cert.pk_enc.to_array();
+        self.attested
+            .iter()
+            .any(|(report, k)| *k == key && *report == cert.report)
+    }
+}
+
+/// A DCert superlight client.
+///
+/// Trust anchors: `threshold` of its [`TrustDomain`]s must certify a
+/// digest before it is adopted. [`SuperlightClient::new`] is the paper's
+/// client — the well-known IAS root key and the expected enclave
+/// measurement, one domain at threshold 1.
+#[derive(Debug, Clone)]
+pub struct SuperlightClient {
+    domains: Vec<TrustDomain>,
+    threshold: usize,
     latest: Option<(BlockHeader, Certificate)>,
-    /// Enclave keys whose attestation already verified — the
-    /// "check an attestation report only once" cache of Section 4.3.
-    attested: HashSet<[u8; 32]>,
     /// Latest certified digest + certificate per tracked index.
     indexes: HashMap<String, (Hash, Certificate)>,
+    /// Digests certified by fewer than `threshold` domains so far: the
+    /// height offered, and one certificate per domain that certified it.
+    /// Always empty at threshold 1.
+    votes: HashMap<Hash, (u64, Vec<(usize, Certificate)>)>,
     gap: GapTracker,
 }
 
-/// Gap detection, shared by [`SuperlightClient`] and
-/// [`QuorumClient`](crate::QuorumClient): the highest height any
-/// *certificate message* announced, adopted or not. When it runs ahead of
-/// the validated height the client knows a delivery was lost or rejected.
+/// Gap detection: the highest height any *certificate message* announced,
+/// adopted or not. When it runs ahead of the validated height the client
+/// knows a delivery was lost, rejected, or is still short of its threshold.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct GapTracker {
-    pub(crate) highest_seen: Option<u64>,
+struct GapTracker {
+    highest_seen: Option<u64>,
 }
 
 impl GapTracker {
-    pub(crate) fn saw_height(&mut self, height: u64) {
+    fn saw_height(&mut self, height: u64) {
         self.highest_seen = Some(self.highest_seen.map_or(height, |h| h.max(height)));
     }
 
     /// The inclusive `(from, to)` heights announced above the view `have`.
-    pub(crate) fn needs_resync(&self, have: Option<u64>) -> Option<(u64, u64)> {
+    fn needs_resync(&self, have: Option<u64>) -> Option<(u64, u64)> {
         let seen = self.highest_seen?;
         let have = have.unwrap_or(0);
         (seen > have).then_some((have + 1, seen))
     }
 
-    pub(crate) fn resync_request(&self, have: Option<u64>) -> Option<NetMessage> {
+    fn resync_request(&self, have: Option<u64>) -> Option<NetMessage> {
         self.needs_resync(have)
             .map(|(from, to)| NetMessage::CertRequest { from, to })
     }
@@ -90,7 +155,7 @@ impl GapTracker {
 
 /// The chain-selection rule (Algorithm 3, line 8): a header is adopted
 /// only above the view already held.
-pub(crate) fn check_selection(current: Option<u64>, offered: u64) -> Result<(), CertError> {
+fn check_selection(current: Option<u64>, offered: u64) -> Result<(), CertError> {
     match current {
         Some(current) if offered <= current => Err(CertError::ChainSelection { current, offered }),
         _ => Ok(()),
@@ -98,14 +163,36 @@ pub(crate) fn check_selection(current: Option<u64>, offered: u64) -> Result<(), 
 }
 
 impl SuperlightClient {
-    /// Creates a client trusting `ias_key` and `measurement`.
+    /// Creates a client trusting `ias_key` and `measurement`: one trust
+    /// domain at threshold 1.
     pub fn new(ias_key: PublicKey, measurement: Hash) -> Self {
+        Self::quorum_of(vec![TrustDomain::new(ias_key, measurement)], 1)
+    }
+
+    /// Creates a client that adopts a digest only once `threshold` of
+    /// `domains` certified it.
+    ///
+    /// # Errors
+    ///
+    /// [`CertError::BadThreshold`] when `threshold` is zero or exceeds the
+    /// number of domains.
+    pub fn with_domains(domains: Vec<TrustDomain>, threshold: usize) -> Result<Self, CertError> {
+        if threshold == 0 || threshold > domains.len() {
+            return Err(CertError::BadThreshold {
+                threshold,
+                domains: domains.len(),
+            });
+        }
+        Ok(Self::quorum_of(domains, threshold))
+    }
+
+    fn quorum_of(domains: Vec<TrustDomain>, threshold: usize) -> Self {
         SuperlightClient {
-            ias_key,
-            measurement,
+            domains,
+            threshold,
             latest: None,
-            attested: HashSet::new(),
             indexes: HashMap::new(),
+            votes: HashMap::new(),
             gap: GapTracker::default(),
         }
     }
@@ -114,18 +201,16 @@ impl SuperlightClient {
     /// tracks announced heights for gap detection, and classifies
     /// everything else. This is the client's event loop body on a lossy
     /// network — it never wedges: a bad certificate is [`SyncOutcome::
-    /// Rejected`] and a missed one is recovered via [`Self::needs_resync`].
+    /// Rejected`], one short of its threshold is [`SyncOutcome::Pending`],
+    /// and a missed one is recovered via [`Self::needs_resync`].
     pub fn on_message(&mut self, message: &NetMessage) -> SyncOutcome {
-        match message {
+        let (result, adopted) = match message {
             NetMessage::BlockCert { header, cert } => {
                 self.gap.saw_height(header.height);
                 if self.height().is_some_and(|h| header.height <= h) {
                     return SyncOutcome::Stale;
                 }
-                match self.validate_chain(header, cert) {
-                    Ok(()) => SyncOutcome::Adopted,
-                    Err(e) => SyncOutcome::Rejected(e),
-                }
+                (self.validate_chain(header, cert), SyncOutcome::Adopted)
             }
             NetMessage::IndexCert {
                 header,
@@ -137,32 +222,36 @@ impl SuperlightClient {
                 match self.height() {
                     // Hierarchical scheme: the index certificate rides on
                     // the already-adopted header.
-                    Some(h) if header.height == h => {
-                        match self.validate_index(index, *digest, cert) {
-                            Ok(()) => SyncOutcome::AdoptedIndex,
-                            Err(e) => SyncOutcome::Rejected(e),
-                        }
-                    }
-                    Some(h) if header.height < h => SyncOutcome::Stale,
+                    Some(h) if header.height == h => (
+                        self.validate_index(index, *digest, cert),
+                        SyncOutcome::AdoptedIndex,
+                    ),
+                    Some(h) if header.height < h => return SyncOutcome::Stale,
                     // Augmented scheme (or the index cert outran its block
                     // cert): the certificate vouches for chain + index at
                     // once, so adopt both.
-                    _ => match self.validate_chain_with_index(header, index, *digest, cert) {
-                        Ok(()) => SyncOutcome::Adopted,
-                        Err(e) => SyncOutcome::Rejected(e),
-                    },
+                    _ => (
+                        self.validate_chain_with_index(header, index, *digest, cert),
+                        SyncOutcome::Adopted,
+                    ),
                 }
             }
             NetMessage::Block(_)
             | NetMessage::CertRequest { .. }
             | NetMessage::Shutdown
-            | NetMessage::Serve { .. } => SyncOutcome::Ignored,
+            | NetMessage::Serve { .. } => return SyncOutcome::Ignored,
+        };
+        match result {
+            Ok(()) => adopted,
+            Err(CertError::BelowThreshold { .. }) => SyncOutcome::Pending,
+            Err(e) => SyncOutcome::Rejected(e),
         }
     }
 
     /// The height gap to recover, as an inclusive `(from, to)` range of
     /// missing heights — `Some` when a certificate was announced beyond
-    /// the validated view (lost, late, or rejected in flight).
+    /// the validated view (lost, late, rejected in flight, or still short
+    /// of its threshold).
     pub fn needs_resync(&self) -> Option<(u64, u64)> {
         self.gap.needs_resync(self.height())
     }
@@ -179,35 +268,70 @@ impl SuperlightClient {
         self.gap.highest_seen
     }
 
-    /// The one certificate-acceptance path (Algorithm 3): the attestation
-    /// report (lines 3–5, once per enclave key), signature and digest
-    /// against `expected` (lines 6–7) and, for a certificate offered as the
-    /// new chain view `advance`, longest-chain selection (line 8). Only a
-    /// certificate passing all of it is cached as attested and adopted —
-    /// as the chain view, and as the certificate of `index`.
+    /// The one certificate-acceptance path (Algorithm 3): `cert` counts
+    /// for the first domain whose [`TrustDomain::check`] admits it against
+    /// `expected` (lines 3–7); a header offered as the new chain view
+    /// `advance` must pass longest-chain selection (line 8); and the digest
+    /// must now be certified by `threshold` distinct domains. Only then
+    /// does anything commit: the chain view, the certificate of `index`,
+    /// and each counted domain's memo entry. An offer short of the
+    /// threshold only counts toward its digest.
     fn accept(
         &mut self,
         cert: &Certificate,
-        expected: &Hash,
+        expected: Hash,
         advance: Option<&BlockHeader>,
         index: Option<(&str, Hash)>,
     ) -> Result<(), CertError> {
-        let key_bytes = cert.pk_enc.to_array();
-        if !self.attested.contains(&key_bytes) {
-            cert.verify_trust(&self.ias_key, &self.measurement)?;
-        }
-        cert.verify_digest(expected)?;
+        let domain = self.attribute(cert, &expected)?;
         if let Some(header) = advance {
             check_selection(self.height(), header.height)?;
         }
-        self.attested.insert(key_bytes);
+        let earlier = self.votes.get(&expected).map_or(&[][..], |(_, v)| v);
+        let new_domain = !earlier.iter().any(|(d, _)| *d == domain);
+        let have = earlier.len() + usize::from(new_domain);
+        if have < self.threshold {
+            let height = advance.map(|h| h.height).or(self.height());
+            let (_, voters) = self
+                .votes
+                .entry(expected)
+                .or_insert_with(|| (height.unwrap_or_default(), Vec::new()));
+            if new_domain {
+                voters.push((domain, cert.clone()));
+            }
+            return Err(CertError::BelowThreshold {
+                have,
+                need: self.threshold,
+            });
+        }
+        let (_, voters) = self.votes.remove(&expected).unwrap_or_default();
+        for (d, c) in voters.iter().map(|(d, c)| (*d, c)).chain([(domain, cert)]) {
+            if let Some(trusted) = self.domains.get_mut(d) {
+                trusted.remember(c);
+            }
+        }
         if let Some(header) = advance {
             self.latest = Some((header.clone(), cert.clone()));
+            self.votes.retain(|_, (height, _)| *height >= header.height);
         }
         if let Some((name, digest)) = index {
             self.indexes.insert(name.to_owned(), (digest, cert.clone()));
         }
         Ok(())
+    }
+
+    /// The domain `cert` counts for: the first whose anchors admit it.
+    /// Otherwise the first domain's refusal.
+    fn attribute(&self, cert: &Certificate, expected: &Hash) -> Result<usize, CertError> {
+        let mut refusal = CertError::NotInitialized; // replaced: a client has a domain
+        for (i, domain) in self.domains.iter().enumerate() {
+            match domain.check(cert, expected) {
+                Ok(()) => return Ok(i),
+                Err(e) if i == 0 => refusal = e,
+                Err(_) => {}
+            }
+        }
+        Err(refusal)
     }
 
     /// Algorithm 3: `validate_chain`. On success the client adopts
@@ -217,13 +341,15 @@ impl SuperlightClient {
     ///
     /// One [`CertError`] per failed line of the algorithm; notably
     /// [`CertError::ChainSelection`] when `header` does not extend the
-    /// longest chain the client has seen.
+    /// longest chain the client has seen, and
+    /// [`CertError::BelowThreshold`] when fewer than the threshold of
+    /// domains have certified `header` so far.
     pub fn validate_chain(
         &mut self,
         header: &BlockHeader,
         cert: &Certificate,
     ) -> Result<(), CertError> {
-        self.accept(cert, &header.hash(), Some(header), None)
+        self.accept(cert, header.hash(), Some(header), None)
     }
 
     /// Validates an **augmented** certificate, which vouches for the chain
@@ -234,9 +360,7 @@ impl SuperlightClient {
     ///
     /// # Errors
     ///
-    /// The usual certificate errors, plus
-    /// [`CertError::ChainSelection`] when `header` does not extend the
-    /// longest chain seen.
+    /// As [`Self::validate_chain`].
     pub fn validate_chain_with_index(
         &mut self,
         header: &BlockHeader,
@@ -245,7 +369,7 @@ impl SuperlightClient {
         cert: &Certificate,
     ) -> Result<(), CertError> {
         let expected = Certificate::index_digest(&header.hash(), &idx_digest);
-        self.accept(cert, &expected, Some(header), Some((name, idx_digest)))
+        self.accept(cert, expected, Some(header), Some((name, idx_digest)))
     }
 
     /// Adopts an index certificate for `name`, verifying it against the
@@ -254,7 +378,7 @@ impl SuperlightClient {
     /// # Errors
     ///
     /// [`CertError::NotInitialized`] if no chain view exists yet, plus the
-    /// usual certificate errors.
+    /// usual certificate errors and [`CertError::BelowThreshold`].
     pub fn validate_index(
         &mut self,
         name: &str,
@@ -263,7 +387,7 @@ impl SuperlightClient {
     ) -> Result<(), CertError> {
         let (header, _) = self.latest.as_ref().ok_or(CertError::NotInitialized)?;
         let expected = Certificate::index_digest(&header.hash(), &idx_digest);
-        self.accept(cert, &expected, None, Some((name, idx_digest)))
+        self.accept(cert, expected, None, Some((name, idx_digest)))
     }
 
     /// The latest validated header, if any.
@@ -712,19 +836,22 @@ mod tests {
     }
 
     #[test]
-    fn attestation_cache_skips_repeat_trust_checks() {
-        // Validating with the wrong IAS key fails the first time, but a
-        // key that was attested once is cached thereafter.
+    fn a_new_report_for_an_attested_key_is_checked_again() {
+        // The memo holds ⟨rep, pk_enc⟩ pairs byte for byte, as the enclave
+        // does: once a key's report verified, a *different* report under
+        // the same key is not trusted on the key's say-so.
         let ca = MiniCa::new();
         let mut client = ca.client();
         let h1 = header(1);
         client.validate_chain(&h1, &ca.certify(h1.hash())).unwrap();
-        // Tamper with the report of a *later* cert: because pk_enc is
-        // cached as attested, only digest/signature checks run — this is
-        // exactly the paper's "check the report only once" behavior.
         let h2 = header(2);
         let mut cert2 = ca.certify(h2.hash());
         cert2.report.report_data = hash_bytes(b"garbled after first attestation");
-        client.validate_chain(&h2, &cert2).unwrap();
+        assert!(matches!(
+            client.validate_chain(&h2, &cert2),
+            Err(CertError::Attestation(_))
+        ));
+        assert_eq!(client.height(), Some(1));
+        client.validate_chain(&h2, &ca.certify(h2.hash())).unwrap();
     }
 }

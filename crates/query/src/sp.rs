@@ -8,7 +8,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use dcert_chain::{Block, ChainError, ChainState, ConsensusEngine, FullNode};
-use dcert_core::{CertError, Certificate, IndexInput, IndexVerifier, RecoverError};
+use dcert_core::{CertError, Certificate, IndexInput, IndexVerifier, RecoverError, TrustDomain};
 use dcert_obs::{Buckets, Counter, Histogram, Registry};
 use dcert_primitives::codec::{decode_seq, encode_seq, Decode, Encode, Reader};
 use dcert_primitives::error::CodecError;
@@ -216,9 +216,9 @@ pub struct ServiceProvider {
     /// chain height in normal operation; after [`ServiceProvider::recover_from`]
     /// it runs ahead of the genesis chain state until the caller re-syncs.
     index_height: u64,
-    /// Durable backend, if any, with the trust anchors `(ias_key,
-    /// measurement)` a certificate must verify under to be written there.
-    store: Option<(Box<dyn Store>, PublicKey, Hash)>,
+    /// Durable backend, if any, with the trust domain a certificate must
+    /// verify under to be written there.
+    store: Option<(Box<dyn Store>, TrustDomain)>,
     /// First store failure; once set, persistence stops (queries keep
     /// serving) and the error is reported via [`ServiceProvider::store_error`].
     store_error: Option<StoreError>,
@@ -561,8 +561,9 @@ impl ServiceProvider {
     /// Settles the staged block (with nothing staged, does nothing) and
     /// commits the store once. `Some(certs)`, in [`ServiceProvider::verifiers`]
     /// order, must each certify `H(header ‖ digest)` of the block and its
-    /// index — and on a store-backed SP verify under the trust anchors
-    /// recovery re-checks them with — before any is recorded. `None`
+    /// index — and on a store-backed SP pass [`TrustDomain::check`] under
+    /// the trust anchors recovery re-checks them with — before any is
+    /// recorded (and its attestation remembered). `None`
     /// settles it uncertified (the pipelined SP): each index keeps its
     /// latest certificate.
     ///
@@ -580,12 +581,11 @@ impl ServiceProvider {
             if expected != got {
                 return Err(SpError::CertCount { expected, got });
             }
-            let mut attested = Vec::new();
             for ((name, digest), cert) in staged.iter().zip(certs) {
                 let bound = Certificate::index_digest(&header_hash, digest);
                 let checked = match &self.store {
                     _ if cert.digest != bound => Err(CertError::DigestMismatch),
-                    Some((_, ias, mr)) => verify_cert((ias, mr), &mut attested, cert, &bound),
+                    Some((_, domain)) => domain.check(cert, &bound),
                     None => Ok(()),
                 };
                 checked.map_err(|error| SpError::Cert {
@@ -594,6 +594,9 @@ impl ServiceProvider {
                 })?;
             }
             for ((name, digest), cert) in staged.into_iter().zip(certs) {
+                if let Some((_, domain)) = &mut self.store {
+                    domain.remember(cert);
+                }
                 if let Some(obs) = &self.obs {
                     obs.cert_bytes
                         .observe(u64::try_from(cert.encoded_len()).unwrap_or(u64::MAX));
@@ -738,11 +741,11 @@ impl ServiceProvider {
             }
             recovered.push((name.clone(), entry.anchor));
         }
-        let mut attested = Vec::new();
+        let mut domain = TrustDomain::new(*ias_key, *measurement);
         for (header_hash, cert_digest, cert) in recovered.iter().filter_map(|(_, a)| a.as_ref()) {
             let bound = Certificate::index_digest(header_hash, cert_digest);
-            verify_cert((ias_key, measurement), &mut attested, cert, &bound)
-                .map_err(RecoverError::Cert)?;
+            domain.check(cert, &bound).map_err(RecoverError::Cert)?;
+            domain.remember(cert);
         }
         // A head entry for an index this SP does not maintain means the
         // store belongs to a differently-configured SP: refuse rather
@@ -757,27 +760,9 @@ impl ServiceProvider {
 
         self.anchors.extend(recovered);
         self.index_height = committed;
-        self.store = Some((store, *ias_key, *measurement));
+        self.store = Some((store, domain));
         Ok(self)
     }
-}
-
-/// Checks that `cert` certifies `expected` under the trust anchors, as
-/// recovery and a store-backed [`ServiceProvider::advance`] both do: the
-/// attestation once per ⟨rep, pk_enc⟩ (`attested` holds the certificates
-/// whose pair was already checked), the signature and digest every time.
-fn verify_cert<'a>(
-    (ias_key, measurement): (&PublicKey, &Hash),
-    attested: &mut Vec<&'a Certificate>,
-    cert: &'a Certificate,
-    expected: &Hash,
-) -> Result<(), CertError> {
-    let seen = |c: &&Certificate| c.report == cert.report && c.pk_enc == cert.pk_enc;
-    if !attested.iter().any(seen) {
-        cert.verify_trust(ias_key, measurement)?;
-        attested.push(cert);
-    }
-    cert.verify_digest(expected)
 }
 
 #[cfg(test)]
@@ -1037,23 +1022,11 @@ mod tests {
                 },
             ),
         ];
-        let (ias_key, measurement) = (world.ias_key, world.measurement);
-        let head = |sp: &mut ServiceProvider| {
-            let store = sp.take_store().unwrap();
-            let image = store.head_entries();
-            sp.store = Some((store, ias_key, measurement));
-            image
-        };
+        let head = |sp: &ServiceProvider| sp.store.as_ref().unwrap().0.head_entries();
         for (what, list, want) in table {
-            let before = (
-                head(&mut world.sp),
-                world.sp.certificate("history").cloned(),
-            );
+            let before = (head(&world.sp), world.sp.certificate("history").cloned());
             assert_eq!(world.sp.advance(Some(&list)), Err(want), "{what}");
-            let after = (
-                head(&mut world.sp),
-                world.sp.certificate("history").cloned(),
-            );
+            let after = (head(&world.sp), world.sp.certificate("history").cloned());
             assert_eq!(before, after, "{what}: the SP is untouched");
         }
         world.sp.advance(Some(&certs)).unwrap();

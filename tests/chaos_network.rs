@@ -18,8 +18,8 @@ use std::sync::{Arc, OnceLock};
 use dcert::chain::Block;
 use dcert::core::{
     expected_measurement, CertArchive, CertJob, CertPipeline, FaultConfig, Gossip, NetMessage,
-    NetStats, Partition, PipelineConfig, PipelineReport, PublishPolicy, QuorumClient, SimNet,
-    SuperlightClient, Transport, TrustDomain,
+    NetStats, Partition, PipelineConfig, PipelineReport, PublishPolicy, SimNet, SuperlightClient,
+    Transport,
 };
 use dcert::obs::{Registry, Snapshot};
 use dcert::primitives::keys::PublicKey;
@@ -83,7 +83,6 @@ struct ChaosRun {
     /// The archive's retained stream for heights `1..=CHAIN`.
     retained: Vec<NetMessage>,
     superlight: SuperlightClient,
-    quorum: QuorumClient,
     report: PipelineReport,
     /// Final metric snapshot of the registry attached to both the SimNet
     /// and the pipeline.
@@ -93,8 +92,8 @@ struct ChaosRun {
 }
 
 /// Certifies the fixture chain through the pipeline over a `SimNet`
-/// seeded with `seed`, heals the network, and runs both client kinds
-/// through the resync protocol until they converge (or panics with the
+/// seeded with `seed`, heals the network, and runs the superlight client
+/// through the resync protocol until it converges (or panics with the
 /// seed after a bounded number of rounds).
 fn run_chaos(seed: u64, faults: FaultConfig) -> ChaosRun {
     run_chaos_with_store(seed, faults, None)
@@ -149,38 +148,25 @@ fn run_chaos_with_store(
     // clients must recover everything that was lost in flight.
     net.heal();
     let mut superlight = SuperlightClient::new(fx.ias_key, expected_measurement());
-    let mut quorum = QuorumClient::new(
-        vec![TrustDomain {
-            name: "sgx".into(),
-            ias_key: fx.ias_key,
-            measurement: expected_measurement(),
-        }],
-        1,
-    );
     let mut rounds = 0u64;
     loop {
         while let Ok(msg) = client_rx.try_recv() {
             superlight.on_message(&msg);
-            quorum.on_message(&msg);
         }
-        if superlight.height() == Some(CHAIN) && quorum.height() == Some(CHAIN) {
+        if superlight.height() == Some(CHAIN) {
             break;
         }
         rounds += 1;
         assert!(
             rounds <= CHAIN + 10,
             "CHAOS_SEED={seed}: no convergence after {rounds} resync rounds \
-             (superlight {:?}, quorum {:?}, stats {:?})",
+             (superlight {:?}, stats {:?})",
             superlight.height(),
-            quorum.height(),
             net.stats(),
         );
         // A lagging client publishes a CertRequest; the CI answers it
         // from its archive. The test plays the CI side directly.
-        let have = superlight
-            .height()
-            .unwrap_or(0)
-            .min(quorum.height().unwrap_or(0));
+        let have = superlight.height().unwrap_or(0);
         let (from, to) = match superlight.resync_request() {
             Some(NetMessage::CertRequest { from, to }) => (from.min(have + 1), to.max(CHAIN)),
             _ => (have + 1, CHAIN),
@@ -196,7 +182,6 @@ fn run_chaos_with_store(
         stats: net.stats(),
         retained: archive.messages_in(1, CHAIN),
         superlight,
-        quorum,
         report,
         obs: obs.snapshot(),
         in_flight: net.in_flight(),
@@ -212,11 +197,6 @@ fn converges_at_default_fault_rates() {
         run.superlight.height(),
         Some(CHAIN),
         "CHAOS_SEED={seed}: superlight client stuck"
-    );
-    assert_eq!(
-        run.quorum.height(),
-        Some(CHAIN),
-        "CHAOS_SEED={seed}: quorum client stuck"
     );
     assert_eq!(
         run.superlight.latest_header(),
@@ -298,7 +278,6 @@ fn durable_archive_survives_chaos_and_a_torn_tail() {
     let dir = temp_dir("chaos-archive");
     let run = run_chaos_with_store(seed, default_faults(), Some(&dir));
     assert_eq!(run.superlight.height(), Some(CHAIN), "CHAOS_SEED={seed}");
-    assert_eq!(run.quorum.height(), Some(CHAIN), "CHAOS_SEED={seed}");
     assert_eq!(run.retained, fx.expected, "CHAOS_SEED={seed}");
     // One append per unique retained certificate: duplicated deliveries
     // and publish retries never reach the disk, and a fresh directory
@@ -370,9 +349,8 @@ fn total_blackout_dead_letters_then_resyncs() {
         assert!(dl.attempts > 1, "CHAOS_SEED={seed}: no retry recorded");
     }
     // The archive retained what the network refused to carry, so the
-    // resync path still brought both clients to the tip.
+    // resync path still brought the client to the tip.
     assert_eq!(run.superlight.height(), Some(CHAIN), "CHAOS_SEED={seed}");
-    assert_eq!(run.quorum.height(), Some(CHAIN), "CHAOS_SEED={seed}");
     assert_eq!(run.retained, fixture().expected, "CHAOS_SEED={seed}");
 
     // The fixed backoff bug made every retry wait the same base delay.
@@ -437,7 +415,6 @@ fn any_fault_schedule_converges_once_healed() {
         let run = run_chaos(seed, faults.clone());
         let schedule = format!("seed {seed}, {faults:?}");
         assert_eq!(run.superlight.height(), Some(CHAIN), "{schedule}");
-        assert_eq!(run.quorum.height(), Some(CHAIN), "{schedule}");
         assert_eq!(&run.retained, &fixture().expected, "{schedule}");
     });
 }
@@ -510,7 +487,7 @@ fn seed_matrix_entry() {
         "CHAOS_SEED={seed}: stream mismatch"
     );
     assert_eq!(a.superlight.height(), Some(CHAIN), "CHAOS_SEED={seed}");
-    assert_eq!(b.quorum.height(), Some(CHAIN), "CHAOS_SEED={seed}");
+    assert_eq!(b.superlight.height(), Some(CHAIN), "CHAOS_SEED={seed}");
 }
 
 // ---------------------------------------------------------------------
@@ -784,7 +761,6 @@ struct ShardFleetChaosRun {
     /// The archive's retained stream for heights `1..=CHAIN`.
     retained: Vec<NetMessage>,
     superlight: SuperlightClient,
-    quorum: QuorumClient,
     /// Final snapshot of the registry shared by the fleet (`shard.*`)
     /// and the simulator (`net.*`).
     obs: Snapshot,
@@ -794,8 +770,8 @@ struct ShardFleetChaosRun {
 /// Certifies the fixture chain through a sharded fleet whose failure
 /// plan kills shard 1 after one durable chunk (store-resume path) and
 /// shard 3 before any (fresh-boot path), publishes the aggregate stream
-/// over a `SimNet` seeded with `seed`, heals, and resyncs both client
-/// kinds to the tip.
+/// over a `SimNet` seeded with `seed`, heals, and resyncs the superlight
+/// client to the tip.
 fn run_shard_fleet_chaos(seed: u64, faults: FaultConfig) -> ShardFleetChaosRun {
     let fx = fixture();
     let mut world = World::pow(&[]);
@@ -826,36 +802,23 @@ fn run_shard_fleet_chaos(seed: u64, faults: FaultConfig) -> ShardFleetChaosRun {
 
     net.heal();
     let mut superlight = SuperlightClient::new(fx.ias_key, expected_measurement());
-    let mut quorum = QuorumClient::new(
-        vec![TrustDomain {
-            name: "sgx".into(),
-            ias_key: fx.ias_key,
-            measurement: expected_measurement(),
-        }],
-        1,
-    );
     let mut rounds = 0u64;
     loop {
         while let Ok(msg) = client_rx.try_recv() {
             superlight.on_message(&msg);
-            quorum.on_message(&msg);
         }
-        if superlight.height() == Some(CHAIN) && quorum.height() == Some(CHAIN) {
+        if superlight.height() == Some(CHAIN) {
             break;
         }
         rounds += 1;
         assert!(
             rounds <= CHAIN + 10,
             "CHAOS_SEED={seed}: no convergence after {rounds} resync rounds \
-             (superlight {:?}, quorum {:?}, stats {:?})",
+             (superlight {:?}, stats {:?})",
             superlight.height(),
-            quorum.height(),
             net.stats(),
         );
-        let have = superlight
-            .height()
-            .unwrap_or(0)
-            .min(quorum.height().unwrap_or(0));
+        let have = superlight.height().unwrap_or(0);
         let (from, to) = match superlight.resync_request() {
             Some(NetMessage::CertRequest { from, to }) => (from.min(have + 1), to.max(CHAIN)),
             _ => (have + 1, CHAIN),
@@ -866,7 +829,6 @@ fn run_shard_fleet_chaos(seed: u64, faults: FaultConfig) -> ShardFleetChaosRun {
         stats: net.stats(),
         retained: archive.messages_in(1, CHAIN),
         superlight,
-        quorum,
         obs: obs.snapshot(),
         in_flight: net.in_flight(),
     }
@@ -882,7 +844,6 @@ fn shard_fleet_converges_under_chaos() {
     let run = run_shard_fleet_chaos(seed, default_faults());
     let fx = fixture();
     assert_eq!(run.superlight.height(), Some(CHAIN), "CHAOS_SEED={seed}");
-    assert_eq!(run.quorum.height(), Some(CHAIN), "CHAOS_SEED={seed}");
     assert_eq!(
         run.superlight.latest_header(),
         fx.blocks.last().map(|b| &b.header),
@@ -977,5 +938,5 @@ fn shard_fleet_seed_matrix_entry() {
         "CHAOS_SEED={seed}: shard metrics diverged between replays"
     );
     assert_eq!(a.superlight.height(), Some(CHAIN), "CHAOS_SEED={seed}");
-    assert_eq!(b.quorum.height(), Some(CHAIN), "CHAOS_SEED={seed}");
+    assert_eq!(b.superlight.height(), Some(CHAIN), "CHAOS_SEED={seed}");
 }
