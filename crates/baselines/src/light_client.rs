@@ -29,7 +29,7 @@ impl TraditionalLightClient {
     /// Returns [`ChainError::BadGenesis`] for a non-genesis header.
     pub fn new(genesis: BlockHeader) -> Result<Self, ChainError> {
         if genesis.height != 0 {
-            return Err(ChainError::BadGenesis("height must be 0"));
+            return Err(ChainError::BadGenesis("height must be 0".into()));
         }
         Ok(TraditionalLightClient {
             headers: vec![genesis],

@@ -244,10 +244,12 @@ impl SkipRangeProof {
                 if results.is_empty() {
                     Ok(())
                 } else {
-                    Err(ProofError::Incomplete("results for an empty list"))
+                    Err(ProofError::Incomplete("results for an empty list".into()))
                 }
             } else {
-                Err(ProofError::Malformed("empty proof for non-empty list"))
+                Err(ProofError::Malformed(
+                    "empty proof for non-empty list".into(),
+                ))
             };
         }
         // The first node must hash to the head commitment.
@@ -266,18 +268,18 @@ impl SkipRangeProof {
                 let link = prev
                     .link_hashes
                     .get(level)
-                    .ok_or(ProofError::Malformed("link level out of range"))?;
+                    .ok_or(ProofError::Malformed("link level out of range".into()))?;
                 if *link != node.hash() {
                     return Err(ProofError::RootMismatch);
                 }
                 // Skip-safety: a level-above-0 step may only land at or
                 // above t2 (nothing in range can be jumped over).
                 if level > 0 && node.ts < t2 {
-                    return Err(ProofError::Incomplete("skip jumped into the range"));
+                    return Err(ProofError::Incomplete("skip jumped into the range".into()));
                 }
                 // Timestamps must strictly decrease along the walk.
                 if node.ts >= prev.ts {
-                    return Err(ProofError::Malformed("non-decreasing traversal"));
+                    return Err(ProofError::Malformed("non-decreasing traversal".into()));
                 }
             }
             if node.ts >= t1 && node.ts <= t2 {
@@ -292,16 +294,18 @@ impl SkipRangeProof {
             }
         }
         if !reached_below_t1_or_start {
-            return Err(ProofError::Incomplete("traversal stops inside the range"));
+            return Err(ProofError::Incomplete(
+                "traversal stops inside the range".into(),
+            ));
         }
         // Collected nodes were pushed newest-first.
         collected.reverse();
         if collected.len() != results.len() {
-            return Err(ProofError::Incomplete("result count mismatch"));
+            return Err(ProofError::Incomplete("result count mismatch".into()));
         }
         for ((ts, vh), (rts, rv)) in collected.iter().zip(results) {
             if ts != rts || *vh != hash_bytes(rv) {
-                return Err(ProofError::Incomplete("result entry mismatch"));
+                return Err(ProofError::Incomplete("result entry mismatch".into()));
             }
         }
         Ok(())

@@ -157,7 +157,7 @@ impl ConsensusEngine for ProofOfWork {
             }
             nonce = nonce
                 .checked_add(1)
-                .ok_or(ChainError::BadConsensus("nonce space exhausted"))?;
+                .ok_or(ChainError::BadConsensus("nonce space exhausted".into()))?;
         }
     }
 
@@ -170,16 +170,16 @@ impl ConsensusEngine for ProofOfWork {
             nonce,
         } = &header.consensus
         else {
-            return Err(ChainError::BadConsensus("expected a PoW proof"));
+            return Err(ChainError::BadConsensus("expected a PoW proof".into()));
         };
         if *difficulty_bits != self.difficulty_bits {
-            return Err(ChainError::BadConsensus("wrong difficulty"));
+            return Err(ChainError::BadConsensus("wrong difficulty".into()));
         }
         let digest = Self::pow_digest(&header.sealing_digest(), *nonce);
         if leading_zero_bits(&digest) >= u32::from(self.difficulty_bits) {
             Ok(())
         } else {
-            Err(ChainError::BadConsensus("insufficient work"))
+            Err(ChainError::BadConsensus("insufficient work".into()))
         }
     }
 }
@@ -229,7 +229,7 @@ impl ConsensusEngine for ProofOfAuthority {
         let signer = self
             .signer
             .as_ref()
-            .ok_or(ChainError::BadConsensus("verify-only PoA engine"))?;
+            .ok_or(ChainError::BadConsensus("verify-only PoA engine".into()))?;
         let sealing = header.sealing_digest();
         header.consensus = ConsensusProof::Authority {
             signer: signer.public(),
@@ -243,14 +243,14 @@ impl ConsensusEngine for ProofOfAuthority {
             return Ok(());
         }
         let ConsensusProof::Authority { signer, signature } = &header.consensus else {
-            return Err(ChainError::BadConsensus("expected a PoA proof"));
+            return Err(ChainError::BadConsensus("expected a PoA proof".into()));
         };
         if !self.authorized.contains(signer) {
-            return Err(ChainError::BadConsensus("unauthorized signer"));
+            return Err(ChainError::BadConsensus("unauthorized signer".into()));
         }
         signer
             .verify(header.sealing_digest().as_bytes(), signature)
-            .map_err(|_| ChainError::BadConsensus("bad authority signature"))
+            .map_err(|_| ChainError::BadConsensus("bad authority signature".into()))
     }
 }
 
@@ -312,7 +312,7 @@ mod tests {
         lenient.seal(&mut header).unwrap();
         assert_eq!(
             strict.verify(&header),
-            Err(ChainError::BadConsensus("wrong difficulty"))
+            Err(ChainError::BadConsensus("wrong difficulty".into()))
         );
     }
 
@@ -354,7 +354,7 @@ mod tests {
         sealer.seal(&mut header).unwrap();
         assert_eq!(
             verifier.verify(&header),
-            Err(ChainError::BadConsensus("unauthorized signer"))
+            Err(ChainError::BadConsensus("unauthorized signer".into()))
         );
     }
 

@@ -476,7 +476,7 @@ mod tests {
             Arc::new(ProofOfAuthority::new_verifier(authorized.clone())),
             4,
             vec![bump_tx(1, 0)],
-            ChainError::BadConsensus("verify-only PoA engine"),
+            ChainError::BadConsensus("verify-only PoA engine".into()),
         );
         refused(
             "unauthorised sealer",
@@ -486,7 +486,7 @@ mod tests {
             )),
             4,
             vec![bump_tx(1, 0)],
-            ChainError::BadConsensus("unauthorized signer"),
+            ChainError::BadConsensus("unauthorized signer".into()),
         );
         refused(
             "tip at the last height",

@@ -30,10 +30,10 @@ impl ChainStore {
     /// header (height 0, zero `prev_hash`).
     pub fn new(genesis: BlockHeader) -> Result<Self, ChainError> {
         if genesis.height != 0 {
-            return Err(ChainError::BadGenesis("height must be 0"));
+            return Err(ChainError::BadGenesis("height must be 0".into()));
         }
         if !genesis.prev_hash.is_zero() {
-            return Err(ChainError::BadGenesis("prev hash must be zero"));
+            return Err(ChainError::BadGenesis("prev hash must be zero".into()));
         }
         let digest = genesis.hash();
         let mut headers = HashMap::new();

@@ -316,7 +316,7 @@ impl CertificateIssuer {
     ///
     /// A block that does not extend the tip, or whose writes do not reach
     /// its state root, is refused before the ECall as [`CertError::Chain`];
-    /// enclave-side rejections surface as [`CertError::EnclaveRejected`].
+    /// an enclave-side rejection is the trusted program's own [`CertError`].
     /// Either way the CI is left as it was.
     pub fn certify_block(
         &mut self,

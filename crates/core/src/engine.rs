@@ -23,6 +23,7 @@ use dcert_chain::state::Displaced;
 use dcert_chain::validity::check_extends;
 use dcert_chain::{Block, BlockHeader, FullNode};
 use dcert_primitives::codec::{Decode, Encode};
+use dcert_primitives::error::CodecError;
 use dcert_primitives::hash::Hash;
 use dcert_primitives::keys::{PublicKey, Signature};
 use dcert_sgx::cost::timed;
@@ -108,7 +109,8 @@ impl Attested {
 /// Crosses the enclave boundary once, charging the boundary's cost-model
 /// delta into `breakdown` (a delta rather than a reset/read, so the
 /// enclave's cumulative counters stay intact for other observers of a
-/// shared handle). A rejection becomes [`CertError::EnclaveRejected`].
+/// shared handle). A rejection is the trusted program's own [`CertError`],
+/// decoded.
 fn ecall(
     enclave: &Enclave<CertProgram>,
     encoded: &[u8],
@@ -124,13 +126,13 @@ fn ecall(
     breakdown.request_bytes += after.bytes_in - before.bytes_in;
     breakdown.response_bytes += after.bytes_out - before.bytes_out;
     match EcallResponse::decode_all(&response)? {
-        EcallResponse::Rejected(reason) => Err(CertError::EnclaveRejected(reason)),
+        EcallResponse::Rejected(error) => Err(error),
         response => Ok(response),
     }
 }
 
 fn unexpected_response() -> CertError {
-    CertError::EnclaveRejected("unexpected response".into())
+    CertError::Codec(CodecError::Invalid("unexpected ECall response".into()))
 }
 
 // --- sequencing -----------------------------------------------------------------
@@ -267,10 +269,6 @@ impl PreparedJob {
     }
 }
 
-fn empty_batch() -> CertError {
-    CertError::EnclaveRejected("empty batch".into())
-}
-
 // --- issue and commit -----------------------------------------------------------
 
 /// The certificates one job produced, not yet part of the issuer's chain.
@@ -380,7 +378,7 @@ impl Issuer {
             PreparedJob::Once(EcallRequest::BatchSigGen {
                 prev_cert, links, ..
             }) => {
-                let last = links.last().ok_or_else(empty_batch)?;
+                let last = links.last().ok_or(CertError::EmptyRange)?;
                 (last.block.header.clone(), prev_cert, &mut [][..])
             }
             PreparedJob::Once(_) => return Err(unexpected_response()),

@@ -1,11 +1,14 @@
 //! Certification error types.
 
+use std::borrow::Cow;
 use std::fmt;
 
 use dcert_chain::ChainError;
 use dcert_merkle::ProofError;
+use dcert_primitives::codec::{Decode, Encode, Reader};
 use dcert_primitives::error::CodecError;
 use dcert_sgx::SgxError;
+use dcert_store::StoreError;
 
 /// Why a certificate failed to construct or verify.
 ///
@@ -42,14 +45,11 @@ pub enum CertError {
     /// No verifier is registered for the named index type.
     UnknownIndexType(String),
     /// An index update's auxiliary data failed to decode or apply.
-    BadIndexUpdate(&'static str),
+    BadIndexUpdate(Cow<'static, str>),
     /// The enclave has not completed key initialization.
     NotInitialized,
     /// A request or response failed to (de)serialize at the ECall boundary.
     Codec(CodecError),
-    /// The enclave rejected the request; the reason string is the trusted
-    /// program's error rendered across the byte-level boundary.
-    EnclaveRejected(String),
     /// The certification pipeline has stopped accepting work
     /// (shutdown in progress or a stage died).
     PipelineClosed,
@@ -85,7 +85,7 @@ pub enum CertError {
         /// Height that was requested.
         offered: u64,
     },
-    /// A range certification or fold request carried no blocks/ranges.
+    /// A batch, range or fold request carried no blocks/ranges.
     EmptyRange,
     /// Height arithmetic on a range span overflowed `u64`.
     HeightOverflow,
@@ -134,7 +134,6 @@ impl fmt::Display for CertError {
             CertError::BadIndexUpdate(why) => write!(f, "bad index update: {why}"),
             CertError::NotInitialized => write!(f, "enclave key not initialized"),
             CertError::Codec(e) => write!(f, "ecall boundary codec error: {e}"),
-            CertError::EnclaveRejected(reason) => write!(f, "enclave rejected: {reason}"),
             CertError::PipelineClosed => write!(f, "certification pipeline closed"),
             CertError::ChainSelection { current, offered } => write!(
                 f,
@@ -178,6 +177,88 @@ impl fmt::Display for CertError {
 
 impl std::error::Error for CertError {}
 
+/// The one tag every host-only variant — one the trusted program never
+/// builds — encodes as. The decoder refuses it, so a host error can never
+/// pass for an enclave refusal.
+const HOST_ONLY: u8 = 0xff;
+
+/// One tag byte per variant, then its fields: a refusal crosses the ECall as itself.
+impl Encode for CertError {
+    fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            CertError::Attestation(e) => (0u8, e).encode(out),
+            CertError::WrongMeasurement => out.push(1),
+            CertError::KeyBindingMismatch => out.push(2),
+            CertError::BadSignature => out.push(3),
+            CertError::DigestMismatch => out.push(4),
+            CertError::MissingPrevCert => out.push(5),
+            CertError::GenesisMismatch => out.push(6),
+            CertError::Chain(e) => (7u8, e).encode(out),
+            CertError::Proof(e) => (8u8, e).encode(out),
+            CertError::ReadSetMismatch => out.push(9),
+            CertError::StateRootMismatch => out.push(10),
+            CertError::IndexDigestMismatch => out.push(11),
+            CertError::UnknownIndexType(name) => (12u8, name).encode(out),
+            CertError::BadIndexUpdate(why) => (13u8, why).encode(out),
+            CertError::NotInitialized => out.push(14),
+            CertError::Codec(e) => (15u8, e).encode(out),
+            CertError::HeightRegression {
+                last_signed,
+                offered,
+            } => (16u8, last_signed, offered).encode(out),
+            CertError::EmptyRange => out.push(17),
+            CertError::HeightOverflow => out.push(18),
+            CertError::RangeLengthMismatch => out.push(19),
+            CertError::RangeAnchorMismatch => out.push(20),
+            CertError::RangeDiscontinuity { expected, found } => {
+                (21u8, expected, found).encode(out)
+            }
+            CertError::PipelineClosed
+            | CertError::ChainSelection { .. }
+            | CertError::BelowThreshold { .. }
+            | CertError::BadThreshold { .. }
+            | CertError::Shard(_) => out.push(HOST_ONLY),
+        }
+    }
+}
+
+impl Decode for CertError {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(match r.take_byte()? {
+            0 => CertError::Attestation(SgxError::decode(r)?),
+            1 => CertError::WrongMeasurement,
+            2 => CertError::KeyBindingMismatch,
+            3 => CertError::BadSignature,
+            4 => CertError::DigestMismatch,
+            5 => CertError::MissingPrevCert,
+            6 => CertError::GenesisMismatch,
+            7 => CertError::Chain(ChainError::decode(r)?),
+            8 => CertError::Proof(ProofError::decode(r)?),
+            9 => CertError::ReadSetMismatch,
+            10 => CertError::StateRootMismatch,
+            11 => CertError::IndexDigestMismatch,
+            12 => CertError::UnknownIndexType(String::decode(r)?),
+            13 => CertError::BadIndexUpdate(Cow::decode(r)?),
+            14 => CertError::NotInitialized,
+            15 => CertError::Codec(CodecError::decode(r)?),
+            16 => CertError::HeightRegression {
+                last_signed: u64::decode(r)?,
+                offered: u64::decode(r)?,
+            },
+            17 => CertError::EmptyRange,
+            18 => CertError::HeightOverflow,
+            19 => CertError::RangeLengthMismatch,
+            20 => CertError::RangeAnchorMismatch,
+            21 => CertError::RangeDiscontinuity {
+                expected: u64::decode(r)?,
+                found: u64::decode(r)?,
+            },
+            HOST_ONLY => return Err(CodecError::Invalid("host-only error".into())),
+            other => return Err(CodecError::InvalidTag(other)),
+        })
+    }
+}
+
 /// Untrusted-side failures of the sharded certification fleet: plan
 /// construction, worker threads, and durable-state plumbing. Enclave-side
 /// refusals surface as ordinary [`CertError`] variants instead.
@@ -201,16 +282,15 @@ pub enum ShardError {
         /// Height of the missing block.
         height: u64,
     },
-    /// A shard worker thread failed; the reason is the worker's error
-    /// rendered to a string (thread boundaries erase the concrete type).
+    /// The fleet lost a shard of its own: a slot with no booted enclave,
+    /// a worker thread that panicked, or a slot missing from the round. A
+    /// worker's refusal travels as the [`CertError`] it got instead.
     Worker {
         /// Index of the failed shard.
         shard: usize,
-        /// Rendered failure reason.
-        reason: String,
     },
     /// The durable store rejected a watermark or seal write.
-    Store(String),
+    Store(StoreError),
 }
 
 impl fmt::Display for ShardError {
@@ -225,10 +305,8 @@ impl fmt::Display for ShardError {
             ShardError::MissingBlock { height } => {
                 write!(f, "block at height {height} missing from offered chain")
             }
-            ShardError::Worker { shard, reason } => {
-                write!(f, "shard {shard} worker failed: {reason}")
-            }
-            ShardError::Store(reason) => write!(f, "shard store write failed: {reason}"),
+            ShardError::Worker { shard } => write!(f, "shard {shard} worker lost"),
+            ShardError::Store(e) => write!(f, "shard store write failed: {e}"),
         }
     }
 }

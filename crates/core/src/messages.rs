@@ -29,6 +29,7 @@ use dcert_primitives::keys::{PublicKey, Signature};
 use dcert_vm::StateKey;
 
 use crate::cert::Certificate;
+use crate::error::CertError;
 use crate::range::RangeCert;
 
 /// A pre-state read set: `{r}_i` of Algorithm 1.
@@ -145,8 +146,8 @@ pub enum EcallResponse {
     Initialized(PublicKey),
     /// A signature over the requested digest.
     Signature(Signature),
-    /// The trusted program rejected the request.
-    Rejected(String),
+    /// The trusted program rejected the request: its own typed refusal.
+    Rejected(CertError),
     /// One signature per digest the request asked for: per folded header,
     /// ordered by height (`FoldRanges`), or the block's then one per index
     /// (`HierSigGen`).
@@ -401,7 +402,7 @@ impl Decode for EcallResponse {
         match r.take_byte()? {
             0 => Ok(EcallResponse::Initialized(PublicKey::decode(r)?)),
             1 => Ok(EcallResponse::Signature(Signature::decode(r)?)),
-            2 => Ok(EcallResponse::Rejected(String::decode(r)?)),
+            2 => Ok(EcallResponse::Rejected(CertError::decode(r)?)),
             3 => Ok(EcallResponse::Signatures(decode_seq(r)?)),
             other => Err(CodecError::InvalidTag(other)),
         }
@@ -511,7 +512,10 @@ mod tests {
 
     #[test]
     fn response_round_trip() {
-        let rejected = EcallResponse::Rejected("nope".to_owned());
+        let rejected = EcallResponse::Rejected(CertError::HeightRegression {
+            last_signed: 7,
+            offered: 3,
+        });
         assert_eq!(
             EcallResponse::decode_all(&rejected.to_encoded_bytes()).unwrap(),
             rejected

@@ -105,8 +105,8 @@ impl CertProgram {
     }
 
     /// Dispatches a decoded request — the logic behind the byte-level
-    /// [`TrustedApp::call`]. Public so tests can assert on typed
-    /// [`CertError`]s rather than boundary-rendered strings.
+    /// [`TrustedApp::call`], whose [`EcallResponse::Rejected`] carries the
+    /// [`CertError`] built here unchanged.
     ///
     /// Every signing request is framed the same way by the sealed
     /// watermark: guard the lowest height on offer, verify and sign, then
@@ -227,9 +227,7 @@ impl CertProgram {
         prev_cert: Option<&Certificate>,
         links: &[BatchLink],
     ) -> Result<Signature, CertError> {
-        let last = links
-            .last()
-            .ok_or_else(|| CertError::EnclaveRejected("empty batch".into()))?;
+        let last = links.last().ok_or(CertError::EmptyRange)?;
         self.verify_anchor(prev_header, prev_cert, None, &[])?;
         self.replay(prev_header, links)?;
         let kp = self.keypair()?;
@@ -527,11 +525,8 @@ impl TrustedApp for CertProgram {
 
     fn call(&mut self, input: &[u8]) -> Vec<u8> {
         let response = match EcallRequest::decode_all(input) {
-            Err(e) => EcallResponse::Rejected(format!("request codec: {e}")),
-            Ok(request) => match self.handle(request) {
-                Ok(resp) => resp,
-                Err(e) => EcallResponse::Rejected(e.to_string()),
-            },
+            Err(e) => EcallResponse::Rejected(CertError::Codec(e)),
+            Ok(request) => self.handle(request).unwrap_or_else(EcallResponse::Rejected),
         };
         response.to_encoded_bytes()
     }

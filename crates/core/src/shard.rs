@@ -560,16 +560,13 @@ impl ShardedCertEngine {
 
         loop {
             // One parallel round over every unfinished shard.
-            let mut rounds: Vec<(usize, Result<ShardRun, ShardError>)> = Vec::new();
+            let mut rounds: Vec<(usize, Result<ShardRun, CertError>)> = Vec::new();
             let pending: Vec<(usize, HeightRange, u64, Option<usize>, Attested)> = slots
                 .iter_mut()
                 .enumerate()
                 .filter(|(_, slot)| slot.next <= slot.range.last)
                 .map(|(shard, slot)| {
-                    let boot = slot.boot.take().ok_or(ShardError::Worker {
-                        shard,
-                        reason: "shard enclave not booted".to_owned(),
-                    })?;
+                    let boot = slot.boot.take().ok_or(ShardError::Worker { shard })?;
                     Ok((shard, slot.range, slot.next, slot.kill_after, boot))
                 })
                 .collect::<Result<_, ShardError>>()?;
@@ -596,12 +593,9 @@ impl ShardedCertEngine {
                     })
                     .collect();
                 for (shard, join) in joins {
-                    let outcome = join.join().unwrap_or_else(|_| {
-                        Err(ShardError::Worker {
-                            shard,
-                            reason: "worker thread panicked".to_owned(),
-                        })
-                    });
+                    let outcome = join
+                        .join()
+                        .unwrap_or_else(|_| Err(ShardError::Worker { shard }.into()));
                     rounds.push((shard, outcome));
                 }
             });
@@ -609,12 +603,7 @@ impl ShardedCertEngine {
             let mut any_killed = false;
             for (shard, outcome) in rounds {
                 let run = outcome?;
-                let slot = slots
-                    .get_mut(shard)
-                    .ok_or(CertError::Shard(ShardError::Worker {
-                        shard,
-                        reason: "shard slot missing".to_owned(),
-                    }))?;
+                let slot = slots.get_mut(shard).ok_or(ShardError::Worker { shard })?;
                 if run.killed {
                     any_killed = true;
                     self.metrics.kills.inc();
@@ -802,22 +791,14 @@ fn run_shard_worker(
     kill_after: Option<usize>,
     boot: Attested,
     ctx: &WorkerCtx<'_>,
-) -> Result<ShardRun, ShardError> {
-    let worker_error = |error: CertError| ShardError::Worker {
-        shard,
-        reason: match error {
-            CertError::EnclaveRejected(reason) => reason,
-            other => other.to_string(),
-        },
-    };
+) -> Result<ShardRun, CertError> {
     // Untrusted prefix replay: execute and advance (no proofs, no enclave)
     // up to the anchor. The enclave re-validates everything from the
     // anchor on.
     let mut node = ctx.genesis.clone();
     for block in blocks_for(ctx.blocks, 1, start.saturating_sub(1))? {
         let writes = node.execute(&block.txs).writes;
-        node.advance(&block.header, writes.iter())
-            .map_err(|error| worker_error(error.into()))?;
+        node.advance(&block.header, writes.iter())?;
     }
     let shard_blocks = ctx.metrics.shard_blocks(shard);
     let mut produced = Vec::new();
@@ -842,8 +823,7 @@ fn run_shard_worker(
         let links = blocks_for(ctx.blocks, cursor, chunk_last)?
             .iter()
             .map(|block| link_block(&mut node, block.clone(), &mut undo, &mut breakdown))
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(worker_error)?;
+            .collect::<Result<Vec<_>, _>>()?;
         let anchor_digest = anchor.hash();
         let header_digests = links.iter().map(|l| l.block.header.hash()).collect();
         let (result, took) = timed(|| {
@@ -858,7 +838,7 @@ fn run_shard_worker(
             first: cursor,
             last: chunk_last,
             header_digests,
-            signature: result.map_err(worker_error)?,
+            signature: result?,
         };
         if let Some(store) = &ctx.store {
             let mut guard = lock_store(store);
@@ -877,11 +857,9 @@ fn run_shard_worker(
                 ),
             ];
             for (key, value) in heads {
-                guard
-                    .put_head(&key, value)
-                    .map_err(|e| ShardError::Store(e.to_string()))?;
+                guard.put_head(&key, value).map_err(ShardError::Store)?;
             }
-            guard.sync().map_err(|e| ShardError::Store(e.to_string()))?;
+            guard.sync().map_err(ShardError::Store)?;
         }
         let certified = u64::try_from(range_cert.header_digests.len()).unwrap_or(u64::MAX);
         ctx.metrics.ranges_certified.inc();

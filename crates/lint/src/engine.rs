@@ -80,7 +80,7 @@ const ED25519_HOME: &str = "crates/primitives/src/keys.rs";
 /// Untrusted-input modules: every byte they verify or decode may be
 /// attacker-supplied, so they must reject, never panic (R5), and stay a
 /// function of their input (R3).
-pub const VERIFIER_MODULES: [&str; 16] = [
+pub const VERIFIER_MODULES: [&str; 20] = [
     // The trusted program decodes host-controlled bytes and acts on them;
     // the block-validity rule it shares with the full node judges
     // host-supplied headers and bodies.
@@ -103,6 +103,11 @@ pub const VERIFIER_MODULES: [&str; 16] = [
     "crates/serve/src/wire.rs",
     "crates/sgx/src/sealing.rs",
     "crates/sgx/src/attestation.rs",
+    // The host decodes the trusted program's refusal from enclave output.
+    "crates/core/src/error.rs",
+    "crates/chain/src/error.rs",
+    "crates/sgx/src/error.rs",
+    "crates/primitives/src/error.rs",
 ];
 
 /// The only modules allowed to read wall-clock time or ambient

@@ -283,11 +283,11 @@ impl Flavor for Plain {
 
     fn check_claim(proven: &Self::Proven, claimed: &Self::Claim) -> Result<(), ProofError> {
         if proven.len() != claimed.len() {
-            return Err(ProofError::Incomplete("result count mismatch"));
+            return Err(ProofError::Incomplete("result count mismatch".into()));
         }
         for ((ts, digest), (claimed_ts, value)) in proven.iter().zip(claimed) {
             if ts != claimed_ts || *digest != hash_bytes(value) {
-                return Err(ProofError::Incomplete("result entry mismatch"));
+                return Err(ProofError::Incomplete("result entry mismatch".into()));
             }
         }
         Ok(())
@@ -325,7 +325,7 @@ impl Flavor for Summed {
 
     fn check_claim(proven: &Aggregate, claimed: &Aggregate) -> Result<(), ProofError> {
         if proven != claimed {
-            return Err(ProofError::Incomplete("aggregate mismatch"));
+            return Err(ProofError::Incomplete("aggregate mismatch".into()));
         }
         Ok(())
     }
@@ -813,16 +813,16 @@ pub(crate) fn check<F: Flavor>(
     match node.shape {
         // Only the root arrives here pruned: a parent answers for its
         // pruned children below.
-        Shape::Pruned(_) => Err(ProofError::Malformed("op proof root is pruned")),
+        Shape::Pruned(_) => Err(ProofError::Malformed("op proof root is pruned".into())),
         Shape::Leaf(entries) => {
             let mut prev: Option<u64> = None;
             for (ts, digest) in entries {
                 if prev.is_some_and(|p| *ts <= p) {
-                    return Err(ProofError::Malformed("leaf entries not sorted"));
+                    return Err(ProofError::Malformed("leaf entries not sorted".into()));
                 }
                 prev = Some(*ts);
                 if bound_lo.is_some_and(|b| *ts < b) || bound_hi.is_some_and(|b| *ts >= b) {
-                    return Err(ProofError::Malformed("leaf entry outside bounds"));
+                    return Err(ProofError::Malformed("leaf entry outside bounds".into()));
                 }
                 if in_window(window, *ts) {
                     proven.entry(*ts, digest);
@@ -832,7 +832,7 @@ pub(crate) fn check<F: Flavor>(
         }
         Shape::Internal(separators) => {
             if separators.windows(2).any(|w| matches!(w, [a, b] if a >= b)) {
-                return Err(ProofError::Malformed("separators not sorted"));
+                return Err(ProofError::Malformed("separators not sorted".into()));
             }
             let mut summaries = Vec::with_capacity(node.children.len());
             for (i, child) in node.children.iter().enumerate() {
@@ -846,7 +846,7 @@ pub(crate) fn check<F: Flavor>(
                         };
                         if !answered {
                             return Err(ProofError::Incomplete(
-                                "pruned subtree overlaps query window",
+                                "pruned subtree overlaps query window".into(),
                             ));
                         }
                         *summary
@@ -915,7 +915,7 @@ impl<F: Flavor> AppendProof<F> {
         digest: &F::Digest,
     ) -> Result<Hash, ProofError> {
         if order < 3 {
-            return Err(ProofError::Malformed("order must be at least 3"));
+            return Err(ProofError::Malformed("order must be at least 3".into()));
         }
         let Some((last_node, upper)) = self.path.split_last() else {
             if !root.is_zero() {
@@ -924,7 +924,9 @@ impl<F: Flavor> AppendProof<F> {
             return Ok(BTree::<F>::singleton_root(ts, digest));
         };
         let AppendNode::Leaf { entries } = last_node else {
-            return Err(ProofError::Malformed("append path must end in a leaf"));
+            return Err(ProofError::Malformed(
+                "append path must end in a leaf".into(),
+            ));
         };
         let increasing = entries.last().is_none_or(|(last_ts, _)| ts > *last_ts);
 
@@ -943,10 +945,10 @@ impl<F: Flavor> AppendProof<F> {
                 left_siblings,
             } = node
             else {
-                return Err(ProofError::Malformed("leaf in the middle of path"));
+                return Err(ProofError::Malformed("leaf in the middle of path".into()));
             };
             if left_siblings.len() != separators.len() {
-                return Err(ProofError::Malformed("append path arity"));
+                return Err(ProofError::Malformed("append path arity".into()));
             }
             let mut children = left_siblings.clone();
             children.push(before);
@@ -967,7 +969,9 @@ impl<F: Flavor> AppendProof<F> {
             return Err(ProofError::RootMismatch);
         }
         if !increasing {
-            return Err(ProofError::Malformed("append timestamp not increasing"));
+            return Err(ProofError::Malformed(
+                "append timestamp not increasing".into(),
+            ));
         }
         Ok(match carry {
             None => after.hash,
@@ -1518,11 +1522,11 @@ mod tests {
         for (program, refusal) in [
             (
                 vec![leaf(&[5, 3])],
-                ProofError::Malformed("leaf entries not sorted"),
+                ProofError::Malformed("leaf entries not sorted".into()),
             ),
             (
                 vec![leaf(&[1]), shell(&[5]), Parent, leaf(&[4]), Child],
-                ProofError::Malformed("leaf entry outside bounds"),
+                ProofError::Malformed("leaf entry outside bounds".into()),
             ),
             (
                 vec![
@@ -1534,11 +1538,11 @@ mod tests {
                     leaf(&[6]),
                     Child,
                 ],
-                ProofError::Malformed("separators not sorted"),
+                ProofError::Malformed("separators not sorted".into()),
             ),
             (
                 vec![pruned, shell(&[5]), Parent, leaf(&[7]), Child],
-                ProofError::Incomplete("pruned subtree overlaps query window"),
+                ProofError::Incomplete("pruned subtree overlaps query window".into()),
             ),
         ] {
             let proof = OpProof::from_ops(program);
@@ -1561,7 +1565,7 @@ mod tests {
         let (_, proof) = tree.window(12, 12);
         assert_eq!(
             proof.verify(&tree.root(), 12, 12, &[]),
-            Err(ProofError::Incomplete("result count mismatch"))
+            Err(ProofError::Incomplete("result count mismatch".into()))
         );
     }
 

@@ -43,6 +43,11 @@
     deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)
 )]
 
+use std::borrow::Cow;
+
+use dcert_primitives::codec::{Decode, Encode, Reader};
+use dcert_primitives::CodecError;
+
 pub mod btree;
 pub mod mht;
 pub mod ops;
@@ -101,12 +106,12 @@ pub enum ProofError {
     /// The recomputed root does not match the trusted commitment.
     RootMismatch,
     /// The proof is structurally malformed (wrong arity, missing evidence).
-    Malformed(&'static str),
+    Malformed(Cow<'static, str>),
     /// The proof does not cover a key that the operation needs.
     MissingKey,
     /// The claimed result set is inconsistent with the proof contents
     /// (e.g. an omitted in-range entry in a range query).
-    Incomplete(&'static str),
+    Incomplete(Cow<'static, str>),
 }
 
 impl std::fmt::Display for ProofError {
@@ -121,6 +126,30 @@ impl std::fmt::Display for ProofError {
 }
 
 impl std::error::Error for ProofError {}
+
+/// One tag byte per variant, then its fields: a refusal crosses the ECall as itself.
+impl Encode for ProofError {
+    fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            ProofError::RootMismatch => out.push(0),
+            ProofError::Malformed(what) => (1u8, what).encode(out),
+            ProofError::MissingKey => out.push(2),
+            ProofError::Incomplete(what) => (3u8, what).encode(out),
+        }
+    }
+}
+
+impl Decode for ProofError {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(match r.take_byte()? {
+            0 => ProofError::RootMismatch,
+            1 => ProofError::Malformed(Cow::decode(r)?),
+            2 => ProofError::MissingKey,
+            3 => ProofError::Incomplete(Cow::decode(r)?),
+            other => return Err(CodecError::InvalidTag(other)),
+        })
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -83,7 +83,7 @@ pub(crate) struct Executed<'a, F: Flavor> {
 fn close<F: Flavor>(node: Executed<'_, F>) -> Result<Executed<'_, F>, ProofError> {
     if let Shape::Internal(separators) = node.shape {
         if node.children.len() != separators.len() + 1 {
-            return Err(ProofError::Malformed("op-stream arity mismatch"));
+            return Err(ProofError::Malformed("op-stream arity mismatch".into()));
         }
     }
     Ok(node)
@@ -95,12 +95,12 @@ fn attach<'a, F: Flavor>(
     child: Executed<'a, F>,
 ) -> Result<Executed<'a, F>, ProofError> {
     if !matches!(parent.shape, Shape::Internal(_)) {
-        return Err(ProofError::Malformed("attach to non-shell node"));
+        return Err(ProofError::Malformed("attach to non-shell node".into()));
     }
     let child = close(child)?;
     let lifted = child.depth.saturating_add(1);
     if lifted > MAX_PROOF_DEPTH {
-        return Err(ProofError::Malformed("op-stream proof too deep"));
+        return Err(ProofError::Malformed("op-stream proof too deep".into()));
     }
     parent.depth = parent.depth.max(lifted);
     parent.children.push(child);
@@ -110,7 +110,7 @@ fn attach<'a, F: Flavor>(
 fn pop<'a, F: Flavor>(stack: &mut Vec<Executed<'a, F>>) -> Result<Executed<'a, F>, ProofError> {
     stack
         .pop()
-        .ok_or(ProofError::Malformed("op stack underflow"))
+        .ok_or(ProofError::Malformed("op stack underflow".into()))
 }
 
 /// Executes an op program and returns the closed root of the tree it
@@ -121,7 +121,7 @@ fn execute<F: Flavor>(ops: &[ProofOp<F>]) -> Result<Executed<'_, F>, ProofError>
         match op {
             ProofOp::Push(shape) => {
                 if stack.len() >= MAX_OP_STACK {
-                    return Err(ProofError::Malformed("op stack overflow"));
+                    return Err(ProofError::Malformed("op stack overflow".into()));
                 }
                 stack.push(Executed {
                     shape,
@@ -143,9 +143,11 @@ fn execute<F: Flavor>(ops: &[ProofOp<F>]) -> Result<Executed<'_, F>, ProofError>
     }
     let root = stack
         .pop()
-        .ok_or(ProofError::Malformed("empty op stream"))?;
+        .ok_or(ProofError::Malformed("empty op stream".into()))?;
     if !stack.is_empty() {
-        return Err(ProofError::Malformed("trailing operands on op stack"));
+        return Err(ProofError::Malformed(
+            "trailing operands on op stack".into(),
+        ));
     }
     close(root)
 }
@@ -294,7 +296,7 @@ mod tests {
         ] {
             assert_eq!(
                 refusal(&program),
-                ProofError::Malformed("op stack underflow")
+                ProofError::Malformed("op stack underflow".into())
             );
         }
     }
@@ -306,7 +308,7 @@ mod tests {
             .collect();
         assert_eq!(
             refusal(&program),
-            ProofError::Malformed("op stack overflow")
+            ProofError::Malformed("op stack overflow".into())
         );
     }
 
@@ -315,7 +317,7 @@ mod tests {
         let program = vec![Op::Push(leaf(&[1])), Op::Push(leaf(&[2]))];
         assert_eq!(
             refusal(&program),
-            ProofError::Malformed("trailing operands on op stack")
+            ProofError::Malformed("trailing operands on op stack".into())
         );
     }
 
@@ -330,7 +332,7 @@ mod tests {
         }
         assert_eq!(
             refusal(&program),
-            ProofError::Malformed("op-stream proof too deep")
+            ProofError::Malformed("op-stream proof too deep".into())
         );
     }
 
@@ -344,7 +346,7 @@ mod tests {
         ];
         assert_eq!(
             refusal(&program),
-            ProofError::Malformed("op-stream arity mismatch")
+            ProofError::Malformed("op-stream arity mismatch".into())
         );
     }
 
@@ -353,7 +355,7 @@ mod tests {
         let program = vec![Op::Push(leaf(&[1])), Op::Push(leaf(&[2])), Op::Parent];
         assert_eq!(
             refusal(&program),
-            ProofError::Malformed("attach to non-shell node")
+            ProofError::Malformed("attach to non-shell node".into())
         );
     }
 
@@ -366,7 +368,7 @@ mod tests {
         let proof = MbOpProof::from_ops(vec![Op::Push(pruned)]);
         assert_eq!(
             proof.verify(&hash_bytes(b"root"), 0, 9, &[]),
-            Err(ProofError::Malformed("op proof root is pruned"))
+            Err(ProofError::Malformed("op proof root is pruned".into()))
         );
     }
 

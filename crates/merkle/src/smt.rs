@@ -126,6 +126,7 @@
 //! # Ok::<(), dcert_merkle::ProofError>(())
 //! ```
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use dcert_primitives::codec::{Decode, Encode, Reader};
@@ -722,18 +723,23 @@ struct Frame {
     right: Side,
 }
 
-const MEMO_LOST: ProofError = ProofError::Malformed("walk memo out of step");
+const MEMO_LOST: ProofError = ProofError::Malformed(Cow::Borrowed("walk memo out of step"));
 // The position refusals. A disclosed leaf, or branch header, whose keys do
 // not part from the covered keys where the walk stands (or, a branch's, from
 // each other no deeper than that); a header that is not the one encoding of
 // a branch — a bit outside the key space, shared bits set at or below it; a
 // subtree known by its hash alone that no branch places; a header where one
 // does, for one tree has one encoding.
-const LEAF_MISPLACED: ProofError = ProofError::Malformed("leaf evidence outside subtree");
-const BRANCH_MISPLACED: ProofError = ProofError::Malformed("branch evidence outside subtree");
-const HEADER_MALFORMED: ProofError = ProofError::Malformed("branch header not canonical");
-const SUBTREE_UNPLACED: ProofError = ProofError::Malformed("opaque subtree beside an empty side");
-const HEADER_UNCALLED: ProofError = ProofError::Malformed("branch header beside a live side");
+const LEAF_MISPLACED: ProofError =
+    ProofError::Malformed(Cow::Borrowed("leaf evidence outside subtree"));
+const BRANCH_MISPLACED: ProofError =
+    ProofError::Malformed(Cow::Borrowed("branch evidence outside subtree"));
+const HEADER_MALFORMED: ProofError =
+    ProofError::Malformed(Cow::Borrowed("branch header not canonical"));
+const SUBTREE_UNPLACED: ProofError =
+    ProofError::Malformed(Cow::Borrowed("opaque subtree beside an empty side"));
+const HEADER_UNCALLED: ProofError =
+    ProofError::Malformed(Cow::Borrowed("branch header beside a live side"));
 
 impl SmtProof {
     /// The sorted set of keys this proof covers.
@@ -773,10 +779,10 @@ impl SmtProof {
     /// recursion it abbreviates.
     fn walk<const SKIP_RUNS: bool>(&self) -> Result<Verified<'_>, ProofError> {
         if self.pre.len() != self.keys.len() {
-            return Err(ProofError::Malformed("pre/keys length mismatch"));
+            return Err(ProofError::Malformed("pre/keys length mismatch".into()));
         }
         if self.keys.windows(2).any(|w| matches!(w, [a, b] if a >= b)) {
-            return Err(ProofError::Malformed("keys not sorted unique"));
+            return Err(ProofError::Malformed("keys not sorted unique".into()));
         }
         let mut cursor = Cursor {
             items: self.evidence.iter(),
@@ -799,7 +805,7 @@ impl SmtProof {
             self.compute_rec::<SKIP_RUNS>(0, 0, self.keys.len(), &mut cursor, &mut frames)?
         };
         if cursor.empties != 0 || cursor.items.next().is_some() {
-            return Err(ProofError::Malformed("unconsumed evidence"));
+            return Err(ProofError::Malformed("unconsumed evidence".into()));
         }
         Ok(Verified {
             proof: self,
@@ -822,7 +828,7 @@ impl SmtProof {
         let first = self
             .keys
             .get(key_lo)
-            .ok_or(ProofError::Malformed("key range out of bounds"))?;
+            .ok_or(ProofError::Malformed("key range out of bounds".into()))?;
         if key_hi - key_lo == 1 {
             // A lone key's remaining evidence is its `KEY_BITS - depth`
             // siblings, left ones top-down and then right ones bottom-up,
@@ -835,7 +841,7 @@ impl SmtProof {
                 return Ok(Side::whole(Subtree::of_key(first, value_hash)));
             }
         } else if depth >= KEY_BITS {
-            return Err(ProofError::Malformed("key collision at max depth"));
+            return Err(ProofError::Malformed("key collision at max depth".into()));
         }
         let split = key_lo
             + self
@@ -875,7 +881,7 @@ impl SmtProof {
         Ok(Side {
             found: combine(depth, first, left.found, right.found),
             recorded: u32::try_from(frames.len())
-                .map_err(|_| ProofError::Malformed("proof walk too long"))?,
+                .map_err(|_| ProofError::Malformed("proof walk too long".into()))?,
         })
     }
 }
@@ -914,7 +920,7 @@ impl Verified<'_> {
             .pre
             .get(idx)
             .copied()
-            .ok_or(ProofError::Malformed("pre/keys length mismatch"))
+            .ok_or(ProofError::Malformed("pre/keys length mismatch".into()))
     }
 
     /// Computes the root after applying `writes` to the covered keys.
@@ -997,7 +1003,7 @@ impl Cursor<'_> {
             match self
                 .items
                 .next()
-                .ok_or(ProofError::Malformed("missing evidence"))?
+                .ok_or(ProofError::Malformed("missing evidence".into()))?
             {
                 Evidence::Empties(run) => self.empties = usize::from(*run),
                 Evidence::Leaf { key, value_hash } => {
@@ -1508,7 +1514,7 @@ mod tests {
         assert_eq!(proof.size_bytes(), frame.len());
         assert_eq!(
             proof.verify(&Hash::ZERO).err(),
-            Some(ProofError::Malformed("unconsumed evidence"))
+            Some(ProofError::Malformed("unconsumed evidence".into()))
         );
     }
 
@@ -1530,7 +1536,9 @@ mod tests {
             }
         }
         assert_ne!(forged, proof);
-        let refused = Some(ProofError::Malformed("leaf evidence outside subtree"));
+        let refused = Some(ProofError::Malformed(
+            "leaf evidence outside subtree".into(),
+        ));
         assert_eq!(forged.walk::<true>().err(), refused);
         assert_eq!(forged.walk::<false>().err(), refused);
     }

@@ -29,6 +29,8 @@
 //! # Ok::<(), dcert_primitives::CodecError>(())
 //! ```
 
+use std::borrow::Cow;
+
 use crate::error::CodecError;
 
 /// Maximum length accepted for any length-prefixed collection (64 MiB of
@@ -161,6 +163,20 @@ macro_rules! impl_codec_uint {
 
 impl_codec_uint!(u8, u16, u32, u64, u128, i64);
 
+/// `usize` travels as a `u64`; a value this platform cannot hold is refused.
+impl Encode for usize {
+    fn encode(&self, out: &mut Vec<u8>) {
+        u64::try_from(*self).unwrap_or(u64::MAX).encode(out);
+    }
+}
+
+impl Decode for usize {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let wide = u64::decode(r)?;
+        usize::try_from(wide).map_err(|_| CodecError::LengthOverflow(wide))
+    }
+}
+
 impl Encode for bool {
     fn encode(&self, out: &mut Vec<u8>) {
         out.push(u8::from(*self));
@@ -226,6 +242,26 @@ impl Decode for String {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         let bytes = Vec::<u8>::decode(r)?;
         String::from_utf8(bytes).map_err(|_| CodecError::InvalidUtf8)
+    }
+}
+
+/// A reference encodes as what it points at.
+impl<T: Encode + ?Sized> Encode for &T {
+    fn encode(&self, out: &mut Vec<u8>) {
+        (**self).encode(out);
+    }
+}
+
+/// A reason travels as its text and decodes owned: `==` the one encoded.
+impl Encode for Cow<'_, str> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.as_bytes().encode(out);
+    }
+}
+
+impl Decode for Cow<'static, str> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        String::decode(r).map(Cow::Owned)
     }
 }
 

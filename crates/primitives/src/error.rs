@@ -1,6 +1,9 @@
 //! Error types for the primitives crate.
 
+use std::borrow::Cow;
 use std::fmt;
+
+use crate::codec::{Decode, Encode, Reader};
 
 /// An error produced while decoding canonical binary data.
 ///
@@ -26,7 +29,7 @@ pub enum CodecError {
     /// Extra bytes remained after a value that must consume its whole input.
     TrailingBytes(usize),
     /// A domain-specific invariant failed while decoding.
-    Invalid(&'static str),
+    Invalid(Cow<'static, str>),
 }
 
 impl fmt::Display for CodecError {
@@ -47,6 +50,39 @@ impl fmt::Display for CodecError {
 }
 
 impl std::error::Error for CodecError {}
+
+/// One tag byte per variant, then its fields: a refusal crosses the ECall as itself.
+impl Encode for CodecError {
+    fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            CodecError::UnexpectedEof { needed, remaining } => (0u8, needed, remaining).encode(out),
+            CodecError::LengthOverflow(len) => (1u8, len).encode(out),
+            CodecError::InvalidTag(tag) => (2u8, tag).encode(out),
+            CodecError::InvalidBool(b) => (3u8, b).encode(out),
+            CodecError::InvalidUtf8 => out.push(4),
+            CodecError::TrailingBytes(n) => (5u8, n).encode(out),
+            CodecError::Invalid(what) => (6u8, what).encode(out),
+        }
+    }
+}
+
+impl Decode for CodecError {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(match r.take_byte()? {
+            0 => CodecError::UnexpectedEof {
+                needed: usize::decode(r)?,
+                remaining: usize::decode(r)?,
+            },
+            1 => CodecError::LengthOverflow(u64::decode(r)?),
+            2 => CodecError::InvalidTag(u8::decode(r)?),
+            3 => CodecError::InvalidBool(u8::decode(r)?),
+            4 => CodecError::InvalidUtf8,
+            5 => CodecError::TrailingBytes(usize::decode(r)?),
+            6 => CodecError::Invalid(Cow::decode(r)?),
+            other => return Err(CodecError::InvalidTag(other)),
+        })
+    }
+}
 
 /// An error produced by cryptographic operations.
 #[derive(Debug, Clone, PartialEq, Eq)]

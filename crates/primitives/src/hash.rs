@@ -81,7 +81,7 @@ impl Hash {
     pub fn from_hex(s: &str) -> Result<Self, CodecError> {
         let bytes = hex::decode(s)?;
         if bytes.len() != 32 {
-            return Err(CodecError::Invalid("hash hex must be 64 characters"));
+            return Err(CodecError::Invalid("hash hex must be 64 characters".into()));
         }
         let mut out = [0u8; 32];
         out.copy_from_slice(&bytes);

@@ -41,14 +41,14 @@ pub fn encode(bytes: impl AsRef<[u8]>) -> String {
 pub fn decode(s: &str) -> Result<Vec<u8>, CodecError> {
     let s = s.as_bytes();
     if !s.len().is_multiple_of(2) {
-        return Err(CodecError::Invalid("odd-length hex string"));
+        return Err(CodecError::Invalid("odd-length hex string".into()));
     }
     let mut out = Vec::with_capacity(s.len() / 2);
     for pair in s.chunks_exact(2) {
         // Slice patterns keep this free of panicking indexing; chunks of
         // any other width are impossible out of `chunks_exact(2)`.
         let [hi, lo] = pair else {
-            return Err(CodecError::Invalid("odd-length hex string"));
+            return Err(CodecError::Invalid("odd-length hex string".into()));
         };
         out.push((nibble(*hi)? << 4) | nibble(*lo)?);
     }
@@ -60,7 +60,7 @@ fn nibble(c: u8) -> Result<u8, CodecError> {
         b'0'..=b'9' => Ok(c - b'0'),
         b'a'..=b'f' => Ok(c - b'a' + 10),
         b'A'..=b'F' => Ok(c - b'A' + 10),
-        _ => Err(CodecError::Invalid("non-hex character")),
+        _ => Err(CodecError::Invalid("non-hex character".into())),
     }
 }
 

@@ -140,8 +140,9 @@ impl Decode for PublicKey {
         let bytes: [u8; 32] = r
             .take(32)?
             .try_into()
-            .map_err(|_| CodecError::Invalid("short read for public key"))?;
-        PublicKey::from_bytes(bytes).map_err(|_| CodecError::Invalid("invalid ed25519 point"))
+            .map_err(|_| CodecError::Invalid("short read for public key".into()))?;
+        PublicKey::from_bytes(bytes)
+            .map_err(|_| CodecError::Invalid("invalid ed25519 point".into()))
     }
 }
 
@@ -185,7 +186,7 @@ impl Decode for Signature {
         let bytes: [u8; 64] = r
             .take(64)?
             .try_into()
-            .map_err(|_| CodecError::Invalid("short read for signature"))?;
+            .map_err(|_| CodecError::Invalid("short read for signature".into()))?;
         Ok(Signature::from_bytes(bytes))
     }
 }

@@ -257,8 +257,8 @@ impl IndexVerifier for InvertedVerifier {
         _writes: &[(StateKey, Option<Vec<u8>>)],
         aux: &[u8],
     ) -> Result<Hash, CertError> {
-        let update =
-            InvertedUpdate::decode_all(aux).map_err(|_| CertError::BadIndexUpdate("aux decode"))?;
+        let update = InvertedUpdate::decode_all(aux)
+            .map_err(|_| CertError::BadIndexUpdate("aux decode".into()))?;
         // The enclave independently derives the appends from the certified
         // block body.
         let appends = InvertedIndex::block_appends(block);
@@ -269,7 +269,7 @@ impl IndexVerifier for InvertedVerifier {
                 .zip(appends.keys())
                 .all(|((a, _), b)| a == b)
         {
-            return Err(CertError::BadIndexUpdate("keyword set mismatch"));
+            return Err(CertError::BadIndexUpdate("keyword set mismatch".into()));
         }
         let dictionary = update.proof.verify(prev_digest).map_err(CertError::Proof)?;
         let mut new_values = Vec::with_capacity(appends.len());
@@ -278,7 +278,7 @@ impl IndexVerifier for InvertedVerifier {
             let proven = dictionary.pre_value_hash(&key).map_err(CertError::Proof)?;
             let claimed = prev_head.map(|h| hash_bytes(h.as_bytes()));
             if proven != claimed {
-                return Err(CertError::BadIndexUpdate("stale chain head"));
+                return Err(CertError::BadIndexUpdate("stale chain head".into()));
             }
             let mut head = prev_head.unwrap_or(Hash::ZERO);
             for id in ids {

@@ -232,11 +232,11 @@ impl<F: IndexFlavor> IndexVerifier for TwoLevelVerifier<F> {
         aux: &[u8],
     ) -> Result<Hash, CertError> {
         let mut reader = Reader::new(aux);
-        let undecodable = |_| CertError::BadIndexUpdate("aux decode");
+        let undecodable = |_| CertError::BadIndexUpdate("aux decode".into());
         let updates: Vec<KeyUpdate<F>> = decode_seq(&mut reader).map_err(undecodable)?;
         let upper = SmtProof::decode(&mut reader).map_err(undecodable)?;
         if reader.remaining() != 0 {
-            return Err(CertError::BadIndexUpdate("trailing aux bytes"));
+            return Err(CertError::BadIndexUpdate("trailing aux bytes".into()));
         }
         // The enclave derives the ingested subset itself from the
         // authenticated write set.
@@ -245,7 +245,7 @@ impl<F: IndexFlavor> IndexVerifier for TwoLevelVerifier<F> {
             .filter_map(|(key, write)| F::ingest(write).map(|value| (key, value)))
             .collect();
         if updates.len() != entries.len() {
-            return Err(CertError::BadIndexUpdate("update count mismatch"));
+            return Err(CertError::BadIndexUpdate("update count mismatch".into()));
         }
         let height = block.header.height;
         // Every key's current lower-tree root (or its absence) under the
@@ -256,7 +256,7 @@ impl<F: IndexFlavor> IndexVerifier for TwoLevelVerifier<F> {
             let digest = F::digest(value);
             let claimed = update.prev_root.as_ref().map(|r| hash_bytes(r.as_bytes()));
             if upper.pre_value_hash(key.as_hash())? != claimed {
-                return Err(CertError::BadIndexUpdate("stale lower-tree root"));
+                return Err(CertError::BadIndexUpdate("stale lower-tree root".into()));
             }
             // Compute the new lower-tree root statelessly.
             let new_root = match update.prev_root {

@@ -2,6 +2,9 @@
 
 use std::fmt;
 
+use dcert_primitives::codec::{Decode, Encode, Reader};
+use dcert_primitives::CodecError;
+
 /// An error in the attestation flow or the enclave lifecycle.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SgxError {
@@ -15,14 +18,6 @@ pub enum SgxError {
     /// A sealed blob failed to unseal: wrong platform, wrong enclave
     /// measurement, or tampered ciphertext.
     BadSeal,
-    /// A single ECall tried to marshal more data than the EPC budget; the
-    /// paper's stateless design exists precisely to avoid this.
-    EpcExceeded {
-        /// Bytes the call needed resident.
-        needed: usize,
-        /// The configured EPC budget.
-        budget: usize,
-    },
 }
 
 impl fmt::Display for SgxError {
@@ -32,14 +27,32 @@ impl fmt::Display for SgxError {
             SgxError::BadQuote => write!(f, "quote signature invalid"),
             SgxError::BadReport => write!(f, "attestation report signature invalid"),
             SgxError::BadSeal => write!(f, "sealed blob cannot be recovered here"),
-            SgxError::EpcExceeded { needed, budget } => {
-                write!(
-                    f,
-                    "EPC budget exceeded: needed {needed} bytes, budget {budget}"
-                )
-            }
         }
     }
 }
 
 impl std::error::Error for SgxError {}
+
+/// One tag byte per variant, then its fields: a refusal crosses the ECall as itself.
+impl Encode for SgxError {
+    fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            SgxError::UntrustedPlatform => out.push(0),
+            SgxError::BadQuote => out.push(1),
+            SgxError::BadReport => out.push(2),
+            SgxError::BadSeal => out.push(3),
+        }
+    }
+}
+
+impl Decode for SgxError {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(match r.take_byte()? {
+            0 => SgxError::UntrustedPlatform,
+            1 => SgxError::BadQuote,
+            2 => SgxError::BadReport,
+            3 => SgxError::BadSeal,
+            other => return Err(CodecError::InvalidTag(other)),
+        })
+    }
+}

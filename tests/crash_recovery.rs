@@ -265,14 +265,8 @@ fn mid_flight_kill_never_double_issues() {
         }
         // Certificates were signed but lost with the crash: the enclave
         // fails safe rather than signing a second chain over heights it
-        // already certified. (Typed as EnclaveRejected here because the
-        // error crosses the ECall boundary as a rejection string.)
-        Some(Err(CertError::EnclaveRejected(reason))) => {
-            assert!(
-                reason.contains("height regression"),
-                "unexpected rejection: {reason}"
-            );
-        }
+        // already certified.
+        Some(Err(CertError::HeightRegression { .. })) => {}
         Some(Err(other)) => panic!("unexpected resume failure: {other}"),
     }
     // In every outcome: every published height appears exactly once and

@@ -17,7 +17,8 @@ use dcert::baselines::{LineageProof, SkipRangeProof};
 use dcert::chain::consensus::ConsensusProof;
 use dcert::chain::{Block, BlockHeader, Transaction};
 use dcert::core::{
-    BatchLink, BlockInput, Certificate, EcallRequest, EcallResponse, IndexInput, NetMessage,
+    BatchLink, BlockInput, CertError, Certificate, EcallRequest, EcallResponse, IndexInput,
+    NetMessage,
 };
 use dcert::merkle::btree::{Annotation, Flavor, Plain, Shape, Summary, Summed};
 use dcert::merkle::ops::OpProof;
@@ -224,6 +225,11 @@ fn sample_encodings() -> Vec<Probe> {
     let tx = Transaction::sign(&kp, 7, "kvstore", b"payload".to_vec());
     let (cert, report) = certificate();
     let key = StateKey::new("kvstore", b"balance");
+    let missing = CertError::Proof(ProofError::Malformed("missing evidence".into()));
+    let regressed = CertError::HeightRegression {
+        last_signed: 9,
+        offered: 3,
+    };
 
     let mut smt = SparseMerkleTree::new();
     for i in 0..8u32 {
@@ -350,6 +356,11 @@ fn sample_encodings() -> Vec<Probe> {
         probe("EcallRequest", &EcallRequest::Init),
         probe("EcallRequest::HierSigGen", &hier_sig_gen().0),
         probe("EcallResponse", &EcallResponse::Initialized(kp.public())),
+        probe("EcallResponse::Rejected", &EcallResponse::Rejected(missing)),
+        probe(
+            "EcallResponse::Rejected::HeightRegression",
+            &EcallResponse::Rejected(regressed),
+        ),
         probe(
             "NetMessage::BlockCert",
             &NetMessage::BlockCert {
@@ -410,6 +421,21 @@ fn sample_encodings() -> Vec<Probe> {
             },
         ),
     ]
+}
+
+/// An unknown refusal tag, and the one tag every host-only error encodes as,
+/// are typed codec errors: a host error never passes for an enclave refusal.
+#[test]
+fn unknown_and_host_only_refusal_tags_are_codec_errors() {
+    let unknown = EcallResponse::decode_all(&[2, 0xfe]);
+    assert_eq!(unknown, Err(CodecError::InvalidTag(0xfe)));
+    let host_only = EcallResponse::Rejected(CertError::PipelineClosed).to_encoded_bytes();
+    assert_eq!(host_only, [2, 0xff]);
+    let refused = EcallResponse::decode_all(&host_only);
+    assert!(
+        matches!(refused, Err(CodecError::Invalid(_))),
+        "{refused:?}"
+    );
 }
 
 /// Every sample decodes, and its type's size accounting is exact whether
@@ -677,7 +703,7 @@ fn hostile_depth_is_refused_not_overflowed() {
         Some(lower_root).encode(&mut proof_prefix);
         proof_prefix.push(1); // `lower: Some(..)`
 
-        let refusal = |why| Err(QueryError::Proof(ProofError::Malformed(why)));
+        let refusal = |why: &'static str| Err(QueryError::Proof(ProofError::Malformed(why.into())));
         macro_rules! refused {
             ($decode:path, $verify:path, $answer:expr, $lowers:expr) => {{
                 let client = |lower: &[u8]| -> Result<(), QueryError> {

@@ -720,7 +720,7 @@ fn misplaced(refusal: &ProofError) -> bool {
         "branch evidence outside subtree",
     ]
     .iter()
-    .any(|why| *refusal == ProofError::Malformed(why))
+    .any(|why| *refusal == ProofError::Malformed((*why).into()))
 }
 
 fn balance_writes(height: u64, keys: &[&str]) -> Vec<(StateKey, Option<Vec<u8>>)> {
@@ -847,7 +847,7 @@ fn staging_a_tracked_key_as_new_is_refused() {
         inputs[0].aux = staged.collect::<Vec<_>>().pop().expect("forgeries");
         let refused = certify(&mut world.ci, &block, &inputs);
         assert!(
-            matches!(&refused, Err(CertError::EnclaveRejected(why)) if why.contains("outside subtree")),
+            matches!(&refused, Err(CertError::Proof(why)) if misplaced(why)),
             "{refused:?}"
         );
     }

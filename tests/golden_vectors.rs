@@ -53,14 +53,15 @@ mod common;
 
 use std::sync::{Arc, Mutex};
 
-use dcert::chain::Block;
+use dcert::chain::{Block, ChainError};
 use dcert::core::{
-    CertBreakdown, CertJob, CertPipeline, Certificate, Gossip, IndexInput, NetMessage,
-    PipelineConfig, ShardFailurePlan, ShardFleetConfig, SharedStore,
+    CertBreakdown, CertError, CertJob, CertPipeline, Certificate, EcallResponse, Gossip,
+    IndexInput, NetMessage, PipelineConfig, ShardFailurePlan, ShardFleetConfig, SharedStore,
 };
-use dcert::merkle::{mht, AggMbTree, MbTree, SmtProof, SparseMerkleTree};
+use dcert::merkle::{mht, AggMbTree, MbTree, ProofError, SmtProof, SparseMerkleTree};
 use dcert::obs::Registry;
 use dcert::primitives::codec::{Decode, Encode};
+use dcert::primitives::error::CodecError;
 use dcert::primitives::hash::{hash_bytes, Hash};
 use dcert::query::aggregate::AggregateIndex;
 use dcert::query::history::HistoryIndex;
@@ -69,6 +70,7 @@ use dcert::serve::{
     encode_history_payload, QuerySpec, RefusalReason, ServeRefusal, ServeRequest, ServeResponse,
     ServeWire,
 };
+use dcert::sgx::SgxError;
 use dcert::store::{MemStore, SegmentStore, StoreConfig};
 use dcert::vm::StateKey;
 use dcert::workloads::Workload;
@@ -1036,4 +1038,156 @@ const SP_STORE_GOLDEN: &[(&str, &str)] = &[
     ("sp_store/uncertified/head-a.dch", "sha256=e72b258bfebd74b6960a9b34e202001f9566fc2eab51fa14169119cced42a28a len=190"),
     ("sp_store/uncertified/head-b.dch", "sha256=217066d13d62c3f574b77693cab0da580f899f46988afe0e6d5adffd711a7538 len=190"),
     ("sp_store/uncertified/seg-00000000.dcs", "sha256=d3aefaf525b9d43d9cd2de2702c956a8012114f7c9037bea76a47d22c5209e25 len=1393"),
+];
+
+// `ECALL_REFUSAL_GOLDEN` pins how the trusted program's refusal crosses the
+// ECall: one row per `CertError` variant `CertProgram` can return, and one
+// per leaf variant nested under `Chain`, `Proof`, `Attestation` and `Codec`,
+// each the SHA-256 of the encoded `EcallResponse::Rejected`. Captured when
+// the refusal stopped crossing as a rendered string; every row must also
+// decode back to the `==` error, reason text included.
+
+/// Every refusal the trusted program can send, with its fields filled in.
+fn enclave_refusals() -> Vec<CertError> {
+    let (a, b) = (Hash::from_bytes([0xA1; 32]), Hash::from_bytes([0xB2; 32]));
+    let chain = [
+        ChainError::BadTxSignature,
+        ChainError::SenderMismatch,
+        ChainError::BrokenLink {
+            claimed: a,
+            actual: b,
+        },
+        ChainError::BadHeight {
+            parent: 4,
+            child: 6,
+        },
+        ChainError::BadConsensus("wrong difficulty".into()),
+        ChainError::TxRootMismatch,
+        ChainError::StateRootMismatch,
+        ChainError::UnknownParent(a),
+        ChainError::Duplicate(b),
+        ChainError::BadGenesis("non-zero height".into()),
+    ];
+    let proof = [
+        ProofError::RootMismatch,
+        ProofError::Malformed("missing evidence".into()),
+        ProofError::MissingKey,
+        ProofError::Incomplete("pruned subtree overlaps query window".into()),
+    ];
+    let attestation = [
+        SgxError::UntrustedPlatform,
+        SgxError::BadQuote,
+        SgxError::BadReport,
+        SgxError::BadSeal,
+    ];
+    let codec = [
+        CodecError::UnexpectedEof {
+            needed: 32,
+            remaining: 3,
+        },
+        CodecError::LengthOverflow(u64::MAX),
+        CodecError::InvalidTag(0x2a),
+        CodecError::InvalidBool(7),
+        CodecError::InvalidUtf8,
+        CodecError::TrailingBytes(5),
+        CodecError::Invalid("non-hex character".into()),
+    ];
+    let mut out: Vec<CertError> = chain.into_iter().map(CertError::Chain).collect();
+    out.extend(proof.map(CertError::Proof));
+    out.extend(attestation.map(CertError::Attestation));
+    out.extend(codec.map(CertError::Codec));
+    out.extend([
+        CertError::WrongMeasurement,
+        CertError::KeyBindingMismatch,
+        CertError::BadSignature,
+        CertError::DigestMismatch,
+        CertError::MissingPrevCert,
+        CertError::GenesisMismatch,
+        CertError::ReadSetMismatch,
+        CertError::StateRootMismatch,
+        CertError::IndexDigestMismatch,
+        CertError::UnknownIndexType("not-registered".to_owned()),
+        CertError::BadIndexUpdate("aux decode".into()),
+        CertError::NotInitialized,
+        CertError::HeightRegression {
+            last_signed: 9,
+            offered: 3,
+        },
+        CertError::EmptyRange,
+        CertError::HeightOverflow,
+        CertError::RangeLengthMismatch,
+        CertError::RangeAnchorMismatch,
+        CertError::RangeDiscontinuity {
+            expected: 5,
+            found: 7,
+        },
+    ]);
+    out
+}
+
+#[test]
+fn ecall_refusals_cross_as_themselves() {
+    let mut out = Vec::new();
+    for error in enclave_refusals() {
+        // `Chain(BrokenLink { .. })` is labelled `Chain/BrokenLink`.
+        let debug = format!("{error:?}");
+        let mut names = debug.split(|c: char| !c.is_ascii_alphanumeric());
+        let outer = names.next().unwrap_or_default();
+        let label = match (outer, names.next()) {
+            ("Chain" | "Proof" | "Attestation" | "Codec", Some(leaf)) => format!("{outer}/{leaf}"),
+            _ => outer.to_owned(),
+        };
+        let response = EcallResponse::Rejected(error.clone());
+        let bytes = response.to_encoded_bytes();
+        assert_eq!(EcallResponse::decode_all(&bytes), Ok(response), "{label}");
+        out.push((format!("refusal/{label}"), hash_bytes(&bytes).to_string()));
+    }
+    assert_golden(&out, ECALL_REFUSAL_GOLDEN);
+}
+
+#[rustfmt::skip]
+const ECALL_REFUSAL_GOLDEN: &[(&str, &str)] = &[
+    ("refusal/Chain/BadTxSignature", "0acb65e26262ecc9a6465d37c5b2a20f8ef0766914ae26aae3d30d353aaf5d90"),
+    ("refusal/Chain/SenderMismatch", "080c8d0c2b2bf365ed9c1d2a65d84179cb75a51cf00c4f642f6297a162a8fa67"),
+    ("refusal/Chain/BrokenLink", "c693445141f766ec8048bfbac8cbe92ef4a07e65addfb691f8201438a334a369"),
+    ("refusal/Chain/BadHeight", "b373377d4fd80164bbbfa91c75a4f76c04a6ecfe2f3e82833ea8e7b8a74c9d02"),
+    ("refusal/Chain/BadConsensus", "90d89c087c68ae36f85a896a67f527a8399d6934c363be368d0f5ac7aae63448"),
+    ("refusal/Chain/TxRootMismatch", "2a324e963c92e7a6088483f3528e172119c30d4e1faa24b9581c2ae5230939bc"),
+    ("refusal/Chain/StateRootMismatch", "3ee87d323ac50b667ba20f6c6630e8f45c0edc0f2ec5858e657cb577c16b00ca"),
+    ("refusal/Chain/UnknownParent", "72bd7527677446d9c192a785465fa0803876a099b4814e6fda87cf8c5fa8fff2"),
+    ("refusal/Chain/Duplicate", "fa65f9b907096ab7b0fda92403659d8ffa4698f864a18ebeecc9e9c771ae975e"),
+    ("refusal/Chain/BadGenesis", "31d4596dfa28f41fea8d55c390b695e5c5867afdc5df8fc7f7ac2beebde6213e"),
+    ("refusal/Proof/RootMismatch", "f2b8574c4989eaced6178dd1889d91ac7f759f921c48705b55cd7696d5d1e9cf"),
+    ("refusal/Proof/Malformed", "5a08f161e477c5899c3dae9e1ffe393693f80f5675287a9ada488afd0fe423f1"),
+    ("refusal/Proof/MissingKey", "ea0b77a5f08d9b135c9d1bd5f4608de834ee17c8a4b99a0015d2ea9696f86c7d"),
+    ("refusal/Proof/Incomplete", "180387ec126bc69815d6b247edbc27e0141a569dbfdcf0bf6d902fb57e8064e9"),
+    ("refusal/Attestation/UntrustedPlatform", "070b13c004e9475fa155cd84d90de9f87db1b7dea6707329638a6ce66043d246"),
+    ("refusal/Attestation/BadQuote", "9463926d4640a53a0cf1ac00657361f5a6d64fbc554df30721cdacf503aebc2b"),
+    ("refusal/Attestation/BadReport", "68c2451fd16e5968ad3198fb9e688b958d70416a59cefe58ad5149d3faecd750"),
+    ("refusal/Attestation/BadSeal", "1d9b023eb0fffb1b54329ef89e0fd31348d5cd1c79ed747468f433f206c40e49"),
+    ("refusal/Codec/UnexpectedEof", "8f66dc8453ceb10eed93366b73e6455a573492437cbc1f736b6de694a88e0ce0"),
+    ("refusal/Codec/LengthOverflow", "4aad343c8e5122a9d8def61f3b964f3fb6c908d46ad34042dc7b2a93c85851f4"),
+    ("refusal/Codec/InvalidTag", "2d66987281014a29f56881f237597c05cd86d22a15323ddae8a4c5680a1a27f2"),
+    ("refusal/Codec/InvalidBool", "7fe3cbdb5e69f66c5c6298a8d4a17d15d76a204b7c965ab9105f402016e264e2"),
+    ("refusal/Codec/InvalidUtf8", "4a50709cbb88e77c57933a7f06049f592cd5380c2cba82e19fc17f9cef02a83d"),
+    ("refusal/Codec/TrailingBytes", "74962c37d24d297df59cc141581baf16ba5765e9abe2ed0119f41bbbf9e15aa6"),
+    ("refusal/Codec/Invalid", "6fcfce4fa7cde36491b29dd3b064050f8a2ab94e09ce97a782fe52678b6075d8"),
+    ("refusal/WrongMeasurement", "25dfd29c09617dcc9852281c030e5b3037a338a4712a42a21c907f259c6412a0"),
+    ("refusal/KeyBindingMismatch", "50cff72c8e550546d661ec235431888fb2f9f7bada40c17020d47f6ccc117aae"),
+    ("refusal/BadSignature", "ee9040f65c341855e070ff438eb0ea9d5b831b2a2c270fb7ef592d750408e3b3"),
+    ("refusal/DigestMismatch", "421dd6c30feb9149b349ae67525aae7556eb6c552e0b363edd78f8a8d8646ab8"),
+    ("refusal/MissingPrevCert", "167fa3bd837a7c1db48f1fdd3c79304e9967cc7a3a2cd432d5e4de86386a959a"),
+    ("refusal/GenesisMismatch", "e4c4dc8820db4972223043f69514cd223b23ace6817c14a6dfc6118dd7c15d75"),
+    ("refusal/ReadSetMismatch", "4b2871da34670fde248604e0f18fd3e4f7e1e6dfddb85875ce4813a6612953bb"),
+    ("refusal/StateRootMismatch", "3583fc672f8bba139cdb6f8aed13487e9d32c7952de6fb6e79d97429bcb7f062"),
+    ("refusal/IndexDigestMismatch", "d8f7d74ec3a8f99d48818dd82401c9aa3d981c1c5010742dd01518bcb255457c"),
+    ("refusal/UnknownIndexType", "c1b4b655e2d69bc9a5a7382e4552f088a4659a7b4e1b472b96d2aa159383785e"),
+    ("refusal/BadIndexUpdate", "9ac1726a3472d94a56bee3bca84bd1bb42ea2fb67d37c5c63fe79b881c4af21f"),
+    ("refusal/NotInitialized", "b59853b60c2016ea3ce197b2371184aecfd8f204a7da58ef15396046a36e57e2"),
+    ("refusal/HeightRegression", "ff7297d46c821d0dead248e29861fb1339e0c7f057a35aa61f530afe9cf89d74"),
+    ("refusal/EmptyRange", "79cf34b187cf095e3735e2f878b34306d5bf4d591126961ae3895d71a530c318"),
+    ("refusal/HeightOverflow", "bdf729dca2be07ed495103b6787646bfc92a6567fa399add9b32f5f44fb5b06d"),
+    ("refusal/RangeLengthMismatch", "37421fb83261f3ac6e20752a7b170a3a29ee76a7cb4d1eb6f996891431fc59c0"),
+    ("refusal/RangeAnchorMismatch", "879f954eda8169ee1e3e25f03abec2a22f8541cad39a35b30468f3968caa1649"),
+    ("refusal/RangeDiscontinuity", "81e42fc9c8ebafa703329e157f0e649974057c7be2cf2a6344a0033d21d4f0be"),
 ];

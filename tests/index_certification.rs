@@ -1,12 +1,14 @@
 //! Augmented and hierarchical certificate schemes (Algorithms 4–5) across
 //! real blocks, plus their forgery paths.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use dcert::chain::{Block, ChainError};
 use dcert::core::{
     CertError, CertJob, CertPipeline, Certificate, Gossip, IndexInput, PipelineConfig,
 };
+use dcert::merkle::ProofError;
 use dcert::primitives::hash::hash_bytes;
 use dcert::query::sp::IndexKind;
 use dcert::workloads::{Workload, WorkloadGen};
@@ -106,12 +108,8 @@ fn forged_index_digest_rejected_in_both_schemes() {
     let mut inputs = world.sp.stage_block(&block).unwrap();
     inputs[0].new_digest = hash_bytes(b"forged index digest");
 
-    match world.ci.certify_augmented(&block, &inputs) {
-        Err(CertError::EnclaveRejected(reason)) => {
-            assert!(reason.contains("index digest"), "reason: {reason}")
-        }
-        other => panic!("expected rejection, got {other:?}"),
-    }
+    let refused = world.ci.certify_augmented(&block, &inputs);
+    assert_eq!(refused.err(), Some(CertError::IndexDigestMismatch));
 }
 
 #[test]
@@ -123,7 +121,9 @@ fn tampered_aux_rejected() {
     if let Some(byte) = inputs[0].aux.last_mut() {
         *byte ^= 0xff;
     }
-    assert!(world.ci.certify_augmented(&block, &inputs).is_err());
+    let refused = world.ci.certify_augmented(&block, &inputs);
+    let missing = ProofError::Malformed("missing evidence".into());
+    assert_eq!(refused.err(), Some(CertError::Proof(missing)));
 }
 
 #[test]
@@ -133,12 +133,9 @@ fn unknown_index_type_rejected() {
     let block = world.miner.mine(gen.next_block(2), 1).unwrap();
     let mut inputs = world.sp.stage_block(&block).unwrap();
     inputs[0].index_type = "not-registered".to_owned();
-    match world.ci.certify_augmented(&block, &inputs) {
-        Err(CertError::EnclaveRejected(reason)) => {
-            assert!(reason.contains("unknown index type"), "reason: {reason}")
-        }
-        other => panic!("expected rejection, got {other:?}"),
-    }
+    let refused = world.ci.certify_augmented(&block, &inputs);
+    let unknown = CertError::UnknownIndexType("not-registered".to_owned());
+    assert_eq!(refused.err(), Some(unknown));
 }
 
 #[test]
@@ -206,17 +203,17 @@ fn two_index_world() -> World {
 }
 
 /// A way to forge a staged index update, and what the enclave says to it.
-type Forgery = (fn(&mut IndexInput), &'static str);
+type Forgery = (fn(&mut IndexInput), CertError);
 
 /// The two ways the second index of a job is forged here.
 const FORGERIES: [Forgery; 2] = [
     (
         |index| index.new_digest = hash_bytes(b"forged index digest"),
-        "index digest mismatch",
+        CertError::IndexDigestMismatch,
     ),
     (
         |index| index.aux.truncate(index.aux.len() / 2),
-        "bad index update",
+        CertError::BadIndexUpdate(Cow::Borrowed("aux decode")),
     ),
 ];
 
@@ -245,10 +242,8 @@ fn refused_index_leaves_nothing_signed_and_the_same_ci_retries() {
         let (block_cert, index_certs, inputs) = &clean[2];
         let mut forged = inputs.clone();
         forge(&mut forged[1]);
-        match world.ci.certify_hierarchical(&blocks[2], &forged) {
-            Err(CertError::EnclaveRejected(why)) => assert!(why.contains(refusal), "{why}"),
-            other => panic!("expected a refusal, got {other:?}"),
-        }
+        let refused = world.ci.certify_hierarchical(&blocks[2], &forged);
+        assert_eq!(refused.err(), Some(refusal));
         let (retried_block, retried_indexes, breakdown) =
             world.ci.certify_hierarchical(&blocks[2], inputs).unwrap();
         assert_eq!(
@@ -278,10 +273,7 @@ fn refused_index_in_the_pipeline_leaves_nothing_signed() {
                 .unwrap();
         }
         let (mut ci, report) = pipeline.shutdown();
-        match report.errors.as_slice() {
-            [(2, CertError::EnclaveRejected(why))] => assert!(why.contains(refusal), "{why}"),
-            other => panic!("expected job 2 refused, got {other:?}"),
-        }
+        assert_eq!(report.errors, [(2, refusal)]);
         // The CI comes back standing on block 2, its enclave unsigned at 3.
         let (block_cert, index_certs, inputs) = &clean[2];
         let (retried_block, retried_indexes, _) =

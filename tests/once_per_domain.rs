@@ -14,7 +14,7 @@ use dcert::chain::{
 };
 use dcert::core::{
     CertError, CertJob, CertPipeline, Certificate, CertificateIssuer, Gossip, IndexInput,
-    NetMessage, PipelineConfig, ShardError, ShardFleetConfig,
+    NetMessage, PipelineConfig, ShardFleetConfig,
 };
 use dcert::obs::Registry;
 use dcert::primitives::codec::Encode;
@@ -190,8 +190,8 @@ fn the_ci_node_is_a_full_node_that_applied_the_same_blocks() {
 
 /// `block` with one thing wrong that only the enclave looks at (the CI's
 /// host checks linkage and the post-state root, and nothing else),
-/// resealed unless the seal is the thing.
-fn refused_variants(block: &Block, engine: &dyn ConsensusEngine) -> Vec<(&'static str, Block)> {
+/// resealed unless the seal is the thing — each beside the enclave's refusal.
+fn refused_variants(block: &Block, engine: &dyn ConsensusEngine) -> Vec<(CertError, Block)> {
     let mut bad_signature = block.clone();
     bad_signature.txs[0].nonce ^= 1;
     bad_signature.header.tx_root = Block::tx_root(&bad_signature.txs);
@@ -202,7 +202,11 @@ fn refused_variants(block: &Block, engine: &dyn ConsensusEngine) -> Vec<(&'stati
         difficulty_bits: 0,
         nonce: 0,
     };
-    vec![("tx signature", bad_signature), ("seal", bad_seal)]
+    let wrong_seal = ChainError::BadConsensus("wrong difficulty".into());
+    vec![
+        (CertError::Chain(ChainError::BadTxSignature), bad_signature),
+        (CertError::Chain(wrong_seal), bad_seal),
+    ]
 }
 
 #[test]
@@ -217,10 +221,7 @@ fn a_block_the_enclave_refuses_leaves_the_ci_as_it_was() {
             for (fault, bad) in refused_variants(block, victim.engine.as_ref()) {
                 let what = format!("{scheme:?}, {fault}, height {}", block.header.height);
                 let refusal = certify(scheme, &mut victim.ci, &bad, &inputs);
-                assert!(
-                    matches!(refusal, Err(CertError::EnclaveRejected(_))),
-                    "{what}: {refusal:?}"
-                );
+                assert_eq!(refusal.err(), Some(fault), "{what}");
                 // The host advanced before the ECall; the refusal rewound it.
                 assert_same_ci(&victim.ci, &twin.ci, &what);
             }
@@ -396,8 +397,8 @@ fn every_driver_refuses_a_forged_post_state_root_before_the_ecall() {
     }
 
     // The fleet, extending two certified heights by the forgery: only the
-    // new range's shard boot crosses, and the worker's reason is the
-    // host's refusal.
+    // new range's shard boot crosses, and the worker's refusal is the
+    // issuer's.
     let registry = Registry::new();
     let config = ShardFleetConfig {
         registry: registry.clone(),
@@ -411,12 +412,8 @@ fn every_driver_refuses_a_forged_post_state_root_before_the_ecall() {
     twin.certify_chain(honest, &mut world.ias)
         .expect("certifies");
     let before = ecalls(&registry);
-    match victim.certify_chain(&forged_batch, &mut world.ias) {
-        Err(CertError::Shard(ShardError::Worker { reason, .. })) => {
-            assert_eq!(reason, refusal.to_string(), "fleet")
-        }
-        other => panic!("fleet answered {other:?}"),
-    }
+    let refused = victim.certify_chain(&forged_batch, &mut world.ias);
+    assert_eq!(refused.err(), Some(refusal), "fleet");
     assert_eq!(
         ecalls(&registry) - before,
         1,

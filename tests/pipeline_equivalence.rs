@@ -615,7 +615,7 @@ fn drop_without_shutdown_still_drains() {
 fn bad_job_fails_without_stalling() {
     let mut world = World::pow(&[]);
     let blocks = world.mine_blocks(Workload::KvStore { keyspace: 32 }, 3, 2, 5);
-    // Block 3 with its calls intact (it links and executes) but unsigned.
+    // Block 3 with its calls intact (it links and executes) but its tx root stale.
     let mut unsigned = blocks[2].clone();
     unsigned.txs[0].nonce ^= 1;
 
@@ -636,7 +636,8 @@ fn bad_job_fails_without_stalling() {
     assert_eq!(report.errors.len(), 2);
     assert_eq!(report.errors[0].0, 1, "the out-of-order job is the failure");
     assert!(matches!(report.errors[0].1, CertError::Chain(_)));
-    assert!(matches!(report.errors[1].1, CertError::EnclaveRejected(_)));
+    let unsealed = CertError::Chain(ChainError::TxRootMismatch);
+    assert_eq!(report.errors[1].1, unsealed);
     assert_eq!(ci.node().tip(), &blocks[1].header);
 
     let mut heights = Vec::new();
