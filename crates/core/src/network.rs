@@ -6,8 +6,7 @@
 //! validate from the published certificates. This module provides the
 //! broadcast fabric — a topic-less gossip bus over crossbeam channels —
 //! so miners, CIs, SPs, and clients can run as real concurrent actors
-//! (see the `live_network` example and the `network_workflow` integration
-//! test).
+//! (see the `pipeline_equivalence` integration test).
 //!
 //! The bus makes no delivery-order promises beyond per-publisher FIFO,
 //! mirroring gossip semantics; consumers handle reordering (the
@@ -322,8 +321,11 @@ impl<T: Transport + ?Sized> CertArchive<T> {
     }
 
     /// The retained certificate messages for heights in `from..=to`, in
-    /// height order.
+    /// height order; none when `from > to`.
     pub fn messages_in(&self, from: u64, to: u64) -> Vec<NetMessage> {
+        if from > to {
+            return Vec::new();
+        }
         self.retained
             .lock()
             .range(from..=to)
@@ -532,6 +534,20 @@ mod tests {
         }
         archive.prune_below(4);
         assert_eq!(archive.messages_in(0, u64::MAX).len(), 2);
+    }
+
+    #[test]
+    fn an_inverted_request_is_answered_with_nothing() {
+        // `from > to` decodes off the wire like any other request.
+        let archive = CertArchive::new(Arc::new(Gossip::new()));
+        for height in 1..=9u64 {
+            archive.publish(NetMessage::BlockCert {
+                header: header(height),
+                cert: dummy_cert(height),
+            });
+        }
+        assert_eq!(archive.republish(9, 3), 0);
+        assert!(archive.messages_in(9, 3).is_empty());
     }
 
     /// A miniature certificate authority issuing *verifiable* certs, for

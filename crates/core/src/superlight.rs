@@ -202,7 +202,7 @@ impl SuperlightClient {
     /// everything else. This is the client's event loop body on a lossy
     /// network — it never wedges: a bad certificate is [`SyncOutcome::
     /// Rejected`], one short of its threshold is [`SyncOutcome::Pending`],
-    /// and a missed one is recovered via [`Self::needs_resync`].
+    /// and a missed one is recovered via [`Self::resync_request`].
     pub fn on_message(&mut self, message: &NetMessage) -> SyncOutcome {
         let (result, adopted) = match message {
             NetMessage::BlockCert { header, cert } => {
@@ -248,24 +248,13 @@ impl SuperlightClient {
         }
     }
 
-    /// The height gap to recover, as an inclusive `(from, to)` range of
-    /// missing heights — `Some` when a certificate was announced beyond
-    /// the validated view (lost, late, rejected in flight, or still short
-    /// of its threshold).
-    pub fn needs_resync(&self) -> Option<(u64, u64)> {
-        self.gap.needs_resync(self.height())
-    }
-
-    /// The re-request to publish when a gap is detected: any CI or
-    /// archive holding the range answers by republishing it. `None` when
-    /// the client is caught up.
+    /// The re-request to publish when a gap is detected: the inclusive
+    /// range of missing heights, `Some` when a certificate was announced
+    /// beyond the validated view (lost, late, rejected in flight, or
+    /// still short of its threshold). Any CI or archive holding the range
+    /// answers by republishing it. `None` when the client is caught up.
     pub fn resync_request(&self) -> Option<NetMessage> {
         self.gap.resync_request(self.height())
-    }
-
-    /// Highest height any certificate message announced, validated or not.
-    pub fn highest_seen(&self) -> Option<u64> {
-        self.gap.highest_seen
     }
 
     /// The one certificate-acceptance path (Algorithm 3): `cert` counts
@@ -650,7 +639,7 @@ mod tests {
             }),
             SyncOutcome::Adopted
         );
-        assert_eq!(client.needs_resync(), None);
+        assert_eq!(client.resync_request(), None);
 
         // A forged certificate for height 3 is rejected, but its height
         // is remembered: the client knows it is now behind.
@@ -665,7 +654,6 @@ mod tests {
             SyncOutcome::Rejected(CertError::BadSignature)
         ));
         assert_eq!(client.height(), Some(1));
-        assert_eq!(client.needs_resync(), Some((2, 3)));
         assert_eq!(
             client.resync_request(),
             Some(NetMessage::CertRequest { from: 2, to: 3 })
@@ -680,7 +668,7 @@ mod tests {
             }),
             SyncOutcome::Adopted
         );
-        assert_eq!(client.needs_resync(), None);
+        assert_eq!(client.resync_request(), None);
         // A late duplicate is stale, not an error.
         assert_eq!(
             client.on_message(&NetMessage::BlockCert {
@@ -716,8 +704,10 @@ mod tests {
         assert_eq!(resumed.height(), Some(3));
         assert_eq!(resumed.latest_header(), client.latest_header());
         assert_eq!(resumed.index_digest("history"), Some(idx_digest));
-        assert_eq!(resumed.highest_seen(), Some(7));
-        assert_eq!(resumed.needs_resync(), Some((4, 7)));
+        assert_eq!(
+            resumed.resync_request(),
+            Some(NetMessage::CertRequest { from: 4, to: 7 })
+        );
     }
 
     #[test]
@@ -768,7 +758,7 @@ mod tests {
             SuperlightClient::resume(ca.ias.public_key(), ca.measurement, &MemStore::new())
                 .unwrap();
         assert_eq!(resumed.height(), None);
-        assert_eq!(resumed.highest_seen(), None);
+        assert_eq!(resumed.resync_request(), None);
     }
 
     #[test]

@@ -11,6 +11,15 @@
 //! the memo chain the persistence suites observe, and [`naive`], the
 //! reference certification program.
 //!
+//! The world also owns the Fig. 2 certificate network: one [`SimNet`]
+//! seeded and faulted by [`Setup::net`] (lossless by default), and the
+//! CI's [`CertArchive`] over it. The client is the net's only endpoint,
+//! endpoint 0, so a [`Partition`](dcert_core::Partition) on endpoint 0
+//! cuts the client off. [`World::deliver`] feeds the client what reached
+//! it and [`World::converge`] heals the net and resyncs the client to the
+//! archive's tip. The net is not attached to [`Setup::registry`]: a
+//! caller that wants its `net.*` counters attaches it.
+//!
 //! ```
 //! use dcert::query::sp::IndexKind;
 //! use dcert::workloads::Workload;
@@ -30,8 +39,9 @@ use dcert_chain::{
     Transaction,
 };
 use dcert_core::{
-    expected_measurement, CertBreakdown, Certificate, CertificateIssuer, RecoverError,
-    ShardFleetConfig, ShardedCertEngine, SuperlightClient,
+    expected_measurement, CertArchive, CertBreakdown, Certificate, CertificateIssuer, FaultConfig,
+    NetMessage, RecoverError, ShardFleetConfig, ShardedCertEngine, SimNet, SuperlightClient,
+    SyncOutcome, Transport,
 };
 use dcert_obs::Registry;
 use dcert_primitives::codec::Encode;
@@ -145,6 +155,8 @@ pub struct Setup {
     pub registry: Registry,
     /// State entries genesis starts with.
     pub genesis_entries: Vec<(StateKey, Vec<u8>)>,
+    /// The certificate network's seed and faults ([`World::net`]).
+    pub net: (u64, FaultConfig),
 }
 
 impl Setup {
@@ -157,6 +169,7 @@ impl Setup {
             indexes: Vec::new(),
             registry: Registry::disabled(),
             genesis_entries: Vec::new(),
+            net: (0, FaultConfig::lossless()),
         }
     }
 
@@ -204,6 +217,12 @@ pub struct World {
     pub ci: CertificateIssuer,
     pub sp: ServiceProvider,
     pub client: SuperlightClient,
+    /// The certificate network; the client is its endpoint 0.
+    pub net: Arc<SimNet>,
+    /// The CI's publish path over `net`, which [`World::converge`] resyncs from.
+    pub archive: Arc<CertArchive<SimNet>>,
+    /// The client's endpoint: its next waiting message.
+    inbox: Box<dyn Fn() -> Option<NetMessage> + Send + Sync>,
     chain: Chain,
     cost: CostModel,
     indexes: Vec<(IndexKind, String)>,
@@ -229,6 +248,7 @@ impl World {
             indexes,
             registry,
             genesis_entries,
+            net: (seed, faults),
         } = setup;
         let executor = Executor::new(Arc::new(blockbench_registry()));
         let engine = chain.engine();
@@ -263,6 +283,9 @@ impl World {
         .expect("CI boots");
         ci.attach_obs(&registry);
         let client = SuperlightClient::new(ias.public_key(), expected_measurement());
+        let net = Arc::new(SimNet::new(seed, faults));
+        let inbox = net.join();
+        let archive = Arc::new(CertArchive::new(net.clone()));
         World {
             executor,
             engine,
@@ -273,9 +296,55 @@ impl World {
             ci,
             sp,
             client,
+            net,
+            archive,
+            inbox: Box::new(move || inbox.try_recv().ok()),
             chain,
             cost,
             indexes,
+        }
+    }
+
+    /// Feeds every message waiting at the client's endpoint to
+    /// [`SuperlightClient::on_message`], in arrival order.
+    pub fn deliver(&mut self) -> Vec<SyncOutcome> {
+        std::iter::from_fn(|| (self.inbox)())
+            .map(|message| self.client.on_message(&message))
+            .collect()
+    }
+
+    /// Heals the net and resyncs the client to the archive's tip: each
+    /// round delivers what reached the client, then republishes the
+    /// client's [`SuperlightClient::resync_request`] widened to
+    /// `have+1..=tip`. Returns the rounds it took.
+    ///
+    /// # Panics
+    ///
+    /// After `tip + 10` rounds, naming the net's seed and stats.
+    pub fn converge(&mut self) -> u64 {
+        self.net.heal();
+        let tip = self.archive.tip_height().unwrap_or(0);
+        let mut rounds = 0u64;
+        loop {
+            self.deliver();
+            let have = self.client.height().unwrap_or(0);
+            if have >= tip {
+                return rounds;
+            }
+            rounds += 1;
+            assert!(
+                rounds <= tip + 10,
+                "CHAOS_SEED={}: no convergence after {rounds} resync rounds \
+                 (superlight {:?}, stats {:?})",
+                self.net.seed(),
+                self.client.height(),
+                self.net.stats(),
+            );
+            let (from, to) = match self.client.resync_request() {
+                Some(NetMessage::CertRequest { from, to }) => (from.min(have + 1), to.max(tip)),
+                _ => (have + 1, tip),
+            };
+            self.archive.republish(from, to);
         }
     }
 
@@ -788,6 +857,55 @@ mod tests {
             cert.encode(&mut stream);
         }
         (stream, obs.snapshot().without_wall_clock())
+    }
+
+    /// Mines `count` blocks and publishes their certificates through the
+    /// world's archive.
+    fn publish_chain(world: &mut World, count: usize) -> Vec<Block> {
+        let blocks = world.mine_blocks(Workload::KvStore { keyspace: 16 }, count, 2, 1);
+        for (block, cert) in blocks.iter().zip(world.certify_blocks(&blocks)) {
+            let header = block.header.clone();
+            world
+                .archive
+                .publish(NetMessage::BlockCert { header, cert });
+        }
+        blocks
+    }
+
+    #[test]
+    fn a_lossless_net_delivers_the_stream_in_height_order() {
+        let mut world = World::pow(&[]);
+        let blocks = publish_chain(&mut world, 4);
+        // Any certificate out of height order would be `Stale`.
+        assert_eq!(world.deliver(), vec![SyncOutcome::Adopted; 4]);
+        assert_eq!(
+            world.client.latest_header(),
+            blocks.last().map(|b| &b.header)
+        );
+        assert_eq!(world.converge(), 0, "nothing was lost");
+    }
+
+    #[test]
+    fn equal_setups_fault_and_converge_alike() {
+        let run = || {
+            let mut faults = FaultConfig::default_chaos();
+            faults.partitions.push(dcert_core::Partition {
+                start: 2,
+                end: 5,
+                endpoints: vec![0],
+            });
+            let mut world = World::new(Setup {
+                net: (0x3E7, faults),
+                ..Setup::pow()
+            });
+            publish_chain(&mut world, 8);
+            world.converge();
+            (world.net.stats(), world.client.latest_header().cloned())
+        };
+        let (stats, tip) = run();
+        assert!(stats.partitioned > 0, "the partition cut the client off");
+        assert_eq!(tip.as_ref().map(|h| h.height), Some(8));
+        assert_eq!(run(), (stats, tip));
     }
 
     /// The determinism the goldens and the figures rest on: on either

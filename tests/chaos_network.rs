@@ -15,55 +15,66 @@ mod common;
 
 use std::sync::{Arc, OnceLock};
 
-use dcert::chain::Block;
+use dcert::chain::{Block, BlockHeader};
 use dcert::core::{
     expected_measurement, CertArchive, CertJob, CertPipeline, FaultConfig, Gossip, NetMessage,
     NetStats, Partition, PipelineConfig, PipelineReport, PublishPolicy, SimNet, SuperlightClient,
     Transport,
 };
 use dcert::obs::{Registry, Snapshot};
-use dcert::primitives::keys::PublicKey;
 use dcert::store::{SegmentStore, Store, StoreConfig};
 use dcert::workloads::Workload;
 
 use common::temp_dir;
-use dcert::world::{certify_into, World};
+use dcert::world::{certify_into, Setup, World};
 use dcert_testkit::{check, Gen};
 
 /// Chain length for every chaos scenario.
 const CHAIN: u64 = 20;
 
-/// The shared ground truth: a deterministic chain plus the certificate
-/// stream a *sequential* issuer produces for it. Both are pure functions
-/// of the world seeds, so they are computed once; every chaos run must
-/// converge to exactly this stream.
-struct Fixture {
-    blocks: Vec<Block>,
-    expected: Vec<NetMessage>,
-    ias_key: PublicKey,
+/// The shared ground truth: the certificate stream a *sequential* issuer
+/// produces for the chaos chain. It is a pure function of the world
+/// seeds, so it is computed once; every chaos run must converge to
+/// exactly this stream.
+fn fixture() -> &'static [NetMessage] {
+    static STREAM: OnceLock<Vec<NetMessage>> = OnceLock::new();
+    STREAM.get_or_init(|| {
+        let mut world = World::pow(&[]);
+        let blocks = mine_chain(&mut world);
+        let certs = world.certify_blocks(&blocks);
+        blocks
+            .iter()
+            .zip(certs)
+            .map(|(block, cert)| NetMessage::BlockCert {
+                header: block.header.clone(),
+                cert,
+            })
+            .collect()
+    })
 }
 
-fn fixture() -> &'static Fixture {
-    static FX: OnceLock<Fixture> = OnceLock::new();
-    FX.get_or_init(|| {
-        let mut world = World::pow(&[]);
-        let blocks = world.mine_blocks(Workload::SmallBank { customers: 32 }, CHAIN as usize, 4, 3);
-        let expected = blocks
-            .iter()
-            .map(|block| {
-                let (cert, _) = world.ci.certify_block(block).expect("sequential certify");
-                NetMessage::BlockCert {
-                    header: block.header.clone(),
-                    cert,
-                }
-            })
-            .collect();
-        Fixture {
-            blocks,
-            expected,
-            ias_key: world.ias.public_key(),
-        }
-    })
+/// The last header of the [`fixture`] stream.
+fn fixture_tip() -> Option<&'static BlockHeader> {
+    match fixture().last() {
+        Some(NetMessage::BlockCert { header, .. }) => Some(header),
+        _ => None,
+    }
+}
+
+/// Mines the chaos chain on `world`: every world mines the same blocks.
+fn mine_chain(world: &mut World) -> Vec<Block> {
+    world.mine_blocks(Workload::SmallBank { customers: 32 }, CHAIN as usize, 4, 3)
+}
+
+/// A world whose certificate network is seeded with `seed` and faulted
+/// by `faults`, its `net.*` counters recorded in `obs`.
+fn chaos_world(seed: u64, faults: FaultConfig, obs: &Registry) -> World {
+    let world = World::new(Setup {
+        net: (seed, faults),
+        ..Setup::pow()
+    });
+    world.net.attach_obs(obs);
+    world
 }
 
 /// The default chaos scenario from the issue: 5% loss, reorder window 4,
@@ -83,53 +94,53 @@ struct ChaosRun {
     /// The archive's retained stream for heights `1..=CHAIN`.
     retained: Vec<NetMessage>,
     superlight: SuperlightClient,
+    /// The pipeline's report (empty for a fleet run).
     report: PipelineReport,
-    /// Final metric snapshot of the registry attached to both the SimNet
-    /// and the pipeline.
+    /// Final metric snapshot of the registry attached to the SimNet and
+    /// the pipeline (or the fleet).
     obs: Snapshot,
     /// `SimNet::in_flight` at snapshot time, for the conservation law.
     in_flight: u64,
 }
 
-/// Certifies the fixture chain through the pipeline over a `SimNet`
-/// seeded with `seed`, heals the network, and runs the superlight client
-/// through the resync protocol until it converges (or panics with the
-/// seed after a bounded number of rounds).
-fn run_chaos(seed: u64, faults: FaultConfig) -> ChaosRun {
-    run_chaos_with_store(seed, faults, None)
+impl ChaosRun {
+    /// Converges `world`'s client and reads the run off the world.
+    fn converge(mut world: World, report: PipelineReport, obs: &Registry) -> Self {
+        world.converge();
+        ChaosRun {
+            stats: world.net.stats(),
+            retained: world.archive.messages_in(1, CHAIN),
+            superlight: world.client,
+            report,
+            obs: obs.snapshot(),
+            in_flight: world.net.in_flight(),
+        }
+    }
 }
 
-/// [`run_chaos`], optionally with the archive persisting to a
-/// [`SegmentStore`] in `store_dir` (its `store.*` metrics land in the same
-/// registry as the network's and pipeline's).
-fn run_chaos_with_store(
-    seed: u64,
-    faults: FaultConfig,
-    store_dir: Option<&std::path::Path>,
-) -> ChaosRun {
-    let fx = fixture();
-    let world = World::pow(&[]);
-    let net = Arc::new(SimNet::new(seed, faults));
-    let client_rx = net.join();
-
+/// Certifies the chaos chain through the pipeline over a `SimNet`
+/// seeded with `seed`, heals the network, and runs the superlight client
+/// through the resync protocol until it converges (or panics with the
+/// seed after a bounded number of rounds). With `store_dir`, the archive
+/// persists to a [`SegmentStore`] there (its `store.*` metrics land in the
+/// same registry as the network's and pipeline's).
+fn run_chaos(seed: u64, faults: FaultConfig, store_dir: Option<&std::path::Path>) -> ChaosRun {
     let obs = Registry::new();
-    net.attach_obs(&obs);
-    let archive = match store_dir {
-        Some(dir) => {
-            let store = SegmentStore::open(StoreConfig::new(dir).obs(obs.clone()))
-                .expect("archive store opens");
-            Arc::new(
-                CertArchive::with_store(
-                    net.clone() as Arc<dyn Transport>,
-                    Box::new(store),
-                    &fx.ias_key,
-                    &expected_measurement(),
-                )
-                .expect("archive store recovers"),
+    let mut world = chaos_world(seed, faults, &obs);
+    let blocks = mine_chain(&mut world);
+    if let Some(dir) = store_dir {
+        let store = SegmentStore::open(StoreConfig::new(dir).obs(obs.clone()))
+            .expect("archive store opens");
+        world.archive = Arc::new(
+            CertArchive::with_store(
+                world.net.clone(),
+                Box::new(store),
+                &world.ias.public_key(),
+                &expected_measurement(),
             )
-        }
-        None => Arc::new(CertArchive::new(net.clone() as Arc<dyn Transport>)),
-    };
+            .expect("archive store recovers"),
+        );
+    }
     let config = PipelineConfig {
         publish: PublishPolicy {
             jitter_seed: seed,
@@ -138,61 +149,27 @@ fn run_chaos_with_store(
         obs: obs.clone(),
         ..PipelineConfig::default()
     };
-    let pipeline = CertPipeline::spawn(world.ci, config, archive.clone() as Arc<dyn Transport>);
-    for block in fx.blocks.clone() {
+    let archive = world.archive.clone() as Arc<dyn Transport>;
+    let pipeline = CertPipeline::spawn(world.ci, config, archive);
+    for block in blocks {
         pipeline.submit(CertJob::Block(block)).expect("accepts");
     }
-    let (_ci, report) = pipeline.shutdown();
-
-    // The faults have done their damage; the network heals and the
-    // clients must recover everything that was lost in flight.
-    net.heal();
-    let mut superlight = SuperlightClient::new(fx.ias_key, expected_measurement());
-    let mut rounds = 0u64;
-    loop {
-        while let Ok(msg) = client_rx.try_recv() {
-            superlight.on_message(&msg);
-        }
-        if superlight.height() == Some(CHAIN) {
-            break;
-        }
-        rounds += 1;
-        assert!(
-            rounds <= CHAIN + 10,
-            "CHAOS_SEED={seed}: no convergence after {rounds} resync rounds \
-             (superlight {:?}, stats {:?})",
-            superlight.height(),
-            net.stats(),
-        );
-        // A lagging client publishes a CertRequest; the CI answers it
-        // from its archive. The test plays the CI side directly.
-        let have = superlight.height().unwrap_or(0);
-        let (from, to) = match superlight.resync_request() {
-            Some(NetMessage::CertRequest { from, to }) => (from.min(have + 1), to.max(CHAIN)),
-            _ => (have + 1, CHAIN),
-        };
-        archive.republish(from, to);
-    }
+    let (ci, report) = pipeline.shutdown();
+    world.ci = ci;
+    let store_error = world.archive.store_error();
     assert!(
-        archive.store_error().is_none(),
-        "CHAOS_SEED={seed}: archive store poisoned: {:?}",
-        archive.store_error()
+        store_error.is_none(),
+        "CHAOS_SEED={seed}: archive store poisoned: {store_error:?}"
     );
-    ChaosRun {
-        stats: net.stats(),
-        retained: archive.messages_in(1, CHAIN),
-        superlight,
-        report,
-        obs: obs.snapshot(),
-        in_flight: net.in_flight(),
-    }
+    // The faults have done their damage; the network heals and the
+    // client must recover everything that was lost in flight.
+    ChaosRun::converge(world, report, &obs)
 }
 
 #[test]
 fn converges_at_default_fault_rates() {
     let seed = 0xD0;
-    let run = run_chaos(seed, default_faults());
-    let fx = fixture();
+    let run = run_chaos(seed, default_faults(), None);
     assert_eq!(
         run.superlight.height(),
         Some(CHAIN),
@@ -200,13 +177,14 @@ fn converges_at_default_fault_rates() {
     );
     assert_eq!(
         run.superlight.latest_header(),
-        fx.blocks.last().map(|b| &b.header),
+        fixture_tip(),
         "CHAOS_SEED={seed}: wrong tip adopted"
     );
     // The retained broadcast stream is byte-for-byte the sequential
     // issuer's: chaos in transit never changes what was certified.
     assert_eq!(
-        run.retained, fx.expected,
+        run.retained,
+        fixture(),
         "CHAOS_SEED={seed}: published stream diverged from sequential issuance"
     );
     assert_eq!(run.report.errors.len(), 0, "CHAOS_SEED={seed}");
@@ -237,8 +215,8 @@ fn converges_at_default_fault_rates() {
 
 #[test]
 fn fixed_seed_replays_bit_for_bit() {
-    let a = run_chaos(1234, default_faults());
-    let b = run_chaos(1234, default_faults());
+    let a = run_chaos(1234, default_faults(), None);
+    let b = run_chaos(1234, default_faults(), None);
     assert_eq!(a.stats, b.stats, "CHAOS_SEED=1234: fault schedule diverged");
     assert_eq!(
         a.retained, b.retained,
@@ -274,11 +252,10 @@ fn fixed_seed_replays_bit_for_bit() {
 #[test]
 fn durable_archive_survives_chaos_and_a_torn_tail() {
     let seed = 0xD15C;
-    let fx = fixture();
     let dir = temp_dir("chaos-archive");
-    let run = run_chaos_with_store(seed, default_faults(), Some(&dir));
+    let run = run_chaos(seed, default_faults(), Some(&dir));
     assert_eq!(run.superlight.height(), Some(CHAIN), "CHAOS_SEED={seed}");
-    assert_eq!(run.retained, fx.expected, "CHAOS_SEED={seed}");
+    assert_eq!(run.retained, fixture(), "CHAOS_SEED={seed}");
     // One append per unique retained certificate: duplicated deliveries
     // and publish retries never reach the disk, and a fresh directory
     // records no recovery work.
@@ -290,7 +267,7 @@ fn durable_archive_survives_chaos_and_a_torn_tail() {
     // Same seed, fresh directory: the store counters must be as
     // replay-stable as every other deterministic metric.
     let dir_replay = temp_dir("chaos-archive-replay");
-    let replay = run_chaos_with_store(seed, default_faults(), Some(&dir_replay));
+    let replay = run_chaos(seed, default_faults(), Some(&dir_replay));
     assert_eq!(
         run.obs.without_wall_clock(),
         replay.obs.without_wall_clock(),
@@ -317,13 +294,13 @@ fn durable_archive_survives_chaos_and_a_torn_tail() {
     let successor = CertArchive::with_store(
         Arc::new(Gossip::new()),
         Box::new(store),
-        &fx.ias_key,
+        &World::pow(&[]).ias.public_key(),
         &expected_measurement(),
     )
     .expect("recovered certificates re-verify");
     assert_eq!(
         successor.messages_in(1, CHAIN),
-        fx.expected,
+        fixture(),
         "CHAOS_SEED={seed}: recovered archive diverged from sequential issuance"
     );
     std::fs::remove_dir_all(&dir).ok();
@@ -339,7 +316,7 @@ fn total_blackout_dead_letters_then_resyncs() {
         drop_rate: 1.0,
         ..FaultConfig::lossless()
     };
-    let run = run_chaos(seed, faults);
+    let run = run_chaos(seed, faults, None);
     assert_eq!(
         run.report.dead_letters.len(),
         CHAIN as usize,
@@ -351,7 +328,7 @@ fn total_blackout_dead_letters_then_resyncs() {
     // The archive retained what the network refused to carry, so the
     // resync path still brought the client to the tip.
     assert_eq!(run.superlight.height(), Some(CHAIN), "CHAOS_SEED={seed}");
-    assert_eq!(run.retained, fixture().expected, "CHAOS_SEED={seed}");
+    assert_eq!(run.retained, fixture(), "CHAOS_SEED={seed}");
 
     // The fixed backoff bug made every retry wait the same base delay.
     // Under the exponential policy, the recorded schedule must grow: with
@@ -412,10 +389,10 @@ fn any_fault_schedule_converges_once_healed() {
     check("any_fault_schedule_converges_once_healed", 6, |g| {
         let seed = g.any::<u64>();
         let faults = arb_faults(g, [0.35, 0.15, 0.15], [6, 20, 5]);
-        let run = run_chaos(seed, faults.clone());
+        let run = run_chaos(seed, faults.clone(), None);
         let schedule = format!("seed {seed}, {faults:?}");
         assert_eq!(run.superlight.height(), Some(CHAIN), "{schedule}");
-        assert_eq!(&run.retained, &fixture().expected, "{schedule}");
+        assert_eq!(run.retained, fixture(), "{schedule}");
     });
 }
 
@@ -478,14 +455,10 @@ fn seed_matrix_entry() {
     let mut faults = default_faults();
     faults.corrupt_rate = 0.05;
     faults.duplicate_rate = 0.05;
-    let a = run_chaos(seed, faults.clone());
-    let b = run_chaos(seed, faults);
+    let a = run_chaos(seed, faults.clone(), None);
+    let b = run_chaos(seed, faults, None);
     assert_eq!(a.stats, b.stats, "CHAOS_SEED={seed}: replay diverged");
-    assert_eq!(
-        a.retained,
-        fixture().expected,
-        "CHAOS_SEED={seed}: stream mismatch"
-    );
+    assert_eq!(a.retained, fixture(), "CHAOS_SEED={seed}: stream mismatch");
     assert_eq!(a.superlight.height(), Some(CHAIN), "CHAOS_SEED={seed}");
     assert_eq!(b.superlight.height(), Some(CHAIN), "CHAOS_SEED={seed}");
 }
@@ -756,26 +729,15 @@ const FLEET_SHARDS: usize = 4;
 /// Blocks per range ECall (and per durable checkpoint).
 const FLEET_CHUNK: u64 = 3;
 
-struct ShardFleetChaosRun {
-    stats: NetStats,
-    /// The archive's retained stream for heights `1..=CHAIN`.
-    retained: Vec<NetMessage>,
-    superlight: SuperlightClient,
-    /// Final snapshot of the registry shared by the fleet (`shard.*`)
-    /// and the simulator (`net.*`).
-    obs: Snapshot,
-    in_flight: u64,
-}
-
-/// Certifies the fixture chain through a sharded fleet whose failure
+/// Certifies the chaos chain through a sharded fleet whose failure
 /// plan kills shard 1 after one durable chunk (store-resume path) and
 /// shard 3 before any (fresh-boot path), publishes the aggregate stream
 /// over a `SimNet` seeded with `seed`, heals, and resyncs the superlight
 /// client to the tip.
-fn run_shard_fleet_chaos(seed: u64, faults: FaultConfig) -> ShardFleetChaosRun {
-    let fx = fixture();
-    let mut world = World::pow(&[]);
+fn run_shard_fleet_chaos(seed: u64, faults: FaultConfig) -> ChaosRun {
     let obs = Registry::new();
+    let mut world = chaos_world(seed, faults, &obs);
+    let blocks = mine_chain(&mut world);
 
     let store: SharedStore = Arc::new(Mutex::new(Box::new(MemStore::new())));
     let mut config = ShardFleetConfig::new(FLEET_SHARDS, FLEET_CHUNK);
@@ -784,54 +746,18 @@ fn run_shard_fleet_chaos(seed: u64, faults: FaultConfig) -> ShardFleetChaosRun {
     config.failures = ShardFailurePlan::none().kill(1, 1).kill(3, 0);
     let mut fleet = world.fleet(config);
     let certs = fleet
-        .certify_chain(&fx.blocks, &mut world.ias)
+        .certify_chain(&blocks, &mut world.ias)
         .expect("CHAOS_SEED: fleet certifies through the kill plan");
 
     // The fleet's aggregate stream goes out over the faulty wire through
     // the archive, exactly as the pipeline's publisher would send it.
-    let net = Arc::new(SimNet::new(seed, faults));
-    let client_rx = net.join();
-    net.attach_obs(&obs);
-    let archive = Arc::new(CertArchive::new(net.clone() as Arc<dyn Transport>));
-    for (block, cert) in fx.blocks.iter().zip(certs) {
-        archive.publish(NetMessage::BlockCert {
+    for (block, cert) in blocks.iter().zip(certs) {
+        world.archive.publish(NetMessage::BlockCert {
             header: block.header.clone(),
             cert,
         });
     }
-
-    net.heal();
-    let mut superlight = SuperlightClient::new(fx.ias_key, expected_measurement());
-    let mut rounds = 0u64;
-    loop {
-        while let Ok(msg) = client_rx.try_recv() {
-            superlight.on_message(&msg);
-        }
-        if superlight.height() == Some(CHAIN) {
-            break;
-        }
-        rounds += 1;
-        assert!(
-            rounds <= CHAIN + 10,
-            "CHAOS_SEED={seed}: no convergence after {rounds} resync rounds \
-             (superlight {:?}, stats {:?})",
-            superlight.height(),
-            net.stats(),
-        );
-        let have = superlight.height().unwrap_or(0);
-        let (from, to) = match superlight.resync_request() {
-            Some(NetMessage::CertRequest { from, to }) => (from.min(have + 1), to.max(CHAIN)),
-            _ => (have + 1, CHAIN),
-        };
-        archive.republish(from, to);
-    }
-    ShardFleetChaosRun {
-        stats: net.stats(),
-        retained: archive.messages_in(1, CHAIN),
-        superlight,
-        obs: obs.snapshot(),
-        in_flight: net.in_flight(),
-    }
+    ChaosRun::converge(world, PipelineReport::default(), &obs)
 }
 
 /// Kill/restart mid-certification over a faulty wire: the fleet survives
@@ -842,18 +768,18 @@ fn run_shard_fleet_chaos(seed: u64, faults: FaultConfig) -> ShardFleetChaosRun {
 fn shard_fleet_converges_under_chaos() {
     let seed = 0x5AAD;
     let run = run_shard_fleet_chaos(seed, default_faults());
-    let fx = fixture();
     assert_eq!(run.superlight.height(), Some(CHAIN), "CHAOS_SEED={seed}");
     assert_eq!(
         run.superlight.latest_header(),
-        fx.blocks.last().map(|b| &b.header),
+        fixture_tip(),
         "CHAOS_SEED={seed}: wrong tip adopted"
     );
     // The retained aggregate stream is byte-for-byte the sequential
     // issuer's: neither sharding, nor the kills, nor chaos in transit
     // changes what was certified.
     assert_eq!(
-        run.retained, fx.expected,
+        run.retained,
+        fixture(),
         "CHAOS_SEED={seed}: fleet stream diverged from sequential issuance"
     );
     // Both crash-recovery paths actually ran.
@@ -927,11 +853,7 @@ fn shard_fleet_seed_matrix_entry() {
     let a = run_shard_fleet_chaos(seed, faults.clone());
     let b = run_shard_fleet_chaos(seed, faults);
     assert_eq!(a.stats, b.stats, "CHAOS_SEED={seed}: replay diverged");
-    assert_eq!(
-        a.retained,
-        fixture().expected,
-        "CHAOS_SEED={seed}: stream mismatch"
-    );
+    assert_eq!(a.retained, fixture(), "CHAOS_SEED={seed}: stream mismatch");
     assert_eq!(
         a.obs.without_wall_clock(),
         b.obs.without_wall_clock(),

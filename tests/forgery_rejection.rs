@@ -12,7 +12,7 @@ use dcert::chain::{
 use dcert::core::{
     expected_measurement, BatchLink, BlockInput, CertError, CertProgram, Certificate,
     CertificateIssuer, EcallRequest, EcallResponse, FaultConfig, IndexInput, IndexVerifier,
-    NetMessage, SimNet, SuperlightClient, SyncOutcome, Transport,
+    NetMessage, SuperlightClient, SyncOutcome, Transport,
 };
 use dcert::merkle::{smt, Aggregate, MbAppendProof, MbTree, ProofError, SmtProof};
 use dcert::primitives::codec::{decode_seq, encode_seq, Decode, Encode, Reader};
@@ -27,7 +27,7 @@ use dcert::sgx::{AttestationReport, AttestationService};
 use dcert::vm::StateKey;
 use dcert::workloads::kvstore::KvCall;
 use dcert::workloads::{Workload, WorkloadGen};
-use dcert::world::{World, POW_BITS, SIGNING_SEED};
+use dcert::world::{Setup, World, POW_BITS, SIGNING_SEED};
 use dcert_testkit::smt_frames;
 
 /// A trusted program outside any enclave, plus a valid `BlockInput` for
@@ -612,65 +612,49 @@ fn client_rejects_resigned_certificate() {
 /// it recovers through resync rather than wedging on the garbage it saw.
 #[test]
 fn corrupted_in_flight_certificates_rejected_then_recovered() {
-    let mut world = World::pow(&[]);
+    // Every delivery has one wire bit flipped.
+    let faults = FaultConfig {
+        corrupt_rate: 1.0,
+        ..FaultConfig::lossless()
+    };
+    let mut world = World::new(Setup {
+        net: (0xBADB17, faults),
+        ..Setup::pow()
+    });
     let blocks = world.mine_blocks(Workload::KvStore { keyspace: 16 }, 4, 3, 21);
-    let pristine: Vec<NetMessage> = blocks
-        .iter()
-        .map(|b| {
-            let (cert, _) = world.ci.certify_block(b).unwrap();
-            NetMessage::BlockCert {
-                header: b.header.clone(),
-                cert,
-            }
-        })
-        .collect();
-
-    // Phase 1: every delivery has one wire bit flipped.
-    let net = SimNet::new(
-        0xBADB17,
-        FaultConfig {
-            corrupt_rate: 1.0,
-            ..FaultConfig::lossless()
-        },
+    for (block, cert) in blocks.iter().zip(world.certify_blocks(&blocks)) {
+        let header = block.header.clone();
+        world
+            .archive
+            .publish(NetMessage::BlockCert { header, cert });
+    }
+    world.net.flush();
+    let outcomes = world.deliver();
+    assert!(
+        !outcomes.contains(&SyncOutcome::Adopted),
+        "a bit-flipped certificate must never validate"
     );
-    let rx = net.join();
-    let mut client = SuperlightClient::new(world.ias.public_key(), expected_measurement());
-    for msg in &pristine {
-        net.publish(msg.clone());
-    }
-    net.flush();
-    let mut delivered = 0u64;
-    while let Ok(msg) = rx.try_recv() {
-        delivered += 1;
-        assert_ne!(
-            client.on_message(&msg),
-            SyncOutcome::Adopted,
-            "a bit-flipped certificate must never validate"
-        );
-    }
-    assert_eq!(client.height(), None, "nothing intact arrived");
-    let stats = net.stats();
+    assert_eq!(world.client.height(), None, "nothing intact arrived");
+    let stats = world.net.stats();
     assert_eq!(
         stats.corrupted + stats.garbled,
-        pristine.len() as u64,
+        blocks.len() as u64,
         "every delivery was mangled"
     );
     assert_eq!(
-        delivered, stats.corrupted,
+        outcomes.len() as u64,
+        stats.corrupted,
         "frames that no longer decode never reach the client"
     );
 
-    // Phase 2: the network heals, the CI republishes (the resync answer),
-    // and the client — despite everything it just rejected — converges.
-    net.heal();
-    for msg in &pristine {
-        net.publish(msg.clone());
-    }
-    while let Ok(msg) = rx.try_recv() {
-        client.on_message(&msg);
-    }
-    assert_eq!(client.height(), Some(blocks.len() as u64));
-    assert_eq!(client.latest_header(), blocks.last().map(|b| &b.header));
+    // The network heals, the archive answers the client's resync, and the
+    // client — despite everything it just rejected — converges.
+    world.converge();
+    assert_eq!(world.client.height(), Some(blocks.len() as u64));
+    assert_eq!(
+        world.client.latest_header(),
+        blocks.last().map(|b| &b.header)
+    );
 }
 
 #[test]

@@ -119,3 +119,27 @@ fn two_cis_same_measurement_are_interchangeable() {
         .unwrap();
     assert_eq!(world.client.height(), Some(2));
 }
+
+#[test]
+fn client_handles_reordered_certificates() {
+    // Gossip gives no cross-publisher ordering; simulate reordering by
+    // delivering certs newest-first. The chain-selection rule adopts the
+    // newest and rejects the stale rest — no crash, correct final state.
+    let mut world = World::pow(&[]);
+    let mut gen = WorkloadGen::new(Workload::DoNothing, 4, 1);
+    let mut certified = Vec::new();
+    for height in 1..=5u64 {
+        let block = world.miner.mine(gen.next_block(1), height).unwrap();
+        let (cert, _) = world.ci.certify_block(&block).unwrap();
+        certified.push((block.header.clone(), cert));
+    }
+    certified.reverse();
+    let mut adopted = 0;
+    for (header, cert) in &certified {
+        if world.client.validate_chain(header, cert).is_ok() {
+            adopted += 1;
+        }
+    }
+    assert_eq!(adopted, 1, "only the newest certificate is adopted");
+    assert_eq!(world.client.height(), Some(5));
+}
