@@ -114,43 +114,10 @@ impl CertificateIssuer {
         cost: CostModel,
     ) -> Result<Self, CertError> {
         let mut seed = [0u8; 32];
-        // dcert-lint: allow(r3-determinism, reason = "platform-key provisioning entropy; replayable runs boot via new_on_platform with a fixed seed")
+        // dcert-lint: allow(r3-determinism, reason = "platform-key provisioning entropy; replayable runs boot via new_deterministic with fixed seeds")
         rand::RngCore::fill_bytes(&mut rand::rngs::OsRng, &mut seed);
-        Self::new_on_platform(
-            seed,
-            genesis,
-            genesis_state,
-            executor,
-            engine,
-            verifiers,
-            ias,
-            cost,
-        )
-    }
-
-    /// Like [`CertificateIssuer::new`], but on a caller-identified
-    /// platform. The `platform_seed` stands in for the physical machine's
-    /// fused identity: enclaves launched with the same seed share a
-    /// platform attestation key and a sealing domain, which is what makes
-    /// [`CertificateIssuer::seal_enclave_key`] /
-    /// [`CertificateIssuer::resume_on_platform`] restarts possible.
-    ///
-    /// # Errors
-    ///
-    /// See [`CertificateIssuer::new`].
-    #[allow(clippy::too_many_arguments)] // mirrors `new` plus the platform id
-    pub fn new_on_platform(
-        platform_seed: [u8; 32],
-        genesis: &Block,
-        genesis_state: ChainState,
-        executor: Executor,
-        engine: Arc<dyn ConsensusEngine>,
-        verifiers: Vec<Box<dyn IndexVerifier>>,
-        ias: &mut AttestationService,
-        cost: CostModel,
-    ) -> Result<Self, CertError> {
         let program = cert_program(genesis.hash(), ias, &executor, &engine, verifiers);
-        let enclave = Enclave::launch_with_platform_seed(program, cost, platform_seed);
+        let enclave = Enclave::launch_with_platform_seed(program, cost, seed);
         let node = FullNode::new(genesis, genesis_state, executor, engine, Address::default());
         Self::finish_boot(enclave, node, ias, None)
     }
@@ -207,9 +174,15 @@ impl CertificateIssuer {
         Ok(CertificateIssuer { node, issuer })
     }
 
-    /// Like [`CertificateIssuer::new_on_platform`], but also pre-seeds the
-    /// enclave signing key, making the whole boot — and, because ed25519
-    /// signing is deterministic, every certificate the CI will ever issue —
+    /// Like [`CertificateIssuer::new`], but on a caller-identified
+    /// platform and with a pre-seeded enclave signing key. The
+    /// `platform_seed` stands in for the physical machine's fused
+    /// identity: enclaves launched with the same seed share a platform
+    /// attestation key and a sealing domain, which is what makes
+    /// [`CertificateIssuer::seal_enclave_key`] /
+    /// [`CertificateIssuer::resume_on_platform`] restarts possible. The
+    /// signing seed makes the whole boot — and, because ed25519 signing is
+    /// deterministic, every certificate the CI will ever issue —
     /// reproducible. Two CIs booted with the same seeds against the same
     /// IAS sign byte-identically; the pipeline-equivalence tests and
     /// benches rely on this. Production deployments keep `sk_enc`
@@ -218,7 +191,7 @@ impl CertificateIssuer {
     /// # Errors
     ///
     /// See [`CertificateIssuer::new`].
-    #[allow(clippy::too_many_arguments)] // mirrors `new_on_platform` plus the key seed
+    #[allow(clippy::too_many_arguments)] // mirrors `new` plus the platform and key seeds
     pub fn new_deterministic(
         platform_seed: [u8; 32],
         signing_seed: [u8; 32],

@@ -103,7 +103,6 @@ pub use network::{CertArchive, Gossip, NetMessage, Transport};
 pub use persist::RecoverError;
 pub use pipeline::{
     CertJob, CertPipeline, DeadLetter, ParallelismConfig, PipelineConfig, PipelineReport,
-    PublishPolicy,
 };
 pub use program::{expected_measurement, CertProgram, CODE_IDENTITY};
 pub use range::RangeCert;

@@ -156,10 +156,10 @@ impl NetStats {
 /// fault schedule must be stable across platforms and dependency
 /// versions, so the simulator does not borrow `rand`'s generators.
 #[derive(Debug, Clone)]
-pub(crate) struct SimRng(u64);
+struct SimRng(u64);
 
 impl SimRng {
-    pub(crate) fn new(seed: u64) -> Self {
+    fn new(seed: u64) -> Self {
         // Avoid the all-zero fixpoint without disturbing other seeds.
         SimRng(seed.wrapping_add(0x9E37_79B9_7F4A_7C15))
     }
@@ -173,7 +173,7 @@ impl SimRng {
     }
 
     /// Uniform in `[0, 1)`.
-    pub(crate) fn next_f64(&mut self) -> f64 {
+    fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
 
@@ -430,11 +430,6 @@ impl SimNet {
         self.seed
     }
 
-    /// The current virtual-clock tick.
-    pub fn now(&self) -> u64 {
-        self.state.lock().now
-    }
-
     /// Counters so far (equal across replays of the same seed).
     pub fn stats(&self) -> NetStats {
         self.state.lock().stats
@@ -478,9 +473,10 @@ impl Transport for SimNet {
 
     /// Rolls the fault dice for every endpoint, schedules the surviving
     /// deliveries, ticks the virtual clock, and flushes everything due.
-    /// Returns the number of deliveries scheduled — the publisher's ack
-    /// count (delayed deliveries count: they will arrive; dropped and
-    /// partitioned ones do not).
+    /// Returns the number of deliveries scheduled (delayed deliveries
+    /// count: they will arrive; dropped and partitioned ones do not), so
+    /// `0` means the message reached no subscriber and the pipeline
+    /// dead-letters it.
     fn publish(&self, message: NetMessage) -> usize {
         let mut state = self.state.lock();
         state.stats.published += 1;

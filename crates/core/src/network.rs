@@ -99,10 +99,11 @@ impl NetMessage {
 /// its certificates.
 ///
 /// Implementations: [`Gossip`] (lossless, ordered, in-process) and
-/// [`SimNet`](crate::netsim::SimNet) (seeded fault injection). The
-/// delivery count returned by [`Transport::publish`] is the publisher's
-/// ack signal — retry logic treats `0` (or fewer than its configured
-/// minimum) as a failed broadcast.
+/// [`SimNet`](crate::netsim::SimNet) (seeded fault injection). A message
+/// is published once; [`Transport::publish`]'s delivery count of `0` means
+/// it reached no subscriber, and the pipeline records it as a
+/// [`DeadLetter`](crate::pipeline::DeadLetter). Recovery is the client's
+/// resync from a [`CertArchive`], never a re-broadcast.
 pub trait Transport: Send + Sync {
     /// Joins the network, returning this node's inbound message stream.
     fn join(&self) -> Receiver<NetMessage>;
@@ -142,8 +143,8 @@ impl Gossip {
 
     /// Broadcasts a message to every current subscriber, pruning
     /// disconnected subscribers (dropped receivers) as it goes, and
-    /// returns how many live subscribers received it — the ack signal
-    /// publisher retry logic keys off.
+    /// returns how many live subscribers received it (`0`: dead-lettered
+    /// by the pipeline).
     pub fn publish(&self, message: NetMessage) -> usize {
         let mut subs = self.subscribers.lock();
         subs.retain(|tx| tx.send(message.clone()).is_ok());
@@ -388,9 +389,10 @@ impl<T: Transport + ?Sized> Transport for CertArchive<T> {
         {
             let mut retained = self.retained.lock();
             let entry = retained.entry(height).or_default();
-            // Retention is idempotent: the publisher's retry loop re-sends
-            // the same message, which must not inflate the archive (or the
-            // durable log).
+            // Retention is idempotent: any caller may publish, and a
+            // certificate handed in twice (a stream replayed into an
+            // archive recovered from its store, say) keeps one entry here
+            // and one record in the durable log.
             if !entry.contains(&message) {
                 entry.push(message.clone());
                 drop(retained);
@@ -609,7 +611,8 @@ mod tests {
         for height in 1..=5u64 {
             archive.publish(ca.block_cert(height));
         }
-        // Re-publishing (retry path) must not duplicate durable records.
+        // Re-publishing a held certificate must not duplicate durable
+        // records.
         archive.publish(ca.block_cert(3));
         assert_eq!(archive.store_error(), None);
         assert_eq!(archive.durable_height(), 5);

@@ -23,13 +23,14 @@
 //!    single-enclave signer requires. The recursive `prev_cert` only
 //!    exists once the previous certificate has been issued, so this stage
 //!    sets it on the request and serialises it.
-//! 3. **Publisher** (one thread): broadcasts certificates on the
+//! 3. **Publisher** (one thread): broadcasts each certificate once on the
 //!    [`Transport`] (a [`Gossip`](crate::network::Gossip) bus, or a
-//!    fault-injecting [`SimNet`](crate::netsim::SimNet)) in issuance
-//!    order, confirms delivery against the configured
-//!    [`PublishPolicy`] — retrying with exponential backoff and
-//!    dead-lettering what never confirms — and accumulates the
-//!    [`PipelineReport`].
+//!    [`CertArchive`](crate::network::CertArchive) over a fault-injecting
+//!    [`SimNet`](crate::netsim::SimNet)) in issuance order, records a
+//!    broadcast that reached no subscriber as a [`DeadLetter`], and
+//!    accumulates the [`PipelineReport`]. It never retries: a certificate
+//!    lost in transit comes back by the client's resync from the archive,
+//!    and since certificates are recursive a later one supersedes it.
 //!
 //! Compared to the per-block sequential methods, the steps and the chain
 //! view are the same — block *i+1* is executed and proven while block *i*
@@ -68,7 +69,6 @@ use crate::ci::{CertBreakdown, CertificateIssuer};
 use crate::engine::{rewind, sequence, Issuer, PreparedJob, Undo};
 use crate::error::CertError;
 use crate::messages::IndexInput;
-use crate::netsim::SimRng;
 use crate::network::{NetMessage, Transport};
 use crate::program::CertProgram;
 
@@ -112,8 +112,6 @@ pub struct PipelineConfig {
     /// therefore memory (each in-flight job holds its proofs, and the
     /// sequencer its undo).
     pub queue_depth: usize,
-    /// Delivery-confirmation policy for the publisher stage.
-    pub publish: PublishPolicy,
     /// Read by nothing; see [`ParallelismConfig`].
     pub parallelism: ParallelismConfig,
     /// Metrics registry the stages record into (`pipeline.*`). Defaults
@@ -128,7 +126,6 @@ impl Default for PipelineConfig {
         PipelineConfig {
             preparers: 4,
             queue_depth: 8,
-            publish: PublishPolicy::default(),
             parallelism: ParallelismConfig::default(),
             obs: Registry::disabled(),
         }
@@ -145,68 +142,16 @@ pub struct ParallelismConfig {
     pub merkle_threads: usize,
 }
 
-/// Retries after the initial publish attempt before dead-lettering.
-const MAX_RETRIES: u32 = 5;
-/// Backoff before the first retry; doubles per subsequent retry.
-const BACKOFF: Duration = Duration::from_millis(1);
-/// Ceiling on the doubled backoff (pre-jitter). Without one, a persistent
-/// outage turns the doubling into sleeps that outlive the outage itself.
-const MAX_BACKOFF: Duration = Duration::from_millis(64);
-
-/// How hard the publisher stage works to confirm a broadcast.
-///
-/// [`Transport::publish`] acks with the number of deliveries it
-/// scheduled; a result below `min_acks` counts as a failed attempt and is
-/// retried with truncated-exponential backoff: 1 ms doubled per attempt,
-/// capped at 64 ms, then scaled by a deterministic jitter factor in
-/// `[0.5, 1.0)` drawn from a `SimRng` stream seeded with `jitter_seed`.
-/// The jitter is what keeps a fleet of CIs that share a blackout from
-/// retrying in lockstep, and seeding it is what keeps a chaos run
-/// replayable — the whole retry schedule is a pure function of the seed.
-/// A message still unconfirmed after 5 retries goes to
-/// [`PipelineReport::dead_letters`] instead of wedging the pipeline.
-#[derive(Debug, Clone, Default)]
-pub struct PublishPolicy {
-    /// Minimum deliveries for a publish to count as confirmed. The
-    /// default `0` accepts any outcome — fire-and-forget, the behavior
-    /// benches and single-process runs want (their bus may legitimately
-    /// have no subscribers).
-    pub min_acks: usize,
-    /// Seed of the deterministic jitter stream.
-    pub jitter_seed: u64,
-}
-
-impl PublishPolicy {
-    /// Requires at least `min_acks` confirmed deliveries per broadcast.
-    pub fn require_acks(min_acks: usize) -> Self {
-        PublishPolicy {
-            min_acks,
-            ..PublishPolicy::default()
-        }
-    }
-}
-
-/// The delay before retry number `retry` (1-based): truncated exponential
-/// with deterministic full-range jitter. Pure given the RNG position, so
-/// tests can replay — and benches export — the exact schedule.
-fn backoff_for(retry: u32, jitter: &mut SimRng) -> Duration {
-    let doubled = BACKOFF.saturating_mul(1u32 << retry.saturating_sub(1).min(16));
-    doubled
-        .min(MAX_BACKOFF)
-        .mul_f64(0.5 + jitter.next_f64() / 2.0)
-}
-
-/// A certificate broadcast the publisher could not confirm within its
-/// retry budget — reported, not lost: the operator (or a test harness)
-/// can republish it once the network heals.
-#[derive(Debug, Clone)]
+/// A certificate broadcast that reached no subscriber. Nothing is lost:
+/// the archive the pipeline publishes through retains the certificate, and
+/// a client that missed it recovers it by resync
+/// ([`CertArchive::republish`](crate::network::CertArchive::republish)).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeadLetter {
-    /// Sequence number of the job that produced the message.
+    /// Sequence number of the job that produced the certificate.
     pub seq: u64,
-    /// Publish attempts made (initial try + retries).
-    pub attempts: u32,
-    /// The unconfirmed message itself.
-    pub message: NetMessage,
+    /// The certificate's chain height.
+    pub height: u64,
 }
 
 /// What the pipeline did, returned by [`CertPipeline::shutdown`].
@@ -222,8 +167,8 @@ pub struct PipelineReport {
     pub breakdowns: Vec<CertBreakdown>,
     /// Failed jobs as `(sequence number, error)`, in chain order.
     pub errors: Vec<(u64, CertError)>,
-    /// Broadcasts that never reached [`PublishPolicy::min_acks`]
-    /// deliveries, in issuance order.
+    /// Broadcasts that reached no subscriber, one per certificate, in
+    /// issuance order.
     pub dead_letters: Vec<DeadLetter>,
 }
 
@@ -256,14 +201,7 @@ struct PipelineObs {
     block_certs: Counter,
     index_certs: Counter,
     errors: Counter,
-    publish_attempts: Counter,
-    publish_retries: Counter,
     dead_letters: Counter,
-    /// Computed retry backoffs in nanoseconds. Deliberately `_nanos`, not
-    /// `_ns`: the values come from [`backoff_for`], a pure function of the
-    /// jitter seed, so they must replay bit-for-bit — the blackout test in
-    /// `tests/chaos_network.rs` reads growth off this histogram.
-    backoff_nanos: Histogram,
 }
 
 impl PipelineObs {
@@ -279,10 +217,7 @@ impl PipelineObs {
             block_certs: registry.counter("pipeline.block_certs"),
             index_certs: registry.counter("pipeline.index_certs"),
             errors: registry.counter("pipeline.errors"),
-            publish_attempts: registry.counter("pipeline.publish.attempts"),
-            publish_retries: registry.counter("pipeline.publish.retries"),
             dead_letters: registry.counter("pipeline.publish.dead_letters"),
-            backoff_nanos: registry.histogram("pipeline.publish.backoff_nanos", Buckets::latency()),
         }
     }
 }
@@ -371,7 +306,7 @@ impl CertPipeline {
         let pub_poison = poison.clone();
         let publisher = thread::Builder::new()
             .name("dcert-publisher".into())
-            .spawn(move || publisher_loop(publish_rx, transport, config.publish, pub_poison, obs))
+            .spawn(move || publisher_loop(publish_rx, transport, pub_poison, obs))
             .expect("spawn publisher");
 
         CertPipeline {
@@ -577,12 +512,10 @@ fn issue_prepared(issuer: &mut Issuer, certified: &AtomicU64, prepared: Prepared
 fn publisher_loop(
     publish_rx: Receiver<JobOutcome>,
     transport: Arc<dyn Transport>,
-    policy: PublishPolicy,
     poison: Arc<AtomicBool>,
     obs: PipelineObs,
 ) -> PipelineReport {
     let mut report = PipelineReport::default();
-    let mut jitter = SimRng::new(policy.jitter_seed);
     for outcome in publish_rx {
         if poison.load(Ordering::SeqCst) {
             break;
@@ -593,26 +526,23 @@ fn publisher_loop(
             Ok((messages, breakdown)) => {
                 let ((), took) = timed(|| {
                     for message in messages {
-                        match &message {
-                            NetMessage::BlockCert { .. } => {
-                                report.block_certs += 1;
-                                obs.block_certs.inc();
-                            }
-                            NetMessage::IndexCert { .. } => {
-                                report.index_certs += 1;
-                                obs.index_certs.inc();
-                            }
-                            _ => {}
+                        let height = message.height().unwrap_or_default();
+                        if matches!(message, NetMessage::IndexCert { .. }) {
+                            report.index_certs += 1;
+                            obs.index_certs.inc();
+                        } else {
+                            report.block_certs += 1;
+                            obs.block_certs.inc();
                         }
-                        publish_confirmed(
-                            &*transport,
-                            policy.min_acks,
-                            outcome.seq,
-                            message,
-                            &mut report,
-                            &obs,
-                            &mut jitter,
-                        );
+                        // Once, whatever the outcome: the archive keeps
+                        // the certificate for a client's resync.
+                        if transport.publish(message) == 0 {
+                            obs.dead_letters.inc();
+                            report.dead_letters.push(DeadLetter {
+                                seq: outcome.seq,
+                                height,
+                            });
+                        }
                     }
                 });
                 obs.publish_ns.record(took);
@@ -625,93 +555,4 @@ fn publisher_loop(
         }
     }
     report
-}
-
-/// One acked publish: retries on the capped, jittered exponential
-/// schedule ([`backoff_for`]) until the transport confirms at least
-/// `min_acks` deliveries, dead-lettering the message when the budget runs
-/// out. With `min_acks == 0` this is a plain fire-and-forget broadcast (no
-/// clone, no sleeping). Every computed backoff is recorded into
-/// `pipeline.publish.backoff_nanos` before sleeping, so the schedule is
-/// observable without timing the sleeps themselves.
-fn publish_confirmed(
-    transport: &dyn Transport,
-    min_acks: usize,
-    seq: u64,
-    message: NetMessage,
-    report: &mut PipelineReport,
-    obs: &PipelineObs,
-    jitter: &mut SimRng,
-) {
-    if min_acks == 0 {
-        obs.publish_attempts.inc();
-        transport.publish(message);
-        return;
-    }
-    let mut attempts = 0u32;
-    loop {
-        attempts += 1;
-        obs.publish_attempts.inc();
-        if transport.publish(message.clone()) >= min_acks {
-            return;
-        }
-        if attempts > MAX_RETRIES {
-            obs.dead_letters.inc();
-            report.dead_letters.push(DeadLetter {
-                seq,
-                attempts,
-                message,
-            });
-            return;
-        }
-        obs.publish_retries.inc();
-        let backoff = backoff_for(attempts, jitter);
-        obs.backoff_nanos
-            .observe(u64::try_from(backoff.as_nanos()).unwrap_or(u64::MAX));
-        thread::sleep(backoff);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn backoff_schedule_doubles_jitters_caps_and_replays() {
-        let schedule = |seed: u64| -> Vec<Duration> {
-            let mut jitter = SimRng::new(seed);
-            (1..=10)
-                .map(|retry| backoff_for(retry, &mut jitter))
-                .collect()
-        };
-        let a = schedule(42);
-        assert_eq!(a, schedule(42), "same seed, same schedule");
-        assert_ne!(a, schedule(43), "the seed moves the jitter");
-        for (i, delay) in a.iter().enumerate() {
-            // Pre-jitter base: 1 ms doubled per retry, capped at 64 ms.
-            let base = Duration::from_millis(1u64 << i.min(6));
-            assert!(
-                *delay >= base / 2 && *delay < base,
-                "retry {}: {delay:?} outside [{:?}, {:?})",
-                i + 1,
-                base / 2,
-                base
-            );
-        }
-        // The capped tail can never exceed the cap...
-        assert!(a.iter().all(|d| *d < MAX_BACKOFF));
-        // ...and the early schedule genuinely grows: every pre-cap delay
-        // reaches the previous retry's jitter ceiling.
-        for (i, pair) in a[..7].windows(2).enumerate() {
-            assert!(pair[1] >= Duration::from_millis(1 << i), "retry {}", i + 2);
-        }
-    }
-
-    #[test]
-    fn zero_retry_shift_saturates() {
-        let mut jitter = SimRng::new(0);
-        // A huge retry number must cap, not overflow the shift.
-        let delay = backoff_for(u32::MAX, &mut jitter);
-        assert!(delay >= MAX_BACKOFF / 2 && delay < MAX_BACKOFF);
-    }
 }

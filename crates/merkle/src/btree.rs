@@ -544,17 +544,6 @@ impl<F: Flavor> BTree<F> {
             .map_or(F::Ann::EMPTY, |n| n.summary().ann)
     }
 
-    /// The largest timestamp stored, if any.
-    pub fn max_key(&self) -> Option<u64> {
-        let mut node = self.root.as_ref()?;
-        loop {
-            match node {
-                Node::Leaf { entries, .. } => return entries.last().map(|(ts, _)| *ts),
-                Node::Internal { children, .. } => node = children.last()?,
-            }
-        }
-    }
-
     /// The root a fresh tree would have after inserting a single entry —
     /// used by stateless verifiers when a brand-new per-account tree is
     /// created.
@@ -1166,7 +1155,6 @@ mod tests {
         let tree = BTree::<F>::new(4);
         assert_eq!(tree.root(), Hash::ZERO);
         assert_eq!(tree.len(), 0);
-        assert_eq!(tree.max_key(), None);
         assert_eq!(tree.total(), F::Ann::EMPTY);
         let (answer, proof) = tree.window(0, 100);
         assert_eq!(answer, F::Answer::default());
@@ -1190,7 +1178,6 @@ mod tests {
         for ts in 0..100u64 {
             assert_eq!(tree.get(ts), Some(&F::value(ts)), "ts={ts}");
         }
-        assert_eq!(tree.max_key(), Some(99));
     }
 
     fn windows_are_exact_and_verify<F: Fixture>() {
@@ -1471,8 +1458,8 @@ mod tests {
         // Satellite audit: an empty result set must be *proven* empty.
         let tree = build::<Plain>(30, 4);
 
-        // lo beyond max_key: the proof opens the rightmost boundary and
-        // verifies the window is empty.
+        // lo beyond the largest key: the proof opens the rightmost
+        // boundary and verifies the window is empty.
         let (results, proof) = tree.window(100, 200);
         assert!(results.is_empty());
         proof.verify(&tree.root(), 100, 200, &results).unwrap();
@@ -1779,7 +1766,5 @@ mod tests {
         );
         let (value, calls) = digests_in(|| tree.get(41).cloned());
         assert_eq!((value, calls), (Some(b"again".to_vec()), 0), "get");
-        let (max, calls) = digests_in(|| tree.max_key());
-        assert_eq!((max, calls), (Some(94), 0), "max_key");
     }
 }

@@ -72,21 +72,6 @@ impl Hash {
         let byte = self.0.get(i / 8).copied().unwrap_or(0);
         (byte >> (7 - i % 8)) & 1 == 1
     }
-
-    /// Parses a digest from a 64-character hex string.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the string is not exactly 64 hex characters.
-    pub fn from_hex(s: &str) -> Result<Self, CodecError> {
-        let bytes = hex::decode(s)?;
-        if bytes.len() != 32 {
-            return Err(CodecError::Invalid("hash hex must be 64 characters".into()));
-        }
-        let mut out = [0u8; 32];
-        out.copy_from_slice(&bytes);
-        Ok(Hash(out))
-    }
 }
 
 impl fmt::Display for Hash {
@@ -381,12 +366,7 @@ mod tests {
     #[test]
     fn hex_round_trip() {
         let h = hash_bytes(b"round trip");
-        assert_eq!(Hash::from_hex(&h.to_string()).unwrap(), h);
-    }
-
-    #[test]
-    fn from_hex_rejects_wrong_length() {
-        assert!(Hash::from_hex("abcd").is_err());
+        assert_eq!(hex::decode(&h.to_string()).unwrap(), h.as_bytes());
     }
 
     #[test]

@@ -92,18 +92,6 @@ impl CostModel {
         trusted.mul_f64(self.in_enclave_slowdown_pct as f64 / 100.0)
     }
 
-    /// The simulated charge for one boundary crossing moving `bytes`,
-    /// considered in isolation (a fresh enclave with an empty EPC).
-    ///
-    /// Real EPC pressure is *cumulative* across crossings — a long run of
-    /// small ECalls fills the EPC just as surely as one huge one — so the
-    /// enclave boundary charges through [`CostModel::charge_crossing`]
-    /// with its persistent residency instead. This stateless form remains
-    /// for single-shot estimates only.
-    pub fn crossing_cost(&self, bytes: usize) -> Duration {
-        self.charge_crossing(bytes, &mut 0).cost
-    }
-
     /// The simulated charge for one boundary crossing moving `bytes` into
     /// an enclave whose EPC already holds `resident_bytes`.
     ///
@@ -185,7 +173,10 @@ mod tests {
     #[test]
     fn zero_model_is_free() {
         let model = CostModel::zero();
-        assert_eq!(model.crossing_cost(1_000_000), Duration::ZERO);
+        assert_eq!(
+            model.charge_crossing(1_000_000, &mut 0).cost,
+            Duration::ZERO
+        );
     }
 
     #[test]
@@ -197,13 +188,12 @@ mod tests {
             paging_per_byte_ns: 10,
             in_enclave_slowdown_pct: 0,
         };
-        assert_eq!(model.crossing_cost(0), Duration::from_nanos(100));
-        assert_eq!(model.crossing_cost(10), Duration::from_nanos(120));
+        // One crossing into an empty EPC.
+        let cost = |bytes| model.charge_crossing(bytes, &mut 0).cost;
+        assert_eq!(cost(0), Duration::from_nanos(100));
+        assert_eq!(cost(10), Duration::from_nanos(120));
         // 1500 bytes: 1000 in budget (2 ns), 500 paged (12 ns).
-        assert_eq!(
-            model.crossing_cost(1500),
-            Duration::from_nanos(100 + 2000 + 500 * 12)
-        );
+        assert_eq!(cost(1500), Duration::from_nanos(100 + 2000 + 500 * 12));
     }
 
     #[test]
@@ -219,7 +209,10 @@ mod tests {
         // the 1000-byte budget, so paging never fires no matter how many
         // crossings happen.
         for _ in 0..20 {
-            assert_eq!(model.crossing_cost(100), Duration::from_nanos(100));
+            assert_eq!(
+                model.charge_crossing(100, &mut 0).cost,
+                Duration::from_nanos(100)
+            );
         }
         // The cumulative model: the same 20 crossings fill the EPC after
         // 10 and page thereafter.
@@ -252,8 +245,11 @@ mod tests {
         assert_eq!(charge.paged_bytes, 200);
         // 100 bytes in budget at 2 ns, 200 paged at 12 ns, 7 ns transition.
         assert_eq!(charge.cost, Duration::from_nanos(7 + 200 + 2400));
-        // Stateless form matches a fresh residency of zero.
-        assert_eq!(model.crossing_cost(300), Duration::from_nanos(7 + 600));
+        // The same crossing into an empty EPC pages nothing.
+        assert_eq!(
+            model.charge_crossing(300, &mut 0).cost,
+            Duration::from_nanos(7 + 600)
+        );
     }
 
     #[test]

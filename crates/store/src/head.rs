@@ -136,11 +136,11 @@ impl HeadState {
         })
     }
 
-    /// Slot file the *next* head write (sequence `seq + 1`) goes to.
-    /// Alternating on the sequence number guarantees the slot holding the
-    /// current state is never overwritten.
-    pub fn next_slot(&self) -> &'static str {
-        if (self.seq + 1) % 2 == 1 {
+    /// Slot file this state is written to. Alternating on the sequence
+    /// number guarantees a head write never overwrites the slot holding
+    /// the state before it.
+    pub fn slot(&self) -> &'static str {
+        if self.seq % 2 == 1 {
             HEAD_SLOT_A
         } else {
             HEAD_SLOT_B
@@ -229,9 +229,9 @@ mod tests {
 
     #[test]
     fn slots_alternate() {
-        assert_eq!(sample(0).next_slot(), HEAD_SLOT_A);
-        assert_eq!(sample(1).next_slot(), HEAD_SLOT_B);
-        assert_eq!(sample(2).next_slot(), HEAD_SLOT_A);
+        assert_eq!(sample(1).slot(), HEAD_SLOT_A);
+        assert_eq!(sample(2).slot(), HEAD_SLOT_B);
+        assert_eq!(sample(3).slot(), HEAD_SLOT_A);
     }
 
     #[test]

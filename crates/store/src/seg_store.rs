@@ -491,11 +491,7 @@ impl Store for SegmentStore {
                 .map(|(k, v)| (k.clone(), v.clone()))
                 .collect(),
         };
-        let slot = self.dir.join(if state.seq % 2 == 1 {
-            HEAD_SLOT_A
-        } else {
-            HEAD_SLOT_B
-        });
+        let slot = self.dir.join(state.slot());
         let write_head = || -> Result<(), StoreError> {
             let bytes = state.encode_slot_file()?;
             let mut file = File::create(&slot).map_err(io_err("head write"))?;

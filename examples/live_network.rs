@@ -5,11 +5,11 @@
 //!
 //! The miner mines the chain; the CI feeds it into its pipelined
 //! certification engine ([`CertPipeline`]) whose publisher stage
-//! broadcasts each certificate — through the world's archive, with acked
-//! publish + retry — the moment the enclave signs it. The superlight
-//! client follows the chain purely from the certificate stream, never
-//! seeing a block body; once the network heals, it re-requests the
-//! heights the network ate, which the archive republishes.
+//! broadcasts each certificate once, through the world's archive, the
+//! moment the enclave signs it. The superlight client follows the chain
+//! purely from the certificate stream, never seeing a block body; once the
+//! network heals, it re-requests the heights the network ate, which the
+//! archive republishes.
 //!
 //! Run with: `cargo run --release --example live_network`
 //! Replay a specific fault schedule: `DCERT_CHAOS_SEED=42 cargo run ...`
@@ -19,8 +19,7 @@
 use std::sync::Arc;
 
 use dcert::core::{
-    CertJob, CertPipeline, FaultConfig, Partition, PipelineConfig, PublishPolicy, SyncOutcome,
-    Transport,
+    CertJob, CertPipeline, FaultConfig, Partition, PipelineConfig, SyncOutcome, Transport,
 };
 use dcert::sgx::CostModel;
 use dcert::workloads::Workload;
@@ -54,16 +53,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("[miner ] {BLOCKS} blocks mined, tip {tip}");
 
     // Certificate Issuer: blocks flow into the pipelined engine, whose
-    // publisher broadcasts through the archive and insists on at least
-    // one confirmed delivery (retrying with backoff; a certificate that
-    // never got through lands in the report's dead letters and is
-    // recovered below via resync).
-    let config = PipelineConfig {
-        publish: PublishPolicy::require_acks(1),
-        ..PipelineConfig::default()
-    };
+    // publisher broadcasts each certificate once through the archive (one
+    // the network ate lands in the report's dead letters and is recovered
+    // below via resync).
     let archive = world.archive.clone() as Arc<dyn Transport>;
-    let pipeline = CertPipeline::spawn(world.ci, config, archive);
+    let pipeline = CertPipeline::spawn(world.ci, PipelineConfig::default(), archive);
     for block in blocks {
         pipeline.submit(CertJob::Block(block))?;
     }

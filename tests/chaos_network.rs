@@ -18,8 +18,7 @@ use std::sync::{Arc, OnceLock};
 use dcert::chain::{Block, BlockHeader};
 use dcert::core::{
     expected_measurement, CertArchive, CertJob, CertPipeline, FaultConfig, Gossip, NetMessage,
-    NetStats, Partition, PipelineConfig, PipelineReport, PublishPolicy, SimNet, SuperlightClient,
-    Transport,
+    NetStats, Partition, PipelineConfig, PipelineReport, SimNet, SuperlightClient, Transport,
 };
 use dcert::obs::{Registry, Snapshot};
 use dcert::store::{SegmentStore, Store, StoreConfig};
@@ -90,6 +89,10 @@ fn default_faults() -> FaultConfig {
 }
 
 struct ChaosRun {
+    /// `NetStats::published` before `converge()`: the CI's broadcasts.
+    broadcast: u64,
+    /// Resync rounds `converge()` took.
+    rounds: u64,
     stats: NetStats,
     /// The archive's retained stream for heights `1..=CHAIN`.
     retained: Vec<NetMessage>,
@@ -106,8 +109,11 @@ struct ChaosRun {
 impl ChaosRun {
     /// Converges `world`'s client and reads the run off the world.
     fn converge(mut world: World, report: PipelineReport, obs: &Registry) -> Self {
-        world.converge();
+        let broadcast = world.net.stats().published;
+        let rounds = world.converge();
         ChaosRun {
+            broadcast,
+            rounds,
             stats: world.net.stats(),
             retained: world.archive.messages_in(1, CHAIN),
             superlight: world.client,
@@ -142,10 +148,6 @@ fn run_chaos(seed: u64, faults: FaultConfig, store_dir: Option<&std::path::Path>
         );
     }
     let config = PipelineConfig {
-        publish: PublishPolicy {
-            jitter_seed: seed,
-            ..PublishPolicy::require_acks(1)
-        },
         obs: obs.clone(),
         ..PipelineConfig::default()
     };
@@ -204,13 +206,9 @@ fn converges_at_default_fault_rates() {
     assert_eq!(run.obs.counter("net.attempted"), run.stats.attempted);
     assert_eq!(run.obs.counter("net.dropped"), run.stats.dropped);
     assert_eq!(run.obs.counter("net.duplicated"), run.stats.duplicated);
-    // Each block job broadcasts one message: initial attempts (attempts
-    // minus retries) must equal the job count exactly.
-    assert_eq!(
-        run.obs.counter("pipeline.publish.attempts") - run.obs.counter("pipeline.publish.retries"),
-        run.report.jobs,
-        "CHAOS_SEED={seed}: publish attempts drifted from the job count"
-    );
+    // Each job is broadcast once; what the faults ate comes back by resync.
+    assert_eq!(run.broadcast, run.report.jobs, "CHAOS_SEED={seed}");
+    assert!(run.rounds <= 1, "CHAOS_SEED={seed}: {} rounds", run.rounds);
 }
 
 #[test]
@@ -224,13 +222,11 @@ fn fixed_seed_replays_bit_for_bit() {
     );
     assert_eq!(a.superlight.latest_header(), b.superlight.latest_header());
     assert_eq!(
-        a.report.dead_letters.len(),
-        b.report.dead_letters.len(),
+        a.report.dead_letters, b.report.dead_letters,
         "CHAOS_SEED=1234: dead-letter schedule diverged"
     );
-    // Every replay-stable metric — including the seeded backoff schedule
-    // in `pipeline.publish.backoff_nanos` — is bit-identical; only the
-    // `_ns`/`_depth` wall-clock and scheduling metrics may differ.
+    // Every replay-stable metric is bit-identical; only the `_ns`/`_depth`
+    // wall-clock and scheduling metrics may differ.
     assert_eq!(
         a.obs.without_wall_clock(),
         b.obs.without_wall_clock(),
@@ -257,7 +253,7 @@ fn durable_archive_survives_chaos_and_a_torn_tail() {
     assert_eq!(run.superlight.height(), Some(CHAIN), "CHAOS_SEED={seed}");
     assert_eq!(run.retained, fixture(), "CHAOS_SEED={seed}");
     // One append per unique retained certificate: duplicated deliveries
-    // and publish retries never reach the disk, and a fresh directory
+    // and resync republishes never reach the disk, and a fresh directory
     // records no recovery work.
     assert_eq!(run.obs.counter("store.appends"), CHAIN, "CHAOS_SEED={seed}");
     assert_eq!(run.obs.counter("store.recovery_replays"), 0);
@@ -308,56 +304,25 @@ fn durable_archive_survives_chaos_and_a_torn_tail() {
 
 #[test]
 fn total_blackout_dead_letters_then_resyncs() {
-    // Every delivery is lost while the pipeline runs: the publisher's
-    // bounded retries exhaust and every certificate lands in the
-    // dead-letter report instead of vanishing silently.
+    // Every delivery is lost while the pipeline runs: each certificate is
+    // broadcast once, reaches nobody, and lands in the dead-letter report
+    // instead of vanishing silently.
     let seed = 0xB1ACC;
     let faults = FaultConfig {
         drop_rate: 1.0,
         ..FaultConfig::lossless()
     };
     let run = run_chaos(seed, faults, None);
-    assert_eq!(
-        run.report.dead_letters.len(),
-        CHAIN as usize,
-        "CHAOS_SEED={seed}: every publish should have dead-lettered"
-    );
-    for dl in &run.report.dead_letters {
-        assert!(dl.attempts > 1, "CHAOS_SEED={seed}: no retry recorded");
-    }
-    // The archive retained what the network refused to carry, so the
-    // resync path still brought the client to the tip.
-    assert_eq!(run.superlight.height(), Some(CHAIN), "CHAOS_SEED={seed}");
-    assert_eq!(run.retained, fixture(), "CHAOS_SEED={seed}");
-
-    // The fixed backoff bug made every retry wait the same base delay.
-    // Under the exponential policy, the recorded schedule must grow: with
-    // 5 retries per blackout publish the largest backoff (≥ 16 ms ×
-    // jitter ≥ 0.5) dwarfs the smallest (< 1 ms × jitter < 1).
-    let backoffs = run
-        .obs
-        .histograms
-        .get("pipeline.publish.backoff_nanos")
-        .expect("CHAOS_SEED: retry backoffs are recorded");
-    let expected_retries = CHAIN * 5;
-    assert_eq!(
-        backoffs.count, expected_retries,
-        "CHAOS_SEED={seed}: one backoff per retry"
-    );
-    assert_eq!(
-        run.obs.counter("pipeline.publish.retries"),
-        expected_retries
-    );
+    assert_eq!(run.broadcast, CHAIN, "CHAOS_SEED={seed}");
     assert_eq!(run.obs.counter("pipeline.publish.dead_letters"), CHAIN);
-    let (min, max) = (
-        backoffs.min.expect("non-empty"),
-        backoffs.max.expect("non-empty"),
-    );
-    assert!(
-        max >= 4 * min,
-        "CHAOS_SEED={seed}: backoff did not grow under sustained failure \
-         (min {min} ns, max {max} ns)"
-    );
+    let heights: Vec<u64> = run.report.dead_letters.iter().map(|dl| dl.height).collect();
+    assert_eq!(heights, (1..=CHAIN).collect::<Vec<_>>());
+    // The archive retained what the network refused to carry, so one
+    // resync round brought the client to the tip.
+    assert_eq!(run.rounds, 1, "CHAOS_SEED={seed}");
+    assert_eq!(run.superlight.height(), Some(CHAIN), "CHAOS_SEED={seed}");
+    assert_eq!(run.superlight.latest_header(), fixture_tip());
+    assert_eq!(run.retained, fixture(), "CHAOS_SEED={seed}");
 }
 
 /// One arbitrary fault schedule: loss, duplication and corruption rates
@@ -393,6 +358,7 @@ fn any_fault_schedule_converges_once_healed() {
         let schedule = format!("seed {seed}, {faults:?}");
         assert_eq!(run.superlight.height(), Some(CHAIN), "{schedule}");
         assert_eq!(run.retained, fixture(), "{schedule}");
+        assert!(run.rounds <= 1, "{schedule}: {} rounds", run.rounds);
     });
 }
 
@@ -457,10 +423,16 @@ fn seed_matrix_entry() {
     faults.duplicate_rate = 0.05;
     let a = run_chaos(seed, faults.clone(), None);
     let b = run_chaos(seed, faults, None);
+    println!(
+        "CHAOS_SEED={seed}: {} dead letters, converged in {} resync rounds",
+        a.report.dead_letters.len(),
+        a.rounds
+    );
     assert_eq!(a.stats, b.stats, "CHAOS_SEED={seed}: replay diverged");
     assert_eq!(a.retained, fixture(), "CHAOS_SEED={seed}: stream mismatch");
     assert_eq!(a.superlight.height(), Some(CHAIN), "CHAOS_SEED={seed}");
     assert_eq!(b.superlight.height(), Some(CHAIN), "CHAOS_SEED={seed}");
+    assert!(a.rounds <= 1, "CHAOS_SEED={seed}: {} rounds", a.rounds);
 }
 
 // ---------------------------------------------------------------------

@@ -26,8 +26,8 @@ use std::thread;
 
 use dcert::chain::{Block, BlockHeader, ChainError};
 use dcert::core::{
-    CertError, CertJob, CertPipeline, Certificate, CertificateIssuer, Gossip, NetMessage,
-    PipelineConfig, PipelineReport, ShardFailurePlan, ShardFleetConfig, SharedStore,
+    CertError, CertJob, CertPipeline, Certificate, CertificateIssuer, DeadLetter, Gossip,
+    NetMessage, PipelineConfig, PipelineReport, ShardFailurePlan, ShardFleetConfig, SharedStore,
     SuperlightClient,
 };
 use dcert::obs::Registry;
@@ -456,8 +456,9 @@ fn attached_registry_is_behaviourally_inert() {
 
     // The live registry saw every broadcast; the disabled one stayed
     // empty and hands out detached handles.
+    let snap = live.snapshot();
     assert_eq!(
-        live.snapshot().counter("pipeline.publish.attempts"),
+        snap.counter("pipeline.block_certs") + snap.counter("pipeline.index_certs"),
         instrumented.len() as u64
     );
     assert!(!disabled.is_enabled());
@@ -606,6 +607,38 @@ fn drop_without_shutdown_still_drains() {
         }
     }
     assert_eq!(certified, 6);
+}
+
+/// A broadcast nobody hears is one dead letter, never a retry: a pipeline
+/// over a bus nobody joined reports each certificate once, by height, and
+/// hands back a CI at the tip whose next certificate equals a twin's.
+#[test]
+fn unheard_broadcasts_dead_letter_once() {
+    let mut twin = World::pow(&[]);
+    let mut blocks = twin.mine_blocks(Workload::DoNothing, 5, 1, 5);
+    let next = blocks.pop().expect("mined");
+    twin.certify_blocks(&blocks);
+
+    let world = World::pow(&[]);
+    let pipeline =
+        CertPipeline::spawn(world.ci, PipelineConfig::default(), Arc::new(Gossip::new()));
+    for block in blocks {
+        pipeline.submit(CertJob::Block(block)).expect("accepts");
+    }
+    let (mut ci, report) = pipeline.shutdown();
+    assert_eq!(report.errors, Vec::new());
+    let letter = |height| DeadLetter {
+        seq: height - 1,
+        height,
+    };
+    assert_eq!(
+        report.dead_letters,
+        [letter(1), letter(2), letter(3), letter(4)]
+    );
+    assert_eq!(ci.node().tip(), twin.ci.node().tip());
+    let (cert, _) = ci.certify_block(&next).expect("sequential resume");
+    let (twin_cert, _) = twin.ci.certify_block(&next).expect("twin certifies");
+    assert_eq!(cert.to_encoded_bytes(), twin_cert.to_encoded_bytes());
 }
 
 /// A job that breaks chain rules fails in place — it neither stalls the
