@@ -10,8 +10,7 @@
 use std::collections::HashMap;
 
 use dcert_merkle::{SmtProof, SparseMerkleTree};
-use dcert_primitives::codec::{Decode, Encode, Reader};
-use dcert_primitives::error::CodecError;
+use dcert_primitives::codec::{Decode, Encode};
 use dcert_primitives::hash::{hash_bytes, Hash};
 use dcert_vm::StateKey;
 
@@ -109,22 +108,8 @@ impl LineageProof {
     }
 }
 
-impl Encode for LineageProof {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.upper.encode(out);
-        self.head.encode(out);
-        self.range.encode(out);
-    }
-}
-
-impl Decode for LineageProof {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(LineageProof {
-            upper: SmtProof::decode(r)?,
-            head: Option::<Hash>::decode(r)?,
-            range: Option::<SkipRangeProof>::decode(r)?,
-        })
-    }
+dcert_primitives::wire! {
+    struct LineageProof { upper, head, range }
 }
 
 /// Errors from baseline query verification.

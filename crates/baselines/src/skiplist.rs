@@ -15,8 +15,7 @@
 //! through one boundary node below `t1`, so omissions are detectable.
 
 use dcert_merkle::{domain, ProofError};
-use dcert_primitives::codec::{decode_seq, encode_seq, Decode, Encode, Reader};
-use dcert_primitives::error::CodecError;
+use dcert_primitives::codec::Encode;
 use dcert_primitives::hash::{hash_bytes, Hash};
 
 fn node_hash(ts: u64, value_hash: &Hash, link_hashes: &[Hash]) -> Hash {
@@ -314,57 +313,16 @@ impl SkipRangeProof {
 
 // --- serialization ---------------------------------------------------------
 
-impl Encode for ProofNode {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.ts.encode(out);
-        self.value_hash.encode(out);
-        encode_seq(&self.link_hashes, out);
-    }
-}
-
-impl Decode for ProofNode {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(ProofNode {
-            ts: u64::decode(r)?,
-            value_hash: Hash::decode(r)?,
-            link_hashes: decode_seq(r)?,
-        })
-    }
-}
-
-impl Encode for ProofStep {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.level.encode(out);
-        self.node.encode(out);
-    }
-}
-
-impl Decode for ProofStep {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(ProofStep {
-            level: u8::decode(r)?,
-            node: ProofNode::decode(r)?,
-        })
-    }
-}
-
-impl Encode for SkipRangeProof {
-    fn encode(&self, out: &mut Vec<u8>) {
-        encode_seq(&self.steps, out);
-    }
-}
-
-impl Decode for SkipRangeProof {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(SkipRangeProof {
-            steps: decode_seq(r)?,
-        })
-    }
+dcert_primitives::wire! {
+    struct ProofNode { ts, value_hash, link_hashes: seq }
+    struct ProofStep { level, node }
+    struct SkipRangeProof { steps: seq }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dcert_primitives::codec::Decode;
     use dcert_testkit::check;
 
     fn build(n: u64) -> AuthSkipList {

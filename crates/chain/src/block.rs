@@ -1,7 +1,7 @@
 //! Block headers and blocks.
 
 use dcert_merkle::mht;
-use dcert_primitives::codec::{decode_seq, encode_seq, Decode, Encode, Reader};
+use dcert_primitives::codec::{Decode, Encode, Reader};
 use dcert_primitives::error::CodecError;
 use dcert_primitives::hash::{hash_bytes, hash_encoded, Address, Hash};
 
@@ -61,6 +61,8 @@ impl BlockHeader {
     }
 }
 
+/// Hand-written, not a `wire!` table: its prefix is the sealing-digest
+/// preimage ([`BlockHeader::sealing_digest`]), written once for both.
 impl Encode for BlockHeader {
     fn encode(&self, out: &mut Vec<u8>) {
         self.encode_sans_consensus(out);
@@ -126,20 +128,8 @@ impl Block {
     }
 }
 
-impl Encode for Block {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.header.encode(out);
-        encode_seq(&self.txs, out);
-    }
-}
-
-impl Decode for Block {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(Block {
-            header: BlockHeader::decode(r)?,
-            txs: decode_seq(r)?,
-        })
-    }
+dcert_primitives::wire! {
+    struct Block { header, txs: seq }
 }
 
 #[cfg(test)]

@@ -6,8 +6,6 @@
 //! Bitcoin/Ethereum-style discussion assumes) and proof-of-authority (fast
 //! and deterministic, used by tests and large chain builds).
 
-use dcert_primitives::codec::{Decode, Encode, Reader};
-use dcert_primitives::error::CodecError;
 use dcert_primitives::hash::{Hash, Hasher};
 use dcert_primitives::keys::{Keypair, PublicKey, Signature};
 
@@ -38,39 +36,10 @@ pub enum ConsensusProof {
     },
 }
 
-impl Encode for ConsensusProof {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            ConsensusProof::Pow {
-                difficulty_bits,
-                nonce,
-            } => {
-                out.push(0);
-                difficulty_bits.encode(out);
-                nonce.encode(out);
-            }
-            ConsensusProof::Authority { signer, signature } => {
-                out.push(1);
-                signer.encode(out);
-                signature.encode(out);
-            }
-        }
-    }
-}
-
-impl Decode for ConsensusProof {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        match r.take_byte()? {
-            0 => Ok(ConsensusProof::Pow {
-                difficulty_bits: u8::decode(r)?,
-                nonce: u64::decode(r)?,
-            }),
-            1 => Ok(ConsensusProof::Authority {
-                signer: PublicKey::decode(r)?,
-                signature: Signature::decode(r)?,
-            }),
-            other => Err(CodecError::InvalidTag(other)),
-        }
+dcert_primitives::wire! {
+    enum ConsensusProof {
+        0 => Pow { difficulty_bits, nonce },
+        1 => Authority { signer, signature },
     }
 }
 
@@ -257,6 +226,8 @@ impl ConsensusEngine for ProofOfAuthority {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dcert_primitives::codec::Decode;
+    use dcert_primitives::codec::Encode;
     use dcert_primitives::hash::Address;
 
     fn draft_header() -> BlockHeader {

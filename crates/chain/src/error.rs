@@ -3,9 +3,7 @@
 use std::borrow::Cow;
 use std::fmt;
 
-use dcert_primitives::codec::{Decode, Encode, Reader};
 use dcert_primitives::hash::Hash;
-use dcert_primitives::CodecError;
 
 /// An error raised while validating transactions, headers, or blocks.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -68,44 +66,18 @@ impl fmt::Display for ChainError {
 
 impl std::error::Error for ChainError {}
 
-/// One tag byte per variant, then its fields: a refusal crosses the ECall as itself.
-impl Encode for ChainError {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            ChainError::BadTxSignature => out.push(0),
-            ChainError::SenderMismatch => out.push(1),
-            ChainError::BrokenLink { claimed, actual } => (2u8, claimed, actual).encode(out),
-            ChainError::BadHeight { parent, child } => (3u8, parent, child).encode(out),
-            ChainError::BadConsensus(why) => (4u8, why).encode(out),
-            ChainError::TxRootMismatch => out.push(5),
-            ChainError::StateRootMismatch => out.push(6),
-            ChainError::UnknownParent(hash) => (7u8, hash).encode(out),
-            ChainError::Duplicate(hash) => (8u8, hash).encode(out),
-            ChainError::BadGenesis(why) => (9u8, why).encode(out),
-        }
-    }
-}
-
-impl Decode for ChainError {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(match r.take_byte()? {
-            0 => ChainError::BadTxSignature,
-            1 => ChainError::SenderMismatch,
-            2 => ChainError::BrokenLink {
-                claimed: Hash::decode(r)?,
-                actual: Hash::decode(r)?,
-            },
-            3 => ChainError::BadHeight {
-                parent: u64::decode(r)?,
-                child: u64::decode(r)?,
-            },
-            4 => ChainError::BadConsensus(Cow::decode(r)?),
-            5 => ChainError::TxRootMismatch,
-            6 => ChainError::StateRootMismatch,
-            7 => ChainError::UnknownParent(Hash::decode(r)?),
-            8 => ChainError::Duplicate(Hash::decode(r)?),
-            9 => ChainError::BadGenesis(Cow::decode(r)?),
-            other => return Err(CodecError::InvalidTag(other)),
-        })
+// One tag byte per variant, then its fields: a refusal crosses the ECall as itself.
+dcert_primitives::wire! {
+    enum ChainError {
+        0 => BadTxSignature,
+        1 => SenderMismatch,
+        2 => BrokenLink { claimed, actual },
+        3 => BadHeight { parent, child },
+        4 => BadConsensus(why),
+        5 => TxRootMismatch,
+        6 => StateRootMismatch,
+        7 => UnknownParent(hash),
+        8 => Duplicate(hash),
+        9 => BadGenesis(why),
     }
 }

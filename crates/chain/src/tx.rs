@@ -1,7 +1,6 @@
 //! Ed25519-signed transactions.
 
-use dcert_primitives::codec::{Decode, Encode, Reader};
-use dcert_primitives::error::CodecError;
+use dcert_primitives::codec::Encode;
 use dcert_primitives::hash::{hash_encoded, Address, Hash};
 use dcert_primitives::keys::{Keypair, PublicKey, Signature};
 use dcert_vm::Call;
@@ -89,29 +88,14 @@ impl Transaction {
     }
 }
 
-impl Encode for Transaction {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.nonce.encode(out);
-        self.call.encode(out);
-        self.public_key.encode(out);
-        self.signature.encode(out);
-    }
-}
-
-impl Decode for Transaction {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(Transaction {
-            nonce: u64::decode(r)?,
-            call: Call::decode(r)?,
-            public_key: PublicKey::decode(r)?,
-            signature: Signature::decode(r)?,
-        })
-    }
+dcert_primitives::wire! {
+    struct Transaction { nonce, call, public_key, signature }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dcert_primitives::codec::Decode;
 
     fn keypair(seed: u8) -> Keypair {
         Keypair::from_seed([seed; 32])

@@ -1,7 +1,6 @@
 //! The certificate type: `cert = ⟨pk_enc, rep, dig, sig⟩`.
 
-use dcert_primitives::codec::{Decode, Encode, Reader};
-use dcert_primitives::error::CodecError;
+use dcert_primitives::codec::Encode;
 use dcert_primitives::hash::{hash_bytes, hash_pair, Hash};
 use dcert_primitives::keys::{PublicKey, Signature};
 use dcert_sgx::AttestationReport;
@@ -120,29 +119,14 @@ pub(crate) fn verify_attested_key(
     Ok(())
 }
 
-impl Encode for Certificate {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.pk_enc.encode(out);
-        self.report.encode(out);
-        self.digest.encode(out);
-        self.signature.encode(out);
-    }
-}
-
-impl Decode for Certificate {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(Certificate {
-            pk_enc: PublicKey::decode(r)?,
-            report: AttestationReport::decode(r)?,
-            digest: Hash::decode(r)?,
-            signature: Signature::decode(r)?,
-        })
-    }
+dcert_primitives::wire! {
+    struct Certificate { pk_enc, report, digest, signature }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dcert_primitives::codec::Decode;
     use dcert_primitives::keys::Keypair;
     use dcert_sgx::{AttestationService, Quote};
 

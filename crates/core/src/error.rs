@@ -5,7 +5,6 @@ use std::fmt;
 
 use dcert_chain::ChainError;
 use dcert_merkle::ProofError;
-use dcert_primitives::codec::{Decode, Encode, Reader};
 use dcert_primitives::error::CodecError;
 use dcert_sgx::SgxError;
 use dcert_store::StoreError;
@@ -177,85 +176,35 @@ impl fmt::Display for CertError {
 
 impl std::error::Error for CertError {}
 
-/// The one tag every host-only variant — one the trusted program never
-/// builds — encodes as. The decoder refuses it, so a host error can never
-/// pass for an enclave refusal.
-const HOST_ONLY: u8 = 0xff;
-
-/// One tag byte per variant, then its fields: a refusal crosses the ECall as itself.
-impl Encode for CertError {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            CertError::Attestation(e) => (0u8, e).encode(out),
-            CertError::WrongMeasurement => out.push(1),
-            CertError::KeyBindingMismatch => out.push(2),
-            CertError::BadSignature => out.push(3),
-            CertError::DigestMismatch => out.push(4),
-            CertError::MissingPrevCert => out.push(5),
-            CertError::GenesisMismatch => out.push(6),
-            CertError::Chain(e) => (7u8, e).encode(out),
-            CertError::Proof(e) => (8u8, e).encode(out),
-            CertError::ReadSetMismatch => out.push(9),
-            CertError::StateRootMismatch => out.push(10),
-            CertError::IndexDigestMismatch => out.push(11),
-            CertError::UnknownIndexType(name) => (12u8, name).encode(out),
-            CertError::BadIndexUpdate(why) => (13u8, why).encode(out),
-            CertError::NotInitialized => out.push(14),
-            CertError::Codec(e) => (15u8, e).encode(out),
-            CertError::HeightRegression {
-                last_signed,
-                offered,
-            } => (16u8, last_signed, offered).encode(out),
-            CertError::EmptyRange => out.push(17),
-            CertError::HeightOverflow => out.push(18),
-            CertError::RangeLengthMismatch => out.push(19),
-            CertError::RangeAnchorMismatch => out.push(20),
-            CertError::RangeDiscontinuity { expected, found } => {
-                (21u8, expected, found).encode(out)
-            }
-            CertError::PipelineClosed
-            | CertError::ChainSelection { .. }
-            | CertError::BelowThreshold { .. }
-            | CertError::BadThreshold { .. }
-            | CertError::Shard(_) => out.push(HOST_ONLY),
-        }
-    }
-}
-
-impl Decode for CertError {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(match r.take_byte()? {
-            0 => CertError::Attestation(SgxError::decode(r)?),
-            1 => CertError::WrongMeasurement,
-            2 => CertError::KeyBindingMismatch,
-            3 => CertError::BadSignature,
-            4 => CertError::DigestMismatch,
-            5 => CertError::MissingPrevCert,
-            6 => CertError::GenesisMismatch,
-            7 => CertError::Chain(ChainError::decode(r)?),
-            8 => CertError::Proof(ProofError::decode(r)?),
-            9 => CertError::ReadSetMismatch,
-            10 => CertError::StateRootMismatch,
-            11 => CertError::IndexDigestMismatch,
-            12 => CertError::UnknownIndexType(String::decode(r)?),
-            13 => CertError::BadIndexUpdate(Cow::decode(r)?),
-            14 => CertError::NotInitialized,
-            15 => CertError::Codec(CodecError::decode(r)?),
-            16 => CertError::HeightRegression {
-                last_signed: u64::decode(r)?,
-                offered: u64::decode(r)?,
-            },
-            17 => CertError::EmptyRange,
-            18 => CertError::HeightOverflow,
-            19 => CertError::RangeLengthMismatch,
-            20 => CertError::RangeAnchorMismatch,
-            21 => CertError::RangeDiscontinuity {
-                expected: u64::decode(r)?,
-                found: u64::decode(r)?,
-            },
-            HOST_ONLY => return Err(CodecError::Invalid("host-only error".into())),
-            other => return Err(CodecError::InvalidTag(other)),
-        })
+// One tag byte per variant, then its fields: a refusal crosses the ECall as
+// itself. Every host-only variant — one the trusted program never builds —
+// encodes as 0xff, which the decoder refuses: a host error can never pass
+// for an enclave refusal.
+dcert_primitives::wire! {
+    enum CertError {
+        0 => Attestation(e),
+        1 => WrongMeasurement,
+        2 => KeyBindingMismatch,
+        3 => BadSignature,
+        4 => DigestMismatch,
+        5 => MissingPrevCert,
+        6 => GenesisMismatch,
+        7 => Chain(e),
+        8 => Proof(e),
+        9 => ReadSetMismatch,
+        10 => StateRootMismatch,
+        11 => IndexDigestMismatch,
+        12 => UnknownIndexType(name),
+        13 => BadIndexUpdate(why),
+        14 => NotInitialized,
+        15 => Codec(e),
+        16 => HeightRegression { last_signed, offered },
+        17 => EmptyRange,
+        18 => HeightOverflow,
+        19 => RangeLengthMismatch,
+        20 => RangeAnchorMismatch,
+        21 => RangeDiscontinuity { expected, found },
+        host_only 0xff => PipelineClosed | ChainSelection | BelowThreshold | BadThreshold | Shard,
     }
 }
 

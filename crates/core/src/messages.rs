@@ -8,28 +8,27 @@
 //! request: Algorithm 5's block and index certificates are one
 //! [`EcallRequest::HierSigGen`], not a request each.
 //!
-//! The codec below is the one spelling of a request's field order. Whoever
-//! proves a job builds its [`EcallRequest`]; the issuer sets the previous
-//! certificates on it and encodes it once, through this codec, into a
-//! reused buffer.
+//! The `wire!` table below is the one spelling of a request's field order
+//! and tags. Whoever proves a job builds its [`EcallRequest`]; the issuer
+//! sets the previous certificates on it and encodes it once, through this
+//! codec, into a reused buffer.
 //!
-//! [`NetMessage`](crate::network::NetMessage) gets its canonical encoding
-//! here too: a real deployment ships certificates as bytes, and the
-//! fault-injection layer ([`crate::netsim`]) corrupts traffic at exactly
-//! this byte level — a flipped bit either breaks the framing (the receiver
+//! [`NetMessage`] gets its canonical encoding here too: a real deployment
+//! ships certificates as bytes, and the fault-injection layer
+//! ([`crate::netsim`]) corrupts traffic at exactly this byte level — a flipped bit either breaks the framing (the receiver
 //! drops the message as malformed) or yields a decodable-but-forged
 //! message that the client's certificate checks must catch.
 
 use dcert_chain::{Block, BlockHeader};
 use dcert_merkle::SmtProof;
-use dcert_primitives::codec::{decode_seq, encode_seq, Decode, Encode, Reader};
-use dcert_primitives::error::CodecError;
+use dcert_primitives::codec::{Encode, Tagged};
 use dcert_primitives::hash::Hash;
 use dcert_primitives::keys::{PublicKey, Signature};
 use dcert_vm::StateKey;
 
 use crate::cert::Certificate;
 use crate::error::CertError;
+use crate::network::NetMessage;
 use crate::range::RangeCert;
 
 /// A pre-state read set: `{r}_i` of Algorithm 1.
@@ -156,263 +155,52 @@ pub enum EcallResponse {
 
 // --- codec ----------------------------------------------------------------
 
-/// [`EcallRequest`] wire tags, shared by the encoder and the decoder.
-const TAG_INIT: u8 = 0;
-const TAG_SIG_GEN: u8 = 1;
-const TAG_AUG_SIG_GEN: u8 = 2;
-const TAG_HIER_SIG_GEN: u8 = 3;
-const TAG_BATCH_SIG_GEN: u8 = 4;
-const TAG_RANGE_SIG_GEN: u8 = 5;
-const TAG_FOLD_RANGES: u8 = 6;
-
-impl Encode for BatchLink {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.block.encode(out);
-        encode_seq(&self.reads, out);
-        self.state_proof.encode(out);
+dcert_primitives::wire! {
+    struct BatchLink { block, reads: seq, state_proof }
+    struct BlockInput { prev_header, prev_cert, link }
+    struct IndexInput { index_type, prev_digest, prev_cert, new_digest, aux }
+    enum EcallRequest {
+        0 => Init,
+        1 => SigGen(input),
+        2 => AugSigGen(block, index),
+        3 => HierSigGen(block, indexes: seq),
+        4 => BatchSigGen { prev_header, prev_cert, links: seq },
+        5 => RangeSigGen { anchor, links: seq },
+        6 => FoldRanges { anchor, anchor_cert, ranges: seq },
+    }
+    enum NetMessage {
+        0 => Block(block),
+        1 => BlockCert { header, cert },
+        2 => IndexCert { header, index, digest, cert },
+        3 => CertRequest { from, to },
+        4 => Shutdown,
+        5 => Serve { payload },
+    }
+    enum EcallResponse {
+        0 => Initialized(pk),
+        1 => Signature(sig),
+        2 => Rejected(reason),
+        3 => Signatures(sigs: seq),
     }
 }
 
-impl Decode for BatchLink {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(BatchLink {
-            block: Block::decode(r)?,
-            reads: decode_seq(r)?,
-            state_proof: SmtProof::decode(r)?,
-        })
-    }
-}
-
-impl Encode for BlockInput {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.prev_header.encode(out);
-        self.prev_cert.encode(out);
-        self.link.encode(out);
-    }
-}
-
-impl Decode for BlockInput {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(BlockInput {
-            prev_header: BlockHeader::decode(r)?,
-            prev_cert: Option::<Certificate>::decode(r)?,
-            link: BatchLink::decode(r)?,
-        })
-    }
-}
-
-impl Encode for IndexInput {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.index_type.encode(out);
-        self.prev_digest.encode(out);
-        self.prev_cert.encode(out);
-        self.new_digest.encode(out);
-        self.aux.encode(out);
-    }
-}
-
-impl Decode for IndexInput {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(IndexInput {
-            index_type: String::decode(r)?,
-            prev_digest: Hash::decode(r)?,
-            prev_cert: Option::<Certificate>::decode(r)?,
-            new_digest: Hash::decode(r)?,
-            aux: Vec::<u8>::decode(r)?,
-        })
-    }
-}
-
-impl Encode for EcallRequest {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            EcallRequest::Init => out.push(TAG_INIT),
-            EcallRequest::SigGen(input) => {
-                out.push(TAG_SIG_GEN);
-                input.encode(out);
-            }
-            EcallRequest::AugSigGen(block, index) => encode_aug_sig_gen(block, index, out),
-            EcallRequest::HierSigGen(block, indexes) => {
-                out.push(TAG_HIER_SIG_GEN);
-                block.encode(out);
-                encode_seq(indexes, out);
-            }
-            EcallRequest::BatchSigGen {
-                prev_header,
-                prev_cert,
-                links,
-            } => {
-                out.push(TAG_BATCH_SIG_GEN);
-                prev_header.encode(out);
-                prev_cert.encode(out);
-                encode_seq(links, out);
-            }
-            EcallRequest::RangeSigGen { anchor, links } => {
-                out.push(TAG_RANGE_SIG_GEN);
-                anchor.encode(out);
-                encode_seq(links, out);
-            }
-            EcallRequest::FoldRanges {
-                anchor,
-                anchor_cert,
-                ranges,
-            } => {
-                out.push(TAG_FOLD_RANGES);
-                anchor.encode(out);
-                anchor_cert.encode(out);
-                encode_seq(ranges, out);
-            }
-        }
-    }
-}
-
-impl Decode for EcallRequest {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        match r.take_byte()? {
-            TAG_INIT => Ok(EcallRequest::Init),
-            TAG_SIG_GEN => Ok(EcallRequest::SigGen(BlockInput::decode(r)?)),
-            TAG_AUG_SIG_GEN => Ok(EcallRequest::AugSigGen(
-                BlockInput::decode(r)?,
-                IndexInput::decode(r)?,
-            )),
-            TAG_HIER_SIG_GEN => Ok(EcallRequest::HierSigGen(
-                BlockInput::decode(r)?,
-                decode_seq(r)?,
-            )),
-            TAG_BATCH_SIG_GEN => Ok(EcallRequest::BatchSigGen {
-                prev_header: BlockHeader::decode(r)?,
-                prev_cert: Option::<Certificate>::decode(r)?,
-                links: decode_seq(r)?,
-            }),
-            TAG_RANGE_SIG_GEN => Ok(EcallRequest::RangeSigGen {
-                anchor: BlockHeader::decode(r)?,
-                links: decode_seq(r)?,
-            }),
-            TAG_FOLD_RANGES => Ok(EcallRequest::FoldRanges {
-                anchor: BlockHeader::decode(r)?,
-                anchor_cert: Option::<Certificate>::decode(r)?,
-                ranges: decode_seq(r)?,
-            }),
-            other => Err(CodecError::InvalidTag(other)),
-        }
-    }
-}
-
-/// The `AugSigGen` arm of the request codec. Algorithm 4 sends one such
-/// request per index over the same block input, so the issuer encodes each
-/// through this function instead of building a request per index.
+/// The `AugSigGen` row of the request table, written without building the
+/// request. Algorithm 4 sends one such request per index over the same
+/// block input, so the issuer encodes each through this function instead.
 pub(crate) fn encode_aug_sig_gen(block: &BlockInput, index: &IndexInput, out: &mut Vec<u8>) {
-    out.push(TAG_AUG_SIG_GEN);
+    let tag = EcallRequest::TAGS
+        .iter()
+        .find(|(_, name)| *name == "AugSigGen");
+    out.extend(tag.map(|(tag, _)| *tag));
     block.encode(out);
     index.encode(out);
-}
-
-impl Encode for crate::network::NetMessage {
-    fn encode(&self, out: &mut Vec<u8>) {
-        use crate::network::NetMessage;
-        match self {
-            NetMessage::Block(block) => {
-                out.push(0);
-                block.encode(out);
-            }
-            NetMessage::BlockCert { header, cert } => {
-                out.push(1);
-                header.encode(out);
-                cert.encode(out);
-            }
-            NetMessage::IndexCert {
-                header,
-                index,
-                digest,
-                cert,
-            } => {
-                out.push(2);
-                header.encode(out);
-                index.encode(out);
-                digest.encode(out);
-                cert.encode(out);
-            }
-            NetMessage::CertRequest { from, to } => {
-                out.push(3);
-                from.encode(out);
-                to.encode(out);
-            }
-            NetMessage::Shutdown => out.push(4),
-            NetMessage::Serve { payload } => {
-                out.push(5);
-                payload.encode(out);
-            }
-        }
-    }
-}
-
-impl Decode for crate::network::NetMessage {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        use crate::network::NetMessage;
-        match r.take_byte()? {
-            0 => Ok(NetMessage::Block(Block::decode(r)?)),
-            1 => Ok(NetMessage::BlockCert {
-                header: BlockHeader::decode(r)?,
-                cert: Certificate::decode(r)?,
-            }),
-            2 => Ok(NetMessage::IndexCert {
-                header: BlockHeader::decode(r)?,
-                index: String::decode(r)?,
-                digest: Hash::decode(r)?,
-                cert: Certificate::decode(r)?,
-            }),
-            3 => Ok(NetMessage::CertRequest {
-                from: u64::decode(r)?,
-                to: u64::decode(r)?,
-            }),
-            4 => Ok(NetMessage::Shutdown),
-            5 => Ok(NetMessage::Serve {
-                payload: Vec::<u8>::decode(r)?,
-            }),
-            other => Err(CodecError::InvalidTag(other)),
-        }
-    }
-}
-
-impl Encode for EcallResponse {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            EcallResponse::Initialized(pk) => {
-                out.push(0);
-                pk.encode(out);
-            }
-            EcallResponse::Signature(sig) => {
-                out.push(1);
-                sig.encode(out);
-            }
-            EcallResponse::Rejected(reason) => {
-                out.push(2);
-                reason.encode(out);
-            }
-            EcallResponse::Signatures(sigs) => {
-                out.push(3);
-                encode_seq(sigs, out);
-            }
-        }
-    }
-}
-
-impl Decode for EcallResponse {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        match r.take_byte()? {
-            0 => Ok(EcallResponse::Initialized(PublicKey::decode(r)?)),
-            1 => Ok(EcallResponse::Signature(Signature::decode(r)?)),
-            2 => Ok(EcallResponse::Rejected(CertError::decode(r)?)),
-            3 => Ok(EcallResponse::Signatures(decode_seq(r)?)),
-            other => Err(CodecError::InvalidTag(other)),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dcert_chain::consensus::ConsensusProof;
+    use dcert_primitives::codec::Decode;
     use dcert_primitives::hash::{hash_bytes, Address};
     use dcert_primitives::keys::Keypair;
 
@@ -508,6 +296,11 @@ mod tests {
                 req
             );
         }
+        // Algorithm 4's request, written without building it, is the table's.
+        let mut aug = Vec::new();
+        encode_aug_sig_gen(&input, &index("history", None), &mut aug);
+        let req = EcallRequest::AugSigGen(input, index("history", None));
+        assert_eq!(aug, req.to_encoded_bytes());
     }
 
     #[test]

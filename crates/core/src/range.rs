@@ -16,8 +16,7 @@
 //! Range certificates are a backend artifact: clients never see them, so
 //! the client verification surface is unchanged.
 
-use dcert_primitives::codec::{decode_seq, encode_seq, Decode, Encode, Reader};
-use dcert_primitives::error::CodecError;
+use dcert_primitives::codec::Encode;
 use dcert_primitives::hash::{hash_concat, Hash};
 use dcert_primitives::keys::{PublicKey, Signature};
 use dcert_sgx::AttestationReport;
@@ -135,36 +134,15 @@ impl RangeCert {
     }
 }
 
-impl Encode for RangeCert {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.pk_range.encode(out);
-        self.report.encode(out);
-        self.anchor_digest.encode(out);
-        self.first.encode(out);
-        self.last.encode(out);
-        encode_seq(&self.header_digests, out);
-        self.signature.encode(out);
-    }
-}
-
-impl Decode for RangeCert {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(RangeCert {
-            pk_range: PublicKey::decode(r)?,
-            report: AttestationReport::decode(r)?,
-            anchor_digest: Hash::decode(r)?,
-            first: u64::decode(r)?,
-            last: u64::decode(r)?,
-            header_digests: decode_seq(r)?,
-            signature: Signature::decode(r)?,
-        })
-    }
+dcert_primitives::wire! {
+    struct RangeCert { pk_range, report, anchor_digest, first, last, header_digests: seq, signature }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cert::Certificate;
+    use dcert_primitives::codec::Decode;
     use dcert_primitives::hash::hash_bytes;
     use dcert_primitives::keys::Keypair;
     use dcert_sgx::{AttestationService, Quote};

@@ -24,7 +24,11 @@
 //!   same-named workspace method in referenced crates, unless the name
 //!   is a common std method (see [`COMMON_EXTERNAL_METHODS`]).
 //! * Macro-generated functions are invisible; calls to them would show
-//!   up as dangling and must be allow-listed explicitly.
+//!   up as dangling. A `macro_rules!` template is one node, and a
+//!   `wire!` table's types implement the codec traits (see
+//!   [`crate::parse::ParsedFile`]), so `T::decode_all` on a declared type
+//!   resolves, and the template reaches every hand-written decoder
+//!   through `Decode::decode`.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 

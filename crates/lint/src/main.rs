@@ -646,6 +646,29 @@ mod tests {
     }
 
     #[test]
+    fn r5_sees_the_wire_template_and_the_decoders_only_it_calls() {
+        let template = include_str!("../fixtures/r5_wire_template.rs");
+        let decls = include_str!("../fixtures/r5_wire_decls.rs");
+        let g = ws(&[
+            ("crates/primitives/src/codec.rs", template),
+            ("crates/chain/src/block.rs", decls),
+        ]);
+        // `Key::decode` resolves: the table implements `Decode` for `Key`.
+        assert!(g.dangling.is_empty(), "{:?}", g.dangling);
+        let hits = rule_findings(&g, "r5-panic-reachability");
+        let hit = |path: &str, witness: &str| {
+            hits.iter()
+                .any(|(p, _, m)| p == path && m.contains(&format!("(path: {witness})")))
+        };
+        assert!(hit("crates/primitives/src/codec.rs", "wire!"), "{hits:?}");
+        assert!(
+            hit("crates/chain/src/block.rs", "wire! → Header::decode"),
+            "{hits:?}"
+        );
+        assert_eq!(hits.len(), 2, "{hits:?}");
+    }
+
+    #[test]
     fn r6_fires_with_interprocedural_witness_and_clean_half_is_silent() {
         let bad = include_str!("../fixtures/r6_taint_violating.rs");
         let clean = include_str!("../fixtures/r6_taint_clean.rs");

@@ -70,7 +70,9 @@ pub struct TraitImpl {
 /// - nested functions keep the enclosing `impl` qualifier;
 /// - `mod name;` out-of-line declarations are ignored (the target file is
 ///   parsed on its own);
-/// - macro-generated items are invisible;
+/// - a `macro_rules!` body is one fn named `name!` (its template), and a
+///   `wire!` table adds the codec trait impls of the types it declares;
+///   other macro-generated items are invisible;
 /// - glob imports (`use x::*`) are ignored.
 #[derive(Debug, Default)]
 pub struct ParsedFile {
@@ -187,6 +189,42 @@ pub fn parse_items(toks: &[Tok], in_test: &[bool]) -> ParsedFile {
                     out.types.push(name);
                 }
                 i += 1;
+            }
+            // A `macro_rules!` body is one fn-like node, its template: a
+            // panic site in generated code is scanned where it is written.
+            "macro_rules" if is_punct(toks, i + 1, "!") && is_punct(toks, i + 3, "{") => {
+                let close = matching(toks, i + 3, "{", "}").unwrap_or(toks.len());
+                out.fns.push(FnItem {
+                    name: format!("{}!", ident_at(toks, i + 2).unwrap_or_default()),
+                    qual: None,
+                    is_pub: true,
+                    in_trait_impl: false,
+                    is_test: in_test.get(i).copied().unwrap_or(false),
+                    params: Vec::new(),
+                    ret: None,
+                    body: Some((i + 3, close)),
+                    line: t.line,
+                });
+                i = close + 1;
+            }
+            // A `wire!` table implements the codec traits of every type it
+            // declares (the template's bodies are the node above).
+            "wire" if is_punct(toks, i + 1, "!") && is_punct(toks, i + 2, "{") => {
+                let close = matching(toks, i + 2, "{", "}").unwrap_or(toks.len());
+                for k in i + 3..close {
+                    let traits: &[&str] = match toks[k].text.as_str() {
+                        "struct" => &["Encode", "Decode"],
+                        "enum" => &["Encode", "Decode", "Tagged"],
+                        _ => continue,
+                    };
+                    if let Some(ty) = ident_at(toks, k + 1) {
+                        out.trait_impls.extend(traits.iter().map(|tr| TraitImpl {
+                            ty: ty.clone(),
+                            trait_name: (*tr).to_string(),
+                        }));
+                    }
+                }
+                i = close + 1;
             }
             "use" => {
                 let (decls, next) = parse_use(toks, i + 1);

@@ -155,28 +155,8 @@ impl Annotation for Aggregate {
     }
 }
 
-impl Encode for Aggregate {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.count.encode(out);
-        self.sum.encode(out);
-        self.min.encode(out);
-        self.max.encode(out);
-    }
-
-    fn encoded_len(&self) -> usize {
-        8 + 16 + 8 + 8
-    }
-}
-
-impl Decode for Aggregate {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(Aggregate {
-            count: u64::decode(r)?,
-            sum: u128::decode(r)?,
-            min: u64::decode(r)?,
-            max: u64::decode(r)?,
-        })
-    }
+dcert_primitives::wire! {
+    struct Aggregate { count, sum, min, max }
 }
 
 // --- flavors -----------------------------------------------------------------
@@ -971,26 +951,17 @@ impl<F: Flavor> AppendProof<F> {
 
 // --- serialization -----------------------------------------------------------
 
-impl<A: Annotation> Encode for Summary<A> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.hash.encode(out);
-        self.ann.encode(out);
+dcert_primitives::wire! {
+    struct Summary<A: Annotation> { hash, ann }
+    enum AppendNode<F: Flavor> {
+        0 => Internal { separators: seq, left_siblings: seq },
+        1 => Leaf { entries: seq },
     }
-
-    fn encoded_len(&self) -> usize {
-        Hash::LEN + self.ann.encoded_len()
-    }
+    struct AppendProof<F: Flavor> { path: seq }
 }
 
-impl<A: Annotation> Decode for Summary<A> {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(Summary {
-            hash: Hash::decode(r)?,
-            ann: A::decode(r)?,
-        })
-    }
-}
-
+/// Hand-written, not a `wire!` table: the tags are offset by the flavor's
+/// `OP_TAG`, so the two flavors' nodes never decode as each other.
 impl<F: Flavor> Encode for Shape<F> {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
@@ -1027,54 +998,6 @@ impl<F: Flavor> Decode for Shape<F> {
             Some(2) => Ok(Shape::Internal(decode_seq(r)?)),
             _ => Err(CodecError::InvalidTag(tag)),
         }
-    }
-}
-
-impl<F: Flavor> Encode for AppendNode<F> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            AppendNode::Internal {
-                separators,
-                left_siblings,
-            } => {
-                out.push(0);
-                encode_seq(separators, out);
-                encode_seq(left_siblings, out);
-            }
-            AppendNode::Leaf { entries } => {
-                out.push(1);
-                encode_seq(entries, out);
-            }
-        }
-    }
-}
-
-impl<F: Flavor> Decode for AppendNode<F> {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        match r.take_byte()? {
-            0 => Ok(AppendNode::Internal {
-                separators: decode_seq(r)?,
-                left_siblings: decode_seq(r)?,
-            }),
-            1 => Ok(AppendNode::Leaf {
-                entries: decode_seq(r)?,
-            }),
-            other => Err(CodecError::InvalidTag(other)),
-        }
-    }
-}
-
-impl<F: Flavor> Encode for AppendProof<F> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        encode_seq(&self.path, out);
-    }
-}
-
-impl<F: Flavor> Decode for AppendProof<F> {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(AppendProof {
-            path: decode_seq(r)?,
-        })
     }
 }
 

@@ -45,9 +45,6 @@
 
 use std::borrow::Cow;
 
-use dcert_primitives::codec::{Decode, Encode, Reader};
-use dcert_primitives::CodecError;
-
 pub mod btree;
 pub mod mht;
 pub mod ops;
@@ -127,27 +124,13 @@ impl std::fmt::Display for ProofError {
 
 impl std::error::Error for ProofError {}
 
-/// One tag byte per variant, then its fields: a refusal crosses the ECall as itself.
-impl Encode for ProofError {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            ProofError::RootMismatch => out.push(0),
-            ProofError::Malformed(what) => (1u8, what).encode(out),
-            ProofError::MissingKey => out.push(2),
-            ProofError::Incomplete(what) => (3u8, what).encode(out),
-        }
-    }
-}
-
-impl Decode for ProofError {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(match r.take_byte()? {
-            0 => ProofError::RootMismatch,
-            1 => ProofError::Malformed(Cow::decode(r)?),
-            2 => ProofError::MissingKey,
-            3 => ProofError::Incomplete(Cow::decode(r)?),
-            other => return Err(CodecError::InvalidTag(other)),
-        })
+// One tag byte per variant, then its fields: a refusal crosses the ECall as itself.
+dcert_primitives::wire! {
+    enum ProofError {
+        0 => RootMismatch,
+        1 => Malformed(what),
+        2 => MissingKey,
+        3 => Incomplete(what),
     }
 }
 

@@ -30,8 +30,7 @@
 //! tree's [`Flavor`] and the two flavors' wire tags are disjoint, so a
 //! program mixing node families does not decode.
 
-use dcert_primitives::codec::{decode_seq, encode_seq, seq_encoded_len, Decode, Encode, Reader};
-use dcert_primitives::error::CodecError;
+use dcert_primitives::codec::Encode;
 use dcert_primitives::hash::Hash;
 
 use crate::btree::{check, Flavor, Plain, Shape, Summed};
@@ -219,59 +218,23 @@ impl<F: Flavor> OpProof<F> {
 
 // --- serialization ---------------------------------------------------------
 
-impl<F: Flavor> Encode for ProofOp<F> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            ProofOp::Push(shape) => {
-                out.push(0);
-                shape.encode(out);
-            }
-            ProofOp::Parent => out.push(2),
-            ProofOp::Child => out.push(3),
-        }
+dcert_primitives::wire! {
+    enum ProofOp<F: Flavor> {
+        0 => Push(shape),
+        // Tag 1 is unassigned: one tree has one program.
+        2 => Parent,
+        3 => Child,
     }
-
-    fn encoded_len(&self) -> usize {
-        match self {
-            ProofOp::Push(shape) => 1 + shape.encoded_len(),
-            ProofOp::Parent | ProofOp::Child => 1,
-        }
-    }
-}
-
-impl<F: Flavor> Decode for ProofOp<F> {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        match r.take_byte()? {
-            0 => Ok(ProofOp::Push(Shape::decode(r)?)),
-            // Tag 1 is unassigned: one tree has one program.
-            2 => Ok(ProofOp::Parent),
-            3 => Ok(ProofOp::Child),
-            other => Err(CodecError::InvalidTag(other)),
-        }
-    }
-}
-
-impl<F: Flavor> Encode for OpProof<F> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        encode_seq(&self.ops, out);
-    }
-
-    fn encoded_len(&self) -> usize {
-        seq_encoded_len(&self.ops)
-    }
-}
-
-impl<F: Flavor> Decode for OpProof<F> {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(Self::from_ops(decode_seq(r)?))
-    }
+    struct OpProof<F: Flavor> { ops: seq }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::btree::{Aggregate, Summary};
+    use dcert_primitives::codec::Decode;
     use dcert_primitives::hash::hash_bytes;
+    use dcert_primitives::CodecError;
 
     type Op = ProofOp<Plain>;
 

@@ -1057,6 +1057,8 @@ const TAG_LEAF: u8 = 1;
 const TAG_NODE: u8 = 2;
 const TAG_BRANCH: u8 = 3;
 
+/// Hand-written, not a `wire!` table: consecutive items merge into runs on
+/// the wire.
 impl Encode for SmtProof {
     fn encode(&self, out: &mut Vec<u8>) {
         dcert_primitives::codec::encode_seq(&self.keys, out);

@@ -28,8 +28,43 @@
 //! assert_eq!(back, value);
 //! # Ok::<(), dcert_primitives::CodecError>(())
 //! ```
+//!
+//! # Declaring a wire type
+//!
+//! A wire type's codec is declared once, in a [`wire!`](crate::wire) table:
+//! a struct is its fields in wire order (a newtype `struct K(field)`), an
+//! enum one `tag => Variant` row per variant, naming that variant's fields.
+//! A field marked `: seq` is a `Vec` of encodable items and goes through
+//! [`encode_seq`] / [`decode_seq`] (count prefix, capacity capped). The table
+//! generates [`Encode`] with an exact `encoded_len`, [`Decode`] (an unknown
+//! tag is [`CodecError::InvalidTag`]) and, for an enum, [`Tagged::TAGS`].
+//!
+//! ```
+//! use dcert_primitives::codec::{Decode, Encode, Tagged};
+//!
+//! #[derive(Debug, PartialEq)]
+//! enum Msg { Ping, Page(Vec<u8>), Ask { from: u64, to: Vec<u64> } }
+//!
+//! dcert_primitives::wire! {
+//!     enum Msg { 0 => Ping, 1 => Page(bytes), 3 => Ask { from, to: seq } }
+//! }
+//!
+//! let msg = Msg::Ask { from: 1, to: vec![9] };
+//! assert_eq!(Msg::decode_all(&msg.to_encoded_bytes())?, msg);
+//! assert_eq!(Msg::TAGS, &[(0, "Ping"), (1, "Page"), (3, "Ask")]);
+//! # Ok::<(), dcert_primitives::CodecError>(())
+//! ```
+//!
+//! A codec stays hand-written only where its bytes are not such a table:
+//! the base impls below, the fixed-width `Hash`, `Address`, `PublicKey`,
+//! `Signature` and `Vec<Hash>`, `SmtProof` (runs merge on the wire), the
+//! B-tree's `Shape<F>` (its tags are offset by the flavor's `OP_TAG`),
+//! `BlockHeader` (its prefix is the sealing-digest preimage), and the
+//! reference program's messages in `world::naive` (kept independent of the
+//! codec it checks).
 
 use std::borrow::Cow;
+use std::sync::Arc;
 
 use crate::error::CodecError;
 
@@ -136,6 +171,7 @@ pub trait Decode: Sized {
     }
 }
 
+// The base impls stay hand-written: every table's fields bottom out in them.
 macro_rules! impl_codec_uint {
     ($($ty:ty),*) => {$(
         impl Encode for $ty {
@@ -308,8 +344,23 @@ impl Decode for () {
     }
 }
 
-/// Generic `Vec<T>` encoding. `Vec<u8>` has a specialized impl above, so this
-/// wrapper type is used for element vectors to avoid overlap.
+/// A shared byte string travels as a `Vec<u8>` does.
+impl Encode for Arc<[u8]> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        (**self).encode(out);
+    }
+    fn encoded_len(&self) -> usize {
+        (**self).encoded_len()
+    }
+}
+
+impl Decode for Arc<[u8]> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let len = r.take_len()?;
+        Ok(Arc::from(r.take(len)?))
+    }
+}
+
 impl<A: Encode, B: Encode> Encode for (A, B) {
     fn encode(&self, out: &mut Vec<u8>) {
         self.0.encode(out);
@@ -368,6 +419,121 @@ pub fn decode_seq<T: Decode>(r: &mut Reader<'_>) -> Result<Vec<T>, CodecError> {
         out.push(T::decode(r)?);
     }
     Ok(out)
+}
+
+/// The tag table of an enum declared with [`wire!`](crate::wire).
+pub trait Tagged {
+    /// `(tag, variant)` per row of the declaration, in its order.
+    const TAGS: &'static [(u8, &'static str)];
+}
+
+/// Declares the codec of one or more wire types; see the
+/// [module documentation](crate::codec#declaring-a-wire-type).
+///
+/// An enum may end with one `host_only tag => A | B` clause: those variants
+/// all encode as `tag`, and decoding `tag` is refused.
+#[macro_export]
+macro_rules! wire {
+    () => {};
+    (@encode $out:ident, $f:ident: seq) => { $crate::codec::encode_seq($f, $out) };
+    (@encode $out:ident, $f:ident) => { $crate::codec::Encode::encode($f, $out) };
+    (@len $f:ident: seq) => { $crate::codec::seq_encoded_len($f) };
+    (@len $f:ident) => { $crate::codec::Encode::encoded_len($f) };
+    (@decode $r:ident, $f:ident: seq) => { $crate::codec::decode_seq($r)? };
+    (@decode $r:ident, $f:ident) => { $crate::codec::Decode::decode($r)? };
+    (@impls ($($gen:tt)*) $name:ident ($($args:tt)*)
+        encode($this:ident, $out:ident) $encode:block
+        encoded_len($this_len:ident) $len:block
+        decode($r:ident) $decode:block
+    ) => {
+        impl $($gen)* $crate::codec::Encode for $name $($args)* {
+            fn encode(&self, $out: &mut ::std::vec::Vec<u8>) {
+                let $this = self;
+                $encode
+            }
+            fn encoded_len(&self) -> usize {
+                let $this_len = self;
+                $len
+            }
+        }
+        impl $($gen)* $crate::codec::Decode for $name $($args)* {
+            fn decode($r: &mut $crate::codec::Reader<'_>) -> Result<Self, $crate::CodecError> {
+                $decode
+            }
+        }
+    };
+    (struct $name:ident $(<$($g:ident: $bound:path),+>)?
+        { $($f:ident $(: $k:ident)?),+ $(,)? } $($rest:tt)*
+    ) => {
+        $crate::wire!(@impls ($(<$($g: $bound),+>)?) $name ($(<$($g),+>)?)
+            encode(this, out) {
+                let Self { $($f),+ } = this;
+                $($crate::wire!(@encode out, $f $(: $k)?);)+
+            }
+            encoded_len(this) {
+                let Self { $($f),+ } = this;
+                let mut len = 0;
+                $(len += $crate::wire!(@len $f $(: $k)?);)+
+                len
+            }
+            decode(r) {
+                Ok(Self { $($f: $crate::wire!(@decode r, $f $(: $k)?)),+ })
+            }
+        );
+        $crate::wire!($($rest)*);
+    };
+    (struct $name:ident ($f:ident) $($rest:tt)*) => {
+        $crate::wire!(@impls () $name ()
+            encode(this, out) { $crate::codec::Encode::encode(&this.0, out) }
+            encoded_len(this) { $crate::codec::Encode::encoded_len(&this.0) }
+            decode(r) { Ok(Self($crate::codec::Decode::decode(r)?)) }
+        );
+        $crate::wire!($($rest)*);
+    };
+    (enum $name:ident $(<$($g:ident: $bound:path),+>)? {
+        $($tag:literal => $v:ident
+            $(($($tf:ident $(: $tk:ident)?),+))?
+            $({$($sf:ident $(: $sk:ident)?),+ $(,)?})?
+        ),+
+        $(, host_only $host:literal => $($hv:ident)|+)?
+        $(,)?
+    } $($rest:tt)*) => {
+        $crate::wire!(@impls ($(<$($g: $bound),+>)?) $name ($(<$($g),+>)?)
+            encode(this, out) {
+                match this {
+                    $(Self::$v $(($($tf),+))? $({$($sf),+})? => {
+                        out.push($tag);
+                        $($($crate::wire!(@encode out, $tf $(: $tk)?);)+)?
+                        $($($crate::wire!(@encode out, $sf $(: $sk)?);)+)?
+                    })+
+                    $($(Self::$hv { .. })|+ => out.push($host),)?
+                }
+            }
+            encoded_len(this) {
+                match this {
+                    $(Self::$v $(($($tf),+))? $({$($sf),+})? => {
+                        1 $($(+ $crate::wire!(@len $tf $(: $tk)?))+)?
+                            $($(+ $crate::wire!(@len $sf $(: $sk)?))+)?
+                    })+
+                    $($(Self::$hv { .. })|+ => 1,)?
+                }
+            }
+            decode(r) {
+                match r.take_byte()? {
+                    $($tag => Ok(Self::$v
+                        $(($($crate::wire!(@decode r, $tf $(: $tk)?)),+))?
+                        $({$($sf: $crate::wire!(@decode r, $sf $(: $sk)?)),+})?
+                    ),)+
+                    $($host => Err($crate::error::CodecError::Invalid("host-only error".into())),)?
+                    other => Err($crate::error::CodecError::InvalidTag(other)),
+                }
+            }
+        );
+        impl $(<$($g: $bound),+>)? $crate::codec::Tagged for $name $(<$($g),+>)? {
+            const TAGS: &'static [(u8, &'static str)] = &[$(($tag, stringify!($v))),+];
+        }
+        $crate::wire!($($rest)*);
+    };
 }
 
 #[cfg(test)]
@@ -515,6 +681,99 @@ mod tests {
             let back = <(u32, Vec<u8>, bool)>::decode_all(&v.to_encoded_bytes()).unwrap();
             assert_eq!(back, v);
         });
+    }
+
+    /// A declared struct, tuple struct and sparse-tagged enum (tags 0, 2,
+    /// 3 and a host-only 0xff, like `ProofOp` and `CertError`).
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    struct Page {
+        height: u64,
+        name: String,
+        rows: Vec<(u32, bool)>,
+    }
+
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    struct Id(u64);
+
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    enum Op {
+        Push(Page, Id),
+        Parent,
+        Child { depth: u8, path: Vec<Id> },
+        Lost,
+    }
+
+    crate::wire! {
+        struct Page { height, name, rows: seq }
+        struct Id(id)
+        enum Op {
+            0 => Push(page, id),
+            2 => Parent,
+            3 => Child { depth, path: seq },
+            host_only 0xff => Lost,
+        }
+    }
+
+    fn ops() -> Vec<Op> {
+        let page = Page {
+            height: 9,
+            name: "p".to_owned(),
+            rows: vec![(1, true), (2, false)],
+        };
+        vec![
+            Op::Push(page, Id(4)),
+            Op::Parent,
+            Op::Child {
+                depth: 3,
+                path: vec![Id(1), Id(u64::MAX)],
+            },
+        ]
+    }
+
+    #[test]
+    fn declared_types_round_trip_with_exact_lengths() {
+        for op in ops() {
+            let bytes = op.to_encoded_bytes();
+            assert_eq!(op.encoded_len(), bytes.len(), "{op:?}");
+            assert_eq!(Op::decode_all(&bytes), Ok(op));
+        }
+        let id = Id(7);
+        assert_eq!(id.to_encoded_bytes(), 7u64.to_encoded_bytes());
+        assert_eq!(Id::decode_all(&id.to_encoded_bytes()), Ok(id));
+        assert_eq!(Op::Parent.to_encoded_bytes(), [2]);
+    }
+
+    #[test]
+    fn unknown_and_host_only_tags_are_refused() {
+        for tag in [1, 4, 0xfe] {
+            assert_eq!(Op::decode_all(&[tag]), Err(CodecError::InvalidTag(tag)));
+        }
+        assert_eq!(Op::Lost.to_encoded_bytes(), [0xff]);
+        assert_eq!(Op::Lost.encoded_len(), 1);
+        assert_eq!(
+            Op::decode_all(&[0xff]),
+            Err(CodecError::Invalid("host-only error".into()))
+        );
+    }
+
+    #[test]
+    fn every_truncation_of_a_declared_type_is_refused() {
+        for op in ops() {
+            let bytes = op.to_encoded_bytes();
+            for cut in 0..bytes.len() {
+                assert!(Op::decode_all(&bytes[..cut]).is_err(), "{op:?} at {cut}");
+            }
+        }
+    }
+
+    #[test]
+    fn tag_rows_are_pairwise_distinct() {
+        assert_eq!(Op::TAGS, &[(0, "Push"), (2, "Parent"), (3, "Child")]);
+        for (i, (tag, name)) in Op::TAGS.iter().enumerate() {
+            for (other_tag, other) in Op::TAGS.iter().skip(i + 1) {
+                assert_ne!(tag, other_tag, "{name} and {other} share a tag");
+            }
+        }
     }
 
     #[test]

@@ -3,8 +3,6 @@
 use std::borrow::Cow;
 use std::fmt;
 
-use crate::codec::{Decode, Encode, Reader};
-
 /// An error produced while decoding canonical binary data.
 ///
 /// Returned by [`crate::Decode::decode`] implementations when the input is
@@ -51,36 +49,16 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-/// One tag byte per variant, then its fields: a refusal crosses the ECall as itself.
-impl Encode for CodecError {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            CodecError::UnexpectedEof { needed, remaining } => (0u8, needed, remaining).encode(out),
-            CodecError::LengthOverflow(len) => (1u8, len).encode(out),
-            CodecError::InvalidTag(tag) => (2u8, tag).encode(out),
-            CodecError::InvalidBool(b) => (3u8, b).encode(out),
-            CodecError::InvalidUtf8 => out.push(4),
-            CodecError::TrailingBytes(n) => (5u8, n).encode(out),
-            CodecError::Invalid(what) => (6u8, what).encode(out),
-        }
-    }
-}
-
-impl Decode for CodecError {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(match r.take_byte()? {
-            0 => CodecError::UnexpectedEof {
-                needed: usize::decode(r)?,
-                remaining: usize::decode(r)?,
-            },
-            1 => CodecError::LengthOverflow(u64::decode(r)?),
-            2 => CodecError::InvalidTag(u8::decode(r)?),
-            3 => CodecError::InvalidBool(u8::decode(r)?),
-            4 => CodecError::InvalidUtf8,
-            5 => CodecError::TrailingBytes(usize::decode(r)?),
-            6 => CodecError::Invalid(Cow::decode(r)?),
-            other => return Err(CodecError::InvalidTag(other)),
-        })
+// One tag byte per variant, then its fields: a refusal crosses the ECall as itself.
+crate::wire! {
+    enum CodecError {
+        0 => UnexpectedEof { needed, remaining },
+        1 => LengthOverflow(len),
+        2 => InvalidTag(tag),
+        3 => InvalidBool(byte),
+        4 => InvalidUtf8,
+        5 => TrailingBytes(count),
+        6 => Invalid(what),
     }
 }
 

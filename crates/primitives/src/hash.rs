@@ -99,6 +99,7 @@ impl From<[u8; 32]> for Hash {
     }
 }
 
+/// Hand-written, not a `wire!` table: a digest is 32 raw bytes, no prefix.
 impl Encode for Hash {
     fn encode(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.0);
@@ -117,6 +118,7 @@ impl Decode for Hash {
     }
 }
 
+/// Hand-written: the exact `encoded_len` of a run of fixed-width digests.
 impl Encode for Vec<Hash> {
     fn encode(&self, out: &mut Vec<u8>) {
         crate::codec::encode_seq(self, out);
@@ -188,6 +190,7 @@ impl From<[u8; 20]> for Address {
     }
 }
 
+/// Hand-written, not a `wire!` table: an address is 20 raw bytes, no prefix.
 impl Encode for Address {
     fn encode(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.0);

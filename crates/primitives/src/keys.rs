@@ -126,6 +126,7 @@ impl fmt::Display for PublicKey {
     }
 }
 
+/// Hand-written, not a `wire!` table: 32 raw bytes, decoded as a checked point.
 impl Encode for PublicKey {
     fn encode(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.0.to_bytes());
@@ -172,6 +173,7 @@ impl fmt::Debug for Signature {
     }
 }
 
+/// Hand-written, not a `wire!` table: a signature is 64 raw bytes.
 impl Encode for Signature {
     fn encode(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.0.to_bytes());

@@ -13,8 +13,7 @@ use std::collections::{BTreeMap, HashMap};
 use dcert_chain::Block;
 use dcert_core::{CertError, IndexVerifier};
 use dcert_merkle::{domain, SmtProof, SparseMerkleTree};
-use dcert_primitives::codec::{decode_seq, encode_seq, seq_encoded_len, Decode, Encode, Reader};
-use dcert_primitives::error::CodecError;
+use dcert_primitives::codec::{Decode, Encode};
 use dcert_primitives::hash::{hash_bytes, Hash, Hasher};
 use dcert_vm::StateKey;
 
@@ -212,20 +211,8 @@ struct InvertedUpdate {
     proof: SmtProof,
 }
 
-impl Encode for InvertedUpdate {
-    fn encode(&self, out: &mut Vec<u8>) {
-        encode_seq(&self.prev_heads, out);
-        self.proof.encode(out);
-    }
-}
-
-impl Decode for InvertedUpdate {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(InvertedUpdate {
-            prev_heads: decode_seq(r)?,
-            proof: SmtProof::decode(r)?,
-        })
-    }
+dcert_primitives::wire! {
+    struct InvertedUpdate { prev_heads: seq, proof }
 }
 
 /// The trusted update verifier for [`InvertedIndex`].
@@ -308,24 +295,8 @@ impl KeywordProof {
     }
 }
 
-impl Encode for KeywordProof {
-    fn encode(&self, out: &mut Vec<u8>) {
-        encode_seq(&self.lists, out);
-        self.smt.encode(out);
-    }
-
-    fn encoded_len(&self) -> usize {
-        seq_encoded_len(&self.lists) + self.smt.encoded_len()
-    }
-}
-
-impl Decode for KeywordProof {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(KeywordProof {
-            lists: decode_seq(r)?,
-            smt: SmtProof::decode(r)?,
-        })
-    }
+dcert_primitives::wire! {
+    struct KeywordProof { lists: seq, smt }
 }
 
 /// Client-side verification of a conjunctive keyword query result against

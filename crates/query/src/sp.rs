@@ -10,8 +10,7 @@ use std::sync::Arc;
 use dcert_chain::{Block, ChainError, ChainState, ConsensusEngine, FullNode};
 use dcert_core::{CertError, Certificate, IndexInput, IndexVerifier, RecoverError, TrustDomain};
 use dcert_obs::{Buckets, Counter, Histogram, Registry};
-use dcert_primitives::codec::{decode_seq, encode_seq, Decode, Encode, Reader};
-use dcert_primitives::error::CodecError;
+use dcert_primitives::codec::{encode_seq, Decode, Encode};
 use dcert_primitives::hash::{Address, Hash};
 use dcert_primitives::keys::PublicKey;
 use dcert_sgx::cost::timed;
@@ -42,18 +41,8 @@ pub struct WritesPage {
     pub writes: Vec<(StateKey, Option<Vec<u8>>)>,
 }
 
-impl Encode for WritesPage {
-    fn encode(&self, out: &mut Vec<u8>) {
-        encode_seq(&self.writes, out);
-    }
-}
-
-impl Decode for WritesPage {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(WritesPage {
-            writes: decode_seq(r)?,
-        })
-    }
+dcert_primitives::wire! {
+    struct WritesPage { writes: seq }
 }
 
 /// One block's keyword appends (as derived by the inverted index from the
@@ -64,18 +53,8 @@ pub struct KeywordPage {
     pub appends: Vec<(String, Vec<Hash>)>,
 }
 
-impl Encode for KeywordPage {
-    fn encode(&self, out: &mut Vec<u8>) {
-        encode_seq(&self.appends, out);
-    }
-}
-
-impl Decode for KeywordPage {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(KeywordPage {
-            appends: decode_seq(r)?,
-        })
-    }
+dcert_primitives::wire! {
+    struct KeywordPage { appends: seq }
 }
 
 /// Per-index certified state, persisted under [`SP_CERT_PREFIX`]`<name>`
@@ -94,20 +73,8 @@ pub struct CertifiedEntry {
     pub anchor: Option<(Hash, Hash, Certificate)>,
 }
 
-impl Encode for CertifiedEntry {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.digest.encode(out);
-        self.anchor.encode(out);
-    }
-}
-
-impl Decode for CertifiedEntry {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(CertifiedEntry {
-            digest: Hash::decode(r)?,
-            anchor: Option::decode(r)?,
-        })
-    }
+dcert_primitives::wire! {
+    struct CertifiedEntry { digest, anchor }
 }
 
 /// An index the SP maintains block by block.

@@ -34,7 +34,6 @@ use dcert_merkle::btree::{AppendProof, BTree, Flavor};
 use dcert_merkle::ops::OpProof;
 use dcert_merkle::{ProofError, SmtProof, SparseMerkleTree};
 use dcert_primitives::codec::{decode_seq, encode_seq, Decode, Encode, Reader};
-use dcert_primitives::error::CodecError;
 use dcert_primitives::hash::{hash_bytes, Hash};
 use dcert_vm::StateKey;
 
@@ -173,20 +172,8 @@ struct KeyUpdate<F: Flavor> {
     append: AppendProof<F>,
 }
 
-impl<F: Flavor> Encode for KeyUpdate<F> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.prev_root.encode(out);
-        self.append.encode(out);
-    }
-}
-
-impl<F: Flavor> Decode for KeyUpdate<F> {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(KeyUpdate {
-            prev_root: Option::decode(r)?,
-            append: AppendProof::decode(r)?,
-        })
-    }
+dcert_primitives::wire! {
+    struct KeyUpdate<F: Flavor> { prev_root, append }
 }
 
 /// The trusted update verifier for a [`TwoLevelIndex`], registered in the
@@ -289,26 +276,8 @@ impl<F: Flavor> QueryProof<F> {
     }
 }
 
-impl<F: Flavor> Encode for QueryProof<F> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.upper.encode(out);
-        self.lower_root.encode(out);
-        self.lower.encode(out);
-    }
-
-    fn encoded_len(&self) -> usize {
-        self.upper.encoded_len() + self.lower_root.encoded_len() + self.lower.encoded_len()
-    }
-}
-
-impl<F: Flavor> Decode for QueryProof<F> {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(QueryProof {
-            upper: SmtProof::decode(r)?,
-            lower_root: Option::decode(r)?,
-            lower: Option::decode(r)?,
-        })
-    }
+dcert_primitives::wire! {
+    struct QueryProof<F: Flavor> { upper, lower_root, lower }
 }
 
 /// Client-side verification of a two-level query answer against the

@@ -15,7 +15,7 @@
 use std::sync::Arc;
 
 use dcert_merkle::Aggregate;
-use dcert_primitives::codec::{decode_seq, encode_seq, seq_encoded_len, Decode, Encode, Reader};
+use dcert_primitives::codec::{decode_seq, encode_seq, Decode, Encode, Reader};
 use dcert_primitives::error::CodecError;
 use dcert_primitives::hash::Hash;
 use dcert_query::history::Version;
@@ -102,74 +102,27 @@ impl QuerySpec {
     }
 }
 
-/// [`QuerySpec`] wire tags. The four windowed kinds share one field
-/// layout: `index, key, t1, t2`.
-const TAG_HISTORY: u8 = 0;
-const TAG_KEYWORDS: u8 = 1;
-const TAG_AGGREGATE: u8 = 2;
-const TAG_HISTORY_OP: u8 = 3;
-const TAG_AGGREGATE_OP: u8 = 4;
-
-impl Encode for QuerySpec {
-    fn encode(&self, out: &mut Vec<u8>) {
-        let tag = match self {
-            QuerySpec::History { .. } => TAG_HISTORY,
-            QuerySpec::Keywords { .. } => TAG_KEYWORDS,
-            QuerySpec::Aggregate { .. } => TAG_AGGREGATE,
-            QuerySpec::HistoryOp { .. } => TAG_HISTORY_OP,
-            QuerySpec::AggregateOp { .. } => TAG_AGGREGATE_OP,
-        };
-        out.push(tag);
-        match self {
-            QuerySpec::History { index, key, t1, t2 }
-            | QuerySpec::Aggregate { index, key, t1, t2 }
-            | QuerySpec::HistoryOp { index, key, t1, t2 }
-            | QuerySpec::AggregateOp { index, key, t1, t2 } => {
-                index.encode(out);
-                key.encode(out);
-                t1.encode(out);
-                t2.encode(out);
-            }
-            QuerySpec::Keywords { index, keywords } => {
-                index.encode(out);
-                encode_seq(keywords, out);
-            }
-        }
+dcert_primitives::wire! {
+    enum QuerySpec {
+        0 => History { index, key, t1, t2 },
+        1 => Keywords { index, keywords: seq },
+        2 => Aggregate { index, key, t1, t2 },
+        3 => HistoryOp { index, key, t1, t2 },
+        4 => AggregateOp { index, key, t1, t2 },
     }
-
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            QuerySpec::History { index, key, t1, t2 }
-            | QuerySpec::Aggregate { index, key, t1, t2 }
-            | QuerySpec::HistoryOp { index, key, t1, t2 }
-            | QuerySpec::AggregateOp { index, key, t1, t2 } => {
-                index.encoded_len() + key.encoded_len() + t1.encoded_len() + t2.encoded_len()
-            }
-            QuerySpec::Keywords { index, keywords } => {
-                index.encoded_len() + seq_encoded_len(keywords)
-            }
-        }
+    struct ServeRequest { client, id, query }
+    struct ServeResponse { id, certified_height, payload }
+    enum RefusalReason {
+        0 => QueueFull { depth },
+        1 => RateLimited { retry_after_ticks },
+        2 => Backlogged { waiters },
+        3 => UnknownIndex,
     }
-}
-
-impl Decode for QuerySpec {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let tag = r.take_byte()?;
-        if tag > TAG_AGGREGATE_OP {
-            return Err(CodecError::InvalidTag(tag));
-        }
-        let index = String::decode(r)?;
-        if tag == TAG_KEYWORDS {
-            let keywords = decode_seq(r)?;
-            return Ok(QuerySpec::Keywords { index, keywords });
-        }
-        let (key, t1, t2) = (StateKey::decode(r)?, u64::decode(r)?, u64::decode(r)?);
-        Ok(match tag {
-            TAG_HISTORY => QuerySpec::History { index, key, t1, t2 },
-            TAG_AGGREGATE => QuerySpec::Aggregate { index, key, t1, t2 },
-            TAG_HISTORY_OP => QuerySpec::HistoryOp { index, key, t1, t2 },
-            _ => QuerySpec::AggregateOp { index, key, t1, t2 },
-        })
+    struct ServeRefusal { id, reason }
+    enum ServeWire {
+        0 => Request(request),
+        1 => Response(response),
+        2 => Refusal(refusal),
     }
 }
 
@@ -183,28 +136,6 @@ pub struct ServeRequest {
     pub id: u64,
     /// The query itself.
     pub query: QuerySpec,
-}
-
-impl Encode for ServeRequest {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.client.encode(out);
-        self.id.encode(out);
-        self.query.encode(out);
-    }
-
-    fn encoded_len(&self) -> usize {
-        self.client.encoded_len() + self.id.encoded_len() + self.query.encoded_len()
-    }
-}
-
-impl Decode for ServeRequest {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(ServeRequest {
-            client: u64::decode(r)?,
-            id: u64::decode(r)?,
-            query: QuerySpec::decode(r)?,
-        })
-    }
 }
 
 /// A successful reply: the canonical `(results, proof)` encoding served
@@ -223,30 +154,6 @@ pub struct ServeResponse {
     /// and every later hit share it. Encoded as a length-prefixed byte
     /// string, exactly like a `Vec<u8>`.
     pub payload: Arc<[u8]>,
-}
-
-impl Encode for ServeResponse {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.id.encode(out);
-        self.certified_height.encode(out);
-        (*self.payload).encode(out);
-    }
-
-    fn encoded_len(&self) -> usize {
-        self.id.encoded_len() + self.certified_height.encoded_len() + self.payload.encoded_len()
-    }
-}
-
-impl Decode for ServeResponse {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let (id, certified_height) = (u64::decode(r)?, u64::decode(r)?);
-        let len = r.take_len()?;
-        Ok(ServeResponse {
-            id,
-            certified_height,
-            payload: Arc::from(r.take(len)?),
-        })
-    }
 }
 
 /// Why a request was refused. Every shed path produces one of these —
@@ -270,41 +177,6 @@ pub enum RefusalReason {
     },
     /// No index is registered under the requested name.
     UnknownIndex,
-}
-
-impl Encode for RefusalReason {
-    fn encode(&self, out: &mut Vec<u8>) {
-        let (tag, count) = match *self {
-            RefusalReason::QueueFull { depth } => (0, Some(depth)),
-            RefusalReason::RateLimited { retry_after_ticks } => (1, Some(retry_after_ticks)),
-            RefusalReason::Backlogged { waiters } => (2, Some(waiters)),
-            RefusalReason::UnknownIndex => (3, None),
-        };
-        out.push(tag);
-        if let Some(count) = count {
-            count.encode(out);
-        }
-    }
-
-    fn encoded_len(&self) -> usize {
-        match self {
-            RefusalReason::UnknownIndex => 1,
-            _ => 9,
-        }
-    }
-}
-
-impl Decode for RefusalReason {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        match r.take_byte()? {
-            0 => u64::decode(r).map(|depth| RefusalReason::QueueFull { depth }),
-            1 => u64::decode(r)
-                .map(|retry_after_ticks| RefusalReason::RateLimited { retry_after_ticks }),
-            2 => u64::decode(r).map(|waiters| RefusalReason::Backlogged { waiters }),
-            3 => Ok(RefusalReason::UnknownIndex),
-            other => Err(CodecError::InvalidTag(other)),
-        }
-    }
 }
 
 impl std::fmt::Display for RefusalReason {
@@ -333,26 +205,6 @@ pub struct ServeRefusal {
     pub reason: RefusalReason,
 }
 
-impl Encode for ServeRefusal {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.id.encode(out);
-        self.reason.encode(out);
-    }
-
-    fn encoded_len(&self) -> usize {
-        self.id.encoded_len() + self.reason.encoded_len()
-    }
-}
-
-impl Decode for ServeRefusal {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(ServeRefusal {
-            id: u64::decode(r)?,
-            reason: RefusalReason::decode(r)?,
-        })
-    }
-}
-
 impl std::fmt::Display for ServeRefusal {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "request {} refused: {}", self.id, self.reason)
@@ -371,44 +223,6 @@ pub enum ServeWire {
     Response(ServeResponse),
     /// Front-end → client: typed shed.
     Refusal(ServeRefusal),
-}
-
-impl Encode for ServeWire {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            ServeWire::Request(m) => {
-                out.push(0);
-                m.encode(out);
-            }
-            ServeWire::Response(m) => {
-                out.push(1);
-                m.encode(out);
-            }
-            ServeWire::Refusal(m) => {
-                out.push(2);
-                m.encode(out);
-            }
-        }
-    }
-
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            ServeWire::Request(m) => m.encoded_len(),
-            ServeWire::Response(m) => m.encoded_len(),
-            ServeWire::Refusal(m) => m.encoded_len(),
-        }
-    }
-}
-
-impl Decode for ServeWire {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        match r.take_byte()? {
-            0 => Ok(ServeWire::Request(ServeRequest::decode(r)?)),
-            1 => Ok(ServeWire::Response(ServeResponse::decode(r)?)),
-            2 => Ok(ServeWire::Refusal(ServeRefusal::decode(r)?)),
-            other => Err(CodecError::InvalidTag(other)),
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------

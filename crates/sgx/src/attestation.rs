@@ -12,8 +12,7 @@
 //!    report offline — which is how superlight clients validate `rep`
 //!    inside every certificate (Algorithm 3, lines 3–5).
 
-use dcert_primitives::codec::{Decode, Encode, Reader};
-use dcert_primitives::error::CodecError;
+use dcert_primitives::codec::Encode;
 use dcert_primitives::hash::{hash_concat, Hash};
 use dcert_primitives::keys::{Keypair, PublicKey, Signature};
 
@@ -111,22 +110,8 @@ impl AttestationReport {
     }
 }
 
-impl Encode for AttestationReport {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.measurement.encode(out);
-        self.report_data.encode(out);
-        self.signature.encode(out);
-    }
-}
-
-impl Decode for AttestationReport {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(AttestationReport {
-            measurement: Hash::decode(r)?,
-            report_data: Hash::decode(r)?,
-            signature: Signature::decode(r)?,
-        })
-    }
+dcert_primitives::wire! {
+    struct AttestationReport { measurement, report_data, signature }
 }
 
 /// The simulated Intel Attestation Service.
@@ -193,6 +178,7 @@ impl AttestationService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dcert_primitives::codec::Decode;
     use dcert_primitives::hash::hash_bytes;
 
     fn setup() -> (AttestationService, Keypair) {

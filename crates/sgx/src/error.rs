@@ -2,9 +2,6 @@
 
 use std::fmt;
 
-use dcert_primitives::codec::{Decode, Encode, Reader};
-use dcert_primitives::CodecError;
-
 /// An error in the attestation flow or the enclave lifecycle.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SgxError {
@@ -33,26 +30,12 @@ impl fmt::Display for SgxError {
 
 impl std::error::Error for SgxError {}
 
-/// One tag byte per variant, then its fields: a refusal crosses the ECall as itself.
-impl Encode for SgxError {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            SgxError::UntrustedPlatform => out.push(0),
-            SgxError::BadQuote => out.push(1),
-            SgxError::BadReport => out.push(2),
-            SgxError::BadSeal => out.push(3),
-        }
-    }
-}
-
-impl Decode for SgxError {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(match r.take_byte()? {
-            0 => SgxError::UntrustedPlatform,
-            1 => SgxError::BadQuote,
-            2 => SgxError::BadReport,
-            3 => SgxError::BadSeal,
-            other => return Err(CodecError::InvalidTag(other)),
-        })
+// One tag byte per variant, then its fields: a refusal crosses the ECall as itself.
+dcert_primitives::wire! {
+    enum SgxError {
+        0 => UntrustedPlatform,
+        1 => BadQuote,
+        2 => BadReport,
+        3 => BadSeal,
     }
 }

@@ -15,8 +15,7 @@
 //! (same code + same platform), not resistance against real adversaries;
 //! a production port would use the SGX SDK's sealing API.
 
-use dcert_primitives::codec::{Decode, Encode, Reader};
-use dcert_primitives::error::CodecError;
+use dcert_primitives::codec::Encode;
 use dcert_primitives::hash::{hash_concat, Hash};
 
 use crate::error::SgxError;
@@ -42,24 +41,8 @@ impl SealedBlob {
     }
 }
 
-impl Encode for SealedBlob {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.measurement.encode(out);
-        self.nonce.encode(out);
-        self.ciphertext.encode(out);
-        self.mac.encode(out);
-    }
-}
-
-impl Decode for SealedBlob {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(SealedBlob {
-            measurement: Hash::decode(r)?,
-            nonce: Hash::decode(r)?,
-            ciphertext: Vec::<u8>::decode(r)?,
-            mac: Hash::decode(r)?,
-        })
-    }
+dcert_primitives::wire! {
+    struct SealedBlob { measurement, nonce, ciphertext, mac }
 }
 
 /// Derives the sealing key for (platform, measurement).
@@ -135,6 +118,7 @@ pub fn unseal(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dcert_primitives::codec::Decode;
     use dcert_primitives::hash::hash_bytes;
 
     #[test]

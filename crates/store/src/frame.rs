@@ -24,8 +24,7 @@
 
 use std::io::Read;
 
-use dcert_primitives::codec::{Decode, Encode, Reader, MAX_LEN};
-use dcert_primitives::CodecError;
+use dcert_primitives::codec::{Decode, MAX_LEN};
 
 use crate::crc32::crc32;
 use crate::error::{io_err, StoreError};
@@ -58,35 +57,12 @@ pub enum StreamId {
     Checkpoint,
 }
 
-impl StreamId {
-    fn tag(self) -> u8 {
-        match self {
-            StreamId::Cert => 1,
-            StreamId::Writes => 2,
-            StreamId::Keywords => 3,
-            StreamId::Checkpoint => 4,
-        }
-    }
-}
-
-impl Encode for StreamId {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(self.tag());
-    }
-    fn encoded_len(&self) -> usize {
-        1
-    }
-}
-
-impl Decode for StreamId {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        match r.take_byte()? {
-            1 => Ok(StreamId::Cert),
-            2 => Ok(StreamId::Writes),
-            3 => Ok(StreamId::Keywords),
-            4 => Ok(StreamId::Checkpoint),
-            other => Err(CodecError::InvalidTag(other)),
-        }
+dcert_primitives::wire! {
+    enum StreamId {
+        1 => Cert,
+        2 => Writes,
+        3 => Keywords,
+        4 => Checkpoint,
     }
 }
 
@@ -113,25 +89,8 @@ impl Record {
     }
 }
 
-impl Encode for Record {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.height.encode(out);
-        self.stream.encode(out);
-        self.body.encode(out);
-    }
-    fn encoded_len(&self) -> usize {
-        8 + 1 + self.body.encoded_len()
-    }
-}
-
-impl Decode for Record {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(Record {
-            height: u64::decode(r)?,
-            stream: StreamId::decode(r)?,
-            body: Vec::<u8>::decode(r)?,
-        })
-    }
+dcert_primitives::wire! {
+    struct Record { height, stream, body }
 }
 
 /// Reads four big-endian bytes as a `u32`, if exactly four are given.
@@ -308,6 +267,8 @@ pub fn decode_framed(input: &[u8]) -> Result<&[u8], StoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dcert_primitives::codec::Encode;
+    use dcert_primitives::CodecError;
 
     fn sample(height: u64) -> Record {
         Record::new(height, StreamId::Cert, vec![7; 16])

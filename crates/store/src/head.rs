@@ -20,8 +20,7 @@
 //!    watermark they were synced under,
 //! 3. the **sequence number** — total order over head writes.
 
-use dcert_primitives::codec::{decode_seq, encode_seq, Decode, Encode, Reader};
-use dcert_primitives::CodecError;
+use dcert_primitives::codec::{Decode, Encode};
 
 use crate::error::StoreError;
 use crate::frame::{append_frame, decode_framed, HEAD_MAGIC};
@@ -41,23 +40,8 @@ pub struct SegmentMark {
     pub durable_len: u64,
 }
 
-impl Encode for SegmentMark {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.index.encode(out);
-        self.durable_len.encode(out);
-    }
-    fn encoded_len(&self) -> usize {
-        4 + 8
-    }
-}
-
-impl Decode for SegmentMark {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(SegmentMark {
-            index: u32::decode(r)?,
-            durable_len: u64::decode(r)?,
-        })
-    }
+dcert_primitives::wire! {
+    struct SegmentMark { index, durable_len }
 }
 
 /// The mutable state persisted in a head slot.
@@ -73,24 +57,8 @@ pub struct HeadState {
     pub entries: Vec<(String, Vec<u8>)>,
 }
 
-impl Encode for HeadState {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.seq.encode(out);
-        self.durable_height.encode(out);
-        encode_seq(&self.segments, out);
-        encode_seq(&self.entries, out);
-    }
-}
-
-impl Decode for HeadState {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(HeadState {
-            seq: u64::decode(r)?,
-            durable_height: u64::decode(r)?,
-            segments: decode_seq(r)?,
-            entries: decode_seq(r)?,
-        })
-    }
+dcert_primitives::wire! {
+    struct HeadState { seq, durable_height, segments: seq, entries: seq }
 }
 
 impl HeadState {

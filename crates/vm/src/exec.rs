@@ -3,8 +3,6 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use dcert_primitives::codec::{Decode, Encode, Reader};
-use dcert_primitives::error::CodecError;
 use dcert_primitives::hash::Address;
 
 use crate::contract::ContractRegistry;
@@ -34,22 +32,8 @@ impl Call {
     }
 }
 
-impl Encode for Call {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.sender.encode(out);
-        self.contract.encode(out);
-        self.payload.encode(out);
-    }
-}
-
-impl Decode for Call {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(Call {
-            sender: Address::decode(r)?,
-            contract: String::decode(r)?,
-            payload: Vec::<u8>::decode(r)?,
-        })
-    }
+dcert_primitives::wire! {
+    struct Call { sender, contract, payload }
 }
 
 /// The execution context handed to contracts.
@@ -269,6 +253,8 @@ mod tests {
     use super::*;
     use crate::state::InMemoryState;
     use crate::testing::{CounterContract, FailingContract};
+    use dcert_primitives::codec::Decode;
+    use dcert_primitives::codec::Encode;
 
     fn executor() -> Executor {
         let mut registry = ContractRegistry::new();

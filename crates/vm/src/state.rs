@@ -3,8 +3,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use dcert_primitives::codec::{Decode, Encode, Reader};
-use dcert_primitives::error::CodecError;
 use dcert_primitives::hash::{hash_concat, Hash};
 
 use crate::error::VmError;
@@ -63,16 +61,8 @@ impl From<StateKey> for Hash {
     }
 }
 
-impl Encode for StateKey {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.0.encode(out);
-    }
-}
-
-impl Decode for StateKey {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(StateKey(Hash::decode(r)?))
-    }
+dcert_primitives::wire! {
+    struct StateKey(path)
 }
 
 /// A read-only view of pre-block global state.

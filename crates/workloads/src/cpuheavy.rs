@@ -6,8 +6,7 @@
 //! with almost no Merkle-proof traffic — which is why the relative enclave
 //! overhead is smallest here.
 
-use dcert_primitives::codec::{Decode, Encode, Reader};
-use dcert_primitives::error::CodecError;
+use dcert_primitives::codec::Decode;
 use dcert_primitives::hash::Address;
 use dcert_vm::{Contract, ExecCtx, VmError};
 
@@ -20,20 +19,8 @@ pub struct CpuHeavyCall {
     pub size: u32,
 }
 
-impl Encode for CpuHeavyCall {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.seed.encode(out);
-        self.size.encode(out);
-    }
-}
-
-impl Decode for CpuHeavyCall {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(CpuHeavyCall {
-            seed: u64::decode(r)?,
-            size: u32::decode(r)?,
-        })
-    }
+dcert_primitives::wire! {
+    struct CpuHeavyCall { seed, size }
 }
 
 /// Maximum accepted array size (keeps a single call bounded).
@@ -85,6 +72,7 @@ impl Contract for CpuHeavy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dcert_primitives::codec::Encode;
     use dcert_vm::{Call, ContractRegistry, Executor, InMemoryState};
     use std::sync::Arc;
 

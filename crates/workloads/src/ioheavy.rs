@@ -4,8 +4,7 @@
 //! records. State-bound: in DCert's Figures 8–9 it produces the largest
 //! read/write sets and Merkle proofs, maximizing enclave marshalling.
 
-use dcert_primitives::codec::{Decode, Encode, Reader};
-use dcert_primitives::error::CodecError;
+use dcert_primitives::codec::Decode;
 use dcert_primitives::hash::Address;
 use dcert_vm::{Contract, ExecCtx, VmError};
 
@@ -31,36 +30,10 @@ pub enum IoHeavyCall {
 /// Maximum batch size accepted per call.
 pub const MAX_BATCH: u32 = 4096;
 
-impl Encode for IoHeavyCall {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            IoHeavyCall::WriteBatch { start, count } => {
-                out.push(0);
-                start.encode(out);
-                count.encode(out);
-            }
-            IoHeavyCall::ReadBatch { start, count } => {
-                out.push(1);
-                start.encode(out);
-                count.encode(out);
-            }
-        }
-    }
-}
-
-impl Decode for IoHeavyCall {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        match r.take_byte()? {
-            0 => Ok(IoHeavyCall::WriteBatch {
-                start: u64::decode(r)?,
-                count: u32::decode(r)?,
-            }),
-            1 => Ok(IoHeavyCall::ReadBatch {
-                start: u64::decode(r)?,
-                count: u32::decode(r)?,
-            }),
-            other => Err(CodecError::InvalidTag(other)),
-        }
+dcert_primitives::wire! {
+    enum IoHeavyCall {
+        0 => WriteBatch { start, count },
+        1 => ReadBatch { start, count },
     }
 }
 
@@ -118,6 +91,7 @@ impl Contract for IoHeavy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dcert_primitives::codec::Encode;
     use dcert_vm::{Call, ContractRegistry, Executor, InMemoryState, StateKey};
     use std::sync::Arc;
 

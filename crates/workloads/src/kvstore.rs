@@ -4,8 +4,7 @@
 //! benchmark. The paper's verifiable-query experiments also build on this
 //! state shape ("500 key-value tuples, then continuous updates").
 
-use dcert_primitives::codec::{Decode, Encode, Reader};
-use dcert_primitives::error::CodecError;
+use dcert_primitives::codec::Decode;
 use dcert_primitives::hash::Address;
 use dcert_vm::{Contract, ExecCtx, VmError};
 
@@ -31,41 +30,11 @@ pub enum KvCall {
     },
 }
 
-impl Encode for KvCall {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            KvCall::Put { key, value } => {
-                out.push(0);
-                key.encode(out);
-                value.encode(out);
-            }
-            KvCall::Get { key } => {
-                out.push(1);
-                key.encode(out);
-            }
-            KvCall::Delete { key } => {
-                out.push(2);
-                key.encode(out);
-            }
-        }
-    }
-}
-
-impl Decode for KvCall {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        match r.take_byte()? {
-            0 => Ok(KvCall::Put {
-                key: Vec::<u8>::decode(r)?,
-                value: Vec::<u8>::decode(r)?,
-            }),
-            1 => Ok(KvCall::Get {
-                key: Vec::<u8>::decode(r)?,
-            }),
-            2 => Ok(KvCall::Delete {
-                key: Vec::<u8>::decode(r)?,
-            }),
-            other => Err(CodecError::InvalidTag(other)),
-        }
+dcert_primitives::wire! {
+    enum KvCall {
+        0 => Put { key, value },
+        1 => Get { key },
+        2 => Delete { key },
     }
 }
 
@@ -101,6 +70,7 @@ impl Contract for KvStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dcert_primitives::codec::Encode;
     use dcert_vm::{Call, ContractRegistry, Executor, InMemoryState, StateKey};
     use std::sync::Arc;
 

@@ -7,8 +7,7 @@
 //! pre-creates them with a loader phase; lazy defaults produce the same
 //! per-transaction access pattern without a separate loading stage).
 
-use dcert_primitives::codec::{Decode, Encode, Reader};
-use dcert_primitives::error::CodecError;
+use dcert_primitives::codec::Decode;
 use dcert_primitives::hash::Address;
 use dcert_vm::{Contract, ExecCtx, VmError};
 
@@ -62,72 +61,14 @@ pub enum BankCall {
     },
 }
 
-impl Encode for BankCall {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            BankCall::TransactSavings { customer, amount } => {
-                out.push(0);
-                customer.encode(out);
-                amount.encode(out);
-            }
-            BankCall::DepositChecking { customer, amount } => {
-                out.push(1);
-                customer.encode(out);
-                amount.encode(out);
-            }
-            BankCall::SendPayment { from, to, amount } => {
-                out.push(2);
-                from.encode(out);
-                to.encode(out);
-                amount.encode(out);
-            }
-            BankCall::WriteCheck { customer, amount } => {
-                out.push(3);
-                customer.encode(out);
-                amount.encode(out);
-            }
-            BankCall::Amalgamate { from, to } => {
-                out.push(4);
-                from.encode(out);
-                to.encode(out);
-            }
-            BankCall::GetBalance { customer } => {
-                out.push(5);
-                customer.encode(out);
-            }
-        }
-    }
-}
-
-impl Decode for BankCall {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        match r.take_byte()? {
-            0 => Ok(BankCall::TransactSavings {
-                customer: u64::decode(r)?,
-                amount: u64::decode(r)?,
-            }),
-            1 => Ok(BankCall::DepositChecking {
-                customer: u64::decode(r)?,
-                amount: u64::decode(r)?,
-            }),
-            2 => Ok(BankCall::SendPayment {
-                from: u64::decode(r)?,
-                to: u64::decode(r)?,
-                amount: u64::decode(r)?,
-            }),
-            3 => Ok(BankCall::WriteCheck {
-                customer: u64::decode(r)?,
-                amount: u64::decode(r)?,
-            }),
-            4 => Ok(BankCall::Amalgamate {
-                from: u64::decode(r)?,
-                to: u64::decode(r)?,
-            }),
-            5 => Ok(BankCall::GetBalance {
-                customer: u64::decode(r)?,
-            }),
-            other => Err(CodecError::InvalidTag(other)),
-        }
+dcert_primitives::wire! {
+    enum BankCall {
+        0 => TransactSavings { customer, amount },
+        1 => DepositChecking { customer, amount },
+        2 => SendPayment { from, to, amount },
+        3 => WriteCheck { customer, amount },
+        4 => Amalgamate { from, to },
+        5 => GetBalance { customer },
     }
 }
 
@@ -233,6 +174,7 @@ impl Contract for SmallBank {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dcert_primitives::codec::Encode;
     use dcert_vm::{Call, ContractRegistry, Executor, InMemoryState, StateKey};
     use std::sync::Arc;
 

@@ -45,6 +45,7 @@ pub struct NaiveRequest {
     pub state: Vec<(Hash, Vec<u8>)>,
 }
 
+// Hand-written, not a `wire!` table: the reference program stays independent.
 impl Encode for NaiveRequest {
     fn encode(&self, out: &mut Vec<u8>) {
         self.prev_header.encode(out);
@@ -192,18 +193,9 @@ pub enum Response {
 impl Encode for Response {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
-            Response::Initialized(pk) => {
-                out.push(0);
-                pk.encode(out);
-            }
-            Response::Signature(sig) => {
-                out.push(1);
-                sig.encode(out);
-            }
-            Response::Rejected(reason) => {
-                out.push(2);
-                reason.encode(out);
-            }
+            Response::Initialized(pk) => (0u8, pk).encode(out),
+            Response::Signature(sig) => (1u8, sig).encode(out),
+            Response::Rejected(reason) => (2u8, reason).encode(out),
         }
     }
 }

@@ -15,10 +15,10 @@ use dcert::baselines::lineage::LineageIndex;
 use dcert::baselines::skiplist::AuthSkipList;
 use dcert::baselines::{LineageProof, SkipRangeProof};
 use dcert::chain::consensus::ConsensusProof;
-use dcert::chain::{Block, BlockHeader, Transaction};
+use dcert::chain::{Block, BlockHeader, ChainError, Transaction};
 use dcert::core::{
     BatchLink, BlockInput, CertError, Certificate, EcallRequest, EcallResponse, IndexInput,
-    NetMessage,
+    NetMessage, RangeCert,
 };
 use dcert::merkle::btree::{Annotation, Flavor, Plain, Shape, Summary, Summed};
 use dcert::merkle::ops::OpProof;
@@ -26,7 +26,7 @@ use dcert::merkle::{
     AggAppendProof, AggMbTree, AggOpProof, Aggregate, MbAppendProof, MbOpProof, MbTree, ProofError,
     ProofOp, SmtProof, SparseMerkleTree, MAX_OP_STACK, MAX_PROOF_DEPTH,
 };
-use dcert::primitives::codec::{encode_seq, Decode, Encode};
+use dcert::primitives::codec::{encode_seq, Decode, Encode, Tagged};
 use dcert::primitives::hash::{hash_bytes, Address, Hash};
 use dcert::primitives::keys::{Keypair, PublicKey, Signature};
 use dcert::primitives::CodecError;
@@ -41,11 +41,15 @@ use dcert::serve::{
     decode_history_payload, encode_history_payload, QuerySpec, RefusalReason, ServeRefusal,
     ServeRequest, ServeResponse, ServeWire,
 };
-use dcert::sgx::{sealing, AttestationReport, AttestationService, Quote, SealedBlob};
+use dcert::sgx::{sealing, AttestationReport, AttestationService, Quote, SealedBlob, SgxError};
 use dcert::store::frame::{append_frame, scan_frames};
 use dcert::store::head::HEAD_SLOT_A;
 use dcert::store::{HeadState, Record, SegmentMark, StreamId};
-use dcert::vm::StateKey;
+use dcert::vm::{Call, StateKey};
+use dcert::workloads::cpuheavy::CpuHeavyCall;
+use dcert::workloads::ioheavy::IoHeavyCall;
+use dcert::workloads::kvstore::KvCall;
+use dcert::workloads::smallbank::BankCall;
 use dcert_testkit::{check, smt_frames};
 
 /// Feeds `bytes` to every wire decoder in the workspace. Each call must
@@ -60,7 +64,14 @@ fn try_decode_everything(bytes: &[u8]) {
     let _ = Vec::<u8>::decode_all(bytes);
     let _ = Vec::<Hash>::decode_all(bytes);
     let _ = StateKey::decode_all(bytes);
-    // Chain.
+    let _ = CodecError::decode_all(bytes);
+    // Chain, and the transaction payloads the enclave decodes on replay.
+    let _ = ChainError::decode_all(bytes);
+    let _ = Call::decode_all(bytes);
+    let _ = KvCall::decode_all(bytes);
+    let _ = IoHeavyCall::decode_all(bytes);
+    let _ = CpuHeavyCall::decode_all(bytes);
+    let _ = BankCall::decode_all(bytes);
     let _ = BlockHeader::decode_all(bytes);
     let _ = Block::decode_all(bytes);
     let _ = Transaction::decode_all(bytes);
@@ -75,7 +86,11 @@ fn try_decode_everything(bytes: &[u8]) {
     let _ = BatchLink::decode_all(bytes);
     let _ = NetMessage::decode_all(bytes);
     let _ = SealedBlob::decode_all(bytes);
+    let _ = RangeCert::decode_all(bytes);
+    let _ = CertError::decode_all(bytes);
+    let _ = SgxError::decode_all(bytes);
     // Proof families.
+    let _ = ProofError::decode_all(bytes);
     let _ = SmtProof::decode_all(bytes);
     let _ = MbAppendProof::decode_all(bytes);
     let _ = AggAppendProof::decode_all(bytes);
@@ -119,6 +134,7 @@ fn try_decode_everything(bytes: &[u8]) {
 /// the size its type accounts for it.
 struct Probe {
     name: &'static str,
+    ty: &'static str,
     bytes: Vec<u8>,
     encoded_len: usize,
     decode_ok: fn(&[u8]) -> bool,
@@ -130,6 +146,7 @@ fn probe<T: Encode + Decode>(name: &'static str, value: &T) -> Probe {
     }
     Probe {
         name,
+        ty: std::any::type_name::<T>(),
         bytes: value.to_encoded_bytes(),
         encoded_len: value.encoded_len(),
         decode_ok: ok::<T>,
@@ -337,7 +354,7 @@ fn sample_encodings() -> Vec<Probe> {
         },
     };
 
-    vec![
+    let mut probes = vec![
         probe("Hash", &hash_bytes(b"x")),
         probe("PublicKey", &kp.public()),
         probe("Signature", &kp.sign(b"msg")),
@@ -420,7 +437,296 @@ fn sample_encodings() -> Vec<Probe> {
                 .to_encoded_bytes(),
             },
         ),
+    ];
+    probes.extend(tag_probes());
+    probes
+}
+
+/// Every refusal the trusted program can send, leaves included.
+fn refusals() -> Vec<CertError> {
+    let (a, b) = (hash_bytes(b"a"), hash_bytes(b"b"));
+    let chain = [
+        ChainError::BadTxSignature,
+        ChainError::SenderMismatch,
+        ChainError::BrokenLink {
+            claimed: a,
+            actual: b,
+        },
+        ChainError::BadHeight {
+            parent: 4,
+            child: 6,
+        },
+        ChainError::BadConsensus("difficulty".into()),
+        ChainError::TxRootMismatch,
+        ChainError::StateRootMismatch,
+        ChainError::UnknownParent(a),
+        ChainError::Duplicate(b),
+        ChainError::BadGenesis("height".into()),
+    ];
+    let proof = [
+        ProofError::RootMismatch,
+        ProofError::Malformed("evidence".into()),
+        ProofError::MissingKey,
+        ProofError::Incomplete("window".into()),
+    ];
+    let attestation = [
+        SgxError::UntrustedPlatform,
+        SgxError::BadQuote,
+        SgxError::BadReport,
+        SgxError::BadSeal,
+    ];
+    let codec = [
+        CodecError::UnexpectedEof {
+            needed: 32,
+            remaining: 3,
+        },
+        CodecError::LengthOverflow(u64::MAX),
+        CodecError::InvalidTag(0x2a),
+        CodecError::InvalidBool(7),
+        CodecError::InvalidUtf8,
+        CodecError::TrailingBytes(5),
+        CodecError::Invalid("hex".into()),
+    ];
+    let mut out: Vec<CertError> = chain.into_iter().map(CertError::Chain).collect();
+    out.extend(proof.map(CertError::Proof));
+    out.extend(attestation.map(CertError::Attestation));
+    out.extend(codec.map(CertError::Codec));
+    out.extend([
+        CertError::WrongMeasurement,
+        CertError::KeyBindingMismatch,
+        CertError::BadSignature,
+        CertError::DigestMismatch,
+        CertError::MissingPrevCert,
+        CertError::GenesisMismatch,
+        CertError::ReadSetMismatch,
+        CertError::StateRootMismatch,
+        CertError::IndexDigestMismatch,
+        CertError::UnknownIndexType("nope".to_owned()),
+        CertError::BadIndexUpdate("aux".into()),
+        CertError::NotInitialized,
+        CertError::HeightRegression {
+            last_signed: 9,
+            offered: 3,
+        },
+        CertError::EmptyRange,
+        CertError::HeightOverflow,
+        CertError::RangeLengthMismatch,
+        CertError::RangeAnchorMismatch,
+        CertError::RangeDiscontinuity {
+            expected: 5,
+            found: 7,
+        },
+    ]);
+    out
+}
+
+/// The tags `sample_encodings`'s hand-picked frames above leave out: every
+/// other request, response, envelope, refusal, payload and op.
+fn tag_probes() -> Vec<Probe> {
+    let kp = Keypair::from_seed([9; 32]);
+    let (cert, report) = certificate();
+    let key = StateKey::new("kvstore", b"balance");
+    let (request, _) = hier_sig_gen();
+    let EcallRequest::HierSigGen(input, indexes) = request else {
+        unreachable!("hier_sig_gen builds a HierSigGen")
+    };
+    let link = input.link.clone();
+    let range = RangeCert {
+        pk_range: kp.public(),
+        report,
+        anchor_digest: hash_bytes(b"anchor"),
+        first: 4,
+        last: 5,
+        header_digests: vec![hash_bytes(b"4"), hash_bytes(b"5")],
+        signature: kp.sign(b"range"),
+    };
+    let mut probes = vec![
+        probe("RangeCert", &range),
+        probe("EcallRequest::SigGen", &EcallRequest::SigGen(input.clone())),
+        probe(
+            "EcallRequest::AugSigGen",
+            &EcallRequest::AugSigGen(input.clone(), indexes[0].clone()),
+        ),
+        probe(
+            "EcallRequest::BatchSigGen",
+            &EcallRequest::BatchSigGen {
+                prev_header: header(2),
+                prev_cert: Some(cert.clone()),
+                links: vec![link.clone()],
+            },
+        ),
+        probe(
+            "EcallRequest::RangeSigGen",
+            &EcallRequest::RangeSigGen {
+                anchor: header(2),
+                links: vec![link],
+            },
+        ),
+        probe(
+            "EcallRequest::FoldRanges",
+            &EcallRequest::FoldRanges {
+                anchor: header(3),
+                anchor_cert: None,
+                ranges: vec![range],
+            },
+        ),
+        probe(
+            "EcallResponse::Signature",
+            &EcallResponse::Signature(kp.sign(b"digest")),
+        ),
+        probe(
+            "EcallResponse::Signatures",
+            &EcallResponse::Signatures(vec![kp.sign(b"a"), kp.sign(b"b")]),
+        ),
+        probe("NetMessage::Block", &NetMessage::Block(input.link.block)),
+        probe(
+            "NetMessage::CertRequest",
+            &NetMessage::CertRequest { from: 3, to: 9 },
+        ),
+        probe("NetMessage::Shutdown", &NetMessage::Shutdown),
+        probe("ConsensusProof::Pow", &header(1).consensus),
+        probe(
+            "ConsensusProof::Authority",
+            &ConsensusProof::Authority {
+                signer: kp.public(),
+                signature: kp.sign(b"seal"),
+            },
+        ),
+        probe("ProofOp::Parent", &ProofOp::<Plain>::Parent),
+        probe("ProofOp::Child", &ProofOp::<Plain>::Child),
+        probe(
+            "ProofOp::<Summed>::Push",
+            &ProofOp::<Summed>::Push(pruned(b"summed")),
+        ),
+        probe("ProofOp::<Summed>::Parent", &ProofOp::<Summed>::Parent),
+        probe("ProofOp::<Summed>::Child", &ProofOp::<Summed>::Child),
+        probe(
+            "QuerySpec::Keywords",
+            &QuerySpec::Keywords {
+                index: "inverted".into(),
+                keywords: vec!["alpha".into()],
+            },
+        ),
+        probe(
+            "QuerySpec::Aggregate",
+            &QuerySpec::Aggregate {
+                index: "aggregate".into(),
+                key,
+                t1: 1,
+                t2: 4,
+            },
+        ),
+        probe("StreamId::Cert", &StreamId::Cert),
+        probe("StreamId::Writes", &StreamId::Writes),
+        probe("StreamId::Keywords", &StreamId::Keywords),
+        probe(
+            "Call",
+            &Call::new(Address::from_seed(5), "kvstore", vec![1]),
+        ),
+        probe("CpuHeavyCall", &CpuHeavyCall { seed: 3, size: 64 }),
+    ];
+    let reasons = [
+        RefusalReason::QueueFull { depth: 64 },
+        RefusalReason::RateLimited {
+            retry_after_ticks: 3,
+        },
+        RefusalReason::Backlogged { waiters: 9 },
+        RefusalReason::UnknownIndex,
+    ];
+    probes.extend(reasons.iter().map(|r| probe("RefusalReason", r)));
+    let kv = [
+        KvCall::Put {
+            key: b"k".to_vec(),
+            value: b"v".to_vec(),
+        },
+        KvCall::Get { key: b"k".to_vec() },
+        KvCall::Delete { key: b"k".to_vec() },
+    ];
+    probes.extend(kv.iter().map(|c| probe("KvCall", c)));
+    let io = [
+        IoHeavyCall::WriteBatch { start: 1, count: 8 },
+        IoHeavyCall::ReadBatch { start: 2, count: 4 },
+    ];
+    probes.extend(io.iter().map(|c| probe("IoHeavyCall", c)));
+    let bank = [
+        BankCall::TransactSavings {
+            customer: 1,
+            amount: 2,
+        },
+        BankCall::DepositChecking {
+            customer: 1,
+            amount: 2,
+        },
+        BankCall::SendPayment {
+            from: 1,
+            to: 2,
+            amount: 3,
+        },
+        BankCall::WriteCheck {
+            customer: 1,
+            amount: 2,
+        },
+        BankCall::Amalgamate { from: 1, to: 2 },
+        BankCall::GetBalance { customer: 1 },
+    ];
+    probes.extend(bank.iter().map(|c| probe("BankCall", c)));
+    for error in refusals() {
+        match &error {
+            CertError::Chain(e) => probes.push(probe("ChainError", e)),
+            CertError::Proof(e) => probes.push(probe("ProofError", e)),
+            CertError::Attestation(e) => probes.push(probe("SgxError", e)),
+            CertError::Codec(e) => probes.push(probe("CodecError", e)),
+            _ => {}
+        }
+        probes.push(probe("CertError", &error));
+    }
+    probes
+}
+
+/// Every enum whose codec is a `wire!` table, with its type name and tags
+/// (`AppendNode` is private to its crate; the append-proof probes carry
+/// both its rows).
+fn declared_enums() -> Vec<(&'static str, &'static [(u8, &'static str)])> {
+    fn row<E: Tagged>() -> (&'static str, &'static [(u8, &'static str)]) {
+        (std::any::type_name::<E>(), E::TAGS)
+    }
+    vec![
+        row::<EcallRequest>(),
+        row::<EcallResponse>(),
+        row::<NetMessage>(),
+        row::<CertError>(),
+        row::<ChainError>(),
+        row::<ProofError>(),
+        row::<SgxError>(),
+        row::<CodecError>(),
+        row::<ConsensusProof>(),
+        row::<ProofOp<Plain>>(),
+        row::<ProofOp<Summed>>(),
+        row::<QuerySpec>(),
+        row::<RefusalReason>(),
+        row::<ServeWire>(),
+        row::<StreamId>(),
+        row::<KvCall>(),
+        row::<IoHeavyCall>(),
+        row::<BankCall>(),
     ]
+}
+
+/// A variant added to a table without a probe here fails this test: every
+/// row of every declared enum's `TAGS` leads some sample's bytes.
+#[test]
+fn every_declared_tag_has_a_probe() {
+    let samples = sample_encodings();
+    for (ty, tags) in declared_enums() {
+        for (tag, variant) in tags {
+            assert!(
+                samples
+                    .iter()
+                    .any(|p| p.ty == ty && p.bytes.first() == Some(tag)),
+                "{ty}::{variant} (tag {tag}) has no probe in sample_encodings"
+            );
+        }
+    }
 }
 
 /// An unknown refusal tag, and the one tag every host-only error encodes as,

@@ -53,26 +53,36 @@ mod common;
 
 use std::sync::{Arc, Mutex};
 
-use dcert::chain::{Block, ChainError};
+use dcert::baselines::{lineage::LineageIndex, skiplist::AuthSkipList};
+use dcert::chain::consensus::ConsensusProof;
+use dcert::chain::{Block, BlockHeader, ChainError, Transaction};
 use dcert::core::{
-    CertBreakdown, CertError, CertJob, CertPipeline, Certificate, EcallResponse, Gossip,
-    IndexInput, NetMessage, PipelineConfig, ShardFailurePlan, ShardFleetConfig, SharedStore,
+    BatchLink, BlockInput, CertBreakdown, CertError, CertJob, CertPipeline, Certificate,
+    EcallRequest, EcallResponse, Gossip, IndexInput, NetMessage, PipelineConfig, RangeCert,
+    ShardFailurePlan, ShardFleetConfig, SharedStore,
 };
-use dcert::merkle::{mht, AggMbTree, MbTree, ProofError, SmtProof, SparseMerkleTree};
+use dcert::merkle::btree::{Plain, Shape, Summary, Summed};
+use dcert::merkle::{mht, AggMbTree, MbTree, ProofError, ProofOp, SmtProof, SparseMerkleTree};
 use dcert::obs::Registry;
-use dcert::primitives::codec::{Decode, Encode};
+use dcert::primitives::codec::{Decode, Encode, Tagged};
 use dcert::primitives::error::CodecError;
-use dcert::primitives::hash::{hash_bytes, Hash};
+use dcert::primitives::hash::{hash_bytes, Address, Hash, Hasher};
+use dcert::primitives::keys::Keypair;
 use dcert::query::aggregate::AggregateIndex;
 use dcert::query::history::HistoryIndex;
 use dcert::query::sp::IndexKind;
+use dcert::query::{CertifiedEntry, InvertedIndex, KeywordPage, WritesPage};
 use dcert::serve::{
     encode_history_payload, QuerySpec, RefusalReason, ServeRefusal, ServeRequest, ServeResponse,
     ServeWire,
 };
-use dcert::sgx::SgxError;
-use dcert::store::{MemStore, SegmentStore, StoreConfig};
+use dcert::sgx::{sealing, AttestationService, Quote, SgxError};
+use dcert::store::{HeadState, MemStore, Record, SegmentMark, SegmentStore, StoreConfig, StreamId};
 use dcert::vm::StateKey;
+use dcert::workloads::cpuheavy::CpuHeavyCall;
+use dcert::workloads::ioheavy::IoHeavyCall;
+use dcert::workloads::kvstore::KvCall;
+use dcert::workloads::smallbank::BankCall;
 use dcert::workloads::Workload;
 use dcert::world::{World, MEMO_INDEXES};
 
@@ -1125,18 +1135,59 @@ fn enclave_refusals() -> Vec<CertError> {
     out
 }
 
+/// `Chain(BrokenLink { .. })` is labelled `Chain/BrokenLink`, `EmptyRange`
+/// `EmptyRange`.
+fn refusal_label(error: &CertError) -> String {
+    let debug = format!("{error:?}");
+    let mut names = debug.split(|c: char| !c.is_ascii_alphanumeric());
+    let outer = names.next().unwrap_or_default();
+    match (outer, names.next()) {
+        ("Chain" | "Proof" | "Attestation" | "Codec", Some(leaf)) => format!("{outer}/{leaf}"),
+        _ => outer.to_owned(),
+    }
+}
+
+/// `enclave_refusals` names every row of `CertError`'s table (the host-only
+/// clause is not a row) and of each leaf table under it: a variant added to
+/// a table without a row here fails.
+#[test]
+fn enclave_refusals_cover_every_table_row() {
+    let mut seen = std::collections::BTreeSet::new();
+    for error in enclave_refusals() {
+        let bytes = error.to_encoded_bytes();
+        let outer = ("CertError", bytes[0]);
+        let leaf = match error {
+            CertError::Chain(_) => Some("ChainError"),
+            CertError::Proof(_) => Some("ProofError"),
+            CertError::Attestation(_) => Some("SgxError"),
+            CertError::Codec(_) => Some("CodecError"),
+            _ => None,
+        };
+        seen.insert(outer);
+        seen.extend(leaf.map(|leaf| (leaf, bytes[1])));
+    }
+    let tables = [
+        ("CertError", CertError::TAGS),
+        ("ChainError", ChainError::TAGS),
+        ("ProofError", ProofError::TAGS),
+        ("SgxError", SgxError::TAGS),
+        ("CodecError", CodecError::TAGS),
+    ];
+    for (table, tags) in tables {
+        for (tag, variant) in tags {
+            assert!(
+                seen.contains(&(table, *tag)),
+                "{table}::{variant} (tag {tag}) is missing from enclave_refusals"
+            );
+        }
+    }
+}
+
 #[test]
 fn ecall_refusals_cross_as_themselves() {
     let mut out = Vec::new();
     for error in enclave_refusals() {
-        // `Chain(BrokenLink { .. })` is labelled `Chain/BrokenLink`.
-        let debug = format!("{error:?}");
-        let mut names = debug.split(|c: char| !c.is_ascii_alphanumeric());
-        let outer = names.next().unwrap_or_default();
-        let label = match (outer, names.next()) {
-            ("Chain" | "Proof" | "Attestation" | "Codec", Some(leaf)) => format!("{outer}/{leaf}"),
-            _ => outer.to_owned(),
-        };
+        let label = refusal_label(&error);
         let response = EcallResponse::Rejected(error.clone());
         let bytes = response.to_encoded_bytes();
         assert_eq!(EcallResponse::decode_all(&bytes), Ok(response), "{label}");
@@ -1190,4 +1241,616 @@ const ECALL_REFUSAL_GOLDEN: &[(&str, &str)] = &[
     ("refusal/RangeLengthMismatch", "37421fb83261f3ac6e20752a7b170a3a29ee76a7cb4d1eb6f996891431fc59c0"),
     ("refusal/RangeAnchorMismatch", "879f954eda8169ee1e3e25f03abec2a22f8541cad39a35b30468f3968caa1649"),
     ("refusal/RangeDiscontinuity", "81e42fc9c8ebafa703329e157f0e649974057c7be2cf2a6344a0033d21d4f0be"),
+];
+
+// --- every wire type ------------------------------------------------------------
+//
+// `WIRE_GOLDEN` pins one honest sample per (type, tag) of every wire type
+// whose codec is declared in a `primitives::codec` table: the SHA-256 and
+// length of its encoding, and a SHA-256 over the `{:?}` of `T::decode_all` on
+// every truncation of those bytes and on every byte XOR 0x01, 0x80 and 0xff.
+// So it pins the bytes and the exact verdict on each malformed input.
+// Captured at commit 8452ed4, where every one of these codecs was still
+// written out by hand. The inverted index's aux payload has a crate-private
+// type, so its row pins the bytes alone.
+
+/// One row: the sample's bytes, then its decoder's verdict on every damaged
+/// copy of them.
+fn wire_row<T: Encode + Decode + std::fmt::Debug>(
+    label: &str,
+    value: &T,
+    out: &mut Vec<(String, String)>,
+) {
+    let bytes = value.to_encoded_bytes();
+    let mut verdicts = Hasher::new();
+    let mut verdict = |input: &[u8]| {
+        verdicts.update(format!("{:?}\n", T::decode_all(input)));
+    };
+    for cut in 0..bytes.len() {
+        verdict(&bytes[..cut]);
+    }
+    for pos in 0..bytes.len() {
+        for mask in [0x01, 0x80, 0xff] {
+            let mut damaged = bytes.clone();
+            damaged[pos] ^= mask;
+            verdict(&damaged);
+        }
+    }
+    out.push((
+        format!("wire/{label}"),
+        format!(
+            "sha256={} len={} verdicts={}",
+            hash_bytes(&bytes),
+            bytes.len(),
+            verdicts.finalize()
+        ),
+    ));
+}
+
+fn wire_header(height: u64) -> BlockHeader {
+    BlockHeader {
+        height,
+        prev_hash: hash_bytes(height.to_be_bytes()),
+        state_root: hash_bytes(b"state"),
+        tx_root: hash_bytes(b"txs"),
+        timestamp: height,
+        miner: Address::from_seed(7),
+        consensus: ConsensusProof::Pow {
+            difficulty_bits: 3,
+            nonce: 11,
+        },
+    }
+}
+
+fn wire_certificate() -> Certificate {
+    let mut ias = AttestationService::with_seed([1; 32]);
+    let platform = Keypair::from_seed([2; 32]);
+    ias.register_platform(platform.public());
+    let enclave_key = Keypair::from_seed([3; 32]);
+    let binding = Certificate::key_binding(&enclave_key.public());
+    let quote = Quote::sign(&platform, hash_bytes(b"program"), binding);
+    let digest = hash_bytes(b"hdr");
+    Certificate {
+        pk_enc: enclave_key.public(),
+        report: ias.attest(&quote).expect("registered platform attests"),
+        digest,
+        signature: enclave_key.sign(digest.as_bytes()),
+    }
+}
+
+fn wire_computed() -> Vec<(String, String)> {
+    let mut out = Vec::new();
+    let (a, b) = (Hash::from_bytes([0xA1; 32]), Hash::from_bytes([0xB2; 32]));
+    let kp = Keypair::from_seed([9; 32]);
+    let key = StateKey::new("kvstore", b"balance");
+    let cert = wire_certificate();
+
+    // The leaf error enums and every enclave refusal; one host-only error.
+    for error in enclave_refusals() {
+        let label = refusal_label(&error);
+        let leaf = label.rsplit('/').next().unwrap_or_default();
+        match &error {
+            CertError::Chain(e) => wire_row(&format!("ChainError/{leaf}"), e, &mut out),
+            CertError::Proof(e) => wire_row(&format!("ProofError/{leaf}"), e, &mut out),
+            CertError::Attestation(e) => wire_row(&format!("SgxError/{leaf}"), e, &mut out),
+            CertError::Codec(e) => wire_row(&format!("CodecError/{leaf}"), e, &mut out),
+            _ => {}
+        }
+        wire_row(&format!("CertError/{label}"), &error, &mut out);
+    }
+    wire_row("CertError/host_only", &CertError::PipelineClosed, &mut out);
+
+    // Chain, VM and workload payloads.
+    let kv = [
+        KvCall::Put {
+            key: b"stock".to_vec(),
+            value: b"ten bank shares".to_vec(),
+        },
+        KvCall::Get {
+            key: b"stock".to_vec(),
+        },
+        KvCall::Delete { key: b"k".to_vec() },
+    ];
+    for (i, call) in kv.iter().enumerate() {
+        wire_row(&format!("KvCall/{i}"), call, &mut out);
+    }
+    let io = [
+        IoHeavyCall::WriteBatch {
+            start: 5,
+            count: 64,
+        },
+        IoHeavyCall::ReadBatch { start: 9, count: 2 },
+    ];
+    for (i, call) in io.iter().enumerate() {
+        wire_row(&format!("IoHeavyCall/{i}"), call, &mut out);
+    }
+    let cpu = CpuHeavyCall {
+        seed: 77,
+        size: 1024,
+    };
+    wire_row("CpuHeavyCall", &cpu, &mut out);
+    let bank = [
+        BankCall::TransactSavings {
+            customer: 1,
+            amount: 20,
+        },
+        BankCall::DepositChecking {
+            customer: 2,
+            amount: 30,
+        },
+        BankCall::SendPayment {
+            from: 3,
+            to: 4,
+            amount: 50,
+        },
+        BankCall::WriteCheck {
+            customer: 5,
+            amount: 60,
+        },
+        BankCall::Amalgamate { from: 6, to: 7 },
+        BankCall::GetBalance { customer: 8 },
+    ];
+    for (i, call) in bank.iter().enumerate() {
+        wire_row(&format!("BankCall/{i}"), call, &mut out);
+    }
+    let tx = Transaction::sign(&kp, 7, "kvstore", kv[0].to_encoded_bytes());
+    wire_row("Call", &tx.call, &mut out);
+    wire_row("StateKey", &key, &mut out);
+    wire_row("Transaction", &tx, &mut out);
+    let consensus = [
+        wire_header(3).consensus,
+        ConsensusProof::Authority {
+            signer: kp.public(),
+            signature: kp.sign(b"seal"),
+        },
+    ];
+    for (i, proof) in consensus.iter().enumerate() {
+        wire_row(&format!("ConsensusProof/{i}"), proof, &mut out);
+    }
+    let block = Block {
+        header: wire_header(3),
+        txs: vec![tx],
+    };
+    wire_row("Block", &block, &mut out);
+
+    // Enclave artifacts.
+    wire_row("AttestationReport", &cert.report, &mut out);
+    wire_row("Certificate", &cert, &mut out);
+    let sealed = sealing::seal(&[7; 32], &hash_bytes(b"program"), b"enclave state");
+    wire_row("SealedBlob", &sealed, &mut out);
+    let range = RangeCert {
+        pk_range: kp.public(),
+        report: cert.report.clone(),
+        anchor_digest: a,
+        first: 4,
+        last: 5,
+        header_digests: vec![a, b],
+        signature: kp.sign(b"range"),
+    };
+    wire_row("RangeCert", &range, &mut out);
+
+    // Merkle proofs and their parts.
+    let mut smt = SparseMerkleTree::new();
+    smt.insert(a, b"a".to_vec());
+    smt.insert(b, b"b".to_vec());
+    let state_proof = smt.prove(&[a]);
+    let mut mb = MbTree::new(3);
+    let mut agg = AggMbTree::new(3);
+    for t in 0..7u64 {
+        mb.insert(t, vec![t as u8]);
+        agg.insert(t, t * 3);
+    }
+    let (aggregate, agg_ops) = agg.window(2, 4);
+    let (_, mb_ops) = mb.window(2, 4);
+    wire_row("Aggregate", &aggregate, &mut out);
+    let summary = Summary {
+        hash: a,
+        ann: aggregate,
+    };
+    wire_row("Summary", &summary, &mut out);
+    wire_row("MbAppendProof", &mb.prove_append(), &mut out);
+    wire_row("AggAppendProof", &agg.prove_append(), &mut out);
+    let plain_ops = [
+        ProofOp::<Plain>::Push(Shape::Leaf(vec![(4, a)])),
+        ProofOp::Parent,
+        ProofOp::Child,
+    ];
+    for (i, op) in plain_ops.iter().enumerate() {
+        wire_row(&format!("ProofOp/plain/{i}"), op, &mut out);
+    }
+    let summed = ProofOp::<Summed>::Push(Shape::Pruned(summary));
+    wire_row("ProofOp/summed/0", &summed, &mut out);
+    wire_row("MbOpProof", &mb_ops, &mut out);
+    wire_row("AggOpProof", &agg_ops, &mut out);
+
+    // ECall requests and responses, network envelopes.
+    let link = BatchLink {
+        block: block.clone(),
+        reads: vec![(key, Some(vec![1])), (StateKey::new("kvstore", b"x"), None)],
+        state_proof,
+    };
+    wire_row("BatchLink", &link, &mut out);
+    let input = BlockInput {
+        prev_header: wire_header(2),
+        prev_cert: Some(cert.clone()),
+        link: link.clone(),
+    };
+    wire_row("BlockInput", &input, &mut out);
+    let index = |name: &str, prev_cert| IndexInput {
+        index_type: name.to_owned(),
+        prev_digest: a,
+        prev_cert,
+        new_digest: b,
+        aux: vec![7; 9],
+    };
+    wire_row("IndexInput", &index("history", None), &mut out);
+    let requests = [
+        EcallRequest::Init,
+        EcallRequest::SigGen(input.clone()),
+        EcallRequest::AugSigGen(input.clone(), index("history", Some(cert.clone()))),
+        EcallRequest::HierSigGen(input, vec![index("history", None), index("inverted", None)]),
+        EcallRequest::BatchSigGen {
+            prev_header: wire_header(2),
+            prev_cert: None,
+            links: vec![link.clone()],
+        },
+        EcallRequest::RangeSigGen {
+            anchor: wire_header(2),
+            links: vec![link],
+        },
+        EcallRequest::FoldRanges {
+            anchor: wire_header(3),
+            anchor_cert: Some(cert.clone()),
+            ranges: vec![range],
+        },
+    ];
+    for (i, request) in requests.iter().enumerate() {
+        wire_row(&format!("EcallRequest/{i}"), request, &mut out);
+    }
+    let responses = [
+        EcallResponse::Initialized(kp.public()),
+        EcallResponse::Signature(kp.sign(b"digest")),
+        EcallResponse::Rejected(CertError::Proof(ProofError::Malformed("x".into()))),
+        EcallResponse::Signatures(vec![kp.sign(b"one"), kp.sign(b"two")]),
+    ];
+    for (i, response) in responses.iter().enumerate() {
+        wire_row(&format!("EcallResponse/{i}"), response, &mut out);
+    }
+    let messages = [
+        NetMessage::Block(block),
+        NetMessage::BlockCert {
+            header: wire_header(3),
+            cert: cert.clone(),
+        },
+        NetMessage::IndexCert {
+            header: wire_header(3),
+            index: "history".into(),
+            digest: a,
+            cert: cert.clone(),
+        },
+        NetMessage::CertRequest { from: 3, to: 9 },
+        NetMessage::Shutdown,
+        NetMessage::Serve {
+            payload: vec![1, 2, 3],
+        },
+    ];
+    for (i, message) in messages.iter().enumerate() {
+        wire_row(&format!("NetMessage/{i}"), message, &mut out);
+    }
+
+    // Index proofs, the inverted aux, SP pages.
+    let keyword_block = Block {
+        header: wire_header(1),
+        txs: vec![Transaction::sign(&kp, 1, "memo", b"stock bank".to_vec())],
+    };
+    let mut inverted = InvertedIndex::new("inverted");
+    let (aux, _) = inverted.apply_block(&keyword_block);
+    out.push((
+        "wire/InvertedUpdate/aux".to_owned(),
+        format!("sha256={} len={}", hash_bytes(&aux), aux.len()),
+    ));
+    let (_, keyword_proof) = inverted.query(&["stock", "bank"]);
+    wire_row("KeywordProof", &keyword_proof, &mut out);
+    let mut history = HistoryIndex::new("history");
+    let mut aggregate_index = AggregateIndex::new("aggregate");
+    for height in 1..=4u64 {
+        let writes = vec![(key, Some(height.to_be_bytes().to_vec()))];
+        history.apply_block(height, &writes);
+        aggregate_index.apply_block(height, &writes);
+    }
+    wire_row("HistoryProof", &history.query(&key, 2, 3).1, &mut out);
+    wire_row(
+        "AggQueryProof",
+        &aggregate_index.query(&key, 2, 3).1,
+        &mut out,
+    );
+    let writes_page = WritesPage {
+        writes: vec![
+            (key, Some(b"v1".to_vec())),
+            (StateKey::new("kv", b"g"), None),
+        ],
+    };
+    wire_row("WritesPage", &writes_page, &mut out);
+    let keyword_page = KeywordPage {
+        appends: vec![("stock".to_owned(), vec![a, b])],
+    };
+    wire_row("KeywordPage", &keyword_page, &mut out);
+    let entry = CertifiedEntry {
+        digest: a,
+        anchor: Some((b, a, cert)),
+    };
+    wire_row("CertifiedEntry", &entry, &mut out);
+
+    // The serving front.
+    let (t1, t2) = (2, 5);
+    let specs = [
+        QuerySpec::History {
+            index: "history".into(),
+            key,
+            t1,
+            t2,
+        },
+        QuerySpec::Keywords {
+            index: "inverted".into(),
+            keywords: vec!["stock".into(), "bank".into()],
+        },
+        QuerySpec::Aggregate {
+            index: "agg".into(),
+            key,
+            t1,
+            t2,
+        },
+        QuerySpec::HistoryOp {
+            index: "history".into(),
+            key,
+            t1,
+            t2,
+        },
+        QuerySpec::AggregateOp {
+            index: "agg".into(),
+            key,
+            t1,
+            t2,
+        },
+    ];
+    for (i, spec) in specs.iter().enumerate() {
+        wire_row(&format!("QuerySpec/{i}"), spec, &mut out);
+    }
+    let request = ServeRequest {
+        client: 41,
+        id: 7,
+        query: specs[1].clone(),
+    };
+    wire_row("ServeRequest", &request, &mut out);
+    let response = ServeResponse {
+        id: 7,
+        certified_height: 9,
+        payload: vec![4, 5, 6].into(),
+    };
+    wire_row("ServeResponse", &response, &mut out);
+    let reasons = [
+        RefusalReason::QueueFull { depth: 64 },
+        RefusalReason::RateLimited {
+            retry_after_ticks: 3,
+        },
+        RefusalReason::Backlogged { waiters: 9 },
+        RefusalReason::UnknownIndex,
+    ];
+    for (i, reason) in reasons.iter().enumerate() {
+        wire_row(&format!("RefusalReason/{i}"), reason, &mut out);
+    }
+    let refusal = ServeRefusal {
+        id: 8,
+        reason: reasons[1],
+    };
+    wire_row("ServeRefusal", &refusal, &mut out);
+    let frames = [
+        ServeWire::Request(request),
+        ServeWire::Response(response),
+        ServeWire::Refusal(refusal),
+    ];
+    for (i, frame) in frames.iter().enumerate() {
+        wire_row(&format!("ServeWire/{i}"), frame, &mut out);
+    }
+
+    // The store.
+    let streams = [
+        StreamId::Cert,
+        StreamId::Writes,
+        StreamId::Keywords,
+        StreamId::Checkpoint,
+    ];
+    for (i, stream) in streams.iter().enumerate() {
+        wire_row(&format!("StreamId/{i}"), stream, &mut out);
+    }
+    wire_row(
+        "Record",
+        &Record::new(5, StreamId::Writes, b"page".to_vec()),
+        &mut out,
+    );
+    let mark = SegmentMark {
+        index: 2,
+        durable_len: 4096,
+    };
+    wire_row("SegmentMark", &mark, &mut out);
+    let head = HeadState {
+        seq: 3,
+        durable_height: 2,
+        segments: vec![mark],
+        entries: vec![("sp.height".to_owned(), vec![0, 2])],
+    };
+    wire_row("HeadState", &head, &mut out);
+
+    // The baselines.
+    let mut skiplist = AuthSkipList::new();
+    for t in 0..5u64 {
+        skiplist.append(t, vec![t as u8]);
+    }
+    wire_row("SkipRangeProof", &skiplist.range(1, 3).1, &mut out);
+    let mut lineage = LineageIndex::new();
+    lineage.apply_block(1, &[(key, Some(b"v".to_vec()))]);
+    lineage.apply_block(2, &[(key, Some(b"w".to_vec()))]);
+    wire_row("LineageProof", &lineage.query(&key, 0, 9).1, &mut out);
+    out
+}
+
+#[test]
+fn every_wire_type_reproduces_parent_commit_bytes_and_verdicts() {
+    assert_golden(&wire_computed(), WIRE_GOLDEN);
+}
+
+#[rustfmt::skip]
+const WIRE_GOLDEN: &[(&str, &str)] = &[
+    ("wire/ChainError/BadTxSignature", "sha256=6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d len=1 verdicts=422b0b5af8b421c2d34822ce5c8b165c57a9bb69aad41ccf26dfd0399f185e6d"),
+    ("wire/CertError/Chain/BadTxSignature", "sha256=0a6361b3a802f55cd5ae06101c88a1e216320fe11cc0cfe1d791eed08a1200fd len=2 verdicts=4070681eaeb7dccb6ecab994021b14f3dd886332782908e54962f4c86a2775ba"),
+    ("wire/ChainError/SenderMismatch", "sha256=4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a len=1 verdicts=7d92fd9074a938c51a84c912ac55e02e419bcf6f239bef0eb4da0e981dbd00c8"),
+    ("wire/CertError/Chain/SenderMismatch", "sha256=ff86c77e8ead00caf9bc3d3d424d759b34b27c685c3b94002cece6edfe763c41 len=2 verdicts=1ea5f28464bc47c044436f903e490c5f35cc471c5193a83bbeb9592cbba858a3"),
+    ("wire/ChainError/BrokenLink", "sha256=35a316c7a72066c92edeeec7846b7e706f7bad40dc6bb05837bffe4a4dac379d len=65 verdicts=059a7f719c1fa6cf5466da49d15e2e0d936856037a4efd0dd7ca8f19b8e4baac"),
+    ("wire/CertError/Chain/BrokenLink", "sha256=36a13fd96788e59b95f4b3cec870c1fceed00e8642326e23a7007f908100b5aa len=66 verdicts=c05625b7e8c9114e1ba080e6b80442b53bfe5b27da6f2c876881a178a4a6d8fd"),
+    ("wire/ChainError/BadHeight", "sha256=0e157694d950309622100aa59210cc08ee9cd886914c31228ec995cecb79ff42 len=17 verdicts=de575d1d07d826b0ba6da6067edfc18b062d37857266dfbb5851089927bea080"),
+    ("wire/CertError/Chain/BadHeight", "sha256=bf24399f08422824ec79ade94e6ade0f47c4b20849f6e99a28bf8326d625a55a len=18 verdicts=d874c5a1a10615027ad82a14bd7fa0c40c5219db61aaea58a721f9f58740f727"),
+    ("wire/ChainError/BadConsensus", "sha256=369a853818c8ab0b305607815a9c83916550b82ceba4c1c8746f577f98b667b1 len=21 verdicts=80edcfde5b4e9a60363d9d0776d89ec9f495a7bb03256a1df00897575572468c"),
+    ("wire/CertError/Chain/BadConsensus", "sha256=c64f77bbed3d97bae38cd84e432fa0b4dac6e7e53d9a4d9e71394bc380a26f89 len=22 verdicts=29379a195100f3960feda85594ac206dda32f51b0e77d2ca652b6e325a2f4f37"),
+    ("wire/ChainError/TxRootMismatch", "sha256=e77b9a9ae9e30b0dbdb6f510a264ef9de781501d7b6b92ae89eb059c5ab743db len=1 verdicts=ccb82ec4ffb58303839ccad5e99dc04cd752e7abb806ddb5bceccc18697123a1"),
+    ("wire/CertError/Chain/TxRootMismatch", "sha256=fbc5bc32805d29f815000497820b8f5c613daf296efa2e00faa8d9e37109c655 len=2 verdicts=41a1396469a075c5cf0e4f7fc4f77211b3bbec630e547b571e11afffcd1fc80d"),
+    ("wire/ChainError/StateRootMismatch", "sha256=67586e98fad27da0b9968bc039a1ef34c939b9b8e523a8bef89d478608c5ecf6 len=1 verdicts=c8dd4080d18a4b12fc36fe071739ad7e5539399a20671c074a33ea26b6264668"),
+    ("wire/CertError/Chain/StateRootMismatch", "sha256=0b2971bb3cda0c3dbef0deb1544bc95683ad281a8ff9448b75e75867fed1004c len=2 verdicts=b352081ac9cabd96e80369db661c7e4575cf32c7b6c1ddad7095b9999c221198"),
+    ("wire/ChainError/UnknownParent", "sha256=4aab93bf4f99475b1d54bcd06f82ba471f4a915350553e83b54589695b9e7b54 len=33 verdicts=85680365192ba3c3bd46872b7cfdef9d462d91ce499a6c558e48a15fe779b45c"),
+    ("wire/CertError/Chain/UnknownParent", "sha256=d461e807114dd6031bc251151b369aae342b28e76dfb59a17719acf7a5b160b5 len=34 verdicts=2ccf8e000fbe975127f6287aee24d51a14607c775a531e0ee3fe79b8f122cc19"),
+    ("wire/ChainError/Duplicate", "sha256=bcc72ec9a2daf6e6cca9af15090f1b351b8fa9b7825a386d865bbb230c2a32cb len=33 verdicts=c5c4bb82da401dd816fd0d447f527914b0c73803bdb2c888023819f276f71466"),
+    ("wire/CertError/Chain/Duplicate", "sha256=8aa7a47f71d425a4d604eb680e1d03e5df2d46e6aebd1b82050536bf97b5c7aa len=34 verdicts=68d9f0cb91b2e342080a1f1d634d4e83d307e20bde346d92c6e0c710ec889250"),
+    ("wire/ChainError/BadGenesis", "sha256=329e2fc2f881fd7279e8abc586c4f65d0f70d43b9167c47d1287e3dc93f88be1 len=20 verdicts=47734200c5e89d79c1dbd4c5faa7fd05b1915399590ccc4b05c8f338c2a3481b"),
+    ("wire/CertError/Chain/BadGenesis", "sha256=3452d89d74a662d34c67b47e13cedb575e6a71565d9dcf83d99d071e33364a14 len=21 verdicts=f334f0e3a90733ad8a2299191cf36bd6eb579bc9bb4b05e552d885373f4ab202"),
+    ("wire/ProofError/RootMismatch", "sha256=6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d len=1 verdicts=2da13877005e3db9b2092de43d86dcd81af90d2590f5d7baa0d07c129e83c82a"),
+    ("wire/CertError/Proof/RootMismatch", "sha256=e545d395bb3fd971f91bf9a2b6722831df704efae6c1aa9da0989ed0970b77bb len=2 verdicts=ce6b36c9cf4c75795339509b28963c40b3e49e08bd8993cd3c1e32c137ad3f5e"),
+    ("wire/ProofError/Malformed", "sha256=c8557776c3451ddc9cd55c1af851470e488585976b1a3cc91497004fa1895094 len=21 verdicts=877d7fcfe701d0588207e3ba635acc773eb2f885c6b5d362594d38cba818226b"),
+    ("wire/CertError/Proof/Malformed", "sha256=bb66ab6e5f0ab4ae57c217f3b75fae12b75b5ba29f452874c77b8318fce050fb len=22 verdicts=b67376ab2fb848b8166e6634098dd6e5216a7b3c4809f206895d56a41a695f64"),
+    ("wire/ProofError/MissingKey", "sha256=dbc1b4c900ffe48d575b5da5c638040125f65db0fe3e24494b76ea986457d986 len=1 verdicts=165b9e96bbbe181e26308e3bcb264bd0c9f15afbee2e768f729d606f64eb561a"),
+    ("wire/CertError/Proof/MissingKey", "sha256=7a53cc5deb60512f3dacacc7695dd5072077c6f4984dbedbff76e27092393b1c len=2 verdicts=f7296eace4d2e9c571be5680cd9ac0d1baa14bdf80360d36a2a6711925ed66b8"),
+    ("wire/ProofError/Incomplete", "sha256=07b2614290f7a5ac29f6967b29de97fe50ee892806b6232cde21b6b0f88ad7b1 len=41 verdicts=cad3000e7416161a7bca24bfb87191a89f90cff172c4d15d349d6c7581320a07"),
+    ("wire/CertError/Proof/Incomplete", "sha256=02efda1c6d7725e25cc5a41e238957064cc9fb570e7c7a115f2f85be017d82b8 len=42 verdicts=e3adad61fc55aa2bd62160a7b532120fcc8bc2b67e833ea021953dca11f3f5da"),
+    ("wire/SgxError/UntrustedPlatform", "sha256=6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d len=1 verdicts=9442ba51a1d2625b23e2de806be21717cd3c96504c6010a62f27ad2c6859cc31"),
+    ("wire/CertError/Attestation/UntrustedPlatform", "sha256=96a296d224f285c67bee93c30f8a309157f0daa35dc5b87e410b78630a09cfc7 len=2 verdicts=4040ca322c0c3fead8092a8da4b8ce47d4c92589412ebcb41d3c8ed1fd0fb93e"),
+    ("wire/SgxError/BadQuote", "sha256=4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a len=1 verdicts=8e06bcb2e344874c18fcea7b4f6ddfb46c2c9355023d822fdcf8c8f8e3c139c3"),
+    ("wire/CertError/Attestation/BadQuote", "sha256=b413f47d13ee2fe6c845b2ee141af81de858df4ec549a58b7970bb96645bc8d2 len=2 verdicts=d3e1dfb25f2394fc556574bf33babcb79d1135f78bd0c2c187fd19ff3aaeeca9"),
+    ("wire/SgxError/BadReport", "sha256=dbc1b4c900ffe48d575b5da5c638040125f65db0fe3e24494b76ea986457d986 len=1 verdicts=86cc546be7cf130fce3a1c871da72f54db8e5f92c22c1089012e48cc5cac01c4"),
+    ("wire/CertError/Attestation/BadReport", "sha256=fcf0a6c700dd13e274b6fba8deea8dd9b26e4eedde3495717cac8408c9c5177f len=2 verdicts=252eb2758c4a45a70245c9a9bbd428586e0117eb008b86b850293586b3274863"),
+    ("wire/SgxError/BadSeal", "sha256=084fed08b978af4d7d196a7446a86b58009e636b611db16211b65a9aadff29c5 len=1 verdicts=b8180a65d545811e68b30675c09f65d669d1a1193638e9498eed526c9faf617e"),
+    ("wire/CertError/Attestation/BadSeal", "sha256=583c7dfb7b3055d99465544032a571e10a134b1b6f769422bbb71fd7fa167a5d len=2 verdicts=4a86cc6919477983eb119840c1fa02fb6b2d4b3191120ba15d5340946fac5f2d"),
+    ("wire/CodecError/UnexpectedEof", "sha256=b0fbc2b38e7304f89f4aad7c635e98c1b7b7eced9e9cba5aed08e3965842f2be len=17 verdicts=8be8114e5745ecf1c9d73a467ff804e389e3064f50e2553e35d8d2e1e45081c8"),
+    ("wire/CertError/Codec/UnexpectedEof", "sha256=037bbbaea3b64d59f2aa9d864b8ca0658a9b625b51d8a8555d44fe71a466bd9c len=18 verdicts=343e0490c3263a36881e0df5d99ba01165c3cce1777c4b5268883a6d5f55f038"),
+    ("wire/CodecError/LengthOverflow", "sha256=1272f520cf7ca5cf117a0b5a3116518371bf20fb7fac043ac1be568b8c55b96c len=9 verdicts=c15f30e77b9ed2774b5eb79dea427c7bf520b806a39baeb731d176022c53bd07"),
+    ("wire/CertError/Codec/LengthOverflow", "sha256=917bfb5c27079fa23ddfda76648ff6e556ecc265e160e798ba974f6404b30bd7 len=10 verdicts=bc4699acb7e15c3dd9188dbb62cab317c64f9f212375ad2e64b74b9422a08a99"),
+    ("wire/CodecError/InvalidTag", "sha256=2434fdab84f43e54e4b865934d087d41b9b807519d2c3f311d71fe007360f8ae len=2 verdicts=2597eda27f3e03228326c81d1b742d3347349567349a7c091a2a9a3106bdb8aa"),
+    ("wire/CertError/Codec/InvalidTag", "sha256=28bc507cf0f8559aac0bcf4be361ed5abf817ed9a2e8698ef6b21be652506836 len=3 verdicts=a65bcc6164363c53c093dd78c051cf6619e4dca66872107708af4f7f3be57897"),
+    ("wire/CodecError/InvalidBool", "sha256=48986d85f8c0a0601ef7c44afc939dd0a8b0ed7bc309c7e373cb0fe94e30c7aa len=2 verdicts=8b009d1b073b8b09a8fa9f8f3eadfc6dfd0fe86206124eabe6504f71de72e9e2"),
+    ("wire/CertError/Codec/InvalidBool", "sha256=3045a38c56e61e5dc2d0b270889e2a35d59eded25dcb43c5c125fe9211528557 len=3 verdicts=828183e70e6a4dc28f66dc9277a29c5d434827367c8ee5b2828393b4655c2ade"),
+    ("wire/CodecError/InvalidUtf8", "sha256=e52d9c508c502347344d8c07ad91cbd6068afc75ff6292f062a09ca381c89e71 len=1 verdicts=ea6562b8fb7ffdd17bbb6d161d674100973f88e076b74aefd2357053dba3144e"),
+    ("wire/CertError/Codec/InvalidUtf8", "sha256=2aebe12132ddb192f4a5160f9d9e87ee72954b8b8c58740f45628b3e6fdbc7ac len=2 verdicts=139e219d918b04b02e294730bf640c93a3feab176df8ad1238ee91813eb0bacd"),
+    ("wire/CodecError/TrailingBytes", "sha256=e802803d9121dedd544432108e985e1acb00722815513430e9134c80f7ad83e2 len=9 verdicts=f63787029027f7c05f3ace9c9a5afd874c55a2f8c9c132bf7690998562428304"),
+    ("wire/CertError/Codec/TrailingBytes", "sha256=f1df493c61b3bf87dca73e18ba1574c330212a15575cce19a354ff1d457664fb len=10 verdicts=f7f9bbdf0d92e116e65a1b23b24886384fa797c3fb2d286ae3ae81229f738e85"),
+    ("wire/CodecError/Invalid", "sha256=1af29ce2a956df4199450575c8910d6569db19c6d0da221e7cd5a5ba3702cc42 len=22 verdicts=e4576e4621faf056bdf1a29ec6c09dc3dc973e7907294e6896ac29a2f1e19c38"),
+    ("wire/CertError/Codec/Invalid", "sha256=95b60ec68b209d12529c8b41c32074986343ea5b7749f36089994fb065734456 len=23 verdicts=c330e1ead921cf6d3de4982522381c5887c15fd430f2d6037d2a1c6c6ae1af1c"),
+    ("wire/CertError/WrongMeasurement", "sha256=4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a len=1 verdicts=a3f94c0b3b460341ca9143f125ef1d558304440efb458303ef8efc536b6952c3"),
+    ("wire/CertError/KeyBindingMismatch", "sha256=dbc1b4c900ffe48d575b5da5c638040125f65db0fe3e24494b76ea986457d986 len=1 verdicts=5d614b10c8cf70462fc9931557008c757024afdec2bbb6d00a9eefc9a5a7fb99"),
+    ("wire/CertError/BadSignature", "sha256=084fed08b978af4d7d196a7446a86b58009e636b611db16211b65a9aadff29c5 len=1 verdicts=80f67b5cbe3e5e30f95578f55207712134d88a0c4161226296926357cb3ce4b9"),
+    ("wire/CertError/DigestMismatch", "sha256=e52d9c508c502347344d8c07ad91cbd6068afc75ff6292f062a09ca381c89e71 len=1 verdicts=37228f8fbd86510a76a7b1c0aaa7fe7ff2964b906251815081516101160aa6e9"),
+    ("wire/CertError/MissingPrevCert", "sha256=e77b9a9ae9e30b0dbdb6f510a264ef9de781501d7b6b92ae89eb059c5ab743db len=1 verdicts=012e3b7cca29b001d4391d24ca8101ae6d5176ead6edd8259e6a65921f314e91"),
+    ("wire/CertError/GenesisMismatch", "sha256=67586e98fad27da0b9968bc039a1ef34c939b9b8e523a8bef89d478608c5ecf6 len=1 verdicts=88a844e868e10bda27811c2aebf10c96275e7184cf00dbbde5e22066551c0a2b"),
+    ("wire/CertError/ReadSetMismatch", "sha256=2b4c342f5433ebe591a1da77e013d1b72475562d48578dca8b84bac6651c3cb9 len=1 verdicts=754f198ca47e3964b536788b53eba08dc091c4c94ac21a23285f4c5abf4e80ab"),
+    ("wire/CertError/StateRootMismatch", "sha256=01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b len=1 verdicts=275f52ebbea4220252e0e4f3926af101d3a7c78e3d2c897254762b1c5fcd00fa"),
+    ("wire/CertError/IndexDigestMismatch", "sha256=e7cf46a078fed4fafd0b5e3aff144802b853f8ae459a4f0c14add3314b7cc3a6 len=1 verdicts=47cddba1f8f7a4ed769a16da36ecd2e9955539f69faab5a5fcf20895af547f45"),
+    ("wire/CertError/UnknownIndexType", "sha256=6ed12b451ae8d196f0ae60d433918001e8315a21df49988e5170120c41a11501 len=19 verdicts=8338aeb7544de5dab1ddcaf8da10e551de1374f9dfca423ea0e2d1df2e572336"),
+    ("wire/CertError/BadIndexUpdate", "sha256=2ed2a5360f5b6f4e42ee76dda5adcd5ff19d89e527063ca9cc20adf175fb8a85 len=15 verdicts=adca2047e0265c0ead079e83020e53f6baf7d84772123fb0a60d7c96bc351c09"),
+    ("wire/CertError/NotInitialized", "sha256=4d7b3ef7300acf70c892d8327db8272f54434adbc61a4e130a563cb59a0d0f47 len=1 verdicts=9fe1a76cf678a034f0e247ff5c774c3c38b3384e4977e3eb8b47044de591a566"),
+    ("wire/CertError/HeightRegression", "sha256=24b3b343802df029e60a0ac5edad5411dd1e12303f31dd8f8eb78ba60d4cf3d5 len=17 verdicts=faa4367f58b410d48f5d8657e974f8c3a5f51c0d926d9dc45b79c83ba238dcf5"),
+    ("wire/CertError/EmptyRange", "sha256=4a64a107f0cb32536e5bce6c98c393db21cca7f4ea187ba8c4dca8b51d4ea80a len=1 verdicts=3383cbd29a6d3a635c6a1ff4472287c1f8bf88c797e39afe054d79c00ea9f08c"),
+    ("wire/CertError/HeightOverflow", "sha256=f299791cddd3d6664f6670842812ef6053eb6501bd6282a476bbbf3ee91e750c len=1 verdicts=b370bbc383f5a5e6fb62883aca052db24f9fd52f969f09a538f9ee47652d7ffe"),
+    ("wire/CertError/RangeLengthMismatch", "sha256=ab897fbdedfa502b2d839b6a56100887dccdc507555c282e59589e06300a62e2 len=1 verdicts=10315229077c1763e54c81fb2cffd4a0f09cb5461245aa6181fb9eb118cb45b4"),
+    ("wire/CertError/RangeAnchorMismatch", "sha256=83891d7fe85c33e52c8b4e5814c92fb6a3b9467299200538a6babaa8b452d879 len=1 verdicts=99db15c9d04fbaca3236a08fcbb56e1758ef2f65b64522eeb950eaa228ba8e26"),
+    ("wire/CertError/RangeDiscontinuity", "sha256=8aa2f68f4377a7948643313a823a720f3693df300c68a80853fb08c5156c8b94 len=17 verdicts=ccdec267cc8e721ffdb0b6a2e96eb1cad68bff2cd50de1ba23c8beaede05e66f"),
+    ("wire/CertError/host_only", "sha256=a8100ae6aa1940d0b663bb31cd466142ebbdbd5187131b92d93818987832eb89 len=1 verdicts=ccd4e5d8f05a981d811753e74e62074fb80a6d48a0c5571a655d8c2b1b8a2168"),
+    ("wire/KvCall/0", "sha256=be903bea5a71c88f88277b758bdefb172ae76ac2c936f2a07a23cbb48ff326e5 len=29 verdicts=2f636f217e3202c68a15ca86eb7b4460340bd83aea2fd782ad41574887067070"),
+    ("wire/KvCall/1", "sha256=691c428eb7ca9946429eb1adf3fbde599e81571addd8a686abbf415047ee80ab len=10 verdicts=c4050897dc02fc3f6d9eb37cd42cba8c2f5f0a76a872772abf2114c1d5e0cbbf"),
+    ("wire/KvCall/2", "sha256=f2d5524a94a3af6c5ad099f7e7d57be7ab2899b35a0a7d85b583530621f87fec len=6 verdicts=0eb8ab6732324e01f95002a0450e59d380bfa26e6ea495b23e72da532bad9f94"),
+    ("wire/IoHeavyCall/0", "sha256=96c57c7ba73099155c0f8d4ddabc706d0a2cd9c68c7161d3d31694069cbbb3d2 len=13 verdicts=3c025cf33fbe6f66503c993f49315a4027fdf01a9069cbefdeb240f2036f4255"),
+    ("wire/IoHeavyCall/1", "sha256=9bb2ed10f2cd8efaa4e0c3d9577315ed6bc723cce638d965b4c3f015ce947de2 len=13 verdicts=55f4484dc3e731092892c48ee47f2f149028120b49ae8e800effc6154d99b87d"),
+    ("wire/CpuHeavyCall", "sha256=869380108c8336005b0709fef3390a77f5a0190efa0a908ee98e3618ab8dfa03 len=12 verdicts=336031ddbb50de1de8d66f65bb566794f5d64f2c8575b4ce2c72be1a847486ec"),
+    ("wire/BankCall/0", "sha256=e0d74ad27eab6daa8e948dc6db25ff74476dcde55790ec9ac57ad57c658f0f34 len=17 verdicts=8aea0c22807dc003acd65920cadca41dd6aa0a94c63889df35d4a171212b77f4"),
+    ("wire/BankCall/1", "sha256=60d750ebe28786edd15962ed819c8257c5b6cddfabd187a1b107dc2e03a40a6f len=17 verdicts=a758e74f7d3263cc3697f80a89a3d9bbaa53eb8a4ebe4d04916b5c9c080d3b00"),
+    ("wire/BankCall/2", "sha256=133fbfb379074235c6aa617b5b0c79b55f9c4868e699067dd9fefebc896ca3d6 len=25 verdicts=5a60c8db59d7508f7c3b5d532a0d0b49c7ee444cbb6614dd4ff232d8cbf7f41c"),
+    ("wire/BankCall/3", "sha256=326d747683f1325b7c73f8148b71332ae77fc46b1dfeb5db3dd0c7726bdd273c len=17 verdicts=a07b15c28cf71ea1131a4cf2f3f18a06c1ef2670657b4d3a92469915fca17b45"),
+    ("wire/BankCall/4", "sha256=797dd7dc3286f70caadd95a94aa19cd2683cdf5ce7b7c3a0fba2239a35da6c99 len=17 verdicts=9744d3a2f16f011a4ab17bc906a797f81e34de2d4f2d5337544309bf6b2da4e9"),
+    ("wire/BankCall/5", "sha256=988bd388623eaf3ba6205d2a15b0961ee845af1b594e9d4020e93c8962298f22 len=9 verdicts=f7700b4663f477060e67cd586eb9dffc4ddbbfdc03bd4383c5017d97fb7e1595"),
+    ("wire/Call", "sha256=adfc661ac6294216b70950ba66d728f64362b18bdd101b184cda30ba16d6f645 len=64 verdicts=4130f7cc960d63650cbc24da81f370d8dc6c2c8e3c0573ebad1d5303e47e1854"),
+    ("wire/StateKey", "sha256=e0afdac60d8cabf2afa4718e4a20aed38a21fabb4d1fe3b1e951efe2c26327dd len=32 verdicts=8070ebe1f64860bd1cffed2412932a7afc7d9bf9846f0c8464b04c0718a5f3b2"),
+    ("wire/Transaction", "sha256=cc2d2830fb994484c5ca82be47995fb0688449bbbfe0ce3c5da731075f7910e4 len=168 verdicts=a26dc1b800096a5567814d028086188ee18a3e28c76756c37316cd5e9fe940c7"),
+    ("wire/ConsensusProof/0", "sha256=3a2ddb6c50205a6ed52b742525e94fc68feb9f1c3362fd709c29711725c389e3 len=10 verdicts=cec7d1702ead1c02969e07c687a322a53ff51c82b0ea5f0a1c9cfc23bff1beca"),
+    ("wire/ConsensusProof/1", "sha256=beb326cc845c6da8cb816af61951c68e2a7ff600a9369ec022c7294caae3c519 len=97 verdicts=f0ba8f0c974cb3bb45fd69904803ee41a92c32fd6e5808434e23b5d65fd138d6"),
+    ("wire/Block", "sha256=02d6c703d31a37843fde660c840a6cf5ecf81eb7ff17142a8f290e05aa5e0540 len=314 verdicts=edacd841c339aebf653b8f5f0ecc1e763ec5c563e09612087ee4af99f680be9e"),
+    ("wire/AttestationReport", "sha256=377bfb2c34dba8fc2fa3d88851ab443870f340765f5ede1974c76f7d78e6d677 len=128 verdicts=9aafdda17ca425f6a32ea15556c17c6f7f3809a61ad3a7e51888f8dc38ddd9b6"),
+    ("wire/Certificate", "sha256=e2c63a27c8f65ec637ae24a52280021c61da052273f07cc1b8280af574c11266 len=256 verdicts=7e504af270743faba976e85f595f85d5756c895106b27ed63a6048a7b08b0f82"),
+    ("wire/SealedBlob", "sha256=c6775d90f3e118684e403b1c49ff192655283e44f75f249929c33534d9499c12 len=113 verdicts=460218eb2df17228233e31ae272c4f05fc9ead631129f16c145024cca264e022"),
+    ("wire/RangeCert", "sha256=bdd8789d84e788d8f2fbd50a3ee8a4b27f012b330b71cf32f2f666aa59915428 len=340 verdicts=5a928ce7454effdc1d4d6296280a833c4a537dd2d07b8e641d54c067048f3501"),
+    ("wire/Aggregate", "sha256=39b9168f34b9f57021a677bea00f963b37e371af6433ae2a5fc15c2c6951c1f2 len=40 verdicts=ab59b4ef026697756866b812a4ba48ca1deabbd273fefdf2c0970e438f463d6b"),
+    ("wire/Summary", "sha256=fb7e6793ab1ea1710480595b45ef15f8ee3a7b8f26ee370ba7fec7081fc238ca len=72 verdicts=7e4e6f706f525b7c6536685949f3551a153f7f838cfa9a4ada58d508821e0196"),
+    ("wire/MbAppendProof", "sha256=42275b4661f543f67a56f45553b5615bc680597dee38a6c18c2bdd65727261f3 len=218 verdicts=9f9feb3c149519ea20f1235d1b2eb02637cc002a89de6256c128b900743731d1"),
+    ("wire/AggAppendProof", "sha256=780a2c32f11d03a583573f554bd045cb53a8a410a24efc936edab52ba1e88696 len=226 verdicts=bf652cd82cd7f2e5e0c12cd1caaf6362e2b3803eb76b44a4bcbdf1c9ebc723b5"),
+    ("wire/ProofOp/plain/0", "sha256=95f62d89c99d43ac72fbe40e490c29d8f40e31c68f59f3a020e69540324d783b len=46 verdicts=2e4f935bac8c85f5e85eae33870f9aa4a9822fdeaf814df926f0ff3a742314ba"),
+    ("wire/ProofOp/plain/1", "sha256=dbc1b4c900ffe48d575b5da5c638040125f65db0fe3e24494b76ea986457d986 len=1 verdicts=51077af1cf430b64ba04c34047bb236ae67fb9322202c1754d4db8b9fca7ae2e"),
+    ("wire/ProofOp/plain/2", "sha256=084fed08b978af4d7d196a7446a86b58009e636b611db16211b65a9aadff29c5 len=1 verdicts=129abf1af06f41506bcc8809db8bb8133159b3d5a04cb70baedfe27c2c8f8c12"),
+    ("wire/ProofOp/summed/0", "sha256=346a8df01d051d953399d2ee7e32d2c1fc7155b141a7e025870e1376e8a378be len=74 verdicts=dd186d6673f3055a8d2c32fecadcd52720e2144d645947056287ee80860c2213"),
+    ("wire/MbOpProof", "sha256=86bbb089e0d4eca7d0162a281399f1684fa9f07f987ad79d1b534a47ac023489 len=275 verdicts=35b5c8be9cb1bba160ecbc4faffd9a2d90bf917a160a0eee029e4ebd63aad8ff"),
+    ("wire/AggOpProof", "sha256=a8207fee1f9243f2634cd906e2dbd7d9a9dfabd010573b102b8bc70eb11c608e len=231 verdicts=d49f2aca15ac1c3cc1dee308304b4f33d37a798a04c46492823d7cf242047bf1"),
+    ("wire/BatchLink", "sha256=5d8f2f79ef5d19992bb5fb83ff272d4eb5cce10c2422fae15fe7cb9af24cc77a len=537 verdicts=8822a1bcd19f25c24c9277a2bead8e5fb95d9d8fca96a1d284703009e5313a5a"),
+    ("wire/BlockInput", "sha256=37b6c1e048f7986cf4d01a805b9d16893ad0dc6fecb5c9cac3cff733678a98e6 len=936 verdicts=4c904ef8abc1101af906ed3f1c2ac994c8b2fdaaf8b41f02b5b6118a035cd4d5"),
+    ("wire/IndexInput", "sha256=d26f5c04ac4ec7c65a8e09d8fd04a907c79dc5fe4fb8112297b406d1c76886c5 len=89 verdicts=0bb9ee8686c9f723ba8b2756d62a2106be26ea91d47cd7baf022ad3dd786351a"),
+    ("wire/EcallRequest/0", "sha256=6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d len=1 verdicts=8563ae66c2f0ad5478648ddcea273f89b09ddd4bcf37e591bea00dbea3770630"),
+    ("wire/EcallRequest/1", "sha256=5477f34122e2b4d094c5caa4734baa45e5845cbd46d29af467d552f697a87bcb len=937 verdicts=3df6053c2f5af7815732539cca77023b0fa7745bea3f358a77414f63ac04eee1"),
+    ("wire/EcallRequest/2", "sha256=1eb51d85c5a1176b7e082adcf6fdb45b2f880ba6685a9f32f1376ce13a04afee len=1282 verdicts=12f3b4e95d10b1fd073ccd0b0f777a239ff84cda20e541f7f75e1c4050fa8377"),
+    ("wire/EcallRequest/3", "sha256=15a282138e4fc21fc38c4d975627f9e97d99743d016ad8e7beeb0e14dd664664 len=1120 verdicts=a73c1ad1787f484b58a881aad20ea2b2429c3b88e5927f5d2f0e9c069101c14e"),
+    ("wire/EcallRequest/4", "sha256=9ecdf043c412af448063ee67406f00a40d8f740ba3633113daecabd5e6c081eb len=685 verdicts=221a1f2a54fbcb4fcca0147cb40b621fe0ed40658f88252841c8ee490dc5bdd4"),
+    ("wire/EcallRequest/5", "sha256=5235bcb5b395d2feabe57725e259dcf60e839ae8de094a10208034c306e137d1 len=684 verdicts=3f3ab3431b2fbf46e170957184b7d6f51493abf737d1695a9d6e65d861bdab91"),
+    ("wire/EcallRequest/6", "sha256=7ee62411ce6fc4a0d16e5dc01ece149ecf32edc97ac7d09266afd7386925f9c1 len=744 verdicts=e57b76965fccc5485b31e59e6355eacf41b09df34b9af7ba881684270a648f34"),
+    ("wire/EcallResponse/0", "sha256=99cf3e73b898706d983752db510a7b9fb2ee4456510e1f060eca3fff7d06069a len=33 verdicts=809cfcce9cf581382986b2750633491e9415025a79ac39402fe62d187bacc7ea"),
+    ("wire/EcallResponse/1", "sha256=aa0ff0776ad9b2fd4789fbafe4779728c597a9b65c17a3943ec2bd609537c4b2 len=65 verdicts=695f2b6d4b8b043a4993080f97244c0cc0d78190aeded72e83c63075719806e5"),
+    ("wire/EcallResponse/2", "sha256=81a86a5814902e664fa584443579879bc0fc92dec89e0c24be77e4ac579eb145 len=8 verdicts=212e4d6aa2578d5c64671069fe084d94f0de1803694451d087dfee0239c5796c"),
+    ("wire/EcallResponse/3", "sha256=716c2c1ea282f93bbc00f9d4b8d096880ce1f4d7229c901e83ec10a4b15f668c len=133 verdicts=b4af87dec5d070d9bd9062d2fa911f301c0098d1e0663348f38a5bef66fe1dde"),
+    ("wire/NetMessage/0", "sha256=ed5ce92bc76d6f1be7f82ed61cc70dc4c208ee777aaf7e2f49b3df524fe36f9c len=315 verdicts=5557e03169207eb65c80543f900ec73a31211417e16091da47b7ed263b10d301"),
+    ("wire/NetMessage/1", "sha256=2d70a5e8e23de75dd17b9d96b10be2e40a79b0f845175e96b5805d74371d1ec7 len=399 verdicts=a4e533bf9758c2151ae8a2ad34db1f08bffd98fee39ca772d066b03c891ba573"),
+    ("wire/NetMessage/2", "sha256=edddf88f60119435b47bfb15c6f30795f14cf08e96b15d74dbae4f766f41dbb1 len=442 verdicts=f05c1f36ce9b42e002048e8102410f1043a25086911f30985e5cb021fcbdce89"),
+    ("wire/NetMessage/3", "sha256=5825fd8079c7bccd33febd4d60afadcf3b3fb19c30754a106728a06ed9fb8621 len=17 verdicts=0122a3d1311650585f3502592e8731beb309cdd11c93f5d1a59840f6fd3ed711"),
+    ("wire/NetMessage/4", "sha256=e52d9c508c502347344d8c07ad91cbd6068afc75ff6292f062a09ca381c89e71 len=1 verdicts=576aa4099541c37a120184cc655c594e53c276e81bb5cb8032050e76a68c6525"),
+    ("wire/NetMessage/5", "sha256=ea781c4e50c9e097ba655876283d129ffc9273099fcb56625004f3be397e855d len=8 verdicts=249f30143d98116c4b95fe67d60c78f53028ae3b4bc782f070fabd0e6bff695d"),
+    ("wire/InvertedUpdate/aux", "sha256=c2b443abf053d2f27d9f45f1b90295e4e9051f0bdf98480eca4a9e6f11f17a62 len=104"),
+    ("wire/KeywordProof", "sha256=55c11addd30eb19a91f5eef29c46b62f4ec8a99e00f1af728a2db3484f55e6f1 len=238 verdicts=784c9a7ee75ce97cf0857273ce1a3fffe11b15e633ed2340f27c5e0920352682"),
+    ("wire/HistoryProof", "sha256=6cfeb38d9c891b71dbd86b208d2e2ac1952afdc9ab434cab6a2862e2d73a7c2e len=284 verdicts=0f7273d92deb40f8af55d1ff0a1ab99a9c9be35d70400259e47d200fbe0d8d81"),
+    ("wire/AggQueryProof", "sha256=584bf96fb8902bdad659f74c16f28498d747d8633ed8ecdcf9a2314c33b7f82f len=188 verdicts=564998613f5fdd169c40af31bd43d6f9bec0c467e162de980ac8b66c7edb1bae"),
+    ("wire/WritesPage", "sha256=a406ee9262c74390abb10ea08af9ca097e0b147fcc197d93e0ada51f555b077c len=76 verdicts=2972c672f552cf67d97b84c8197b6566c267d7fcb6c47e95df31a0d69d8f22af"),
+    ("wire/KeywordPage", "sha256=82c9a0eae5beae7efa085241ef5eb01c8a68ba7b8d9e0f407c8e25c5be28f342 len=81 verdicts=3bee84d5ef8f4256f46bfdd6203acb171fa63c2a090526c71891b01570c75ef5"),
+    ("wire/CertifiedEntry", "sha256=a2377dd393d88053b80460f1747f36fec37ec39adbde0b5f4019a16d16671837 len=353 verdicts=b490def2f28f673eb10c8e62302c34f695418cb8bba51260870b62c5062b55de"),
+    ("wire/QuerySpec/0", "sha256=f6ce27009b235b37bfbf015226869ea36bc911e47d9e9d332075301d44a44678 len=60 verdicts=78962525befd161d930acc56f62a35f9a8c671111b9027acc884db2acb56778e"),
+    ("wire/QuerySpec/1", "sha256=8d2552e06fec4c875715d6c3570a5ed57117cf010f6055b7e75f122c614dec54 len=34 verdicts=0e820ac8e030a5456da96e4581795fe6d61f2d1f8064df81eb77550c0b45b6b6"),
+    ("wire/QuerySpec/2", "sha256=62231c9b60f71f543a2bbd4f7cfc6cb596451bf5ec88305d4bf409113caa1c8e len=56 verdicts=ea95b6a1c87f7520438840eb18b21efb50c9c369a0df8f59f55eceaecf45231a"),
+    ("wire/QuerySpec/3", "sha256=9b94a7bb03f80ab09ff80c6cbf8ff6d50401bc8337616d801879154ce35c95ae len=60 verdicts=a8f363c2764b8ef6cdfaedc087114a354d0bb4a14b351ee91ae985ecdcac9d81"),
+    ("wire/QuerySpec/4", "sha256=0a5702e6616f2265b748181dcd576b7e652064bb7cda0f4c831c0a3fc4bd64ed len=56 verdicts=7803dce077e0b951d763dc8757a68df6963a968c8248673aa357bb75539f960d"),
+    ("wire/ServeRequest", "sha256=90aac65f5b780dafa3c47d8431ff5109c45cc0467e585a03c50ba7b5637ff78e len=50 verdicts=a0b038eff6c13246b711b70e7e87e919425d560ac1fb2212086f1fb0c340a438"),
+    ("wire/ServeResponse", "sha256=fba1e7fcca408d06d2cc4f38186e45103fd552c0ec576f3d0d6d8f465e29887b len=23 verdicts=f2a1d1efdf19206a8df243baa6e8705e8e36cfc0f68fbaa571ef0888b154e8a7"),
+    ("wire/RefusalReason/0", "sha256=5edfe25b7b7ac7f16027787bc463050f33f1a84397a5ffbd1cbc8dd507cafdd6 len=9 verdicts=fb771723a4b86a043e46d3d2a08251b14d9aef3adff091e05500d6ec521ff81a"),
+    ("wire/RefusalReason/1", "sha256=b4fd3368acff1684eb0d827d6717a342f730cd3692198f2a340401d376c32f65 len=9 verdicts=1f131e4f5b666cde66c803e9a9f12768fb47dbcd81c89b65d8ceb505627910c2"),
+    ("wire/RefusalReason/2", "sha256=ce58b1ea7629930789be6d360c8d7ddc32bd84fc2165293f9788207b85481c47 len=9 verdicts=a7d881934cdcfcf97da77ab87ecedca43b30421a36d860ae2e3d695a9940f4ee"),
+    ("wire/RefusalReason/3", "sha256=084fed08b978af4d7d196a7446a86b58009e636b611db16211b65a9aadff29c5 len=1 verdicts=83de34cb049683d8862ab9abf78e632aea1060d1f5a82f5be57a8cc103b22acd"),
+    ("wire/ServeRefusal", "sha256=70ad9344d9afb645e58c7f8e35dce7751fcd9e88310e4e247fc25d34d1696818 len=17 verdicts=0606fa3a8bf33eda3498d3580f26b602aca76b1c23ca15507814e523a7fa8bdf"),
+    ("wire/ServeWire/0", "sha256=335eb3b1c691116698e01e56cee61cdb9e273722e87f0ee1a08d1fea0b2fc8f7 len=51 verdicts=a0c3adb7a8c6b873326db4bf66f0d36df4355fc64994643a50cf2dd38d02f4aa"),
+    ("wire/ServeWire/1", "sha256=4126bdb84b86d95e538f8139969d2f2fb647877d1f0d0421161d8e0c062e5539 len=24 verdicts=2b71dbb4e90aef2326b8c5840d433d6a3dac179f761dfd2489d384b6756f1557"),
+    ("wire/ServeWire/2", "sha256=fd0dc14521c3d6a24b6b55e282a86331df06be3b9ddafe77f5b527ade63ac9b8 len=18 verdicts=a5c85386e987a0ae94ce4107687b0b5472578c1564bebc7fc49e18e6623f3494"),
+    ("wire/StreamId/0", "sha256=4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a len=1 verdicts=38f23cdac957199416dd59a22dc82e06c4f57a2fc5864e3bf5bb6e73db4fa9b3"),
+    ("wire/StreamId/1", "sha256=dbc1b4c900ffe48d575b5da5c638040125f65db0fe3e24494b76ea986457d986 len=1 verdicts=84baabc16e8f8a0484d612d714d9a81a1524ec8c9bd8c4445cd6950aaf514655"),
+    ("wire/StreamId/2", "sha256=084fed08b978af4d7d196a7446a86b58009e636b611db16211b65a9aadff29c5 len=1 verdicts=63021fa565536cec14e004b42ae580c73022f89e020763c6839ee1b482e96ef3"),
+    ("wire/StreamId/3", "sha256=e52d9c508c502347344d8c07ad91cbd6068afc75ff6292f062a09ca381c89e71 len=1 verdicts=f1e594ac572d20408f9693377cb88e980d8d01d14c0ab59907b1dda4916e9280"),
+    ("wire/Record", "sha256=81df23dae197ae051ba46858989581de15a949eb2e244081167b803f44798589 len=17 verdicts=605be12deb033ec2159c8fe9b194212063f4cf2a61428a86ba25ae54e93bac8d"),
+    ("wire/SegmentMark", "sha256=045b289190b4521f034cc07a86bb1af1728ff5090b359b16c5b8459a4d991a22 len=12 verdicts=2d809916e9097f284021040bcddc32bd5340350f6542298586086bdae7ba75d1"),
+    ("wire/HeadState", "sha256=5721b818b34450c9eb9b982c7edcf47c208bc21c6d2d12d328fd22d991d1a17a len=55 verdicts=2057ae5eea7191f87f2966aa12897891c4d3930ee63c573211c25a3d58616288"),
+    ("wire/SkipRangeProof", "sha256=b5b1894fa886216fc32afc104ca0af91d985df2d33ebaec971246794d34481f7 len=485 verdicts=5a391a25eab07d6131b4daa239efbd7581de5ae9b700f2ba74165f2896b5d1d7"),
+    ("wire/LineageProof", "sha256=2ca4047262fe791016921589d8a0294889078b050b3aaf8358975ccff4c7d667 len=304 verdicts=69c79c712a64fea3800e58405512943fbf5377c83eb30f93c3c267d065d66b6c"),
 ];
