@@ -3,36 +3,30 @@
 //! of a 4 128-record state in one proof), single-key prove + verify at
 //! 2 048 keys — what one upper-level lookup of a two-level index costs —
 //! one history-index window served by the SP, and a 32-transaction
-//! signature pass, sequential (the enclave's) and in the full node's lanes,
-//! with the lanes' speed-up printed beside them.
+//! signature pass.
 //!
 //! Run with: `cargo run --release -p dcert-bench --bin fig_micro`
 
 #![forbid(unsafe_code)]
 
 use std::hint::black_box;
-use std::sync::Arc;
-use std::time::Duration;
 
 use dcert_bench::params::scaled;
 use dcert_bench::report::{banner, fmt_duration};
 use dcert_chain::validity::check_signatures;
-use dcert_chain::{FullNode, GenesisBuilder, ProofOfWork};
 use dcert_merkle::{SmtProof, SparseMerkleTree};
 use dcert_primitives::codec::{Decode, Encode};
-use dcert_primitives::hash::{hash_bytes, Address, Hash};
+use dcert_primitives::hash::{hash_bytes, Hash};
 use dcert_query::history::verify_history;
 use dcert_query::HistoryIndex;
 use dcert_sgx::cost::timed;
-use dcert_vm::{ContractRegistry, Executor, StateKey};
+use dcert_vm::StateKey;
 use dcert_workloads::{Workload, WorkloadGen};
 
-/// Prints the mean time of `f` over `iters` runs, and returns it.
-fn row<T>(name: &str, iters: u32, mut f: impl FnMut() -> T) -> Duration {
+/// Prints the mean time of `f` over `iters` runs.
+fn row<T>(name: &str, iters: u32, mut f: impl FnMut() -> T) {
     let ((), elapsed) = timed(|| (0..iters).for_each(|_| drop(black_box(f()))));
-    let mean = elapsed / iters;
-    println!("{name:<28} {:>12}", fmt_duration(mean));
-    mean
+    println!("{name:<28} {:>12}", fmt_duration(elapsed / iters));
 }
 
 fn main() {
@@ -111,27 +105,8 @@ fn main() {
         history.query(&account, 49, 64)
     });
 
-    // A `blocks_kv` body: the enclave's pass is sequential, the miner's
-    // and the SP's split it into as many lanes as the node found cores for.
-    let (genesis, state) = GenesisBuilder::new().build();
-    let executor = Executor::new(Arc::new(ContractRegistry::new()));
-    let engine = Arc::new(ProofOfWork::new(0));
-    let node = FullNode::new(&genesis, state, executor, engine, Address::from_seed(1));
+    // A `blocks_kv` body, checked on one thread as every node checks it.
     let txs = WorkloadGen::new(Workload::KvStore { keyspace: 1_024 }, 32, 1).next_block(32);
-    let lanes = node.signature_lanes(txs.len());
     assert_eq!(check_signatures(&txs), Ok(()));
-    assert_eq!(node.verify_signatures(&txs), check_signatures(&txs));
-    let sequential = row("chain/sigs_32_sequential", iters, || check_signatures(&txs));
-    let in_lanes = row(&format!("chain/sigs_32_in_{lanes}_lanes"), iters, || {
-        node.verify_signatures(&txs)
-    });
-    // Printed, not asserted: a busy second vCPU can erase the lanes' gain
-    // on any one run. Lane correctness is pinned by the chain crate's
-    // `prop_lanes_match_one_pass`.
-    let speedup = sequential.as_secs_f64() / in_lanes.as_secs_f64();
-    println!(
-        "{:<28} {:>12}",
-        "chain/sigs_32_lane_speedup",
-        format!("{speedup:.2}x")
-    );
+    row("chain/sigs_32_sequential", iters, || check_signatures(&txs));
 }

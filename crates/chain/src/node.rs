@@ -1,14 +1,6 @@
 //! A mining/validating full node.
-//!
-//! The node's one use of more than one core is its transaction-signature
-//! pass: [`check_signatures`] over contiguous chunks of a block's body, in
-//! lanes. This module is host-only; the enclave runs the same function
-//! once over the whole body, on the calling thread (`validity::check_body`).
 
-use std::num::NonZeroUsize;
-use std::panic::resume_unwind;
 use std::sync::Arc;
-use std::thread;
 
 use dcert_primitives::hash::{Address, Hash};
 use dcert_vm::{BlockExecution, Call, Executor, StateKey};
@@ -18,50 +10,7 @@ use crate::consensus::{ConsensusEngine, ConsensusProof};
 use crate::error::ChainError;
 use crate::state::{ChainState, Displaced};
 use crate::tx::Transaction;
-use crate::validity::{check_extends, check_header, check_height, check_signatures, hash_writes};
-
-/// The fewest transactions a signature lane is started for; a smaller body
-/// is checked on the calling thread alone.
-///
-/// The floor exists because of what a thread costs the rest of the
-/// process: the first thread a process starts moves every later
-/// allocation in that process onto glibc's locked multi-thread `malloc`
-/// path, for good. A single no-op `thread::spawn` in `FullNode::new` raised
-/// `serve_mixed` `op_ms_p50` from 0.42 to 0.46 µs; lanes without this floor
-/// cost it +9 % `op_ms_p50` and −6…−8 % `ops_per_s`. At 16, the 8- and
-/// 24-transaction blocks of `queries_cold`, `serve_mixed` and `fleet_sb`
-/// stay on the calling thread, and those processes never start a thread
-/// for it; the 32-transaction blocks of `blocks_*` take two lanes.
-const MIN_TXS_PER_LANE: usize = 16;
-
-/// How many lanes a signature pass over `txs` transactions takes on
-/// `cpus` cores: one per `MIN_TXS_PER_LANE` transactions, at most one per
-/// core, at least one.
-fn lanes_for(txs: usize, cpus: usize) -> usize {
-    cpus.min(txs / MIN_TXS_PER_LANE).max(1)
-}
-
-/// [`check_signatures`] over `lanes` contiguous chunks of `txs`, the first
-/// on the calling thread. Every chunk stops at its own first failure, and
-/// the lowest-index chunk that failed names the error — exactly the error
-/// the sequential pass returns. A panic in a lane is re-raised as it was.
-fn check_signatures_in_lanes(txs: &[Transaction], lanes: usize) -> Result<(), ChainError> {
-    if lanes <= 1 || txs.is_empty() {
-        return check_signatures(txs);
-    }
-    let (head, tail) = txs.split_at(txs.len().div_ceil(lanes));
-    thread::scope(|scope| {
-        let tail: Vec<_> = tail
-            .chunks(head.len())
-            .map(|chunk| scope.spawn(|| check_signatures(chunk)))
-            .collect();
-        let head = check_signatures(head);
-        tail.into_iter().fold(head, |verdict, lane| {
-            let lane = lane.join().unwrap_or_else(|panic| resume_unwind(panic));
-            verdict.and(lane)
-        })
-    })
-}
+use crate::validity::{check_body, check_extends, check_height, check_signatures, hash_writes};
 
 /// A full node: executes, validates, and (optionally) proposes blocks,
 /// maintaining the canonical-chain tip state.
@@ -84,9 +33,6 @@ pub struct FullNode {
     tip: BlockHeader,
     state: ChainState,
     miner: Address,
-    /// Cores the signature pass may use, read once: on Linux
-    /// `available_parallelism` re-reads cgroup files on every call.
-    cpus: usize,
 }
 
 impl std::fmt::Debug for FullNode {
@@ -150,7 +96,6 @@ impl FullNode {
             tip: header,
             state,
             miner,
-            cpus: thread::available_parallelism().map_or(1, NonZeroUsize::get),
         }
     }
 
@@ -177,25 +122,6 @@ impl FullNode {
     /// The node's consensus engine.
     pub fn engine(&self) -> &Arc<dyn ConsensusEngine> {
         &self.engine
-    }
-
-    /// Every transaction's sender binding and signature (Algorithm 2,
-    /// line 19) on this node's cores: [`check_signatures`] once per
-    /// contiguous chunk of `txs`, in [`FullNode::signature_lanes`] lanes.
-    ///
-    /// # Errors
-    ///
-    /// The error the sequential pass returns: that of the first
-    /// transaction that fails.
-    pub fn verify_signatures(&self, txs: &[Transaction]) -> Result<(), ChainError> {
-        check_signatures_in_lanes(txs, self.signature_lanes(txs.len()))
-    }
-
-    /// How many lanes [`FullNode::verify_signatures`] splits a body of
-    /// `txs` transactions into on this node: one below 32 transactions,
-    /// never more than the cores it found when it was built.
-    pub fn signature_lanes(&self, txs: usize) -> usize {
-        lanes_for(txs, self.cpus)
     }
 
     /// Executes `txs` against the tip state without committing anything,
@@ -250,7 +176,7 @@ impl FullNode {
     /// Returns the first transaction validation error, or a consensus
     /// sealing error.
     pub fn propose(&self, txs: Vec<Transaction>, timestamp: u64) -> Result<Block, ChainError> {
-        self.verify_signatures(&txs)?;
+        check_signatures(&txs)?;
         let state_root = self.predicted_state_root(&self.execute(&txs));
         self.seal(txs, timestamp, state_root)
     }
@@ -264,8 +190,7 @@ impl FullNode {
     /// Any [`ChainError`] leaves the node unchanged.
     pub fn apply(&mut self, block: &Block) -> Result<BlockExecution, ChainError> {
         check_extends(&self.tip, &block.header)?;
-        check_header(self.engine.as_ref(), block)?;
-        self.verify_signatures(&block.txs)?;
+        check_body(self.engine.as_ref(), block)?;
         let execution = self.execute(&block.txs);
         self.advance(&block.header, execution.writes.iter())?;
         Ok(execution)
@@ -312,7 +237,7 @@ impl FullNode {
     /// transaction signature, an engine that cannot seal, a tip at
     /// `u64::MAX`, a seal its own engine rejects — with the node unchanged.
     pub fn mine(&mut self, txs: Vec<Transaction>, timestamp: u64) -> Result<Block, ChainError> {
-        self.verify_signatures(&txs)?;
+        check_signatures(&txs)?;
         let displaced = self.state.apply_writes(self.execute(&txs).writes.iter());
         let sealed = self
             .seal(txs, timestamp, self.state.root())
@@ -335,7 +260,6 @@ mod tests {
     use crate::consensus::{ProofOfAuthority, ProofOfWork};
     use crate::genesis::GenesisBuilder;
     use dcert_primitives::keys::Keypair;
-    use dcert_testkit::check;
     use dcert_vm::ContractRegistry;
 
     fn node(engine: Arc<dyn ConsensusEngine>) -> FullNode {
@@ -559,41 +483,6 @@ mod tests {
             return;
         }
         assert_eq!(node.height(), 0);
-    }
-
-    #[test]
-    fn small_bodies_and_single_cores_take_one_lane() {
-        assert_eq!(lanes_for(8, 64), 1);
-        assert_eq!(lanes_for(31, 64), 1);
-        assert_eq!(lanes_for(32, 2), 2);
-        for txs in [0, 1, 16, 32, 80, 1 << 20] {
-            assert_eq!(lanes_for(txs, 1), 1);
-        }
-    }
-
-    /// However the forgeries fall across lanes, the lane pass answers
-    /// what the sequential pass answers, variant for variant.
-    #[test]
-    fn prop_lanes_match_one_pass() {
-        let honest: Vec<Transaction> = (0..80).map(|i| bump_tx(1 + i as u8 % 4, i)).collect();
-        check("prop_lanes_match_one_pass", 48, |g| {
-            let mut txs = honest[..g.range(0..=80usize)].to_vec();
-            let forgeries = if txs.is_empty() { 0 } else { g.range(0..=3u8) };
-            // Each a `BadTxSignature` or a `SenderMismatch`.
-            for _ in 0..forgeries {
-                let at = g.range(0..txs.len());
-                if g.any() {
-                    txs[at].nonce += 1;
-                } else {
-                    txs[at].call.sender = Address::from_seed(g.any());
-                }
-            }
-            let sequential = check_signatures(&txs);
-            for lanes in 1..=4 {
-                let in_lanes = check_signatures_in_lanes(&txs, lanes);
-                assert_eq!(in_lanes, sequential, "{lanes} lanes, {} txs", txs.len());
-            }
-        });
     }
 
     #[test]

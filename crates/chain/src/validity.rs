@@ -3,10 +3,9 @@
 //! call these functions — in Algorithm 2's line order, [`check_extends`]
 //! (line 14) then [`check_body`] (lines 15, 16, 19) — so the enclave
 //! accepts exactly what a full node accepts. `check_body` is
-//! [`check_header`] then [`check_signatures`]: the enclave runs the pair
-//! as one call, the host full node runs the second over contiguous chunks
-//! of the body on several cores (`node.rs`). Inputs may be host-supplied:
-//! nothing here may panic, and nothing here starts a thread.
+//! [`check_header`] then [`check_signatures`], on the calling thread.
+//! Inputs may be host-supplied: nothing here may panic, and nothing here
+//! starts a thread.
 
 use dcert_primitives::hash::{hash_bytes, Hash};
 use dcert_vm::StateKey;

@@ -18,12 +18,13 @@
 //!
 //! The steps themselves live in the crate's `engine` module; this module
 //! is their *inline* driver: each `certify_*` method runs `sequence` →
-//! issue → commit on the calling thread. Sequencing advances the node's
-//! live view block by block (`FullNode::advance`: commit, compare the
-//! post-state root) before the ECall, so a block whose writes miss its
-//! root is refused before it costs one; a job the enclave refuses is
-//! taken back by one `rewind`. A refusal of either kind leaves the CI as
-//! it was.
+//! issue → commit on the calling thread (the pipeline runs `sequence` on
+//! its caller's thread and the rest on its issuer thread). Sequencing
+//! advances the node's live view block by block (`FullNode::advance`:
+//! commit, compare the post-state root) before the ECall, so a block whose
+//! writes miss its root is refused before it costs one; a job the enclave
+//! refuses is taken back by one `rewind`. A refusal of either kind leaves
+//! the CI as it was.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -78,10 +79,9 @@ impl CertBreakdown {
 /// A chain view plus the enclave-bound issuer (the attested enclave and
 /// the block- and index-certificate chains its next request extends). The
 /// enclave handle is `Arc`-shared: ECalls serialize inside the enclave
-/// itself, so the certification pipeline
-/// ([`crate::pipeline::CertPipeline`]) can move the issuer onto a
-/// dedicated thread — and hand it back — while the host keeps a handle for
-/// sealing.
+/// itself, so [`crate::pipeline::CertPipeline`] can move the issuer onto
+/// its one issuer thread, keep the chain view behind `submit`'s lock, and
+/// hand both back, while the host keeps a handle for sealing.
 pub struct CertificateIssuer {
     pub(crate) node: FullNode,
     pub(crate) issuer: Issuer,

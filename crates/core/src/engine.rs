@@ -12,8 +12,9 @@
 //! the one way: [`link_block`] per block, which ends in
 //! [`FullNode::advance`], and [`rewind`] when a job is refused.
 //! [`crate::CertificateIssuer`] runs [`sequence`] → issue → commit inline
-//! on the calling thread, [`crate::CertPipeline`] the same steps across its
-//! stage threads, [`crate::ShardedCertEngine`] `link_block` per block on
+//! on the calling thread, [`crate::CertPipeline`] `sequence` on the
+//! caller's thread and issue → commit on its issuer thread,
+//! [`crate::ShardedCertEngine`] `link_block` per block on
 //! every shard before its aggregator folds the ranges.
 
 use std::collections::HashMap;

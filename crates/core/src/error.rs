@@ -49,8 +49,8 @@ pub enum CertError {
     NotInitialized,
     /// A request or response failed to (de)serialize at the ECall boundary.
     Codec(CodecError),
-    /// The certification pipeline has stopped accepting work
-    /// (shutdown in progress or a stage died).
+    /// The certification pipeline has stopped accepting work (it was
+    /// killed, or its issuer thread died).
     PipelineClosed,
     /// The presented header violates the chain-selection rule
     /// (Algorithm 3, line 8).

@@ -22,7 +22,7 @@
 //!   refused job), request building, ECall dispatch, certificate assembly
 //!   and chaining — driven by three engines:
 //!   [`CertificateIssuer`] inline on the calling thread, [`CertPipeline`]
-//!   across a sequencer, an issuer and a publisher thread,
+//!   sequencing on the caller's thread and issuing on one issuer thread,
 //!   and [`ShardedCertEngine`] across parallel shard enclaves plus an
 //!   aggregator — all three byte-identical at every height (DESIGN.md §4),
 //! - [`SuperlightClient`]: Algorithm 3 — one acceptance path behind its

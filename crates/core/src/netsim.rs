@@ -371,7 +371,7 @@ impl SimState {
 /// Like [`Gossip`](crate::network::Gossip), every published message is
 /// offered to every endpoint — but each delivery rolls the seeded fault
 /// dice first. All scheduling state sits behind one lock, so publishes
-/// from a single publisher thread (the pipeline's publisher stage) are a
+/// from a single thread (the pipeline's issuer thread) are a
 /// deterministic sequence.
 pub struct SimNet {
     seed: u64,

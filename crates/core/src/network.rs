@@ -13,7 +13,7 @@
 //! superlight client's chain-selection rule already does).
 //!
 //! Every delivery fabric implements the [`Transport`] trait, so the
-//! certification pipeline's publisher stage can run over the lossless
+//! certification pipeline's issuer thread can publish over the lossless
 //! [`Gossip`] bus in production paths and over the fault-injecting
 //! [`SimNet`](crate::netsim::SimNet) in chaos tests without code changes.
 //! [`CertArchive`] wraps any transport with a retained certificate store
@@ -95,7 +95,7 @@ impl NetMessage {
 }
 
 /// A delivery fabric for [`NetMessage`]s: the seam between the
-/// certification pipeline's publisher stage and whatever network carries
+/// certification pipeline's issuer thread and whatever network carries
 /// its certificates.
 ///
 /// Implementations: [`Gossip`] (lossless, ordered, in-process) and
@@ -164,7 +164,7 @@ impl Transport for Gossip {
 
 /// A retained certificate store wrapped around a [`Transport`].
 ///
-/// The pipeline's publisher broadcasts through the archive, which records
+/// The pipeline's issuer thread broadcasts through the archive, which records
 /// every certificate by height before forwarding. A CI-side actor can then
 /// answer [`NetMessage::CertRequest`]s by calling
 /// [`CertArchive::republish`] — the resync path that lets clients recover

@@ -4,7 +4,7 @@
 //! reorders, and partitions traffic.
 //!
 //! The miner mines the chain; the CI feeds it into its pipelined
-//! certification engine ([`CertPipeline`]) whose publisher stage
+//! certification engine ([`CertPipeline`]) whose issuer thread
 //! broadcasts each certificate once, through the world's archive, the
 //! moment the enclave signs it. The superlight client follows the chain
 //! purely from the certificate stream, never seeing a block body; once the
@@ -53,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("[miner ] {BLOCKS} blocks mined, tip {tip}");
 
     // Certificate Issuer: blocks flow into the pipelined engine, whose
-    // publisher broadcasts each certificate once through the archive (one
+    // issuer thread broadcasts each certificate once through the archive (one
     // the network ate lands in the report's dead letters and is recovered
     // below via resync).
     let archive = world.archive.clone() as Arc<dyn Transport>;

@@ -722,7 +722,7 @@ fn run_shard_fleet_chaos(seed: u64, faults: FaultConfig) -> ChaosRun {
         .expect("CHAOS_SEED: fleet certifies through the kill plan");
 
     // The fleet's aggregate stream goes out over the faulty wire through
-    // the archive, exactly as the pipeline's publisher would send it.
+    // the archive, exactly as the pipeline's issuer thread would send it.
     for (block, cert) in blocks.iter().zip(certs) {
         world.archive.publish(NetMessage::BlockCert {
             header: block.header.clone(),

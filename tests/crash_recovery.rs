@@ -2,7 +2,7 @@
 //!
 //! `tests/sealed_restart.rs` proves an *orderly* restart preserves
 //! `sk_enc`. This suite kills the pipeline mid-run ([`CertPipeline::kill`]
-//! — every stage abandons its in-flight work, as `kill -9` would) and
+//! — the issuer thread abandons its queued jobs, as `kill -9` would) and
 //! resumes from the sealed enclave state
 //! ([`CertificateIssuer::resume_on_platform`]) plus the last *published*
 //! certificate. The invariants drilled:
@@ -116,7 +116,7 @@ fn drill_kill_at(kill_after: u64) {
         }
     }
 
-    // Crash: stages abandon in-flight work; the sealed enclave state is
+    // Crash: queued jobs are abandoned; the sealed enclave state is
     // what survives (in a real deployment the seal is written at every
     // checkpoint, long before the crash).
     pipeline.kill();
@@ -177,11 +177,11 @@ fn kill_and_resume_at_every_height() {
 }
 
 /// Mid-flight crash: all jobs submitted up front, so the kill lands while
-/// the sequencer/issuer/publisher hold in-flight work at their stage
-/// boundaries. Anything signed but unpublished is lost with the process;
-/// the sealed watermark then makes the outcome binary — resume and finish,
-/// or refuse with a height-regression rejection — but never a second
-/// certificate for an already-signed height.
+/// jobs wait in the issuer thread's queue or one is inside the enclave.
+/// The queued ones are lost with the process; the sealed watermark then
+/// makes the outcome binary — resume and finish, or, had a signed
+/// certificate been lost too, refuse with a height-regression rejection —
+/// but never a second certificate for an already-signed height.
 #[test]
 fn mid_flight_kill_never_double_issues() {
     let (blocks, expected) = ground_truth();
@@ -200,10 +200,7 @@ fn mid_flight_kill_never_double_issues() {
     let rx = bus.join();
     let pipeline = CertPipeline::spawn(
         ci,
-        PipelineConfig {
-            queue_depth: 2,
-            ..PipelineConfig::default()
-        },
+        PipelineConfig::default(),
         bus.clone() as Arc<dyn Transport>,
     );
     for block in &blocks {

@@ -209,17 +209,16 @@ fn full_node_and_enclave_agree_on_every_mutation() {
         }
     }
     // Thirty-two transactions, two forgeries: a bad signature at 15 and a
-    // spoofed sender at 20 fall in different lanes of a two-core full
-    // node's signature pass, and the later lane — which refuses before any
-    // signature check — finishes first. Every acceptor reports the first
-    // failure in the body, as the enclave's sequential pass does.
-    let two_lanes: fn(&mut Block) = |b| {
+    // spoofed sender at 20, which is refused before any signature check.
+    // Every acceptor reports the first failure in the body, as the
+    // enclave's pass does.
+    let two_forgeries: fn(&mut Block) = |b| {
         b.txs[15].nonce += 1;
         b.txs[20].call.sender = dcert::primitives::hash::Address::from_seed(20);
         b.header.tx_root = Block::tx_root(&b.txs);
     };
     assert!(verdicts(32, |_| {}, false).iter().all(Result::is_ok));
-    for (acceptor, verdict) in acceptors.iter().zip(verdicts(32, two_lanes, true)) {
+    for (acceptor, verdict) in acceptors.iter().zip(verdicts(32, two_forgeries, true)) {
         assert_eq!(verdict, Err(ChainError::BadTxSignature), "{acceptor}");
     }
 }

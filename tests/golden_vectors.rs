@@ -510,14 +510,7 @@ fn pipelined_stream(
     };
     let gossip = Arc::new(Gossip::new());
     let feed = gossip.join();
-    let pipeline = CertPipeline::spawn(
-        world.ci,
-        PipelineConfig {
-            queue_depth: 2,
-            ..PipelineConfig::default()
-        },
-        gossip,
-    );
+    let pipeline = CertPipeline::spawn(world.ci, PipelineConfig::default(), gossip);
     for job in jobs {
         pipeline.submit(job).expect("pipeline accepts jobs");
     }

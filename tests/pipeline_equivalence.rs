@@ -1,8 +1,8 @@
 //! Property-based evidence that the pipelined certification engine is
 //! observationally equivalent to the sequential [`CertificateIssuer`]:
 //! byte-identical certificates, in the same chain order, for plain,
-//! batched, augmented, and hierarchical jobs — across queue depths — plus
-//! deterministic tests for orderly shutdown, a failed batch's rollback, and
+//! batched, augmented, and hierarchical jobs — plus deterministic tests
+//! for orderly shutdown, a kill, a failed batch's rollback, and
 //! sequential ⇄ pipelined hand-overs, the sharded fleet's equivalence to
 //! both, and the sequential issuer's own properties (any random chain
 //! certifies, replicas agree, client storage is constant).
@@ -23,6 +23,7 @@
 
 use std::sync::{Arc, Mutex};
 use std::thread;
+use std::time::{Duration, Instant};
 
 use dcert::chain::{Block, BlockHeader, ChainError};
 use dcert::core::{
@@ -236,7 +237,6 @@ fn build_jobs(sp: &mut ServiceProvider, plan: &Plan, blocks: &[Block]) -> Vec<Ce
 fn run_pipeline(
     ci: CertificateIssuer,
     jobs: Vec<CertJob>,
-    queue_depth: usize,
     obs: Registry,
 ) -> (Vec<Event>, CertificateIssuer, PipelineReport) {
     let gossip = Arc::new(Gossip::new());
@@ -244,7 +244,6 @@ fn run_pipeline(
     let pipeline = CertPipeline::spawn(
         ci,
         PipelineConfig {
-            queue_depth,
             obs,
             ..PipelineConfig::default()
         },
@@ -309,7 +308,7 @@ fn replay(events: &[Event], ias_key: PublicKey, measurement: Hash) -> Superlight
 /// The full oracle: mine one chain, certify it sequentially and through
 /// the pipeline in two seed-identical worlds, and require byte-identical
 /// observable outcomes.
-fn assert_equivalent(plan: Plan, workload: Workload, txs: usize, seed: u64, queue_depth: usize) {
+fn assert_equivalent(plan: Plan, workload: Workload, txs: usize, seed: u64) {
     let mut seq_world = World::pow(&plan.indexes());
     let blocks = seq_world.mine_blocks(workload, plan.block_count(), txs, seed);
     let seq_events = run_sequential(&mut seq_world.ci, &mut seq_world.sp, &plan, &blocks);
@@ -317,8 +316,7 @@ fn assert_equivalent(plan: Plan, workload: Workload, txs: usize, seed: u64, queu
     let mut pipe_world = World::pow(&plan.indexes());
     let jobs = build_jobs(&mut pipe_world.sp, &plan, &blocks);
     let job_count = jobs.len() as u64;
-    let (pipe_events, pipe_ci, report) =
-        run_pipeline(pipe_world.ci, jobs, queue_depth, Registry::disabled());
+    let (pipe_events, pipe_ci, report) = run_pipeline(pipe_world.ci, jobs, Registry::disabled());
 
     assert_eq!(report.errors, Vec::new(), "no job may fail");
     assert_eq!(report.jobs, job_count);
@@ -397,15 +395,14 @@ fn workload(g: &mut Gen) -> Workload {
 }
 
 /// The pipeline is equivalent to the sequential issuer for every chain
-/// scheme, workload, queue depth, and batch shape.
+/// scheme, workload, and batch shape.
 #[test]
 fn pipeline_matches_sequential() {
     // 96 cases ≈ 32 per chain scheme; the suite's floor is 64.
     check("pipeline_matches_sequential", 96, |g| {
         let (plan, workload) = (plan(g), workload(g));
         let (txs, seed) = (g.range(1usize..=3), g.any::<u64>());
-        let queue_depth = g.range(1usize..=8);
-        assert_equivalent(plan, workload, txs, seed, queue_depth);
+        assert_equivalent(plan, workload, txs, seed);
     });
 }
 
@@ -433,7 +430,7 @@ fn attached_registry_is_behaviourally_inert() {
             17,
         );
         let jobs = build_jobs(&mut world.sp, &plan, &blocks);
-        run_pipeline(world.ci, jobs, 2, registry)
+        run_pipeline(world.ci, jobs, registry)
     };
 
     let live = Registry::new();
@@ -485,7 +482,7 @@ fn assert_handover_keeps_chains(plan_for: fn(usize) -> Plan) {
     let mut ci = world.ci;
     let mut events = run_sequential(&mut ci, &mut world.sp, &plan_for(2), &blocks[..2]);
     let jobs = build_jobs(&mut world.sp, &plan_for(2), &blocks[2..4]);
-    let (piped, mut ci, report) = run_pipeline(ci, jobs, 2, Registry::disabled());
+    let (piped, mut ci, report) = run_pipeline(ci, jobs, Registry::disabled());
     assert_eq!(
         report.errors,
         Vec::new(),
@@ -546,14 +543,7 @@ fn shutdown_drains_in_flight_and_ci_resumes() {
 
     let gossip = Arc::new(Gossip::new());
     let feed = gossip.join();
-    let pipeline = CertPipeline::spawn(
-        world.ci,
-        PipelineConfig {
-            queue_depth: 2,
-            ..PipelineConfig::default()
-        },
-        gossip,
-    );
+    let pipeline = CertPipeline::spawn(world.ci, PipelineConfig::default(), gossip);
     for block in &blocks {
         pipeline
             .submit(CertJob::Block(block.clone()))
@@ -609,6 +599,62 @@ fn drop_without_shutdown_still_drains() {
     assert_eq!(certified, 6);
 }
 
+/// `kill` refuses every later `submit`, deterministically: after `K` jobs
+/// certified in lock-step, no job after the kill is sequenced, and the CI
+/// `shutdown` hands back stands at the last published certificate — its
+/// next certificate equals the sequential issuer's, byte for byte.
+#[test]
+fn kill_refuses_every_later_submit() {
+    const K: usize = 3;
+    let mut twin = World::pow(&[]);
+    let blocks = twin.mine_blocks(Workload::KvStore { keyspace: 32 }, K + 2, 2, 23);
+    twin.certify_blocks(&blocks[..K]);
+
+    let world = World::pow(&[]);
+    let gossip = Arc::new(Gossip::new());
+    let feed = gossip.join();
+    let pipeline = CertPipeline::spawn(world.ci, PipelineConfig::default(), gossip);
+    let mut published = Vec::new();
+    for block in &blocks[..K] {
+        pipeline
+            .submit(CertJob::Block(block.clone()))
+            .expect("accepts");
+        // Lock-step: each certificate is out before the next job goes in.
+        let started = Instant::now();
+        let message = loop {
+            if let Ok(message) = feed.try_recv() {
+                break message;
+            }
+            assert!(started.elapsed() < Duration::from_secs(30), "not published");
+            thread::yield_now();
+        };
+        match message {
+            NetMessage::BlockCert { header, cert } => published.push((header, cert)),
+            other => panic!("expected a block certificate, got {other:?}"),
+        }
+    }
+    pipeline.kill();
+    for block in &blocks[K..] {
+        let refused = pipeline.submit(CertJob::Block(block.clone()));
+        assert_eq!(refused, Err(CertError::PipelineClosed));
+    }
+    let (mut ci, report) = pipeline.shutdown();
+    assert_eq!(report.jobs, K as u64);
+    assert_eq!(report.errors, Vec::new());
+    assert!(
+        feed.try_recv().is_err(),
+        "nothing after the kill is published"
+    );
+
+    let (header, cert) = published.last().expect("published");
+    assert_eq!(header, &blocks[K - 1].header);
+    assert_eq!(ci.latest_block_cert(), Some(cert));
+    assert_eq!(ci.node().tip(), header);
+    let (next, _) = ci.certify_block(&blocks[K]).expect("resumes");
+    let (twin_next, _) = twin.ci.certify_block(&blocks[K]).expect("twin certifies");
+    assert_eq!(next.to_encoded_bytes(), twin_next.to_encoded_bytes());
+}
+
 /// A broadcast nobody hears is one dead letter, never a retry: a pipeline
 /// over a bus nobody joined reports each certificate once, by height, and
 /// hands back a CI at the tip whose next certificate equals a twin's.
@@ -642,7 +688,7 @@ fn unheard_broadcasts_dead_letter_once() {
 }
 
 /// A job that breaks chain rules fails in place — it neither stalls the
-/// pipeline nor corrupts the sequencer's view for later valid jobs — and
+/// pipeline nor corrupts the CI's view for later valid jobs — and
 /// one the enclave refuses is undone from the view shutdown hands back.
 #[test]
 fn bad_job_fails_without_stalling() {
@@ -682,8 +728,8 @@ fn bad_job_fails_without_stalling() {
     assert_eq!(heights, vec![1, 2]);
 }
 
-/// A batch whose last block carries a forged `state_root` fails on the
-/// sequencer, before any ECall, and takes the view back to where the batch
+/// A batch whose last block carries a forged `state_root` fails in
+/// `submit`, before any ECall, and takes the view back to where the batch
 /// started: the honest batch of the same blocks, submitted next, certifies
 /// byte for byte as the sequential issuer does.
 #[test]
@@ -699,7 +745,7 @@ fn failed_batch_rolls_back_whole() {
     let mut forged = blocks.clone();
     forged[2].header.state_root = Hash::ZERO;
     let jobs = vec![CertJob::Batch(forged), CertJob::Batch(blocks.clone())];
-    let (events, ci, report) = run_pipeline(world.ci, jobs, 2, Registry::disabled());
+    let (events, ci, report) = run_pipeline(world.ci, jobs, Registry::disabled());
 
     assert_eq!(
         report.errors,
@@ -744,14 +790,7 @@ fn shutdown_message_mid_stream_is_orderly() {
     let ci_bus = gossip.clone();
     let ci = world.ci;
     let ci_actor = thread::spawn(move || {
-        let pipeline = CertPipeline::spawn(
-            ci,
-            PipelineConfig {
-                queue_depth: 2,
-                ..PipelineConfig::default()
-            },
-            ci_bus.clone(),
-        );
+        let pipeline = CertPipeline::spawn(ci, PipelineConfig::default(), ci_bus.clone());
         for message in ci_feed {
             match message {
                 NetMessage::Block(block) => {
