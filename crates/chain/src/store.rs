@@ -191,6 +191,8 @@ mod tests {
         assert!(tip_at_1 == a1.hash() || tip_at_1 == b1.hash());
         store.insert(b2.clone()).unwrap();
         assert_eq!(store.best_hash(), b2.hash(), "longer branch must win");
+        assert_eq!(store.best_header().height, 2);
+        assert_eq!(store.canonical_chain().len(), 3);
     }
 
     #[test]

@@ -120,10 +120,10 @@ pub struct SuperlightClient {
     latest: Option<(BlockHeader, Certificate)>,
     /// Latest certified digest + certificate per tracked index.
     indexes: HashMap<String, (Hash, Certificate)>,
-    /// Digests certified by fewer than `threshold` domains so far: the
-    /// height offered, and one certificate per domain that certified it.
-    /// Always empty at threshold 1.
-    votes: HashMap<Hash, (u64, Vec<(usize, Certificate)>)>,
+    /// Offers for digests certified by fewer than `threshold` domains so
+    /// far, one per digest and domain: the digest, the height offered, the
+    /// domain and its certificate. Always empty at threshold 1.
+    votes: Vec<(Hash, u64, usize, Certificate)>,
     gap: GapTracker,
 }
 
@@ -152,6 +152,13 @@ impl GapTracker {
             .map(|(from, to)| NetMessage::CertRequest { from, to })
     }
 }
+
+/// The most digests one domain may hold pending: each vote keeps a
+/// certificate, so a compromised domain signing digest after digest would
+/// otherwise grow a quorum client without bound. An honest domain holds a
+/// block and its index digests per height it runs ahead; 16 covers several.
+/// Past it its lowest vote goes: any higher certified header wins.
+const MAX_PENDING_PER_DOMAIN: usize = 16;
 
 /// The chain-selection rule (Algorithm 3, line 8): a header is adopted
 /// only above the view already held.
@@ -192,7 +199,7 @@ impl SuperlightClient {
             threshold,
             latest: None,
             indexes: HashMap::new(),
-            votes: HashMap::new(),
+            votes: Vec::new(),
             gap: GapTracker::default(),
         }
     }
@@ -264,7 +271,8 @@ impl SuperlightClient {
     /// must now be certified by `threshold` distinct domains. Only then
     /// does anything commit: the chain view, the certificate of `index`,
     /// and each counted domain's memo entry. An offer short of the
-    /// threshold only counts toward its digest.
+    /// threshold only counts toward its digest, and past
+    /// [`MAX_PENDING_PER_DOMAIN`] evicts its domain's lowest vote.
     fn accept(
         &mut self,
         cert: &Certificate,
@@ -276,32 +284,35 @@ impl SuperlightClient {
         if let Some(header) = advance {
             check_selection(self.height(), header.height)?;
         }
-        let earlier = self.votes.get(&expected).map_or(&[][..], |(_, v)| v);
-        let new_domain = !earlier.iter().any(|(d, _)| *d == domain);
-        let have = earlier.len() + usize::from(new_domain);
+        let earlier = self.votes.iter().filter(|(digest, ..)| *digest == expected);
+        let new_domain = !earlier.clone().any(|(.., d, _)| *d == domain);
+        let have = earlier.count() + usize::from(new_domain);
         if have < self.threshold {
-            let height = advance.map(|h| h.height).or(self.height());
-            let (_, voters) = self
-                .votes
-                .entry(expected)
-                .or_insert_with(|| (height.unwrap_or_default(), Vec::new()));
             if new_domain {
-                voters.push((domain, cert.clone()));
+                let height = advance.map(|h| h.height).or(self.height());
+                let vote = (expected, height.unwrap_or_default(), domain, cert.clone());
+                self.votes.push(vote);
+                let mine = self.votes.iter().enumerate().filter(|(_, v)| v.2 == domain);
+                let lowest = mine.clone().min_by_key(|(_, v)| (v.1, v.0)).map(|(i, _)| i);
+                if let Some(i) = lowest.filter(|_| mine.count() > MAX_PENDING_PER_DOMAIN) {
+                    self.votes.remove(i);
+                }
             }
             return Err(CertError::BelowThreshold {
                 have,
                 need: self.threshold,
             });
         }
-        let (_, voters) = self.votes.remove(&expected).unwrap_or_default();
-        for (d, c) in voters.iter().map(|(d, c)| (*d, c)).chain([(domain, cert)]) {
+        let voters = self.votes.iter().filter(|(digest, ..)| *digest == expected);
+        for (d, c) in voters.map(|(.., d, c)| (*d, c)).chain([(domain, cert)]) {
             if let Some(trusted) = self.domains.get_mut(d) {
                 trusted.remember(c);
             }
         }
+        self.votes.retain(|(digest, ..)| *digest != expected);
         if let Some(header) = advance {
             self.latest = Some((header.clone(), cert.clone()));
-            self.votes.retain(|_, (height, _)| *height >= header.height);
+            self.votes.retain(|(_, at, ..)| *at >= header.height);
         }
         if let Some((name, digest)) = index {
             self.indexes.insert(name.to_owned(), (digest, cert.clone()));
@@ -488,26 +499,28 @@ mod tests {
     /// enclave machinery, for isolated client tests.
     struct MiniCa {
         ias: AttestationService,
+        platform: Keypair,
         enclave_key: Keypair,
         measurement: Hash,
     }
 
     impl MiniCa {
-        fn new() -> Self {
-            let mut ias = AttestationService::with_seed([1; 32]);
-            let platform = Keypair::from_seed([2; 32]);
+        /// A CA whose IAS, platform and enclave keys come from `seed`.
+        fn new(seed: u8) -> Self {
+            let mut ias = AttestationService::with_seed([seed; 32]);
+            let platform = Keypair::from_seed([seed + 1; 32]);
             ias.register_platform(platform.public());
             MiniCa {
                 ias,
-                enclave_key: Keypair::from_seed([3; 32]),
+                platform,
+                enclave_key: Keypair::from_seed([seed + 2; 32]),
                 measurement: hash_bytes(b"mini-program"),
             }
         }
 
         fn certify(&self, digest: Hash) -> Certificate {
-            let platform = Keypair::from_seed([2; 32]);
             let quote = Quote::sign(
-                &platform,
+                &self.platform,
                 self.measurement,
                 Certificate::key_binding(&self.enclave_key.public()),
             );
@@ -541,7 +554,7 @@ mod tests {
 
     #[test]
     fn fresh_client_has_no_view() {
-        let ca = MiniCa::new();
+        let ca = MiniCa::new(1);
         let client = ca.client();
         assert_eq!(client.height(), None);
         assert_eq!(client.latest_header(), None);
@@ -551,7 +564,7 @@ mod tests {
 
     #[test]
     fn adopts_and_advances() {
-        let ca = MiniCa::new();
+        let ca = MiniCa::new(1);
         let mut client = ca.client();
         let h1 = header(1);
         client.validate_chain(&h1, &ca.certify(h1.hash())).unwrap();
@@ -564,7 +577,7 @@ mod tests {
 
     #[test]
     fn index_tracking_requires_a_chain_view() {
-        let ca = MiniCa::new();
+        let ca = MiniCa::new(1);
         let mut client = ca.client();
         let cert = ca.certify(Hash::ZERO);
         assert_eq!(
@@ -575,7 +588,7 @@ mod tests {
 
     #[test]
     fn index_cert_binds_to_latest_header() {
-        let ca = MiniCa::new();
+        let ca = MiniCa::new(1);
         let mut client = ca.client();
         let h1 = header(1);
         client.validate_chain(&h1, &ca.certify(h1.hash())).unwrap();
@@ -596,7 +609,7 @@ mod tests {
 
     #[test]
     fn augmented_flow_adopts_chain_and_index_together() {
-        let ca = MiniCa::new();
+        let ca = MiniCa::new(1);
         let mut client = ca.client();
         let h1 = header(1);
         let idx_digest = hash_bytes(b"index-root");
@@ -615,7 +628,7 @@ mod tests {
 
     #[test]
     fn storage_is_independent_of_adopted_height() {
-        let ca = MiniCa::new();
+        let ca = MiniCa::new(1);
         let mut client = ca.client();
         let h1 = header(1);
         client.validate_chain(&h1, &ca.certify(h1.hash())).unwrap();
@@ -629,7 +642,7 @@ mod tests {
 
     #[test]
     fn on_message_adopts_rejects_and_detects_gaps() {
-        let ca = MiniCa::new();
+        let ca = MiniCa::new(1);
         let mut client = ca.client();
         let h1 = header(1);
         assert_eq!(
@@ -682,7 +695,7 @@ mod tests {
     #[test]
     fn checkpoint_resume_round_trip() {
         use dcert_store::MemStore;
-        let ca = MiniCa::new();
+        let ca = MiniCa::new(1);
         let mut client = ca.client();
         let h3 = header(3);
         client.validate_chain(&h3, &ca.certify(h3.hash())).unwrap();
@@ -714,7 +727,7 @@ mod tests {
     fn resume_refuses_forged_checkpoint() {
         use dcert_primitives::codec::Encode;
         use dcert_store::{MemStore, Store};
-        let ca = MiniCa::new();
+        let ca = MiniCa::new(1);
         let mut client = ca.client();
         let h1 = header(1);
         client.validate_chain(&h1, &ca.certify(h1.hash())).unwrap();
@@ -739,7 +752,7 @@ mod tests {
     #[test]
     fn resume_refuses_undecodable_checkpoint() {
         use dcert_store::{MemStore, Store};
-        let ca = MiniCa::new();
+        let ca = MiniCa::new(1);
         let mut store = MemStore::new();
         store
             .put_head(crate::persist::SUPERLIGHT_LATEST_KEY, vec![1, 2, 3])
@@ -753,7 +766,7 @@ mod tests {
     #[test]
     fn resume_of_empty_store_is_a_fresh_client() {
         use dcert_store::MemStore;
-        let ca = MiniCa::new();
+        let ca = MiniCa::new(1);
         let resumed =
             SuperlightClient::resume(ca.ias.public_key(), ca.measurement, &MemStore::new())
                 .unwrap();
@@ -766,7 +779,7 @@ mod tests {
         // Every `validate_*` entry shares one acceptance path: a
         // certificate that fails any line of it neither marks its key
         // attested nor moves the chain view or an index digest.
-        let ca = MiniCa::new();
+        let ca = MiniCa::new(1);
         let mut client = ca.client();
         let h1 = header(1);
         let wrong_digest = ca.certify(hash_bytes(b"somewhere else"));
@@ -830,7 +843,7 @@ mod tests {
         // The memo holds ⟨rep, pk_enc⟩ pairs byte for byte, as the enclave
         // does: once a key's report verified, a *different* report under
         // the same key is not trusted on the key's say-so.
-        let ca = MiniCa::new();
+        let ca = MiniCa::new(1);
         let mut client = ca.client();
         let h1 = header(1);
         client.validate_chain(&h1, &ca.certify(h1.hash())).unwrap();
@@ -843,5 +856,36 @@ mod tests {
         ));
         assert_eq!(client.height(), Some(1));
         client.validate_chain(&h2, &ca.certify(h2.hash())).unwrap();
+    }
+
+    #[test]
+    fn one_domain_cannot_grow_a_quorums_pending_votes() {
+        // A compromised domain B signs a new digest at each height; no other
+        // domain agrees, so each one stays pending in a 2-of-2 client.
+        let (a, b) = (MiniCa::new(1), MiniCa::new(0x10));
+        let domains = [&a, &b].map(|ca| TrustDomain::new(ca.ias.public_key(), ca.measurement));
+        let mut client = SuperlightClient::with_domains(domains.to_vec(), 2).unwrap();
+        let short = Err(CertError::BelowThreshold { have: 1, need: 2 });
+        for height in 1..=1_000 {
+            let forged = header(height);
+            assert_eq!(
+                client.validate_chain(&forged, &b.certify(forged.hash())),
+                short
+            );
+            let held = client.votes.iter().filter(|(.., d, _)| *d == 1).count();
+            assert!(
+                held <= MAX_PENDING_PER_DOMAIN,
+                "{held} votes at height {height}"
+            );
+        }
+        let honest = header(1_001);
+        assert_eq!(
+            client.validate_chain(&honest, &b.certify(honest.hash())),
+            short
+        );
+        client
+            .validate_chain(&honest, &a.certify(honest.hash()))
+            .unwrap();
+        assert_eq!(client.latest_header(), Some(&honest));
     }
 }
