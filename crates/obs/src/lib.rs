@@ -23,11 +23,15 @@
 //!    *measure* wall-clock time, which by convention end in `_ns` and can
 //!    be stripped with [`Snapshot::without_wall_clock`] for replay
 //!    comparisons.
-//! 4. **Behaviorally inert.** A [`Registry::disabled`] registry hands out
-//!    detached handles: recording into them is harmless and nothing is
-//!    exported. Instrumented code paths must be byte-identical in output
-//!    to uninstrumented ones (`tests/pipeline_equivalence.rs` pins this
-//!    for the certification pipeline).
+//! 4. **Behaviorally inert, and free when off.** A [`Registry::disabled`]
+//!    registry holds nothing and hands out inert handles: an update is one
+//!    branch — no atomic, no allocation — a read returns 0, and nothing is
+//!    exported. Registering on it allocates nothing either, so an
+//!    unmeasured cost center pays neither at setup nor per event
+//!    (`tests/floors.rs` pins the serving front's cache hit at zero
+//!    allocations). Instrumented code paths must be byte-identical in
+//!    output to uninstrumented ones (`tests/pipeline_equivalence.rs` pins
+//!    this for the certification pipeline).
 //!
 //! This crate deliberately has no clock: durations are measured by
 //! callers with the sanctioned `dcert_sgx::cost::timed` closure clock (or

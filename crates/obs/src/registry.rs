@@ -2,44 +2,57 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use crate::snapshot::{BucketCount, HistogramSnapshot, Snapshot};
 
-/// Sorted inclusive upper bounds for a [`Histogram`]'s buckets. A value
+/// A [`Histogram`]'s bucket grid: sorted inclusive upper bounds. A value
 /// `v` lands in the first bucket with `v <= bound`; values above every
 /// bound land in the implicit overflow bucket.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Buckets(Vec<u64>);
+///
+/// A grid is a recipe: the bounds are only laid out when an enabled
+/// registry registers the histogram, so handing one to a disabled
+/// registry allocates nothing.
+#[derive(Debug, Clone)]
+pub struct Buckets(Grid);
+
+#[derive(Debug, Clone)]
+enum Grid {
+    /// Sorted and deduplicated.
+    Explicit(Vec<u64>),
+    Exponential {
+        first: u64,
+        factor: u64,
+        count: usize,
+    },
+    Linear {
+        start: u64,
+        step: u64,
+        count: usize,
+    },
+}
 
 impl Buckets {
     /// Buckets from explicit bounds (sorted and deduplicated).
     pub fn from_bounds(mut bounds: Vec<u64>) -> Self {
         bounds.sort_unstable();
         bounds.dedup();
-        Buckets(bounds)
+        Buckets(Grid::Explicit(bounds))
     }
 
     /// `count` bounds starting at `first`, each `factor`× the previous.
     pub fn exponential(first: u64, factor: u64, count: usize) -> Self {
-        let mut bounds = Vec::with_capacity(count);
-        let mut bound = first.max(1);
-        for _ in 0..count {
-            bounds.push(bound);
-            bound = bound.saturating_mul(factor.max(2));
-        }
-        Buckets::from_bounds(bounds)
+        Buckets(Grid::Exponential {
+            first,
+            factor,
+            count,
+        })
     }
 
     /// `count` bounds `start, start+step, start+2·step, …`.
     pub fn linear(start: u64, step: u64, count: usize) -> Self {
-        let step = step.max(1);
-        Buckets::from_bounds(
-            (0..count as u64)
-                .map(|i| start.saturating_add(i.saturating_mul(step)))
-                .collect(),
-        )
+        Buckets(Grid::Linear { start, step, count })
     }
 
     /// Nanosecond latency grid: 1 µs to ~68 s in powers of four. The
@@ -55,105 +68,158 @@ impl Buckets {
     }
 
     /// The sorted inclusive upper bounds.
-    pub fn bounds(&self) -> &[u64] {
-        &self.0
+    pub fn bounds(&self) -> Vec<u64> {
+        let mut bounds: Vec<u64> = match self.0 {
+            Grid::Explicit(ref bounds) => return bounds.clone(),
+            Grid::Exponential {
+                first,
+                factor,
+                count,
+            } => std::iter::successors(Some(first.max(1)), |bound| {
+                Some(bound.saturating_mul(factor.max(2)))
+            })
+            .take(count)
+            .collect(),
+            Grid::Linear { start, step, count } => (0..count as u64)
+                .map(|i| start.saturating_add(i.saturating_mul(step.max(1))))
+                .collect(),
+        };
+        // Both grids only climb; saturation at `u64::MAX` repeats a bound.
+        bounds.dedup();
+        bounds
     }
 }
 
-/// A monotonically increasing `u64` metric.
+/// A monotonically increasing `u64` metric. A handle from a disabled
+/// registry (or a kind clash) is inert: it holds nothing, every update is
+/// one branch, and it reads 0.
 #[derive(Debug, Clone)]
-pub struct Counter(Arc<AtomicU64>);
+pub struct Counter(Option<Arc<AtomicU64>>);
 
 impl Counter {
-    fn detached() -> Self {
-        Counter(Arc::new(AtomicU64::new(0)))
-    }
-
     /// Adds one.
     pub fn inc(&self) {
-        self.0.fetch_add(1, Ordering::Relaxed);
+        self.add(1);
     }
 
     /// Adds `n`.
     pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
+        if let Some(cell) = &self.0 {
+            cell.fetch_add(n, Ordering::Relaxed);
+        }
     }
 
-    /// Current value.
+    /// Current value (0 on an inert handle).
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
+        self.0
+            .as_ref()
+            .map_or(0, |cell| cell.load(Ordering::Relaxed))
     }
 }
 
-/// A settable signed metric (queue depths, residency levels).
+/// A settable signed metric (queue depths, residency levels). Inert, like
+/// [`Counter`], when it comes from a disabled registry or a kind clash.
 #[derive(Debug, Clone)]
-pub struct Gauge(Arc<AtomicI64>);
+pub struct Gauge(Option<Arc<AtomicI64>>);
 
 impl Gauge {
-    fn detached() -> Self {
-        Gauge(Arc::new(AtomicI64::new(0)))
-    }
-
     /// Sets the value.
     pub fn set(&self, value: i64) {
-        self.0.store(value, Ordering::Relaxed);
+        if let Some(cell) = &self.0 {
+            cell.store(value, Ordering::Relaxed);
+        }
     }
 
     /// Adds `n` (may be negative via [`Gauge::sub`]).
     pub fn add(&self, n: i64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
+        if let Some(cell) = &self.0 {
+            cell.fetch_add(n, Ordering::Relaxed);
+        }
     }
 
     /// Subtracts `n`.
     pub fn sub(&self, n: i64) {
-        self.0.fetch_sub(n, Ordering::Relaxed);
+        if let Some(cell) = &self.0 {
+            cell.fetch_sub(n, Ordering::Relaxed);
+        }
     }
 
     /// Records `value` if it exceeds the current value (high-water mark).
     pub fn record_max(&self, value: i64) {
-        self.0.fetch_max(value, Ordering::Relaxed);
+        if let Some(cell) = &self.0 {
+            cell.fetch_max(value, Ordering::Relaxed);
+        }
     }
 
-    /// Current value.
+    /// Current value (0 on an inert handle).
     pub fn get(&self) -> i64 {
-        self.0.load(Ordering::Relaxed)
+        self.0
+            .as_ref()
+            .map_or(0, |cell| cell.load(Ordering::Relaxed))
     }
 }
 
 #[derive(Debug)]
 struct HistogramCore {
     /// Sorted inclusive upper bounds; `counts` has one extra overflow slot.
+    /// The observation count is the sum of `counts`.
     bounds: Box<[u64]>,
     counts: Box<[AtomicU64]>,
-    total: AtomicU64,
     sum: AtomicU64,
     min: AtomicU64,
     max: AtomicU64,
 }
 
-/// A fixed-bucket distribution metric. Observation is lock-free and
-/// allocation-free: one linear scan over the (small, fixed) bound table
-/// plus a handful of relaxed atomic updates.
-#[derive(Debug, Clone)]
-pub struct Histogram(Arc<HistogramCore>);
-
-impl Histogram {
-    fn with_buckets(buckets: &Buckets) -> Self {
+impl HistogramCore {
+    fn new(buckets: &Buckets) -> Self {
         let bounds: Box<[u64]> = buckets.bounds().into();
         let counts: Box<[AtomicU64]> = (0..bounds.len() + 1).map(|_| AtomicU64::new(0)).collect();
-        Histogram(Arc::new(HistogramCore {
+        HistogramCore {
             bounds,
             counts,
-            total: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             min: AtomicU64::new(u64::MAX),
             max: AtomicU64::new(0),
-        }))
+        }
     }
 
+    fn snapshot(&self) -> HistogramSnapshot {
+        let buckets: Vec<BucketCount> = self
+            .bounds
+            .iter()
+            .map(|bound| Some(*bound))
+            .chain([None])
+            .zip(self.counts.iter())
+            .map(|(le, slot)| BucketCount {
+                le,
+                count: slot.load(Ordering::Relaxed),
+            })
+            .collect();
+        let count = buckets.iter().map(|bucket| bucket.count).sum();
+        HistogramSnapshot {
+            count,
+            sum: self.sum.load(Ordering::Relaxed),
+            min: (count > 0).then(|| self.min.load(Ordering::Relaxed)),
+            max: (count > 0).then(|| self.max.load(Ordering::Relaxed)),
+            buckets,
+        }
+    }
+}
+
+/// A fixed-bucket distribution metric. Observation is lock-free and
+/// allocation-free: one linear scan over the (small, fixed) bound table
+/// plus two relaxed atomic updates, and a third only when the value is a
+/// new minimum or maximum. Inert, like [`Counter`], when it comes from a
+/// disabled registry or a kind clash: no bucket table, and it reads 0.
+#[derive(Debug, Clone)]
+pub struct Histogram(Option<Arc<HistogramCore>>);
+
+impl Histogram {
     /// Records one observation.
     pub fn observe(&self, value: u64) {
-        let core = &*self.0;
+        let Some(core) = &self.0 else {
+            return;
+        };
         let idx = core
             .bounds
             .iter()
@@ -162,10 +228,15 @@ impl Histogram {
         if let Some(slot) = core.counts.get(idx) {
             slot.fetch_add(1, Ordering::Relaxed);
         }
-        core.total.fetch_add(1, Ordering::Relaxed);
         core.sum.fetch_add(value, Ordering::Relaxed);
-        core.min.fetch_min(value, Ordering::Relaxed);
-        core.max.fetch_max(value, Ordering::Relaxed);
+        // `min` only falls and `max` only rises, so a stale load can only
+        // send a value to the read-modify-write that settles it.
+        if value < core.min.load(Ordering::Relaxed) {
+            core.min.fetch_min(value, Ordering::Relaxed);
+        }
+        if value > core.max.load(Ordering::Relaxed) {
+            core.max.fetch_max(value, Ordering::Relaxed);
+        }
     }
 
     /// Records a duration in nanoseconds (the `*_ns` timer convention).
@@ -173,57 +244,32 @@ impl Histogram {
         self.observe(u64::try_from(duration.as_nanos()).unwrap_or(u64::MAX));
     }
 
-    /// Number of observations.
+    /// Number of observations (0 on an inert handle).
     pub fn count(&self) -> u64 {
-        self.0.total.load(Ordering::Relaxed)
-    }
-
-    /// Sum of all observed values (wrapping at `u64::MAX`).
-    pub fn sum(&self) -> u64 {
-        self.0.sum.load(Ordering::Relaxed)
-    }
-
-    fn snapshot(&self) -> HistogramSnapshot {
-        let core = &*self.0;
-        let count = core.total.load(Ordering::Relaxed);
-        let mut buckets: Vec<BucketCount> = core
-            .bounds
-            .iter()
-            .zip(core.counts.iter())
-            .map(|(bound, slot)| BucketCount {
-                le: Some(*bound),
-                count: slot.load(Ordering::Relaxed),
-            })
-            .collect();
-        buckets.push(BucketCount {
-            le: None,
-            count: core
-                .counts
-                .last()
+        self.0.as_ref().map_or(0, |core| {
+            core.counts
+                .iter()
                 .map(|slot| slot.load(Ordering::Relaxed))
-                .unwrap_or(0),
-        });
-        HistogramSnapshot {
-            count,
-            sum: core.sum.load(Ordering::Relaxed),
-            min: (count > 0).then(|| core.min.load(Ordering::Relaxed)),
-            max: (count > 0).then(|| core.max.load(Ordering::Relaxed)),
-            buckets,
-        }
+                .sum()
+        })
+    }
+
+    /// Sum of all observed values, wrapping at `u64::MAX` (0 on an inert
+    /// handle).
+    pub fn sum(&self) -> u64 {
+        self.0
+            .as_ref()
+            .map_or(0, |core| core.sum.load(Ordering::Relaxed))
     }
 }
 
-#[derive(Debug, Clone)]
-enum Metric {
-    Counter(Counter),
-    Gauge(Gauge),
-    Histogram(Histogram),
-}
-
+/// A registered metric: always live, since only an enabled registry
+/// registers anything.
 #[derive(Debug)]
-struct Inner {
-    enabled: bool,
-    metrics: Mutex<BTreeMap<String, Metric>>,
+enum Metric {
+    Counter(Arc<AtomicU64>),
+    Gauge(Arc<AtomicI64>),
+    Histogram(Arc<HistogramCore>),
 }
 
 /// A shareable registry of named metrics.
@@ -235,10 +281,10 @@ struct Inner {
 ///
 /// Registering the same name twice returns a handle onto the *same*
 /// metric (so independently wired subsystems can share a counter); a
-/// name re-registered as a different kind yields a detached handle that
-/// records nowhere rather than corrupting the original.
+/// name re-registered as a different kind yields an inert handle that
+/// records nowhere and reads 0, rather than corrupting the original.
 #[derive(Debug, Clone)]
-pub struct Registry(Arc<Inner>);
+pub struct Registry(Option<Arc<Mutex<BTreeMap<String, Metric>>>>);
 
 impl Default for Registry {
     fn default() -> Self {
@@ -249,84 +295,80 @@ impl Default for Registry {
 impl Registry {
     /// An enabled, empty registry.
     pub fn new() -> Self {
-        Registry(Arc::new(Inner {
-            enabled: true,
-            metrics: Mutex::new(BTreeMap::new()),
-        }))
+        Registry(Some(Arc::new(Mutex::new(BTreeMap::new()))))
     }
 
-    /// A disabled registry: hands out detached handles, exports nothing.
-    /// The inert default for production paths that are not being measured.
+    /// A disabled registry: holds nothing and exports nothing. Every
+    /// handle it hands out is inert — an update is one branch, with no
+    /// atomic and no allocation, and a read returns 0 — and neither
+    /// building it nor registering on it allocates. The default for
+    /// production paths that are not being measured.
     pub fn disabled() -> Self {
-        Registry(Arc::new(Inner {
-            enabled: false,
-            metrics: Mutex::new(BTreeMap::new()),
-        }))
+        Registry(None)
     }
 
     /// Whether this registry records and exports anything.
     pub fn is_enabled(&self) -> bool {
-        self.0.enabled
+        self.0.is_some()
     }
 
-    fn with_metrics<T>(&self, f: impl FnOnce(&mut BTreeMap<String, Metric>) -> T) -> T {
+    /// The cell registered under `name`, created by `create` on first
+    /// registration. `None` — an inert handle — on a disabled registry, or
+    /// when `name` holds a metric of another kind (`share` refuses it).
+    fn register<T>(
+        &self,
+        name: &str,
+        create: impl FnOnce() -> Metric,
+        share: impl FnOnce(&Metric) -> Option<T>,
+    ) -> Option<T> {
+        let mut metrics = self.lock()?;
+        share(metrics.entry(name.to_owned()).or_insert_with(create))
+    }
+
+    /// The metric table; `None` on a disabled registry.
+    fn lock(&self) -> Option<MutexGuard<'_, BTreeMap<String, Metric>>> {
         // A poisoned lock only means another thread panicked mid-insert;
         // the map itself is still structurally sound — keep serving.
-        let mut metrics = match self.0.metrics.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        f(&mut metrics)
+        let metrics = self.0.as_ref()?;
+        Some(metrics.lock().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// Registers (or re-fetches) a counter.
     pub fn counter(&self, name: &str) -> Counter {
-        if !self.0.enabled {
-            return Counter::detached();
-        }
-        self.with_metrics(|metrics| {
-            match metrics
-                .entry(name.to_owned())
-                .or_insert_with(|| Metric::Counter(Counter::detached()))
-            {
-                Metric::Counter(counter) => counter.clone(),
-                _ => Counter::detached(),
-            }
-        })
+        Counter(self.register(
+            name,
+            || Metric::Counter(Arc::default()),
+            |metric| match metric {
+                Metric::Counter(cell) => Some(Arc::clone(cell)),
+                _ => None,
+            },
+        ))
     }
 
     /// Registers (or re-fetches) a gauge.
     pub fn gauge(&self, name: &str) -> Gauge {
-        if !self.0.enabled {
-            return Gauge::detached();
-        }
-        self.with_metrics(|metrics| {
-            match metrics
-                .entry(name.to_owned())
-                .or_insert_with(|| Metric::Gauge(Gauge::detached()))
-            {
-                Metric::Gauge(gauge) => gauge.clone(),
-                _ => Gauge::detached(),
-            }
-        })
+        Gauge(self.register(
+            name,
+            || Metric::Gauge(Arc::default()),
+            |metric| match metric {
+                Metric::Gauge(cell) => Some(Arc::clone(cell)),
+                _ => None,
+            },
+        ))
     }
 
     /// Registers (or re-fetches) a histogram. `buckets` only takes effect
     /// on first registration; later calls return the existing histogram
     /// unchanged.
     pub fn histogram(&self, name: &str, buckets: Buckets) -> Histogram {
-        if !self.0.enabled {
-            return Histogram::with_buckets(&buckets);
-        }
-        self.with_metrics(|metrics| {
-            match metrics
-                .entry(name.to_owned())
-                .or_insert_with(|| Metric::Histogram(Histogram::with_buckets(&buckets)))
-            {
-                Metric::Histogram(histogram) => histogram.clone(),
-                _ => Histogram::with_buckets(&buckets),
-            }
-        })
+        Histogram(self.register(
+            name,
+            || Metric::Histogram(Arc::new(HistogramCore::new(&buckets))),
+            |metric| match metric {
+                Metric::Histogram(core) => Some(Arc::clone(core)),
+                _ => None,
+            },
+        ))
     }
 
     /// A latency histogram with the default [`Buckets::latency`] grid.
@@ -339,26 +381,26 @@ impl Registry {
     /// A point-in-time copy of every metric, in name order.
     pub fn snapshot(&self) -> Snapshot {
         let mut snapshot = Snapshot::default();
-        if !self.0.enabled {
+        let Some(metrics) = self.lock() else {
             return snapshot;
-        }
-        self.with_metrics(|metrics| {
-            for (name, metric) in metrics.iter() {
-                match metric {
-                    Metric::Counter(counter) => {
-                        snapshot.counters.insert(name.clone(), counter.get());
-                    }
-                    Metric::Gauge(gauge) => {
-                        snapshot.gauges.insert(name.clone(), gauge.get());
-                    }
-                    Metric::Histogram(histogram) => {
-                        snapshot
-                            .histograms
-                            .insert(name.clone(), histogram.snapshot());
-                    }
+        };
+        for (name, metric) in metrics.iter() {
+            match metric {
+                Metric::Counter(cell) => {
+                    snapshot
+                        .counters
+                        .insert(name.clone(), cell.load(Ordering::Relaxed));
+                }
+                Metric::Gauge(cell) => {
+                    snapshot
+                        .gauges
+                        .insert(name.clone(), cell.load(Ordering::Relaxed));
+                }
+                Metric::Histogram(core) => {
+                    snapshot.histograms.insert(name.clone(), core.snapshot());
                 }
             }
-        });
+        }
         snapshot
     }
 }
@@ -405,14 +447,19 @@ mod tests {
 
     #[test]
     fn histogram_bucket_boundaries_are_inclusive() {
-        let hist = Histogram::with_buckets(&Buckets::from_bounds(vec![10, 100]));
+        let registry = Registry::new();
+        let hist = registry.histogram("h", Buckets::from_bounds(vec![10, 100]));
         hist.observe(0); // first bucket
         hist.observe(10); // exactly on the bound → first bucket
         hist.observe(11); // second bucket
         hist.observe(100); // exactly on the bound → second bucket
         hist.observe(101); // overflow
         hist.observe(u64::MAX); // overflow
-        let snap = hist.snapshot();
+        let snap = registry
+            .snapshot()
+            .histograms
+            .remove("h")
+            .expect("registered");
         let counts: Vec<u64> = snap.buckets.iter().map(|b| b.count).collect();
         assert_eq!(counts, vec![2, 2, 2]);
         assert_eq!(snap.count, 6);
@@ -422,8 +469,13 @@ mod tests {
 
     #[test]
     fn empty_histogram_has_no_min_max() {
-        let hist = Histogram::with_buckets(&Buckets::latency());
-        let snap = hist.snapshot();
+        let registry = Registry::new();
+        registry.timer("t_ns");
+        let snap = registry
+            .snapshot()
+            .histograms
+            .remove("t_ns")
+            .expect("registered");
         assert_eq!(snap.count, 0);
         assert_eq!(snap.min, None);
         assert_eq!(snap.max, None);
@@ -456,7 +508,7 @@ mod tests {
     fn disabled_registry_exports_nothing() {
         let registry = Registry::disabled();
         let counter = registry.counter("x");
-        counter.add(100); // harmless: detached
+        counter.add(100); // harmless: inert
         registry.gauge("y").set(1);
         registry.timer("z_ns").observe(5);
         let snapshot = registry.snapshot();
@@ -464,6 +516,46 @@ mod tests {
         assert!(snapshot.gauges.is_empty());
         assert!(snapshot.histograms.is_empty());
         assert!(!registry.is_enabled());
+    }
+
+    #[test]
+    fn inert_handles_read_zero_and_never_reach_a_snapshot() {
+        let touch = |counter: &Counter, gauge: &Gauge, hist: &Histogram| {
+            counter.add(41);
+            counter.inc();
+            gauge.set(-7);
+            gauge.add(3);
+            gauge.record_max(9);
+            hist.observe(5);
+            hist.record(Duration::from_micros(2));
+            assert_eq!(
+                (counter.get(), gauge.get(), hist.count(), hist.sum()),
+                (0, 0, 0, 0)
+            );
+        };
+        let disabled = Registry::disabled();
+        touch(
+            &disabled.counter("c"),
+            &disabled.gauge("g"),
+            &disabled.histogram("h", Buckets::bytes()),
+        );
+        assert_eq!(disabled.snapshot(), Snapshot::default());
+
+        // Each name is taken by another kind first: every clash is inert.
+        let registry = Registry::new();
+        registry.gauge("c");
+        registry.counter("g");
+        registry.counter("h");
+        touch(
+            &registry.counter("c"),
+            &registry.gauge("g"),
+            &registry.timer("h"),
+        );
+        let snapshot = registry.snapshot();
+        assert_eq!(snapshot.gauges.get("c"), Some(&0));
+        assert_eq!(snapshot.counters.get("g"), Some(&0));
+        assert_eq!(snapshot.counters.get("h"), Some(&0));
+        assert!(snapshot.histograms.is_empty());
     }
 
     #[test]

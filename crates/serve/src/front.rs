@@ -110,7 +110,7 @@ pub struct ServeFront {
 }
 
 impl ServeFront {
-    /// Wraps `sp` under `config` with detached metrics (call
+    /// Wraps `sp` under `config` with inert metrics (call
     /// [`ServeFront::attach_obs`] to register `serve.*`).
     pub fn new(sp: ServiceProvider, config: ServeConfig) -> Self {
         ServeFront {

@@ -52,8 +52,8 @@ pub struct ServeMetrics {
 }
 
 impl ServeMetrics {
-    /// Registers every handle in `registry` (or hands out detached
-    /// handles when given [`Registry::disabled`]).
+    /// Registers every handle in `registry` (or hands out inert handles,
+    /// allocating nothing, when given [`Registry::disabled`]).
     pub fn register(registry: &Registry) -> Self {
         ServeMetrics {
             requests: registry.counter("serve.requests"),
@@ -76,7 +76,8 @@ impl ServeMetrics {
         }
     }
 
-    /// Detached handles: every update is a no-op.
+    /// Inert handles: every update is one branch, with no atomic and no
+    /// allocation, and building them allocates nothing.
     pub fn disabled() -> Self {
         Self::register(&Registry::disabled())
     }

@@ -95,8 +95,9 @@ fn nanos_metrics_survive_wall_clock_stripping() {
     assert_eq!(stripped.counter("sim_charge_nanos"), 9);
 }
 
-/// A disabled registry hands out detached handles: recording is a no-op
-/// and the snapshot stays empty, so instrumented code needs no branches.
+/// A disabled registry hands out inert handles: recording is a no-op, a
+/// read is 0 and the snapshot stays empty, so instrumented code needs no
+/// branches.
 #[test]
 fn disabled_registry_records_nothing() {
     let registry = Registry::disabled();
@@ -106,7 +107,11 @@ fn disabled_registry_records_nothing() {
     counter.inc();
     registry.gauge("ghost_gauge").set(-7);
     registry.timer("ghost_ns").observe(1);
-    assert_eq!(counter.get(), 42, "the detached handle still works locally");
+    assert_eq!(
+        counter.get(),
+        0,
+        "an inert handle records nowhere, not even locally"
+    );
     assert_eq!(registry.snapshot(), Snapshot::default());
 }
 
