@@ -209,8 +209,8 @@ dcert_primitives::wire! {
 }
 
 /// Untrusted-side failures of the sharded certification fleet: plan
-/// construction, worker threads, and durable-state plumbing. Enclave-side
-/// refusals surface as ordinary [`CertError`] variants instead.
+/// construction and durable-state plumbing. Enclave-side refusals surface
+/// as ordinary [`CertError`] variants instead.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ShardError {
     /// A shard plan was requested over an empty height span.
@@ -231,13 +231,6 @@ pub enum ShardError {
         /// Height of the missing block.
         height: u64,
     },
-    /// The fleet lost a shard of its own: a slot with no booted enclave,
-    /// a worker thread that panicked, or a slot missing from the round. A
-    /// worker's refusal travels as the [`CertError`] it got instead.
-    Worker {
-        /// Index of the failed shard.
-        shard: usize,
-    },
     /// The durable store rejected a watermark or seal write.
     Store(StoreError),
 }
@@ -254,7 +247,6 @@ impl fmt::Display for ShardError {
             ShardError::MissingBlock { height } => {
                 write!(f, "block at height {height} missing from offered chain")
             }
-            ShardError::Worker { shard } => write!(f, "shard {shard} worker lost"),
             ShardError::Store(e) => write!(f, "shard store write failed: {e}"),
         }
     }

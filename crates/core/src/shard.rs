@@ -17,11 +17,14 @@
 //! enclaves boot with *derived* seeds: their keys never appear in client
 //! artifacts, and a shard key cannot forge a final certificate.
 //!
-//! **Chain view.** The fleet holds one genesis `FullNode`. Each shard
-//! worker clones it, replays the prefix below its range through
-//! `FullNode::advance`, and links every block of its range with the step
-//! every driver takes (`engine::link_block`), so a block whose writes miss
-//! its state root fails the worker on its host, before any ECall for it.
+//! **Chain view.** The fleet holds one genesis `FullNode`. A run clones it
+//! once, replays the certified prefix below the span through
+//! `FullNode::advance` (no proofs), and links every block of the span with
+//! the step every driver takes (`engine::link_block`), in height order on
+//! the calling thread, encoding each chunk's `RangeSigGen` request once.
+//! All of it happens before any shard boots, so a chain the host refuses
+//! (linkage, a write set that misses its state root) costs no ECall. A
+//! shard thread only signs: one ECall and one checkpoint per chunk.
 //!
 //! **Reorgs.** The fleet compares the offered chain against what it last
 //! certified, keeps every range certificate entirely below the fork
@@ -36,14 +39,15 @@
 //! certificate, height watermark, and sealed enclave state to the
 //! configured [`Store`]; a killed shard restarts via
 //! [`Enclave::restore`] with the same key and resumes *above* its durable
-//! watermark instead of re-certifying the whole range.
+//! watermark, from the same encoded requests, instead of re-certifying the
+//! whole range; nothing is sequenced again.
 
 use std::sync::{Arc, Mutex};
 
 use dcert_chain::{Block, BlockHeader, ChainState, ConsensusEngine, FullNode};
 use dcert_obs::{Counter, Histogram, Registry};
 use dcert_primitives::codec::{Decode, Encode};
-use dcert_primitives::hash::{hash_concat, Address};
+use dcert_primitives::hash::{hash_concat, Address, Hash};
 use dcert_primitives::keys::Signature;
 use dcert_sgx::cost::timed;
 use dcert_sgx::{AttestationService, CostModel, Enclave, SealedBlob};
@@ -135,14 +139,14 @@ impl ShardPlan {
     }
 }
 
-/// One scheduled shard failure: the worker dies after completing
+/// One scheduled shard failure: the shard dies after completing
 /// `after_chunks` chunks in a round. Count-based (never wall-clock), so a
 /// chaos run replays bit-for-bit from its seed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardKill {
     /// Index of the shard to kill.
     pub shard: usize,
-    /// Chunks the worker completes (and persists) before dying.
+    /// Chunks the shard completes (and persists) before dying.
     pub after_chunks: usize,
 }
 
@@ -248,21 +252,88 @@ impl ShardMetrics {
     }
 }
 
-/// Engine-side state of one shard between worker rounds.
-struct ShardSlot {
-    range: HeightRange,
-    /// Ranges certified so far (durable when a store is configured).
-    done: Vec<RangeCert>,
-    /// Next height this shard will certify.
-    next: u64,
-    kill_after: Option<usize>,
-    boot: Option<Attested>,
+/// One chunk of a shard's range as the host sequenced it: what its
+/// [`RangeCert`] carries besides the signature, and its `RangeSigGen`
+/// request, encoded once.
+struct Chunk {
+    first: u64,
+    last: u64,
+    anchor_digest: Hash,
+    header_digests: Vec<Hash>,
+    request: Vec<u8>,
 }
 
-/// What one worker round produced for one shard.
-struct ShardRun {
-    produced: Vec<RangeCert>,
-    killed: bool,
+/// One shard of a run: its chunks, the range certificates of the first
+/// `done.len()` of them, and the enclave that signs the rest.
+struct Shard {
+    chunks: Vec<Chunk>,
+    /// One per signed chunk, in order (durable when a store is configured).
+    done: Vec<RangeCert>,
+    /// The scheduled kill: it fires before the chunk at this index.
+    kill_after: Option<usize>,
+    boot: Attested,
+}
+
+impl Shard {
+    fn finished(&self) -> bool {
+        self.done.len() >= self.chunks.len()
+    }
+
+    /// The shard thread: signs each remaining chunk with one ECall and
+    /// checkpoints it, until every chunk is signed or the scheduled kill
+    /// fires (which leaves the shard unfinished).
+    fn sign(&mut self, index: usize, fleet: &ShardedCertEngine) -> Result<(), CertError> {
+        let (metrics, generation) = (&fleet.metrics, fleet.generation);
+        let shard_blocks = metrics.shard_blocks(index);
+        while let Some(chunk) = self.chunks.get(self.done.len()) {
+            if self.kill_after == Some(self.done.len()) {
+                self.kill_after = None;
+                return Ok(());
+            }
+            let (signature, took) = timed(|| {
+                self.boot
+                    .sign(&chunk.request, &mut CertBreakdown::default())
+            });
+            metrics.seal_ns.record(took);
+            let range_cert = RangeCert {
+                pk_range: self.boot.pk_enc,
+                report: self.boot.report.clone(),
+                anchor_digest: chunk.anchor_digest,
+                first: chunk.first,
+                last: chunk.last,
+                header_digests: chunk.header_digests.clone(),
+                signature: signature?,
+            };
+            if let Some(store) = &fleet.store {
+                let mut guard = lock_store(store);
+                let heads = [
+                    (
+                        range_key(generation, chunk.first),
+                        range_cert.to_encoded_bytes(),
+                    ),
+                    (
+                        watermark_key(generation, index),
+                        chunk.last.to_encoded_bytes(),
+                    ),
+                    (
+                        seal_key(generation, index),
+                        self.boot.enclave.seal_state().to_encoded_bytes(),
+                    ),
+                ];
+                for (key, value) in heads {
+                    guard.put_head(&key, value).map_err(ShardError::Store)?;
+                }
+                guard.sync().map_err(ShardError::Store)?;
+            }
+            let certified = u64::try_from(chunk.header_digests.len()).unwrap_or(u64::MAX);
+            metrics.ranges_certified.inc();
+            metrics.chunks.inc();
+            metrics.blocks_certified.add(certified);
+            shard_blocks.add(certified);
+            self.done.push(range_cert);
+        }
+        Ok(())
+    }
 }
 
 /// The sharded certification engine.
@@ -275,7 +346,7 @@ struct ShardRun {
 pub struct ShardedCertEngine {
     platform_seed: [u8; 32],
     signing_seed: [u8; 32],
-    /// The chain view at genesis, which every shard worker clones.
+    /// The chain view at genesis, which each run clones once.
     genesis: FullNode,
     cost: CostModel,
     shards: usize,
@@ -385,10 +456,19 @@ impl ShardedCertEngine {
     /// aggregator's watermark refusal is counted, and a fresh aggregator
     /// re-folds — signing-only work over already-certified digests.
     ///
+    /// The host executes each block of the span once, on the calling
+    /// thread, before any shard enclave boots (plus one proof-less replay
+    /// of the certified prefix below it); the shard threads only sign.
+    ///
     /// # Errors
     ///
-    /// Shard-plan and worker failures surface as [`CertError::Shard`];
-    /// enclave-side refusals keep their typed variants.
+    /// Shard-plan and store failures surface as [`CertError::Shard`]; a
+    /// block the host refuses (linkage, post-state root) and enclave-side
+    /// refusals keep their typed variants.
+    ///
+    /// # Panics
+    ///
+    /// If a shard thread panics: its panic propagates.
     pub fn certify_chain(
         &mut self,
         blocks: &[Block],
@@ -506,38 +586,33 @@ impl ShardedCertEngine {
     ) -> Result<(), CertError> {
         let keep = usize::try_from(first_signed.saturating_sub(1))
             .map_err(|_| CertError::HeightOverflow)?;
+        // The first height past the offered chain.
+        let height = u64::try_from(blocks.len()).map_or(u64::MAX, |n| n.saturating_add(1));
+        let signed = blocks
+            .get(keep..)
+            .filter(|signed| signed.len() >= sigs.len())
+            .ok_or(ShardError::MissingBlock { height })?;
         self.certs.truncate(keep);
-        for (at, sig) in sigs.iter().enumerate() {
-            let height = u64::try_from(at)
-                .ok()
-                .and_then(|i| i.checked_add(first_signed))
-                .ok_or(CertError::HeightOverflow)?;
-            let at_index =
-                usize::try_from(height.saturating_sub(1)).map_err(|_| CertError::HeightOverflow)?;
-            let block = blocks
-                .get(at_index)
-                .ok_or(ShardError::MissingBlock { height })?;
-            self.certs.push(agg.certificate(block.header.hash(), *sig));
-        }
+        self.certs.extend(
+            signed
+                .iter()
+                .zip(sigs)
+                .map(|(block, sig)| agg.certificate(block.header.hash(), *sig)),
+        );
         self.chain = blocks.to_vec();
-        let mut ranges = self
-            .ranges
-            .iter()
-            .filter(|r| r.last < first_signed)
-            .cloned()
-            .collect::<Vec<_>>();
-        ranges.extend(
+        self.ranges.retain(|r| r.last < first_signed);
+        self.ranges.extend(
             all_ranges
                 .iter()
                 .filter(|r| r.first >= first_signed)
                 .cloned(),
         );
-        self.ranges = ranges;
         Ok(())
     }
 
-    /// Runs the shard workers over `[first, last]`, including kill/restart
-    /// rounds, and returns the produced range certificates ordered by
+    /// Sequences `[first, last]` on the calling thread, boots one shard per
+    /// range, and signs in parallel rounds — a killed shard restarts and the
+    /// next round resumes it — returning the range certificates ordered by
     /// height.
     fn run_fleet(
         &mut self,
@@ -547,147 +622,120 @@ impl ShardedCertEngine {
         ias: &mut AttestationService,
     ) -> Result<Vec<RangeCert>, CertError> {
         let plan = ShardPlan::partition(first, last, self.shards)?;
-        let mut slots: Vec<ShardSlot> = Vec::with_capacity(plan.ranges.len());
-        for (shard, range) in plan.ranges.iter().enumerate() {
-            slots.push(ShardSlot {
-                range: *range,
+        let mut shards = Vec::with_capacity(plan.ranges.len());
+        for (index, chunks) in self.sequence(blocks, &plan)?.into_iter().enumerate() {
+            shards.push(Shard {
+                chunks,
                 done: Vec::new(),
-                next: range.first,
-                kill_after: self.failures.take(shard),
-                boot: Some(self.boot_shard(shard, ias)?),
+                kill_after: self.failures.take(index),
+                boot: self.boot_shard(index, ias)?,
             });
         }
-
         loop {
-            // One parallel round over every unfinished shard.
-            let mut rounds: Vec<(usize, Result<ShardRun, CertError>)> = Vec::new();
-            let pending: Vec<(usize, HeightRange, u64, Option<usize>, Attested)> = slots
+            let pending: Vec<_> = shards
                 .iter_mut()
                 .enumerate()
-                .filter(|(_, slot)| slot.next <= slot.range.last)
-                .map(|(shard, slot)| {
-                    let boot = slot.boot.take().ok_or(ShardError::Worker { shard })?;
-                    Ok((shard, slot.range, slot.next, slot.kill_after, boot))
-                })
-                .collect::<Result<_, ShardError>>()?;
+                .filter(|(_, shard)| !shard.finished())
+                .collect();
             if pending.is_empty() {
-                break;
+                return Ok(shards.into_iter().flat_map(|shard| shard.done).collect());
             }
-            let ctx = WorkerCtx {
-                blocks,
-                genesis: &self.genesis,
-                chunk: self.chunk,
-                store: self.store.clone(),
-                generation: self.generation,
-                metrics: &self.metrics,
-            };
-            std::thread::scope(|scope| {
-                let joins: Vec<_> = pending
-                    .into_iter()
-                    .map(|(shard, range, start, kill_after, boot)| {
-                        let ctx = &ctx;
-                        let worker = scope.spawn(move || {
-                            run_shard_worker(shard, range, start, kill_after, boot, ctx)
-                        });
-                        (shard, worker)
-                    })
-                    .collect();
-                for (shard, join) in joins {
-                    let outcome = join
-                        .join()
-                        .unwrap_or_else(|_| Err(ShardError::Worker { shard }.into()));
-                    rounds.push((shard, outcome));
-                }
-            });
-
-            let mut any_killed = false;
-            for (shard, outcome) in rounds {
-                let run = outcome?;
-                let slot = slots.get_mut(shard).ok_or(ShardError::Worker { shard })?;
-                if run.killed {
-                    any_killed = true;
+            let fleet = &*self;
+            in_parallel(pending, |(index, shard)| shard.sign(index, fleet))
+                .into_iter()
+                .collect::<Result<(), _>>()?;
+            // A shard the round left unfinished was killed.
+            for (index, shard) in shards.iter_mut().enumerate() {
+                if !shard.finished() {
                     self.metrics.kills.inc();
-                    slot.kill_after = None;
-                    self.restart_shard(shard, slot, ias)?;
-                } else {
-                    slot.done.extend(run.produced);
-                    slot.next = slot.range.last.saturating_add(1);
-                    slot.boot = None;
+                    self.restart(index, shard, ias)?;
                 }
-            }
-            if !any_killed && slots.iter().all(|s| s.next > s.range.last) {
-                break;
             }
         }
+    }
 
-        let mut out: Vec<RangeCert> = slots.into_iter().flat_map(|s| s.done).collect();
-        out.sort_by_key(|r| r.first);
-        Ok(out)
+    /// The host's half of the span `plan` covers, on one view, in height
+    /// order: a clone of the genesis view replays the prefix below the span
+    /// (execute and advance, no proofs), then `link_block` runs on every
+    /// block of each shard's range, chunk by chunk. A range chunk is a batch
+    /// under another tag with no previous certificate; its undo is never
+    /// used, as a refused block fails the run and the view goes with it.
+    fn sequence(&self, blocks: &[Block], plan: &ShardPlan) -> Result<Vec<Vec<Chunk>>, CertError> {
+        let first = plan.ranges.first().map_or(1, |range| range.first);
+        let mut node = self.genesis.clone();
+        for block in blocks_for(blocks, 1, first.saturating_sub(1))? {
+            let writes = node.execute(&block.txs).writes;
+            node.advance(&block.header, writes.iter())?;
+        }
+        let mut breakdown = CertBreakdown::default();
+        let chunks_of = |range: &HeightRange| {
+            let mut chunks = Vec::new();
+            let mut cursor = range.first;
+            while cursor <= range.last {
+                let last = cursor
+                    .checked_add(self.chunk.saturating_sub(1))
+                    .ok_or(ShardError::HeightOverflow)?
+                    .min(range.last);
+                let (anchor, mut undo) = (node.tip().clone(), Undo::new());
+                let links = blocks_for(blocks, cursor, last)?
+                    .iter()
+                    .map(|block| link_block(&mut node, block.clone(), &mut undo, &mut breakdown))
+                    .collect::<Result<Vec<_>, _>>()?;
+                chunks.push(Chunk {
+                    first: cursor,
+                    last,
+                    anchor_digest: anchor.hash(),
+                    header_digests: links.iter().map(|link| link.block.header.hash()).collect(),
+                    request: EcallRequest::RangeSigGen { anchor, links }.to_encoded_bytes(),
+                });
+                cursor = last.saturating_add(1);
+            }
+            Ok(chunks)
+        };
+        plan.ranges.iter().map(chunks_of).collect()
     }
 
     /// Restarts a killed shard: with a store, restore the sealed enclave
-    /// (same key, watermark intact) and resume above the durable
-    /// watermark; without one, boot fresh and re-certify the whole range.
-    fn restart_shard(
-        &mut self,
-        shard: usize,
-        slot: &mut ShardSlot,
+    /// (same key, watermark intact) and resume at the chunk above the
+    /// durable watermark; without one, boot fresh and re-sign the whole
+    /// range. Either way it signs the chunks' requests as encoded.
+    fn restart(
+        &self,
+        index: usize,
+        shard: &mut Shard,
         ias: &mut AttestationService,
     ) -> Result<(), CertError> {
         self.metrics.restarts.inc();
-        slot.done.clear();
-        slot.next = slot.range.first;
-        if let Some(store) = self.store.clone() {
-            let generation = self.generation;
-            let (watermark, seal) = {
-                let guard = lock_store(&store);
-                let watermark = guard
-                    .head(&watermark_key(generation, shard))
-                    .and_then(|bytes| u64::decode_all(&bytes).ok());
-                let seal = guard
-                    .head(&seal_key(generation, shard))
-                    .and_then(|bytes| SealedBlob::decode_all(&bytes).ok());
-                (watermark, seal)
-            };
-            if let (Some(watermark), Some(seal)) = (watermark, seal) {
-                if watermark >= slot.range.first {
-                    // Re-read the durable ranges below the watermark.
-                    let mut resumed = Vec::new();
-                    let mut cursor = slot.range.first;
-                    let guard = lock_store(&store);
-                    while cursor <= watermark {
-                        let Some(range) = guard
-                            .head(&range_key(generation, cursor))
-                            .and_then(|bytes| RangeCert::decode_all(&bytes).ok())
-                        else {
-                            break;
-                        };
-                        let next = range.last.saturating_add(1);
-                        resumed.push(range);
-                        cursor = next;
-                    }
-                    drop(guard);
-                    if cursor > watermark {
-                        // The full prefix is durable: restore and resume.
-                        let program = self.make_program(ias);
-                        let platform =
-                            self.shard_seed(b"dcert-shard-platform", &self.platform_seed, shard);
-                        let enclave = Enclave::restore(program, self.cost, platform, &seal)?;
-                        enclave.attach_obs(&self.metrics.registry);
-                        let boot = Attested::boot(enclave, ias)?;
-                        self.metrics
-                            .resumed_ranges
-                            .add(u64::try_from(resumed.len()).unwrap_or(u64::MAX));
-                        slot.done = resumed;
-                        slot.next = watermark.saturating_add(1);
-                        slot.boot = Some(boot);
-                        return Ok(());
-                    }
-                }
-            }
+        let generation = self.generation;
+        let durable = self.store.as_ref().and_then(|store| {
+            let guard = lock_store(store);
+            let head = |key: String| guard.head(&key);
+            let watermark = u64::decode_all(&head(watermark_key(generation, index))?).ok()?;
+            let seal = SealedBlob::decode_all(&head(seal_key(generation, index))?).ok()?;
+            // The durable range certificates, one per chunk up to the watermark.
+            let resumed = shard
+                .chunks
+                .iter()
+                .take_while(|chunk| chunk.last <= watermark)
+                .map(|chunk| RangeCert::decode_all(&head(range_key(generation, chunk.first))?).ok())
+                .collect::<Option<Vec<_>>>()?;
+            Some((resumed, seal)).filter(|(resumed, _)| !resumed.is_empty())
+        });
+        if let Some((resumed, seal)) = durable {
+            let program = self.make_program(ias);
+            let platform = self.shard_seed(b"dcert-shard-platform", &self.platform_seed, index);
+            let enclave = Enclave::restore(program, self.cost, platform, &seal)?;
+            enclave.attach_obs(&self.metrics.registry);
+            shard.boot = Attested::boot(enclave, ias)?;
+            self.metrics
+                .resumed_ranges
+                .add(u64::try_from(resumed.len()).unwrap_or(u64::MAX));
+            shard.done = resumed;
+        } else {
+            // No durable progress: fresh boot, full re-certification.
+            shard.done.clear();
+            shard.boot = self.boot_shard(index, ias)?;
         }
-        // No durable progress: fresh boot, full re-certification.
-        slot.boot = Some(self.boot_shard(shard, ias)?);
         Ok(())
     }
 
@@ -770,109 +818,24 @@ impl ShardedCertEngine {
     }
 }
 
-/// Shared (read-only) context every worker in a round borrows.
-struct WorkerCtx<'a> {
-    blocks: &'a [Block],
-    genesis: &'a FullNode,
-    chunk: u64,
-    store: Option<SharedStore>,
-    generation: u64,
-    metrics: &'a ShardMetrics,
-}
-
-/// One shard worker: replay the untrusted prefix on a clone of the genesis
-/// view, then certify the shard's span chunk by chunk — `link_block` per
-/// block, one `RangeSigGen` ECall per chunk, and (with a store) one durable
-/// checkpoint per chunk.
-fn run_shard_worker(
-    shard: usize,
-    range: HeightRange,
-    start: u64,
-    kill_after: Option<usize>,
-    boot: Attested,
-    ctx: &WorkerCtx<'_>,
-) -> Result<ShardRun, CertError> {
-    // Untrusted prefix replay: execute and advance (no proofs, no enclave)
-    // up to the anchor. The enclave re-validates everything from the
-    // anchor on.
-    let mut node = ctx.genesis.clone();
-    for block in blocks_for(ctx.blocks, 1, start.saturating_sub(1))? {
-        let writes = node.execute(&block.txs).writes;
-        node.advance(&block.header, writes.iter())?;
-    }
-    let shard_blocks = ctx.metrics.shard_blocks(shard);
-    let mut produced = Vec::new();
-    let mut chunks_done = 0usize;
-    let mut cursor = start;
-    while cursor <= range.last {
-        if kill_after == Some(chunks_done) {
-            return Ok(ShardRun {
-                produced,
-                killed: true,
-            });
-        }
-        let chunk_last = cursor
-            .checked_add(ctx.chunk.saturating_sub(1))
-            .ok_or(ShardError::HeightOverflow)?
-            .min(range.last);
-        // A range chunk is a batch under another tag with no previous
-        // certificate: same per-block step, same dispatch. Its undo is never
-        // used: a refused chunk fails the worker, whose view goes with it.
-        let anchor = node.tip().clone();
-        let (mut breakdown, mut undo) = (CertBreakdown::default(), Undo::new());
-        let links = blocks_for(ctx.blocks, cursor, chunk_last)?
-            .iter()
-            .map(|block| link_block(&mut node, block.clone(), &mut undo, &mut breakdown))
-            .collect::<Result<Vec<_>, _>>()?;
-        let anchor_digest = anchor.hash();
-        let header_digests = links.iter().map(|l| l.block.header.hash()).collect();
-        let (result, took) = timed(|| {
-            let request = EcallRequest::RangeSigGen { anchor, links }.to_encoded_bytes();
-            boot.sign(&request, &mut breakdown)
-        });
-        ctx.metrics.seal_ns.record(took);
-        let range_cert = RangeCert {
-            pk_range: boot.pk_enc,
-            report: boot.report.clone(),
-            anchor_digest,
-            first: cursor,
-            last: chunk_last,
-            header_digests,
-            signature: result?,
-        };
-        if let Some(store) = &ctx.store {
-            let mut guard = lock_store(store);
-            let heads = [
-                (
-                    range_key(ctx.generation, cursor),
-                    range_cert.to_encoded_bytes(),
-                ),
-                (
-                    watermark_key(ctx.generation, shard),
-                    chunk_last.to_encoded_bytes(),
-                ),
-                (
-                    seal_key(ctx.generation, shard),
-                    boot.enclave.seal_state().to_encoded_bytes(),
-                ),
-            ];
-            for (key, value) in heads {
-                guard.put_head(&key, value).map_err(ShardError::Store)?;
-            }
-            guard.sync().map_err(ShardError::Store)?;
-        }
-        let certified = u64::try_from(range_cert.header_digests.len()).unwrap_or(u64::MAX);
-        ctx.metrics.ranges_certified.inc();
-        ctx.metrics.chunks.inc();
-        ctx.metrics.blocks_certified.add(certified);
-        shard_blocks.add(certified);
-        produced.push(range_cert);
-        chunks_done = chunks_done.saturating_add(1);
-        cursor = chunk_last.saturating_add(1);
-    }
-    Ok(ShardRun {
-        produced,
-        killed: false,
+/// Runs `f` on every item, the first on the calling thread (which would
+/// otherwise idle in the join) and the rest on scoped threads, and returns
+/// the results in item order. A panic in any call propagates.
+fn in_parallel<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
+    let mut items = items.into_iter();
+    let Some(first) = items.next() else {
+        return Vec::new();
+    };
+    std::thread::scope(|scope| {
+        let f = &f;
+        let rest: Vec<_> = items.map(|item| scope.spawn(move || f(item))).collect();
+        let mut results = vec![f(first)];
+        results.extend(rest.into_iter().map(|thread| {
+            thread
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+        }));
+        results
     })
 }
 
@@ -902,7 +865,7 @@ fn derive_seed(domain: &[u8], base: &[u8; 32], shard: usize, generation: u64) ->
     seed
 }
 
-/// A poisoned store lock only means another worker panicked mid-write;
+/// A poisoned store lock only means another shard thread panicked mid-write;
 /// the store's own framing keeps torn writes recoverable.
 fn lock_store(store: &SharedStore) -> std::sync::MutexGuard<'_, Box<dyn Store + Send>> {
     match store.lock() {

@@ -2,10 +2,12 @@
 //! computed nor validates what the enclave has just validated — and nobody
 //! can tell. The miner's one-pass `mine` is `propose` then `apply`; the
 //! CI's in-place advance is a full node applying the same blocks; a block
-//! the enclave refuses leaves the CI exactly where it stood; and every
+//! the enclave refuses leaves the CI exactly where it stood; every
 //! certification driver refuses a block whose writes miss its state root
-//! the same way, on its own host, before any ECall.
+//! the same way, on its own host, before any ECall; and the fleet's host
+//! executes each block once, however many shards sign above it.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dcert::chain::{
@@ -14,7 +16,7 @@ use dcert::chain::{
 };
 use dcert::core::{
     CertError, CertJob, CertPipeline, Certificate, CertificateIssuer, Gossip, IndexInput,
-    NetMessage, PipelineConfig, ShardFleetConfig,
+    NetMessage, PipelineConfig, ShardFleetConfig, ShardedCertEngine,
 };
 use dcert::obs::Registry;
 use dcert::primitives::codec::Encode;
@@ -22,10 +24,12 @@ use dcert::primitives::hash::{hash_bytes, Address};
 use dcert::primitives::keys::Keypair;
 use dcert::query::sp::IndexKind;
 use dcert::query::ServiceProvider;
+use dcert::sgx::CostModel;
 use dcert::vm::testing::{CounterContract, FailingContract};
-use dcert::vm::{ContractRegistry, Executor};
+use dcert::vm::{Contract, ContractRegistry, ExecCtx, Executor, VmError};
+use dcert::workloads::kvstore::KvStore;
 use dcert::workloads::{Workload, WorkloadGen};
-use dcert::world::World;
+use dcert::world::{World, PLATFORM_SEED, SIGNING_SEED};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -396,9 +400,9 @@ fn every_driver_refuses_a_forged_post_state_root_before_the_ecall() {
         assert_same_ci(&victim_ci, &twin_ci, what);
     }
 
-    // The fleet, extending two certified heights by the forgery: only the
-    // new range's shard boot crosses, and the worker's refusal is the
-    // issuer's.
+    // The fleet, extending two certified heights by the forgery: the host
+    // sequences the span before any shard boots, so nothing crosses, and
+    // its refusal is the issuer's.
     let registry = Registry::new();
     let config = ShardFleetConfig {
         registry: registry.clone(),
@@ -414,16 +418,7 @@ fn every_driver_refuses_a_forged_post_state_root_before_the_ecall() {
     let before = ecalls(&registry);
     let refused = victim.certify_chain(&forged_batch, &mut world.ias);
     assert_eq!(refused.err(), Some(refusal), "fleet");
-    assert_eq!(
-        ecalls(&registry) - before,
-        1,
-        "fleet: the shard's boot only"
-    );
-    let fleet_bytes = |certs: &[Certificate]| {
-        let mut bytes = Vec::new();
-        certs.iter().for_each(|cert| cert.encode(&mut bytes));
-        bytes
-    };
+    assert_eq!(ecalls(&registry) - before, 0, "fleet: no ECall, no boot");
     assert_eq!(victim.tip_height(), twin.tip_height(), "fleet: tip");
     assert_eq!(
         fleet_bytes(victim.certificates()),
@@ -437,4 +432,68 @@ fn every_driver_refuses_a_forged_post_state_root_before_the_ecall() {
         .certify_chain(&blocks, &mut world.ias)
         .expect("certifies");
     assert_eq!(fleet_bytes(&got), fleet_bytes(&want), "fleet: honest");
+}
+
+/// A certificate stream as the wire carries it.
+fn fleet_bytes(certs: &[Certificate]) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    certs.iter().for_each(|cert| cert.encode(&mut bytes));
+    bytes
+}
+
+// --- the fleet's host executes each block once ----------------------------------
+
+/// The KVStore contract, counting the calls it executes.
+struct CountedKv(AtomicU64);
+
+impl Contract for CountedKv {
+    fn name(&self) -> &str {
+        KvStore.name()
+    }
+
+    fn execute(
+        &self,
+        ctx: &mut ExecCtx<'_>,
+        sender: Address,
+        payload: &[u8],
+    ) -> Result<(), VmError> {
+        self.0.fetch_add(1, Ordering::Relaxed);
+        KvStore.execute(ctx, sender, payload)
+    }
+}
+
+/// A fleet of any shard count executes each transaction twice — once on
+/// its host, once in the enclave's replay — however many shards sign
+/// above it, and issues the sequential stream byte for byte.
+#[test]
+fn the_fleet_host_executes_each_block_once() {
+    let mut world = World::pow(&[]);
+    let blocks = world.mine_blocks(Workload::KvStore { keyspace: 16 }, 12, 4, 5);
+    let txs: usize = blocks.iter().map(|block| block.txs.len()).sum();
+    let want = world.certify_blocks(&blocks);
+    for shards in [1, 2, 4] {
+        let counted = Arc::new(CountedKv(AtomicU64::new(0)));
+        let mut registry = ContractRegistry::new();
+        registry.register(counted.clone());
+        let mut fleet = ShardedCertEngine::new_deterministic(
+            PLATFORM_SEED,
+            SIGNING_SEED,
+            &world.genesis,
+            world.genesis_state.clone(),
+            Executor::new(Arc::new(registry)),
+            world.engine.clone(),
+            CostModel::zero(),
+            ShardFleetConfig::new(shards, 2),
+        )
+        .expect("configures");
+        let got = fleet
+            .certify_chain(&blocks, &mut world.ias)
+            .expect("certifies");
+        assert_eq!(
+            counted.0.load(Ordering::Relaxed),
+            2 * u64::try_from(txs).expect("small"),
+            "{shards} shards: host once, enclave replay once"
+        );
+        assert_eq!(fleet_bytes(&got), fleet_bytes(&want), "{shards} shards");
+    }
 }
