@@ -62,12 +62,15 @@ pub trait ConsensusEngine: Send + Sync {
     /// Human-readable engine name.
     fn name(&self) -> &str;
 
-    /// Fills `header.consensus` with a valid proof.
+    /// Fills `header.consensus` with a valid proof: every header this
+    /// engine seals passes its own [`ConsensusEngine::verify`], so a sealer
+    /// need not verify what it has just sealed.
     ///
     /// # Errors
     ///
     /// Returns [`ChainError::BadConsensus`] when the engine cannot seal
-    /// (e.g. a PoA engine without a signing key).
+    /// (e.g. a PoA engine without a signing key, or one whose key is not
+    /// authorized).
     fn seal(&self, header: &mut BlockHeader) -> Result<(), ChainError>;
 
     /// Verifies `header.consensus`. Genesis headers (height 0) are exempt —
@@ -199,6 +202,9 @@ impl ConsensusEngine for ProofOfAuthority {
             .signer
             .as_ref()
             .ok_or(ChainError::BadConsensus("verify-only PoA engine".into()))?;
+        if !self.authorized.contains(&signer.public()) {
+            return Err(ChainError::BadConsensus("unauthorized signer".into()));
+        }
         let sealing = header.sealing_digest();
         header.consensus = ConsensusProof::Authority {
             signer: signer.public(),
@@ -313,6 +319,30 @@ mod tests {
         let mut header = draft_header();
         sealer.seal(&mut header).unwrap();
         verifier.verify(&header).unwrap();
+    }
+
+    /// `ConsensusEngine::seal`'s promise, which lets `FullNode::mine` skip
+    /// re-verifying its own seal: every sealed header passes `verify`.
+    #[test]
+    fn every_engine_verifies_what_it_seals() {
+        let kp = Keypair::from_seed([1; 32]);
+        let poa = ProofOfAuthority::new_sealer(vec![kp.public()], kp);
+        for height in 0..24u64 {
+            let mut header = draft_header();
+            header.height = height;
+            header.timestamp = height.wrapping_mul(7919);
+            header.prev_hash = dcert_primitives::hash::hash_bytes(height.to_be_bytes());
+            header.miner = Address::from_seed(height);
+            for bits in 0..=8u8 {
+                let pow = ProofOfWork::new(bits);
+                let mut sealed = header.clone();
+                pow.seal(&mut sealed).unwrap();
+                assert_eq!(pow.verify(&sealed), Ok(()), "pow {bits} at {height}");
+            }
+            let mut sealed = header;
+            poa.seal(&mut sealed).unwrap();
+            assert_eq!(poa.verify(&sealed), Ok(()), "poa at {height}");
+        }
     }
 
     #[test]

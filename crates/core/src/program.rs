@@ -7,8 +7,14 @@
 //! certificate and every index certificate off one replay. It is loaded
 //! into a [`dcert_sgx::Enclave`], which measures it and confines the enclave
 //! key `sk_enc` — generated here on the `Init` ECall — behind the boundary.
-//! It is a function of its request and the sealed watermark: nothing it
-//! learns in one request is remembered for the next.
+//! It is a function of its request, the sealed watermark and a bounded
+//! memo of what it has itself vouched for: its own attestation report,
+//! once a full check has passed it, and the certificates it signed at the
+//! watermark height. With them a steady-state request takes its anchor
+//! certificates — the ones this enclave issued in its previous request —
+//! without re-checking their report or their signature (see
+//! [`CertProgram::handle`]). The memo lives in enclave memory only: it is
+//! not sealed, so a restored enclave pays one full anchor check.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -19,7 +25,7 @@ use dcert_primitives::codec::{Decode, Encode};
 use dcert_primitives::hash::Hash;
 use dcert_primitives::keys::{Keypair, PublicKey, Signature};
 use dcert_sgx::enclave::{measure, Sealable};
-use dcert_sgx::{SgxError, TrustedApp};
+use dcert_sgx::{AttestationReport, SgxError, TrustedApp};
 use dcert_vm::{CallStatus, Executor, ReadSetState, StateKey, VmError};
 // dcert-lint: allow(r3-determinism, reason = "sk_enc generation entropy on the Init ECall; replayable runs pre-seed via with_signing_seed")
 use rand::rngs::OsRng;
@@ -63,6 +69,32 @@ pub struct CertProgram {
     /// conflicting certificate at or below a height it already vouched
     /// for — the trust-boundary half of crash recovery.
     last_signed_height: u64,
+    /// What this enclave has vouched for, across requests; see [`Memo`].
+    memo: Memo,
+}
+
+/// Facts a [`CertProgram`] keeps between requests, in enclave memory only
+/// (never sealed). Each stands for a check the full path would pass, so
+/// [`CertProgram::verify_anchor`] may skip that check and still accept
+/// exactly what the full path accepts.
+struct Memo {
+    /// This enclave's own attestation report, as of the last full
+    /// `verify_trust` that passed on a certificate under its own `pk_enc`.
+    report: Option<AttestationReport>,
+    /// `(digest, signature)` of each certificate signed at the watermark
+    /// height — at most one block certificate plus one per index verifier,
+    /// cleared when the watermark moves up.
+    issued: Vec<(Hash, Signature)>,
+}
+
+/// What one request has checked and signed: its anchor certificates (the
+/// in-request "check an attestation report only once" memo) and the
+/// certificates it signs at its highest height. [`CertProgram::handle`]
+/// folds it into the [`Memo`] only once the request has succeeded.
+#[derive(Default)]
+struct Learned<'a> {
+    attested: Vec<&'a Certificate>,
+    issued: Vec<(Hash, Signature)>,
 }
 
 impl CertProgram {
@@ -74,10 +106,12 @@ impl CertProgram {
         engine: Arc<dyn ConsensusEngine>,
         verifiers: Vec<Box<dyn IndexVerifier>>,
     ) -> Self {
-        let verifiers = verifiers
+        let verifiers: HashMap<_, _> = verifiers
             .into_iter()
             .map(|v| (v.type_name().to_owned(), v))
             .collect();
+        // Sized once, here: `remember` never grows it past this.
+        let issued = Vec::with_capacity(1 + verifiers.len());
         CertProgram {
             genesis_digest,
             ias_key,
@@ -86,6 +120,10 @@ impl CertProgram {
             verifiers,
             keypair: None,
             last_signed_height: 0,
+            memo: Memo {
+                report: None,
+                issued,
+            },
         }
     }
 
@@ -110,7 +148,8 @@ impl CertProgram {
     ///
     /// Every signing request is framed the same way by the sealed
     /// watermark: guard the lowest height on offer, verify and sign, then
-    /// advance the mark to the highest height signed.
+    /// advance the mark to the highest height signed and remember what the
+    /// request learned (`remember`). A refused request changes nothing.
     pub fn handle(&mut self, request: EcallRequest) -> Result<EcallResponse, CertError> {
         let at = |height: u64, strict: bool| (Some(height), strict, Some(height));
         let last_of = |links: &[BatchLink]| links.last().map(|link| link.block.header.height);
@@ -139,7 +178,8 @@ impl CertProgram {
         if let Some(offered) = offered {
             self.guard_height(offered, strict)?;
         }
-        let response = match request {
+        let mut learned = Learned::default();
+        let response = match &request {
             EcallRequest::Init => {
                 let kp = self.keypair.get_or_insert_with(|| {
                     // dcert-lint: allow(r3-determinism, reason = "sk_enc generation entropy on the Init ECall; replayable runs pre-seed via with_signing_seed")
@@ -150,41 +190,43 @@ impl CertProgram {
             // Algorithm 2 (`ecall_sig_gen`) is a batch of one.
             EcallRequest::SigGen(input) => {
                 let links = std::slice::from_ref(&input.link);
-                let sig =
-                    self.batch_sig_gen(&input.prev_header, input.prev_cert.as_ref(), links)?;
+                let prev_cert = input.prev_cert.as_ref();
+                let sig = self.batch_sig_gen(&input.prev_header, prev_cert, links, &mut learned)?;
                 EcallResponse::Signature(sig)
             }
             EcallRequest::AugSigGen(input, index) => {
-                let sig = self.aug_sig_gen(&input.prev_header, &input.link, &index)?;
+                let sig = self.aug_sig_gen(&input.prev_header, &input.link, index, &mut learned)?;
                 EcallResponse::Signature(sig)
             }
             EcallRequest::HierSigGen(input, indexes) => {
-                EcallResponse::Signatures(self.hier_sig_gen(&input, &indexes)?)
+                EcallResponse::Signatures(self.hier_sig_gen(input, indexes, &mut learned)?)
             }
             EcallRequest::BatchSigGen {
                 prev_header,
                 prev_cert,
                 links,
             } => EcallResponse::Signature(self.batch_sig_gen(
-                &prev_header,
+                prev_header,
                 prev_cert.as_ref(),
-                &links,
+                links,
+                &mut learned,
             )?),
             EcallRequest::RangeSigGen { anchor, links } => {
-                EcallResponse::Signature(self.range_sig_gen(&anchor, &links)?)
+                EcallResponse::Signature(self.range_sig_gen(anchor, links)?)
             }
             EcallRequest::FoldRanges {
                 anchor,
                 anchor_cert,
                 ranges,
             } => EcallResponse::Signatures(self.fold_ranges(
-                &anchor,
+                anchor,
                 anchor_cert.as_ref(),
-                &ranges,
+                ranges,
+                &mut learned,
             )?),
         };
         if let Some(height) = signs {
-            self.mark_signed(height);
+            self.remember(height, learned);
         }
         Ok(response)
     }
@@ -207,8 +249,30 @@ impl CertProgram {
         Ok(())
     }
 
-    fn mark_signed(&mut self, height: u64) {
-        self.last_signed_height = self.last_signed_height.max(height);
+    /// Moves the watermark up to `height` and folds a successful request's
+    /// [`Learned`] into the [`Memo`]. The report is the last one an anchor
+    /// under this enclave's own key carried: every anchor in `attested` has
+    /// passed the full check (or matched one that did). The issued list
+    /// holds the watermark height's certificates only — the ones the next
+    /// request anchors on — so it starts over when the mark moves up, and
+    /// is capped at one block certificate plus one per index verifier. (The
+    /// guard has refused every request offering a height below the mark.)
+    fn remember(&mut self, height: u64, learned: Learned<'_>) {
+        if height > self.last_signed_height {
+            self.last_signed_height = height;
+            self.memo.issued.clear();
+        }
+        let own = self.keypair.as_ref().map(Keypair::public);
+        let mut attested = learned.attested.iter().rev();
+        if let Some(cert) = attested.find(|cert| Some(cert.pk_enc) == own) {
+            self.memo.report = Some(cert.report.clone());
+        }
+        let cap = 1 + self.verifiers.len();
+        for pair in learned.issued {
+            if self.memo.issued.len() < cap && !self.memo.issued.contains(&pair) {
+                self.memo.issued.push(pair);
+            }
+        }
     }
 
     /// The sealed signing watermark (test observability).
@@ -221,17 +285,17 @@ impl CertProgram {
     /// header. The returned certificate vouches for the whole prefix
     /// exactly as a per-block certificate would (recursion is unchanged;
     /// intermediate certificates are simply never materialized).
-    fn batch_sig_gen(
+    fn batch_sig_gen<'a>(
         &self,
         prev_header: &BlockHeader,
-        prev_cert: Option<&Certificate>,
+        prev_cert: Option<&'a Certificate>,
         links: &[BatchLink],
+        learned: &mut Learned<'a>,
     ) -> Result<Signature, CertError> {
         let last = links.last().ok_or(CertError::EmptyRange)?;
-        self.verify_anchor(prev_header, prev_cert, None, &[])?;
+        self.verify_anchor(prev_header, prev_cert, None, learned)?;
         self.replay(prev_header, links)?;
-        let kp = self.keypair()?;
-        Ok(kp.sign(last.block.header.hash().as_bytes()))
+        self.sign_cert(last.block.header.hash(), learned)
     }
 
     /// Shard-fleet range step: sequential `blk_verify_t` from an
@@ -262,13 +326,14 @@ impl CertProgram {
     /// sign every folded header digest. Each produced signature is
     /// byte-identical to what sequential recursion would sign: ed25519 is
     /// deterministic and block certificates sign raw header digests.
-    fn fold_ranges(
+    fn fold_ranges<'a>(
         &self,
         anchor: &BlockHeader,
-        anchor_cert: Option<&Certificate>,
+        anchor_cert: Option<&'a Certificate>,
         ranges: &[RangeCert],
+        learned: &mut Learned<'a>,
     ) -> Result<Vec<Signature>, CertError> {
-        self.verify_anchor(anchor, anchor_cert, None, &[])?;
+        self.verify_anchor(anchor, anchor_cert, None, learned)?;
         let measurement = expected_measurement();
         let mut prev_digest = anchor.hash();
         let mut next_height = first_above(anchor)?;
@@ -291,15 +356,20 @@ impl CertProgram {
             prev_digest = *range.header_digests.last().ok_or(CertError::EmptyRange)?;
             next_height = range.last.checked_add(1).ok_or(CertError::HeightOverflow)?;
         }
+        // Only the last folded certificate is at the watermark height.
+        learned
+            .issued
+            .extend(sigs.last().map(|sig| (prev_digest, *sig)));
         Ok(sigs)
     }
 
     /// Algorithm 4: augmented certificate (block + one index, one ECall).
-    fn aug_sig_gen(
+    fn aug_sig_gen<'a>(
         &self,
         prev_header: &BlockHeader,
         link: &BatchLink,
-        index: &IndexInput,
+        index: &'a IndexInput,
+        learned: &mut Learned<'a>,
     ) -> Result<Signature, CertError> {
         let verifier = self.verifier(&index.index_type)?;
         // Lines 3–6: validate the previous augmented certificate, or the
@@ -308,13 +378,15 @@ impl CertProgram {
             prev_header,
             index.prev_cert.as_ref(),
             Some((verifier, &index.prev_digest)),
-            &[],
+            learned,
         )?;
         // Line 7: full block validation (replay), yielding the write set.
         let writes = self.replay(prev_header, std::slice::from_ref(link))?;
         // Lines 8–12.
         let header_digest = link.block.header.hash();
-        self.sign_index_update(verifier, index, &link.block, &writes, &header_digest)
+        let digest =
+            self.index_update_digest(verifier, index, &link.block, &writes, &header_digest)?;
+        self.sign_cert(digest, learned)
     }
 
     /// Algorithm 5 in one crossing: the block certificate and every index
@@ -325,47 +397,54 @@ impl CertProgram {
     /// certificate it would check is the one this very call produces, so
     /// the replay that earns it also hands every index its write set. The
     /// block's signature comes first, then the indexes' in request order.
-    fn hier_sig_gen(
+    fn hier_sig_gen<'a>(
         &self,
-        input: &BlockInput,
-        indexes: &[IndexInput],
+        input: &'a BlockInput,
+        indexes: &'a [IndexInput],
+        learned: &mut Learned<'a>,
     ) -> Result<Vec<Signature>, CertError> {
         let (prev, link) = (&input.prev_header, &input.link);
-        let mut attested = Vec::with_capacity(1 + indexes.len());
-        attested.extend(self.verify_anchor(prev, input.prev_cert.as_ref(), None, &attested)?);
+        self.verify_anchor(prev, input.prev_cert.as_ref(), None, learned)?;
         for index in indexes {
             let anchor = Some((self.verifier(&index.index_type)?, &index.prev_digest));
-            let checked = self.verify_anchor(prev, index.prev_cert.as_ref(), anchor, &attested)?;
-            attested.extend(checked);
+            self.verify_anchor(prev, index.prev_cert.as_ref(), anchor, learned)?;
         }
         let writes = self.replay(prev, std::slice::from_ref(link))?;
-        let digest = link.block.header.hash();
-        let mut sigs = vec![self.keypair()?.sign(digest.as_bytes())];
+        let header_digest = link.block.header.hash();
+        let mut sigs = vec![self.sign_cert(header_digest, learned)?];
         for index in indexes {
             let verifier = self.verifier(&index.index_type)?;
-            sigs.push(self.sign_index_update(verifier, index, &link.block, &writes, &digest)?);
+            let digest =
+                self.index_update_digest(verifier, index, &link.block, &writes, &header_digest)?;
+            sigs.push(self.sign_cert(digest, learned)?);
         }
         Ok(sigs)
     }
 
     /// The tail Algorithms 4 and 5 share: recompute the index digest from
-    /// the update proof, hold it against the claimed one, and sign
-    /// `H(H(hdr_i) ‖ H_i^idx)`.
-    fn sign_index_update(
+    /// the update proof, hold it against the claimed one, and return the
+    /// digest to sign, `H(H(hdr_i) ‖ H_i^idx)`.
+    fn index_update_digest(
         &self,
         verifier: &dyn IndexVerifier,
         index: &IndexInput,
         block: &Block,
         writes: &WriteSet,
         header_digest: &Hash,
-    ) -> Result<Signature, CertError> {
+    ) -> Result<Hash, CertError> {
         let new_digest = verifier.verify_update(&index.prev_digest, block, writes, &index.aux)?;
         if new_digest != index.new_digest {
             return Err(CertError::IndexDigestMismatch);
         }
-        let digest = Certificate::index_digest(header_digest, &new_digest);
-        let kp = self.keypair()?;
-        Ok(kp.sign(digest.as_bytes()))
+        Ok(Certificate::index_digest(header_digest, &new_digest))
+    }
+
+    /// Signs a certificate digest with `sk_enc` and notes the pair in
+    /// `learned`, for [`CertProgram::remember`].
+    fn sign_cert(&self, digest: Hash, learned: &mut Learned<'_>) -> Result<Signature, CertError> {
+        let sig = self.keypair()?.sign(digest.as_bytes());
+        learned.issued.push((digest, sig));
+        Ok(sig)
     }
 
     fn verifier(&self, name: &str) -> Result<&dyn IndexVerifier, CertError> {
@@ -382,18 +461,29 @@ impl CertProgram {
     /// `H(H(hdr_{i-1}) ‖ H_{i-1}^idx)`, or both genesis digests
     /// (Algorithm 4, lines 3–6; Algorithm 5, lines 5–9).
     ///
-    /// Hands back the certificate it checked (none off genesis). `attested`
-    /// are those this request has already checked — "check an attestation
-    /// report only once" (§4.3) inside one request, never across two: the
-    /// same `⟨rep, pk_enc⟩`, byte for byte, skips to the certificate's own
-    /// signature and digest.
+    /// A certificate that passes is added to `learned.attested`, the
+    /// anchors this request has checked — "check an attestation report only
+    /// once" (§4.3): the same `⟨rep, pk_enc⟩`, byte for byte, skips to the
+    /// certificate's own signature and digest. Across requests the [`Memo`]
+    /// adds two shortcuts for certificates under this enclave's own key,
+    /// each standing for a check the full path would pass:
+    ///
+    /// - its remembered report, byte for byte, skips `verify_trust` — that
+    ///   report already passed it under the same IAS key, measurement and
+    ///   `pk_enc`;
+    /// - a `(digest, signature)` it issued at the watermark skips only the
+    ///   Ed25519 step — `sk_enc` produced it — and the digest is still
+    ///   compared, so a misplaced one is still [`CertError::DigestMismatch`].
+    ///
+    /// Any other certificate takes the full path, so every verdict and
+    /// every typed error is the full path's.
     fn verify_anchor<'a>(
         &self,
         prev_header: &BlockHeader,
         prev_cert: Option<&'a Certificate>,
         index: Option<(&dyn IndexVerifier, &Hash)>,
-        attested: &[&Certificate],
-    ) -> Result<Option<&'a Certificate>, CertError> {
+        learned: &mut Learned<'a>,
+    ) -> Result<(), CertError> {
         let prev_digest = prev_header.hash();
         if prev_header.height == 0 {
             let index_off_genesis =
@@ -401,19 +491,30 @@ impl CertProgram {
             if prev_digest != self.genesis_digest || index_off_genesis {
                 return Err(CertError::GenesisMismatch);
             }
-            return Ok(None);
+            return Ok(());
         }
         let cert = prev_cert.ok_or(CertError::MissingPrevCert)?;
         let expected = match index {
             None => prev_digest,
             Some((_, digest)) => Certificate::index_digest(&prev_digest, digest),
         };
+        let own = self
+            .keypair
+            .as_ref()
+            .is_some_and(|kp| kp.public() == cert.pk_enc);
         let known = |seen: &&Certificate| seen.report == cert.report && seen.pk_enc == cert.pk_enc;
-        if !attested.iter().any(known) {
+        let remembered = own && self.memo.report.as_ref() == Some(&cert.report);
+        if !remembered && !learned.attested.iter().any(known) {
             cert.verify_trust(&self.ias_key, &expected_measurement())?;
         }
-        cert.verify_digest(&expected)?;
-        Ok(Some(cert))
+        let issued = own && self.memo.issued.contains(&(cert.digest, cert.signature));
+        if !issued {
+            cert.verify_digest(&expected)?;
+        } else if cert.digest != expected {
+            return Err(CertError::DigestMismatch);
+        }
+        learned.attested.push(cert);
+        Ok(())
     }
 
     /// Replays `links` as consecutive chain transitions from `anchor` —
@@ -503,6 +604,9 @@ impl Sealable for CertProgram {
     }
 
     fn import_state(&mut self, state: &[u8]) -> Result<(), SgxError> {
+        // The memo vouches for the key it was learned under.
+        self.memo.report = None;
+        self.memo.issued.clear();
         if state.is_empty() {
             self.keypair = None;
             self.last_signed_height = 0;

@@ -9,7 +9,10 @@
 # checkout ("base") and in the working tree ("head"), `pairs` times
 # (default 10), swapping which side goes first every pair. Prints each
 # end-to-end metric's median and quartiles per side and how many pairs
-# each side won (a tie counts for neither). Each side builds into its own target
+# each side won (a tie counts for neither). Then runs each side once with
+# `--trace 1` and prints its exact work counters side by side: they repeat
+# for a given workload and seed, so one run per side is a proof, not a
+# sample. Each side builds into its own target
 # directory under target/ab/, and every run's output stays in
 # target/ab/runs/<workload>/. Nothing under benchmark/ changes. Do not
 # edit the working tree while it runs: run.sh rebuilds the head side
@@ -34,14 +37,32 @@ runs="$ab/runs/$workload"
 rm -rf "$runs"
 mkdir -p "$runs"
 
-# run SIDE CHECKOUT PAIR: one untraced run, its table kept for the summary.
+# run SIDE CHECKOUT PAIR [TRACE]: one run, untraced unless TRACE is 1, its
+# table kept for the summary.
 run() {
     local out="$runs/$1-$3"
     if ! (cd "$2" && CARGO_TARGET_DIR="$ab/build-$1" bash benchmark/run.sh \
-        --workload "$workload" --trace 0 ${extra[@]+"${extra[@]}"}) > "$out.txt" 2> "$out.log"; then
+        --workload "$workload" --trace "${4:-0}" ${extra[@]+"${extra[@]}"}) > "$out.txt" 2> "$out.log"; then
         echo "$1 run $3 failed: $out.log" >&2
         exit 1
     fi
+}
+
+# The exact work counters the traced runs compare.
+counters=(primitives.sig_verifies primitives.sig_signs primitives.sha256_blocks sgx.ecalls
+    sgx.request_bytes store.fsyncs client_storage_bytes)
+
+# counter FILE METRIC: the metric's value in the run's JSON line, else in
+# its table (end-to-end metrics are only there).
+counter() {
+    awk -v name="$2" '
+        $1 == name && $2 ~ /^[-0-9.eE+]+$/ { table = $2 }
+        /^\{/ && match($0, "\"" name "\":\\{\"unit\":\"[^\"]*\",\"value\":[-0-9.eE+]+") {
+            json = substr($0, RSTART, RLENGTH)
+            sub(/.*"value":/, "", json)
+        }
+        END { print json != "" ? json : table }
+    ' "$1"
 }
 
 # SIDE PAIR METRIC VALUE DIRECTION, one line per end-to-end metric of a run:
@@ -125,3 +146,12 @@ done | awk -v pairs="$pairs" '
         }
     }
 '
+
+echo "traced runs" >&2
+run base "$base" traced 1
+run head "$root" traced 1
+printf "%-26s %20s %20s\n" "counter (one traced run)" "base" "head"
+for name in "${counters[@]}"; do
+    printf "%-26s %20s %20s\n" "$name" "$(counter "$runs/base-traced.txt" "$name")" \
+        "$(counter "$runs/head-traced.txt" "$name")"
+done

@@ -23,6 +23,7 @@ use dcert::query::history::{verify_history, HistoryIndex, HistoryVerifier};
 use dcert::query::inverted::{verify_keywords, InvertedIndex};
 use dcert::query::sp::IndexKind;
 use dcert::query::{AggQueryProof, HistoryProof, KeywordProof, QueryError};
+use dcert::sgx::enclave::Sealable;
 use dcert::sgx::{AttestationReport, AttestationService};
 use dcert::vm::StateKey;
 use dcert::workloads::kvstore::KvCall;
@@ -357,33 +358,18 @@ fn self_signed_prev_cert_rejected() {
 /// program — outside any enclave, signing with the CI's seed — to offer it
 /// to.
 fn fused_fixture(height: u64) -> (CertProgram, BlockInput, Vec<IndexInput>, World) {
+    fused_fixture_of(height, false)
+}
+
+/// [`fused_fixture`] with a cold program (it has signed nothing) or a
+/// `warm` one: it has itself signed every honest request below `height`,
+/// so it issued the certificates the request anchors on and, from height
+/// 3, has checked its own report.
+fn fused_fixture_of(height: u64, warm: bool) -> (CertProgram, BlockInput, Vec<IndexInput>, World) {
     let mut world = World::pow(&[
         (IndexKind::History, "history"),
         (IndexKind::Inverted, "inverted"),
     ]);
-    let mut gen = WorkloadGen::new(Workload::KvStore { keyspace: 16 }, 4, 11);
-    let mut prev_cert = None;
-    for below in 1..height {
-        let block = world.miner.mine(gen.next_block(4), below).unwrap();
-        let inputs = world.sp.stage_block(&block).unwrap();
-        let (block_cert, index_certs, _) = world.ci.certify_hierarchical(&block, &inputs).unwrap();
-        world.sp.advance(Some(&index_certs)).unwrap();
-        prev_cert = Some(block_cert);
-    }
-    let block = world.miner.mine(gen.next_block(4), height).unwrap();
-    let indexes = world.sp.stage_block(&block).unwrap();
-    let state = world.ci.node().state();
-    let calls: Vec<_> = block.txs.iter().map(|tx| tx.call.clone()).collect();
-    let execution = world.executor.execute_block(state, &calls);
-    let input = BlockInput {
-        prev_header: world.ci.node().tip().clone(),
-        prev_cert,
-        link: BatchLink {
-            state_proof: state.prove(&execution.touched_keys()),
-            reads: execution.reads.into_iter().collect(),
-            block,
-        },
-    };
     let mut program = CertProgram::new(
         world.genesis.hash(),
         world.ias.public_key(),
@@ -393,7 +379,42 @@ fn fused_fixture(height: u64) -> (CertProgram, BlockInput, Vec<IndexInput>, Worl
     )
     .with_signing_seed(SIGNING_SEED);
     program.handle(EcallRequest::Init).unwrap();
+    let mut gen = WorkloadGen::new(Workload::KvStore { keyspace: 16 }, 4, 11);
+    let mut prev_cert = None;
+    for below in 1..height {
+        let block = world.miner.mine(gen.next_block(4), below).unwrap();
+        let inputs = world.sp.stage_block(&block).unwrap();
+        if warm {
+            let input = honest_input(&world, block.clone(), prev_cert.clone());
+            program
+                .handle(EcallRequest::HierSigGen(input, inputs.clone()))
+                .unwrap();
+        }
+        let (block_cert, index_certs, _) = world.ci.certify_hierarchical(&block, &inputs).unwrap();
+        world.sp.advance(Some(&index_certs)).unwrap();
+        prev_cert = Some(block_cert);
+    }
+    let block = world.miner.mine(gen.next_block(4), height).unwrap();
+    let indexes = world.sp.stage_block(&block).unwrap();
+    let input = honest_input(&world, block, prev_cert);
     (program, input, indexes, world)
+}
+
+/// The `BlockInput` the world's CI would send for `block`, its next one,
+/// anchored on `prev_cert`.
+fn honest_input(world: &World, block: Block, prev_cert: Option<Certificate>) -> BlockInput {
+    let state = world.ci.node().state();
+    let calls: Vec<_> = block.txs.iter().map(|tx| tx.call.clone()).collect();
+    let execution = world.executor.execute_block(state, &calls);
+    BlockInput {
+        prev_header: world.ci.node().tip().clone(),
+        prev_cert,
+        link: BatchLink {
+            state_proof: state.prove(&execution.touched_keys()),
+            reads: execution.reads.into_iter().collect(),
+            block,
+        },
+    }
 }
 
 /// A report naming the right program and binding `pk_enc`, signed by a root
@@ -448,23 +469,28 @@ fn fused_request_signs_the_block_and_every_index_once() {
     );
 }
 
-/// One forgery per check, each refused by that check alone and leaving
-/// nothing signed: afterwards the same program signs the honest request.
-#[test]
-fn every_check_of_the_fused_request_refuses_its_forgery() {
-    type Forge = fn(&mut BlockInput, &mut Vec<IndexInput>);
-    type Row = (&'static str, Forge, fn(&CertError) -> bool);
-    fn flip(hash: &mut Hash) {
-        let mut bytes = hash.to_array();
-        bytes[31] ^= 1;
-        *hash = Hash::from_bytes(bytes);
-    }
-    /// What index 1's previous certificate must certify.
-    fn anchor_digest(input: &BlockInput, indexes: &[IndexInput]) -> Hash {
-        Certificate::index_digest(&input.prev_header.hash(), &indexes[1].prev_digest)
-    }
+/// A forgery of the honest fused request, and the refusal it must draw.
+type FusedRow = (
+    &'static str,
+    fn(&mut BlockInput, &mut Vec<IndexInput>),
+    fn(&CertError) -> bool,
+);
+
+fn flip(hash: &mut Hash) {
+    let mut bytes = hash.to_array();
+    bytes[31] ^= 1;
+    *hash = Hash::from_bytes(bytes);
+}
+
+/// What index 1's previous certificate must certify.
+fn anchor_digest(input: &BlockInput, indexes: &[IndexInput]) -> Hash {
+    Certificate::index_digest(&input.prev_header.hash(), &indexes[1].prev_digest)
+}
+
+/// One forgery per check of the fused request.
+fn fused_forgeries() -> [FusedRow; 13] {
     #[rustfmt::skip]
-    let table: [Row; 13] = [
+    let table: [FusedRow; 13] = [
         ("block prev_cert signed over something else", |input, indexes| {
             let cert = input.prev_cert.as_mut().unwrap();
             cert.signature = indexes[0].prev_cert.as_ref().unwrap().signature;
@@ -506,7 +532,14 @@ fn every_check_of_the_fused_request_refuses_its_forgery() {
         ("forged aux", |_, indexes| *indexes[1].aux.last_mut().unwrap() ^= 0xff,
             |e| matches!(e, CertError::Proof(_) | CertError::BadIndexUpdate(_))),
     ];
-    for (name, forge, is_expected) in table {
+    table
+}
+
+/// One forgery per check, each refused by that check alone and leaving
+/// nothing signed: afterwards the same program signs the honest request.
+#[test]
+fn every_check_of_the_fused_request_refuses_its_forgery() {
+    for (name, forge, is_expected) in fused_forgeries() {
         let (mut program, honest_input, honest_indexes, _) = fused_fixture(2);
         let (mut input, mut indexes) = (honest_input.clone(), honest_indexes.clone());
         forge(&mut input, &mut indexes);
@@ -537,6 +570,158 @@ fn fused_request_anchors_every_index_at_genesis() {
         program.handle(honest),
         Ok(EcallResponse::Signatures(signatures)) if signatures.len() == 3
     ));
+}
+
+// --- the enclave's memo ------------------------------------------------------
+//
+// Between requests a program remembers its own report and the certificates
+// it signed at its watermark, and takes those without checking them again.
+// The memo may change no verdict: every forgery above, and every forgery of
+// the chain anchor, draws the same typed error from a cold program and from
+// a warm one.
+
+/// Another enclave of the certificate program: its key, and the report the
+/// IAS signed for it. It passes the trust check and binds only that key.
+type Foreign = (PublicKey, AttestationReport);
+
+/// Builds the request to offer from a (forged) input and its indexes.
+type Request = fn(BlockInput, Vec<IndexInput>) -> EcallRequest;
+
+fn foreign_enclave(world: &mut World) -> Foreign {
+    let platform = Keypair::from_seed([68; 32]);
+    world.ias.register_platform(platform.public());
+    let key = Keypair::from_seed([69; 32]).public();
+    let binding = Certificate::key_binding(&key);
+    let quote = dcert::sgx::Quote::sign(&platform, expected_measurement(), binding);
+    (key, world.ias.attest(&quote).unwrap())
+}
+
+/// A forgery of the block's previous certificate — one the warm program
+/// issued — and the refusal it must draw.
+type ChainRow = (&'static str, fn(&mut BlockInput), fn(&CertError) -> bool);
+
+fn chain_anchor_forgeries() -> [ChainRow; 7] {
+    fn cert(input: &mut BlockInput) -> &mut Certificate {
+        input.prev_cert.as_mut().unwrap()
+    }
+    #[rustfmt::skip]
+    let table: [ChainRow; 7] = [
+        ("no block prev_cert", |input| input.prev_cert = None,
+            |e| matches!(e, CertError::MissingPrevCert)),
+        ("block prev_cert under an unattested root", |input| {
+            input.prev_cert = Some(self_attested(input.prev_header.hash()));
+        }, |e| matches!(e, CertError::Attestation(dcert::sgx::SgxError::BadReport))),
+        ("block prev_cert with its report swapped", |input| {
+            let cert = cert(input);
+            cert.report = rogue_report(&cert.pk_enc);
+        }, |e| matches!(e, CertError::Attestation(dcert::sgx::SgxError::BadReport))),
+        ("the honest report beside another key", |input| {
+            let report = cert(input).report.clone();
+            let forged = self_attested(input.prev_header.hash());
+            input.prev_cert = Some(Certificate { report, ..forged });
+        }, |e| matches!(e, CertError::KeyBindingMismatch)),
+        ("block prev_cert signed by another key", |input| {
+            let cert = cert(input);
+            cert.signature = Keypair::from_seed([66; 32]).sign(cert.digest.as_bytes());
+        }, |e| matches!(e, CertError::BadSignature)),
+        ("the issued block certificate for another header",
+            |input| input.prev_header.timestamp += 1,
+            |e| matches!(e, CertError::DigestMismatch)),
+        ("the issued block certificate for another height",
+            |input| input.prev_header.height -= 1,
+            |e| matches!(e, CertError::DigestMismatch)),
+    ];
+    table
+}
+
+/// Forgeries aimed at the memo's two shortcuts, and the refusals they must
+/// draw: each takes a certificate the warm program issued and moves it to
+/// another key, another report, or another anchor.
+type MemoRow = (
+    &'static str,
+    fn(&mut BlockInput, &mut Vec<IndexInput>, &Foreign),
+    fn(&CertError) -> bool,
+);
+
+fn memo_forgeries() -> [MemoRow; 4] {
+    #[rustfmt::skip]
+    let table: [MemoRow; 4] = [
+        ("the issued (digest, signature) under another enclave's key", |input, _, foreign| {
+            let cert = input.prev_cert.as_mut().unwrap();
+            (cert.pk_enc, cert.report) = foreign.clone();
+        }, |e| matches!(e, CertError::BadSignature)),
+        ("an issued certificate carrying another enclave's report", |input, _, foreign| {
+            input.prev_cert.as_mut().unwrap().report = foreign.1.clone();
+        }, |e| matches!(e, CertError::KeyBindingMismatch)),
+        ("the issued block certificate as an index's anchor", |input, indexes, _| {
+            indexes[0].prev_cert = input.prev_cert.clone();
+        }, |e| matches!(e, CertError::DigestMismatch)),
+        ("an issued index certificate as the block's anchor", |input, indexes, _| {
+            input.prev_cert = indexes[1].prev_cert.clone();
+        }, |e| matches!(e, CertError::DigestMismatch)),
+    ];
+    table
+}
+
+/// Offers `forge`d, as `request` builds it, the request for block 3 to a
+/// cold program or a warm one — which signed blocks 1 and 2 itself. Returns
+/// the verdict and the answer to the honest request offered next; a
+/// refusal must leave the program's sealed state as it was.
+fn offer(
+    warm: bool,
+    request: Request,
+    forge: &dyn Fn(&mut BlockInput, &mut Vec<IndexInput>, &Foreign),
+) -> (Result<EcallResponse, CertError>, EcallResponse) {
+    let (mut program, honest_input, honest_indexes, mut world) = fused_fixture_of(3, warm);
+    assert_eq!(program.last_signed_height(), if warm { 2 } else { 0 });
+    let foreign = foreign_enclave(&mut world);
+    let (mut input, mut indexes) = (honest_input.clone(), honest_indexes.clone());
+    forge(&mut input, &mut indexes, &foreign);
+    let sealed = program.export_state();
+    let verdict = program.handle(request(input, indexes));
+    if verdict.is_err() {
+        assert_eq!(program.export_state(), sealed, "a refusal changes nothing");
+    }
+    let honest = program.handle(request(honest_input, honest_indexes));
+    (verdict, honest.expect("the honest request is signed"))
+}
+
+/// Every forgery draws the same typed error from a warm program as from a
+/// cold one, and either then signs the honest request alike.
+#[test]
+fn a_warm_enclave_refuses_every_forgery_as_a_cold_one_does() {
+    let check = |name: &str,
+                 request: Request,
+                 forge: &dyn Fn(&mut BlockInput, &mut Vec<IndexInput>, &Foreign),
+                 is_expected: fn(&CertError) -> bool| {
+        let (cold, cold_honest) = offer(false, request, forge);
+        let (warm, warm_honest) = offer(true, request, forge);
+        assert!(
+            matches!(&cold, Err(refusal) if is_expected(refusal)),
+            "{name}: a cold program answered {cold:?}"
+        );
+        assert_eq!(warm, cold, "{name}: warm and cold differ");
+        assert_eq!(warm_honest, cold_honest, "{name}: the honest request after");
+    };
+    let hier: Request = EcallRequest::HierSigGen;
+    let sig_gen: Request = |input, _| EcallRequest::SigGen(input);
+    let batch: Request = |input, _| one_link_batch(input);
+    for (name, forge, is_expected) in fused_forgeries() {
+        check(
+            name,
+            hier,
+            &|input, indexes, _| forge(input, indexes),
+            is_expected,
+        );
+    }
+    for (name, forge, is_expected) in chain_anchor_forgeries() {
+        for request in [sig_gen, batch, hier] {
+            check(name, request, &|input, _, _| forge(input), is_expected);
+        }
+    }
+    for (name, forge, is_expected) in memo_forgeries() {
+        check(name, hier, &forge, is_expected);
+    }
 }
 
 // --- client-side attacks ---------------------------------------------------
