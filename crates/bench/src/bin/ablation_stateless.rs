@@ -11,6 +11,11 @@
 //! budget the same cliff sits at roughly a million accounts, which is
 //! exactly the paper's Ethereum-scale argument (920 GB of state).
 //!
+//! Each row boots fresh enclaves for one call. After the table, the last
+//! row's stateless enclave lives on and is sent its request again and
+//! again: EPC residency is what the program retains plus the crossing in
+//! flight, so however many calls cross, a stateless enclave never pages.
+//!
 //! Run with: `cargo run --release -p dcert-bench --bin ablation_stateless`
 
 #![forbid(unsafe_code)]
@@ -30,6 +35,9 @@ use dcert_workloads::{Workload, WorkloadGen};
 
 /// Reduced EPC budget making the paging cliff visible at bench scale.
 const EPC_BUDGET: usize = 4 * 1024 * 1024;
+
+/// Further ECalls sent to the long-lived stateless enclave (scaled).
+const LONG_LIVED_ECALLS: u64 = 1_000;
 
 fn cost_model() -> CostModel {
     CostModel {
@@ -52,6 +60,7 @@ fn main() {
     let obs = Registry::new();
     let sizes = [1_000u64, 5_000, 20_000, 60_000].map(scaled);
     let mut naive_bytes = Vec::new();
+    let mut last_stateless = None;
     for entries in sizes {
         // Genesis pre-populated with `entries` KV records.
         let World {
@@ -156,8 +165,28 @@ fn main() {
             "{entries} entries: a naive request over the EPC budget must page"
         );
         naive_bytes.push(naive_req.len());
+        last_stateless = Some((stateless_enclave, stateless_req));
     }
     shape::grows_with("naive request bytes", &sizes, &naive_bytes);
+
+    // One long-lived stateless enclave: the last row's, sent its request
+    // again (only the first call signed; the rest are refused at the
+    // watermark, and every one crosses both ways).
+    let (enclave, request) = last_stateless.expect("at least one row");
+    for _ in 0..scaled(LONG_LIVED_ECALLS) {
+        enclave.ecall(&request);
+    }
+    let stats = enclave.stats();
+    let crossed = usize::try_from(stats.bytes_in + stats.bytes_out).unwrap_or(usize::MAX);
+    println!();
+    println!(
+        "long-lived stateless enclave: {} ECalls, {} crossed, {} paged, peak EPC residency {}",
+        stats.ecalls,
+        fmt_bytes(crossed),
+        fmt_bytes(usize::try_from(stats.paged_bytes).unwrap_or(usize::MAX)),
+        fmt_bytes(usize::try_from(enclave.epc_resident_bytes()).unwrap_or(usize::MAX)),
+    );
+    assert_eq!(stats.paged_bytes, 0, "long-lived stateless enclave paged");
     println!();
     println!(
         "(EPC budget reduced to {} for a visible paging cliff)",

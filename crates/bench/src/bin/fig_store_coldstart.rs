@@ -5,7 +5,10 @@
 //! This measures the two phases the `dcert-store` persistence layer adds
 //! on top: **open** (segment scan + torn-tail truncation + record replay)
 //! and **re-verify** (every recovered certificate checked against the
-//! trust anchors before the archive serves a single resync).
+//! trust anchors before the archive serves a single resync). Beside them,
+//! **commit** is what one archive publish costs while the history grows:
+//! the median and quartiles of one append + sync over the row's build
+//! loop (the segment's data flush plus the head slot's in-place rewrite).
 //!
 //! Run with: `cargo run --release -p dcert-bench --bin fig_store_coldstart`
 //! (use `DCERT_SCALE=0.02` for a quick pass).
@@ -13,7 +16,7 @@
 #![forbid(unsafe_code)]
 
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use dcert::world::{Setup, World};
 use dcert_bench::params::scaled;
@@ -53,16 +56,17 @@ fn main() {
     );
 
     println!(
-        "{:>9} | {:>12} {:>10} | {:>12} {:>12}",
-        "blocks", "disk", "replayed", "open", "re-verify"
+        "{:>9} | {:>12} {:>10} | {:>12} {:>12} | {:>30}",
+        "blocks", "disk", "replayed", "open", "re-verify", "commit p50 [q1, q3]"
     );
-    println!("{}", "-".repeat(64));
+    println!("{}", "-".repeat(97));
     let (mut disks, mut replays) = (Vec::new(), Vec::new());
     let mut height = 0u64;
     for &target in &lengths {
         // Grow the durable history to `target`, the way the live archive
         // does: one certificate record per block, synced before the
         // publish is acknowledged.
+        let mut commits = Vec::new();
         while height < target {
             let block = world.mine(Vec::new());
             height = block.header.height;
@@ -71,15 +75,13 @@ fn main() {
                 header: block.header.clone(),
                 cert,
             };
-            store
-                .append(&Record::new(
-                    height,
-                    StreamId::Cert,
-                    message.to_encoded_bytes(),
-                ))
-                .expect("appends");
+            let record = Record::new(height, StreamId::Cert, message.to_encoded_bytes());
+            let started = Instant::now();
+            store.append(&record).expect("appends");
             store.sync().expect("syncs");
+            commits.push(started.elapsed());
         }
+        commits.sort_unstable();
         drop(store); // the crash: the process dies with the store
 
         let started = Instant::now();
@@ -109,8 +111,14 @@ fn main() {
             "recovery lost certificates"
         );
 
+        let commit = format!(
+            "{} [{}, {}]",
+            fmt_duration(quantile(&commits, 0.5)),
+            fmt_duration(quantile(&commits, 0.25)),
+            fmt_duration(quantile(&commits, 0.75)),
+        );
         println!(
-            "{target:>9} | {:>12} {replayed:>10} | {:>12} {:>12}",
+            "{target:>9} | {:>12} {replayed:>10} | {:>12} {:>12} | {commit:>30}",
             fmt_bytes(disk as usize),
             fmt_duration(open_time),
             fmt_duration(verify_time),
@@ -130,4 +138,10 @@ fn main() {
         &["store.appends", "store.recovery_replays", "store.fsyncs"],
         &[],
     );
+}
+
+/// The `p`-quantile of sorted `xs` (nearest rank; zero when empty).
+fn quantile(xs: &[Duration], p: f64) -> Duration {
+    let rank = ((xs.len().saturating_sub(1)) as f64 * p).round() as usize;
+    xs.get(rank).copied().unwrap_or_default()
 }

@@ -588,6 +588,10 @@ pub fn hash_writes(writes: &WriteSet) -> Vec<(Hash, Option<Hash>)> {
     dcert_chain::validity::hash_writes(writes.iter().map(|(key, value)| (key, value)))
 }
 
+/// Bytes of [`CertProgram`]'s sealed state once its key exists:
+/// `sk_enc` (32) ‖ `last_signed_height` (8).
+const SEALED_STATE_LEN: usize = 32 + 8;
+
 impl Sealable for CertProgram {
     /// `sk_enc (32 bytes) ++ last_signed_height (8 bytes BE)`. The
     /// watermark travels inside the seal so an operator cannot roll the
@@ -633,5 +637,19 @@ impl TrustedApp for CertProgram {
             Ok(request) => self.handle(request).unwrap_or_else(EcallResponse::Rejected),
         };
         response.to_encoded_bytes()
+    }
+
+    /// The sealable state (`export_state`'s length: key ‖ watermark once
+    /// the key exists) plus the memo, which is bounded: one report and at
+    /// most 1 + #indexes `(digest, signature)` pairs.
+    fn retained_bytes(&self) -> u64 {
+        let sealed = if self.keypair.is_some() {
+            SEALED_STATE_LEN
+        } else {
+            0
+        };
+        let report = self.memo.report.as_ref().map_or(0, Encode::encoded_len);
+        let issued = self.memo.issued.len() * (Hash::LEN + Signature::LEN);
+        (sealed + report + issued) as u64
     }
 }

@@ -733,6 +733,22 @@ mod tests {
         );
     }
 
+    #[test]
+    fn r8_exempts_the_head_slot_rewrite_and_nothing_else() {
+        let slot = include_str!("../fixtures/r8_head_slot.rs");
+        let g = ws(&[("crates/store/src/head.rs", slot)]);
+        assert!(
+            rule_findings(&g, "r8-durability-order").is_empty(),
+            "the head module's in-place slot shrink is the commit itself"
+        );
+        // The same shrink in any other store module is a truncate before
+        // the head commit.
+        let g = ws(&[("crates/store/src/seg_store.rs", slot)]);
+        let hits = rule_findings(&g, "r8-durability-order");
+        assert_eq!(hits.len(), 1, "set_len outside the head module: {hits:?}");
+        assert!(hits[0].2.contains("set_len"));
+    }
+
     // -- call-graph integrity over the real workspace ------------------
 
     /// Workspace root for the real-tree tests. DCERT_REPO_ROOT lets the

@@ -12,6 +12,12 @@
 //! preceded, in the same function, by a head-commit `sync()` call.
 //! `sync_all`/`sync_data` (plain fsyncs) deliberately do **not**
 //! qualify — fsyncing a segment is not a head commit.
+//!
+//! The head region's own module (`head.rs`) is exempt: the one
+//! destructive call there shrinks the older head slot while rewriting it
+//! in place, which *is* the head commit, and only ever touches the slot
+//! recovery no longer needs. A segment truncate or unlink anywhere else
+//! in the store still fires.
 
 use crate::engine::Finding;
 use crate::graph::Graph;
@@ -19,6 +25,9 @@ use crate::graph::Graph;
 pub const RULE: &str = "r8-durability-order";
 
 const DESTRUCTIVE: [&str; 2] = ["remove_file", "set_len"];
+
+/// The head region's module, whose slot rewrite is the head commit itself.
+const HEAD_REGION: &str = "crates/store/src/head.rs";
 
 /// Functions that *are* the recovery closure's roots.
 const RECOVERY_ROOTS: [&str; 2] = ["open", "recover"];
@@ -41,7 +50,8 @@ pub fn run(g: &Graph) -> Vec<(usize, Finding)> {
 
     let mut out = Vec::new();
     for id in 0..g.fns.len() {
-        if !reach.visited[id] || !in_store(&g.files[g.fns[id].file].path) {
+        let path = &g.files[g.fns[id].file].path;
+        if !reach.visited[id] || !in_store(path) || path == HEAD_REGION {
             continue;
         }
         let node = &g.fns[id];

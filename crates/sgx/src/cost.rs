@@ -95,14 +95,13 @@ impl CostModel {
     /// The simulated charge for one boundary crossing moving `bytes` into
     /// an enclave whose EPC already holds `resident_bytes`.
     ///
-    /// `resident_bytes` is the boundary's cumulative working set: it is
-    /// advanced by `bytes`, and every byte landing beyond
-    /// `epc_budget_bytes` is charged the paging penalty on top of the
-    /// marshalling cost. This is the fix for the classic per-crossing
-    /// accounting bug, where payloads smaller than the budget could never
-    /// trigger paging no matter how many of them crossed: paging now fires
-    /// exactly when the *cumulative* residency crosses the budget, and the
-    /// charge is split correctly for a crossing that straddles it.
+    /// `resident_bytes` is what the EPC holds when the crossing starts
+    /// ([`crate::Enclave::ecall`] passes what the trusted program retains
+    /// between calls): it is advanced by `bytes`, and every byte landing
+    /// beyond `epc_budget_bytes` is charged the paging penalty on top of
+    /// the marshalling cost, split correctly for a crossing that
+    /// straddles the budget. So a program that retains more pages sooner,
+    /// and a crossing larger than the budget pages on its own.
     pub fn charge_crossing(&self, bytes: usize, resident_bytes: &mut u64) -> CrossingCharge {
         let bytes = bytes as u64;
         let budget = u64::try_from(self.epc_budget_bytes).unwrap_or(u64::MAX);
@@ -205,8 +204,8 @@ mod tests {
             paging_per_byte_ns: 10,
             in_enclave_slowdown_pct: 0,
         };
-        // The buggy per-crossing model: 100-byte payloads are far below
-        // the 1000-byte budget, so paging never fires no matter how many
+        // Into an empty EPC, 100-byte payloads are far below the
+        // 1000-byte budget, so paging never fires no matter how many
         // crossings happen.
         for _ in 0..20 {
             assert_eq!(
@@ -214,8 +213,8 @@ mod tests {
                 Duration::from_nanos(100)
             );
         }
-        // The cumulative model: the same 20 crossings fill the EPC after
-        // 10 and page thereafter.
+        // Into an EPC that keeps what crossed, the same 20 crossings fill
+        // it after 10 and page thereafter.
         let mut resident = 0u64;
         let mut paged_total = 0u64;
         let mut cost_total = Duration::ZERO;

@@ -36,6 +36,13 @@ pub trait TrustedApp: Send {
     /// Handles one ECall. Input and output cross the enclave boundary and
     /// are charged by the cost model.
     fn call(&mut self, input: &[u8]) -> Vec<u8>;
+
+    /// Bytes this program keeps in enclave memory between ECalls (its
+    /// sealable state, memos, caches). With the crossing in flight, this
+    /// is what the cost model charges against the EPC budget: a program
+    /// that keeps nothing never pages unless one crossing alone outgrows
+    /// the budget.
+    fn retained_bytes(&self) -> u64;
 }
 
 /// A trusted program whose secret state can be sealed to disk and
@@ -64,8 +71,9 @@ pub struct EnclaveStats {
     pub bytes_in: u64,
     /// Total bytes marshalled out of the enclave.
     pub bytes_out: u64,
-    /// Bytes charged the EPC paging penalty (cumulative residency beyond
-    /// the cost model's `epc_budget_bytes`).
+    /// Bytes charged the EPC paging penalty: bytes of a crossing that,
+    /// with what the program retains, lie beyond the cost model's
+    /// `epc_budget_bytes`.
     pub paged_bytes: u64,
     /// Bytes of ECall request encoding served from a reused marshalling
     /// scratch buffer instead of a fresh allocation (see
@@ -100,6 +108,8 @@ struct EnclaveObs {
     overhead_ns: Counter,
     /// Wall-clock trusted execution time.
     trusted_time_ns: Counter,
+    /// Peak EPC residency: the bytes the program retains plus the
+    /// crossing in flight, at its highest so far.
     epc_resident_bytes: Gauge,
     crossing_bytes: Histogram,
 }
@@ -159,11 +169,9 @@ fn saturating_nanos(duration: Duration) -> u64 {
 struct Boundary<A> {
     app: A,
     stats: EnclaveStats,
-    /// Cumulative bytes marshalled into EPC-backed memory — the working
-    /// set the paging charge is assessed against. Deliberately *not* part
-    /// of [`EnclaveStats`]: resetting the benchmark counters must not
-    /// pretend the EPC emptied.
-    resident_bytes: u64,
+    /// Peak EPC residency so far: what the program retained plus the
+    /// crossing in flight (see [`Enclave::epc_resident_bytes`]).
+    peak_resident_bytes: u64,
     obs: Option<EnclaveObs>,
 }
 
@@ -217,7 +225,7 @@ impl<A: TrustedApp> Enclave<A> {
             boundary: Mutex::new(Boundary {
                 app,
                 stats: EnclaveStats::default(),
-                resident_bytes: 0,
+                peak_resident_bytes: 0,
                 obs: None,
             }),
             measurement,
@@ -243,10 +251,14 @@ impl<A: TrustedApp> Enclave<A> {
         self.boundary.lock().stats
     }
 
-    /// Cumulative bytes marshalled into EPC-backed memory — the working
-    /// set the paging charge is assessed against. Nothing lowers it.
+    /// Peak EPC residency over this enclave's life: the bytes the program
+    /// retains ([`TrustedApp::retained_bytes`]) plus the one crossing in
+    /// flight, the working set each paging charge is assessed against.
+    /// Residency itself falls back once a crossing ends, so for a
+    /// stateless program this peak stays one request wide however many
+    /// ECalls it serves.
     pub fn epc_resident_bytes(&self) -> u64 {
-        self.boundary.lock().resident_bytes
+        self.boundary.lock().peak_resident_bytes
     }
 
     /// Registers this enclave's cost-center metrics (`enclave.*`) in
@@ -269,18 +281,22 @@ impl<A: TrustedApp> Enclave<A> {
     /// contention degrades exactly like a single-TCS enclave.
     pub fn ecall(&self, input: &[u8]) -> Vec<u8> {
         let mut boundary = self.boundary.lock();
-        let in_charge = self
-            .cost
-            .charge_crossing(input.len(), &mut boundary.resident_bytes);
+        // Residency is what the program retains plus the crossing in
+        // flight; a crossing's bytes count only for that crossing.
+        let mut resident_in = boundary.app.retained_bytes();
+        let in_charge = self.cost.charge_crossing(input.len(), &mut resident_in);
         spin(in_charge.cost);
         let (output, trusted) = timed(|| boundary.app.call(input));
         // In-EPC execution slowdown (MEE on every cache-line fill).
         let slowdown = self.cost.slowdown_cost(trusted);
         spin(slowdown);
-        let out_charge = self
-            .cost
-            .charge_crossing(output.len(), &mut boundary.resident_bytes);
+        let mut resident_out = boundary.app.retained_bytes();
+        let out_charge = self.cost.charge_crossing(output.len(), &mut resident_out);
         spin(out_charge.cost);
+        boundary.peak_resident_bytes = boundary
+            .peak_resident_bytes
+            .max(resident_in)
+            .max(resident_out);
 
         boundary.stats.ecalls += 1;
         boundary.stats.bytes_in += input.len() as u64;
@@ -296,7 +312,7 @@ impl<A: TrustedApp> Enclave<A> {
                 out_charge,
                 slowdown,
                 trusted,
-                boundary.resident_bytes,
+                boundary.peak_resident_bytes,
             );
         }
         output
@@ -381,6 +397,25 @@ mod tests {
             self.calls += 1;
             // "Sign" by xoring with the secret — stands in for sk_enc use.
             input.iter().map(|b| b ^ self.key).collect()
+        }
+        fn retained_bytes(&self) -> u64 {
+            0
+        }
+    }
+
+    /// A program that keeps every request it is sent and echoes it back.
+    struct Hoarder(Vec<u8>);
+
+    impl TrustedApp for Hoarder {
+        fn code_identity(&self) -> &[u8] {
+            b"hoarder-v1"
+        }
+        fn call(&mut self, input: &[u8]) -> Vec<u8> {
+            self.0.extend_from_slice(input);
+            input.to_vec()
+        }
+        fn retained_bytes(&self) -> u64 {
+            self.0.len() as u64
         }
     }
 
@@ -472,19 +507,34 @@ mod tests {
             paging_per_byte_ns: 0,
             in_enclave_slowdown_pct: 0,
         };
-        let enclave = Enclave::launch(Secret { key: 0, calls: 0 }, cost);
-        // Each call crosses 100 bytes in + 100 bytes out (xor echo), far
-        // below the 1000-byte budget individually. After 5 calls the
-        // cumulative working set hits the budget; the next 5 page fully.
-        for _ in 0..10 {
-            enclave.ecall(&[0u8; 100]);
+        // A program that keeps nothing: each call crosses 100 bytes in +
+        // 100 out (xor echo), and no number of them fills the EPC.
+        let stateless = Enclave::launch(Secret { key: 0, calls: 0 }, cost);
+        for _ in 0..100 {
+            stateless.ecall(&[0u8; 100]);
         }
-        assert_eq!(enclave.epc_resident_bytes(), 2000);
-        assert_eq!(enclave.stats().paged_bytes, 1000);
-        // Residency only grows: the next call pages in full.
-        enclave.ecall(&[0u8; 100]);
-        assert_eq!(enclave.epc_resident_bytes(), 2200);
-        assert_eq!(enclave.stats().paged_bytes, 1200, "fully beyond budget");
+        assert_eq!(stateless.epc_resident_bytes(), 100);
+        assert_eq!(stateless.stats().paged_bytes, 0);
+        // One crossing larger than the budget still pages, both ways.
+        stateless.ecall(&[0u8; 1500]);
+        assert_eq!(stateless.epc_resident_bytes(), 1500);
+        assert_eq!(stateless.stats().paged_bytes, 1000);
+
+        // A program that keeps what it is sent: residency accumulates.
+        // Call i (from 0) crosses in against 100·i retained bytes and out
+        // against 100·(i + 1), so only call 9's reply lands past the
+        // budget.
+        let hoarder = Enclave::launch(Hoarder(Vec::new()), cost);
+        for _ in 0..10 {
+            hoarder.ecall(&[0u8; 100]);
+        }
+        assert_eq!(hoarder.epc_resident_bytes(), 1100);
+        assert_eq!(hoarder.stats().paged_bytes, 100);
+        // Residency keeps growing with what it retains: the next call
+        // pages in full.
+        hoarder.ecall(&[0u8; 100]);
+        assert_eq!(hoarder.epc_resident_bytes(), 1200);
+        assert_eq!(hoarder.stats().paged_bytes, 300, "fully beyond budget");
     }
 
     #[test]
@@ -496,7 +546,7 @@ mod tests {
             paging_per_byte_ns: 0,
             in_enclave_slowdown_pct: 0,
         };
-        let enclave = Enclave::launch(Secret { key: 0, calls: 0 }, cost);
+        let enclave = Enclave::launch(Hoarder(Vec::new()), cost);
         let registry = dcert_obs::Registry::new();
         enclave.attach_obs(&registry);
         enclave.ecall(&[0u8; 100]);

@@ -34,6 +34,7 @@
 //! impl TrustedApp for Echo {
 //!     fn code_identity(&self) -> &[u8] { b"echo-v1" }
 //!     fn call(&mut self, input: &[u8]) -> Vec<u8> { input.to_vec() }
+//!     fn retained_bytes(&self) -> u64 { 0 }
 //! }
 //!
 //! let mut ias = AttestationService::with_seed([7; 32]);

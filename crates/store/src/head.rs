@@ -1,15 +1,19 @@
-//! The mutable head region: a tiny, atomically-replaced summary of what
-//! is durable.
+//! The mutable head region: a tiny summary of what is durable, kept in
+//! two slots that are rewritten in place, alternately.
 //!
 //! Segment files are append-only and immutable once rolled; everything
 //! mutable lives here. The head is two slot files (`head-a.dch`,
 //! `head-b.dch`), each holding [`HEAD_MAGIC`] followed by one CRC-framed
 //! [`HeadState`]. Writes alternate slots with a strictly increasing
-//! sequence number, so a torn head write can only damage the slot being
-//! replaced — the previous state survives in the other slot. Recovery
-//! takes the valid slot with the highest sequence number; if both slots
-//! exist but neither decodes, the durable watermark is unknowable and the
-//! store refuses to open ([`StoreError::HeadCorrupt`]).
+//! sequence number, and each write overwrites the *older* slot in place
+//! (offset 0, shrunk only when the new encoding is shorter, then one data
+//! flush — `SlotFile::rewrite`). So a torn head write can only damage
+//! the slot being replaced, leaving some prefix of the new encoding over
+//! the rest of the old one, which its CRC refuses; the previous state
+//! survives in the other slot. Recovery takes the valid slot with the
+//! highest sequence number; if both slots exist but neither decodes, the
+//! durable watermark is unknowable and the store refuses to open
+//! ([`StoreError::HeadCorrupt`]).
 //!
 //! The head state carries three things:
 //!
@@ -19,6 +23,9 @@
 //!    certified digests, headers, prune marks) that must travel with the
 //!    watermark they were synced under,
 //! 3. the **sequence number** — total order over head writes.
+
+use std::fs::File;
+use std::os::unix::fs::FileExt;
 
 use dcert_primitives::codec::{Decode, Encode};
 
@@ -113,6 +120,40 @@ impl HeadState {
         } else {
             HEAD_SLOT_B
         }
+    }
+}
+
+/// One head slot file, held open by the store once it exists.
+#[derive(Debug)]
+pub(crate) struct SlotFile {
+    file: File,
+    /// Bytes the file holds now.
+    len: u64,
+}
+
+impl SlotFile {
+    /// Wraps an open, writable slot file currently `len` bytes long.
+    pub(crate) fn new(file: File, len: u64) -> Self {
+        SlotFile { file, len }
+    }
+
+    /// Replaces the slot's contents with `bytes` in place: one write at
+    /// offset 0, a shrink only when `bytes` is shorter than what the file
+    /// held (the head lost segment marks to a prune), then one data flush.
+    /// The length is metadata `sync_data` persists, and nothing is
+    /// truncated, freed or reallocated on the common path.
+    ///
+    /// Only ever called on the older slot: a crash part-way leaves
+    /// `bytes[..c] ++ old[c..]`, which fails its CRC (or, after a complete
+    /// write, its length check), so recovery falls back to the other slot.
+    pub(crate) fn rewrite(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+        self.file.write_all_at(bytes, 0)?;
+        let len = bytes.len() as u64;
+        if len < self.len {
+            self.file.set_len(len)?;
+        }
+        self.len = len;
+        self.file.sync_data()
     }
 }
 

@@ -7,10 +7,15 @@
 //!    (no fsync — the bytes are *volatile* until the next sync). When the
 //!    active segment would outgrow `max_segment_bytes` it is fsynced and
 //!    sealed, and a fresh segment starts.
-//! 2. `sync` fsyncs the active segment **first**, then writes the head
-//!    region (alternating slot, sequence + 1, per-segment durable byte
-//!    lengths, consumer head entries) and fsyncs it. Ordering matters: the
-//!    head may lag the segments but must never lead them.
+//! 2. `sync` flushes the active segment's data **first** (`sync_data`:
+//!    an append's new length is metadata a data flush persists), then
+//!    rewrites the older head slot in place (sequence + 1, per-segment
+//!    durable byte lengths, consumer head entries) and flushes it the same
+//!    way (`head::SlotFile::rewrite`). Ordering matters: the head
+//!    may lag the segments but must never lead them. Each slot file is
+//!    held open once it exists; the first write of a slot creates it and
+//!    fsyncs the store directory before `sync` returns, so the new entry
+//!    is as durable as its contents.
 //!
 //! # Recovery protocol (at [`SegmentStore::open`])
 //!
@@ -34,7 +39,7 @@
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::Write;
+use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
 use dcert_obs::{Counter, Gauge, Registry};
@@ -42,7 +47,7 @@ use dcert_primitives::Encode;
 
 use crate::error::{io_err, StoreError};
 use crate::frame::{append_frame, Record, SEGMENT_MAGIC};
-use crate::head::{choose_head, HeadState, SegmentMark, HEAD_SLOT_A, HEAD_SLOT_B};
+use crate::head::{choose_head, HeadState, SegmentMark, SlotFile, HEAD_SLOT_A, HEAD_SLOT_B};
 use crate::segment::{parse_segment_file_name, read_segment, segment_file_name};
 use crate::Store;
 
@@ -158,6 +163,8 @@ pub struct SegmentStore {
     max_segment_bytes: u64,
     metrics: Metrics,
     active: File,
+    /// The two head slot files (`[A, B]`), each held open once it exists.
+    heads: [Option<SlotFile>; 2],
     metas: Vec<SegMeta>,
     records: Vec<Record>,
     entries: BTreeMap<String, Vec<u8>>,
@@ -183,8 +190,8 @@ impl SegmentStore {
         std::fs::create_dir_all(&config.dir).map_err(io_err("store mkdir"))?;
         let metrics = Metrics::new(&config.obs);
 
-        let slot_a = read_slot(&config.dir, HEAD_SLOT_A)?;
-        let slot_b = read_slot(&config.dir, HEAD_SLOT_B)?;
+        let (file_a, slot_a) = open_slot(&config.dir, HEAD_SLOT_A)?;
+        let (file_b, slot_b) = open_slot(&config.dir, HEAD_SLOT_B)?;
         let head = choose_head(slot_a, slot_b)?;
         let on_disk = list_segments(&config.dir)?;
 
@@ -194,6 +201,7 @@ impl SegmentStore {
             metrics,
             // Placeholder; replaced below once the active segment is known.
             active: File::open("/dev/null").map_err(io_err("store open"))?,
+            heads: [file_a, file_b],
             metas: Vec::new(),
             records: Vec::new(),
             entries: BTreeMap::new(),
@@ -332,9 +340,7 @@ impl SegmentStore {
         // Make the new directory entry itself durable (best effort: the
         // next head fsync orders it anyway on the journaled filesystems
         // this targets).
-        if let Ok(dir) = File::open(&self.dir) {
-            let _ = dir.sync_all();
-        }
+        let _ = sync_dir(&self.dir);
         Ok(())
     }
 
@@ -370,7 +376,7 @@ impl SegmentStore {
     }
 
     fn fsync_active(&mut self) -> Result<(), StoreError> {
-        self.active.sync_all().map_err(io_err("segment fsync"))?;
+        self.active.sync_data().map_err(io_err("segment fsync"))?;
         self.metrics.fsyncs.inc();
         Ok(())
     }
@@ -383,18 +389,58 @@ impl SegmentStore {
         Ok(())
     }
 
+    /// Rewrites the slot `state` names (the older one) with it, creating
+    /// the slot file on its first write. A created slot's directory entry
+    /// is fsynced before this returns (not counted in `store.fsyncs`).
+    fn write_head(&mut self, state: &HeadState) -> Result<(), StoreError> {
+        let bytes = state.encode_slot_file()?;
+        let [a, b] = &mut self.heads;
+        let held = if state.slot() == HEAD_SLOT_A { a } else { b };
+        let created = held.is_none();
+        let slot = match held {
+            Some(slot) => slot,
+            None => held.insert(SlotFile::new(
+                File::create(self.dir.join(state.slot())).map_err(io_err("head create"))?,
+                0,
+            )),
+        };
+        slot.rewrite(&bytes).map_err(io_err("head write"))?;
+        if created {
+            sync_dir(&self.dir).map_err(io_err("head dir fsync"))?;
+        }
+        Ok(())
+    }
+
     fn poison(&mut self, err: StoreError) -> StoreError {
         self.poisoned = Some(err.clone());
         err
     }
 }
 
-fn read_slot(dir: &Path, name: &str) -> Result<Option<Result<HeadState, StoreError>>, StoreError> {
-    match std::fs::read(dir.join(name)) {
-        Ok(bytes) => Ok(Some(HeadState::decode_slot_file(name, &bytes))),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
-        Err(e) => Err(io_err("head read")(e)),
-    }
+/// A head slot as recovery finds it: the file, held open for the store's
+/// later in-place rewrites, and its decoded state. Both are `None` when
+/// the slot does not exist yet.
+type FoundSlot = (Option<SlotFile>, Option<Result<HeadState, StoreError>>);
+
+fn open_slot(dir: &Path, name: &str) -> Result<FoundSlot, StoreError> {
+    let mut file = match OpenOptions::new()
+        .read(true)
+        .write(true)
+        .open(dir.join(name))
+    {
+        Ok(file) => file,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((None, None)),
+        Err(e) => return Err(io_err("head read")(e)),
+    };
+    let mut bytes = Vec::new();
+    file.read_to_end(&mut bytes).map_err(io_err("head read"))?;
+    let state = HeadState::decode_slot_file(name, &bytes);
+    Ok((Some(SlotFile::new(file, bytes.len() as u64)), Some(state)))
+}
+
+/// Fsyncs a directory, making the entries created in it durable.
+fn sync_dir(dir: &Path) -> std::io::Result<()> {
+    File::open(dir)?.sync_all()
 }
 
 fn list_segments(dir: &Path) -> Result<Vec<u32>, StoreError> {
@@ -491,15 +537,7 @@ impl Store for SegmentStore {
                 .map(|(k, v)| (k.clone(), v.clone()))
                 .collect(),
         };
-        let slot = self.dir.join(state.slot());
-        let write_head = || -> Result<(), StoreError> {
-            let bytes = state.encode_slot_file()?;
-            let mut file = File::create(&slot).map_err(io_err("head write"))?;
-            file.write_all(&bytes).map_err(io_err("head write"))?;
-            file.sync_all().map_err(io_err("head fsync"))?;
-            Ok(())
-        };
-        if let Err(e) = write_head() {
+        if let Err(e) = self.write_head(&state) {
             return Err(self.poison(e));
         }
         self.metrics.fsyncs.inc();
@@ -720,6 +758,70 @@ mod tests {
             let fb = std::fs::read(dir2.join(slot)).ok();
             assert_eq!(fa, fb, "{slot}");
         }
+    }
+
+    /// The slots are rewritten in place across a roll (the head grows a
+    /// segment mark) and a prune (it loses some): after every commit each
+    /// slot file is exactly the encoding of the state it holds, with no
+    /// stale tail, and a reopen picks the newest.
+    #[test]
+    fn in_place_slot_rewrites_leave_exact_encodings_across_roll_and_prune() {
+        let dir = temp_dir("in-place");
+        let config = || StoreConfig::new(&dir).max_segment_bytes(128);
+        let mut store = SegmentStore::open(config()).unwrap();
+        let (mut grew, mut shrank) = (0, 0);
+        let mut commit = |store: &mut SegmentStore, op: &dyn Fn(&mut SegmentStore)| {
+            let slot = dir.join(
+                HeadState {
+                    seq: store.seq + 1,
+                    ..HeadState::default()
+                }
+                .slot(),
+            );
+            let old_len = std::fs::metadata(&slot).map(|m| m.len()).unwrap_or(0);
+            op(store);
+            let new_len = std::fs::metadata(&slot).unwrap().len();
+            grew += usize::from(old_len > 0 && new_len > old_len);
+            shrank += usize::from(new_len < old_len);
+            let mut newest = 0;
+            for name in [HEAD_SLOT_A, HEAD_SLOT_B] {
+                let Ok(bytes) = std::fs::read(dir.join(name)) else {
+                    continue;
+                };
+                let state = HeadState::decode_slot_file(name, &bytes).unwrap();
+                assert_eq!(state.slot(), name);
+                assert_eq!(
+                    bytes,
+                    state.encode_slot_file().unwrap(),
+                    "{name}: stale tail"
+                );
+                newest = newest.max(state.seq);
+            }
+            assert_eq!(newest, store.seq);
+        };
+        for h in 1..=12 {
+            commit(&mut store, &|s: &mut SegmentStore| {
+                s.append(&record(h, h as u8)).unwrap();
+                s.put_head("h", h.to_be_bytes().to_vec()).unwrap();
+                s.sync().unwrap();
+            });
+        }
+        commit(&mut store, &|s: &mut SegmentStore| {
+            s.prune_below(9).unwrap()
+        });
+        for h in 13..=14 {
+            commit(&mut store, &|s: &mut SegmentStore| {
+                s.append(&record(h, h as u8)).unwrap();
+                s.sync().unwrap();
+            });
+        }
+        assert!(grew > 0 && shrank > 0, "grew {grew}, shrank {shrank}");
+        let (seq, entries) = (store.seq, store.head_entries());
+        drop(store);
+        let back = SegmentStore::open(config()).unwrap();
+        assert_eq!(back.seq, seq);
+        assert_eq!(back.durable_height(), 14);
+        assert_eq!(back.head_entries(), entries);
     }
 
     #[test]

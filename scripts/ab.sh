@@ -12,7 +12,9 @@
 # each side won (a tie counts for neither). Then runs each side once with
 # `--trace 1` and prints its exact work counters side by side: they repeat
 # for a given workload and seed, so one run per side is a proof, not a
-# sample. Each side builds into its own target
+# sample. After them come the journey's layer spans from the same two
+# traced runs, for attribution only: one run of a time is not a claim.
+# Each side builds into its own target
 # directory under target/ab/, and every run's output stays in
 # target/ab/runs/<workload>/. Nothing under benchmark/ changes. Do not
 # edit the working tree while it runs: run.sh rebuilds the head side
@@ -51,6 +53,10 @@ run() {
 # The exact work counters the traced runs compare.
 counters=(primitives.sig_verifies primitives.sig_signs primitives.sha256_blocks sgx.ecalls
     sgx.request_bytes store.fsyncs client_storage_bytes)
+
+# The journey's layer spans printed from the traced runs (times: one run each).
+spans=(chain.mine_us query.sp.stage_us core.ci.certify_us core.archive.publish_us
+    core.superlight.sync_us)
 
 # counter FILE METRIC: the metric's value in the run's JSON line, else in
 # its table (end-to-end metrics are only there).
@@ -150,8 +156,13 @@ done | awk -v pairs="$pairs" '
 echo "traced runs" >&2
 run base "$base" traced 1
 run head "$root" traced 1
-printf "%-26s %20s %20s\n" "counter (one traced run)" "base" "head"
+printf "%-34s %20s %20s\n" "counter (one traced run)" "base" "head"
 for name in "${counters[@]}"; do
-    printf "%-26s %20s %20s\n" "$name" "$(counter "$runs/base-traced.txt" "$name")" \
+    printf "%-34s %20s %20s\n" "$name" "$(counter "$runs/base-traced.txt" "$name")" \
+        "$(counter "$runs/head-traced.txt" "$name")"
+done
+printf "%-34s %20s %20s\n" "layer span (one run, not a claim)" "base" "head"
+for name in "${spans[@]}"; do
+    printf "%-34s %20s %20s\n" "$name" "$(counter "$runs/base-traced.txt" "$name")" \
         "$(counter "$runs/head-traced.txt" "$name")"
 done

@@ -234,6 +234,16 @@ impl TrustedApp for NaiveCertProgram {
         };
         response.to_encoded_bytes()
     }
+
+    /// Only its key: the state arrives with every request and is dropped
+    /// with it.
+    fn retained_bytes(&self) -> u64 {
+        if self.keypair.is_some() {
+            32
+        } else {
+            0
+        }
+    }
 }
 
 #[cfg(test)]

@@ -18,6 +18,8 @@
 
 mod common;
 
+use std::fs::OpenOptions;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
@@ -29,7 +31,7 @@ use dcert::primitives::hash::{hash_bytes, Hash};
 use dcert::primitives::keys::{PublicKey, Signature};
 use dcert::query::{CertifiedEntry, ServiceProvider, SpError};
 use dcert::store::head::{HEAD_SLOT_A, HEAD_SLOT_B};
-use dcert::store::{MemStore, SegmentStore, Store, StoreConfig, StoreError};
+use dcert::store::{MemStore, Record, SegmentStore, Store, StoreConfig, StoreError, StreamId};
 use dcert::workloads::Workload;
 use dcert::world::{observe, Observation, World, MEMO_INDEXES};
 use dcert_testkit::{check, Gen};
@@ -225,6 +227,134 @@ fn torn_newest_head_slot_falls_back_one_commit() {
         assert_eq!(observe(&sp), g.expected[fallback], "case {case}");
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// Every state a torn in-place rewrite of `old` by `new` can leave:
+/// `new[..c] ++ old[c..]` for every cut `c` — `new` over the start of the
+/// old slot, the old bytes past it (and, when `new` is shorter, the old
+/// tail the shrink had not yet cut) — except `new` itself.
+fn torn_rewrites(old: &[u8], new: &[u8]) -> Vec<Vec<u8>> {
+    (0..=new.len())
+        .map(|cut| [&new[..cut], old.get(cut..).unwrap_or(&[])].concat())
+        .filter(|blend| blend != new)
+        .collect()
+}
+
+/// Kill the process mid-way through the in-place rewrite of the newest
+/// slot: slot A held seq 1 and is being overwritten by seq 3. Every blend
+/// falls back exactly one commit, to seq 2 in slot B.
+#[test]
+fn torn_in_place_rewrite_of_the_newest_slot_falls_back_one_commit() {
+    let g = golden();
+    let last = GOLDEN_BLOCKS as usize;
+    let old = g.heads[last - 2][0]
+        .as_ref()
+        .expect("slot A after commit 1");
+    let new = g.heads[last][0].as_ref().expect("slot A after commit 3");
+    let world = World::pow(&MEMO_INDEXES);
+    // Reopening an intact segment writes nothing, so one directory serves
+    // every cut, its slot A overwritten in place the way the store writes
+    // it (truncating would free and reallocate the slot's block per cut).
+    let dir = restore(g, g.seg.len(), last - 1, "torn-rewrite");
+    let slot_a = OpenOptions::new()
+        .write(true)
+        .open(dir.join(HEAD_SLOT_A))
+        .unwrap();
+    for (cut, bytes) in torn_rewrites(old, new).iter().enumerate() {
+        slot_a.write_all_at(bytes, 0).unwrap();
+        slot_a.set_len(bytes.len() as u64).unwrap();
+        let store = SegmentStore::open(StoreConfig::new(&dir))
+            .unwrap_or_else(|e| panic!("cut {cut}: fallback slot refused: {e:?}"));
+        assert_eq!(store.durable_height(), last as u64 - 1, "cut {cut}");
+        let sp = recover_sp(&world, g, store);
+        assert_eq!(observe(&sp), g.expected[last - 1], "cut {cut}");
+    }
+    assert_eq!(std::fs::read(dir.join(SEG_FILE)).unwrap(), g.seg);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A store directory's files, by name.
+type Files = Vec<(String, Vec<u8>)>;
+
+fn read_files(dir: &Path) -> Files {
+    let mut files: Files = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| {
+            let entry = entry.unwrap();
+            let name = entry.file_name().into_string().unwrap();
+            (name, std::fs::read(entry.path()).unwrap())
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// The in-place rewrite torn at every cut, on a slot that grew (a segment
+/// roll added a mark) and on one that shrank (a prune dropped marks).
+/// Each commit's crash is rebuilt from the files as they stood just before
+/// its head write, with the slot being rewritten replaced by a blend; the
+/// store must come back exactly one commit behind.
+#[test]
+fn torn_in_place_rewrites_that_grow_or_shrink_the_slot_fall_back_one_commit() {
+    let dir = temp_dir("rewrite-live");
+    let config = |dir: &Path| StoreConfig::new(dir).max_segment_bytes(128);
+    let mut store = SegmentStore::open(config(&dir)).unwrap();
+    // (files before the head write, slot name, its new bytes, durable
+    // height of the commit before)
+    let mut commits: Vec<(Files, &str, Vec<u8>, u64)> = Vec::new();
+    for commit in 1..=16u64 {
+        store
+            .put_head("commit", commit.to_be_bytes().to_vec())
+            .unwrap();
+        let durable_before = store.durable_height();
+        let slot = if commit % 2 == 1 {
+            HEAD_SLOT_A
+        } else {
+            HEAD_SLOT_B
+        };
+        if commit == 13 {
+            commits.push((read_files(&dir), slot, Vec::new(), durable_before));
+            store.prune_below(9).unwrap();
+        } else {
+            store
+                .append(&Record::new(commit, StreamId::Cert, vec![commit as u8; 20]))
+                .unwrap();
+            commits.push((read_files(&dir), slot, Vec::new(), durable_before));
+            store.sync().unwrap();
+        }
+        commits.last_mut().unwrap().2 = std::fs::read(dir.join(slot)).unwrap();
+    }
+    drop(store);
+    std::fs::remove_dir_all(&dir).ok();
+
+    let (mut grew, mut shrank) = (0, 0);
+    for (i, (before, slot, new, durable_before)) in commits.iter().enumerate().skip(2) {
+        let commit = i as u64 + 1;
+        let old = &before.iter().find(|(name, _)| name == slot).unwrap().1;
+        grew += usize::from(new.len() > old.len());
+        shrank += usize::from(new.len() < old.len());
+        for (cut, bytes) in torn_rewrites(old, new).iter().enumerate() {
+            let dir = temp_dir("rewrite-torn");
+            for (name, contents) in before {
+                let contents = if name == slot { bytes } else { contents };
+                std::fs::write(dir.join(name), contents).unwrap();
+            }
+            let back = SegmentStore::open(config(&dir))
+                .unwrap_or_else(|e| panic!("commit {commit} cut {cut}: refused: {e:?}"));
+            assert_eq!(
+                back.durable_height(),
+                *durable_before,
+                "commit {commit} cut {cut}"
+            );
+            assert_eq!(
+                back.head("commit"),
+                Some((commit - 1).to_be_bytes().to_vec()),
+                "commit {commit} cut {cut}"
+            );
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+    assert!(grew > 0 && shrank > 0, "grew {grew}, shrank {shrank}");
 }
 
 /// Damage that genuinely loses acknowledged data must refuse with a
