@@ -10,17 +10,19 @@
 
 #![forbid(unsafe_code)]
 
-use std::time::Instant;
-
 use dcert::world::{Setup, World};
 use dcert_bench::params::scaled;
-use dcert_bench::report::{banner, fmt_duration};
+use dcert_bench::report::banner;
 use dcert_bench::shape;
+use dcert_bench::timing;
 use dcert_obs::Registry;
+use dcert_sgx::cost::timed;
 use dcert_sgx::CostModel;
 use dcert_workloads::Workload;
 
 const TOTAL_BLOCKS: u64 = 32;
+
+const BATCH_SIZES: [usize; 5] = [1, 2, 4, 8, 16];
 
 fn main() {
     banner(
@@ -29,36 +31,36 @@ fn main() {
     );
     let total = scaled(TOTAL_BLOCKS).max(8);
     println!(
-        "{:>10} | {:>12} {:>12} | {:>8}",
+        "{:>10} | {:>31} {:>31} | {:>8}",
         "batch size", "per block", "whole chain", "ecalls"
     );
-    println!("{}", "-".repeat(52));
+    println!("{}", "-".repeat(88));
 
     let obs = Registry::new();
-    for &batch in &[1usize, 2, 4, 8, 16] {
+    let rows = timing::rounds("ecalls", BATCH_SIZES.len(), |row| {
+        // Certification starts at genesis: a fresh world per repetition.
         let mut world = World::new(Setup {
             registry: obs.clone(),
             ..Setup::poa(CostModel::calibrated())
         });
         let mut gen = world.generator(Workload::KvStore { keyspace: 500 }, 42);
         let blocks: Vec<_> = (0..total).map(|_| world.mine(gen.next_block(32))).collect();
-
-        let started = Instant::now();
-        let mut ecalls = 0;
-        for chunk in blocks.chunks(batch) {
-            let (_, breakdown) = if chunk.len() == 1 {
-                world.ci.certify_block(&chunk[0]).expect("certifies")
-            } else {
-                world.ci.certify_batch(chunk).expect("certifies")
-            };
-            ecalls += breakdown.ecalls;
-        }
-        let elapsed = started.elapsed();
-        let per_block = elapsed / total as u32;
+        let (ecalls, elapsed) = timed(|| {
+            blocks
+                .chunks(BATCH_SIZES[row])
+                .map(|chunk| match chunk {
+                    [block] => world.ci.certify_block(block),
+                    _ => world.ci.certify_batch(chunk),
+                })
+                .map(|certified| certified.expect("certifies").1.ecalls)
+                .sum::<u64>()
+        });
+        ([elapsed], ecalls)
+    });
+    for (batch, ([elapsed], ecalls)) in BATCH_SIZES.into_iter().zip(rows) {
         println!(
-            "{batch:>10} | {:>12} {:>12} | {ecalls:>8}",
-            fmt_duration(per_block),
-            fmt_duration(elapsed),
+            "{batch:>10} | {:>31} {elapsed:>31} | {ecalls:>8}",
+            elapsed.per(total as u32),
         );
         // What batching amortizes: one ECall per batch, not per block.
         assert_eq!(
@@ -67,7 +69,7 @@ fn main() {
             "batch {batch}: one ECall per batch"
         );
     }
-    println!();
+    timing::note();
     println!("(KV workload, 32-tx blocks, {total} blocks per configuration)");
     shape::recorded(&obs, &["enclave.ecalls"], &[]);
 }

@@ -14,7 +14,8 @@
 use dcert::world::kv_key;
 use dcert_baselines::lineage::{verify_lineage, LineageIndex};
 use dcert_bench::params::{scaled, QUERY_ACCOUNTS, QUERY_CHAIN_LENGTH, WINDOW_DISTANCES};
-use dcert_bench::report::{banner, fmt_bytes, fmt_duration, short};
+use dcert_bench::report::{banner, fmt_bytes, short};
+use dcert_bench::timing;
 use dcert_query::history::verify_history;
 use dcert_query::HistoryIndex;
 use dcert_sgx::cost::timed;
@@ -57,10 +58,10 @@ fn main() {
     let lineage_digest = lineage_idx.digest();
 
     println!(
-        "{:>9} | {:>11} {:>11} {:>10} | {:>11} {:>11} {:>10}",
+        "{:>9} | {:>31} {:>31} {:>10} | {:>31} {:>31} {:>10}",
         "distance", "DCert query", "verify", "proof", "LC query", "verify", "proof"
     );
-    println!("{}", "-".repeat(86));
+    println!("{}", "-".repeat(166));
     for &distance in WINDOW_DISTANCES {
         // The window reaches back `distance` blocks from the chain tip
         // (the paper grows the window away from the latest block).
@@ -68,39 +69,40 @@ fn main() {
         let t2 = chain_len;
         let t1 = chain_len - distance + 1;
 
-        // DCert two-level index.
-        let ((d_results, d_proof), d_query) = timed(|| dcert_idx.query(&probe, t1, t2));
-        let (verdict, d_verify) =
-            timed(|| verify_history(&dcert_digest, &probe, t1, t2, &d_results, &d_proof));
-        verdict.expect("dcert query verifies");
-
-        // LineageChain-style baseline.
-        let ((l_results, l_proof), l_query) = timed(|| lineage_idx.query(&probe, t1, t2));
-        let (verdict, l_verify) =
-            timed(|| verify_lineage(&lineage_digest, &probe, t1, t2, &l_results, &l_proof));
-        verdict.expect("baseline query verifies");
+        // DCert's two-level index against the LineageChain-style baseline.
+        let sides = timing::rounds("results and proof bytes", 2, |side| {
+            if side == 0 {
+                let ((results, proof), query) = timed(|| dcert_idx.query(&probe, t1, t2));
+                let verdict = || verify_history(&dcert_digest, &probe, t1, t2, &results, &proof);
+                let ((), verify) = timed(|| verdict().expect("dcert query verifies"));
+                ([query, verify], (results, proof.size_bytes()))
+            } else {
+                let ((results, proof), query) = timed(|| lineage_idx.query(&probe, t1, t2));
+                let verdict = || verify_lineage(&lineage_digest, &probe, t1, t2, &results, &proof);
+                let ((), verify) = timed(|| verdict().expect("baseline query verifies"));
+                ([query, verify], (results, proof.size_bytes()))
+            }
+        });
+        let ([d_query, d_verify], (d_results, d_bytes)) = &sides[0];
+        let ([l_query, l_verify], (l_results, l_bytes)) = &sides[1];
 
         // Fig. 11b: same answer, smaller proof, at every distance.
         assert_eq!(d_results, l_results, "both indexes must agree");
         assert_eq!(d_results.len() as u64, distance, "probe writes every block");
         assert!(
-            d_proof.size_bytes() < l_proof.size_bytes(),
+            d_bytes < l_bytes,
             "distance {distance}: DCert proof ({} B) must undercut the skip list ({} B)",
-            d_proof.size_bytes(),
-            l_proof.size_bytes()
+            d_bytes,
+            l_bytes
         );
 
         println!(
-            "{distance:>9} | {:>11} {:>11} {:>10} | {:>11} {:>11} {:>10}",
-            fmt_duration(d_query),
-            fmt_duration(d_verify),
-            fmt_bytes(d_proof.size_bytes()),
-            fmt_duration(l_query),
-            fmt_duration(l_verify),
-            fmt_bytes(l_proof.size_bytes()),
+            "{distance:>9} | {d_query:>31} {d_verify:>31} {:>10} | {l_query:>31} {l_verify:>31} {:>10}",
+            fmt_bytes(*d_bytes),
+            fmt_bytes(*l_bytes),
         );
     }
-    println!();
+    timing::note();
     println!(
         "(window = [tip-distance+1, tip]; probe account updated every block; \
          digests: dcert {}, lineage {})",

@@ -12,7 +12,8 @@
 use std::hint::black_box;
 
 use dcert_bench::params::scaled;
-use dcert_bench::report::{banner, fmt_duration};
+use dcert_bench::report::banner;
+use dcert_bench::timing;
 use dcert_chain::validity::check_signatures;
 use dcert_merkle::{SmtProof, SparseMerkleTree};
 use dcert_primitives::codec::{Decode, Encode};
@@ -23,10 +24,11 @@ use dcert_sgx::cost::timed;
 use dcert_vm::StateKey;
 use dcert_workloads::{Workload, WorkloadGen};
 
-/// Prints the mean time of `f` over `iters` runs.
+/// Prints the time of one call of `f`: the spread over batches of `iters`.
 fn row<T>(name: &str, iters: u32, mut f: impl FnMut() -> T) {
-    let ((), elapsed) = timed(|| (0..iters).for_each(|_| drop(black_box(f()))));
-    println!("{name:<28} {:>12}", fmt_duration(elapsed / iters));
+    let mut batch = || timed(|| (0..iters).for_each(|_| drop(black_box(f())))).1;
+    let ([batch], ()) = timing::repeat("", || ([batch()], ()));
+    println!("{name:<28} {:>31}", batch.per(iters));
 }
 
 fn main() {
@@ -109,4 +111,5 @@ fn main() {
     let txs = WorkloadGen::new(Workload::KvStore { keyspace: 1_024 }, 32, 1).next_block(32);
     assert_eq!(check_signatures(&txs), Ok(()));
     row("chain/sigs_32_sequential", iters, || check_signatures(&txs));
+    timing::note();
 }

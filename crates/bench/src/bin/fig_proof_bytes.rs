@@ -14,14 +14,14 @@
 
 #![forbid(unsafe_code)]
 
-use std::time::Instant;
-
 use dcert::world::kv_key;
 use dcert_bench::params::scaled;
-use dcert_bench::report::{banner, fmt_bytes, fmt_duration, short};
+use dcert_bench::report::{banner, fmt_bytes, short};
+use dcert_bench::timing;
 use dcert_query::aggregate::verify_aggregate;
 use dcert_query::history::verify_history;
 use dcert_query::{AggregateIndex, HistoryIndex};
+use dcert_sgx::cost::timed;
 use dcert_vm::StateKey;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -62,33 +62,35 @@ fn main() {
     let aggregate_digest = aggregate.digest();
 
     println!(
-        "{:>6} | {:>12} {:>12} {:>7} | {:>12} {:>12} | {:>12}",
+        "{:>6} | {:>12} {:>12} {:>7} | {:>31} {:>31} | {:>12}",
         "k", "k proofs", "one proof", "ratio", "k verifies", "one verify", "aggregate"
     );
-    println!("{}", "-".repeat(88));
+    println!("{}", "-".repeat(125));
     for &k in WINDOW_WIDTHS {
         let t2 = chain_len;
         let t1 = chain_len - k + 1;
 
-        // k single-version proofs over the window, verified one by one.
-        let mut singles_bytes = 0usize;
-        let started = Instant::now();
-        for ts in t1..=t2 {
-            let (results, proof) = history.query(&probe, ts, ts);
-            verify_history(&history_digest, &probe, ts, ts, &results, &proof)
-                .expect("single-version proof verifies");
-            singles_bytes += proof.size_bytes();
-        }
-        let singles_verify = started.elapsed();
-
-        // One proof for the whole window.
-        let (results, proof) = history.query(&probe, t1, t2);
+        // k single-version proofs over the window, against one for all of it.
+        let singles: Vec<_> = (t1..=t2)
+            .map(|ts| (ts, ts, history.query(&probe, ts, ts)))
+            .collect();
+        let singles_bytes: usize = singles.iter().map(|(_, _, (_, p))| p.size_bytes()).sum();
+        let window = [(t1, t2, history.query(&probe, t1, t2))];
+        let (_, _, (results, proof)) = &window[0];
         let window_bytes = proof.size_bytes();
-        let started = Instant::now();
-        verify_history(&history_digest, &probe, t1, t2, &results, &proof)
-            .expect("window proof verifies");
-        let window_verify = started.elapsed();
         assert_eq!(results.len() as u64, k, "probe writes every block");
+        let sides = timing::rounds("", 2, |side| {
+            let proofs = if side == 0 { &singles[..] } else { &window[..] };
+            let (verified, time) = timed(|| {
+                proofs.iter().all(|(t1, t2, (results, proof))| {
+                    verify_history(&history_digest, &probe, *t1, *t2, results, proof).is_ok()
+                })
+            });
+            assert!(verified, "every proof verifies");
+            ([time], ())
+        });
+        let ([singles_verify], ()) = sides[0];
+        let ([window_verify], ()) = sides[1];
 
         // The aggregate over the same window: its answer is one value
         // however wide the window, so there is no k-proofs side to set
@@ -108,16 +110,16 @@ fn main() {
         assert!(agg_bytes > 0, "an aggregate window proof is never empty");
 
         println!(
-            "{k:>6} | {:>12} {:>12} {:>6.2}x | {:>12} {:>12} | {:>12}",
+            "{k:>6} | {:>12} {:>12} {:>6.2}x | {:>31} {:>31} | {:>12}",
             fmt_bytes(singles_bytes),
             fmt_bytes(window_bytes),
             singles_bytes as f64 / window_bytes.max(1) as f64,
-            fmt_duration(singles_verify),
-            fmt_duration(window_verify),
+            singles_verify,
+            window_verify,
             fmt_bytes(agg_bytes),
         );
     }
-    println!();
+    timing::note();
     println!(
         "(window = [tip-k+1, tip]; probe writes every block; digests: history {}, aggregate {})",
         short(&history_digest),

@@ -14,16 +14,16 @@
 
 #![forbid(unsafe_code)]
 
-use std::time::Instant;
-
 use dcert::world::{kv_key, replay, Scheme, Setup, World, SERVE_INDEXES};
 use dcert_bench::params::scaled;
-use dcert_bench::report::{banner, fmt_duration};
+use dcert_bench::report::banner;
 use dcert_bench::shape;
+use dcert_bench::timing;
 use dcert_chain::Block;
 use dcert_obs::Registry;
 use dcert_query::ServiceProvider;
 use dcert_serve::{QuerySpec, RateLimit, ServeConfig, ServeFront, ServeRequest, Submitted};
+use dcert_sgx::cost::timed;
 use dcert_sgx::CostModel;
 use dcert_workloads::{ServeEvent, ServeLoadConfig, ServeLoadGen, Workload};
 
@@ -69,16 +69,17 @@ fn main() {
         Scheme::Augmented,
     );
 
-    // One pre-mined block per swept configuration: each replay stages it
-    // halfway through, exercising the strict-invalidation path under load
-    // (heights stay consecutive across the sweep).
+    // One pre-mined block per replay: each replay stages it halfway
+    // through, exercising the strict-invalidation path under load (heights
+    // stay consecutive across the sweep).
     let mut gen = world.generator(Workload::KvStore { keyspace: 500 }, 43);
-    let freshen: Vec<Block> = (0..CACHE_CAPACITIES.len())
+    let freshen: Vec<Block> = (0..CACHE_CAPACITIES.len() * timing::reps())
         .map(|_| world.mine(gen.next_block(TXS_PER_BLOCK)))
         .collect();
+    let mut freshen = freshen.iter();
 
-    // The front takes the SP by ownership, one configuration at a time.
-    let mut sp = world.sp;
+    // The front takes the SP by ownership, one replay at a time.
+    let mut sp = Some(world.sp);
 
     let load = ServeLoadConfig {
         requests: scaled(REQUESTS),
@@ -92,7 +93,7 @@ fn main() {
     );
 
     println!(
-        "{:>7} | {:>9} {:>7} {:>9} {:>9} | {:>7} {:>7} | {:>4} {:>4} | {:>10}",
+        "{:>7} | {:>9} {:>7} {:>9} {:>9} | {:>7} {:>7} | {:>4} {:>4} | {:>31}",
         "cache",
         "requests",
         "hits%",
@@ -104,25 +105,23 @@ fn main() {
         "p99",
         "elapsed"
     );
-    println!("{}", "-".repeat(96));
-    let mut backend_calls = Vec::new();
-    for (capacity, fresh) in CACHE_CAPACITIES.iter().zip(&freshen) {
+    println!("{}", "-".repeat(117));
+    let rows = timing::rounds("serve counters", CACHE_CAPACITIES.len(), |row| {
         let config = ServeConfig {
             queue_capacity: 192,
             max_waiters: 4096,
-            cache_capacity: *capacity,
+            cache_capacity: CACHE_CAPACITIES[row],
             rate_limit: RateLimit {
                 tokens_per_tick: 2,
                 burst: 8,
             },
         };
-        let mut front = ServeFront::new(sp, config);
+        let mut front = ServeFront::new(sp.take().expect("the SP is back"), config);
         front.attach_obs(&obs);
         let backend_before = obs.counter("serve.backend_calls").get();
 
-        let started = Instant::now();
-        let outcome = replay(&mut front, &schedule, fresh, PUMP_BUDGET);
-        let elapsed = started.elapsed();
+        let fresh = freshen.next().expect("one block per replay");
+        let (outcome, elapsed) = timed(|| replay(&mut front, &schedule, fresh, PUMP_BUDGET));
         let backend = obs.counter("serve.backend_calls").get() - backend_before;
         assert_eq!(
             outcome.accounted(),
@@ -133,26 +132,29 @@ fn main() {
             outcome.unanswered.is_empty() && outcome.parked_waiters == 0,
             "no waiter may be silently dropped"
         );
-
-        let hit_rate = 100.0 * outcome.cache_hits as f64 / schedule.len() as f64;
+        sp = Some(front.into_sp());
         let (p50, p99) = outcome.wait_percentiles();
+        let (hits, coalesced, shed) = (outcome.cache_hits, outcome.coalesce_hits, outcome.shed());
+        (
+            [elapsed],
+            (hits, coalesced, backend, shed, outcome.cancelled, p50, p99),
+        )
+    });
+    let mut backend_calls = Vec::new();
+    for (capacity, ([elapsed], counters)) in CACHE_CAPACITIES.iter().zip(rows) {
+        let (hits, coalesced, backend, shed, cancelled, p50, p99) = counters;
+        let hit_rate = 100.0 * hits as f64 / schedule.len() as f64;
         println!(
-            "{capacity:>7} | {:>9} {hit_rate:>6.1}% {:>9} {backend:>9} | {:>7} {:>7} | {p50:>4} {p99:>4} | {:>10}",
+            "{capacity:>7} | {:>9} {hit_rate:>6.1}% {coalesced:>9} {backend:>9} | {shed:>7} {cancelled:>7} | {p50:>4} {p99:>4} | {elapsed:>31}",
             schedule.len(),
-            outcome.coalesce_hits,
-            outcome.shed(),
-            outcome.cancelled,
-            fmt_duration(elapsed),
         );
         assert!(
-            *capacity > 0 || outcome.cache_hits == 0,
+            *capacity > 0 || hits == 0,
             "a zero-capacity cache cannot hit"
         );
         backend_calls.push(backend);
-
-        sp = front.into_sp();
     }
-    println!();
+    timing::note();
     println!(
         "(budget {PUMP_BUDGET} queries/tick; shed = typed refusals at admission + pump; \
          aband = slow-loris cancels; waits in virtual ticks)"
@@ -165,7 +167,7 @@ fn main() {
         "backend calls must not grow with cache capacity: {backend_calls:?}"
     );
 
-    pin_required_counters(sp, &obs);
+    pin_required_counters(sp.expect("the SP is back"), &obs);
     shape::recorded(
         &obs,
         &[

@@ -16,15 +16,16 @@
 #![forbid(unsafe_code)]
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use dcert::world::{Setup, World};
 use dcert_bench::params::scaled;
-use dcert_bench::report::{banner, fmt_bytes, fmt_duration};
+use dcert_bench::report::{banner, fmt_bytes};
 use dcert_bench::shape;
+use dcert_bench::timing::{self, Spread};
 use dcert_core::{expected_measurement, CertArchive, Gossip, NetMessage};
 use dcert_obs::Registry;
 use dcert_primitives::codec::Encode;
+use dcert_sgx::cost::timed;
 use dcert_sgx::CostModel;
 use dcert_store::{Record, SegmentStore, Store, StoreConfig, StreamId};
 
@@ -51,21 +52,21 @@ fn main() {
     let dir = std::env::temp_dir().join(format!("dcert-bench-coldstart-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("bench scratch dir");
-    let mut store: Box<dyn Store> = Box::new(
-        SegmentStore::open(StoreConfig::new(&dir).obs(obs.clone())).expect("fresh store opens"),
-    );
+    let open = || SegmentStore::open(StoreConfig::new(&dir).obs(obs.clone()));
+    let mut store: Option<Box<dyn Store>> = Some(Box::new(open().expect("fresh store opens")));
 
     println!(
-        "{:>9} | {:>12} {:>10} | {:>12} {:>12} | {:>30}",
-        "blocks", "disk", "replayed", "open", "re-verify", "commit p50 [q1, q3]"
+        "{:>9} | {:>12} {:>10} | {:>31} {:>31} | {:>31}",
+        "blocks", "disk", "replayed", "open", "re-verify", "commit"
     );
-    println!("{}", "-".repeat(97));
+    println!("{}", "-".repeat(137));
     let (mut disks, mut replays) = (Vec::new(), Vec::new());
     let mut height = 0u64;
     for &target in &lengths {
         // Grow the durable history to `target`, the way the live archive
         // does: one certificate record per block, synced before the
         // publish is acknowledged.
+        let live = store.as_mut().expect("the store is back");
         let mut commits = Vec::new();
         while height < target {
             let block = world.mine(Vec::new());
@@ -76,56 +77,40 @@ fn main() {
                 cert,
             };
             let record = Record::new(height, StreamId::Cert, message.to_encoded_bytes());
-            let started = Instant::now();
-            store.append(&record).expect("appends");
-            store.sync().expect("syncs");
-            commits.push(started.elapsed());
+            let (synced, commit) = timed(|| live.append(&record).and_then(|()| live.sync()));
+            synced.expect("appends and syncs");
+            commits.push(commit);
         }
-        commits.sort_unstable();
-        drop(store); // the crash: the process dies with the store
 
-        let started = Instant::now();
-        let reopened =
-            SegmentStore::open(StoreConfig::new(&dir).obs(obs.clone())).expect("history recovers");
-        let open_time = started.elapsed();
-        let replayed = reopened.recovery().replayed;
-        let disk: u64 = reopened
-            .segment_paths()
-            .iter()
-            .filter_map(|p| std::fs::metadata(p).ok())
-            .map(|m| m.len())
-            .sum();
-
-        let started = Instant::now();
-        let archive = CertArchive::with_store(
-            Arc::new(Gossip::new()),
-            Box::new(reopened),
-            &ias_key,
-            &measurement,
-        )
-        .expect("recovered certificates re-verify");
-        let verify_time = started.elapsed();
-        assert_eq!(
-            archive.retained_len() as u64,
-            target,
-            "recovery lost certificates"
-        );
-
-        let commit = format!(
-            "{} [{}, {}]",
-            fmt_duration(quantile(&commits, 0.5)),
-            fmt_duration(quantile(&commits, 0.25)),
-            fmt_duration(quantile(&commits, 0.75)),
-        );
+        // Open and re-verify the same directory, back to back.
+        let ([open_time, verify_time], (replayed, disk)) = timing::repeat("recovery", || {
+            drop(store.take()); // the crash: the process dies with the store
+            let (reopened, open_time) = timed(|| open().expect("history recovers"));
+            let replayed = reopened.recovery().replayed;
+            let disk: u64 = (reopened.segment_paths().iter())
+                .filter_map(|p| std::fs::metadata(p).ok())
+                .map(|m| m.len())
+                .sum();
+            let (archive, verify_time) = timed(|| {
+                let reopened = Box::new(reopened);
+                CertArchive::with_store(Arc::new(Gossip::new()), reopened, &ias_key, &measurement)
+                    .expect("recovered certificates re-verify")
+            });
+            assert_eq!(
+                archive.retained_len() as u64,
+                target,
+                "recovery lost certificates"
+            );
+            store = Some(archive.into_store().expect("store stays attached"));
+            ([open_time, verify_time], (replayed, disk))
+        });
         println!(
-            "{target:>9} | {:>12} {replayed:>10} | {:>12} {:>12} | {commit:>30}",
+            "{target:>9} | {:>12} {replayed:>10} | {open_time:>31} {verify_time:>31} | {:>31}",
             fmt_bytes(disk as usize),
-            fmt_duration(open_time),
-            fmt_duration(verify_time),
+            Spread::of(commits),
         );
         disks.push(disk);
         replays.push(replayed);
-        store = archive.into_store().expect("store stays attached");
     }
     let _ = std::fs::remove_dir_all(&dir);
 
@@ -138,10 +123,5 @@ fn main() {
         &["store.appends", "store.recovery_replays", "store.fsyncs"],
         &[],
     );
-}
-
-/// The `p`-quantile of sorted `xs` (nearest rank; zero when empty).
-fn quantile(xs: &[Duration], p: f64) -> Duration {
-    let rank = ((xs.len().saturating_sub(1)) as f64 * p).round() as usize;
-    xs.get(rank).copied().unwrap_or_default()
+    timing::note();
 }

@@ -14,9 +14,10 @@
 //! Scale every experiment down/up with the `DCERT_SCALE` environment
 //! variable (default 1.0): chain lengths and block counts are multiplied
 //! by it, so `DCERT_SCALE=0.1` gives a quick smoke run. Deterministic
-//! shapes (bytes, counts, ECalls) are asserted at every scale; wall-clock
-//! relations only at `DCERT_SCALE >= 1` ([`shape::wall_clock`]), where
-//! the timed sections are long enough to be stable.
+//! shapes (bytes, counts, ECalls) are asserted at every scale. A timed
+//! cell is the median [q1–q3] of five runs at `DCERT_SCALE >= 1` and of
+//! one below ([`timing`]); wall-clock relations compare medians, and only
+//! at full scale ([`shape::wall_clock`]).
 //!
 //! Every figure builds its chain, CI, SP and client through
 //! [`dcert::world`], on the proof-of-authority chain `results/` pins.
@@ -29,5 +30,6 @@
 pub mod params;
 pub mod report;
 pub mod shape;
+pub mod timing;
 
 pub use params::{scale, scaled};

@@ -65,9 +65,11 @@ pub struct CertProgram {
     verifiers: HashMap<String, Box<dyn IndexVerifier>>,
     keypair: Option<Keypair>,
     /// Highest block height this enclave has signed. Sealed together with
-    /// the key, so a restarted enclave cannot be replayed into signing a
-    /// conflicting certificate at or below a height it already vouched
-    /// for — the trust-boundary half of crash recovery.
+    /// the key, so an enclave restored from its *latest* seal refuses to
+    /// sign a conflicting certificate at or below a height it already
+    /// vouched for — the trust-boundary half of crash recovery. Nothing
+    /// orders one seal after another: a host that restores an *older*
+    /// blob restores its lower watermark (ROADMAP item 21).
     last_signed_height: u64,
     /// What this enclave has vouched for, across requests; see [`Memo`].
     memo: Memo,
@@ -594,8 +596,11 @@ const SEALED_STATE_LEN: usize = 32 + 8;
 
 impl Sealable for CertProgram {
     /// `sk_enc (32 bytes) ++ last_signed_height (8 bytes BE)`. The
-    /// watermark travels inside the seal so an operator cannot roll the
-    /// enclave back to a pre-signing state by restarting it.
+    /// watermark travels inside the seal so that a restart from the latest
+    /// seal cannot reset it to 0. It does not stop a rollback: restoring an
+    /// older sealed blob restores that blob's lower watermark, and the
+    /// enclave then signs again at heights it already signed (ROADMAP
+    /// item 21; a monotonic counter bound into the seal would refuse it).
     fn export_state(&self) -> Vec<u8> {
         match &self.keypair {
             None => Vec::new(),

@@ -113,12 +113,9 @@ pub const VERIFIER_MODULES: [&str; 20] = [
 /// The only modules allowed to read wall-clock time or ambient
 /// randomness: the simulated network's virtual clock, and the SGX cost
 /// model's calibrated busy-wait and `timed` helper (which everything
-/// else, the certification stages included, measures through).
+/// else, the certification stages and the figure binaries included,
+/// measures through).
 const R3_ALLOWED_MODULES: [&str; 2] = ["crates/core/src/netsim.rs", "crates/sgx/src/cost.rs"];
-
-/// Crates exempt from determinism scanning: the benchmark harness exists
-/// to measure wall time, and the linter is a build tool.
-const R3_EXEMPT_TREES: [&str; 2] = ["crates/bench/", "crates/lint/"];
 
 const R3_BANNED_IDENTS: [&str; 5] = [
     "Instant",
@@ -453,7 +450,7 @@ fn rule_r1(path: &str, toks: &[Tok], in_test: &[bool], findings: &mut Vec<Findin
 
 fn rule_r3(path: &str, toks: &[Tok], in_test: &[bool], findings: &mut Vec<Finding>) {
     const RULE: &str = "r3-determinism";
-    if in_any(path, &R3_ALLOWED_MODULES) || in_any(path, &R3_EXEMPT_TREES) {
+    if in_any(path, &R3_ALLOWED_MODULES) {
         return;
     }
     // On a verifier path the trusted program must also be a function of

@@ -505,6 +505,24 @@ mod tests {
     }
 
     #[test]
+    fn r3_holds_the_figure_binaries_to_the_one_clock() {
+        let src = "use dcert_sgx::cost::timed;\n\
+                   fn row() {\n\
+                   \x20   let (_, elapsed) = timed(|| work());\n\
+                   \x20   let started = std::time::Instant::now();\n\
+                   }\n";
+        let report = analyze_source("crates/bench/src/bin/fig_micro.rs", src);
+        let lines: Vec<u32> = report
+            .findings
+            .iter()
+            .filter(|f| f.rule == "r3-determinism")
+            .map(|f| f.line)
+            .collect();
+        // The ambient `Instant::now()`, not the call through `timed`.
+        assert_eq!(lines, vec![4]);
+    }
+
+    #[test]
     fn r4_fires_on_error_hygiene_fixture() {
         let src = include_str!("../fixtures/r4_error_hygiene.rs");
         let report = analyze_source("crates/chain/src/state.rs", src);

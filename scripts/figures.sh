@@ -1,14 +1,16 @@
 #!/usr/bin/env bash
-# Regenerates every results/*.txt, one run of one figure binary each:
+# Regenerates every results/*.txt, one figure binary each:
 #
 #   scripts/figures.sh          # smoke scale (the per-figure scales below)
 #   scripts/figures.sh full     # DCERT_SCALE=1, the paper's parameters
 #
-# Every binary asserts its own shape beside the row that shows it, so a
-# figure that loses its shape exits non-zero and so does this script.
-# Deterministic shapes hold at every scale; wall-clock relations are only
-# asserted by `full`. Builds offline: the workspace carries everything it
-# names (see DESIGN.md §2).
+# A timed cell is the median [q1–q3] of five runs of its row at full scale
+# and of one run at smoke scale (`dcert_bench::timing`). Every binary
+# asserts its own shape beside the row that shows it, so a figure that
+# loses its shape exits non-zero and so does this script. Deterministic
+# shapes hold at every scale; wall-clock relations are only asserted by
+# `full`, on medians. Each binary's wall seconds go to stderr. Builds
+# offline: the workspace carries everything it names (see DESIGN.md §2).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -40,5 +42,6 @@ while read -r name smoke out; do
     [[ -n "$name" ]] || continue
     [[ "$mode" == full ]] && scale=1 || scale="$smoke"
     echo "== $name (DCERT_SCALE=$scale) -> results/$out.txt" >&2
-    DCERT_SCALE="$scale" "$bin/$name" > "results/$out.txt"
+    TIMEFORMAT="   $name: %R s wall"
+    time DCERT_SCALE="$scale" "$bin/$name" > "results/$out.txt"
 done <<< "$figures"

@@ -4,7 +4,6 @@
 
 use dcert::chain::{ChainStore, FullNode};
 use dcert::primitives::hash::Address;
-use dcert::workloads::{Workload, WorkloadGen};
 use dcert::world::World;
 
 #[test]
@@ -72,6 +71,10 @@ fn client_follows_whichever_certified_branch_is_longer() {
     rival_ci.certify_block(&b2).unwrap();
     let b3 = rival_miner.mine(Vec::new(), 22).unwrap();
     let (cb3, _) = rival_ci.certify_block(&b3).unwrap();
+    // Both enclaves run the same measured program under their own keys:
+    // switching certification services takes one new attestation (§4.3).
+    assert_eq!(world.ci.measurement(), rival_ci.measurement());
+    assert_ne!(world.ci.pk_enc(), rival_ci.pk_enc());
 
     // Client sees branch A first...
     world.client.validate_chain(&a1.header, &ca1).unwrap();
@@ -83,63 +86,4 @@ fn client_follows_whichever_certified_branch_is_longer() {
     assert_eq!(world.client.height(), Some(3));
     // Rolling back to branch A is refused.
     assert!(world.client.validate_chain(&a2.header, &ca2).is_err());
-}
-
-#[test]
-fn two_cis_same_measurement_are_interchangeable() {
-    // Switching certification services only requires one new attestation
-    // (Section 4.3); both enclaves run the same measured program.
-    let mut world = World::pow(&[]);
-    let mut gen = WorkloadGen::new(Workload::DoNothing, 2, 5);
-
-    let block1 = world.miner.mine(gen.next_block(1), 1).unwrap();
-    let (cert1, _) = world.ci.certify_block(&block1).unwrap();
-
-    let mut second_ci = dcert::core::CertificateIssuer::new(
-        &world.genesis,
-        world.genesis_state.clone(),
-        world.executor.clone(),
-        world.engine.clone(),
-        Vec::new(),
-        &mut world.ias,
-        dcert::sgx::CostModel::zero(),
-    )
-    .unwrap();
-    second_ci.certify_block(&block1).unwrap();
-    let block2 = world.miner.mine(gen.next_block(1), 2).unwrap();
-    let (cert2_from_second, _) = second_ci.certify_block(&block2).unwrap();
-
-    assert_eq!(world.ci.measurement(), second_ci.measurement());
-    assert_ne!(world.ci.pk_enc(), second_ci.pk_enc());
-
-    world.client.validate_chain(&block1.header, &cert1).unwrap();
-    world
-        .client
-        .validate_chain(&block2.header, &cert2_from_second)
-        .unwrap();
-    assert_eq!(world.client.height(), Some(2));
-}
-
-#[test]
-fn client_handles_reordered_certificates() {
-    // Gossip gives no cross-publisher ordering; simulate reordering by
-    // delivering certs newest-first. The chain-selection rule adopts the
-    // newest and rejects the stale rest — no crash, correct final state.
-    let mut world = World::pow(&[]);
-    let mut gen = WorkloadGen::new(Workload::DoNothing, 4, 1);
-    let mut certified = Vec::new();
-    for height in 1..=5u64 {
-        let block = world.miner.mine(gen.next_block(1), height).unwrap();
-        let (cert, _) = world.ci.certify_block(&block).unwrap();
-        certified.push((block.header.clone(), cert));
-    }
-    certified.reverse();
-    let mut adopted = 0;
-    for (header, cert) in &certified {
-        if world.client.validate_chain(header, cert).is_ok() {
-            adopted += 1;
-        }
-    }
-    assert_eq!(adopted, 1, "only the newest certificate is adopted");
-    assert_eq!(world.client.height(), Some(5));
 }

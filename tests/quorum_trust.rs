@@ -120,22 +120,6 @@ fn augmented_certificates_reach_a_quorum_over_the_network() {
 }
 
 #[test]
-fn quorum_fails_with_only_one_vendor() {
-    let mut world = World::pow(&[]);
-    let (second_ias, _) = second_domain(&world);
-    let mut client = quorum(&world, &second_ias, 2);
-
-    let block = world.miner.mine(Vec::new(), 1).unwrap();
-    let (cert_a, _) = world.ci.certify_block(&block).unwrap();
-    // Only the Intel certificate arrives: below threshold.
-    assert_eq!(
-        client.validate_chain(&block.header, &cert_a),
-        Err(SHORT_OF_TWO)
-    );
-    assert_eq!(client.height(), None);
-}
-
-#[test]
 fn one_of_two_quorum_tolerates_a_missing_vendor() {
     let mut world = World::pow(&[]);
     let (second_ias, _) = second_domain(&world);
