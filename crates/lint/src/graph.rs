@@ -8,7 +8,11 @@
 //! `Self`/impl-type method lookup, receiver-type inference (`self`,
 //! typed params, simple `let` bindings), trait-default and trait-impl
 //! dispatch, and finally a name-based method fallback restricted to
-//! crates the file actually references. Unresolvable calls are assumed
+//! crates the file actually references. A path that names a module (or a
+//! crate root) without a function of that name there follows that file's
+//! `use` items — `pub use other_crate::module::f;`, `pub use f as g;` —
+//! to the function they re-export, across crates and renames.
+//! Unresolvable calls are assumed
 //! external (std or dependencies) — **except** paths that explicitly
 //! name a workspace crate or module and still miss, which are recorded
 //! as *dangling* so the integrity test can fail instead of letting R5
@@ -193,7 +197,9 @@ enum Target {
     Dangling,
 }
 
-struct Index {
+struct Index<'a> {
+    /// The parsed files, for the `use` items a re-export is read from.
+    files: &'a [SourceFile],
     /// (crate, name) → free fns.
     free: HashMap<(String, String), Vec<usize>>,
     /// (file idx, name) → free fns in that file.
@@ -363,9 +369,10 @@ impl Graph {
     }
 }
 
-impl Index {
-    fn build(files: &[SourceFile], fns: &[FnNode]) -> Index {
+impl<'a> Index<'a> {
+    fn build(files: &'a [SourceFile], fns: &[FnNode]) -> Index<'a> {
         let mut idx = Index {
+            files,
             free: HashMap::new(),
             free_in_file: HashMap::new(),
             methods: HashMap::new(),
@@ -427,6 +434,45 @@ impl Index {
             }
         }
         idx
+    }
+
+    /// The functions `name` stands for in the `use` items of any of
+    /// `holders` (the files of the module a path names), or `None` when
+    /// none of them imports that name.
+    fn reexported(&self, holders: &[usize], name: &str, hops: usize) -> Option<Target> {
+        let hops = hops.checked_sub(1)?;
+        let mut hits = Vec::new();
+        let mut dangling = false;
+        for &fi in holders {
+            let Some(path) = self.files[fi].use_map.get(name) else {
+                continue;
+            };
+            match resolve_use(self, fi, path, hops) {
+                Target::Fns(ids) => hits.extend(ids),
+                Target::External => return Some(Target::External),
+                Target::Dangling => dangling = true,
+            }
+        }
+        if !hits.is_empty() {
+            Some(Target::Fns(hits))
+        } else {
+            dangling.then_some(Target::Dangling)
+        }
+    }
+
+    /// The files of `krate`'s module `module`, or of its root when
+    /// `module` is `None`.
+    fn module_files(&self, krate: &str, module: Option<&str>) -> Vec<usize> {
+        let stems: &[&str] = match module {
+            Some(module) => &[module],
+            None => &["lib", "main"],
+        };
+        stems
+            .iter()
+            .filter_map(|stem| self.stems.get(&(krate.to_string(), (*stem).to_string())))
+            .flatten()
+            .copied()
+            .collect()
     }
 
     fn is_workspace_type(&self, ty: &str) -> bool {
@@ -577,7 +623,7 @@ fn resolve_path_call(idx: &Index, file: &SourceFile, node: &FnNode, segs: &[Stri
             return Target::Fns(ids.clone());
         }
         if let Some(path) = file.use_map.get(name) {
-            return resolve_full_path(idx, file, path);
+            return resolve_use(idx, node.file, path, MAX_REEXPORT_HOPS);
         }
         return Target::External;
     }
@@ -587,13 +633,13 @@ fn resolve_path_call(idx: &Index, file: &SourceFile, node: &FnNode, segs: &[Stri
             Some(q) => resolve_type_assoc(idx, q, name),
             None => Target::External,
         },
-        "crate" | "self" | "super" => resolve_in_crate(idx, &file.krate, segs),
+        "crate" | "self" | "super" => resolve_in_crate(idx, &file.krate, segs, MAX_REEXPORT_HOPS),
         "std" | "core" | "alloc" => Target::External,
-        _ if idx.crate_names.contains(head) => resolve_in_crate(idx, head, segs),
+        _ if idx.crate_names.contains(head) => resolve_in_crate(idx, head, segs, MAX_REEXPORT_HOPS),
         _ if file.use_map.contains_key(head) => {
             let mut full = file.use_map[head].clone();
             full.extend(segs[1..].iter().cloned());
-            resolve_full_path(idx, file, &full)
+            resolve_use(idx, node.file, &full, MAX_REEXPORT_HOPS)
         }
         _ if upper(head) => resolve_type_assoc(idx, head, name),
         _ => {
@@ -608,7 +654,9 @@ fn resolve_path_call(idx: &Index, file: &SourceFile, node: &FnNode, segs: &[Stri
                 if !hits.is_empty() {
                     return Target::Fns(hits);
                 }
-                return Target::Dangling;
+                return idx
+                    .reexported(fids, name, MAX_REEXPORT_HOPS)
+                    .unwrap_or(Target::Dangling);
             }
             // Inline `mod` or directory module: fall back to a crate-wide
             // free-fn lookup before assuming external.
@@ -631,28 +679,48 @@ fn resolve_type_assoc(idx: &Index, ty: &str, name: &str) -> Target {
     Target::External
 }
 
-/// Resolves a path whose head segment pins the crate: either a literal
-/// crate keyword already replaced, or a `use`-expanded absolute path.
-fn resolve_full_path(idx: &Index, file: &SourceFile, path: &[String]) -> Target {
+/// How many `use` items a call follows to the function behind a chain of
+/// re-exports before it gives up (a cycle of imports ends there too).
+const MAX_REEXPORT_HOPS: usize = 8;
+
+/// Resolves the path a `use` item of file `fi` names: an absolute path
+/// (crate keyword or workspace crate), a path relative to one of its
+/// crate's modules, a bare type, or a single name defined in that file
+/// (`pub use f as g;`).
+fn resolve_use(idx: &Index, fi: usize, path: &[String], hops: usize) -> Target {
+    let file = &idx.files[fi];
     let Some(head) = path.first() else {
         return Target::External;
     };
     match head.as_str() {
-        "crate" | "self" | "super" => resolve_in_crate(idx, &file.krate, path),
+        "crate" | "self" | "super" => resolve_in_crate(idx, &file.krate, path, hops),
         "std" | "core" | "alloc" => Target::External,
-        _ if idx.crate_names.contains(head.as_str()) => resolve_in_crate(idx, head, path),
+        _ if idx.crate_names.contains(head.as_str()) => resolve_in_crate(idx, head, path, hops),
         _ if upper(head) => {
             // `use Type as T; T::name(...)` — the alias expanded straight
             // to a bare type name.
             let name = path.last().map(String::as_str).unwrap_or("");
             resolve_type_assoc(idx, head, name)
         }
+        _ if path.len() == 1 => match idx.free_in_file.get(&(fi, head.clone())) {
+            Some(ids) => Target::Fns(ids.clone()),
+            None => Target::External,
+        },
+        // `use module::f;` in a crate root: `crate::module::f`.
+        _ if !idx.module_files(&file.krate, Some(head)).is_empty() => {
+            let full: Vec<String> = std::iter::once("crate".to_string())
+                .chain(path.iter().cloned())
+                .collect();
+            resolve_in_crate(idx, &file.krate, &full, hops)
+        }
         _ => Target::External,
     }
 }
 
-/// Resolves `<crate>::segments::name` inside a known workspace crate.
-fn resolve_in_crate(idx: &Index, krate: &str, segs: &[String]) -> Target {
+/// Resolves `<crate>::segments::name` inside a known workspace crate,
+/// following the `use` items of the module the path names (its crate root
+/// for `<crate>::name`) when no function of that name is defined there.
+fn resolve_in_crate(idx: &Index, krate: &str, segs: &[String], hops: usize) -> Target {
     let Some(name) = segs.last() else {
         return Target::External;
     };
@@ -664,22 +732,22 @@ fn resolve_in_crate(idx: &Index, krate: &str, segs: &[String]) -> Target {
         return resolve_type_assoc(idx, &segs[segs.len() - 2], name);
     }
     // Prefer the named module file when the path has one.
-    if segs.len() >= 3 {
-        let module = &segs[segs.len() - 2];
-        if let Some(fids) = idx.stems.get(&(krate.to_string(), module.clone())) {
-            let mut hits = Vec::new();
-            for &fi in fids {
-                if let Some(ids) = idx.free_in_file.get(&(fi, name.clone())) {
-                    hits.extend_from_slice(ids);
-                }
-            }
-            if !hits.is_empty() {
-                return Target::Fns(hits);
-            }
+    let module = (segs.len() >= 3).then(|| segs[segs.len() - 2].as_str());
+    let holders = idx.module_files(krate, module);
+    if module.is_some() {
+        let hits: Vec<usize> = holders
+            .iter()
+            .filter_map(|&fi| idx.free_in_file.get(&(fi, name.clone())))
+            .flatten()
+            .copied()
+            .collect();
+        if !hits.is_empty() {
+            return Target::Fns(hits);
         }
     }
     if let Some(ids) = idx.free.get(&(krate.to_string(), name.clone())) {
         return Target::Fns(ids.clone());
     }
-    Target::Dangling
+    idx.reexported(&holders, name, hops)
+        .unwrap_or(Target::Dangling)
 }

@@ -687,6 +687,43 @@ mod tests {
     }
 
     #[test]
+    fn r5_follows_reexports_across_crates_and_renames() {
+        let entry = include_str!("../fixtures/r5_reexport_entry.rs");
+        let root = include_str!("../fixtures/r5_reexport_lib.rs");
+        let bad = include_str!("../fixtures/r5_helper_violating.rs");
+        let frames = "pub fn frame_len(raw: &[u8]) -> u64 {\n    u64::from(raw[0])\n}\n";
+        let g = ws(&[
+            ("crates/core/src/superlight.rs", entry),
+            ("crates/chain/src/lib.rs", root),
+            ("crates/chain/src/helpers.rs", bad),
+            ("crates/vm/src/frames.rs", frames),
+        ]);
+        assert!(g.dangling.is_empty(), "{:?}", g.dangling);
+        let hits = rule_findings(&g, "r5-panic-reachability");
+        let hit = |path: &str, witness: &str| {
+            hits.iter()
+                .any(|(p, _, m)| p == path && m.contains(&format!("(path: {witness})")))
+        };
+        // `locate` is `find_header` renamed by `pub use … as …`.
+        assert!(
+            hit(
+                "crates/chain/src/helpers.rs",
+                "Client::verify_header → find_header → decode_at"
+            ),
+            "{hits:?}"
+        );
+        // `dcert_chain::frame_len` is `dcert_vm`'s, re-exported.
+        assert!(
+            hit(
+                "crates/vm/src/frames.rs",
+                "Client::verify_header → frame_len"
+            ),
+            "{hits:?}"
+        );
+        assert_eq!(hits.len(), 2, "{hits:?}");
+    }
+
+    #[test]
     fn r6_fires_with_interprocedural_witness_and_clean_half_is_silent() {
         let bad = include_str!("../fixtures/r6_taint_violating.rs");
         let clean = include_str!("../fixtures/r6_taint_clean.rs");

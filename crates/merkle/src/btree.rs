@@ -42,6 +42,7 @@
 //!
 //! ```
 //! use dcert_merkle::{AggMbTree, MbTree};
+//! use dcert_primitives::hash::hash_bytes;
 //!
 //! let mut versions = MbTree::new(4);
 //! let mut balances = AggMbTree::new(4);
@@ -51,7 +52,9 @@
 //! }
 //! let (rows, proof) = versions.window(5, 8);
 //! assert_eq!(rows.len(), 4);
-//! proof.verify(&versions.root(), 5, 8, &rows)?;
+//! // A client claims each row as the tree commits to it: by its digest.
+//! let claim: Vec<_> = rows.iter().map(|(ts, v)| (*ts, hash_bytes(v))).collect();
+//! proof.verify(&versions.root(), 5, 8, &claim)?;
 //!
 //! let (agg, proof) = balances.window(10, 19);
 //! assert_eq!((agg.count, agg.min, agg.max), (10, 10, 19));
@@ -64,7 +67,7 @@ use std::fmt::Debug;
 
 use dcert_primitives::codec::{decode_seq, encode_seq, seq_encoded_len, Decode, Encode, Reader};
 use dcert_primitives::error::CodecError;
-use dcert_primitives::hash::{hash_bytes, Hash};
+use dcert_primitives::hash::{hash_built, hash_bytes, Hash};
 
 use crate::domain;
 use crate::ops::{Executed, OpProof, ProofOp};
@@ -179,7 +182,7 @@ pub trait Flavor: sealed::Sealed + Debug + Clone + PartialEq + Eq + 'static {
     /// What the prover answers a window query with.
     type Answer: Default + Fold<Self, Self::Value>;
     /// What the verifier derives from a window proof.
-    type Proven: Default + Fold<Self, Self::Digest>;
+    type Proven: Fold<Self, Self::Digest>;
     /// What a client claims the answer is.
     type Claim: ?Sized;
 
@@ -198,6 +201,9 @@ pub trait Flavor: sealed::Sealed + Debug + Clone + PartialEq + Eq + 'static {
     fn digest(value: &Self::Value) -> Self::Digest;
     /// The annotation of a single entry.
     fn annotate(digest: &Self::Digest) -> Self::Ann;
+    /// What the verifier starts from when `claimed` is the claim: nothing
+    /// proven yet, with room for what an honest proof of it yields.
+    fn nothing_proven(claimed: &Self::Claim) -> Self::Proven;
     /// Whether what the proof establishes is exactly what was claimed.
     ///
     /// # Errors
@@ -249,7 +255,9 @@ impl Flavor for Plain {
     type Ann = ();
     type Answer = Vec<(u64, Vec<u8>)>;
     type Proven = Vec<(u64, Hash)>;
-    type Claim = [(u64, Vec<u8>)];
+    /// The claimed rows as the tree commits to them: each row's timestamp
+    /// beside the SHA-256 of its bytes.
+    type Claim = [(u64, Hash)];
 
     const LEAF_DOMAIN: u8 = domain::MBT_LEAF;
     const NODE_DOMAIN: u8 = domain::MBT_NODE;
@@ -261,14 +269,16 @@ impl Flavor for Plain {
 
     fn annotate(_digest: &Hash) {}
 
+    fn nothing_proven(claimed: &[(u64, Hash)]) -> Vec<(u64, Hash)> {
+        Vec::with_capacity(claimed.len())
+    }
+
     fn check_claim(proven: &Self::Proven, claimed: &Self::Claim) -> Result<(), ProofError> {
         if proven.len() != claimed.len() {
             return Err(ProofError::Incomplete("result count mismatch".into()));
         }
-        for ((ts, digest), (claimed_ts, value)) in proven.iter().zip(claimed) {
-            if ts != claimed_ts || *digest != hash_bytes(value) {
-                return Err(ProofError::Incomplete("result entry mismatch".into()));
-            }
+        if proven[..] != *claimed {
+            return Err(ProofError::Incomplete("result entry mismatch".into()));
         }
         Ok(())
     }
@@ -301,6 +311,10 @@ impl Flavor for Summed {
 
     fn annotate(digest: &u64) -> Aggregate {
         Aggregate::of(*digest)
+    }
+
+    fn nothing_proven(_claimed: &Aggregate) -> Aggregate {
+        Aggregate::EMPTY
     }
 
     fn check_claim(proven: &Aggregate, claimed: &Aggregate) -> Result<(), ProofError> {
@@ -344,43 +358,35 @@ fn len_u32(len: usize) -> u32 {
 fn leaf_summary<F: Flavor>(
     entries: impl ExactSizeIterator<Item = (u64, F::Digest)>,
 ) -> Summary<F::Ann> {
-    // `size_of` equals the encoded width for both digest types.
-    let entry_len = 8 + std::mem::size_of::<F::Digest>();
-    let mut buf = Vec::with_capacity(1 + 4 + entries.len() * entry_len);
-    buf.push(F::LEAF_DOMAIN);
-    len_u32(entries.len()).encode(&mut buf);
     let mut ann = F::Ann::EMPTY;
-    for (ts, digest) in entries {
-        ts.encode(&mut buf);
-        digest.encode(&mut buf);
-        ann.merge(&F::annotate(&digest));
-    }
-    Summary {
-        hash: hash_bytes(&buf),
-        ann,
-    }
+    let hash = hash_built(|buf| {
+        buf.push(F::LEAF_DOMAIN);
+        len_u32(entries.len()).encode(buf);
+        for (ts, digest) in entries {
+            ts.encode(buf);
+            digest.encode(buf);
+            ann.merge(&F::annotate(&digest));
+        }
+    });
+    Summary { hash, ann }
 }
 
 /// `H(node tag ‖ len ‖ separator* ‖ (child hash ‖ child annotation)*)` and
 /// the merged child annotations.
 fn node_summary<F: Flavor>(separators: &[u64], children: &[Summary<F::Ann>]) -> Summary<F::Ann> {
-    // `size_of` is an upper bound on an annotation's encoded width.
-    let child_len = Hash::LEN + std::mem::size_of::<F::Ann>();
-    let mut buf = Vec::with_capacity(1 + 4 + separators.len() * 8 + children.len() * child_len);
-    buf.push(F::NODE_DOMAIN);
-    len_u32(separators.len()).encode(&mut buf);
-    for sep in separators {
-        sep.encode(&mut buf);
-    }
     let mut ann = F::Ann::EMPTY;
-    for child in children {
-        child.encode(&mut buf);
-        ann.merge(&child.ann);
-    }
-    Summary {
-        hash: hash_bytes(&buf),
-        ann,
-    }
+    let hash = hash_built(|buf| {
+        buf.push(F::NODE_DOMAIN);
+        len_u32(separators.len()).encode(buf);
+        for sep in separators {
+            sep.encode(buf);
+        }
+        for child in children {
+            child.encode(buf);
+            ann.merge(&child.ann);
+        }
+    });
+    Summary { hash, ann }
 }
 
 /// The leaf half of the split rule: an over-full leaf keeps its lower
@@ -1007,6 +1013,13 @@ mod tests {
     use dcert_testkit::check;
     use std::cell::Cell;
 
+    /// A [`Plain`] answer as the claim a client makes: each row's digest.
+    fn claimed_rows(rows: &[(u64, Vec<u8>)]) -> Vec<(u64, Hash)> {
+        rows.iter()
+            .map(|(ts, value)| (*ts, Plain::digest(value)))
+            .collect()
+    }
+
     /// What the flavor-generic tests need to know about a flavor: how to
     /// make a value, what the true answer to a window is, and how to
     /// present and falsify one.
@@ -1015,7 +1028,8 @@ mod tests {
         /// The answer to `[lo, hi]` over a tree holding `value(ts)` for
         /// every `ts` in `0..n`.
         fn expected(lo: u64, hi: u64, n: u64) -> Self::Answer;
-        fn claim(answer: &Self::Answer) -> &Self::Claim;
+        /// What a client claims when `answer` is what it was served.
+        fn claim(answer: &Self::Answer) -> Box<Self::Claim>;
         /// A different answer to the same window.
         fn forge(answer: &Self::Answer) -> Self::Answer;
     }
@@ -1030,8 +1044,8 @@ mod tests {
                 .map(|ts| (ts, Self::value(ts)))
                 .collect()
         }
-        fn claim(answer: &Vec<(u64, Vec<u8>)>) -> &[(u64, Vec<u8>)] {
-            answer
+        fn claim(answer: &Vec<(u64, Vec<u8>)>) -> Box<[(u64, Hash)]> {
+            claimed_rows(answer).into_boxed_slice()
         }
         fn forge(answer: &Vec<(u64, Vec<u8>)>) -> Vec<(u64, Vec<u8>)> {
             let mut forged = answer.clone();
@@ -1053,8 +1067,8 @@ mod tests {
             }
             agg
         }
-        fn claim(answer: &Aggregate) -> &Aggregate {
-            answer
+        fn claim(answer: &Aggregate) -> Box<Aggregate> {
+            Box::new(*answer)
         }
         fn forge(answer: &Aggregate) -> Aggregate {
             Aggregate {
@@ -1082,7 +1096,7 @@ mod tests {
         let (answer, proof) = tree.window(0, 100);
         assert_eq!(answer, F::Answer::default());
         proof
-            .verify(&Hash::ZERO, 0, 100, F::claim(&answer))
+            .verify(&Hash::ZERO, 0, 100, &F::claim(&answer))
             .unwrap();
     }
 
@@ -1121,7 +1135,7 @@ mod tests {
                 let (answer, proof) = tree.window(lo, hi);
                 assert_eq!(answer, F::expected(lo, hi, n), "order={order} [{lo},{hi}]");
                 proof
-                    .verify(&root, lo, hi, F::claim(&answer))
+                    .verify(&root, lo, hi, &F::claim(&answer))
                     .unwrap_or_else(|e| panic!("order={order} [{lo},{hi}]: {e}"));
             }
         }
@@ -1131,7 +1145,7 @@ mod tests {
         let tree = build::<F>(50, 4);
         let (answer, proof) = tree.window(5, 25);
         assert_eq!(
-            proof.verify(&Hash::ZERO, 5, 25, F::claim(&answer)),
+            proof.verify(&Hash::ZERO, 5, 25, &F::claim(&answer)),
             Err(ProofError::RootMismatch)
         );
     }
@@ -1145,7 +1159,7 @@ mod tests {
             let tree = build::<F>(n, 4);
             let (answer, proof) = tree.window(lo, hi);
             assert!(matches!(
-                proof.verify(&tree.root(), wide_lo, wide_hi, F::claim(&answer)),
+                proof.verify(&tree.root(), wide_lo, wide_hi, &F::claim(&answer)),
                 Err(ProofError::Incomplete(_)) | Err(ProofError::RootMismatch)
             ));
         }
@@ -1155,7 +1169,7 @@ mod tests {
         let tree = build::<F>(100, 4);
         let (answer, proof) = tree.window(10, 90);
         assert!(matches!(
-            proof.verify(&tree.root(), 10, 90, F::claim(&F::forge(&answer))),
+            proof.verify(&tree.root(), 10, 90, &F::claim(&F::forge(&answer))),
             Err(ProofError::Incomplete(_))
         ));
     }
@@ -1218,7 +1232,7 @@ mod tests {
         let decoded = OpProof::<F>::decode_all(&bytes).unwrap();
         assert_eq!(decoded, proof);
         decoded
-            .verify(&tree.root(), 10, 60, F::claim(&answer))
+            .verify(&tree.root(), 10, 60, &F::claim(&answer))
             .unwrap();
     }
 
@@ -1240,7 +1254,7 @@ mod tests {
             let (answer, proof) = tree.window(lo, hi);
             assert_eq!(&answer, &F::expected(lo, hi, n));
             assert!(proof
-                .verify(&tree.root(), lo, hi, F::claim(&answer))
+                .verify(&tree.root(), lo, hi, &F::claim(&answer))
                 .is_ok());
         });
     }
@@ -1360,7 +1374,7 @@ mod tests {
         let (mut results, proof) = tree.window(5, 15);
         results.remove(3);
         assert!(matches!(
-            proof.verify(&tree.root(), 5, 15, &results),
+            proof.verify(&tree.root(), 5, 15, &claimed_rows(&results)),
             Err(ProofError::Incomplete(_))
         ));
     }
@@ -1371,7 +1385,7 @@ mod tests {
         let (mut results, proof) = tree.window(5, 15);
         results[0].1 = b"forged".to_vec();
         assert!(matches!(
-            proof.verify(&tree.root(), 5, 15, &results),
+            proof.verify(&tree.root(), 5, 15, &claimed_rows(&results)),
             Err(ProofError::Incomplete(_))
         ));
     }
@@ -1385,7 +1399,9 @@ mod tests {
         // boundary and verifies the window is empty.
         let (results, proof) = tree.window(100, 200);
         assert!(results.is_empty());
-        proof.verify(&tree.root(), 100, 200, &results).unwrap();
+        proof
+            .verify(&tree.root(), 100, 200, &claimed_rows(&results))
+            .unwrap();
 
         // The same empty-window proof cannot stand in for a window that
         // does contain entries: its pruned subtrees overlap it.
@@ -1397,7 +1413,9 @@ mod tests {
         // Inverted window (lo > hi) is provably empty too.
         let (results, proof) = tree.window(20, 10);
         assert!(results.is_empty());
-        proof.verify(&tree.root(), 20, 10, &results).unwrap();
+        proof
+            .verify(&tree.root(), 20, 10, &claimed_rows(&results))
+            .unwrap();
     }
 
     #[test]
@@ -1411,7 +1429,7 @@ mod tests {
         let (truncated, narrow_proof) = tree.window(5, 9);
         assert_eq!(truncated.len(), 5);
         assert!(matches!(
-            narrow_proof.verify(&tree.root(), 5, 15, &truncated),
+            narrow_proof.verify(&tree.root(), 5, 15, &claimed_rows(&truncated)),
             Err(ProofError::Incomplete(_)) | Err(ProofError::RootMismatch)
         ));
     }
@@ -1614,7 +1632,7 @@ mod tests {
         type Ann = ();
         type Answer = Vec<(u64, Vec<u8>)>;
         type Proven = Vec<(u64, Hash)>;
-        type Claim = [(u64, Vec<u8>)];
+        type Claim = [(u64, Hash)];
 
         const LEAF_DOMAIN: u8 = Plain::LEAF_DOMAIN;
         const NODE_DOMAIN: u8 = Plain::NODE_DOMAIN;
@@ -1626,6 +1644,10 @@ mod tests {
         }
 
         fn annotate(_digest: &Hash) {}
+
+        fn nothing_proven(claimed: &[(u64, Hash)]) -> Vec<(u64, Hash)> {
+            Plain::nothing_proven(claimed)
+        }
 
         fn check_claim(proven: &Self::Proven, claimed: &Self::Claim) -> Result<(), ProofError> {
             Plain::check_claim(proven, claimed)
@@ -1676,7 +1698,9 @@ mod tests {
         let ((rows, proof), calls) = digests_in(|| tree.window(10, 80));
         assert_eq!(calls, 0, "window");
         assert_eq!(rows, plain.window(10, 80).0);
-        proof.verify(&tree.root(), 10, 80, &rows).unwrap();
+        proof
+            .verify(&tree.root(), 10, 80, &claimed_rows(&rows))
+            .unwrap();
         let (append, calls) = digests_in(|| tree.prove_append());
         assert_eq!(calls, 0, "prove_append");
         let next = hash_bytes(b"next");

@@ -67,6 +67,12 @@ pub enum ProofOp<F: Flavor> {
     Child,
 }
 
+/// The most children an executed node reserves room for when it is
+/// pushed. An honest node has at most the tree's order (16 in DCert's
+/// indexes); a node claiming more grows as its children attach, so a
+/// hostile separator list reserves no more than this.
+const PRESIZED_ARITY: usize = 64;
+
 /// A node of the executed tree: a pushed node, borrowed from the program,
 /// and the children the program attached to it.
 #[derive(Debug)]
@@ -122,9 +128,15 @@ fn execute<F: Flavor>(ops: &[ProofOp<F>]) -> Result<Executed<'_, F>, ProofError>
                 if stack.len() >= MAX_OP_STACK {
                     return Err(ProofError::Malformed("op stack overflow".into()));
                 }
+                // Room for the children an internal node declares, so
+                // attaching them does not regrow the `Vec`.
+                let arity = match shape {
+                    Shape::Internal(separators) => separators.len().saturating_add(1),
+                    Shape::Leaf(_) | Shape::Pruned(_) => 0,
+                };
                 stack.push(Executed {
                     shape,
-                    children: Vec::new(),
+                    children: Vec::with_capacity(arity.min(PRESIZED_ARITY)),
                     depth: 1,
                 });
             }
@@ -202,7 +214,7 @@ impl<F: Flavor> OpProof<F> {
         hi: u64,
         claimed: &F::Claim,
     ) -> Result<(), ProofError> {
-        let mut proven = F::Proven::default();
+        let mut proven = F::nothing_proven(claimed);
         // The empty program is the empty tree.
         let computed = if self.ops.is_empty() {
             Hash::ZERO

@@ -459,7 +459,12 @@ impl SparseMerkleTree {
         sorted.sort_unstable();
         sorted.dedup();
         let mut pre = Vec::with_capacity(sorted.len());
-        let mut evidence = Vec::new();
+        // Room for what the walk finds: per key, about one item per level
+        // below where it parts from the other keys (log2 of the leaves
+        // per key), plus its run of empties and its leaf's level.
+        let spread = self.len() / sorted.len().max(1);
+        let levels = usize::try_from(usize::BITS - spread.leading_zeros()).unwrap_or(0);
+        let mut evidence = Vec::with_capacity(sorted.len().saturating_mul(levels + 2));
         let whole = NodeView::from(&self.root);
         Self::prove_rec(whole, 0, &sorted, false, &mut pre, &mut evidence);
         debug_assert_eq!(pre.len(), sorted.len());
@@ -1056,6 +1061,8 @@ const TAG_EMPTY_RUN: u8 = 0;
 const TAG_LEAF: u8 = 1;
 const TAG_NODE: u8 = 2;
 const TAG_BRANCH: u8 = 3;
+/// The shortest evidence chunk on the wire: an empty run's tag and `u16`.
+const MIN_CHUNK_LEN: usize = 3;
 
 /// Hand-written, not a `wire!` table: consecutive items merge into runs on
 /// the wire.
@@ -1114,7 +1121,8 @@ impl Decode for SmtProof {
         let keys = dcert_primitives::codec::decode_seq(r)?;
         let pre = dcert_primitives::codec::decode_seq(r)?;
         let chunks = u32::decode(r)?;
-        let mut evidence = Vec::new();
+        let declared = usize::try_from(chunks).unwrap_or(usize::MAX);
+        let mut evidence = Vec::with_capacity(declared.min(r.presize_cap(MIN_CHUNK_LEN)));
         for _ in 0..chunks {
             match r.take_byte()? {
                 // Runs merge as they arrive, so a frame that splits one

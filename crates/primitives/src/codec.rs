@@ -72,6 +72,11 @@ use crate::error::CodecError;
 /// elements). Prevents memory-exhaustion on malformed input.
 pub const MAX_LEN: u64 = 1 << 26;
 
+/// The most items a decoder reserves room for before it has decoded them
+/// ([`Reader::presize_cap`]); a longer collection grows as its items
+/// arrive.
+pub const MAX_PRESIZE: usize = 1024;
+
 /// A cursor over input bytes used by [`Decode`] implementations.
 #[derive(Debug)]
 pub struct Reader<'a> {
@@ -115,6 +120,15 @@ impl<'a> Reader<'a> {
                 needed: 1,
                 remaining: 0,
             })
+    }
+
+    /// The most items of at least `min_len` encoded bytes each a decoder
+    /// reserves room for before decoding them: what the unread input can
+    /// hold, and no more than [`MAX_PRESIZE`]. A decoder presizes to the
+    /// count its frame declares, clamped to this, so a count that lies
+    /// reserves no more; its items decode (or fail) all the same.
+    pub fn presize_cap(&self, min_len: usize) -> usize {
+        (self.input.len() / min_len.max(1)).min(MAX_PRESIZE)
     }
 
     /// Consumes a `u32` big-endian length prefix, enforcing [`MAX_LEN`].
@@ -414,7 +428,7 @@ pub fn seq_encoded_len<T: Encode>(items: &[T]) -> usize {
 /// Propagates element decode errors and rejects oversized counts.
 pub fn decode_seq<T: Decode>(r: &mut Reader<'_>) -> Result<Vec<T>, CodecError> {
     let len = r.take_len()?;
-    let mut out = Vec::with_capacity(len.min(1024));
+    let mut out = Vec::with_capacity(len.min(r.presize_cap(1)));
     for _ in 0..len {
         out.push(T::decode(r)?);
     }

@@ -296,10 +296,29 @@ pub fn hash_concat<'a>(parts: impl IntoIterator<Item = &'a [u8]>) -> Hash {
 }
 
 thread_local! {
-    /// Reusable encode buffer for [`hash_encoded`]: the canonical byte
-    /// image is built once per thread and reused across calls, so steady-
-    /// state structural hashing allocates nothing.
+    /// Reusable preimage buffer for [`hash_built`] (and so
+    /// [`hash_encoded`]): the canonical byte image is built once per
+    /// thread and reused across calls, so steady-state structural hashing
+    /// allocates nothing.
     static ENCODE_SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Hashes the bytes `build` writes into the thread's reusable preimage
+/// buffer: a preimage assembled from parts costs no allocation of its
+/// own once the buffer has grown to it.
+pub fn hash_built(build: impl FnOnce(&mut Vec<u8>)) -> Hash {
+    ENCODE_SCRATCH.with(|cell| {
+        // `take`/`replace` instead of `borrow_mut` so a re-entrant
+        // `build` (one that itself hashes this way) simply sees a fresh
+        // empty buffer instead of panicking.
+        let mut buf = cell.take();
+        buf.clear();
+        build(&mut buf);
+        let digest = hash_bytes(&buf);
+        buf.clear();
+        cell.replace(buf);
+        digest
+    })
 }
 
 /// Hashes a value through its canonical [`Encode`] representation.
@@ -307,20 +326,9 @@ thread_local! {
 /// All structural digests in the framework (`H(hdr)`, transaction ids,
 /// state-leaf hashes, ...) are computed this way so that hashing is
 /// deterministic across processes. The encode buffer is a thread-local
-/// scratch vector, so repeated calls do not allocate.
+/// scratch vector ([`hash_built`]), so repeated calls do not allocate.
 pub fn hash_encoded<T: Encode + ?Sized>(value: &T) -> Hash {
-    ENCODE_SCRATCH.with(|cell| {
-        // `take`/`replace` instead of `borrow_mut` so a re-entrant
-        // `encode` impl (one that itself calls `hash_encoded`) simply
-        // sees a fresh empty buffer instead of panicking.
-        let mut buf = cell.take();
-        buf.clear();
-        value.encode(&mut buf);
-        let digest = hash_bytes(&buf);
-        buf.clear();
-        cell.replace(buf);
-        digest
-    })
+    hash_built(|buf| value.encode(buf))
 }
 
 /// Domain-separated hash: `H(domain_tag || payload)`.

@@ -13,8 +13,9 @@
 //! - clients call [`verify_history`] against the certified digest.
 
 use dcert_merkle::btree::Plain;
-use dcert_primitives::codec::{Decode, Encode};
-use dcert_primitives::hash::Hash;
+use dcert_primitives::codec::{Encode, Reader};
+use dcert_primitives::error::CodecError;
+use dcert_primitives::hash::{hash_encoded, Hash};
 use dcert_vm::StateKey;
 
 use crate::error::QueryError;
@@ -39,30 +40,48 @@ impl IndexFlavor for Plain {
         Some(write.to_encoded_bytes())
     }
 
-    // expect() here decodes the SP's own canonical index entries (see the
-    // dcert-lint rationale at the call site).
+    // expect() here takes apart the SP's own canonically-encoded index
+    // entries (see the dcert-lint rationale at the call site).
     #[allow(clippy::expect_used)]
     fn present(rows: Vec<(u64, Vec<u8>)>) -> Vec<(u64, Version)> {
         rows.into_iter()
-            .map(|(ts, bytes)| {
+            .map(|(ts, stored)| {
                 // dcert-lint: allow(r5-panic-reachability, reason = "SP-side serving path decoding its own canonically-encoded index entries; the client verifier re-checks everything")
-                let version = Version::decode_all(&bytes).expect("index stores canonical versions");
+                let version = into_version(stored).expect("index stores canonical versions");
                 (ts, version)
             })
             .collect()
     }
 }
 
-/// The rows a client claims, in the encoding the version tree commits to.
-fn stored_rows(results: &[(u64, Version)]) -> Vec<(u64, Vec<u8>)> {
-    results
-        .iter()
-        .map(|(ts, version)| (*ts, version.to_encoded_bytes()))
-        .collect()
+/// A version's canonical encoding taken apart in place: the value keeps
+/// the buffer the encoding arrived in. Refuses exactly what
+/// `Version::decode_all` refuses, with the same error.
+fn into_version(mut encoded: Vec<u8>) -> Result<Version, CodecError> {
+    let mut r = Reader::new(&encoded);
+    let value_len = match r.take_byte()? {
+        0 => None,
+        1 => {
+            let len = r.take_len()?;
+            r.take(len)?;
+            Some(len)
+        }
+        tag => return Err(CodecError::InvalidTag(tag)),
+    };
+    if r.remaining() != 0 {
+        return Err(CodecError::TrailingBytes(r.remaining()));
+    }
+    Ok(value_len.map(|len| {
+        let header = encoded.len().saturating_sub(len);
+        encoded.drain(..header);
+        encoded
+    }))
 }
 
 /// Client-side verification of a historical query result against the
-/// certified index digest.
+/// certified index digest. Each claimed version is hashed in its
+/// canonical encoding, the preimage its version-tree leaf binds, without
+/// being re-encoded into a buffer of its own.
 ///
 /// # Errors
 ///
@@ -76,7 +95,11 @@ pub fn verify_history(
     proof: &HistoryProof,
 ) -> Result<(), QueryError> {
     verify_window(digest, key, proof, results.is_empty(), |range, root| {
-        range.verify(root, t1, t2, &stored_rows(results))
+        let claimed: Vec<(u64, Hash)> = results
+            .iter()
+            .map(|(ts, version)| (*ts, hash_encoded(version)))
+            .collect();
+        range.verify(root, t1, t2, &claimed)
     })
 }
 
@@ -263,6 +286,34 @@ mod tests {
         let (absent, absent_proof) = index.query(&key("unknown"), 0, 100);
         assert!(absent.is_empty());
         verify_history_op(&digest, &key("unknown"), 0, 100, &absent, &absent_proof).unwrap();
+    }
+
+    /// Taking a stored encoding apart in place agrees with decoding it,
+    /// on every framing the codec refuses too.
+    #[test]
+    fn into_version_agrees_with_decode() {
+        use dcert_primitives::codec::Decode;
+        let mut framings: Vec<Vec<u8>> = [None, Some(Vec::new()), Some(b"v-1".to_vec())]
+            .iter()
+            .map(Encode::to_encoded_bytes)
+            .collect();
+        framings.extend([
+            vec![],
+            vec![0, 0],
+            vec![1],
+            vec![1, 0, 0],
+            vec![1, 0, 0, 0, 2, 9],
+            vec![1, 0, 0, 0, 1, 9, 9],
+            vec![1, 0xff, 0xff, 0xff, 0xff],
+            vec![2],
+        ]);
+        for bytes in framings {
+            assert_eq!(
+                into_version(bytes.clone()),
+                Version::decode_all(&bytes),
+                "{bytes:?}"
+            );
+        }
     }
 
     #[test]

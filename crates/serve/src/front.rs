@@ -13,8 +13,10 @@
 //! 2. **Execution** ([`ServeFront::pump`]): the caller drains the queue
 //!    at its own pace. Each distinct query costs exactly one backend
 //!    call regardless of how many waiters coalesced onto it; the
-//!    canonical payload becomes one shared buffer, fanned out to every
-//!    waiter and inserted into the cache without a copy.
+//!    canonical payload is written once, into a scratch buffer the front
+//!    reuses, and becomes one shared buffer of exactly its size (the one
+//!    allocation of the answer's bytes), fanned out to every waiter and
+//!    inserted into the cache without a copy.
 //! 3. **Invalidation**: every answer comes from the SP's live indexes,
 //!    which only [`ServeFront::stage_block`] moves; it bumps the cache
 //!    generation and clears it wholesale, so no pre-stage proof can
@@ -30,6 +32,7 @@
 //! sanctioned clock) and stripped from replay comparisons by naming
 //! convention.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
@@ -43,8 +46,8 @@ use crate::admission::{RateLimit, TokenBuckets, TokenGrant};
 use crate::cache::ProofCache;
 use crate::metrics::ServeMetrics;
 use crate::wire::{
-    encode_aggregate_payload, encode_history_payload, encode_keyword_payload, QuerySpec,
-    RefusalReason, ServeRefusal, ServeRequest, ServeResponse, ServeWire,
+    put_aggregate_payload, put_history_payload, put_keyword_payload, QuerySpec, RefusalReason,
+    ServeRefusal, ServeRequest, ServeResponse, ServeWire,
 };
 
 /// Capacity and rate-limit policy for a [`ServeFront`].
@@ -106,6 +109,9 @@ pub struct ServeFront {
     /// The waiters parked on each pending spec.
     pending: HashMap<QuerySpec, Vec<Waiter>>,
     parked_waiters: usize,
+    /// The buffer every backend answer's payload is written into before
+    /// it becomes the one shared `Arc<[u8]>`; reused across answers.
+    scratch: Vec<u8>,
     metrics: ServeMetrics,
 }
 
@@ -121,6 +127,7 @@ impl ServeFront {
             arrival_order: VecDeque::new(),
             pending: HashMap::new(),
             parked_waiters: 0,
+            scratch: Vec::new(),
             metrics: ServeMetrics::disabled(),
         }
     }
@@ -216,29 +223,31 @@ impl ServeFront {
             id: request.id,
             admitted_at: now,
         };
-        if let Some(waiters) = self.pending.get_mut(&request.query) {
-            waiters.push(waiter);
-            self.parked_waiters += 1;
-            self.metrics.coalesce_hits.inc();
-            self.record_occupancy();
-            return Ok(Submitted::Enqueued { coalesced: true });
-        }
-
-        if self.pending.len() >= self.config.queue_capacity {
-            self.metrics.shed_queue_full.inc();
-            return Err(ServeRefusal {
-                id: request.id,
-                reason: RefusalReason::QueueFull {
-                    depth: self.pending.len() as u64,
-                },
-            });
-        }
-
-        self.arrival_order.push_back(request.query.clone());
-        self.pending.insert(request.query, vec![waiter]);
+        let depth = self.pending.len();
+        let coalesced = match self.pending.entry(request.query) {
+            Entry::Occupied(mut pending) => {
+                pending.get_mut().push(waiter);
+                self.metrics.coalesce_hits.inc();
+                true
+            }
+            Entry::Vacant(_) if depth >= self.config.queue_capacity => {
+                self.metrics.shed_queue_full.inc();
+                return Err(ServeRefusal {
+                    id: request.id,
+                    reason: RefusalReason::QueueFull {
+                        depth: depth as u64,
+                    },
+                });
+            }
+            Entry::Vacant(slot) => {
+                self.arrival_order.push_back(slot.key().clone());
+                slot.insert(vec![waiter]);
+                false
+            }
+        };
         self.parked_waiters += 1;
         self.record_occupancy();
-        Ok(Submitted::Enqueued { coalesced: false })
+        Ok(Submitted::Enqueued { coalesced })
     }
 
     /// Removes one parked waiter (a client abandoning its request — the
@@ -312,12 +321,12 @@ impl ServeFront {
             self.parked_waiters -= waiters.len();
             executed += 1;
 
-            let (answer, took) = timed(|| self.execute(&spec));
+            let (answered, took) = timed(|| put_answer(&self.sp, &spec, &mut self.scratch));
             self.metrics.serve_ns.record(took);
-            match answer {
-                Some(payload) => {
+            match answered {
+                Some(()) => {
                     self.metrics.backend_calls.inc();
-                    let payload: Arc<[u8]> = payload.into();
+                    let payload: Arc<[u8]> = Arc::from(self.scratch.as_slice());
                     let certified_height = self.sp.index_height();
                     self.metrics.payload_bytes.observe(payload.len() as u64);
                     self.cache.insert(
@@ -359,27 +368,6 @@ impl ServeFront {
         }
         self.record_occupancy();
         deliveries
-    }
-
-    fn execute(&self, spec: &QuerySpec) -> Option<Vec<u8>> {
-        match spec {
-            QuerySpec::History { index, key, t1, t2 }
-            | QuerySpec::HistoryOp { index, key, t1, t2 } => self
-                .sp
-                .serve_history(index, key, *t1, *t2)
-                .map(|(results, proof)| encode_history_payload(&results, &proof)),
-            QuerySpec::Keywords { index, keywords } => {
-                let words: Vec<&str> = keywords.iter().map(String::as_str).collect();
-                self.sp
-                    .serve_keywords(index, &words)
-                    .map(|(results, proof)| encode_keyword_payload(&results, &proof))
-            }
-            QuerySpec::Aggregate { index, key, t1, t2 }
-            | QuerySpec::AggregateOp { index, key, t1, t2 } => self
-                .sp
-                .serve_aggregate(index, key, *t1, *t2)
-                .map(|(aggregate, proof)| encode_aggregate_payload(&aggregate, &proof)),
-        }
     }
 
     // -----------------------------------------------------------------
@@ -429,4 +417,28 @@ impl ServeFront {
         self.metrics.queue_high_water.record_max(depth);
         self.metrics.waiter_high_water.record_max(waiters);
     }
+}
+
+/// Answers `spec` from `sp`, writing its canonical payload into `out`
+/// (emptied first); `None`, with `out` empty, when no index of that name
+/// is registered.
+fn put_answer(sp: &ServiceProvider, spec: &QuerySpec, out: &mut Vec<u8>) -> Option<()> {
+    out.clear();
+    match spec {
+        QuerySpec::History { index, key, t1, t2 } | QuerySpec::HistoryOp { index, key, t1, t2 } => {
+            let (results, proof) = sp.serve_history(index, key, *t1, *t2)?;
+            put_history_payload(&results, &proof, out);
+        }
+        QuerySpec::Keywords { index, keywords } => {
+            let words: Vec<&str> = keywords.iter().map(String::as_str).collect();
+            let (results, proof) = sp.serve_keywords(index, &words)?;
+            put_keyword_payload(&results, &proof, out);
+        }
+        QuerySpec::Aggregate { index, key, t1, t2 }
+        | QuerySpec::AggregateOp { index, key, t1, t2 } => {
+            let (aggregate, proof) = sp.serve_aggregate(index, key, *t1, *t2)?;
+            put_aggregate_payload(&aggregate, &proof, out);
+        }
+    }
+    Some(())
 }

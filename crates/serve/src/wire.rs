@@ -15,7 +15,7 @@
 use std::sync::Arc;
 
 use dcert_merkle::Aggregate;
-use dcert_primitives::codec::{decode_seq, encode_seq, Decode, Encode, Reader};
+use dcert_primitives::codec::{decode_seq, encode_seq, seq_encoded_len, Decode, Encode, Reader};
 use dcert_primitives::error::CodecError;
 use dcert_primitives::hash::Hash;
 use dcert_query::history::Version;
@@ -142,7 +142,8 @@ pub struct ServeRequest {
 /// at `certified_height`. The payload is byte-identical to what a direct
 /// uncached `ServiceProvider::serve_*` call at the same height would
 /// produce through the [`encode_history_payload`]-family helpers — the
-/// equivalence suite pins this.
+/// equivalence suite pins this. The front writes it with the same
+/// `put_*_payload` writers those helpers use.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeResponse {
     /// The request id this answers.
@@ -234,21 +235,14 @@ pub enum ServeWire {
 // equivalence suite's oracle.
 // ---------------------------------------------------------------------------
 
-/// `enc(answer) ++ enc(proof)`: every payload is this, with the answer
-/// written by `put_answer` — [`encode_seq`] for a result list,
-/// [`Encode::encode`] for one aggregate.
-fn encode_payload<A: ?Sized, P: Encode>(
-    put_answer: fn(&A, &mut Vec<u8>),
-    answer: &A,
-    proof: &P,
-) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_answer(answer, &mut out);
-    proof.encode(&mut out);
+/// A payload written by `put` into a `Vec` of exactly its `len` bytes.
+fn encode_exact(len: usize, put: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut out = Vec::with_capacity(len);
+    put(&mut out);
     out
 }
 
-/// The inverse of [`encode_payload`], refusing trailing bytes.
+/// The inverse of the `put_*_payload` writers, refusing trailing bytes.
 fn decode_payload<A, P: Decode>(
     take_answer: fn(&mut Reader<'_>) -> Result<A, CodecError>,
     bytes: &[u8],
@@ -262,9 +256,21 @@ fn decode_payload<A, P: Decode>(
     Ok((answer, proof))
 }
 
+/// Appends a history answer's canonical response payload to `out`:
+/// `enc(results) ++ enc(proof)`. The one writer of this payload kind.
+pub(crate) fn put_history_payload(
+    results: &[(u64, Version)],
+    proof: &HistoryProof,
+    out: &mut Vec<u8>,
+) {
+    encode_seq(results, out);
+    proof.encode(out);
+}
+
 /// Encodes a history answer as the canonical response payload.
 pub fn encode_history_payload(results: &[(u64, Version)], proof: &HistoryProof) -> Vec<u8> {
-    encode_payload(encode_seq, results, proof)
+    let len = seq_encoded_len(results) + proof.encoded_len();
+    encode_exact(len, |out| put_history_payload(results, proof, out))
 }
 
 /// Decodes a history response payload.
@@ -278,9 +284,17 @@ pub fn decode_history_payload(
     decode_payload(decode_seq, bytes)
 }
 
+/// Appends a keyword answer's canonical response payload to `out`:
+/// `enc(results) ++ enc(proof)`. The one writer of this payload kind.
+pub(crate) fn put_keyword_payload(results: &[Hash], proof: &KeywordProof, out: &mut Vec<u8>) {
+    encode_seq(results, out);
+    proof.encode(out);
+}
+
 /// Encodes a keyword answer as the canonical response payload.
 pub fn encode_keyword_payload(results: &[Hash], proof: &KeywordProof) -> Vec<u8> {
-    encode_payload(encode_seq, results, proof)
+    let len = seq_encoded_len(results) + proof.encoded_len();
+    encode_exact(len, |out| put_keyword_payload(results, proof, out))
 }
 
 /// Decodes a keyword response payload.
@@ -292,9 +306,21 @@ pub fn decode_keyword_payload(bytes: &[u8]) -> Result<(Vec<Hash>, KeywordProof),
     decode_payload(decode_seq, bytes)
 }
 
+/// Appends an aggregate answer's canonical response payload to `out`:
+/// `enc(aggregate) ++ enc(proof)`. The one writer of this payload kind.
+pub(crate) fn put_aggregate_payload(
+    aggregate: &Aggregate,
+    proof: &AggQueryProof,
+    out: &mut Vec<u8>,
+) {
+    aggregate.encode(out);
+    proof.encode(out);
+}
+
 /// Encodes an aggregate answer as the canonical response payload.
 pub fn encode_aggregate_payload(aggregate: &Aggregate, proof: &AggQueryProof) -> Vec<u8> {
-    encode_payload(Aggregate::encode, aggregate, proof)
+    let len = aggregate.encoded_len() + proof.encoded_len();
+    encode_exact(len, |out| put_aggregate_payload(aggregate, proof, out))
 }
 
 /// Decodes an aggregate response payload.
@@ -441,6 +467,7 @@ mod tests {
             decode: fn(&[u8]) -> Result<T, CodecError>,
             expected: T,
         ) {
+            assert_eq!(bytes.capacity(), bytes.len(), "sized exactly");
             assert_eq!(decode(&bytes).as_ref(), Ok(&expected));
             let mut trailing = bytes.clone();
             trailing.push(0);

@@ -52,7 +52,8 @@ run() {
 
 # The exact work counters the traced runs compare.
 counters=(primitives.sig_verifies primitives.sig_signs primitives.sha256_blocks sgx.ecalls
-    sgx.request_bytes store.fsyncs client_storage_bytes)
+    sgx.request_bytes store.fsyncs client_storage_bytes alloc.count alloc.bytes
+    query.proof_bytes_per_query)
 
 # The journey's layer spans printed from the traced runs (times: one run each).
 spans=(chain.mine_us query.sp.stage_us core.ci.certify_us core.archive.publish_us

@@ -6,28 +6,47 @@
 //! front's cache hit (two map lookups and an `Arc` clone), and pins that
 //! an enabled registry still sees every hit.
 //!
+//! The read path's floor is pinned the same way: what one cold history
+//! and one cold aggregate query allocate through `submit` + `pump`, then
+//! in the client's decode and verify (DESIGN.md §9). A payload copied
+//! twice, a version re-encoded, or a claim rebuilt as bytes shows up as a
+//! count that moved.
+//!
 //! Allocations are counted by a global allocator that tallies per thread,
 //! so the tests `cargo test` runs in parallel cannot pollute each other:
 //! each count covers exactly the calls its closure makes on its own
-//! thread.
+//! thread. The same allocator follows the thread's live heap, so the peak
+//! a verifier reaches over a window is read the same way (ROADMAP item
+//! 9's measurement: EXPERIMENTS.md, "What a cold query costs").
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use dcert::obs::{Registry, Snapshot};
+use dcert::query::aggregate::verify_aggregate;
+use dcert::query::history::verify_history;
+use dcert::query::{AggregateIndex, HistoryIndex};
 use dcert::serve::{
-    QuerySpec, ServeConfig, ServeFront, ServeMetrics, ServeRequest, ServeWire, Submitted,
+    decode_aggregate_payload, decode_history_payload, QuerySpec, ServeConfig, ServeFront,
+    ServeMetrics, ServeRequest, ServeWire, Submitted,
 };
+use dcert::vm::StateKey;
 use dcert::workloads::Workload;
 use dcert::world::{certify_into, kv_key, World, SERVE_INDEXES};
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
     static ALLOCATED_BYTES: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread allocated minus bytes it freed (negative when it
+    /// frees what another thread allocated), and the highest it reached.
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
+    static PEAK_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
-/// The system allocator plus a per-thread tally of allocations and bytes.
+/// The system allocator plus a per-thread tally of allocations and bytes,
+/// and of the live heap.
 struct PerThreadCounting;
 
 #[global_allocator]
@@ -40,6 +59,14 @@ fn tally(bytes: usize) {
     let _ = ALLOCATED_BYTES.try_with(|total| total.set(total.get() + bytes as u64));
 }
 
+/// Moves this thread's live heap by `delta` bytes, raising its peak.
+fn live(delta: i64) {
+    let _ = LIVE_BYTES.try_with(|live| {
+        live.set(live.get() + delta);
+        let _ = PEAK_BYTES.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
+}
+
 // SAFETY: every method forwards its arguments unchanged to `System`, which
 // upholds the `GlobalAlloc` contract; the tally touches only `const`-
 // initialised thread-locals without destructors and never allocates.
@@ -47,17 +74,20 @@ fn tally(bytes: usize) {
 unsafe impl GlobalAlloc for PerThreadCounting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         tally(layout.size());
+        live(layout.size() as i64);
         // SAFETY: the caller guarantees `layout` has non-zero size.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         tally(layout.size());
+        live(layout.size() as i64);
         // SAFETY: as for `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        live(-(layout.size() as i64));
         // SAFETY: the caller guarantees `ptr` came from this allocator
         // (hence from `System`) with this `layout`.
         unsafe { System.dealloc(ptr, layout) }
@@ -66,6 +96,7 @@ unsafe impl GlobalAlloc for PerThreadCounting {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // A grow or shrink is one more trip to the allocator.
         tally(new_size);
+        live(new_size as i64 - layout.size() as i64);
         // SAFETY: the caller guarantees `ptr`/`layout` describe a live
         // block of this allocator and `new_size` is non-zero and valid.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -80,6 +111,16 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, (u64, u64)) {
     let value = f();
     let after = read();
     (value, (after.0 - before.0, after.1 - before.1))
+}
+
+/// The highest this thread's live heap rises above where it stood while
+/// `f` runs, in bytes, beside what `f` returns.
+fn peak_heap<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let start = LIVE_BYTES.with(Cell::get);
+    PEAK_BYTES.with(|peak| peak.set(start));
+    let value = f();
+    let peak = PEAK_BYTES.with(Cell::get);
+    (value, u64::try_from(peak - start).unwrap_or(0))
 }
 
 /// One query of each kind the front serves.
@@ -208,4 +249,197 @@ fn a_cache_hit_on_an_enabled_registry_moves_each_hit_metric_by_one() {
     .map(|name| (name, 1))
     .collect();
     assert_eq!(moved, expected);
+}
+
+// --- the read path: one cold query, stage by stage ---------------------------
+
+/// Certified SmallBank blocks behind the cold front.
+const COLD_BLOCKS: u64 = 40;
+
+/// Customer `i`'s checking balance: the key the cold queries ask about.
+fn checking(customer: u64) -> StateKey {
+    let mut field = b"chk-".to_vec();
+    field.extend_from_slice(&customer.to_be_bytes());
+    StateKey::new("smallbank", &field)
+}
+
+/// A front over [`COLD_BLOCKS`] certified SmallBank blocks (two customers,
+/// so their balances are written in most blocks) on a disabled registry,
+/// that has already answered a history and an aggregate query on customer
+/// 1 for client 7: its maps hold their first entries and client 7 has a
+/// bucket, so what a next, distinct query costs is the cold read path
+/// alone.
+fn cold_front() -> ServeFront {
+    let mut world = World::pow(&SERVE_INDEXES);
+    let blocks = world.mine_blocks(
+        Workload::SmallBank { customers: 2 },
+        COLD_BLOCKS as usize,
+        4,
+        1,
+    );
+    let mut front = ServeFront::new(world.sp, ServeConfig::default());
+    for block in &blocks {
+        certify_into(&mut world.ci, &mut front, block);
+    }
+    for (id, query) in [history(1), aggregate(1)].into_iter().enumerate() {
+        let served = serve(&mut front, id as u64, query);
+        assert!(!served.is_empty());
+    }
+    front
+}
+
+/// The history query on customer `i`'s checking balance over a window
+/// that opens some of its lower tree and prunes the rest.
+fn history(customer: u64) -> QuerySpec {
+    QuerySpec::History {
+        index: "history".to_owned(),
+        key: checking(customer),
+        t1: 5,
+        t2: 34,
+    }
+}
+
+/// The aggregate query over the same window.
+fn aggregate(customer: u64) -> QuerySpec {
+    QuerySpec::Aggregate {
+        index: "agg".to_owned(),
+        key: checking(customer),
+        t1: 5,
+        t2: 34,
+    }
+}
+
+/// One fresh backend call through `submit` + `pump`: the served payload.
+fn serve(front: &mut ServeFront, id: u64, query: QuerySpec) -> Arc<[u8]> {
+    let request = ServeRequest {
+        client: 7,
+        id,
+        query,
+    };
+    let submitted = front.submit(id, request);
+    assert_eq!(submitted, Ok(Submitted::Enqueued { coalesced: false }));
+    match front.pump(id, 1).pop() {
+        Some((7, ServeWire::Response(response))) => response.payload,
+        other => panic!("query {id} was answered with {other:?}"),
+    }
+}
+
+/// What one cold query allocates: on the SP (`submit` + `pump`, the
+/// backend call and the payload included), then on the client (decode the
+/// payload, verify it against the certified digest).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ColdCost {
+    serve: u64,
+    decode: u64,
+    verify: u64,
+}
+
+/// One cold history query of 26 versions. The SP's share is one buffer
+/// per version (each leaves the tree as its stored encoding, in the
+/// buffer it was cloned into), the proof's, one payload and the front's
+/// bookkeeping; the decoder's is one buffer per version plus the proof's;
+/// the verifier's is one `Vec` of claimed digests, one of proven digests,
+/// and the executed program's nodes.
+const HISTORY_FLOOR: ColdCost = ColdCost {
+    serve: 49,
+    decode: 36,
+    verify: 8,
+};
+
+/// One cold aggregate query: no versions travel, so every stage is its
+/// proof's.
+const AGGREGATE_FLOOR: ColdCost = ColdCost {
+    serve: 17,
+    decode: 7,
+    verify: 6,
+};
+
+#[test]
+fn a_cold_history_query_allocates_its_floor() {
+    let mut front = cold_front();
+    let digest = front.sp().digest("history").expect("history index");
+    let (payload, (serve, _)) = counted(|| serve(&mut front, 10, history(0)));
+    let ((rows, proof), (decode, _)) =
+        counted(|| decode_history_payload(&payload).expect("payload decodes"));
+    let (verdict, (verify, _)) =
+        counted(|| verify_history(&digest, &checking(0), 5, 34, &rows, &proof));
+    assert_eq!(verdict, Ok(()));
+    assert_eq!(rows.len(), 26, "versions in the window");
+    let cost = ColdCost {
+        serve,
+        decode,
+        verify,
+    };
+    assert_eq!(cost, HISTORY_FLOOR);
+}
+
+#[test]
+fn a_cold_aggregate_query_allocates_its_floor() {
+    let mut front = cold_front();
+    let digest = front.sp().digest("agg").expect("aggregate index");
+    let (payload, (serve, _)) = counted(|| serve(&mut front, 10, aggregate(0)));
+    let ((total, proof), (decode, _)) =
+        counted(|| decode_aggregate_payload(&payload).expect("payload decodes"));
+    let (verdict, (verify, _)) =
+        counted(|| verify_aggregate(&digest, &checking(0), 5, 34, &total, &proof));
+    assert_eq!(verdict, Ok(()));
+    assert_eq!(total.count, 26, "versions in the window");
+    let cost = ColdCost {
+        serve,
+        decode,
+        verify,
+    };
+    assert_eq!(cost, AGGREGATE_FLOOR);
+}
+
+// --- the verifier's live heap over a widening window -------------------------
+
+/// `(w, history, aggregate)`: the peak live heap, in bytes, that
+/// `verify_history` and `verify_aggregate` reach over a window of `w`
+/// consecutive versions of one key, for four widths, on trees of 4 096
+/// versions. A history claim and its proven rows take 40 bytes a row
+/// each; the rest is the executed program (one node per pushed shape)
+/// and the verifier walk, and it grows with the window too: the verifier
+/// holds the whole executed tree until its walk is done. An aggregate's
+/// program is logarithmic in the tree, whatever the window (ROADMAP item
+/// 9, EXPERIMENTS.md "What a cold query costs").
+const VERIFY_PEAKS: [(u64, u64, u64); 4] = [
+    (8, 2_296, 2_760),
+    (64, 6_776, 2_760),
+    (512, 44_856, 2_760),
+    (4096, 352_104, 5_080),
+];
+
+#[test]
+fn verifier_peak_heap_by_window() {
+    let key = checking(0);
+    let mut history = HistoryIndex::new("history");
+    let mut aggregate = AggregateIndex::new("agg");
+    for height in 1..=4096u64 {
+        let writes = [(key, Some(height.to_be_bytes().to_vec()))];
+        history.apply_block(height, &writes);
+        aggregate.apply_block(height, &writes);
+    }
+    let (history_digest, aggregate_digest) = (history.digest(), aggregate.digest());
+    let peaks: Vec<(u64, u64, u64)> = VERIFY_PEAKS
+        .iter()
+        .map(|&(window, _, _)| {
+            let (rows, proof) = history.query(&key, 1, window);
+            assert_eq!(rows.len() as u64, window);
+            let rows_check = || verify_history(&history_digest, &key, 1, window, &rows, &proof);
+            let (total, agg_proof) = aggregate.query(&key, 1, window);
+            assert_eq!(total.count, window);
+            let total_check =
+                || verify_aggregate(&aggregate_digest, &key, 1, window, &total, &agg_proof);
+            // Once before measuring, so the thread's hashing scratch has
+            // grown to this window's largest preimage.
+            assert_eq!((rows_check(), total_check()), (Ok(()), Ok(())));
+            let (verdict, rows_peak) = peak_heap(rows_check);
+            assert_eq!(verdict, Ok(()));
+            let (verdict, total_peak) = peak_heap(total_check);
+            assert_eq!(verdict, Ok(()));
+            (window, rows_peak, total_peak)
+        })
+        .collect();
+    assert_eq!(peaks, VERIFY_PEAKS);
 }
