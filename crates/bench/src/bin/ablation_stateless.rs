@@ -27,7 +27,7 @@ use dcert_bench::params::scaled;
 use dcert_bench::report::{banner, fmt_bytes};
 use dcert_bench::shape;
 use dcert_bench::timing;
-use dcert_core::{BatchLink, BlockInput, CertProgram, EcallRequest, EcallResponse};
+use dcert_core::{BatchLink, CertProgram, EcallRequest, EcallResponse};
 use dcert_obs::Registry;
 use dcert_primitives::codec::{Decode, Encode};
 use dcert_sgx::cost::timed;
@@ -85,15 +85,16 @@ fn main() {
         let execution = executor.execute_block(&state, &{
             block.txs.iter().map(|t| t.call.clone()).collect::<Vec<_>>()
         });
-        let stateless_req = EcallRequest::SigGen(BlockInput {
+        let stateless_req = EcallRequest::Certify {
             prev_header: genesis.header.clone(),
             prev_cert: None,
-            link: BatchLink {
+            links: vec![BatchLink {
                 block: block.clone(),
                 state_proof: state.prove(&execution.touched_keys()),
                 reads: execution.reads.into_iter().collect(),
-            },
-        })
+            }],
+            indexes: Vec::new(),
+        }
         .to_encoded_bytes();
 
         // Naive request (full state).
@@ -124,7 +125,7 @@ fn main() {
                 let (resp, time) = timed(|| enclave.ecall(&stateless_req));
                 assert!(matches!(
                     EcallResponse::decode_all(&resp).unwrap(),
-                    EcallResponse::Signature(_)
+                    EcallResponse::Signatures(_)
                 ));
                 let paged = enclave.stats().paged_bytes;
                 last_stateless = Some((enclave, stateless_req.clone()));

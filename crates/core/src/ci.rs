@@ -8,9 +8,9 @@
 //!    set `{w}_i` (`comp_data_set`),
 //! 2. extracts the Merkle update proof `π_i` from its state tree
 //!    (`get_update_proof`),
-//! 3. crosses into the enclave once per job (`ecall_sig_gen`; the
-//!    hierarchical request, which brings back the block certificate and
-//!    every index certificate) or once per index (augmented requests), and
+//! 3. crosses into the enclave once per job (`ecall_sig_gen`: one
+//!    `Certify`, which brings back the block certificate and every index
+//!    certificate) or once per index (augmented requests), and
 //! 4. assembles and publishes `cert_i = ⟨pk_enc, rep, dig_i, sig_i⟩`.
 //!
 //! Every stage is timed into a [`CertBreakdown`], which is what the

@@ -1,12 +1,12 @@
 //! The certification core: the one definition of every step between a
-//! mined block and its certificate (Algorithm 1 `gen_cert`, with
-//! Algorithm 4 repeating its ECall step per index and Algorithm 5 widening
-//! it to sign every index certificate in the same crossing) — boot + attest,
-//! sequencing, request building, dispatch, issue, commit, in this file's
-//! order. Whoever proves a job builds its [`EcallRequest`]; the issuer sets
-//! the previous certificates on it and serialises it, once, through the
-//! codec. DESIGN.md §4 ("Certification core") has the step list and which
-//! thread runs what.
+//! mined block and its certificate (Algorithm 1 `gen_cert`: one `Certify`
+//! crossing per job, be it a block, a batch or a block with its index
+//! certificates, and Algorithm 4's `AugSigGen` once per index) — boot +
+//! attest, sequencing, request building, dispatch, issue, commit, in this
+//! file's order. Whoever proves a job prepares its links and indexes; the
+//! issuer adds the previous certificates, builds the [`EcallRequest`] and
+//! serialises it, once, through the codec. DESIGN.md §4 ("Certification
+//! core") has the step list and which thread runs what.
 //!
 //! The engines are drivers of these steps, and each moves its chain view
 //! the one way: [`link_block`] per block, which ends in
@@ -33,9 +33,7 @@ use dcert_sgx::{AttestationReport, AttestationService, Enclave};
 use crate::cert::Certificate;
 use crate::ci::CertBreakdown;
 use crate::error::CertError;
-use crate::messages::{
-    encode_aug_sig_gen, BatchLink, BlockInput, EcallRequest, EcallResponse, IndexInput,
-};
+use crate::messages::{encode_aug_sig_gen, BatchLink, EcallRequest, EcallResponse, IndexInput};
 use crate::network::NetMessage;
 use crate::pipeline::CertJob;
 use crate::program::CertProgram;
@@ -71,27 +69,16 @@ impl Attested {
         })
     }
 
-    /// One ECall answered by one signature.
+    /// One signing ECall, answered by exactly `expected` signatures — one
+    /// per digest the request asked for, in the request's order.
     pub(crate) fn sign(
         &self,
         encoded: &[u8],
-        breakdown: &mut CertBreakdown,
-    ) -> Result<Signature, CertError> {
-        match ecall(&self.enclave, encoded, breakdown)? {
-            EcallResponse::Signature(signature) => Ok(signature),
-            _ => Err(unexpected_response()),
-        }
-    }
-
-    /// One ECall answered by a signature per requested digest
-    /// (`FoldRanges`, `HierSigGen`).
-    pub(crate) fn sign_each(
-        &self,
-        encoded: &[u8],
+        expected: usize,
         breakdown: &mut CertBreakdown,
     ) -> Result<Vec<Signature>, CertError> {
         match ecall(&self.enclave, encoded, breakdown)? {
-            EcallResponse::Signatures(signatures) => Ok(signatures),
+            EcallResponse::Signatures(signatures) if signatures.len() == expected => Ok(signatures),
             _ => Err(unexpected_response()),
         }
     }
@@ -132,7 +119,7 @@ fn ecall(
     }
 }
 
-fn unexpected_response() -> CertError {
+pub(crate) fn unexpected_response() -> CertError {
     CertError::Codec(CodecError::Invalid("unexpected ECall response".into()))
 }
 
@@ -186,17 +173,21 @@ pub(crate) fn sequence(
     let mut link = |block| link_block(node, block, &mut undo, breakdown);
     let prepared = match job {
         CertJob::Block(block) => {
-            link(block).map(|link| PreparedJob::single(prev_header, link, Indexing::None))
+            link(block).map(|link| PreparedJob::certify(prev_header, vec![link], Vec::new()))
         }
-        CertJob::Augmented { block, indexes } => link(block)
-            .map(|link| PreparedJob::single(prev_header, link, Indexing::Augmented(indexes))),
-        CertJob::Hierarchical { block, indexes } => link(block)
-            .map(|link| PreparedJob::single(prev_header, link, Indexing::Hierarchical(indexes))),
+        CertJob::Hierarchical { block, indexes } => {
+            link(block).map(|link| PreparedJob::certify(prev_header, vec![link], indexes))
+        }
         CertJob::Batch(blocks) => blocks
             .into_iter()
             .map(link)
             .collect::<Result<_, _>>()
-            .map(|links| PreparedJob::batch(prev_header, links)),
+            .map(|links| PreparedJob::certify(prev_header, links, Vec::new())),
+        CertJob::Augmented { block, indexes } => link(block).map(|link| PreparedJob::PerIndex {
+            prev_header,
+            link,
+            indexes,
+        }),
     };
     match prepared {
         Ok(prepared) => Ok((prepared, undo)),
@@ -216,57 +207,39 @@ pub(crate) fn rewind(node: &mut FullNode, undo: Undo) {
 
 // --- request building ------------------------------------------------------------
 
-/// Which per-index certificates accompany a one-block job.
-enum Indexing {
-    /// Algorithm 1: the block certificate only.
-    None,
-    /// Algorithm 4: one full-replay certificate per index, no block
-    /// certificate.
-    Augmented(Vec<IndexInput>),
-    /// Algorithm 5: the block certificate and one certificate per index,
-    /// off one replay.
-    Hierarchical(Vec<IndexInput>),
-}
-
 /// One job's requests, built by whoever proved it, with its proofs and the
-/// index `prev_cert`s it was staged with. The block `prev_cert` stays empty
-/// until [`Issuer::issue`], which alone holds it.
-// Built once per job and moved to the issuer: boxing the common variant
+/// index `prev_cert`s it was staged with. The block `prev_cert` is set at
+/// [`Issuer::issue`], which alone holds it.
+// Built once per job and moved to the issuer: boxing the larger variant
 // would buy nothing.
 #[allow(clippy::large_enum_variant)]
 pub(crate) enum PreparedJob {
-    /// `SigGen`, `HierSigGen` or `BatchSigGen`: the job's one crossing.
-    Once(EcallRequest),
-    /// Algorithm 4: one `AugSigGen` per index, each this block input
-    /// followed by that index.
-    PerIndex(BlockInput, Vec<IndexInput>),
+    /// One `Certify` crossing: a block, a batch, or a block with its index
+    /// certificates.
+    Certify {
+        prev_header: BlockHeader,
+        links: Vec<BatchLink>,
+        indexes: Vec<IndexInput>,
+    },
+    /// Algorithm 4: one `AugSigGen` per index over this block, and no block
+    /// certificate.
+    PerIndex {
+        prev_header: BlockHeader,
+        link: BatchLink,
+        indexes: Vec<IndexInput>,
+    },
 }
 
 impl PreparedJob {
-    /// Builds a one-block job around `link`, which extends `prev_header`.
-    fn single(prev_header: BlockHeader, link: BatchLink, indexing: Indexing) -> Self {
-        let input = BlockInput {
+    /// The one job shape of `CertJob::{Block, Hierarchical, Batch}`: certify
+    /// the last of `links`, which extend `prev_header`, and each of
+    /// `indexes` over it.
+    fn certify(prev_header: BlockHeader, links: Vec<BatchLink>, indexes: Vec<IndexInput>) -> Self {
+        PreparedJob::Certify {
             prev_header,
-            prev_cert: None,
-            link,
-        };
-        match indexing {
-            Indexing::None => PreparedJob::Once(EcallRequest::SigGen(input)),
-            Indexing::Augmented(indexes) => PreparedJob::PerIndex(input, indexes),
-            Indexing::Hierarchical(indexes) => {
-                PreparedJob::Once(EcallRequest::HierSigGen(input, indexes))
-            }
-        }
-    }
-
-    /// Builds a batch: one `BatchSigGen` over `links`, certifying the last
-    /// header.
-    fn batch(prev_header: BlockHeader, links: Vec<BatchLink>) -> Self {
-        PreparedJob::Once(EcallRequest::BatchSigGen {
-            prev_header,
-            prev_cert: None,
             links,
-        })
+            indexes,
+        }
     }
 }
 
@@ -364,27 +337,8 @@ impl Issuer {
         mut job: PreparedJob,
         breakdown: &mut CertBreakdown,
     ) -> Result<Issued, CertError> {
-        let (header, prev_cert, indexes) = match &mut job {
-            PreparedJob::Once(EcallRequest::SigGen(input)) => (
-                input.link.block.header.clone(),
-                &mut input.prev_cert,
-                &mut [][..],
-            ),
-            PreparedJob::Once(EcallRequest::HierSigGen(input, indexes))
-            | PreparedJob::PerIndex(input, indexes) => (
-                input.link.block.header.clone(),
-                &mut input.prev_cert,
-                &mut indexes[..],
-            ),
-            PreparedJob::Once(EcallRequest::BatchSigGen {
-                prev_cert, links, ..
-            }) => {
-                let last = links.last().ok_or(CertError::EmptyRange)?;
-                (last.block.header.clone(), prev_cert, &mut [][..])
-            }
-            PreparedJob::Once(_) => return Err(unexpected_response()),
-        };
-        prev_cert.clone_from(&self.prev_block_cert);
+        let (PreparedJob::Certify { indexes, .. } | PreparedJob::PerIndex { indexes, .. }) =
+            &mut job;
         for index in indexes.iter_mut() {
             // Issued-else-staged: chain from the certificate this issuer
             // last issued for the index, else from the staged one.
@@ -396,27 +350,37 @@ impl Issuer {
             .iter()
             .map(|index| (index.index_type.clone(), index.new_digest))
             .collect();
-        let (block_sig, index_sigs) = match &job {
-            PreparedJob::PerIndex(input, indexes) => {
+        let (header, block_sig, index_sigs) = match job {
+            PreparedJob::Certify {
+                prev_header,
+                links,
+                indexes,
+            } => {
+                let last = links.last().ok_or(CertError::EmptyRange)?;
+                let header = last.block.header.clone();
+                let request = EcallRequest::Certify {
+                    prev_header,
+                    prev_cert: self.prev_block_cert.clone(),
+                    links,
+                    indexes,
+                };
+                self.marshal(|out| request.encode(out));
+                let expected = 1 + certified.len();
+                let mut signatures = self.attested.sign(&self.scratch, expected, breakdown)?;
+                let block_sig = signatures.remove(0);
+                (header, Some(block_sig), signatures)
+            }
+            PreparedJob::PerIndex {
+                prev_header,
+                link,
+                indexes,
+            } => {
                 let mut signatures = Vec::with_capacity(indexes.len());
-                for index in indexes {
-                    self.marshal(|out| encode_aug_sig_gen(input, index, out));
-                    signatures.push(self.attested.sign(&self.scratch, breakdown)?);
+                for index in &indexes {
+                    self.marshal(|out| encode_aug_sig_gen(&prev_header, &link, index, out));
+                    signatures.extend(self.attested.sign(&self.scratch, 1, breakdown)?);
                 }
-                (None, signatures)
-            }
-            PreparedJob::Once(request @ EcallRequest::HierSigGen(..)) => {
-                self.marshal(|out| request.encode(out));
-                let mut signatures = self.attested.sign_each(&self.scratch, breakdown)?;
-                if signatures.len() != certified.len() + 1 {
-                    return Err(unexpected_response());
-                }
-                (Some(signatures.remove(0)), signatures)
-            }
-            PreparedJob::Once(request) => {
-                self.marshal(|out| request.encode(out));
-                let signature = self.attested.sign(&self.scratch, breakdown)?;
-                (Some(signature), Vec::new())
+                (link.block.header, None, signatures)
             }
         };
         let header_digest = header.hash();

@@ -5,13 +5,15 @@
 //! response here has a canonical binary encoding. The message sizes are the
 //! "data passed into the enclave" whose growth drives the enclave-overhead
 //! curves of Figures 8–9. What one replay can answer travels in one
-//! request: Algorithm 5's block and index certificates are one
-//! [`EcallRequest::HierSigGen`], not a request each.
+//! request: Algorithm 2, its batch extension and Algorithm 5 are one
+//! [`EcallRequest::Certify`] at different sizes (links from an anchor,
+//! then zero or more indexes), and every signing request is answered by
+//! [`EcallResponse::Signatures`].
 //!
 //! The `wire!` table below is the one spelling of a request's field order
-//! and tags. Whoever proves a job builds its [`EcallRequest`]; the issuer
-//! sets the previous certificates on it and encodes it once, through this
-//! codec, into a reused buffer.
+//! and tags. Whoever proves a job prepares its links and indexes; the
+//! issuer adds the previous certificates, builds the [`EcallRequest`] and
+//! encodes it once, through this codec, into a reused buffer.
 //!
 //! [`NetMessage`] gets its canonical encoding here too: a real deployment
 //! ships certificates as bytes, and the fault-injection layer
@@ -37,9 +39,9 @@ pub type ReadSet = Vec<(StateKey, Option<Vec<u8>>)>;
 /// A write set: `{w}_i` (`None` = deletion).
 pub type WriteSet = Vec<(StateKey, Option<Vec<u8>>)>;
 
-/// One link of a batch request: a block with its read set and state
-/// proof, validated against the preceding link's (or the batch anchor's)
-/// header.
+/// One link of a certification request: a block with its read set and
+/// state proof, validated against the preceding link's (or the request
+/// anchor's) header.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchLink {
     /// The block `blk_i`.
@@ -48,20 +50,6 @@ pub struct BatchLink {
     pub reads: ReadSet,
     /// Its update proof `π_i` against the preceding state root.
     pub state_proof: SmtProof,
-}
-
-/// The block-validation inputs shared by Algorithms 2, 4 and 5: everything
-/// `blk_verify_t` consumes — one [`BatchLink`] and the anchor it is
-/// validated against, so a `SigGen` is a batch of one.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BlockInput {
-    /// The previous block's header `hdr_{i-1}`.
-    pub prev_header: BlockHeader,
-    /// The previous block's certificate (absent iff parent is genesis).
-    pub prev_cert: Option<Certificate>,
-    /// The new block `blk_i`, its read set `{r}_i` and its update proof
-    /// `π_i` against `prev_header.state_root`.
-    pub link: BatchLink,
 }
 
 /// The per-index inputs shared by Algorithms 4 and 5.
@@ -88,34 +76,45 @@ pub struct IndexInput {
 pub enum EcallRequest {
     /// Generate `(sk_enc, pk_enc)` inside the enclave; returns `pk_enc`.
     Init,
-    /// Algorithm 2: validate the chain transition and sign `H(hdr_i)`.
-    SigGen(BlockInput),
-    /// Algorithm 4: validate the chain transition *and* one index update;
-    /// sign `H(H(hdr_i) ‖ H_i^{idx})`.
-    AugSigGen(BlockInput, IndexInput),
-    /// Algorithm 5, in one crossing: validate the chain transition once,
-    /// sign `H(hdr_i)`, then validate every index update on the replayed
-    /// write set and sign each `H(H(hdr_i) ‖ H_i^{idx})` — answered by
-    /// [`EcallResponse::Signatures`], the block's first, then the indexes'
-    /// in request order.
-    HierSigGen(BlockInput, Vec<IndexInput>),
-    /// Batch extension: validate `links` as consecutive chain transitions
-    /// from the anchor `(prev_header, prev_cert)` and sign the **last**
-    /// header — amortizing the ECall and recursive-verification cost. The
-    /// recursive trust argument is unchanged: the final certificate still
-    /// vouches for the whole prefix.
-    BatchSigGen {
-        /// The batch anchor's header.
+    /// Algorithm 2, its batch extension and Algorithm 5, in one shape:
+    /// validate `links` as consecutive chain transitions from the anchor
+    /// `(prev_header, prev_cert)`, sign the **last** header, then validate
+    /// each index update on the last link's replayed write set and sign
+    /// its `H(H(hdr_i) ‖ H_i^{idx})`. Answered by
+    /// [`EcallResponse::Signatures`]: the block's first, then the
+    /// indexes' in request order.
+    ///
+    /// One link and no index is Algorithm 2; `k` links amortise the ECall
+    /// and the anchor check over a batch, and the last certificate still
+    /// vouches for the whole prefix; one link plus `n` indexes is
+    /// Algorithm 5's block and index certificates off one replay. Indexes
+    /// need exactly one link: an index certificate binds one block's
+    /// update.
+    Certify {
+        /// The anchor's header `hdr_{i-1}`.
         prev_header: BlockHeader,
         /// The anchor's certificate (absent iff the anchor is genesis).
         prev_cert: Option<Certificate>,
         /// Consecutive blocks extending the anchor.
         links: Vec<BatchLink>,
+        /// The index updates of the one link's block.
+        indexes: Vec<IndexInput>,
+    },
+    /// Algorithm 4: validate the chain transition *and* one index update;
+    /// sign `H(H(hdr_i) ‖ H_i^{idx})` only. Its anchor is the previous
+    /// index certificate, so it carries no block certificate.
+    AugSigGen {
+        /// The previous block's header `hdr_{i-1}`.
+        prev_header: BlockHeader,
+        /// The new block `blk_i`, its read set and its update proof.
+        link: BatchLink,
+        /// The index update to certify.
+        index: IndexInput,
     },
     /// Shard-fleet range step: validate `links` as consecutive chain
     /// transitions from an *uncertified* anchor header and sign the range
     /// binding digest (see [`RangeCert`]) over every validated header
-    /// digest. Unlike `BatchSigGen`, no anchor certificate exists yet —
+    /// digest. Unlike `Certify`, no anchor certificate exists yet —
     /// anchor authenticity is established later, when the aggregator
     /// chains ranges digest-to-digest.
     RangeSigGen {
@@ -143,28 +142,26 @@ pub enum EcallRequest {
 pub enum EcallResponse {
     /// `Init` succeeded; here is `pk_enc`.
     Initialized(PublicKey),
-    /// A signature over the requested digest.
-    Signature(Signature),
     /// The trusted program rejected the request: its own typed refusal.
     Rejected(CertError),
-    /// One signature per digest the request asked for: per folded header,
-    /// ordered by height (`FoldRanges`), or the block's then one per index
-    /// (`HierSigGen`).
+    /// Every signing request's answer, one signature per digest it asked
+    /// for: the block's then one per index (`Certify`), the index's
+    /// (`AugSigGen`), the range binding's (`RangeSigGen`), or one per
+    /// folded header, ordered by height (`FoldRanges`).
     Signatures(Vec<Signature>),
 }
 
 // --- codec ----------------------------------------------------------------
 
+// Retired tags, never reused: request 3 and 4 (the earlier spellings of
+// `Certify`'s index and batch shapes), response 1 (a lone signature).
 dcert_primitives::wire! {
     struct BatchLink { block, reads: seq, state_proof }
-    struct BlockInput { prev_header, prev_cert, link }
     struct IndexInput { index_type, prev_digest, prev_cert, new_digest, aux }
     enum EcallRequest {
         0 => Init,
-        1 => SigGen(input),
-        2 => AugSigGen(block, index),
-        3 => HierSigGen(block, indexes: seq),
-        4 => BatchSigGen { prev_header, prev_cert, links: seq },
+        1 => Certify { prev_header, prev_cert, links: seq, indexes: seq },
+        2 => AugSigGen { prev_header, link, index },
         5 => RangeSigGen { anchor, links: seq },
         6 => FoldRanges { anchor, anchor_cert, ranges: seq },
     }
@@ -178,7 +175,6 @@ dcert_primitives::wire! {
     }
     enum EcallResponse {
         0 => Initialized(pk),
-        1 => Signature(sig),
         2 => Rejected(reason),
         3 => Signatures(sigs: seq),
     }
@@ -186,13 +182,19 @@ dcert_primitives::wire! {
 
 /// The `AugSigGen` row of the request table, written without building the
 /// request. Algorithm 4 sends one such request per index over the same
-/// block input, so the issuer encodes each through this function instead.
-pub(crate) fn encode_aug_sig_gen(block: &BlockInput, index: &IndexInput, out: &mut Vec<u8>) {
+/// block, so the issuer encodes each through this function instead.
+pub(crate) fn encode_aug_sig_gen(
+    prev_header: &BlockHeader,
+    link: &BatchLink,
+    index: &IndexInput,
+    out: &mut Vec<u8>,
+) {
     let tag = EcallRequest::TAGS
         .iter()
         .find(|(_, name)| *name == "AugSigGen");
     out.extend(tag.map(|(tag, _)| *tag));
-    block.encode(out);
+    prev_header.encode(out);
+    link.encode(out);
     index.encode(out);
 }
 
@@ -228,25 +230,34 @@ mod tests {
         );
     }
 
-    #[test]
-    fn sig_gen_round_trip() {
-        let input = BlockInput {
-            prev_header: header(),
-            prev_cert: None,
-            link: BatchLink {
-                block: Block {
-                    header: header(),
-                    txs: Vec::new(),
-                },
-                reads: vec![(StateKey::new("kv", b"a"), Some(b"1".to_vec()))],
-                state_proof: dcert_merkle::SparseMerkleTree::new().prove(&[hash_bytes(b"k")]),
+    fn link(read: Option<Vec<u8>>) -> BatchLink {
+        BatchLink {
+            block: Block {
+                header: header(),
+                txs: Vec::new(),
             },
-        };
-        let req = EcallRequest::SigGen(input);
-        assert_eq!(
-            EcallRequest::decode_all(&req.to_encoded_bytes()).unwrap(),
-            req
-        );
+            reads: vec![(StateKey::new("kv", b"a"), read)],
+            state_proof: dcert_merkle::SparseMerkleTree::new().prove(&[hash_bytes(b"k")]),
+        }
+    }
+
+    #[test]
+    fn certify_round_trip() {
+        for links in [
+            vec![link(Some(b"1".to_vec()))],
+            vec![link(None), link(None)],
+        ] {
+            let req = EcallRequest::Certify {
+                prev_header: header(),
+                prev_cert: None,
+                links,
+                indexes: Vec::new(),
+            };
+            assert_eq!(
+                EcallRequest::decode_all(&req.to_encoded_bytes()).unwrap(),
+                req
+            );
+        }
     }
 
     /// A well-formed certificate (it need not verify: these are codec tests).
@@ -265,20 +276,8 @@ mod tests {
     }
 
     #[test]
-    fn hier_sig_gen_round_trip() {
+    fn certify_with_indexes_round_trip() {
         let cert = sample_cert();
-        let input = BlockInput {
-            prev_header: header(),
-            prev_cert: Some(cert.clone()),
-            link: BatchLink {
-                block: Block {
-                    header: header(),
-                    txs: Vec::new(),
-                },
-                reads: vec![(StateKey::new("kv", b"a"), None)],
-                state_proof: dcert_merkle::SparseMerkleTree::new().prove(&[hash_bytes(b"k")]),
-            },
-        };
         let index = |name: &str, prev_cert| IndexInput {
             index_type: name.to_owned(),
             prev_digest: hash_bytes(b"prev"),
@@ -286,20 +285,24 @@ mod tests {
             new_digest: hash_bytes(b"new"),
             aux: vec![1, 2, 3],
         };
-        for indexes in [
-            Vec::new(),
-            vec![index("history", Some(cert)), index("inverted", None)],
-        ] {
-            let req = EcallRequest::HierSigGen(input.clone(), indexes);
-            assert_eq!(
-                EcallRequest::decode_all(&req.to_encoded_bytes()).unwrap(),
-                req
-            );
-        }
+        let req = EcallRequest::Certify {
+            prev_header: header(),
+            prev_cert: Some(cert.clone()),
+            links: vec![link(None)],
+            indexes: vec![index("history", Some(cert)), index("inverted", None)],
+        };
+        assert_eq!(
+            EcallRequest::decode_all(&req.to_encoded_bytes()).unwrap(),
+            req
+        );
         // Algorithm 4's request, written without building it, is the table's.
         let mut aug = Vec::new();
-        encode_aug_sig_gen(&input, &index("history", None), &mut aug);
-        let req = EcallRequest::AugSigGen(input, index("history", None));
+        encode_aug_sig_gen(&header(), &link(None), &index("history", None), &mut aug);
+        let req = EcallRequest::AugSigGen {
+            prev_header: header(),
+            link: link(None),
+            index: index("history", None),
+        };
         assert_eq!(aug, req.to_encoded_bytes());
     }
 
@@ -325,14 +328,7 @@ mod tests {
     fn range_sig_gen_round_trip() {
         let req = EcallRequest::RangeSigGen {
             anchor: header(),
-            links: vec![BatchLink {
-                block: Block {
-                    header: header(),
-                    txs: Vec::new(),
-                },
-                reads: vec![(StateKey::new("kv", b"a"), None)],
-                state_proof: dcert_merkle::SparseMerkleTree::new().prove(&[hash_bytes(b"k")]),
-            }],
+            links: vec![link(None)],
         };
         assert_eq!(
             EcallRequest::decode_all(&req.to_encoded_bytes()).unwrap(),

@@ -1,10 +1,12 @@
 //! The trusted certificate program (runs *inside* the enclave).
 //!
-//! This module is the in-enclave half of DCert: Algorithm 2
-//! (`ecall_sig_gen` with `blk_verify_t` and `cert_verify_t`), the trusted
-//! part of Algorithm 4 (augmented certificates), and Algorithm 5
-//! (hierarchical certificates) as one request that signs the block
-//! certificate and every index certificate off one replay. It is loaded
+//! This module is the in-enclave half of DCert. One request,
+//! [`EcallRequest::Certify`], is Algorithm 2 (`ecall_sig_gen` with
+//! `blk_verify_t` and `cert_verify_t`), its batch extension and Algorithm 5
+//! (hierarchical certificates): it replays links from an anchor, signs the
+//! last header, then signs every index certificate off that one replay.
+//! Beside it are the trusted part of Algorithm 4 (augmented certificates)
+//! and the shard fleet's range and fold steps. It is loaded
 //! into a [`dcert_sgx::Enclave`], which measures it and confines the enclave
 //! key `sk_enc` — generated here on the `Init` ECall — behind the boundary.
 //! It is a function of its request, the sealed watermark and a bounded
@@ -32,7 +34,7 @@ use rand::rngs::OsRng;
 
 use crate::cert::Certificate;
 use crate::error::CertError;
-use crate::messages::{BatchLink, BlockInput, EcallRequest, EcallResponse, IndexInput, WriteSet};
+use crate::messages::{BatchLink, EcallRequest, EcallResponse, IndexInput, WriteSet};
 use crate::range::RangeCert;
 use crate::verifier::IndexVerifier;
 
@@ -149,15 +151,17 @@ impl CertProgram {
     /// [`CertError`] built here unchanged.
     ///
     /// Every signing request is framed the same way by the sealed
-    /// watermark: guard the lowest height on offer, verify and sign, then
-    /// advance the mark to the highest height signed and remember what the
-    /// request learned (`remember`). A refused request changes nothing.
+    /// watermark: refuse a malformed shape, guard the lowest height on
+    /// offer, verify and sign, then advance the mark to the highest height
+    /// signed and remember what the request learned (`remember`). A
+    /// refused request changes nothing. Every signing request is answered
+    /// by [`EcallResponse::Signatures`].
     pub fn handle(&mut self, request: EcallRequest) -> Result<EcallResponse, CertError> {
         let at = |height: u64, strict: bool| (Some(height), strict, Some(height));
         let last_of = |links: &[BatchLink]| links.last().map(|link| link.block.header.height);
         // `(height offered to the guard, strict?, height marked signed)`.
         // Strict guards refuse *at* the watermark too: block certificates
-        // must advance the chain (Algorithm 5's request signs one), while
+        // must advance the chain (every `Certify` signs one), while
         // Algorithm 4's per-index certificates share their block's height.
         // The fleet's guards are strict — a shard or aggregator never re-signs
         // heights it already vouched for; restart recovery resumes *above*
@@ -165,10 +169,16 @@ impl CertProgram {
         // fresh enclave (a new key, a new attestation).
         let (offered, strict, signs) = match &request {
             EcallRequest::Init => (None, true, None),
-            EcallRequest::SigGen(input) => at(input.link.block.header.height, true),
-            EcallRequest::AugSigGen(input, _) => at(input.link.block.header.height, false),
-            EcallRequest::HierSigGen(input, _) => at(input.link.block.header.height, true),
-            EcallRequest::BatchSigGen { links, .. } => (last_of(links), true, last_of(links)),
+            EcallRequest::Certify { links, indexes, .. } => {
+                let last = links.last().ok_or(CertError::EmptyRange)?;
+                if links.len() > 1 && !indexes.is_empty() {
+                    return Err(CertError::BadIndexUpdate(
+                        "indexes need exactly one link".into(),
+                    ));
+                }
+                at(last.block.header.height, true)
+            }
+            EcallRequest::AugSigGen { link, .. } => at(link.block.header.height, false),
             EcallRequest::RangeSigGen { anchor, links } => {
                 (Some(first_above(anchor)?), true, last_of(links))
             }
@@ -189,32 +199,28 @@ impl CertProgram {
                 });
                 EcallResponse::Initialized(kp.public())
             }
-            // Algorithm 2 (`ecall_sig_gen`) is a batch of one.
-            EcallRequest::SigGen(input) => {
-                let links = std::slice::from_ref(&input.link);
-                let prev_cert = input.prev_cert.as_ref();
-                let sig = self.batch_sig_gen(&input.prev_header, prev_cert, links, &mut learned)?;
-                EcallResponse::Signature(sig)
-            }
-            EcallRequest::AugSigGen(input, index) => {
-                let sig = self.aug_sig_gen(&input.prev_header, &input.link, index, &mut learned)?;
-                EcallResponse::Signature(sig)
-            }
-            EcallRequest::HierSigGen(input, indexes) => {
-                EcallResponse::Signatures(self.hier_sig_gen(input, indexes, &mut learned)?)
-            }
-            EcallRequest::BatchSigGen {
+            EcallRequest::Certify {
                 prev_header,
                 prev_cert,
                 links,
-            } => EcallResponse::Signature(self.batch_sig_gen(
+                indexes,
+            } => EcallResponse::Signatures(self.certify(
                 prev_header,
                 prev_cert.as_ref(),
                 links,
+                indexes,
                 &mut learned,
             )?),
+            EcallRequest::AugSigGen {
+                prev_header,
+                link,
+                index,
+            } => {
+                let sig = self.aug_sig_gen(prev_header, link, index, &mut learned)?;
+                EcallResponse::Signatures(vec![sig])
+            }
             EcallRequest::RangeSigGen { anchor, links } => {
-                EcallResponse::Signature(self.range_sig_gen(anchor, links)?)
+                EcallResponse::Signatures(vec![self.range_sig_gen(anchor, links)?])
             }
             EcallRequest::FoldRanges {
                 anchor,
@@ -280,24 +286,6 @@ impl CertProgram {
     /// The sealed signing watermark (test observability).
     pub fn last_signed_height(&self) -> u64 {
         self.last_signed_height
-    }
-
-    /// Algorithm 2 and its batch extension: one anchor check, then
-    /// sequential `blk_verify_t` per link, one signature over the final
-    /// header. The returned certificate vouches for the whole prefix
-    /// exactly as a per-block certificate would (recursion is unchanged;
-    /// intermediate certificates are simply never materialized).
-    fn batch_sig_gen<'a>(
-        &self,
-        prev_header: &BlockHeader,
-        prev_cert: Option<&'a Certificate>,
-        links: &[BatchLink],
-        learned: &mut Learned<'a>,
-    ) -> Result<Signature, CertError> {
-        let last = links.last().ok_or(CertError::EmptyRange)?;
-        self.verify_anchor(prev_header, prev_cert, None, learned)?;
-        self.replay(prev_header, links)?;
-        self.sign_cert(last.block.header.hash(), learned)
     }
 
     /// Shard-fleet range step: sequential `blk_verify_t` from an
@@ -391,33 +379,41 @@ impl CertProgram {
         self.sign_cert(digest, learned)
     }
 
-    /// Algorithm 5 in one crossing: the block certificate and every index
-    /// certificate, signed off one replay. Every anchor is checked before
-    /// anything is signed — the block's (Algorithm 2, lines 3–6), then each
-    /// index's (Algorithm 5, lines 5–9). Line 10, "`cert_i` vouches for
-    /// `hdr_i`", is discharged by line 7 of Algorithm 4 instead: the
-    /// certificate it would check is the one this very call produces, so
-    /// the replay that earns it also hands every index its write set. The
-    /// block's signature comes first, then the indexes' in request order.
-    fn hier_sig_gen<'a>(
+    /// Algorithm 2, its batch extension and Algorithm 5, as one request.
+    /// Every anchor is checked before anything is signed — the block's
+    /// (Algorithm 2, lines 3–6), then each index's (Algorithm 5, lines
+    /// 5–9). Then sequential `blk_verify_t` per link, one signature over
+    /// the last header, and one per index over `H(H(hdr) ‖ H_idx)`, in
+    /// request order. The last certificate vouches for the whole prefix
+    /// exactly as a per-block certificate would (recursion is unchanged;
+    /// intermediate certificates are never materialized). Algorithm 5's
+    /// line 10, "`cert_i` vouches for `hdr_i`", is discharged by line 7 of
+    /// Algorithm 4 instead: the certificate it would check is the one this
+    /// very call produces, so the replay that earns it also hands every
+    /// index its write set. [`CertProgram::handle`] has refused every
+    /// request whose indexes do not ride on exactly one link.
+    fn certify<'a>(
         &self,
-        input: &'a BlockInput,
+        prev_header: &BlockHeader,
+        prev_cert: Option<&'a Certificate>,
+        links: &[BatchLink],
         indexes: &'a [IndexInput],
         learned: &mut Learned<'a>,
     ) -> Result<Vec<Signature>, CertError> {
-        let (prev, link) = (&input.prev_header, &input.link);
-        self.verify_anchor(prev, input.prev_cert.as_ref(), None, learned)?;
+        let last = links.last().ok_or(CertError::EmptyRange)?;
+        self.verify_anchor(prev_header, prev_cert, None, learned)?;
         for index in indexes {
             let anchor = Some((self.verifier(&index.index_type)?, &index.prev_digest));
-            self.verify_anchor(prev, index.prev_cert.as_ref(), anchor, learned)?;
+            self.verify_anchor(prev_header, index.prev_cert.as_ref(), anchor, learned)?;
         }
-        let writes = self.replay(prev, std::slice::from_ref(link))?;
-        let header_digest = link.block.header.hash();
-        let mut sigs = vec![self.sign_cert(header_digest, learned)?];
+        let writes = self.replay(prev_header, links)?;
+        let header_digest = last.block.header.hash();
+        let mut sigs = Vec::with_capacity(1 + indexes.len());
+        sigs.push(self.sign_cert(header_digest, learned)?);
         for index in indexes {
             let verifier = self.verifier(&index.index_type)?;
             let digest =
-                self.index_update_digest(verifier, index, &link.block, &writes, &header_digest)?;
+                self.index_update_digest(verifier, index, &last.block, &writes, &header_digest)?;
             sigs.push(self.sign_cert(digest, learned)?);
         }
         Ok(sigs)

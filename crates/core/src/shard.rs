@@ -56,7 +56,7 @@ use dcert_vm::Executor;
 
 use crate::cert::Certificate;
 use crate::ci::{cert_program, CertBreakdown};
-use crate::engine::{link_block, Attested, Undo};
+use crate::engine::{link_block, unexpected_response, Attested, Undo};
 use crate::error::{CertError, ShardError};
 use crate::messages::EcallRequest;
 use crate::program::CertProgram;
@@ -290,9 +290,9 @@ impl Shard {
                 self.kill_after = None;
                 return Ok(());
             }
-            let (signature, took) = timed(|| {
+            let (signed, took) = timed(|| {
                 self.boot
-                    .sign(&chunk.request, &mut CertBreakdown::default())
+                    .sign(&chunk.request, 1, &mut CertBreakdown::default())
             });
             metrics.seal_ns.record(took);
             let range_cert = RangeCert {
@@ -302,7 +302,7 @@ impl Shard {
                 first: chunk.first,
                 last: chunk.last,
                 header_digests: chunk.header_digests.clone(),
-                signature: signature?,
+                signature: signed?.pop().ok_or_else(unexpected_response)?,
             };
             if let Some(store) = &fleet.store {
                 let mut guard = lock_store(store);
@@ -806,8 +806,14 @@ impl ShardedCertEngine {
             anchor_cert,
             ranges: ranges.to_vec(),
         };
-        let (result, took) =
-            timed(|| agg.sign_each(&request.to_encoded_bytes(), &mut CertBreakdown::default()));
+        let folded = ranges.iter().map(|range| range.header_digests.len()).sum();
+        let (result, took) = timed(|| {
+            agg.sign(
+                &request.to_encoded_bytes(),
+                folded,
+                &mut CertBreakdown::default(),
+            )
+        });
         self.metrics.fold_ns.record(took);
         let sigs = result?;
         self.metrics.agg_folds.inc();

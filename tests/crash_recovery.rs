@@ -24,8 +24,8 @@ use std::time::Duration;
 use common::temp_dir;
 use dcert::chain::{Block, BlockHeader, ChainState, ConsensusEngine, FullNode};
 use dcert::core::{
-    BlockInput, CertError, CertJob, CertPipeline, CertProgram, Certificate, CertificateIssuer,
-    EcallRequest, EcallResponse, Gossip, NetMessage, PipelineConfig, Transport,
+    CertError, CertJob, CertPipeline, CertProgram, Certificate, CertificateIssuer, EcallRequest,
+    EcallResponse, Gossip, NetMessage, PipelineConfig, Transport,
 };
 use dcert::obs::{Registry, Snapshot};
 use dcert::primitives::hash::Address;
@@ -356,26 +356,27 @@ fn sp_on_segment_store_resumes_with_replay_stable_metrics() {
     assert_eq!(a, b, "store metrics diverged between identical drills");
 }
 
-/// A valid [`BlockInput`] for a height-1 block over the genesis state —
+/// A valid `Certify` of a height-1 block over the genesis state —
 /// the raw material for driving [`CertProgram::handle`] directly (typed
 /// errors do not survive the ECall boundary, so the watermark check is
 /// asserted at the program level).
-fn input_for(
+fn certify_request(
     genesis: &Block,
     state: &ChainState,
     executor: &Executor,
     block: &Block,
-) -> BlockInput {
+) -> EcallRequest {
     let calls: Vec<_> = block.txs.iter().map(|t| t.call.clone()).collect();
     let execution = executor.execute_block(state, &calls);
-    BlockInput {
+    EcallRequest::Certify {
         prev_header: genesis.header.clone(),
         prev_cert: None,
-        link: dcert::core::BatchLink {
+        links: vec![dcert::core::BatchLink {
             block: block.clone(),
             state_proof: state.prove(&execution.touched_keys()),
             reads: execution.reads.into_iter().collect(),
-        },
+        }],
+        indexes: Vec::new(),
     }
 }
 
@@ -419,16 +420,16 @@ fn enclave_refuses_competing_block_at_signed_height() {
     );
     program.handle(EcallRequest::Init).expect("init");
 
-    let honest_input = input_for(&genesis, &genesis_state, &executor, &blocks[0]);
-    match program.handle(EcallRequest::SigGen(honest_input)) {
-        Ok(EcallResponse::Signature(_)) => {}
+    let honest = certify_request(&genesis, &genesis_state, &executor, &blocks[0]);
+    match program.handle(honest) {
+        Ok(EcallResponse::Signatures(signatures)) if signatures.len() == 1 => {}
         other => panic!("honest block must sign, got {other:?}"),
     }
     assert_eq!(program.last_signed_height(), 1);
 
-    let competing_input = input_for(&genesis, &genesis_state, &executor, &competing);
+    let competing = certify_request(&genesis, &genesis_state, &executor, &competing);
     let err = program
-        .handle(EcallRequest::SigGen(competing_input))
+        .handle(competing)
         .expect_err("watermark must refuse");
     assert!(
         matches!(

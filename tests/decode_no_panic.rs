@@ -17,8 +17,8 @@ use dcert::baselines::{LineageProof, SkipRangeProof};
 use dcert::chain::consensus::ConsensusProof;
 use dcert::chain::{Block, BlockHeader, ChainError, Transaction};
 use dcert::core::{
-    BatchLink, BlockInput, CertError, Certificate, EcallRequest, EcallResponse, IndexInput,
-    NetMessage, RangeCert,
+    BatchLink, CertError, Certificate, EcallRequest, EcallResponse, IndexInput, NetMessage,
+    RangeCert,
 };
 use dcert::merkle::btree::{Annotation, Flavor, Plain, Shape, Summary, Summed};
 use dcert::merkle::ops::OpProof;
@@ -81,7 +81,6 @@ fn try_decode_everything(bytes: &[u8]) {
     let _ = AttestationReport::decode_all(bytes);
     let _ = EcallRequest::decode_all(bytes);
     let _ = EcallResponse::decode_all(bytes);
-    let _ = BlockInput::decode_all(bytes);
     let _ = IndexInput::decode_all(bytes);
     let _ = BatchLink::decode_all(bytes);
     let _ = NetMessage::decode_all(bytes);
@@ -208,22 +207,19 @@ fn certificate() -> (Certificate, AttestationReport) {
 
 /// One valid encoding per wire type — the corpus the truncation and
 /// bit-flip sweeps run over.
-/// The fused hierarchical request over two indexes, and the offset of its
-/// index list's count prefix.
-fn hier_sig_gen() -> (EcallRequest, usize) {
+/// A `Certify` of one link over two indexes, and the offsets of its two
+/// count prefixes: the link list's, then the index list's.
+fn certify() -> (EcallRequest, [usize; 2]) {
     let (cert, _) = certificate();
     let tx = Transaction::sign(&Keypair::from_seed([9; 32]), 7, "kvstore", b"p".to_vec());
-    let input = BlockInput {
-        prev_header: header(2),
-        prev_cert: Some(cert.clone()),
-        link: BatchLink {
-            block: Block {
-                header: header(3),
-                txs: vec![tx],
-            },
-            reads: vec![(StateKey::new("kvstore", b"balance"), Some(vec![1]))],
-            state_proof: header_proof().1,
+    let (prev_header, prev_cert) = (header(2), Some(cert.clone()));
+    let link = BatchLink {
+        block: Block {
+            header: header(3),
+            txs: vec![tx],
         },
+        reads: vec![(StateKey::new("kvstore", b"balance"), Some(vec![1]))],
+        state_proof: header_proof().1,
     };
     let index = |name: &str, prev_cert| IndexInput {
         index_type: name.to_owned(),
@@ -232,9 +228,15 @@ fn hier_sig_gen() -> (EcallRequest, usize) {
         new_digest: hash_bytes(b"new"),
         aux: vec![7; 9],
     };
-    let count_at = 1 + input.encoded_len();
-    let indexes = vec![index("history", Some(cert)), index("inverted", None)];
-    (EcallRequest::HierSigGen(input, indexes), count_at)
+    let links_at = 1 + prev_header.encoded_len() + prev_cert.encoded_len();
+    let indexes_at = links_at + 4 + link.encoded_len();
+    let request = EcallRequest::Certify {
+        prev_header,
+        prev_cert,
+        links: vec![link],
+        indexes: vec![index("history", Some(cert)), index("inverted", None)],
+    };
+    (request, [links_at, indexes_at])
 }
 
 fn sample_encodings() -> Vec<Probe> {
@@ -371,7 +373,7 @@ fn sample_encodings() -> Vec<Probe> {
         probe("Certificate", &cert),
         probe("AttestationReport", &report),
         probe("EcallRequest", &EcallRequest::Init),
-        probe("EcallRequest::HierSigGen", &hier_sig_gen().0),
+        probe("EcallRequest::Certify", &certify().0),
         probe("EcallResponse", &EcallResponse::Initialized(kp.public())),
         probe("EcallResponse::Rejected", &EcallResponse::Rejected(missing)),
         probe(
@@ -526,11 +528,11 @@ fn tag_probes() -> Vec<Probe> {
     let kp = Keypair::from_seed([9; 32]);
     let (cert, report) = certificate();
     let key = StateKey::new("kvstore", b"balance");
-    let (request, _) = hier_sig_gen();
-    let EcallRequest::HierSigGen(input, indexes) = request else {
-        unreachable!("hier_sig_gen builds a HierSigGen")
+    let (request, _) = certify();
+    let EcallRequest::Certify { links, indexes, .. } = request else {
+        unreachable!("certify builds a Certify")
     };
-    let link = input.link.clone();
+    let link = links[0].clone();
     let range = RangeCert {
         pk_range: kp.public(),
         report,
@@ -542,24 +544,28 @@ fn tag_probes() -> Vec<Probe> {
     };
     let mut probes = vec![
         probe("RangeCert", &range),
-        probe("EcallRequest::SigGen", &EcallRequest::SigGen(input.clone())),
         probe(
-            "EcallRequest::AugSigGen",
-            &EcallRequest::AugSigGen(input.clone(), indexes[0].clone()),
-        ),
-        probe(
-            "EcallRequest::BatchSigGen",
-            &EcallRequest::BatchSigGen {
+            "EcallRequest::Certify::batch",
+            &EcallRequest::Certify {
                 prev_header: header(2),
                 prev_cert: Some(cert.clone()),
-                links: vec![link.clone()],
+                links: vec![link.clone(), link.clone()],
+                indexes: Vec::new(),
+            },
+        ),
+        probe(
+            "EcallRequest::AugSigGen",
+            &EcallRequest::AugSigGen {
+                prev_header: header(2),
+                link: link.clone(),
+                index: indexes[0].clone(),
             },
         ),
         probe(
             "EcallRequest::RangeSigGen",
             &EcallRequest::RangeSigGen {
                 anchor: header(2),
-                links: vec![link],
+                links: vec![link.clone()],
             },
         ),
         probe(
@@ -571,14 +577,10 @@ fn tag_probes() -> Vec<Probe> {
             },
         ),
         probe(
-            "EcallResponse::Signature",
-            &EcallResponse::Signature(kp.sign(b"digest")),
-        ),
-        probe(
             "EcallResponse::Signatures",
             &EcallResponse::Signatures(vec![kp.sign(b"a"), kp.sign(b"b")]),
         ),
-        probe("NetMessage::Block", &NetMessage::Block(input.link.block)),
+        probe("NetMessage::Block", &NetMessage::Block(link.block)),
         probe(
             "NetMessage::CertRequest",
             &NetMessage::CertRequest { from: 3, to: 9 },
@@ -796,15 +798,21 @@ fn length_prefix_bombs_are_bounded() {
     assert!(Vec::<u8>::decode_all(&bytes).is_err());
     let _ = Block::decode_all(&bytes);
     let _ = SmtProof::decode_all(&bytes);
-    // The fused request's index list: a count prefix past what the payload
-    // holds — by one item, or by four billion — is refused, not trusted.
-    let (request, count_at) = hier_sig_gen();
+    // `Certify`'s link and index lists: a count prefix past what the
+    // payload holds — by one item, or by four billion — is refused, not
+    // trusted.
+    let (request, [links_at, indexes_at]) = certify();
     let honest = request.to_encoded_bytes();
-    assert_eq!(honest[count_at..count_at + 4], [0, 0, 0, 2]);
-    for count in [3, u32::MAX] {
-        let mut bytes = honest.clone();
-        bytes[count_at..count_at + 4].copy_from_slice(&count.to_be_bytes());
-        assert!(EcallRequest::decode_all(&bytes).is_err(), "count {count}");
+    for (at, held) in [(links_at, 1u32), (indexes_at, 2)] {
+        assert_eq!(honest[at..at + 4], held.to_be_bytes());
+        for count in [held + 1, u32::MAX] {
+            let mut bytes = honest.clone();
+            bytes[at..at + 4].copy_from_slice(&count.to_be_bytes());
+            assert!(
+                EcallRequest::decode_all(&bytes).is_err(),
+                "count {count} at {at}"
+            );
+        }
     }
 }
 

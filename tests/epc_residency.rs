@@ -7,7 +7,7 @@
 //! the EPC page nothing; a naive request that carries more state than the
 //! EPC holds pages on its own crossing.
 
-use dcert::core::{BatchLink, BlockInput, CertProgram, EcallRequest, EcallResponse};
+use dcert::core::{BatchLink, CertProgram, EcallRequest, EcallResponse};
 use dcert::primitives::codec::{Decode, Encode};
 use dcert::primitives::hash::{hash_bytes, Hash};
 use dcert::primitives::keys::Signature;
@@ -51,15 +51,16 @@ fn a_thousand_stateless_ecalls_page_nothing_and_an_over_budget_naive_request_pag
     let block = miner.propose(gen.next_block(32), 1).expect("proposes");
     let calls: Vec<_> = block.txs.iter().map(|t| t.call.clone()).collect();
     let execution = executor.execute_block(&state, &calls);
-    let request = EcallRequest::SigGen(BlockInput {
+    let request = EcallRequest::Certify {
         prev_header: genesis.header.clone(),
         prev_cert: None,
-        link: BatchLink {
+        links: vec![BatchLink {
             block: block.clone(),
             state_proof: state.prove(&execution.touched_keys()),
             reads: execution.reads.into_iter().collect(),
-        },
-    })
+        }],
+        indexes: Vec::new(),
+    }
     .to_encoded_bytes();
 
     let program = || {
@@ -89,7 +90,7 @@ fn a_thousand_stateless_ecalls_page_nothing_and_an_over_budget_naive_request_pag
     for call in 0..ECALLS {
         let response = EcallResponse::decode_all(&enclave.ecall(&request)).expect("decodes");
         assert_eq!(
-            matches!(response, EcallResponse::Signature(_)),
+            matches!(response, EcallResponse::Signatures(_)),
             call == 0,
             "call {call}: {response:?}"
         );

@@ -7,12 +7,13 @@
 
 use dcert::chain::consensus::ConsensusProof;
 use dcert::chain::{
-    Block, ChainError, ConsensusEngine, FullNode, GenesisBuilder, ProofOfWork, Transaction,
+    Block, BlockHeader, ChainError, ConsensusEngine, FullNode, GenesisBuilder, ProofOfWork,
+    Transaction,
 };
 use dcert::core::{
-    expected_measurement, BatchLink, BlockInput, CertError, CertProgram, Certificate,
-    CertificateIssuer, EcallRequest, EcallResponse, FaultConfig, IndexInput, IndexVerifier,
-    NetMessage, SuperlightClient, SyncOutcome, Transport,
+    expected_measurement, BatchLink, CertError, CertProgram, Certificate, CertificateIssuer,
+    EcallRequest, EcallResponse, FaultConfig, IndexInput, IndexVerifier, NetMessage,
+    SuperlightClient, SyncOutcome, Transport,
 };
 use dcert::merkle::{smt, Aggregate, MbAppendProof, MbTree, ProofError, SmtProof};
 use dcert::primitives::codec::{decode_seq, encode_seq, Decode, Encode, Reader};
@@ -24,28 +25,50 @@ use dcert::query::inverted::{verify_keywords, InvertedIndex};
 use dcert::query::sp::IndexKind;
 use dcert::query::{AggQueryProof, HistoryProof, KeywordProof, QueryError};
 use dcert::sgx::enclave::Sealable;
-use dcert::sgx::{AttestationReport, AttestationService};
+use dcert::sgx::{AttestationReport, AttestationService, TrustedApp};
 use dcert::vm::StateKey;
 use dcert::workloads::kvstore::KvCall;
 use dcert::workloads::{Workload, WorkloadGen};
 use dcert::world::{Setup, World, POW_BITS, SIGNING_SEED};
 use dcert_testkit::smt_frames;
 
-/// A trusted program outside any enclave, plus a valid `BlockInput` for
+/// One block's certification inputs: the anchor `(prev_header,
+/// prev_cert)` and the link extending it. A one-link `Certify` carries them
+/// beside its indexes; `RangeSigGen` carries the header and the link.
+#[derive(Clone)]
+struct OneBlock {
+    prev_header: BlockHeader,
+    prev_cert: Option<Certificate>,
+    link: BatchLink,
+}
+
+impl OneBlock {
+    /// The one-link `Certify` of this block and `indexes`.
+    fn certify(self, indexes: Vec<IndexInput>) -> EcallRequest {
+        EcallRequest::Certify {
+            prev_header: self.prev_header,
+            prev_cert: self.prev_cert,
+            links: vec![self.link],
+            indexes,
+        }
+    }
+}
+
+/// A trusted program outside any enclave, plus a valid [`OneBlock`] for
 /// block 1 — the raw material for request-level attacks.
-fn program_and_input() -> (CertProgram, BlockInput) {
+fn program_and_input() -> (CertProgram, OneBlock) {
     let (program, input, _) = fixture();
     (program, input)
 }
 
 /// [`program_and_input`], plus the full node at genesis that proposed the
 /// block — the other acceptor of the same block.
-fn fixture() -> (CertProgram, BlockInput, FullNode) {
+fn fixture() -> (CertProgram, OneBlock, FullNode) {
     fixture_of(4)
 }
 
 /// [`fixture`] with a block of `txs` transactions.
-fn fixture_of(txs: usize) -> (CertProgram, BlockInput, FullNode) {
+fn fixture_of(txs: usize) -> (CertProgram, OneBlock, FullNode) {
     let World {
         executor,
         engine,
@@ -62,7 +85,7 @@ fn fixture_of(txs: usize) -> (CertProgram, BlockInput, FullNode) {
         let calls: Vec<_> = block.txs.iter().map(|t| t.call.clone()).collect();
         executor.execute_block(state_reader(&state), &calls)
     };
-    let input = BlockInput {
+    let input = OneBlock {
         prev_header: genesis.header.clone(),
         prev_cert: None,
         link: BatchLink {
@@ -88,20 +111,20 @@ fn state_reader(state: &dcert::chain::ChainState) -> &dcert::chain::ChainState {
     state
 }
 
-fn expect_sig(program: &mut CertProgram, input: BlockInput) -> Result<(), CertError> {
-    program.handle(EcallRequest::SigGen(input)).map(|_| ())
+fn expect_sig(program: &mut CertProgram, input: OneBlock) -> Result<(), CertError> {
+    program.handle(input.certify(Vec::new())).map(|_| ())
 }
 
 /// How every acceptor of block 1, of `txs` transactions, answers it after
 /// `mutate` (then, with `reseal`, an honest proof-of-work over the mutated
 /// header, so the check under test — not the consensus proof — is what
-/// trips): the full node's `apply`, then the trusted program's `SigGen`,
-/// one-link `BatchSigGen`, one-link `RangeSigGen` and index-less
-/// `HierSigGen`, each on a fresh fixture. The program's refusals are
-/// unwrapped to the `ChainError` they carry (`StateRootMismatch` is the one
-/// check it reports under its own name), a node that refused is unchanged,
-/// and a program that refused has signed nothing.
-fn verdicts(txs: usize, mutate: fn(&mut Block), reseal: bool) -> [Result<(), ChainError>; 5] {
+/// trips): the full node's `apply`, then the trusted program's one-link,
+/// index-less `Certify` and one-link `RangeSigGen`, each on a fresh
+/// fixture. The program's refusals are unwrapped to the `ChainError` they
+/// carry (`StateRootMismatch` is the one check it reports under its own
+/// name), a node that refused is unchanged, and a program that refused has
+/// signed nothing.
+fn verdicts(txs: usize, mutate: fn(&mut Block), reseal: bool) -> [Result<(), ChainError>; 3] {
     let mutated = || {
         let (program, mut input, node) = fixture_of(txs);
         mutate(&mut input.link.block);
@@ -111,7 +134,7 @@ fn verdicts(txs: usize, mutate: fn(&mut Block), reseal: bool) -> [Result<(), Cha
         }
         (program, input, node)
     };
-    let offer = |request: fn(BlockInput) -> EcallRequest| {
+    let offer = |request: fn(OneBlock) -> EcallRequest| {
         let (mut program, input, _) = mutated();
         let verdict = match program.handle(request(input)) {
             Ok(_) => return Ok(()),
@@ -131,54 +154,41 @@ fn verdicts(txs: usize, mutate: fn(&mut Block), reseal: bool) -> [Result<(), Cha
     }
     [
         applied,
-        offer(EcallRequest::SigGen),
-        offer(one_link_batch),
+        offer(|input| input.certify(Vec::new())),
         offer(|input| EcallRequest::RangeSigGen {
             anchor: input.prev_header,
             links: vec![input.link],
         }),
-        offer(|input| EcallRequest::HierSigGen(input, Vec::new())),
     ]
 }
 
-/// The one-link `BatchSigGen` asking what `SigGen(input)` asks.
-fn one_link_batch(input: BlockInput) -> EcallRequest {
-    EcallRequest::BatchSigGen {
-        prev_header: input.prev_header,
-        prev_cert: input.prev_cert,
-        links: vec![input.link],
-    }
-}
-
+/// The block signature does not depend on the indexes beside it: a
+/// two-index `Certify` signs the block digest that the same block's
+/// index-less `Certify` signs, each on a fresh program.
 #[test]
 fn honest_input_is_signed() {
-    // A `SigGen` is a batch of one: both sign the same header digest.
-    let sign = |request: fn(BlockInput) -> EcallRequest| {
-        let (mut program, input) = program_and_input();
-        match program.handle(request(input)).unwrap() {
-            EcallResponse::Signature(signature) => signature,
+    let block_signature = |with_indexes: bool| {
+        let (mut program, input, indexes, _) = fused_fixture(2);
+        let indexes = if with_indexes { indexes } else { Vec::new() };
+        let expected = 1 + indexes.len();
+        match program.handle(input.certify(indexes)).unwrap() {
+            EcallResponse::Signatures(signatures) if signatures.len() == expected => signatures[0],
             other => panic!("unexpected response {other:?}"),
         }
     };
-    assert_eq!(sign(EcallRequest::SigGen), sign(one_link_batch));
+    assert_eq!(block_signature(true), block_signature(false));
 }
 
 /// **The full node and the enclave agree.** The honest block is accepted
-/// by all four acceptors; for each single mutation of it — one per check
+/// by all three acceptors; for each single mutation of it — one per check
 /// of the block-validity rule — `FullNode::apply` and the trusted
-/// program's four replaying requests refuse with the same `ChainError`
+/// program's two replaying requests refuse with the same `ChainError`
 /// variant: they run the same `chain::validity` functions, and the
 /// state-root comparison is the one line each keeps.
 #[test]
 fn full_node_and_enclave_agree_on_every_mutation() {
     assert!(verdicts(4, |_| {}, false).iter().all(Result::is_ok));
-    let acceptors = [
-        "apply",
-        "SigGen",
-        "BatchSigGen",
-        "RangeSigGen",
-        "HierSigGen",
-    ];
+    let acceptors = ["apply", "Certify", "RangeSigGen"];
     /// A name, the mutation, whether to reseal, and the refusal it draws.
     type Row = (&'static str, fn(&mut Block), bool, fn(&ChainError) -> bool);
     #[rustfmt::skip]
@@ -348,16 +358,17 @@ fn self_signed_prev_cert_rejected() {
 
 // --- the fused hierarchical request ----------------------------------------
 //
-// `HierSigGen` signs the block certificate and every index certificate in
-// one crossing. Each check it makes before signing is tried with one forgery
-// of an otherwise honest request, matched by `CertError` variant; the block
-// body's checks are the `HierSigGen` column of the table above.
+// A one-link `Certify` with indexes signs the block certificate and every
+// index certificate in one crossing. Each check it makes before signing is
+// tried with one forgery of an otherwise honest request, matched by
+// `CertError` variant; the block body's checks are the `Certify` column of
+// the table above.
 
-/// The honest `HierSigGen` for block `height` over two indexes, whose
+/// The honest `Certify` for block `height` over two indexes, whose
 /// predecessors the world's CI certified hierarchically, and a trusted
 /// program — outside any enclave, signing with the CI's seed — to offer it
 /// to.
-fn fused_fixture(height: u64) -> (CertProgram, BlockInput, Vec<IndexInput>, World) {
+fn fused_fixture(height: u64) -> (CertProgram, OneBlock, Vec<IndexInput>, World) {
     fused_fixture_of(height, false)
 }
 
@@ -365,7 +376,7 @@ fn fused_fixture(height: u64) -> (CertProgram, BlockInput, Vec<IndexInput>, Worl
 /// `warm` one: it has itself signed every honest request below `height`,
 /// so it issued the certificates the request anchors on and, from height
 /// 3, has checked its own report.
-fn fused_fixture_of(height: u64, warm: bool) -> (CertProgram, BlockInput, Vec<IndexInput>, World) {
+fn fused_fixture_of(height: u64, warm: bool) -> (CertProgram, OneBlock, Vec<IndexInput>, World) {
     let mut world = World::pow(&[
         (IndexKind::History, "history"),
         (IndexKind::Inverted, "inverted"),
@@ -386,9 +397,7 @@ fn fused_fixture_of(height: u64, warm: bool) -> (CertProgram, BlockInput, Vec<In
         let inputs = world.sp.stage_block(&block).unwrap();
         if warm {
             let input = honest_input(&world, block.clone(), prev_cert.clone());
-            program
-                .handle(EcallRequest::HierSigGen(input, inputs.clone()))
-                .unwrap();
+            program.handle(input.certify(inputs.clone())).unwrap();
         }
         let (block_cert, index_certs, _) = world.ci.certify_hierarchical(&block, &inputs).unwrap();
         world.sp.advance(Some(&index_certs)).unwrap();
@@ -400,13 +409,13 @@ fn fused_fixture_of(height: u64, warm: bool) -> (CertProgram, BlockInput, Vec<In
     (program, input, indexes, world)
 }
 
-/// The `BlockInput` the world's CI would send for `block`, its next one,
+/// The [`OneBlock`] the world's CI would send for `block`, its next one,
 /// anchored on `prev_cert`.
-fn honest_input(world: &World, block: Block, prev_cert: Option<Certificate>) -> BlockInput {
+fn honest_input(world: &World, block: Block, prev_cert: Option<Certificate>) -> OneBlock {
     let state = world.ci.node().state();
     let calls: Vec<_> = block.txs.iter().map(|tx| tx.call.clone()).collect();
     let execution = world.executor.execute_block(state, &calls);
-    BlockInput {
+    OneBlock {
         prev_header: world.ci.node().tip().clone(),
         prev_cert,
         link: BatchLink {
@@ -445,7 +454,7 @@ fn self_attested(digest: Hash) -> Certificate {
 #[test]
 fn fused_request_signs_the_block_and_every_index_once() {
     let (mut program, input, indexes, mut world) = fused_fixture(2);
-    let request = EcallRequest::HierSigGen(input.clone(), indexes.clone());
+    let request = input.clone().certify(indexes.clone());
     let Ok(EcallResponse::Signatures(signatures)) = program.handle(request.clone()) else {
         panic!("the honest request is signed");
     };
@@ -472,7 +481,7 @@ fn fused_request_signs_the_block_and_every_index_once() {
 /// A forgery of the honest fused request, and the refusal it must draw.
 type FusedRow = (
     &'static str,
-    fn(&mut BlockInput, &mut Vec<IndexInput>),
+    fn(&mut OneBlock, &mut Vec<IndexInput>),
     fn(&CertError) -> bool,
 );
 
@@ -483,7 +492,7 @@ fn flip(hash: &mut Hash) {
 }
 
 /// What index 1's previous certificate must certify.
-fn anchor_digest(input: &BlockInput, indexes: &[IndexInput]) -> Hash {
+fn anchor_digest(input: &OneBlock, indexes: &[IndexInput]) -> Hash {
     Certificate::index_digest(&input.prev_header.hash(), &indexes[1].prev_digest)
 }
 
@@ -543,12 +552,12 @@ fn every_check_of_the_fused_request_refuses_its_forgery() {
         let (mut program, honest_input, honest_indexes, _) = fused_fixture(2);
         let (mut input, mut indexes) = (honest_input.clone(), honest_indexes.clone());
         forge(&mut input, &mut indexes);
-        match program.handle(EcallRequest::HierSigGen(input, indexes)) {
+        match program.handle(input.certify(indexes)) {
             Err(refusal) if is_expected(&refusal) => {}
             other => panic!("{name}: answered {other:?}"),
         }
         assert_eq!(program.last_signed_height(), 0, "{name}: nothing signed");
-        let honest = EcallRequest::HierSigGen(honest_input, honest_indexes);
+        let honest = honest_input.certify(honest_indexes);
         assert!(program.handle(honest).is_ok(), "{name}: honest retry");
     }
 }
@@ -559,10 +568,10 @@ fn every_check_of_the_fused_request_refuses_its_forgery() {
 fn fused_request_anchors_every_index_at_genesis() {
     let (mut program, input, mut indexes, _) = fused_fixture(1);
     assert!(input.prev_cert.is_none() && indexes.iter().all(|i| i.prev_cert.is_none()));
-    let honest = EcallRequest::HierSigGen(input.clone(), indexes.clone());
+    let honest = input.clone().certify(indexes.clone());
     indexes[1].prev_digest = hash_bytes(b"an index with a past");
     assert_eq!(
-        program.handle(EcallRequest::HierSigGen(input, indexes)),
+        program.handle(input.certify(indexes)),
         Err(CertError::GenesisMismatch)
     );
     assert_eq!(program.last_signed_height(), 0);
@@ -570,6 +579,65 @@ fn fused_request_anchors_every_index_at_genesis() {
         program.handle(honest),
         Ok(EcallResponse::Signatures(signatures)) if signatures.len() == 3
     ));
+}
+
+/// A `Certify` of a shape no algorithm sends — no links, or indexes beside
+/// two links — draws its typed refusal before the watermark guard and
+/// changes nothing: the sealed state, the watermark and what the program
+/// retains are as they were, below the watermark and at it.
+#[test]
+fn a_refused_shape_changes_nothing() {
+    let (mut program, input, indexes, _) = fused_fixture_of(3, true);
+    let honest = input.clone().certify(indexes.clone());
+    let OneBlock {
+        prev_header,
+        prev_cert,
+        link,
+    } = input;
+    let shapes = [
+        (
+            EcallRequest::Certify {
+                prev_header: prev_header.clone(),
+                prev_cert: prev_cert.clone(),
+                links: Vec::new(),
+                indexes: Vec::new(),
+            },
+            CertError::EmptyRange,
+        ),
+        (
+            EcallRequest::Certify {
+                prev_header,
+                prev_cert,
+                links: vec![link.clone(), link],
+                indexes: indexes[..1].to_vec(),
+            },
+            CertError::BadIndexUpdate("indexes need exactly one link".into()),
+        ),
+    ];
+    let refuse_each = |program: &mut CertProgram| {
+        for (request, refusal) in &shapes {
+            let state = |program: &CertProgram| {
+                let retained = program.retained_bytes();
+                (
+                    program.export_state(),
+                    program.last_signed_height(),
+                    retained,
+                )
+            };
+            let before = state(program);
+            assert_eq!(program.handle(request.clone()), Err(refusal.clone()));
+            assert_eq!(state(program), before, "{refusal:?} changed the program");
+        }
+    };
+    assert_eq!(program.last_signed_height(), 2);
+    refuse_each(&mut program);
+    program
+        .handle(honest)
+        .expect("the honest request is signed");
+    // At the watermark the guard would refuse with `HeightRegression`; the
+    // shape is refused first.
+    assert_eq!(program.last_signed_height(), 3);
+    refuse_each(&mut program);
 }
 
 // --- the enclave's memo ------------------------------------------------------
@@ -585,7 +653,7 @@ fn fused_request_anchors_every_index_at_genesis() {
 type Foreign = (PublicKey, AttestationReport);
 
 /// Builds the request to offer from a (forged) input and its indexes.
-type Request = fn(BlockInput, Vec<IndexInput>) -> EcallRequest;
+type Request = fn(OneBlock, Vec<IndexInput>) -> EcallRequest;
 
 fn foreign_enclave(world: &mut World) -> Foreign {
     let platform = Keypair::from_seed([68; 32]);
@@ -598,10 +666,10 @@ fn foreign_enclave(world: &mut World) -> Foreign {
 
 /// A forgery of the block's previous certificate — one the warm program
 /// issued — and the refusal it must draw.
-type ChainRow = (&'static str, fn(&mut BlockInput), fn(&CertError) -> bool);
+type ChainRow = (&'static str, fn(&mut OneBlock), fn(&CertError) -> bool);
 
 fn chain_anchor_forgeries() -> [ChainRow; 7] {
-    fn cert(input: &mut BlockInput) -> &mut Certificate {
+    fn cert(input: &mut OneBlock) -> &mut Certificate {
         input.prev_cert.as_mut().unwrap()
     }
     #[rustfmt::skip]
@@ -639,7 +707,7 @@ fn chain_anchor_forgeries() -> [ChainRow; 7] {
 /// another key, another report, or another anchor.
 type MemoRow = (
     &'static str,
-    fn(&mut BlockInput, &mut Vec<IndexInput>, &Foreign),
+    fn(&mut OneBlock, &mut Vec<IndexInput>, &Foreign),
     fn(&CertError) -> bool,
 );
 
@@ -670,7 +738,7 @@ fn memo_forgeries() -> [MemoRow; 4] {
 fn offer(
     warm: bool,
     request: Request,
-    forge: &dyn Fn(&mut BlockInput, &mut Vec<IndexInput>, &Foreign),
+    forge: &dyn Fn(&mut OneBlock, &mut Vec<IndexInput>, &Foreign),
 ) -> (Result<EcallResponse, CertError>, EcallResponse) {
     let (mut program, honest_input, honest_indexes, mut world) = fused_fixture_of(3, warm);
     assert_eq!(program.last_signed_height(), if warm { 2 } else { 0 });
@@ -692,7 +760,7 @@ fn offer(
 fn a_warm_enclave_refuses_every_forgery_as_a_cold_one_does() {
     let check = |name: &str,
                  request: Request,
-                 forge: &dyn Fn(&mut BlockInput, &mut Vec<IndexInput>, &Foreign),
+                 forge: &dyn Fn(&mut OneBlock, &mut Vec<IndexInput>, &Foreign),
                  is_expected: fn(&CertError) -> bool| {
         let (cold, cold_honest) = offer(false, request, forge);
         let (warm, warm_honest) = offer(true, request, forge);
@@ -703,9 +771,8 @@ fn a_warm_enclave_refuses_every_forgery_as_a_cold_one_does() {
         assert_eq!(warm, cold, "{name}: warm and cold differ");
         assert_eq!(warm_honest, cold_honest, "{name}: the honest request after");
     };
-    let hier: Request = EcallRequest::HierSigGen;
-    let sig_gen: Request = |input, _| EcallRequest::SigGen(input);
-    let batch: Request = |input, _| one_link_batch(input);
+    let hier: Request = OneBlock::certify;
+    let block_only: Request = |input, _| input.certify(Vec::new());
     for (name, forge, is_expected) in fused_forgeries() {
         check(
             name,
@@ -715,7 +782,7 @@ fn a_warm_enclave_refuses_every_forgery_as_a_cold_one_does() {
         );
     }
     for (name, forge, is_expected) in chain_anchor_forgeries() {
-        for request in [sig_gen, batch, hier] {
+        for request in [block_only, hier] {
             check(name, request, &|input, _, _| forge(input), is_expected);
         }
     }
@@ -953,7 +1020,7 @@ fn untracked_answer_for_a_tracked_key_is_refused() {
 /// (b) A CI host that stages `prev_root: None` for a tracked key — which
 /// would restart its history under a valid index certificate — is refused
 /// by the index verifier: called directly with every forged absence, and
-/// inside `aug_sig_gen` and `hier_sig_gen` with the first.
+/// inside `aug_sig_gen` and `certify` with the first.
 #[test]
 fn staging_a_tracked_key_as_new_is_refused() {
     let put = |nonce: u64, key: &str| {

@@ -35,7 +35,7 @@
 //! about −1.4 KB a block on the history index's aux). The three
 //! `cert/*/hierarchical/work` rows — counts of boundary work, not
 //! certificate bytes — were re-captured at PR 22, the commit after 7c4f0e1:
-//! Algorithm 5 crosses once a block (`HierSigGen`) instead of once for the
+//! Algorithm 5 crosses once a block (one fused request) instead of once for the
 //! block and once per index, so over 6 blocks × 2 indexes `ecalls=` went
 //! 18 → 6, `request_bytes=` 34913 → 15577 (the block is marshalled once, the
 //! write set and its second proof not at all) and `response_bytes=`
@@ -44,6 +44,19 @@
 //! After 998a08d the restored shard enclave reports its ECalls too, so only
 //! `cert/fleet{1,2}/work` moved: `ecalls=` 4 → 7 / 7 → 9, `request_bytes=`
 //! 3184 → 9039 / 7708 → 9463, `response_bytes=` 520 → 683 / 683 → 781.
+//! At PR 51, the commit after 7424420, the plain, batched and hierarchical
+//! requests became one `Certify { prev_header, prev_cert, links, indexes }`
+//! and every signing request is answered by a signature list, so every
+//! `…/work` row moved by framing alone, and no `…/stream` row moved:
+//! `request_bytes=` +8 per block request (two count prefixes), +4 per batch
+//! and per hierarchical request (one), −1 per `AugSigGen` (it no longer
+//! carries the absent block `prev_cert`); `response_bytes=` +4 per answer
+//! that was a lone signature (block, batch, `AugSigGen`, `RangeSigGen`).
+//! Over 6 blocks, 3 batches, 12 augmented crossings and 6 hierarchical
+//! ones: block 9571 → 9619 / 390 → 414, batch 8383 → 8395 / 195 → 207,
+//! augmented 22564 → 22552 / 780 → 828, hierarchical 15577 → 15601 / 1182,
+//! fleet1 / fleet2 response 683 → 695 / 781 → 797 (3 / 4 range answers);
+//! `marshal_reuse_bytes=` follows the request lengths.
 //!
 //! To re-capture (only ever legitimate at a commit that intends to break
 //! the wire format): empty the table, run the test, paste the table it
@@ -57,9 +70,9 @@ use dcert::baselines::{lineage::LineageIndex, skiplist::AuthSkipList};
 use dcert::chain::consensus::ConsensusProof;
 use dcert::chain::{Block, BlockHeader, ChainError, Transaction};
 use dcert::core::{
-    BatchLink, BlockInput, CertBreakdown, CertError, CertJob, CertPipeline, Certificate,
-    EcallRequest, EcallResponse, Gossip, IndexInput, NetMessage, PipelineConfig, RangeCert,
-    ShardFailurePlan, ShardFleetConfig, SharedStore,
+    BatchLink, CertBreakdown, CertError, CertJob, CertPipeline, Certificate, EcallRequest,
+    EcallResponse, Gossip, IndexInput, NetMessage, PipelineConfig, RangeCert, ShardFailurePlan,
+    ShardFleetConfig, SharedStore,
 };
 use dcert::merkle::btree::{Plain, Shape, Summary, Summed};
 use dcert::merkle::{mht, AggMbTree, MbTree, ProofError, ProofOp, SmtProof, SparseMerkleTree};
@@ -593,25 +606,25 @@ fn certification_engines_reproduce_parent_commit_streams() {
 #[rustfmt::skip]
 const CERT_GOLDEN: &[(&str, &str)] = &[
     ("cert/sequential/block/stream", "756d9a5c3ee068b4da6fd4dd1c0e79d26a598efde7412901dbb8546fa9998538"),
-    ("cert/sequential/block/work", "certs=6 ecalls=6 request_bytes=9571 response_bytes=390 marshal_reuse_bytes=7564"),
+    ("cert/sequential/block/work", "certs=6 ecalls=6 request_bytes=9619 response_bytes=414 marshal_reuse_bytes=7604"),
     ("cert/sequential/batch/stream", "1ebb4a09d626bf697193bdde7965e1c14b549636539c7d147862acde272ba843"),
-    ("cert/sequential/batch/work", "certs=3 ecalls=3 request_bytes=8383 response_bytes=195 marshal_reuse_bytes=5072"),
+    ("cert/sequential/batch/work", "certs=3 ecalls=3 request_bytes=8395 response_bytes=207 marshal_reuse_bytes=5080"),
     ("cert/sequential/augmented/stream", "aa8595d15a547fc311ca23d28510aaf8456108fa89814932c30bf9023ecf6378"),
-    ("cert/sequential/augmented/work", "certs=12 ecalls=12 request_bytes=22564 response_bytes=780 marshal_reuse_bytes=19981"),
+    ("cert/sequential/augmented/work", "certs=12 ecalls=12 request_bytes=22552 response_bytes=828 marshal_reuse_bytes=19970"),
     ("cert/sequential/hierarchical/stream", "a77317f1df6343584041bd3a96986a4af2a1a1b9a5872418a241a4755a568d1b"),
-    ("cert/sequential/hierarchical/work", "certs=18 ecalls=6 request_bytes=15577 response_bytes=1182 marshal_reuse_bytes=12378"),
+    ("cert/sequential/hierarchical/work", "certs=18 ecalls=6 request_bytes=15601 response_bytes=1182 marshal_reuse_bytes=12398"),
     ("cert/pipeline1/block/stream", "756d9a5c3ee068b4da6fd4dd1c0e79d26a598efde7412901dbb8546fa9998538"),
-    ("cert/pipeline1/block/work", "certs=6 ecalls=6 request_bytes=9571 response_bytes=390 marshal_reuse_bytes=7564"),
+    ("cert/pipeline1/block/work", "certs=6 ecalls=6 request_bytes=9619 response_bytes=414 marshal_reuse_bytes=7604"),
     ("cert/pipeline1/batch/stream", "1ebb4a09d626bf697193bdde7965e1c14b549636539c7d147862acde272ba843"),
-    ("cert/pipeline1/batch/work", "certs=3 ecalls=3 request_bytes=8383 response_bytes=195 marshal_reuse_bytes=5072"),
+    ("cert/pipeline1/batch/work", "certs=3 ecalls=3 request_bytes=8395 response_bytes=207 marshal_reuse_bytes=5080"),
     ("cert/pipeline1/augmented/stream", "aa8595d15a547fc311ca23d28510aaf8456108fa89814932c30bf9023ecf6378"),
-    ("cert/pipeline1/augmented/work", "certs=12 ecalls=12 request_bytes=22564 response_bytes=780 marshal_reuse_bytes=19981"),
+    ("cert/pipeline1/augmented/work", "certs=12 ecalls=12 request_bytes=22552 response_bytes=828 marshal_reuse_bytes=19970"),
     ("cert/pipeline1/hierarchical/stream", "a77317f1df6343584041bd3a96986a4af2a1a1b9a5872418a241a4755a568d1b"),
-    ("cert/pipeline1/hierarchical/work", "certs=18 ecalls=6 request_bytes=15577 response_bytes=1182 marshal_reuse_bytes=12378"),
+    ("cert/pipeline1/hierarchical/work", "certs=18 ecalls=6 request_bytes=15601 response_bytes=1182 marshal_reuse_bytes=12398"),
     ("cert/fleet1/stream", "756d9a5c3ee068b4da6fd4dd1c0e79d26a598efde7412901dbb8546fa9998538"),
-    ("cert/fleet1/work", "certs=6 ecalls=7 request_bytes=9039 response_bytes=683 marshal_reuse_bytes=0"),
+    ("cert/fleet1/work", "certs=6 ecalls=7 request_bytes=9039 response_bytes=695 marshal_reuse_bytes=0"),
     ("cert/fleet2/stream", "756d9a5c3ee068b4da6fd4dd1c0e79d26a598efde7412901dbb8546fa9998538"),
-    ("cert/fleet2/work", "certs=6 ecalls=9 request_bytes=9463 response_bytes=781 marshal_reuse_bytes=0"),
+    ("cert/fleet2/work", "certs=6 ecalls=9 request_bytes=9463 response_bytes=797 marshal_reuse_bytes=0"),
 ];
 
 // --- sparse Merkle multiproofs --------------------------------------------------
@@ -1245,7 +1258,21 @@ const ECALL_REFUSAL_GOLDEN: &[(&str, &str)] = &[
 // So it pins the bytes and the exact verdict on each malformed input.
 // Captured at commit 8452ed4, where every one of these codecs was still
 // written out by hand. The inverted index's aux payload has a crate-private
-// type, so its row pins the bytes alone.
+// type, so its row pins the bytes alone. Every row also checks that its
+// type's `encoded_len` is exactly its encoding's length.
+//
+// At PR 51, the commit after 7424420, `Certify` replaced three request
+// kinds and `Signatures` the lone-signature answer. Request and response
+// rows are labelled by tag. Gone with their kinds: the row of the deleted
+// one-block input struct, `wire/EcallRequest/3` and `/4` (the hierarchical
+// and batch requests) and `wire/EcallResponse/1` (a lone signature). `wire/EcallRequest/1` is
+// `Certify` of one link and two indexes, a new row. `wire/EcallRequest/2`
+// (`AugSigGen`) is re-captured: it no longer carries the block `prev_cert`.
+// Two rows keep their bytes and move only their verdicts, because a one-bit
+// flip of their tag now lands on a retired tag: `wire/EcallRequest/5`
+// (`RangeSigGen`, 5 → 4, once the batch request) and `wire/EcallResponse/0`
+// (`Initialized`, 0 → 1, once the lone signature). Every other row is as it
+// was.
 
 /// One row: the sample's bytes, then its decoder's verdict on every damaged
 /// copy of them.
@@ -1255,6 +1282,11 @@ fn wire_row<T: Encode + Decode + std::fmt::Debug>(
     out: &mut Vec<(String, String)>,
 ) {
     let bytes = value.to_encoded_bytes();
+    assert_eq!(
+        value.encoded_len(),
+        bytes.len(),
+        "wire/{label}: encoded_len"
+    );
     let mut verdicts = Hasher::new();
     let mut verdict = |input: &[u8]| {
         verdicts.update(format!("{:?}\n", T::decode_all(input)));
@@ -1463,12 +1495,6 @@ fn wire_computed() -> Vec<(String, String)> {
         state_proof,
     };
     wire_row("BatchLink", &link, &mut out);
-    let input = BlockInput {
-        prev_header: wire_header(2),
-        prev_cert: Some(cert.clone()),
-        link: link.clone(),
-    };
-    wire_row("BlockInput", &input, &mut out);
     let index = |name: &str, prev_cert| IndexInput {
         index_type: name.to_owned(),
         prev_digest: a,
@@ -1477,15 +1503,20 @@ fn wire_computed() -> Vec<(String, String)> {
         aux: vec![7; 9],
     };
     wire_row("IndexInput", &index("history", None), &mut out);
+    // A request or response row is labelled by its tag, so a row keeps its
+    // label when a kind beside it retires.
     let requests = [
         EcallRequest::Init,
-        EcallRequest::SigGen(input.clone()),
-        EcallRequest::AugSigGen(input.clone(), index("history", Some(cert.clone()))),
-        EcallRequest::HierSigGen(input, vec![index("history", None), index("inverted", None)]),
-        EcallRequest::BatchSigGen {
+        EcallRequest::Certify {
             prev_header: wire_header(2),
-            prev_cert: None,
+            prev_cert: Some(cert.clone()),
             links: vec![link.clone()],
+            indexes: vec![index("history", None), index("inverted", None)],
+        },
+        EcallRequest::AugSigGen {
+            prev_header: wire_header(2),
+            link: link.clone(),
+            index: index("history", Some(cert.clone())),
         },
         EcallRequest::RangeSigGen {
             anchor: wire_header(2),
@@ -1497,17 +1528,18 @@ fn wire_computed() -> Vec<(String, String)> {
             ranges: vec![range],
         },
     ];
-    for (i, request) in requests.iter().enumerate() {
-        wire_row(&format!("EcallRequest/{i}"), request, &mut out);
+    for request in &requests {
+        let tag = request.to_encoded_bytes()[0];
+        wire_row(&format!("EcallRequest/{tag}"), request, &mut out);
     }
     let responses = [
         EcallResponse::Initialized(kp.public()),
-        EcallResponse::Signature(kp.sign(b"digest")),
         EcallResponse::Rejected(CertError::Proof(ProofError::Malformed("x".into()))),
         EcallResponse::Signatures(vec![kp.sign(b"one"), kp.sign(b"two")]),
     ];
-    for (i, response) in responses.iter().enumerate() {
-        wire_row(&format!("EcallResponse/{i}"), response, &mut out);
+    for response in &responses {
+        let tag = response.to_encoded_bytes()[0];
+        wire_row(&format!("EcallResponse/{tag}"), response, &mut out);
     }
     let messages = [
         NetMessage::Block(block),
@@ -1796,17 +1828,13 @@ const WIRE_GOLDEN: &[(&str, &str)] = &[
     ("wire/MbOpProof", "sha256=86bbb089e0d4eca7d0162a281399f1684fa9f07f987ad79d1b534a47ac023489 len=275 verdicts=35b5c8be9cb1bba160ecbc4faffd9a2d90bf917a160a0eee029e4ebd63aad8ff"),
     ("wire/AggOpProof", "sha256=a8207fee1f9243f2634cd906e2dbd7d9a9dfabd010573b102b8bc70eb11c608e len=231 verdicts=d49f2aca15ac1c3cc1dee308304b4f33d37a798a04c46492823d7cf242047bf1"),
     ("wire/BatchLink", "sha256=5d8f2f79ef5d19992bb5fb83ff272d4eb5cce10c2422fae15fe7cb9af24cc77a len=537 verdicts=8822a1bcd19f25c24c9277a2bead8e5fb95d9d8fca96a1d284703009e5313a5a"),
-    ("wire/BlockInput", "sha256=37b6c1e048f7986cf4d01a805b9d16893ad0dc6fecb5c9cac3cff733678a98e6 len=936 verdicts=4c904ef8abc1101af906ed3f1c2ac994c8b2fdaaf8b41f02b5b6118a035cd4d5"),
     ("wire/IndexInput", "sha256=d26f5c04ac4ec7c65a8e09d8fd04a907c79dc5fe4fb8112297b406d1c76886c5 len=89 verdicts=0bb9ee8686c9f723ba8b2756d62a2106be26ea91d47cd7baf022ad3dd786351a"),
     ("wire/EcallRequest/0", "sha256=6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d len=1 verdicts=8563ae66c2f0ad5478648ddcea273f89b09ddd4bcf37e591bea00dbea3770630"),
-    ("wire/EcallRequest/1", "sha256=5477f34122e2b4d094c5caa4734baa45e5845cbd46d29af467d552f697a87bcb len=937 verdicts=3df6053c2f5af7815732539cca77023b0fa7745bea3f358a77414f63ac04eee1"),
-    ("wire/EcallRequest/2", "sha256=1eb51d85c5a1176b7e082adcf6fdb45b2f880ba6685a9f32f1376ce13a04afee len=1282 verdicts=12f3b4e95d10b1fd073ccd0b0f777a239ff84cda20e541f7f75e1c4050fa8377"),
-    ("wire/EcallRequest/3", "sha256=15a282138e4fc21fc38c4d975627f9e97d99743d016ad8e7beeb0e14dd664664 len=1120 verdicts=a73c1ad1787f484b58a881aad20ea2b2429c3b88e5927f5d2f0e9c069101c14e"),
-    ("wire/EcallRequest/4", "sha256=9ecdf043c412af448063ee67406f00a40d8f740ba3633113daecabd5e6c081eb len=685 verdicts=221a1f2a54fbcb4fcca0147cb40b621fe0ed40658f88252841c8ee490dc5bdd4"),
-    ("wire/EcallRequest/5", "sha256=5235bcb5b395d2feabe57725e259dcf60e839ae8de094a10208034c306e137d1 len=684 verdicts=3f3ab3431b2fbf46e170957184b7d6f51493abf737d1695a9d6e65d861bdab91"),
+    ("wire/EcallRequest/1", "sha256=e1205f68072818a6f40f12fe6c3f7778698afedaa0f8e79f19d4cc30f76d9c72 len=1124 verdicts=2be7328253d5adba9aed03a71168a55038c748a080d9b6e05675c8e6fa602f03"),
+    ("wire/EcallRequest/2", "sha256=64defa479fab23f6accd17c153a9227c6919dd9dbcc571eb7fca4d027f11b136 len=1025 verdicts=54923f8240988a87d40f143a7002d15de3970e43aff21cf5880aaf0026f9be9d"),
+    ("wire/EcallRequest/5", "sha256=5235bcb5b395d2feabe57725e259dcf60e839ae8de094a10208034c306e137d1 len=684 verdicts=2a16e248987633d3973e42dcbd45f8c82107d21ff166ed8500d9fe57ecef70db"),
     ("wire/EcallRequest/6", "sha256=7ee62411ce6fc4a0d16e5dc01ece149ecf32edc97ac7d09266afd7386925f9c1 len=744 verdicts=e57b76965fccc5485b31e59e6355eacf41b09df34b9af7ba881684270a648f34"),
-    ("wire/EcallResponse/0", "sha256=99cf3e73b898706d983752db510a7b9fb2ee4456510e1f060eca3fff7d06069a len=33 verdicts=809cfcce9cf581382986b2750633491e9415025a79ac39402fe62d187bacc7ea"),
-    ("wire/EcallResponse/1", "sha256=aa0ff0776ad9b2fd4789fbafe4779728c597a9b65c17a3943ec2bd609537c4b2 len=65 verdicts=695f2b6d4b8b043a4993080f97244c0cc0d78190aeded72e83c63075719806e5"),
+    ("wire/EcallResponse/0", "sha256=99cf3e73b898706d983752db510a7b9fb2ee4456510e1f060eca3fff7d06069a len=33 verdicts=cbd8d88d03506a6e7432917b780954d43238d5662f9ed35b20816ba27ded2b08"),
     ("wire/EcallResponse/2", "sha256=81a86a5814902e664fa584443579879bc0fc92dec89e0c24be77e4ac579eb145 len=8 verdicts=212e4d6aa2578d5c64671069fe084d94f0de1803694451d087dfee0239c5796c"),
     ("wire/EcallResponse/3", "sha256=716c2c1ea282f93bbc00f9d4b8d096880ce1f4d7229c901e83ec10a4b15f668c len=133 verdicts=b4af87dec5d070d9bd9062d2fa911f301c0098d1e0663348f38a5bef66fe1dde"),
     ("wire/NetMessage/0", "sha256=ed5ce92bc76d6f1be7f82ed61cc70dc4c208ee777aaf7e2f49b3df524fe36f9c len=315 verdicts=5557e03169207eb65c80543f900ec73a31211417e16091da47b7ed263b10d301"),

@@ -191,9 +191,10 @@ fn five_indexes_certify_hierarchically() {
 // --- a refused index leaves nothing signed -------------------------------------
 //
 // The fused request signs the block certificate only beside every index
-// certificate. Before it, the block's `SigGen` had already advanced the
-// sealed watermark when the second index's `IdxSigGen` was refused, and the
-// honest retry died with "height regression: already signed 3, offered 3".
+// certificate. Before it, the block's own request had already advanced the
+// sealed watermark when the second index's per-index request was refused,
+// and the honest retry died with "height regression: already signed 3,
+// offered 3".
 
 fn two_index_world() -> World {
     World::pow(&[

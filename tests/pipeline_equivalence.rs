@@ -16,7 +16,7 @@
 //! One stream certifies with one chain scheme: plain/batch jobs share the
 //! recursive block-certificate chain, while Algorithm 4 (augmented)
 //! replaces it and Algorithm 5 (hierarchical) adds per-index chains that
-//! must be gap-free (`hier_sig_gen` requires the previous index
+//! must be gap-free (a `Certify` with indexes requires the previous index
 //! certificate to cover exactly the previous header). Schemes therefore
 //! mix across property cases, and plain/batch jobs mix within a stream —
 //! the same constraint the sequential issuer has.

@@ -22,9 +22,9 @@ use std::sync::Arc;
 
 use dcert::chain::Block;
 use dcert::core::{
-    BatchLink, BlockInput, CertError, CertJob, CertPipeline, CertProgram, Certificate,
-    CertificateIssuer, EcallRequest, EcallResponse, Gossip, IndexInput, NetMessage, PipelineConfig,
-    SuperlightClient, SyncOutcome,
+    BatchLink, CertError, CertJob, CertPipeline, CertProgram, Certificate, CertificateIssuer,
+    EcallRequest, EcallResponse, Gossip, IndexInput, NetMessage, PipelineConfig, SuperlightClient,
+    SyncOutcome,
 };
 use dcert::query::sp::IndexKind;
 use dcert::sgx::enclave::Sealable;
@@ -80,21 +80,22 @@ fn twin(world: &World) -> CertProgram {
     program
 }
 
-/// The `HierSigGen` the world's CI sends for `block`, built from its view.
+/// The `Certify` the world's CI sends for `block` and its indexes, built
+/// from its view.
 fn request(world: &World, block: &Block, indexes: &[IndexInput]) -> EcallRequest {
     let (ci, state) = (&world.ci, world.ci.node().state());
     let calls: Vec<_> = block.txs.iter().map(|tx| tx.call.clone()).collect();
     let execution = world.executor.execute_block(state, &calls);
-    let input = BlockInput {
+    EcallRequest::Certify {
         prev_header: ci.node().tip().clone(),
         prev_cert: ci.latest_block_cert().cloned(),
-        link: BatchLink {
+        links: vec![BatchLink {
             state_proof: state.prove(&execution.touched_keys()),
             reads: execution.reads.into_iter().collect(),
             block: block.clone(),
-        },
-    };
-    EcallRequest::HierSigGen(input, indexes.to_vec())
+        }],
+        indexes: indexes.to_vec(),
+    }
 }
 
 /// What the CI publishes for one block.
@@ -152,7 +153,7 @@ fn journey(
         let request = request(world, &block, &inputs);
         if refuse_first {
             let mut forged = request.clone();
-            if let EcallRequest::HierSigGen(_, indexes) = &mut forged {
+            if let EcallRequest::Certify { indexes, .. } = &mut forged {
                 let digest = &mut indexes.last_mut().unwrap().new_digest;
                 *digest = dcert::primitives::hash::hash_bytes(digest.as_bytes());
             }
@@ -167,7 +168,7 @@ fn journey(
             checks(|| world.ci.certify_hierarchical(&block, &inputs).unwrap());
         let published = std::iter::once(&block_cert).chain(&index_certs);
         let EcallResponse::Signatures(signatures) = signed else {
-            panic!("HierSigGen answers signatures");
+            panic!("Certify answers signatures");
         };
         assert_eq!(
             signatures,
