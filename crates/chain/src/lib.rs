@@ -16,9 +16,10 @@
 //! - [`store`]: a fork-aware header/block store with longest-chain
 //!   selection,
 //! - [`validity`]: the block-validity rule — link, height, consensus
-//!   proof, transaction root and signatures — spelled once for the full
-//!   node, the header store and the enclave's `blk_verify_t`,
-//! - [`node`]: a mining/validating full node that executes blocks and
+//!   proof, transaction root and signatures — spelled once for the
+//!   enclave's `blk_verify_t`, the header store and the following full
+//!   node (which leaves the signatures to the enclave),
+//! - [`node`]: a mining/following full node that executes blocks and
 //!   maintains tip state,
 //! - [`genesis`]: deterministic genesis construction.
 //!

@@ -1,4 +1,4 @@
-//! A mining/validating full node.
+//! A full node: it mines, or follows the chain a miner seals.
 
 use std::sync::Arc;
 
@@ -10,19 +10,22 @@ use crate::consensus::{ConsensusEngine, ConsensusProof};
 use crate::error::ChainError;
 use crate::state::{ChainState, Displaced};
 use crate::tx::Transaction;
-use crate::validity::{check_body, check_extends, check_height, check_signatures, hash_writes};
+use crate::validity::{check_extends, check_header, check_height, check_signatures, hash_writes};
 
-/// A full node: executes, validates, and (optionally) proposes blocks,
-/// maintaining the canonical-chain tip state.
+/// A full node: executes and (optionally) proposes blocks, maintaining
+/// the canonical-chain tip state.
 ///
-/// In DCert's system model (Fig. 2 of the paper) both the miner and the
-/// Certificate Issuer are full nodes; the CI (`dcert-core`) wraps this type
-/// and adds the enclave-backed certification pipeline.
+/// In DCert's system model (Fig. 2 of the paper) the miner, the
+/// Certificate Issuer and the Service Provider are full nodes; the CI
+/// (`dcert-core`) wraps this type and adds the enclave-backed
+/// certification pipeline, the SP (`dcert-query`) its indexes. Neither
+/// checks a transaction signature: the enclave does, before it signs the
+/// certificate everything they produce is accepted through.
 ///
 /// Every block that moves the tip goes through one forward step,
 /// [`FullNode::advance`] — commit the write set, compare the post-state
 /// root, move the tip or take the commit back — and [`FullNode::retract`]
-/// is its inverse. [`FullNode::apply`] ends in it, and so does every
+/// is its inverse. [`FullNode::follow`] ends in it, and so does every
 /// certification driver in `dcert-core`; only [`FullNode::mine`], whose
 /// header is sealed over the root its commit reaches, has nothing to
 /// compare against.
@@ -150,7 +153,7 @@ impl FullNode {
         state_root: Hash,
     ) -> Result<Block, ChainError> {
         let mut header = BlockHeader {
-            // Saturating: nothing extends a tip at `u64::MAX`, and `apply`
+            // Saturating: nothing extends a tip at `u64::MAX`, and `follow`
             // and `mine` say so when they come to extend it.
             height: self.tip.height.saturating_add(1),
             prev_hash: self.tip.hash(),
@@ -169,7 +172,7 @@ impl FullNode {
 
     /// Builds and seals the next block from `txs` (transactions with
     /// invalid signatures are rejected up front). Does **not** advance the
-    /// chain — [`FullNode::apply`] the returned block, or [`FullNode::mine`].
+    /// chain — [`FullNode::follow`] the returned block, or [`FullNode::mine`].
     ///
     /// # Errors
     ///
@@ -181,19 +184,28 @@ impl FullNode {
         self.seal(txs, timestamp, state_root)
     }
 
-    /// Fully validates a foreign `block` against the tip and commits it:
-    /// header linkage and height, consensus proof, transaction root and
-    /// signatures, re-execution, state-root agreement. Returns that execution.
+    /// Follows a foreign `block` from the tip and commits it: header
+    /// linkage and height, consensus proof, transaction root,
+    /// re-execution, state-root agreement — everything but the
+    /// transaction signatures. Returns that execution and what its commit
+    /// displaced, for [`FullNode::retract`].
+    ///
+    /// A follower is a party whose output is accepted only through a
+    /// certificate over it: the enclave that signs the certificate checks
+    /// every signature, so a block it refuses is one the follower takes
+    /// back. The seal check stays, so only an authorised miner can make a
+    /// follower do work. A party that accepts a block on its own word
+    /// runs [`crate::validity::check_signatures`] first.
     ///
     /// # Errors
     ///
     /// Any [`ChainError`] leaves the node unchanged.
-    pub fn apply(&mut self, block: &Block) -> Result<BlockExecution, ChainError> {
+    pub fn follow(&mut self, block: &Block) -> Result<(BlockExecution, Displaced), ChainError> {
         check_extends(&self.tip, &block.header)?;
-        check_body(self.engine.as_ref(), block)?;
+        check_header(self.engine.as_ref(), block)?;
         let execution = self.execute(&block.txs);
-        self.advance(&block.header, execution.writes.iter())?;
-        Ok(execution)
+        let displaced = self.advance(&block.header, execution.writes.iter())?;
+        Ok((execution, displaced))
     }
 
     /// The one forward step: commits `writes` — the write set of `header`'s
@@ -229,11 +241,11 @@ impl FullNode {
 
     /// Mines the next block: one signature pass, one execution, and one
     /// state commit whose root seals the header — what [`FullNode::propose`]
-    /// then [`FullNode::apply`] produce, without the second validation.
+    /// then [`FullNode::follow`] produce, without the second validation.
     ///
     /// # Errors
     ///
-    /// What `propose` then `apply` refuse, in their order — a bad
+    /// What `propose` then `follow` refuse, in their order — a bad
     /// transaction signature, an engine that cannot seal (no key, or an
     /// unauthorised one), a tip at `u64::MAX` — with the node unchanged.
     /// The seal is not verified again: every header an engine seals passes
@@ -257,6 +269,7 @@ mod tests {
     use super::*;
     use crate::consensus::{ProofOfAuthority, ProofOfWork};
     use crate::genesis::GenesisBuilder;
+    use crate::validity::check_body;
     use dcert_primitives::keys::Keypair;
     use dcert_vm::ContractRegistry;
 
@@ -325,7 +338,10 @@ mod tests {
         // Reseal so consensus passes and the state check is what trips.
         node.engine().seal(&mut block.header).unwrap();
         let before = fingerprint(&node);
-        assert_eq!(node.apply(&block), Err(ChainError::StateRootMismatch));
+        assert_eq!(
+            node.follow(&block).err(),
+            Some(ChainError::StateRootMismatch)
+        );
         // The refusal comes after the write set was committed, and takes
         // it back.
         assert_eq!(fingerprint(&node), before, "node must be unchanged");
@@ -348,12 +364,12 @@ mod tests {
         assert_eq!(fingerprint(&node), before, "a refusal changes nothing");
 
         let mut applied = node.clone();
-        applied.apply(&block).unwrap();
+        applied.follow(&block).unwrap();
         let displaced = node.advance(&block.header, writes.iter()).unwrap();
         assert_eq!(
             fingerprint(&node),
             fingerprint(&applied),
-            "apply's own step"
+            "follow's own step"
         );
         node.retract(before.0.clone(), displaced);
         assert_eq!(fingerprint(&node), before, "retract takes it back exactly");
@@ -377,11 +393,11 @@ mod tests {
             let mut twin = node.clone();
             assert_eq!(node.mine(txs.clone(), 1), Err(refusal.clone()), "{what}");
             assert_eq!(fingerprint(&node), before, "{what}: node must be unchanged");
-            // What `mine` refuses is what `propose` then `apply` refuse.
+            // What `mine` refuses is what `propose` then `follow` refuse.
             let two_step = twin
                 .propose(txs, 1)
-                .and_then(|block| twin.apply(&block).map(|_| block));
-            assert_eq!(two_step, Err(refusal), "{what}: propose + apply");
+                .and_then(|block| twin.follow(&block).map(|_| block));
+            assert_eq!(two_step, Err(refusal), "{what}: propose + follow");
         };
         let authorized = vec![Keypair::from_seed([9; 32]).public()];
         let mut forged = bump_tx(2, 0);
@@ -429,28 +445,33 @@ mod tests {
         let mut wrong_link = block.clone();
         wrong_link.header.prev_hash = Hash::ZERO;
         assert!(matches!(
-            node.apply(&wrong_link),
+            node.follow(&wrong_link),
             Err(ChainError::BrokenLink { .. })
         ));
         let mut wrong_height = block;
         wrong_height.header.height = 7;
         assert!(matches!(
-            node.apply(&wrong_height),
+            node.follow(&wrong_height),
             Err(ChainError::BadHeight { .. })
         ));
     }
 
+    /// A forged signature under an honest seal and post-state root: the
+    /// block rule refuses it, and a follower, which leaves signatures to
+    /// the enclave, takes it and can take it back.
     #[test]
     fn rejects_bad_tx_signature_in_block() {
         let mut node = node(Arc::new(ProofOfWork::new(2)));
         let mut tx = bump_tx(1, 0);
         tx.nonce = 99; // invalidates the signature
-        let block = Block {
+        let txs = vec![tx];
+        let state_root = node.predicted_state_root(&node.execute(&txs));
+        let mut sealed = Block {
             header: BlockHeader {
                 height: 1,
                 prev_hash: node.tip().hash(),
-                state_root: node.state().root(),
-                tx_root: Block::tx_root(std::slice::from_ref(&tx)),
+                state_root,
+                tx_root: Block::tx_root(&txs),
                 timestamp: 1,
                 miner: Address::default(),
                 consensus: ConsensusProof::Pow {
@@ -458,12 +479,21 @@ mod tests {
                     nonce: 0,
                 },
             },
-            txs: vec![tx],
+            txs,
         };
-        let mut sealed = block;
-        node.engine().seal(&mut sealed.header).unwrap();
         // Need matching difficulty: engine is PoW(2), seal produced that.
-        assert_eq!(node.apply(&sealed), Err(ChainError::BadTxSignature));
+        node.engine().seal(&mut sealed.header).unwrap();
+        assert_eq!(
+            check_body(node.engine().as_ref(), &sealed),
+            Err(ChainError::BadTxSignature)
+        );
+        let before = fingerprint(&node);
+        let (_, displaced) = node
+            .follow(&sealed)
+            .expect("a follower checks no signature");
+        assert_eq!(node.tip(), &sealed.header);
+        node.retract(before.0.clone(), displaced);
+        assert_eq!(fingerprint(&node), before, "retract takes it back exactly");
     }
 
     #[test]
@@ -477,7 +507,7 @@ mod tests {
         };
         // Nonce 0 almost certainly fails a 16-bit target; if it passes by
         // luck the block is simply valid, so only assert on the common case.
-        if node.apply(&unsealed).is_ok() {
+        if node.follow(&unsealed).is_ok() {
             return;
         }
         assert_eq!(node.height(), 0);

@@ -1,9 +1,12 @@
-//! The block-validity rule, spelled once: [`crate::FullNode::apply`], the
-//! trusted certificate program's `blk_verify_t` and the CI's link builder
-//! call these functions — in Algorithm 2's line order, [`check_extends`]
-//! (line 14) then [`check_body`] (lines 15, 16, 19) — so the enclave
-//! accepts exactly what a full node accepts. `check_body` is
-//! [`check_header`] then [`check_signatures`], on the calling thread.
+//! The block-validity rule, spelled once: the trusted certificate
+//! program's `blk_verify_t` calls these functions in Algorithm 2's line
+//! order, [`check_extends`] (line 14) then [`check_body`] (lines 15, 16,
+//! 19), so the enclave accepts exactly what the rule accepts.
+//! `check_body` is [`check_header`] then [`check_signatures`], on the
+//! calling thread. The parties whose output is accepted only through an
+//! enclave certificate run the rule without its signatures:
+//! [`crate::FullNode::follow`] (the SP) is [`check_extends`] then
+//! [`check_header`], and the CI's link builder [`check_extends`] alone.
 //! Inputs may be host-supplied: nothing here may panic, and nothing here
 //! starts a thread.
 

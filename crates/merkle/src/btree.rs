@@ -421,6 +421,39 @@ fn split_children<T>(
     Some((promoted, right_separators, right_children))
 }
 
+/// The inverse of a split: `left` and `right`, the two halves a split
+/// made around `separator` (a leaf split's separator is `right`'s first
+/// key and is only dropped; an internal split's was promoted out of the
+/// node), merged back into the node they were.
+fn unsplit<F: Flavor>(left: Node<F>, separator: u64, right: Node<F>) -> Node<F> {
+    match (left, right) {
+        (Node::Leaf { mut entries, .. }, Node::Leaf { entries: tail, .. }) => {
+            entries.extend(tail);
+            Node::leaf(entries)
+        }
+        (
+            Node::Internal {
+                mut separators,
+                mut children,
+                ..
+            },
+            Node::Internal {
+                separators: right_separators,
+                children: right_children,
+                ..
+            },
+        ) => {
+            separators.push(separator);
+            separators.extend(right_separators);
+            children.extend(right_children);
+            Node::internal(separators, children)
+        }
+        // Siblings sit at one depth: a leaf and an internal node never
+        // share a parent. Keep both rather than lose one.
+        (left, right) => Node::internal(vec![separator], vec![left, right]),
+    }
+}
+
 // --- the tree ----------------------------------------------------------------
 
 /// What a leaf keeps per timestamp: the value and its digest, computed
@@ -597,6 +630,68 @@ impl<F: Flavor> BTree<F> {
                     Node::internal(separators, children),
                     split.map(|(sep, seps, kids)| (sep, Node::internal(seps, kids))),
                 )
+            }
+        }
+    }
+
+    /// Takes back the last append: removes the entry with the greatest
+    /// timestamp and returns it, leaving the tree exactly — every node,
+    /// split and hash — as it was before that entry went in, provided it
+    /// went in last and above every other timestamp.
+    ///
+    /// The splits the append made are read off the shape. A tree only
+    /// grows by inserts, so each rightmost node below the root is the
+    /// right half of the split that made it and holds at least
+    /// `⌈(order + 1) / 2⌉` entries or children; one the pop
+    /// leaves short of that was split by the append itself, and is merged
+    /// back into its left sibling around the separator it handed up. A
+    /// root left with one child was the append's new root.
+    pub fn pop_last(&mut self) -> Option<(u64, F::Value)> {
+        let root = self.root.take()?;
+        let (node, popped) = self.pop_rec(root);
+        self.root = match node {
+            Node::Leaf { entries, .. } if entries.is_empty() => None,
+            Node::Internal { mut children, .. } if children.len() == 1 => children.pop(),
+            node => Some(node),
+        };
+        if popped.is_some() {
+            self.len -= 1;
+        }
+        popped.map(|(ts, (value, _))| (ts, value))
+    }
+
+    #[allow(clippy::type_complexity)]
+    fn pop_rec(&self, node: Node<F>) -> (Node<F>, Option<(u64, Stored<F>)>) {
+        match node {
+            Node::Leaf { mut entries, .. } => {
+                let popped = entries.pop();
+                (Node::leaf(entries), popped)
+            }
+            Node::Internal {
+                mut separators,
+                mut children,
+                ..
+            } => {
+                let Some(last) = children.pop() else {
+                    return (Node::internal(separators, children), None);
+                };
+                let (last, popped) = self.pop_rec(last);
+                let min_right = (self.order + 1).div_ceil(2);
+                let split_by_the_append = match &last {
+                    Node::Leaf { entries, .. } => entries.len() < min_right,
+                    Node::Internal { children, .. } => children.len() < min_right,
+                };
+                let last = match (split_by_the_append, children.pop()) {
+                    // `children.len() == separators.len() + 1`: a left
+                    // sibling has its separator.
+                    (true, Some(left)) => unsplit(left, separators.pop().unwrap_or_default(), last),
+                    (_, left) => {
+                        children.extend(left);
+                        last
+                    }
+                };
+                children.push(last);
+                (Node::internal(separators, children), popped)
             }
         }
     }
@@ -1329,6 +1424,62 @@ mod tests {
         });
     }
 
+    /// The rightmost path's fill, root first: children per internal node,
+    /// then the leaf's entries.
+    fn rightmost_fill<F: Flavor>(tree: &BTree<F>) -> Vec<usize> {
+        let mut fill = Vec::new();
+        let mut node = tree.root.as_ref();
+        while let Some(current) = node {
+            node = match current {
+                Node::Leaf { entries, .. } => {
+                    fill.push(entries.len());
+                    None
+                }
+                Node::Internal { children, .. } => {
+                    fill.push(children.len());
+                    children.last()
+                }
+            };
+        }
+        fill
+    }
+
+    /// One more entry above every other, then `pop_last`: the tree is one
+    /// that never saw it — root, length, annotation, rightmost shape and
+    /// the next append proof — at every length to 300 and four orders,
+    /// through leaf splits, internal splits and new roots.
+    fn pop_last_undoes_an_append<F: Fixture>() {
+        for order in [3usize, 4, 5, 16] {
+            let mut tree = BTree::<F>::new(order);
+            let (mut leaf_and_internal, mut new_root) = (false, false);
+            for n in 0..=300u64 {
+                let fill = rightmost_fill(&tree);
+                let mut undone = tree.clone();
+                undone.insert(n, F::value(n));
+                // A full leaf under a full parent: the append splits both.
+                if let [.., parent, leaf] = fill[..] {
+                    leaf_and_internal |= parent == order && leaf == order;
+                }
+                new_root |= fill.len() >= 2 && rightmost_fill(&undone).len() > fill.len();
+                let what = format!("order={order} n={n}");
+                assert_eq!(undone.pop_last(), Some((n, F::value(n))), "{what}");
+                assert_eq!(undone.root(), tree.root(), "{what}");
+                assert_eq!(undone.len(), tree.len(), "{what}");
+                assert_eq!(undone.total(), tree.total(), "{what}");
+                assert_eq!(rightmost_fill(&undone), fill, "{what}");
+                assert_eq!(
+                    undone.prove_append().to_encoded_bytes(),
+                    tree.prove_append().to_encoded_bytes(),
+                    "{what}"
+                );
+                tree.insert(n, F::value(n));
+            }
+            assert!(leaf_and_internal, "order={order}: no leaf+internal split");
+            assert!(new_root, "order={order}: no internal root split");
+        }
+        assert_eq!(BTree::<F>::new(4).pop_last(), None);
+    }
+
     macro_rules! for_each_flavor {
         ($($test:ident),* $(,)?) => {
             for_each_flavor!(@module plain, Plain, $($test),*);
@@ -1364,6 +1515,7 @@ mod tests {
         prop_windows_verify,
         prop_append_agrees,
         prop_stored_digests_match_values,
+        pop_last_undoes_an_append,
     );
 
     // --- Plain only: row-level claims, absence -------------------------

@@ -167,6 +167,36 @@ mod tests {
         }
     }
 
+    /// `undo_block` takes a block back exactly — through lower-tree splits
+    /// and a key the block creates — so the block's next application
+    /// produces the same update proof and digest.
+    #[test]
+    fn undo_block_restores_the_index_the_block_found() {
+        let mut index = HistoryIndex::with_order("history", 4);
+        let seen = |index: &HistoryIndex| {
+            let answers: Vec<Vec<u8>> = ["a", "b", "fresh"]
+                .iter()
+                .map(|k| index.query(&key(k), 0, 100).1.to_encoded_bytes())
+                .collect();
+            (index.digest(), index.tracked_keys(), answers)
+        };
+        for height in 1..=30u64 {
+            let fresh = format!("fresh-{height}");
+            let ws = writes(&[
+                ("a", Some("v-a")),
+                ("b", if height % 3 == 0 { None } else { Some("v-b") }),
+                (&fresh, Some("new")),
+            ]);
+            let before = seen(&index);
+            let mut undone = index.clone();
+            let applied = undone.apply_block(height, &ws);
+            undone.undo_block();
+            assert_eq!(seen(&undone), before, "height {height}");
+            assert_eq!(undone.apply_block(height, &ws), applied, "height {height}");
+            assert_eq!(index.apply_block(height, &ws), applied, "height {height}");
+        }
+    }
+
     #[test]
     fn verifier_rejects_tampered_aux() {
         let mut index = HistoryIndex::with_order("history", 4);

@@ -84,6 +84,19 @@ pub struct InvertedIndex {
     name: String,
     dictionary: SparseMerkleTree,
     postings: HashMap<String, Vec<Hash>>,
+    /// The undo of the last block's appends, until
+    /// [`InvertedIndex::settle_block`].
+    last_block: Appended,
+}
+
+/// What one block's appends displaced, in append order: each dictionary
+/// entry's previous value, and each keyword's previous posting count
+/// (`None` = the block created the keyword). Put back in reverse order,
+/// they restore the index the block found.
+#[derive(Debug, Clone, Default)]
+struct Appended {
+    heads: Vec<(Hash, Option<Vec<u8>>)>,
+    postings: Vec<(String, Option<usize>)>,
 }
 
 impl InvertedIndex {
@@ -93,6 +106,7 @@ impl InvertedIndex {
             name: name.into(),
             dictionary: SparseMerkleTree::new(),
             postings: HashMap::new(),
+            last_block: Appended::default(),
         }
     }
 
@@ -138,7 +152,9 @@ impl InvertedIndex {
     }
 
     /// Indexes one block, returning the enclave-verifiable update proof
-    /// (`aux`) and the new digest.
+    /// (`aux`) and the new digest. The block stays undoable
+    /// ([`InvertedIndex::undo_block`]) until the next block or
+    /// [`InvertedIndex::settle_block`].
     pub fn apply_block(&mut self, block: &Block) -> (Vec<u8>, Hash) {
         let appends: Vec<(String, Vec<Hash>)> = Self::block_appends(block).into_iter().collect();
         let touched: Vec<Hash> = appends.iter().map(|(kw, _)| keyword_key(kw)).collect();
@@ -158,16 +174,45 @@ impl InvertedIndex {
     /// [`InvertedIndex::apply_block`], used by store recovery. Applying
     /// the same appends yields the same dictionary root by construction.
     pub(crate) fn replay_appends(&mut self, appends: &[(String, Vec<Hash>)]) {
+        let mut undo = Appended::default();
         for (keyword, ids) in appends {
             let mut head = self.head(keyword).unwrap_or(Hash::ZERO);
+            let had = self.postings.get(keyword).map(Vec::len);
+            undo.postings.push((keyword.clone(), had));
             let list = self.postings.entry(keyword.clone()).or_default();
             for id in ids {
                 list.push(*id);
                 head = chain_append(&head, id);
             }
-            self.dictionary
-                .insert(keyword_key(keyword), head.as_bytes().to_vec());
+            let key = keyword_key(keyword);
+            let previous = self.dictionary.insert(key, head.as_bytes().to_vec());
+            undo.heads.push((key, previous));
         }
+        self.last_block = undo;
+    }
+
+    /// Takes back the last block's appends exactly: each posting list is
+    /// cut back to its length before the block, a keyword the block
+    /// created goes, and the dictionary gets back the heads the block
+    /// displaced. Does nothing once the block is settled or undone.
+    pub fn undo_block(&mut self) {
+        let Appended { heads, postings } = std::mem::take(&mut self.last_block);
+        for (keyword, had) in postings.into_iter().rev() {
+            match had {
+                Some(len) => self.postings.entry(keyword).or_default().truncate(len),
+                None => {
+                    self.postings.remove(&keyword);
+                }
+            }
+        }
+        // The last write to a key wins: reversed, that is its first
+        // displaced value, the one the block found.
+        self.dictionary.commit(heads.into_iter().rev());
+    }
+
+    /// Makes the last block's appends final, dropping their undo.
+    pub fn settle_block(&mut self) {
+        self.last_block = Appended::default();
     }
 
     /// Answers a conjunctive keyword query ("w1 AND w2 AND ..."),
@@ -357,6 +402,7 @@ mod tests {
     use super::*;
     use dcert_chain::consensus::ConsensusProof;
     use dcert_chain::{Block, BlockHeader, Transaction};
+    use dcert_primitives::codec::encode_seq;
     use dcert_primitives::hash::Address;
     use dcert_primitives::keys::Keypair;
 
@@ -502,6 +548,65 @@ mod tests {
         }
         assert_eq!(live.digest(), replayed.digest());
         assert_eq!(live.query(&["bank"]).0, replayed.query(&["bank"]).0);
+    }
+
+    /// Everything a client could learn of `index` through `keywords`: the
+    /// digest and one conjunctive answer's bytes, plus the keyword count.
+    fn observed(index: &InvertedIndex, keywords: &[&str]) -> (Hash, Vec<u8>, usize) {
+        let (result, proof) = index.query(keywords);
+        let mut answer = Vec::new();
+        encode_seq(&result, &mut answer);
+        proof.encode(&mut answer);
+        (index.digest(), answer, index.keywords())
+    }
+
+    /// `undo_block` takes a block back exactly, whether it created a
+    /// keyword or only extended existing ones; after a settle it does
+    /// nothing.
+    #[test]
+    fn undo_block_restores_the_index_the_block_found() {
+        let mut index = InvertedIndex::new("inverted");
+        index.apply_block(&memo_block(1, &["stock bank", "bank bond"]));
+        index.settle_block();
+        for (what, memos) in [
+            ("extends only", ["stock bank again", "bond bank"]),
+            ("creates a keyword", ["stock merger", "bank unicorn"]),
+        ] {
+            let before = [
+                observed(&index, &["stock", "bank"]),
+                observed(&index, &["merger"]),
+                observed(&index, &["unicorn", "bank"]),
+            ];
+            let mut undone = index.clone();
+            undone.apply_block(&memo_block(2, &memos));
+            assert_ne!(
+                undone.digest(),
+                index.digest(),
+                "{what}: the block moves it"
+            );
+            undone.undo_block();
+            let after = [
+                observed(&undone, &["stock", "bank"]),
+                observed(&undone, &["merger"]),
+                observed(&undone, &["unicorn", "bank"]),
+            ];
+            assert_eq!(after, before, "{what}");
+            // The undone index indexes the block again as the first did.
+            let mut twin = index.clone();
+            let block = memo_block(3, &memos);
+            assert_eq!(
+                undone.apply_block(&block),
+                twin.apply_block(&block),
+                "{what}"
+            );
+        }
+        let settled = index.digest();
+        index.apply_block(&memo_block(2, &["stock"]));
+        let applied = index.digest();
+        assert_ne!(applied, settled);
+        index.settle_block();
+        index.undo_block();
+        assert_eq!(index.digest(), applied, "a settled block is final");
     }
 
     #[test]

@@ -7,7 +7,8 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use dcert_chain::{Block, ChainError, ChainState, ConsensusEngine, FullNode};
+use dcert_chain::state::Displaced;
+use dcert_chain::{Block, BlockHeader, ChainError, ChainState, ConsensusEngine, FullNode};
 use dcert_core::{CertError, Certificate, IndexInput, IndexVerifier, RecoverError, TrustDomain};
 use dcert_obs::{Buckets, Counter, Histogram, Registry};
 use dcert_primitives::codec::{encode_seq, Decode, Encode};
@@ -87,11 +88,16 @@ pub trait MaintainedIndex: Send {
     /// The current digest `H_idx`.
     fn digest(&self) -> Hash;
     /// Applies one block, returning `(aux, new_digest)` for certification.
+    /// The block stays undoable until the next one or `settle_block`.
     fn apply_block(
         &mut self,
         block: &Block,
         writes: &[(StateKey, Option<Vec<u8>>)],
     ) -> (Vec<u8>, Hash);
+    /// Takes back the last `apply_block` exactly; nothing once settled.
+    fn undo_block(&mut self);
+    /// Makes the last `apply_block` final, dropping its undo.
+    fn settle_block(&mut self);
 }
 
 impl<F: IndexFlavor> MaintainedIndex for TwoLevelIndex<F>
@@ -108,6 +114,12 @@ where
     ) -> (Vec<u8>, Hash) {
         TwoLevelIndex::apply_block(self, block.header.height, writes)
     }
+    fn undo_block(&mut self) {
+        TwoLevelIndex::undo_block(self);
+    }
+    fn settle_block(&mut self) {
+        TwoLevelIndex::settle_block(self);
+    }
 }
 
 impl MaintainedIndex for InvertedIndex {
@@ -121,6 +133,39 @@ impl MaintainedIndex for InvertedIndex {
     ) -> (Vec<u8>, Hash) {
         InvertedIndex::apply_block(self, block)
     }
+    fn undo_block(&mut self) {
+        InvertedIndex::undo_block(self);
+    }
+    fn settle_block(&mut self) {
+        InvertedIndex::settle_block(self);
+    }
+}
+
+/// Every index as the SP drives it, in [`ServiceProvider::verifiers`]
+/// order, each with its name.
+fn maintained<'a>(
+    histories: &'a mut BTreeMap<String, HistoryIndex>,
+    inverteds: &'a mut BTreeMap<String, InvertedIndex>,
+    aggregates: &'a mut BTreeMap<String, AggregateIndex>,
+) -> impl Iterator<Item = (&'a str, &'a mut dyn MaintainedIndex)> {
+    fn as_dyn<I: MaintainedIndex>(
+        map: &mut BTreeMap<String, I>,
+    ) -> impl Iterator<Item = (&str, &mut dyn MaintainedIndex)> {
+        map.iter_mut()
+            .map(|(name, index)| (name.as_str(), index as &mut dyn MaintainedIndex))
+    }
+    as_dyn(histories)
+        .chain(as_dyn(inverteds))
+        .chain(as_dyn(aggregates))
+}
+
+/// What taking back the last staged block needs beyond each index's own
+/// undo: the chain view's, and the SP's bookkeeping before the stage.
+struct Unstage {
+    prev_tip: BlockHeader,
+    displaced: Displaced,
+    index_height: u64,
+    staged: Option<Hash>,
 }
 
 /// Which kind of index to instantiate under a name.
@@ -179,6 +224,8 @@ pub struct ServiceProvider {
     anchors: BTreeMap<String, Option<(Hash, Hash, Certificate)>>,
     /// Header hash of the block staged since the last `advance`.
     staged: Option<Hash>,
+    /// The undo of the last staged block, held until it settles.
+    unstage: Option<Unstage>,
     /// Highest block height already applied to the indexes. Equal to the
     /// chain height in normal operation; after [`ServiceProvider::recover_from`]
     /// it runs ahead of the genesis chain state until the caller re-syncs.
@@ -217,6 +264,7 @@ impl ServiceProvider {
             aggregates: BTreeMap::new(),
             anchors: BTreeMap::new(),
             staged: None,
+            unstage: None,
             index_height: 0,
             store: None,
             store_error: None,
@@ -410,33 +458,44 @@ impl ServiceProvider {
         self.serve_aggregate(name, key, t1, t2)
     }
 
-    /// Processes one block: executes it, updates every index, advances the
-    /// chain, stages the block for [`ServiceProvider::advance`], and
-    /// returns the [`IndexInput`]s the CI needs (in the same deterministic
-    /// order as [`ServiceProvider::verifiers`]), each chained from its
-    /// index's digest before the block.
+    /// Processes one block: follows it ([`FullNode::follow`]: linkage,
+    /// seal, transaction root, execution, state root — no transaction
+    /// signature), updates every index, stages the block for
+    /// [`ServiceProvider::advance`], and returns the [`IndexInput`]s the CI
+    /// needs (in the same deterministic order as
+    /// [`ServiceProvider::verifiers`]), each chained from its index's
+    /// digest before the block.
+    ///
+    /// The SP's answers are believed only through the certificates the
+    /// enclave signs after checking every signature, so it does not check
+    /// them again: a block the CI refuses is taken back, exactly, by
+    /// [`ServiceProvider::rewind`]. Staging a block settles any block
+    /// staged before it.
     ///
     /// # Errors
     ///
-    /// Propagates block-validation errors; indexes are only updated when
-    /// the block is valid.
+    /// Propagates block-following errors; indexes are only updated when
+    /// the block follows the tip.
     pub fn stage_block(&mut self, block: &Block) -> Result<Vec<IndexInput>, ChainError> {
         // Post-recovery catch-up: the indexes (and the store) already hold
         // this height, so only the chain state advances. Nothing is staged
         // — these blocks were certified before the restart.
         if block.header.height <= self.index_height {
-            self.node.apply(block)?;
+            self.node.follow(block)?;
             return Ok(Vec::new());
         }
-        // Validate + advance the chain first; a bad block must not touch
-        // the indexes. The indexes are fed from the execution the node
-        // validated.
-        let execution = self.node.apply(block)?;
+        // Follow the chain first; a block that does not follow must not
+        // touch the indexes. The indexes are fed from the execution the
+        // node committed.
+        let prev_tip = self.node.tip().clone();
+        let (execution, displaced) = self.node.follow(block)?;
         let writes: Vec<(StateKey, Option<Vec<u8>>)> = execution.writes.into_iter().collect();
 
         // Persist the raw material recovery replays: the block's writes
         // (rebuilds history/aggregate indexes) and its keyword appends
-        // (rebuilds inverted indexes). Volatile until `advance` commits.
+        // (rebuilds inverted indexes). Volatile until `advance` commits;
+        // a rewound block's records stay behind the committed watermark
+        // until the block that replaces it supersedes them.
         if self.store.is_some() {
             let height = block.header.height;
             let mut writes_body = Vec::new();
@@ -459,16 +518,7 @@ impl ServiceProvider {
             ..
         } = self;
         let mut inputs = Vec::with_capacity(histories.len() + inverteds.len() + aggregates.len());
-        fn as_dyn<I: MaintainedIndex>(
-            map: &mut BTreeMap<String, I>,
-        ) -> impl Iterator<Item = (&str, &mut dyn MaintainedIndex)> {
-            map.iter_mut()
-                .map(|(name, index)| (name.as_str(), index as &mut dyn MaintainedIndex))
-        }
-        let indexes = as_dyn(histories)
-            .chain(as_dyn(inverteds))
-            .chain(as_dyn(aggregates));
-        for (name, index) in indexes {
+        for (name, index) in maintained(histories, inverteds, aggregates) {
             let prev_digest = index.digest();
             let prev_cert = anchors.get(name).and_then(Option::as_ref);
             let (aux, new_digest) = index.apply_block(block, &writes);
@@ -480,9 +530,57 @@ impl ServiceProvider {
                 aux,
             });
         }
+        self.unstage = Some(Unstage {
+            prev_tip,
+            displaced,
+            index_height: self.index_height,
+            staged: self.staged,
+        });
         self.index_height = block.header.height;
         self.staged = Some(block.header.hash());
         Ok(inputs)
+    }
+
+    /// Takes back the last staged block exactly — the chain view
+    /// ([`FullNode::retract`]), every index, the index height and the
+    /// staged header — leaving the SP as it was before the stage: what it
+    /// does when the CI refuses the block. Returns whether there was a
+    /// block to take back; one that [`ServiceProvider::advance`] (or a
+    /// later stage) settled is final.
+    ///
+    /// A store-backed SP keeps the block's records: they lie above the
+    /// committed watermark, which recovery never replays past, and the
+    /// records of the block staged next at that height supersede them.
+    pub fn rewind(&mut self) -> bool {
+        let Some(unstage) = self.unstage.take() else {
+            return false;
+        };
+        self.node.retract(unstage.prev_tip, unstage.displaced);
+        for index in self.indexes_mut() {
+            index.undo_block();
+        }
+        self.index_height = unstage.index_height;
+        self.staged = unstage.staged;
+        true
+    }
+
+    /// Every index, mutably, in [`ServiceProvider::verifiers`] order.
+    fn indexes_mut(&mut self) -> impl Iterator<Item = &mut dyn MaintainedIndex> {
+        maintained(
+            &mut self.histories,
+            &mut self.inverteds,
+            &mut self.aggregates,
+        )
+        .map(|(_, index)| index)
+    }
+
+    /// Makes the last staged block final: drops its undo.
+    fn settle(&mut self) {
+        if self.unstage.take().is_some() {
+            for index in self.indexes_mut() {
+                index.settle_block();
+            }
+        }
     }
 
     /// Appends one record if a healthy store is attached; a failure
@@ -532,7 +630,8 @@ impl ServiceProvider {
     /// the trust anchors recovery re-checks them with — before any is
     /// recorded (and its attestation remembered). `None`
     /// settles it uncertified (the pipelined SP): each index keeps its
-    /// latest certificate.
+    /// latest certificate. Either way the block is final:
+    /// [`ServiceProvider::rewind`] no longer takes it back.
     ///
     /// # Errors
     ///
@@ -573,6 +672,7 @@ impl ServiceProvider {
             }
         }
         self.staged = None;
+        self.settle();
         self.commit_store();
         Ok(())
     }
@@ -687,6 +787,9 @@ impl ServiceProvider {
             for index in self.inverteds.values_mut() {
                 index.replay_appends(&keywords.appends);
             }
+        }
+        for index in self.indexes_mut() {
+            index.settle_block();
         }
 
         // Re-verify: every committed digest must equal the replayed one,

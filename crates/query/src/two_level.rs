@@ -61,6 +61,10 @@ pub struct TwoLevelIndex<F: IndexFlavor> {
     upper: SparseMerkleTree,
     lower: HashMap<Hash, BTree<F>>,
     order: usize,
+    /// What the last [`TwoLevelIndex::apply_block`] displaced in the upper
+    /// tree, until [`TwoLevelIndex::settle_block`]: with each written
+    /// key's newest version, all [`TwoLevelIndex::undo_block`] needs.
+    last_block: Vec<(Hash, Option<Vec<u8>>)>,
 }
 
 impl<F: IndexFlavor> TwoLevelIndex<F> {
@@ -77,6 +81,7 @@ impl<F: IndexFlavor> TwoLevelIndex<F> {
             upper: SparseMerkleTree::new(),
             lower: HashMap::new(),
             order,
+            last_block: Vec::new(),
         }
     }
 
@@ -99,7 +104,10 @@ impl<F: IndexFlavor> TwoLevelIndex<F> {
     /// enclave-verifiable update proof (`aux`) and the new digest.
     ///
     /// Writes must be presented in the canonical (sorted-by-key) order the
-    /// certificate program authenticates.
+    /// certificate program authenticates, at a height above every one
+    /// applied before. The block stays undoable
+    /// ([`TwoLevelIndex::undo_block`]) until the next block or
+    /// [`TwoLevelIndex::settle_block`].
     pub fn apply_block(
         &mut self,
         height: u64,
@@ -127,11 +135,35 @@ impl<F: IndexFlavor> TwoLevelIndex<F> {
             tree.insert(height, value);
             roots.push((key, Some(tree.root().as_bytes().to_vec())));
         }
-        self.upper.commit(roots);
+        self.last_block = self.upper.commit(roots);
         let mut aux = Vec::new();
         encode_seq(&updates, &mut aux);
         upper.encode(&mut aux);
         (aux, self.digest())
+    }
+
+    /// Takes back the last [`TwoLevelIndex::apply_block`] exactly: every
+    /// key it wrote loses its newest version — the block's, the last entry
+    /// of its lower tree — a lower tree the block created goes, and the
+    /// upper tree gets back what the block displaced. Does nothing once
+    /// the block is settled or undone.
+    pub fn undo_block(&mut self) {
+        let displaced = std::mem::take(&mut self.last_block);
+        for (key, _) in &displaced {
+            if let Some(tree) = self.lower.get_mut(key) {
+                tree.pop_last();
+                if tree.is_empty() {
+                    self.lower.remove(key);
+                }
+            }
+        }
+        self.upper.commit(displaced);
+    }
+
+    /// Makes the last [`TwoLevelIndex::apply_block`] final, dropping its
+    /// undo.
+    pub fn settle_block(&mut self) {
+        self.last_block = Vec::new();
     }
 
     /// Answers "`key` over `[t1, t2]`" with a completeness proof.

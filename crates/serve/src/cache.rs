@@ -4,8 +4,8 @@
 //! the request's own spec, with std's SipHash since clients choose the
 //! keys — and are valid only for the **generation** they were inserted
 //! under. The front-end bumps the generation whenever anything that can
-//! change an answer moves — only `stage_block`, which moves the live
-//! indexes every answer comes from — and a bump clears the cache
+//! change an answer moves — only `stage_block` and `rewind`, which move
+//! the live indexes every answer comes from — and a bump clears the cache
 //! wholesale. That makes "no stale proof survives a height advance" a
 //! structural property rather than a bookkeeping discipline: there is no
 //! code path that can return a pre-advance entry afterwards, because no

@@ -18,10 +18,11 @@
 //!    allocation of the answer's bytes), fanned out to every waiter and
 //!    inserted into the cache without a copy.
 //! 3. **Invalidation**: every answer comes from the SP's live indexes,
-//!    which only [`ServeFront::stage_block`] moves; it bumps the cache
-//!    generation and clears it wholesale, so no pre-stage proof can
-//!    survive a height advance by construction. [`ServeFront::advance`]
-//!    settles the staged block's certificates and changes no answer.
+//!    which only [`ServeFront::stage_block`] and [`ServeFront::rewind`]
+//!    move; each bumps the cache generation and clears it wholesale, so
+//!    no proof from before a stage or a rewind can survive it by
+//!    construction. [`ServeFront::advance`] settles the staged block's
+//!    certificates and changes no answer.
 //!
 //! The front is intentionally synchronous and single-threaded: all
 //! scheduling is driven by explicit virtual-clock ticks the caller reads
@@ -168,7 +169,8 @@ impl ServeFront {
         self.cache.len()
     }
 
-    /// The cache generation (bumps on every [`ServeFront::stage_block`]).
+    /// The cache generation (bumps on every [`ServeFront::stage_block`] and
+    /// every [`ServeFront::rewind`] that takes a block back).
     pub fn cache_generation(&self) -> u64 {
         self.cache.generation()
     }
@@ -385,6 +387,19 @@ impl ServeFront {
         let inputs = self.sp.stage_block(block)?;
         self.invalidate();
         Ok(inputs)
+    }
+
+    /// Takes back the staged block ([`ServiceProvider::rewind`]) — what
+    /// the front does when the CI refuses it — and, if there was one,
+    /// invalidates the proof cache: an answer cached since the stage came
+    /// from indexes that no longer hold. Returns whether a block was
+    /// taken back.
+    pub fn rewind(&mut self) -> bool {
+        let rewound = self.sp.rewind();
+        if rewound {
+            self.invalidate();
+        }
+        rewound
     }
 
     /// Settles the staged block ([`ServiceProvider::advance`]). No answer

@@ -119,10 +119,27 @@ impl Chain {
         match self {
             Chain::Pow => Arc::new(ProofOfWork::new(POW_BITS)),
             Chain::Poa => {
-                let sealer = Keypair::from_seed([0x5e; 32]);
+                let sealer = Chain::poa_sealer();
                 Arc::new(ProofOfAuthority::new_sealer(vec![sealer.public()], sealer))
             }
         }
+    }
+
+    /// The engine the SP checks seals with: the miner's rule, and on
+    /// proof of authority no sealing key — the seal is all the SP checks,
+    /// and it seals nothing.
+    fn follower_engine(self) -> Arc<dyn ConsensusEngine> {
+        match self {
+            Chain::Pow => self.engine(),
+            Chain::Poa => Arc::new(ProofOfAuthority::new_verifier(vec![
+                Chain::poa_sealer().public()
+            ])),
+        }
+    }
+
+    /// The proof-of-authority chain's one authorised sealer.
+    fn poa_sealer() -> Keypair {
+        Keypair::from_seed([0x5e; 32])
     }
 
     fn miner(self) -> Address {
@@ -266,7 +283,7 @@ impl World {
             engine.clone(),
             chain.miner(),
         );
-        let mut sp = sp_at_genesis(&genesis, &genesis_state, &executor, &engine, &indexes);
+        let mut sp = sp_at_genesis(&genesis, &genesis_state, &executor, chain, &indexes);
         sp.attach_obs(&registry);
         let mut ias = AttestationService::with_seed(IAS_SEED);
         let ci = CertificateIssuer::new_deterministic(
@@ -355,7 +372,7 @@ impl World {
             &self.genesis,
             &self.genesis_state,
             &self.executor,
-            &self.engine,
+            self.chain,
             &self.indexes,
         )
     }
@@ -396,6 +413,25 @@ impl World {
     pub fn mine(&mut self, txs: Vec<Transaction>) -> Block {
         let timestamp = self.chain.timestamp(self.miner.height() + 1);
         self.miner.mine(txs, timestamp).expect("mines")
+    }
+
+    /// `block` with its first transaction's signature broken (the nonce
+    /// the signature covers moved) under a recomputed transaction root and
+    /// an honest seal. Execution never reads a nonce, so the forgery
+    /// reaches the honest state root: a block that follows the chain and
+    /// that only the enclave's signature check refuses.
+    ///
+    /// # Panics
+    ///
+    /// If `block` has no transaction.
+    pub fn forge_signature(&self, block: &Block) -> Block {
+        let mut forged = block.clone();
+        forged.txs[0].nonce += 1;
+        forged.header.tx_root = Block::tx_root(&forged.txs);
+        self.engine
+            .seal(&mut forged.header)
+            .expect("the world's engine seals");
+        forged
     }
 
     /// Mines `count` blocks of `workload`, `txs` transactions each.
@@ -501,15 +537,16 @@ impl World {
     }
 }
 
-/// An SP at `genesis` with `indexes` registered.
+/// An SP at `genesis` of `chain` with `indexes` registered.
 fn sp_at_genesis(
     genesis: &Block,
     state: &ChainState,
     executor: &Executor,
-    engine: &Arc<dyn ConsensusEngine>,
+    chain: Chain,
     indexes: &[(IndexKind, String)],
 ) -> ServiceProvider {
-    let mut sp = ServiceProvider::new(genesis, state.clone(), executor.clone(), engine.clone());
+    let engine = chain.follower_engine();
+    let mut sp = ServiceProvider::new(genesis, state.clone(), executor.clone(), engine);
     for (kind, name) in indexes {
         sp.add_index(*kind, name);
     }

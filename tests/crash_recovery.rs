@@ -73,7 +73,7 @@ fn state_at(
         Address::from_seed(0xED),
     );
     for block in &blocks[..height as usize] {
-        replica.apply(block).expect("replays persisted block");
+        replica.follow(block).expect("replays persisted block");
     }
     replica.state().clone()
 }

@@ -6,6 +6,7 @@
 //! `SuperlightClient`.
 
 use dcert::chain::consensus::ConsensusProof;
+use dcert::chain::validity::{check_body, check_extends};
 use dcert::chain::{
     Block, BlockHeader, ChainError, ConsensusEngine, FullNode, GenesisBuilder, ProofOfWork,
     Transaction,
@@ -29,7 +30,7 @@ use dcert::sgx::{AttestationReport, AttestationService, TrustedApp};
 use dcert::vm::StateKey;
 use dcert::workloads::kvstore::KvCall;
 use dcert::workloads::{Workload, WorkloadGen};
-use dcert::world::{Setup, World, POW_BITS, SIGNING_SEED};
+use dcert::world::{observe, Setup, World, MEMO_INDEXES, POW_BITS, SIGNING_SEED};
 use dcert_testkit::smt_frames;
 
 /// One block's certification inputs: the anchor `(prev_header,
@@ -115,16 +116,28 @@ fn expect_sig(program: &mut CertProgram, input: OneBlock) -> Result<(), CertErro
     program.handle(input.certify(Vec::new())).map(|_| ())
 }
 
+/// A full node that accepts a block on its own word: the block-validity
+/// rule in Algorithm 2's order — [`check_extends`], then [`check_body`]
+/// (seal, transaction root, signatures) — then [`FullNode::follow`], which
+/// executes, commits and compares the state root.
+fn validate_then_follow(node: &mut FullNode, block: &Block) -> Result<(), ChainError> {
+    check_extends(node.tip(), &block.header)?;
+    check_body(node.engine().as_ref(), block)?;
+    node.follow(block).map(drop)
+}
+
 /// How every acceptor of block 1, of `txs` transactions, answers it after
 /// `mutate` (then, with `reseal`, an honest proof-of-work over the mutated
 /// header, so the check under test — not the consensus proof — is what
-/// trips): the full node's `apply`, then the trusted program's one-link,
-/// index-less `Certify` and one-link `RangeSigGen`, each on a fresh
-/// fixture. The program's refusals are unwrapped to the `ChainError` they
-/// carry (`StateRootMismatch` is the one check it reports under its own
-/// name), a node that refused is unchanged, and a program that refused has
-/// signed nothing.
-fn verdicts(txs: usize, mutate: fn(&mut Block), reseal: bool) -> [Result<(), ChainError>; 3] {
+/// trips): a validating full node ([`validate_then_follow`]), the trusted
+/// program's one-link, index-less `Certify` and one-link `RangeSigGen`,
+/// and the SP's `stage_block`, each on a fresh fixture. The program's
+/// refusals are unwrapped to the `ChainError` they carry
+/// (`StateRootMismatch` is the one check it reports under its own name), a
+/// node that refused is unchanged, a program that refused has signed
+/// nothing, and an SP that refused — or staged, then `rewind`s — observes
+/// exactly as it did before the block.
+fn verdicts(txs: usize, mutate: fn(&mut Block), reseal: bool) -> [Result<(), ChainError>; 4] {
     let mutated = || {
         let (program, mut input, node) = fixture_of(txs);
         mutate(&mut input.link.block);
@@ -147,11 +160,21 @@ fn verdicts(txs: usize, mutate: fn(&mut Block), reseal: bool) -> [Result<(), Cha
     };
     let (_, input, mut node) = mutated();
     let before = (node.tip().clone(), node.state().dump_entries());
-    let applied = node.apply(&input.link.block).map(drop);
+    let applied = validate_then_follow(&mut node, &input.link.block);
     if applied.is_err() {
         let after = (node.tip().clone(), node.state().dump_entries());
         assert_eq!(after, before, "refused, so unchanged");
     }
+    let staged = {
+        let (_, input, _) = mutated();
+        let mut sp = World::pow(&MEMO_INDEXES).genesis_sp();
+        let before = observe(&sp);
+        let staged = sp.stage_block(&input.link.block).map(drop);
+        assert_eq!(sp.rewind(), staged.is_ok(), "only a staged block rewinds");
+        assert_eq!(observe(&sp), before, "refused or rewound, so unchanged");
+        assert_eq!(sp.height(), 0, "the SP's chain view is back at genesis");
+        staged
+    };
     [
         applied,
         offer(|input| input.certify(Vec::new())),
@@ -159,6 +182,7 @@ fn verdicts(txs: usize, mutate: fn(&mut Block), reseal: bool) -> [Result<(), Cha
             anchor: input.prev_header,
             links: vec![input.link],
         }),
+        staged,
     ]
 }
 
@@ -180,15 +204,18 @@ fn honest_input_is_signed() {
 }
 
 /// **The full node and the enclave agree.** The honest block is accepted
-/// by all three acceptors; for each single mutation of it — one per check
-/// of the block-validity rule — `FullNode::apply` and the trusted
+/// by all four acceptors; for each single mutation of it — one per check
+/// of the block-validity rule — a validating full node and the trusted
 /// program's two replaying requests refuse with the same `ChainError`
 /// variant: they run the same `chain::validity` functions, and the
-/// state-root comparison is the one line each keeps.
+/// state-root comparison is the one line each keeps. The SP, which
+/// follows the chain and leaves signatures to the enclave, refuses every
+/// row with that variant too, except the signature rows: those it stages,
+/// and takes back exactly.
 #[test]
 fn full_node_and_enclave_agree_on_every_mutation() {
     assert!(verdicts(4, |_| {}, false).iter().all(Result::is_ok));
-    let acceptors = ["apply", "Certify", "RangeSigGen"];
+    let acceptors = ["check_body + follow", "Certify", "RangeSigGen"];
     /// A name, the mutation, whether to reseal, and the refusal it draws.
     type Row = (&'static str, fn(&mut Block), bool, fn(&ChainError) -> bool);
     #[rustfmt::skip]
@@ -212,11 +239,20 @@ fn full_node_and_enclave_agree_on_every_mutation() {
             |e| matches!(e, ChainError::StateRootMismatch)),
     ];
     for (name, mutate, reseal, is_expected) in table {
-        for (acceptor, verdict) in acceptors.iter().zip(verdicts(4, mutate, reseal)) {
+        let [full_node, certify, range, staged] = verdicts(4, mutate, reseal);
+        for (acceptor, verdict) in acceptors.iter().zip([full_node, certify, range]) {
             match verdict {
                 Err(refusal) if is_expected(&refusal) => {}
                 other => panic!("{name}: {acceptor} answered {other:?}"),
             }
+        }
+        // The SP refuses what the rule refuses, but a signature: that it
+        // leaves to the enclave.
+        let signature_row = is_expected(&ChainError::BadTxSignature);
+        match staged {
+            Ok(()) if signature_row => {}
+            Err(refusal) if is_expected(&refusal) && !signature_row => {}
+            other => panic!("{name}: stage_block answered {other:?}"),
         }
     }
     // Thirty-two transactions, two forgeries: a bad signature at 15 and a
@@ -229,9 +265,11 @@ fn full_node_and_enclave_agree_on_every_mutation() {
         b.header.tx_root = Block::tx_root(&b.txs);
     };
     assert!(verdicts(32, |_| {}, false).iter().all(Result::is_ok));
-    for (acceptor, verdict) in acceptors.iter().zip(verdicts(32, two_forgeries, true)) {
+    let [full_node, certify, range, staged] = verdicts(32, two_forgeries, true);
+    for (acceptor, verdict) in acceptors.iter().zip([full_node, certify, range]) {
         assert_eq!(verdict, Err(ChainError::BadTxSignature), "{acceptor}");
     }
+    assert_eq!(staged, Ok(()), "stage_block follows the two forgeries");
 }
 
 /// Regression (panicked with an add overflow before `check_extends`):
@@ -252,8 +290,8 @@ fn nothing_extends_the_last_height() {
     let block = node.propose(Vec::new(), 1).unwrap();
     assert_eq!(block.header.prev_hash, tip.hash());
     assert_eq!(
-        node.apply(&block),
-        Err(ChainError::BadHeight {
+        node.follow(&block).err(),
+        Some(ChainError::BadHeight {
             parent: u64::MAX,
             child: u64::MAX
         })

@@ -1,6 +1,6 @@
 //! Once per trust domain: a party neither re-derives what it has just
 //! computed nor validates what the enclave has just validated — and nobody
-//! can tell. The miner's one-pass `mine` is `propose` then `apply`; the
+//! can tell. The miner's one-pass `mine` is `propose` then `follow`; the
 //! CI's in-place advance is a full node applying the same blocks; a block
 //! the enclave refuses leaves the CI exactly where it stood; every
 //! certification driver refuses a block whose writes miss its state root
@@ -10,6 +10,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use dcert::chain::validity::check_signatures;
 use dcert::chain::{
     Block, ChainError, ConsensusEngine, ConsensusProof, FullNode, GenesisBuilder, ProofOfAuthority,
     Transaction,
@@ -55,8 +56,9 @@ fn assert_same_node(got: &FullNode, want: &FullNode, what: &str) {
 // --- the miner commits what it proposed -----------------------------------------
 
 /// Mines `blocks` blocks from `next_txs` on `node` with `mine`, and on a
-/// twin with `propose` then `apply`: same bytes, same node, every block.
-fn mine_matches_propose_then_apply(
+/// twin with `propose` (which checks the signatures) then `follow`: same
+/// bytes, same node, every block.
+fn mine_matches_propose_then_follow(
     mut node: FullNode,
     mut next_txs: impl FnMut() -> Vec<Transaction>,
     blocks: u64,
@@ -67,7 +69,7 @@ fn mine_matches_propose_then_apply(
         let txs = next_txs();
         let mined = node.mine(txs.clone(), height).expect("mines");
         let proposed = twin.propose(txs, height).expect("proposes");
-        twin.apply(&proposed).expect("applies its own proposal");
+        twin.follow(&proposed).expect("follows its own proposal");
         assert_eq!(
             mined.to_encoded_bytes(),
             proposed.to_encoded_bytes(),
@@ -116,7 +118,7 @@ fn mine_is_propose_then_apply() {
     for seed in [1u64, 2, 3] {
         for workload in WORKLOADS {
             let mut gen = WorkloadGen::new(workload, 8, seed);
-            mine_matches_propose_then_apply(
+            mine_matches_propose_then_follow(
                 World::pow(&[]).miner,
                 || gen.next_block(6),
                 50,
@@ -124,7 +126,7 @@ fn mine_is_propose_then_apply() {
             );
         }
         let (node, txs) = counter_node_and_txs(seed);
-        mine_matches_propose_then_apply(node, txs, 50, &format!("counter seed {seed}"));
+        mine_matches_propose_then_follow(node, txs, 50, &format!("counter seed {seed}"));
     }
 }
 
@@ -182,7 +184,8 @@ fn the_ci_node_is_a_full_node_that_applied_the_same_blocks() {
             let mut world = World::pow(&indexes());
             let mut reference = world.miner.clone();
             for block in world.mine_blocks(workload, 10, 6, seed) {
-                reference.apply(&block).expect("an honest block applies");
+                check_signatures(&block.txs).expect("an honest block's signatures hold");
+                reference.follow(&block).expect("an honest block follows");
                 let inputs = world.sp.stage_block(&block).expect("sp stages");
                 let issued = certify(scheme, &mut world.ci, &block, &inputs).expect("certifies");
                 record(&mut world.sp, &issued);

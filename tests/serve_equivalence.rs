@@ -7,7 +7,10 @@
 
 use std::sync::Arc;
 
+use dcert::chain::ChainError;
+use dcert::core::CertError;
 use dcert::merkle::MbTree;
+use dcert::obs::Registry;
 use dcert::query::history::verify_history;
 use dcert::query::sp::IndexKind;
 use dcert::query::ServiceProvider;
@@ -279,6 +282,52 @@ fn a_hit_after_advance_equals_direct_serving() {
         assert_eq!((hit.certified_height, &hit.payload[..]), (2, &direct[..]));
         assert!(Arc::ptr_eq(&hit.payload, &staged[0].1), "one buffer");
     }
+}
+
+/// A block the CI refuses is taken back out of the front: an answer
+/// cached while it was staged is not served after `rewind`, which
+/// invalidates the cache once (`serve.invalidations` + 1); the next
+/// answer is the direct bytes of the SP as it was before the block, and
+/// the honest block at that height then certifies as usual.
+#[test]
+fn a_rewound_block_leaves_no_cached_answer_behind() {
+    let mut world = World::pow(&[(IndexKind::History, "history")]);
+    let blocks = world.mine_blocks(Workload::KvStore { keyspace: KEYSPACE }, 2, 3, 7);
+    let forged = world.forge_signature(&blocks[1]);
+    let registry = Registry::new();
+    let mut front = ServeFront::new(world.sp, ServeConfig::default());
+    front.attach_obs(&registry);
+    certify_into(&mut world.ci, &mut front, &blocks[0]);
+    let spec = QuerySpec::History {
+        index: "history".to_owned(),
+        key: kv_key(0),
+        t1: 1,
+        t2: 2,
+    };
+    let before = direct_payload(front.sp(), &spec).expect("index registered");
+
+    let inputs = front
+        .stage_block(&forged)
+        .expect("the SP follows a forged signature");
+    let staged = serve_via_front(&mut front, &spec, 0);
+    assert_eq!(staged[0].0, 2, "answered from the staged block");
+    assert_eq!(front.cached_entries(), 1);
+    let refused = world.ci.certify_augmented(&forged, &inputs).err();
+    assert_eq!(refused, Some(CertError::Chain(ChainError::BadTxSignature)));
+    let invalidations = || registry.snapshot().counter("serve.invalidations");
+    let stale = invalidations();
+    assert!(front.rewind(), "the staged block is taken back");
+    assert_eq!(invalidations(), stale + 1);
+    assert_eq!(front.cached_entries(), 0, "nothing staged survives");
+    let served = serve_via_front(&mut front, &spec, 10);
+    assert_eq!((served[0].0, &served[0].1[..]), (1, &before[..]));
+    assert!(!front.rewind(), "nothing left to take back");
+    assert_eq!(invalidations(), stale + 1, "and no second invalidation");
+
+    certify_into(&mut world.ci, &mut front, &blocks[1]);
+    let direct = direct_payload(front.sp(), &spec).expect("index registered");
+    let served = serve_via_front(&mut front, &spec, 20);
+    assert_eq!((served[0].0, &served[0].1[..]), (2, &direct[..]));
 }
 
 /// A `HistoryOp` window inside a cached wider one is served its own

@@ -650,3 +650,51 @@ fn a_forged_certificate_is_refused_before_it_reaches_the_store() {
         std::fs::remove_dir_all(dir).ok();
     }
 }
+
+/// A block only the enclave refuses — one transaction signature forged
+/// under an honest seal and state root — is staged by the store-backed
+/// SP, which follows the chain and leaves signatures to the enclave. The
+/// CI refuses it typed, and the SP's `rewind` leaves every index digest,
+/// the store's head slots and the SP's metrics as they were. The honest
+/// block at that height then stages, certifies and settles, and the store
+/// recovers to the MemStore oracle that never saw the forgery: the
+/// refused stage's records, appended but never committed, are superseded.
+#[test]
+fn a_block_the_ci_refuses_is_rewound_and_recovery_skips_its_records() {
+    let dir = temp_dir("refused-block");
+    let (mut world, mut sp_mem) = stored_world(&dir);
+    let registry = dcert::obs::Registry::new();
+    world.sp.attach_obs(&registry);
+    let blocks = world.mine_memos(2);
+    drive(&mut world, &mut sp_mem, &blocks[..1], &dir);
+    let forged = world.forge_signature(&blocks[1]);
+
+    let heads = || [HEAD_SLOT_A, HEAD_SLOT_B].map(|slot| std::fs::read(dir.join(slot)).ok());
+    let digests = |sp: &ServiceProvider| MEMO_INDEXES.map(|(_, name)| sp.digest(name));
+    let before = (digests(&world.sp), heads(), registry.snapshot());
+    let inputs = world
+        .sp
+        .stage_block(&forged)
+        .expect("the SP follows a forged signature");
+    assert_ne!(digests(&world.sp), before.0, "the stage moved the indexes");
+    let refused = world.ci.certify_augmented(&forged, &inputs).err();
+    assert_eq!(
+        refused,
+        Some(CertError::Chain(dcert::chain::ChainError::BadTxSignature))
+    );
+    assert!(world.sp.rewind(), "the staged block is taken back");
+    assert!(!world.sp.rewind(), "once");
+    assert_eq!(
+        (digests(&world.sp), heads(), registry.snapshot()),
+        before,
+        "rewound: digests, head slots and metrics as before the block"
+    );
+    assert_eq!(observe(&world.sp), observe(&sp_mem));
+
+    drive(&mut world, &mut sp_mem, &blocks[1..], &dir);
+    assert_eq!(observe(&world.sp), observe(&sp_mem));
+    let store = world.sp.take_store().expect("store-backed");
+    let recovered = world.recover_sp(store).expect("the store recovers");
+    assert_eq!(observe(&recovered), observe(&sp_mem), "recovered = oracle");
+    std::fs::remove_dir_all(&dir).ok();
+}
