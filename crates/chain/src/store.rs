@@ -103,7 +103,8 @@ impl ChainStore {
     }
 
     /// Walks the canonical chain from the tip back to genesis, returning
-    /// digests tip-first.
+    /// digests tip-first. A test accessor: no product path walks the
+    /// chain, and the fork-choice tests read the winning branch with it.
     pub fn canonical_chain(&self) -> Vec<Hash> {
         let mut out = Vec::new();
         let mut cursor = self.best;

@@ -691,6 +691,63 @@ mod tests {
         );
     }
 
+    /// `with_store`, the archive's one call that returns `Err`, leaves a
+    /// store it refuses as it found it: every file byte for byte, and its
+    /// `store.*` metrics.
+    #[test]
+    fn a_refused_recovery_leaves_the_store_as_it_was() {
+        use dcert_primitives::codec::Encode;
+        use dcert_store::{Record, SegmentStore, Store, StoreConfig, StreamId};
+        let ca = RealCa::new();
+        let mut forged = ca.block_cert(2);
+        if let NetMessage::BlockCert { cert, .. } = &mut forged {
+            cert.signature = ca.certify(Hash::ZERO).signature;
+        }
+        for (n, refused) in [forged.to_encoded_bytes(), vec![0xFF; 10]]
+            .into_iter()
+            .enumerate()
+        {
+            let dir =
+                std::env::temp_dir().join(format!("dcert-refused-{}-{n}", std::process::id()));
+            std::fs::remove_dir_all(&dir).ok();
+            let registry = dcert_obs::Registry::new();
+            let open = || SegmentStore::open(StoreConfig::new(&dir).obs(registry.clone())).unwrap();
+            let mut store = open();
+            for (height, body) in [(1, ca.block_cert(1).to_encoded_bytes()), (2, refused)] {
+                let stream = StreamId::Cert;
+                store
+                    .append(&Record {
+                        height,
+                        stream,
+                        body,
+                    })
+                    .unwrap();
+            }
+            store.sync().unwrap();
+            drop(store);
+            let files = || {
+                let mut files: Vec<_> = std::fs::read_dir(&dir)
+                    .unwrap()
+                    .map(|entry| std::fs::read(entry.unwrap().path()).unwrap())
+                    .collect();
+                files.sort();
+                files
+            };
+            let store = open();
+            let (was, metrics) = (files(), registry.snapshot().without_wall_clock());
+            let bus = Arc::new(Gossip::new());
+            let (ias, measurement) = (ca.ias.public_key(), ca.measurement);
+            assert!(CertArchive::with_store(bus, Box::new(store), &ias, &measurement).is_err());
+            assert_eq!(files(), was, "case {n}: the store moved");
+            assert_eq!(
+                registry.snapshot().without_wall_clock(),
+                metrics,
+                "case {n}"
+            );
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
     #[test]
     fn archive_recovery_refuses_undecodable_records() {
         use dcert_store::{MemStore, Record, Store, StreamId};

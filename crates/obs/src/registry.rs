@@ -307,7 +307,10 @@ impl Registry {
         Registry(None)
     }
 
-    /// Whether this registry records and exports anything.
+    /// Whether this registry records and exports anything. A test
+    /// accessor: instrumented code never branches on it (a disabled
+    /// registry's handles are inert), and the obs tests pin the disabled
+    /// state with it.
     pub fn is_enabled(&self) -> bool {
         self.0.is_some()
     }

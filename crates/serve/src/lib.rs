@@ -51,6 +51,7 @@ mod tests {
     use std::sync::Arc;
 
     use dcert_chain::{ConsensusEngine, FullNode, GenesisBuilder, ProofOfWork};
+    use dcert_obs::Registry;
     use dcert_query::sp::IndexKind;
     use dcert_query::ServiceProvider;
     use dcert_vm::{ContractRegistry, Executor, StateKey};
@@ -329,6 +330,117 @@ mod tests {
         let deliveries = front.pump(1, 16);
         assert_eq!(deliveries.len(), 1);
         assert_eq!(deliveries[0].0, 8);
+    }
+
+    /// What `front` keeps, as its `Debug` spells it without the metric
+    /// handles (and without the token buckets unless `tokens`), beside
+    /// its SP's index height and digests.
+    fn kept(front: &ServeFront, tokens: bool) -> String {
+        let debug = format!("{front:?}");
+        let fields = debug.split(", metrics: ").next().unwrap_or_default();
+        let fields = match fields.split_once(", buckets: ") {
+            Some((head, rest)) if !tokens => {
+                let tail = rest.split_once(", arrival_order: ").map_or("", |(_, t)| t);
+                format!("{head}, {tail}")
+            }
+            _ => fields.to_owned(),
+        };
+        let sp = front.sp();
+        let digests = ["history", "inverted", "agg"].map(|name| sp.digest(name));
+        format!("{fields} {} {digests:?}", sp.index_height())
+    }
+
+    /// Runs `refuse`, which must refuse, and checks that nothing `front`
+    /// keeps moved and that of its metrics only the `moved` counters did,
+    /// each by one.
+    fn refused_cleanly(
+        front: &mut ServeFront,
+        registry: &Registry,
+        (moved, tokens): (&[&str], bool),
+        refuse: impl FnOnce(&mut ServeFront) -> bool,
+    ) {
+        let (was, mut metrics) = (
+            kept(front, tokens),
+            registry.snapshot().without_wall_clock(),
+        );
+        assert!(refuse(front), "{moved:?}: not refused");
+        assert_eq!(kept(front, tokens), was, "{moved:?}: the front moved");
+        let mut now = registry.snapshot().without_wall_clock();
+        for name in moved {
+            let before = metrics.counters.remove(*name).unwrap_or(0);
+            assert_eq!(now.counters.remove(*name), Some(before + 1), "{name}");
+        }
+        assert_eq!(now, metrics, "{moved:?}: other metrics moved");
+    }
+
+    /// Every `ServeFront` call that can return `Err` leaves what the front
+    /// keeps, and its metrics apart from the refusal's counter, as they
+    /// were. A refused `submit` also counts the request (`serve.requests`,
+    /// the offered load), and one refused for a full waiter table or queue
+    /// has already spent the client's token — the rate limit is checked
+    /// first — which this test pins.
+    #[test]
+    fn a_refused_call_changes_nothing() {
+        let config = ServeConfig {
+            queue_capacity: 1,
+            max_waiters: 2,
+            rate_limit: RateLimit {
+                tokens_per_tick: 1,
+                burst: 1,
+            },
+            ..ServeConfig::default()
+        };
+        let (mut front, mut miner) = front_and_miner(config, 1);
+        let registry = Registry::new();
+        front.attach_obs(&registry);
+        let ask = |front: &mut ServeFront, client: u64, t2: u64| {
+            let mut request = history_request(client, client);
+            if let QuerySpec::History { t2: window, .. } = &mut request.query {
+                *window = t2;
+            }
+            front.submit(0, request).is_err()
+        };
+        let shed = |reason: &'static str| ["serve.requests", reason];
+        assert!(!ask(&mut front, 1, 10));
+        let limited = shed("serve.shed_rate_limited");
+        refused_cleanly(&mut front, &registry, (&limited, true), |f| ask(f, 1, 10));
+        assert!(!ask(&mut front, 2, 10));
+        for (client, t2, reason) in [
+            (3, 10, "serve.shed_backlogged"),
+            (5, 99, "serve.shed_queue_full"),
+        ] {
+            if client == 5 {
+                front.pump(1, 16);
+                assert!(!ask(&mut front, 4, 50));
+            }
+            let before = kept(&front, true);
+            refused_cleanly(&mut front, &registry, (&shed(reason), false), |f| {
+                ask(f, client, t2)
+            });
+            assert_ne!(kept(&front, true), before, "{reason}: no token spent");
+        }
+        front.pump(2, 16);
+
+        // Blocks that do not follow the SP's tip, then certificate lists
+        // the staged block refuses.
+        let next = miner.mine(Vec::new(), 2).expect("mines");
+        let unlinked = miner.mine(Vec::new(), 3).expect("mines");
+        let mut wrong_root = next.clone();
+        wrong_root.header.state_root = dcert_primitives::hash::hash_bytes(b"not the root");
+        ProofOfWork::new(1)
+            .seal(&mut wrong_root.header)
+            .expect("seals");
+        for block in [&unlinked, &wrong_root] {
+            refused_cleanly(&mut front, &registry, (&[], true), |f| {
+                f.stage_block(block).is_err()
+            });
+        }
+        front.stage_block(&next).expect("the honest block stages");
+        let short = |f: &mut ServeFront| f.advance(Some(&[])).is_err();
+        refused_cleanly(&mut front, &registry, (&[], true), short);
+        let short = |f: &mut ServeFront| f.record_certs(&[]).is_err();
+        refused_cleanly(&mut front, &registry, (&[], true), short);
+        front.advance(None).expect("the staged block settles");
     }
 
     #[test]

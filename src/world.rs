@@ -8,8 +8,9 @@
 //! drawn from [`SIGNING_SEED`], and ed25519 signing is deterministic).
 //! Beside it live the pieces every driver of the cast shares: the serve
 //! replay over a [`ServeLoadGen`](dcert_workloads::ServeLoadGen) schedule,
-//! the memo chain the persistence suites observe, and [`naive`], the
-//! reference certification program.
+//! the memo chain the persistence suites observe, [`naive`], the
+//! reference certification program, and [`oracle`], the reference query
+//! answers read straight off the chain.
 //!
 //! The world also owns the Fig. 2 certificate network: one [`SimNet`]
 //! seeded and faulted by [`Setup::net`] (lossless by default), and the
@@ -40,8 +41,8 @@ use dcert_chain::{
 };
 use dcert_core::{
     expected_measurement, CertArchive, CertBreakdown, Certificate, CertificateIssuer, FaultConfig,
-    NetMessage, RecoverError, ShardFleetConfig, ShardedCertEngine, SimNet, SuperlightClient,
-    SyncOutcome, Transport,
+    IndexInput, NetMessage, RecoverError, ShardFleetConfig, ShardedCertEngine, SimNet,
+    SuperlightClient, SyncOutcome, Transport,
 };
 use dcert_obs::Registry;
 use dcert_primitives::codec::Encode;
@@ -51,7 +52,7 @@ use dcert_query::sp::IndexKind;
 use dcert_query::ServiceProvider;
 use dcert_serve::{
     encode_history_payload, encode_keyword_payload, QuerySpec, RefusalReason, ServeFront,
-    ServeRequest, ServeWire, Submitted,
+    ServeRequest, ServeResponse, ServeWire, Submitted,
 };
 use dcert_sgx::{AttestationService, CostModel};
 use dcert_store::Store;
@@ -60,6 +61,7 @@ use dcert_workloads::kvstore::KvCall;
 use dcert_workloads::{blockbench_registry, ServeEvent, ServeQueryKind, Workload, WorkloadGen};
 
 pub mod naive;
+pub mod oracle;
 
 /// Proof-of-work difficulty of the [`Chain::Pow`] chain: fast to mine,
 /// non-trivial to fake.
@@ -684,7 +686,17 @@ pub struct ReplayOutcome {
     pub unanswered: Vec<u64>,
     /// Waiters still parked once the front drained.
     pub parked_waiters: usize,
+    /// Every response, from the cache or the pump, in delivery order,
+    /// beside the index height its request was asked at; a response's id
+    /// is its request's position in the schedule.
+    pub answers: Vec<(u64, ServeResponse)>,
+    /// What staging the fresh block returned: its index inputs, for the CI.
+    pub staged: Vec<IndexInput>,
 }
+
+/// Each admitted request still waiting, by id: its admission tick and the
+/// index height it was asked at.
+type Waiting = HashMap<u64, (u64, u64)>;
 
 impl ReplayOutcome {
     /// Requests shed with a typed refusal, at admission or at the pump.
@@ -715,7 +727,7 @@ impl ReplayOutcome {
         &mut self,
         front: &mut ServeFront,
         abandons: &mut Vec<(u64, u64)>,
-        admitted: &mut HashMap<u64, u64>,
+        admitted: &mut Waiting,
     ) {
         for (client, id) in abandons.drain(..) {
             if front.cancel(client, id) {
@@ -726,18 +738,13 @@ impl ReplayOutcome {
     }
 
     /// One pump of `budget` queries at `tick`.
-    fn drain(
-        &mut self,
-        front: &mut ServeFront,
-        admitted: &mut HashMap<u64, u64>,
-        tick: u64,
-        budget: usize,
-    ) {
+    fn drain(&mut self, front: &mut ServeFront, admitted: &mut Waiting, tick: u64, budget: usize) {
         for (_, wire) in front.pump(tick, budget) {
             match wire {
                 ServeWire::Response(response) => {
-                    if let Some(at) = admitted.remove(&response.id) {
+                    if let Some((at, asked_at)) = admitted.remove(&response.id) {
                         self.waits.push(tick.saturating_sub(at));
+                        self.answers.push((asked_at, response));
                     }
                     self.responses += 1;
                 }
@@ -754,7 +761,8 @@ impl ReplayOutcome {
 /// Replays `schedule` against `front`: admits each burst, cancels its
 /// slow-loris waiters, spends `budget` queries per quiet tick, stages
 /// `fresh` halfway through (invalidation under load), then pumps until
-/// nothing is in flight.
+/// nothing is in flight. Keeps every answer and what staging `fresh`
+/// returned, so the caller can check the one and certify the other.
 pub fn replay(
     front: &mut ServeFront,
     schedule: &[ServeEvent],
@@ -765,7 +773,7 @@ pub fn replay(
         submitted: schedule.len() as u64,
         ..ReplayOutcome::default()
     };
-    let mut admitted: HashMap<u64, u64> = HashMap::new(); // id -> admission tick
+    let mut admitted = Waiting::new();
     let mut abandons: Vec<(u64, u64)> = Vec::new(); // (client, id)
     let mut current_tick = schedule.first().map_or(0, |e| e.tick);
     let half = schedule.len() / 2;
@@ -779,20 +787,24 @@ pub fn replay(
             current_tick = event.tick;
         }
         if i == half {
-            front.stage_block(fresh).expect("the fresh block stages");
+            outcome.staged = front.stage_block(fresh).expect("the fresh block stages");
             front.advance(None).expect("the fresh block settles");
         }
         let id = i as u64;
+        let asked_at = front.sp().index_height();
         let request = ServeRequest {
             client: event.client,
             id,
-            query: spec_for(event, front.sp().index_height()),
+            query: spec_for(event, asked_at),
         };
         match front.submit(event.tick, request) {
-            Ok(Submitted::CacheHit(_)) => outcome.cache_hits += 1,
+            Ok(Submitted::CacheHit(response)) => {
+                outcome.cache_hits += 1;
+                outcome.answers.push((asked_at, response));
+            }
             Ok(Submitted::Enqueued { coalesced }) => {
                 outcome.coalesce_hits += u64::from(coalesced);
-                admitted.insert(id, event.tick);
+                admitted.insert(id, (event.tick, asked_at));
                 if event.abandon {
                     abandons.push((event.client, id));
                 }

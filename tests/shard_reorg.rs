@@ -1,78 +1,65 @@
-//! Cross-shard reorg drills for the sharded certification fleet.
+//! Cross-shard reorg rows of the seeded fault scenario (`tests/scenario`).
 //!
 //! The fleet partitions the chain into per-shard height ranges, so a
 //! reorg interacts with *range geometry*: a fork can land exactly on a
 //! range boundary (invalidating whole ranges), inside a range
 //! (invalidating a suffix of one range plus every range above it), or
-//! truncate the chain outright. In every geometry the acceptance
-//! criterion is the same as the tentpole's: the fleet's aggregate output
-//! on the reorged chain must be byte-identical to a sequential
-//! deterministic CI certifying that chain from genesis.
+//! truncate the chain outright. In every geometry the fleet's output on
+//! the reorged chain is byte-identical to a sequential CI certifying that
+//! chain from genesis — the scenario checks it at every fleet event.
 //!
 //! The stale-range refusal itself — the aggregator enclave's monotonic
 //! height watermark rejecting a fold of superseded ranges — is pinned
 //! both end-to-end (via the `shard.stale_range_refusals` metric) and
 //! directly at the `CertProgram::handle` level.
 
-use std::sync::{Arc, Mutex};
+mod common;
+mod scenario;
 
-use dcert::chain::Block;
 use dcert::core::{
-    CertError, Certificate, EcallRequest, EcallResponse, RangeCert, ShardFleetConfig, SharedStore,
+    CertError, Certificate, EcallRequest, EcallResponse, FaultConfig, RangeCert, ShardFailurePlan,
 };
-use dcert::obs::Registry;
 use dcert::primitives::hash::Hash;
 use dcert::primitives::keys::Keypair;
 use dcert::sgx::Quote;
-use dcert::store::MemStore;
 use dcert::workloads::Workload;
-use dcert::world::{assert_bytes_equal, World, SIGNING_SEED};
+use dcert::world::{World, SIGNING_SEED};
+use scenario::{Event, FleetSpec, Row, Run};
 
-/// Mines a chain that shares its first `shared` heights with a `base`
-/// seed and then diverges: a fresh deterministic world replays the base
-/// seed for the prefix and switches tx seeds for the fork suffix.
-fn mine_fork(shared: usize, fork_len: usize, base_seed: u64, fork_seed: u64) -> Vec<Block> {
-    let mut world = World::pow(&[]);
-    let prefix = world.mine_blocks(Workload::SmallBank { customers: 16 }, shared, 2, base_seed);
-    let suffix = world.mine_blocks(
-        Workload::SmallBank { customers: 16 },
-        fork_len,
-        2,
-        fork_seed,
-    );
-    prefix.into_iter().chain(suffix).collect()
+/// `count` SmallBank blocks of 2 transactions drawn from `seed`.
+fn mine(count: usize, seed: u64) -> Event {
+    Event::Mine(Workload::SmallBank { customers: 16 }, count, 2, seed)
 }
 
-/// Runs the original-then-reorg sequence through one fleet and checks the
-/// final stream against the sequential oracle for the reorged chain.
-/// Returns the metric registry for geometry-specific assertions.
-fn drill(original: &[Block], reorged: &[Block], shards: usize, chunk: u64) -> Registry {
-    let registry = Registry::new();
-    let store: SharedStore = Arc::new(Mutex::new(Box::new(MemStore::new())));
-    let mut fleet_world = World::pow(&[]);
-    let mut config = ShardFleetConfig::new(shards, chunk);
-    config.registry = registry.clone();
-    config.store = Some(store);
-    let mut fleet = fleet_world.fleet(config);
+/// Certifies the chain on a `shards`-shard fleet, `chunk` blocks per ECall.
+fn certify(shards: usize, chunk: u64, durable: bool) -> Event {
+    let (failures, publish) = (ShardFailurePlan::none(), false);
+    Event::Fleet(FleetSpec {
+        shards,
+        chunk,
+        failures,
+        durable,
+        publish,
+    })
+}
 
-    let first = fleet
-        .certify_chain(original, &mut fleet_world.ias)
-        .expect("original chain certifies");
-    assert_bytes_equal(
-        &World::pow(&[]).certify_blocks(original),
-        &first,
-        "pre-reorg",
-    );
-
-    let certs = fleet
-        .certify_chain(reorged, &mut fleet_world.ias)
-        .expect("reorged chain certifies");
-    assert_bytes_equal(
-        &World::pow(&[]).certify_blocks(reorged),
-        &certs,
-        "post-reorg",
-    );
-    registry
+/// An original chain of `len` blocks from `base`, certified, reorged at
+/// `keep` onto `fork_len` blocks from `fork`, certified again.
+fn drill(len: usize, keep: usize, fork_len: usize, base: u64, fork: u64) -> Run {
+    let events = vec![
+        mine(len, base),
+        certify(4, 3, true),
+        Event::Fork(keep),
+        mine(fork_len, fork),
+        certify(4, 3, true),
+    ];
+    let run = Row::new(base, FaultConfig::lossless(), &[], events).run();
+    let old = &run.abandoned[0][0].header;
+    let shared = run.chain[keep - 1].header.hash();
+    assert_eq!(old.prev_hash, shared, "heights 1..={keep} must be shared");
+    let fork = run.chain[keep].header.hash();
+    assert_ne!(old.hash(), fork, "the fork lands just above height {keep}");
+    run
 }
 
 /// A reorg landing exactly on a shard-range boundary: 12 blocks in four
@@ -80,21 +67,7 @@ fn drill(original: &[Block], reorged: &[Block], shards: usize, chunk: u64) -> Re
 /// kept; exactly the 6 blocks above it are re-certified.
 #[test]
 fn reorg_on_exact_shard_boundary() {
-    let original = mine_fork(12, 0, 101, 101);
-    let reorged = mine_fork(6, 6, 101, 202);
-    assert_eq!(
-        original[5].header.hash(),
-        reorged[5].header.hash(),
-        "heights 1..=6 must be shared"
-    );
-    assert_ne!(
-        original[6].header.hash(),
-        reorged[6].header.hash(),
-        "fork must land at height 7"
-    );
-
-    let registry = drill(&original, &reorged, 4, 3);
-    let snap = registry.snapshot();
+    let snap = drill(12, 6, 6, 101, 202).obs;
     assert_eq!(
         snap.counter("shard.recert_blocks"),
         6,
@@ -110,13 +83,7 @@ fn reorg_on_exact_shard_boundary() {
 /// start.
 #[test]
 fn reorg_spanning_two_shard_ranges() {
-    let original = mine_fork(12, 0, 103, 103);
-    let reorged = mine_fork(4, 8, 103, 204);
-    assert_eq!(original[3].header.hash(), reorged[3].header.hash());
-    assert_ne!(original[4].header.hash(), reorged[4].header.hash());
-
-    let registry = drill(&original, &reorged, 4, 3);
-    let snap = registry.snapshot();
+    let snap = drill(12, 4, 8, 103, 204).obs;
     // Only range [1,3] survives; re-certification restarts at height 4
     // even though height 4 itself is shared — a partially-invalidated
     // range is re-certified whole.
@@ -126,55 +93,33 @@ fn reorg_spanning_two_shard_ranges() {
 
 /// A reorg onto a *shorter* chain: the certified view shrinks, every
 /// height above the fork is re-issued, and the output still matches the
-/// sequential oracle on the short chain.
+/// sequential issuer on the short chain.
 #[test]
 fn reorg_onto_shorter_chain() {
-    let original = mine_fork(12, 0, 105, 105);
-    let reorged = mine_fork(6, 2, 105, 206);
-    assert_eq!(reorged.len(), 8);
-
-    let registry = drill(&original, &reorged, 4, 3);
-    let snap = registry.snapshot();
-    assert_eq!(snap.counter("shard.stale_range_refusals"), 1);
+    let run = drill(12, 6, 2, 105, 206);
+    assert_eq!(run.chain.len(), 8);
+    assert_eq!(run.obs.counter("shard.stale_range_refusals"), 1);
 }
 
 /// After a reorg the fresh aggregator keeps serving extensions: new
 /// blocks on the reorged chain fold incrementally (no further fresh
-/// boots) and stay byte-identical to the oracle.
+/// boots) and stay byte-identical to the sequential issuer.
 #[test]
 fn extension_after_reorg_stays_equivalent() {
-    let original = mine_fork(9, 0, 107, 107);
-    let mut fork_world = World::pow(&[]);
-    let prefix = fork_world.mine_blocks(Workload::SmallBank { customers: 16 }, 5, 2, 107);
-    let fork = fork_world.mine_blocks(Workload::SmallBank { customers: 16 }, 4, 2, 208);
-    let reorged: Vec<Block> = prefix.iter().chain(&fork).cloned().collect();
-    let extension = fork_world.mine_blocks(Workload::SmallBank { customers: 16 }, 3, 2, 209);
-    let extended: Vec<Block> = reorged.iter().chain(&extension).cloned().collect();
-
-    let registry = Registry::new();
-    let mut fleet_world = World::pow(&[]);
-    let mut config = ShardFleetConfig::new(3, 2);
-    config.registry = registry.clone();
-    let mut fleet = fleet_world.fleet(config);
-    fleet
-        .certify_chain(&original, &mut fleet_world.ias)
-        .expect("original certifies");
-    fleet
-        .certify_chain(&reorged, &mut fleet_world.ias)
-        .expect("reorg certifies");
-    let boots_after_reorg = registry.snapshot().counter("shard.agg.fresh_boots");
-
-    let certs = fleet
-        .certify_chain(&extended, &mut fleet_world.ias)
-        .expect("post-reorg extension certifies");
-    assert_bytes_equal(
-        &World::pow(&[]).certify_blocks(&extended),
-        &certs,
-        "post-reorg extension",
-    );
+    let events = vec![
+        mine(9, 107),
+        certify(3, 2, false),
+        Event::Fork(5),
+        mine(4, 208),
+        certify(3, 2, false),
+        mine(3, 209),
+        certify(3, 2, false),
+    ];
+    let run = Row::new(107, FaultConfig::lossless(), &[], events).run();
+    let boots = |event: usize| run.snaps[event].counter("shard.agg.fresh_boots");
     assert_eq!(
-        registry.snapshot().counter("shard.agg.fresh_boots"),
-        boots_after_reorg,
+        boots(6),
+        boots(4),
         "an extension must reuse the post-reorg aggregator"
     );
 }
