@@ -26,21 +26,23 @@
 //! (linkage, a write set that misses its state root) costs no ECall. A
 //! shard thread only signs: one ECall and one checkpoint per chunk.
 //!
-//! **Reorgs.** The fleet compares the offered chain against what it last
-//! certified, keeps every range certificate entirely below the fork
-//! point, and re-certifies only the affected suffix (with
-//! generation-bumped shard seeds, since re-signing a height requires a
-//! fresh shard identity). The old aggregator's sealed height watermark
+//! **Reorgs.** The fleet compares the offered chain against the header
+//! hashes its certificates carry, keeps every range certificate entirely
+//! below the fork point, and re-certifies only the affected suffix on
+//! freshly booted shards. The old aggregator's sealed height watermark
 //! makes it refuse stale-range folds (`shard.stale_range_refusals`); the
 //! fleet then boots a fresh aggregator with the same canonical seeds —
 //! signing-only work — and re-folds.
 //!
-//! **Crash recovery.** After every chunk a shard persists its range
-//! certificate, height watermark, and sealed enclave state to the
-//! configured [`Store`]; a killed shard restarts via
-//! [`Enclave::restore`] with the same key and resumes *above* its durable
-//! watermark, from the same encoded requests, instead of re-certifying the
-//! whole range; nothing is sequenced again.
+//! **Crash recovery.** A shard's checkpoint is its range certificates:
+//! after every chunk it writes the chunk's [`RangeCert`] to the configured
+//! [`Store`] and syncs. A killed shard always restarts the same way: it
+//! keeps the longest prefix of its chunks whose durable certificate
+//! certifies *that* chunk (same heights, anchor and header digests), boots
+//! fresh on its derived seeds — the same key, and ed25519 signs
+//! deterministically — and signs the rest from the same encoded requests;
+//! nothing is sequenced again. Without a store the prefix is empty and the
+//! whole range is re-signed.
 
 use std::sync::{Arc, Mutex};
 
@@ -50,7 +52,7 @@ use dcert_primitives::codec::{Decode, Encode};
 use dcert_primitives::hash::{hash_concat, Address, Hash};
 use dcert_primitives::keys::Signature;
 use dcert_sgx::cost::timed;
-use dcert_sgx::{AttestationService, CostModel, Enclave, SealedBlob};
+use dcert_sgx::{AttestationService, CostModel, Enclave};
 use dcert_store::Store;
 use dcert_vm::Executor;
 
@@ -187,8 +189,8 @@ pub struct ShardFleetConfig {
     pub chunk: u64,
     /// Metric sink for the `shard.*` family; disabled by default.
     pub registry: Registry,
-    /// Durable store for range certificates, watermarks, and shard seals.
-    /// Without one, a killed shard re-certifies its whole range.
+    /// Durable store for range certificates, the shards' only checkpoint.
+    /// Without one, a killed shard re-signs its whole range.
     pub store: Option<SharedStore>,
     /// Deterministic kill schedule for chaos drills.
     pub failures: ShardFailurePlan,
@@ -263,6 +265,18 @@ struct Chunk {
     request: Vec<u8>,
 }
 
+impl Chunk {
+    /// Whether `cert` certifies exactly this chunk as this run sequenced
+    /// it — a certificate stored before a reorg under the same heights
+    /// does not.
+    fn certified_by(&self, cert: &RangeCert) -> bool {
+        cert.first == self.first
+            && cert.last == self.last
+            && cert.anchor_digest == self.anchor_digest
+            && cert.header_digests == self.header_digests
+    }
+}
+
 /// One shard of a run: its chunks, the range certificates of the first
 /// `done.len()` of them, and the enclave that signs the rest.
 struct Shard {
@@ -283,7 +297,7 @@ impl Shard {
     /// checkpoints it, until every chunk is signed or the scheduled kill
     /// fires (which leaves the shard unfinished).
     fn sign(&mut self, index: usize, fleet: &ShardedCertEngine) -> Result<(), CertError> {
-        let (metrics, generation) = (&fleet.metrics, fleet.generation);
+        let metrics = &fleet.metrics;
         let shard_blocks = metrics.shard_blocks(index);
         while let Some(chunk) = self.chunks.get(self.done.len()) {
             if self.kill_after == Some(self.done.len()) {
@@ -306,23 +320,9 @@ impl Shard {
             };
             if let Some(store) = &fleet.store {
                 let mut guard = lock_store(store);
-                let heads = [
-                    (
-                        range_key(generation, chunk.first),
-                        range_cert.to_encoded_bytes(),
-                    ),
-                    (
-                        watermark_key(generation, index),
-                        chunk.last.to_encoded_bytes(),
-                    ),
-                    (
-                        seal_key(generation, index),
-                        self.boot.enclave.seal_state().to_encoded_bytes(),
-                    ),
-                ];
-                for (key, value) in heads {
-                    guard.put_head(&key, value).map_err(ShardError::Store)?;
-                }
+                guard
+                    .put_head(&range_key(chunk.first), range_cert.to_encoded_bytes())
+                    .map_err(ShardError::Store)?;
                 guard.sync().map_err(ShardError::Store)?;
             }
             let certified = u64::try_from(chunk.header_digests.len()).unwrap_or(u64::MAX);
@@ -339,8 +339,9 @@ impl Shard {
 /// The sharded certification engine.
 ///
 /// Owns the aggregator enclave across calls (extension folds reuse its
-/// watermark), the certified chain, and the folded range certificates;
-/// shard enclaves are per-run. Construct with
+/// watermark), the folded range certificates and the certificate stream,
+/// whose header hashes are all it keeps of the certified chain; shard
+/// enclaves are per-run. Construct with
 /// [`ShardedCertEngine::new_deterministic`] and drive with
 /// [`ShardedCertEngine::certify_chain`].
 pub struct ShardedCertEngine {
@@ -354,16 +355,12 @@ pub struct ShardedCertEngine {
     store: Option<SharedStore>,
     failures: ShardFailurePlan,
     metrics: ShardMetrics,
-    /// The certified chain, heights `1..=tip` (index `h - 1`).
-    chain: Vec<Block>,
     /// Folded range certificates covering `1..=tip`.
     ranges: Vec<RangeCert>,
-    /// The client-facing certificate stream, heights `1..=tip`.
+    /// The client-facing certificate stream, heights `1..=tip` (index
+    /// `h - 1`); each carries the hash of the header it certifies.
     certs: Vec<Certificate>,
     aggregator: Option<Attested>,
-    /// Bumped on every reorg: re-signing a height needs fresh shard
-    /// identities (shard enclaves strictly refuse height regression).
-    generation: u64,
 }
 
 impl std::fmt::Debug for ShardedCertEngine {
@@ -371,8 +368,7 @@ impl std::fmt::Debug for ShardedCertEngine {
         f.debug_struct("ShardedCertEngine")
             .field("shards", &self.shards)
             .field("chunk", &self.chunk)
-            .field("tip", &self.chain.len())
-            .field("generation", &self.generation)
+            .field("tip", &self.certs.len())
             .finish()
     }
 }
@@ -427,17 +423,15 @@ impl ShardedCertEngine {
             store: config.store,
             failures: config.failures,
             metrics,
-            chain: Vec::new(),
             ranges: Vec::new(),
             certs: Vec::new(),
             aggregator: None,
-            generation: 0,
         })
     }
 
     /// The height of the last certified block.
     pub fn tip_height(&self) -> u64 {
-        u64::try_from(self.chain.len()).unwrap_or(u64::MAX)
+        u64::try_from(self.certs.len()).unwrap_or(u64::MAX)
     }
 
     /// The client-facing certificates issued so far, heights `1..=tip`.
@@ -452,9 +446,10 @@ impl ShardedCertEngine {
     ///
     /// Incremental: unchanged prefixes are never re-certified. If the
     /// offered chain forks from the certified one, only the ranges at or
-    /// above the fork are re-certified (fresh shard identities), the old
-    /// aggregator's watermark refusal is counted, and a fresh aggregator
-    /// re-folds — signing-only work over already-certified digests.
+    /// above the fork are re-certified, the old aggregator's watermark
+    /// refusal is counted, and a fresh aggregator re-folds — signing-only
+    /// work over already-certified digests. A chain the host refuses leaves
+    /// the fleet as it was: its certified view and every `shard.*` counter.
     ///
     /// The host executes each block of the span once, on the calling
     /// thread, before any shard enclave boots (plus one proof-less replay
@@ -488,18 +483,19 @@ impl ShardedCertEngine {
         }
         let tip = u64::try_from(blocks.len()).map_err(|_| CertError::HeightOverflow)?;
 
-        // Fork detection: longest shared prefix with the certified chain.
+        // Fork detection: longest shared prefix with the certified headers.
         let shared = self
-            .chain
+            .certs
             .iter()
             .zip(blocks)
-            .take_while(|(ours, offered)| ours.header.hash() == offered.header.hash())
+            .take_while(|(cert, offered)| cert.digest == offered.header.hash())
             .count();
         let shared_height = u64::try_from(shared).map_err(|_| CertError::HeightOverflow)?;
-        if shared == blocks.len() && shared == self.chain.len() {
+        if shared == blocks.len() && shared == self.certs.len() {
             return Ok(self.certs.clone()); // nothing new
         }
-        let reorg = shared < self.chain.len();
+        let old_tip = self.tip_height();
+        let reorg = shared < self.certs.len();
 
         // Keep every range entirely below the fork; re-certify the rest.
         let kept: Vec<RangeCert> = self
@@ -509,17 +505,6 @@ impl ShardedCertEngine {
             .cloned()
             .collect();
         let recert_first = kept.last().map_or(1, |r| r.last.saturating_add(1));
-        if reorg {
-            self.generation = self
-                .generation
-                .checked_add(1)
-                .ok_or(CertError::HeightOverflow)?;
-            let old_tip = u64::try_from(self.chain.len()).map_err(|_| CertError::HeightOverflow)?;
-            self.metrics
-                .recert_blocks
-                .add(old_tip.saturating_sub(recert_first).saturating_add(1));
-        }
-
         let new_ranges = if recert_first <= tip {
             self.run_fleet(blocks, recert_first, tip, ias)?
         } else {
@@ -527,17 +512,19 @@ impl ShardedCertEngine {
         };
 
         // What to fold, from where, on which aggregator.
-        let (agg, anchor, anchor_cert, ranges) = match self.chain.last() {
-            // Pure extension: fold only the new ranges, anchored at the
-            // certified tip, on the existing aggregator.
-            Some(tip) if !reorg => {
+        let extended = shared.checked_sub(1).and_then(|at| blocks.get(at));
+        let (agg, anchor, anchor_cert, ranges) = match extended {
+            // Pure extension: fold only the new ranges on the existing
+            // aggregator, anchored at the offered header whose hash the
+            // tip certificate carries.
+            Some(certified) if !reorg => {
                 let agg = match self.aggregator.take() {
                     Some(agg) => agg,
                     None => self.boot_aggregator(ias)?,
                 };
                 (
                     agg,
-                    tip.header.clone(),
+                    certified.header.clone(),
                     self.certs.last().cloned(),
                     new_ranges,
                 )
@@ -563,51 +550,31 @@ impl ShardedCertEngine {
                 (agg, self.genesis.tip().clone(), None, all_ranges)
             }
         };
-        let first_signed = anchor
-            .height
-            .checked_add(1)
-            .ok_or(CertError::HeightOverflow)?;
         let sigs = self.fold(&agg, &anchor, anchor_cert, &ranges)?;
-        self.install(blocks, &ranges, &sigs, first_signed, &agg)?;
+        if reorg {
+            self.metrics
+                .recert_blocks
+                .add(old_tip.saturating_sub(recert_first).saturating_add(1));
+        }
+        self.install(anchor.height, ranges, &sigs, &agg);
         self.aggregator = Some(agg);
         Ok(self.certs.clone())
     }
 
-    /// Rebuilds the engine's certified view from a fold result:
-    /// `sigs` covers heights `first_signed..=tip`, one per folded header
-    /// digest, signed by `agg`.
-    fn install(
-        &mut self,
-        blocks: &[Block],
-        all_ranges: &[RangeCert],
-        sigs: &[Signature],
-        first_signed: u64,
-        agg: &Attested,
-    ) -> Result<(), CertError> {
-        let keep = usize::try_from(first_signed.saturating_sub(1))
-            .map_err(|_| CertError::HeightOverflow)?;
-        // The first height past the offered chain.
-        let height = u64::try_from(blocks.len()).map_or(u64::MAX, |n| n.saturating_add(1));
-        let signed = blocks
-            .get(keep..)
-            .filter(|signed| signed.len() >= sigs.len())
-            .ok_or(ShardError::MissingBlock { height })?;
-        self.certs.truncate(keep);
+    /// Rebuilds the engine's certified view from a fold anchored at height
+    /// `anchor`: `sigs` holds one signature by `agg` per header digest of
+    /// `folded`, in order, for heights `anchor + 1..=tip`.
+    fn install(&mut self, anchor: u64, folded: Vec<RangeCert>, sigs: &[Signature], agg: &Attested) {
+        self.certs
+            .truncate(usize::try_from(anchor).unwrap_or(usize::MAX));
+        let digests = folded.iter().flat_map(|range| &range.header_digests);
         self.certs.extend(
-            signed
-                .iter()
+            digests
                 .zip(sigs)
-                .map(|(block, sig)| agg.certificate(block.header.hash(), *sig)),
+                .map(|(digest, sig)| agg.certificate(*digest, *sig)),
         );
-        self.chain = blocks.to_vec();
-        self.ranges.retain(|r| r.last < first_signed);
-        self.ranges.extend(
-            all_ranges
-                .iter()
-                .filter(|r| r.first >= first_signed)
-                .cloned(),
-        );
-        Ok(())
+        self.ranges.retain(|r| r.last <= anchor);
+        self.ranges.extend(folded);
     }
 
     /// Sequences `[first, last]` on the calling thread, boots one shard per
@@ -695,10 +662,10 @@ impl ShardedCertEngine {
         plan.ranges.iter().map(chunks_of).collect()
     }
 
-    /// Restarts a killed shard: with a store, restore the sealed enclave
-    /// (same key, watermark intact) and resume at the chunk above the
-    /// durable watermark; without one, boot fresh and re-sign the whole
-    /// range. Either way it signs the chunks' requests as encoded.
+    /// Restarts a killed shard, the one way there is: it keeps the longest
+    /// prefix of its chunks whose durable range certificate certifies that
+    /// chunk (none without a store), boots fresh on its derived seeds, and
+    /// signs the rest from the chunks' requests as encoded.
     fn restart(
         &self,
         index: usize,
@@ -706,36 +673,21 @@ impl ShardedCertEngine {
         ias: &mut AttestationService,
     ) -> Result<(), CertError> {
         self.metrics.restarts.inc();
-        let generation = self.generation;
-        let durable = self.store.as_ref().and_then(|store| {
-            let guard = lock_store(store);
-            let head = |key: String| guard.head(&key);
-            let watermark = u64::decode_all(&head(watermark_key(generation, index))?).ok()?;
-            let seal = SealedBlob::decode_all(&head(seal_key(generation, index))?).ok()?;
-            // The durable range certificates, one per chunk up to the watermark.
-            let resumed = shard
-                .chunks
-                .iter()
-                .take_while(|chunk| chunk.last <= watermark)
-                .map(|chunk| RangeCert::decode_all(&head(range_key(generation, chunk.first))?).ok())
-                .collect::<Option<Vec<_>>>()?;
-            Some((resumed, seal)).filter(|(resumed, _)| !resumed.is_empty())
-        });
-        if let Some((resumed, seal)) = durable {
-            let program = self.make_program(ias);
-            let platform = self.shard_seed(b"dcert-shard-platform", &self.platform_seed, index);
-            let enclave = Enclave::restore(program, self.cost, platform, &seal)?;
-            enclave.attach_obs(&self.metrics.registry);
-            shard.boot = Attested::boot(enclave, ias)?;
-            self.metrics
-                .resumed_ranges
-                .add(u64::try_from(resumed.len()).unwrap_or(u64::MAX));
-            shard.done = resumed;
-        } else {
-            // No durable progress: fresh boot, full re-certification.
-            shard.done.clear();
-            shard.boot = self.boot_shard(index, ias)?;
-        }
+        shard.done = match &self.store {
+            Some(store) => {
+                let guard = lock_store(store);
+                let durable = |chunk: &Chunk| {
+                    let cert = RangeCert::decode_all(&guard.head(&range_key(chunk.first))?).ok()?;
+                    chunk.certified_by(&cert).then_some(cert)
+                };
+                shard.chunks.iter().map_while(durable).collect()
+            }
+            None => Vec::new(),
+        };
+        self.metrics
+            .resumed_ranges
+            .add(u64::try_from(shard.done.len()).unwrap_or(u64::MAX));
+        shard.boot = self.boot_shard(index, ias)?;
         Ok(())
     }
 
@@ -765,22 +717,17 @@ impl ShardedCertEngine {
         Attested::boot(enclave, ias)
     }
 
-    /// The seed a shard enclave derives from `base`: unique to
-    /// `(shard, generation)`, so a shard key can never stand in for the
-    /// aggregator in a client artifact, and a reorg's generation bump gives
-    /// re-certification a fresh identity.
-    fn shard_seed(&self, domain: &[u8], base: &[u8; 32], shard: usize) -> [u8; 32] {
-        derive_seed(domain, base, shard, self.generation)
-    }
-
-    /// Boots and attests one shard enclave on derived seeds.
+    /// Boots and attests one shard enclave on seeds derived for `shard`:
+    /// the same key on every boot, so a shard key can never stand in for
+    /// the aggregator in a client artifact, and a re-signed chunk's range
+    /// certificate is byte-identical to the first.
     fn boot_shard(
         &self,
         shard: usize,
         ias: &mut AttestationService,
     ) -> Result<Attested, CertError> {
-        let platform = self.shard_seed(b"dcert-shard-platform", &self.platform_seed, shard);
-        let signing = self.shard_seed(b"dcert-shard-signing", &self.signing_seed, shard);
+        let platform = derive_seed(b"dcert-shard-platform", &self.platform_seed, shard);
+        let signing = derive_seed(b"dcert-shard-signing", &self.signing_seed, shard);
         self.boot(platform, signing, ias)
     }
 
@@ -857,13 +804,15 @@ fn blocks_for(blocks: &[Block], first: u64, last: u64) -> Result<&[Block], Shard
         .ok_or(ShardError::MissingBlock { height: last })
 }
 
-/// Derives a per-shard seed: `H(domain ‖ base ‖ shard ‖ generation)`.
-/// Distinct from the canonical seeds by construction, so shard keys can
-/// never collide with the aggregator's client-visible identity.
-fn derive_seed(domain: &[u8], base: &[u8; 32], shard: usize, generation: u64) -> [u8; 32] {
+/// Derives a per-shard seed: `H(domain ‖ base ‖ shard ‖ 0⁸)`, the shard
+/// index a big-endian `u64`. Distinct from the canonical seeds by
+/// construction, so shard keys can never collide with the aggregator's
+/// client-visible identity. The trailing zero word is part of the layout
+/// every shard key is derived under: without it each shard key, and so
+/// every range certificate's bytes, would change.
+fn derive_seed(domain: &[u8], base: &[u8; 32], shard: usize) -> [u8; 32] {
     let shard_be = u64::try_from(shard).unwrap_or(u64::MAX).to_be_bytes();
-    let generation_be = generation.to_be_bytes();
-    let digest = hash_concat([domain, base.as_slice(), &shard_be, &generation_be]);
+    let digest = hash_concat([domain, base.as_slice(), &shard_be, &[0; 8]]);
     let mut seed = [0u8; 32];
     for (dst, src) in seed.iter_mut().zip(digest.as_bytes()) {
         *dst = *src;
@@ -880,16 +829,9 @@ fn lock_store(store: &SharedStore) -> std::sync::MutexGuard<'_, Box<dyn Store + 
     }
 }
 
-fn range_key(generation: u64, first: u64) -> String {
-    format!("shard.range.{generation}.{first:016x}")
-}
-
-fn watermark_key(generation: u64, shard: usize) -> String {
-    format!("shard.wm.{generation}.{shard}")
-}
-
-fn seal_key(generation: u64, shard: usize) -> String {
-    format!("shard.seal.{generation}.{shard}")
+/// The store head holding the range certificate of the chunk at `first`.
+fn range_key(first: u64) -> String {
+    format!("shard.range.{first:016x}")
 }
 
 #[cfg(test)]
@@ -956,12 +898,10 @@ mod tests {
     #[test]
     fn derived_seeds_are_distinct() {
         let base = [7u8; 32];
-        let a = derive_seed(b"dcert-shard-signing", &base, 0, 0);
-        let b = derive_seed(b"dcert-shard-signing", &base, 1, 0);
-        let c = derive_seed(b"dcert-shard-signing", &base, 0, 1);
-        let d = derive_seed(b"dcert-shard-platform", &base, 0, 0);
+        let a = derive_seed(b"dcert-shard-signing", &base, 0);
+        let b = derive_seed(b"dcert-shard-signing", &base, 1);
+        let d = derive_seed(b"dcert-shard-platform", &base, 0);
         assert_ne!(a, b);
-        assert_ne!(a, c);
         assert_ne!(a, d);
         assert_ne!(a, base);
     }

@@ -181,6 +181,14 @@ impl ServeFront {
 
     /// Submits one request at virtual time `now`.
     ///
+    /// Admission checks run in one order: the client's token bucket, the
+    /// proof cache, the waiter table, the queue. So a request refused
+    /// [`RefusalReason::Backlogged`] or [`RefusalReason::QueueFull`] has
+    /// already spent its admission token. That is the policy: a token
+    /// meters what a client offers, not what the front accepts, so a
+    /// client retrying into a saturated front is throttled like any other
+    /// and cannot probe it for free.
+    ///
     /// # Errors
     ///
     /// Returns a typed [`ServeRefusal`] when the request is shed by the

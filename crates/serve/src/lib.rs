@@ -377,8 +377,8 @@ mod tests {
     /// keeps, and its metrics apart from the refusal's counter, as they
     /// were. A refused `submit` also counts the request (`serve.requests`,
     /// the offered load), and one refused for a full waiter table or queue
-    /// has already spent the client's token — the rate limit is checked
-    /// first — which this test pins.
+    /// has already spent the client's token, the admission order
+    /// `ServeFront::submit` documents as policy, which this test pins.
     #[test]
     fn a_refused_call_changes_nothing() {
         let config = ServeConfig {

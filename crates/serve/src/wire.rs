@@ -161,7 +161,9 @@ pub struct ServeResponse {
 /// the front-end never drops a request silently.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RefusalReason {
-    /// The pending-query queue is at capacity; retry after a drain.
+    /// The pending-query queue is at capacity; retry after a drain. The
+    /// request has spent its admission token: the rate limit is checked
+    /// first ([`ServeFront::submit`](crate::ServeFront::submit)).
     QueueFull {
         /// Distinct queries pending when the request arrived.
         depth: u64,
@@ -171,7 +173,9 @@ pub enum RefusalReason {
         /// Virtual ticks until the bucket refills by one token.
         retry_after_ticks: u64,
     },
-    /// The total number of parked waiters is at capacity.
+    /// The total number of parked waiters is at capacity. The request has
+    /// spent its admission token: the rate limit is checked first
+    /// ([`ServeFront::submit`](crate::ServeFront::submit)).
     Backlogged {
         /// Waiters parked when the request arrived.
         waiters: u64,

@@ -760,9 +760,12 @@ impl ReplayOutcome {
 
 /// Replays `schedule` against `front`: admits each burst, cancels its
 /// slow-loris waiters, spends `budget` queries per quiet tick, stages
-/// `fresh` halfway through (invalidation under load), then pumps until
-/// nothing is in flight. Keeps every answer and what staging `fresh`
-/// returned, so the caller can check the one and certify the other.
+/// `fresh` at the first tick boundary at or past the schedule's midpoint,
+/// after that boundary's drains (invalidation under load: the front has
+/// pumped and cached by then; a one-tick schedule stages after its first
+/// drain), then pumps until nothing is in flight. Keeps every answer and
+/// what staging `fresh` returned, so the caller can check the one and
+/// certify the other.
 pub fn replay(
     front: &mut ServeFront,
     schedule: &[ServeEvent],
@@ -776,19 +779,30 @@ pub fn replay(
     let mut admitted = Waiting::new();
     let mut abandons: Vec<(u64, u64)> = Vec::new(); // (client, id)
     let mut current_tick = schedule.first().map_or(0, |e| e.tick);
-    let half = schedule.len() / 2;
+    // The tick whose drain the stage follows: the first tick opened at or
+    // past the midpoint, else the one past the schedule's last.
+    let last_tick = schedule.last().map_or(0, |e| e.tick);
+    let stage_tick = schedule
+        .windows(2)
+        .skip((schedule.len() / 2).saturating_sub(1))
+        .find(|pair| pair[0].tick != pair[1].tick)
+        .map_or(last_tick + 1, |pair| pair[1].tick);
+    let pump =
+        |outcome: &mut ReplayOutcome, front: &mut ServeFront, admitted: &mut Waiting, tick| {
+            outcome.drain(front, admitted, tick, budget);
+            if tick == stage_tick {
+                outcome.staged = front.stage_block(fresh).expect("the fresh block stages");
+                front.advance(None).expect("the fresh block settles");
+            }
+        };
 
     for (i, event) in schedule.iter().enumerate() {
         if event.tick != current_tick {
             outcome.cancel(front, &mut abandons, &mut admitted);
             for tick in current_tick + 1..=event.tick {
-                outcome.drain(front, &mut admitted, tick, budget);
+                pump(&mut outcome, front, &mut admitted, tick);
             }
             current_tick = event.tick;
-        }
-        if i == half {
-            outcome.staged = front.stage_block(fresh).expect("the fresh block stages");
-            front.advance(None).expect("the fresh block settles");
         }
         let id = i as u64;
         let asked_at = front.sp().index_height();
@@ -815,9 +829,9 @@ pub fn replay(
 
     outcome.cancel(front, &mut abandons, &mut admitted);
     let mut tick = current_tick;
-    while front.inflight_entries() > 0 {
+    while tick < stage_tick || front.inflight_entries() > 0 {
         tick += 1;
-        outcome.drain(front, &mut admitted, tick, budget);
+        pump(&mut outcome, front, &mut admitted, tick);
     }
     outcome.unanswered = admitted.into_keys().collect();
     outcome.unanswered.sort_unstable();

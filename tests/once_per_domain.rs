@@ -300,10 +300,11 @@ fn pipelined(
 
 /// One resealed block whose writes do not reach its `state_root`, offered
 /// to each driver: the inline CI under each scheme and as the last block of
-/// a batch, the pipeline as a block job and as a batch job, and the fleet.
-/// Each refuses it on its host with `Chain(StateRootMismatch)`, before any
-/// ECall for it, and is left where a twin that never saw it stands; the
-/// honest block then certifies byte for byte as on the twin.
+/// a batch, the pipeline as a block job and as a batch job, and the fleet,
+/// as an extension and as a fork. Each refuses it on its host with
+/// `Chain(StateRootMismatch)`, before any ECall for it, and is left where a
+/// twin that never saw it stands; the honest block then certifies byte for
+/// byte as on the twin.
 #[test]
 fn every_driver_refuses_a_forged_post_state_root_before_the_ecall() {
     let refusal = CertError::Chain(ChainError::StateRootMismatch);
@@ -420,14 +421,9 @@ fn every_driver_refuses_a_forged_post_state_root_before_the_ecall() {
         .expect("certifies");
     let before = ecalls(&registry);
     let refused = victim.certify_chain(&forged_batch, &mut world.ias);
-    assert_eq!(refused.err(), Some(refusal), "fleet");
+    assert_eq!(refused.err(), Some(refusal.clone()), "fleet");
     assert_eq!(ecalls(&registry) - before, 0, "fleet: no ECall, no boot");
-    assert_eq!(victim.tip_height(), twin.tip_height(), "fleet: tip");
-    assert_eq!(
-        fleet_bytes(victim.certificates()),
-        fleet_bytes(twin.certificates()),
-        "fleet: certificates"
-    );
+    assert_same_fleet(&victim, &twin, "fleet");
     let got = victim
         .certify_chain(&blocks, &mut world.ias)
         .expect("certifies");
@@ -435,6 +431,44 @@ fn every_driver_refuses_a_forged_post_state_root_before_the_ecall() {
         .certify_chain(&blocks, &mut world.ias)
         .expect("certifies");
     assert_eq!(fleet_bytes(&got), fleet_bytes(&want), "fleet: honest");
+
+    // The forgery again, now a fork of the three certified heights: the
+    // host refuses it before any shard boots, so the victim keeps no trace
+    // the twin lacks, not even a count in its registry (`shard.*` and
+    // `enclave.*`). An honest fork at height 3 then certifies as on the twin.
+    let before = registry.snapshot();
+    let refused = victim.certify_chain(&forged_batch, &mut world.ias);
+    assert_eq!(refused.err(), Some(refusal), "fleet fork");
+    assert_eq!(registry.snapshot(), before, "fleet fork: metrics");
+    assert_same_fleet(&victim, &twin, "fleet fork");
+    let mut fork_world = World::pow(&[]);
+    let mut fork = fork_world.mine_blocks(Workload::KvStore { keyspace: 16 }, 2, 4, 9);
+    fork.extend(fork_world.mine_blocks(Workload::KvStore { keyspace: 16 }, 1, 4, 10));
+    let hashes = |chain: &[Block]| chain.iter().map(|b| b.header.hash()).collect::<Vec<_>>();
+    let (ours, theirs) = (hashes(&fork), hashes(&blocks));
+    assert!(
+        ours[..2] == theirs[..2] && ours[2] != theirs[2],
+        "a fork at 3"
+    );
+    let got = victim
+        .certify_chain(&fork, &mut world.ias)
+        .expect("certifies");
+    let want = twin
+        .certify_chain(&fork, &mut world.ias)
+        .expect("certifies");
+    assert_eq!(fleet_bytes(&got), fleet_bytes(&want), "fleet fork: honest");
+    assert_same_fleet(&victim, &twin, "fleet fork: honest");
+}
+
+/// The two fleets hold the same tip, certificates and state.
+fn assert_same_fleet(victim: &ShardedCertEngine, twin: &ShardedCertEngine, what: &str) {
+    assert_eq!(victim.tip_height(), twin.tip_height(), "{what}: tip");
+    assert_eq!(
+        fleet_bytes(victim.certificates()),
+        fleet_bytes(twin.certificates()),
+        "{what}: certificates"
+    );
+    assert_eq!(format!("{victim:?}"), format!("{twin:?}"), "{what}: state");
 }
 
 /// A certificate stream as the wire carries it.

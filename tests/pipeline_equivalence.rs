@@ -28,11 +28,11 @@ use std::time::{Duration, Instant};
 use dcert::chain::{Block, BlockHeader, ChainError};
 use dcert::core::{
     CertError, CertJob, CertPipeline, Certificate, CertificateIssuer, DeadLetter, Gossip,
-    NetMessage, PipelineConfig, PipelineReport, ShardFailurePlan, ShardFleetConfig, SharedStore,
-    SuperlightClient,
+    NetMessage, PipelineConfig, PipelineReport, RangeCert, ShardFailurePlan, ShardFleetConfig,
+    SharedStore, SuperlightClient,
 };
 use dcert::obs::Registry;
-use dcert::primitives::codec::Encode;
+use dcert::primitives::codec::{Decode, Encode};
 use dcert::primitives::hash::Hash;
 use dcert::primitives::keys::PublicKey;
 use dcert::query::sp::IndexKind;
@@ -940,7 +940,7 @@ fn shard_kill_restart_is_byte_identical() {
     let mut fleet_world = World::pow(&[]);
     let mut config = ShardFleetConfig::new(4, 1);
     config.registry = registry.clone();
-    config.store = Some(store);
+    config.store = Some(store.clone());
     config.failures = ShardFailurePlan::none().kill(1, 1).kill(3, 0);
     let mut fleet = fleet_world.fleet(config);
     let certs = fleet
@@ -955,8 +955,24 @@ fn shard_kill_restart_is_byte_identical() {
     // store instead of re-certifying from the range start.
     assert!(
         snap.counter("shard.resumed_ranges") >= 1,
-        "durable watermark resume must be exercised"
+        "durable resume must be exercised"
     );
+    // The checkpoint is the range certificates: one head per signed chunk,
+    // under the chunk's first height, and nothing else.
+    let heads = store.lock().expect("no panic").head_entries();
+    let keys: Vec<&str> = heads.iter().map(|(key, _)| key.as_str()).collect();
+    let chunks: Vec<String> = (1..=12u64)
+        .map(|h| format!("shard.range.{h:016x}"))
+        .collect();
+    assert_eq!(keys, chunks, "one range head per chunk, nothing else");
+    for ((_, value), height) in heads.iter().zip(1u64..) {
+        let range = RangeCert::decode_all(value).expect("a range certificate");
+        assert_eq!((range.first, range.last), (height, height));
+        assert_eq!(
+            range.header_digests,
+            vec![blocks[height as usize - 1].header.hash()]
+        );
+    }
 }
 
 /// A compact reorg drill at this suite's level (the boundary geometry

@@ -79,7 +79,8 @@ pub enum Event {
     Fleet(FleetSpec),
     /// A `ServeLoadGen` burst (seed `.2`) through `world::replay` on a
     /// front rebuilt under `.1`, recording `serve.*` from here on; it
-    /// stages the next mined block halfway, which is certified after.
+    /// stages the next mined block at the first tick boundary past halfway
+    /// (after one drain, in a one-tick burst), which is certified after.
     Burst(ServeLoadConfig, ServeConfig, u64),
     /// `n` history queries over the serve wire on the world's net: the
     /// front is killed and restarted mid-burst, the net heals after round 4.
@@ -679,7 +680,7 @@ pub fn serve_kill(seed: u64) -> Row {
 }
 
 /// A `load` burst seeded with `seed` against three certified
-/// three-index KVStore blocks, staging a fourth halfway.
+/// three-index KVStore blocks, staging a fourth under load.
 pub fn serve_load(seed: u64, load: ServeLoadConfig, config: ServeConfig) -> Row {
     let mine = Event::Mine(Workload::KvStore { keyspace: 64 }, 4, 4, 5);
     let burst = Event::Burst(load, config, seed);
@@ -761,7 +762,8 @@ pub fn combined(seed: u64) -> Row {
     };
     let mut kv = |count| Event::Mine(Workload::KvStore { keyspace: 16 }, count, 2, g.any());
     let (original, fork, extension) = (kv(8), kv(fork_len), kv(2));
-    // Three bursts: the front pumps, and caches, before the stage halfway.
+    // Three burst ticks: the front pumps, and caches, before the stage at
+    // the third.
     let load = ServeLoadConfig {
         requests: 1_200,
         keyspace: 16,

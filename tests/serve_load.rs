@@ -9,7 +9,11 @@
 mod common;
 mod scenario;
 
-use dcert::serve::{QuerySpec, RateLimit, RefusalReason, ServeConfig, ServeFront, ServeRequest};
+use std::collections::BTreeSet;
+
+use dcert::serve::{
+    QuerySpec, RateLimit, RefusalReason, ServeConfig, ServeFront, ServeRequest, Submitted,
+};
 use dcert::workloads::{ServeLoadConfig, Workload};
 use dcert::world::{certify_into, kv_key, World, SERVE_INDEXES};
 use scenario::{serve_load, smoke_load, tight_config};
@@ -49,6 +53,41 @@ fn hundred_thousand_clients_bounded_queues() {
     assert!(snapshot.counter("serve.cache_hits") > 0);
     assert_eq!(outcome.cache_hits, snapshot.counter("serve.cache_hits"));
     assert_eq!(snapshot.counter("serve.invalidations"), 1);
+}
+
+/// A burst of at most 512 requests is one tick: the fresh block stages
+/// after its first drain, which a 64-deep queue against 48 queries a tick
+/// leaves unfinished, so answers come from both sides of the stage, and
+/// what the front cached before it is gone. A request after the burst is
+/// never answered from below the live index.
+#[test]
+fn a_one_tick_burst_stages_under_load() {
+    let mut run = serve_load(11, smoke_load(400), ServeConfig::default()).run();
+    let live = run.front.sp().index_height();
+    let heights: BTreeSet<u64> = run
+        .answers
+        .iter()
+        .map(|a| a.response.certified_height)
+        .collect();
+    assert_eq!(
+        heights,
+        BTreeSet::from([live - 1, live]),
+        "answered on both sides"
+    );
+    let mut hits = 0;
+    for (client, answer) in (0u64..).zip(&run.answers) {
+        let query = answer.query.clone();
+        let request = ServeRequest {
+            client,
+            id: client,
+            query,
+        };
+        if let Ok(Submitted::CacheHit(response)) = run.front.submit(1 << 20, request) {
+            assert_eq!(response.certified_height, live, "{:?}: stale", answer.query);
+            hits += 1;
+        }
+    }
+    assert!(hits > 0, "nothing cached after the stage");
 }
 
 /// Slow-loris clients that abandon admitted requests release their

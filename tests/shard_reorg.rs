@@ -124,6 +124,46 @@ fn extension_after_reorg_stays_equivalent() {
     );
 }
 
+/// A shard that dies before its first chunk after a reorg, while the store
+/// still holds the pre-reorg range certificate under that chunk's key: 12
+/// blocks on two shards in 3-block chunks, forked at height 7, so the
+/// second run chunks `[7, 12]` at the heights the first did. A restart
+/// resumes only certificates that certify its chunks as this run
+/// sequenced them, so it re-signs, and the fleet still converges on the
+/// sequential issuer's bytes.
+#[test]
+fn reorg_restart_re_signs_a_stale_checkpoint() {
+    // Shard 0 dies after one chunk of the first run (a durable prefix it
+    // resumes) and before the first chunk of the second (a stale one).
+    let failures = ShardFailurePlan::none().kill(0, 1).kill(0, 0);
+    let fleet = || {
+        let failures = failures.clone();
+        Event::Fleet(FleetSpec {
+            shards: 2,
+            chunk: 3,
+            failures,
+            durable: true,
+            publish: false,
+        })
+    };
+    let events = vec![
+        mine(12, 109),
+        fleet(),
+        Event::Fork(6),
+        mine(6, 210),
+        fleet(),
+    ];
+    let run = Row::new(109, FaultConfig::lossless(), &[], events).run();
+    let (first, second) = (&run.snaps[1], &run.snaps[4]);
+    assert_eq!(first.counter("shard.kills"), 1);
+    assert_eq!(first.counter("shard.resumed_ranges"), 1, "a durable prefix");
+    assert_eq!(second.counter("shard.kills"), 2);
+    assert_eq!(second.counter("shard.resumed_ranges"), 1, "nothing stale");
+    assert_eq!(second.counter("shard.recert_blocks"), 6);
+    // 12 blocks signed once each, then all 6 above the fork again.
+    assert_eq!(second.counter("shard.blocks_certified"), 18);
+}
+
 /// The watermark refusal itself, at the trusted-program level: after a
 /// fold advances the aggregator's signed-height watermark, re-folding
 /// ranges that start at or below it is a typed `HeightRegression` — the
