@@ -39,6 +39,8 @@ struct Bucket {
 #[derive(Debug)]
 pub struct TokenBuckets {
     limit: RateLimit,
+    /// std's SipHash on purpose: clients grow this table with the ids
+    /// they claim, and no config bounds it ([`crate::hasher`]).
     buckets: HashMap<u64, Bucket>,
 }
 

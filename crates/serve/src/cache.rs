@@ -1,15 +1,21 @@
 //! Generation-keyed proof cache.
 //!
 //! Entries are keyed by the [`QuerySpec`] itself — a hit is one lookup of
-//! the request's own spec, with std's SipHash since clients choose the
-//! keys — and are valid only for the **generation** they were inserted
-//! under. The front-end bumps the generation whenever anything that can
-//! change an answer moves — only `stage_block` and `rewind`, which move
-//! the live indexes every answer comes from — and a bump clears the cache
-//! wholesale. That makes "no stale proof survives a height advance" a
-//! structural property rather than a bookkeeping discipline: there is no
-//! code path that can return a pre-advance entry afterwards, because no
-//! pre-advance entry exists.
+//! the request's own spec — and are valid only for the **generation**
+//! they were inserted under. The front-end bumps the generation whenever
+//! anything that can change an answer moves — only `stage_block` and
+//! `rewind`, which move the live indexes every answer comes from — and a
+//! bump clears the cache wholesale. That makes "no stale proof survives a
+//! height advance" a structural property rather than a bookkeeping
+//! discipline: there is no code path that can return a pre-advance entry
+//! afterwards, because no pre-advance entry exists.
+//!
+//! Clients choose the keys, yet the lookup hashes with the front's keyed
+//! [`FoldHasher`](crate::hasher::FoldHasher), not std's SipHash: the
+//! table never holds more than `capacity` specs, so even a client who
+//! learned the seeds could make one lookup compare against at most
+//! `capacity` of them — the same order of cost as the cold answer it
+//! could ask for instead. [`crate::hasher`] states the rule.
 //!
 //! Eviction is deterministic: entries carry an insertion sequence number
 //! and the oldest insertion is evicted first (FIFO). No wall-clock, no
@@ -18,6 +24,7 @@
 
 use std::collections::{HashMap, VecDeque};
 
+use crate::hasher::FoldState;
 use crate::wire::{QuerySpec, ServeResponse};
 
 /// A fixed-capacity FIFO cache of canonical response payloads.
@@ -25,18 +32,19 @@ use crate::wire::{QuerySpec, ServeResponse};
 pub struct ProofCache {
     capacity: usize,
     generation: u64,
-    entries: HashMap<QuerySpec, ServeResponse>,
+    entries: HashMap<QuerySpec, ServeResponse, FoldState>,
     insertion_order: VecDeque<QuerySpec>,
 }
 
 impl ProofCache {
     /// Creates a cache holding at most `capacity` entries (0 disables
-    /// caching entirely — every lookup misses).
-    pub fn new(capacity: usize) -> Self {
+    /// caching entirely — every lookup misses), hashed under `hasher`'s
+    /// seeds (a front shares one draw with its coalescing table).
+    pub fn new(capacity: usize, hasher: FoldState) -> Self {
         ProofCache {
             capacity,
             generation: 0,
-            entries: HashMap::new(),
+            entries: HashMap::with_hasher(hasher),
             insertion_order: VecDeque::new(),
         }
     }
@@ -114,7 +122,7 @@ mod tests {
 
     #[test]
     fn fifo_eviction_is_deterministic() {
-        let mut cache = ProofCache::new(2);
+        let mut cache = ProofCache::new(2, FoldState::new());
         cache.insert(spec("a"), response(1, 0xA));
         cache.insert(spec("b"), response(1, 0xB));
         cache.insert(spec("c"), response(1, 0xC));
@@ -126,7 +134,7 @@ mod tests {
 
     #[test]
     fn invalidate_clears_everything_and_bumps_generation() {
-        let mut cache = ProofCache::new(4);
+        let mut cache = ProofCache::new(4, FoldState::new());
         cache.insert(spec("a"), response(1, 0xA));
         let before = cache.generation();
         cache.invalidate();
@@ -137,7 +145,7 @@ mod tests {
 
     #[test]
     fn zero_capacity_never_caches() {
-        let mut cache = ProofCache::new(0);
+        let mut cache = ProofCache::new(0, FoldState::new());
         cache.insert(spec("a"), response(1, 0xA));
         assert!(cache.get(&spec("a")).is_none());
         assert!(cache.is_empty());
@@ -145,7 +153,7 @@ mod tests {
 
     #[test]
     fn reinsert_keeps_first_value_and_rank() {
-        let mut cache = ProofCache::new(2);
+        let mut cache = ProofCache::new(2, FoldState::new());
         cache.insert(spec("a"), response(1, 0xA));
         cache.insert(spec("a"), response(9, 0xF));
         assert_eq!(cache.get(&spec("a")).map(|r| r.certified_height), Some(1));

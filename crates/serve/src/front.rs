@@ -45,6 +45,7 @@ use dcert_sgx::cost::timed;
 
 use crate::admission::{RateLimit, TokenBuckets, TokenGrant};
 use crate::cache::ProofCache;
+use crate::hasher::FoldState;
 use crate::metrics::ServeMetrics;
 use crate::wire::{
     put_aggregate_payload, put_history_payload, put_keyword_payload, QuerySpec, RefusalReason,
@@ -107,8 +108,10 @@ pub struct ServeFront {
     /// entry was released by waiter abandonment; [`ServeFront::pump`]
     /// skips those.
     arrival_order: VecDeque<QuerySpec>,
-    /// The waiters parked on each pending spec.
-    pending: HashMap<QuerySpec, Vec<Waiter>>,
+    /// The waiters parked on each pending spec; at most
+    /// `queue_capacity` entries, so keyed like the cache
+    /// ([`crate::hasher`]).
+    pending: HashMap<QuerySpec, Vec<Waiter>, FoldState>,
     parked_waiters: usize,
     /// The buffer every backend answer's payload is written into before
     /// it becomes the one shared `Arc<[u8]>`; reused across answers.
@@ -120,13 +123,14 @@ impl ServeFront {
     /// Wraps `sp` under `config` with inert metrics (call
     /// [`ServeFront::attach_obs`] to register `serve.*`).
     pub fn new(sp: ServiceProvider, config: ServeConfig) -> Self {
+        let hasher = FoldState::new();
         ServeFront {
             sp,
             config,
-            cache: ProofCache::new(config.cache_capacity),
+            cache: ProofCache::new(config.cache_capacity, hasher),
             buckets: TokenBuckets::new(config.rate_limit),
             arrival_order: VecDeque::new(),
-            pending: HashMap::new(),
+            pending: HashMap::with_hasher(hasher),
             parked_waiters: 0,
             scratch: Vec::new(),
             metrics: ServeMetrics::disabled(),
@@ -264,25 +268,29 @@ impl ServeFront {
     /// slow-loris case). When the last waiter leaves, the whole pending
     /// entry is released immediately: its queue slot frees for admission
     /// and [`ServeFront::pump`] will never spend a backend call on it.
-    /// Returns true when the waiter was found.
+    /// A client that reuses `id` across pending specs loses its waiter on
+    /// the first-arrived one: the search walks arrival order, never the
+    /// table's, whose order follows the front's seeds. Returns true when
+    /// the waiter was found.
     pub fn cancel(&mut self, client: u64, id: u64) -> bool {
-        let mut hit: Option<(QuerySpec, bool)> = None;
-        for (spec, waiters) in &mut self.pending {
-            if let Some(pos) = waiters
+        let pending = &mut self.pending;
+        let emptied = self.arrival_order.iter().find_map(|spec| {
+            let waiters = pending.get_mut(spec)?;
+            let pos = waiters
                 .iter()
-                .position(|w| w.client == client && w.id == id)
-            {
-                waiters.remove(pos);
-                hit = Some((spec.clone(), waiters.is_empty()));
-                break;
+                .position(|w| w.client == client && w.id == id)?;
+            waiters.remove(pos);
+            let emptied = waiters.is_empty();
+            if emptied {
+                pending.remove(spec);
             }
-        }
-        let Some((spec, emptied)) = hit else {
+            Some(emptied)
+        });
+        let Some(emptied) = emptied else {
             return false;
         };
         self.parked_waiters -= 1;
         if emptied {
-            self.pending.remove(&spec);
             self.metrics.waiters_released.inc();
         }
         self.record_occupancy();

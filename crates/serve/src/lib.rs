@@ -23,7 +23,8 @@
 //!
 //! Layout: [`wire`] (canonical request/response/refusal codecs, held to
 //! `dcert-lint` R5 panic freedom), [`cache`] (generation-keyed FIFO
-//! proof cache), [`admission`] (lazy per-client token buckets),
+//! proof cache), [`hasher`] (the keyed fast hash of the cache and the
+//! coalescing table), [`admission`] (lazy per-client token buckets),
 //! [`metrics`] (`serve.*` handles), [`front`] (the scheduler).
 
 #![forbid(unsafe_code)]
@@ -31,12 +32,14 @@
 pub mod admission;
 pub mod cache;
 pub mod front;
+pub mod hasher;
 pub mod metrics;
 pub mod wire;
 
 pub use admission::{RateLimit, TokenBuckets, TokenGrant};
 pub use cache::ProofCache;
 pub use front::{ServeConfig, ServeFront, Submitted};
+pub use hasher::FoldState;
 pub use metrics::ServeMetrics;
 pub use wire::{
     decode_aggregate_op_payload, decode_aggregate_payload, decode_history_op_payload,
@@ -316,6 +319,48 @@ mod tests {
             front.pump(1, 16).is_empty(),
             "no backend reply for an abandoned query"
         );
+    }
+
+    /// A client that parks one id under two pending specs loses it on the
+    /// first-arrived spec, on every front: which waiter goes must not
+    /// follow the order of a table keyed by the front's own seeds.
+    #[test]
+    fn cancel_of_a_reused_id_drops_the_first_arrived_spec_on_every_front() {
+        let window = |client: u64, id: u64, t2: u64| {
+            let mut request = history_request(client, id);
+            if let QuerySpec::History { t2: end, .. } = &mut request.query {
+                *end = t2;
+            }
+            request
+        };
+        let replies = || {
+            let mut front = front_with(ServeConfig::default(), 1);
+            for request in [
+                window(1, 7, 10),
+                window(1, 7, 20),
+                window(2, 10, 10),
+                window(2, 11, 20),
+            ] {
+                front.submit(0, request).expect("admitted");
+            }
+            assert!(front.cancel(1, 7));
+            let delivered: Vec<(u64, u64)> = front
+                .pump(1, 16)
+                .iter()
+                .map(|(client, wire)| match wire {
+                    ServeWire::Response(resp) => (*client, resp.id),
+                    other => panic!("expected a response, got {other:?}"),
+                })
+                .collect();
+            delivered
+        };
+        let expected = vec![(2, 10), (1, 7), (2, 11)];
+        assert_eq!(
+            replies(),
+            expected,
+            "the t2 = 10 spec, first to arrive, lost its waiter"
+        );
+        assert_eq!(replies(), expected, "on a second front too");
     }
 
     #[test]

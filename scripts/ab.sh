@@ -10,12 +10,12 @@
 # (default 10), swapping which side goes first every pair. Prints each
 # end-to-end metric's median and quartiles per side and how many pairs
 # each side won (a tie counts for neither). Then runs each side once with
-# `--trace 1` and prints its exact work counters side by side: they repeat
-# for a given workload and seed, so one run per side is a proof, not a
-# sample. After them come the journey's layer spans from the same two
-# traced runs, for attribution only: one run of a time is not a claim.
-# Each side builds into its own target
-# directory under target/ab/, and every run's output stays in
+# `--trace 1` and prints its exact work counters and the serving front's
+# `serve.*` tallies side by side: they repeat for a given workload and
+# seed, so one run per side is a proof, not a sample. After them come the
+# journey's layer spans from the same two traced runs, for attribution
+# only: one run of a time is not a claim. Each side builds into its own
+# target directory under target/ab/, and every run's output stays in
 # target/ab/runs/<workload>/. Nothing under benchmark/ changes. Do not
 # edit the working tree while it runs: run.sh rebuilds the head side
 # before every run. The checkout is reused by the next call; remove it
@@ -50,10 +50,15 @@ run() {
     fi
 }
 
-# The exact work counters the traced runs compare.
+# The exact work counters the traced runs compare, then the serving front's
+# tallies: seed-exact too, so a serving change shows in the same table that
+# no admission or cache decision moved (each reads blank where no front runs).
 counters=(primitives.sig_verifies primitives.sig_signs primitives.sha256_blocks sgx.ecalls
     sgx.request_bytes store.fsyncs client_storage_bytes alloc.count alloc.bytes
-    query.proof_bytes_per_query)
+    query.proof_bytes_per_query
+    serve.backend_calls serve.cache_hit_ratio serve.coalesce_ratio serve.cancelled
+    serve.shed_admission serve.shed_pump serve.invalidations serve.wait_ticks_p50
+    serve.wait_ticks_p99)
 
 # The journey's layer spans printed from the traced runs (times: one run each).
 spans=(chain.mine_us query.sp.stage_us core.ci.certify_us core.archive.publish_us
