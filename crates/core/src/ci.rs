@@ -97,14 +97,19 @@ impl std::fmt::Debug for CertificateIssuer {
 }
 
 impl CertificateIssuer {
-    /// Boots a CI: launches the enclave, provisions its platform key with
-    /// the IAS, runs the `Init` ECall to generate `(sk_enc, pk_enc)`, and
-    /// obtains the attestation report binding `pk_enc`.
+    /// Boots a CI: launches the enclave on the platform `platform_seed`
+    /// identifies, provisions its platform key with the IAS, runs the
+    /// `Init` ECall to generate `(sk_enc, pk_enc)` inside the enclave, and
+    /// obtains the attestation report binding `pk_enc`. The seed stands in
+    /// for the machine's fused identity: a key sealed here
+    /// ([`CertificateIssuer::seal_enclave_key`]) restores on it.
     ///
     /// # Errors
     ///
     /// Propagates attestation failures and enclave boot problems.
+    #[allow(clippy::too_many_arguments)] // the platform plus the chain and enclave inputs
     pub fn new(
+        platform_seed: [u8; 32],
         genesis: &Block,
         genesis_state: ChainState,
         executor: Executor,
@@ -113,11 +118,8 @@ impl CertificateIssuer {
         ias: &mut AttestationService,
         cost: CostModel,
     ) -> Result<Self, CertError> {
-        let mut seed = [0u8; 32];
-        // dcert-lint: allow(r3-determinism, reason = "platform-key provisioning entropy; replayable runs boot via new_deterministic with fixed seeds")
-        rand::RngCore::fill_bytes(&mut rand::rngs::OsRng, &mut seed);
         let program = cert_program(genesis.hash(), ias, &executor, &engine, verifiers);
-        let enclave = Enclave::launch_with_platform_seed(program, cost, seed);
+        let enclave = Enclave::launch_with_platform_seed(program, cost, platform_seed);
         let node = FullNode::new(genesis, genesis_state, executor, engine, Address::default());
         Self::finish_boot(enclave, node, ias, None)
     }
@@ -174,19 +176,15 @@ impl CertificateIssuer {
         Ok(CertificateIssuer { node, issuer })
     }
 
-    /// Like [`CertificateIssuer::new`], but on a caller-identified
-    /// platform and with a pre-seeded enclave signing key. The
-    /// `platform_seed` stands in for the physical machine's fused
-    /// identity: enclaves launched with the same seed share a platform
-    /// attestation key and a sealing domain, which is what makes
-    /// [`CertificateIssuer::seal_enclave_key`] /
-    /// [`CertificateIssuer::resume_on_platform`] restarts possible. The
-    /// signing seed makes the whole boot — and, because ed25519 signing is
-    /// deterministic, every certificate the CI will ever issue —
-    /// reproducible. Two CIs booted with the same seeds against the same
-    /// IAS sign byte-identically; the pipeline-equivalence tests and
-    /// benches rely on this. Production deployments keep `sk_enc`
-    /// enclave-generated and use [`CertificateIssuer::new`].
+    /// Like [`CertificateIssuer::new`], but with a pre-seeded enclave
+    /// signing key: the replay path. The signing seed makes the whole boot —
+    /// and, because ed25519 signing is deterministic, every certificate the
+    /// CI will ever issue — reproducible. Two CIs booted with the same seeds
+    /// against the same IAS sign byte-identically; the pipeline-equivalence
+    /// tests, the goldens and the benches rely on this. A key born on `Init`
+    /// ([`CertificateIssuer::new`]) is the only kind no host holds; sealed,
+    /// it serves a CI restart and a shard fleet
+    /// ([`crate::ShardedCertEngine::from_sealed_key`]) alike.
     ///
     /// # Errors
     ///
@@ -203,8 +201,9 @@ impl CertificateIssuer {
         ias: &mut AttestationService,
         cost: CostModel,
     ) -> Result<Self, CertError> {
-        let program = cert_program(genesis.hash(), ias, &executor, &engine, verifiers)
-            .with_signing_seed(signing_seed);
+        let program = cert_program(genesis.hash(), ias, &executor, &engine, verifiers);
+        // dcert-lint: allow(r1-enclave-secrecy, reason = "the replay path: a host seed makes every certificate reproducible; CertificateIssuer::new draws the key inside the enclave")
+        let program = program.with_signing_seed(signing_seed);
         let enclave = Enclave::launch_with_platform_seed(program, cost, platform_seed);
         let node = FullNode::new(genesis, genesis_state, executor, engine, Address::default());
         Self::finish_boot(enclave, node, ias, None)

@@ -55,8 +55,8 @@
 //! let mut miner = FullNode::new(&genesis, state.clone(), executor.clone(),
 //!     engine.clone(), Address::from_seed(1));
 //! let mut ias = AttestationService::with_seed([42; 32]);
-//! let mut ci = CertificateIssuer::new(&genesis, state, executor, engine,
-//!     Vec::new(), &mut ias, CostModel::zero())?;
+//! let mut ci = CertificateIssuer::new([9; 32], &genesis, state, executor,
+//!     engine, Vec::new(), &mut ias, CostModel::zero())?;
 //!
 //! // Mine and certify two blocks.
 //! let key = Keypair::from_seed([7; 32]);

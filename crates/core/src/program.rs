@@ -29,7 +29,7 @@ use dcert_primitives::keys::{Keypair, PublicKey, Signature};
 use dcert_sgx::enclave::{measure, Sealable};
 use dcert_sgx::{AttestationReport, SgxError, TrustedApp};
 use dcert_vm::{CallStatus, Executor, ReadSetState, StateKey, VmError};
-// dcert-lint: allow(r3-determinism, reason = "sk_enc generation entropy on the Init ECall; replayable runs pre-seed via with_signing_seed")
+// dcert-lint: allow(r3-determinism, reason = "sk_enc generation entropy on the Init ECall; replayable runs draw shard keys here too, and no client-facing byte depends on them")
 use rand::rngs::OsRng;
 
 use crate::cert::Certificate;
@@ -66,12 +66,11 @@ pub struct CertProgram {
     engine: Arc<dyn ConsensusEngine>,
     verifiers: HashMap<String, Box<dyn IndexVerifier>>,
     keypair: Option<Keypair>,
-    /// Highest block height this enclave has signed. Sealed together with
-    /// the key, so an enclave restored from its *latest* seal refuses to
-    /// sign a conflicting certificate at or below a height it already
-    /// vouched for — the trust-boundary half of crash recovery. Nothing
-    /// orders one seal after another: a host that restores an *older*
-    /// blob restores its lower watermark (ROADMAP item 21).
+    /// Highest block height this enclave has signed, sealed with the key.
+    /// It orders one key's signatures within one line of seals, guarding
+    /// against host mistakes (and the memo anchors on it); restoring an
+    /// older blob restores its lower watermark on purpose, as every fleet
+    /// reorg does. It is no promise to clients, who trust a measurement.
     last_signed_height: u64,
     /// What this enclave has vouched for, across requests; see [`Memo`].
     memo: Memo,
@@ -133,9 +132,9 @@ impl CertProgram {
 
     /// Pre-seeds the signing key so the `Init` ECall becomes
     /// deterministic: ed25519 signatures are deterministic, so two
-    /// programs seeded alike produce byte-identical certificates. This is
-    /// what the pipeline-equivalence tests and reproducible benches boot
-    /// with; a production enclave generates `sk_enc` internally.
+    /// programs seeded alike produce byte-identical certificates. Only the
+    /// replay constructors boot with it (lint rule R1 holds it there);
+    /// every other key is drawn on `Init`, inside the enclave.
     #[must_use]
     pub fn with_signing_seed(mut self, seed: [u8; 32]) -> Self {
         self.keypair = Some(Keypair::from_seed(seed));
@@ -164,9 +163,9 @@ impl CertProgram {
         // must advance the chain (every `Certify` signs one), while
         // Algorithm 4's per-index certificates share their block's height.
         // The fleet's guards are strict — a shard or aggregator never re-signs
-        // heights it already vouched for; restart recovery resumes *above*
-        // the sealed watermark and re-certifying after a reorg takes a
-        // fresh enclave (a new key, a new attestation).
+        // heights it already vouched for. Shards seal nothing: a restarted
+        // shard draws a new key. After a reorg the aggregator boots again
+        // with the same key and the watermark it first booted with.
         let (offered, strict, signs) = match &request {
             EcallRequest::Init => (None, true, None),
             EcallRequest::Certify { links, indexes, .. } => {
@@ -194,7 +193,7 @@ impl CertProgram {
         let response = match &request {
             EcallRequest::Init => {
                 let kp = self.keypair.get_or_insert_with(|| {
-                    // dcert-lint: allow(r3-determinism, reason = "sk_enc generation entropy on the Init ECall; replayable runs pre-seed via with_signing_seed")
+                    // dcert-lint: allow(r3-determinism, reason = "sk_enc generation entropy on the Init ECall; replayable runs draw shard keys here too, and no client-facing byte depends on them")
                     Keypair::generate(&mut OsRng)
                 });
                 EcallResponse::Initialized(kp.public())
@@ -593,10 +592,10 @@ const SEALED_STATE_LEN: usize = 32 + 8;
 impl Sealable for CertProgram {
     /// `sk_enc (32 bytes) ++ last_signed_height (8 bytes BE)`. The
     /// watermark travels inside the seal so that a restart from the latest
-    /// seal cannot reset it to 0. It does not stop a rollback: restoring an
-    /// older sealed blob restores that blob's lower watermark, and the
-    /// enclave then signs again at heights it already signed (ROADMAP
-    /// item 21; a monotonic counter bound into the seal would refuse it).
+    /// seal cannot reset it to 0. Restoring an older blob restores its lower
+    /// watermark, and the enclave signs again at heights it already signed:
+    /// that gives a host nothing, as a fresh enclave with the same
+    /// measurement would sign them too (DESIGN.md §10).
     fn export_state(&self) -> Vec<u8> {
         match &self.keypair {
             None => Vec::new(),

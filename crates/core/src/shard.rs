@@ -9,13 +9,15 @@
 //! (`FoldRanges`) into the per-height [`Certificate`] stream clients
 //! already expect.
 //!
-//! **Byte identity.** Block certificates sign raw header digests with a
-//! deterministic (ed25519) key, and the previous certificate is validated
-//! but never signed over — so an aggregator booted with the sequential
-//! CI's platform/signing seeds emits certificates byte-identical to
-//! sequential recursion at every height, for every shard count. Shard
-//! enclaves boot with *derived* seeds: their keys never appear in client
-//! artifacts, and a shard key cannot forge a final certificate.
+//! **Keys and byte identity.** Every fleet enclave launches on the fleet's
+//! platform. The aggregator holds a sequential CI's key: that CI's sealed
+//! key, restored, or on the replay path the CI's host seed. Block
+//! certificates sign raw header digests with a deterministic (ed25519) key
+//! and never sign over the previous certificate, so the folded stream is
+//! byte-identical to that CI's at every height, for every shard count. A
+//! shard's key is born on its `Init` ECall on every boot, so no host can
+//! sign a range no enclave checked; it appears in no client artifact, and
+//! the aggregator checks each range by its own report.
 //!
 //! **Chain view.** The fleet holds one genesis `FullNode`. A run clones it
 //! once, replays the certified prefix below the span through
@@ -29,30 +31,29 @@
 //! **Reorgs.** The fleet compares the offered chain against the header
 //! hashes its certificates carry, keeps every range certificate entirely
 //! below the fork point, and re-certifies only the affected suffix on
-//! freshly booted shards. The old aggregator's sealed height watermark
-//! makes it refuse stale-range folds (`shard.stale_range_refusals`); the
-//! fleet then boots a fresh aggregator with the same canonical seeds —
-//! signing-only work — and re-folds.
+//! freshly booted shards. It boots the aggregator again with the same key
+//! and re-folds from genesis — signing-only work. That replays a key, and
+//! gives the host nothing a fresh enclave with the same measurement would
+//! not: clients trust the measurement (DESIGN.md §10).
 //!
 //! **Crash recovery.** A shard's checkpoint is its range certificates:
 //! after every chunk it writes the chunk's [`RangeCert`] to the configured
 //! [`Store`] and syncs. A killed shard always restarts the same way: it
 //! keeps the longest prefix of its chunks whose durable certificate
 //! certifies *that* chunk (same heights, anchor and header digests), boots
-//! fresh on its derived seeds — the same key, and ed25519 signs
-//! deterministically — and signs the rest from the same encoded requests;
-//! nothing is sequenced again. Without a store the prefix is empty and the
-//! whole range is re-signed.
+//! fresh with a new key, and signs the rest from the same encoded
+//! requests; nothing is sequenced again. Without a store the prefix is
+//! empty and the whole range is re-signed.
 
 use std::sync::{Arc, Mutex};
 
 use dcert_chain::{Block, BlockHeader, ChainState, ConsensusEngine, FullNode};
 use dcert_obs::{Counter, Histogram, Registry};
 use dcert_primitives::codec::{Decode, Encode};
-use dcert_primitives::hash::{hash_concat, Address, Hash};
+use dcert_primitives::hash::{Address, Hash};
 use dcert_primitives::keys::Signature;
 use dcert_sgx::cost::timed;
-use dcert_sgx::{AttestationService, CostModel, Enclave};
+use dcert_sgx::{AttestationService, CostModel, Enclave, SealedBlob};
 use dcert_store::Store;
 use dcert_vm::Executor;
 
@@ -220,7 +221,6 @@ struct ShardMetrics {
     restarts: Counter,
     resumed_ranges: Counter,
     recert_blocks: Counter,
-    stale_range_refusals: Counter,
     agg_folds: Counter,
     agg_signatures: Counter,
     agg_fresh_boots: Counter,
@@ -239,7 +239,6 @@ impl ShardMetrics {
             restarts: registry.counter("shard.restarts"),
             resumed_ranges: registry.counter("shard.resumed_ranges"),
             recert_blocks: registry.counter("shard.recert_blocks"),
-            stale_range_refusals: registry.counter("shard.stale_range_refusals"),
             agg_folds: registry.counter("shard.agg.folds"),
             agg_signatures: registry.counter("shard.agg.signatures"),
             agg_fresh_boots: registry.counter("shard.agg.fresh_boots"),
@@ -342,11 +341,13 @@ impl Shard {
 /// watermark), the folded range certificates and the certificate stream,
 /// whose header hashes are all it keeps of the certified chain; shard
 /// enclaves are per-run. Construct with
-/// [`ShardedCertEngine::new_deterministic`] and drive with
+/// [`ShardedCertEngine::from_sealed_key`] (or, to replay,
+/// [`ShardedCertEngine::new_deterministic`]) and drive with
 /// [`ShardedCertEngine::certify_chain`].
 pub struct ShardedCertEngine {
+    /// The platform every fleet enclave launches on.
     platform_seed: [u8; 32],
-    signing_seed: [u8; 32],
+    aggregator_key: AggregatorKey,
     /// The chain view at genesis, which each run clones once.
     genesis: FullNode,
     cost: CostModel,
@@ -373,12 +374,48 @@ impl std::fmt::Debug for ShardedCertEngine {
     }
 }
 
+/// Where the aggregator's key comes from: the one thing the two
+/// constructors set differently.
+enum AggregatorKey {
+    /// The replay path's host seed.
+    Seed([u8; 32]),
+    /// A CI's key, sealed on the fleet's platform; every boot restores it.
+    Sealed(SealedBlob),
+}
+
 impl ShardedCertEngine {
-    /// Builds a fleet whose aggregator boots with the given canonical
-    /// seeds — the same seeds a deterministic sequential CI would use, so
-    /// the folded certificate stream is byte-identical to sequential
-    /// output. Enclaves boot lazily, on the first
-    /// [`ShardedCertEngine::certify_chain`].
+    /// Builds a fleet whose aggregator is the CI that sealed `sealed_key`
+    /// ([`crate::CertificateIssuer::seal_enclave_key`]) on `platform_seed`,
+    /// restored ([`Enclave::restore`]) on its first boot and after every
+    /// reorg, so the folded stream is byte-identical to that CI's. Enclaves
+    /// boot lazily, on the first [`ShardedCertEngine::certify_chain`].
+    ///
+    /// The blob must be sealed before its CI signed anything: a blob sealed
+    /// at height `h > 0` restores that watermark, and the first
+    /// `certify_chain` fails with [`CertError::HeightRegression`].
+    ///
+    /// # Errors
+    ///
+    /// As [`ShardedCertEngine::new_deterministic`]. A blob sealed on
+    /// another platform fails the first `certify_chain`.
+    #[allow(clippy::too_many_arguments)] // mirrors `new_deterministic`
+    pub fn from_sealed_key(
+        platform_seed: [u8; 32],
+        sealed_key: &SealedBlob,
+        genesis: &Block,
+        genesis_state: ChainState,
+        executor: Executor,
+        engine: Arc<dyn ConsensusEngine>,
+        cost: CostModel,
+        config: ShardFleetConfig,
+    ) -> Result<Self, CertError> {
+        let key = AggregatorKey::Sealed(sealed_key.clone());
+        let node = FullNode::new(genesis, genesis_state, executor, engine, Address::default());
+        Self::with_key(platform_seed, key, node, cost, config)
+    }
+
+    /// The replay path: the aggregator key is drawn from `signing_seed`, as
+    /// [`crate::CertificateIssuer::new_deterministic`]'s is.
     ///
     /// # Errors
     ///
@@ -396,7 +433,20 @@ impl ShardedCertEngine {
         genesis: &Block,
         genesis_state: ChainState,
         executor: Executor,
-        consensus: Arc<dyn ConsensusEngine>,
+        engine: Arc<dyn ConsensusEngine>,
+        cost: CostModel,
+        config: ShardFleetConfig,
+    ) -> Result<Self, CertError> {
+        let key = AggregatorKey::Seed(signing_seed);
+        let node = FullNode::new(genesis, genesis_state, executor, engine, Address::default());
+        Self::with_key(platform_seed, key, node, cost, config)
+    }
+
+    /// The constructors' shared tail.
+    fn with_key(
+        platform_seed: [u8; 32],
+        aggregator_key: AggregatorKey,
+        genesis: FullNode,
         cost: CostModel,
         config: ShardFleetConfig,
     ) -> Result<Self, CertError> {
@@ -409,14 +459,8 @@ impl ShardedCertEngine {
         let metrics = ShardMetrics::new(&config.registry);
         Ok(ShardedCertEngine {
             platform_seed,
-            signing_seed,
-            genesis: FullNode::new(
-                genesis,
-                genesis_state,
-                executor,
-                consensus,
-                Address::default(),
-            ),
+            aggregator_key,
+            genesis,
             cost,
             shards: config.shards,
             chunk: config.chunk,
@@ -446,10 +490,10 @@ impl ShardedCertEngine {
     ///
     /// Incremental: unchanged prefixes are never re-certified. If the
     /// offered chain forks from the certified one, only the ranges at or
-    /// above the fork are re-certified, the old aggregator's watermark
-    /// refusal is counted, and a fresh aggregator re-folds — signing-only
-    /// work over already-certified digests. A chain the host refuses leaves
-    /// the fleet as it was: its certified view and every `shard.*` counter.
+    /// above the fork are re-certified, and the aggregator, booted again
+    /// with its key, re-folds — signing-only work over already-certified
+    /// digests. A chain the host refuses leaves the fleet as it was: its
+    /// certified view and every `shard.*` counter.
     ///
     /// The host executes each block of the span once, on the calling
     /// thread, before any shard enclave boots (plus one proof-less replay
@@ -529,23 +573,11 @@ impl ShardedCertEngine {
                     new_ranges,
                 )
             }
-            // First run or reorg: fold everything from genesis.
+            // First run or reorg: fold everything from genesis on an
+            // aggregator booted again (the old one's watermark would refuse).
             _ => {
                 let mut all_ranges = kept;
                 all_ranges.extend(new_ranges);
-                // After a reorg the old aggregator's sealed watermark sits
-                // at the old tip: folding from genesis again is a height
-                // regression it must refuse — the stale-range guard. Count
-                // the refusal, then boot a fresh aggregator with the same
-                // canonical seeds (same key, same client-visible identity).
-                if let Some(old) = self.aggregator.take() {
-                    if self
-                        .fold(&old, self.genesis.tip(), None, &all_ranges)
-                        .is_err()
-                    {
-                        self.metrics.stale_range_refusals.inc();
-                    }
-                }
                 let agg = self.boot_aggregator(ias)?;
                 (agg, self.genesis.tip().clone(), None, all_ranges)
             }
@@ -595,7 +627,7 @@ impl ShardedCertEngine {
                 chunks,
                 done: Vec::new(),
                 kill_after: self.failures.take(index),
-                boot: self.boot_shard(index, ias)?,
+                boot: self.boot(None, ias)?,
             });
         }
         loop {
@@ -612,11 +644,9 @@ impl ShardedCertEngine {
                 .into_iter()
                 .collect::<Result<(), _>>()?;
             // A shard the round left unfinished was killed.
-            for (index, shard) in shards.iter_mut().enumerate() {
-                if !shard.finished() {
-                    self.metrics.kills.inc();
-                    self.restart(index, shard, ias)?;
-                }
+            for shard in shards.iter_mut().filter(|shard| !shard.finished()) {
+                self.metrics.kills.inc();
+                self.restart(shard, ias)?;
             }
         }
     }
@@ -664,14 +694,9 @@ impl ShardedCertEngine {
 
     /// Restarts a killed shard, the one way there is: it keeps the longest
     /// prefix of its chunks whose durable range certificate certifies that
-    /// chunk (none without a store), boots fresh on its derived seeds, and
-    /// signs the rest from the chunks' requests as encoded.
-    fn restart(
-        &self,
-        index: usize,
-        shard: &mut Shard,
-        ias: &mut AttestationService,
-    ) -> Result<(), CertError> {
+    /// chunk (none without a store), boots fresh with a new key, and signs
+    /// the rest from the chunks' requests as encoded.
+    fn restart(&self, shard: &mut Shard, ias: &mut AttestationService) -> Result<(), CertError> {
         self.metrics.restarts.inc();
         shard.done = match &self.store {
             Some(store) => {
@@ -687,7 +712,7 @@ impl ShardedCertEngine {
         self.metrics
             .resumed_ranges
             .add(u64::try_from(shard.done.len()).unwrap_or(u64::MAX));
-        shard.boot = self.boot_shard(index, ias)?;
+        shard.boot = self.boot(None, ias)?;
         Ok(())
     }
 
@@ -703,40 +728,33 @@ impl ShardedCertEngine {
         )
     }
 
-    /// Launches, instruments and attests one fleet enclave on the given
-    /// seeds.
+    /// Launches, instruments and attests one fleet enclave on the fleet's
+    /// platform: the aggregator with `key`, a shard (`None`) with the key
+    /// its `Init` draws.
     fn boot(
         &self,
-        platform_seed: [u8; 32],
-        signing_seed: [u8; 32],
+        key: Option<&AggregatorKey>,
         ias: &mut AttestationService,
     ) -> Result<Attested, CertError> {
-        let program = self.make_program(ias).with_signing_seed(signing_seed);
-        let enclave = Enclave::launch_with_platform_seed(program, self.cost, platform_seed);
+        let (program, cost, platform) = (self.make_program(ias), self.cost, self.platform_seed);
+        let enclave = match key {
+            None => Enclave::launch_with_platform_seed(program, cost, platform),
+            Some(AggregatorKey::Seed(seed)) => {
+                // dcert-lint: allow(r1-enclave-secrecy, reason = "the replay path: the aggregator takes the deterministic CI's host seed, so the folded stream replays its bytes")
+                let program = program.with_signing_seed(*seed);
+                Enclave::launch_with_platform_seed(program, cost, platform)
+            }
+            Some(AggregatorKey::Sealed(blob)) => Enclave::restore(program, cost, platform, blob)?,
+        };
         enclave.attach_obs(&self.metrics.registry);
         Attested::boot(enclave, ias)
     }
 
-    /// Boots and attests one shard enclave on seeds derived for `shard`:
-    /// the same key on every boot, so a shard key can never stand in for
-    /// the aggregator in a client artifact, and a re-signed chunk's range
-    /// certificate is byte-identical to the first.
-    fn boot_shard(
-        &self,
-        shard: usize,
-        ias: &mut AttestationService,
-    ) -> Result<Attested, CertError> {
-        let platform = derive_seed(b"dcert-shard-platform", &self.platform_seed, shard);
-        let signing = derive_seed(b"dcert-shard-signing", &self.signing_seed, shard);
-        self.boot(platform, signing, ias)
-    }
-
-    /// Boots the aggregator with the fleet's *canonical* seeds — the same
-    /// identity a deterministic sequential CI would have, which is exactly
-    /// why the folded certificates come out byte-identical.
+    /// Boots the aggregator on its key — a sequential CI's, which is why the
+    /// folded certificates come out byte-identical to that CI's.
     fn boot_aggregator(&self, ias: &mut AttestationService) -> Result<Attested, CertError> {
         self.metrics.agg_fresh_boots.inc();
-        self.boot(self.platform_seed, self.signing_seed, ias)
+        self.boot(Some(&self.aggregator_key), ias)
     }
 
     /// One `FoldRanges` ECall: verify, chain, and sign `ranges` from
@@ -802,22 +820,6 @@ fn blocks_for(blocks: &[Block], first: u64, last: u64) -> Result<&[Block], Shard
     blocks
         .get(lo..hi)
         .ok_or(ShardError::MissingBlock { height: last })
-}
-
-/// Derives a per-shard seed: `H(domain ‖ base ‖ shard ‖ 0⁸)`, the shard
-/// index a big-endian `u64`. Distinct from the canonical seeds by
-/// construction, so shard keys can never collide with the aggregator's
-/// client-visible identity. The trailing zero word is part of the layout
-/// every shard key is derived under: without it each shard key, and so
-/// every range certificate's bytes, would change.
-fn derive_seed(domain: &[u8], base: &[u8; 32], shard: usize) -> [u8; 32] {
-    let shard_be = u64::try_from(shard).unwrap_or(u64::MAX).to_be_bytes();
-    let digest = hash_concat([domain, base.as_slice(), &shard_be, &[0; 8]]);
-    let mut seed = [0u8; 32];
-    for (dst, src) in seed.iter_mut().zip(digest.as_bytes()) {
-        *dst = *src;
-    }
-    seed
 }
 
 /// A poisoned store lock only means another shard thread panicked mid-write;
@@ -893,16 +895,5 @@ mod tests {
         assert_eq!(plan.take(2), Some(1));
         assert_eq!(plan.take(2), None);
         assert_eq!(plan.take(0), None);
-    }
-
-    #[test]
-    fn derived_seeds_are_distinct() {
-        let base = [7u8; 32];
-        let a = derive_seed(b"dcert-shard-signing", &base, 0);
-        let b = derive_seed(b"dcert-shard-signing", &base, 1);
-        let d = derive_seed(b"dcert-shard-platform", &base, 0);
-        assert_ne!(a, b);
-        assert_ne!(a, d);
-        assert_ne!(a, base);
     }
 }

@@ -59,10 +59,11 @@ pub const R1_TRUSTED_MODULES: [&str; 3] = [
 ];
 
 /// Identifiers that must not appear outside the trusted modules: secret
-/// material accessors, sealed-state plumbing, and the traits that would
+/// material accessors, sealed-state plumbing, the traits that would
 /// let untrusted code drive the trusted program without crossing the
-/// ECall-accounted `Enclave` boundary.
-const R1_BANNED_IDENTS: [&str; 8] = [
+/// ECall-accounted `Enclave` boundary, and the host seed that would key an
+/// enclave (waived only at the two replay constructors).
+const R1_BANNED_IDENTS: [&str; 9] = [
     "to_secret_bytes",
     "platform_secret",
     "export_state",
@@ -71,6 +72,7 @@ const R1_BANNED_IDENTS: [&str; 8] = [
     "TrustedApp",
     "sealing_key",
     "keystream_block",
+    "with_signing_seed",
 ];
 
 /// The raw signature crate is confined to the `primitives::keys` wrapper.

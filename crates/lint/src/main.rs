@@ -404,8 +404,8 @@ mod tests {
             .collect();
         let lines: Vec<u32> = r1.iter().map(|f| f.line).collect();
         // TrustedApp import, Sealable import, to_secret_bytes call,
-        // import_state call, ed25519_dalek use.
-        assert_eq!(lines, vec![6, 6, 12, 15, 19]);
+        // import_state call, ed25519_dalek use, with_signing_seed call.
+        assert_eq!(lines, vec![6, 6, 12, 15, 19, 23]);
     }
 
     #[test]

@@ -259,13 +259,13 @@ impl Hasher {
     /// Consumes the kernel and returns the digest.
     #[must_use]
     pub fn finalize(self) -> Hash {
-        Hash(self.0.finalize().into())
+        Hash(self.0.finalize())
     }
 
     /// Returns the digest and resets the state to empty, keeping the
     /// kernel alive for the next value — the amortised path for loops.
     pub fn finalize_reset(&mut self) -> Hash {
-        Hash(self.0.finalize_reset().into())
+        Hash(self.0.finalize_reset())
     }
 }
 

@@ -977,6 +977,7 @@ mod tests {
             sp.add_index(IndexKind::Inverted, "inverted");
             let mut ias = AttestationService::with_seed([42; 32]);
             let ci = CertificateIssuer::new(
+                [9; 32],
                 &genesis,
                 state.clone(),
                 executor.clone(),

@@ -17,7 +17,6 @@ use scenario::{
 fn combined_seed(seed: u64) {
     let run = combined(seed).run();
     assert!(run.obs.counter("shard.kills") >= 1, "CHAOS_SEED={seed}");
-    assert_eq!(run.obs.counter("shard.stale_range_refusals"), 1);
     assert!(run.stats.partitioned > 0, "CHAOS_SEED={seed}: no blackout");
     assert!(run.rounds >= 1, "CHAOS_SEED={seed}: nothing to resync");
     assert!(run.report.errors.is_empty(), "CHAOS_SEED={seed}");

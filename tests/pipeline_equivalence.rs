@@ -29,7 +29,7 @@ use dcert::chain::{Block, BlockHeader, ChainError};
 use dcert::core::{
     CertError, CertJob, CertPipeline, Certificate, CertificateIssuer, DeadLetter, Gossip,
     NetMessage, PipelineConfig, PipelineReport, RangeCert, ShardFailurePlan, ShardFleetConfig,
-    SharedStore, SuperlightClient,
+    ShardedCertEngine, SharedStore, SuperlightClient,
 };
 use dcert::obs::Registry;
 use dcert::primitives::codec::{Decode, Encode};
@@ -37,6 +37,7 @@ use dcert::primitives::hash::Hash;
 use dcert::primitives::keys::PublicKey;
 use dcert::query::sp::IndexKind;
 use dcert::query::ServiceProvider;
+use dcert::sgx::{CostModel, SealedBlob};
 use dcert::store::MemStore;
 use dcert::workloads::{Workload, WorkloadGen};
 use dcert::world::{assert_bytes_equal, World};
@@ -1023,12 +1024,157 @@ fn shard_fleet_reorg_matches_sequential() {
         snap.counter("shard.recert_blocks") > 0,
         "reorg must be visible as re-certification work"
     );
-    assert_eq!(
-        snap.counter("shard.stale_range_refusals"),
-        1,
-        "the old aggregator must refuse the stale-range fold"
-    );
     assert_eq!(snap.counter("shard.agg.fresh_boots"), 2);
+}
+
+// --- fleets keyed by a CI's sealed key ---------------------------------------
+//
+// `ShardedCertEngine::from_sealed_key`: the aggregator is a CI whose key was
+// born on `Init` and sealed on its platform; every shard draws its own key
+// on `Init`. No host seed reaches any enclave.
+
+/// The platform the sealing CI and its fleets run on.
+const PLATFORM: [u8; 32] = [0x5E; 32];
+
+/// A CI booted through `Init` on [`PLATFORM`], against `world`'s IAS.
+fn enclave_born_ci(world: &mut World) -> CertificateIssuer {
+    CertificateIssuer::new(
+        PLATFORM,
+        &world.genesis,
+        world.genesis_state.clone(),
+        world.executor.clone(),
+        world.engine.clone(),
+        Vec::new(),
+        &mut world.ias,
+        CostModel::zero(),
+    )
+    .expect("CI boots")
+}
+
+/// A fleet on `world`'s chain whose aggregator restores `sealed`.
+fn sealed_fleet(world: &World, sealed: &SealedBlob, config: ShardFleetConfig) -> ShardedCertEngine {
+    ShardedCertEngine::from_sealed_key(
+        PLATFORM,
+        sealed,
+        &world.genesis,
+        world.genesis_state.clone(),
+        world.executor.clone(),
+        world.engine.clone(),
+        CostModel::zero(),
+        config,
+    )
+    .expect("fleet configures")
+}
+
+/// Three shards in 2-block chunks over a fresh `MemStore`, on `failures`.
+fn stored_config(failures: ShardFailurePlan) -> (ShardFleetConfig, SharedStore) {
+    let store: SharedStore = Arc::new(Mutex::new(Box::new(MemStore::new())));
+    let mut config = ShardFleetConfig::new(3, 2);
+    config.store = Some(store.clone());
+    config.failures = failures;
+    (config, store)
+}
+
+/// The range certificates a fleet stored, in key order.
+fn stored_ranges(store: &SharedStore) -> Vec<RangeCert> {
+    let heads = store.lock().expect("no panic").head_entries();
+    heads
+        .iter()
+        .map(|(_, value)| RangeCert::decode_all(value).expect("a range certificate"))
+        .collect()
+}
+
+/// A CI's key born on `Init` and sealed before it signs anything keys a
+/// fleet — through a store and a shard kill — whose stream is the CI's own,
+/// byte for byte, under the CI's `pk_enc` and report. After a reorg at
+/// height 7 the fleet restores the seal again, and its stream is a fresh
+/// fleet's from the same blob on the reorged chain.
+#[test]
+fn a_fleet_from_a_sealed_ci_key_is_that_ci() {
+    let mut world = World::pow(&[]);
+    let mut ci = enclave_born_ci(&mut world);
+    let sealed = ci.seal_enclave_key();
+    let original = world.mine_blocks(Workload::SmallBank { customers: 16 }, 12, 2, 81);
+    let seq: Vec<Certificate> = original
+        .iter()
+        .map(|block| ci.certify_block(block).expect("CI certifies").0)
+        .collect();
+
+    let registry = Registry::new();
+    let (mut config, _store) = stored_config(ShardFailurePlan::none().kill(1, 1));
+    config.registry = registry.clone();
+    let mut fleet = sealed_fleet(&world, &sealed, config);
+    let certs = fleet
+        .certify_chain(&original, &mut world.ias)
+        .expect("fleet certifies through the kill");
+    assert_fleet_matches(&seq, &certs, &original, world.ias.public_key(), "sealed");
+    assert_eq!(registry.snapshot().counter("shard.kills"), 1);
+    for cert in &certs {
+        assert_eq!((cert.pk_enc, &cert.report), (ci.pk_enc(), ci.report()));
+    }
+
+    let mut fork_world = World::pow(&[]);
+    let mut reorged = fork_world.mine_blocks(Workload::SmallBank { customers: 16 }, 6, 2, 81);
+    reorged.extend(fork_world.mine_blocks(Workload::SmallBank { customers: 16 }, 5, 2, 82));
+    assert_eq!(original[5].header.hash(), reorged[5].header.hash());
+    assert_ne!(original[6].header.hash(), reorged[6].header.hash());
+    let after = fleet
+        .certify_chain(&reorged, &mut world.ias)
+        .expect("the reorg re-certifies");
+    let (config, _store) = stored_config(ShardFailurePlan::none());
+    let fresh = sealed_fleet(&world, &sealed, config)
+        .certify_chain(&reorged, &mut world.ias)
+        .expect("a fresh fleet certifies the reorged chain");
+    assert_fleet_matches(&fresh, &after, &reorged, world.ias.public_key(), "reorg");
+    assert!(after.iter().all(|cert| cert.pk_enc == ci.pk_enc()));
+}
+
+/// Two fleets from one blob and one config emit one stream, but no shard
+/// key repeats: each is drawn on `Init`, inside its enclave, on every boot.
+#[test]
+fn fleets_from_one_blob_share_the_stream_not_the_shard_keys() {
+    let mut world = World::pow(&[]);
+    let sealed = enclave_born_ci(&mut world).seal_enclave_key();
+    let blocks = world.mine_blocks(Workload::SmallBank { customers: 16 }, 12, 2, 83);
+    let mut run = || {
+        let (config, store) = stored_config(ShardFailurePlan::none());
+        let certs = sealed_fleet(&world, &sealed, config)
+            .certify_chain(&blocks, &mut world.ias)
+            .expect("fleet certifies");
+        (certs, stored_ranges(&store))
+    };
+    let (first, first_ranges) = run();
+    let (second, second_ranges) = run();
+    assert_bytes_equal(&first, &second, "two fleets, one blob");
+    assert_eq!(first_ranges.len(), 6, "one range certificate per chunk");
+    assert_eq!(second_ranges.len(), 6);
+    for (a, b) in first_ranges.iter().zip(&second_ranges) {
+        assert_eq!(a.header_digests, b.header_digests);
+        assert_ne!(a.pk_range, b.pk_range, "a shard key repeated across fleets");
+    }
+}
+
+/// A blob sealed after its CI signed height 1 carries watermark 1: the
+/// fleet's first fold is refused, typed, and the fleet certifies nothing.
+#[test]
+fn a_blob_sealed_after_signing_refuses_the_first_fold() {
+    let mut world = World::pow(&[]);
+    let mut ci = enclave_born_ci(&mut world);
+    let blocks = world.mine_blocks(Workload::SmallBank { customers: 16 }, 4, 2, 85);
+    ci.certify_block(&blocks[0]).expect("CI certifies height 1");
+    let sealed = ci.seal_enclave_key();
+
+    let mut fleet = sealed_fleet(&world, &sealed, ShardFleetConfig::new(2, 2));
+    let refused = fleet.certify_chain(&blocks, &mut world.ias);
+    assert_eq!(
+        refused,
+        Err(CertError::HeightRegression {
+            last_signed: 1,
+            offered: 1,
+        })
+    );
+    assert_eq!(fleet.tip_height(), 0);
+    assert!(fleet.certificates().is_empty());
 }
 
 /// The fleet matches sequential bytes for arbitrary shard counts, chunk

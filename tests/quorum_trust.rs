@@ -17,6 +17,7 @@ use dcert::world::World;
 fn second_domain(world: &World) -> (AttestationService, CertificateIssuer) {
     let mut ias = AttestationService::with_seed([0xB7; 32]);
     let ci = CertificateIssuer::new(
+        [0xB8; 32],
         &world.genesis,
         world.genesis_state.clone(),
         world.executor.clone(),
