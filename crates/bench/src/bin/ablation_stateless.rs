@@ -22,7 +22,7 @@
 #![forbid(unsafe_code)]
 
 use dcert::world::naive::{NaiveCertProgram, NaiveRequest, Response};
-use dcert::world::{kv_key, Setup, World};
+use dcert::world::{kv_key, Setup, World, PLATFORM_SEED};
 use dcert_bench::params::scaled;
 use dcert_bench::report::{banner, fmt_bytes};
 use dcert_bench::shape;
@@ -110,7 +110,7 @@ fn main() {
         // twice. The last stateless one is kept for the long-lived run.
         let sides = timing::rounds("paged bytes", 2, |side| {
             if side == 0 {
-                let enclave = Enclave::launch(
+                let enclave = Enclave::launch_with_platform_seed(
                     CertProgram::new(
                         genesis.hash(),
                         ias.public_key(),
@@ -119,6 +119,7 @@ fn main() {
                         Vec::new(),
                     ),
                     cost_model(),
+                    PLATFORM_SEED,
                 );
                 enclave.attach_obs(&obs);
                 enclave.ecall(&EcallRequest::Init.to_encoded_bytes());
@@ -131,7 +132,7 @@ fn main() {
                 last_stateless = Some((enclave, stateless_req.clone()));
                 ([time], paged)
             } else {
-                let enclave = Enclave::launch(
+                let enclave = Enclave::launch_with_platform_seed(
                     NaiveCertProgram::new(
                         genesis.hash(),
                         ias.public_key(),
@@ -139,6 +140,7 @@ fn main() {
                         engine.clone(),
                     ),
                     cost_model(),
+                    PLATFORM_SEED,
                 );
                 enclave.attach_obs(&obs);
                 enclave.ecall(&[]);

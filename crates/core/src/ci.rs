@@ -219,7 +219,10 @@ impl CertificateIssuer {
     /// the genesis digest to anchor its own enclave. It validates the
     /// certificate exactly as a superlight client would, checks the
     /// snapshot against the certified state root, and then continues
-    /// certification from height *h + 1*.
+    /// certification from height *h + 1*. The enclave launches on the
+    /// platform `platform_seed` identifies and draws its key on `Init`, as
+    /// in [`CertificateIssuer::new`], so a key it seals restores on that
+    /// seed ([`CertificateIssuer::resume_on_platform`]).
     ///
     /// # Errors
     ///
@@ -231,6 +234,7 @@ impl CertificateIssuer {
     /// - attestation errors from booting the new enclave.
     #[allow(clippy::too_many_arguments)] // mirrors `new` plus the checkpoint triple
     pub fn new_from_checkpoint(
+        platform_seed: [u8; 32],
         genesis_digest: Hash,
         checkpoint: &dcert_chain::BlockHeader,
         checkpoint_cert: &Certificate,
@@ -243,7 +247,7 @@ impl CertificateIssuer {
     ) -> Result<Self, CertError> {
         let program = cert_program(genesis_digest, ias, &executor, &engine, verifiers);
         let node = checkpoint_node(checkpoint, checkpoint_cert, snapshot, executor, engine, ias)?;
-        let enclave = Enclave::launch(program, cost);
+        let enclave = Enclave::launch_with_platform_seed(program, cost, platform_seed);
         Self::finish_boot(enclave, node, ias, Some(checkpoint_cert.clone()))
     }
 

@@ -29,8 +29,6 @@ use dcert_primitives::keys::{Keypair, PublicKey, Signature};
 use dcert_sgx::enclave::{measure, Sealable};
 use dcert_sgx::{AttestationReport, SgxError, TrustedApp};
 use dcert_vm::{CallStatus, Executor, ReadSetState, StateKey, VmError};
-// dcert-lint: allow(r3-determinism, reason = "sk_enc generation entropy on the Init ECall; replayable runs draw shard keys here too, and no client-facing byte depends on them")
-use rand::rngs::OsRng;
 
 use crate::cert::Certificate;
 use crate::error::CertError;
@@ -193,8 +191,8 @@ impl CertProgram {
         let response = match &request {
             EcallRequest::Init => {
                 let kp = self.keypair.get_or_insert_with(|| {
-                    // dcert-lint: allow(r3-determinism, reason = "sk_enc generation entropy on the Init ECall; replayable runs draw shard keys here too, and no client-facing byte depends on them")
-                    Keypair::generate(&mut OsRng)
+                    // dcert-lint: allow(r3-determinism, reason = "sk_enc is born here, inside the enclave; shard keys too, and no client-facing byte depends on them")
+                    Keypair::generate(&mut rand::rngs::OsRng)
                 });
                 EcallResponse::Initialized(kp.public())
             }

@@ -16,8 +16,6 @@ impl Operator {
     }
 }
 
-use ed25519_dalek::SigningKey;
-
 // A host seed keying an enclave: the host would hold `sk_enc`.
 fn seeded(program: CertProgram) -> CertProgram {
     program.with_signing_seed([7; 32])

@@ -1,12 +1,12 @@
 //! Rule engine: scopes, test-code detection, allow directives, and the
 //! three per-file DCert rules (R1, R3, R4). The workspace-wide rules
-//! (R5–R8) live in [`crate::rules`] on top of the call graph in
+//! (R5, R6, R8) live in [`crate::rules`] on top of the call graph in
 //! [`crate::graph`].
 //!
 //! Rules are keyed by stable names so `// dcert-lint: allow(...)`
-//! directives and CLI filters can reference them — [`RULES`] lists them.
-//! Numbers are never reused: `r2` (lexical panic freedom) was retired
-//! into R5.
+//! directives can reference them — [`RULES`] lists them. Numbers are
+//! never reused: `r2` (lexical panic freedom) was retired into R5, and
+//! `r7` (allocation bounds) retired behind length-bomb tests.
 
 use crate::lexer::{Comment, Tok, TokKind};
 use crate::parse::{is_punct, matching};
@@ -15,13 +15,12 @@ use crate::parse::{is_punct, matching};
 pub const MALFORMED_DIRECTIVE: &str = "malformed-directive";
 
 /// All rule names, in report order.
-pub const RULES: [&str; 7] = [
+pub const RULES: [&str; 6] = [
     "r1-enclave-secrecy",
     "r3-determinism",
     "r4-error-hygiene",
     "r5-panic-reachability",
     "r6-secret-taint",
-    "r7-alloc-bound",
     "r8-durability-order",
 ];
 
@@ -58,30 +57,26 @@ pub const R1_TRUSTED_MODULES: [&str; 3] = [
     "src/world/naive.rs",
 ];
 
-/// Identifiers that must not appear outside the trusted modules: secret
-/// material accessors, sealed-state plumbing, the traits that would
-/// let untrusted code drive the trusted program without crossing the
+/// Public names that must not appear outside the trusted modules: the
+/// secret-key accessor, sealed-state plumbing, the traits that would let
+/// untrusted code drive the trusted program without crossing the
 /// ECall-accounted `Enclave` boundary, and the host seed that would key an
-/// enclave (waived only at the two replay constructors).
-const R1_BANNED_IDENTS: [&str; 9] = [
+/// enclave (waived only at the two replay constructors). Each crosses a
+/// crate boundary, so visibility cannot confine it; the private sealing
+/// helpers and the platform secret need no entry, and raw `ed25519_dalek`
+/// is `clippy.toml`'s.
+const R1_BANNED_IDENTS: [&str; 6] = [
     "to_secret_bytes",
-    "platform_secret",
     "export_state",
     "import_state",
     "Sealable",
     "TrustedApp",
-    "sealing_key",
-    "keystream_block",
     "with_signing_seed",
 ];
 
-/// The raw signature crate is confined to the `primitives::keys` wrapper.
-const ED25519_IDENT: &str = "ed25519_dalek";
-const ED25519_HOME: &str = "crates/primitives/src/keys.rs";
-
 /// Untrusted-input modules: every byte they verify or decode may be
 /// attacker-supplied, so they must reject, never panic (R5), and stay a
-/// function of their input (R3).
+/// function of their input (R3: no shared mutable `static`, no thread).
 pub const VERIFIER_MODULES: [&str; 20] = [
     // The trusted program decodes host-controlled bytes and acts on them;
     // the block-validity rule it shares with the full node judges
@@ -110,21 +105,6 @@ pub const VERIFIER_MODULES: [&str; 20] = [
     "crates/chain/src/error.rs",
     "crates/sgx/src/error.rs",
     "crates/primitives/src/error.rs",
-];
-
-/// The only modules allowed to read wall-clock time or ambient
-/// randomness: the simulated network's virtual clock, and the SGX cost
-/// model's calibrated busy-wait and `timed` helper (which everything
-/// else, the certification stages and the figure binaries included,
-/// measures through).
-const R3_ALLOWED_MODULES: [&str; 2] = ["crates/core/src/netsim.rs", "crates/sgx/src/cost.rs"];
-
-const R3_BANNED_IDENTS: [&str; 5] = [
-    "Instant",
-    "SystemTime",
-    "thread_rng",
-    "from_entropy",
-    "OsRng",
 ];
 
 /// Types that make a `static` process-global *mutable* state; with any
@@ -384,23 +364,6 @@ fn rule_r1(path: &str, toks: &[Tok], in_test: &[bool], findings: &mut Vec<Findin
             }
         }
     }
-    if path != ED25519_HOME && !path.starts_with("crates/sgx/") {
-        for (k, t) in toks.iter().enumerate() {
-            if in_test[k] || t.kind != TokKind::Ident {
-                continue;
-            }
-            if t.text == ED25519_IDENT {
-                findings.push(Finding {
-                    rule: RULE,
-                    line: t.line,
-                    col: t.col,
-                    msg: "raw `ed25519_dalek` is confined to primitives::keys; use the \
-                          `Keypair`/`PublicKey`/`Signature` wrappers"
-                        .to_string(),
-                });
-            }
-        }
-    }
     // Inside the enclave container itself: the `Enclave` struct must keep
     // every field private, so no code can reach around the ECall
     // accounting or touch the platform secret.
@@ -450,30 +413,27 @@ fn rule_r1(path: &str, toks: &[Tok], in_test: &[bool], findings: &mut Vec<Findin
 // R3: determinism.
 // ---------------------------------------------------------------------------
 
+/// No `OsRng` in shipped code, and on a verifier path, where the trusted
+/// program must be a function of its input, no process-global mutable
+/// state and no thread start. The other ambient clocks and entropy
+/// sources are `clippy.toml`'s alone: its `disallowed-types` sees `OsRng`
+/// in a `use` or a type, but not as a bare unit-struct value
+/// (`&mut rand::rngs::OsRng`), so the name stays lexical here.
 fn rule_r3(path: &str, toks: &[Tok], in_test: &[bool], findings: &mut Vec<Finding>) {
     const RULE: &str = "r3-determinism";
-    if in_any(path, &R3_ALLOWED_MODULES) {
-        return;
-    }
-    // On a verifier path the trusted program must also be a function of
-    // its input: no process-global mutable state, no thread start.
     let verifier_path = in_any(path, &VERIFIER_MODULES);
     for (k, t) in toks.iter().enumerate() {
         if in_test[k] || t.kind != TokKind::Ident {
             continue;
         }
-        if R3_BANNED_IDENTS.contains(&t.text.as_str()) {
+        if t.text == "OsRng" {
             findings.push(Finding {
                 rule: RULE,
                 line: t.line,
                 col: t.col,
-                msg: format!(
-                    "`{}` is an ambient time/randomness source; outside \
-                     netsim/sgx::cost it breaks seeded bit-for-bit replay — \
-                     route timing through `dcert_sgx::cost::timed` and randomness \
-                     through an injected seed",
-                    t.text
-                ),
+                msg: "`OsRng` is ambient entropy: it breaks seeded bit-for-bit replay; \
+                      take a seed as an input"
+                    .to_string(),
             });
         }
         if !verifier_path {

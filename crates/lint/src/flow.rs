@@ -62,7 +62,6 @@ impl CallSite {
 /// One macro invocation `name!(...)` / `name![...]` / `name!{...}`.
 #[derive(Debug, Clone)]
 pub struct MacroSite {
-    pub tok: usize,
     pub line: u32,
     pub col: u32,
     pub name: String,
@@ -146,7 +145,6 @@ pub fn scan_fn(toks: &[Tok], in_test: &[bool], body: (usize, usize)) -> FnFlow {
                         .push(site(t, format!("`{}!` can panic", t.text)));
                 }
                 flow.macros.push(MacroSite {
-                    tok: k,
                     line: t.line,
                     col: t.col,
                     name: t.text.clone(),

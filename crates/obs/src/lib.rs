@@ -36,8 +36,8 @@
 //! This crate deliberately has no clock: durations are measured by
 //! callers with the sanctioned `dcert_sgx::cost::timed` closure clock (or
 //! the simulators' virtual clocks) and recorded via
-//! [`Histogram::record`], keeping the determinism lint's clock allowlist
-//! unchanged.
+//! [`Histogram::record`]; `clippy.toml` bans the ambient clock here as
+//! everywhere.
 //!
 //! # Example
 //!

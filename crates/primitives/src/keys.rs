@@ -14,6 +14,10 @@
 //! crates and give the types canonical [`Encode`]/[`Decode`] forms so they
 //! can appear inside certificates.
 
+// The raw key and signature types are banned everywhere else
+// (`clippy.toml`): this module is their one home.
+#![allow(clippy::disallowed_types, reason = "raw ed25519's one home")]
+
 use std::fmt;
 
 use ed25519_dalek::{Signer, Verifier};

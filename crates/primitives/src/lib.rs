@@ -21,7 +21,7 @@
 //! use dcert_primitives::{hash::hash_bytes, keys::Keypair};
 //!
 //! let digest = hash_bytes(b"hello dcert");
-//! let kp = Keypair::generate(&mut rand::thread_rng());
+//! let kp = Keypair::from_seed([7; 32]);
 //! let sig = kp.sign(digest.as_bytes());
 //! assert!(kp.public().verify(digest.as_bytes(), &sig).is_ok());
 //! ```

@@ -4,8 +4,8 @@
 //! `t` gains `(t - last_refill) * tokens_per_tick` tokens capped at
 //! `burst`, so 10⁵ clients cost one `HashMap` entry each and zero work
 //! per tick. All arithmetic is saturating: a client parked for 2⁶⁴ ticks
-//! is simply full, never wrapped. No wall-clock anywhere (`dcert-lint`
-//! R3): ticks come from the caller, who reads them off `SimNet::now` or
+//! is simply full, never wrapped. No wall-clock anywhere (`clippy.toml`
+//! bans it): ticks come from the caller, who reads them off `SimNet::now` or
 //! any other deterministic clock.
 
 use std::collections::HashMap;

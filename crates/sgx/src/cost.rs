@@ -9,6 +9,12 @@
 //! magnitude slower. [`CostModel`] charges each as busy-waited wall-clock
 //! time so that simulated experiments show the same *shape* of enclave
 //! overhead the paper measures.
+//!
+//! This module is the workspace's one clock: [`timed`] and [`spin`] read
+//! [`Instant`], which `clippy.toml` bans everywhere else but in two test
+//! hang guards.
+
+#![allow(clippy::disallowed_types, reason = "the workspace's one clock")]
 
 use std::time::{Duration, Instant};
 
@@ -142,10 +148,9 @@ impl Default for CostModel {
 /// Runs `f` and returns its result together with the wall-clock time it
 /// took.
 ///
-/// This is the single sanctioned clock access for code outside the
-/// simulation modules: callers measure a closure instead of holding an
-/// ambient [`Instant`] themselves, which keeps the determinism lint's
-/// allowlist down to this module plus the network simulator.
+/// This is the single sanctioned clock access: callers measure a closure
+/// instead of holding an ambient [`Instant`] themselves, which
+/// `clippy.toml` refuses them.
 pub fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     let start = Instant::now();
     let value = f();

@@ -5,9 +5,6 @@ use std::time::Duration;
 use dcert_primitives::hash::{hash_concat, Hash};
 use dcert_primitives::keys::{Keypair, PublicKey};
 use parking_lot::Mutex;
-// dcert-lint: allow(r3-determinism, reason = "platform-key provisioning entropy; every replayable path launches via launch_with_platform_seed instead")
-use rand::rngs::OsRng;
-use rand::RngCore;
 
 use crate::attestation::Quote;
 use crate::cost::{spin, timed, CostModel, CrossingCharge};
@@ -209,16 +206,11 @@ impl<A: TrustedApp> std::fmt::Debug for Enclave<A> {
 }
 
 impl<A: TrustedApp> Enclave<A> {
-    /// Loads `app` into a fresh enclave with a random platform key.
-    pub fn launch(app: A, cost: CostModel) -> Self {
-        let mut seed = [0u8; 32];
-        // dcert-lint: allow(r3-determinism, reason = "platform-key provisioning entropy; every replayable path launches via launch_with_platform_seed instead")
-        OsRng.fill_bytes(&mut seed);
-        Self::launch_with_platform_seed(app, cost, seed)
-    }
-
-    /// Loads `app` with a deterministic platform key (tests, reproducible
-    /// benches).
+    /// Loads `app` into a fresh enclave on the platform `seed` identifies.
+    /// The seed stands in for the machine's fused identity: it derives the
+    /// platform attestation key and the sealing key, so a blob sealed here
+    /// restores ([`Enclave::restore`]) only with the same seed. Every
+    /// caller names its platform; the host draws no ambient entropy.
     pub fn launch_with_platform_seed(app: A, cost: CostModel, seed: [u8; 32]) -> Self {
         let measurement = measure(app.code_identity());
         Enclave {
@@ -382,7 +374,11 @@ mod tests {
     use super::*;
     use std::sync::Arc;
     use std::thread;
-    use std::time::Instant;
+
+    /// Launches `app` on a fixed test platform.
+    fn launch<A: TrustedApp>(app: A, cost: CostModel) -> Enclave<A> {
+        Enclave::launch_with_platform_seed(app, cost, [7; 32])
+    }
 
     struct Secret {
         key: u8,
@@ -421,8 +417,8 @@ mod tests {
 
     #[test]
     fn measurement_depends_on_code_only() {
-        let a = Enclave::launch(Secret { key: 1, calls: 0 }, CostModel::zero());
-        let b = Enclave::launch(Secret { key: 9, calls: 0 }, CostModel::zero());
+        let a = launch(Secret { key: 1, calls: 0 }, CostModel::zero());
+        let b = launch(Secret { key: 9, calls: 0 }, CostModel::zero());
         // Same code identity → same measurement, regardless of data.
         assert_eq!(a.measurement(), b.measurement());
         assert_eq!(a.measurement(), measure(b"secret-app-v1"));
@@ -430,7 +426,7 @@ mod tests {
 
     #[test]
     fn ecall_round_trip_and_stats() {
-        let enclave = Enclave::launch(
+        let enclave = launch(
             Secret {
                 key: 0xff,
                 calls: 0,
@@ -454,10 +450,10 @@ mod tests {
             paging_per_byte_ns: 0,
             in_enclave_slowdown_pct: 0,
         };
-        let enclave = Enclave::launch(Secret { key: 0, calls: 0 }, cost);
-        let started = Instant::now();
-        enclave.ecall(b"x");
-        let elapsed = started.elapsed();
+        let enclave = launch(Secret { key: 0, calls: 0 }, cost);
+        let ((), elapsed) = timed(|| {
+            enclave.ecall(b"x");
+        });
         // Two crossings at 0.2 ms each.
         assert!(
             elapsed >= Duration::from_micros(400),
@@ -483,7 +479,7 @@ mod tests {
 
     #[test]
     fn marshal_reuse_accumulates_in_stats_and_registry() {
-        let enclave = Enclave::launch(Secret { key: 0, calls: 0 }, CostModel::zero());
+        let enclave = launch(Secret { key: 0, calls: 0 }, CostModel::zero());
         let registry = dcert_obs::Registry::new();
         enclave.attach_obs(&registry);
         enclave.note_marshal_reuse(100);
@@ -509,7 +505,7 @@ mod tests {
         };
         // A program that keeps nothing: each call crosses 100 bytes in +
         // 100 out (xor echo), and no number of them fills the EPC.
-        let stateless = Enclave::launch(Secret { key: 0, calls: 0 }, cost);
+        let stateless = launch(Secret { key: 0, calls: 0 }, cost);
         for _ in 0..100 {
             stateless.ecall(&[0u8; 100]);
         }
@@ -524,7 +520,7 @@ mod tests {
         // Call i (from 0) crosses in against 100·i retained bytes and out
         // against 100·(i + 1), so only call 9's reply lands past the
         // budget.
-        let hoarder = Enclave::launch(Hoarder(Vec::new()), cost);
+        let hoarder = launch(Hoarder(Vec::new()), cost);
         for _ in 0..10 {
             hoarder.ecall(&[0u8; 100]);
         }
@@ -546,7 +542,7 @@ mod tests {
             paging_per_byte_ns: 0,
             in_enclave_slowdown_pct: 0,
         };
-        let enclave = Enclave::launch(Hoarder(Vec::new()), cost);
+        let enclave = launch(Hoarder(Vec::new()), cost);
         let registry = dcert_obs::Registry::new();
         enclave.attach_obs(&registry);
         enclave.ecall(&[0u8; 100]);
@@ -571,7 +567,7 @@ mod tests {
 
     #[test]
     fn disabled_registry_keeps_enclave_behavior_and_exports_nothing() {
-        let enclave = Enclave::launch(
+        let enclave = launch(
             Secret {
                 key: 0xff,
                 calls: 0,
@@ -590,7 +586,7 @@ mod tests {
     fn concurrent_ecalls_serialize_and_account_exactly() {
         const THREADS: u64 = 8;
         const CALLS_PER_THREAD: u64 = 32;
-        let enclave = Arc::new(Enclave::launch(
+        let enclave = Arc::new(launch(
             Secret {
                 key: 0x55,
                 calls: 0,

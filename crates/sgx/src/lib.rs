@@ -38,7 +38,7 @@
 //! }
 //!
 //! let mut ias = AttestationService::with_seed([7; 32]);
-//! let enclave = Enclave::launch(Echo, CostModel::zero());
+//! let enclave = Enclave::launch_with_platform_seed(Echo, CostModel::zero(), [1; 32]);
 //! ias.register_platform(enclave.platform_key());
 //!
 //! let report = ias.attest(&enclave.quote(hash_bytes(b"pk_enc")))?;

@@ -134,8 +134,7 @@ pub(crate) mod testutil {
     use std::sync::atomic::{AtomicU64, Ordering};
 
     /// Creates a unique, empty temp directory for a unit test. Uniqueness
-    /// comes from the process id plus a counter — no ambient randomness,
-    /// keeping the determinism lint's world view intact.
+    /// comes from the process id plus a counter — no ambient randomness.
     pub fn temp_dir(label: &str) -> PathBuf {
         static NEXT: AtomicU64 = AtomicU64::new(0);
         let n = NEXT.fetch_add(1, Ordering::Relaxed);

@@ -14,6 +14,7 @@ use dcert::primitives::codec::Encode;
 use dcert::primitives::keys::Keypair;
 use dcert::query::aggregate::verify_aggregate;
 use dcert::query::sp::IndexKind;
+use dcert::sgx::cost::timed;
 use dcert::sgx::CostModel;
 use dcert::vm::StateKey;
 use dcert::workloads::smallbank::BankCall;
@@ -57,18 +58,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let account = StateKey::new("smallbank", &field);
     let (t1, t2) = (20u64, 50u64);
 
-    let started = std::time::Instant::now();
-    let (agg, proof) = world
-        .sp
-        .aggregate("balances")
-        .unwrap()
-        .query(&account, t1, t2);
-    let query_time = started.elapsed();
+    let ((agg, proof), query_time) = timed(|| {
+        world
+            .sp
+            .aggregate("balances")
+            .unwrap()
+            .query(&account, t1, t2)
+    });
 
     let digest = world.client.index_digest("balances").unwrap();
-    let started = std::time::Instant::now();
-    verify_aggregate(&digest, &account, t1, t2, &agg, &proof)?;
-    let verify_time = started.elapsed();
+    let (verified, verify_time) =
+        timed(|| verify_aggregate(&digest, &account, t1, t2, &agg, &proof));
+    verified?;
 
     println!("\nbalance statistics of customer 7 over blocks [{t1}, {t2}]:");
     println!("  versions   {}", agg.count);

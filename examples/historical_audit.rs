@@ -14,6 +14,7 @@ use dcert::primitives::codec::Encode;
 use dcert::primitives::keys::Keypair;
 use dcert::query::history::verify_history;
 use dcert::query::sp::IndexKind;
+use dcert::sgx::cost::timed;
 use dcert::sgx::CostModel;
 use dcert::vm::StateKey;
 use dcert::workloads::kvstore::KvCall;
@@ -53,14 +54,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The audit: all versions of the account in blocks [12, 19].
     let account = StateKey::new("kvstore", b"acct:savings:alice");
     let (t1, t2) = (12u64, 19u64);
-    let started = std::time::Instant::now();
-    let (versions, proof) = world.sp.history("history").unwrap().query(&account, t1, t2);
-    let query_time = started.elapsed();
+    let ((versions, proof), query_time) =
+        timed(|| world.sp.history("history").unwrap().query(&account, t1, t2));
 
     let digest = world.client.index_digest("history").unwrap();
-    let started = std::time::Instant::now();
-    verify_history(&digest, &account, t1, t2, &versions, &proof)?;
-    let verify_time = started.elapsed();
+    let (verified, verify_time) =
+        timed(|| verify_history(&digest, &account, t1, t2, &versions, &proof));
+    verified?;
 
     println!("\naudit of acct:savings:alice over blocks [{t1}, {t2}]:");
     for (height, version) in &versions {

@@ -10,10 +10,9 @@
 //!
 //! Run with: `cargo run --release --example iot_sync`
 
-use std::time::Instant;
-
 use dcert::baselines::TraditionalLightClient;
 use dcert::core::{expected_measurement, SuperlightClient};
+use dcert::sgx::cost::timed;
 use dcert::sgx::CostModel;
 use dcert::world::{Setup, World};
 
@@ -49,20 +48,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{}", "-".repeat(62));
     for &height in CHECKPOINTS {
         // Traditional light client: sync & validate all headers.
-        let started = Instant::now();
-        let mut light = TraditionalLightClient::new(world.genesis.header.clone())?;
-        for header in &headers[1..=height as usize] {
-            light.sync(header.clone(), world.engine.as_ref())?;
-        }
-        let light_time = started.elapsed();
+        let (light, light_time) = timed(|| {
+            let mut light = TraditionalLightClient::new(world.genesis.header.clone())?;
+            for header in &headers[1..=height as usize] {
+                light.sync(header.clone(), world.engine.as_ref())?;
+            }
+            Ok::<_, Box<dyn std::error::Error>>(light)
+        });
+        let light = light?;
         let light_bytes = light.storage_bytes();
 
         // Superlight client: one certificate.
         let (header, cert) = &certs_at[&height];
-        let started = Instant::now();
-        let mut superlight = SuperlightClient::new(world.ias.public_key(), expected_measurement());
-        superlight.validate_chain(header, cert)?;
-        let super_time = started.elapsed();
+        let (superlight, super_time) = timed(|| {
+            let mut superlight =
+                SuperlightClient::new(world.ias.public_key(), expected_measurement());
+            superlight.validate_chain(header, cert).map(|_| superlight)
+        });
+        let superlight = superlight?;
         let super_bytes = superlight.storage_bytes();
 
         println!(

@@ -8,6 +8,7 @@
 //! Run with: `cargo run --example quickstart`
 
 use dcert::primitives::codec::Encode;
+use dcert::sgx::cost::timed;
 use dcert::sgx::CostModel;
 use dcert::workloads::Workload;
 use dcert::world::{Setup, World};
@@ -40,9 +41,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 3. A superlight client bootstraps from ONE header + ONE certificate.
     let (block, cert) = latest.expect("blocks were mined");
     let client = &mut world.client;
-    let started = std::time::Instant::now();
-    client.validate_chain(&block.header, &cert)?;
-    let elapsed = started.elapsed();
+    let (validated, elapsed) = timed(|| client.validate_chain(&block.header, &cert));
+    validated?;
 
     println!();
     println!("superlight client validated the whole chain:");

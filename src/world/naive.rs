@@ -249,7 +249,7 @@ impl TrustedApp for NaiveCertProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::world::{Setup, World};
+    use crate::world::{Setup, World, PLATFORM_SEED};
     use dcert_sgx::{CostModel, Enclave};
     use dcert_workloads::Workload;
 
@@ -268,7 +268,7 @@ mod tests {
             world.executor.clone(),
             world.engine.clone(),
         );
-        let enclave = Enclave::launch(program, CostModel::zero());
+        let enclave = Enclave::launch_with_platform_seed(program, CostModel::zero(), PLATFORM_SEED);
         // The key is the seed's, so every run signs alike.
         let init = Response::decode_all(&enclave.ecall(&[])).unwrap();
         let key = Keypair::from_seed(SIGNING_SEED);

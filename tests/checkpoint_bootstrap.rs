@@ -9,6 +9,9 @@ use dcert::vm::StateKey;
 use dcert::workloads::{Workload, WorkloadGen};
 use dcert::world::World;
 
+/// The late CI's machine: not the world CI's platform.
+const LATE_PLATFORM: [u8; 32] = [0x4C; 32];
+
 /// Runs a chain to height 5, returning the world plus the checkpoint
 /// block/cert and the CI's state snapshot.
 fn certified_prefix() -> (
@@ -35,6 +38,7 @@ fn new_ci_continues_from_certified_checkpoint() {
     let (mut world, checkpoint, cert, snapshot) = certified_prefix();
 
     let mut late_ci = CertificateIssuer::new_from_checkpoint(
+        LATE_PLATFORM,
         world.genesis.hash(),
         &checkpoint.header,
         &cert,
@@ -72,6 +76,7 @@ fn tampered_snapshot_is_rejected() {
         b"stolen funds".to_vec(),
     );
     let result = CertificateIssuer::new_from_checkpoint(
+        LATE_PLATFORM,
         world.genesis.hash(),
         &checkpoint.header,
         &cert,
@@ -92,6 +97,7 @@ fn forged_checkpoint_cert_is_rejected() {
     let other_block = world.miner.mine(Vec::new(), 6).unwrap();
     let (other_cert, _) = world.ci.certify_block(&other_block).unwrap();
     let result = CertificateIssuer::new_from_checkpoint(
+        LATE_PLATFORM,
         world.genesis.hash(),
         &checkpoint.header,
         &other_cert,
@@ -109,6 +115,7 @@ fn forged_checkpoint_cert_is_rejected() {
 fn checkpoint_ci_rejects_non_extending_blocks() {
     let (mut world, checkpoint, cert, snapshot) = certified_prefix();
     let mut late_ci = CertificateIssuer::new_from_checkpoint(
+        LATE_PLATFORM,
         world.genesis.hash(),
         &checkpoint.header,
         &cert,
@@ -129,4 +136,48 @@ fn checkpoint_ci_rejects_non_extending_blocks() {
         txs: Vec::new(),
     };
     assert!(late_ci.certify_block(&fake).is_err());
+}
+
+/// A checkpoint-booted CI's key is sealed to the platform it named, so a
+/// restart on that platform keeps `pk_enc` and goes on certifying.
+#[test]
+fn checkpoint_ci_key_resumes_on_its_platform() {
+    let (mut world, checkpoint, cert, snapshot) = certified_prefix();
+    let mut late_ci = CertificateIssuer::new_from_checkpoint(
+        LATE_PLATFORM,
+        world.genesis.hash(),
+        &checkpoint.header,
+        &cert,
+        snapshot,
+        world.executor.clone(),
+        world.engine.clone(),
+        Vec::new(),
+        &mut world.ias,
+        CostModel::zero(),
+    )
+    .unwrap();
+    let mut gen = WorkloadGen::new(Workload::KvStore { keyspace: 32 }, 8, 99);
+    let block6 = world.miner.mine(gen.next_block(4), 6).unwrap();
+    let (cert6, _) = late_ci.certify_block(&block6).unwrap();
+    let sealed = late_ci.seal_enclave_key();
+
+    let mut resumed = CertificateIssuer::resume_on_platform(
+        LATE_PLATFORM,
+        &sealed,
+        world.genesis.hash(),
+        &block6.header,
+        &cert6,
+        late_ci.node().state().clone(),
+        world.executor.clone(),
+        world.engine.clone(),
+        Vec::new(),
+        &mut world.ias,
+        CostModel::zero(),
+    )
+    .unwrap();
+    assert_eq!(resumed.pk_enc(), late_ci.pk_enc());
+    let block7 = world.miner.mine(gen.next_block(4), 7).unwrap();
+    let (cert7, _) = resumed.certify_block(&block7).unwrap();
+    world.client.validate_chain(&block7.header, &cert7).unwrap();
+    assert_eq!(world.client.height(), Some(7));
 }

@@ -16,6 +16,9 @@
 //! - **byte determinism**: everything issued, before or after the crash,
 //!   is byte-identical to what a never-crashed sequential issuer signs.
 
+// A stalled pipeline fails the test instead of hanging it.
+#![allow(clippy::disallowed_types, reason = "a wall-clock hang guard")]
+
 mod common;
 
 use std::sync::Arc;

@@ -42,9 +42,9 @@ use dcert::serve::{
     ServeRequest, ServeResponse, ServeWire,
 };
 use dcert::sgx::{sealing, AttestationReport, AttestationService, Quote, SealedBlob, SgxError};
-use dcert::store::frame::{append_frame, scan_frames};
+use dcert::store::frame::{append_frame, decode_framed, scan_frames, ScanStop, MAX_FRAME};
 use dcert::store::head::HEAD_SLOT_A;
-use dcert::store::{HeadState, Record, SegmentMark, StreamId};
+use dcert::store::{HeadState, Record, SegmentMark, StoreError, StreamId};
 use dcert::vm::{Call, StateKey};
 use dcert::workloads::cpuheavy::CpuHeavyCall;
 use dcert::workloads::ioheavy::IoHeavyCall;
@@ -124,7 +124,7 @@ fn try_decode_everything(bytes: &[u8]) {
     // Framing decoders (distinct from plain codecs: CRC-checked length-
     // prefixed frames and magic-guarded slot files).
     let _ = scan_frames(bytes);
-    let _ = dcert::store::frame::decode_framed(bytes);
+    let _ = decode_framed(bytes);
     let _ = HeadState::decode_slot_file(HEAD_SLOT_A, bytes);
 }
 
@@ -814,6 +814,45 @@ fn length_prefix_bombs_are_bounded() {
             );
         }
     }
+}
+
+/// The store's frame readers size their one payload buffer from the
+/// length prefix, so [`MAX_FRAME`] is all that stands between a corrupt
+/// header on untrusted disk and an allocation of its choosing: one past
+/// the cap is refused before any buffer, and the cap itself over a short
+/// body is a torn tail.
+#[test]
+fn frame_length_bombs_stop_at_the_frame_cap() {
+    let header = |len: u64| {
+        let mut bytes = u32::try_from(len)
+            .expect("a u32 length")
+            .to_be_bytes()
+            .to_vec();
+        bytes.extend_from_slice(&[0; 4]); // crc
+        bytes.extend_from_slice(&[0xAB; 64]); // a short body
+        bytes
+    };
+    let oversize = header(MAX_FRAME + 1);
+    let scan = scan_frames(oversize.as_slice()).expect("a slice reads");
+    assert_eq!(scan.stop, Some(ScanStop::OversizeFrame));
+    assert_eq!((scan.records.len(), scan.valid_len), (0, 0));
+    assert_eq!(
+        decode_framed(&oversize),
+        Err(StoreError::HeadCorrupt {
+            detail: "oversize frame"
+        })
+    );
+
+    let at_cap = header(MAX_FRAME);
+    let scan = scan_frames(at_cap.as_slice()).expect("a slice reads");
+    assert_eq!(scan.stop, Some(ScanStop::ShortPayload));
+    assert_eq!((scan.records.len(), scan.valid_len), (0, 0));
+    assert_eq!(
+        decode_framed(&at_cap),
+        Err(StoreError::HeadCorrupt {
+            detail: "frame length mismatch"
+        })
+    );
 }
 
 #[test]

@@ -15,7 +15,7 @@ use dcert::sgx::enclave::Sealable;
 use dcert::sgx::{CostModel, Enclave, TrustedApp};
 use dcert::workloads::{Workload, WorkloadGen};
 use dcert::world::naive::{NaiveCertProgram, NaiveRequest};
-use dcert::world::{kv_key, Setup, World};
+use dcert::world::{kv_key, Setup, World, PLATFORM_SEED};
 
 /// The stateless ablation's reduced EPC budget.
 const EPC_BUDGET: usize = 4 * 1024 * 1024;
@@ -85,7 +85,7 @@ fn a_thousand_stateless_ecalls_page_nothing_and_an_over_budget_naive_request_pag
 
     // One enclave, a thousand requests: only the first signs and the rest
     // are refused at the watermark, but every one crosses both ways.
-    let enclave = Enclave::launch(program(), cost());
+    let enclave = Enclave::launch_with_platform_seed(program(), cost(), PLATFORM_SEED);
     enclave.ecall(&EcallRequest::Init.to_encoded_bytes());
     for call in 0..ECALLS {
         let response = EcallResponse::decode_all(&enclave.ecall(&request)).expect("decodes");
@@ -120,9 +120,10 @@ fn a_thousand_stateless_ecalls_page_nothing_and_an_over_budget_naive_request_pag
     }
     .to_encoded_bytes();
     assert!(naive_request.len() > EPC_BUDGET);
-    let naive = Enclave::launch(
+    let naive = Enclave::launch_with_platform_seed(
         NaiveCertProgram::new(genesis.hash(), ias.public_key(), executor, engine),
         cost(),
+        PLATFORM_SEED,
     );
     naive.ecall(&naive_request);
     assert_eq!(

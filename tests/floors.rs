@@ -17,14 +17,18 @@
 //! each count covers exactly the calls its closure makes on its own
 //! thread. The same allocator follows the thread's live heap, so the peak
 //! a verifier reaches over a window is read the same way (ROADMAP item
-//! 9's measurement: EXPERIMENTS.md, "What a cold query costs").
+//! 9's measurement: EXPERIMENTS.md, "What a cold query costs"). It also
+//! bounds what a lying count prefix can make a decoder reserve.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use dcert::merkle::SmtProof;
 use dcert::obs::{Registry, Snapshot};
+use dcert::primitives::codec::{Decode, MAX_LEN};
+use dcert::primitives::hash::Hash;
 use dcert::query::aggregate::verify_aggregate;
 use dcert::query::history::verify_history;
 use dcert::query::{AggregateIndex, HistoryIndex};
@@ -442,4 +446,27 @@ fn verifier_peak_heap_by_window() {
         })
         .collect();
     assert_eq!(peaks, VERIFY_PEAKS);
+}
+
+/// The decoders that presize from a wire count, the codec's `decode_seq`
+/// and `SmtProof`'s evidence list, reserve what the unread input could
+/// hold (`Reader::presize_cap`), not what the count claims: here
+/// `MAX_LEN`, the most `take_len` admits, over 64 bytes.
+#[test]
+fn a_lying_count_reserves_what_its_input_holds() {
+    let bomb = |prefix: &[u8]| {
+        let mut bytes = prefix.to_vec();
+        bytes.extend_from_slice(&u32::try_from(MAX_LEN).unwrap().to_be_bytes());
+        bytes.extend_from_slice(&[0xEE; 64]);
+        bytes
+    };
+    let hashes = bomb(&[]);
+    let (decoded, peak) = peak_heap(|| Vec::<Hash>::decode_all(&hashes));
+    assert!(decoded.is_err());
+    assert_eq!(peak, 64 * std::mem::size_of::<Hash>() as u64);
+    // No keys, no pre-values, then the evidence count.
+    let proof = bomb(&[0; 8]);
+    let (decoded, peak) = peak_heap(|| SmtProof::decode_all(&proof));
+    assert!(decoded.is_err());
+    assert!(peak < 4096, "{peak} bytes reserved");
 }

@@ -21,6 +21,9 @@
 //! mix across property cases, and plain/batch jobs mix within a stream —
 //! the same constraint the sequential issuer has.
 
+// A stalled pipeline fails the test instead of hanging it.
+#![allow(clippy::disallowed_types, reason = "a wall-clock hang guard")]
+
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
