@@ -135,6 +135,10 @@ impl FullNode {
     }
 
     /// Predicts the post-state root of `execution` without mutating state.
+    #[allow(
+        clippy::expect_used,
+        reason = "a proof made on this node's own tree over the executed keys verifies against it"
+    )]
     pub fn predicted_state_root(&self, execution: &BlockExecution) -> Hash {
         let touched = execution.touched_keys();
         let proof = self.state.prove(&touched);

@@ -45,6 +45,10 @@ impl ChainStore {
     }
 
     /// The canonical tip header.
+    #[allow(
+        clippy::indexing_slicing,
+        reason = "`best` is always a key of `headers`: the tip is stored before it is chosen"
+    )]
     pub fn best_header(&self) -> &BlockHeader {
         &self.headers[&self.best]
     }
@@ -110,7 +114,9 @@ impl ChainStore {
         let mut cursor = self.best;
         loop {
             out.push(cursor);
-            let header = &self.headers[&cursor];
+            let Some(header) = self.headers.get(&cursor) else {
+                break;
+            };
             if header.height == 0 {
                 break;
             }

@@ -2,10 +2,10 @@
 //! and is counted; a reasonless escape suppresses nothing and is
 //! itself reported as malformed.
 #![allow(unused)]
-fn head(bytes: &[u8]) -> u8 {
-    // dcert-lint: allow(r5-panic-reachability, reason = "length checked on entry")
-    bytes[0]
+// dcert-lint: allow(r4-error-hygiene, reason = "a test double's message")
+fn head(bytes: &[u8]) -> Result<u8, String> {
+    bytes.first().copied().ok_or_else(String::new)
 }
 
-// dcert-lint: allow(r5-panic-reachability)
-fn tail(bytes: &[u8]) -> u8 { bytes[bytes.len() - 1] }
+// dcert-lint: allow(r4-error-hygiene)
+fn tail(bytes: &[u8]) -> Result<u8, String> { bytes.last().copied().ok_or_else(String::new) }

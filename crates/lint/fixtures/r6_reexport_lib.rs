@@ -1,4 +1,4 @@
-//! dcert-lint fixture (r5 through re-exports): a crate root that defines
+//! dcert-lint fixture (r6 through re-exports): a crate root that defines
 //! no function and re-exports two. Analyzed as `crates/chain/src/lib.rs`.
 
 pub mod helpers;

@@ -1,12 +1,13 @@
 //! Rule engine: scopes, test-code detection, allow directives, and the
 //! three per-file DCert rules (R1, R3, R4). The workspace-wide rules
-//! (R5, R6, R8) live in [`crate::rules`] on top of the call graph in
+//! (R6, R8) live in [`crate::rules`] on top of the call graph in
 //! [`crate::graph`].
 //!
 //! Rules are keyed by stable names so `// dcert-lint: allow(...)`
 //! directives can reference them — [`RULES`] lists them. Numbers are
-//! never reused: `r2` (lexical panic freedom) was retired into R5, and
-//! `r7` (allocation bounds) retired behind length-bomb tests.
+//! never reused: `r2` and `r5` (panic freedom) retired into the crate
+//! roots' clippy `deny`, and `r7` (allocation bounds) behind length-bomb
+//! tests.
 
 use crate::lexer::{Comment, Tok, TokKind};
 use crate::parse::{is_punct, matching};
@@ -15,11 +16,10 @@ use crate::parse::{is_punct, matching};
 pub const MALFORMED_DIRECTIVE: &str = "malformed-directive";
 
 /// All rule names, in report order.
-pub const RULES: [&str; 6] = [
+pub const RULES: [&str; 5] = [
     "r1-enclave-secrecy",
     "r3-determinism",
     "r4-error-hygiene",
-    "r5-panic-reachability",
     "r6-secret-taint",
     "r8-durability-order",
 ];
@@ -75,9 +75,9 @@ const R1_BANNED_IDENTS: [&str; 6] = [
 ];
 
 /// Untrusted-input modules: every byte they verify or decode may be
-/// attacker-supplied, so they must reject, never panic (R5), and stay a
-/// function of their input (R3: no shared mutable `static`, no thread).
-pub const VERIFIER_MODULES: [&str; 20] = [
+/// attacker-supplied, so they must stay a function of their input (R3: no
+/// shared mutable `static`, no thread).
+const VERIFIER_MODULES: [&str; 20] = [
     // The trusted program decodes host-controlled bytes and acts on them;
     // the block-validity rule it shares with the full node judges
     // host-supplied headers and bodies.
@@ -278,7 +278,7 @@ fn item_extent(toks: &[Tok], start: usize) -> usize {
 
 /// Parses `// dcert-lint: allow(<rules...>, reason = "...")` comments.
 /// One or more comma-separated rule names may precede the reason clause
-/// (`allow(r3-determinism, r5-panic-reachability, reason = "...")`),
+/// (`allow(r1-enclave-secrecy, r3-determinism, reason = "...")`),
 /// yielding one directive per rule sharing the reason and line. A
 /// directive without a reason is deliberately *not* honored — the
 /// escape hatch exists to document why a rule is violated, and the main

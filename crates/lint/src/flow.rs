@@ -1,5 +1,5 @@
 //! Per-function dataflow facts: call sites (with argument spans and
-//! receiver idents), macro invocations, panic sites, and `let` bindings.
+//! receiver idents), macro invocations, and `let` bindings.
 //!
 //! Everything here is a token-level approximation — see the module docs
 //! on [`crate::parse`] for the philosophy. The facts feed the call graph
@@ -15,16 +15,6 @@ const NON_CALL_KEYWORDS: [&str; 20] = [
     "if", "while", "match", "for", "return", "in", "as", "let", "mut", "ref", "move", "else", "fn",
     "impl", "pub", "use", "where", "loop", "break", "continue",
 ];
-
-/// Identifiers after which a `[` cannot be an index expression.
-const NON_INDEX_KEYWORDS: [&str; 17] = [
-    "return", "break", "continue", "in", "if", "else", "match", "move", "let", "mut", "ref",
-    "const", "static", "where", "for", "dyn", "impl",
-];
-
-/// Integer targets of `as` casts that can silently truncate or re-sign
-/// attacker-controlled lengths/offsets.
-const TRUNCATING_CASTS: [&str; 8] = ["u8", "u16", "u32", "i8", "i16", "i32", "usize", "isize"];
 
 /// One call expression: `name(...)`, `path::name(...)`, or `.name(...)`.
 #[derive(Debug, Clone)]
@@ -69,16 +59,6 @@ pub struct MacroSite {
     pub body: (usize, usize),
 }
 
-/// One construct that can panic (or silently truncate) at runtime.
-#[derive(Debug, Clone)]
-pub struct PanicSite {
-    pub line: u32,
-    pub col: u32,
-    /// What goes wrong: "`.unwrap()` can panic", "`as u32` can truncate
-    /// silently", ...
-    pub what: String,
-}
-
 /// One simple `let [mut] name [: Ty] = rhs;` binding.
 #[derive(Debug, Clone)]
 pub struct LetBind {
@@ -96,7 +76,6 @@ pub struct LetBind {
 pub struct FnFlow {
     pub calls: Vec<CallSite>,
     pub macros: Vec<MacroSite>,
-    pub panics: Vec<PanicSite>,
     pub lets: Vec<LetBind>,
 }
 
@@ -106,19 +85,9 @@ fn is_ident(toks: &[Tok], i: usize) -> bool {
 
 /// Scans the body token range `(open_brace, close_brace)` of one
 /// function. Tokens marked `in_test` are skipped entirely.
-///
-/// This is the one definition of a panic site: `.unwrap()`/`.expect()`,
-/// the panic-family macros, every index except the full range `[..]`
-/// (`x[0]` panics on an empty slice), and an `as` cast to a narrower
-/// integer type.
 pub fn scan_fn(toks: &[Tok], in_test: &[bool], body: (usize, usize)) -> FnFlow {
     let mut flow = FnFlow::default();
     let (start, end) = (body.0 + 1, body.1.min(toks.len()));
-    let site = |t: &Tok, what: String| PanicSite {
-        line: t.line,
-        col: t.col,
-        what,
-    };
     let mut k = start;
     while k < end {
         if in_test.get(k).copied().unwrap_or(false) {
@@ -137,13 +106,6 @@ pub fn scan_fn(toks: &[Tok], in_test: &[bool], body: (usize, usize)) -> FnFlow {
                     _ => ("{", "}"),
                 };
                 let close = matching(toks, k + 2, open_s, close_s).unwrap_or(end);
-                if matches!(
-                    t.text.as_str(),
-                    "panic" | "unreachable" | "todo" | "unimplemented"
-                ) {
-                    flow.panics
-                        .push(site(t, format!("`{}!` can panic", t.text)));
-                }
                 flow.macros.push(MacroSite {
                     line: t.line,
                     col: t.col,
@@ -154,25 +116,6 @@ pub fn scan_fn(toks: &[Tok], in_test: &[bool], body: (usize, usize)) -> FnFlow {
                 // just step past the `!` and opening bracket.
                 k += 3;
                 continue;
-            }
-            // `.unwrap(` / `.expect(`.
-            if (t.text == "unwrap" || t.text == "expect")
-                && is_punct(toks, k.wrapping_sub(1), ".")
-                && is_punct(toks, k + 1, "(")
-            {
-                flow.panics
-                    .push(site(t, format!("`.{}()` can panic", t.text)));
-                k += 1;
-                continue;
-            }
-            // `as` to a narrower integer type.
-            if t.text == "as" {
-                if let Some(ty) = toks.get(k + 1).filter(|n| {
-                    n.kind == TokKind::Ident && TRUNCATING_CASTS.contains(&n.text.as_str())
-                }) {
-                    flow.panics
-                        .push(site(t, format!("`as {}` can truncate silently", ty.text)));
-                }
             }
             // Call expression: ident, optional turbofish, then `(`.
             let mut paren = None;
@@ -213,33 +156,10 @@ pub fn scan_fn(toks: &[Tok], in_test: &[bool], body: (usize, usize)) -> FnFlow {
                         });
                     }
                 }
-                k += 1;
-                continue;
-            }
-            // `let` binding.
-            if t.text == "let" {
+            } else if t.text == "let" {
                 if let Some(bind) = parse_let(toks, k, end) {
                     flow.lets.push(bind);
                 }
-                k += 1;
-                continue;
-            }
-        }
-        // Index/slice expression `expr[...]`; only the full range `[..]`
-        // cannot fail.
-        if is_punct(toks, k, "[") && k >= 1 {
-            let p = &toks[k - 1];
-            let indexable = match p.kind {
-                TokKind::Ident => !NON_INDEX_KEYWORDS.contains(&p.text.as_str()),
-                TokKind::Punct => p.text == ")" || p.text == "]" || p.text == "?",
-                _ => false,
-            };
-            let full_range = is_punct(toks, k + 1, ".")
-                && is_punct(toks, k + 2, ".")
-                && is_punct(toks, k + 3, "]");
-            if indexable && !full_range {
-                flow.panics
-                    .push(site(t, "slice indexing can panic".to_string()));
             }
         }
         k += 1;
@@ -468,35 +388,6 @@ mod tests {
         assert_eq!(f.calls[2].recv.as_deref(), Some("r"));
         assert_eq!(f.calls[0].args.len(), 2);
         assert_eq!(f.calls[4].args.len(), 2);
-    }
-
-    #[test]
-    fn finds_panic_sites_but_not_full_range_slicing() {
-        let f = flow_of(
-            "fn f(v: &[u8], i: usize) {\n\
-               v.get(i).unwrap();\n\
-               let _ = v[i];\n\
-               let _ = v[0];\n\
-               let _ = &v[..];\n\
-               let _ = &v[..i];\n\
-               let _ = (i as u32, i as u64);\n\
-               panic!(\"no\");\n\
-             }",
-        );
-        let what: Vec<_> = f.panics.iter().map(|p| p.what.as_str()).collect();
-        // Only `&v[..]` (full range) and the widening `as u64` are exempt;
-        // `v[0]` panics on an empty slice.
-        assert_eq!(
-            what,
-            [
-                "`.unwrap()` can panic",
-                "slice indexing can panic",
-                "slice indexing can panic",
-                "slice indexing can panic",
-                "`as u32` can truncate silently",
-                "`panic!` can panic"
-            ]
-        );
     }
 
     #[test]

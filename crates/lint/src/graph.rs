@@ -15,8 +15,8 @@
 //! Unresolvable calls are assumed
 //! external (std or dependencies) — **except** paths that explicitly
 //! name a workspace crate or module and still miss, which are recorded
-//! as *dangling* so the integrity test can fail instead of letting R5
-//! pass vacuously.
+//! as *dangling* so the integrity test can fail instead of letting R6 or
+//! R8 pass vacuously.
 //!
 //! # Known approximations
 //!

@@ -3,7 +3,7 @@
 //! The linter must never confuse a banned identifier inside a string
 //! literal or comment with real code, and must never mis-lex a lifetime as
 //! a char literal (or vice versa), because `#[cfg(test)]` block detection
-//! and the panic-freedom rule both walk this token stream. Everything
+//! and every rule walk this token stream. Everything
 //! else (numeric suffix details, exact punct joining) is irrelevant to the
 //! rules and deliberately kept loose.
 

@@ -1,13 +1,13 @@
 //! `dcert-lint` — repo-specific static analysis for the DCert workspace.
 //!
-//! The compiler cannot check DCert's load-bearing security invariants:
-//! the enclave secret key never crosses the `dcert-sgx` trust boundary,
-//! and client-side verifiers must *reject* malformed untrusted input
-//! rather than panic. This tool enforces what rustc, Cargo and clippy
-//! cannot see — no nightly compiler plumbing, no dependencies — and fails
-//! CI on violation. (Ambient clocks and entropy, and raw `ed25519_dalek`
-//! outside `primitives::keys`, are `clippy.toml`'s.) Analysis runs in two
-//! phases:
+//! The compiler cannot check all of DCert's load-bearing security
+//! invariants: the enclave secret key never crosses the `dcert-sgx` trust
+//! boundary, and the trusted program stays a function of its input. This
+//! tool enforces what rustc, Cargo and clippy cannot see — no nightly
+//! compiler plumbing, no dependencies — and fails CI on violation.
+//! (Ambient clocks and entropy, and raw `ed25519_dalek` outside
+//! `primitives::keys`, are `clippy.toml`'s; panic freedom is each product
+//! crate root's clippy `deny`.) Analysis runs in two phases:
 //!
 //! **Per-file (lexical)** — R1, R3, R4:
 //!
@@ -20,16 +20,10 @@
 //! * **R4 `r4-error-hygiene`** — fallible APIs return crate `Error`
 //!   types, never `Result<_, String>` or `Result<_, Box<dyn ...>>`.
 //!
-//! **Workspace (call graph + dataflow)** — R5, R6, R8: an item-level
+//! **Workspace (call graph + dataflow)** — R6, R8: an item-level
 //! parser builds a workspace-wide call graph with resolved cross-crate
 //! edges plus per-function dataflow facts, and on top of it:
 //!
-//! * **R5 `r5-panic-reachability`** — no `unwrap`/`expect`, panic-family
-//!   macro, index other than `[..]`, or truncating `as` cast in any
-//!   function of the verifier modules or reachable (transitively, across
-//!   crates) from them or the `Enclave` ECall surface; findings carry the
-//!   full call-path witness. (The number `r2` is retired: it was the
-//!   lexical twin of this rule.)
 //! * **R6 `r6-secret-taint`** — secret *values* must not flow into
 //!   formatting, wire encoders, or non-allow-listed functions outside
 //!   the trusted modules; taint propagates through calls with a
@@ -38,14 +32,15 @@
 //!   unlink/truncate reachable from steady-state entry points before
 //!   the head-commit `sync()`.
 //!
-//! The numbers `r2` (folded into R5) and `r7` (allocation bounds, now the
-//! store's length-bomb test and the codec's presize cap) are retired.
+//! The numbers `r2` and `r5` (panic freedom, now the crate roots' clippy
+//! `deny`) and `r7` (allocation bounds, now the store's length-bomb test
+//! and the codec's presize cap) are retired.
 //!
-//! Escape hatch (counted and reported, never silent), shared by all six
+//! Escape hatch (counted and reported, never silent), shared by all five
 //! rules:
 //!
 //! ```text
-//! // dcert-lint: allow(r5-panic-reachability, reason = "length checked above")
+//! // dcert-lint: allow(r1-enclave-secrecy, reason = "replay constructor")
 //! ```
 //!
 //! Usage: `cargo run -p dcert-lint [-- --root DIR]`. Any finding exits 1;
@@ -153,7 +148,7 @@ fn gh_escape_prop(s: &str) -> String {
 type WorkspaceReport = (Vec<(String, Finding)>, Vec<(String, AllowDirective)>);
 
 /// Both analysis phases plus directive application over loaded sources:
-/// per-file rules (R1, R3, R4), the workspace call graph with R5, R6, R8,
+/// per-file rules (R1, R3, R4), the workspace call graph with R6, R8,
 /// then each file's allow directives across the merged findings. Shared
 /// by `main` and the workspace-clean regression test.
 fn analyze_workspace(sources: &[(String, String)]) -> (graph::Graph, WorkspaceReport) {
@@ -345,8 +340,8 @@ mod tests {
 
     #[test]
     fn cfg_test_blocks_are_exempt() {
-        let src = "fn prod(v: &[u8]) { v.to_vec().unwrap(); }\n\
-                   #[cfg(test)]\nmod tests {\n    fn t(v: Vec<u8>) { v.unwrap(); }\n}\n";
+        let src = "fn prod() -> Result<(), String> { Ok(()) }\n\
+                   #[cfg(test)]\nmod tests {\n    fn t() -> Result<(), String> { Ok(()) }\n}\n";
         let report = analyze_source("crates/core/src/superlight.rs", src);
         assert_eq!(report.findings.len(), 1);
         assert_eq!(report.findings[0].line, 1);
@@ -354,7 +349,8 @@ mod tests {
 
     #[test]
     fn cfg_attr_test_is_not_exempt() {
-        let src = "#[cfg_attr(test, allow(dead_code))]\nfn prod() { x.unwrap(); }\n";
+        let src =
+            "#[cfg_attr(test, allow(dead_code))]\nfn prod() -> Result<(), String> { Ok(()) }\n";
         let report = analyze_source("crates/core/src/superlight.rs", src);
         assert_eq!(report.findings.len(), 1, "cfg_attr items still ship");
     }
@@ -392,30 +388,6 @@ mod tests {
         let report = analyze_source("crates/sgx/src/enclave.rs", src);
         assert_eq!(report.findings.len(), 1);
         assert_eq!(report.findings[0].line, 2);
-    }
-
-    #[test]
-    fn r5_fires_on_every_panic_site_in_a_verifier_module() {
-        let src = include_str!("../fixtures/r5_panic_sites.rs");
-        let report = analyze_source("crates/core/src/superlight.rs", src);
-        let lines: Vec<u32> = report
-            .findings
-            .iter()
-            .filter(|f| f.rule == "r5-panic-reachability")
-            .map(|f| f.line)
-            .collect();
-        // One per construct, in order, each in a private fn: the
-        // regression `.unwrap()` on ias.attest, `.expect`, `panic!`,
-        // `unreachable!`, a literal index, slicing, a truncating cast —
-        // and nothing from the cfg(test) module at the bottom.
-        assert_eq!(lines, vec![9, 14, 19, 21, 27, 29, 34]);
-    }
-
-    #[test]
-    fn r5_ignores_files_outside_verifier_scope() {
-        let src = include_str!("../fixtures/r5_panic_sites.rs");
-        let report = analyze_source("crates/workloads/src/generator.rs", src);
-        assert!(report.findings.is_empty(), "{:?}", report.findings);
     }
 
     #[test]
@@ -482,12 +454,12 @@ mod tests {
         assert!(report
             .findings
             .iter()
-            .all(|f| !(f.rule == "r5-panic-reachability" && f.line == 7)));
+            .all(|f| !(f.rule == "r4-error-hygiene" && f.line == 6)));
         // …the reasonless escape did not…
         assert!(report
             .findings
             .iter()
-            .any(|f| f.rule == "r5-panic-reachability" && f.line == 11));
+            .any(|f| f.rule == "r4-error-hygiene" && f.line == 11));
         // …and was itself reported as malformed.
         assert!(report
             .findings
@@ -497,16 +469,17 @@ mod tests {
         assert_eq!(report.allows.len(), 2);
         assert!(report.allows[0].used);
         assert!(!report.allows[1].used);
-        assert_eq!(report.allows[0].reason, "length checked on entry");
+        assert_eq!(report.allows[0].reason, "a test double's message");
     }
 
     #[test]
     fn multi_rule_allow_directive_covers_each_listed_rule() {
-        // Two rules, one directive, one shared reason: the r5 hit on the
+        // Two rules, one directive, one shared reason: the r4 hit on the
         // next line is suppressed; an unrelated rule is not.
-        let src = "fn get(v: &[u8], i: usize) -> u8 {\n\
-                   \x20   // dcert-lint: allow(r5-panic-reachability, r3-determinism, reason = \"SP-side data\")\n\
-                   \x20   v[i]\n\
+        let src =
+            "// dcert-lint: allow(r4-error-hygiene, r3-determinism, reason = \"SP-side data\")\n\
+                   fn get(v: &[u8]) -> Result<u8, String> {\n\
+                   \x20   v.first().copied().ok_or_else(String::new)\n\
                    }\n";
         let report = analyze_source("crates/core/src/superlight.rs", src);
         assert!(
@@ -515,7 +488,7 @@ mod tests {
             report.findings
         );
         assert_eq!(report.allows.len(), 2);
-        assert_eq!(report.allows[0].rule, "r5-panic-reachability");
+        assert_eq!(report.allows[0].rule, "r4-error-hygiene");
         assert_eq!(report.allows[1].rule, "r3-determinism");
         assert_eq!(report.allows[0].reason, "SP-side data");
         assert_eq!(report.allows[1].reason, "SP-side data");
@@ -542,116 +515,56 @@ mod tests {
     }
 
     #[test]
-    fn r5_fires_with_multi_hop_witness_and_clean_half_is_silent() {
-        let entry = include_str!("../fixtures/r5_entry.rs");
-        let bad = include_str!("../fixtures/r5_helper_violating.rs");
-        let clean = include_str!("../fixtures/r5_helper_clean.rs");
-
+    fn r6_follows_reexports_across_crates_and_renames() {
+        let entry = include_str!("../fixtures/r6_reexport_entry.rs");
+        let root = include_str!("../fixtures/r6_reexport_lib.rs");
+        let helper = "pub fn find_header(raw: &[u8]) -> usize {\n    raw.len()\n}\n";
+        let frames = "pub fn frame_len(raw: &[u8]) -> usize {\n    raw.len()\n}\n";
         let g = ws(&[
-            ("crates/core/src/superlight.rs", entry),
-            ("crates/chain/src/helpers.rs", bad),
-        ]);
-        let hits = rule_findings(&g, "r5-panic-reachability");
-        assert!(
-            hits.iter()
-                .any(|(p, _, _)| p == "crates/chain/src/helpers.rs"),
-            "panic in the cross-crate helper must be reachable: {hits:?}"
-        );
-        // Multi-hop witness: entry method → local helper → cross-crate
-        // helper → panicking leaf.
-        assert!(
-            hits.iter().any(|(_, _, m)| m
-                .contains("Client::verify_header → check_shape → find_header → decode_at")),
-            "witness should carry the full call path: {hits:?}"
-        );
-
-        let g = ws(&[
-            ("crates/core/src/superlight.rs", entry),
-            ("crates/chain/src/helpers.rs", clean),
-        ]);
-        assert!(
-            rule_findings(&g, "r5-panic-reachability").is_empty(),
-            "clean helper must not fire"
-        );
-    }
-
-    #[test]
-    fn r5_reports_a_truncating_cast_in_another_crate() {
-        // No lexical scan of the verifier modules sees this cast: it sits
-        // in a helper crate, one call away from the entry.
-        let entry = include_str!("../fixtures/r5_entry.rs");
-        let helper =
-            "pub fn find_header(raw: &[u8]) -> u64 {\n    u64::from(raw.len() as u32)\n}\n";
-        let g = ws(&[
-            ("crates/core/src/superlight.rs", entry),
+            ("crates/sgx/src/keyops.rs", entry),
+            ("crates/chain/src/lib.rs", root),
             ("crates/chain/src/helpers.rs", helper),
+            ("crates/vm/src/frames.rs", frames),
         ]);
-        let hits = rule_findings(&g, "r5-panic-reachability");
-        assert_eq!(hits.len(), 1, "{hits:?}");
-        let (path, line, msg) = &hits[0];
-        assert_eq!((path.as_str(), *line), ("crates/chain/src/helpers.rs", 2));
-        assert!(
-            msg.starts_with("`as u32` can truncate silently")
-                && msg.contains("(path: Client::verify_header → check_shape → find_header)"),
-            "{msg}"
-        );
-    }
-
-    #[test]
-    fn r5_sees_the_wire_template_and_the_decoders_only_it_calls() {
-        let template = include_str!("../fixtures/r5_wire_template.rs");
-        let decls = include_str!("../fixtures/r5_wire_decls.rs");
-        let g = ws(&[
-            ("crates/primitives/src/codec.rs", template),
-            ("crates/chain/src/block.rs", decls),
-        ]);
-        // `Key::decode` resolves: the table implements `Decode` for `Key`.
         assert!(g.dangling.is_empty(), "{:?}", g.dangling);
-        let hits = rule_findings(&g, "r5-panic-reachability");
-        let hit = |path: &str, witness: &str| {
+        let hits = rule_findings(&g, "r6-secret-taint");
+        let hit = |call: &str, path: &str| {
             hits.iter()
-                .any(|(p, _, m)| p == path && m.contains(&format!("(path: {witness})")))
+                .any(|(_, _, m)| m.contains(&format!("passed to `{call}` in {path}")))
         };
-        assert!(hit("crates/primitives/src/codec.rs", "wire!"), "{hits:?}");
+        // `locate` is `find_header` renamed by `pub use … as …`.
+        assert!(hit("locate", "crates/chain/src/helpers.rs"), "{hits:?}");
+        // `dcert_chain::frame_len` is `dcert_vm`'s, re-exported.
         assert!(
-            hit("crates/chain/src/block.rs", "wire! → Header::decode"),
+            hit("dcert_chain::frame_len", "crates/vm/src/frames.rs"),
             "{hits:?}"
         );
         assert_eq!(hits.len(), 2, "{hits:?}");
     }
 
     #[test]
-    fn r5_follows_reexports_across_crates_and_renames() {
-        let entry = include_str!("../fixtures/r5_reexport_entry.rs");
-        let root = include_str!("../fixtures/r5_reexport_lib.rs");
-        let bad = include_str!("../fixtures/r5_helper_violating.rs");
-        let frames = "pub fn frame_len(raw: &[u8]) -> u64 {\n    u64::from(raw[0])\n}\n";
+    fn r6_sees_a_macro_template_and_the_types_a_wire_table_declares() {
+        let keyops = include_str!("../fixtures/r6_macros.rs");
+        let codec = "pub struct Reader<'a>(pub &'a [u8]);\n\
+                     pub trait Decode: Sized {\n\
+                     \x20   fn decode(r: &mut Reader<'_>) -> Option<Self>;\n\
+                     }\n";
         let g = ws(&[
-            ("crates/core/src/superlight.rs", entry),
-            ("crates/chain/src/lib.rs", root),
-            ("crates/chain/src/helpers.rs", bad),
-            ("crates/vm/src/frames.rs", frames),
+            ("crates/sgx/src/keyops.rs", keyops),
+            ("crates/primitives/src/codec.rs", codec),
         ]);
+        // `Key::decode` resolves: the table implements `Decode` for `Key`.
         assert!(g.dangling.is_empty(), "{:?}", g.dangling);
-        let hits = rule_findings(&g, "r5-panic-reachability");
-        let hit = |path: &str, witness: &str| {
-            hits.iter()
-                .any(|(p, _, m)| p == path && m.contains(&format!("(path: {witness})")))
-        };
-        // `locate` is `find_header` renamed by `pub use … as …`.
+        let hits = rule_findings(&g, "r6-secret-taint");
         assert!(
-            hit(
-                "crates/chain/src/helpers.rs",
-                "Client::verify_header → find_header → decode_at"
-            ),
+            hits.iter()
+                .any(|(_, _, m)| m.contains("`println!`") && m.contains("(in trace_key!)")),
             "{hits:?}"
         );
-        // `dcert_chain::frame_len` is `dcert_vm`'s, re-exported.
         assert!(
-            hit(
-                "crates/vm/src/frames.rs",
-                "Client::verify_header → frame_len"
-            ),
+            hits.iter()
+                .any(|(_, _, m)| m
+                    .contains("passed to `Key::decode` in crates/primitives/src/codec.rs")),
             "{hits:?}"
         );
         assert_eq!(hits.len(), 2, "{hits:?}");
@@ -739,7 +652,8 @@ mod tests {
     }
 
     /// Every intra-workspace call edge must resolve; a dangling edge
-    /// would let R5 pass vacuously on the function it failed to enter.
+    /// would let R6 or R8 pass vacuously on the function it failed to
+    /// enter.
     #[test]
     fn workspace_call_graph_has_no_dangling_edges() {
         let sources = super::load_sources(&repo_root()).expect("walk workspace");
@@ -760,7 +674,7 @@ mod tests {
         assert!(edges > 300, "only {edges} call edges resolved");
     }
 
-    /// The workspace itself must lint clean under all six rules with
+    /// The workspace itself must lint clean under all five rules with
     /// directives applied — removing any in-tree fix (or its documented
     /// allow) re-triggers the rule here.
     #[test]
@@ -789,19 +703,96 @@ mod tests {
         );
     }
 
+    /// The ten lints each product library crate denies at its root.
+    const PANIC_LINTS: [&str; 10] = [
+        "unwrap_used",
+        "expect_used",
+        "indexing_slicing",
+        "panic",
+        "unreachable",
+        "todo",
+        "unimplemented",
+        "cast_possible_truncation",
+        "cast_possible_wrap",
+        "cast_sign_loss",
+    ];
+
+    /// The product library crate roots, and the naive reference program
+    /// (a module of the root crate, denying them in its own file).
+    const PANIC_FREE_ROOTS: [&str; 12] = [
+        "crates/chain/src/lib.rs",
+        "crates/core/src/lib.rs",
+        "crates/merkle/src/lib.rs",
+        "crates/obs/src/lib.rs",
+        "crates/primitives/src/lib.rs",
+        "crates/query/src/lib.rs",
+        "crates/serve/src/lib.rs",
+        "crates/sgx/src/lib.rs",
+        "crates/store/src/lib.rs",
+        "crates/vm/src/lib.rs",
+        "crates/workloads/src/lib.rs",
+        "src/world/naive.rs",
+    ];
+
+    /// The `clippy::` lints named by the file's
+    /// `#![cfg_attr(not(test), deny(...))]`, sorted.
+    fn denied_outside_tests(source: &str) -> Vec<String> {
+        let (toks, _) = lex(source);
+        let text: Vec<&str> = toks.iter().map(|t| t.text.as_str()).collect();
+        let head = [
+            "#", "!", "[", "cfg_attr", "(", "not", "(", "test", ")", ",", "deny", "(",
+        ];
+        let Some(at) = text.windows(head.len()).position(|w| w == head) else {
+            return Vec::new();
+        };
+        let mut lints: Vec<String> = text[at + head.len()..]
+            .split(|t| *t == ")")
+            .next()
+            .unwrap_or_default()
+            .split(|t| *t == ",")
+            .filter_map(|lint| match lint {
+                ["clippy", ":", ":", name] => Some(name.to_string()),
+                _ => None,
+            })
+            .collect();
+        lints.sort();
+        lints
+    }
+
+    /// Panic freedom is clippy's, from each product root's `deny`. Clippy
+    /// fires only where a site exists, so a root that dropped a lint would
+    /// fail nothing else: this pins the attribute itself.
+    #[test]
+    fn product_roots_deny_every_panic_lint() {
+        let mut want: Vec<String> = PANIC_LINTS.iter().map(|l| l.to_string()).collect();
+        want.sort();
+        let root = repo_root();
+        for file in PANIC_FREE_ROOTS {
+            let source = std::fs::read_to_string(root.join(file)).expect("read crate root");
+            assert_eq!(
+                denied_outside_tests(&source),
+                want,
+                "{file} must carry #![cfg_attr(not(test), deny(clippy::…))] with all ten lints"
+            );
+        }
+        // A root missing one lint is told apart.
+        let short = "#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::panic))]";
+        assert_eq!(denied_outside_tests(short), ["panic", "unwrap_used"]);
+    }
+
     // -- rule names -----------------------------------------------------
 
     /// A directive may name a rule by its `rN` prefix; the retired numbers
     /// name none.
     #[test]
     fn rule_short_names_come_from_rules() {
-        assert_eq!(RULES.len(), 6);
+        assert_eq!(RULES.len(), 5);
         assert!(RULES
             .iter()
-            .all(|r| !r.starts_with("r2-") && !r.starts_with("r7-")));
-        let src = "fn get(v: &[u8], i: usize) -> u8 {\n\
-                   \x20   // dcert-lint: allow(r5, reason = \"SP-side data\")\n\
-                   \x20   v[i]\n\
+            .all(|r| !r.starts_with("r2-") && !r.starts_with("r5-") && !r.starts_with("r7-")));
+        let src = "// dcert-lint: allow(r4, reason = \"SP-side data\")\n\
+                   fn get(v: &[u8]) -> Result<u8, String> {\n\
+                   \x20   v.first().copied().ok_or_else(String::new)\n\
                    }\n";
         let report = analyze_source("crates/core/src/superlight.rs", src);
         assert!(report.findings.is_empty(), "{:?}", report.findings);

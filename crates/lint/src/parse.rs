@@ -190,8 +190,8 @@ pub fn parse_items(toks: &[Tok], in_test: &[bool]) -> ParsedFile {
                 }
                 i += 1;
             }
-            // A `macro_rules!` body is one fn-like node, its template: a
-            // panic site in generated code is scanned where it is written.
+            // A `macro_rules!` body is one fn-like node, its template: what
+            // generated code calls and formats is scanned where it is written.
             "macro_rules" if is_punct(toks, i + 1, "!") && is_punct(toks, i + 3, "{") => {
                 let close = matching(toks, i + 3, "{", "}").unwrap_or(toks.len());
                 out.fns.push(FnItem {

@@ -40,13 +40,13 @@ impl IndexFlavor for Plain {
         Some(write.to_encoded_bytes())
     }
 
-    // expect() here takes apart the SP's own canonically-encoded index
-    // entries (see the dcert-lint rationale at the call site).
-    #[allow(clippy::expect_used)]
+    #[allow(
+        clippy::expect_used,
+        reason = "SP-side serving path decoding its own canonically-encoded index entries; the client verifier re-checks everything"
+    )]
     fn present(rows: Vec<(u64, Vec<u8>)>) -> Vec<(u64, Version)> {
         rows.into_iter()
             .map(|(ts, stored)| {
-                // dcert-lint: allow(r5-panic-reachability, reason = "SP-side serving path decoding its own canonically-encoded index entries; the client verifier re-checks everything")
                 let version = into_version(stored).expect("index stores canonical versions");
                 (ts, version)
             })

@@ -141,13 +141,13 @@ impl InvertedIndex {
     }
 
     /// A keyword's chain head in the dictionary (`None` = not indexed yet).
-    // expect() here reads SP-maintained 32-byte chain heads (see the
-    // dcert-lint rationale at the call site).
-    #[allow(clippy::expect_used)]
+    #[allow(
+        clippy::expect_used,
+        reason = "SP-maintained dictionary only ever stores 32-byte chain heads; not attacker input"
+    )]
     fn head(&self, keyword: &str) -> Option<Hash> {
         self.dictionary
             .get(&keyword_key(keyword))
-            // dcert-lint: allow(r5-panic-reachability, reason = "SP-maintained dictionary only ever stores 32-byte chain heads; not attacker input")
             .map(|bytes| Hash::from_bytes(bytes.try_into().expect("32-byte heads")))
     }
 

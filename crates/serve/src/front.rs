@@ -297,25 +297,6 @@ impl ServeFront {
         true
     }
 
-    /// Removes every parked waiter belonging to `client` (a dropped
-    /// connection). Returns how many waiters were removed.
-    pub fn disconnect(&mut self, client: u64) -> usize {
-        let (mut removed, mut released) = (0, 0);
-        self.pending.retain(|_, waiters| {
-            let before = waiters.len();
-            waiters.retain(|w| w.client != client);
-            removed += before - waiters.len();
-            released += u64::from(waiters.is_empty());
-            !waiters.is_empty()
-        });
-        self.parked_waiters -= removed;
-        self.metrics.waiters_released.add(released);
-        if removed > 0 {
-            self.record_occupancy();
-        }
-        removed
-    }
-
     // -----------------------------------------------------------------
     // Execution.
     // -----------------------------------------------------------------

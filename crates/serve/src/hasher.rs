@@ -78,6 +78,7 @@ pub struct FoldHasher {
 }
 
 /// The 128-bit product of `x` and `y`, its two halves xored together.
+#[allow(clippy::cast_possible_truncation, reason = "each cast keeps one half")]
 #[inline(always)]
 fn folded_multiply(x: u64, y: u64) -> u64 {
     let full = u128::from(x) * u128::from(y);
@@ -85,6 +86,7 @@ fn folded_multiply(x: u64, y: u64) -> u64 {
 }
 
 /// The low and high words of `x`.
+#[allow(clippy::cast_possible_truncation, reason = "each cast keeps one half")]
 #[inline(always)]
 fn halves(x: u128) -> (u64, u64) {
     (x as u64, (x >> 64) as u64)
@@ -134,6 +136,10 @@ impl FoldHasher {
 }
 
 impl Hasher for FoldHasher {
+    #[allow(
+        clippy::cast_possible_truncation,
+        reason = "a rotation by the length's low bits; `rotate_right` reduces it mod 64"
+    )]
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
         let len = bytes.len();

@@ -21,13 +21,28 @@
 //! drop), and the `serve.*` metric snapshots are replay-stable on the
 //! chaos seed matrix.
 //!
-//! Layout: [`wire`] (canonical request/response/refusal codecs, held to
-//! `dcert-lint` R5 panic freedom), [`cache`] (generation-keyed FIFO
+//! Layout: [`wire`] (canonical request/response/refusal codecs, panic-free
+//! on any input), [`cache`] (generation-keyed FIFO
 //! proof cache), [`hasher`] (the keyed fast hash of the cache and the
 //! coalescing table), [`admission`] (lazy per-client token buckets),
 //! [`metrics`] (`serve.*` handles), [`front`] (the scheduler).
 
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::indexing_slicing,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::cast_possible_truncation,
+        clippy::cast_possible_wrap,
+        clippy::cast_sign_loss
+    )
+)]
 
 pub mod admission;
 pub mod cache;
@@ -361,20 +376,6 @@ mod tests {
             "the t2 = 10 spec, first to arrive, lost its waiter"
         );
         assert_eq!(replies(), expected, "on a second front too");
-    }
-
-    #[test]
-    fn disconnect_releases_every_waiter_of_a_client() {
-        let mut front = front_with(ServeConfig::default(), 1);
-        front.submit(0, history_request(9, 1)).expect("admitted");
-        front.submit(0, history_request(9, 2)).expect("coalesces");
-        front.submit(0, history_request(8, 3)).expect("coalesces");
-        assert_eq!(front.disconnect(9), 2);
-        assert_eq!(front.parked_waiters(), 1);
-        assert_eq!(front.inflight_entries(), 1, "client 8 still waits");
-        let deliveries = front.pump(1, 16);
-        assert_eq!(deliveries.len(), 1);
-        assert_eq!(deliveries[0].0, 8);
     }
 
     /// What `front` keeps, as its `Debug` spells it without the metric

@@ -8,9 +8,9 @@
 //! `NetMessage::Serve` so the gossip fabric needs no knowledge of query
 //! semantics.
 //!
-//! Everything here decodes attacker-supplied bytes, so this module is held
-//! to `dcert-lint` R5 panic freedom (no unwrap/expect/indexing/truncating
-//! casts) and is swept by `tests/decode_no_panic.rs`.
+//! Everything here decodes attacker-supplied bytes, so it must refuse, not
+//! panic: the crate root denies unwrap/expect/indexing/lossy casts, and
+//! `tests/decode_no_panic.rs` sweeps every decoder.
 
 use std::sync::Arc;
 

@@ -4,7 +4,7 @@
 //! The implementation is the bitwise (table-free) form: a branchless
 //! mask-and-shift per bit. A 256-entry lookup table would be ~8× faster,
 //! but building and indexing it cannot be written without slice indexing,
-//! which dcert-lint rule R5 bans in verifier paths — and at the scale this
+//! which the crate root denies — and at the scale this
 //! reproduction stores (kilobytes to megabytes of certified history) the
 //! bitwise form is nowhere near the bottleneck. CRC-32 detects all
 //! single-bit errors and all burst errors up to 32 bits, which is exactly

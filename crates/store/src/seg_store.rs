@@ -345,7 +345,9 @@ impl SegmentStore {
     }
 
     fn publish_gauges(&self) {
-        self.metrics.segments.set(self.metas.len() as i64);
+        self.metrics
+            .segments
+            .set(i64::try_from(self.metas.len()).unwrap_or(i64::MAX));
         let total: u64 = self.metas.iter().map(|m| m.len).sum();
         self.metrics
             .disk_bytes

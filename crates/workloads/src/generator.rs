@@ -125,6 +125,10 @@ impl WorkloadGen {
     }
 
     /// Generates one signed transaction.
+    #[allow(
+        clippy::indexing_slicing,
+        reason = "`gen_range(0..len)` draws an index below `len`"
+    )]
     pub fn next_tx(&mut self) -> Transaction {
         let sender_idx = self.rng.gen_range(0..self.senders.len());
         let nonce = self.nonce;

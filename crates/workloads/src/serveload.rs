@@ -101,7 +101,7 @@ pub struct ServeLoadGen {
 impl ServeLoadGen {
     /// Builds the schedule generator for `config` under `seed`.
     pub fn new(config: ServeLoadConfig, seed: u64) -> Self {
-        let keyspace = config.keyspace.max(1) as usize;
+        let keyspace = usize::try_from(config.keyspace.max(1)).unwrap_or(usize::MAX);
         let mut weights = Vec::with_capacity(keyspace);
         let mut total = 0.0f64;
         for rank in 0..keyspace {

@@ -16,6 +16,22 @@
 //! program, and its key drawn from [`SIGNING_SEED`] so its signatures
 //! replay.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::indexing_slicing,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::cast_possible_truncation,
+        clippy::cast_possible_wrap,
+        clippy::cast_sign_loss
+    )
+)]
+
 use std::sync::Arc;
 
 use dcert_chain::{Block, BlockHeader, ConsensusEngine};

@@ -1,4 +1,6 @@
-//! The dynamic twin of dcert-lint rule R5 (panic freedom): every wire
+//! The dynamic twin of the crate roots' panic-lint `deny`, and the only
+//! guard inside `macro_rules!` bodies, where clippy does not fire
+//! `unwrap_used`, `expect_used` or `panic` (DESIGN.md §7): every wire
 //! decoder in the workspace is exercised with arbitrary, truncated, and
 //! bit-flipped byte strings, and must always return `Err` — never panic.
 //!
