@@ -25,7 +25,7 @@ use dcert_chain::validity::{check_body, check_extends};
 use dcert_chain::{Block, BlockHeader, ConsensusEngine};
 use dcert_primitives::codec::{Decode, Encode};
 use dcert_primitives::hash::Hash;
-use dcert_primitives::keys::{Keypair, PublicKey, Signature};
+use dcert_primitives::keys::{Keypair, PublicKey, SecretBytes, Signature};
 use dcert_sgx::enclave::{measure, Sealable};
 use dcert_sgx::{AttestationReport, SgxError, TrustedApp};
 use dcert_vm::{CallStatus, Executor, ReadSetState, StateKey, VmError};
@@ -594,18 +594,19 @@ impl Sealable for CertProgram {
     /// watermark, and the enclave signs again at heights it already signed:
     /// that gives a host nothing, as a fresh enclave with the same
     /// measurement would sign them too (DESIGN.md §10).
-    fn export_state(&self) -> Vec<u8> {
+    fn export_state(&self) -> SecretBytes {
         match &self.keypair {
-            None => Vec::new(),
+            None => SecretBytes::default(),
             Some(kp) => {
-                let mut out = kp.to_secret_bytes().to_vec();
+                let mut out = kp.to_secret_bytes();
                 out.extend_from_slice(&self.last_signed_height.to_be_bytes());
                 out
             }
         }
     }
 
-    fn import_state(&mut self, state: &[u8]) -> Result<(), SgxError> {
+    #[allow(clippy::disallowed_methods, reason = "parses the sealed `sk_enc`")]
+    fn import_state(&mut self, state: &SecretBytes) -> Result<(), SgxError> {
         // The memo vouches for the key it was learned under.
         self.memo.report = None;
         self.memo.issued.clear();
@@ -616,7 +617,10 @@ impl Sealable for CertProgram {
         }
         // Exactly `key ++ watermark`: a key-only blob would restore the
         // key with the rollback guard reset to 0.
-        let (key, be) = state.split_first_chunk::<32>().ok_or(SgxError::BadSeal)?;
+        let (key, be) = state
+            .expose()
+            .split_first_chunk::<32>()
+            .ok_or(SgxError::BadSeal)?;
         let be: [u8; 8] = be.try_into().map_err(|_| SgxError::BadSeal)?;
         self.keypair = Some(Keypair::from_seed(*key));
         self.last_signed_height = u64::from_be_bytes(be);

@@ -1,28 +1,20 @@
 //! Rule engine: scopes, test-code detection, allow directives, and the
-//! three per-file DCert rules (R1, R3, R4). The workspace-wide rules
-//! (R6, R8) live in [`crate::rules`] on top of the call graph in
-//! [`crate::graph`].
+//! three per-file DCert rules (R1, R3, R4).
 //!
 //! Rules are keyed by stable names so `// dcert-lint: allow(...)`
 //! directives can reference them — [`RULES`] lists them. Numbers are
 //! never reused: `r2` and `r5` (panic freedom) retired into the crate
-//! roots' clippy `deny`, and `r7` (allocation bounds) behind length-bomb
-//! tests.
+//! roots' clippy `deny`, `r7` (allocation bounds) behind length-bomb
+//! tests, and `r6` (secret taint) and `r8` (durability order) into the
+//! `SecretBytes` and `HeadCommitted` types and their `clippy.toml` bans.
 
-use crate::lexer::{Comment, Tok, TokKind};
-use crate::parse::{is_punct, matching};
+use crate::lexer::{is_punct, matching, Comment, Tok, TokKind};
 
 /// Pseudo-rule reported for `allow(...)` directives lacking a reason.
 pub const MALFORMED_DIRECTIVE: &str = "malformed-directive";
 
 /// All rule names, in report order.
-pub const RULES: [&str; 5] = [
-    "r1-enclave-secrecy",
-    "r3-determinism",
-    "r4-error-hygiene",
-    "r6-secret-taint",
-    "r8-durability-order",
-];
+pub const RULES: [&str; 3] = ["r1-enclave-secrecy", "r3-determinism", "r4-error-hygiene"];
 
 /// One rule violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -51,7 +43,7 @@ pub struct AllowDirective {
 /// itself, the trusted certificate program (the in-enclave half that, by
 /// design, lives in `dcert-core`), and the naive reference program
 /// (`dcert::world::naive`) the paper comparisons run.
-pub const R1_TRUSTED_MODULES: [&str; 3] = [
+const R1_TRUSTED_MODULES: [&str; 3] = [
     "crates/sgx/",
     "crates/core/src/program.rs",
     "src/world/naive.rs",

@@ -370,3 +370,27 @@ fn is_ident_start(c: char) -> bool {
 fn is_ident_continue(c: char) -> bool {
     c.is_alphanumeric() || c == '_'
 }
+
+/// Is `toks[i]` the punct `s`? (`false` past the end.)
+pub fn is_punct(toks: &[Tok], i: usize, s: &str) -> bool {
+    toks.get(i)
+        .is_some_and(|t| t.kind == TokKind::Punct && t.text == s)
+}
+
+/// Index of the bracket matching `toks[open]`.
+pub fn matching(toks: &[Tok], open: usize, open_s: &str, close_s: &str) -> Option<usize> {
+    let mut depth = 0i32;
+    for (k, t) in toks.iter().enumerate().skip(open) {
+        if t.kind == TokKind::Punct {
+            if t.text == open_s {
+                depth += 1;
+            } else if t.text == close_s {
+                depth -= 1;
+                if depth == 0 {
+                    return Some(k);
+                }
+            }
+        }
+    }
+    None
+}

@@ -4,12 +4,8 @@
 //! invariants: the enclave secret key never crosses the `dcert-sgx` trust
 //! boundary, and the trusted program stays a function of its input. This
 //! tool enforces what rustc, Cargo and clippy cannot see — no nightly
-//! compiler plumbing, no dependencies — and fails CI on violation.
-//! (Ambient clocks and entropy, and raw `ed25519_dalek` outside
-//! `primitives::keys`, are `clippy.toml`'s; panic freedom is each product
-//! crate root's clippy `deny`.) Analysis runs in two phases:
-//!
-//! **Per-file (lexical)** — R1, R3, R4:
+//! compiler plumbing, no dependencies — and fails CI on violation. Every
+//! rule is per-file and lexical:
 //!
 //! * **R1 `r1-enclave-secrecy`** — the public secret-key and sealing
 //!   names and the `TrustedApp`/`Sealable` traits are confined to the
@@ -20,23 +16,17 @@
 //! * **R4 `r4-error-hygiene`** — fallible APIs return crate `Error`
 //!   types, never `Result<_, String>` or `Result<_, Box<dyn ...>>`.
 //!
-//! **Workspace (call graph + dataflow)** — R6, R8: an item-level
-//! parser builds a workspace-wide call graph with resolved cross-crate
-//! edges plus per-function dataflow facts, and on top of it:
+//! What the compiler can see is not here. Ambient clocks and entropy, raw
+//! `ed25519_dalek` outside `primitives::keys`, reading a `SecretBytes`
+//! (`expose`) and raw segment deletes (`remove_file`, `File::set_len`) are
+//! `clippy.toml` bans; panic freedom is each product crate root's clippy
+//! `deny`; that a secret is never formatted or encoded, and that a segment
+//! goes only after a durable head disowns it, are types (`SecretBytes`,
+//! `HeadCommitted`; DESIGN.md §7). The numbers `r2` and `r5` (panic
+//! freedom), `r6` (secret taint), `r7` (allocation bounds) and `r8`
+//! (durability order) are retired.
 //!
-//! * **R6 `r6-secret-taint`** — secret *values* must not flow into
-//!   formatting, wire encoders, or non-allow-listed functions outside
-//!   the trusted modules; taint propagates through calls with a
-//!   multi-hop witness.
-//! * **R8 `r8-durability-order`** — in `dcert-store`, no segment
-//!   unlink/truncate reachable from steady-state entry points before
-//!   the head-commit `sync()`.
-//!
-//! The numbers `r2` and `r5` (panic freedom, now the crate roots' clippy
-//! `deny`) and `r7` (allocation bounds, now the store's length-bomb test
-//! and the codec's presize cap) are retired.
-//!
-//! Escape hatch (counted and reported, never silent), shared by all five
+//! Escape hatch (counted and reported, never silent), shared by all three
 //! rules:
 //!
 //! ```text
@@ -49,13 +39,8 @@
 #![forbid(unsafe_code)]
 
 mod engine;
-mod flow;
-mod graph;
 mod lexer;
-mod parse;
-mod rules;
 
-use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -143,45 +128,26 @@ fn gh_escape_prop(s: &str) -> String {
     gh_escape_msg(s).replace(':', "%3A").replace(',', "%2C")
 }
 
-/// Per-path analysis output: surviving findings and every directive,
-/// each tagged with its file.
+/// Analysis output: surviving findings and every directive, each tagged
+/// with its file.
 type WorkspaceReport = (Vec<(String, Finding)>, Vec<(String, AllowDirective)>);
 
-/// Both analysis phases plus directive application over loaded sources:
-/// per-file rules (R1, R3, R4), the workspace call graph with R6, R8,
-/// then each file's allow directives across the merged findings. Shared
-/// by `main` and the workspace-clean regression test.
-fn analyze_workspace(sources: &[(String, String)]) -> (graph::Graph, WorkspaceReport) {
-    // Phase 1: per-file rules + allow directives.
-    let mut by_path: BTreeMap<String, (Vec<Finding>, Vec<AllowDirective>)> = BTreeMap::new();
+/// The per-file rules (R1, R3, R4) over loaded sources, each file's allow
+/// directives applied to its own findings. Shared by `main` and the
+/// workspace-clean regression test.
+fn analyze_workspace(sources: &[(String, String)]) -> WorkspaceReport {
+    let mut findings: Vec<(String, Finding)> = Vec::new();
+    let mut allows: Vec<(String, AllowDirective)> = Vec::new();
     for (rel, source) in sources {
         let (toks, comments) = lexer::lex(source);
         let in_test = engine::mark_test_tokens(&toks);
-        let findings = engine::file_rule_findings(rel, &toks, &in_test);
-        let allows = engine::parse_allow_directives(&comments);
-        by_path.insert(rel.clone(), (findings, allows));
-    }
-
-    // Phase 2: workspace call-graph rules.
-    let ws = graph::Graph::build(sources);
-    for (fi, f) in rules::run_all(&ws) {
-        let path = ws.files[fi].path.clone();
-        by_path.entry(path).or_default().0.push(f);
-    }
-
-    // Apply each file's allow directives across both phases.
-    let mut findings: Vec<(String, Finding)> = Vec::new();
-    let mut allows: Vec<(String, AllowDirective)> = Vec::new();
-    for (path, (mut fs, mut als)) in by_path {
+        let mut fs = engine::file_rule_findings(rel, &toks, &in_test);
+        let mut als = engine::parse_allow_directives(&comments);
         engine::apply_allows(&mut fs, &mut als);
-        for f in fs {
-            findings.push((path.clone(), f));
-        }
-        for a in als {
-            allows.push((path.clone(), a));
-        }
+        findings.extend(fs.into_iter().map(|f| (rel.clone(), f)));
+        allows.extend(als.into_iter().map(|a| (rel.clone(), a)));
     }
-    (ws, (findings, allows))
+    (findings, allows)
 }
 
 /// Loads every workspace source under `root` as `(relative path, text)`.
@@ -218,16 +184,11 @@ fn main() -> ExitCode {
     };
     let scanned = sources.len();
 
-    let (ws, (mut findings, allows)) = analyze_workspace(&sources);
-    for d in &ws.dangling {
-        eprintln!(
-            "warning: dangling call edge {}:{} -> `{}` (intra-workspace path did not resolve)",
-            ws.files[d.file].path, d.line, d.path
-        );
-    }
+    let (mut findings, mut allows) = analyze_workspace(&sources);
 
     let github = std::env::var("GITHUB_ACTIONS").is_ok_and(|v| v == "true");
     findings.sort_by(|a, b| (&a.0, a.1.line, a.1.col).cmp(&(&b.0, b.1.line, b.1.col)));
+    allows.sort_by(|a, b| a.0.cmp(&b.0));
     for (path, f) in &findings {
         if github {
             println!(
@@ -254,14 +215,9 @@ fn main() -> ExitCode {
         }
     }
 
-    let edge_count: usize = ws.edges.iter().map(Vec::len).sum();
     println!(
-        "\ndcert-lint: {} file(s) scanned, {} fn(s), {} call edge(s), {} dangling, \
-         {} violation(s), {} allow directive(s)",
+        "\ndcert-lint: {} file(s) scanned, {} violation(s), {} allow directive(s)",
         scanned,
-        ws.fns.len(),
-        edge_count,
-        ws.dangling.len(),
         findings.len(),
         allows.len()
     );
@@ -276,19 +232,17 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::engine::{AllowDirective, Finding, MALFORMED_DIRECTIVE};
-    use super::graph::Graph;
     use super::lexer::{lex, TokKind};
-    use super::rules::run_all;
     use super::RULES;
 
-    /// One file through both phases, its directives applied.
+    /// One file through the rules, its directives applied.
     struct Report {
         findings: Vec<Finding>,
         allows: Vec<AllowDirective>,
     }
 
     fn analyze_source(path: &str, source: &str) -> Report {
-        let (_, (findings, allows)) =
+        let (findings, allows) =
             super::analyze_workspace(&[(path.to_string(), source.to_string())]);
         Report {
             findings: findings.into_iter().map(|(_, f)| f).collect(),
@@ -496,146 +450,7 @@ mod tests {
         assert!(!report.allows[1].used, "no r3 finding to suppress");
     }
 
-    // -- workspace rules: fixture workspaces ---------------------------
-
-    fn ws(files: &[(&str, &str)]) -> Graph {
-        let sources: Vec<(String, String)> = files
-            .iter()
-            .map(|(p, s)| (p.to_string(), s.to_string()))
-            .collect();
-        Graph::build(&sources)
-    }
-
-    fn rule_findings(g: &Graph, rule: &str) -> Vec<(String, u32, String)> {
-        run_all(g)
-            .into_iter()
-            .filter(|(_, f)| f.rule == rule)
-            .map(|(fi, f)| (g.files[fi].path.clone(), f.line, f.msg))
-            .collect()
-    }
-
-    #[test]
-    fn r6_follows_reexports_across_crates_and_renames() {
-        let entry = include_str!("../fixtures/r6_reexport_entry.rs");
-        let root = include_str!("../fixtures/r6_reexport_lib.rs");
-        let helper = "pub fn find_header(raw: &[u8]) -> usize {\n    raw.len()\n}\n";
-        let frames = "pub fn frame_len(raw: &[u8]) -> usize {\n    raw.len()\n}\n";
-        let g = ws(&[
-            ("crates/sgx/src/keyops.rs", entry),
-            ("crates/chain/src/lib.rs", root),
-            ("crates/chain/src/helpers.rs", helper),
-            ("crates/vm/src/frames.rs", frames),
-        ]);
-        assert!(g.dangling.is_empty(), "{:?}", g.dangling);
-        let hits = rule_findings(&g, "r6-secret-taint");
-        let hit = |call: &str, path: &str| {
-            hits.iter()
-                .any(|(_, _, m)| m.contains(&format!("passed to `{call}` in {path}")))
-        };
-        // `locate` is `find_header` renamed by `pub use … as …`.
-        assert!(hit("locate", "crates/chain/src/helpers.rs"), "{hits:?}");
-        // `dcert_chain::frame_len` is `dcert_vm`'s, re-exported.
-        assert!(
-            hit("dcert_chain::frame_len", "crates/vm/src/frames.rs"),
-            "{hits:?}"
-        );
-        assert_eq!(hits.len(), 2, "{hits:?}");
-    }
-
-    #[test]
-    fn r6_sees_a_macro_template_and_the_types_a_wire_table_declares() {
-        let keyops = include_str!("../fixtures/r6_macros.rs");
-        let codec = "pub struct Reader<'a>(pub &'a [u8]);\n\
-                     pub trait Decode: Sized {\n\
-                     \x20   fn decode(r: &mut Reader<'_>) -> Option<Self>;\n\
-                     }\n";
-        let g = ws(&[
-            ("crates/sgx/src/keyops.rs", keyops),
-            ("crates/primitives/src/codec.rs", codec),
-        ]);
-        // `Key::decode` resolves: the table implements `Decode` for `Key`.
-        assert!(g.dangling.is_empty(), "{:?}", g.dangling);
-        let hits = rule_findings(&g, "r6-secret-taint");
-        assert!(
-            hits.iter()
-                .any(|(_, _, m)| m.contains("`println!`") && m.contains("(in trace_key!)")),
-            "{hits:?}"
-        );
-        assert!(
-            hits.iter()
-                .any(|(_, _, m)| m
-                    .contains("passed to `Key::decode` in crates/primitives/src/codec.rs")),
-            "{hits:?}"
-        );
-        assert_eq!(hits.len(), 2, "{hits:?}");
-    }
-
-    #[test]
-    fn r6_fires_with_interprocedural_witness_and_clean_half_is_silent() {
-        let bad = include_str!("../fixtures/r6_taint_violating.rs");
-        let clean = include_str!("../fixtures/r6_taint_clean.rs");
-        let obs = include_str!("../fixtures/r6_obs_audit.rs");
-        let hash = include_str!("../fixtures/r6_primitives_hash.rs");
-
-        let g = ws(&[
-            ("crates/sgx/src/keyops.rs", bad),
-            ("crates/obs/src/audit.rs", obs),
-        ]);
-        let hits = rule_findings(&g, "r6-secret-taint");
-        assert!(
-            hits.iter()
-                .any(|(_, _, m)| m.contains("format") && m.contains("derive_and_leak → expand")),
-            "format sink must carry the multi-hop taint witness: {hits:?}"
-        );
-        assert!(
-            hits.iter().any(|(_, _, m)| m.contains("publish_debug")),
-            "cross-boundary call must fire: {hits:?}"
-        );
-
-        let g = ws(&[
-            ("crates/sgx/src/keyops.rs", clean),
-            ("crates/primitives/src/hash.rs", hash),
-        ]);
-        assert!(
-            rule_findings(&g, "r6-secret-taint").is_empty(),
-            "allow-listed crypto API (hash_concat) must not fire"
-        );
-    }
-
-    #[test]
-    fn r8_fires_on_unlink_before_sync_and_exempts_recovery() {
-        let bad = include_str!("../fixtures/r8_durability_violating.rs");
-        let clean = include_str!("../fixtures/r8_durability_clean.rs");
-
-        let g = ws(&[("crates/store/src/pruner.rs", bad)]);
-        let hits = rule_findings(&g, "r8-durability-order");
-        assert_eq!(hits.len(), 1, "unlink-before-sync must fire: {hits:?}");
-        assert!(hits[0].2.contains("remove_file"));
-
-        let g = ws(&[("crates/store/src/pruner.rs", clean)]);
-        assert!(
-            rule_findings(&g, "r8-durability-order").is_empty(),
-            "sync-before-unlink and recovery-closure unlinks must not fire"
-        );
-    }
-
-    #[test]
-    fn r8_exempts_the_head_slot_rewrite_and_nothing_else() {
-        let slot = include_str!("../fixtures/r8_head_slot.rs");
-        let g = ws(&[("crates/store/src/head.rs", slot)]);
-        assert!(
-            rule_findings(&g, "r8-durability-order").is_empty(),
-            "the head module's in-place slot shrink is the commit itself"
-        );
-        // The same shrink in any other store module is a truncate before
-        // the head commit.
-        let g = ws(&[("crates/store/src/seg_store.rs", slot)]);
-        let hits = rule_findings(&g, "r8-durability-order");
-        assert_eq!(hits.len(), 1, "set_len outside the head module: {hits:?}");
-        assert!(hits[0].2.contains("set_len"));
-    }
-
-    // -- call-graph integrity over the real workspace ------------------
+    // -- the real workspace ---------------------------------------------
 
     /// Workspace root for the real-tree tests. DCERT_REPO_ROOT lets the
     /// suite run from an out-of-tree copy of the crate (the workspace's
@@ -651,36 +466,13 @@ mod tests {
         }
     }
 
-    /// Every intra-workspace call edge must resolve; a dangling edge
-    /// would let R6 or R8 pass vacuously on the function it failed to
-    /// enter.
-    #[test]
-    fn workspace_call_graph_has_no_dangling_edges() {
-        let sources = super::load_sources(&repo_root()).expect("walk workspace");
-        let g = Graph::build(&sources);
-        let dangles: Vec<String> = g
-            .dangling
-            .iter()
-            .map(|d| format!("{}:{} {}", g.files[d.file].path, d.line, d.path))
-            .collect();
-        assert!(
-            dangles.is_empty(),
-            "dangling intra-workspace call edges:\n{}",
-            dangles.join("\n")
-        );
-        // The graph must be substantial, not vacuously empty.
-        let edges: usize = g.edges.iter().map(Vec::len).sum();
-        assert!(g.fns.len() > 200, "only {} fns parsed", g.fns.len());
-        assert!(edges > 300, "only {edges} call edges resolved");
-    }
-
-    /// The workspace itself must lint clean under all five rules with
+    /// The workspace itself must lint clean under all three rules with
     /// directives applied — removing any in-tree fix (or its documented
     /// allow) re-triggers the rule here.
     #[test]
     fn workspace_lints_clean_under_all_rules() {
         let sources = super::load_sources(&repo_root()).expect("walk workspace");
-        let (_, (findings, allows)) = super::analyze_workspace(&sources);
+        let (findings, allows) = super::analyze_workspace(&sources);
         let report: Vec<String> = findings
             .iter()
             .map(|(p, f)| format!("{p}:{}:{} {} {}", f.line, f.col, f.rule, f.msg))
@@ -786,10 +578,10 @@ mod tests {
     /// name none.
     #[test]
     fn rule_short_names_come_from_rules() {
-        assert_eq!(RULES.len(), 5);
-        assert!(RULES
-            .iter()
-            .all(|r| !r.starts_with("r2-") && !r.starts_with("r5-") && !r.starts_with("r7-")));
+        assert_eq!(
+            RULES,
+            ["r1-enclave-secrecy", "r3-determinism", "r4-error-hygiene"]
+        );
         let src = "// dcert-lint: allow(r4, reason = \"SP-side data\")\n\
                    fn get(v: &[u8]) -> Result<u8, String> {\n\
                    \x20   v.first().copied().ok_or_else(String::new)\n\

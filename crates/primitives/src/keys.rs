@@ -12,7 +12,8 @@
 //!
 //! The wrappers keep `ed25519-dalek` out of the public API of downstream
 //! crates and give the types canonical [`Encode`]/[`Decode`] forms so they
-//! can appear inside certificates.
+//! can appear inside certificates. The secret half travels only as
+//! [`SecretBytes`], which has neither.
 
 // The raw key and signature types are banned everywhere else
 // (`clippy.toml`): this module is their one home.
@@ -60,11 +61,11 @@ impl Keypair {
     /// Exports the 32-byte secret seed.
     ///
     /// Exists solely so trusted code can hand the secret to a *sealing*
-    /// mechanism (encrypted storage bound to the enclave); never write the
-    /// result anywhere in the clear.
+    /// mechanism (encrypted storage bound to the enclave); the result can
+    /// be neither printed nor encoded ([`SecretBytes`]).
     // dcert-lint: allow(r1-enclave-secrecy, reason = "definition site of the secret-key abstraction; call sites are confined to the trusted program modules by this same rule")
-    pub fn to_secret_bytes(&self) -> [u8; 32] {
-        self.signing.to_bytes()
+    pub fn to_secret_bytes(&self) -> SecretBytes {
+        SecretBytes::from(self.signing.to_bytes())
     }
 
     /// Signs a message.
@@ -77,6 +78,95 @@ impl fmt::Debug for Keypair {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         // Never print secret material.
         write!(f, "Keypair(public = {:?})", self.public())
+    }
+}
+
+/// Secret bytes: `sk_enc`'s seed, a trusted program's sealable state, the
+/// platform secret sealing keys derive from.
+///
+/// The type is the secrecy rule. It has no `Debug`, `Display`, `Clone`,
+/// [`Encode`] or `Hash` impl, so a secret cannot be formatted, copied,
+/// put on the wire or used as a map key; it can only be built, appended
+/// to, measured and compared (`PartialEq`, so tests can compare states).
+/// Its one reader, [`SecretBytes::expose`], is a `clippy.toml`
+/// `disallowed-methods` entry, lifted only where the bytes are sealed and
+/// where a sealed state is parsed back into a key.
+///
+/// Each refusal below has a compiling twin that differs only in its last
+/// line:
+///
+/// ```compile_fail,E0277
+/// use dcert_primitives::keys::SecretBytes;
+/// let s = SecretBytes::new(b"sk");
+/// let _ = format!("{:?}", s);
+/// ```
+/// ```
+/// use dcert_primitives::keys::SecretBytes;
+/// let s = SecretBytes::new(b"sk");
+/// let _ = format!("{:?}", s.len());
+/// ```
+/// ```compile_fail,E0599
+/// use dcert_primitives::keys::SecretBytes;
+/// let s = SecretBytes::new(b"sk");
+/// let _ = s.clone();
+/// ```
+/// ```
+/// use dcert_primitives::keys::SecretBytes;
+/// let s = SecretBytes::new(b"sk");
+/// let _ = s.len().clone();
+/// ```
+/// ```compile_fail,E0599
+/// use dcert_primitives::codec::Encode;
+/// use dcert_primitives::keys::SecretBytes;
+/// let s = SecretBytes::new(b"sk");
+/// let _ = s.to_encoded_bytes();
+/// ```
+/// ```
+/// use dcert_primitives::codec::Encode;
+/// use dcert_primitives::keys::SecretBytes;
+/// let s = SecretBytes::new(b"sk");
+/// let _ = s.len().to_encoded_bytes();
+/// ```
+#[derive(Default, PartialEq, Eq)]
+pub struct SecretBytes(Vec<u8>);
+
+impl SecretBytes {
+    /// Copies `bytes` into a secret.
+    pub fn new(bytes: &[u8]) -> Self {
+        SecretBytes(bytes.to_vec())
+    }
+
+    /// Length in bytes.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether the secret holds no bytes.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Appends `bytes`.
+    pub fn extend_from_slice(&mut self, bytes: &[u8]) {
+        self.0.extend_from_slice(bytes);
+    }
+
+    /// The bytes themselves. Banned by `clippy.toml` outside the sealing
+    /// code and the trusted program's state import.
+    pub fn expose(&self) -> &[u8] {
+        &self.0
+    }
+}
+
+impl From<Vec<u8>> for SecretBytes {
+    fn from(bytes: Vec<u8>) -> Self {
+        SecretBytes(bytes)
+    }
+}
+
+impl From<[u8; 32]> for SecretBytes {
+    fn from(bytes: [u8; 32]) -> Self {
+        SecretBytes(bytes.to_vec())
     }
 }
 

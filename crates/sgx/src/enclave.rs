@@ -3,7 +3,7 @@
 use std::time::Duration;
 
 use dcert_primitives::hash::{hash_concat, Hash};
-use dcert_primitives::keys::{Keypair, PublicKey};
+use dcert_primitives::keys::{Keypair, PublicKey, SecretBytes};
 use parking_lot::Mutex;
 
 use crate::attestation::Quote;
@@ -45,17 +45,18 @@ pub trait TrustedApp: Send {
 /// A trusted program whose secret state can be sealed to disk and
 /// restored on the same platform (the SGX sealing workflow; see
 /// [`crate::sealing`]). Export/import never cross the enclave boundary in
-/// the clear — [`Enclave::seal_state`] encrypts inside the boundary.
+/// the clear — [`Enclave::seal_state`] encrypts inside the boundary, and
+/// the state is [`SecretBytes`], which cannot be printed or encoded.
 pub trait Sealable {
     /// Serializes the secret state to seal.
-    fn export_state(&self) -> Vec<u8>;
+    fn export_state(&self) -> SecretBytes;
 
     /// Restores previously exported state.
     ///
     /// # Errors
     ///
     /// Returns [`SgxError::BadSeal`] if the bytes are malformed.
-    fn import_state(&mut self, state: &[u8]) -> Result<(), SgxError>;
+    fn import_state(&mut self, state: &SecretBytes) -> Result<(), SgxError>;
 }
 
 /// Counters describing everything the enclave boundary has done —
@@ -191,7 +192,7 @@ pub struct Enclave<A: TrustedApp> {
     platform: Keypair,
     /// Raw platform secret (the simulated fuse key) for sealing-key
     /// derivation; never exposed.
-    platform_secret: [u8; 32],
+    platform_secret: SecretBytes,
     cost: CostModel,
 }
 
@@ -222,7 +223,7 @@ impl<A: TrustedApp> Enclave<A> {
             }),
             measurement,
             platform: Keypair::from_seed(seed),
-            platform_secret: seed,
+            platform_secret: SecretBytes::from(seed),
             cost,
         }
     }
@@ -358,7 +359,7 @@ impl<A: TrustedApp + Sealable> Enclave<A> {
         blob: &SealedBlob,
     ) -> Result<Self, SgxError> {
         let measurement = measure(app.code_identity());
-        let state = sealing::unseal(&platform_seed, &measurement, blob)?;
+        let state = sealing::unseal(&SecretBytes::from(platform_seed), &measurement, blob)?;
         app.import_state(&state)?;
         Ok(Self::launch_with_platform_seed(app, cost, platform_seed))
     }

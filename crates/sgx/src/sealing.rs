@@ -17,6 +17,7 @@
 
 use dcert_primitives::codec::Encode;
 use dcert_primitives::hash::{hash_concat, Hash};
+use dcert_primitives::keys::SecretBytes;
 
 use crate::error::SgxError;
 
@@ -45,45 +46,60 @@ dcert_primitives::wire! {
     struct SealedBlob { measurement, nonce, ciphertext, mac }
 }
 
+/// Key material derived from the platform secret: the sealing key and
+/// each keystream block. Private and without `Debug`, so it leaves this
+/// module only as ciphertext and MAC.
+struct KeyMaterial(Hash);
+
 /// Derives the sealing key for (platform, measurement).
-fn sealing_key(platform_secret: &[u8; 32], measurement: &Hash) -> Hash {
-    hash_concat([b"seal:".as_slice(), platform_secret, measurement.as_bytes()])
+#[allow(clippy::disallowed_methods, reason = "the secret keys the seal")]
+fn sealing_key(platform_secret: &SecretBytes, measurement: &Hash) -> KeyMaterial {
+    KeyMaterial(hash_concat([
+        b"seal:".as_slice(),
+        platform_secret.expose(),
+        measurement.as_bytes(),
+    ]))
 }
 
-fn keystream_block(key: &Hash, nonce: &Hash, counter: u64) -> Hash {
-    hash_concat([
+fn keystream_block(key: &KeyMaterial, nonce: &Hash, counter: u64) -> KeyMaterial {
+    KeyMaterial(hash_concat([
         b"ks:".as_slice(),
-        key.as_bytes(),
+        key.0.as_bytes(),
         nonce.as_bytes(),
         &counter.to_be_bytes(),
-    ])
+    ]))
 }
 
-fn mac(key: &Hash, nonce: &Hash, ciphertext: &[u8]) -> Hash {
+fn mac(key: &KeyMaterial, nonce: &Hash, ciphertext: &[u8]) -> Hash {
     hash_concat([
         b"mac:".as_slice(),
-        key.as_bytes(),
+        key.0.as_bytes(),
         nonce.as_bytes(),
         ciphertext,
     ])
 }
 
-fn xor_stream(key: &Hash, nonce: &Hash, data: &[u8]) -> Vec<u8> {
+fn xor_stream(key: &KeyMaterial, nonce: &Hash, data: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(data.len());
     for (block_idx, chunk) in data.chunks(32).enumerate() {
         let ks = keystream_block(key, nonce, block_idx as u64);
-        out.extend(chunk.iter().zip(ks.as_bytes()).map(|(d, k)| d ^ k));
+        out.extend(chunk.iter().zip(ks.0.as_bytes()).map(|(d, k)| d ^ k));
     }
     out
 }
 
 /// Seals `plaintext` to (platform, measurement).
-pub fn seal(platform_secret: &[u8; 32], measurement: &Hash, plaintext: &[u8]) -> SealedBlob {
+#[allow(clippy::disallowed_methods, reason = "the plaintext is encrypted here")]
+pub fn seal(
+    platform_secret: &SecretBytes,
+    measurement: &Hash,
+    plaintext: &SecretBytes,
+) -> SealedBlob {
     let key = sealing_key(platform_secret, measurement);
     // Deterministic nonce from content (fine for the simulation: a given
     // enclave state seals to a stable blob).
-    let nonce = hash_concat([b"nonce:".as_slice(), key.as_bytes(), plaintext]);
-    let ciphertext = xor_stream(&key, &nonce, plaintext);
+    let nonce = hash_concat([b"nonce:".as_slice(), key.0.as_bytes(), plaintext.expose()]);
+    let ciphertext = xor_stream(&key, &nonce, plaintext.expose());
     let tag = mac(&key, &nonce, &ciphertext);
     SealedBlob {
         measurement: *measurement,
@@ -101,10 +117,10 @@ pub fn seal(platform_secret: &[u8; 32], measurement: &Hash, plaintext: &[u8]) ->
 /// Returns [`SgxError::BadSeal`] if the measurement does not match or the
 /// MAC fails (wrong platform, tampering).
 pub fn unseal(
-    platform_secret: &[u8; 32],
+    platform_secret: &SecretBytes,
     measurement: &Hash,
     blob: &SealedBlob,
-) -> Result<Vec<u8>, SgxError> {
+) -> Result<SecretBytes, SgxError> {
     if blob.measurement != *measurement {
         return Err(SgxError::BadSeal);
     }
@@ -112,7 +128,8 @@ pub fn unseal(
     if mac(&key, &blob.nonce, &blob.ciphertext) != blob.mac {
         return Err(SgxError::BadSeal);
     }
-    Ok(xor_stream(&key, &blob.nonce, &blob.ciphertext))
+    let plaintext = xor_stream(&key, &blob.nonce, &blob.ciphertext);
+    Ok(SecretBytes::from(plaintext))
 }
 
 #[cfg(test)]
@@ -121,70 +138,63 @@ mod tests {
     use dcert_primitives::codec::Decode;
     use dcert_primitives::hash::hash_bytes;
 
+    fn platform(byte: u8) -> SecretBytes {
+        SecretBytes::from([byte; 32])
+    }
+
     #[test]
     fn seal_unseal_round_trip() {
-        let platform = [7u8; 32];
         let measurement = hash_bytes(b"program");
-        let blob = seal(&platform, &measurement, b"secret key material");
-        assert_eq!(
-            unseal(&platform, &measurement, &blob).unwrap(),
-            b"secret key material"
-        );
+        let secret = SecretBytes::new(b"secret key material");
+        let blob = seal(&platform(7), &measurement, &secret);
+        assert!(unseal(&platform(7), &measurement, &blob) == Ok(secret));
     }
 
     #[test]
     fn other_platform_cannot_unseal() {
         let measurement = hash_bytes(b"program");
-        let blob = seal(&[7u8; 32], &measurement, b"secret");
-        assert_eq!(
-            unseal(&[8u8; 32], &measurement, &blob),
-            Err(SgxError::BadSeal)
-        );
+        let blob = seal(&platform(7), &measurement, &SecretBytes::new(b"secret"));
+        assert!(unseal(&platform(8), &measurement, &blob) == Err(SgxError::BadSeal));
     }
 
     #[test]
     fn other_program_cannot_unseal() {
-        let platform = [7u8; 32];
-        let blob = seal(&platform, &hash_bytes(b"program-a"), b"secret");
-        assert_eq!(
-            unseal(&platform, &hash_bytes(b"program-b"), &blob),
-            Err(SgxError::BadSeal)
+        let blob = seal(
+            &platform(7),
+            &hash_bytes(b"program-a"),
+            &SecretBytes::new(b"secret"),
         );
+        assert!(unseal(&platform(7), &hash_bytes(b"program-b"), &blob) == Err(SgxError::BadSeal));
     }
 
     #[test]
     fn tampered_ciphertext_detected() {
-        let platform = [7u8; 32];
         let measurement = hash_bytes(b"program");
-        let mut blob = seal(&platform, &measurement, b"secret");
+        let mut blob = seal(&platform(7), &measurement, &SecretBytes::new(b"secret"));
         blob.ciphertext[0] ^= 0xff;
-        assert_eq!(
-            unseal(&platform, &measurement, &blob),
-            Err(SgxError::BadSeal)
-        );
+        assert!(unseal(&platform(7), &measurement, &blob) == Err(SgxError::BadSeal));
     }
 
     #[test]
     fn ciphertext_hides_plaintext() {
-        let platform = [7u8; 32];
         let measurement = hash_bytes(b"program");
-        let blob = seal(&platform, &measurement, b"secret key material!!");
-        assert_ne!(blob.ciphertext.as_slice(), b"secret key material!!");
+        let plaintext = b"secret key material!!";
+        let blob = seal(&platform(7), &measurement, &SecretBytes::new(plaintext));
+        assert_ne!(blob.ciphertext.as_slice(), plaintext);
     }
 
     #[test]
     fn blob_codec_round_trip() {
-        let blob = seal(&[1u8; 32], &hash_bytes(b"p"), b"state");
+        let blob = seal(&platform(1), &hash_bytes(b"p"), &SecretBytes::new(b"state"));
         let decoded = SealedBlob::decode_all(&blob.to_encoded_bytes()).unwrap();
         assert_eq!(decoded, blob);
     }
 
     #[test]
     fn long_plaintexts_round_trip() {
-        let platform = [9u8; 32];
         let measurement = hash_bytes(b"program");
-        let data: Vec<u8> = (0..10_000).map(|i| (i % 251) as u8).collect();
-        let blob = seal(&platform, &measurement, &data);
-        assert_eq!(unseal(&platform, &measurement, &blob).unwrap(), data);
+        let data = SecretBytes::from((0..10_000).map(|i| (i % 251) as u8).collect::<Vec<u8>>());
+        let blob = seal(&platform(9), &measurement, &data);
+        assert!(unseal(&platform(9), &measurement, &blob) == Ok(data));
     }
 }

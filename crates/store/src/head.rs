@@ -23,13 +23,19 @@
 //!    certified digests, headers, prune marks) that must travel with the
 //!    watermark they were synced under,
 //! 3. the **sequence number** — total order over head writes.
+//!
+//! A `HeadCommitted` is the durability order as a type: a segment file
+//! may be deleted or shrunk only with one in hand (`seg_store`'s helpers
+//! take `&HeadCommitted`), and it is minted only here.
 
-use std::fs::File;
+use std::fs::{File, OpenOptions};
+use std::io::Read;
 use std::os::unix::fs::FileExt;
+use std::path::Path;
 
 use dcert_primitives::codec::{Decode, Encode};
 
-use crate::error::StoreError;
+use crate::error::{io_err, StoreError};
 use crate::frame::{append_frame, decode_framed, HEAD_MAGIC};
 
 /// File name of the first head slot.
@@ -123,6 +129,17 @@ impl HeadState {
     }
 }
 
+/// Witness that a head is durable: minted by [`SlotFile::rewrite`] after
+/// its data flush, and by [`read_head`] for the head `open` found (which
+/// disowned every segment recovery deletes). Not `Clone`, and dropped at
+/// the end of the call that minted it: a store holds none between calls.
+///
+/// This is as strong as the lexical rule it replaces, not stronger: it
+/// proves that *some* head commit precedes the delete on its path, not
+/// that this head is the one that stopped tracking the segment.
+#[must_use]
+pub(crate) struct HeadCommitted(());
+
 /// One head slot file, held open by the store once it exists.
 #[derive(Debug)]
 pub(crate) struct SlotFile {
@@ -146,15 +163,56 @@ impl SlotFile {
     /// Only ever called on the older slot: a crash part-way leaves
     /// `bytes[..c] ++ old[c..]`, which fails its CRC (or, after a complete
     /// write, its length check), so recovery falls back to the other slot.
-    pub(crate) fn rewrite(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+    #[allow(clippy::disallowed_methods, reason = "the commit shrinks its slot")]
+    pub(crate) fn rewrite(&mut self, bytes: &[u8]) -> std::io::Result<HeadCommitted> {
         self.file.write_all_at(bytes, 0)?;
         let len = bytes.len() as u64;
         if len < self.len {
             self.file.set_len(len)?;
         }
         self.len = len;
-        self.file.sync_data()
+        self.file.sync_data()?;
+        Ok(HeadCommitted(()))
     }
+}
+
+/// The head region as `open` finds it: both slot files (`[A, B]`, each
+/// `None` until first written), held open for later in-place rewrites,
+/// the authoritative head ([`choose_head`]), and the witness that it is
+/// durable.
+pub(crate) type FoundHead = ([Option<SlotFile>; 2], Option<HeadState>, HeadCommitted);
+
+/// Reads both head slots in `dir` and picks the authoritative head.
+///
+/// # Errors
+///
+/// [`StoreError::HeadCorrupt`] if a slot exists but none decodes;
+/// [`StoreError::Io`] on an operating-system failure.
+pub(crate) fn read_head(dir: &Path) -> Result<FoundHead, StoreError> {
+    let (file_a, slot_a) = open_slot(dir, HEAD_SLOT_A)?;
+    let (file_b, slot_b) = open_slot(dir, HEAD_SLOT_B)?;
+    let head = choose_head(slot_a, slot_b)?;
+    Ok(([file_a, file_b], head, HeadCommitted(())))
+}
+
+/// A head slot as recovery finds it: the file and its decoded state. Both
+/// are `None` when the slot does not exist yet.
+type FoundSlot = (Option<SlotFile>, Option<Result<HeadState, StoreError>>);
+
+fn open_slot(dir: &Path, name: &str) -> Result<FoundSlot, StoreError> {
+    let mut file = match OpenOptions::new()
+        .read(true)
+        .write(true)
+        .open(dir.join(name))
+    {
+        Ok(file) => file,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((None, None)),
+        Err(e) => return Err(io_err("head read")(e)),
+    };
+    let mut bytes = Vec::new();
+    file.read_to_end(&mut bytes).map_err(io_err("head read"))?;
+    let state = HeadState::decode_slot_file(name, &bytes);
+    Ok((Some(SlotFile::new(file, bytes.len() as u64)), Some(state)))
 }
 
 /// Picks the authoritative head among the two decoded slot attempts.

@@ -39,7 +39,7 @@
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use dcert_obs::{Counter, Gauge, Registry};
@@ -47,7 +47,7 @@ use dcert_primitives::Encode;
 
 use crate::error::{io_err, StoreError};
 use crate::frame::{append_frame, Record, SEGMENT_MAGIC};
-use crate::head::{choose_head, HeadState, SegmentMark, SlotFile, HEAD_SLOT_A, HEAD_SLOT_B};
+use crate::head::{read_head, HeadCommitted, HeadState, SegmentMark, SlotFile, HEAD_SLOT_A};
 use crate::segment::{parse_segment_file_name, read_segment, segment_file_name};
 use crate::Store;
 
@@ -190,9 +190,7 @@ impl SegmentStore {
         std::fs::create_dir_all(&config.dir).map_err(io_err("store mkdir"))?;
         let metrics = Metrics::new(&config.obs);
 
-        let (file_a, slot_a) = open_slot(&config.dir, HEAD_SLOT_A)?;
-        let (file_b, slot_b) = open_slot(&config.dir, HEAD_SLOT_B)?;
-        let head = choose_head(slot_a, slot_b)?;
+        let (heads, head, committed) = read_head(&config.dir)?;
         let on_disk = list_segments(&config.dir)?;
 
         let mut store = SegmentStore {
@@ -201,7 +199,7 @@ impl SegmentStore {
             metrics,
             // Placeholder; replaced below once the active segment is known.
             active: File::open("/dev/null").map_err(io_err("store open"))?,
-            heads: [file_a, file_b],
+            heads,
             metas: Vec::new(),
             records: Vec::new(),
             entries: BTreeMap::new(),
@@ -211,11 +209,18 @@ impl SegmentStore {
             report: RecoveryReport::default(),
             poisoned: None,
         };
-        store.recover(head, on_disk)?;
+        store.recover(head, on_disk, &committed)?;
         Ok(store)
     }
 
-    fn recover(&mut self, head: Option<HeadState>, on_disk: Vec<u32>) -> Result<(), StoreError> {
+    /// Replays what `head` covers. Every file it deletes or shrinks is one
+    /// that head already disowned (`committed`).
+    fn recover(
+        &mut self,
+        head: Option<HeadState>,
+        on_disk: Vec<u32>,
+        committed: &HeadCommitted,
+    ) -> Result<(), StoreError> {
         let head = head.unwrap_or_default();
 
         // Every segment the head marks durable must still be present.
@@ -241,7 +246,7 @@ impl SegmentStore {
                     .metadata()
                     .map(|m| m.len())
                     .map_err(io_err("segment metadata"))?;
-                std::fs::remove_file(&path).map_err(io_err("segment remove"))?;
+                remove_segment(&path, committed)?;
                 self.report.truncated_segments += 1;
                 self.report.truncated_bytes += dropped;
                 continue;
@@ -258,7 +263,7 @@ impl SegmentStore {
             if prev_torn {
                 // Nothing after a torn segment can be durable (checked
                 // above), so any remaining file is unreachable garbage.
-                std::fs::remove_file(&path).map_err(io_err("segment remove"))?;
+                remove_segment(&path, committed)?;
                 self.report.truncated_segments += 1;
                 self.report.truncated_bytes += scan.file_len;
                 continue;
@@ -268,7 +273,7 @@ impl SegmentStore {
             // the length test but still needs its header restored before
             // anything can be appended to it.
             if scan.torn() || scan.valid_len < SEGMENT_MAGIC.len() as u64 {
-                truncate_segment(&path, scan.valid_len)?;
+                truncate_segment(&path, scan.valid_len, committed)?;
                 self.report.truncated_segments += 1;
                 self.report.truncated_bytes += scan.file_len - scan.valid_len;
                 prev_torn = true;
@@ -394,7 +399,7 @@ impl SegmentStore {
     /// Rewrites the slot `state` names (the older one) with it, creating
     /// the slot file on its first write. A created slot's directory entry
     /// is fsynced before this returns (not counted in `store.fsyncs`).
-    fn write_head(&mut self, state: &HeadState) -> Result<(), StoreError> {
+    fn write_head(&mut self, state: &HeadState) -> Result<HeadCommitted, StoreError> {
         let bytes = state.encode_slot_file()?;
         let [a, b] = &mut self.heads;
         let held = if state.slot() == HEAD_SLOT_A { a } else { b };
@@ -406,38 +411,54 @@ impl SegmentStore {
                 0,
             )),
         };
-        slot.rewrite(&bytes).map_err(io_err("head write"))?;
+        let committed = slot.rewrite(&bytes).map_err(io_err("head write"))?;
         if created {
             sync_dir(&self.dir).map_err(io_err("head dir fsync"))?;
         }
-        Ok(())
+        Ok(committed)
+    }
+
+    /// [`Store::sync`]: flushes the active segment, then commits the next
+    /// head, whose witness it returns.
+    fn commit_head(&mut self) -> Result<HeadCommitted, StoreError> {
+        if self.poisoned.is_some() {
+            return Err(StoreError::Poisoned);
+        }
+        if let Err(e) = self.fsync_active() {
+            return Err(self.poison(e));
+        }
+        let state = HeadState {
+            seq: self.seq + 1,
+            durable_height: self.max_height,
+            segments: self
+                .metas
+                .iter()
+                .map(|m| SegmentMark {
+                    index: m.index,
+                    durable_len: m.len,
+                })
+                .collect(),
+            entries: self
+                .entries
+                .iter()
+                .map(|(k, v)| (k.clone(), v.clone()))
+                .collect(),
+        };
+        let committed = match self.write_head(&state) {
+            Ok(committed) => committed,
+            Err(e) => return Err(self.poison(e)),
+        };
+        self.metrics.fsyncs.inc();
+        self.metrics.head_writes.inc();
+        self.seq = state.seq;
+        self.durable_height = state.durable_height;
+        Ok(committed)
     }
 
     fn poison(&mut self, err: StoreError) -> StoreError {
         self.poisoned = Some(err.clone());
         err
     }
-}
-
-/// A head slot as recovery finds it: the file, held open for the store's
-/// later in-place rewrites, and its decoded state. Both are `None` when
-/// the slot does not exist yet.
-type FoundSlot = (Option<SlotFile>, Option<Result<HeadState, StoreError>>);
-
-fn open_slot(dir: &Path, name: &str) -> Result<FoundSlot, StoreError> {
-    let mut file = match OpenOptions::new()
-        .read(true)
-        .write(true)
-        .open(dir.join(name))
-    {
-        Ok(file) => file,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((None, None)),
-        Err(e) => return Err(io_err("head read")(e)),
-    };
-    let mut bytes = Vec::new();
-    file.read_to_end(&mut bytes).map_err(io_err("head read"))?;
-    let state = HeadState::decode_slot_file(name, &bytes);
-    Ok((Some(SlotFile::new(file, bytes.len() as u64)), Some(state)))
 }
 
 /// Fsyncs a directory, making the entries created in it durable.
@@ -457,9 +478,22 @@ fn list_segments(dir: &Path) -> Result<Vec<u32>, StoreError> {
     Ok(indices)
 }
 
+/// Unlinks a segment file that the durable head behind `_disowned` no
+/// longer tracks.
+#[allow(clippy::disallowed_methods, reason = "the one segment unlink")]
+fn remove_segment(path: &Path, _disowned: &HeadCommitted) -> Result<(), StoreError> {
+    std::fs::remove_file(path).map_err(io_err("segment remove"))
+}
+
 /// Truncates a torn segment to its intact prefix; a file whose magic was
-/// damaged is reset to a bare magic header.
-fn truncate_segment(path: &Path, valid_len: u64) -> Result<(), StoreError> {
+/// damaged is reset to a bare magic header. The cut bytes lie past the
+/// watermark of the durable head behind `_disowned`.
+#[allow(clippy::disallowed_methods, reason = "the one segment truncate")]
+fn truncate_segment(
+    path: &Path,
+    valid_len: u64,
+    _disowned: &HeadCommitted,
+) -> Result<(), StoreError> {
     if valid_len < SEGMENT_MAGIC.len() as u64 {
         std::fs::write(path, SEGMENT_MAGIC).map_err(io_err("segment truncate"))?;
         return Ok(());
@@ -516,37 +550,7 @@ impl Store for SegmentStore {
     }
 
     fn sync(&mut self) -> Result<(), StoreError> {
-        if self.poisoned.is_some() {
-            return Err(StoreError::Poisoned);
-        }
-        if let Err(e) = self.fsync_active() {
-            return Err(self.poison(e));
-        }
-        let state = HeadState {
-            seq: self.seq + 1,
-            durable_height: self.max_height,
-            segments: self
-                .metas
-                .iter()
-                .map(|m| SegmentMark {
-                    index: m.index,
-                    durable_len: m.len,
-                })
-                .collect(),
-            entries: self
-                .entries
-                .iter()
-                .map(|(k, v)| (k.clone(), v.clone()))
-                .collect(),
-        };
-        if let Err(e) = self.write_head(&state) {
-            return Err(self.poison(e));
-        }
-        self.metrics.fsyncs.inc();
-        self.metrics.head_writes.inc();
-        self.seq = state.seq;
-        self.durable_height = state.durable_height;
-        Ok(())
+        self.commit_head().map(drop)
     }
 
     fn put_head(&mut self, key: &str, value: Vec<u8>) -> Result<(), StoreError> {
@@ -582,8 +586,9 @@ impl Store for SegmentStore {
 
     /// Drops whole sealed segments whose every record is below `height`.
     /// Head-first ordering keeps this crash-safe: the head stops tracking
-    /// a segment before its file is unlinked, so recovery treats a
-    /// half-pruned file as an orphan and finishes the job.
+    /// a segment before its file is unlinked (the unlink needs the
+    /// commit's `HeadCommitted`), so recovery treats a half-pruned file
+    /// as an orphan and finishes the job.
     fn prune_below(&mut self, height: u64) -> Result<(), StoreError> {
         if self.poisoned.is_some() {
             return Err(StoreError::Poisoned);
@@ -605,10 +610,10 @@ impl Store for SegmentStore {
         self.records
             .drain(..dropped_records.min(self.records.len()));
         // Persist the shrunken segment list before unlinking anything.
-        self.sync()?;
+        let committed = self.commit_head()?;
         for meta in drop_metas {
             let path = self.dir.join(segment_file_name(meta.index));
-            if let Err(e) = std::fs::remove_file(&path).map_err(io_err("segment remove")) {
+            if let Err(e) = remove_segment(&path, &committed) {
                 return Err(self.poison(e));
             }
         }
@@ -621,6 +626,7 @@ impl Store for SegmentStore {
 mod tests {
     use super::*;
     use crate::frame::StreamId;
+    use crate::head::HEAD_SLOT_B;
     use crate::testutil::temp_dir;
 
     fn record(height: u64, fill: u8) -> Record {
@@ -866,6 +872,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::disallowed_methods, reason = "a crash test's raw delete")]
     fn missing_marked_segment_refuses() {
         let dir = temp_dir("missing-seg");
         let store = filled_store(&dir, 3);

@@ -96,10 +96,11 @@ impl std::fmt::Debug for WorkloadGen {
 }
 
 impl WorkloadGen {
-    /// Creates a generator with `senders` deterministic sender accounts.
+    /// Creates a generator with `senders` deterministic sender accounts;
+    /// it holds at least one, so `senders = 0` behaves as 1.
     pub fn new(workload: Workload, senders: usize, seed: u64) -> Self {
         let mut key_rng = StdRng::seed_from_u64(seed ^ 0x5eed_acc0);
-        let senders = (0..senders)
+        let senders = (0..senders.max(1))
             .map(|_| {
                 let mut key_seed = [0u8; 32];
                 key_rng.fill(&mut key_seed);
@@ -211,6 +212,14 @@ mod tests {
     use crate::blockbench_registry;
     use dcert_vm::{Executor, InMemoryState};
     use std::sync::Arc;
+
+    #[test]
+    fn a_zero_sender_generator_signs_with_one_sender() {
+        let tx = WorkloadGen::new(Workload::DoNothing, 0, 1).next_tx();
+        assert!(tx.verify().is_ok());
+        let one = WorkloadGen::new(Workload::DoNothing, 1, 1).next_tx();
+        assert_eq!(tx, one);
+    }
 
     #[test]
     fn generation_is_deterministic() {

@@ -32,6 +32,7 @@ use dcert::core::{
 };
 use dcert::obs::{Registry, Snapshot};
 use dcert::primitives::hash::Address;
+use dcert::primitives::keys::SecretBytes;
 use dcert::query::sp::IndexKind;
 use dcert::sgx::enclave::Sealable;
 use dcert::sgx::CostModel;
@@ -460,7 +461,7 @@ fn sealed_state_carries_watermark_and_refuses_key_only_blobs() {
         Vec::new(),
     );
     program
-        .import_state(&[])
+        .import_state(&SecretBytes::default())
         .expect("empty import clears state");
     assert_eq!(program.last_signed_height(), 0);
 
@@ -468,17 +469,20 @@ fn sealed_state_carries_watermark_and_refuses_key_only_blobs() {
     let mut with_watermark = vec![0x51; 32];
     with_watermark.extend_from_slice(&7u64.to_be_bytes());
     program
-        .import_state(&with_watermark)
+        .import_state(&SecretBytes::new(&with_watermark))
         .expect("40-byte import");
     assert_eq!(program.last_signed_height(), 7);
     let exported = program.export_state();
     assert_eq!(exported.len(), 40, "export = key ‖ watermark");
-    assert_eq!(&exported[32..], &7u64.to_be_bytes());
+    assert!(
+        exported == SecretBytes::new(&with_watermark),
+        "export = the imported key ‖ watermark"
+    );
 
     // The same bytes truncated to the key alone, or shorter, are malformed
     // and leave the imported state as it was.
     for len in [32, 16] {
-        let refused = program.import_state(&exported[..len]);
+        let refused = program.import_state(&SecretBytes::new(&with_watermark[..len]));
         assert_eq!(refused, Err(dcert::sgx::SgxError::BadSeal));
         assert_eq!(program.last_signed_height(), 7);
     }

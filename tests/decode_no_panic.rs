@@ -30,7 +30,7 @@ use dcert::merkle::{
 };
 use dcert::primitives::codec::{encode_seq, Decode, Encode, Tagged};
 use dcert::primitives::hash::{hash_bytes, Address, Hash};
-use dcert::primitives::keys::{Keypair, PublicKey, Signature};
+use dcert::primitives::keys::{Keypair, PublicKey, SecretBytes, Signature};
 use dcert::primitives::CodecError;
 use dcert::query::aggregate::{verify_aggregate, verify_aggregate_op, AggregateIndex};
 use dcert::query::history::{verify_history, verify_history_op, HistoryIndex};
@@ -303,7 +303,11 @@ fn sample_encodings() -> Vec<Probe> {
     lineage.apply_block(1, &[(key, Some(b"v".to_vec()))]);
     let (_, lineage_proof) = lineage.query(&key, 0, 10);
 
-    let sealed = sealing::seal(&[7; 32], &hash_bytes(b"program"), b"enclave state");
+    let sealed = sealing::seal(
+        &SecretBytes::from([7; 32]),
+        &hash_bytes(b"program"),
+        &SecretBytes::new(b"enclave state"),
+    );
 
     let record = Record::new(5, StreamId::Writes, b"page bytes".to_vec());
     let head_state = HeadState {

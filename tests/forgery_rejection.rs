@@ -664,7 +664,7 @@ fn a_refused_shape_changes_nothing() {
             };
             let before = state(program);
             assert_eq!(program.handle(request.clone()), Err(refusal.clone()));
-            assert_eq!(state(program), before, "{refusal:?} changed the program");
+            assert!(state(program) == before, "{refusal:?} changed the program");
         }
     };
     assert_eq!(program.last_signed_height(), 2);
@@ -786,7 +786,10 @@ fn offer(
     let sealed = program.export_state();
     let verdict = program.handle(request(input, indexes));
     if verdict.is_err() {
-        assert_eq!(program.export_state(), sealed, "a refusal changes nothing");
+        assert!(
+            program.export_state() == sealed,
+            "a refusal changes nothing"
+        );
     }
     let honest = program.handle(request(honest_input, honest_indexes));
     (verdict, honest.expect("the honest request is signed"))

@@ -80,7 +80,7 @@ use dcert::obs::Registry;
 use dcert::primitives::codec::{Decode, Encode, Tagged};
 use dcert::primitives::error::CodecError;
 use dcert::primitives::hash::{hash_bytes, Address, Hash, Hasher};
-use dcert::primitives::keys::Keypair;
+use dcert::primitives::keys::{Keypair, SecretBytes};
 use dcert::query::aggregate::AggregateIndex;
 use dcert::query::history::HistoryIndex;
 use dcert::query::sp::IndexKind;
@@ -1441,7 +1441,11 @@ fn wire_computed() -> Vec<(String, String)> {
     // Enclave artifacts.
     wire_row("AttestationReport", &cert.report, &mut out);
     wire_row("Certificate", &cert, &mut out);
-    let sealed = sealing::seal(&[7; 32], &hash_bytes(b"program"), b"enclave state");
+    let sealed = sealing::seal(
+        &SecretBytes::from([7; 32]),
+        &hash_bytes(b"program"),
+        &SecretBytes::new(b"enclave state"),
+    );
     wire_row("SealedBlob", &sealed, &mut out);
     let range = RangeCert {
         pk_range: kp.public(),

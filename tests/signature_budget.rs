@@ -163,7 +163,7 @@ fn journey(
             let sealed = twin.export_state();
             let (checked, refusal) = checks(|| twin.handle(forged));
             assert_eq!(refusal, Err(CertError::IndexDigestMismatch));
-            assert_eq!(twin.export_state(), sealed, "a refusal changes nothing");
+            assert!(twin.export_state() == sealed, "a refusal changes nothing");
             refused = checked;
         }
         let (enclave, signed) = checks(|| twin.handle(request).unwrap());

@@ -244,6 +244,7 @@ fn torn_rewrites(old: &[u8], new: &[u8]) -> Vec<Vec<u8>> {
 /// slot: slot A held seq 1 and is being overwritten by seq 3. Every blend
 /// falls back exactly one commit, to seq 2 in slot B.
 #[test]
+#[allow(clippy::disallowed_methods, reason = "a crash test's torn slot")]
 fn torn_in_place_rewrite_of_the_newest_slot_falls_back_one_commit() {
     let g = golden();
     let last = GOLDEN_BLOCKS as usize;
@@ -361,6 +362,7 @@ fn torn_in_place_rewrites_that_grow_or_shrink_the_slot_fall_back_one_commit() {
 /// typed error — recovering a plausible-but-unacknowledged state would
 /// be serving history the SP cannot account for.
 #[test]
+#[allow(clippy::disallowed_methods, reason = "a crash test's raw delete")]
 fn unrecoverable_damage_refuses_with_typed_errors() {
     let g = golden();
     let last = GOLDEN_BLOCKS as usize;
