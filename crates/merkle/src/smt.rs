@@ -42,15 +42,17 @@
 //!
 //! A proof is the sorted covered keys, each key's pre-state value hash, and
 //! one *evidence* item per maximal untouched subtree next to a covered
-//! path: empty, a single disclosed leaf, or a subtree with two or more
-//! leaves — its hash where the side beside it holds something (the branch
-//! the walk hashes over the two commits to that depth and those shared
-//! bits, which places it), its header `(bit, prefix, left, right)` where
-//! that side is empty and the subtree goes up the walk with nothing hashed
-//! over it: the walk then holds it to `prefix` parting from the covered
-//! keys at exactly this depth and `bit` lying below, as it holds a
-//! disclosed leaf's key. A bare hash beside an empty side and a header
-//! beside a live one are both refused, so a tree and a key set have one
+//! path: empty, or the subtree's hash where the side beside it holds
+//! something (the branch the walk hashes over the two commits to that depth
+//! and those shared bits, which places it, whether the subtree is one leaf
+//! or many). Where that side is empty the subtree goes up the walk with
+//! nothing hashed over it, so it discloses what it is: a single leaf its
+//! key and value hash, a subtree of several leaves its header `(bit,
+//! prefix, left, right)`. The walk then holds the key, or `prefix`, to
+//! parting from the covered keys at exactly this depth, and `bit` to lying
+//! below. A bare hash beside an empty side, and a disclosed leaf or header
+//! beside a live one (or as the whole tree of a proof of no key, which the
+//! trusted root places), are all refused, so a tree and a key set have one
 //! proof. Evidence is in depth-first order. The walk descends one
 //! key bit per level with the covered keys that share the path so far; at
 //! each level the keys split by that bit, the left side is finished first
@@ -235,26 +237,49 @@ impl Node {
         }
     }
 
-    /// What this node's hash commits to, if it is a branch.
-    fn header(&self) -> Option<Header> {
-        let Node::Branch {
-            bit,
-            rep,
-            left,
-            right,
-            ..
-        } = self
-        else {
-            return None;
-        };
-        Some(Header {
-            bit: *bit,
-            shared: prefix(rep, usize::from(*bit)),
-            left: left.hash(),
-            right: right.hash(),
-        })
+    /// What this node's hash commits to, disclosed where it passes up an
+    /// empty side: a leaf's key and value hash, a branch's header.
+    fn disclosed(&self) -> Option<Evidence> {
+        match self {
+            Node::Empty => None,
+            Node::Leaf {
+                key, value_hash, ..
+            } => Some(Evidence::Leaf {
+                key: *key,
+                value_hash: *value_hash,
+            }),
+            Node::Branch {
+                bit,
+                rep,
+                left,
+                right,
+                ..
+            } => Some(Evidence::Branch(Box::new(Header {
+                bit: *bit,
+                shared: prefix(rep, usize::from(*bit)),
+                left: left.hash(),
+                right: right.hash(),
+            }))),
+        }
+    }
+
+    /// The (left, right) children when viewed at `depth`: a branch's own
+    /// sides at its bit; above it, or for a leaf, the whole node on the side
+    /// its keys take, beside an empty one.
+    fn children(&self, depth: usize) -> (&Node, &Node) {
+        match self {
+            Node::Branch {
+                bit, left, right, ..
+            } if usize::from(*bit) == depth => (left, right),
+            _ if self.rep().is_some_and(|rep| rep.bit(depth)) => (&EMPTY, self),
+            _ => (self, &EMPTY),
+        }
     }
 }
+
+/// The empty subtree a node leaves beside itself where the proof walk
+/// descends through it a bit at a time.
+static EMPTY: Node = Node::Empty;
 
 fn make_branch(bit: usize, left: Node, right: Node) -> Node {
     debug_assert!(!left.is_empty() && !right.is_empty());
@@ -465,8 +490,7 @@ impl SparseMerkleTree {
         let spread = self.len() / sorted.len().max(1);
         let levels = usize::try_from(usize::BITS - spread.leading_zeros()).unwrap_or(0);
         let mut evidence = Vec::with_capacity(sorted.len().saturating_mul(levels + 2));
-        let whole = NodeView::from(&self.root);
-        Self::prove_rec(whole, 0, &sorted, false, &mut pre, &mut evidence);
+        Self::prove_rec(&self.root, 0, &sorted, false, &mut pre, &mut evidence);
         debug_assert_eq!(pre.len(), sorted.len());
         SmtProof {
             keys: sorted,
@@ -477,9 +501,10 @@ impl SparseMerkleTree {
 
     /// `passes` says the side beside this one is empty: what is found here
     /// then goes up the verifier's walk with no branch hashed over it, so a
-    /// subtree of several leaves has to bring its own header.
+    /// leaf has to disclose its key and a subtree of several leaves has to
+    /// bring its own header. Anywhere else a subtree travels as its hash.
     fn prove_rec(
-        node: NodeView<'_>,
+        node: &Node,
         depth: usize,
         keys: &[Hash],
         passes: bool,
@@ -487,25 +512,24 @@ impl SparseMerkleTree {
         evidence: &mut Vec<Evidence>,
     ) {
         match (keys, node) {
-            ([], NodeView::Empty) => push_empties(evidence, 1),
-            ([], NodeView::Leaf { key, value_hash }) => evidence.push(Evidence::Leaf {
-                key: *key,
-                value_hash: *value_hash,
-            }),
-            ([], NodeView::Branch(branch)) => {
-                let header = passes.then(|| branch.header()).flatten();
-                evidence.push(header.map_or(Evidence::Node(branch.hash()), |header| {
-                    Evidence::Branch(Box::new(header))
-                }));
+            ([], Node::Empty) => push_empties(evidence, 1),
+            ([], _) => {
+                let disclosed = passes.then(|| node.disclosed()).flatten();
+                evidence.push(disclosed.unwrap_or_else(|| Evidence::Node(node.hash())));
             }
             // A lone key over an empty subtree or over its own leaf: every
             // sibling from here down to depth 256 is empty, so the rest of
             // its path is one run.
-            ([_], NodeView::Empty) => {
+            ([_], Node::Empty) => {
                 push_empties(evidence, KEY_BITS.saturating_sub(depth));
                 pre.push(None);
             }
-            ([wanted], NodeView::Leaf { key, value_hash }) if key == wanted => {
+            (
+                [wanted],
+                Node::Leaf {
+                    key, value_hash, ..
+                },
+            ) if key == wanted => {
                 push_empties(evidence, KEY_BITS.saturating_sub(depth));
                 pre.push(Some(*value_hash));
             }
@@ -522,96 +546,28 @@ impl SparseMerkleTree {
     }
 }
 
-/// A borrowed view of a subtree, able to "virtually" descend through the
-/// compact representation bit by bit.
-#[derive(Clone, Copy)]
-enum NodeView<'a> {
-    Empty,
-    Leaf { key: &'a Hash, value_hash: &'a Hash },
-    Branch(&'a Node),
-}
-
-impl<'a> From<&'a Node> for NodeView<'a> {
-    fn from(node: &'a Node) -> Self {
-        match node {
-            Node::Empty => NodeView::Empty,
-            Node::Leaf {
-                key, value_hash, ..
-            } => NodeView::Leaf { key, value_hash },
-            branch @ Node::Branch { .. } => NodeView::Branch(branch),
-        }
-    }
-}
-
-impl<'a> NodeView<'a> {
-    fn is_empty(self) -> bool {
-        matches!(self, NodeView::Empty)
-    }
-
-    /// The (left, right) children when viewed at `depth`.
-    ///
-    /// A leaf or a branch that diverges deeper than `depth` occupies a
-    /// single side (by its shared-prefix bit); the other side is empty.
-    fn children(self, depth: usize) -> (NodeView<'a>, NodeView<'a>) {
-        match self {
-            NodeView::Empty => (NodeView::Empty, NodeView::Empty),
-            NodeView::Leaf { key, .. } => {
-                if key.bit(depth) {
-                    (NodeView::Empty, self)
-                } else {
-                    (self, NodeView::Empty)
-                }
-            }
-            NodeView::Branch(node) => {
-                let Node::Branch {
-                    bit,
-                    rep,
-                    left,
-                    right,
-                    ..
-                } = node
-                else {
-                    // `NodeView::Branch` only ever wraps `Node::Branch`
-                    // (see the `From<&Node>` impl above).
-                    return (NodeView::Empty, NodeView::Empty);
-                };
-                let bit = usize::from(*bit);
-                debug_assert!(depth <= bit);
-                if depth < bit {
-                    // The whole branch lives on one side at this depth.
-                    if rep.bit(depth) {
-                        (NodeView::Empty, self)
-                    } else {
-                        (self, NodeView::Empty)
-                    }
-                } else {
-                    (
-                        NodeView::from(left.as_ref()),
-                        NodeView::from(right.as_ref()),
-                    )
-                }
-            }
-        }
-    }
-}
-
 /// Evidence for the maximal untouched subtrees adjacent to the proof paths.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Evidence {
     /// This many consecutive subtrees (in proof order) are empty. One item
     /// per wire chunk: [`push_empties`] keeps adjacent runs merged.
     Empties(u16),
-    /// The subtree contains exactly one leaf (content disclosed so that
-    /// inserts/deletes near it can recompute divergence points).
+    /// A subtree of one leaf beside an *empty* side (or alone in the tree
+    /// under the trusted root), where no branch is hashed over it: the key
+    /// and value hash its leaf hash commits to, so the walk can hold it to
+    /// its position.
     Leaf { key: Hash, value_hash: Hash },
-    /// The subtree contains two or more leaves; only its root hash matters:
-    /// the branch the walk hashes over it and the live side beside it says
-    /// where it hangs.
+    /// A subtree of one or more leaves beside a live side, or the whole tree
+    /// of a proof that covers no key; only its root hash matters: the branch
+    /// the walk hashes over it and the live side beside it (or the trusted
+    /// root) says where it hangs. A leaf's hash does not depend on its
+    /// height, so an update that empties the side beside it passes this up
+    /// unchanged.
     Node(Hash),
-    /// The same subtree beside an *empty* side, where no such branch is
-    /// hashed: the header its root hash commits to, so the walk can hold it
-    /// to its position the way it holds a disclosed leaf. Boxed: a proof
-    /// carries few of these, and an item stays the size of a leaf.
+    /// A subtree of several leaves beside an *empty* side: the header its
+    /// root hash commits to, so the walk can hold it to its position the way
+    /// it holds a disclosed leaf. Boxed: a proof carries few of these, and an
+    /// item stays the size of a leaf.
     Branch(Box<Header>),
 }
 
@@ -664,27 +620,24 @@ pub struct SmtProof {
     evidence: Vec<Evidence>,
 }
 
-/// Result category of a recomputed subtree.
+/// A recomputed subtree: empty, or the hash of the leaves it holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Subtree {
     Empty,
-    /// A single leaf; carries the *leaf hash*.
-    One(Hash),
-    /// Two or more leaves; carries the branch hash.
-    Many(Hash),
+    Leaves(Hash),
 }
 
 impl Subtree {
     fn hash(self) -> Hash {
         match self {
             Subtree::Empty => Hash::ZERO,
-            Subtree::One(h) | Subtree::Many(h) => h,
+            Subtree::Leaves(h) => h,
         }
     }
 
     /// A key's own subtree: its leaf, or nothing when it is absent.
     fn of_key(key: &Hash, value_hash: Option<Hash>) -> Subtree {
-        value_hash.map_or(Subtree::Empty, |vh| Subtree::One(leaf_hash(key, &vh)))
+        value_hash.map_or(Subtree::Empty, |vh| Subtree::Leaves(leaf_hash(key, &vh)))
     }
 }
 
@@ -695,7 +648,7 @@ fn combine(depth: usize, under: &Hash, left: Subtree, right: Subtree) -> Subtree
         (Subtree::Empty, Subtree::Empty) => Subtree::Empty,
         // Pass-through: empty siblings are transparent in the compact tree.
         (Subtree::Empty, other) | (other, Subtree::Empty) => other,
-        (l, r) => Subtree::Many(branch_hash(depth, under, &l.hash(), &r.hash())),
+        (l, r) => Subtree::Leaves(branch_hash(depth, under, &l.hash(), &r.hash())),
     }
 }
 
@@ -733,8 +686,8 @@ const MEMO_LOST: ProofError = ProofError::Malformed(Cow::Borrowed("walk memo out
 // not part from the covered keys where the walk stands (or, a branch's, from
 // each other no deeper than that); a header that is not the one encoding of
 // a branch — a bit outside the key space, shared bits set at or below it; a
-// subtree known by its hash alone that no branch places; a header where one
-// does, for one tree has one encoding.
+// subtree known by its hash alone that no branch places; a disclosed leaf or
+// header where one does, for one tree has one encoding.
 const LEAF_MISPLACED: ProofError =
     ProofError::Malformed(Cow::Borrowed("leaf evidence outside subtree"));
 const BRANCH_MISPLACED: ProofError =
@@ -745,6 +698,8 @@ const SUBTREE_UNPLACED: ProofError =
     ProofError::Malformed(Cow::Borrowed("opaque subtree beside an empty side"));
 const HEADER_UNCALLED: ProofError =
     ProofError::Malformed(Cow::Borrowed("branch header beside a live side"));
+const LEAF_UNCALLED: ProofError =
+    ProofError::Malformed(Cow::Borrowed("disclosed leaf beside a live side"));
 
 impl SmtProof {
     /// The sorted set of keys this proof covers.
@@ -800,11 +755,9 @@ impl SmtProof {
         let mut frames = Vec::with_capacity(steps);
         let top = if self.keys.is_empty() {
             // No covered key: the whole tree is the one untouched subtree,
-            // and the trusted root is all that places it.
-            let (found, header) = cursor.take(|_, _| true)?;
-            if header == Some(true) {
-                return Err(HEADER_UNCALLED);
-            }
+            // and the trusted root places it as a live side would.
+            let (found, shown) = cursor.take(|_, _| true)?;
+            shown.check(false)?;
             Side::whole(found)
         } else {
             self.compute_rec::<SKIP_RUNS>(0, 0, self.keys.len(), &mut cursor, &mut frames)?
@@ -859,12 +812,12 @@ impl SmtProof {
         // this bit. An empty sibling is transparent to `combine`, so the
         // root comparison alone would let a subtree sit at any depth of an
         // otherwise empty path.
-        let mut header = None;
+        let mut shown = Shown::Empty;
         let mut side = |lo: usize, hi: usize, cursor: &mut Cursor<'_>, frames: &mut Vec<Frame>| {
             if lo == hi {
-                let (found, disclosed) =
+                let (found, how) =
                     cursor.take(|at, parts| diverge_bit(at, first) == depth && parts > depth)?;
-                header = disclosed;
+                shown = how;
                 Ok(Side::whole(found))
             } else {
                 self.compute_rec::<SKIP_RUNS>(depth + 1, lo, hi, cursor, frames)
@@ -875,13 +828,8 @@ impl SmtProof {
         // A subtree known by its hash alone is placed by the branch hashed
         // over it here, which commits to this depth and these shared bits —
         // unless the side beside it is empty and it passes through unhashed:
-        // then, and only then, it has to come with its own header.
-        let passes = left.found == Subtree::Empty || right.found == Subtree::Empty;
-        match header {
-            Some(false) if passes => return Err(SUBTREE_UNPLACED),
-            Some(true) if !passes => return Err(HEADER_UNCALLED),
-            _ => {}
-        }
+        // then, and only then, it has to disclose its leaf or its header.
+        shown.check(left.found == Subtree::Empty || right.found == Subtree::Empty)?;
         frames.push(Frame { left, right });
         Ok(Side {
             found: combine(depth, first, left.found, right.found),
@@ -984,6 +932,33 @@ impl Verified<'_> {
     }
 }
 
+/// How the cursor found an untouched subtree.
+#[derive(Clone, Copy)]
+enum Shown {
+    Empty,
+    /// By its hash alone.
+    Hash,
+    /// A single leaf, by its key and value hash.
+    Leaf,
+    /// Several leaves, by their branch's header.
+    Header,
+}
+
+impl Shown {
+    /// Refuses every encoding of a subtree but the one a tree has: `passes`
+    /// says the side beside it is empty, so no branch hashed over it places
+    /// it and it must disclose what it is; a live side, or the trusted root,
+    /// places it, so it must not.
+    fn check(self, passes: bool) -> Result<(), ProofError> {
+        match self {
+            Shown::Hash if passes => Err(SUBTREE_UNPLACED),
+            Shown::Leaf if !passes => Err(LEAF_UNCALLED),
+            Shown::Header if !passes => Err(HEADER_UNCALLED),
+            _ => Ok(()),
+        }
+    }
+}
+
 /// Reads a proof's evidence in order, one untouched subtree at a time.
 struct Cursor<'a> {
     items: std::slice::Iter<'a, Evidence>,
@@ -992,18 +967,17 @@ struct Cursor<'a> {
 }
 
 impl Cursor<'_> {
-    /// The next untouched subtree and, when it holds two or more leaves,
-    /// whether it came with its header. `belongs` says whether keys that
-    /// share the given bits, down to where they part, hang where the walk
-    /// stands; a leaf's key parts from nothing inside the key space.
+    /// The next untouched subtree and how it came. `belongs` says whether
+    /// keys that share the given bits, down to where they part, hang where
+    /// the walk stands; a leaf's key parts from nothing inside the key space.
     fn take(
         &mut self,
         belongs: impl FnOnce(&Hash, usize) -> bool,
-    ) -> Result<(Subtree, Option<bool>), ProofError> {
+    ) -> Result<(Subtree, Shown), ProofError> {
         loop {
             if let Some(rest) = self.empties.checked_sub(1) {
                 self.empties = rest;
-                return Ok((Subtree::Empty, None));
+                return Ok((Subtree::Empty, Shown::Empty));
             }
             match self
                 .items
@@ -1015,9 +989,9 @@ impl Cursor<'_> {
                     if !belongs(key, KEY_BITS) {
                         return Err(LEAF_MISPLACED);
                     }
-                    return Ok((Subtree::One(leaf_hash(key, value_hash)), None));
+                    return Ok((Subtree::Leaves(leaf_hash(key, value_hash)), Shown::Leaf));
                 }
-                Evidence::Node(hash) => return Ok((Subtree::Many(*hash), Some(false))),
+                Evidence::Node(hash) => return Ok((Subtree::Leaves(*hash), Shown::Hash)),
                 Evidence::Branch(header) => {
                     let bit = usize::from(header.bit);
                     if !belongs(&header.shared, bit) {
@@ -1026,7 +1000,7 @@ impl Cursor<'_> {
                     if bit >= KEY_BITS || prefix(&header.shared, bit) != header.shared {
                         return Err(HEADER_MALFORMED);
                     }
-                    return Ok((Subtree::Many(header.hash()), Some(true)));
+                    return Ok((Subtree::Leaves(header.hash()), Shown::Header));
                 }
             }
         }
@@ -1564,23 +1538,29 @@ mod tests {
         },
     };
 
-    /// The header of the branch under `node` that hashes to `hash`.
-    fn header_of(node: &Node, hash: &Hash) -> Option<Header> {
-        let Node::Branch { left, right, .. } = node else {
-            return None;
-        };
-        if node.hash() == *hash {
-            return node.header();
+    /// What the subtree under `node` that hashes to `hash` would disclose
+    /// beside an empty side — its leaf, or its branch's header — and the
+    /// refusal that meets the disclosure anywhere else.
+    fn disclosure_of(node: &Node, hash: &Hash) -> Option<(Evidence, ProofError)> {
+        match node {
+            Node::Leaf { .. } if node.hash() == *hash => Some((node.disclosed()?, LEAF_UNCALLED)),
+            Node::Branch { .. } if node.hash() == *hash => {
+                Some((node.disclosed()?, HEADER_UNCALLED))
+            }
+            Node::Branch { left, right, .. } => {
+                disclosure_of(left, hash).or_else(|| disclosure_of(right, hash))
+            }
+            _ => None,
         }
-        header_of(left, hash).or_else(|| header_of(right, hash))
     }
 
     /// Every lie about where a subtree belongs that the frame forgers can
     /// tell — about a header the honest proof of `touched` has to carry,
     /// and to make each key of `present` read as absent; left unchecked,
-    /// those commit to the genuine root — and the one they cannot, knowing
+    /// those commit to the genuine root — and the ones they cannot, knowing
     /// no tree: that proof with a bare hash, which the branch above places,
-    /// replaced by the header it stands for. Each with the refusal it meets.
+    /// replaced by the leaf or the header it stands for. Each with the
+    /// refusal it meets.
     fn position_lies(
         tree: &SparseMerkleTree,
         touched: &[Hash],
@@ -1609,9 +1589,10 @@ mod tests {
             let Evidence::Node(hash) = item else {
                 return None;
             };
+            let (disclosed, refusal) = disclosure_of(&tree.root, hash)?;
             let mut lie = proof.clone();
-            lie.evidence[at] = Evidence::Branch(Box::new(header_of(&tree.root, hash)?));
-            Some((lie, HEADER_UNCALLED))
+            lie.evidence[at] = disclosed;
+            Some((lie, refusal))
         });
         lies.chain(uncalled).collect()
     }
@@ -1650,6 +1631,11 @@ mod tests {
         }
         let reached = assert_refused(&tree, position_lies(&tree, &[], &[key("k7")]));
         assert!(reached.contains(&SUBTREE_UNPLACED));
+        // A lone leaf is placed by the trusted root as a branch is.
+        let mut lone = SparseMerkleTree::new();
+        lone.insert(key("k7"), vec![7]);
+        let reached = assert_refused(&lone, position_lies(&lone, &[], &[]));
+        assert_eq!(reached, [LEAF_UNCALLED]);
 
         let pool = crowded_keys();
         let mut tree = SparseMerkleTree::new();
@@ -1668,6 +1654,7 @@ mod tests {
             HEADER_MALFORMED,
             SUBTREE_UNPLACED,
             HEADER_UNCALLED,
+            LEAF_UNCALLED,
             ProofError::RootMismatch,
         ] {
             assert!(reached.contains(&named), "{named} not reached");

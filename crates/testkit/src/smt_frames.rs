@@ -13,9 +13,11 @@
 //! and the evidence chunks — tag 0 and a `u16` run of empty subtrees, tag 1
 //! and a leaf's key and value hash, tag 2 and a subtree's hash, tag 3 and a
 //! branch header: the `u16` bit its keys part at, the bits they share above
-//! it, its left and right side. Integers are big-endian. A lone key's
-//! evidence is one subtree per level: its left siblings from the top down,
-//! then its right siblings from the bottom up.
+//! it, its left and right side. An honest prover sends tags 1 and 3 only
+//! beside an empty side, where no branch hashed over the subtree places it,
+//! and tag 2 for a subtree of one leaf or many everywhere else. Integers
+//! are big-endian. A lone key's evidence is one subtree per level: its left
+//! siblings from the top down, then its right siblings from the bottom up.
 
 use std::ops::Range;
 

@@ -64,17 +64,9 @@ counters=(primitives.sig_verifies primitives.sig_signs primitives.sha256_blocks 
 spans=(chain.mine_us query.sp.stage_us core.ci.certify_us core.archive.publish_us
     core.superlight.sync_us)
 
-# counter FILE METRIC: the metric's value in the run's JSON line, else in
-# its table (end-to-end metrics are only there).
+# counter FILE METRIC: the metric's value in that run's output.
 counter() {
-    awk -v name="$2" '
-        $1 == name && $2 ~ /^[-0-9.eE+]+$/ { table = $2 }
-        /^\{/ && match($0, "\"" name "\":\\{\"unit\":\"[^\"]*\",\"value\":[-0-9.eE+]+") {
-            json = substr($0, RSTART, RLENGTH)
-            sub(/.*"value":/, "", json)
-        }
-        END { print json != "" ? json : table }
-    ' "$1"
+    awk -v name="$2" -f scripts/counter.awk "$1"
 }
 
 # SIDE PAIR METRIC VALUE DIRECTION, one line per end-to-end metric of a run:

@@ -1264,6 +1264,44 @@ fn smt_branch_headers_anywhere_are_refused_not_panicked() {
     }
 }
 
+/// The disclosed-leaf evidence item (tag 1) put where the honest prover
+/// never puts it: in place of every item of a proof in turn, as each leaf
+/// of the tree with its true value hash and as a leaf the tree does not
+/// hold. Each frame decodes, and the verifier refuses it — typed, no panic;
+/// where a leaf stands in for its own hash beside a live side, with the
+/// refusal that names that.
+#[test]
+fn smt_disclosed_leaves_anywhere_are_refused_not_panicked() {
+    let leaf = |i: u32| (hash_bytes(format!("k{i}")), hash_bytes([i as u8]));
+    let mut tree = SparseMerkleTree::new();
+    for i in 0..20u32 {
+        tree.insert(leaf(i).0, vec![i as u8]);
+    }
+    let covered = [hash_bytes("k3"), hash_bytes("k11"), hash_bytes("missing")];
+    let frame = tree.prove(&covered).to_encoded_bytes();
+    let chunks = smt_frames::chunks(&frame);
+    assert!(chunks.len() > 8 && chunks.last().map(|chunk| chunk.end) == Some(frame.len()));
+    let stranger = (hash_bytes("stranger"), hash_bytes(b"v"));
+    let beside_live = Some(ProofError::Malformed(
+        "disclosed leaf beside a live side".into(),
+    ));
+    let mut named = 0;
+    for chunk in &chunks {
+        for (key, value_hash) in (0..20).map(leaf).chain([stranger]) {
+            let item = [&[1][..], key.as_bytes(), value_hash.as_bytes()].concat();
+            if frame[chunk.clone()] == item[..] {
+                continue; // the honest disclosure of a leaf beside an empty side
+            }
+            let mutant = [&frame[..chunk.start], &item, &frame[chunk.end..]].concat();
+            let proof = SmtProof::decode_all(&mutant).expect("a leaf is a well-formed item");
+            let refusal = proof.verify(&tree.root()).err();
+            assert!(refusal.is_some(), "leaf {key} at {chunk:?}");
+            named += usize::from(refusal == beside_live);
+        }
+    }
+    assert!(named > 0, "no leaf stood in for its own hash");
+}
+
 /// Mutated certificates never panic and never validate.
 #[test]
 fn prop_bitflipped_certificates_safe() {

@@ -23,6 +23,10 @@ const EPC_BUDGET: usize = 4 * 1024 * 1024;
 /// Stateless ECalls sent to one enclave.
 const ECALLS: usize = 1_000;
 
+/// Transactions in the block every ECall carries: enough that the
+/// [`ECALLS`] requests together cross several EPCs' worth of bytes.
+const TXS: usize = 48;
+
 /// The ablation's budget with every time charge at zero: the paging
 /// accounting is what is under test, not the clock.
 fn cost() -> CostModel {
@@ -48,7 +52,7 @@ fn a_thousand_stateless_ecalls_page_nothing_and_an_over_budget_naive_request_pag
         ..Setup::poa(cost())
     });
     let mut gen = WorkloadGen::new(Workload::KvStore { keyspace: KEYS }, 64, 42);
-    let block = miner.propose(gen.next_block(32), 1).expect("proposes");
+    let block = miner.propose(gen.next_block(TXS), 1).expect("proposes");
     let calls: Vec<_> = block.txs.iter().map(|t| t.call.clone()).collect();
     let execution = executor.execute_block(&state, &calls);
     let request = EcallRequest::Certify {

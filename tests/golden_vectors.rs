@@ -13,8 +13,12 @@
 //! re-captured at PR 21, the commit after 328719a: the upper level of the
 //! two-level index became the sparse Merkle tree — one single-key proof a
 //! query, one multiproof an update — so every digest, aux payload and proof
-//! envelope moved, once. Every `mb/*` and `agg/*` row is byte-identical to
-//! 848016d: the B+-tree and its window proof were not touched.)
+//! envelope moved, once. At the commit after b725985, the three
+//! `history/{3,4,16}/op_proof` rows moved again, with the single-key upper
+//! proof each carries: a lone leaf beside a live side crosses as its hash.
+//! No `aux`, `digest` or `aggregate/*` row moved. Every `mb/*` and `agg/*`
+//! row is byte-identical to 848016d: the B+-tree and its window proof were
+//! not touched.)
 //!
 //! `CERT_GOLDEN` does the same for certification: it was captured at
 //! commit ea994e5, while `CertificateIssuer`, `CertPipeline` and
@@ -57,6 +61,14 @@
 //! augmented 22564 → 22552 / 780 → 828, hierarchical 15577 → 15601 / 1182,
 //! fleet1 / fleet2 response 683 → 695 / 781 → 797 (3 / 4 range answers);
 //! `marshal_reuse_bytes=` follows the request lengths.
+//! At the commit after b725985, a lone leaf beside a live side
+//! crosses in an SMT proof as its 32-byte hash instead of its key and value
+//! hash (`smt.rs`, "Proof layout"), so every `…/work` row's `request_bytes=`
+//! and `marshal_reuse_bytes=` moved with the state proofs and the index
+//! updates' aux, and nothing else did: `request_bytes=` block 9619 → 9267,
+//! batch 8395 → 8043, augmented 22552 → 21688, hierarchical 15601 → 15089
+//! (the same on `pipeline1`), fleet1 9039 → 8687, fleet2 9463 → 9111. No
+//! `…/stream` row moved.
 //!
 //! To re-capture (only ever legitimate at a commit that intends to break
 //! the wire format): empty the table, run the test, paste the table it
@@ -253,7 +265,7 @@ const GOLDEN: &[(&str, &str)] = &[
     ("history/3/digest", "55d85e08301106c0d61a6cf47b183845c01a78a5996e39cc1b6ea944a99b9965"),
     ("aggregate/3/aux", "24fb8650fc83bad810c2c8bcc1ae74834f43195d4289e42d3f90ba06405362d0"),
     ("aggregate/3/digest", "718d05b06740541ec28f75dae5e57931552af1af734756e8ae11fda6f54042ca"),
-    ("history/3/op_proof", "a05b56599a22166ca91b8dfaac9d21d2a2b698cf7b71b33aab47b22a63ee8e74"),
+    ("history/3/op_proof", "b584216a7b84ebc5d302b8f07039a160ef4143b12fe76acdc13bbaf91db7cbb3"),
     ("aggregate/3/op_proof", "27109a1724237f8cf60cde82d65e97809fc6bc5e2eac07fa207c2b6c9183b3ad"),
     ("mb/4/root/0", "f25b2d62a80ba5a055bbc81d8967b7cf0bc8db9c2ed091edf97537e87bb5ee92"),
     ("agg/4/root/0", "604304e944019e1fd82e27c1b290a634f2f3415aa61aa1604e25d40dd17e311a"),
@@ -303,7 +315,7 @@ const GOLDEN: &[(&str, &str)] = &[
     ("history/4/digest", "892ff04dc92da5dd70b083dad39bc77bdebe74240647d6b52bf57fd97ca29c90"),
     ("aggregate/4/aux", "24fb8650fc83bad810c2c8bcc1ae74834f43195d4289e42d3f90ba06405362d0"),
     ("aggregate/4/digest", "7be15f634963ead2f9bb3a406c0af9c6f1cea6d590a90f9521f318fd064f6094"),
-    ("history/4/op_proof", "6d239e94e1345d8821fe196ad932a94f9fc865687f7bb0544076792b2184fb55"),
+    ("history/4/op_proof", "45d779a3b56c264ae5b0bccd2cb742ab2a3d340b7dca69d4250a3c2defbe9d39"),
     ("aggregate/4/op_proof", "81c7f670985c8119f6c917e6f8d7449ca12121ace43567c999ca2a6fb62047a6"),
     ("mb/16/root/0", "f25b2d62a80ba5a055bbc81d8967b7cf0bc8db9c2ed091edf97537e87bb5ee92"),
     ("agg/16/root/0", "604304e944019e1fd82e27c1b290a634f2f3415aa61aa1604e25d40dd17e311a"),
@@ -353,7 +365,7 @@ const GOLDEN: &[(&str, &str)] = &[
     ("history/16/digest", "313106055c64deccfc6f287f75f0948d9f0d0274f95672fc4102d467bd4c8498"),
     ("aggregate/16/aux", "6ab77bfe42b1a3a288c22ab5ab02081712a1f4248c4bc2bce6323cef5366558d"),
     ("aggregate/16/digest", "123cd88f66d2208250eca9ff5fa1a375263cf1715b4c8a2763eedf3aa6f24abb"),
-    ("history/16/op_proof", "a4342316bd7c53ed7c7ba0a3e29e542142e22fa023bfd7a78560b2ee56c4c3e0"),
+    ("history/16/op_proof", "2be5466556b71dbdc5b0a391816c4cdbb034f141c1f6834fb0ef7731f73751f4"),
     ("aggregate/16/op_proof", "9cd03f940bb75ddf16b5c78945bca61f0f4e4e90cb30cb37cf64a51510636204"),
 ];
 
@@ -606,25 +618,25 @@ fn certification_engines_reproduce_parent_commit_streams() {
 #[rustfmt::skip]
 const CERT_GOLDEN: &[(&str, &str)] = &[
     ("cert/sequential/block/stream", "756d9a5c3ee068b4da6fd4dd1c0e79d26a598efde7412901dbb8546fa9998538"),
-    ("cert/sequential/block/work", "certs=6 ecalls=6 request_bytes=9619 response_bytes=414 marshal_reuse_bytes=7604"),
+    ("cert/sequential/block/work", "certs=6 ecalls=6 request_bytes=9267 response_bytes=414 marshal_reuse_bytes=7380"),
     ("cert/sequential/batch/stream", "1ebb4a09d626bf697193bdde7965e1c14b549636539c7d147862acde272ba843"),
-    ("cert/sequential/batch/work", "certs=3 ecalls=3 request_bytes=8395 response_bytes=207 marshal_reuse_bytes=5080"),
+    ("cert/sequential/batch/work", "certs=3 ecalls=3 request_bytes=8043 response_bytes=207 marshal_reuse_bytes=4876"),
     ("cert/sequential/augmented/stream", "aa8595d15a547fc311ca23d28510aaf8456108fa89814932c30bf9023ecf6378"),
-    ("cert/sequential/augmented/work", "certs=12 ecalls=12 request_bytes=22552 response_bytes=828 marshal_reuse_bytes=19970"),
+    ("cert/sequential/augmented/work", "certs=12 ecalls=12 request_bytes=21688 response_bytes=828 marshal_reuse_bytes=19234"),
     ("cert/sequential/hierarchical/stream", "a77317f1df6343584041bd3a96986a4af2a1a1b9a5872418a241a4755a568d1b"),
-    ("cert/sequential/hierarchical/work", "certs=18 ecalls=6 request_bytes=15601 response_bytes=1182 marshal_reuse_bytes=12398"),
+    ("cert/sequential/hierarchical/work", "certs=18 ecalls=6 request_bytes=15089 response_bytes=1182 marshal_reuse_bytes=12014"),
     ("cert/pipeline1/block/stream", "756d9a5c3ee068b4da6fd4dd1c0e79d26a598efde7412901dbb8546fa9998538"),
-    ("cert/pipeline1/block/work", "certs=6 ecalls=6 request_bytes=9619 response_bytes=414 marshal_reuse_bytes=7604"),
+    ("cert/pipeline1/block/work", "certs=6 ecalls=6 request_bytes=9267 response_bytes=414 marshal_reuse_bytes=7380"),
     ("cert/pipeline1/batch/stream", "1ebb4a09d626bf697193bdde7965e1c14b549636539c7d147862acde272ba843"),
-    ("cert/pipeline1/batch/work", "certs=3 ecalls=3 request_bytes=8395 response_bytes=207 marshal_reuse_bytes=5080"),
+    ("cert/pipeline1/batch/work", "certs=3 ecalls=3 request_bytes=8043 response_bytes=207 marshal_reuse_bytes=4876"),
     ("cert/pipeline1/augmented/stream", "aa8595d15a547fc311ca23d28510aaf8456108fa89814932c30bf9023ecf6378"),
-    ("cert/pipeline1/augmented/work", "certs=12 ecalls=12 request_bytes=22552 response_bytes=828 marshal_reuse_bytes=19970"),
+    ("cert/pipeline1/augmented/work", "certs=12 ecalls=12 request_bytes=21688 response_bytes=828 marshal_reuse_bytes=19234"),
     ("cert/pipeline1/hierarchical/stream", "a77317f1df6343584041bd3a96986a4af2a1a1b9a5872418a241a4755a568d1b"),
-    ("cert/pipeline1/hierarchical/work", "certs=18 ecalls=6 request_bytes=15601 response_bytes=1182 marshal_reuse_bytes=12398"),
+    ("cert/pipeline1/hierarchical/work", "certs=18 ecalls=6 request_bytes=15089 response_bytes=1182 marshal_reuse_bytes=12014"),
     ("cert/fleet1/stream", "756d9a5c3ee068b4da6fd4dd1c0e79d26a598efde7412901dbb8546fa9998538"),
-    ("cert/fleet1/work", "certs=6 ecalls=7 request_bytes=9039 response_bytes=695 marshal_reuse_bytes=0"),
+    ("cert/fleet1/work", "certs=6 ecalls=7 request_bytes=8687 response_bytes=695 marshal_reuse_bytes=0"),
     ("cert/fleet2/stream", "756d9a5c3ee068b4da6fd4dd1c0e79d26a598efde7412901dbb8546fa9998538"),
-    ("cert/fleet2/work", "certs=6 ecalls=9 request_bytes=9463 response_bytes=797 marshal_reuse_bytes=0"),
+    ("cert/fleet2/work", "certs=6 ecalls=9 request_bytes=9111 response_bytes=797 marshal_reuse_bytes=0"),
 ];
 
 // --- sparse Merkle multiproofs --------------------------------------------------
@@ -637,6 +649,13 @@ const CERT_GOLDEN: &[(&str, &str)] = &[
 // its header (+66 bytes each: three on the `blocks_io` shape, none on the
 // others, whose absent keys part from the tree beside a leaf). Rows without
 // a branch — the empty tree, one leaf — kept their values.
+// At the commit after b725985, a single-leaf subtree beside a live
+// side (or as the whole tree of a proof of no key) became its 33-byte hash
+// item instead of a 65-byte disclosed leaf: every `/proof` row and these
+// `/bytes` rows moved — `blocks_io` 155059 → 123731, `deep_prefixes`
+// 1034 → 842, `deep_absent_pair` 447 → 415, `no_keys/one_leaf` 77 → 45,
+// `one_present` 345 → 281, `one_absent` 343 → 311 — and no root row and
+// no updated-root row did: the hash rules are as they were.
 
 /// Four rows per key set: the SHA-256 of the encoded `prove` output, its
 /// byte length, the root it verifies against, and the root after a fixed
@@ -771,40 +790,40 @@ fn smt_multiproofs_reproduce_parent_commit_bytes() {
 
 #[rustfmt::skip]
 const SMT_GOLDEN: &[(&str, &str)] = &[
-    ("smt/blocks_io/proof", "0480f3d93cceec32143a4cc05e7e39b288c840230c61b724c2ab881db621ccda"),
-    ("smt/blocks_io/bytes", "155059"),
+    ("smt/blocks_io/proof", "6ab31b3b847dbcbe4d4c9e96ec015c1133b6c38cce09bf6762647e71c29d3cf6"),
+    ("smt/blocks_io/bytes", "123731"),
     ("smt/blocks_io/root", "372bb4cbfefed24229356a0862249c36797f1a3509f85d8271178603e4a31be2"),
     ("smt/blocks_io/updated", "8040fcbbab22ad7d93c83eb08fc419da9e1060c152544c031c2f1a5a415f33f5"),
     ("smt/empty_tree_300/proof", "02dab4463946006f95a2ce1caf3bead92b18c673bbb20b139afd35975f2386fb"),
     ("smt/empty_tree_300/bytes", "9918"),
     ("smt/empty_tree_300/root", "0000000000000000000000000000000000000000000000000000000000000000"),
     ("smt/empty_tree_300/updated", "8335286d7098ecf69220731f54017979511d924761c795a898c3699f066abb2e"),
-    ("smt/deep_prefixes/proof", "087406e271d8e72a9809baa7c9d89c7344a2c81c31aa0de0f903f44583bed4c4"),
-    ("smt/deep_prefixes/bytes", "1034"),
+    ("smt/deep_prefixes/proof", "4fdda8ed628d9cc4565d2be9b8ad490a3878117bcb31e0710ed224e56033fdef"),
+    ("smt/deep_prefixes/bytes", "842"),
     ("smt/deep_prefixes/root", "8584c2b9262c81159f51c709ee795898af96079062560cd812faea3839f5d7d4"),
     ("smt/deep_prefixes/updated", "62af5b8d9897c5dd516b3daf6aa7a17a80a02539a3ba542d9272f0da2cdeb8c2"),
-    ("smt/deep_absent_pair/proof", "60997555ce7c971a9b57fc36187c9a9df1ce5354f600b6d0600c06ae67dbb762"),
-    ("smt/deep_absent_pair/bytes", "447"),
+    ("smt/deep_absent_pair/proof", "41f7a2edd17fbd04b10d15b183385f61529f42e5d521712c9bc0f0ad6c00ec45"),
+    ("smt/deep_absent_pair/bytes", "415"),
     ("smt/deep_absent_pair/root", "8584c2b9262c81159f51c709ee795898af96079062560cd812faea3839f5d7d4"),
     ("smt/deep_absent_pair/updated", "4c83bfef90201d660dda2af05f4dde15cdeadecef9cb2f8b4d467f3f06e47b8c"),
     ("smt/no_keys/empty_tree/proof", "e605996b7ab132f21c3c80bf8b74dc895e92146a404c58180cbb822c04212793"),
     ("smt/no_keys/empty_tree/bytes", "15"),
     ("smt/no_keys/empty_tree/root", "0000000000000000000000000000000000000000000000000000000000000000"),
     ("smt/no_keys/empty_tree/updated", "0000000000000000000000000000000000000000000000000000000000000000"),
-    ("smt/no_keys/one_leaf/proof", "6ba2eaca303921db61c60ecbfe3787845c832cfbde72cd127ebc4a4ed5fb8e0e"),
-    ("smt/no_keys/one_leaf/bytes", "77"),
+    ("smt/no_keys/one_leaf/proof", "1dc6255e4ce103c7d2c9c84124115444f4d1ae544876f2ab66d5b882646b32ec"),
+    ("smt/no_keys/one_leaf/bytes", "45"),
     ("smt/no_keys/one_leaf/root", "8c99dd5b1925a03e9ab8f7ae53f744a1fda696f53bcd1092a902298b53e19fab"),
     ("smt/no_keys/one_leaf/updated", "8c99dd5b1925a03e9ab8f7ae53f744a1fda696f53bcd1092a902298b53e19fab"),
     ("smt/no_keys/64_leaves/proof", "9cdecd372fa2eda373a381488ddc9888a5144735b7d471ddcb0bdca3a7c27fd4"),
     ("smt/no_keys/64_leaves/bytes", "45"),
     ("smt/no_keys/64_leaves/root", "2ba16aa37a1088a4465a9790244d35fb2afb9094bfe93a83a4c37cd1c6ffaf74"),
     ("smt/no_keys/64_leaves/updated", "2ba16aa37a1088a4465a9790244d35fb2afb9094bfe93a83a4c37cd1c6ffaf74"),
-    ("smt/one_present/proof", "ffcd32c571053456ae4b13f1f03f50129999f88965f04d125c6a60d657811054"),
-    ("smt/one_present/bytes", "345"),
+    ("smt/one_present/proof", "ca4bc48e9b0e29cf9faa6f03e53f9551207a956ef380929d7578abf1f11c0663"),
+    ("smt/one_present/bytes", "281"),
     ("smt/one_present/root", "2ba16aa37a1088a4465a9790244d35fb2afb9094bfe93a83a4c37cd1c6ffaf74"),
     ("smt/one_present/updated", "b756d2f8084d86ddad1f78e7e41c3803781ec0490636e0df2b90a65005d70ba1"),
-    ("smt/one_absent/proof", "a9f960a46a586fd707359f28e628bbbcca31a741b4ed23cdc0cedaa8042af615"),
-    ("smt/one_absent/bytes", "343"),
+    ("smt/one_absent/proof", "1f68038594882dccf1462d64fb99b01fb854d15a47e588a6a3eb9c70655731b9"),
+    ("smt/one_absent/bytes", "311"),
     ("smt/one_absent/root", "2ba16aa37a1088a4465a9790244d35fb2afb9094bfe93a83a4c37cd1c6ffaf74"),
     ("smt/one_absent/updated", "9f8bbbd3751b982d596c1e57508a9f8c9ae58e9a44fac90e141066b6dff4b5be"),
 ];
@@ -1273,6 +1292,13 @@ const ECALL_REFUSAL_GOLDEN: &[(&str, &str)] = &[
 // (`RangeSigGen`, 5 → 4, once the batch request) and `wire/EcallResponse/0`
 // (`Initialized`, 0 → 1, once the lone signature). Every other row is as it
 // was.
+//
+// At the commit after b725985, the SMT proof in `BatchLink` carries
+// its lone sibling leaf as a hash item (−32 bytes), so `wire/BatchLink`
+// (537 → 505) and the three requests that embed it, `wire/EcallRequest/1`
+// (1124 → 1092), `/2` (1025 → 993) and `/5` (684 → 652), moved bytes and
+// verdicts. Every truncation of that proof still fails to decode, and every
+// byte XOR of it that decodes still fails to verify against its root.
 
 /// One row: the sample's bytes, then its decoder's verdict on every damaged
 /// copy of them.
@@ -1831,12 +1857,12 @@ const WIRE_GOLDEN: &[(&str, &str)] = &[
     ("wire/ProofOp/summed/0", "sha256=346a8df01d051d953399d2ee7e32d2c1fc7155b141a7e025870e1376e8a378be len=74 verdicts=dd186d6673f3055a8d2c32fecadcd52720e2144d645947056287ee80860c2213"),
     ("wire/MbOpProof", "sha256=86bbb089e0d4eca7d0162a281399f1684fa9f07f987ad79d1b534a47ac023489 len=275 verdicts=35b5c8be9cb1bba160ecbc4faffd9a2d90bf917a160a0eee029e4ebd63aad8ff"),
     ("wire/AggOpProof", "sha256=a8207fee1f9243f2634cd906e2dbd7d9a9dfabd010573b102b8bc70eb11c608e len=231 verdicts=d49f2aca15ac1c3cc1dee308304b4f33d37a798a04c46492823d7cf242047bf1"),
-    ("wire/BatchLink", "sha256=5d8f2f79ef5d19992bb5fb83ff272d4eb5cce10c2422fae15fe7cb9af24cc77a len=537 verdicts=8822a1bcd19f25c24c9277a2bead8e5fb95d9d8fca96a1d284703009e5313a5a"),
+    ("wire/BatchLink", "sha256=1149d4865e95bb78200ca46d6e6b25a04033c317aeda7e64688c0e904231c1a7 len=505 verdicts=7a45783d0c61caaf8e710409a65042588b29df0d18e1a7543f6bdbd61c141635"),
     ("wire/IndexInput", "sha256=d26f5c04ac4ec7c65a8e09d8fd04a907c79dc5fe4fb8112297b406d1c76886c5 len=89 verdicts=0bb9ee8686c9f723ba8b2756d62a2106be26ea91d47cd7baf022ad3dd786351a"),
     ("wire/EcallRequest/0", "sha256=6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d len=1 verdicts=8563ae66c2f0ad5478648ddcea273f89b09ddd4bcf37e591bea00dbea3770630"),
-    ("wire/EcallRequest/1", "sha256=e1205f68072818a6f40f12fe6c3f7778698afedaa0f8e79f19d4cc30f76d9c72 len=1124 verdicts=2be7328253d5adba9aed03a71168a55038c748a080d9b6e05675c8e6fa602f03"),
-    ("wire/EcallRequest/2", "sha256=64defa479fab23f6accd17c153a9227c6919dd9dbcc571eb7fca4d027f11b136 len=1025 verdicts=54923f8240988a87d40f143a7002d15de3970e43aff21cf5880aaf0026f9be9d"),
-    ("wire/EcallRequest/5", "sha256=5235bcb5b395d2feabe57725e259dcf60e839ae8de094a10208034c306e137d1 len=684 verdicts=2a16e248987633d3973e42dcbd45f8c82107d21ff166ed8500d9fe57ecef70db"),
+    ("wire/EcallRequest/1", "sha256=08d09e7db2b25c2ded161cac447a7aa26f62a577c9ee2f49c3aac6b2728f9b26 len=1092 verdicts=27d3806801b60b17fe066693fa62f498ab3d6a981e1f94708df4152f5466d721"),
+    ("wire/EcallRequest/2", "sha256=46c11664de2988d9b9e31c81ccf9a7ac7f7f3a024ad75aea1aec12619d0882f1 len=993 verdicts=20a1c1273ea0f529fe9b5b6016545ba30399ec941603a82b5ba2c3edcf175c2f"),
+    ("wire/EcallRequest/5", "sha256=ea720739d62d953ed2361f90f91244322fabec4bc0ffd09ea59cda4d6f2537f1 len=652 verdicts=c50c96ef95ce59d6e4dfa47fba8d59fae276c54b54bedff11f36165bfc1e7b67"),
     ("wire/EcallRequest/6", "sha256=7ee62411ce6fc4a0d16e5dc01ece149ecf32edc97ac7d09266afd7386925f9c1 len=744 verdicts=e57b76965fccc5485b31e59e6355eacf41b09df34b9af7ba881684270a648f34"),
     ("wire/EcallResponse/0", "sha256=99cf3e73b898706d983752db510a7b9fb2ee4456510e1f060eca3fff7d06069a len=33 verdicts=cbd8d88d03506a6e7432917b780954d43238d5662f9ed35b20816ba27ded2b08"),
     ("wire/EcallResponse/2", "sha256=81a86a5814902e664fa584443579879bc0fc92dec89e0c24be77e4ac579eb145 len=8 verdicts=212e4d6aa2578d5c64671069fe084d94f0de1803694451d087dfee0239c5796c"),
