@@ -202,7 +202,7 @@ fn pin_required_counters(sp: ServiceProvider, obs: &Registry) {
     );
     front.attach_obs(obs);
     let probe = |t2: u64| QuerySpec::History {
-        index: "history".to_owned(),
+        index: "history".into(),
         key: kv_key(0),
         t1: 1,
         t2,

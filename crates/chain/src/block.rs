@@ -68,6 +68,15 @@ impl Encode for BlockHeader {
         self.encode_sans_consensus(out);
         self.consensus.encode(out);
     }
+    fn encoded_len(&self) -> usize {
+        self.height.encoded_len()
+            + self.prev_hash.encoded_len()
+            + self.state_root.encoded_len()
+            + self.tx_root.encoded_len()
+            + self.timestamp.encoded_len()
+            + self.miner.encoded_len()
+            + self.consensus.encoded_len()
+    }
 }
 
 impl Decode for BlockHeader {
@@ -163,7 +172,9 @@ mod tests {
     fn prop_header_codec_round_trip() {
         check("prop_header_codec_round_trip", 256, |g| {
             let (a, b) = (arb_header(g), arb_header(g));
-            let decoded = BlockHeader::decode_all(&a.to_encoded_bytes()).unwrap();
+            let bytes = a.to_encoded_bytes();
+            assert_eq!(a.encoded_len(), bytes.len(), "encoded_len is exact");
+            let decoded = BlockHeader::decode_all(&bytes).unwrap();
             assert_eq!(&decoded, &a);
             if a != b {
                 assert_ne!(a.hash(), b.hash());
@@ -186,7 +197,9 @@ mod tests {
                 .collect();
             header.tx_root = Block::tx_root(&txs);
             let block = Block { header, txs };
-            let decoded = Block::decode_all(&block.to_encoded_bytes()).unwrap();
+            let bytes = block.to_encoded_bytes();
+            assert_eq!(block.encoded_len(), bytes.len(), "encoded_len is exact");
+            let decoded = Block::decode_all(&bytes).unwrap();
             assert_eq!(&decoded, &block);
             assert!(decoded.verify_tx_root().is_ok());
         });

@@ -146,19 +146,18 @@ pub trait Encode {
     /// Appends the canonical encoding of `self` to `out`.
     fn encode(&self, out: &mut Vec<u8>);
 
-    /// Returns the canonical encoding as a fresh byte vector.
+    /// Returns the canonical encoding as a fresh byte vector, allocated
+    /// once at its [`Encode::encoded_len`].
     fn to_encoded_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(self.encoded_len());
         self.encode(&mut out);
         out
     }
 
-    /// Returns the size of the canonical encoding in bytes.
-    ///
-    /// Used throughout the benchmark harness to report storage/proof sizes.
-    fn encoded_len(&self) -> usize {
-        self.to_encoded_bytes().len()
-    }
+    /// Returns the size of the canonical encoding in bytes, exactly and
+    /// without encoding: what [`Encode::to_encoded_bytes`] reserves, and
+    /// what the benchmark harness reports as storage and proof sizes.
+    fn encoded_len(&self) -> usize;
 }
 
 /// Deserializes a value from the canonical binary format.
@@ -217,6 +216,9 @@ impl_codec_uint!(u8, u16, u32, u64, u128, i64);
 impl Encode for usize {
     fn encode(&self, out: &mut Vec<u8>) {
         u64::try_from(*self).unwrap_or(u64::MAX).encode(out);
+    }
+    fn encoded_len(&self) -> usize {
+        8
     }
 }
 
@@ -300,12 +302,18 @@ impl<T: Encode + ?Sized> Encode for &T {
     fn encode(&self, out: &mut Vec<u8>) {
         (**self).encode(out);
     }
+    fn encoded_len(&self) -> usize {
+        (**self).encoded_len()
+    }
 }
 
-/// A reason travels as its text and decodes owned: `==` the one encoded.
+/// Text travels as a `String` does and decodes owned: `==` the one encoded.
 impl Encode for Cow<'_, str> {
     fn encode(&self, out: &mut Vec<u8>) {
         self.as_bytes().encode(out);
+    }
+    fn encoded_len(&self) -> usize {
+        4 + self.len()
     }
 }
 
@@ -656,6 +664,21 @@ mod tests {
         assert_eq!(some.encoded_len(), some.to_encoded_bytes().len());
         let none: Option<u64> = None;
         assert_eq!(none.encoded_len(), none.to_encoded_bytes().len());
+        let wide: (usize, &u64) = (usize::MAX, &7);
+        assert_eq!(wide.encoded_len(), wide.to_encoded_bytes().len());
+    }
+
+    #[test]
+    fn cow_text_is_exact_and_encodes_as_its_string() {
+        for text in ["", "history", "a name longer than sixteen bytes"] {
+            let owned = Cow::<'static, str>::Owned(text.to_owned());
+            for cow in [Cow::Borrowed(text), owned.clone()] {
+                let bytes = cow.to_encoded_bytes();
+                assert_eq!(cow.encoded_len(), bytes.len());
+                assert_eq!(bytes, text.to_owned().to_encoded_bytes());
+                assert_eq!(Cow::<'static, str>::decode_all(&bytes), Ok(owned.clone()));
+            }
+        }
     }
 
     /// Byte strings of 0..100 bytes (what `proptest` drew for `Vec<u8>`).

@@ -12,6 +12,7 @@
 //! panic: the crate root denies unwrap/expect/indexing/lossy casts, and
 //! `tests/decode_no_panic.rs` sweeps every decoder.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use dcert_merkle::Aggregate;
@@ -33,12 +34,17 @@ use dcert_vm::StateKey;
 /// when a window proof had a second wire form; their tags still decode —
 /// and still key the cache apart — until `benchmark/driver` stops
 /// sending them (ROADMAP item 4(c)).
+///
+/// An index name is a `Cow`: a spec built from a static name
+/// (`"history".into()`) allocates nothing to build, clone or drop, and a
+/// spec decoded from the wire owns its name and equals, hashes and keys
+/// the cache like the static one.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum QuerySpec {
     /// Time-window history query against a named history index.
     History {
         /// Registered index name.
-        index: String,
+        index: Cow<'static, str>,
         /// Account/state key whose versions are requested.
         key: StateKey,
         /// Window start height (inclusive).
@@ -49,7 +55,7 @@ pub enum QuerySpec {
     /// Conjunctive keyword query against a named inverted index.
     Keywords {
         /// Registered index name.
-        index: String,
+        index: Cow<'static, str>,
         /// Keywords, in the client's order (order is part of the proof's
         /// argument vector, so it is deliberately *not* canonicalized).
         keywords: Vec<String>,
@@ -57,7 +63,7 @@ pub enum QuerySpec {
     /// Verifiable window aggregation against a named aggregate index.
     Aggregate {
         /// Registered index name.
-        index: String,
+        index: Cow<'static, str>,
         /// Account/state key whose window aggregate is requested.
         key: StateKey,
         /// Window start height (inclusive).
@@ -68,7 +74,7 @@ pub enum QuerySpec {
     /// [`QuerySpec::History`] under its compatibility tag.
     HistoryOp {
         /// Registered index name.
-        index: String,
+        index: Cow<'static, str>,
         /// Account/state key whose versions are requested.
         key: StateKey,
         /// Window start height (inclusive).
@@ -79,7 +85,7 @@ pub enum QuerySpec {
     /// [`QuerySpec::Aggregate`] under its compatibility tag.
     AggregateOp {
         /// Registered index name.
-        index: String,
+        index: Cow<'static, str>,
         /// Account/state key whose window aggregate is requested.
         key: StateKey,
         /// Window start height (inclusive).
@@ -429,7 +435,7 @@ mod tests {
     /// the alias kinds answer with the same bytes but never share an entry.
     #[test]
     fn kinds_over_one_window_are_distinct_specs() {
-        let (index, key, t1, t2) = ("history".to_owned(), StateKey::new("kv", b"k"), 3, 17);
+        let (index, key, t1, t2) = (Cow::Borrowed("history"), StateKey::new("kv", b"k"), 3, 17);
         let kinds = [
             QuerySpec::History {
                 index: index.clone(),

@@ -630,29 +630,29 @@ pub fn spec_for(event: &ServeEvent, height: u64) -> QuerySpec {
     let height = height.max(1);
     match event.kind {
         ServeQueryKind::History => QuerySpec::History {
-            index: "history".to_owned(),
+            index: "history".into(),
             key,
             t1: 1,
             t2: height,
         },
         ServeQueryKind::Keywords => QuerySpec::Keywords {
-            index: "inverted".to_owned(),
+            index: "inverted".into(),
             keywords: vec![format!("key-{}", event.key)],
         },
         ServeQueryKind::Aggregate => QuerySpec::Aggregate {
-            index: "agg".to_owned(),
+            index: "agg".into(),
             key,
             t1: 1,
             t2: height,
         },
         ServeQueryKind::HistoryOp => QuerySpec::HistoryOp {
-            index: "history".to_owned(),
+            index: "history".into(),
             key,
             t1: 1,
             t2: height,
         },
         ServeQueryKind::AggregateOp => QuerySpec::AggregateOp {
-            index: "agg".to_owned(),
+            index: "agg".into(),
             key,
             t1: 1,
             t2: height,

@@ -37,7 +37,7 @@ use std::sync::Arc;
 use dcert_chain::{Block, BlockHeader, ConsensusEngine};
 use dcert_core::{CertError, Certificate};
 use dcert_merkle::SparseMerkleTree;
-use dcert_primitives::codec::{decode_seq, encode_seq, Decode, Encode, Reader};
+use dcert_primitives::codec::{decode_seq, encode_seq, seq_encoded_len, Decode, Encode, Reader};
 use dcert_primitives::error::CodecError;
 use dcert_primitives::hash::Hash;
 use dcert_primitives::keys::{Keypair, PublicKey, Signature};
@@ -68,6 +68,12 @@ impl Encode for NaiveRequest {
         self.prev_cert.encode(out);
         self.block.encode(out);
         encode_seq(&self.state, out);
+    }
+    fn encoded_len(&self) -> usize {
+        self.prev_header.encoded_len()
+            + self.prev_cert.encoded_len()
+            + self.block.encoded_len()
+            + seq_encoded_len(&self.state)
     }
 }
 
@@ -212,6 +218,13 @@ impl Encode for Response {
             Response::Initialized(pk) => (0u8, pk).encode(out),
             Response::Signature(sig) => (1u8, sig).encode(out),
             Response::Rejected(reason) => (2u8, reason).encode(out),
+        }
+    }
+    fn encoded_len(&self) -> usize {
+        1 + match self {
+            Response::Initialized(pk) => pk.encoded_len(),
+            Response::Signature(sig) => sig.encoded_len(),
+            Response::Rejected(reason) => reason.encoded_len(),
         }
     }
 }

@@ -340,9 +340,9 @@ fn sample_encodings() -> Vec<Probe> {
         t2: 9,
     };
     // The compatibility kinds: same layout, their own tags.
-    let (index, t1, t2) = ("history".to_owned(), 2, 5);
+    let (index, t1, t2) = ("history".into(), 2, 5);
     let history_op = QuerySpec::HistoryOp { index, key, t1, t2 };
-    let index = "aggregate".to_owned();
+    let index = "aggregate".into();
     let aggregate_op = QuerySpec::AggregateOp { index, key, t1, t2 };
     let serve_request = ServeRequest {
         client: 41,

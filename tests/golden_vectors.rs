@@ -76,6 +76,8 @@
 
 mod common;
 
+use std::borrow::Cow;
+use std::hash::BuildHasher;
 use std::sync::{Arc, Mutex};
 
 use dcert::baselines::{lineage::LineageIndex, skiplist::AuthSkipList};
@@ -98,8 +100,8 @@ use dcert::query::history::HistoryIndex;
 use dcert::query::sp::IndexKind;
 use dcert::query::{CertifiedEntry, InvertedIndex, KeywordPage, WritesPage};
 use dcert::serve::{
-    encode_history_payload, QuerySpec, RefusalReason, ServeRefusal, ServeRequest, ServeResponse,
-    ServeWire,
+    encode_history_payload, FoldState, ProofCache, QuerySpec, RefusalReason, ServeRefusal,
+    ServeRequest, ServeResponse, ServeWire,
 };
 use dcert::sgx::{sealing, AttestationService, Quote, SgxError};
 use dcert::store::{HeadState, MemStore, Record, SegmentMark, SegmentStore, StoreConfig, StreamId};
@@ -990,6 +992,56 @@ fn serve_wire_frames_reproduce_parent_commit_bytes() {
         out.push((format!("serve/{label}"), pinned));
     }
     assert_golden(&out, SERVE_GOLDEN);
+}
+
+/// The index name a spec carries, as the spec holds it.
+fn index_name(spec: &QuerySpec) -> &Cow<'static, str> {
+    match spec {
+        QuerySpec::History { index, .. }
+        | QuerySpec::Keywords { index, .. }
+        | QuerySpec::Aggregate { index, .. }
+        | QuerySpec::HistoryOp { index, .. }
+        | QuerySpec::AggregateOp { index, .. } => index,
+    }
+}
+
+/// Every request row of `SERVE_GOLDEN`, decoded from its pinned bytes,
+/// owns its index name, and equals the statically named spec it was
+/// captured from, hashes like it under one front's seeds and hits the
+/// cache entry made for it.
+#[test]
+fn a_spec_decoded_from_the_wire_keys_the_cache_like_a_static_one() {
+    let seeds = FoldState::new();
+    let answer = ServeResponse {
+        id: 1,
+        certified_height: 2,
+        payload: vec![3].into(),
+    };
+    let mut requests = 0;
+    for (label, frame) in serve_frames() {
+        let ServeWire::Request(built) = frame else {
+            continue;
+        };
+        let row = format!("serve/{label}");
+        let (_, pinned) = SERVE_GOLDEN
+            .iter()
+            .find(|(name, _)| *name == row)
+            .expect("a pinned row");
+        let bytes = dcert::primitives::hex::decode(pinned).expect("hex");
+        let Ok(ServeWire::Request(decoded)) = ServeWire::decode_all(&bytes) else {
+            panic!("{row}: does not decode to a request");
+        };
+        let (built, decoded) = (built.query, decoded.query);
+        assert!(matches!(index_name(&built), Cow::Borrowed(_)), "{row}");
+        assert!(matches!(index_name(&decoded), Cow::Owned(_)), "{row}");
+        assert_eq!(decoded, built, "{row}");
+        assert_eq!(seeds.hash_one(&decoded), seeds.hash_one(&built), "{row}");
+        let mut cache = ProofCache::new(1, seeds);
+        cache.insert(built, answer.clone());
+        assert_eq!(cache.get(&decoded), Some(&answer), "{row}");
+        requests += 1;
+    }
+    assert_eq!(requests, 5, "one request row per query kind");
 }
 
 #[rustfmt::skip]

@@ -80,7 +80,7 @@ fn check_pair(history: &HistoryIndex, aggregate: &AggregateIndex, k: u64, t1: u6
 /// The windowed spec of `kind` (0 `History`, 1 `HistoryOp`, 2 `Aggregate`,
 /// 3 `AggregateOp`) over the indexes [`certified_front`] registers.
 fn spec(kind: u64, key: StateKey, t1: u64, t2: u64) -> QuerySpec {
-    let index = if kind < 2 { "history" } else { "agg" }.to_owned();
+    let index = if kind < 2 { "history" } else { "agg" }.into();
     match kind {
         0 => QuerySpec::History { index, key, t1, t2 },
         1 => QuerySpec::HistoryOp { index, key, t1, t2 },

@@ -377,7 +377,7 @@ impl Run {
         let height = self.front.sp().index_height();
         let key = |q: usize| kv_key(q as u64 % 8);
         let spec = |q: usize| QuerySpec::History {
-            index: "history".to_owned(),
+            index: "history".into(),
             key: key(q),
             t1: 1,
             t2: height,

@@ -71,13 +71,13 @@ fn arb_spec(g: &mut Gen, height: u64) -> QuerySpec {
     let kind = g.range(0u8..5);
     if kind == 0 {
         return QuerySpec::Keywords {
-            index: "inverted".to_owned(),
+            index: "inverted".into(),
             keywords: g.vec(1..3, |g| format!("word-{}", g.range(0..20u64))),
         };
     }
     let (k, (t1, t2)) = (g.range(0..KEYSPACE + 4), arb_window(g, height));
     let key = kv_key(k);
-    let (history, agg) = ("history".to_owned(), "agg".to_owned());
+    let (history, agg) = ("history".into(), "agg".into());
     match kind {
         1 => QuerySpec::History {
             index: history,
@@ -202,7 +202,7 @@ fn prop_no_stale_proof_survives_height_advance() {
         certify_into(&mut world.ci, &mut front, &blocks[1]);
 
         let spec = QuerySpec::History {
-            index: "history".to_owned(),
+            index: "history".into(),
             key: kv_key(probe),
             t1: 1,
             t2: 2,
@@ -251,7 +251,7 @@ fn a_hit_after_advance_equals_direct_serving() {
         certify_into(&mut world.ci, &mut front, &blocks[0]);
 
         let spec = QuerySpec::History {
-            index: "history".to_owned(),
+            index: "history".into(),
             key: kv_key(0),
             t1: 1,
             t2: 2,
@@ -299,7 +299,7 @@ fn a_rewound_block_leaves_no_cached_answer_behind() {
     front.attach_obs(&registry);
     certify_into(&mut world.ci, &mut front, &blocks[0]);
     let spec = QuerySpec::History {
-        index: "history".to_owned(),
+        index: "history".into(),
         key: kv_key(0),
         t1: 1,
         t2: 2,
@@ -343,7 +343,7 @@ fn a_window_inside_a_cached_one_equals_direct_serving() {
         certify_into(&mut world.ci, &mut front, block);
     }
     let window = |t1, t2| QuerySpec::HistoryOp {
-        index: "history".to_owned(),
+        index: "history".into(),
         key: StateKey::new("kvstore", b"acct-main"),
         t1,
         t2,
@@ -369,7 +369,7 @@ fn a_window_inside_a_cached_one_equals_direct_serving() {
 fn unknown_index_refuses_typed_and_uncached() {
     let mut front = certified_front(1, 2, 11);
     let spec = QuerySpec::History {
-        index: "no-such-index".to_owned(),
+        index: "no-such-index".into(),
         key: kv_key(0),
         t1: 1,
         t2: 1,
@@ -418,7 +418,7 @@ fn rate_limited_client_does_not_perturb_equivalence() {
     certify_into(&mut world.ci, &mut front, &blocks[0]);
 
     let spec = |k: u64| QuerySpec::History {
-        index: "history".to_owned(),
+        index: "history".into(),
         key: kv_key(k),
         t1: 1,
         t2: 1,

@@ -132,7 +132,7 @@ fn tight_front_sheds_with_every_typed_reason() {
     }
     let submit = |front: &mut ServeFront, tick: u64, client: u64, id: u64, k: u64| {
         let query = QuerySpec::History {
-            index: "history".to_owned(),
+            index: "history".into(),
             key: kv_key(k),
             t1: 1,
             t2: 2,
