@@ -69,14 +69,11 @@ impl ChainState {
         self.tree.commit(displaced.0);
     }
 
-    /// Dumps every `(tree path, value)` entry — used by the naive
-    /// full-state-in-enclave ablation and by state-sync tooling. Note the
-    /// paths are the hashed [`StateKey`]s.
+    /// Dumps every `(tree path, value)` entry in path order — used by the
+    /// naive full-state-in-enclave ablation and by state-sync tooling.
+    /// Note the paths are the hashed [`StateKey`]s.
     pub fn dump_entries(&self) -> Vec<(Hash, Vec<u8>)> {
-        let mut entries: Vec<(Hash, Vec<u8>)> =
-            self.tree.iter().map(|(k, v)| (*k, v.to_vec())).collect();
-        entries.sort_by_key(|(k, _)| *k);
-        entries
+        self.tree.iter().map(|(k, v)| (*k, v.to_vec())).collect()
     }
 
     /// Builds a multiproof over `keys` against the current root — the

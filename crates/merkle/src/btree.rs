@@ -222,6 +222,9 @@ pub trait Fold<F: Flavor, P> {
     /// annotation. Returns `false` — absorbing nothing — when the answer
     /// cannot be derived from annotations, so the subtree must be opened.
     fn subtree(&mut self, ann: &F::Ann) -> bool;
+    /// Makes room for `entries` more in-window entries, where the answer
+    /// keeps them one by one.
+    fn reserve(&mut self, _entries: usize) {}
 }
 
 /// One node of a window proof detached from its children — the unit a
@@ -290,6 +293,9 @@ impl<P: Clone> Fold<Plain, P> for Vec<(u64, P)> {
     }
     fn subtree(&mut self, _ann: &()) -> bool {
         false
+    }
+    fn reserve(&mut self, entries: usize) {
+        self.reserve_exact(entries);
     }
 }
 
@@ -723,12 +729,24 @@ impl<F: Flavor> BTree<F> {
     /// Answers the window query `[lo, hi]` (inclusive) with a
     /// completeness proof.
     pub fn window(&self, lo: u64, hi: u64) -> (F::Answer, OpProof<F>) {
-        let mut answer = F::Answer::default();
-        let mut ops = Vec::new();
-        if let Some(root) = &self.root {
-            open(root, None, None, (lo, hi), &mut answer, &mut ops);
-        }
-        (answer, OpProof::from_ops(ops))
+        let Some(root) = &self.root else {
+            return (F::Answer::default(), OpProof::from_ops(Vec::new()));
+        };
+        // The same walk twice: once to count what the answer and the
+        // program will hold, so that neither grows by doubling.
+        let mut extent = Extent::<F> {
+            answer: F::Answer::default(),
+            entries: 0,
+            ops: 0,
+        };
+        open(root, None, None, (lo, hi), &mut extent);
+        let mut proving = Proving::<F> {
+            answer: F::Answer::default(),
+            ops: Vec::with_capacity(extent.ops),
+        };
+        proving.answer.reserve(extent.entries);
+        open(root, None, None, (lo, hi), &mut proving);
+        (proving.answer, OpProof::from_ops(proving.ops))
     }
 
     /// Produces a proof of the rightmost path, enabling a stateless
@@ -814,8 +832,59 @@ fn in_window((lo, hi): (u64, u64), ts: u64) -> bool {
     lo <= ts && ts <= hi
 }
 
-/// The prover walk: folds the in-window content into `answer` and pushes
-/// the proof of `node` onto `ops` as a left-to-right post-order program —
+/// What the prover walk does with what it visits: fold the in-window
+/// content into an answer and write the proof program down, or only count
+/// both ([`Extent`]).
+trait Walk<F: Flavor> {
+    /// An in-window leaf entry.
+    fn entry(&mut self, ts: u64, value: &F::Value);
+    /// A subtree inside the window, known by its annotation: whether the
+    /// answer took it, so it stays pruned ([`Fold::subtree`]).
+    fn subtree(&mut self, ann: &F::Ann) -> bool;
+    /// The next op of the program, built only if it is kept.
+    fn op(&mut self, op: impl FnOnce() -> ProofOp<F>);
+}
+
+/// The walk that answers and proves.
+struct Proving<F: Flavor> {
+    answer: F::Answer,
+    ops: Vec<ProofOp<F>>,
+}
+
+impl<F: Flavor> Walk<F> for Proving<F> {
+    fn entry(&mut self, ts: u64, value: &F::Value) {
+        self.answer.entry(ts, value);
+    }
+    fn subtree(&mut self, ann: &F::Ann) -> bool {
+        self.answer.subtree(ann)
+    }
+    fn op(&mut self, op: impl FnOnce() -> ProofOp<F>) {
+        self.ops.push(op());
+    }
+}
+
+/// The walk that counts what [`Proving`] will hold. Its answer takes the
+/// same subtrees and is thrown away.
+struct Extent<F: Flavor> {
+    answer: F::Answer,
+    entries: usize,
+    ops: usize,
+}
+
+impl<F: Flavor> Walk<F> for Extent<F> {
+    fn entry(&mut self, _ts: u64, _value: &F::Value) {
+        self.entries += 1;
+    }
+    fn subtree(&mut self, ann: &F::Ann) -> bool {
+        self.answer.subtree(ann)
+    }
+    fn op(&mut self, _op: impl FnOnce() -> ProofOp<F>) {
+        self.ops += 1;
+    }
+}
+
+/// The prover walk: folds the in-window content into the answer and pushes
+/// the proof of `node` onto the program as a left-to-right post-order —
 /// each child, then the parent's shell after the first (`Parent`) and a
 /// `Child` after every later one. A child is left pruned iff it is outside
 /// the window, or inside it and the answer took its annotation.
@@ -824,17 +893,16 @@ fn open<F: Flavor>(
     bound_lo: Option<u64>,
     bound_hi: Option<u64>,
     window: (u64, u64),
-    answer: &mut F::Answer,
-    ops: &mut Vec<ProofOp<F>>,
+    walk: &mut impl Walk<F>,
 ) {
     match node {
         Node::Leaf { entries, .. } => {
             for (ts, (value, _)) in entries {
                 if in_window(window, *ts) {
-                    answer.entry(*ts, value);
+                    walk.entry(*ts, value);
                 }
             }
-            ops.push(ProofOp::Push(Shape::Leaf(digests::<F>(entries).collect())));
+            walk.op(|| ProofOp::Push(Shape::Leaf(digests::<F>(entries).collect())));
         }
         Node::Internal {
             separators,
@@ -846,19 +914,19 @@ fn open<F: Flavor>(
                 let summary = child.summary();
                 let pruned = match coverage(child_lo, child_hi, window) {
                     Coverage::Outside => true,
-                    Coverage::Inside => answer.subtree(&summary.ann),
+                    Coverage::Inside => walk.subtree(&summary.ann),
                     Coverage::Partial => false,
                 };
                 if pruned {
-                    ops.push(ProofOp::Push(Shape::Pruned(summary)));
+                    walk.op(|| ProofOp::Push(Shape::Pruned(summary)));
                 } else {
-                    open(child, child_lo, child_hi, window, answer, ops);
+                    open(child, child_lo, child_hi, window, walk);
                 }
                 if i == 0 {
-                    ops.push(ProofOp::Push(Shape::Internal(separators.clone())));
-                    ops.push(ProofOp::Parent);
+                    walk.op(|| ProofOp::Push(Shape::Internal(separators.clone())));
+                    walk.op(|| ProofOp::Parent);
                 } else {
-                    ops.push(ProofOp::Child);
+                    walk.op(|| ProofOp::Child);
                 }
             }
         }

@@ -23,7 +23,9 @@
 //! Dahlberg et al.), and a subtree whose leaves all fall on one side hashes
 //! to that side's hash (empty siblings are transparent). In memory this is
 //! a binary Patricia trie — each branch records the bit index at which its
-//! two sides diverge — holding ~2·n nodes for n keys. Hash rules:
+//! two sides diverge — holding n leaves and n − 1 branches for n keys. A
+//! leaf is the only place a key or its value is kept; a branch holds its
+//! bit, its hash and its two sides, and no key. Hash rules:
 //!
 //! - empty subtree → [`Hash::ZERO`],
 //! - single-leaf subtree → `H(SMT_LEAF || key || value_hash)`,
@@ -106,6 +108,14 @@
 //! stateless update over a proof and the commit on the tree hash the same
 //! nodes for the same writes.
 //!
+//! A branch keeps no key, so the prefix its hash commits to is read off a
+//! key beneath it, crit-bit style: a branch the writes re-hash takes the
+//! first write's key, which shares its prefix. Where the writes reach a
+//! branch whose bit does not follow straight on from the bit above, the
+//! leftmost key beneath it says whether they part from it in between; a
+//! leaf has its own key. Reads walk down by the key's bits to the one leaf
+//! they lead to.
+//!
 //! # Example
 //!
 //! ```
@@ -129,7 +139,6 @@
 //! ```
 
 use std::borrow::Cow;
-use std::collections::HashMap;
 
 use dcert_primitives::codec::{Decode, Encode, Reader};
 use dcert_primitives::error::CodecError;
@@ -191,36 +200,62 @@ fn diverge_bit(a: &Hash, b: &Hash) -> usize {
     KEY_BITS
 }
 
+/// A subtree in memory: nothing, one key's leaf, or a branch over two live
+/// sides. A slot is two words; each node lives in its own allocation of
+/// exactly what its kind holds.
 #[derive(Debug, Clone, Default)]
 enum Node {
     #[default]
     Empty,
-    Leaf {
-        key: Hash,
-        value_hash: Hash,
-        /// `leaf_hash(key, value_hash)`, computed once where the leaf is
-        /// made: a branch re-hashed beside it reads this.
-        hash: Hash,
-    },
-    Branch {
-        /// The bit index at which the two children diverge. All leaf keys
-        /// beneath this node agree on bits `0..bit`; the left child's keys
-        /// have bit `bit` = 0, the right child's = 1.
-        bit: u16,
-        /// A representative leaf key beneath this node (the leftmost),
-        /// giving traversal access to the shared prefix.
-        rep: Hash,
-        left: Box<Node>,
-        right: Box<Node>,
-        hash: Hash,
-    },
+    Leaf(Box<Leaf>),
+    Branch(Box<Branch>),
+}
+
+/// One key and its value: the only place the tree holds either.
+#[derive(Debug, Clone)]
+struct Leaf {
+    key: Hash,
+    value_hash: Hash,
+    /// `leaf_hash(key, value_hash)`, computed once where the leaf is made
+    /// or rewritten: a branch re-hashed beside it reads this.
+    hash: Hash,
+    value: Vec<u8>,
+}
+
+impl Leaf {
+    fn new(key: Hash, value: Vec<u8>) -> Self {
+        let value_hash = hash_bytes(&value);
+        Leaf {
+            key,
+            value_hash,
+            hash: leaf_hash(&key, &value_hash),
+            value,
+        }
+    }
+}
+
+/// Two live sides that part at `bit`. A branch keeps no key of its own:
+/// the prefix its hash commits to is read off a key beneath it. Laid out
+/// in declaration order, so the bit and both sides that a walk down reads
+/// are the first 40 bytes, ahead of the hash it does not.
+#[derive(Debug, Clone)]
+#[repr(C)]
+struct Branch {
+    /// The bit index at which the two sides diverge. All leaf keys beneath
+    /// agree on bits `0..bit`; the left side's keys have bit `bit` = 0,
+    /// the right side's = 1.
+    bit: u16,
+    left: Node,
+    right: Node,
+    hash: Hash,
 }
 
 impl Node {
     fn hash(&self) -> Hash {
         match self {
             Node::Empty => Hash::ZERO,
-            Node::Leaf { hash, .. } | Node::Branch { hash, .. } => *hash,
+            Node::Leaf(leaf) => leaf.hash,
+            Node::Branch(branch) => branch.hash,
         }
     }
 
@@ -228,12 +263,31 @@ impl Node {
         matches!(self, Node::Empty)
     }
 
-    /// A leaf key beneath this node (`None` for `Empty`).
-    fn rep(&self) -> Option<&Hash> {
-        match self {
-            Node::Empty => None,
-            Node::Leaf { key, .. } => Some(key),
-            Node::Branch { rep, .. } => Some(rep),
+    /// A leaf key beneath this node (`None` for `Empty`): the leftmost,
+    /// reached by walking down.
+    fn any_key(&self) -> Option<&Hash> {
+        let mut node = self;
+        loop {
+            match node {
+                Node::Empty => return None,
+                Node::Leaf(leaf) => return Some(&leaf.key),
+                Node::Branch(branch) => node = &branch.left,
+            }
+        }
+    }
+
+    /// The leaf `key`'s bits lead to, taking at each branch the side its
+    /// bit there names. Every key beneath a branch shares the bits above
+    /// it, so the tree holds `key` iff this leaf does.
+    fn lead(&self, key: &Hash) -> Option<&Leaf> {
+        let mut node = self;
+        loop {
+            match node {
+                Node::Empty => return None,
+                Node::Leaf(leaf) => return Some(leaf),
+                Node::Branch(branch) if key.bit(usize::from(branch.bit)) => node = &branch.right,
+                Node::Branch(branch) => node = &branch.left,
+            }
         }
     }
 
@@ -242,37 +296,42 @@ impl Node {
     fn disclosed(&self) -> Option<Evidence> {
         match self {
             Node::Empty => None,
-            Node::Leaf {
-                key, value_hash, ..
-            } => Some(Evidence::Leaf {
-                key: *key,
-                value_hash: *value_hash,
+            Node::Leaf(leaf) => Some(Evidence::Leaf {
+                key: leaf.key,
+                value_hash: leaf.value_hash,
             }),
-            Node::Branch {
-                bit,
-                rep,
-                left,
-                right,
-                ..
-            } => Some(Evidence::Branch(Box::new(Header {
-                bit: *bit,
-                shared: prefix(rep, usize::from(*bit)),
-                left: left.hash(),
-                right: right.hash(),
+            Node::Branch(branch) => Some(Evidence::Branch(Box::new(Header {
+                bit: branch.bit,
+                shared: prefix(self.any_key()?, usize::from(branch.bit)),
+                left: branch.left.hash(),
+                right: branch.right.hash(),
             }))),
         }
     }
 
-    /// The (left, right) children when viewed at `depth`: a branch's own
-    /// sides at its bit; above it, or for a leaf, the whole node on the side
-    /// its keys take, beside an empty one.
-    fn children(&self, depth: usize) -> (&Node, &Node) {
+    /// The (left, right) sides when viewed at `depth`, each with a key
+    /// beneath it where one is known: a branch's own sides at its bit;
+    /// above it, or for a leaf, the whole node on the side its keys take,
+    /// beside an empty one. `under` is a key beneath this node, if the
+    /// caller knows one: a walk that steps through a node a bit at a time
+    /// finds one once.
+    fn sides<'a>(
+        &'a self,
+        under: Option<&'a Hash>,
+        depth: usize,
+    ) -> [(&'a Node, Option<&'a Hash>); 2] {
         match self {
-            Node::Branch {
-                bit, left, right, ..
-            } if usize::from(*bit) == depth => (left, right),
-            _ if self.rep().is_some_and(|rep| rep.bit(depth)) => (&EMPTY, self),
-            _ => (self, &EMPTY),
+            Node::Branch(branch) if usize::from(branch.bit) == depth => {
+                [(&branch.left, None), (&branch.right, None)]
+            }
+            _ => {
+                let under = under.or_else(|| self.any_key());
+                if under.is_some_and(|key| key.bit(depth)) {
+                    [(&EMPTY, None), (self, under)]
+                } else {
+                    [(self, under), (&EMPTY, None)]
+                }
+            }
         }
     }
 }
@@ -281,21 +340,22 @@ impl Node {
 /// descends through it a bit at a time.
 static EMPTY: Node = Node::Empty;
 
-fn make_branch(bit: usize, left: Node, right: Node) -> Node {
-    debug_assert!(!left.is_empty() && !right.is_empty());
-    debug_assert!(
-        left.rep().is_some_and(|r| !r.bit(bit)) && right.rep().is_some_and(|r| r.bit(bit))
-    );
-    let rep = left.rep().copied().unwrap_or(Hash::ZERO);
-    let hash = branch_hash(bit, &rep, &left.hash(), &right.hash());
-    Node::Branch {
+/// A branch over `left` and `right`, whose keys part at `bit`; `under` is
+/// any key that shares their bits above it.
+fn make_branch(bit: usize, under: &Hash, left: Node, right: Node) -> Node {
+    let beneath = |side: &Node, one: bool| {
+        side.any_key()
+            .is_some_and(|k| k.bit(bit) == one && prefix(k, bit) == prefix(under, bit))
+    };
+    debug_assert!(beneath(&left, false) && beneath(&right, true));
+    let hash = branch_hash(bit, under, &left.hash(), &right.hash());
+    Node::Branch(Box::new(Branch {
         // `bit` indexes into a 256-bit key, so it always fits u16.
         bit: u16::try_from(bit).unwrap_or(u16::MAX),
-        rep,
-        left: Box::new(left),
-        right: Box::new(right),
+        left,
+        right,
         hash,
-    }
+    }))
 }
 
 /// `writes` in key order, one per key: the last write to a key wins.
@@ -320,75 +380,105 @@ fn parting<W>(writes: &[(Hash, W)], bit: usize) -> usize {
 
 /// The subtree holding `left` and `right`, whose keys part at `bit`: an
 /// empty side is transparent, so only two live sides make a branch.
-fn join(bit: usize, left: Node, right: Node) -> Node {
+fn join(bit: usize, under: &Hash, left: Node, right: Node) -> Node {
     match (left.is_empty(), right.is_empty()) {
         (true, _) => right,
         (_, true) => left,
-        (false, false) => make_branch(bit, left, right),
+        (false, false) => make_branch(bit, under, left, right),
     }
 }
 
 impl Node {
     /// Applies `writes` — sorted by key, no key twice, `None` deletes — to
-    /// this subtree in place: they descend together, split where the tree
-    /// or they diverge, and each branch above a written key is re-hashed
-    /// once, on the way back up. Every written key must share the prefix
-    /// this subtree hangs under.
-    fn apply(&mut self, writes: &[(Hash, Option<Hash>)]) {
-        let (Some((first, _)), Some((last, value_hash))) = (writes.first(), writes.last()) else {
+    /// this subtree in place, and leaves in each write the value it
+    /// displaced (`None` = was absent) in place of its own: they descend
+    /// together, split where the tree or they diverge, and each branch
+    /// above a written key is re-hashed once, on the way back up. Every
+    /// written key shares its first `known` bits with this subtree's keys:
+    /// the bits the branches above it parted on, and the ones above those.
+    fn apply(&mut self, writes: &mut [(Hash, Option<Vec<u8>>)], known: usize) {
+        let (Some(&(first, _)), Some(&(last, _))) = (writes.first(), writes.last()) else {
             return;
         };
         // The bit at which this subtree's keys stop sharing a prefix, and a
-        // key that has it; an empty subtree stands in for the first write.
-        let (bit, rep) = match self {
-            Node::Empty => (KEY_BITS, *first),
-            Node::Leaf { key, .. } => (KEY_BITS, *key),
-            Node::Branch { bit, rep, .. } => (usize::from(*bit), *rep),
+        // key that has that prefix; an empty subtree stands in for the
+        // first write. A branch whose bit follows straight on from `known`
+        // leaves nothing to check; otherwise any key beneath it speaks for
+        // the unchecked bits, crit-bit style.
+        let (bit, under) = match &*self {
+            Node::Empty => (KEY_BITS, Some(first)),
+            Node::Leaf(leaf) => (KEY_BITS, Some(leaf.key)),
+            Node::Branch(branch) => {
+                let bit = usize::from(branch.bit);
+                let under = if bit > known {
+                    branch.left.any_key().copied()
+                } else {
+                    None
+                };
+                (bit, under)
+            }
         };
-        // Sorted keys leave `rep`'s prefix earliest at one of their ends.
-        let parts = diverge_bit(&rep, first).min(diverge_bit(&rep, last));
+        // Sorted keys leave that prefix earliest at one of their ends.
+        let parts = under.map_or(bit, |under| {
+            diverge_bit(&under, &first).min(diverge_bit(&under, &last))
+        });
         if parts < bit {
             // Some keys part from the shared prefix above this subtree: it
             // moves, intact, beside whatever the keys on the other side make.
-            let (mut left, mut right) = if rep.bit(parts) {
+            let (mut left, mut right) = if under.is_some_and(|under| under.bit(parts)) {
                 (Node::Empty, std::mem::take(self))
             } else {
                 (std::mem::take(self), Node::Empty)
             };
-            let (lower, upper) = writes.split_at(parting(writes, parts));
-            left.apply(lower);
-            right.apply(upper);
-            *self = join(parts, left, right);
+            let (lower, upper) = writes.split_at_mut(parting(writes, parts));
+            left.apply(lower, parts + 1);
+            right.apply(upper, parts + 1);
+            // Every write shares the bits above `parts`.
+            *self = join(parts, &first, left, right);
             return;
         }
         match self {
-            Node::Branch {
-                rep,
-                left,
-                right,
-                hash,
-                ..
-            } => {
-                let (lower, upper) = writes.split_at(parting(writes, bit));
-                left.apply(lower);
-                right.apply(upper);
-                match (left.rep(), right.is_empty()) {
-                    (Some(leftmost), false) => {
-                        *rep = *leftmost;
-                        *hash = branch_hash(bit, rep, &left.hash(), &right.hash());
+            Node::Branch(branch) => {
+                let (lower, upper) = writes.split_at_mut(parting(writes, bit));
+                branch.left.apply(lower, bit + 1);
+                branch.right.apply(upper, bit + 1);
+                match (branch.left.is_empty(), branch.right.is_empty()) {
+                    // Every write shares this branch's prefix, so the first
+                    // stands in for a key beneath it.
+                    (false, false) => {
+                        branch.hash =
+                            branch_hash(bit, &first, &branch.left.hash(), &branch.right.hash());
                     }
                     // Canonical form: an empty side leaves the other side.
-                    (Some(_), true) => *self = std::mem::take(left.as_mut()),
-                    (None, _) => *self = std::mem::take(right.as_mut()),
+                    (false, true) => *self = std::mem::take(&mut branch.left),
+                    (true, _) => *self = std::mem::take(&mut branch.right),
                 }
             }
-            // `parts == KEY_BITS`: the one write is to this leaf's, or gap's, key.
-            Node::Empty | Node::Leaf { .. } => {
-                *self = value_hash.map_or(Node::Empty, |value_hash| Node::Leaf {
-                    key: rep,
-                    value_hash,
-                    hash: leaf_hash(&rep, &value_hash),
-                });
+            // `parts == KEY_BITS`: the one write is to this leaf's, or
+            // gap's, key.
+            Node::Leaf(leaf) => {
+                let Some((_, value)) = writes.first_mut() else {
+                    return;
+                };
+                match value.take() {
+                    Some(new) => {
+                        leaf.value_hash = hash_bytes(&new);
+                        leaf.hash = leaf_hash(&leaf.key, &leaf.value_hash);
+                        *value = Some(std::mem::replace(&mut leaf.value, new));
+                    }
+                    None => {
+                        *value = Some(std::mem::take(&mut leaf.value));
+                        *self = Node::Empty;
+                    }
+                }
+            }
+            Node::Empty => {
+                if let Some((key, value)) = writes.first_mut() {
+                    // Absent before: what the write displaced is nothing.
+                    if let Some(new) = value.take() {
+                        *self = Node::Leaf(Box::new(Leaf::new(*key, new)));
+                    }
+                }
             }
         }
     }
@@ -401,7 +491,8 @@ impl Node {
 #[derive(Debug, Clone, Default)]
 pub struct SparseMerkleTree {
     root: Node,
-    values: HashMap<Hash, Vec<u8>>,
+    /// Keys held: the number of leaves.
+    len: usize,
 }
 
 impl SparseMerkleTree {
@@ -412,12 +503,12 @@ impl SparseMerkleTree {
 
     /// Number of keys in the tree.
     pub fn len(&self) -> usize {
-        self.values.len()
+        self.len
     }
 
     /// Returns `true` if the tree holds no keys.
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        self.root.is_empty()
     }
 
     /// The current root commitment.
@@ -427,12 +518,25 @@ impl SparseMerkleTree {
 
     /// Returns the value stored under `key`, if any.
     pub fn get(&self, key: &Hash) -> Option<&[u8]> {
-        self.values.get(key).map(Vec::as_slice)
+        let leaf = self.root.lead(key).filter(|leaf| leaf.key == *key)?;
+        Some(&leaf.value)
     }
 
-    /// Iterates over all `(key, value)` pairs in unspecified order.
+    /// Iterates over all `(key, value)` pairs in key order.
     pub fn iter(&self) -> impl Iterator<Item = (&Hash, &[u8])> {
-        self.values.iter().map(|(k, v)| (k, v.as_slice()))
+        // Left sides hold the keys with a 0 where a branch parts them, so a
+        // depth-first walk that takes the left side first is in key order.
+        let mut pending = vec![&self.root];
+        std::iter::from_fn(move || loop {
+            match pending.pop()? {
+                Node::Empty => {}
+                Node::Leaf(leaf) => return Some((&leaf.key, leaf.value.as_slice())),
+                Node::Branch(branch) => {
+                    pending.push(&branch.right);
+                    pending.push(&branch.left);
+                }
+            }
+        })
     }
 
     /// Inserts or updates `key`, returning the previous value if present.
@@ -457,17 +561,11 @@ impl SparseMerkleTree {
         writes: impl IntoIterator<Item = (Hash, Option<Vec<u8>>)>,
     ) -> Vec<(Hash, Option<Vec<u8>>)> {
         let mut writes = last_write_per_key(writes.into_iter().collect());
-        let hashed: Vec<(Hash, Option<Hash>)> = writes
-            .iter()
-            .map(|(key, value)| (*key, value.as_deref().map(hash_bytes)))
-            .collect();
-        self.root.apply(&hashed);
-        for (key, value) in &mut writes {
-            *value = match value.take() {
-                Some(new) => self.values.insert(*key, new),
-                None => self.values.remove(key),
-            };
-        }
+        let upserts = writes.iter().filter(|(_, value)| value.is_some()).count();
+        self.root.apply(&mut writes, 0);
+        // Each write now holds what it displaced: a key the tree held.
+        let held = writes.iter().filter(|(_, value)| value.is_some()).count();
+        self.len = self.len + upserts - held;
         writes
     }
 
@@ -490,7 +588,7 @@ impl SparseMerkleTree {
         let spread = self.len() / sorted.len().max(1);
         let levels = usize::try_from(usize::BITS - spread.leading_zeros()).unwrap_or(0);
         let mut evidence = Vec::with_capacity(sorted.len().saturating_mul(levels + 2));
-        Self::prove_rec(&self.root, 0, &sorted, false, &mut pre, &mut evidence);
+        Self::prove_rec(&self.root, None, 0, &sorted, false, &mut pre, &mut evidence);
         debug_assert_eq!(pre.len(), sorted.len());
         SmtProof {
             keys: sorted,
@@ -503,8 +601,10 @@ impl SparseMerkleTree {
     /// then goes up the verifier's walk with no branch hashed over it, so a
     /// leaf has to disclose its key and a subtree of several leaves has to
     /// bring its own header. Anywhere else a subtree travels as its hash.
+    /// `under` is a key beneath `node`, if the caller knows one.
     fn prove_rec(
         node: &Node,
+        under: Option<&Hash>,
         depth: usize,
         keys: &[Hash],
         passes: bool,
@@ -524,23 +624,18 @@ impl SparseMerkleTree {
                 push_empties(evidence, KEY_BITS.saturating_sub(depth));
                 pre.push(None);
             }
-            (
-                [wanted],
-                Node::Leaf {
-                    key, value_hash, ..
-                },
-            ) if key == wanted => {
+            ([wanted], Node::Leaf(leaf)) if leaf.key == *wanted => {
                 push_empties(evidence, KEY_BITS.saturating_sub(depth));
-                pre.push(Some(*value_hash));
+                pre.push(Some(leaf.value_hash));
             }
             _ => {
                 debug_assert!(depth < KEY_BITS, "sorted unique keys part before bit 256");
                 let split = keys.partition_point(|k| !k.bit(depth));
                 let (lkeys, rkeys) = keys.split_at(split);
-                let (lchild, rchild) = node.children(depth);
+                let [(lchild, lunder), (rchild, runder)] = node.sides(under, depth);
                 let (lpasses, rpasses) = (rchild.is_empty(), lchild.is_empty());
-                Self::prove_rec(lchild, depth + 1, lkeys, lpasses, pre, evidence);
-                Self::prove_rec(rchild, depth + 1, rkeys, rpasses, pre, evidence);
+                Self::prove_rec(lchild, lunder, depth + 1, lkeys, lpasses, pre, evidence);
+                Self::prove_rec(rchild, runder, depth + 1, rkeys, rpasses, pre, evidence);
             }
         }
     }
@@ -1543,12 +1638,10 @@ mod tests {
     /// refusal that meets the disclosure anywhere else.
     fn disclosure_of(node: &Node, hash: &Hash) -> Option<(Evidence, ProofError)> {
         match node {
-            Node::Leaf { .. } if node.hash() == *hash => Some((node.disclosed()?, LEAF_UNCALLED)),
-            Node::Branch { .. } if node.hash() == *hash => {
-                Some((node.disclosed()?, HEADER_UNCALLED))
-            }
-            Node::Branch { left, right, .. } => {
-                disclosure_of(left, hash).or_else(|| disclosure_of(right, hash))
+            Node::Leaf(_) if node.hash() == *hash => Some((node.disclosed()?, LEAF_UNCALLED)),
+            Node::Branch(_) if node.hash() == *hash => Some((node.disclosed()?, HEADER_UNCALLED)),
+            Node::Branch(branch) => {
+                disclosure_of(&branch.left, hash).or_else(|| disclosure_of(&branch.right, hash))
             }
             _ => None,
         }
@@ -1989,6 +2082,60 @@ mod tests {
                 .collect();
             let reads: Vec<Hash> = reads.iter().map(|k| pool[*k]).collect();
             check_commit(&initial, &writes, &reads);
+        });
+    }
+
+    /// Whatever commits and restores a tree has been through, it reads like
+    /// a map: `get`, `len` and the key-ordered `iter` agree with a
+    /// `BTreeMap` model, and so do a clone's; its root is the from-scratch
+    /// oracle's.
+    #[test]
+    fn prop_reads_agree_with_a_model() {
+        check("prop_reads_agree_with_a_model", 64, |g| {
+            let steps = g.vec(1..12, |g| {
+                let writes = g.vec(0..12, |g| {
+                    let value = g.option(|g| g.vec(0..3, |g| g.any::<u8>()));
+                    (g.range(0usize..30), value)
+                });
+                (writes, g.any::<bool>())
+            });
+            let pool = crowded_keys();
+            let reads_like = |tree: &SparseMerkleTree, model: &BTreeMap<Hash, Vec<u8>>| {
+                assert_eq!(
+                    (tree.len(), tree.is_empty()),
+                    (model.len(), model.is_empty())
+                );
+                let listed: Vec<(&Hash, &[u8])> = tree.iter().collect();
+                let want: Vec<(&Hash, &[u8])> =
+                    model.iter().map(|(k, v)| (k, v.as_slice())).collect();
+                assert_eq!(listed, want);
+                for k in pool.iter().chain([&key("absent")]) {
+                    assert_eq!(tree.get(k), model.get(k).map(Vec::as_slice));
+                }
+                let hashed = model.iter().map(|(k, v)| (*k, hash_bytes(v))).collect();
+                assert_eq!(tree.root(), reference_root(&hashed));
+            };
+            let mut tree = SparseMerkleTree::new();
+            let mut model = BTreeMap::new();
+            for (writes, restore) in steps {
+                let writes: Vec<(Hash, Option<Vec<u8>>)> =
+                    writes.into_iter().map(|(k, v)| (pool[k], v)).collect();
+                let before = model.clone();
+                for (k, v) in &writes {
+                    match v {
+                        Some(v) => model.insert(*k, v.clone()),
+                        None => model.remove(k),
+                    };
+                }
+                let displaced = tree.commit(writes);
+                reads_like(&tree, &model);
+                reads_like(&tree.clone(), &model);
+                if restore {
+                    tree.commit(displaced);
+                    model = before;
+                    reads_like(&tree, &model);
+                }
+            }
         });
     }
 

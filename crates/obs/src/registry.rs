@@ -244,6 +244,13 @@ impl Histogram {
         self.observe(u64::try_from(duration.as_nanos()).unwrap_or(u64::MAX));
     }
 
+    /// Whether an observation lands anywhere: `false` on an inert handle,
+    /// so a caller can skip work done only to observe, such as reading a
+    /// clock.
+    pub fn is_live(&self) -> bool {
+        self.0.is_some()
+    }
+
     /// Number of observations (0 on an inert handle).
     pub fn count(&self) -> u64 {
         self.0.as_ref().map_or(0, |core| {

@@ -126,6 +126,7 @@ impl Snapshot {
     /// # Errors
     ///
     /// Propagates the underlying I/O error.
+    #[allow(clippy::disallowed_methods, reason = "an export file, not a segment")]
     pub fn write_json(&self, path: &std::path::Path) -> std::io::Result<()> {
         std::fs::write(path, self.to_json())
     }

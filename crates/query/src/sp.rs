@@ -14,7 +14,7 @@ use dcert_obs::{Buckets, Counter, Histogram, Registry};
 use dcert_primitives::codec::{encode_seq, Decode, Encode};
 use dcert_primitives::hash::{Address, Hash};
 use dcert_primitives::keys::PublicKey;
-use dcert_sgx::cost::timed;
+use dcert_sgx::cost::timed_into;
 use dcert_store::{Record, Store, StoreError, StreamId};
 use dcert_vm::{Executor, StateKey};
 
@@ -361,22 +361,23 @@ impl ServiceProvider {
 
     /// The measured query path behind every `serve_*`: runs `query`, then
     /// records its serving time, VO size and result count (`results` of
-    /// the answer) under `family` into the attached registry, if any.
+    /// the answer) under `family` into the attached registry, if any. With
+    /// none attached it is `query` alone: no clock is read.
     fn measured<A, P: Encode>(
         &self,
         family: fn(&SpObs) -> &Counter,
         results: fn(&A) -> usize,
         query: impl FnOnce() -> (A, P),
     ) -> (A, P) {
-        let ((answer, proof), took) = timed(query);
-        if let Some(obs) = &self.obs {
-            let as_u64 = |n: usize| u64::try_from(n).unwrap_or(u64::MAX);
-            obs.queries.inc();
-            family(obs).inc();
-            obs.vo_bytes.observe(as_u64(proof.encoded_len()));
-            obs.results.observe(as_u64(results(&answer)));
-            obs.serve_ns.record(took);
-        }
+        let Some(obs) = &self.obs else {
+            return query();
+        };
+        let (answer, proof) = timed_into(&obs.serve_ns, query);
+        let as_u64 = |n: usize| u64::try_from(n).unwrap_or(u64::MAX);
+        obs.queries.inc();
+        family(obs).inc();
+        obs.vo_bytes.observe(as_u64(proof.encoded_len()));
+        obs.results.observe(as_u64(results(&answer)));
         (answer, proof)
     }
 

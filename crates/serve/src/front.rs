@@ -29,9 +29,9 @@
 //! off `SimNet::now` (or any deterministic clock), which is what makes
 //! the chaos suite's replay-stability assertions possible. The only
 //! wall-clock measurement is the `serve.serve_ns` timer around backend
-//! calls, taken through `dcert_sgx::cost::timed` (the workspace's one
-//! sanctioned clock) and stripped from replay comparisons by naming
-//! convention.
+//! calls, taken through `dcert_sgx::cost::timed_into` (the workspace's
+//! one sanctioned clock, read only when the timer records) and stripped
+//! from replay comparisons by naming convention.
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
@@ -41,7 +41,7 @@ use dcert_chain::{Block, ChainError};
 use dcert_core::{Certificate, IndexInput};
 use dcert_obs::Registry;
 use dcert_query::{ServiceProvider, SpError};
-use dcert_sgx::cost::timed;
+use dcert_sgx::cost::timed_into;
 
 use crate::admission::{RateLimit, TokenBuckets, TokenGrant};
 use crate::cache::ProofCache;
@@ -320,8 +320,9 @@ impl ServeFront {
             self.parked_waiters -= waiters.len();
             executed += 1;
 
-            let (answered, took) = timed(|| put_answer(&self.sp, &spec, &mut self.scratch));
-            self.metrics.serve_ns.record(took);
+            let answered = timed_into(&self.metrics.serve_ns, || {
+                put_answer(&self.sp, &spec, &mut self.scratch)
+            });
             match answered {
                 Some(()) => {
                     self.metrics.backend_calls.inc();

@@ -10,13 +10,15 @@
 //! time so that simulated experiments show the same *shape* of enclave
 //! overhead the paper measures.
 //!
-//! This module is the workspace's one clock: [`timed`] and [`spin`] read
-//! [`Instant`], which `clippy.toml` bans everywhere else but in two test
-//! hang guards.
+//! This module is the workspace's one clock: [`timed`], [`timed_into`]
+//! and [`spin`] read [`Instant`], which `clippy.toml` bans everywhere else
+//! but in two test hang guards.
 
 #![allow(clippy::disallowed_types, reason = "the workspace's one clock")]
 
 use std::time::{Duration, Instant};
+
+use dcert_obs::Histogram;
 
 /// Wall-clock charges applied by the simulated enclave.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -155,6 +157,18 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     let start = Instant::now();
     let value = f();
     (value, start.elapsed())
+}
+
+/// Runs `f`, recording the wall-clock time it took into `timer` — and
+/// reading the clock only when the timer records somewhere: under an inert
+/// handle (a disabled registry's) this is `f` alone.
+pub fn timed_into<T>(timer: &Histogram, f: impl FnOnce() -> T) -> T {
+    if !timer.is_live() {
+        return f();
+    }
+    let (value, took) = timed(f);
+    timer.record(took);
+    value
 }
 
 /// Busy-waits for `duration` (sleep has millisecond-scale jitter; enclave

@@ -26,7 +26,10 @@
 //!
 //! A `HeadCommitted` is the durability order as a type: a segment file
 //! may be deleted or shrunk only with one in hand (`seg_store`'s helpers
-//! take `&HeadCommitted`), and it is minted only here.
+//! take `&HeadCommitted`), and it is minted only here: by a head commit,
+//! and by [`SegmentStore::open`] for the head it finds. The opener lives
+//! in this module so that reading the head region stays private to it —
+//! no other store function can mint a witness by re-reading the slots.
 
 use std::fs::{File, OpenOptions};
 use std::io::Read;
@@ -37,6 +40,7 @@ use dcert_primitives::codec::{Decode, Encode};
 
 use crate::error::{io_err, StoreError};
 use crate::frame::{append_frame, decode_framed, HEAD_MAGIC};
+use crate::seg_store::{SegmentStore, StoreConfig};
 
 /// File name of the first head slot.
 pub const HEAD_SLOT_A: &str = "head-a.dch";
@@ -130,9 +134,10 @@ impl HeadState {
 }
 
 /// Witness that a head is durable: minted by [`SlotFile::rewrite`] after
-/// its data flush, and by [`read_head`] for the head `open` found (which
-/// disowned every segment recovery deletes). Not `Clone`, and dropped at
-/// the end of the call that minted it: a store holds none between calls.
+/// its data flush, and by [`SegmentStore::open`] for the head it found
+/// (which disowned every segment recovery deletes). Not `Clone`, and
+/// dropped at the end of the call that minted it: a store holds none
+/// between calls.
 ///
 /// This is as strong as the lexical rule it replaces, not stronger: it
 /// proves that *some* head commit precedes the delete on its path, not
@@ -176,23 +181,39 @@ impl SlotFile {
     }
 }
 
-/// The head region as `open` finds it: both slot files (`[A, B]`, each
-/// `None` until first written), held open for later in-place rewrites,
-/// the authoritative head ([`choose_head`]), and the witness that it is
-/// durable.
-pub(crate) type FoundHead = ([Option<SlotFile>; 2], Option<HeadState>, HeadCommitted);
+impl SegmentStore {
+    /// Opens (or creates) a store in `config.dir`, running crash recovery
+    /// if the directory already holds data.
+    ///
+    /// # Errors
+    ///
+    /// - [`StoreError::HeadCorrupt`] — head slots exist but none decodes.
+    /// - [`StoreError::DurableDataLost`] — a segment's intact prefix is
+    ///   shorter than the durable watermark (or a marked segment is
+    ///   missing entirely).
+    /// - [`StoreError::Io`] — operating-system failure.
+    pub fn open(config: StoreConfig) -> Result<Self, StoreError> {
+        std::fs::create_dir_all(&config.dir).map_err(io_err("store mkdir"))?;
+        let (heads, head) = read_head(&config.dir)?;
+        // The head just read is the durable one: it disowned every segment
+        // recovery deletes or shrinks.
+        SegmentStore::recovered(config, heads, head, &HeadCommitted(()))
+    }
+}
 
-/// Reads both head slots in `dir` and picks the authoritative head.
+/// Reads both head slots in `dir` — held open for later in-place
+/// rewrites, each `None` until first written — and picks the
+/// authoritative head ([`choose_head`]).
 ///
 /// # Errors
 ///
 /// [`StoreError::HeadCorrupt`] if a slot exists but none decodes;
 /// [`StoreError::Io`] on an operating-system failure.
-pub(crate) fn read_head(dir: &Path) -> Result<FoundHead, StoreError> {
+fn read_head(dir: &Path) -> Result<([Option<SlotFile>; 2], Option<HeadState>), StoreError> {
     let (file_a, slot_a) = open_slot(dir, HEAD_SLOT_A)?;
     let (file_b, slot_b) = open_slot(dir, HEAD_SLOT_B)?;
     let head = choose_head(slot_a, slot_b)?;
-    Ok(([file_a, file_b], head, HeadCommitted(())))
+    Ok(([file_a, file_b], head))
 }
 
 /// A head slot as recovery finds it: the file and its decoded state. Both

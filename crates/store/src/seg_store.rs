@@ -47,7 +47,7 @@ use dcert_primitives::Encode;
 
 use crate::error::{io_err, StoreError};
 use crate::frame::{append_frame, Record, SEGMENT_MAGIC};
-use crate::head::{read_head, HeadCommitted, HeadState, SegmentMark, SlotFile, HEAD_SLOT_A};
+use crate::head::{HeadCommitted, HeadState, SegmentMark, SlotFile, HEAD_SLOT_A};
 use crate::segment::{parse_segment_file_name, read_segment, segment_file_name};
 use crate::Store;
 
@@ -176,27 +176,20 @@ pub struct SegmentStore {
 }
 
 impl SegmentStore {
-    /// Opens (or creates) a store in `config.dir`, running crash recovery
-    /// if the directory already holds data.
-    ///
-    /// # Errors
-    ///
-    /// - [`StoreError::HeadCorrupt`] — head slots exist but none decodes.
-    /// - [`StoreError::DurableDataLost`] — a segment's intact prefix is
-    ///   shorter than the durable watermark (or a marked segment is
-    ///   missing entirely).
-    /// - [`StoreError::Io`] — operating-system failure.
-    pub fn open(config: StoreConfig) -> Result<Self, StoreError> {
-        std::fs::create_dir_all(&config.dir).map_err(io_err("store mkdir"))?;
-        let metrics = Metrics::new(&config.obs);
-
-        let (heads, head, committed) = read_head(&config.dir)?;
+    /// The store [`SegmentStore::open`] found in `config.dir`, recovered:
+    /// `heads` and `head` are its head region as read, and `committed`
+    /// the witness that `head` is durable.
+    pub(crate) fn recovered(
+        config: StoreConfig,
+        heads: [Option<SlotFile>; 2],
+        head: Option<HeadState>,
+        committed: &HeadCommitted,
+    ) -> Result<Self, StoreError> {
         let on_disk = list_segments(&config.dir)?;
-
         let mut store = SegmentStore {
             dir: config.dir,
             max_segment_bytes: config.max_segment_bytes,
-            metrics,
+            metrics: Metrics::new(&config.obs),
             // Placeholder; replaced below once the active segment is known.
             active: File::open("/dev/null").map_err(io_err("store open"))?,
             heads,
@@ -209,7 +202,7 @@ impl SegmentStore {
             report: RecoveryReport::default(),
             poisoned: None,
         };
-        store.recover(head, on_disk, &committed)?;
+        store.recover(head, on_disk, committed)?;
         Ok(store)
     }
 
@@ -486,7 +479,8 @@ fn remove_segment(path: &Path, _disowned: &HeadCommitted) -> Result<(), StoreErr
 }
 
 /// Truncates a torn segment to its intact prefix; a file whose magic was
-/// damaged is reset to a bare magic header. The cut bytes lie past the
+/// damaged is cut to nothing and given a bare magic header again. Either
+/// way the file is synced before this returns. The cut bytes lie past the
 /// watermark of the durable head behind `_disowned`.
 #[allow(clippy::disallowed_methods, reason = "the one segment truncate")]
 fn truncate_segment(
@@ -494,18 +488,18 @@ fn truncate_segment(
     valid_len: u64,
     _disowned: &HeadCommitted,
 ) -> Result<(), StoreError> {
-    if valid_len < SEGMENT_MAGIC.len() as u64 {
-        std::fs::write(path, SEGMENT_MAGIC).map_err(io_err("segment truncate"))?;
-        return Ok(());
-    }
-    let file = OpenOptions::new()
+    let mut file = OpenOptions::new()
         .write(true)
         .open(path)
         .map_err(io_err("segment truncate"))?;
-    file.set_len(valid_len)
+    let reset = valid_len < SEGMENT_MAGIC.len() as u64;
+    file.set_len(if reset { 0 } else { valid_len })
         .map_err(io_err("segment truncate"))?;
-    file.sync_all().map_err(io_err("segment truncate"))?;
-    Ok(())
+    if reset {
+        file.write_all(&SEGMENT_MAGIC)
+            .map_err(io_err("segment truncate"))?;
+    }
+    file.sync_all().map_err(io_err("segment truncate"))
 }
 
 impl Store for SegmentStore {
@@ -679,6 +673,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::disallowed_methods, reason = "a crash test's torn tail")]
     fn torn_tail_is_truncated_and_counted() {
         let dir = temp_dir("torn");
         let store = filled_store(&dir, 5);
@@ -833,6 +828,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::disallowed_methods, reason = "a crash test's damaged slots")]
     fn corrupt_both_heads_refuses() {
         let dir = temp_dir("both-heads");
         let store = filled_store(&dir, 3);
@@ -855,6 +851,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::disallowed_methods, reason = "a crash test's empty segment")]
     fn empty_segment_file_recovers_and_stays_appendable() {
         // A crash between segment create and the magic write leaves a
         // zero-byte file: recovery must restore the header so appends

@@ -95,6 +95,7 @@ mod tests {
     use crate::frame::{append_frame, StreamId};
     use dcert_primitives::Encode;
 
+    #[allow(clippy::disallowed_methods, reason = "a test's segment file")]
     fn temp_file(label: &str, bytes: &[u8]) -> std::path::PathBuf {
         let path = crate::testutil::temp_dir(label).join(segment_file_name(0));
         std::fs::write(&path, bytes).unwrap();

@@ -11,13 +11,16 @@
 # seconds, so they do not depend on the machine): SHA-256 blocks,
 # signature checks and signs, ECalls, request bytes, fsyncs, proof bytes
 # per query, the serving front's seed-exact tallies and the client's
-# storage bytes, each per operation as the benchmark reports it. A column is
-# its metric's name without the layer prefix; `-` where a workload does
-# not report it. Values are read as `scripts/ab.sh` reads them, through
-# `scripts/counter.awk`. `alloc.*` are printed on stdout, not written: on
-# the threaded workloads a few allocations follow thread order. Exits
-# non-zero if a run fails its correctness gate. Nothing under benchmark/
-# changes; each run's output stays in target/counters/.
+# storage bytes, each per operation as the benchmark reports it, and the
+# heap allocations and bytes requested on the single-threaded workloads
+# (`blocks_kv`, `blocks_io`, `queries_cold`, where two runs agree exactly).
+# A column is its metric's name without the layer prefix (`alloc.*` keep
+# theirs); `-` where a workload does not report it or it is not gated there. Values are read as
+# `scripts/ab.sh` reads them, through `scripts/counter.awk`. On `fleet_sb`
+# and `serve_mixed` `alloc.*` are printed on stdout, not written: there a
+# few allocations follow thread order or load. Exits non-zero if a run
+# fails its correctness gate. Nothing under benchmark/ changes; each run's
+# output stays in target/counters/.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -27,7 +30,9 @@ gated=(primitives.sha256_blocks primitives.sig_verifies primitives.sig_signs sgx
     serve.backend_calls serve.cache_hit_ratio serve.coalesce_ratio serve.cancelled
     serve.shed_admission serve.shed_pump serve.invalidations serve.wait_ticks_p50
     serve.wait_ticks_p99 client_storage_bytes)
-reported=(alloc.count alloc.bytes)
+allocs=(alloc.count alloc.bytes)
+# The workloads whose allocations repeat exactly, run to run.
+alloc_gated=" blocks_kv blocks_io queries_cold "
 
 runs="target/counters"
 mkdir -p "$runs"
@@ -39,7 +44,7 @@ counter() {
 }
 
 rows="$runs/rows.txt"
-echo "workload ${gated[*]#*.}" > "$rows"
+echo "workload ${gated[*]#*.} ${allocs[*]}" > "$rows"
 for workload in "${workloads[@]}"; do
     file="$runs/$workload.txt"
     if ! bash benchmark/run.sh --workload "$workload" --seed 1 --seconds 1 --trace 1 \
@@ -52,16 +57,23 @@ for workload in "${workloads[@]}"; do
         value="$(counter "$file" "$name")"
         row+=" ${value:--}"
     done
-    echo "$row" >> "$rows"
-    for name in "${reported[@]}"; do
-        echo "$workload $name $(counter "$file" "$name") (not gated)"
+    for name in "${allocs[@]}"; do
+        value="$(counter "$file" "$name")"
+        if [[ "$alloc_gated" == *" $workload "* ]]; then
+            row+=" ${value:--}"
+        else
+            row+=" -"
+            echo "$workload $name $value (not gated)"
+        fi
     done
+    echo "$row" >> "$rows"
 done
 {
     echo "# Exact work counters per operation, one row per workload: benchmark/run.sh"
     echo "# --seed 1 --seconds 1 --trace 1, read by scripts/counters.sh (columns: the"
-    echo "# metric names without their layer prefix). Regenerate with that script; CI"
-    echo "# fails when the committed file differs from a fresh run."
+    echo "# metric names without their layer prefix; alloc.* in full, and only on the"
+    echo "# single-threaded workloads). Regenerate with that script; CI fails when the"
+    echo "# committed file differs from a fresh run."
     # Columns padded to their widest cell.
     awk '
         { for (i = 1; i <= NF; i++) { cell[NR, i] = $i; if (length($i) > w[i]) w[i] = length($i) } }

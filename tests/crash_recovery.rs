@@ -286,6 +286,7 @@ fn mid_flight_kill_never_double_issues() {
 /// durable watermark), reopen into the same metrics registry, recover
 /// through certificate re-verification, and return the replay-stable
 /// part of the snapshot for cross-run comparison.
+#[allow(clippy::disallowed_methods, reason = "a crash test's torn tail")]
 fn sp_store_drill(label: &str) -> Snapshot {
     const DRILL_CHAIN: u64 = 4;
     let indexes = vec![(IndexKind::History, "history")];

@@ -25,10 +25,10 @@ use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use dcert::merkle::SmtProof;
+use dcert::merkle::{SmtProof, SparseMerkleTree};
 use dcert::obs::{Registry, Snapshot};
 use dcert::primitives::codec::{Decode, MAX_LEN};
-use dcert::primitives::hash::Hash;
+use dcert::primitives::hash::{hash_bytes, Hash};
 use dcert::query::aggregate::verify_aggregate;
 use dcert::query::history::verify_history;
 use dcert::query::{AggregateIndex, HistoryIndex};
@@ -125,6 +125,15 @@ fn peak_heap<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let value = f();
     let peak = PEAK_BYTES.with(Cell::get);
     (value, u64::try_from(peak - start).unwrap_or(0))
+}
+
+/// What `f` leaves allocated on this thread once it returns, in bytes,
+/// beside what it returns.
+fn held<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let start = LIVE_BYTES.with(Cell::get);
+    let value = f();
+    let end = LIVE_BYTES.with(Cell::get);
+    (value, u64::try_from(end - start).unwrap_or(0))
 }
 
 /// One query of each kind the front serves.
@@ -369,17 +378,20 @@ struct ColdCost {
 /// and the executed program's nodes. The spec names its index statically,
 /// so building it and its two clones (the arrival queue's, the cache's
 /// insertion order's) cost nothing: 3 fewer than when the name was a
-/// `String`.
+/// `String`. The window walk counts its rows and ops before it takes
+/// them, so the answer and the program are each allocated once: 5 fewer
+/// than when both grew by doubling.
 const HISTORY_FLOOR: ColdCost = ColdCost {
-    serve: 46,
+    serve: 41,
     decode: 36,
     verify: 8,
 };
 
 /// One cold aggregate query: no versions travel, so every stage is its
-/// proof's (the spec's name costs nothing, as in [`HISTORY_FLOOR`]).
+/// proof's (the spec's name costs nothing, as in [`HISTORY_FLOOR`]; the
+/// program is sized before it is written, 2 fewer than by doubling).
 const AGGREGATE_FLOOR: ColdCost = ColdCost {
-    serve: 14,
+    serve: 12,
     decode: 7,
     verify: 6,
 };
@@ -495,4 +507,59 @@ fn a_lying_count_reserves_what_its_input_holds() {
     let (decoded, peak) = peak_heap(|| SmtProof::decode_all(&proof));
     assert!(decoded.is_err());
     assert!(peak < 4096, "{peak} bytes reserved");
+}
+
+// --- the state tree's heap ---------------------------------------------------
+
+/// Keys in the floor's state tree, and each value's length: about the
+/// `blocks_io` state (4 121 keys of 28-byte records at eight seconds).
+const STATE_KEYS: u64 = 4096;
+const VALUE_LEN: usize = 28;
+
+/// The heap a tree of [`STATE_KEYS`] keys holds, in bytes. Per key one
+/// leaf (key, value hash, leaf hash and the value's `Vec`: 120 bytes) and
+/// its value (28); per key but one a branch (bit, two sides and hash: 72).
+/// 219.98 bytes a key, against ≈ 350 when every node was one 104-byte enum,
+/// a branch carried a copy of a leaf key and a hash map held every key a
+/// second time beside its value.
+const STATE_TREE_HEAP: u64 = 4096 * (120 + 28) + 4095 * 72;
+
+fn state_key(i: u64) -> Hash {
+    hash_bytes(i.to_be_bytes())
+}
+
+/// The [`STATE_KEYS`]-key tree, built one insert at a time.
+fn state_tree() -> SparseMerkleTree {
+    let mut tree = SparseMerkleTree::new();
+    for i in 0..STATE_KEYS {
+        tree.insert(state_key(i), vec![i as u8; VALUE_LEN]);
+    }
+    tree
+}
+
+#[test]
+fn the_state_tree_holds_each_key_once() {
+    let (tree, bytes) = held(state_tree);
+    assert_eq!(tree.len() as u64, STATE_KEYS);
+    assert_eq!(bytes, STATE_TREE_HEAP);
+    assert!(bytes <= 233 * STATE_KEYS, "{bytes} bytes");
+}
+
+#[test]
+fn updating_held_keys_allocates_no_node() {
+    let mut tree = state_tree();
+    let update = |i: u64| (state_key(i), Some(vec![!(i as u8); VALUE_LEN]));
+    // One key: its leaf takes the new value in place and hands back the
+    // old one, in the buffer the write came in.
+    let one = vec![update(7)];
+    let ((displaced, bytes), cost) = counted(|| held(|| tree.commit(one)));
+    assert_eq!(displaced, [(state_key(7), Some(vec![7; VALUE_LEN]))]);
+    assert_eq!((cost, bytes), ((0, 0), 0), "(allocations, bytes), held");
+    // Every key: only the sort's scratch, freed before the commit returns.
+    let every: Vec<_> = (0..STATE_KEYS).map(update).collect();
+    let root = tree.root();
+    let ((displaced, bytes), (allocations, _)) = counted(|| held(|| tree.commit(every)));
+    assert_eq!(displaced.len() as u64, STATE_KEYS);
+    assert_eq!((allocations, bytes), (1, 0), "allocations, bytes held");
+    assert_ne!(tree.root(), root);
 }

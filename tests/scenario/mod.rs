@@ -288,6 +288,7 @@ impl Run {
                 assert!(self.front.rewind(), "CHAOS_SEED={seed}: nothing rewound");
                 assert_eq!(self.front.sp().index_height(), self.certified as u64);
             }
+            #[allow(clippy::disallowed_methods, reason = "a crash test's torn tail")]
             Event::TearTail => {
                 // The archive dies mid-append, closing its store, and
                 // leaves half a frame header past the durable watermark.

@@ -150,6 +150,7 @@ fn commit_at(golden: &Golden, cut: usize) -> usize {
 
 /// Reconstructs a crashed store directory: the segment prefix the kill
 /// left behind, plus the head slots as they stood at `commit`.
+#[allow(clippy::disallowed_methods, reason = "a crash test's torn files")]
 fn restore(golden: &Golden, cut: usize, commit: usize, label: &str) -> PathBuf {
     let dir = temp_dir(label);
     std::fs::write(dir.join(SEG_FILE), &golden.seg[..cut]).expect("segment written");
@@ -201,6 +202,7 @@ fn kill_at_every_segment_offset_recovers_the_last_commit() {
 /// survives, so recovery falls back exactly one commit — never refuses,
 /// never serves a blend of the two.
 #[test]
+#[allow(clippy::disallowed_methods, reason = "a crash test's torn slot")]
 fn torn_newest_head_slot_falls_back_one_commit() {
     let g = golden();
     // After 3 commits the newest head (seq 3) is slot A; slot B holds seq 2.
@@ -296,6 +298,7 @@ fn read_files(dir: &Path) -> Files {
 /// its head write, with the slot being rewritten replaced by a blend; the
 /// store must come back exactly one commit behind.
 #[test]
+#[allow(clippy::disallowed_methods, reason = "a crash test's torn slots")]
 fn torn_in_place_rewrites_that_grow_or_shrink_the_slot_fall_back_one_commit() {
     let dir = temp_dir("rewrite-live");
     let config = |dir: &Path| StoreConfig::new(dir).max_segment_bytes(128);
@@ -430,6 +433,7 @@ fn recovery_refuses_substituted_head_entry() {
 /// Every flip must either refuse (typed) or recover — and a recovery must
 /// be byte-identical to the oracle at whatever watermark it lands on.
 /// Returns `(recovered, refused)` for the caller's coverage assertions.
+#[allow(clippy::disallowed_methods, reason = "a crash test's damaged files")]
 fn run_bit_flips(g: &Golden, seed: u64) -> (usize, usize) {
     let last = GOLDEN_BLOCKS as usize;
     let head_a = g.heads[last][0].as_ref().expect("slot A written");
