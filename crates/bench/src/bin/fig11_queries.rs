@@ -36,7 +36,7 @@ fn main() {
     // every window contains versions).
     eprintln!("building {chain_len}-block indexes over {accounts} accounts...");
     let probe = kv_key(0);
-    let mut dcert_idx = HistoryIndex::new("history");
+    let mut dcert_idx = HistoryIndex::new();
     let mut lineage_idx = LineageIndex::new();
     let mut rng = StdRng::seed_from_u64(42);
     for height in 1..=chain_len {

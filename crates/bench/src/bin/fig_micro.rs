@@ -94,7 +94,7 @@ fn main() {
     // What the SP does per `History` query: the upper-level lookup, the
     // window walk and both proofs, over one key's 128 versions (order 16;
     // appends leave 8-entry leaves) and a 16-version window, two leaves.
-    let mut history = HistoryIndex::new("history");
+    let mut history = HistoryIndex::new();
     let account = StateKey::new("kvstore", b"account");
     for height in 1..=128u64 {
         history.apply_block(height, &[(account, Some(height.to_be_bytes().repeat(4)))]);

@@ -43,8 +43,8 @@ fn main() {
     // amount), plus background accounts so the trees have real fan-out.
     eprintln!("building {chain_len}-block history + aggregate indexes...");
     let probe = kv_key(0);
-    let mut history = HistoryIndex::new("history");
-    let mut aggregate = AggregateIndex::new("agg");
+    let mut history = HistoryIndex::new();
+    let mut aggregate = AggregateIndex::new();
     let mut rng = StdRng::seed_from_u64(42);
     for height in 1..=chain_len {
         let mut writes: Vec<(StateKey, Option<Vec<u8>>)> =

@@ -390,7 +390,8 @@ impl SuperlightClient {
         self.accept(cert, expected, None, Some((name, idx_digest)))
     }
 
-    /// The latest validated header, if any.
+    /// The latest validated header, if any. A test accessor: the
+    /// convergence and fork tests compare clients' tips with it.
     pub fn latest_header(&self) -> Option<&BlockHeader> {
         self.latest.as_ref().map(|(h, _)| h)
     }

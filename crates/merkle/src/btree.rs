@@ -1023,11 +1023,6 @@ pub struct AppendProof<F: Flavor> {
     path: Vec<AppendNode<F>>,
 }
 
-/// Rightmost-path proof of an [`MbTree`].
-pub type MbAppendProof = AppendProof<Plain>;
-/// Rightmost-path proof of an [`AggMbTree`].
-pub type AggAppendProof = AppendProof<Summed>;
-
 impl<F: Flavor> AppendProof<F> {
     /// Size of the serialized proof in bytes.
     pub fn size_bytes(&self) -> usize {

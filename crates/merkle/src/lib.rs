@@ -61,7 +61,7 @@ pub mod mht;
 pub mod ops;
 pub mod smt;
 
-pub use btree::{AggAppendProof, AggMbTree, Aggregate, MbAppendProof, MbTree};
+pub use btree::{AggMbTree, Aggregate, MbTree};
 pub use mht::set_build_threads;
 pub use ops::{AggOpProof, MbOpProof, ProofOp, MAX_OP_STACK, MAX_PROOF_DEPTH};
 pub use smt::{SmtProof, SparseMerkleTree};

@@ -34,7 +34,8 @@ enum Grid {
 }
 
 impl Buckets {
-    /// Buckets from explicit bounds (sorted and deduplicated).
+    /// Buckets from explicit bounds (sorted and deduplicated). A test
+    /// accessor: product histograms use the computed layouts.
     pub fn from_bounds(mut bounds: Vec<u64>) -> Self {
         bounds.sort_unstable();
         bounds.dedup();

@@ -69,8 +69,6 @@ pub enum CryptoError {
     BadSignature,
     /// Key material had the wrong length or was otherwise malformed.
     MalformedKey,
-    /// Signature bytes had the wrong length or were otherwise malformed.
-    MalformedSignature,
 }
 
 impl fmt::Display for CryptoError {
@@ -78,7 +76,6 @@ impl fmt::Display for CryptoError {
         match self {
             CryptoError::BadSignature => write!(f, "signature verification failed"),
             CryptoError::MalformedKey => write!(f, "malformed key material"),
-            CryptoError::MalformedSignature => write!(f, "malformed signature bytes"),
         }
     }
 }

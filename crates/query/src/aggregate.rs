@@ -121,7 +121,7 @@ mod tests {
 
     #[test]
     fn digest_tracks_updates_and_verifier_agrees() {
-        let mut index = AggregateIndex::with_order("agg", 4);
+        let mut index = AggregateIndex::with_order(4);
         let verifier = AggregateVerifier::with_order("agg", 4);
         let mut digest = index.digest();
         assert_eq!(digest, verifier.genesis_digest());
@@ -138,7 +138,7 @@ mod tests {
 
     #[test]
     fn non_numeric_writes_are_skipped_consistently() {
-        let mut index = AggregateIndex::with_order("agg", 4);
+        let mut index = AggregateIndex::with_order(4);
         let verifier = AggregateVerifier::with_order("agg", 4);
         let digest = index.digest();
         // A mix: one balance, one text value, one deletion.
@@ -158,7 +158,7 @@ mod tests {
 
     #[test]
     fn window_aggregates_verify() {
-        let mut index = AggregateIndex::with_order("agg", 4);
+        let mut index = AggregateIndex::with_order(4);
         for height in 1..=60u64 {
             index.apply_block(height, &balance_writes(&[("alice", height * 10)]));
         }
@@ -174,7 +174,7 @@ mod tests {
 
     #[test]
     fn untracked_key_verifies_empty() {
-        let mut index = AggregateIndex::with_order("agg", 4);
+        let mut index = AggregateIndex::with_order(4);
         index.apply_block(1, &balance_writes(&[("alice", 1)]));
         let digest = index.digest();
         let (agg, proof) = index.query(&key("nobody"), 0, 100);
@@ -184,7 +184,7 @@ mod tests {
 
     #[test]
     fn inflated_sum_detected() {
-        let mut index = AggregateIndex::with_order("agg", 4);
+        let mut index = AggregateIndex::with_order(4);
         for height in 1..=30u64 {
             index.apply_block(height, &balance_writes(&[("alice", height)]));
         }
@@ -196,7 +196,7 @@ mod tests {
 
     #[test]
     fn stale_digest_detected() {
-        let mut index = AggregateIndex::with_order("agg", 4);
+        let mut index = AggregateIndex::with_order(4);
         index.apply_block(1, &balance_writes(&[("alice", 10)]));
         let stale = index.digest();
         index.apply_block(2, &balance_writes(&[("alice", 20)]));
@@ -208,7 +208,7 @@ mod tests {
     /// compatibility name of the same verifier.
     #[test]
     fn op_query_matches_per_path_aggregate_and_verifies() {
-        let mut index = AggregateIndex::with_order("agg", 4);
+        let mut index = AggregateIndex::with_order(4);
         for height in 1..=60u64 {
             index.apply_block(height, &balance_writes(&[("alice", height * 10)]));
         }
@@ -231,7 +231,7 @@ mod tests {
 
     #[test]
     fn verifier_rejects_forged_aux() {
-        let mut index = AggregateIndex::with_order("agg", 4);
+        let mut index = AggregateIndex::with_order(4);
         let verifier = AggregateVerifier::with_order("agg", 4);
         let digest = index.digest();
         let writes = balance_writes(&[("alice", 7)]);

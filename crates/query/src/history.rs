@@ -148,7 +148,7 @@ mod tests {
 
     #[test]
     fn digest_tracks_updates_and_verifier_agrees() {
-        let mut index = HistoryIndex::with_order("history", 4);
+        let mut index = HistoryIndex::with_order(4);
         let verifier = HistoryVerifier::with_order("history", 4);
         let mut digest = index.digest();
         assert_eq!(digest, verifier.genesis_digest());
@@ -172,7 +172,7 @@ mod tests {
     /// produces the same update proof and digest.
     #[test]
     fn undo_block_restores_the_index_the_block_found() {
-        let mut index = HistoryIndex::with_order("history", 4);
+        let mut index = HistoryIndex::with_order(4);
         let seen = |index: &HistoryIndex| {
             let answers: Vec<Vec<u8>> = ["a", "b", "fresh"]
                 .iter()
@@ -199,7 +199,7 @@ mod tests {
 
     #[test]
     fn verifier_rejects_tampered_aux() {
-        let mut index = HistoryIndex::with_order("history", 4);
+        let mut index = HistoryIndex::with_order(4);
         let verifier = HistoryVerifier::with_order("history", 4);
         let digest = index.digest();
         let ws = writes(&[("a", Some("v"))]);
@@ -214,7 +214,7 @@ mod tests {
 
     #[test]
     fn verifier_rejects_wrong_write_count() {
-        let mut index = HistoryIndex::with_order("history", 4);
+        let mut index = HistoryIndex::with_order(4);
         let verifier = HistoryVerifier::with_order("history", 4);
         let digest = index.digest();
         let ws = writes(&[("a", Some("v"))]);
@@ -228,7 +228,7 @@ mod tests {
 
     #[test]
     fn query_returns_versions_in_window_with_valid_proof() {
-        let mut index = HistoryIndex::with_order("history", 4);
+        let mut index = HistoryIndex::with_order(4);
         for height in 1..=50u64 {
             index.apply_block(height, &writes(&[("acct", Some(&format!("v{height}")))]));
         }
@@ -241,7 +241,7 @@ mod tests {
 
     #[test]
     fn untracked_key_yields_verified_absence() {
-        let mut index = HistoryIndex::with_order("history", 4);
+        let mut index = HistoryIndex::with_order(4);
         index.apply_block(1, &writes(&[("known", Some("v"))]));
         let digest = index.digest();
         let (results, proof) = index.query(&key("unknown"), 0, 100);
@@ -251,7 +251,7 @@ mod tests {
 
     #[test]
     fn omitted_version_is_detected() {
-        let mut index = HistoryIndex::with_order("history", 4);
+        let mut index = HistoryIndex::with_order(4);
         for height in 1..=20u64 {
             index.apply_block(height, &writes(&[("acct", Some(&format!("v{height}")))]));
         }
@@ -263,7 +263,7 @@ mod tests {
 
     #[test]
     fn tampered_version_value_is_detected() {
-        let mut index = HistoryIndex::with_order("history", 4);
+        let mut index = HistoryIndex::with_order(4);
         for height in 1..=20u64 {
             index.apply_block(height, &writes(&[("acct", Some(&format!("v{height}")))]));
         }
@@ -275,7 +275,7 @@ mod tests {
 
     #[test]
     fn proof_from_stale_digest_fails() {
-        let mut index = HistoryIndex::with_order("history", 4);
+        let mut index = HistoryIndex::with_order(4);
         index.apply_block(1, &writes(&[("acct", Some("v1"))]));
         let stale_digest = index.digest();
         index.apply_block(2, &writes(&[("acct", Some("v2"))]));
@@ -287,7 +287,7 @@ mod tests {
     /// compatibility name of the same verifier.
     #[test]
     fn op_query_matches_per_path_results_and_verifies() {
-        let mut index = HistoryIndex::with_order("history", 4);
+        let mut index = HistoryIndex::with_order(4);
         for height in 1..=50u64 {
             index.apply_block(height, &writes(&[("acct", Some(&format!("v{height}")))]));
         }
@@ -304,7 +304,7 @@ mod tests {
 
     #[test]
     fn op_query_detects_omission_and_untracked_keys() {
-        let mut index = HistoryIndex::with_order("history", 4);
+        let mut index = HistoryIndex::with_order(4);
         for height in 1..=20u64 {
             index.apply_block(height, &writes(&[("acct", Some(&format!("v{height}")))]));
         }
@@ -348,7 +348,7 @@ mod tests {
 
     #[test]
     fn deletions_are_recorded_as_versions() {
-        let mut index = HistoryIndex::with_order("history", 4);
+        let mut index = HistoryIndex::with_order(4);
         index.apply_block(1, &writes(&[("acct", Some("v1"))]));
         index.apply_block(2, &writes(&[("acct", None)]));
         let digest = index.digest();

@@ -79,9 +79,8 @@ fn chain_head(tx_ids: &[Hash]) -> Hash {
 }
 
 /// The SP-side inverted keyword index.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct InvertedIndex {
-    name: String,
     dictionary: SparseMerkleTree,
     postings: HashMap<String, Vec<Hash>>,
     /// The undo of the last block's appends, until
@@ -100,19 +99,9 @@ struct Appended {
 }
 
 impl InvertedIndex {
-    /// Creates an index registered under `name`.
-    pub fn new(name: impl Into<String>) -> Self {
-        InvertedIndex {
-            name: name.into(),
-            dictionary: SparseMerkleTree::new(),
-            postings: HashMap::new(),
-            last_block: Appended::default(),
-        }
-    }
-
-    /// The registered index-type name.
-    pub fn name(&self) -> &str {
-        &self.name
+    /// Creates an empty index.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// The certified digest `H_idx`: the dictionary root.
@@ -127,8 +116,9 @@ impl InvertedIndex {
 
     /// Derives the per-keyword appends of a block, in transaction order.
     ///
-    /// Crate-visible so [`crate::sp::ServiceProvider`] can persist the
-    /// appends of each staged block into its `Keywords` record stream.
+    /// Crate-visible so [`crate::sp::ServiceProvider`] derives a staged
+    /// block's appends once, for its `Keywords` record stream and every
+    /// inverted index.
     pub(crate) fn block_appends(block: &Block) -> BTreeMap<String, Vec<Hash>> {
         let mut appends: BTreeMap<String, Vec<Hash>> = BTreeMap::new();
         for tx in &block.txs {
@@ -157,23 +147,28 @@ impl InvertedIndex {
     /// [`InvertedIndex::settle_block`].
     pub fn apply_block(&mut self, block: &Block) -> (Vec<u8>, Hash) {
         let appends: Vec<(String, Vec<Hash>)> = Self::block_appends(block).into_iter().collect();
+        self.apply_appends(&appends)
+    }
+
+    /// [`InvertedIndex::apply_block`] over the block's derived appends:
+    /// the proof, then [`InvertedIndex::replay`]'s mutation.
+    pub(crate) fn apply_appends(&mut self, appends: &[(String, Vec<Hash>)]) -> (Vec<u8>, Hash) {
         let touched: Vec<Hash> = appends.iter().map(|(kw, _)| keyword_key(kw)).collect();
         let proof = self.dictionary.prove(&touched);
         let prev_heads = appends
             .iter()
             .map(|(kw, _)| (kw.clone(), self.head(kw)))
             .collect();
-        self.replay_appends(&appends);
+        self.replay(appends);
         let update = InvertedUpdate { prev_heads, proof };
         (update.to_encoded_bytes(), self.digest())
     }
 
-    /// Replays persisted per-keyword appends (one block's worth, as
-    /// derived by [`InvertedIndex::block_appends`]) without the block or
-    /// the update proof — the mutation half of
-    /// [`InvertedIndex::apply_block`], used by store recovery. Applying
-    /// the same appends yields the same dictionary root by construction.
-    pub(crate) fn replay_appends(&mut self, appends: &[(String, Vec<Hash>)]) {
+    /// Replays one block's per-keyword appends without the block or the
+    /// update proof — the mutation half of [`InvertedIndex::apply_block`],
+    /// which store recovery runs alone. Applying the same appends yields
+    /// the same dictionary root by construction.
+    pub(crate) fn replay(&mut self, appends: &[(String, Vec<Hash>)]) {
         let mut undo = Appended::default();
         for (keyword, ids) in appends {
             let mut head = self.head(keyword).unwrap_or(Hash::ZERO);
@@ -267,7 +262,8 @@ pub struct InvertedVerifier {
 }
 
 impl InvertedVerifier {
-    /// Creates the verifier matching [`InvertedIndex::new`] under `name`.
+    /// Creates the verifier matching [`InvertedIndex::new`], registered
+    /// under `name`.
     pub fn new(name: impl Into<String>) -> Self {
         InvertedVerifier { name: name.into() }
     }
@@ -453,7 +449,7 @@ mod tests {
 
     #[test]
     fn digest_tracks_updates_and_verifier_agrees() {
-        let mut index = InvertedIndex::new("inverted");
+        let mut index = InvertedIndex::new();
         let verifier = InvertedVerifier::new("inverted");
         let mut digest = index.digest();
         assert_eq!(digest, verifier.genesis_digest());
@@ -473,7 +469,7 @@ mod tests {
 
     #[test]
     fn verifier_rejects_forged_appends() {
-        let mut index = InvertedIndex::new("inverted");
+        let mut index = InvertedIndex::new();
         let verifier = InvertedVerifier::new("inverted");
         let digest = index.digest();
         let block = memo_block(1, &["stock bank"]);
@@ -485,7 +481,7 @@ mod tests {
 
     #[test]
     fn conjunctive_query_verifies() {
-        let mut index = InvertedIndex::new("inverted");
+        let mut index = InvertedIndex::new();
         let b1 = memo_block(1, &["stock bank merger", "stock only here"]);
         let b2 = memo_block(2, &["bank holiday", "stock AND bank again"]);
         index.apply_block(&b1);
@@ -504,7 +500,7 @@ mod tests {
 
     #[test]
     fn absent_keyword_gives_verified_empty_result() {
-        let mut index = InvertedIndex::new("inverted");
+        let mut index = InvertedIndex::new();
         index.apply_block(&memo_block(1, &["stock bank"]));
         let digest = index.digest();
         let (result, proof) = index.query(&["stock", "unicorn"]);
@@ -514,7 +510,7 @@ mod tests {
 
     #[test]
     fn omitted_posting_detected() {
-        let mut index = InvertedIndex::new("inverted");
+        let mut index = InvertedIndex::new();
         let b1 = memo_block(1, &["stock bank", "stock bank too"]);
         index.apply_block(&b1);
         let digest = index.digest();
@@ -527,7 +523,7 @@ mod tests {
 
     #[test]
     fn tampered_result_detected() {
-        let mut index = InvertedIndex::new("inverted");
+        let mut index = InvertedIndex::new();
         index.apply_block(&memo_block(1, &["stock bank"]));
         let digest = index.digest();
         let (mut result, proof) = index.query(&["stock"]);
@@ -537,14 +533,14 @@ mod tests {
 
     #[test]
     fn replay_appends_matches_apply_block() {
-        let mut live = InvertedIndex::new("inverted");
-        let mut replayed = InvertedIndex::new("inverted");
+        let mut live = InvertedIndex::new();
+        let mut replayed = InvertedIndex::new();
         for height in 1..=5u64 {
             let block = memo_block(height, &["stock bank sale", "bank bond note"]);
             live.apply_block(&block);
             let appends: Vec<(String, Vec<Hash>)> =
                 InvertedIndex::block_appends(&block).into_iter().collect();
-            replayed.replay_appends(&appends);
+            replayed.replay(&appends);
         }
         assert_eq!(live.digest(), replayed.digest());
         assert_eq!(live.query(&["bank"]).0, replayed.query(&["bank"]).0);
@@ -565,7 +561,7 @@ mod tests {
     /// nothing.
     #[test]
     fn undo_block_restores_the_index_the_block_found() {
-        let mut index = InvertedIndex::new("inverted");
+        let mut index = InvertedIndex::new();
         index.apply_block(&memo_block(1, &["stock bank", "bank bond"]));
         index.settle_block();
         for (what, memos) in [
@@ -611,7 +607,7 @@ mod tests {
 
     #[test]
     fn proof_codec_round_trip() {
-        let mut index = InvertedIndex::new("inverted");
+        let mut index = InvertedIndex::new();
         index.apply_block(&memo_block(1, &["stock bank"]));
         let (_, proof) = index.query(&["stock"]);
         let decoded = KeywordProof::decode_all(&proof.to_encoded_bytes()).unwrap();

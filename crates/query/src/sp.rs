@@ -22,7 +22,6 @@ use crate::aggregate::{AggQueryProof, Aggregate, AggregateIndex, AggregateVerifi
 use crate::error::SpError;
 use crate::history::{HistoryIndex, HistoryProof, HistoryVerifier, Version};
 use crate::inverted::{InvertedIndex, InvertedVerifier, KeywordProof};
-use crate::two_level::{IndexFlavor, TwoLevelIndex};
 
 /// Head-region key under which the SP commits its replay watermark: the
 /// highest block height whose index updates (and record pages) are
@@ -78,85 +77,88 @@ dcert_primitives::wire! {
     struct CertifiedEntry { digest, anchor }
 }
 
-/// An index the SP maintains block by block.
-///
-/// Implemented by every [`TwoLevelIndex`] ([`HistoryIndex`],
-/// [`AggregateIndex`]) and by [`InvertedIndex`]; the object-safe
-/// surface is what [`ServiceProvider`] drives, while querying goes through
-/// the concrete types.
-pub trait MaintainedIndex: Send {
+/// An index the SP maintains, of any kind: each kind is a proof plus a
+/// replay.
+enum Index {
+    History(HistoryIndex),
+    Inverted(InvertedIndex),
+    Aggregate(AggregateIndex),
+}
+
+impl Index {
+    fn kind(&self) -> IndexKind {
+        match self {
+            Index::History(_) => IndexKind::History,
+            Index::Inverted(_) => IndexKind::Inverted,
+            Index::Aggregate(_) => IndexKind::Aggregate,
+        }
+    }
+
     /// The current digest `H_idx`.
-    fn digest(&self) -> Hash;
-    /// Applies one block, returning `(aux, new_digest)` for certification.
-    /// The block stays undoable until the next one or `settle_block`.
-    fn apply_block(
-        &mut self,
-        block: &Block,
-        writes: &[(StateKey, Option<Vec<u8>>)],
-    ) -> (Vec<u8>, Hash);
-    /// Takes back the last `apply_block` exactly; nothing once settled.
-    fn undo_block(&mut self);
-    /// Makes the last `apply_block` final, dropping its undo.
-    fn settle_block(&mut self);
-}
-
-impl<F: IndexFlavor> MaintainedIndex for TwoLevelIndex<F>
-where
-    Self: Send,
-{
     fn digest(&self) -> Hash {
-        TwoLevelIndex::digest(self)
+        match self {
+            Index::History(index) => index.digest(),
+            Index::Inverted(index) => index.digest(),
+            Index::Aggregate(index) => index.digest(),
+        }
     }
-    fn apply_block(
+
+    /// Applies one block — its `writes` and its keyword `appends` —
+    /// returning `(aux, new_digest)` for certification. The block stays
+    /// undoable until the next one or `settle_block`.
+    fn apply(
         &mut self,
-        block: &Block,
+        height: u64,
         writes: &[(StateKey, Option<Vec<u8>>)],
+        appends: &[(String, Vec<Hash>)],
     ) -> (Vec<u8>, Hash) {
-        TwoLevelIndex::apply_block(self, block.header.height, writes)
+        match self {
+            Index::History(index) => index.apply_block(height, writes),
+            Index::Inverted(index) => index.apply_appends(appends),
+            Index::Aggregate(index) => index.apply_block(height, writes),
+        }
     }
-    fn undo_block(&mut self) {
-        TwoLevelIndex::undo_block(self);
-    }
-    fn settle_block(&mut self) {
-        TwoLevelIndex::settle_block(self);
-    }
-}
 
-impl MaintainedIndex for InvertedIndex {
-    fn digest(&self) -> Hash {
-        InvertedIndex::digest(self)
-    }
-    fn apply_block(
+    /// [`Index::apply`] without the proof: what recovery replays.
+    fn replay(
         &mut self,
-        block: &Block,
-        _writes: &[(StateKey, Option<Vec<u8>>)],
-    ) -> (Vec<u8>, Hash) {
-        InvertedIndex::apply_block(self, block)
+        height: u64,
+        writes: &[(StateKey, Option<Vec<u8>>)],
+        appends: &[(String, Vec<Hash>)],
+    ) {
+        match self {
+            Index::History(index) => index.replay(height, writes),
+            Index::Inverted(index) => index.replay(appends),
+            Index::Aggregate(index) => index.replay(height, writes),
+        }
     }
+
+    /// Takes back the last block exactly; nothing once settled.
     fn undo_block(&mut self) {
-        InvertedIndex::undo_block(self);
+        match self {
+            Index::History(index) => index.undo_block(),
+            Index::Inverted(index) => index.undo_block(),
+            Index::Aggregate(index) => index.undo_block(),
+        }
     }
+
+    /// Makes the last block final, dropping its undo.
     fn settle_block(&mut self) {
-        InvertedIndex::settle_block(self);
+        match self {
+            Index::History(index) => index.settle_block(),
+            Index::Inverted(index) => index.settle_block(),
+            Index::Aggregate(index) => index.settle_block(),
+        }
     }
 }
 
-/// Every index as the SP drives it, in [`ServiceProvider::verifiers`]
-/// order, each with its name.
-fn maintained<'a>(
-    histories: &'a mut BTreeMap<String, HistoryIndex>,
-    inverteds: &'a mut BTreeMap<String, InvertedIndex>,
-    aggregates: &'a mut BTreeMap<String, AggregateIndex>,
-) -> impl Iterator<Item = (&'a str, &'a mut dyn MaintainedIndex)> {
-    fn as_dyn<I: MaintainedIndex>(
-        map: &mut BTreeMap<String, I>,
-    ) -> impl Iterator<Item = (&str, &mut dyn MaintainedIndex)> {
-        map.iter_mut()
-            .map(|(name, index)| (name.as_str(), index as &mut dyn MaintainedIndex))
-    }
-    as_dyn(histories)
-        .chain(as_dyn(inverteds))
-        .chain(as_dyn(aggregates))
+/// One registered index: its name, the index, and `(header_hash,
+/// certified_digest, certificate)` of its latest certificate — what
+/// recovery re-verifies it against.
+struct Entry {
+    name: String,
+    index: Index,
+    anchor: Option<(Hash, Hash, Certificate)>,
 }
 
 /// What taking back the last staged block needs beyond each index's own
@@ -168,8 +170,10 @@ struct Unstage {
     staged: Option<Hash>,
 }
 
-/// Which kind of index to instantiate under a name.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Which kind of index to instantiate under a name. The declaration
+/// order is the order the SP certifies its indexes in: kind first, then
+/// name ([`ServiceProvider::verifiers`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum IndexKind {
     /// Two-level historical index.
     History,
@@ -216,12 +220,10 @@ impl SpObs {
 /// bookkeeping.
 pub struct ServiceProvider {
     node: FullNode,
-    histories: BTreeMap<String, HistoryIndex>,
-    inverteds: BTreeMap<String, InvertedIndex>,
-    aggregates: BTreeMap<String, AggregateIndex>,
-    /// Per index, `(header_hash, certified_digest, certificate)` of its
-    /// latest certificate — what recovery re-verifies it against.
-    anchors: BTreeMap<String, Option<(Hash, Hash, Certificate)>>,
+    /// Every registered index, sorted by `(kind, name)`: the order of
+    /// [`ServiceProvider::verifiers`], of every `IndexInput` list and of
+    /// every certificate list.
+    entries: Vec<Entry>,
     /// Header hash of the block staged since the last `advance`.
     staged: Option<Hash>,
     /// The undo of the last staged block, held until it settles.
@@ -243,8 +245,7 @@ impl std::fmt::Debug for ServiceProvider {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServiceProvider")
             .field("height", &self.node.height())
-            .field("histories", &self.histories.len())
-            .field("inverteds", &self.inverteds.len())
+            .field("indexes", &self.entries.len())
             .finish()
     }
 }
@@ -259,10 +260,7 @@ impl ServiceProvider {
     ) -> Self {
         ServiceProvider {
             node: FullNode::new(genesis, genesis_state, executor, engine, Address::default()),
-            histories: BTreeMap::new(),
-            inverteds: BTreeMap::new(),
-            aggregates: BTreeMap::new(),
-            anchors: BTreeMap::new(),
+            entries: Vec::new(),
             staged: None,
             unstage: None,
             index_height: 0,
@@ -278,7 +276,8 @@ impl ServiceProvider {
     }
 
     /// Detaches and returns the store (e.g. to close and later recover
-    /// from it). Persistence stops; the SP keeps serving from memory.
+    /// from it). Persistence stops; the SP keeps serving from memory. A
+    /// test accessor: the recovery tests close a store with it.
     pub fn take_store(&mut self) -> Option<Box<dyn Store>> {
         self.store.take().map(|(store, ..)| store)
     }
@@ -305,38 +304,42 @@ impl ServiceProvider {
     pub fn add_index(&mut self, kind: IndexKind, name: &str) {
         assert_eq!(self.node.height(), 0, "indexes must start from genesis");
         assert_eq!(self.index_height, 0, "indexes must start from genesis");
-        let fresh = self.anchors.insert(name.to_owned(), None).is_none();
-        assert!(fresh, "duplicate index name {name}");
-        match kind {
-            IndexKind::History => {
-                self.histories
-                    .insert(name.to_owned(), HistoryIndex::new(name));
-            }
-            IndexKind::Inverted => {
-                self.inverteds
-                    .insert(name.to_owned(), InvertedIndex::new(name));
-            }
-            IndexKind::Aggregate => {
-                self.aggregates
-                    .insert(name.to_owned(), AggregateIndex::new(name));
-            }
-        }
+        assert!(self.entry(name).is_none(), "duplicate index name {name}");
+        let at = self
+            .entries
+            .partition_point(|e| (e.index.kind(), e.name.as_str()) < (kind, name));
+        let index = match kind {
+            IndexKind::History => Index::History(HistoryIndex::new()),
+            IndexKind::Inverted => Index::Inverted(InvertedIndex::new()),
+            IndexKind::Aggregate => Index::Aggregate(AggregateIndex::new()),
+        };
+        let entry = Entry {
+            name: name.to_owned(),
+            index,
+            anchor: None,
+        };
+        self.entries.insert(at, entry);
+    }
+
+    /// The index registered under `name`, of whichever kind.
+    fn entry(&self, name: &str) -> Option<&Entry> {
+        self.entries.iter().find(|entry| entry.name == name)
     }
 
     /// Builds the enclave-side verifiers matching the registered indexes —
     /// hand these to [`CertificateIssuer::new`](dcert_core::CertificateIssuer::new).
     pub fn verifiers(&self) -> Vec<Box<dyn IndexVerifier>> {
-        let mut out: Vec<Box<dyn IndexVerifier>> = Vec::new();
-        for name in self.histories.keys() {
-            out.push(Box::new(HistoryVerifier::new(name.clone())));
-        }
-        for name in self.inverteds.keys() {
-            out.push(Box::new(InvertedVerifier::new(name.clone())));
-        }
-        for name in self.aggregates.keys() {
-            out.push(Box::new(AggregateVerifier::new(name.clone())));
-        }
-        out
+        self.entries
+            .iter()
+            .map(|Entry { name, index, .. }| -> Box<dyn IndexVerifier> {
+                let name = name.clone();
+                match index {
+                    Index::History(_) => Box::new(HistoryVerifier::new(name)),
+                    Index::Inverted(_) => Box::new(InvertedVerifier::new(name)),
+                    Index::Aggregate(_) => Box::new(AggregateVerifier::new(name)),
+                }
+            })
+            .collect()
     }
 
     /// The SP's chain height.
@@ -346,17 +349,26 @@ impl ServiceProvider {
 
     /// Access a history index for querying.
     pub fn history(&self, name: &str) -> Option<&HistoryIndex> {
-        self.histories.get(name)
+        match &self.entry(name)?.index {
+            Index::History(index) => Some(index),
+            _ => None,
+        }
     }
 
     /// Access an inverted index for querying.
     pub fn inverted(&self, name: &str) -> Option<&InvertedIndex> {
-        self.inverteds.get(name)
+        match &self.entry(name)?.index {
+            Index::Inverted(index) => Some(index),
+            _ => None,
+        }
     }
 
     /// Access an aggregate index for querying.
     pub fn aggregate(&self, name: &str) -> Option<&AggregateIndex> {
-        self.aggregates.get(name)
+        match &self.entry(name)?.index {
+            Index::Aggregate(index) => Some(index),
+            _ => None,
+        }
     }
 
     /// The measured query path behind every `serve_*`: runs `query`, then
@@ -393,7 +405,7 @@ impl ServiceProvider {
         t1: u64,
         t2: u64,
     ) -> Option<(Vec<(u64, Version)>, HistoryProof)> {
-        let index = self.histories.get(name)?;
+        let index = self.history(name)?;
         Some(self.measured(
             |obs| &obs.history_queries,
             Vec::len,
@@ -409,7 +421,7 @@ impl ServiceProvider {
         name: &str,
         keywords: &[&str],
     ) -> Option<(Vec<Hash>, KeywordProof)> {
-        let index = self.inverteds.get(name)?;
+        let index = self.inverted(name)?;
         Some(self.measured(
             |obs| &obs.keyword_queries,
             Vec::len,
@@ -427,7 +439,7 @@ impl ServiceProvider {
         t1: u64,
         t2: u64,
     ) -> Option<(Aggregate, AggQueryProof)> {
-        let index = self.aggregates.get(name)?;
+        let index = self.aggregate(name)?;
         Some(self.measured(
             |obs| &obs.aggregate_queries,
             |_| 1,
@@ -492,41 +504,41 @@ impl ServiceProvider {
         let (execution, displaced) = self.node.follow(block)?;
         let writes: Vec<(StateKey, Option<Vec<u8>>)> = execution.writes.into_iter().collect();
 
+        // The block's keyword appends, derived once for the record page
+        // and every inverted index.
+        let height = block.header.height;
+        let keyworded = self.store.is_some()
+            || self
+                .entries
+                .iter()
+                .any(|e| matches!(e.index, Index::Inverted(_)));
+        let appends: Vec<(String, Vec<Hash>)> = if keyworded {
+            InvertedIndex::block_appends(block).into_iter().collect()
+        } else {
+            Vec::new()
+        };
         // Persist the raw material recovery replays: the block's writes
         // (rebuilds history/aggregate indexes) and its keyword appends
         // (rebuilds inverted indexes). Volatile until `advance` commits;
         // a rewound block's records stay behind the committed watermark
         // until the block that replaces it supersedes them.
         if self.store.is_some() {
-            let height = block.header.height;
             let mut writes_body = Vec::new();
             encode_seq(&writes, &mut writes_body);
             self.persist(height, StreamId::Writes, writes_body);
-            let appends: Vec<(String, Vec<Hash>)> =
-                InvertedIndex::block_appends(block).into_iter().collect();
             let mut keywords_body = Vec::new();
             encode_seq(&appends, &mut keywords_body);
             self.persist(height, StreamId::Keywords, keywords_body);
         }
 
-        // Disjoint field borrows: the loop streams `&str` keys straight out
-        // of the maps, with no intermediate Vec and no key clone.
-        let ServiceProvider {
-            histories,
-            inverteds,
-            aggregates,
-            anchors,
-            ..
-        } = self;
-        let mut inputs = Vec::with_capacity(histories.len() + inverteds.len() + aggregates.len());
-        for (name, index) in maintained(histories, inverteds, aggregates) {
-            let prev_digest = index.digest();
-            let prev_cert = anchors.get(name).and_then(Option::as_ref);
-            let (aux, new_digest) = index.apply_block(block, &writes);
+        let mut inputs = Vec::with_capacity(self.entries.len());
+        for entry in &mut self.entries {
+            let prev_digest = entry.index.digest();
+            let (aux, new_digest) = entry.index.apply(height, &writes, &appends);
             inputs.push(IndexInput {
-                index_type: name.to_owned(),
+                index_type: entry.name.clone(),
                 prev_digest,
-                prev_cert: prev_cert.map(|(.., cert)| cert.clone()),
+                prev_cert: entry.anchor.as_ref().map(|(.., cert)| cert.clone()),
                 new_digest,
                 aux,
             });
@@ -537,7 +549,7 @@ impl ServiceProvider {
             index_height: self.index_height,
             staged: self.staged,
         });
-        self.index_height = block.header.height;
+        self.index_height = height;
         self.staged = Some(block.header.hash());
         Ok(inputs)
     }
@@ -557,29 +569,19 @@ impl ServiceProvider {
             return false;
         };
         self.node.retract(unstage.prev_tip, unstage.displaced);
-        for index in self.indexes_mut() {
-            index.undo_block();
+        for entry in &mut self.entries {
+            entry.index.undo_block();
         }
         self.index_height = unstage.index_height;
         self.staged = unstage.staged;
         true
     }
 
-    /// Every index, mutably, in [`ServiceProvider::verifiers`] order.
-    fn indexes_mut(&mut self) -> impl Iterator<Item = &mut dyn MaintainedIndex> {
-        maintained(
-            &mut self.histories,
-            &mut self.inverteds,
-            &mut self.aggregates,
-        )
-        .map(|(_, index)| index)
-    }
-
     /// Makes the last staged block final: drops its undo.
     fn settle(&mut self) {
         if self.unstage.take().is_some() {
-            for index in self.indexes_mut() {
-                index.settle_block();
+            for entry in &mut self.entries {
+                entry.index.settle_block();
             }
         }
     }
@@ -600,28 +602,23 @@ impl ServiceProvider {
     /// Commits every index's digest and anchor to the head region and
     /// syncs, making the records staged for the committed height durable.
     fn commit_store(&mut self) {
-        if self.store.is_none() || self.store_error.is_some() {
+        let (Some((store, ..)), None) = (&mut self.store, &self.store_error) else {
             return;
-        }
-        let mut entries = Vec::with_capacity(self.anchors.len() + 1);
-        for (name, anchor) in &self.anchors {
-            let entry = CertifiedEntry {
-                digest: self.digest(name).unwrap_or(Hash::ZERO),
-                anchor: anchor.clone(),
-            };
-            entries.push((format!("{SP_CERT_PREFIX}{name}"), entry.to_encoded_bytes()));
-        }
-        entries.push((
-            SP_HEIGHT_KEY.to_owned(),
-            self.index_height.to_encoded_bytes(),
-        ));
-        if let Some((store, ..)) = &mut self.store {
-            let committed = entries
-                .into_iter()
-                .try_for_each(|(key, value)| store.put_head(&key, value))
-                .and_then(|()| store.sync());
-            self.store_error = committed.err();
-        }
+        };
+        let committed = self
+            .entries
+            .iter()
+            .try_for_each(|entry| {
+                let certified = CertifiedEntry {
+                    digest: entry.index.digest(),
+                    anchor: entry.anchor.clone(),
+                };
+                let key = format!("{SP_CERT_PREFIX}{}", entry.name);
+                store.put_head(&key, certified.to_encoded_bytes())
+            })
+            .and_then(|()| store.put_head(SP_HEIGHT_KEY, self.index_height.to_encoded_bytes()))
+            .and_then(|()| store.sync());
+        self.store_error = committed.err();
     }
 
     /// Settles the staged block (with nothing staged, does nothing) and
@@ -642,25 +639,23 @@ impl ServiceProvider {
             return Ok(());
         };
         if let Some(certs) = certs {
-            let staged: Vec<(String, Hash)> =
-                self.digests().map(|(n, d)| (n.to_owned(), d)).collect();
-            let (expected, got) = (staged.len(), certs.len());
+            let (expected, got) = (self.entries.len(), certs.len());
             if expected != got {
                 return Err(SpError::CertCount { expected, got });
             }
-            for ((name, digest), cert) in staged.iter().zip(certs) {
-                let bound = Certificate::index_digest(&header_hash, digest);
+            for (entry, cert) in self.entries.iter().zip(certs) {
+                let bound = Certificate::index_digest(&header_hash, &entry.index.digest());
                 let checked = match &self.store {
                     _ if cert.digest != bound => Err(CertError::DigestMismatch),
                     Some((_, domain)) => domain.check(cert, &bound),
                     None => Ok(()),
                 };
                 checked.map_err(|error| SpError::Cert {
-                    index: name.clone(),
+                    index: entry.name.clone(),
                     error,
                 })?;
             }
-            for ((name, digest), cert) in staged.into_iter().zip(certs) {
+            for (entry, cert) in self.entries.iter_mut().zip(certs) {
                 if let Some((_, domain)) = &mut self.store {
                     domain.remember(cert);
                 }
@@ -668,8 +663,7 @@ impl ServiceProvider {
                     obs.cert_bytes
                         .observe(u64::try_from(cert.encoded_len()).unwrap_or(u64::MAX));
                 }
-                self.anchors
-                    .insert(name, Some((header_hash, digest, cert.clone())));
+                entry.anchor = Some((header_hash, entry.index.digest(), cert.clone()));
             }
         }
         self.staged = None;
@@ -693,23 +687,12 @@ impl ServiceProvider {
     /// The current digest of an index: what every answer served from it
     /// verifies against, and what its next certificate certifies.
     pub fn digest(&self, name: &str) -> Option<Hash> {
-        self.digests().find(|(n, _)| *n == name).map(|(_, d)| d)
-    }
-
-    /// Every index's current digest, in [`ServiceProvider::verifiers`] order.
-    fn digests(&self) -> impl Iterator<Item = (&str, Hash)> {
-        let hist = self.histories.iter().map(|(n, i)| (n.as_str(), i.digest()));
-        let inv = self.inverteds.iter().map(|(n, i)| (n.as_str(), i.digest()));
-        let agg = self
-            .aggregates
-            .iter()
-            .map(|(n, i)| (n.as_str(), i.digest()));
-        hist.chain(inv).chain(agg)
+        Some(self.entry(name)?.index.digest())
     }
 
     /// The latest certificate of an index.
     pub fn certificate(&self, name: &str) -> Option<&Certificate> {
-        self.anchors.get(name)?.as_ref().map(|(.., cert)| cert)
+        self.entry(name)?.anchor.as_ref().map(|(.., cert)| cert)
     }
 
     /// Rebuilds this genesis SP's indexes and anchors from `store` — the
@@ -773,47 +756,40 @@ impl ServiceProvider {
         // Replay in height order; a gap below the watermark means
         // acknowledged data is missing, so recovery refuses.
         for height in 1..=committed {
-            let writes = writes_pages
+            let WritesPage { writes } = writes_pages
                 .get(&height)
                 .ok_or(refused("missing writes page below the committed watermark"))?;
-            let keywords = keyword_pages.get(&height).ok_or(refused(
+            let KeywordPage { appends } = keyword_pages.get(&height).ok_or(refused(
                 "missing keyword page below the committed watermark",
             ))?;
-            for index in self.histories.values_mut() {
-                HistoryIndex::apply_block(index, height, &writes.writes);
+            for entry in &mut self.entries {
+                entry.index.replay(height, writes, appends);
             }
-            for index in self.aggregates.values_mut() {
-                AggregateIndex::apply_block(index, height, &writes.writes);
-            }
-            for index in self.inverteds.values_mut() {
-                index.replay_appends(&keywords.appends);
-            }
-        }
-        for index in self.indexes_mut() {
-            index.settle_block();
         }
 
         // Re-verify: every committed digest must equal the replayed one,
         // and the latest certificate must still prove its anchor.
-        let mut recovered = Vec::with_capacity(self.anchors.len());
-        for name in self.anchors.keys() {
-            let key = format!("{SP_CERT_PREFIX}{name}");
+        for entry in &mut self.entries {
+            entry.index.settle_block();
+            let key = format!("{SP_CERT_PREFIX}{}", entry.name);
             let Some(bytes) = store.head(&key) else {
                 if committed == 0 {
                     continue; // fresh store: nothing committed yet
                 }
                 return Err(refused("missing per-index head entry"));
             };
-            let entry = CertifiedEntry::decode_all(&bytes)?;
-            if Some(entry.digest) != self.digest(name) {
+            let CertifiedEntry { digest, anchor } = CertifiedEntry::decode_all(&bytes)?;
+            if digest != entry.index.digest() {
                 return Err(refused(
                     "replayed index digest does not match the committed digest",
                 ));
             }
-            recovered.push((name.clone(), entry.anchor));
+            entry.anchor = anchor;
         }
         let mut domain = TrustDomain::new(*ias_key, *measurement);
-        for (header_hash, cert_digest, cert) in recovered.iter().filter_map(|(_, a)| a.as_ref()) {
+        for (header_hash, cert_digest, cert) in
+            self.entries.iter().filter_map(|e| e.anchor.as_ref())
+        {
             let bound = Certificate::index_digest(header_hash, cert_digest);
             domain.check(cert, &bound).map_err(RecoverError::Cert)?;
             domain.remember(cert);
@@ -823,13 +799,12 @@ impl ServiceProvider {
         // than silently drop certified state.
         for (key, _) in store.head_entries() {
             if let Some(name) = key.strip_prefix(SP_CERT_PREFIX) {
-                if !self.anchors.contains_key(name) {
+                if self.entry(name).is_none() {
                     return Err(refused("head entry for an unregistered index"));
                 }
             }
         }
 
-        self.anchors.extend(recovered);
         self.index_height = committed;
         self.store = Some((store, domain));
         Ok(self)
@@ -844,6 +819,14 @@ mod tests {
     use dcert_workloads::blockbench_registry;
 
     fn setup() -> (FullNode, ServiceProvider) {
+        setup_with(&[
+            (IndexKind::History, "history"),
+            (IndexKind::Inverted, "inverted"),
+        ])
+    }
+
+    /// A miner and a genesis SP maintaining `indexes`, registered in order.
+    fn setup_with(indexes: &[(IndexKind, &str)]) -> (FullNode, ServiceProvider) {
         let executor = Executor::new(Arc::new(blockbench_registry()));
         let engine: Arc<dyn ConsensusEngine> = Arc::new(ProofOfWork::new(2));
         let (genesis, state) = GenesisBuilder::new().build();
@@ -855,8 +838,9 @@ mod tests {
             Address::from_seed(1),
         );
         let mut sp = ServiceProvider::new(&genesis, state, executor, engine);
-        sp.add_index(IndexKind::History, "history");
-        sp.add_index(IndexKind::Inverted, "inverted");
+        for (kind, name) in indexes {
+            sp.add_index(*kind, name);
+        }
         (miner, sp)
     }
 
@@ -924,12 +908,28 @@ mod tests {
         assert!(vo.sum > 0, "VOs have nonzero wire size");
     }
 
+    /// Indexes are certified kind first (History, Inverted, Aggregate),
+    /// then by name: registered in name order, `z`, `m` and `a` come out
+    /// in reverse, from `verifiers` and from `stage_block` alike.
     #[test]
     fn verifiers_match_indexes() {
         let (_, sp) = setup();
         let verifiers = sp.verifiers();
         let names: Vec<&str> = verifiers.iter().map(|v| v.type_name()).collect();
         assert_eq!(names, vec!["history", "inverted"]);
+
+        let (mut miner, mut sp) = setup_with(&[
+            (IndexKind::Aggregate, "a"),
+            (IndexKind::Inverted, "m"),
+            (IndexKind::History, "z"),
+        ]);
+        let verifiers = sp.verifiers();
+        let names: Vec<&str> = verifiers.iter().map(|v| v.type_name()).collect();
+        assert_eq!(names, vec!["z", "m", "a"]);
+        let block = miner.mine(Vec::new(), 1).unwrap();
+        let inputs = sp.stage_block(&block).unwrap();
+        let staged: Vec<&str> = inputs.iter().map(|i| i.index_type.as_str()).collect();
+        assert_eq!(staged, vec!["z", "m", "a"]);
     }
 
     #[test]
@@ -945,9 +945,17 @@ mod tests {
     use dcert_sgx::{AttestationService, CostModel};
     use dcert_store::MemStore;
 
-    /// A miner, an SP (history + inverted) on an empty [`MemStore`], and a
-    /// CI wired with the SP's verifiers — plus the trust anchors recovery
-    /// needs.
+    /// Every index a [`CertifiedWorld`] SP maintains, one of each kind, in
+    /// certification order.
+    const CERTIFIED_INDEXES: [(IndexKind, &str); 3] = [
+        (IndexKind::History, "history"),
+        (IndexKind::Inverted, "inverted"),
+        (IndexKind::Aggregate, "aggregate"),
+    ];
+
+    /// A miner, an SP ([`CERTIFIED_INDEXES`]) on an empty [`MemStore`],
+    /// and a CI wired with the SP's verifiers — plus the trust anchors
+    /// recovery needs.
     struct CertifiedWorld {
         miner: FullNode,
         sp: ServiceProvider,
@@ -974,8 +982,9 @@ mod tests {
             );
             let mut sp =
                 ServiceProvider::new(&genesis, state.clone(), executor.clone(), engine.clone());
-            sp.add_index(IndexKind::History, "history");
-            sp.add_index(IndexKind::Inverted, "inverted");
+            for (kind, name) in CERTIFIED_INDEXES {
+                sp.add_index(kind, name);
+            }
             let mut ias = AttestationService::with_seed([42; 32]);
             let ci = CertificateIssuer::new(
                 [9; 32],
@@ -1015,25 +1024,28 @@ mod tests {
                 self.executor.clone(),
                 self.engine.clone(),
             );
-            sp.add_index(IndexKind::History, "history");
-            sp.add_index(IndexKind::Inverted, "inverted");
+            for (kind, name) in CERTIFIED_INDEXES {
+                sp.add_index(kind, name);
+            }
             sp
         }
 
-        /// Mines one keyword-bearing kvstore block at `height`.
+        /// Mines one kvstore block at `height`: a keyword-bearing put to
+        /// `acct` and a numeric put to `balance`.
         fn mine(&mut self, height: u64) -> Block {
-            let kp = Keypair::from_seed([5; 32]);
-            let tx = Transaction::sign(
-                &kp,
-                height - 1,
-                "kvstore",
-                dcert_workloads::kvstore::KvCall::Put {
-                    key: b"acct".to_vec(),
-                    value: format!("stock bank memo {height}").into_bytes(),
-                }
-                .to_encoded_bytes(),
-            );
-            self.miner.mine(vec![tx], height).unwrap()
+            let put = |seed, key: &[u8], value: Vec<u8>| {
+                let call = dcert_workloads::kvstore::KvCall::Put {
+                    key: key.to_vec(),
+                    value,
+                };
+                let kp = Keypair::from_seed([seed; 32]);
+                Transaction::sign(&kp, height - 1, "kvstore", call.to_encoded_bytes())
+            };
+            let txs = vec![
+                put(5, b"acct", format!("stock bank memo {height}").into_bytes()),
+                put(6, b"balance", (height * 10).to_be_bytes().to_vec()),
+            ];
+            self.miner.mine(txs, height).unwrap()
         }
 
         /// Stages `block` and certifies it: the index certificates the SP
@@ -1059,8 +1071,8 @@ mod tests {
     fn advance_refuses_misbound_certificate_lists_typed() {
         let mut world = CertifiedWorld::new();
         world.certified_block(1);
-        let previous: Vec<Certificate> = ["history", "inverted"]
-            .map(|name| world.sp.certificate(name).unwrap().clone())
+        let previous: Vec<Certificate> = CERTIFIED_INDEXES
+            .map(|(_, name)| world.sp.certificate(name).unwrap().clone())
             .to_vec();
         let block = world.mine(2);
         let certs = world.stage_and_certify(&block);
@@ -1075,13 +1087,13 @@ mod tests {
                 "short list",
                 certs[..1].to_vec(),
                 SpError::CertCount {
-                    expected: 2,
+                    expected: 3,
                     got: 1,
                 },
             ),
             (
                 "reordered list",
-                vec![certs[1].clone(), certs[0].clone()],
+                vec![certs[1].clone(), certs[0].clone(), certs[2].clone()],
                 unbound("history"),
             ),
             ("previous block's", previous, unbound("history")),
@@ -1120,7 +1132,7 @@ mod tests {
         // The recovered SP serves exactly what the live one does.
         assert_eq!(recovered.index_height(), 4);
         assert_eq!(recovered.height(), 0, "chain state resyncs separately");
-        for name in ["history", "inverted"] {
+        for (_, name) in CERTIFIED_INDEXES {
             assert_eq!(recovered.digest(name), world.sp.digest(name));
             assert_eq!(
                 recovered.certificate(name).map(Encode::to_encoded_bytes),
@@ -1140,6 +1152,21 @@ mod tests {
             .serve_keywords("inverted", &["stock", "bank"])
             .unwrap();
         assert_eq!(live_kw, rec_kw);
+        let balance = StateKey::new("kvstore", b"balance");
+        let (live_agg, live_proof) = world
+            .sp
+            .serve_aggregate("aggregate", &balance, 0, 100)
+            .unwrap();
+        let (rec_agg, rec_proof) = recovered
+            .serve_aggregate("aggregate", &balance, 0, 100)
+            .unwrap();
+        assert_eq!(live_agg.to_encoded_bytes(), rec_agg.to_encoded_bytes());
+        assert_eq!(live_proof.to_encoded_bytes(), rec_proof.to_encoded_bytes());
+        assert_ne!(
+            recovered.digest("aggregate"),
+            Some(Hash::ZERO),
+            "the aggregate index tracks the balance"
+        );
 
         // Re-syncing the chain skips the already-recovered heights, then
         // staging continues identically to the uninterrupted SP.
@@ -1151,9 +1178,9 @@ mod tests {
         assert_eq!(recovered.height(), 4);
         let block5 = world.certified_block(5);
         let inputs = recovered.stage_block(&block5).unwrap();
-        assert_eq!(inputs.len(), 2);
+        assert_eq!(inputs.len(), CERTIFIED_INDEXES.len());
         recovered.advance(None).unwrap();
-        for name in ["history", "inverted"] {
+        for (_, name) in CERTIFIED_INDEXES {
             assert_eq!(
                 recovered.digest(name),
                 world.sp.digest(name),

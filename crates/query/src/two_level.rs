@@ -54,10 +54,19 @@ pub trait IndexFlavor: Flavor {
     fn present(answer: Self::Answer) -> Self::Output;
 }
 
+/// What a block's writes record under `F`'s ingestion rule, per written
+/// key, in write-set order: the subset the SP and the enclave both index.
+fn ingest<F: IndexFlavor>(
+    writes: &[(StateKey, Option<Vec<u8>>)],
+) -> impl Iterator<Item = (&StateKey, F::Value)> + '_ {
+    writes
+        .iter()
+        .filter_map(|(key, write)| Some((key, F::ingest(write)?)))
+}
+
 /// The SP-side two-level index.
 #[derive(Debug, Clone)]
 pub struct TwoLevelIndex<F: IndexFlavor> {
-    name: String,
     upper: SparseMerkleTree,
     lower: HashMap<Hash, BTree<F>>,
     order: usize,
@@ -67,27 +76,26 @@ pub struct TwoLevelIndex<F: IndexFlavor> {
     last_block: Vec<(Hash, Option<Vec<u8>>)>,
 }
 
+impl<F: IndexFlavor> Default for TwoLevelIndex<F> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl<F: IndexFlavor> TwoLevelIndex<F> {
-    /// Creates an index registered under `name` with the default B-tree
-    /// fanout.
-    pub fn new(name: impl Into<String>) -> Self {
-        Self::with_order(name, BTree::<F>::DEFAULT_ORDER)
+    /// Creates an index with the default B-tree fanout.
+    pub fn new() -> Self {
+        Self::with_order(BTree::<F>::DEFAULT_ORDER)
     }
 
     /// Creates an index with an explicit B-tree fanout.
-    pub fn with_order(name: impl Into<String>, order: usize) -> Self {
+    pub fn with_order(order: usize) -> Self {
         TwoLevelIndex {
-            name: name.into(),
             upper: SparseMerkleTree::new(),
             lower: HashMap::new(),
             order,
             last_block: Vec::new(),
         }
-    }
-
-    /// The registered index-type name.
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     /// The certified digest `H_idx`: the upper tree's root.
@@ -101,11 +109,12 @@ impl<F: IndexFlavor> TwoLevelIndex<F> {
     }
 
     /// Applies one block's write set at `height`, returning the
-    /// enclave-verifiable update proof (`aux`) and the new digest.
+    /// enclave-verifiable update proof (`aux`) and the new digest: the
+    /// proof, then the mutation `replay` runs alone.
     ///
     /// Writes must be presented in the canonical (sorted-by-key) order the
-    /// certificate program authenticates, at a height above every one
-    /// applied before. The block stays undoable
+    /// certificate program authenticates, each key once, at a height above
+    /// every one applied before. The block stays undoable
     /// ([`TwoLevelIndex::undo_block`]) until the next block or
     /// [`TwoLevelIndex::settle_block`].
     pub fn apply_block(
@@ -113,33 +122,51 @@ impl<F: IndexFlavor> TwoLevelIndex<F> {
         height: u64,
         writes: &[(StateKey, Option<Vec<u8>>)],
     ) -> (Vec<u8>, Hash) {
-        let ingested: Vec<(Hash, F::Value)> = writes
-            .iter()
-            .filter_map(|(key, write)| Some((*key.as_hash(), F::ingest(write)?)))
-            .collect();
+        let ingested: Vec<(&StateKey, F::Value)> = ingest::<F>(writes).collect();
         // One proof of every touched key against the digest the block finds.
-        let keys: Vec<Hash> = ingested.iter().map(|(key, _)| *key).collect();
+        let keys: Vec<Hash> = ingested.iter().map(|(key, _)| *key.as_hash()).collect();
         let upper = self.upper.prove(&keys);
-        let mut updates = Vec::with_capacity(ingested.len());
-        let mut roots = Vec::with_capacity(ingested.len());
-        for (key, value) in ingested {
-            let tree = self
-                .lower
-                .entry(key)
-                .or_insert_with(|| BTree::new(self.order));
-            updates.push(KeyUpdate::<F> {
-                // Empty only if just created: the key's first appearance.
-                prev_root: (!tree.is_empty()).then(|| tree.root()),
-                append: tree.prove_append(),
-            });
-            tree.insert(height, value);
-            roots.push((key, Some(tree.root().as_bytes().to_vec())));
-        }
-        self.last_block = self.upper.commit(roots);
+        let fresh = BTree::new(self.order);
+        let updates: Vec<KeyUpdate<F>> = keys
+            .iter()
+            .map(|key| {
+                let tree = self.lower.get(key).unwrap_or(&fresh);
+                KeyUpdate {
+                    // Empty only if untracked: the key's first appearance.
+                    prev_root: (!tree.is_empty()).then(|| tree.root()),
+                    append: tree.prove_append(),
+                }
+            })
+            .collect();
+        self.append(height, ingested);
         let mut aux = Vec::new();
         encode_seq(&updates, &mut aux);
         upper.encode(&mut aux);
         (aux, self.digest())
+    }
+
+    /// Applies one block's write set at `height` without proving it: the
+    /// mutation half of [`TwoLevelIndex::apply_block`], which store
+    /// recovery runs alone. Undoable as `apply_block` is.
+    pub(crate) fn replay(&mut self, height: u64, writes: &[(StateKey, Option<Vec<u8>>)]) {
+        self.append(height, ingest::<F>(writes).collect());
+    }
+
+    /// Appends each ingested value to its key's lower tree (created on the
+    /// key's first appearance) and commits the new lower roots upstairs,
+    /// keeping what the commit displaced for the undo.
+    fn append(&mut self, height: u64, ingested: Vec<(&StateKey, F::Value)>) {
+        let mut roots = Vec::with_capacity(ingested.len());
+        for (key, value) in ingested {
+            let key = *key.as_hash();
+            let tree = self
+                .lower
+                .entry(key)
+                .or_insert_with(|| BTree::new(self.order));
+            tree.insert(height, value);
+            roots.push((key, Some(tree.root().as_bytes().to_vec())));
+        }
+        self.last_block = self.upper.commit(roots);
     }
 
     /// Takes back the last [`TwoLevelIndex::apply_block`] exactly: every
@@ -218,7 +245,8 @@ pub struct TwoLevelVerifier<F: IndexFlavor> {
 }
 
 impl<F: IndexFlavor> TwoLevelVerifier<F> {
-    /// Creates the verifier matching [`TwoLevelIndex::new`] under `name`.
+    /// Creates the verifier matching [`TwoLevelIndex::new`], registered
+    /// under `name`.
     pub fn new(name: impl Into<String>) -> Self {
         Self::with_order(name, BTree::<F>::DEFAULT_ORDER)
     }
@@ -259,10 +287,7 @@ impl<F: IndexFlavor> IndexVerifier for TwoLevelVerifier<F> {
         }
         // The enclave derives the ingested subset itself from the
         // authenticated write set.
-        let entries: Vec<(&StateKey, F::Value)> = writes
-            .iter()
-            .filter_map(|(key, write)| F::ingest(write).map(|value| (key, value)))
-            .collect();
+        let entries: Vec<(&StateKey, F::Value)> = ingest::<F>(writes).collect();
         if updates.len() != entries.len() {
             return Err(CertError::BadIndexUpdate("update count mismatch".into()));
         }

@@ -168,13 +168,15 @@ impl ServeFront {
         self.parked_waiters
     }
 
-    /// Cached responses live in the current generation.
+    /// Cached responses live in the current generation. A test accessor:
+    /// the cache tests read what a stage or rewind left with it.
     pub fn cached_entries(&self) -> usize {
         self.cache.len()
     }
 
     /// The cache generation (bumps on every [`ServeFront::stage_block`] and
-    /// every [`ServeFront::rewind`] that takes a block back).
+    /// every [`ServeFront::rewind`] that takes a block back). A test
+    /// accessor, as [`ServeFront::cached_entries`] is.
     pub fn cache_generation(&self) -> u64 {
         self.cache.generation()
     }

@@ -486,8 +486,8 @@ mod tests {
         }
 
         let key = StateKey::new("kvstore", b"acct-1");
-        let mut history = HistoryIndex::new("history");
-        let mut aggregate = AggregateIndex::new("agg");
+        let mut history = HistoryIndex::new();
+        let mut aggregate = AggregateIndex::new();
         for height in 1..=5u64 {
             let writes = [(key, Some(height.to_be_bytes().to_vec()))];
             history.apply_block(height, &writes);
@@ -507,7 +507,7 @@ mod tests {
             decode_aggregate_payload,
             (total, proof),
         );
-        let (matches, proof) = InvertedIndex::new("inverted").query(&["stock"]);
+        let (matches, proof) = InvertedIndex::new().query(&["stock"]);
         check(
             encode_keyword_payload(&matches, &proof),
             decode_keyword_payload,

@@ -22,11 +22,11 @@ use dcert::core::{
     BatchLink, CertError, Certificate, EcallRequest, EcallResponse, IndexInput, NetMessage,
     RangeCert,
 };
-use dcert::merkle::btree::{Annotation, Flavor, Plain, Shape, Summary, Summed};
+use dcert::merkle::btree::{Annotation, AppendProof, Flavor, Plain, Shape, Summary, Summed};
 use dcert::merkle::ops::OpProof;
 use dcert::merkle::{
-    AggAppendProof, AggMbTree, AggOpProof, Aggregate, MbAppendProof, MbOpProof, MbTree, ProofError,
-    ProofOp, SmtProof, SparseMerkleTree, MAX_OP_STACK, MAX_PROOF_DEPTH,
+    AggMbTree, AggOpProof, Aggregate, MbOpProof, MbTree, ProofError, ProofOp, SmtProof,
+    SparseMerkleTree, MAX_OP_STACK, MAX_PROOF_DEPTH,
 };
 use dcert::primitives::codec::{encode_seq, Decode, Encode, Tagged};
 use dcert::primitives::hash::{hash_bytes, Address, Hash};
@@ -93,8 +93,8 @@ fn try_decode_everything(bytes: &[u8]) {
     // Proof families.
     let _ = ProofError::decode_all(bytes);
     let _ = SmtProof::decode_all(bytes);
-    let _ = MbAppendProof::decode_all(bytes);
-    let _ = AggAppendProof::decode_all(bytes);
+    let _ = AppendProof::<Plain>::decode_all(bytes);
+    let _ = AppendProof::<Summed>::decode_all(bytes);
     let _ = Aggregate::decode_all(bytes);
     let _ = HistoryProof::decode_all(bytes);
     let _ = KeywordProof::decode_all(bytes);
@@ -275,16 +275,16 @@ fn sample_encodings() -> Vec<Probe> {
 
     let (_, mb_ops) = mb.window(2, 7);
 
-    let history = HistoryIndex::new("history");
+    let history = HistoryIndex::new();
     let (_, history_proof) = history.query(&key, 0, 10);
-    let inverted = InvertedIndex::new("inverted");
+    let inverted = InvertedIndex::new();
     let (_, keyword_proof) = inverted.query(&["alpha"]);
-    let aggregate_index = AggregateIndex::new("aggregate");
+    let aggregate_index = AggregateIndex::new();
     let (_, agg_query_proof) = aggregate_index.query(&key, 0, 10);
 
     // Populated indexes so the query proofs carry real programs.
-    let mut tracked_history = HistoryIndex::new("history");
-    let mut tracked_aggregate = AggregateIndex::new("aggregate");
+    let mut tracked_history = HistoryIndex::new();
+    let mut tracked_aggregate = AggregateIndex::new();
     for height in 1..=6u64 {
         let writes = vec![(key, Some(height.to_be_bytes().to_vec()))];
         tracked_history.apply_block(height, &writes);

@@ -455,8 +455,8 @@ const VERIFY_PEAKS: [(u64, u64, u64); 4] = [
 #[test]
 fn verifier_peak_heap_by_window() {
     let key = checking(0);
-    let mut history = HistoryIndex::new("history");
-    let mut aggregate = AggregateIndex::new("agg");
+    let mut history = HistoryIndex::new();
+    let mut aggregate = AggregateIndex::new();
     for height in 1..=4096u64 {
         let writes = [(key, Some(height.to_be_bytes().to_vec()))];
         history.apply_block(height, &writes);

@@ -16,7 +16,8 @@ use dcert::core::{
     EcallRequest, EcallResponse, FaultConfig, IndexInput, IndexVerifier, NetMessage,
     SuperlightClient, SyncOutcome, Transport,
 };
-use dcert::merkle::{smt, Aggregate, MbAppendProof, MbTree, ProofError, SmtProof};
+use dcert::merkle::btree::{AppendProof, Plain};
+use dcert::merkle::{smt, Aggregate, MbTree, ProofError, SmtProof};
 use dcert::primitives::codec::{decode_seq, encode_seq, Decode, Encode, Reader};
 use dcert::primitives::hash::{hash_bytes, Hash};
 use dcert::primitives::keys::{Keypair, PublicKey};
@@ -1021,8 +1022,8 @@ fn upper_proof(encoded: &[u8], skip: usize) -> SmtProof {
 /// key with history, behind every absence the family can forge.
 #[test]
 fn untracked_answer_for_a_tracked_key_is_refused() {
-    let mut history = HistoryIndex::new("history");
-    let mut aggregate = AggregateIndex::new("aggregate");
+    let mut history = HistoryIndex::new();
+    let mut aggregate = AggregateIndex::new();
     let accounts = ["alice", "bob", "carol", "dave", "erin", "frank", "grace"];
     for height in 1..=4 {
         let writes = balance_writes(height, &accounts);
@@ -1097,7 +1098,7 @@ fn staging_a_tracked_key_as_new_is_refused() {
             matches!(Option::<Hash>::decode(&mut reader), Ok(Some(_))),
             "tracked"
         );
-        MbAppendProof::decode(&mut reader).unwrap();
+        AppendProof::<Plain>::decode(&mut reader).unwrap();
         let honest = upper_proof(&aux, aux.len() - reader.remaining());
         let value = Some(9u64.to_be_bytes().to_vec());
         let writes = vec![(StateKey::new("kvstore", b"acct"), value)];
@@ -1133,7 +1134,7 @@ fn staging_a_tracked_key_as_new_is_refused() {
 #[test]
 fn empty_posting_list_for_an_indexed_keyword_is_refused() {
     let mut world = World::pow(&[]);
-    let mut index = InvertedIndex::new("inverted");
+    let mut index = InvertedIndex::new();
     for block in world.mine_memos(3) {
         index.apply_block(&block);
     }

@@ -150,8 +150,8 @@ fn computed() -> Vec<(String, String)> {
         // digest it leads to, and both query-proof envelopes.
         let alice = StateKey::new("smallbank", b"alice");
         let bob = StateKey::new("smallbank", b"bob");
-        let mut history = HistoryIndex::with_order("history", order);
-        let mut aggregate = AggregateIndex::with_order("aggregate", order);
+        let mut history = HistoryIndex::with_order(order);
+        let mut aggregate = AggregateIndex::with_order(order);
         let mut last = None;
         for height in 1..=12u64 {
             let mut writes = vec![(alice, Some((100 + height).to_be_bytes().to_vec()))];
@@ -897,7 +897,7 @@ fn serve_frames() -> Vec<(&'static str, ServeWire)> {
         })
     };
     let refusal = |reason| ServeWire::Refusal(ServeRefusal { id: 8, reason });
-    let mut history = HistoryIndex::new("history");
+    let mut history = HistoryIndex::new();
     for height in 1..=5u64 {
         history.apply_block(height, &[(key, Some(height.to_be_bytes().to_vec()))]);
     }
@@ -1650,7 +1650,7 @@ fn wire_computed() -> Vec<(String, String)> {
         header: wire_header(1),
         txs: vec![Transaction::sign(&kp, 1, "memo", b"stock bank".to_vec())],
     };
-    let mut inverted = InvertedIndex::new("inverted");
+    let mut inverted = InvertedIndex::new();
     let (aux, _) = inverted.apply_block(&keyword_block);
     out.push((
         "wire/InvertedUpdate/aux".to_owned(),
@@ -1658,8 +1658,8 @@ fn wire_computed() -> Vec<(String, String)> {
     ));
     let (_, keyword_proof) = inverted.query(&["stock", "bank"]);
     wire_row("KeywordProof", &keyword_proof, &mut out);
-    let mut history = HistoryIndex::new("history");
-    let mut aggregate_index = AggregateIndex::new("aggregate");
+    let mut history = HistoryIndex::new();
+    let mut aggregate_index = AggregateIndex::new();
     for height in 1..=4u64 {
         let writes = vec![(key, Some(height.to_be_bytes().to_vec()))];
         history.apply_block(height, &writes);

@@ -36,8 +36,8 @@ fn key(i: u64) -> StateKey {
 /// at height `h` unless `(h + k) % 3 == 0`, so every window mixes present
 /// and absent heights and some keys stay untracked entirely.
 fn build_indexes(heights: u64, keys: u64) -> (HistoryIndex, AggregateIndex) {
-    let mut history = HistoryIndex::new("history");
-    let mut aggregate = AggregateIndex::new("agg");
+    let mut history = HistoryIndex::new();
+    let mut aggregate = AggregateIndex::new();
     for h in 1..=heights {
         let mut writes: Vec<(StateKey, Option<Vec<u8>>)> = Vec::new();
         for k in 0..keys {
