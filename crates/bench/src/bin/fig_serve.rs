@@ -187,7 +187,7 @@ fn main() {
 /// independent of `DCERT_SCALE`: one coalesce, one rate-limit
 /// shed, one queue-full shed, one backend call, one cache hit.
 fn pin_required_counters(sp: ServiceProvider, obs: &Registry) {
-    let height = sp.index_height().max(1);
+    let height = sp.height().max(1);
     let mut front = ServeFront::new(
         sp,
         ServeConfig {

@@ -360,6 +360,11 @@ fn make_branch(bit: usize, under: &Hash, left: Node, right: Node) -> Node {
 
 /// `writes` in key order, one per key: the last write to a key wins.
 fn last_write_per_key<V>(mut writes: Vec<(Hash, V)>) -> Vec<(Hash, V)> {
+    // A block's write set arrives in key order, one write per key: it is
+    // returned as it is, without the sort's scratch.
+    if writes.is_sorted_by(|earlier, later| earlier.0 < later.0) {
+        return writes;
+    }
     // Stable, so the last write to a key is the last of its run.
     writes.sort_by_key(|(key, _)| *key);
     writes.dedup_by(|later, earlier| {

@@ -116,9 +116,8 @@ impl InvertedIndex {
 
     /// Derives the per-keyword appends of a block, in transaction order.
     ///
-    /// Crate-visible so [`crate::sp::ServiceProvider`] derives a staged
-    /// block's appends once, for its `Keywords` record stream and every
-    /// inverted index.
+    /// Crate-visible so [`crate::sp::ServiceProvider`] derives a block's
+    /// appends once, for every inverted index it maintains.
     pub(crate) fn block_appends(block: &Block) -> BTreeMap<String, Vec<Hash>> {
         let mut appends: BTreeMap<String, Vec<Hash>> = BTreeMap::new();
         for tx in &block.txs {

@@ -61,6 +61,4 @@ pub use history::{HistoryIndex, HistoryProof, HistoryVerifier};
 pub use inverted::{
     extract_keywords, verify_keywords, InvertedIndex, InvertedVerifier, KeywordProof,
 };
-pub use sp::{
-    CertifiedEntry, KeywordPage, ServiceProvider, WritesPage, SP_CERT_PREFIX, SP_HEIGHT_KEY,
-};
+pub use sp::{CertifiedEntry, ServiceProvider, SP_CERT_PREFIX, SP_HEIGHT_KEY};

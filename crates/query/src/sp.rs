@@ -11,7 +11,7 @@ use dcert_chain::state::Displaced;
 use dcert_chain::{Block, BlockHeader, ChainError, ChainState, ConsensusEngine, FullNode};
 use dcert_core::{CertError, Certificate, IndexInput, IndexVerifier, RecoverError, TrustDomain};
 use dcert_obs::{Buckets, Counter, Histogram, Registry};
-use dcert_primitives::codec::{encode_seq, Decode, Encode};
+use dcert_primitives::codec::{Decode, Encode};
 use dcert_primitives::hash::{Address, Hash};
 use dcert_primitives::keys::PublicKey;
 use dcert_sgx::cost::timed_into;
@@ -24,38 +24,13 @@ use crate::history::{HistoryIndex, HistoryProof, HistoryVerifier, Version};
 use crate::inverted::{InvertedIndex, InvertedVerifier, KeywordProof};
 
 /// Head-region key under which the SP commits its replay watermark: the
-/// highest block height whose index updates (and record pages) are
-/// durable *and* accounted for by the committed per-index digests.
+/// highest block height whose block page is durable *and* accounted for
+/// by the committed per-index digests.
 pub const SP_HEIGHT_KEY: &str = "sp.height";
 
 /// Head-region key prefix for per-index certified state; the index name
 /// follows the prefix.
 pub const SP_CERT_PREFIX: &str = "sp.cert.";
-
-/// One block's state writes, as persisted in the [`StreamId::Writes`]
-/// record stream. Replaying these pages in height order reproduces every
-/// history and aggregate index byte-for-byte.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct WritesPage {
-    /// The executed block's writes, in execution order.
-    pub writes: Vec<(StateKey, Option<Vec<u8>>)>,
-}
-
-dcert_primitives::wire! {
-    struct WritesPage { writes: seq }
-}
-
-/// One block's keyword appends (as derived by the inverted index from the
-/// block body), persisted in the [`StreamId::Keywords`] record stream.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct KeywordPage {
-    /// Per-keyword transaction-id appends, sorted by keyword.
-    pub appends: Vec<(String, Vec<Hash>)>,
-}
-
-dcert_primitives::wire! {
-    struct KeywordPage { appends: seq }
-}
 
 /// Per-index certified state, persisted under [`SP_CERT_PREFIX`]`<name>`
 /// in the store's head region.
@@ -166,7 +141,6 @@ struct Entry {
 struct Unstage {
     prev_tip: BlockHeader,
     displaced: Displaced,
-    index_height: u64,
     staged: Option<Hash>,
 }
 
@@ -228,10 +202,6 @@ pub struct ServiceProvider {
     staged: Option<Hash>,
     /// The undo of the last staged block, held until it settles.
     unstage: Option<Unstage>,
-    /// Highest block height already applied to the indexes. Equal to the
-    /// chain height in normal operation; after [`ServiceProvider::recover_from`]
-    /// it runs ahead of the genesis chain state until the caller re-syncs.
-    index_height: u64,
     /// Durable backend, if any, with the trust domain a certificate must
     /// verify under to be written there.
     store: Option<(Box<dyn Store>, TrustDomain)>,
@@ -263,7 +233,6 @@ impl ServiceProvider {
             entries: Vec::new(),
             staged: None,
             unstage: None,
-            index_height: 0,
             store: None,
             store_error: None,
             obs: None,
@@ -282,11 +251,10 @@ impl ServiceProvider {
         self.store.take().map(|(store, ..)| store)
     }
 
-    /// Highest block height already applied to the indexes. Runs ahead of
-    /// [`ServiceProvider::height`] after a recovery, until the caller
-    /// re-syncs the chain through [`ServiceProvider::stage_block`].
+    /// Compatibility name `benchmark/driver` calls
+    /// ([`ServiceProvider::height`]); leaves at ROADMAP item 4(c).
     pub fn index_height(&self) -> u64 {
-        self.index_height
+        self.height()
     }
 
     /// Registers this SP's query metrics (`sp.*`) in `registry`; every
@@ -303,7 +271,6 @@ impl ServiceProvider {
     /// have already been processed (indexes must start from genesis).
     pub fn add_index(&mut self, kind: IndexKind, name: &str) {
         assert_eq!(self.node.height(), 0, "indexes must start from genesis");
-        assert_eq!(self.index_height, 0, "indexes must start from genesis");
         assert!(self.entry(name).is_none(), "duplicate index name {name}");
         let at = self
             .entries
@@ -477,7 +444,9 @@ impl ServiceProvider {
     /// [`ServiceProvider::advance`], and returns the [`IndexInput`]s the CI
     /// needs (in the same deterministic order as
     /// [`ServiceProvider::verifiers`]), each chained from its index's
-    /// digest before the block.
+    /// digest before the block. A store-backed SP appends the block itself
+    /// as its page at this height: the chain it followed is what
+    /// [`ServiceProvider::recover_from`] follows again.
     ///
     /// The SP's answers are believed only through the certificates the
     /// enclave signs after checking every signature, so it does not check
@@ -490,47 +459,19 @@ impl ServiceProvider {
     /// Propagates block-following errors; indexes are only updated when
     /// the block follows the tip.
     pub fn stage_block(&mut self, block: &Block) -> Result<Vec<IndexInput>, ChainError> {
-        // Post-recovery catch-up: the indexes (and the store) already hold
-        // this height, so only the chain state advances. Nothing is staged
-        // — these blocks were certified before the restart.
-        if block.header.height <= self.index_height {
-            self.node.follow(block)?;
-            return Ok(Vec::new());
-        }
         // Follow the chain first; a block that does not follow must not
         // touch the indexes. The indexes are fed from the execution the
         // node committed.
         let prev_tip = self.node.tip().clone();
         let (execution, displaced) = self.node.follow(block)?;
         let writes: Vec<(StateKey, Option<Vec<u8>>)> = execution.writes.into_iter().collect();
+        // Volatile until `advance` commits; a rewound block's page stays
+        // behind the committed watermark until the block staged next at
+        // its height supersedes it.
+        self.persist(block);
 
-        // The block's keyword appends, derived once for the record page
-        // and every inverted index.
         let height = block.header.height;
-        let keyworded = self.store.is_some()
-            || self
-                .entries
-                .iter()
-                .any(|e| matches!(e.index, Index::Inverted(_)));
-        let appends: Vec<(String, Vec<Hash>)> = if keyworded {
-            InvertedIndex::block_appends(block).into_iter().collect()
-        } else {
-            Vec::new()
-        };
-        // Persist the raw material recovery replays: the block's writes
-        // (rebuilds history/aggregate indexes) and its keyword appends
-        // (rebuilds inverted indexes). Volatile until `advance` commits;
-        // a rewound block's records stay behind the committed watermark
-        // until the block that replaces it supersedes them.
-        if self.store.is_some() {
-            let mut writes_body = Vec::new();
-            encode_seq(&writes, &mut writes_body);
-            self.persist(height, StreamId::Writes, writes_body);
-            let mut keywords_body = Vec::new();
-            encode_seq(&appends, &mut keywords_body);
-            self.persist(height, StreamId::Keywords, keywords_body);
-        }
-
+        let appends = self.keyword_appends(block);
         let mut inputs = Vec::with_capacity(self.entries.len());
         for entry in &mut self.entries {
             let prev_digest = entry.index.digest();
@@ -546,24 +487,33 @@ impl ServiceProvider {
         self.unstage = Some(Unstage {
             prev_tip,
             displaced,
-            index_height: self.index_height,
             staged: self.staged,
         });
-        self.index_height = height;
         self.staged = Some(block.header.hash());
         Ok(inputs)
     }
 
+    /// `block`'s keyword appends, sorted by keyword: derived only when an
+    /// inverted index is registered to take them.
+    fn keyword_appends(&self, block: &Block) -> Vec<(String, Vec<Hash>)> {
+        let inverted = |e: &Entry| matches!(e.index, Index::Inverted(_));
+        if self.entries.iter().any(inverted) {
+            InvertedIndex::block_appends(block).into_iter().collect()
+        } else {
+            Vec::new()
+        }
+    }
+
     /// Takes back the last staged block exactly — the chain view
-    /// ([`FullNode::retract`]), every index, the index height and the
-    /// staged header — leaving the SP as it was before the stage: what it
-    /// does when the CI refuses the block. Returns whether there was a
-    /// block to take back; one that [`ServiceProvider::advance`] (or a
-    /// later stage) settled is final.
+    /// ([`FullNode::retract`]), every index and the staged header —
+    /// leaving the SP as it was before the stage: what it does when the
+    /// CI refuses the block. Returns whether there was a block to take
+    /// back; one that [`ServiceProvider::advance`] (or a later stage)
+    /// settled is final.
     ///
-    /// A store-backed SP keeps the block's records: they lie above the
+    /// A store-backed SP keeps the block's page: it lies above the
     /// committed watermark, which recovery never replays past, and the
-    /// records of the block staged next at that height supersede them.
+    /// page of the block staged next at that height supersedes it.
     pub fn rewind(&mut self) -> bool {
         let Some(unstage) = self.unstage.take() else {
             return false;
@@ -572,7 +522,6 @@ impl ServiceProvider {
         for entry in &mut self.entries {
             entry.index.undo_block();
         }
-        self.index_height = unstage.index_height;
         self.staged = unstage.staged;
         true
     }
@@ -586,15 +535,13 @@ impl ServiceProvider {
         }
     }
 
-    /// Appends one record if a healthy store is attached; a failure
-    /// latches [`ServiceProvider::store_error`] and stops persistence.
-    fn persist(&mut self, height: u64, stream: StreamId, body: Vec<u8>) {
+    /// Appends `block` as its height's page if a healthy store is
+    /// attached; a failure latches [`ServiceProvider::store_error`] and
+    /// stops persistence.
+    fn persist(&mut self, block: &Block) {
         if let (Some((store, ..)), None) = (&mut self.store, &self.store_error) {
-            let record = Record {
-                height,
-                stream,
-                body,
-            };
+            let height = block.header.height;
+            let record = Record::new(height, StreamId::Blocks, block.to_encoded_bytes());
             self.store_error = store.append(&record).err();
         }
     }
@@ -616,7 +563,7 @@ impl ServiceProvider {
                 let key = format!("{SP_CERT_PREFIX}{}", entry.name);
                 store.put_head(&key, certified.to_encoded_bytes())
             })
-            .and_then(|()| store.put_head(SP_HEIGHT_KEY, self.index_height.to_encoded_bytes()))
+            .and_then(|()| store.put_head(SP_HEIGHT_KEY, self.node.height().to_encoded_bytes()))
             .and_then(|()| store.sync());
         self.store_error = committed.err();
     }
@@ -695,26 +642,31 @@ impl ServiceProvider {
         self.entry(name)?.anchor.as_ref().map(|(.., cert)| cert)
     }
 
-    /// Rebuilds this genesis SP's indexes and anchors from `store` — the
-    /// one way into persistence: an empty store gives it one to write to.
+    /// Rebuilds this genesis SP from `store` — the one way into
+    /// persistence: an empty store gives it one to write to.
     ///
-    /// Replay is bounded by the committed watermark ([`SP_HEIGHT_KEY`]):
-    /// record pages beyond it (the redo tail of a crash) are ignored,
-    /// because their index updates were never acknowledged. After replay
-    /// every index digest must match its committed head entry, and every
-    /// recorded certificate must still verify under the caller-supplied
-    /// trust anchors — the disk is untrusted input, so any mismatch
-    /// refuses with a typed error instead of serving.
+    /// The store holds the chain the SP followed, one block page per
+    /// height. Replay is bounded by the committed watermark
+    /// ([`SP_HEIGHT_KEY`]): pages beyond it (the redo tail of a crash) are
+    /// ignored, because their index updates were never acknowledged, and
+    /// of several pages at one height the last wins. Each committed block
+    /// is followed again on the SP's own node ([`FullNode::follow`]) and
+    /// replayed into every index. After replay every index digest must
+    /// match its committed head entry, and every recorded certificate must
+    /// still verify under the caller-supplied trust anchors — the disk is
+    /// untrusted input, so any mismatch refuses with a typed error instead
+    /// of serving.
     ///
-    /// On success the store stays attached. Chain state is still at
-    /// genesis: the caller re-syncs through [`ServiceProvider::stage_block`],
-    /// which applies heights up to `index_height` to the chain only.
+    /// On success the store stays attached and the SP stands at the
+    /// committed tip: [`ServiceProvider::stage_block`] continues with the
+    /// block above it.
     ///
     /// # Errors
     ///
     /// [`RecoverError`] when a page or head entry does not decode, a
-    /// replayed digest does not match its committed one, or a recovered
-    /// certificate fails re-verification.
+    /// committed block does not follow the chain, a replayed digest does
+    /// not match its committed one, or a recovered certificate fails
+    /// re-verification.
     ///
     /// # Panics
     ///
@@ -726,44 +678,38 @@ impl ServiceProvider {
         store: Box<dyn Store>,
     ) -> Result<Self, RecoverError> {
         assert_eq!(self.node.height(), 0, "recover_from requires a genesis SP");
-        assert_eq!(self.index_height, 0, "recover_from requires a genesis SP");
         let refused = |why| RecoverError::Store(StoreError::VerifyFailed(why));
         let committed = match store.head(SP_HEIGHT_KEY) {
             Some(bytes) => u64::decode_all(&bytes)?,
             None => 0,
         };
 
-        // Collect the record pages covered by the commit.
-        let mut writes_pages: BTreeMap<u64, WritesPage> = BTreeMap::new();
-        let mut keyword_pages: BTreeMap<u64, KeywordPage> = BTreeMap::new();
-        for record in store.records() {
-            if record.height > committed {
-                continue; // uncommitted redo tail: never acknowledged, never replayed
-            }
-            match record.stream {
-                StreamId::Writes => {
-                    writes_pages.insert(record.height, WritesPage::decode_all(&record.body)?);
-                }
-                StreamId::Keywords => {
-                    keyword_pages.insert(record.height, KeywordPage::decode_all(&record.body)?);
-                }
-                // Other streams (e.g. a co-hosted certificate archive)
-                // are not the SP's to replay.
-                _ => {}
+        // The committed block pages, the last one per height. Other
+        // streams (e.g. a co-hosted certificate archive) are not the SP's
+        // to replay.
+        let records = store.records();
+        let mut pages: BTreeMap<u64, &[u8]> = BTreeMap::new();
+        for record in &records {
+            if record.stream == StreamId::Blocks && record.height <= committed {
+                pages.insert(record.height, &record.body);
             }
         }
 
-        // Replay in height order; a gap below the watermark means
-        // acknowledged data is missing, so recovery refuses.
+        // Follow and replay in height order; a gap below the watermark
+        // means acknowledged data is missing, so recovery refuses.
         for height in 1..=committed {
-            let WritesPage { writes } = writes_pages
+            let page = pages
                 .get(&height)
-                .ok_or(refused("missing writes page below the committed watermark"))?;
-            let KeywordPage { appends } = keyword_pages.get(&height).ok_or(refused(
-                "missing keyword page below the committed watermark",
-            ))?;
+                .ok_or(refused("missing block page below the committed watermark"))?;
+            let block = Block::decode_all(page)?;
+            let (execution, _) = self
+                .node
+                .follow(&block)
+                .map_err(|_| refused("committed block does not follow the chain"))?;
+            let writes: Vec<(StateKey, Option<Vec<u8>>)> = execution.writes.into_iter().collect();
+            let appends = self.keyword_appends(&block);
             for entry in &mut self.entries {
-                entry.index.replay(height, writes, appends);
+                entry.index.replay(height, &writes, &appends);
             }
         }
 
@@ -805,7 +751,6 @@ impl ServiceProvider {
             }
         }
 
-        self.index_height = committed;
         self.store = Some((store, domain));
         Ok(self)
     }
@@ -1116,22 +1061,29 @@ mod tests {
         world.sp.advance(Some(&certs)).unwrap();
         assert_eq!(world.sp.certificate("history"), Some(&certs[0]));
         let store = world.sp.take_store().unwrap();
-        assert_eq!(world.recover(store).unwrap().index_height(), 2);
+        assert_eq!(world.recover(store).unwrap().height(), 2);
     }
 
     #[test]
     fn store_round_trips_through_recovery_and_resync() {
         let mut world = CertifiedWorld::new();
-        let blocks: Vec<Block> = (1..=4u64).map(|h| world.certified_block(h)).collect();
+        for height in 1..=4u64 {
+            world.certified_block(height);
+        }
         assert!(world.sp.store_error().is_none());
 
         let store = world.sp.take_store().unwrap();
         assert_eq!(store.durable_height(), 4);
         let recovered = world.recover(store).unwrap();
 
-        // The recovered SP serves exactly what the live one does.
-        assert_eq!(recovered.index_height(), 4);
-        assert_eq!(recovered.height(), 0, "chain state resyncs separately");
+        // The recovered SP stands where the live one does and serves
+        // exactly what it does.
+        assert_eq!(recovered.height(), 4);
+        assert_eq!(
+            recovered.node.state().root(),
+            world.sp.node.state().root(),
+            "the chain view is recovered with the indexes"
+        );
         for (_, name) in CERTIFIED_INDEXES {
             assert_eq!(recovered.digest(name), world.sp.digest(name));
             assert_eq!(
@@ -1168,14 +1120,9 @@ mod tests {
             "the aggregate index tracks the balance"
         );
 
-        // Re-syncing the chain skips the already-recovered heights, then
-        // staging continues identically to the uninterrupted SP.
+        // Staging continues at the next height, identically to the
+        // uninterrupted SP.
         let mut recovered = recovered;
-        for block in &blocks {
-            let inputs = recovered.stage_block(block).unwrap();
-            assert!(inputs.is_empty(), "catch-up stages nothing");
-        }
-        assert_eq!(recovered.height(), 4);
         let block5 = world.certified_block(5);
         let inputs = recovered.stage_block(&block5).unwrap();
         assert_eq!(inputs.len(), CERTIFIED_INDEXES.len());
@@ -1187,6 +1134,39 @@ mod tests {
                 "post-recovery staging converges with the live SP"
             );
         }
+    }
+
+    /// A committed page that decodes but does not follow — the honest
+    /// block at height 2 with its state root altered, re-framed into a
+    /// copy of the store under the same head entries — is refused, typed.
+    #[test]
+    fn recovery_refuses_a_committed_block_that_does_not_follow() {
+        let mut world = CertifiedWorld::new();
+        world.certified_block(1);
+        world.certified_block(2);
+        let store = world.sp.take_store().unwrap();
+        let mut copy = MemStore::new();
+        for mut record in store.records() {
+            if record.height == 2 {
+                let mut block = Block::decode_all(&record.body).unwrap();
+                block.header.state_root = Hash::from_bytes([0xEE; 32]);
+                record.body = block.to_encoded_bytes();
+            }
+            copy.append(&record).unwrap();
+        }
+        for (key, value) in store.head_entries() {
+            copy.put_head(&key, value).unwrap();
+        }
+        copy.sync().unwrap();
+        assert_eq!(copy.durable_height(), 2);
+
+        let err = world.recover(Box::new(copy)).unwrap_err();
+        assert!(
+            matches!(err, RecoverError::Store(StoreError::VerifyFailed(_))),
+            "got {err:?}"
+        );
+        // The honest store still recovers.
+        assert_eq!(world.recover(store).unwrap().height(), 2);
     }
 
     #[test]
@@ -1254,28 +1234,22 @@ mod tests {
 
         let store = world.sp.take_store().unwrap();
         let recovered = world.recover(store).unwrap();
-        assert_eq!(recovered.index_height(), 2);
+        assert_eq!(recovered.height(), 2);
     }
 
+    /// A staged block's page is the block itself; the head entry
+    /// round-trips its codec.
     #[test]
     fn page_and_entry_codecs_round_trip() {
-        let page = WritesPage {
-            writes: vec![
-                (StateKey::new("kvstore", b"a"), Some(vec![1, 2, 3])),
-                (StateKey::new("kvstore", b"b"), None),
-            ],
-        };
-        assert_eq!(
-            WritesPage::decode_all(&page.to_encoded_bytes()).unwrap(),
-            page
-        );
-        let kws = KeywordPage {
-            appends: vec![("stock".to_owned(), vec![Hash::from_bytes([7; 32])])],
-        };
-        assert_eq!(
-            KeywordPage::decode_all(&kws.to_encoded_bytes()).unwrap(),
-            kws
-        );
+        let mut world = CertifiedWorld::new();
+        let block = world.certified_block(1);
+        let records = world.sp.take_store().unwrap().records();
+        let pages: Vec<Block> = records
+            .iter()
+            .map(|record| Block::decode_all(&record.body).unwrap())
+            .collect();
+        assert_eq!(pages, vec![block]);
+        assert!(records.iter().all(|r| r.stream == StreamId::Blocks));
         let entry = CertifiedEntry {
             digest: Hash::from_bytes([9; 32]),
             anchor: None,

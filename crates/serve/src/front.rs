@@ -329,7 +329,7 @@ impl ServeFront {
                 Some(()) => {
                     self.metrics.backend_calls.inc();
                     let payload: Arc<[u8]> = Arc::from(self.scratch.as_slice());
-                    let certified_height = self.sp.index_height();
+                    let certified_height = self.sp.height();
                     self.metrics.payload_bytes.observe(payload.len() as u64);
                     self.cache.insert(
                         spec,

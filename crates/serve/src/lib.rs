@@ -393,7 +393,7 @@ mod tests {
         };
         let sp = front.sp();
         let digests = ["history", "inverted", "agg"].map(|name| sp.digest(name));
-        format!("{fields} {} {digests:?}", sp.index_height())
+        format!("{fields} {} {digests:?}", sp.height())
     }
 
     /// Runs `refuse`, which must refuse, and checks that nothing `front`

@@ -49,20 +49,17 @@ pub enum StreamId {
     /// Certified network messages retained by the archive
     /// (`NetMessage::BlockCert` / `NetMessage::IndexCert` encodings).
     Cert,
-    /// Per-block state writes (replayed into history/aggregate indexes).
-    Writes,
-    /// Per-block keyword appends (replayed into inverted indexes).
-    Keywords,
-    /// Consumer-defined checkpoint payloads.
-    Checkpoint,
+    /// The blocks a Service Provider followed, one page per height
+    /// (followed again, and replayed into its indexes, on recovery).
+    Blocks,
 }
 
 dcert_primitives::wire! {
     enum StreamId {
         1 => Cert,
-        2 => Writes,
-        3 => Keywords,
-        4 => Checkpoint,
+        2 => Blocks,
+        // Tags 3 and 4 are unassigned: a Service Provider persists the
+        // blocks it followed, nothing it derives from them.
     }
 }
 
@@ -287,10 +284,12 @@ mod tests {
 
     #[test]
     fn stream_id_rejects_unknown_tag() {
-        assert!(matches!(
-            StreamId::decode_all(&[9]),
-            Err(CodecError::InvalidTag(9))
-        ));
+        for tag in [3, 4, 9] {
+            assert!(matches!(
+                StreamId::decode_all(&[tag]),
+                Err(CodecError::InvalidTag(t)) if t == tag
+            ));
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! static-file segments):
 //!
 //! - **Segment files** ([`segment`], [`seg_store`]) hold the immutable
-//!   history: certificates, per-block writes, keyword postings — CRC32-
+//!   history: certificates, the blocks a Service Provider followed — CRC32-
 //!   framed records ([`frame`]) appended in block order, rolled at a size
 //!   threshold, never rewritten.
 //! - **The head region** ([`head`]) is the only mutable state: two

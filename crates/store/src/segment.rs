@@ -105,7 +105,7 @@ mod tests {
     fn sample_segment(n: u64) -> Vec<u8> {
         let mut bytes = SEGMENT_MAGIC.to_vec();
         for h in 1..=n {
-            let record = Record::new(h, StreamId::Writes, vec![h as u8; 24]);
+            let record = Record::new(h, StreamId::Blocks, vec![h as u8; 24]);
             append_frame(&record.to_encoded_bytes(), &mut bytes).unwrap();
         }
         bytes

@@ -380,7 +380,9 @@ impl World {
     }
 
     /// A [`World::genesis_sp`] recovered from `store` under this world's
-    /// trust anchors; an empty store gives it persistence from genesis.
+    /// trust anchors: it follows the store's committed blocks back to the
+    /// committed tip and stands there, chain view and indexes alike. An
+    /// empty store gives it persistence from genesis.
     ///
     /// # Errors
     ///
@@ -575,7 +577,7 @@ pub fn assert_bytes_equal(expected: &[Certificate], actual: &[Certificate], labe
 /// indistinguishable to clients.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Observation {
-    pub index_height: u64,
+    pub height: u64,
     pub history_digest: Option<Hash>,
     pub inverted_digest: Option<Hash>,
     pub history_cert: Option<Vec<u8>>,
@@ -594,7 +596,7 @@ pub fn observe(sp: &ServiceProvider) -> Observation {
         .serve_keywords("inverted", &["stock", "bank"])
         .expect("inverted index");
     Observation {
-        index_height: sp.index_height(),
+        height: sp.height(),
         history_digest: sp.digest("history"),
         inverted_digest: sp.digest("inverted"),
         history_cert: sp.certificate("history").map(Encode::to_encoded_bytes),
@@ -805,7 +807,7 @@ pub fn replay(
             current_tick = event.tick;
         }
         let id = i as u64;
-        let asked_at = front.sp().index_height();
+        let asked_at = front.sp().height();
         let request = ServeRequest {
             client: event.client,
             id,

@@ -337,13 +337,13 @@ fn sp_store_drill(label: &str) -> Snapshot {
     let recovered = world
         .recover_sp(Box::new(store))
         .expect("recovered pages re-verify");
-    assert_eq!(recovered.index_height(), DRILL_CHAIN);
+    assert_eq!(recovered.height(), DRILL_CHAIN);
     assert_eq!(recovered.digest("history"), live_digest);
     assert_eq!(recovered.certificate("history").cloned(), live_cert);
 
     let snap = obs.snapshot();
-    // Two streams (writes + keywords) per block, replayed once.
-    assert_eq!(snap.counter("store.recovery_replays"), DRILL_CHAIN * 2);
+    // One block page per height, replayed once.
+    assert_eq!(snap.counter("store.recovery_replays"), DRILL_CHAIN);
     assert_eq!(snap.counter("store.tail_truncations"), 1);
     assert_eq!(snap.counter("store.truncated_bytes"), 5);
     std::fs::remove_dir_all(&dir).ok();

@@ -35,9 +35,7 @@ use dcert::primitives::CodecError;
 use dcert::query::aggregate::{verify_aggregate, verify_aggregate_op, AggregateIndex};
 use dcert::query::history::{verify_history, verify_history_op, HistoryIndex};
 use dcert::query::inverted::InvertedIndex;
-use dcert::query::{
-    AggQueryProof, CertifiedEntry, HistoryProof, KeywordPage, KeywordProof, QueryError, WritesPage,
-};
+use dcert::query::{AggQueryProof, CertifiedEntry, HistoryProof, KeywordProof, QueryError};
 use dcert::serve::{
     decode_aggregate_op_payload, decode_aggregate_payload, decode_history_op_payload,
     decode_history_payload, encode_history_payload, QuerySpec, RefusalReason, ServeRefusal,
@@ -106,13 +104,11 @@ fn try_decode_everything(bytes: &[u8]) {
     let _ = AggOpProof::decode_all(bytes);
     let _ = SkipRangeProof::decode_all(bytes);
     let _ = LineageProof::decode_all(bytes);
-    // Persistence layer: segment records, head state, SP pages.
+    // Persistence layer: segment records, head state, the SP's head entry.
     let _ = Record::decode_all(bytes);
     let _ = StreamId::decode_all(bytes);
     let _ = SegmentMark::decode_all(bytes);
     let _ = HeadState::decode_all(bytes);
-    let _ = WritesPage::decode_all(bytes);
-    let _ = KeywordPage::decode_all(bytes);
     let _ = CertifiedEntry::decode_all(bytes);
     // Serving front-end wire messages.
     let _ = QuerySpec::decode_all(bytes);
@@ -309,7 +305,7 @@ fn sample_encodings() -> Vec<Probe> {
         &SecretBytes::new(b"enclave state"),
     );
 
-    let record = Record::new(5, StreamId::Writes, b"page bytes".to_vec());
+    let record = Record::new(5, StreamId::Blocks, b"page bytes".to_vec());
     let head_state = HeadState {
         seq: 3,
         durable_height: 2,
@@ -318,15 +314,6 @@ fn sample_encodings() -> Vec<Probe> {
             durable_len: 4096,
         }],
         entries: vec![("sp.height".to_string(), 2u64.to_encoded_bytes())],
-    };
-    let writes_page = WritesPage {
-        writes: vec![
-            (key, Some(b"v1".to_vec())),
-            (StateKey::new("kvstore", b"gone"), None),
-        ],
-    };
-    let keyword_page = KeywordPage {
-        appends: vec![("stock".to_string(), vec![hash_bytes(b"tx-1")])],
     };
     let certified_entry = CertifiedEntry {
         digest: hash_bytes(b"index digest"),
@@ -419,11 +406,9 @@ fn sample_encodings() -> Vec<Probe> {
         probe("SkipRangeProof", &skip_proof),
         probe("LineageProof", &lineage_proof),
         probe("Record", &record),
-        probe("StreamId", &StreamId::Checkpoint),
+        probe("StreamId", &StreamId::Blocks),
         probe("SegmentMark", &head_state.segments[0]),
         probe("HeadState", &head_state),
-        probe("WritesPage", &writes_page),
-        probe("KeywordPage", &keyword_page),
         probe("CertifiedEntry", &certified_entry),
         probe("QuerySpec", &serve_query),
         probe("QuerySpec::HistoryOp", &history_op),
@@ -625,8 +610,6 @@ fn tag_probes() -> Vec<Probe> {
             },
         ),
         probe("StreamId::Cert", &StreamId::Cert),
-        probe("StreamId::Writes", &StreamId::Writes),
-        probe("StreamId::Keywords", &StreamId::Keywords),
         probe(
             "Call",
             &Call::new(Address::from_seed(5), "kvstore", vec![1]),

@@ -555,11 +555,19 @@ fn updating_held_keys_allocates_no_node() {
     let ((displaced, bytes), cost) = counted(|| held(|| tree.commit(one)));
     assert_eq!(displaced, [(state_key(7), Some(vec![7; VALUE_LEN]))]);
     assert_eq!((cost, bytes), ((0, 0), 0), "(allocations, bytes), held");
-    // Every key: only the sort's scratch, freed before the commit returns.
+    // Every key, in the order of `i` (not of the hashed key): only the
+    // sort's scratch, freed before the commit returns.
     let every: Vec<_> = (0..STATE_KEYS).map(update).collect();
     let root = tree.root();
     let ((displaced, bytes), (allocations, _)) = counted(|| held(|| tree.commit(every)));
     assert_eq!(displaced.len() as u64, STATE_KEYS);
     assert_eq!((allocations, bytes), (1, 0), "allocations, bytes held");
     assert_ne!(tree.root(), root);
+    // Every key in key order, as a block's write set arrives: no sort, so
+    // nothing at all.
+    let mut ordered: Vec<_> = (0..STATE_KEYS).map(update).collect();
+    ordered.sort_by_key(|(key, _)| *key);
+    let ((displaced, bytes), (allocations, _)) = counted(|| held(|| tree.commit(ordered)));
+    assert_eq!(displaced.len() as u64, STATE_KEYS);
+    assert_eq!((allocations, bytes), (0, 0), "allocations, bytes held");
 }

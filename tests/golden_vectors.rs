@@ -98,7 +98,7 @@ use dcert::primitives::keys::{Keypair, SecretBytes};
 use dcert::query::aggregate::AggregateIndex;
 use dcert::query::history::HistoryIndex;
 use dcert::query::sp::IndexKind;
-use dcert::query::{CertifiedEntry, InvertedIndex, KeywordPage, WritesPage};
+use dcert::query::{CertifiedEntry, InvertedIndex};
 use dcert::serve::{
     encode_history_payload, FoldState, ProofCache, QuerySpec, RefusalReason, ServeRefusal,
     ServeRequest, ServeResponse, ServeWire,
@@ -1063,12 +1063,15 @@ const SERVE_GOLDEN: &[(&str, &str)] = &[
 // --- the SP's store ------------------------------------------------------------
 //
 // `SP_STORE_GOLDEN` pins what a store-backed SP writes: its segment file
-// (the writes and keyword pages, `CertifiedEntry` framing included) and both
-// head slots (every index's committed digest and anchor, the height, the
-// commit sequence) after four memo blocks, certified hierarchically or
-// settled without certificates. Captured at commit 4994be4, where an SP had
+// (one block page per height) and both head slots (every index's committed
+// digest and anchor, the height, the commit sequence) after four memo
+// blocks, certified hierarchically or settled without certificates. Captured at commit 4994be4, where an SP had
 // a second way into persistence and two bookkeeping paths that each
 // committed the store; one `advance` per block must write the same bytes.
+// Re-captured at the commit after 18d052a, where the segment holds one
+// page per block, the block itself, in place of a writes page and a
+// keyword page (1 393 → 1 401 bytes); the head slots keep their lengths
+// and move only with the segment mark they carry.
 
 /// Drives four memo blocks through a store-backed SP — `certified` hands it
 /// each block's index certificates, otherwise it settles each without — and
@@ -1119,12 +1122,12 @@ fn sp_store_reproduces_parent_commit_bytes() {
 
 #[rustfmt::skip]
 const SP_STORE_GOLDEN: &[(&str, &str)] = &[
-    ("sp_store/certified/head-a.dch", "sha256=5d2e9e2b39895c2501de25c898fb31bd69ff675030c31a895b49ff90838992e4 len=830"),
-    ("sp_store/certified/head-b.dch", "sha256=ad19c27e5a5e43cbcadf8bd16398bebf6c1cbd9b535c69b503badf2e5ec559a2 len=830"),
-    ("sp_store/certified/seg-00000000.dcs", "sha256=d3aefaf525b9d43d9cd2de2702c956a8012114f7c9037bea76a47d22c5209e25 len=1393"),
-    ("sp_store/uncertified/head-a.dch", "sha256=e72b258bfebd74b6960a9b34e202001f9566fc2eab51fa14169119cced42a28a len=190"),
-    ("sp_store/uncertified/head-b.dch", "sha256=217066d13d62c3f574b77693cab0da580f899f46988afe0e6d5adffd711a7538 len=190"),
-    ("sp_store/uncertified/seg-00000000.dcs", "sha256=d3aefaf525b9d43d9cd2de2702c956a8012114f7c9037bea76a47d22c5209e25 len=1393"),
+    ("sp_store/certified/head-a.dch", "sha256=321f190b394cd4a3f97a9eb0deb2ffd7006a714f01167a87851eed5f8e180903 len=830"),
+    ("sp_store/certified/head-b.dch", "sha256=1bd061989f24a5bbaaf8f48029998946583e0327b40927c01a1b64b9f3ceedf3 len=830"),
+    ("sp_store/certified/seg-00000000.dcs", "sha256=de47bfc65bfadd82fb9454a8e8cef9e5fc3cc59c9353128aed7012c442ac460d len=1401"),
+    ("sp_store/uncertified/head-a.dch", "sha256=f8945bdd6f216129d431d0b847bf106676e677598e28224f0d92730ef25a38f8 len=190"),
+    ("sp_store/uncertified/head-b.dch", "sha256=71383eaab8d9815f8a3ae8dfbbd52fb58d29de5387e6add9b8bc57fc956fc73f len=190"),
+    ("sp_store/uncertified/seg-00000000.dcs", "sha256=de47bfc65bfadd82fb9454a8e8cef9e5fc3cc59c9353128aed7012c442ac460d len=1401"),
 ];
 
 // `ECALL_REFUSAL_GOLDEN` pins how the trusted program's refusal crosses the
@@ -1351,6 +1354,16 @@ const ECALL_REFUSAL_GOLDEN: &[(&str, &str)] = &[
 // (1124 → 1092), `/2` (1025 → 993) and `/5` (684 → 652), moved bytes and
 // verdicts. Every truncation of that proof still fails to decode, and every
 // byte XOR of it that decodes still fails to verify against its root.
+//
+// At the commit after 18d052a, a Service Provider's store holds the blocks it
+// followed, one page per height, where it held a writes page and a keyword
+// page: `StreamId` keeps tag 2 as `Blocks` and leaves 3 and 4 unassigned.
+// Gone: the rows of the two deleted SP page types (writes and keyword
+// appends), `wire/StreamId/2` and `/3` (the keyword and checkpoint
+// streams). `wire/StreamId/1` and `wire/Record` (a tag-2 record) keep their
+// bytes and move only their verdicts: a one-bit flip of tag 2 lands on tag
+// 3, which no longer decodes, and the decoded variant prints as `Blocks`.
+// Every other row is as it was.
 
 /// One row: the sample's bytes, then its decoder's verdict on every damaged
 /// copy of them.
@@ -1671,17 +1684,6 @@ fn wire_computed() -> Vec<(String, String)> {
         &aggregate_index.query(&key, 2, 3).1,
         &mut out,
     );
-    let writes_page = WritesPage {
-        writes: vec![
-            (key, Some(b"v1".to_vec())),
-            (StateKey::new("kv", b"g"), None),
-        ],
-    };
-    wire_row("WritesPage", &writes_page, &mut out);
-    let keyword_page = KeywordPage {
-        appends: vec![("stock".to_owned(), vec![a, b])],
-    };
-    wire_row("KeywordPage", &keyword_page, &mut out);
     let entry = CertifiedEntry {
         digest: a,
         anchor: Some((b, a, cert)),
@@ -1761,18 +1763,13 @@ fn wire_computed() -> Vec<(String, String)> {
     }
 
     // The store.
-    let streams = [
-        StreamId::Cert,
-        StreamId::Writes,
-        StreamId::Keywords,
-        StreamId::Checkpoint,
-    ];
+    let streams = [StreamId::Cert, StreamId::Blocks];
     for (i, stream) in streams.iter().enumerate() {
         wire_row(&format!("StreamId/{i}"), stream, &mut out);
     }
     wire_row(
         "Record",
-        &Record::new(5, StreamId::Writes, b"page".to_vec()),
+        &Record::new(5, StreamId::Blocks, b"page".to_vec()),
         &mut out,
     );
     let mark = SegmentMark {
@@ -1929,8 +1926,6 @@ const WIRE_GOLDEN: &[(&str, &str)] = &[
     ("wire/KeywordProof", "sha256=55c11addd30eb19a91f5eef29c46b62f4ec8a99e00f1af728a2db3484f55e6f1 len=238 verdicts=784c9a7ee75ce97cf0857273ce1a3fffe11b15e633ed2340f27c5e0920352682"),
     ("wire/HistoryProof", "sha256=6cfeb38d9c891b71dbd86b208d2e2ac1952afdc9ab434cab6a2862e2d73a7c2e len=284 verdicts=0f7273d92deb40f8af55d1ff0a1ab99a9c9be35d70400259e47d200fbe0d8d81"),
     ("wire/AggQueryProof", "sha256=584bf96fb8902bdad659f74c16f28498d747d8633ed8ecdcf9a2314c33b7f82f len=188 verdicts=564998613f5fdd169c40af31bd43d6f9bec0c467e162de980ac8b66c7edb1bae"),
-    ("wire/WritesPage", "sha256=a406ee9262c74390abb10ea08af9ca097e0b147fcc197d93e0ada51f555b077c len=76 verdicts=2972c672f552cf67d97b84c8197b6566c267d7fcb6c47e95df31a0d69d8f22af"),
-    ("wire/KeywordPage", "sha256=82c9a0eae5beae7efa085241ef5eb01c8a68ba7b8d9e0f407c8e25c5be28f342 len=81 verdicts=3bee84d5ef8f4256f46bfdd6203acb171fa63c2a090526c71891b01570c75ef5"),
     ("wire/CertifiedEntry", "sha256=a2377dd393d88053b80460f1747f36fec37ec39adbde0b5f4019a16d16671837 len=353 verdicts=b490def2f28f673eb10c8e62302c34f695418cb8bba51260870b62c5062b55de"),
     ("wire/QuerySpec/0", "sha256=f6ce27009b235b37bfbf015226869ea36bc911e47d9e9d332075301d44a44678 len=60 verdicts=78962525befd161d930acc56f62a35f9a8c671111b9027acc884db2acb56778e"),
     ("wire/QuerySpec/1", "sha256=8d2552e06fec4c875715d6c3570a5ed57117cf010f6055b7e75f122c614dec54 len=34 verdicts=0e820ac8e030a5456da96e4581795fe6d61f2d1f8064df81eb77550c0b45b6b6"),
@@ -1948,10 +1943,8 @@ const WIRE_GOLDEN: &[(&str, &str)] = &[
     ("wire/ServeWire/1", "sha256=4126bdb84b86d95e538f8139969d2f2fb647877d1f0d0421161d8e0c062e5539 len=24 verdicts=2b71dbb4e90aef2326b8c5840d433d6a3dac179f761dfd2489d384b6756f1557"),
     ("wire/ServeWire/2", "sha256=fd0dc14521c3d6a24b6b55e282a86331df06be3b9ddafe77f5b527ade63ac9b8 len=18 verdicts=a5c85386e987a0ae94ce4107687b0b5472578c1564bebc7fc49e18e6623f3494"),
     ("wire/StreamId/0", "sha256=4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a len=1 verdicts=38f23cdac957199416dd59a22dc82e06c4f57a2fc5864e3bf5bb6e73db4fa9b3"),
-    ("wire/StreamId/1", "sha256=dbc1b4c900ffe48d575b5da5c638040125f65db0fe3e24494b76ea986457d986 len=1 verdicts=84baabc16e8f8a0484d612d714d9a81a1524ec8c9bd8c4445cd6950aaf514655"),
-    ("wire/StreamId/2", "sha256=084fed08b978af4d7d196a7446a86b58009e636b611db16211b65a9aadff29c5 len=1 verdicts=63021fa565536cec14e004b42ae580c73022f89e020763c6839ee1b482e96ef3"),
-    ("wire/StreamId/3", "sha256=e52d9c508c502347344d8c07ad91cbd6068afc75ff6292f062a09ca381c89e71 len=1 verdicts=f1e594ac572d20408f9693377cb88e980d8d01d14c0ab59907b1dda4916e9280"),
-    ("wire/Record", "sha256=81df23dae197ae051ba46858989581de15a949eb2e244081167b803f44798589 len=17 verdicts=605be12deb033ec2159c8fe9b194212063f4cf2a61428a86ba25ae54e93bac8d"),
+    ("wire/StreamId/1", "sha256=dbc1b4c900ffe48d575b5da5c638040125f65db0fe3e24494b76ea986457d986 len=1 verdicts=8ab1f3a3ac3058f183d3fb306770dfaf00a9d52b33fc3a50e17d53cf0598e0d5"),
+    ("wire/Record", "sha256=81df23dae197ae051ba46858989581de15a949eb2e244081167b803f44798589 len=17 verdicts=60d50dfdd8e7bb14502544dd3452b78e2ff78e2a2e57f91605762605c2bc9397"),
     ("wire/SegmentMark", "sha256=045b289190b4521f034cc07a86bb1af1728ff5090b359b16c5b8459a4d991a22 len=12 verdicts=2d809916e9097f284021040bcddc32bd5340350f6542298586086bdae7ba75d1"),
     ("wire/HeadState", "sha256=5721b818b34450c9eb9b982c7edcf47c208bc21c6d2d12d328fd22d991d1a17a len=55 verdicts=2057ae5eea7191f87f2966aa12897891c4d3930ee63c573211c25a3d58616288"),
     ("wire/SkipRangeProof", "sha256=b5b1894fa886216fc32afc104ca0af91d985df2d33ebaec971246794d34481f7 len=485 verdicts=5a391a25eab07d6131b4daa239efbd7581de5ae9b700f2ba74165f2896b5d1d7"),

@@ -286,7 +286,7 @@ impl Run {
                 let refused = self.world.ci.certify_hierarchical(&forged, &inputs);
                 assert!(refused.is_err(), "CHAOS_SEED={seed}: forgery certified");
                 assert!(self.front.rewind(), "CHAOS_SEED={seed}: nothing rewound");
-                assert_eq!(self.front.sp().index_height(), self.certified as u64);
+                assert_eq!(self.front.sp().height(), self.certified as u64);
             }
             #[allow(clippy::disallowed_methods, reason = "a crash test's torn tail")]
             Event::TearTail => {
@@ -375,7 +375,7 @@ impl Run {
     /// SP call.
     fn kill_front(mut self, queries: usize) -> Self {
         let seed = self.seed;
-        let height = self.front.sp().index_height();
+        let height = self.front.sp().height();
         let key = |q: usize| kv_key(q as u64 % 8);
         let spec = |q: usize| QuerySpec::History {
             index: "history".into(),

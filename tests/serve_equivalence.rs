@@ -149,7 +149,7 @@ fn prop_front_responses_match_direct_serving() {
         let (seed, blocks, txs) = (g.any::<u64>(), g.range(1usize..4), g.range(1usize..4));
         let specs = g.vec(1..6, |g| arb_spec(g, 3));
         let mut front = certified_front(blocks, txs, seed);
-        let height = front.sp().index_height();
+        let height = front.sp().height();
         assert_eq!(height, blocks as u64);
 
         for (i, spec) in specs.iter().enumerate() {

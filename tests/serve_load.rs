@@ -63,7 +63,7 @@ fn hundred_thousand_clients_bounded_queues() {
 #[test]
 fn a_one_tick_burst_stages_under_load() {
     let mut run = serve_load(11, smoke_load(400), ServeConfig::default()).run();
-    let live = run.front.sp().index_height();
+    let live = run.front.sp().height();
     let heights: BTreeSet<u64> = run
         .answers
         .iter()

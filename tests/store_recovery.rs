@@ -24,7 +24,7 @@ use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
 use common::temp_dir;
-use dcert::chain::Block;
+use dcert::chain::{Block, ChainError};
 use dcert::core::{expected_measurement, CertError, RecoverError};
 use dcert::primitives::codec::Encode;
 use dcert::primitives::hash::{hash_bytes, Hash};
@@ -506,10 +506,11 @@ fn seed_matrix_entry() {
     println!("CHAOS_SEED={seed}: {recovered} recovered, {refused} refused");
 }
 
-/// After recovering at any commit watermark, re-syncing the same chain
-/// must converge on the never-crashed oracle: catch-up blocks apply to
-/// the chain only (no re-staging), fresh blocks certify normally, and a
-/// second crash-and-recover at the tip still serves the golden answers.
+/// After recovering at any commit watermark, the SP stands at that
+/// height: re-staging a block it holds is refused as one that does not
+/// extend its tip, leaving it as it was, and staging the blocks above the
+/// watermark converges on the never-crashed oracle; a second
+/// crash-and-recover at the tip still serves the golden answers.
 #[test]
 fn resync_after_recovery_converges_on_the_oracle() {
     let g = golden();
@@ -521,11 +522,11 @@ fn resync_after_recovery_converges_on_the_oracle() {
         let dir = restore(g, g.synced_len[watermark], watermark, "resync");
         let store = SegmentStore::open(StoreConfig::new(&dir)).expect("boundary cut opens");
         let mut sp_rec = recover_sp(&world, g, store);
-        assert_eq!(sp_rec.index_height(), watermark as u64);
+        assert_eq!(sp_rec.height(), watermark as u64);
+        assert_eq!(observe(&sp_rec), g.expected[watermark]);
 
         for block in &blocks {
             let height = block.header.height as usize;
-            let inputs_rec = sp_rec.stage_block(block).expect("recovered SP stages");
             let inputs_oracle = world.sp.stage_block(block).expect("oracle stages");
             let (certs, _) = world
                 .ci
@@ -533,14 +534,17 @@ fn resync_after_recovery_converges_on_the_oracle() {
                 .expect("certifies");
             world.sp.advance(Some(&certs)).expect("oracle advances");
             if height <= watermark {
+                let held = sp_rec.stage_block(block);
                 assert!(
-                    inputs_rec.is_empty(),
-                    "watermark {watermark}: catch-up block {height} must not re-stage"
+                    matches!(held, Err(ChainError::BrokenLink { .. })),
+                    "watermark {watermark}: held block {height} must be refused, got {held:?}"
                 );
-            } else {
-                assert_eq!(inputs_rec.len(), inputs_oracle.len());
-                sp_rec.advance(Some(&certs)).expect("recovered SP advances");
+                assert_eq!(observe(&sp_rec), g.expected[watermark]);
+                continue;
             }
+            let inputs_rec = sp_rec.stage_block(block).expect("recovered SP stages");
+            assert_eq!(inputs_rec.len(), inputs_oracle.len());
+            sp_rec.advance(Some(&certs)).expect("recovered SP advances");
         }
         assert!(sp_rec.store_error().is_none(), "watermark {watermark}");
         let tip = observe(&world.sp);
@@ -684,10 +688,7 @@ fn a_block_the_ci_refuses_is_rewound_and_recovery_skips_its_records() {
         .expect("the SP follows a forged signature");
     assert_ne!(digests(&world.sp), before.0, "the stage moved the indexes");
     let refused = world.ci.certify_augmented(&forged, &inputs).err();
-    assert_eq!(
-        refused,
-        Some(CertError::Chain(dcert::chain::ChainError::BadTxSignature))
-    );
+    assert_eq!(refused, Some(CertError::Chain(ChainError::BadTxSignature)));
     assert!(world.sp.rewind(), "the staged block is taken back");
     assert!(!world.sp.rewind(), "once");
     assert_eq!(
